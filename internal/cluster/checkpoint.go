@@ -313,9 +313,6 @@ func (st *runState) runManaged() (partial bool) {
 	if r := cp.Resume; r != nil {
 		if err := st.validateResume(r); err != nil {
 			cp.Err = err
-			// Nothing has been pumped; fire the time-zero spawn events so
-			// Finish can abort the process goroutines cleanly.
-			k.RunUntilN(0, 1<<30)
 			k.Finish()
 			return true
 		}

@@ -119,10 +119,6 @@ type Kernel struct {
 
 	freeEv []*event // fired events, reused by the next At/AtArg
 
-	// yield is signalled by a process when it parks or exits, handing
-	// control back to the kernel loop.
-	yield chan struct{}
-
 	procs    []*Proc
 	nlive    int
 	draining bool
@@ -133,7 +129,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero with a single lane.
 func NewKernel() *Kernel {
-	k := &Kernel{yield: make(chan struct{})}
+	k := &Kernel{}
 	k.lanes = []*calQ{newCalQ(k.grain)}
 	return k
 }
@@ -287,11 +283,18 @@ type abortSignal struct{}
 // Proc is a simulated process: a goroutine that the kernel resumes one at a
 // time. All blocking methods must be called from the process's own goroutine.
 type Proc struct {
-	k      *Kernel
-	name   string
-	lane   int32
-	resume chan bool // value: false => aborted
-	live   bool
+	k    *Kernel
+	name string
+	lane int32
+	live bool
+
+	// The two ends of the process's coroutine (see handoff.go), nil until
+	// its start event fires: the kernel calls next to run the process up to
+	// its next park and stop to abort it there; the process calls yield to
+	// park.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Name returns the process name given at Spawn.
@@ -311,50 +314,11 @@ func (p *Proc) Lane() int { return int(p.lane) }
 // virtual time (once Run is pumping events). The process's home lane is the
 // lane current at the Spawn call (see WithLane).
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, lane: k.curLane, resume: make(chan bool), live: true}
+	p := &Proc{k: k, name: name, lane: k.curLane, live: true}
 	k.procs = append(k.procs, p)
 	k.nlive++
-	k.At(k.now, func() {
-		go func() {
-			defer func() {
-				p.live = false
-				k.nlive--
-				if r := recover(); r != nil {
-					if _, ok := r.(abortSignal); ok {
-						k.yield <- struct{}{}
-						return
-					}
-					panic(r)
-				}
-				k.yield <- struct{}{}
-			}()
-			if ok := <-p.resume; !ok {
-				panic(abortSignal{})
-			}
-			fn(p)
-		}()
-		p.transfer()
-	})
+	k.At(k.now, func() { p.start(fn) })
 	return p
-}
-
-// transfer hands control to p and waits until it parks or exits.
-// Must be called from the kernel goroutine (inside an event callback).
-func (k *Kernel) resumeProc(p *Proc, ok bool) {
-	p.resume <- ok
-	<-k.yield
-}
-
-// transfer is resumeProc(p, true) — used right after goroutine start.
-func (p *Proc) transfer() { p.k.resumeProc(p, true) }
-
-// park blocks the process until the kernel resumes it. Returns normally on
-// resume; panics with abortSignal when the kernel is draining.
-func (p *Proc) park() {
-	p.k.yield <- struct{}{}
-	if ok := <-p.resume; !ok {
-		panic(abortSignal{})
-	}
 }
 
 // Wait advances the process by d of virtual time.
@@ -376,7 +340,7 @@ func (p *Proc) Wait(d Time) {
 // up to the dominant allocation in traffic-heavy runs).
 func fireResume(a any) {
 	p := a.(*Proc)
-	p.k.resumeProc(p, true)
+	p.k.resumeProc(p)
 }
 
 // WaitUntil blocks the process until absolute time t (no-op if in the past).
@@ -520,10 +484,7 @@ func (k *Kernel) QueueFingerprint() (n int, fp uint64) {
 
 // Finish ends a stepped run: any still-queued events (user and daemon alike)
 // are discarded unfired and every parked process is aborted so its goroutine
-// exits. After Finish the kernel must not be pumped again. Callers must have
-// pumped at least one batch of events first (Spawn creates process goroutines
-// lazily inside a time-zero event; draining before that event has fired would
-// abort a process that never started).
+// exits. After Finish the kernel must not be pumped again.
 func (k *Kernel) Finish() Time {
 	k.discardDaemons()
 	k.drain()
@@ -544,11 +505,20 @@ func (k *Kernel) discardDaemons() {
 }
 
 // drain force-aborts every parked live process and stops the worker pool.
+// stop makes the process's pending park panic with abortSignal, so the
+// deferred calls of its body run and its goroutine ends before stop returns.
+// A process whose start event never fired has no goroutine yet and is only
+// retired.
 func (k *Kernel) drain() {
 	k.draining = true
 	for _, p := range k.procs {
-		if p.live {
-			k.resumeProc(p, false)
+		switch {
+		case !p.live:
+		case p.stop == nil:
+			p.live = false
+			k.nlive--
+		default:
+			p.stop()
 		}
 	}
 	k.procs = nil

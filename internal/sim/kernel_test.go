@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -576,4 +578,176 @@ func TestRunUntilStopsWhenOnlyDaemonsRemain(t *testing.T) {
 	if k.Now() != 2*Nanosecond {
 		t.Fatalf("RunUntil stopped at %v, want 2ns", k.Now())
 	}
+}
+
+// parkFour spawns one process parked forever in each blocking primitive —
+// Wait, Gate.Wait, Gate.WaitTimeout and Queue.Pop — and returns how many
+// of their deferred calls have run, which is how a test sees that drain
+// unwound them rather than dropping them.
+func parkFour(k *Kernel) (unwound *int) {
+	unwound = new(int)
+	var g Gate
+	var q Queue[int]
+	k.Spawn("wait", func(p *Proc) {
+		defer func() { *unwound++ }()
+		p.Wait(Second)
+	})
+	k.Spawn("gate", func(p *Proc) {
+		defer func() { *unwound++ }()
+		g.Wait(p)
+	})
+	k.Spawn("timeout", func(p *Proc) {
+		defer func() { *unwound++ }()
+		g.WaitTimeout(p, Second)
+	})
+	k.Spawn("pop", func(p *Proc) {
+		defer func() { *unwound++ }()
+		q.Pop(p)
+	})
+	return unwound
+}
+
+// Finish on a kernel whose processes' time-zero start events never fired has
+// no goroutine to unwind: it retires the processes and returns.
+func TestFinishBeforeFirstEvent(t *testing.T) {
+	k := NewKernel()
+	started := false
+	k.Spawn("never", func(p *Proc) { started = true })
+	k.Spawn("never2", func(p *Proc) { p.Wait(10) })
+	if k.LiveProcs() != 2 {
+		t.Fatalf("LiveProcs = %d before Finish, want 2", k.LiveProcs())
+	}
+	if end := k.Finish(); end != 0 {
+		t.Fatalf("Finish = %v, want 0", end)
+	}
+	if started {
+		t.Fatal("Finish started a process whose start event it discarded")
+	}
+	if k.LiveProcs() != 0 || k.PendingUser() != 0 {
+		t.Fatalf("after Finish: LiveProcs = %d, PendingUser = %d, want 0, 0", k.LiveProcs(), k.PendingUser())
+	}
+
+	// The same with one process started and parked and one not yet started.
+	k = NewKernel()
+	k.Spawn("early", func(p *Proc) {
+		p.Wait(10)
+		p.Kernel().Spawn("late", func(p *Proc) { started = true })
+		p.Wait(Second)
+	})
+	k.RunUntilN(Forever, 2) // start "early", then its first wake-up: "late" is spawned, not started
+	if k.LiveProcs() != 2 {
+		t.Fatalf("LiveProcs = %d before Finish, want 2", k.LiveProcs())
+	}
+	k.Finish()
+	if started || k.LiveProcs() != 0 {
+		t.Fatalf("after Finish: started = %v, LiveProcs = %d", started, k.LiveProcs())
+	}
+}
+
+// A panic in a process body surfaces, with its original value, on the
+// goroutine pumping the kernel — through Run and through a stepped run —
+// and the kernel can still be finished afterwards.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	boom := errors.New("boom")
+	pumps := map[string]func(k *Kernel){
+		"Run":       func(k *Kernel) { k.Run() },
+		"RunUntilN": func(k *Kernel) { k.RunUntilN(Forever, 1<<20) },
+	}
+	for name, pump := range pumps {
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			k := NewKernel()
+			unwound := parkFour(k)
+			k.Spawn("bad", func(p *Proc) {
+				p.Wait(10)
+				panic(boom)
+			})
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				pump(k)
+				return nil
+			}()
+			if got != boom {
+				t.Fatalf("pump recovered %v, want the process's own panic value", got)
+			}
+			if k.Now() != 10 || k.LiveProcs() != 4 {
+				t.Fatalf("after the panic: now = %v, LiveProcs = %d, want 10ps, 4", k.Now(), k.LiveProcs())
+			}
+			k.Finish()
+			if *unwound != 4 || k.LiveProcs() != 0 {
+				t.Fatalf("after Finish: unwound = %d, LiveProcs = %d, want 4, 0", *unwound, k.LiveProcs())
+			}
+			if n := runtime.NumGoroutine(); n != base {
+				t.Fatalf("goroutines = %d, want the baseline %d", n, base)
+			}
+		})
+	}
+}
+
+// The abortSignal that unwinds a parked process stays inside drain, also
+// when the process's own deferred calls try to block again on the way out.
+func TestAbortSignalNeverEscapesDrain(t *testing.T) {
+	k := NewKernel()
+	unwound := parkFour(k)
+	var g Gate
+	k.Spawn("reparks", func(p *Proc) {
+		defer func() { *unwound++ }()
+		defer p.Wait(5) // parks during the unwind: aborted again at once
+		defer p.Yield() // likewise
+		defer g.Wait(p) // likewise
+		p.Wait(Second)
+	})
+	k.Spawn("work", func(p *Proc) { p.Wait(100) })
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("Run panicked with %#v", r)
+			}
+		}()
+		k.RunUntil(100)
+		k.Finish()
+	}()
+	if *unwound != 5 || k.LiveProcs() != 0 {
+		t.Fatalf("unwound = %d, LiveProcs = %d, want 5, 0", *unwound, k.LiveProcs())
+	}
+}
+
+// No goroutine outlives a run: every process goroutine, finished or parked
+// in any blocking primitive, is gone when Run or Finish returns.
+func TestNoGoroutineOutlivesRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	check := func(when string, unwound *int) {
+		t.Helper()
+		if *unwound != 4 {
+			t.Fatalf("%s: %d of 4 parked processes unwound", when, *unwound)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("%s: goroutines = %d, want the baseline %d", when, n, base)
+		}
+	}
+
+	k := NewKernel()
+	unwound := parkFour(k)
+	for i := 0; i < 8; i++ {
+		k.Spawn("worker", func(p *Proc) {
+			for j := 0; j < 10; j++ {
+				p.Wait(7)
+			}
+		})
+	}
+	// The parked Wait and WaitTimeout hold user events, so Run pumps to
+	// their deadline; only the gate and queue waiters are still parked for
+	// drain. RunUntil+Finish below aborts all four.
+	k.Run()
+	check("after Run", unwound)
+
+	k = NewKernel()
+	unwound = parkFour(k)
+	k.Spawn("worker", func(p *Proc) { p.Wait(50) })
+	k.RunUntil(100)
+	if n := runtime.NumGoroutine(); n != base+4 {
+		t.Fatalf("mid-run: goroutines = %d, want baseline %d + 4 parked", n, base)
+	}
+	k.Finish()
+	check("after RunUntil+Finish", unwound)
 }

@@ -20,7 +20,7 @@ func fireGateWake(a any) {
 		return
 	}
 	w.fired = true
-	w.p.k.resumeProc(w.p, true)
+	w.p.k.resumeProc(w.p)
 }
 
 func fireGateTimeout(a any) {
@@ -31,7 +31,7 @@ func fireGateTimeout(a any) {
 	w.fired = true
 	w.timed = true
 	w.g.remove(w)
-	w.p.k.resumeProc(w.p, true)
+	w.p.k.resumeProc(w.p)
 }
 
 // Gate is a virtual-time condition variable. Processes park on it with Wait
