@@ -215,6 +215,42 @@ func TestBenchGateVerdicts(t *testing.T) {
 	}
 }
 
+// allocs/op of a whole-run benchmark flips between two integers with GC
+// timing; only a mean higher by a full alloc is a regression.
+func TestBenchGateAllocRounding(t *testing.T) {
+	lines := func(allocs ...int) string {
+		var sb strings.Builder
+		for _, a := range allocs {
+			fmt.Fprintf(&sb, "BenchmarkApp \t 600\t 1000.0 ns/op\t 64 B/op\t %d allocs/op\n", a)
+		}
+		return sb.String()
+	}
+	base := filepath.Join(t.TempDir(), "BENCH_test.json")
+	if err := emitBenchJSON(strings.NewReader(lines(7138, 7138, 7138, 7139, 7138, 7138)), base, "mixed"); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		fresh  string
+		failed bool
+	}{
+		{"same mix", lines(7139, 7138, 7139, 7138, 7139, 7138), false},
+		{"all on the upper integer", lines(7139, 7139, 7139, 7139, 7139, 7139), false},
+		{"one more alloc per op", lines(7139, 7139, 7139, 7140, 7139, 7139), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			failed, err := runBenchGate(strings.NewReader(tc.fresh), base, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if failed != tc.failed {
+				t.Fatalf("failed = %v, want %v", failed, tc.failed)
+			}
+		})
+	}
+}
+
 func TestBenchGateTooFewSamples(t *testing.T) {
 	// 2-a-side can never reach alpha=0.05 exactly; the gate must not claim
 	// significance (and must not fail) on pure ns/op movement.

@@ -9,7 +9,7 @@
 //	dvbench -small          # fast smoke sizes
 //	dvbench -list           # list experiment ids and registered apps
 //	dvbench -exp fig6a      # one experiment (ids from -list)
-//	dvbench -app gups       # one registered app, both backends
+//	dvbench -app gups       # one registered app, both backends (host cost on stderr)
 //	dvbench -jobs 4         # fan independent sweep points over 4 workers
 //	dvbench -workers 4      # intra-run parallel kernel (results identical)
 //	dvbench -trace out.csv  # where fig5 writes its trace
@@ -485,12 +485,20 @@ func runApp(r appRun) error {
 			}
 			spec.Checkpoint = cp
 		}
+		ev0, rs0 := cluster.KernelCounts()
+		t0 := time.Now()
 		sum, err := a.Run(spec)
+		wall := time.Since(t0)
 		if err != nil {
 			return fmt.Errorf("%s on %s: %w", r.name, net, err)
 		}
 		fmt.Printf("%-10s %-12s %2d nodes  elapsed=%-12v errors=%d  %s\n",
 			sum.App, sum.Net, sum.Nodes, sum.Elapsed, sum.Errors, sum.Check)
+		// What the run cost the host goes to stderr: stdout is simulated
+		// results only and stays byte-identical from run to run.
+		ev1, rs1 := cluster.KernelCounts()
+		fmt.Fprintf(os.Stderr, "  host: wall=%v  events=%d  resumes=%d\n",
+			wall.Round(time.Millisecond), ev1-ev0, rs1-rs0)
 		if cp != nil {
 			var be *cluster.BudgetExceededError
 			if errors.As(cp.Err, &be) && r.checkpoint != "" {

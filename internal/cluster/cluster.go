@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/check"
 	"repro/internal/dv"
@@ -291,6 +292,20 @@ type Report struct {
 	// time reached, fabric telemetry reflects work done so far, and Checks
 	// is omitted (end-of-run invariants are meaningless mid-flight).
 	Partial bool `json:",omitempty"`
+}
+
+// kernelEvents and kernelResumes total sim.Kernel.Counts over the runs this
+// process has finished (atomics: sweep jobs finish concurrently).
+var kernelEvents, kernelResumes atomic.Uint64
+
+// KernelCounts returns how many kernel events were fired and how many
+// process resumes were made by all the runs completed in this process so far;
+// the difference between two calls is what the runs between them cost. The
+// counts are simulator cost, not simulated behaviour, which is why Report
+// does not carry them: runs that must produce identical Reports (batched and
+// scalar boundary, checks on and off, managed and unmanaged) differ in them.
+func KernelCounts() (events, resumes uint64) {
+	return kernelEvents.Load(), kernelResumes.Load()
 }
 
 // Run executes body SPMD-style on every node and returns the report.
@@ -732,6 +747,9 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	} else {
 		k.Run()
 	}
+	ev, rs := k.Counts()
+	kernelEvents.Add(ev)
+	kernelResumes.Add(rs)
 	// Final forced sample: the end-of-run row carries the exact cumulative
 	// totals, so the JSONL series closes on the same numbers as the Report.
 	sampler.SampleNow()

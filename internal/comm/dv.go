@@ -127,7 +127,13 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 	// Payload round.
 	e.ArmGC(b.a2aGC[1], expected)
 	e.Barrier() // every payload counter armed, capacities agreed
-	var words []Word
+	nWords := 0
+	for d, blk := range blocks {
+		if d != e.Rank() {
+			nWords += wordsFor(len(blk))
+		}
+	}
+	words := make([]Word, 0, nWords)
 	for d := 0; d < p; d++ {
 		if d == e.Rank() || len(blocks[d]) == 0 {
 			continue

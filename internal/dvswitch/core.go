@@ -514,10 +514,7 @@ func NewCore(p Params) *Core {
 // state changes — and is safe to call at any point between Steps.
 func (c *Core) Prewarm(n int) {
 	if cap(c.pool) < n {
-		pool := make([]Packet, len(c.pool), n)
-		copy(pool, c.pool)
-		c.pool = pool
-		c.pstate = append(make([]pflight, 0, n), c.pstate...)
+		c.growPool(n)
 	}
 	if cap(c.free) < n {
 		c.free = append(make([]int32, 0, n), c.free...)
@@ -556,9 +553,22 @@ func (c *Core) alloc(pkt Packet) int32 {
 		c.pstate[ref-1] = st
 		return ref
 	}
+	if len(c.pool) == cap(c.pool) {
+		// Double, where append would add a quarter: a saturated run queues a
+		// million packets, and at 1.25x the pool is copied five times over on
+		// the way there.
+		c.growPool(2 * cap(c.pool))
+	}
 	c.pool = append(c.pool, pkt)
 	c.pstate = append(c.pstate, st)
 	return int32(len(c.pool))
+}
+
+// growPool moves the packet pool and its parallel hot-state column to
+// backing arrays of capacity n, keeping both flat slices of equal length.
+func (c *Core) growPool(n int) {
+	c.pool = append(make([]Packet, 0, n), c.pool...)
+	c.pstate = append(make([]pflight, 0, n), c.pstate...)
 }
 
 // packetAt materialises the full Packet for an in-flight pool reference,

@@ -40,7 +40,10 @@ func (p *Proc) start(fn func(p *Proc)) {
 
 // resumeProc hands control to p and returns when it parks or exits.
 // Must be called from the kernel goroutine (inside an event callback).
-func (k *Kernel) resumeProc(p *Proc) { p.next() }
+func (k *Kernel) resumeProc(p *Proc) {
+	k.nResumed++
+	p.next()
+}
 
 // park blocks the process until the kernel resumes it. Returns normally on
 // resume; panics with abortSignal when the kernel is draining.

@@ -111,6 +111,8 @@ type Kernel struct {
 	nEv   int // total queued events across lanes
 	nUser int // queued non-daemon events; Run stops when this hits zero
 
+	nFired, nResumed uint64 // see Counts
+
 	lanes    []*calQ
 	heads    laneHeap // lane-head merge heap; maintained only when len(lanes) > 1
 	curLane  int32    // home lane inherited by newly scheduled events
@@ -136,6 +138,13 @@ func NewKernel() *Kernel {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
+
+// Counts returns how many events the kernel has fired and how many times it
+// has switched to a simulated process (a start counts as one) — the two unit
+// counts behind a run's host time. They are deterministic for a given run
+// but are simulator cost, not simulated behaviour: a change that fires fewer
+// events for the same results moves them and nothing else.
+func (k *Kernel) Counts() (events, resumes uint64) { return k.nFired, k.nResumed }
 
 // newEvent returns a pooled (or fresh) event stamped with time t, the next
 // sequence number, and the current home lane.
@@ -203,6 +212,7 @@ func (k *Kernel) popMin() *event {
 // The event's home lane becomes the current lane for anything it schedules.
 func (k *Kernel) fire(e *event) {
 	fn, fnArg, arg := e.fn, e.fnArg, e.arg
+	k.nFired++
 	if !e.daemon {
 		k.nUser--
 	}
@@ -260,11 +270,18 @@ func (k *Kernel) AtLane(lane int, t Time, fn func()) {
 
 // AtArgLane is AtArg with an explicit home lane (see AtLane).
 func (k *Kernel) AtArgLane(lane int, t Time, fn func(any), arg any) {
+	k.atArgLane(int32(lane), t, fn, arg)
+}
+
+// atArgLane is AtArgLane handing back the queued event, for the one caller
+// that may have to demote it later (a gate timeout whose waiter is released).
+func (k *Kernel) atArgLane(lane int32, t Time, fn func(any), arg any) *event {
 	e := k.newEvent(t)
 	e.fnArg, e.arg = fn, arg
-	e.lane = int32(lane)
+	e.lane = lane
 	k.nUser++
 	k.schedule(e)
+	return e
 }
 
 // After schedules fn to run d from now.
@@ -295,6 +312,8 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
+
+	gw gateWaiter // the process's Gate.Wait/WaitUntil waiter (see Proc.waiter)
 }
 
 // Name returns the process name given at Spawn.

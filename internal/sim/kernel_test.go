@@ -580,11 +580,11 @@ func TestRunUntilStopsWhenOnlyDaemonsRemain(t *testing.T) {
 	}
 }
 
-// parkFour spawns one process parked forever in each blocking primitive —
-// Wait, Gate.Wait, Gate.WaitTimeout and Queue.Pop — and returns how many
-// of their deferred calls have run, which is how a test sees that drain
-// unwound them rather than dropping them.
-func parkFour(k *Kernel) (unwound *int) {
+// parkFive spawns one process parked forever in each blocking primitive —
+// Wait, Gate.Wait, Gate.WaitUntil, Gate.WaitTimeout and Queue.Pop — and
+// returns how many of their deferred calls have run, which is how a test
+// sees that drain unwound them rather than dropping them.
+func parkFive(k *Kernel) (unwound *int) {
 	unwound = new(int)
 	var g Gate
 	var q Queue[int]
@@ -595,6 +595,10 @@ func parkFour(k *Kernel) (unwound *int) {
 	k.Spawn("gate", func(p *Proc) {
 		defer func() { *unwound++ }()
 		g.Wait(p)
+	})
+	k.Spawn("until", func(p *Proc) {
+		defer func() { *unwound++ }()
+		g.WaitUntil(p, func() bool { return false })
 	})
 	k.Spawn("timeout", func(p *Proc) {
 		defer func() { *unwound++ }()
@@ -657,7 +661,7 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			k := NewKernel()
-			unwound := parkFour(k)
+			unwound := parkFive(k)
 			k.Spawn("bad", func(p *Proc) {
 				p.Wait(10)
 				panic(boom)
@@ -670,12 +674,12 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 			if got != boom {
 				t.Fatalf("pump recovered %v, want the process's own panic value", got)
 			}
-			if k.Now() != 10 || k.LiveProcs() != 4 {
-				t.Fatalf("after the panic: now = %v, LiveProcs = %d, want 10ps, 4", k.Now(), k.LiveProcs())
+			if k.Now() != 10 || k.LiveProcs() != 5 {
+				t.Fatalf("after the panic: now = %v, LiveProcs = %d, want 10ps, 5", k.Now(), k.LiveProcs())
 			}
 			k.Finish()
-			if *unwound != 4 || k.LiveProcs() != 0 {
-				t.Fatalf("after Finish: unwound = %d, LiveProcs = %d, want 4, 0", *unwound, k.LiveProcs())
+			if *unwound != 5 || k.LiveProcs() != 0 {
+				t.Fatalf("after Finish: unwound = %d, LiveProcs = %d, want 5, 0", *unwound, k.LiveProcs())
 			}
 			if n := runtime.NumGoroutine(); n != base {
 				t.Fatalf("goroutines = %d, want the baseline %d", n, base)
@@ -688,7 +692,7 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 // when the process's own deferred calls try to block again on the way out.
 func TestAbortSignalNeverEscapesDrain(t *testing.T) {
 	k := NewKernel()
-	unwound := parkFour(k)
+	unwound := parkFive(k)
 	var g Gate
 	k.Spawn("reparks", func(p *Proc) {
 		defer func() { *unwound++ }()
@@ -707,8 +711,8 @@ func TestAbortSignalNeverEscapesDrain(t *testing.T) {
 		k.RunUntil(100)
 		k.Finish()
 	}()
-	if *unwound != 5 || k.LiveProcs() != 0 {
-		t.Fatalf("unwound = %d, LiveProcs = %d, want 5, 0", *unwound, k.LiveProcs())
+	if *unwound != 6 || k.LiveProcs() != 0 {
+		t.Fatalf("unwound = %d, LiveProcs = %d, want 6, 0", *unwound, k.LiveProcs())
 	}
 }
 
@@ -718,8 +722,8 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 	base := runtime.NumGoroutine()
 	check := func(when string, unwound *int) {
 		t.Helper()
-		if *unwound != 4 {
-			t.Fatalf("%s: %d of 4 parked processes unwound", when, *unwound)
+		if *unwound != 5 {
+			t.Fatalf("%s: %d of 5 parked processes unwound", when, *unwound)
 		}
 		if n := runtime.NumGoroutine(); n != base {
 			t.Fatalf("%s: goroutines = %d, want the baseline %d", when, n, base)
@@ -727,7 +731,7 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 	}
 
 	k := NewKernel()
-	unwound := parkFour(k)
+	unwound := parkFive(k)
 	for i := 0; i < 8; i++ {
 		k.Spawn("worker", func(p *Proc) {
 			for j := 0; j < 10; j++ {
@@ -737,16 +741,16 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 	}
 	// The parked Wait and WaitTimeout hold user events, so Run pumps to
 	// their deadline; only the gate and queue waiters are still parked for
-	// drain. RunUntil+Finish below aborts all four.
+	// drain. RunUntil+Finish below aborts all five.
 	k.Run()
 	check("after Run", unwound)
 
 	k = NewKernel()
-	unwound = parkFour(k)
+	unwound = parkFive(k)
 	k.Spawn("worker", func(p *Proc) { p.Wait(50) })
 	k.RunUntil(100)
-	if n := runtime.NumGoroutine(); n != base+4 {
-		t.Fatalf("mid-run: goroutines = %d, want baseline %d + 4 parked", n, base)
+	if n := runtime.NumGoroutine(); n != base+5 {
+		t.Fatalf("mid-run: goroutines = %d, want baseline %d + 5 parked", n, base)
 	}
 	k.Finish()
 	check("after RunUntil+Finish", unwound)

@@ -1,13 +1,17 @@
 package sim
 
+import "slices"
+
 // gateWaiter tracks one parked process on a Gate, with cancellation support
 // so timeouts can withdraw a waiter without racing its wakeup.
 type gateWaiter struct {
-	p     *Proc
-	g     *Gate // owning gate, so a pooled timeout event can withdraw w
-	woken bool  // a wake event has been scheduled for this waiter
-	fired bool  // set by whichever of wake/timeout wins
-	timed bool  // true if the waiter timed out
+	p       *Proc
+	g       *Gate       // owning gate, so a pooled timeout event can withdraw w
+	ready   func() bool // WaitUntil: releases pass over w while this is false
+	timeout *event      // WaitTimeout: the deadline event, queued until it fires
+	woken   bool        // a wake event has been scheduled for this waiter
+	fired   bool        // set by whichever of wake/timeout wins
+	timed   bool        // true if the waiter timed out
 }
 
 // fireGateWake and fireGateTimeout are the pooled event payloads for gate
@@ -34,10 +38,12 @@ func fireGateTimeout(a any) {
 	w.p.k.resumeProc(w.p)
 }
 
-// Gate is a virtual-time condition variable. Processes park on it with Wait
-// (or WaitTimeout) and are released by Signal/Broadcast in FIFO order.
-// The caller is responsible for re-checking its predicate after waking, as
-// with sync.Cond.
+// Gate is a virtual-time condition variable. Processes park on it and are
+// released by Signal/Broadcast in FIFO order. Who re-checks the predicate
+// depends on how the process parked: after Wait or WaitTimeout the caller
+// does, as with sync.Cond — every release resumes it; with WaitUntil the gate
+// does, at the release, and a process whose predicate is still false is not
+// resumed at all.
 type Gate struct {
 	waiters []*gateWaiter
 }
@@ -47,9 +53,34 @@ func (g *Gate) Waiters() int { return len(g.waiters) }
 
 // Wait parks p until Signal or Broadcast releases it.
 func (g *Gate) Wait(p *Proc) {
-	w := &gateWaiter{p: p}
-	g.waiters = append(g.waiters, w)
+	g.waiters = append(g.waiters, p.waiter(nil))
 	p.park()
+}
+
+// waiter returns p's own gate waiter, reset for a wait without a timeout.
+// Such a wait needs no allocation: it is referenced only from the gate's
+// queue and then from its one wake event, and p, parked on it, runs again
+// only when that event fires — so the previous use is over whenever p can
+// ask. A WaitTimeout waiter is not reusable this way: its deadline event
+// outlives a release.
+func (p *Proc) waiter(ready func() bool) *gateWaiter {
+	p.gw = gateWaiter{p: p, ready: ready}
+	return &p.gw
+}
+
+// WaitUntil parks p until a Signal or Broadcast finds ready() true, and
+// returns at once if it already is. A release that finds it false leaves p
+// queued where it stands and schedules nothing for it, so a counter that
+// broadcasts on every change costs its waiter one resume, not one per
+// change. ready runs inside the releasing event and must only read state.
+// It holds on return: the wake-up is an event at the release instant, and
+// should something undo the condition in between, p parks again at the tail
+// as a Wait loop would have.
+func (g *Gate) WaitUntil(p *Proc, ready func() bool) {
+	for !ready() {
+		g.waiters = append(g.waiters, p.waiter(ready))
+		p.park()
+	}
 }
 
 // WaitTimeout parks p until released or until d elapses. It reports true if
@@ -61,49 +92,66 @@ func (g *Gate) WaitTimeout(p *Proc, d Time) bool {
 	}
 	w := &gateWaiter{p: p, g: g}
 	g.waiters = append(g.waiters, w)
-	p.k.AtArgLane(int(p.lane), p.k.now+d, fireGateTimeout, w)
+	w.timeout = p.k.atArgLane(p.lane, p.k.now+d, fireGateTimeout, w)
 	p.park()
 	return !w.timed
 }
 
+// removeAt takes the waiter at index i out of the queue, keeping the order of
+// the rest and the backing array.
+func (g *Gate) removeAt(i int) { g.waiters = slices.Delete(g.waiters, i, i+1) }
+
 func (g *Gate) remove(w *gateWaiter) {
-	for i, x := range g.waiters {
-		if x == w {
-			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-			return
-		}
+	if i := slices.Index(g.waiters, w); i >= 0 {
+		g.removeAt(i)
 	}
 }
 
-// Signal releases the oldest waiter (if any). The wakeup is delivered as an
-// event at the current time, preserving deterministic ordering. It is
-// scheduled on the waiter's home lane — a signal may come from any lane (a
-// fabric delivery waking a node's queue pop), but the wakeup belongs to the
-// parked process.
+// blocked reports whether a release must pass over w.
+func (w *gateWaiter) blocked() bool { return w.ready != nil && !w.ready() }
+
+// release schedules the wake-up of a waiter just taken off the queue, as an
+// event at the current time, which preserves deterministic ordering. It goes
+// on the waiter's home lane — a release may come from any lane (a fabric
+// delivery waking a node's queue pop), but the wake-up belongs to the parked
+// process. A WaitTimeout deadline still queued for the waiter is dead from
+// here on (fireGateTimeout returns at once), so it is demoted to a daemon
+// event: it must not keep Run alive until a deadline nobody waits for.
+func (w *gateWaiter) release(k *Kernel) {
+	w.woken = true
+	if w.timeout != nil {
+		w.timeout.daemon = true
+		k.nUser--
+	}
+	k.atArgLane(w.p.lane, k.now, fireGateWake, w)
+}
+
+// Signal releases the oldest waiter that is not held back by a WaitUntil
+// predicate (if any).
 func (g *Gate) Signal(k *Kernel) {
-	for len(g.waiters) > 0 {
-		w := g.waiters[0]
-		g.waiters = g.waiters[1:]
-		if w.fired {
+	for i, w := range g.waiters {
+		if w.blocked() {
 			continue
 		}
-		w.woken = true
-		k.AtArgLane(int(w.p.lane), k.now, fireGateWake, w)
+		g.removeAt(i)
+		w.release(k)
 		return
 	}
 }
 
-// Broadcast releases every current waiter.
+// Broadcast releases every current waiter, except those whose WaitUntil
+// predicate is false: they stay queued, in their order.
 func (g *Gate) Broadcast(k *Kernel) {
-	ws := g.waiters
-	g.waiters = nil
-	for _, w := range ws {
-		if w.fired {
+	kept := g.waiters[:0]
+	for _, w := range g.waiters {
+		if w.blocked() {
+			kept = append(kept, w)
 			continue
 		}
-		w.woken = true
-		k.AtArgLane(int(w.p.lane), k.now, fireGateWake, w)
+		w.release(k)
 	}
+	clear(g.waiters[len(kept):])
+	g.waiters = kept
 }
 
 // Queue is an unbounded virtual-time FIFO. Push never blocks; Pop blocks the

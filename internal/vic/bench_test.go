@@ -93,3 +93,41 @@ func BenchmarkVICEject(b *testing.B) { benchVICEject(b, false) }
 // BenchmarkVICEjectScalar is the same burst through the legacy
 // closure-per-packet eject path — the differential baseline.
 func BenchmarkVICEjectScalar(b *testing.B) { benchVICEject(b, true) }
+
+// BenchmarkWaitGC measures what one arriving packet costs while the host
+// process is parked in WaitGCZero on the counter the packet decrements: the
+// delivery and receive events, the decrement, and a broadcast that must pass
+// over the waiter. One op is one packet, each arriving at its own instant;
+// the process is resumed once per 512-packet burst, by the zero
+// notification, and the per-burst objects (the waiter, the notification
+// closure) round to 0 allocs/op.
+func BenchmarkWaitGC(b *testing.B) {
+	const gc = 5
+	k, v, _ := benchInjectVIC(false)
+	all := make([]dvswitch.Packet, benchBurst)
+	for i := range all {
+		all[i] = gcPacket(gc, i)
+	}
+	feed := &gcFeed{v: v, every: dvswitch.DefaultCycleTime} // one per switch cycle
+	burst := func(p *sim.Proc, n int) {
+		v.setGC(gc, int64(n))
+		feed.pkts = all[:n]
+		feed.start()
+		if !v.WaitGCZero(p, gc, sim.Forever) {
+			b.Error("counter never notified zero")
+		}
+	}
+	k.Spawn("host", func(p *sim.Proc) {
+		burst(p, benchBurst) // warm the receive-event pool and memory pages
+		b.ReportAllocs()
+		b.ResetTimer()
+		for left := b.N; left > 0; left -= benchBurst {
+			burst(p, min(left, benchBurst))
+		}
+		b.StopTimer()
+	})
+	k.Run()
+	if ev, rs := k.Counts(); rs > ev/benchBurst+2 {
+		b.Fatalf("%d process resumes for %d events: the wait woke per packet", rs, ev)
+	}
+}

@@ -2,6 +2,7 @@ package vic
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dvswitch"
 	"repro/internal/obs/attr"
@@ -86,6 +87,15 @@ type VIC struct {
 	gc       []int64
 	gcGate   []sim.Gate // broadcast on every counter change
 	gcZeroed []bool     // zero already pushed to host
+
+	// What a parked completion wait waits for, per counter, as predicates the
+	// gate evaluates at each broadcast (sim.Gate.WaitUntil): built once, in
+	// New, so that a wait allocates no closure. gcTarget is the bound of the
+	// wait parked on gcAtMost; one suffices because only the owning node's
+	// process ever waits on this VIC.
+	gcNotified []func() bool // gcZeroed[i]
+	gcAtMost   []func() bool // gc[i] <= gcTarget[i]
+	gcTarget   []int64
 
 	fifo       []uint64          // surprise packets buffered on the VIC
 	hostFIFO   sim.Queue[uint64] // drained into the host ring buffer
@@ -244,9 +254,15 @@ func New(k *sim.Kernel, id, port int, par Params, inject func(pkt dvswitch.Packe
 		gc:       make([]int64, par.GroupCounters),
 		gcGate:   make([]sim.Gate, par.GroupCounters),
 		gcZeroed: make([]bool, par.GroupCounters),
+
+		gcNotified: make([]func() bool, par.GroupCounters),
+		gcAtMost:   make([]func() bool, par.GroupCounters),
+		gcTarget:   make([]int64, par.GroupCounters),
 	}
 	for i := range v.gcZeroed {
 		v.gcZeroed[i] = true // counters start at zero, already "notified"
+		v.gcNotified[i] = func() bool { return v.gcZeroed[i] }
+		v.gcAtMost[i] = func() bool { return v.gc[i] <= v.gcTarget[i] }
 	}
 	return v
 }
@@ -336,6 +352,8 @@ func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 				// with consecutive sequence numbers, so injecting the chunk
 				// in order from a single event fires identically.
 				b := v.newBatch()
+				b.pkts = slices.Grow(b.pkts, n)
+				b.dsts = slices.Grow(b.dsts, n)
 				for _, w := range words[base:end] {
 					var fl uint32
 					if v.attr != nil {
@@ -520,19 +538,28 @@ func (v *VIC) notifyZero(gc int) {
 
 // WaitGCZero blocks until the host observes group counter gc at zero, or
 // until the timeout expires; it reports whether zero was observed. The host
-// sees zero only after the VIC's pushed notification (GCNotify latency), as
-// in the real API where polling host memory avoids explicit PCIe reads.
+// sees zero only through the VIC's pushed notification (GCNotify latency
+// after the counter lands on zero), as in the real API where polling host
+// memory avoids explicit PCIe reads: packets that merely decrement the
+// counter do not reach the host, so an untimed wait is resumed once, by
+// the notification.
+//
+// A timed wait still wakes on every counter change and re-arms its timeout
+// for the remainder. That is deliberate: each re-arm queues the deadline
+// with a later sequence number, and when the notification lands on the
+// deadline instant that number decides whether the wait reports zero or a
+// timeout. A single deadline armed at entry loses those ties (dvbench -small
+// -exp extN, heat 1e-03 unprotected, reads lost 17 for 16), and the
+// committed tables are the fixed point.
 func (v *VIC) WaitGCZero(p *sim.Proc, gc int, timeout sim.Time) bool {
+	if timeout == sim.Forever {
+		v.gcGate[gc].WaitUntil(p, v.gcNotified[gc])
+		return true
+	}
 	deadline := p.Now() + timeout
 	for !v.gcZeroed[gc] {
-		remain := timeout
-		if timeout != sim.Forever {
-			remain = deadline - p.Now()
-			if remain <= 0 {
-				return false
-			}
-		}
-		if !v.gcGate[gc].WaitTimeout(p, remain) {
+		remain := deadline - p.Now()
+		if remain <= 0 || !v.gcGate[gc].WaitTimeout(p, remain) {
 			return false
 		}
 	}
@@ -542,9 +569,8 @@ func (v *VIC) WaitGCZero(p *sim.Proc, gc int, timeout sim.Time) bool {
 // waitGCAtMost blocks (VIC-internal, no host notification cost) until the
 // counter value is <= target. Used by the intrinsic barrier.
 func (v *VIC) waitGCAtMost(p *sim.Proc, gc int, target int64) {
-	for v.gc[gc] > target {
-		v.gcGate[gc].Wait(p)
-	}
+	v.gcTarget[gc] = target
+	v.gcGate[gc].WaitUntil(p, v.gcAtMost[gc])
 }
 
 // WaitGCAtMost blocks until counter gc's value is <= target, without the
