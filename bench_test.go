@@ -25,6 +25,8 @@ import (
 	"repro/internal/apps/spmv"
 	"repro/internal/apps/vorticity"
 	"repro/internal/bench"
+	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/dvswitch"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
@@ -85,7 +87,7 @@ func BenchmarkFig5Trace(b *testing.B) {
 
 // BenchmarkFig6GUPS measures GUPS on both stacks across the node sweep.
 func BenchmarkFig6GUPS(b *testing.B) {
-	for _, net := range []gups.Net{gups.DV, gups.IB} {
+	for _, net := range []comm.Net{comm.DV, comm.IB} {
 		for _, n := range []int{4, 16, 32} {
 			b.Run(net.String()+"/nodes="+strconv.Itoa(n), func(b *testing.B) {
 				var r gups.Result
@@ -102,7 +104,7 @@ func BenchmarkFig6GUPS(b *testing.B) {
 
 // BenchmarkFig7FFT measures the distributed FFT on both stacks.
 func BenchmarkFig7FFT(b *testing.B) {
-	for _, net := range []fft.Net{fft.DV, fft.IB} {
+	for _, net := range []comm.Net{comm.DV, comm.IB} {
 		for _, n := range []int{4, 16, 32} {
 			b.Run(net.String()+"/nodes="+strconv.Itoa(n), func(b *testing.B) {
 				var r fft.Result
@@ -117,7 +119,7 @@ func BenchmarkFig7FFT(b *testing.B) {
 
 // BenchmarkFig8BFS measures Graph500 BFS on both stacks.
 func BenchmarkFig8BFS(b *testing.B) {
-	for _, net := range []bfs.Net{bfs.DV, bfs.IB} {
+	for _, net := range []comm.Net{comm.DV, comm.IB} {
 		for _, n := range []int{4, 16, 32} {
 			b.Run(net.String()+"/nodes="+strconv.Itoa(n), func(b *testing.B) {
 				var r bfs.Result
@@ -136,42 +138,42 @@ func BenchmarkFig9Apps(b *testing.B) {
 	b.Run("SNAP/DV", func(b *testing.B) {
 		var r snap.Result
 		for i := 0; i < b.N; i++ {
-			r = snap.Run(snap.DV, snap.Params{Nodes: 32, NX: 16, NY: 16, NZ: 16, MaxIters: 4})
+			r = snap.Run(comm.DV, snap.Params{Nodes: 32, NX: 16, NY: 16, NZ: 16, MaxIters: 4})
 		}
 		b.ReportMetric(r.Elapsed.Micros(), "us")
 	})
 	b.Run("SNAP/IB", func(b *testing.B) {
 		var r snap.Result
 		for i := 0; i < b.N; i++ {
-			r = snap.Run(snap.IB, snap.Params{Nodes: 32, NX: 16, NY: 16, NZ: 16, MaxIters: 4})
+			r = snap.Run(comm.IB, snap.Params{Nodes: 32, NX: 16, NY: 16, NZ: 16, MaxIters: 4})
 		}
 		b.ReportMetric(r.Elapsed.Micros(), "us")
 	})
 	b.Run("Vorticity/DV", func(b *testing.B) {
 		var r vorticity.Result
 		for i := 0; i < b.N; i++ {
-			r = vorticity.Run(vorticity.DV, vorticity.Params{Nodes: 32, N: 128, Steps: 2})
+			r = vorticity.Run(comm.DV, vorticity.Params{Nodes: 32, N: 128, Steps: 2})
 		}
 		b.ReportMetric(r.Elapsed.Micros(), "us")
 	})
 	b.Run("Vorticity/IB", func(b *testing.B) {
 		var r vorticity.Result
 		for i := 0; i < b.N; i++ {
-			r = vorticity.Run(vorticity.IB, vorticity.Params{Nodes: 32, N: 128, Steps: 2})
+			r = vorticity.Run(comm.IB, vorticity.Params{Nodes: 32, N: 128, Steps: 2})
 		}
 		b.ReportMetric(r.Elapsed.Micros(), "us")
 	})
 	b.Run("Heat/DV", func(b *testing.B) {
 		var r heat.Result
 		for i := 0; i < b.N; i++ {
-			r = heat.Run(heat.DV, heat.Params{Nodes: 32, N: 16, Steps: 10})
+			r = heat.Run(comm.DV, heat.Params{Nodes: 32, N: 16, Steps: 10})
 		}
 		b.ReportMetric(r.Elapsed.Micros(), "us")
 	})
 	b.Run("Heat/IB", func(b *testing.B) {
 		var r heat.Result
 		for i := 0; i < b.N; i++ {
-			r = heat.Run(heat.IB, heat.Params{Nodes: 32, N: 16, Steps: 10})
+			r = heat.Run(comm.IB, heat.Params{Nodes: 32, N: 16, Steps: 10})
 		}
 		b.ReportMetric(r.Elapsed.Micros(), "us")
 	})
@@ -188,10 +190,10 @@ func BenchmarkExtN(b *testing.B) {
 	}
 	b.Run("GUPS/reliable", func(b *testing.B) {
 		par := gups.Params{Nodes: 8, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 11,
-			Seed: 1, KeepTables: true, Faults: plan(), Reliable: true}
+			Seed: 1, KeepTables: true, Platform: cluster.Platform{Faults: plan()}, Reliable: true}
 		var r gups.Result
 		for i := 0; i < b.N; i++ {
-			r = gups.Run(gups.DV, par)
+			r = gups.Run(comm.DV, par)
 		}
 		if bad := gups.Verify(par, r); bad != 0 {
 			b.Fatalf("reliable GUPS under faults: %d wrong words", bad)
@@ -201,10 +203,10 @@ func BenchmarkExtN(b *testing.B) {
 	})
 	b.Run("heat/reliable", func(b *testing.B) {
 		par := heat.Params{Nodes: 8, N: 16, Steps: 10, KeepField: true,
-			Faults: plan(), Reliable: true}
+			Platform: cluster.Platform{Faults: plan()}, Reliable: true}
 		var r heat.Result
 		for i := 0; i < b.N; i++ {
-			r = heat.Run(heat.DV, par)
+			r = heat.Run(comm.DV, par)
 		}
 		if err := heat.MaxErr(par, r.Field); err > 1e-9 {
 			b.Fatalf("reliable heat under faults: max error %g", err)
@@ -215,7 +217,7 @@ func BenchmarkExtN(b *testing.B) {
 	b.Run("barrier/reliable", func(b *testing.B) {
 		var r barrier.Result
 		for i := 0; i < b.N; i++ {
-			r = barrier.RunOpts(barrier.DVReliable, 8, 30, barrier.Opts{Faults: plan()})
+			r = barrier.RunOpts(barrier.DVReliable, 8, 30, barrier.Opts{Platform: cluster.Platform{Faults: plan()}})
 		}
 		if r.Completed != r.Iters || r.Errors != 0 {
 			b.Fatalf("reliable barrier under faults: %d/%d, %d errors", r.Completed, r.Iters, r.Errors)
@@ -225,10 +227,10 @@ func BenchmarkExtN(b *testing.B) {
 	})
 	b.Run("GUPS/unprotected", func(b *testing.B) {
 		par := gups.Params{Nodes: 8, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 11,
-			Seed: 1, KeepTables: true, Faults: plan(), WaitTimeout: 2 * sim.Millisecond}
+			Seed: 1, KeepTables: true, Platform: cluster.Platform{Faults: plan()}, WaitTimeout: 2 * sim.Millisecond}
 		var r gups.Result
 		for i := 0; i < b.N; i++ {
-			r = gups.Run(gups.DV, par)
+			r = gups.Run(comm.DV, par)
 		}
 		b.ReportMetric(float64(r.Lost), "lost")
 		b.ReportMetric(r.Elapsed.Micros(), "us")
@@ -284,8 +286,8 @@ func BenchmarkCycleVsFastModel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var r gups.Result
 			for i := 0; i < b.N; i++ {
-				r = gups.Run(gups.DV, gups.Params{Nodes: 8, TableWordsNode: 1 << 12,
-					UpdatesPerNode: 1 << 11, CycleAccurate: cyc})
+				r = gups.Run(comm.DV, gups.Params{Nodes: 8, TableWordsNode: 1 << 12,
+					UpdatesPerNode: 1 << 11, Platform: cluster.Platform{CycleAccurate: cyc}})
 			}
 			b.ReportMetric(r.MUPSPerNode(), "MUPS/PE")
 		})
@@ -299,42 +301,42 @@ func BenchmarkExtKernels(b *testing.B) {
 	b.Run("PageRank/DV", func(b *testing.B) {
 		var r pagerank.Result
 		for i := 0; i < b.N; i++ {
-			r = pagerank.Run(pagerank.DV, pagerank.Params{Nodes: 16, Scale: 12, MaxIters: 5, Tol: 0})
+			r = pagerank.Run(comm.DV, pagerank.Params{Nodes: 16, Scale: 12, MaxIters: 5, Tol: 0})
 		}
 		b.ReportMetric(r.Elapsed.Micros(), "us")
 	})
 	b.Run("PageRank/IB", func(b *testing.B) {
 		var r pagerank.Result
 		for i := 0; i < b.N; i++ {
-			r = pagerank.Run(pagerank.IB, pagerank.Params{Nodes: 16, Scale: 12, MaxIters: 5, Tol: 0})
+			r = pagerank.Run(comm.IB, pagerank.Params{Nodes: 16, Scale: 12, MaxIters: 5, Tol: 0})
 		}
 		b.ReportMetric(r.Elapsed.Micros(), "us")
 	})
 	b.Run("SpMV/DV", func(b *testing.B) {
 		var r spmv.Result
 		for i := 0; i < b.N; i++ {
-			r = spmv.Run(spmv.DV, spmv.Params{Nodes: 16, Scale: 12, Iters: 3})
+			r = spmv.Run(comm.DV, spmv.Params{Nodes: 16, Scale: 12, Iters: 3})
 		}
 		b.ReportMetric(r.Elapsed.Micros(), "us")
 	})
 	b.Run("SpMV/IB", func(b *testing.B) {
 		var r spmv.Result
 		for i := 0; i < b.N; i++ {
-			r = spmv.Run(spmv.IB, spmv.Params{Nodes: 16, Scale: 12, Iters: 3})
+			r = spmv.Run(comm.IB, spmv.Params{Nodes: 16, Scale: 12, Iters: 3})
 		}
 		b.ReportMetric(r.Elapsed.Micros(), "us")
 	})
 	b.Run("Sort/DV", func(b *testing.B) {
 		var r sortapp.Result
 		for i := 0; i < b.N; i++ {
-			r = sortapp.Run(sortapp.DV, sortapp.Params{Nodes: 16, KeysPerNode: 1 << 13})
+			r = sortapp.Run(comm.DV, sortapp.Params{Nodes: 16, KeysPerNode: 1 << 13})
 		}
 		b.ReportMetric(r.SortedRate()/1e6, "Mkeys/s")
 	})
 	b.Run("Sort/IB", func(b *testing.B) {
 		var r sortapp.Result
 		for i := 0; i < b.N; i++ {
-			r = sortapp.Run(sortapp.IB, sortapp.Params{Nodes: 16, KeysPerNode: 1 << 13})
+			r = sortapp.Run(comm.IB, sortapp.Params{Nodes: 16, KeysPerNode: 1 << 13})
 		}
 		b.ReportMetric(r.SortedRate()/1e6, "Mkeys/s")
 	})

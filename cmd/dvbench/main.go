@@ -251,6 +251,10 @@ func main() {
 		}
 		return
 	}
+	if err := (cluster.Platform{Workers: *workers}).Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
+		os.Exit(2)
+	}
 	// Oversubscription warning: sweep jobs each running a parallel kernel
 	// multiply, and widths past the visible cores only add preemption stalls
 	// (results stay identical either way — see Config.Workers).
@@ -434,7 +438,7 @@ func runApp(r appRun) error {
 	if !ok {
 		return fmt.Errorf("unknown app %q (see -list)", r.name)
 	}
-	if r.nodes <= 0 {
+	if r.nodes == 0 {
 		r.nodes = a.RefNodes
 	}
 	var resume *snapshot.Snapshot
@@ -460,7 +464,7 @@ func runApp(r appRun) error {
 		return fmt.Errorf("no backend matches -net %q", r.net)
 	}
 	for _, net := range nets {
-		spec := apprt.RunSpec{Net: net, Nodes: r.nodes, Seed: r.seed, Workers: r.workers}
+		spec := apprt.RunSpec{Net: net, Nodes: r.nodes, Seed: r.seed, Platform: cluster.Platform{Workers: r.workers}}
 		var cp *cluster.Checkpoint
 		if managed {
 			cp = &cluster.Checkpoint{

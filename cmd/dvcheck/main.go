@@ -33,7 +33,9 @@ import (
 	"repro/internal/apprt"
 	_ "repro/internal/apps/all"
 	"repro/internal/check"
+	"repro/internal/cluster"
 	"repro/internal/comm"
+	"repro/internal/dvswitch"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
 )
@@ -90,6 +92,12 @@ func classByName(name string) *faultClass {
 	return nil
 }
 
+// usage reports input no run can be built from and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dvcheck: "+format+"\n", args...)
+	os.Exit(2)
+}
+
 func main() {
 	appFlag := flag.String("app", "", "run only this registered app (default: all)")
 	nodesFlag := flag.Int("nodes", 0, "override the cluster size for every run (0 = each app's reference size)")
@@ -100,7 +108,7 @@ func main() {
 	seed0 := flag.Uint64("seed0", 1, "first seed of the sweep")
 	faultsFlag := flag.String("faults", "none", "comma-separated fault classes (see -list)")
 	cycle := flag.Bool("cycle", false, "route DV through the cycle-accurate switch core")
-	dense := flag.Bool("dense", false, "with -cycle: use the dense reference stepper")
+	dense := flag.Bool("dense", false, "use the dense reference stepper (needs -cycle)")
 	list := flag.Bool("list", false, "list apps and fault classes, then exit")
 	verbose := flag.Bool("v", false, "log every run, not just violations")
 	flag.Parse()
@@ -121,12 +129,25 @@ func main() {
 		return
 	}
 
+	policy, err := dvswitch.ParsePlanePolicy(*policyFlag)
+	if err != nil {
+		usage("%v", err)
+	}
+	plat := cluster.Platform{
+		CycleAccurate: *cycle,
+		DenseSwitch:   *dense,
+		DVPlanes:      *planesFlag,
+		PlanePolicy:   policy,
+	}
+	if err := plat.Validate(); err != nil {
+		usage("%v", err)
+	}
+
 	apps := apprt.Apps()
 	if *appFlag != "" {
 		a, ok := apprt.Get(*appFlag)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "dvcheck: unknown app %q (try -list)\n", *appFlag)
-			os.Exit(2)
+			usage("unknown app %q (try -list)", *appFlag)
 		}
 		apps = []apprt.App{a}
 	}
@@ -139,8 +160,7 @@ func main() {
 			nets = append(nets, comm.IB)
 		case "":
 		default:
-			fmt.Fprintf(os.Stderr, "dvcheck: unknown net %q (want dv or ib)\n", n)
-			os.Exit(2)
+			usage("unknown net %q (want dv or ib)", n)
 		}
 	}
 	var classes []*faultClass
@@ -150,8 +170,7 @@ func main() {
 		}
 		fc := classByName(n)
 		if fc == nil {
-			fmt.Fprintf(os.Stderr, "dvcheck: unknown fault class %q (try -list)\n", n)
-			os.Exit(2)
+			usage("unknown fault class %q (try -list)", n)
 		}
 		classes = append(classes, fc)
 	}
@@ -220,17 +239,9 @@ matrix:
 						interrupted = true
 						break matrix
 					}
-					spec := apprt.RunSpec{
-						Net:           net,
-						Nodes:         a.RefNodes,
-						Seed:          seed,
-						CycleAccurate: *cycle,
-						DenseSwitch:   *dense,
-						DVPlanes:      *planesFlag,
-						PlanePolicy:   *policyFlag,
-						Check:         check.All(),
-					}
-					if *nodesFlag > 0 {
+					spec := apprt.RunSpec{Net: net, Nodes: a.RefNodes, Seed: seed, Platform: plat}
+					spec.Check = check.All()
+					if *nodesFlag != 0 {
 						spec.Nodes = *nodesFlag
 						// Past-reference sizes exercise the scaled geometries;
 						// keep the fat-tree baseline honest there too.
@@ -245,9 +256,9 @@ matrix:
 					tag := fmt.Sprintf("%s/%s/%s seed=%d", a.Name, net, fc.name, seed)
 					sum, err := a.Run(spec)
 					if err != nil {
-						failures++
-						fmt.Printf("FAIL %s: run error: %v\n", tag, err)
-						continue
+						// Not a violation: the flags ask for a run that cannot
+						// be built (bad knob, size not divisible over the nodes).
+						usage("%s: %v", tag, err)
 					}
 					var res *check.Result
 					if sum.Cluster != nil {

@@ -16,6 +16,8 @@ import (
 	"os"
 
 	"repro/internal/apps/gups"
+	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/trace"
 )
 
@@ -78,11 +80,11 @@ func main() {
 		Nodes:          *nodes,
 		TableWordsNode: 1 << 12,
 		UpdatesPerNode: *updates,
-		Trace:          rec,
+		Platform:       cluster.Platform{Trace: rec},
 	}
-	net := gups.IB
+	net := comm.IB
 	if *netName == "dv" {
-		net = gups.DV
+		net = comm.DV
 	}
 	r := gups.Run(net, par)
 	f, err := os.Create(*out)

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"repro/internal/apps/bfs"
+	"repro/internal/comm"
 )
 
 func main() {
@@ -38,8 +39,8 @@ func main() {
 	fmt.Printf("degree skew: max %d, median %d (power-law tail drives irregular traffic)\n",
 		degrees[0], degrees[len(degrees)/2])
 
-	dv := bfs.Run(bfs.DV, par)
-	ib := bfs.Run(bfs.IB, par)
+	dv := bfs.Run(comm.DV, par)
+	ib := bfs.Run(comm.IB, par)
 	fmt.Printf("%-14s %10s %12s %10s\n", "network", "MTEPS", "visited", "time/search")
 	fmt.Printf("%-14s %10.1f %12d %10v\n", "Data Vortex",
 		dv.HarmonicMeanTEPS()/1e6, dv.Searches[0].Visited, dv.Searches[0].Elapsed)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps/gups"
+	"repro/internal/comm"
 )
 
 func main() {
@@ -21,15 +22,15 @@ func main() {
 	fmt.Printf("%-6s %22s %22s\n", "nodes", "Data Vortex (MUPS/PE)", "Infiniband (MUPS/PE)")
 	for _, n := range []int{4, 8, 16, 32} {
 		par := gups.Params{Nodes: n, TableWordsNode: *table, UpdatesPerNode: *updates}
-		dv := gups.Run(gups.DV, par)
-		ib := gups.Run(gups.IB, par)
+		dv := gups.Run(comm.DV, par)
+		ib := gups.Run(comm.IB, par)
 		fmt.Printf("%-6d %22.2f %22.2f\n", n, dv.MUPSPerNode(), ib.MUPSPerNode())
 	}
 
 	// Correctness: both variants must produce the identical table.
 	par := gups.Params{Nodes: 8, TableWordsNode: 1 << 12, UpdatesPerNode: 1 << 12, KeepTables: true}
-	a := gups.Run(gups.DV, par)
-	b := gups.Run(gups.IB, par)
+	a := gups.Run(comm.DV, par)
+	b := gups.Run(comm.IB, par)
 	for node := range a.Tables {
 		for i := range a.Tables[node] {
 			if a.Tables[node][i] != b.Tables[node][i] {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps/heat"
+	"repro/internal/comm"
 )
 
 func main() {
@@ -23,8 +24,8 @@ func main() {
 	fmt.Printf("3-D heat equation: %d^3 grid, %d steps, %d nodes (%dx%dx%d decomposition)\n",
 		*n, *steps, *nodes, px, py, pz)
 
-	dv := heat.Run(heat.DV, par)
-	ib := heat.Run(heat.IB, par)
+	dv := heat.Run(comm.DV, par)
+	ib := heat.Run(comm.IB, par)
 	fmt.Printf("Data Vortex: %v   (max error vs exact: %.2e)\n", dv.Elapsed, heat.MaxErr(par, dv.Field))
 	fmt.Printf("Infiniband:  %v   (max error vs exact: %.2e)\n", ib.Elapsed, heat.MaxErr(par, ib.Field))
 	fmt.Printf("speedup: %.2fx\n", float64(ib.Elapsed)/float64(dv.Elapsed))

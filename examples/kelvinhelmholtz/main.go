@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/apps/vorticity"
+	"repro/internal/comm"
 )
 
 // render prints the vorticity field as an ASCII intensity map.
@@ -46,14 +47,14 @@ func main() {
 	fmt.Printf("2-D Euler, Kelvin-Helmholtz double shear layer: %d^2 grid, %d nodes\n", *n, *nodes)
 	for _, s := range []int{0, *steps / 2, *steps} {
 		par := vorticity.Params{Nodes: *nodes, N: *n, Steps: s, Dt: 5e-3, RK2: true, KeepField: true}
-		r := vorticity.Run(vorticity.DV, par)
+		r := vorticity.Run(comm.DV, par)
 		fmt.Printf("\nt = %d steps (energy %.4g, enstrophy %.4g):\n", s, r.Energy, r.Enstrophy)
 		render(r.Field, *n, 64, 16)
 	}
 
 	par := vorticity.Params{Nodes: *nodes, N: *n, Steps: 10}
-	dv := vorticity.Run(vorticity.DV, par)
-	ib := vorticity.Run(vorticity.IB, par)
+	dv := vorticity.Run(comm.DV, par)
+	ib := vorticity.Run(comm.IB, par)
 	fmt.Printf("\n10-step timing: Data Vortex %v vs MPI %v (speedup %.2fx)\n",
 		dv.Elapsed, ib.Elapsed, float64(ib.Elapsed)/float64(dv.Elapsed))
 }

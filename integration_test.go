@@ -17,13 +17,14 @@ import (
 	sortapp "repro/internal/apps/sort"
 	"repro/internal/apps/spmv"
 	"repro/internal/apps/vorticity"
+	"repro/internal/comm"
 )
 
 func TestGUPSFastVsCycleAccurate(t *testing.T) {
 	par := gups.Params{Nodes: 4, TableWordsNode: 1 << 8, UpdatesPerNode: 512, KeepTables: true}
-	fast := gups.Run(gups.DV, par)
+	fast := gups.Run(comm.DV, par)
 	par.CycleAccurate = true
-	cyc := gups.Run(gups.DV, par)
+	cyc := gups.Run(comm.DV, par)
 	for n := range fast.Tables {
 		for i := range fast.Tables[n] {
 			if fast.Tables[n][i] != cyc.Tables[n][i] {
@@ -38,9 +39,9 @@ func TestGUPSFastVsCycleAccurate(t *testing.T) {
 
 func TestFFTFastVsCycleAccurate(t *testing.T) {
 	par := fft.Params{Nodes: 4, LogN: 10, KeepResult: true}
-	fast := fft.Run(fft.DV, par)
+	fast := fft.Run(comm.DV, par)
 	par.CycleAccurate = true
-	cyc := fft.Run(fft.DV, par)
+	cyc := fft.Run(comm.DV, par)
 	for i := range fast.Spectrum {
 		if fast.Spectrum[i] != cyc.Spectrum[i] {
 			t.Fatalf("spectrum[%d] differs between engines", i)
@@ -50,9 +51,9 @@ func TestFFTFastVsCycleAccurate(t *testing.T) {
 
 func TestBFSFastVsCycleAccurate(t *testing.T) {
 	par := bfs.Params{Nodes: 4, Scale: 9, EdgeFactor: 6, NRoots: 2, KeepParents: true}
-	fast := bfs.Run(bfs.DV, par)
+	fast := bfs.Run(comm.DV, par)
 	par.CycleAccurate = true
-	cyc := bfs.Run(bfs.DV, par)
+	cyc := bfs.Run(comm.DV, par)
 	for s := range fast.Parents {
 		for v := range fast.Parents[s] {
 			// Parent trees may differ legitimately (different arrival
@@ -66,9 +67,9 @@ func TestBFSFastVsCycleAccurate(t *testing.T) {
 
 func TestHeatFastVsCycleAccurate(t *testing.T) {
 	par := heat.Params{Nodes: 4, N: 8, Steps: 4, KeepField: true}
-	fast := heat.Run(heat.DV, par)
+	fast := heat.Run(comm.DV, par)
 	par.CycleAccurate = true
-	cyc := heat.Run(heat.DV, par)
+	cyc := heat.Run(comm.DV, par)
 	for i := range fast.Field {
 		if fast.Field[i] != cyc.Field[i] {
 			t.Fatalf("field[%d] differs between engines", i)
@@ -78,9 +79,9 @@ func TestHeatFastVsCycleAccurate(t *testing.T) {
 
 func TestVorticityFastVsCycleAccurate(t *testing.T) {
 	par := vorticity.Params{Nodes: 4, N: 16, Steps: 2, KeepField: true}
-	fast := vorticity.Run(vorticity.DV, par)
+	fast := vorticity.Run(comm.DV, par)
 	par.CycleAccurate = true
-	cyc := vorticity.Run(vorticity.DV, par)
+	cyc := vorticity.Run(comm.DV, par)
 	for i := range fast.Field {
 		if fast.Field[i] != cyc.Field[i] {
 			t.Fatalf("field[%d] differs between engines", i)
@@ -90,9 +91,9 @@ func TestVorticityFastVsCycleAccurate(t *testing.T) {
 
 func TestSNAPFastVsCycleAccurate(t *testing.T) {
 	par := snap.Params{Nodes: 4, NX: 8, NY: 8, NZ: 8, MaxIters: 3, KeepFlux: true}
-	fast := snap.Run(snap.DV, par)
+	fast := snap.Run(comm.DV, par)
 	par.CycleAccurate = true
-	cyc := snap.Run(snap.DV, par)
+	cyc := snap.Run(comm.DV, par)
 	for i := range fast.Flux {
 		if fast.Flux[i] != cyc.Flux[i] {
 			t.Fatalf("flux[%d] differs between engines", i)
@@ -102,9 +103,9 @@ func TestSNAPFastVsCycleAccurate(t *testing.T) {
 
 func TestPageRankFastVsCycleAccurate(t *testing.T) {
 	par := pagerank.Params{Nodes: 4, Scale: 8, EdgeFactor: 4, MaxIters: 5, KeepRanks: true}
-	fast := pagerank.Run(pagerank.DV, par)
+	fast := pagerank.Run(comm.DV, par)
 	par.CycleAccurate = true
-	cyc := pagerank.Run(pagerank.DV, par)
+	cyc := pagerank.Run(comm.DV, par)
 	for i := range fast.Ranks {
 		if fast.Ranks[i] != cyc.Ranks[i] {
 			t.Fatalf("rank[%d] differs between engines", i)
@@ -114,9 +115,9 @@ func TestPageRankFastVsCycleAccurate(t *testing.T) {
 
 func TestSpMVFastVsCycleAccurate(t *testing.T) {
 	par := spmv.Params{Nodes: 4, Scale: 8, EdgeFactor: 4, Iters: 2, KeepVector: true}
-	fast := spmv.Run(spmv.DV, par)
+	fast := spmv.Run(comm.DV, par)
 	par.CycleAccurate = true
-	cyc := spmv.Run(spmv.DV, par)
+	cyc := spmv.Run(comm.DV, par)
 	for i := range fast.Vector {
 		if fast.Vector[i] != cyc.Vector[i] {
 			t.Fatalf("vector[%d] differs between engines", i)
@@ -126,9 +127,9 @@ func TestSpMVFastVsCycleAccurate(t *testing.T) {
 
 func TestSortFastVsCycleAccurate(t *testing.T) {
 	par := sortapp.Params{Nodes: 4, KeysPerNode: 512, KeepKeys: true}
-	fast := sortapp.Run(sortapp.DV, par)
+	fast := sortapp.Run(comm.DV, par)
 	par.CycleAccurate = true
-	cyc := sortapp.Run(sortapp.DV, par)
+	cyc := sortapp.Run(comm.DV, par)
 	for n := range fast.Output {
 		if len(fast.Output[n]) != len(cyc.Output[n]) {
 			t.Fatalf("node %d run length differs between engines", n)

@@ -16,22 +16,16 @@ package apprt
 import (
 	"fmt"
 
-	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/dvswitch"
-	"repro/internal/faultplan"
-	"repro/internal/ib"
-	"repro/internal/obs"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
-// RunSpec is the harness configuration shared by every workload — the
-// union of the run-wiring fields that were once duplicated across ten
-// private Params structs. App-specific sizing (table words, grid points,
-// graph scale, ...) stays in each app's own Params.
+// RunSpec is the harness configuration shared by every workload: which
+// network, how many nodes, which seed, the platform wiring (embedded whole
+// and handed to the cluster untouched), and the two app-protocol switches
+// the loss-tolerant workloads implement. App-specific sizing (table words,
+// grid points, graph scale, ...) stays in each app's own Params.
 type RunSpec struct {
 	// Net selects the network under test.
 	Net comm.Net
@@ -39,67 +33,27 @@ type RunSpec struct {
 	Nodes int
 	// Seed pins the run's randomness; 0 keeps the testbed default.
 	Seed uint64
-	// CycleAccurate routes Data Vortex packets through the cycle-level
-	// switch engine instead of the calibrated fast model.
-	CycleAccurate bool
-	// DenseSwitch selects the dense full-fabric scan of the cycle-accurate
-	// core (cross-checking knob; bit-identical to the sparse stepper).
-	DenseSwitch bool
-	// ScalarBoundary routes VIC traffic over the legacy one-event-per-packet
-	// inject/eject boundary (cross-checking knob; bit-identical to the
-	// batched pipeline).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel, n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Reports are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (0 = dvswitch.DefaultParMinFlying, negative = fan every cycle).
-	ParMinFlying int
-	// VICsPerNode attaches multiple Data Vortex rails per node.
-	VICsPerNode int
-	// DVPlanes runs the Data Vortex stack on N parallel switch planes behind
-	// the VIC boundary (0 or 1 = the paper's single-plane testbed); see
-	// cluster.Config.DVPlanes.
-	DVPlanes int
-	// PlanePolicy names the deterministic plane-assignment policy for
-	// DVPlanes > 1: "" or "hash" (per-pair affinity), "rr" (per-source
-	// round-robin). Parsed by dvswitch.ParsePlanePolicy.
-	PlanePolicy string
-	// IBAdaptive enables adaptive fat-tree routing for the MPI stack.
-	IBAdaptive bool
-	// IBScaled sizes the fat-tree IB baseline for the run's node count
-	// (full-bisection two-level tree, ib.ForNodes) instead of the paper's
-	// fixed 8-nodes/leaf × 2-spine testbed tree, which is 4:1 oversubscribed
-	// beyond a few leaves. Scaling studies set this so the comparison stays
-	// honest at size.
-	IBScaled bool
+
+	// Platform is the run wiring (engines, fabrics, observers). Execute
+	// fills in Checkpoint.Net when it is empty.
+	cluster.Platform
+
 	// Reliable routes Data Vortex traffic through the reliable-delivery
 	// layer in apps that support it.
 	Reliable bool
 	// WaitTimeout, when > 0, bounds unprotected completion waits so lossy
 	// runs terminate and report losses instead of hanging.
 	WaitTimeout sim.Time
-	// Faults injects a fault plan into every enabled fabric.
-	Faults *faultplan.Plan
-	// Trace records execution states and messages (Figure 5).
-	Trace *trace.Recorder
-	// Obs enables the unified metrics layer for the run.
-	Obs *obs.Config
-	// Check enables the invariant layer for the run; results land in
-	// Report.Cluster.Checks. Checking never alters a run's results.
-	Check *check.Config
-	// Attr enables causal flow tracing and stage-level latency attribution;
-	// the per-stage/per-node decomposition, slowest-flow drill-down, and
-	// critical path land in Report.Cluster.Attr. Attribution never alters a
-	// run's results (golden-pinned).
-	Attr *attr.Config
-	// Checkpoint runs the workload under the managed pump: periodic
-	// full-state snapshots, wall/virtual budgets, and replay-verified
-	// restore (see cluster.Checkpoint). Execute fills in the Net identity
-	// field when empty; apps forward this pointer untouched.
-	Checkpoint *cluster.Checkpoint
+}
+
+// Validate rejects a spec no cluster can be built from, with a
+// *cluster.ConfigError naming the field. Registered runners call it before
+// any cluster exists, so drivers can print the error and exit.
+func (s RunSpec) Validate() error {
+	if s.Nodes < 1 {
+		return &cluster.ConfigError{Field: "Nodes", Reason: fmt.Sprintf("must be at least 1 (%d)", s.Nodes)}
+	}
+	return s.Platform.Validate()
 }
 
 // Kernel is one workload's per-node body. It receives the node and the
@@ -128,40 +82,17 @@ type Report struct {
 // hand (a zero Seed keeps the calibrated default, exactly as apps that
 // never set cfg.Seed did).
 func Execute(spec RunSpec, kernel Kernel) Report {
-	if spec.Nodes <= 0 {
-		panic(fmt.Sprintf("apprt: invalid node count %d", spec.Nodes))
+	if err := spec.Validate(); err != nil {
+		panic("apprt: " + err.Error())
 	}
 	cfg := cluster.DefaultConfig(spec.Nodes)
 	if spec.Seed != 0 {
 		cfg.Seed = spec.Seed
 	}
 	cfg.Stacks = spec.Net.Stacks()
-	cfg.CycleAccurate = spec.CycleAccurate
-	cfg.DenseSwitch = spec.DenseSwitch
-	cfg.ScalarBoundary = spec.ScalarBoundary
-	cfg.Workers = spec.Workers
-	cfg.ParMinFlying = spec.ParMinFlying
-	cfg.VICsPerNode = spec.VICsPerNode
-	cfg.DVPlanes = spec.DVPlanes
-	pol, err := dvswitch.ParsePlanePolicy(spec.PlanePolicy)
-	if err != nil {
-		panic(fmt.Sprintf("apprt: %v", err))
-	}
-	cfg.PlanePolicy = pol
-	if spec.IBScaled {
-		cfg.IB = ib.ForNodes(spec.Nodes)
-	}
-	cfg.IB.Adaptive = spec.IBAdaptive
-	cfg.Faults = spec.Faults
-	cfg.Trace = spec.Trace
-	cfg.Obs = spec.Obs
-	cfg.Check = spec.Check
-	cfg.Attr = spec.Attr
-	if spec.Checkpoint != nil {
-		if spec.Checkpoint.Net == "" {
-			spec.Checkpoint.Net = spec.Net.String()
-		}
-		cfg.Checkpoint = spec.Checkpoint
+	cfg.Platform = spec.Platform
+	if cp := cfg.Checkpoint; cp != nil && cp.Net == "" {
+		cp.Net = spec.Net.String()
 	}
 	rep := Report{Net: spec.Net, Nodes: spec.Nodes}
 	rep.Cluster = cluster.Run(cfg, func(n *cluster.Node) {

@@ -48,7 +48,7 @@ var ckptClasses = []ckptClass{
 
 func ckptSpec(a apprt.App, net comm.Net, fc ckptClass) apprt.RunSpec {
 	const seed = 7
-	spec := apprt.RunSpec{Net: net, Nodes: a.RefNodes, Seed: seed, Check: check.All()}
+	spec := apprt.RunSpec{Net: net, Nodes: a.RefNodes, Seed: seed, Platform: cluster.Platform{Check: check.All()}}
 	if fc.name != "none" {
 		spec.Reliable = true
 		spec.WaitTimeout = 500 * sim.Microsecond

@@ -30,17 +30,17 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden report file
 func goldenRuns(net comm.Net) map[string]func() any {
 	return map[string]func() any{
 		"gups": func() any {
-			return gups.Run(gups.Net(net), gups.Params{
+			return gups.Run(comm.Net(net), gups.Params{
 				Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 9, Seed: 7,
 			})
 		},
 		"heat": func() any {
-			return heat.Run(heat.Net(net), heat.Params{
+			return heat.Run(comm.Net(net), heat.Params{
 				Nodes: 4, N: 12, Steps: 6, Seed: 7,
 			})
 		},
 		"bfs": func() any {
-			return bfs.Run(bfs.Net(net), bfs.Params{
+			return bfs.Run(comm.Net(net), bfs.Params{
 				Nodes: 4, Scale: 8, NRoots: 2, Seed: 7,
 			})
 		},

@@ -1,0 +1,152 @@
+// The platform is declared once (cluster.Platform) and handed through whole,
+// so a knob set on a RunSpec must reach cluster.Run from every registered app,
+// and a spec no cluster can be built from must come back as a typed error
+// before any cluster exists.
+
+package apprt_test
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"repro/internal/apprt"
+	_ "repro/internal/apps/all"
+	"repro/internal/check"
+	"repro/internal/cluster"
+	"repro/internal/comm"
+	"repro/internal/obs"
+	"repro/internal/obs/attr"
+	"repro/internal/sim"
+)
+
+// TestSpecReachesEveryApp sets four knobs whose effect is visible in the
+// cluster Report and requires every app to show all four. Heat (the deflection
+// census) exists only on the cycle-accurate engine, so it pins CycleAccurate.
+func TestSpecReachesEveryApp(t *testing.T) {
+	for _, a := range apprt.Apps() {
+		a := a
+		t.Run(a.Name, func(t *testing.T) {
+			spec := apprt.RunSpec{Net: comm.DV, Nodes: a.RefNodes, Seed: 7}
+			spec.CycleAccurate = true
+			spec.Obs = &obs.Config{Every: 5 * sim.Microsecond}
+			spec.Attr = &attr.Config{Sample: 1}
+			spec.Check = check.All()
+			sum, err := a.Run(spec)
+			if err != nil {
+				t.Fatalf("run failed: %v", err)
+			}
+			rep := sum.Cluster
+			if rep.Metrics == nil {
+				t.Error("spec.Obs was dropped: no Metrics")
+			}
+			if rep.Checks == nil {
+				t.Error("spec.Check was dropped: no Checks")
+			}
+			if rep.Attr == nil {
+				t.Fatal("spec.Attr was dropped: no Attr")
+			}
+			if rep.Attr.Heat == nil {
+				t.Error("spec.CycleAccurate was dropped: no deflection heat census")
+			}
+		})
+	}
+}
+
+// TestOnePlatformType pins the structure that makes the above hold: RunSpec
+// and cluster.Config embed the very same type, so Execute copies it whole.
+func TestOnePlatformType(t *testing.T) {
+	want := reflect.TypeOf(cluster.Platform{})
+	for _, typ := range []reflect.Type{reflect.TypeOf(apprt.RunSpec{}), reflect.TypeOf(cluster.Config{})} {
+		f, ok := typ.FieldByName("Platform")
+		if !ok || !f.Anonymous || f.Type != want {
+			t.Errorf("%v does not embed cluster.Platform", typ)
+		}
+	}
+}
+
+func TestRunSpecValidate_Valid(t *testing.T) {
+	tests := []struct {
+		name string
+		spec apprt.RunSpec
+	}{
+		{name: "zero platform", spec: apprt.RunSpec{Nodes: 4}},
+		{name: "one node", spec: apprt.RunSpec{Nodes: 1}},
+		{name: "zero counts select the defaults", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{Workers: 0, DVPlanes: 0, VICsPerNode: 0}}},
+		{name: "smallest explicit counts", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{Workers: 1, DVPlanes: 1, VICsPerNode: 1}}},
+		{name: "negative ParMinFlying forces the fan", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{CycleAccurate: true, Workers: 2, ParMinFlying: -1}}},
+		{name: "dense with cycle-accurate", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{CycleAccurate: true, DenseSwitch: true}}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if err := tt.spec.Validate(); err != nil {
+				t.Errorf("Validate() = %v, want nil", err)
+			}
+		})
+	}
+}
+
+func TestRunSpecValidate_Invalid(t *testing.T) {
+	tests := []struct {
+		name  string
+		spec  apprt.RunSpec
+		field string
+	}{
+		{name: "no nodes", spec: apprt.RunSpec{}, field: "Nodes"},
+		{name: "negative nodes", spec: apprt.RunSpec{Nodes: -3}, field: "Nodes"},
+		{name: "negative workers", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{Workers: -2}}, field: "Workers"},
+		{name: "negative planes", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{DVPlanes: -4}}, field: "DVPlanes"},
+		{name: "negative rails", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{VICsPerNode: -1}}, field: "VICsPerNode"},
+		{name: "dense on the fast model", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{DenseSwitch: true}}, field: "DenseSwitch"},
+		{name: "nodes reported before platform", spec: apprt.RunSpec{
+			Platform: cluster.Platform{Workers: -1}}, field: "Nodes"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := tt.spec.Validate()
+			var ce *cluster.ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("Validate() = %v, want a *cluster.ConfigError", err)
+			}
+			if ce.Field != tt.field {
+				t.Errorf("error names field %q, want %q (%v)", ce.Field, tt.field, err)
+			}
+		})
+	}
+}
+
+// TestRegisteredRunnersReturnErrors: an invalid spec and a problem size that
+// does not divide over the nodes both come back as errors from a.Run — the
+// signature's promise — and never as a panic.
+func TestRegisteredRunnersReturnErrors(t *testing.T) {
+	for _, a := range apprt.Apps() {
+		spec := apprt.RunSpec{Net: comm.DV, Nodes: a.RefNodes}
+		spec.Workers = -2
+		var ce *cluster.ConfigError
+		if _, err := a.Run(spec); !errors.As(err, &ce) || ce.Field != "Workers" {
+			t.Errorf("%s: Run(Workers=-2) = %v, want a ConfigError naming Workers", a.Name, err)
+		}
+	}
+	// Reference sizes are powers of two (snap: an 8x8 mesh), so none of
+	// these splits over 3 (snap: 5) nodes.
+	for name, nodes := range map[string]int{"bfs": 3, "fft": 3, "heat": 5, "pagerank": 3,
+		"snap": 5, "spmv": 3, "vorticity": 3} {
+		a, ok := apprt.Get(name)
+		if !ok {
+			t.Fatalf("app %q not registered", name)
+		}
+		for _, net := range comm.Nets() {
+			if _, err := a.Run(apprt.RunSpec{Net: net, Nodes: nodes}); err == nil {
+				t.Errorf("%s on %v over %d nodes: no error", name, net, nodes)
+			}
+		}
+	}
+}

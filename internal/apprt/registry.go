@@ -54,13 +54,22 @@ type App struct {
 var registry = map[string]App{}
 
 // Register installs a workload. Called from app package init functions;
-// duplicate names panic (two packages claiming one workload is a bug).
+// duplicate names panic (two packages claiming one workload is a bug). The
+// installed Run validates the spec first, so every driver gets a
+// *cluster.ConfigError back before any cluster is built.
 func Register(a App) {
 	if a.Name == "" || a.Run == nil {
 		panic("apprt: Register needs a Name and a Run func")
 	}
 	if _, dup := registry[a.Name]; dup {
 		panic(fmt.Sprintf("apprt: duplicate app %q", a.Name))
+	}
+	run := a.Run
+	a.Run = func(spec RunSpec) (Summary, error) {
+		if err := spec.Validate(); err != nil {
+			return Summary{}, err
+		}
+		return run(spec)
 	}
 	registry[a.Name] = a
 }

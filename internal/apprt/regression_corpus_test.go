@@ -17,6 +17,7 @@ import (
 	"repro/internal/apprt"
 	_ "repro/internal/apps/all"
 	"repro/internal/check"
+	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
@@ -148,11 +149,10 @@ func TestRegressionCorpus(t *testing.T) {
 					t.Skip("cycle-accurate corpus replay in -short mode")
 				}
 				spec := apprt.RunSpec{
-					Net:           net,
-					Nodes:         a.RefNodes,
-					Seed:          cc.seed,
-					CycleAccurate: cc.cycle,
-					Check:         check.All(),
+					Net:      net,
+					Nodes:    a.RefNodes,
+					Seed:     cc.seed,
+					Platform: cluster.Platform{CycleAccurate: cc.cycle, Check: check.All()},
 				}
 				if plan := cc.plan(); plan != nil {
 					spec.Reliable = true

@@ -13,11 +13,8 @@ import (
 	"fmt"
 
 	"repro/internal/apprt"
-	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/faultplan"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
 )
 
@@ -54,42 +51,14 @@ func (i Impl) String() string {
 
 // Opts configures fault injection for a run.
 type Opts struct {
-	// Faults injects a fault plan into the run's fabric (Ext N).
-	Faults *faultplan.Plan
+	// Platform is the run wiring, handed whole to apprt.Execute.
+	cluster.Platform
 	// WaitTimeout, when > 0, bounds the Fast Barrier's counter waits so a
 	// lossy run terminates (with Completed < Iters) instead of hanging. The
 	// intrinsic barrier has no bounded wait: under loss its nodes park
 	// forever and the run ends when the event queue drains, which Completed
 	// likewise exposes.
 	WaitTimeout sim.Time
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
-	// DVPlanes runs the Data Vortex stack on N parallel switch planes
-	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
-	// deterministic plane assignment (see cluster.Config.DVPlanes).
-	DVPlanes    int
-	PlanePolicy string
-	// IBScaled sizes the fat-tree IB baseline for the node count
-	// (full-bisection tree, ib.ForNodes) instead of the paper's fixed
-	// testbed tree (see apprt.RunSpec.IBScaled).
-	IBScaled bool
-	// Check enables the invariant layer for the run.
-	Check *check.Config
-	// Attr enables causal flow tracing and stage-level latency attribution
-	// for the run; the summary lands in the cluster Report's Attr field.
-	Attr *attr.Config
-	// Checkpoint runs the app under the managed pump — periodic snapshots,
-	// budgets, replay-verified restore (see cluster.Checkpoint).
-	Checkpoint *cluster.Checkpoint
 }
 
 // Result is one measurement.
@@ -126,18 +95,9 @@ func RunOpts(impl Impl, nodes, iters int, opts Opts) Result {
 	errs := 0
 	var total sim.Time
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          nodes,
-		ScalarBoundary: opts.ScalarBoundary,
-		Workers:        opts.Workers,
-		ParMinFlying:   opts.ParMinFlying,
-		DVPlanes:       opts.DVPlanes,
-		PlanePolicy:    opts.PlanePolicy,
-		IBScaled:       opts.IBScaled,
-		Faults:         opts.Faults,
-		Check:          opts.Check,
-		Attr:           opts.Attr,
-		Checkpoint:     opts.Checkpoint,
+		Net:      net,
+		Nodes:    nodes,
+		Platform: opts.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		// Each bar() reports whether the barrier completed; a node whose
 		// barrier gave up stops iterating, leaving its progress visible in

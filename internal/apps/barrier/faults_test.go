@@ -3,6 +3,7 @@ package barrier
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
 )
@@ -10,7 +11,7 @@ import (
 func TestSmokeReliableBarrierUnderFaults(t *testing.T) {
 	plan := &faultplan.Plan{Seed: 7, DropProb: 2e-3,
 		Window: faultplan.Window{Start: 2 * sim.Microsecond}}
-	r := RunOpts(DVReliable, 8, 20, Opts{Faults: plan})
+	r := RunOpts(DVReliable, 8, 20, Opts{Platform: cluster.Platform{Faults: plan}})
 	if r.Completed != r.Iters {
 		t.Fatalf("reliable barrier completed %d/%d iterations", r.Completed, r.Iters)
 	}
@@ -29,7 +30,7 @@ func TestSmokeFastBarrierWedgesUnderFaults(t *testing.T) {
 	// must expire and the run must terminate with partial progress.
 	plan := &faultplan.Plan{Seed: 3, DropProb: 5e-3,
 		Window: faultplan.Window{Start: 2 * sim.Microsecond}}
-	r := RunOpts(DVFastBarrier, 8, 50, Opts{Faults: plan, WaitTimeout: 30 * sim.Microsecond})
+	r := RunOpts(DVFastBarrier, 8, 50, Opts{Platform: cluster.Platform{Faults: plan}, WaitTimeout: 30 * sim.Microsecond})
 	t.Logf("completed %d/%d dropped %d", r.Completed, r.Iters, r.Report.Dropped)
 	if r.Completed == r.Iters {
 		t.Skip("no decrement happened to be dropped at this seed/rate")
@@ -45,7 +46,7 @@ func TestSmokeIntrinsicBarrierWedgesUnderFaults(t *testing.T) {
 	// and report partial progress via Completed.
 	plan := &faultplan.Plan{Seed: 2, DropProb: 2e-2,
 		Window: faultplan.Window{Start: 2 * sim.Microsecond}}
-	r := RunOpts(DVIntrinsic, 8, 50, Opts{Faults: plan})
+	r := RunOpts(DVIntrinsic, 8, 50, Opts{Platform: cluster.Platform{Faults: plan}})
 	t.Logf("completed %d/%d dropped %d", r.Completed, r.Iters, r.Report.Dropped)
 	if r.Completed == r.Iters && r.Report.Dropped > 0 {
 		t.Skip("drops missed the barrier packets at this seed/rate")

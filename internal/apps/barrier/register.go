@@ -29,17 +29,8 @@ func init() {
 				impl = DVReliable
 			}
 			res := RunOpts(impl, spec.Nodes, 20, Opts{
-				Faults:         spec.Faults,
-				WaitTimeout:    spec.WaitTimeout,
-				ScalarBoundary: spec.ScalarBoundary,
-				Workers:        spec.Workers,
-				ParMinFlying:   spec.ParMinFlying,
-				DVPlanes:       spec.DVPlanes,
-				PlanePolicy:    spec.PlanePolicy,
-				IBScaled:       spec.IBScaled,
-				Check:          spec.Check,
-				Attr:           spec.Attr,
-				Checkpoint:     spec.Checkpoint,
+				Platform:    spec.Platform,
+				WaitTimeout: spec.WaitTimeout,
 			})
 			return apprt.Summary{
 				App: "barrier", Net: spec.Net, Nodes: res.Nodes, Elapsed: res.Latency,

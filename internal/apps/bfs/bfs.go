@@ -15,24 +15,9 @@ import (
 	"fmt"
 
 	"repro/internal/apprt"
-	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
-)
-
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation.
-	DV = comm.DV
-	// IB is the MPI implementation over InfiniBand.
-	IB = comm.IB
 )
 
 // Params configures a run.
@@ -44,36 +29,8 @@ type Params struct {
 	Seed       uint64
 	// KeepParents retains each search's parent array for validation.
 	KeepParents bool
-	// CycleAccurate routes packets through the cycle-level switch.
-	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
-	// DVPlanes runs the Data Vortex stack on N parallel switch planes
-	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
-	// deterministic plane assignment (see cluster.Config.DVPlanes).
-	DVPlanes    int
-	PlanePolicy string
-	// IBScaled sizes the fat-tree IB baseline for the node count
-	// (full-bisection tree, ib.ForNodes) instead of the paper's fixed
-	// testbed tree (see apprt.RunSpec.IBScaled).
-	IBScaled bool
-	// Check enables the invariant layer for the run.
-	Check *check.Config
-	// Attr enables causal flow tracing and stage-level latency attribution
-	// for the run; the summary lands in the cluster Report's Attr field.
-	Attr *attr.Config
-	// Checkpoint runs the app under the managed pump — periodic snapshots,
-	// budgets, replay-verified restore (see cluster.Checkpoint).
-	Checkpoint *cluster.Checkpoint
+	// Platform is the run wiring, handed whole to apprt.Execute.
+	cluster.Platform
 }
 
 func (p *Params) defaults() {
@@ -93,7 +50,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net      Net
+	Net      comm.Net
 	Nodes    int
 	Scale    int
 	Searches []Search
@@ -233,11 +190,21 @@ func ChooseRoots(par Params) []int64 {
 	return roots
 }
 
-// Run executes the benchmark.
-func Run(net Net, par Params) Result {
+// sizeErr reports why the problem cannot be split over par.Nodes (nil when it
+// can). Run panics with it; the registered runner returns it.
+func (par Params) sizeErr() error {
 	par.defaults()
 	if (int64(1)<<par.Scale)%int64(par.Nodes) != 0 {
-		panic(fmt.Sprintf("bfs: 2^%d vertices not divisible over %d nodes", par.Scale, par.Nodes))
+		return fmt.Errorf("bfs: 2^%d vertices not divisible over %d nodes", par.Scale, par.Nodes)
+	}
+	return nil
+}
+
+// Run executes the benchmark.
+func Run(net comm.Net, par Params) Result {
+	par.defaults()
+	if err := par.sizeErr(); err != nil {
+		panic(err.Error())
 	}
 	roots := ChooseRoots(par)
 	res := Result{Net: net, Nodes: par.Nodes, Scale: par.Scale,
@@ -249,23 +216,14 @@ func Run(net Net, par Params) Result {
 		}
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:      net,
+		Nodes:    par.Nodes,
+		Seed:     par.Seed,
+		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		g := buildLocal(par, n.ID)
 		var st *dvState
-		if net == DV {
+		if net == comm.DV {
 			st = newDVState(n, be, par.Nodes)
 		}
 		for si, root := range roots {
@@ -274,7 +232,7 @@ func Run(net Net, par Params) Result {
 				parent[i] = -1
 			}
 			var s Search
-			if net == DV {
+			if net == comm.DV {
 				s = searchDV(n, be, st, g, root, parent)
 			} else {
 				s = searchMPI(n, be, g, root, parent)

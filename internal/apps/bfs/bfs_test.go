@@ -2,6 +2,8 @@ package bfs
 
 import (
 	"testing"
+
+	"repro/internal/comm"
 )
 
 // validate runs the full Graph500-style validation of one search's parent
@@ -15,7 +17,7 @@ func validate(t *testing.T, par Params, root int64, parent []int64, label string
 
 func TestDVSearchValid(t *testing.T) {
 	par := Params{Nodes: 4, Scale: 10, EdgeFactor: 8, NRoots: 3, KeepParents: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	roots := ChooseRoots(par)
 	for i, root := range roots {
 		validate(t, par, root, r.Parents[i], "DV")
@@ -24,7 +26,7 @@ func TestDVSearchValid(t *testing.T) {
 
 func TestMPISearchValid(t *testing.T) {
 	par := Params{Nodes: 4, Scale: 10, EdgeFactor: 8, NRoots: 3, KeepParents: true}
-	r := Run(IB, par)
+	r := Run(comm.IB, par)
 	roots := ChooseRoots(par)
 	for i, root := range roots {
 		validate(t, par, root, r.Parents[i], "MPI")
@@ -34,13 +36,13 @@ func TestMPISearchValid(t *testing.T) {
 func TestNonPowerOfTwoNodes(t *testing.T) {
 	// 2^10 vertices over 4 nodes only; try 8 nodes with scale 12.
 	par := Params{Nodes: 8, Scale: 12, EdgeFactor: 4, NRoots: 1, KeepParents: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	validate(t, par, ChooseRoots(par)[0], r.Parents[0], "DV n=8")
 }
 
 func TestSearchStats(t *testing.T) {
 	par := Params{Nodes: 4, Scale: 10, EdgeFactor: 8, NRoots: 2}
-	for _, net := range []Net{DV, IB} {
+	for _, net := range []comm.Net{comm.DV, comm.IB} {
 		r := Run(net, par)
 		if len(r.Searches) != 2 {
 			t.Fatalf("%v: %d searches", net, len(r.Searches))
@@ -65,8 +67,8 @@ func TestFigure8Shape(t *testing.T) {
 	par := func(n int) Params {
 		return Params{Nodes: n, Scale: 14, EdgeFactor: 8, NRoots: 2}
 	}
-	dv4, ib4 := Run(DV, par(4)), Run(IB, par(4))
-	dv16, ib16 := Run(DV, par(16)), Run(IB, par(16))
+	dv4, ib4 := Run(comm.DV, par(4)), Run(comm.IB, par(4))
+	dv16, ib16 := Run(comm.DV, par(16)), Run(comm.IB, par(16))
 	if dv16.HarmonicMeanTEPS() <= ib16.HarmonicMeanTEPS() {
 		t.Errorf("at 16 nodes DV (%0.0f) should beat IB (%0.0f) TEPS",
 			dv16.HarmonicMeanTEPS(), ib16.HarmonicMeanTEPS())

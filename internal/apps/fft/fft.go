@@ -15,25 +15,10 @@ import (
 	"math"
 
 	"repro/internal/apprt"
-	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/fftkernel"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
-)
-
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation.
-	DV = comm.DV
-	// IB is the MPI implementation over InfiniBand.
-	IB = comm.IB
 )
 
 // Params configures a run.
@@ -43,38 +28,8 @@ type Params struct {
 	Seed  uint64
 	// KeepResult gathers the distributed spectrum for validation.
 	KeepResult bool
-	// CycleAccurate routes packets through the cycle-level switch.
-	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
-	// DVPlanes runs the Data Vortex stack on N parallel switch planes
-	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
-	// deterministic plane assignment (see cluster.Config.DVPlanes).
-	DVPlanes    int
-	PlanePolicy string
-	// IBScaled sizes the fat-tree IB baseline for the node count
-	// (full-bisection tree, ib.ForNodes) instead of the paper's fixed
-	// testbed tree (see apprt.RunSpec.IBScaled).
-	IBScaled bool
-	// IBAdaptive enables adaptive fat-tree routing for the MPI variant.
-	IBAdaptive bool
-	// Check enables the invariant layer for the run.
-	Check *check.Config
-	// Attr enables causal flow tracing and stage-level latency attribution
-	// for the run; the summary lands in the cluster Report's Attr field.
-	Attr *attr.Config
-	// Checkpoint runs the app under the managed pump — periodic snapshots,
-	// budgets, replay-verified restore (see cluster.Checkpoint).
-	Checkpoint *cluster.Checkpoint
+	// Platform is the run wiring, handed whole to apprt.Execute.
+	cluster.Platform
 }
 
 func (p *Params) defaults() {
@@ -88,7 +43,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	N       int
 	Elapsed sim.Time
@@ -107,15 +62,20 @@ func (r Result) GFLOPS() float64 {
 	return fftkernel.Flops(r.N) / r.Elapsed.Seconds() / 1e9
 }
 
-// geometry splits N into an n1×n2 matrix with n1 ≤ n2, both divisible by P.
-func geometry(logN, nodes int) (n1, n2 int) {
+// geometry splits N into an n1×n2 matrix with n1 ≤ n2.
+func geometry(logN int) (n1, n2 int) {
 	l1 := logN / 2
-	n1 = 1 << l1
-	n2 = 1 << (logN - l1)
-	if n1%nodes != 0 || n2%nodes != 0 {
-		panic(fmt.Sprintf("fft: 2^%d points not divisible over %d nodes", logN, nodes))
+	return 1 << l1, 1 << (logN - l1)
+}
+
+// sizeErr reports why the problem cannot be split over par.Nodes (nil when it
+// can). Run panics with it; the registered runner returns it.
+func (par Params) sizeErr() error {
+	par.defaults()
+	if n1, n2 := geometry(par.LogN); n1%par.Nodes != 0 || n2%par.Nodes != 0 {
+		return fmt.Errorf("fft: 2^%d points not divisible over %d nodes", par.LogN, par.Nodes)
 	}
-	return
+	return nil
 }
 
 // inputValue deterministically generates the value of matrix element
@@ -129,7 +89,7 @@ func inputValue(seed uint64, j1, j2, n2 int) complex128 {
 // in the same row-major X[k1][k2] layout the distributed variants produce.
 func SerialReference(par Params) []complex128 {
 	par.defaults()
-	n1, n2 := geometry(par.LogN, 1)
+	n1, n2 := geometry(par.LogN)
 	n := n1 * n2
 	// Build x[j] with j = j1 + n1·j2 from the matrix M[j1][j2].
 	x := make([]complex128, n)
@@ -150,29 +110,22 @@ func SerialReference(par Params) []complex128 {
 }
 
 // Run executes the benchmark.
-func Run(net Net, par Params) Result {
+func Run(net comm.Net, par Params) Result {
 	par.defaults()
-	n1, n2 := geometry(par.LogN, par.Nodes)
+	if err := par.sizeErr(); err != nil {
+		panic(err.Error())
+	}
+	n1, n2 := geometry(par.LogN)
 	res := Result{Net: net, Nodes: par.Nodes, N: n1 * n2}
 	var rows [][]complex128
 	if par.KeepResult {
 		rows = make([][]complex128, par.Nodes)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		IBAdaptive:     par.IBAdaptive,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:      net,
+		Nodes:    par.Nodes,
+		Seed:     par.Seed,
+		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		out, d := runNode(n, be, net, par, n1, n2)
 		if par.KeepResult {
@@ -192,7 +145,7 @@ func Run(net Net, par Params) Result {
 
 // runNode executes the six-step FFT on one node and returns its slab of the
 // final spectrum (rows k1 ∈ [id·n1/P, ...)) and the measured time.
-func runNode(n *cluster.Node, be comm.Backend, net Net, par Params, n1, n2 int) ([]complex128, sim.Time) {
+func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, n1, n2 int) ([]complex128, sim.Time) {
 	p := par.Nodes
 	rowsA := n1 / p // rows of the n1×n2 matrix per node
 	rowsB := n2 / p // rows of the transposed n2×n1 matrix per node
@@ -207,7 +160,7 @@ func runNode(n *cluster.Node, be comm.Backend, net Net, par Params, n1, n2 int) 
 	}
 
 	var tp *transposer
-	if net == DV {
+	if net == comm.DV {
 		tp = newTransposer(be, n1, n2)
 	}
 	be.Barrier()
@@ -244,8 +197,8 @@ func runNode(n *cluster.Node, be comm.Backend, net Net, par Params, n1, n2 int) 
 
 // transpose redistributes an r×c matrix (rows split over nodes) into its c×r
 // transpose (rows split over nodes).
-func transpose(n *cluster.Node, be comm.Backend, net Net, tp *transposer, local []complex128, r, c int) []complex128 {
-	if net == DV {
+func transpose(n *cluster.Node, be comm.Backend, net comm.Net, tp *transposer, local []complex128, r, c int) []complex128 {
+	if net == comm.DV {
 		return tp.run(n, be, local, r, c)
 	}
 	return mpiTranspose(n, be, local, r, c)

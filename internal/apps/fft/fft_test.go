@@ -3,6 +3,8 @@ package fft
 import (
 	"math/cmplx"
 	"testing"
+
+	"repro/internal/comm"
 )
 
 func maxDiff(a, b []complex128) float64 {
@@ -18,7 +20,7 @@ func maxDiff(a, b []complex128) float64 {
 func TestDVMatchesSerial(t *testing.T) {
 	par := Params{Nodes: 4, LogN: 12, KeepResult: true}
 	want := SerialReference(par)
-	got := Run(DV, par)
+	got := Run(comm.DV, par)
 	if len(got.Spectrum) != len(want) {
 		t.Fatalf("spectrum length %d, want %d", len(got.Spectrum), len(want))
 	}
@@ -30,7 +32,7 @@ func TestDVMatchesSerial(t *testing.T) {
 func TestMPIMatchesSerial(t *testing.T) {
 	par := Params{Nodes: 4, LogN: 12, KeepResult: true}
 	want := SerialReference(par)
-	got := Run(IB, par)
+	got := Run(comm.IB, par)
 	if d := maxDiff(got.Spectrum, want); d > 1e-8*float64(got.N) {
 		t.Fatalf("MPI spectrum max diff %g", d)
 	}
@@ -39,7 +41,7 @@ func TestMPIMatchesSerial(t *testing.T) {
 func TestOddLogN(t *testing.T) {
 	par := Params{Nodes: 2, LogN: 11, KeepResult: true}
 	want := SerialReference(par)
-	got := Run(DV, par)
+	got := Run(comm.DV, par)
 	if d := maxDiff(got.Spectrum, want); d > 1e-8*float64(got.N) {
 		t.Fatalf("odd-logN spectrum max diff %g", d)
 	}
@@ -48,7 +50,7 @@ func TestOddLogN(t *testing.T) {
 func TestSingleNode(t *testing.T) {
 	par := Params{Nodes: 1, LogN: 10, KeepResult: true}
 	want := SerialReference(par)
-	for _, net := range []Net{DV, IB} {
+	for _, net := range []comm.Net{comm.DV, comm.IB} {
 		got := Run(net, par)
 		if d := maxDiff(got.Spectrum, want); d > 1e-8*float64(got.N) {
 			t.Fatalf("%v single node max diff %g", net, d)
@@ -63,8 +65,8 @@ func TestFigure7Shape(t *testing.T) {
 		t.Skip("scaling sweep is slow")
 	}
 	par := func(n int) Params { return Params{Nodes: n, LogN: 18} }
-	dv4, ib4 := Run(DV, par(4)), Run(IB, par(4))
-	dv16, ib16 := Run(DV, par(16)), Run(IB, par(16))
+	dv4, ib4 := Run(comm.DV, par(4)), Run(comm.IB, par(4))
+	dv16, ib16 := Run(comm.DV, par(16)), Run(comm.IB, par(16))
 	if dv16.GFLOPS() <= ib16.GFLOPS() {
 		t.Errorf("at 16 nodes DV (%0.2f) should beat IB (%0.2f) GFLOPS",
 			dv16.GFLOPS(), ib16.GFLOPS())
@@ -83,7 +85,7 @@ func TestFigure7Shape(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	par := Params{Nodes: 4, LogN: 12}
-	if a, b := Run(DV, par), Run(DV, par); a.Elapsed != b.Elapsed {
+	if a, b := Run(comm.DV, par), Run(comm.DV, par); a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
 	}
 }
@@ -95,7 +97,7 @@ func TestGeometrySweep(t *testing.T) {
 	} {
 		par := Params{Nodes: c.nodes, LogN: c.logN, KeepResult: true}
 		want := SerialReference(par)
-		for _, net := range []Net{DV, IB} {
+		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			got := Run(net, par)
 			if d := maxDiff(got.Spectrum, want); d > 1e-8*float64(got.N) {
 				t.Errorf("nodes=%d logN=%d net=%v: max diff %g", c.nodes, c.logN, net, d)
@@ -110,5 +112,5 @@ func TestIndivisiblePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Run(DV, Params{Nodes: 32, LogN: 8}) // n1 = 16 < 32 nodes
+	Run(comm.DV, Params{Nodes: 32, LogN: 8}) // n1 = 16 < 32 nodes
 }

@@ -3,6 +3,8 @@ package gups
 import (
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
 )
@@ -16,8 +18,8 @@ func TestSmokeReliableUnderFaults(t *testing.T) {
 	plan := &faultplan.Plan{Seed: 7, DropProb: 1e-3, CorruptProb: 2.5e-4,
 		Window: faultplan.Window{Start: 5 * sim.Microsecond}}
 	par := Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 10, Seed: 1,
-		KeepTables: true, Faults: plan, Reliable: true}
-	r := Run(DV, par)
+		KeepTables: true, Platform: cluster.Platform{Faults: plan}, Reliable: true}
+	r := Run(comm.DV, par)
 	if bad := verifyRun(t, par, r); bad != 0 {
 		t.Fatalf("reliable run has %d wrong words", bad)
 	}
@@ -34,8 +36,8 @@ func TestSmokeUnprotectedUnderFaults(t *testing.T) {
 	plan := &faultplan.Plan{Seed: 7, DropProb: 1e-3,
 		Window: faultplan.Window{Start: 5 * sim.Microsecond}}
 	par := Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 10, Seed: 1,
-		KeepTables: true, Faults: plan, WaitTimeout: 2 * sim.Millisecond}
-	r := Run(DV, par)
+		KeepTables: true, Platform: cluster.Platform{Faults: plan}, WaitTimeout: 2 * sim.Millisecond}
+	r := Run(comm.DV, par)
 	t.Logf("elapsed %v lost %d dropped %d", r.Elapsed, r.Lost, r.Report.Dropped)
 	if r.Lost == 0 {
 		t.Error("expected lost updates on unprotected path")
@@ -44,13 +46,13 @@ func TestSmokeUnprotectedUnderFaults(t *testing.T) {
 
 func TestSmokeCleanStillExact(t *testing.T) {
 	par := Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 10, Seed: 1, KeepTables: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	if bad := verifyRun(t, par, r); bad != 0 {
 		t.Fatalf("clean run has %d wrong words", bad)
 	}
 	par2 := par
 	par2.Reliable = true
-	r2 := Run(DV, par2)
+	r2 := Run(comm.DV, par2)
 	if bad := verifyRun(t, par2, r2); bad != 0 {
 		t.Fatalf("clean reliable run has %d wrong words", bad)
 	}

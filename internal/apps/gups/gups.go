@@ -17,27 +17,9 @@ import (
 	"fmt"
 
 	"repro/internal/apprt"
-	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/faultplan"
-	"repro/internal/obs"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
-	"repro/internal/trace"
-)
-
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation.
-	DV = comm.DV
-	// IB is the HPCC MPI implementation over InfiniBand.
-	IB = comm.IB
 )
 
 // Params configures a run.
@@ -49,38 +31,9 @@ type Params struct {
 	BatchWords     int // HPCC buffering cap (default 1024)
 	// KeepTables retains the final table fragments for validation.
 	KeepTables bool
-	// CycleAccurate routes packets through the cycle-level switch.
-	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
-	// DVPlanes runs the Data Vortex stack on N parallel switch planes
-	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
-	// deterministic plane assignment (see cluster.Config.DVPlanes).
-	DVPlanes    int
-	PlanePolicy string
-	// IBScaled sizes the fat-tree IB baseline for the node count
-	// (full-bisection tree, ib.ForNodes) instead of the paper's fixed
-	// testbed tree (see apprt.RunSpec.IBScaled).
-	IBScaled bool
-	// Trace records execution states and messages (Figure 5).
-	Trace *trace.Recorder
-	// Obs enables the unified metrics layer for the run (series sampler,
-	// registry, packet-lifecycle sampling); results land in Report.Metrics.
-	Obs *obs.Config
-	// IBAdaptive enables adaptive fat-tree routing for the MPI variant.
-	IBAdaptive bool
+	// Platform is the run wiring, handed whole to apprt.Execute.
+	cluster.Platform
 
-	// Faults injects a fault plan into the run's fabrics (Ext N).
-	Faults *faultplan.Plan
 	// Reliable routes the DV variant through the reliable-delivery layer
 	// (mailbox writes via ReliableScatter, ReliableBarrier between rounds),
 	// producing validated-correct tables even under packet loss.
@@ -89,14 +42,6 @@ type Params struct {
 	// waits so a run under packet loss terminates and reports lost updates
 	// instead of hanging on a counter that will never reach zero.
 	WaitTimeout sim.Time
-	// Check enables the invariant layer for the run.
-	Check *check.Config
-	// Attr enables causal flow tracing and stage-level latency attribution
-	// for the run; the summary lands in the cluster Report's Attr field.
-	Attr *attr.Config
-	// Checkpoint runs the app under the managed pump — periodic snapshots,
-	// budgets, replay-verified restore (see cluster.Checkpoint).
-	Checkpoint *cluster.Checkpoint
 }
 
 func (p *Params) defaults() {
@@ -116,7 +61,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	Updates int64 // total updates applied
 	Elapsed sim.Time
@@ -190,7 +135,7 @@ func Verify(par Params, r Result) int {
 }
 
 // Run executes the benchmark and returns the measurement.
-func Run(net Net, par Params) Result {
+func Run(net comm.Net, par Params) Result {
 	par.defaults()
 	res := Result{Net: net, Nodes: par.Nodes, Updates: int64(par.Nodes) * int64(par.UpdatesPerNode)}
 	if par.KeepTables {
@@ -198,30 +143,17 @@ func Run(net Net, par Params) Result {
 	}
 	var sentRemote, drained int64
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		IBAdaptive:     par.IBAdaptive,
-		Reliable:       par.Reliable,
-		WaitTimeout:    par.WaitTimeout,
-		Faults:         par.Faults,
-		Trace:          par.Trace,
-		Obs:            par.Obs,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:         net,
+		Nodes:       par.Nodes,
+		Seed:        par.Seed,
+		Platform:    par.Platform,
+		Reliable:    par.Reliable,
+		WaitTimeout: par.WaitTimeout,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		table := make([]uint64, par.TableWordsNode)
 		var d sim.Time
 		switch {
-		case net != DV:
+		case net != comm.DV:
 			d = runMPI(n, be, par, table)
 		case par.Reliable:
 			var errs int

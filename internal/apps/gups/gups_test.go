@@ -2,6 +2,9 @@ package gups
 
 import (
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/comm"
 )
 
 // replaySerial computes the expected final table by applying every node's
@@ -36,26 +39,26 @@ func checkTables(t *testing.T, got, want [][]uint64, label string) {
 
 func TestDVCorrectness(t *testing.T) {
 	par := Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 4096, KeepTables: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	checkTables(t, r.Tables, replaySerial(par), "DV")
 }
 
 func TestMPICorrectness(t *testing.T) {
 	par := Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 4096, KeepTables: true}
-	r := Run(IB, par)
+	r := Run(comm.IB, par)
 	checkTables(t, r.Tables, replaySerial(par), "MPI")
 }
 
 func TestDVCorrectnessCycleAccurate(t *testing.T) {
 	par := Params{Nodes: 4, TableWordsNode: 1 << 8, UpdatesPerNode: 1024,
-		KeepTables: true, CycleAccurate: true}
-	r := Run(DV, par)
+		KeepTables: true, Platform: cluster.Platform{CycleAccurate: true}}
+	r := Run(comm.DV, par)
 	checkTables(t, r.Tables, replaySerial(par), "DV cycle-accurate")
 }
 
 func TestNonPowerOfTwoNodes(t *testing.T) {
 	par := Params{Nodes: 3, TableWordsNode: 1 << 9, UpdatesPerNode: 2048, KeepTables: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	checkTables(t, r.Tables, replaySerial(par), "DV n=3")
 }
 
@@ -69,8 +72,8 @@ func TestFigure6Shape(t *testing.T) {
 	par := func(n int) Params {
 		return Params{Nodes: n, TableWordsNode: 1 << 14, UpdatesPerNode: 1 << 13}
 	}
-	dv4, dv32 := Run(DV, par(4)), Run(DV, par(32))
-	ib4, ib32 := Run(IB, par(4)), Run(IB, par(32))
+	dv4, dv32 := Run(comm.DV, par(4)), Run(comm.DV, par(32))
+	ib4, ib32 := Run(comm.IB, par(4)), Run(comm.IB, par(32))
 
 	if dv4.MUPSPerNode() < ib4.MUPSPerNode() {
 		t.Errorf("at 4 nodes DV (%0.1f) should lead MPI (%0.1f) MUPS/PE",
@@ -109,7 +112,7 @@ func TestOwnerMapsAllNodes(t *testing.T) {
 
 func TestDeterministicElapsed(t *testing.T) {
 	par := Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 2048}
-	a, b := Run(DV, par), Run(DV, par)
+	a, b := Run(comm.DV, par), Run(comm.DV, par)
 	if a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
 	}

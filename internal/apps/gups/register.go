@@ -22,22 +22,9 @@ func init() {
 				UpdatesPerNode: 1 << 9,
 				Seed:           spec.Seed,
 				KeepTables:     true,
-				CycleAccurate:  spec.CycleAccurate,
-				ScalarBoundary: spec.ScalarBoundary,
-				Workers:        spec.Workers,
-				ParMinFlying:   spec.ParMinFlying,
-				DVPlanes:       spec.DVPlanes,
-				PlanePolicy:    spec.PlanePolicy,
-				IBScaled:       spec.IBScaled,
-				IBAdaptive:     spec.IBAdaptive,
-				Faults:         spec.Faults,
+				Platform:       spec.Platform,
 				Reliable:       spec.Reliable,
 				WaitTimeout:    spec.WaitTimeout,
-				Trace:          spec.Trace,
-				Obs:            spec.Obs,
-				Check:          spec.Check,
-				Attr:           spec.Attr,
-				Checkpoint:     spec.Checkpoint,
 			}
 			res := Run(spec.Net, par)
 			return apprt.Summary{

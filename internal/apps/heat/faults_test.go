@@ -3,6 +3,8 @@ package heat
 import (
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
 )
@@ -11,8 +13,8 @@ func TestSmokeReliableUnderFaults(t *testing.T) {
 	plan := &faultplan.Plan{Seed: 7, DropProb: 1e-3, CorruptProb: 2.5e-4,
 		Window: faultplan.Window{Start: 5 * sim.Microsecond}}
 	par := Params{Nodes: 4, N: 16, Steps: 8, KeepField: true,
-		Faults: plan, Reliable: true}
-	r := Run(DV, par)
+		Platform: cluster.Platform{Faults: plan}, Reliable: true}
+	r := Run(comm.DV, par)
 	if err := MaxErr(par, r.Field); err > 1e-10 {
 		t.Fatalf("reliable run under faults: max error %g, want exact", err)
 	}
@@ -31,8 +33,8 @@ func TestSmokeUnprotectedUnderFaults(t *testing.T) {
 	plan := &faultplan.Plan{Seed: 7, DropProb: 5e-3,
 		Window: faultplan.Window{Start: 2 * sim.Microsecond}}
 	par := Params{Nodes: 4, N: 16, Steps: 8, KeepField: true,
-		Faults: plan, WaitTimeout: 50 * sim.Microsecond}
-	r := Run(DV, par)
+		Platform: cluster.Platform{Faults: plan}, WaitTimeout: 50 * sim.Microsecond}
+	r := Run(comm.DV, par)
 	t.Logf("elapsed %v timeouts %d dropped %d maxerr %g",
 		r.Elapsed, r.Timeouts, r.Report.Dropped, MaxErr(par, r.Field))
 	if r.Timeouts == 0 {
@@ -42,10 +44,10 @@ func TestSmokeUnprotectedUnderFaults(t *testing.T) {
 
 func TestSmokeCleanReliableStillExact(t *testing.T) {
 	par := Params{Nodes: 4, N: 16, Steps: 8, KeepField: true}
-	clean := Run(DV, par)
+	clean := Run(comm.DV, par)
 	par2 := par
 	par2.Reliable = true
-	rel := Run(DV, par2)
+	rel := Run(comm.DV, par2)
 	if err := MaxErr(par2, rel.Field); err > 1e-10 {
 		t.Fatalf("clean reliable run: max error %g", err)
 	}

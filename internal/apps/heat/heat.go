@@ -16,25 +16,9 @@ import (
 	"math"
 
 	"repro/internal/apprt"
-	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/faultplan"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
-)
-
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation.
-	DV = comm.DV
-	// IB is the MPI implementation over InfiniBand.
-	IB = comm.IB
 )
 
 // Params configures a run.
@@ -47,31 +31,9 @@ type Params struct {
 	Seed  uint64
 	// KeepField gathers the final field for validation.
 	KeepField bool
-	// CycleAccurate routes packets through the cycle-level switch.
-	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
-	// DVPlanes runs the Data Vortex stack on N parallel switch planes
-	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
-	// deterministic plane assignment (see cluster.Config.DVPlanes).
-	DVPlanes    int
-	PlanePolicy string
-	// IBScaled sizes the fat-tree IB baseline for the node count
-	// (full-bisection tree, ib.ForNodes) instead of the paper's fixed
-	// testbed tree (see apprt.RunSpec.IBScaled).
-	IBScaled bool
+	// Platform is the run wiring, handed whole to apprt.Execute.
+	cluster.Platform
 
-	// Faults injects a fault plan into the run's fabrics (Ext N).
-	Faults *faultplan.Plan
 	// Reliable routes the DV halo exchange through the reliable-delivery
 	// layer, keeping the answer exact under packet loss.
 	Reliable bool
@@ -79,14 +41,6 @@ type Params struct {
 	// counter waits so a lossy run terminates (with a wrong answer that
 	// MaxErr exposes) instead of hanging.
 	WaitTimeout sim.Time
-	// Check enables the invariant layer for the run.
-	Check *check.Config
-	// Attr enables causal flow tracing and stage-level latency attribution
-	// for the run; the summary lands in the cluster Report's Attr field.
-	Attr *attr.Config
-	// Checkpoint runs the app under the managed pump — periodic snapshots,
-	// budgets, replay-verified restore (see cluster.Checkpoint).
-	Checkpoint *cluster.Checkpoint
 }
 
 func (p *Params) defaults() {
@@ -109,7 +63,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	N       int
 	Steps   int
@@ -159,34 +113,35 @@ func exact(par Params, i, j, k, m int) float64 {
 
 func sq(v float64) float64 { return v * v }
 
-// Run executes the solver.
-func Run(net Net, par Params) Result {
+// sizeErr reports why the problem cannot be split over par.Nodes (nil when it
+// can). Run panics with it; the registered runner returns it.
+func (par Params) sizeErr() error {
 	par.defaults()
 	px, py, pz := Decompose(par.Nodes)
 	if par.N%px != 0 || par.N%py != 0 || par.N%pz != 0 {
-		panic(fmt.Sprintf("heat: N=%d not divisible by %d×%d×%d decomposition", par.N, px, py, pz))
+		return fmt.Errorf("heat: N=%d not divisible by %d×%d×%d decomposition", par.N, px, py, pz)
 	}
+	return nil
+}
+
+// Run executes the solver.
+func Run(net comm.Net, par Params) Result {
+	par.defaults()
+	if err := par.sizeErr(); err != nil {
+		panic(err.Error())
+	}
+	px, py, pz := Decompose(par.Nodes)
 	res := Result{Net: net, Nodes: par.Nodes, N: par.N, Steps: par.Steps}
 	if par.KeepField {
 		res.Field = make([]float64, par.N*par.N*par.N)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Reliable:       par.Reliable,
-		WaitTimeout:    par.WaitTimeout,
-		Faults:         par.Faults,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:         net,
+		Nodes:       par.Nodes,
+		Seed:        par.Seed,
+		Platform:    par.Platform,
+		Reliable:    par.Reliable,
+		WaitTimeout: par.WaitTimeout,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		s := newSolver(n, be, par, px, py, pz)
 		d := s.run(net)
@@ -430,9 +385,9 @@ func (s *solver) update() {
 func opp(f int) int { return f ^ 1 }
 
 // run executes the timestep loop and returns the measured span.
-func (s *solver) run(net Net) sim.Time {
+func (s *solver) run(net comm.Net) sim.Time {
 	n := s.n
-	if s.par.Reliable && net == DV {
+	if s.par.Reliable && net == comm.DV {
 		s.fail(s.be.ReliableBarrier())
 	} else {
 		s.be.Barrier()
@@ -441,7 +396,7 @@ func (s *solver) run(net Net) sim.Time {
 	buf := make([]float64, s.lx*s.ly+s.ly*s.lz+s.lx*s.lz) // scratch max face
 	for step := 0; step < s.par.Steps; step++ {
 		switch {
-		case net != DV:
+		case net != comm.DV:
 			s.exchangeMPI(buf)
 		case s.par.Reliable:
 			s.exchangeDVReliable(step, buf)
@@ -451,7 +406,7 @@ func (s *solver) run(net Net) sim.Time {
 		s.update()
 	}
 	switch {
-	case net != DV:
+	case net != comm.DV:
 		s.be.Barrier()
 	case s.par.Reliable:
 		s.fail(s.be.ReliableBarrier())

@@ -3,6 +3,8 @@ package heat
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/comm"
 )
 
 func TestDecompose(t *testing.T) {
@@ -16,7 +18,7 @@ func TestDecompose(t *testing.T) {
 
 func TestDVMatchesExact(t *testing.T) {
 	par := Params{Nodes: 8, N: 16, Steps: 10, KeepField: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	if err := MaxErr(par, r.Field); err > 1e-10 {
 		t.Fatalf("DV max error %g vs discrete exact solution", err)
 	}
@@ -24,7 +26,7 @@ func TestDVMatchesExact(t *testing.T) {
 
 func TestMPIMatchesExact(t *testing.T) {
 	par := Params{Nodes: 8, N: 16, Steps: 10, KeepField: true}
-	r := Run(IB, par)
+	r := Run(comm.IB, par)
 	if err := MaxErr(par, r.Field); err > 1e-10 {
 		t.Fatalf("MPI max error %g vs discrete exact solution", err)
 	}
@@ -32,7 +34,7 @@ func TestMPIMatchesExact(t *testing.T) {
 
 func TestSingleNode(t *testing.T) {
 	par := Params{Nodes: 1, N: 8, Steps: 5, KeepField: true}
-	for _, net := range []Net{DV, IB} {
+	for _, net := range []comm.Net{comm.DV, comm.IB} {
 		r := Run(net, par)
 		if err := MaxErr(par, r.Field); err > 1e-10 {
 			t.Fatalf("%v single-node max error %g", net, err)
@@ -44,7 +46,7 @@ func TestAsymmetricDecomposition(t *testing.T) {
 	// 2 nodes: slab decomposition; 4 nodes: pencil.
 	for _, nodes := range []int{2, 4} {
 		par := Params{Nodes: nodes, N: 16, Steps: 8, KeepField: true}
-		r := Run(DV, par)
+		r := Run(comm.DV, par)
 		if err := MaxErr(par, r.Field); err > 1e-10 {
 			t.Fatalf("nodes=%d max error %g", nodes, err)
 		}
@@ -60,7 +62,7 @@ func TestStepCountProperty(t *testing.T) {
 			K:         0.02 + float64(kRaw%10)*0.01, // 0.02..0.11 < 1/6
 			KeepField: true,
 		}
-		r := Run(DV, par)
+		r := Run(comm.DV, par)
 		return MaxErr(par, r.Field) < 1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 8}); err != nil {
@@ -75,8 +77,8 @@ func TestDVFasterThanMPI(t *testing.T) {
 	// The paper's applications have "high communication cost per
 	// computation": small local volumes at 32 nodes.
 	par := Params{Nodes: 32, N: 16, Steps: 10}
-	dv := Run(DV, par)
-	ib := Run(IB, par)
+	dv := Run(comm.DV, par)
+	ib := Run(comm.IB, par)
 	speedup := float64(ib.Elapsed) / float64(dv.Elapsed)
 	if speedup < 1.8 {
 		t.Fatalf("heat DV speedup %0.2fx, want clearly > 1", speedup)
@@ -88,7 +90,7 @@ func TestDVFasterThanMPI(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	par := Params{Nodes: 4, N: 16, Steps: 5}
-	if a, b := Run(DV, par), Run(DV, par); a.Elapsed != b.Elapsed {
+	if a, b := Run(comm.DV, par), Run(comm.DV, par); a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
 	}
 }
@@ -102,7 +104,7 @@ func TestDecompositionSweep(t *testing.T) {
 			continue
 		}
 		par := Params{Nodes: nodes, N: 24, Steps: 4, KeepField: true}
-		for _, net := range []Net{DV, IB} {
+		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			r := Run(net, par)
 			if err := MaxErr(par, r.Field); err > 1e-10 {
 				t.Errorf("nodes=%d net=%v: max error %g", nodes, net, err)

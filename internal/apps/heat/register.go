@@ -17,24 +17,17 @@ func init() {
 		Reliable: true,
 		Run: func(spec apprt.RunSpec) (apprt.Summary, error) {
 			par := Params{
-				Nodes:          spec.Nodes,
-				N:              12,
-				Steps:          6,
-				Seed:           spec.Seed,
-				KeepField:      true,
-				CycleAccurate:  spec.CycleAccurate,
-				ScalarBoundary: spec.ScalarBoundary,
-				Workers:        spec.Workers,
-				ParMinFlying:   spec.ParMinFlying,
-				DVPlanes:       spec.DVPlanes,
-				PlanePolicy:    spec.PlanePolicy,
-				IBScaled:       spec.IBScaled,
-				Faults:         spec.Faults,
-				Reliable:       spec.Reliable,
-				WaitTimeout:    spec.WaitTimeout,
-				Check:          spec.Check,
-				Attr:           spec.Attr,
-				Checkpoint:     spec.Checkpoint,
+				Nodes:       spec.Nodes,
+				N:           12,
+				Steps:       6,
+				Seed:        spec.Seed,
+				KeepField:   true,
+				Platform:    spec.Platform,
+				Reliable:    spec.Reliable,
+				WaitTimeout: spec.WaitTimeout,
+			}
+			if err := par.sizeErr(); err != nil {
+				return apprt.Summary{}, err
 			}
 			res := Run(spec.Net, par)
 			return apprt.Summary{

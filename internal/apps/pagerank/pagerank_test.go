@@ -3,12 +3,14 @@ package pagerank
 import (
 	"math"
 	"testing"
+
+	"repro/internal/comm"
 )
 
 func TestDVMatchesSerial(t *testing.T) {
 	par := Params{Nodes: 4, Scale: 9, EdgeFactor: 6, MaxIters: 30, KeepRanks: true}
 	want := SerialReference(par)
-	got := Run(DV, par)
+	got := Run(comm.DV, par)
 	var worst float64
 	for i := range want {
 		if d := math.Abs(got.Ranks[i] - want[i]); d > worst {
@@ -23,7 +25,7 @@ func TestDVMatchesSerial(t *testing.T) {
 func TestMPIMatchesSerial(t *testing.T) {
 	par := Params{Nodes: 8, Scale: 9, EdgeFactor: 6, MaxIters: 30, KeepRanks: true}
 	want := SerialReference(par)
-	got := Run(IB, par)
+	got := Run(comm.IB, par)
 	var worst float64
 	for i := range want {
 		if d := math.Abs(got.Ranks[i] - want[i]); d > worst {
@@ -37,7 +39,7 @@ func TestMPIMatchesSerial(t *testing.T) {
 
 func TestRankMassConserved(t *testing.T) {
 	par := Params{Nodes: 4, Scale: 10, EdgeFactor: 8, MaxIters: 40, KeepRanks: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	var sum float64
 	for _, v := range r.Ranks {
 		sum += v
@@ -54,7 +56,7 @@ func TestRankMassConserved(t *testing.T) {
 
 func TestConverges(t *testing.T) {
 	par := Params{Nodes: 4, Scale: 10, EdgeFactor: 8, Tol: 1e-10, MaxIters: 80}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	if r.Delta > 1e-10 {
 		t.Fatalf("did not converge: delta %g after %d iters", r.Delta, r.Iters)
 	}
@@ -66,7 +68,7 @@ func TestConverges(t *testing.T) {
 func TestPowerLawConcentratesRank(t *testing.T) {
 	// R-MAT hubs (low vertex ids) should hold disproportionate rank.
 	par := Params{Nodes: 4, Scale: 11, EdgeFactor: 8, MaxIters: 40, KeepRanks: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	nv := len(r.Ranks)
 	var lowQuarter float64
 	for _, v := range r.Ranks[:nv/4] {
@@ -79,8 +81,8 @@ func TestPowerLawConcentratesRank(t *testing.T) {
 
 func TestBothNetsAgree(t *testing.T) {
 	par := Params{Nodes: 4, Scale: 9, EdgeFactor: 6, MaxIters: 25, KeepRanks: true}
-	a := Run(DV, par)
-	b := Run(IB, par)
+	a := Run(comm.DV, par)
+	b := Run(comm.IB, par)
 	for i := range a.Ranks {
 		if a.Ranks[i] != b.Ranks[i] {
 			t.Fatalf("rank[%d] differs between stacks: %g vs %g", i, a.Ranks[i], b.Ranks[i])
@@ -93,8 +95,8 @@ func TestBothNetsAgree(t *testing.T) {
 
 func TestDVCompetitive(t *testing.T) {
 	par := Params{Nodes: 16, Scale: 12, EdgeFactor: 8, MaxIters: 10, Tol: 0}
-	dv := Run(DV, par)
-	ib := Run(IB, par)
+	dv := Run(comm.DV, par)
+	ib := Run(comm.IB, par)
 	ratio := float64(ib.Elapsed) / float64(dv.Elapsed)
 	if ratio < 0.8 {
 		t.Fatalf("DV pagerank %.2fx vs MPI; PGAS layer overhead too high", ratio)
@@ -103,7 +105,7 @@ func TestDVCompetitive(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	par := Params{Nodes: 4, Scale: 9, EdgeFactor: 6, MaxIters: 10}
-	if a, b := Run(DV, par), Run(DV, par); a.Elapsed != b.Elapsed {
+	if a, b := Run(comm.DV, par), Run(comm.DV, par); a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
 	}
 }

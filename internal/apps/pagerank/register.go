@@ -16,20 +16,14 @@ func init() {
 		RefNodes: 4,
 		Run: func(spec apprt.RunSpec) (apprt.Summary, error) {
 			par := Params{
-				Nodes:          spec.Nodes,
-				Scale:          8,
-				MaxIters:       8,
-				Seed:           spec.Seed,
-				CycleAccurate:  spec.CycleAccurate,
-				ScalarBoundary: spec.ScalarBoundary,
-				Workers:        spec.Workers,
-				ParMinFlying:   spec.ParMinFlying,
-				DVPlanes:       spec.DVPlanes,
-				PlanePolicy:    spec.PlanePolicy,
-				IBScaled:       spec.IBScaled,
-				Check:          spec.Check,
-				Attr:           spec.Attr,
-				Checkpoint:     spec.Checkpoint,
+				Nodes:    spec.Nodes,
+				Scale:    8,
+				MaxIters: 8,
+				Seed:     spec.Seed,
+				Platform: spec.Platform,
+			}
+			if err := par.sizeErr(); err != nil {
+				return apprt.Summary{}, err
 			}
 			res := Run(spec.Net, par)
 			return apprt.Summary{

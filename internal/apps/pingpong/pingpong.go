@@ -10,10 +10,8 @@ import (
 	"fmt"
 
 	"repro/internal/apprt"
-	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
 )
 
@@ -98,37 +96,10 @@ type Params struct {
 	Words int // message length in 64-bit words
 	Iters int // round trips
 	Seed  uint64
-	// Rails stripes the transfer across multiple VICs per node (multi-rail
-	// Data Vortex; the paper notes nodes carry "at least one" VIC).
-	Rails int
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
-	// DVPlanes runs the Data Vortex stack on N parallel switch planes
-	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
-	// deterministic plane assignment (see cluster.Config.DVPlanes).
-	DVPlanes    int
-	PlanePolicy string
-	// IBScaled sizes the fat-tree IB baseline for the node count
-	// (full-bisection tree, ib.ForNodes) instead of the paper's fixed
-	// testbed tree (see apprt.RunSpec.IBScaled).
-	IBScaled bool
-	// Check enables the invariant layer for the run.
-	Check *check.Config
-	// Attr enables causal flow tracing and stage-level latency attribution
-	// for the run; the summary lands in the cluster Report's Attr field.
-	Attr *attr.Config
-	// Checkpoint runs the app under the managed pump — periodic snapshots,
-	// budgets, replay-verified restore (see cluster.Checkpoint).
-	Checkpoint *cluster.Checkpoint
+	// Platform is the run wiring, handed whole to apprt.Execute. The
+	// transfer is striped across its VICsPerNode rails (multi-rail Data
+	// Vortex; the paper notes nodes carry "at least one" VIC).
+	cluster.Platform
 }
 
 // Run measures one configuration on a two-node cluster.
@@ -141,19 +112,10 @@ func Run(mode Mode, par Params) Result {
 	}
 	var total sim.Time
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            mode.net(),
-		Nodes:          2,
-		Seed:           par.Seed + 1,
-		VICsPerNode:    par.Rails,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:      mode.net(),
+		Nodes:    2,
+		Seed:     par.Seed + 1,
+		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		var d sim.Time
 		if mode == MPIIB {

@@ -1,6 +1,10 @@
 package pingpong
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/cluster"
+)
 
 func TestAllModesProduceBandwidth(t *testing.T) {
 	for _, m := range []Mode{DVWrNoCached, DVWrCached, DVDMACached, MPIIB} {
@@ -89,8 +93,8 @@ func TestDeterministic(t *testing.T) {
 // TestMultiRailScalesBandwidth: striping across two VICs per node must lift
 // the large-transfer ceiling well past a single rail's 4.4 GB/s.
 func TestMultiRailScalesBandwidth(t *testing.T) {
-	one := Run(DVDMACached, Params{Words: 1 << 15, Iters: 4, Rails: 1})
-	two := Run(DVDMACached, Params{Words: 1 << 15, Iters: 4, Rails: 2})
+	one := Run(DVDMACached, Params{Words: 1 << 15, Iters: 4, Platform: cluster.Platform{VICsPerNode: 1}})
+	two := Run(DVDMACached, Params{Words: 1 << 15, Iters: 4, Platform: cluster.Platform{VICsPerNode: 2}})
 	if two.Bandwidth < 1.4*one.Bandwidth {
 		t.Fatalf("2 rails: %.2f GB/s vs 1 rail %.2f GB/s; expected ~1.6x",
 			two.Bandwidth/1e9, one.Bandwidth/1e9)

@@ -23,14 +23,7 @@ func init() {
 			if spec.Net == comm.IB {
 				mode = MPIIB
 			}
-			res := Run(mode, Params{Words: 64, Iters: 20, Seed: spec.Seed,
-				ScalarBoundary: spec.ScalarBoundary,
-				Workers:        spec.Workers,
-				ParMinFlying:   spec.ParMinFlying,
-				DVPlanes:       spec.DVPlanes,
-				PlanePolicy:    spec.PlanePolicy,
-				IBScaled:       spec.IBScaled,
-				Check:          spec.Check, Attr: spec.Attr, Checkpoint: spec.Checkpoint})
+			res := Run(mode, Params{Words: 64, Iters: 20, Seed: spec.Seed, Platform: spec.Platform})
 			return apprt.Summary{
 				App: "pingpong", Net: spec.Net, Nodes: 2, Elapsed: res.RTT,
 				Check:   fmt.Sprintf("mode=%s words=%d bw=%.3fGB/s", res.Mode, res.Words, res.Bandwidth/1e9),

@@ -16,23 +16,17 @@ func init() {
 		RefNodes: 4,
 		Run: func(spec apprt.RunSpec) (apprt.Summary, error) {
 			par := Params{
-				Nodes:          spec.Nodes,
-				NX:             8,
-				NY:             8,
-				NZ:             8,
-				ChunkX:         4,
-				MaxIters:       6,
-				Seed:           spec.Seed,
-				CycleAccurate:  spec.CycleAccurate,
-				ScalarBoundary: spec.ScalarBoundary,
-				Workers:        spec.Workers,
-				ParMinFlying:   spec.ParMinFlying,
-				DVPlanes:       spec.DVPlanes,
-				PlanePolicy:    spec.PlanePolicy,
-				IBScaled:       spec.IBScaled,
-				Check:          spec.Check,
-				Attr:           spec.Attr,
-				Checkpoint:     spec.Checkpoint,
+				Nodes:    spec.Nodes,
+				NX:       8,
+				NY:       8,
+				NZ:       8,
+				ChunkX:   4,
+				MaxIters: 6,
+				Seed:     spec.Seed,
+				Platform: spec.Platform,
+			}
+			if err := par.sizeErr(); err != nil {
+				return apprt.Summary{}, err
 			}
 			res := Run(spec.Net, par)
 			return apprt.Summary{

@@ -19,25 +19,10 @@ import (
 	"fmt"
 
 	"repro/internal/apprt"
-	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/dv"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
-)
-
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation.
-	DV = comm.DV
-	// IB is the MPI implementation over InfiniBand.
-	IB = comm.IB
 )
 
 // Params configures a run.
@@ -58,36 +43,8 @@ type Params struct {
 	Seed                   uint64
 	// KeepFlux gathers the converged scalar flux for validation.
 	KeepFlux bool
-	// CycleAccurate routes packets through the cycle-level switch.
-	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
-	// DVPlanes runs the Data Vortex stack on N parallel switch planes
-	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
-	// deterministic plane assignment (see cluster.Config.DVPlanes).
-	DVPlanes    int
-	PlanePolicy string
-	// IBScaled sizes the fat-tree IB baseline for the node count
-	// (full-bisection tree, ib.ForNodes) instead of the paper's fixed
-	// testbed tree (see apprt.RunSpec.IBScaled).
-	IBScaled bool
-	// Check enables the invariant layer for the run.
-	Check *check.Config
-	// Attr enables causal flow tracing and stage-level latency attribution
-	// for the run; the summary lands in the cluster Report's Attr field.
-	Attr *attr.Config
-	// Checkpoint runs the app under the managed pump — periodic snapshots,
-	// budgets, replay-verified restore (see cluster.Checkpoint).
-	Checkpoint *cluster.Checkpoint
+	// Platform is the run wiring, handed whole to apprt.Execute.
+	cluster.Platform
 }
 
 func (p *Params) defaults() {
@@ -131,7 +88,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	Iters   int
 	Err     float64 // final iteration change
@@ -194,37 +151,40 @@ var octants = [8][3]int{
 	{1, 1, -1}, {-1, 1, -1}, {1, -1, -1}, {-1, -1, -1},
 }
 
-// Run executes the solver.
-func Run(net Net, par Params) Result {
+// sizeErr reports why the mesh cannot be split over par.Nodes or pipelined in
+// ChunkX chunks (nil when it can). Run panics with it; the registered runner
+// returns it.
+func (par Params) sizeErr() error {
 	par.defaults()
 	py, pz := DecomposeYZ(par.Nodes)
 	if par.NY%py != 0 || par.NZ%pz != 0 {
-		panic(fmt.Sprintf("snap: %d×%d mesh not divisible by %d×%d grid", par.NY, par.NZ, py, pz))
+		return fmt.Errorf("snap: %d×%d mesh not divisible by %d×%d grid", par.NY, par.NZ, py, pz)
 	}
 	if par.NX%par.ChunkX != 0 {
-		panic(fmt.Sprintf("snap: NX=%d not divisible by chunk %d", par.NX, par.ChunkX))
+		return fmt.Errorf("snap: NX=%d not divisible by chunk %d", par.NX, par.ChunkX)
 	}
 	if n := par.NX / par.ChunkX; 8*n > 56 {
-		panic(fmt.Sprintf("snap: %d chunks need %d group counters (max 56)", n, 8*n))
+		return fmt.Errorf("snap: %d chunks need %d group counters (max 56)", n, 8*n)
 	}
+	return nil
+}
+
+// Run executes the solver.
+func Run(net comm.Net, par Params) Result {
+	par.defaults()
+	if err := par.sizeErr(); err != nil {
+		panic(err.Error())
+	}
+	py, pz := DecomposeYZ(par.Nodes)
 	res := Result{Net: net, Nodes: par.Nodes}
 	if par.KeepFlux {
 		res.Flux = make([]float64, par.Groups*par.NX*par.NY*par.NZ)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:      net,
+		Nodes:    par.Nodes,
+		Seed:     par.Seed,
+		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		s := newSolver(n, be, net, par, py, pz)
 		iters, err, bal := s.solve()
@@ -245,7 +205,7 @@ func Run(net Net, par Params) Result {
 type solver struct {
 	n      *cluster.Node
 	be     comm.Backend
-	net    Net
+	net    comm.Net
 	par    Params
 	py, pz int
 	cy, cz int // process coordinates
@@ -272,7 +232,7 @@ type solver struct {
 	coll   *dv.Collective
 }
 
-func newSolver(n *cluster.Node, be comm.Backend, net Net, par Params, py, pz int) *solver {
+func newSolver(n *cluster.Node, be comm.Backend, net comm.Net, par Params, py, pz int) *solver {
 	s := &solver{n: n, be: be, net: net, par: par, py: py, pz: pz}
 	s.cy = n.ID / pz
 	s.cz = n.ID % pz
@@ -287,7 +247,7 @@ func newSolver(n *cluster.Node, be comm.Backend, net Net, par Params, py, pz int
 	cells := par.NX * s.ly * s.lz
 	s.phi = make([]float64, par.Groups*cells)
 	s.phiOld = make([]float64, par.Groups*cells)
-	if net == DV {
+	if net == comm.DV {
 		s.setupDV()
 	}
 	return s

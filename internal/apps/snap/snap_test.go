@@ -3,6 +3,8 @@ package snap
 import (
 	"math"
 	"testing"
+
+	"repro/internal/comm"
 )
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -26,8 +28,8 @@ func TestDecomposeYZ(t *testing.T) {
 
 func TestDVMatchesSerial(t *testing.T) {
 	par := Params{Nodes: 4, NX: 8, NY: 8, NZ: 8, MaxIters: 6, KeepFlux: true}
-	serial := Run(IB, Params{Nodes: 1, NX: 8, NY: 8, NZ: 8, MaxIters: 6, KeepFlux: true})
-	dvr := Run(DV, par)
+	serial := Run(comm.IB, Params{Nodes: 1, NX: 8, NY: 8, NZ: 8, MaxIters: 6, KeepFlux: true})
+	dvr := Run(comm.DV, par)
 	if d := maxAbsDiff(dvr.Flux, serial.Flux); d > 1e-12 {
 		t.Fatalf("DV vs serial flux max diff %g", d)
 	}
@@ -35,8 +37,8 @@ func TestDVMatchesSerial(t *testing.T) {
 
 func TestMPIMatchesSerial(t *testing.T) {
 	par := Params{Nodes: 8, NX: 8, NY: 8, NZ: 8, MaxIters: 6, KeepFlux: true}
-	serial := Run(IB, Params{Nodes: 1, NX: 8, NY: 8, NZ: 8, MaxIters: 6, KeepFlux: true})
-	ibr := Run(IB, par)
+	serial := Run(comm.IB, Params{Nodes: 1, NX: 8, NY: 8, NZ: 8, MaxIters: 6, KeepFlux: true})
+	ibr := Run(comm.IB, par)
 	if d := maxAbsDiff(ibr.Flux, serial.Flux); d > 1e-12 {
 		t.Fatalf("MPI vs serial flux max diff %g", d)
 	}
@@ -46,7 +48,7 @@ func TestMPIMatchesSerial(t *testing.T) {
 // source = absorption + leakage.
 func TestParticleBalance(t *testing.T) {
 	par := Params{Nodes: 4, NX: 8, NY: 8, NZ: 8, MaxIters: 40, Tol: 1e-11}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	if r.Err > 1e-11 {
 		t.Fatalf("did not converge: err %g after %d iters", r.Err, r.Iters)
 	}
@@ -57,8 +59,8 @@ func TestParticleBalance(t *testing.T) {
 
 func TestConvergenceRate(t *testing.T) {
 	// Source iteration converges at roughly the scattering ratio (0.5).
-	short := Run(IB, Params{Nodes: 2, NX: 8, NY: 8, NZ: 8, MaxIters: 5, Tol: 0})
-	long := Run(IB, Params{Nodes: 2, NX: 8, NY: 8, NZ: 8, MaxIters: 10, Tol: 0})
+	short := Run(comm.IB, Params{Nodes: 2, NX: 8, NY: 8, NZ: 8, MaxIters: 5, Tol: 0})
+	long := Run(comm.IB, Params{Nodes: 2, NX: 8, NY: 8, NZ: 8, MaxIters: 10, Tol: 0})
 	if long.Err >= short.Err {
 		t.Fatalf("not converging: err %g after 5, %g after 10", short.Err, long.Err)
 	}
@@ -69,7 +71,7 @@ func TestConvergenceRate(t *testing.T) {
 }
 
 func TestFluxPositive(t *testing.T) {
-	r := Run(DV, Params{Nodes: 4, NX: 8, NY: 8, NZ: 8, MaxIters: 8, KeepFlux: true})
+	r := Run(comm.DV, Params{Nodes: 4, NX: 8, NY: 8, NZ: 8, MaxIters: 8, KeepFlux: true})
 	for i, v := range r.Flux {
 		if v <= 0 {
 			t.Fatalf("flux[%d] = %g not positive", i, v)
@@ -81,8 +83,8 @@ func TestFluxPositive(t *testing.T) {
 // port wins, but modestly (the paper reports 1.19x).
 func TestDVModestSpeedup(t *testing.T) {
 	par := Params{Nodes: 16, NX: 16, NY: 16, NZ: 16, MaxIters: 4}
-	dv := Run(DV, par)
-	ib := Run(IB, par)
+	dv := Run(comm.DV, par)
+	ib := Run(comm.IB, par)
 	speedup := float64(ib.Elapsed) / float64(dv.Elapsed)
 	if speedup < 1.0 {
 		t.Fatalf("SNAP DV speedup %0.2fx; the port should not lose", speedup)
@@ -94,7 +96,7 @@ func TestDVModestSpeedup(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	par := Params{Nodes: 4, NX: 8, NY: 8, NZ: 8, MaxIters: 4}
-	if a, b := Run(DV, par), Run(DV, par); a.Elapsed != b.Elapsed {
+	if a, b := Run(comm.DV, par), Run(comm.DV, par); a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
 	}
 }
@@ -104,9 +106,9 @@ func TestGridSweep(t *testing.T) {
 	for _, c := range []struct{ nodes, nx, ny, nz int }{
 		{2, 8, 8, 4}, {4, 4, 8, 16}, {8, 8, 16, 8}, {6, 8, 12, 6},
 	} {
-		serial := Run(IB, Params{Nodes: 1, NX: c.nx, NY: c.ny, NZ: c.nz,
+		serial := Run(comm.IB, Params{Nodes: 1, NX: c.nx, NY: c.ny, NZ: c.nz,
 			ChunkX: 4, MaxIters: 4, KeepFlux: true})
-		for _, net := range []Net{DV, IB} {
+		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			r := Run(net, Params{Nodes: c.nodes, NX: c.nx, NY: c.ny, NZ: c.nz,
 				ChunkX: 4, MaxIters: 4, KeepFlux: true})
 			if d := maxAbsDiff(r.Flux, serial.Flux); d > 1e-12 {
@@ -123,5 +125,5 @@ func TestChunkGuardPanics(t *testing.T) {
 		}
 	}()
 	// 16 chunks would need 128 counters.
-	Run(DV, Params{Nodes: 2, NX: 16, NY: 4, NZ: 4, ChunkX: 1, MaxIters: 1})
+	Run(comm.DV, Params{Nodes: 2, NX: 16, NY: 4, NZ: 4, ChunkX: 1, MaxIters: 1})
 }

@@ -29,7 +29,7 @@ func (s *solver) solve() (iters int, err, balance float64) {
 				sends = s.sendChunk(o, k, yOut, zOut, sends)
 			}
 		}
-		if s.net == IB {
+		if s.net == comm.IB {
 			s.be.MPI().Waitall(sends)
 		}
 		// Convergence: global max |φ−φold|.
@@ -41,7 +41,7 @@ func (s *solver) solve() (iters int, err, balance float64) {
 		}
 		n.Flops(float64(len(s.phi)))
 		err = s.maxAll(local)
-		if s.net == DV {
+		if s.net == comm.DV {
 			// Counters were consumed this iteration; re-arm between the
 			// collective's fence and an explicit one so no early
 			// next-iteration face can race the re-arm.
@@ -69,7 +69,7 @@ func (s *solver) solve() (iters int, err, balance float64) {
 
 // maxAll is a global max reduction over whichever stack is active.
 func (s *solver) maxAll(v float64) float64 {
-	if s.net == DV {
+	if s.net == comm.DV {
 		return s.coll.AllReduceMaxFloat(v)
 	}
 	return s.be.MPI().Allreduce([]float64{v}, comm.Max)[0]
@@ -77,7 +77,7 @@ func (s *solver) maxAll(v float64) float64 {
 
 // sumAll is a global sum reduction.
 func (s *solver) sumAll(v float64) float64 {
-	if s.net == DV {
+	if s.net == comm.DV {
 		var sum float64
 		for _, w := range s.coll.AllGather([]uint64{math.Float64bits(v)}) {
 			sum += math.Float64frombits(w)
@@ -94,7 +94,7 @@ func (s *solver) chunkTag(o, k, dir int) int {
 
 // recvChunk obtains the upstream faces of one chunk (nil at boundaries).
 func (s *solver) recvChunk(o, k int) (yIn, zIn []float64) {
-	if s.net == IB {
+	if s.net == comm.IB {
 		c := s.be.MPI()
 		if up := s.upstream(o, 0); up >= 0 {
 			data, _ := c.Recv(up, s.chunkTag(o, k, 0))
@@ -133,7 +133,7 @@ func (s *solver) recvChunk(o, k int) (yIn, zIn []float64) {
 // aggregation optimisation).
 func (s *solver) sendChunk(o, k int, yOut, zOut []float64, sends []*comm.Request) []*comm.Request {
 	dy, dz := s.downstream(o, 0), s.downstream(o, 1)
-	if s.net == IB {
+	if s.net == comm.IB {
 		c := s.be.MPI()
 		if dy >= 0 {
 			sends = append(sends, c.Isend(dy, s.chunkTag(o, k, 0), comm.Float64sToBytes(yOut)))

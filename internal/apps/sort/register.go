@@ -17,20 +17,11 @@ func init() {
 		RefNodes: 4,
 		Run: func(spec apprt.RunSpec) (apprt.Summary, error) {
 			par := Params{
-				Nodes:          spec.Nodes,
-				KeysPerNode:    1 << 10,
-				Seed:           spec.Seed,
-				KeepKeys:       true,
-				CycleAccurate:  spec.CycleAccurate,
-				ScalarBoundary: spec.ScalarBoundary,
-				Workers:        spec.Workers,
-				ParMinFlying:   spec.ParMinFlying,
-				DVPlanes:       spec.DVPlanes,
-				PlanePolicy:    spec.PlanePolicy,
-				IBScaled:       spec.IBScaled,
-				Check:          spec.Check,
-				Attr:           spec.Attr,
-				Checkpoint:     spec.Checkpoint,
+				Nodes:       spec.Nodes,
+				KeysPerNode: 1 << 10,
+				Seed:        spec.Seed,
+				KeepKeys:    true,
+				Platform:    spec.Platform,
 			}
 			res := Run(spec.Net, par)
 			var bad, total int

@@ -3,6 +3,8 @@ package sort
 import (
 	gosort "sort"
 	"testing"
+
+	"repro/internal/comm"
 )
 
 // checkSorted validates global sortedness and multiset preservation.
@@ -37,17 +39,17 @@ func checkSorted(t *testing.T, par Params, r Result) {
 
 func TestDVSortCorrect(t *testing.T) {
 	par := Params{Nodes: 4, KeysPerNode: 2048, KeepKeys: true}
-	checkSorted(t, par, Run(DV, par))
+	checkSorted(t, par, Run(comm.DV, par))
 }
 
 func TestMPISortCorrect(t *testing.T) {
 	par := Params{Nodes: 8, KeysPerNode: 1024, KeepKeys: true}
-	checkSorted(t, par, Run(IB, par))
+	checkSorted(t, par, Run(comm.IB, par))
 }
 
 func TestSingleNode(t *testing.T) {
 	par := Params{Nodes: 1, KeysPerNode: 512, KeepKeys: true}
-	for _, net := range []Net{DV, IB} {
+	for _, net := range []comm.Net{comm.DV, comm.IB} {
 		checkSorted(t, par, Run(net, par))
 	}
 }
@@ -57,8 +59,8 @@ func TestSingleNode(t *testing.T) {
 // InfiniBand's higher stream bandwidth makes MPI at least competitive.
 func TestRegularisedWorkloadShowsNoDVWin(t *testing.T) {
 	par := Params{Nodes: 16, KeysPerNode: 1 << 14}
-	dv := Run(DV, par)
-	ib := Run(IB, par)
+	dv := Run(comm.DV, par)
+	ib := Run(comm.IB, par)
 	speedup := float64(ib.Elapsed) / float64(dv.Elapsed)
 	if speedup > 1.3 {
 		t.Fatalf("DV wins the regular sort by %.2fx; the paper's negative result is lost", speedup)
@@ -70,7 +72,7 @@ func TestRegularisedWorkloadShowsNoDVWin(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	par := Params{Nodes: 4, KeysPerNode: 1024}
-	if a, b := Run(DV, par), Run(DV, par); a.Elapsed != b.Elapsed {
+	if a, b := Run(comm.DV, par), Run(comm.DV, par); a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
 	}
 }

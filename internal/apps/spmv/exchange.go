@@ -12,7 +12,7 @@ import (
 
 // runNode executes the multiply loop on one node, returning the measured
 // span, the ghost-entry count, and the final local x slab.
-func runNode(n *cluster.Node, be comm.Backend, net Net, par Params) (sim.Time, int, []float64) {
+func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params) (sim.Time, int, []float64) {
 	m := buildLocal(par, n.ID)
 	rows := m.rows
 
@@ -50,7 +50,7 @@ func runNode(n *cluster.Node, be comm.Backend, net Net, par Params) (sim.Time, i
 	y := make([]float64, rows)
 
 	var ex exchanger
-	if net == DV {
+	if net == comm.DV {
 		ex = newDVExchanger(n, be, par, rows, ghosts)
 	} else {
 		ex = newMPIExchanger(n, be, par, rows, ghosts)

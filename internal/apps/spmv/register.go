@@ -17,21 +17,15 @@ func init() {
 		RefNodes: 4,
 		Run: func(spec apprt.RunSpec) (apprt.Summary, error) {
 			par := Params{
-				Nodes:          spec.Nodes,
-				Scale:          8,
-				Iters:          3,
-				Seed:           spec.Seed,
-				KeepVector:     true,
-				CycleAccurate:  spec.CycleAccurate,
-				ScalarBoundary: spec.ScalarBoundary,
-				Workers:        spec.Workers,
-				ParMinFlying:   spec.ParMinFlying,
-				DVPlanes:       spec.DVPlanes,
-				PlanePolicy:    spec.PlanePolicy,
-				IBScaled:       spec.IBScaled,
-				Check:          spec.Check,
-				Attr:           spec.Attr,
-				Checkpoint:     spec.Checkpoint,
+				Nodes:      spec.Nodes,
+				Scale:      8,
+				Iters:      3,
+				Seed:       spec.Seed,
+				KeepVector: true,
+				Platform:   spec.Platform,
+			}
+			if err := par.sizeErr(); err != nil {
+				return apprt.Summary{}, err
 			}
 			res := Run(spec.Net, par)
 			ref := SerialReference(par)

@@ -23,24 +23,9 @@ import (
 
 	"repro/internal/apprt"
 	"repro/internal/apps/bfs"
-	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
-)
-
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation (query-packet gathers).
-	DV = comm.DV
-	// IB is the MPI implementation (owner-push ghost exchange).
-	IB = comm.IB
 )
 
 // Params configures a run.
@@ -52,36 +37,8 @@ type Params struct {
 	Seed       uint64
 	// KeepVector gathers the final vector for validation.
 	KeepVector bool
-	// CycleAccurate routes packets through the cycle-level switch.
-	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
-	// DVPlanes runs the Data Vortex stack on N parallel switch planes
-	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
-	// deterministic plane assignment (see cluster.Config.DVPlanes).
-	DVPlanes    int
-	PlanePolicy string
-	// IBScaled sizes the fat-tree IB baseline for the node count
-	// (full-bisection tree, ib.ForNodes) instead of the paper's fixed
-	// testbed tree (see apprt.RunSpec.IBScaled).
-	IBScaled bool
-	// Check enables the invariant layer for the run.
-	Check *check.Config
-	// Attr enables causal flow tracing and stage-level latency attribution
-	// for the run; the summary lands in the cluster Report's Attr field.
-	Attr *attr.Config
-	// Checkpoint runs the app under the managed pump — periodic snapshots,
-	// budgets, replay-verified restore (see cluster.Checkpoint).
-	Checkpoint *cluster.Checkpoint
+	// Platform is the run wiring, handed whole to apprt.Execute.
+	cluster.Platform
 }
 
 func (p *Params) defaults() {
@@ -101,7 +58,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	Iters   int
 	Elapsed sim.Time
@@ -219,30 +176,31 @@ func SerialReference(par Params) []float64 {
 	return x
 }
 
-// Run executes the benchmark.
-func Run(net Net, par Params) Result {
+// sizeErr reports why the problem cannot be split over par.Nodes (nil when it
+// can). Run panics with it; the registered runner returns it.
+func (par Params) sizeErr() error {
 	par.defaults()
 	if (int64(1)<<par.Scale)%int64(par.Nodes) != 0 {
-		panic(fmt.Sprintf("spmv: 2^%d rows not divisible over %d nodes", par.Scale, par.Nodes))
+		return fmt.Errorf("spmv: 2^%d rows not divisible over %d nodes", par.Scale, par.Nodes)
+	}
+	return nil
+}
+
+// Run executes the benchmark.
+func Run(net comm.Net, par Params) Result {
+	par.defaults()
+	if err := par.sizeErr(); err != nil {
+		panic(err.Error())
 	}
 	res := Result{Net: net, Nodes: par.Nodes, Iters: par.Iters}
 	if par.KeepVector {
 		res.Vector = make([]float64, int64(1)<<par.Scale)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:      net,
+		Nodes:    par.Nodes,
+		Seed:     par.Seed,
+		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		elapsed, ghost, x := runNode(n, be, net, par)
 		if n.ID == 0 {

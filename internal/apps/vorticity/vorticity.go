@@ -15,25 +15,10 @@ import (
 	"math"
 
 	"repro/internal/apprt"
-	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/fftkernel"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
-)
-
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation.
-	DV = comm.DV
-	// IB is the MPI implementation over InfiniBand.
-	IB = comm.IB
 )
 
 // Params configures a run.
@@ -53,36 +38,8 @@ type Params struct {
 	RK2 bool
 	// KeepField gathers the final physical vorticity for validation.
 	KeepField bool
-	// CycleAccurate routes packets through the cycle-level switch.
-	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
-	// DVPlanes runs the Data Vortex stack on N parallel switch planes
-	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
-	// deterministic plane assignment (see cluster.Config.DVPlanes).
-	DVPlanes    int
-	PlanePolicy string
-	// IBScaled sizes the fat-tree IB baseline for the node count
-	// (full-bisection tree, ib.ForNodes) instead of the paper's fixed
-	// testbed tree (see apprt.RunSpec.IBScaled).
-	IBScaled bool
-	// Check enables the invariant layer for the run.
-	Check *check.Config
-	// Attr enables causal flow tracing and stage-level latency attribution
-	// for the run; the summary lands in the cluster Report's Attr field.
-	Attr *attr.Config
-	// Checkpoint runs the app under the managed pump — periodic snapshots,
-	// budgets, replay-verified restore (see cluster.Checkpoint).
-	Checkpoint *cluster.Checkpoint
+	// Platform is the run wiring, handed whole to apprt.Execute.
+	cluster.Platform
 }
 
 func (p *Params) defaults() {
@@ -102,7 +59,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	N       int
 	Steps   int
@@ -140,11 +97,21 @@ func wavenumber(j, n int) float64 {
 	return float64(j - n)
 }
 
-// Run executes the solver.
-func Run(net Net, par Params) Result {
+// sizeErr reports why the problem cannot be split over par.Nodes (nil when it
+// can). Run panics with it; the registered runner returns it.
+func (par Params) sizeErr() error {
 	par.defaults()
 	if !fftkernel.IsPow2(par.N) || par.N%par.Nodes != 0 {
-		panic(fmt.Sprintf("vorticity: N=%d invalid for %d nodes", par.N, par.Nodes))
+		return fmt.Errorf("vorticity: N=%d invalid for %d nodes", par.N, par.Nodes)
+	}
+	return nil
+}
+
+// Run executes the solver.
+func Run(net comm.Net, par Params) Result {
+	par.defaults()
+	if err := par.sizeErr(); err != nil {
+		panic(err.Error())
 	}
 	res := Result{Net: net, Nodes: par.Nodes, N: par.N, Steps: par.Steps}
 	if par.KeepField {
@@ -153,19 +120,10 @@ func Run(net Net, par Params) Result {
 	energies := make([]float64, par.Nodes)
 	enstrophies := make([]float64, par.Nodes)
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:      net,
+		Nodes:    par.Nodes,
+		Seed:     par.Seed,
+		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		s := newSolver(n, be, net, par)
 		d := s.run()
@@ -189,7 +147,7 @@ func Run(net Net, par Params) Result {
 type solver struct {
 	n    *cluster.Node
 	be   comm.Backend
-	net  Net
+	net  comm.Net
 	par  Params
 	p    int // nodes
 	rows int // n/p
@@ -205,7 +163,7 @@ type solver struct {
 	tcount int // transposes executed (selects parity)
 }
 
-func newSolver(n *cluster.Node, be comm.Backend, net Net, par Params) *solver {
+func newSolver(n *cluster.Node, be comm.Backend, net comm.Net, par Params) *solver {
 	s := &solver{n: n, be: be, net: net, par: par, p: par.Nodes, rows: par.N / par.Nodes}
 	s.lo = n.ID * s.rows
 	N := par.N
@@ -218,7 +176,7 @@ func newSolver(n *cluster.Node, be comm.Backend, net Net, par Params) *solver {
 			phys[r*N+c] = complex(initialVorticity(par, x, float64(c)*h), 0)
 		}
 	}
-	if net == DV {
+	if net == comm.DV {
 		e := be.Endpoint()
 		words := 2 * s.rows * N
 		for par2 := 0; par2 < 2; par2++ {
@@ -252,7 +210,7 @@ func newSolver(n *cluster.Node, be comm.Backend, net Net, par Params) *solver {
 // transpose redistributes the slab (rows ↔ columns of an N×N matrix).
 func (s *solver) transpose(m []complex128) []complex128 {
 	N := s.par.N
-	if s.net == IB {
+	if s.net == comm.IB {
 		return s.mpiTranspose(m, N)
 	}
 	e := s.be.Endpoint()
@@ -481,7 +439,7 @@ func SerialReference(par Params) []float64 {
 	p2 := par
 	p2.Nodes = 1
 	p2.KeepField = true
-	return Run(IB, p2).Field
+	return Run(comm.IB, p2).Field
 }
 
 // String renders a result row.

@@ -3,6 +3,8 @@ package vorticity
 import (
 	"math"
 	"testing"
+
+	"repro/internal/comm"
 )
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -20,7 +22,7 @@ func maxAbsDiff(a, b []float64) float64 {
 // rounding) regardless of step count.
 func TestTaylorGreenStationary(t *testing.T) {
 	par := Params{Nodes: 4, N: 32, Steps: 10, Dt: 1e-2, InitTaylorGreen: true, KeepField: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	N := par.N
 	h := 2 * math.Pi / float64(N)
 	var worst float64
@@ -40,7 +42,7 @@ func TestTaylorGreenStationary(t *testing.T) {
 func TestDVMatchesSerial(t *testing.T) {
 	par := Params{Nodes: 4, N: 32, Steps: 5, KeepField: true}
 	want := SerialReference(par)
-	got := Run(DV, par)
+	got := Run(comm.DV, par)
 	if d := maxAbsDiff(got.Field, want); d > 1e-9 {
 		t.Fatalf("DV vs serial max diff %g", d)
 	}
@@ -49,7 +51,7 @@ func TestDVMatchesSerial(t *testing.T) {
 func TestMPIMatchesSerial(t *testing.T) {
 	par := Params{Nodes: 8, N: 32, Steps: 5, KeepField: true}
 	want := SerialReference(par)
-	got := Run(IB, par)
+	got := Run(comm.IB, par)
 	if d := maxAbsDiff(got.Field, want); d > 1e-9 {
 		t.Fatalf("MPI vs serial max diff %g", d)
 	}
@@ -60,10 +62,10 @@ func TestMPIMatchesSerial(t *testing.T) {
 // O(dt) level of forward Euler.
 func TestInvariantsConserved(t *testing.T) {
 	base := Params{Nodes: 4, N: 64, Steps: 0, Dt: 2e-4, KeepField: false}
-	r0 := Run(DV, base)
+	r0 := Run(comm.DV, base)
 	long := base
 	long.Steps = 20
-	r1 := Run(DV, long)
+	r1 := Run(comm.DV, long)
 	if rel := math.Abs(r1.Energy-r0.Energy) / r0.Energy; rel > 1e-3 {
 		t.Errorf("energy drifted by %g", rel)
 	}
@@ -76,7 +78,7 @@ func TestInvariantsConserved(t *testing.T) {
 // should feed energy into higher harmonics rather than stay frozen.
 func TestKHInstabilityGrows(t *testing.T) {
 	par := Params{Nodes: 4, N: 64, Steps: 40, Dt: 2e-3, KeepField: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	ref := SerialReference(Params{Nodes: 1, N: 64, Steps: 0, KeepField: true})
 	if d := maxAbsDiff(r.Field, ref); d < 1e-4 {
 		t.Fatalf("field unchanged after 40 steps (diff %g); dynamics missing", d)
@@ -88,10 +90,10 @@ func TestKHInstabilityGrows(t *testing.T) {
 func TestRK2ConservesBetter(t *testing.T) {
 	drift := func(rk2 bool) float64 {
 		base := Params{Nodes: 4, N: 64, Steps: 0, Dt: 2e-3, RK2: rk2}
-		r0 := Run(DV, base)
+		r0 := Run(comm.DV, base)
 		long := base
 		long.Steps = 15
-		r1 := Run(DV, long)
+		r1 := Run(comm.DV, long)
 		return abs(r1.Energy-r0.Energy) / r0.Energy
 	}
 	euler, heun := drift(false), drift(true)
@@ -111,8 +113,8 @@ func abs(v float64) float64 {
 // application (the paper reports up to 3.41x at 32 nodes).
 func TestDVFasterThanMPI(t *testing.T) {
 	par := Params{Nodes: 32, N: 128, Steps: 3}
-	dv := Run(DV, par)
-	ib := Run(IB, par)
+	dv := Run(comm.DV, par)
+	ib := Run(comm.IB, par)
 	speedup := float64(ib.Elapsed) / float64(dv.Elapsed)
 	if speedup < 1.8 {
 		t.Fatalf("vorticity DV speedup %0.2fx, want clearly > 1", speedup)
@@ -124,7 +126,7 @@ func TestDVFasterThanMPI(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	par := Params{Nodes: 4, N: 32, Steps: 3}
-	if a, b := Run(DV, par), Run(DV, par); a.Elapsed != b.Elapsed {
+	if a, b := Run(comm.DV, par), Run(comm.DV, par); a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
 	}
 }
@@ -136,7 +138,7 @@ func TestNodeCountSweep(t *testing.T) {
 	for _, nodes := range []int{1, 2, 8, 16, 32} {
 		p := par
 		p.Nodes = nodes
-		for _, net := range []Net{DV, IB} {
+		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			got := Run(net, p)
 			if d := maxAbsDiff(got.Field, want); d > 1e-9 {
 				t.Errorf("nodes=%d net=%v: max diff %g", nodes, net, d)

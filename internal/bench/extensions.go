@@ -16,6 +16,7 @@ import (
 	"repro/internal/apps/spmv"
 	"repro/internal/apps/vorticity"
 	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/dv"
 	"repro/internal/dvswitch"
 	"repro/internal/sim"
@@ -181,7 +182,7 @@ func ExtAblation(opt Options) *Table {
 	}
 	for _, batch := range []int{1024, 64, 8} {
 		gp.BatchWords = batch
-		r := gups.Run(gups.DV, gp)
+		r := gups.Run(comm.DV, gp)
 		t.AddRow("source aggregation", fmt.Sprintf("batch=%d", batch),
 			"MUPS/PE", fmt.Sprintf("%.2f", r.MUPSPerNode()))
 	}
@@ -219,15 +220,15 @@ func ExtScaleApps(opt Options) *Table {
 		n := counts[i%len(counts)]
 		if i < len(counts) {
 			par := gups.Params{Nodes: n, TableWordsNode: 1 << 14, UpdatesPerNode: 1 << 12}
-			dv := gups.Run(gups.DV, par)
-			ib := gups.Run(gups.IB, par)
+			dv := gups.Run(comm.DV, par)
+			ib := gups.Run(comm.IB, par)
 			return []string{"GUPS (MUPS)", fmt.Sprintf("%d", n),
 				fmt.Sprintf("%.1f", dv.MUPS()), fmt.Sprintf("%.1f", ib.MUPS()),
 				fmt.Sprintf("%.2fx", dv.MUPS()/ib.MUPS())}
 		}
 		par := bfs.Params{Nodes: n, Scale: 14, EdgeFactor: 8, NRoots: 2}
-		dv := bfs.Run(bfs.DV, par)
-		ib := bfs.Run(bfs.IB, par)
+		dv := bfs.Run(comm.DV, par)
+		ib := bfs.Run(comm.IB, par)
 		return []string{"BFS (MTEPS)", fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f", dv.HarmonicMeanTEPS()/1e6),
 			fmt.Sprintf("%.1f", ib.HarmonicMeanTEPS()/1e6),
@@ -262,10 +263,10 @@ func ExtRouting(opt Options) *Table {
 		gp.Nodes = n
 		gp.UpdatesPerNode = 1 << 10
 	}
-	stat := gups.Run(gups.IB, gp)
+	stat := gups.Run(comm.IB, gp)
 	gp.IBAdaptive = true
-	adpt := gups.Run(gups.IB, gp)
-	dv := gups.Run(gups.DV, gp)
+	adpt := gups.Run(comm.IB, gp)
+	dv := gups.Run(comm.DV, gp)
 	t.AddRow("GUPS (MUPS)", fmt.Sprintf("%d", n),
 		fmt.Sprintf("%.1f", stat.MUPS()), fmt.Sprintf("%.1f", adpt.MUPS()),
 		fmt.Sprintf("%.1f", dv.MUPS()))
@@ -273,10 +274,10 @@ func ExtRouting(opt Options) *Table {
 	if opt.Small {
 		fp.LogN = 14
 	}
-	fs := fft.Run(fft.IB, fp)
+	fs := fft.Run(comm.IB, fp)
 	fp.IBAdaptive = true
-	fa := fft.Run(fft.IB, fp)
-	fd := fft.Run(fft.DV, fp)
+	fa := fft.Run(comm.IB, fp)
+	fd := fft.Run(comm.DV, fp)
 	t.AddRow("FFT (GFLOPS)", fmt.Sprintf("%d", n),
 		fmt.Sprintf("%.1f", fs.GFLOPS()), fmt.Sprintf("%.1f", fa.GFLOPS()),
 		fmt.Sprintf("%.1f", fd.GFLOPS()))
@@ -302,7 +303,8 @@ func ExtMultiRail(opt Options) *Table {
 		words = 1 << 12
 	}
 	for _, rails := range []int{1, 2, 4} {
-		r := pingpong.Run(pingpong.DVDMACached, pingpong.Params{Words: words, Iters: iters, Rails: rails})
+		r := pingpong.Run(pingpong.DVDMACached, pingpong.Params{Words: words, Iters: iters,
+			Platform: cluster.Platform{VICsPerNode: rails}})
 		t.AddRow(fmt.Sprintf("DV DMA/Cached, %d rail(s)", rails),
 			fmt.Sprintf("%.2f", r.Bandwidth/1e9),
 			fmt.Sprintf("%.0f%%", 100*r.Bandwidth/4.4e9))
@@ -335,8 +337,8 @@ func ExtPageRank(opt Options) *Table {
 	}
 	for _, n := range counts {
 		par := pagerank.Params{Nodes: n, Scale: scale, EdgeFactor: 8, MaxIters: 10, Tol: 0}
-		dv := pagerank.Run(pagerank.DV, par)
-		ib := pagerank.Run(pagerank.IB, par)
+		dv := pagerank.Run(comm.DV, par)
+		ib := pagerank.Run(comm.IB, par)
 		t.AddRow(fmt.Sprintf("%d", n), dv.Elapsed.String(), ib.Elapsed.String(),
 			fmt.Sprintf("%.2fx", float64(ib.Elapsed)/float64(dv.Elapsed)))
 	}
@@ -420,8 +422,8 @@ func ExtSpMV(opt Options) *Table {
 	}
 	for _, n := range counts {
 		par := spmv.Params{Nodes: n, Scale: scale, EdgeFactor: 6, Iters: 4}
-		dv := spmv.Run(spmv.DV, par)
-		ib := spmv.Run(spmv.IB, par)
+		dv := spmv.Run(comm.DV, par)
+		ib := spmv.Run(comm.IB, par)
 		t.AddRow(fmt.Sprintf("%d", n), dv.Elapsed.String(), ib.Elapsed.String(),
 			fmt.Sprintf("%.2fx", float64(ib.Elapsed)/float64(dv.Elapsed)),
 			fmt.Sprintf("%d", dv.GhostWords))
@@ -508,8 +510,8 @@ func ExtSort(opt Options) *Table {
 	}
 	for _, n := range counts {
 		par := sortapp.Params{Nodes: n, KeysPerNode: keys}
-		dvr := sortapp.Run(sortapp.DV, par)
-		ibr := sortapp.Run(sortapp.IB, par)
+		dvr := sortapp.Run(comm.DV, par)
+		ibr := sortapp.Run(comm.IB, par)
 		t.AddRow(fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f Mkeys/s", dvr.SortedRate()/1e6),
 			fmt.Sprintf("%.1f Mkeys/s", ibr.SortedRate()/1e6),
@@ -586,11 +588,11 @@ func ExtAppScaling(opt Options) *Table {
 	}
 	for _, n := range counts {
 		sp := snap.Params{Nodes: n, NX: 16, NY: 16, NZ: 16, MaxIters: 4}
-		sd, si := snap.Run(snap.DV, sp), snap.Run(snap.IB, sp)
+		sd, si := snap.Run(comm.DV, sp), snap.Run(comm.IB, sp)
 		vp := vorticity.Params{Nodes: n, N: 128, Steps: 3}
-		vd, vi := vorticity.Run(vorticity.DV, vp), vorticity.Run(vorticity.IB, vp)
+		vd, vi := vorticity.Run(comm.DV, vp), vorticity.Run(comm.IB, vp)
 		hp := heat.Params{Nodes: n, N: 16, Steps: 10}
-		hd, hi := heat.Run(heat.DV, hp), heat.Run(heat.IB, hp)
+		hd, hi := heat.Run(comm.DV, hp), heat.Run(comm.IB, hp)
 		t.AddRow(fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.2fx", float64(si.Elapsed)/float64(sd.Elapsed)),
 			fmt.Sprintf("%.2fx", float64(vi.Elapsed)/float64(vd.Elapsed)),

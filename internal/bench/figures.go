@@ -12,6 +12,8 @@ import (
 	"repro/internal/apps/pingpong"
 	"repro/internal/apps/snap"
 	"repro/internal/apps/vorticity"
+	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/trace"
 )
 
@@ -112,11 +114,12 @@ func Fig4(opt Options) *Table {
 // pattern. The trace CSV is written to w; the returned table summarises it.
 func Fig5(opt Options, w io.Writer) *Table {
 	rec := trace.New()
-	par := gups.Params{Nodes: 4, TableWordsNode: 1 << 12, UpdatesPerNode: 1 << 11, Trace: rec}
+	par := gups.Params{Nodes: 4, TableWordsNode: 1 << 12, UpdatesPerNode: 1 << 11,
+		Platform: cluster.Platform{Trace: rec}}
 	if opt.Small {
 		par.UpdatesPerNode = 1 << 9
 	}
-	gups.Run(gups.IB, par)
+	gups.Run(comm.IB, par)
 	if w != nil {
 		if err := rec.WriteCSV(w); err != nil {
 			panic(err)
@@ -180,8 +183,8 @@ func Fig6(opt Options) (a, b *Table) {
 	}
 	for _, n := range opt.nodeSweep(4) {
 		par.Nodes = n
-		dv := gups.Run(gups.DV, par)
-		ib := gups.Run(gups.IB, par)
+		dv := gups.Run(comm.DV, par)
+		ib := gups.Run(comm.IB, par)
 		a.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.2f", dv.MUPSPerNode()), fmt.Sprintf("%.2f", ib.MUPSPerNode()))
 		b.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.1f", dv.MUPS()), fmt.Sprintf("%.1f", ib.MUPS()))
 	}
@@ -203,8 +206,8 @@ func Fig7(opt Options) *Table {
 		logN = 14
 	}
 	for _, n := range opt.nodeSweep(2) {
-		dv := fft.Run(fft.DV, fft.Params{Nodes: n, LogN: logN})
-		ib := fft.Run(fft.IB, fft.Params{Nodes: n, LogN: logN})
+		dv := fft.Run(comm.DV, fft.Params{Nodes: n, LogN: logN})
+		ib := fft.Run(comm.IB, fft.Params{Nodes: n, LogN: logN})
 		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.2f", dv.GFLOPS()), fmt.Sprintf("%.2f", ib.GFLOPS()))
 	}
 	return t
@@ -227,8 +230,8 @@ func Fig8(opt Options) *Table {
 	}
 	for _, n := range opt.nodeSweep(2) {
 		par.Nodes = n
-		dv := bfs.Run(bfs.DV, par)
-		ib := bfs.Run(bfs.IB, par)
+		dv := bfs.Run(comm.DV, par)
+		ib := bfs.Run(comm.IB, par)
 		t.AddRow(fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f", dv.HarmonicMeanTEPS()/1e6),
 			fmt.Sprintf("%.1f", ib.HarmonicMeanTEPS()/1e6))
@@ -257,13 +260,13 @@ func Fig9(opt Options) *Table {
 		vp = vorticity.Params{Nodes: nodes, N: 64, Steps: 2}
 		hp = heat.Params{Nodes: nodes, N: 16, Steps: 5}
 	}
-	sd, si := snap.Run(snap.DV, sp), snap.Run(snap.IB, sp)
+	sd, si := snap.Run(comm.DV, sp), snap.Run(comm.IB, sp)
 	t.AddRow("SNAP", sd.Elapsed.String(), si.Elapsed.String(),
 		fmt.Sprintf("%.2fx", float64(si.Elapsed)/float64(sd.Elapsed)))
-	vd, vi := vorticity.Run(vorticity.DV, vp), vorticity.Run(vorticity.IB, vp)
+	vd, vi := vorticity.Run(comm.DV, vp), vorticity.Run(comm.IB, vp)
 	t.AddRow("Vorticity", vd.Elapsed.String(), vi.Elapsed.String(),
 		fmt.Sprintf("%.2fx", float64(vi.Elapsed)/float64(vd.Elapsed)))
-	hd, hi := heat.Run(heat.DV, hp), heat.Run(heat.IB, hp)
+	hd, hi := heat.Run(comm.DV, hp), heat.Run(comm.IB, hp)
 	t.AddRow("Heat", hd.Elapsed.String(), hi.Elapsed.String(),
 		fmt.Sprintf("%.2fx", float64(hi.Elapsed)/float64(hd.Elapsed)))
 	return t

@@ -5,6 +5,8 @@ import (
 	"io"
 
 	"repro/internal/apps/gups"
+	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/faultplan"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
@@ -23,22 +25,24 @@ func MetricsRun(opt Options) gups.Result {
 		TableWordsNode: 1 << 12,
 		UpdatesPerNode: 1 << 11,
 		Seed:           12,
-		CycleAccurate:  true,
 		Reliable:       true,
-		Faults:         &faultplan.Plan{Seed: 7, DropProb: 2e-3},
-		Obs: &obs.Config{
-			Every:        5 * sim.Microsecond,
-			PacketSample: 8,
-			Seed:         9,
+		Platform: cluster.Platform{
+			CycleAccurate: true,
+			Faults:        &faultplan.Plan{Seed: 7, DropProb: 2e-3},
+			Obs: &obs.Config{
+				Every:        5 * sim.Microsecond,
+				PacketSample: 8,
+				Seed:         9,
+			},
+			// Full flow attribution: with loss and retransmissions in the plan,
+			// the summary exercises lost flows and retransmit epochs too.
+			Attr: &attr.Config{Sample: 1},
 		},
-		// Full flow attribution: with loss and retransmissions in the plan,
-		// the summary exercises lost flows and retransmit epochs too.
-		Attr: &attr.Config{Sample: 1},
 	}
 	if opt.Small {
 		par.UpdatesPerNode = 1 << 9
 	}
-	return gups.Run(gups.DV, par)
+	return gups.Run(comm.DV, par)
 }
 
 // Metrics runs MetricsRun and writes its three exports — JSONL time series,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/apps/gups"
+	"repro/internal/comm"
 )
 
 // ExtParallelKernel is extension P: the parallel-kernel scaling study. It
@@ -63,7 +64,7 @@ func ExtParallelKernel(opt Options) *Table {
 				p.ParMinFlying = -1
 			}
 			t0 := time.Now()
-			res := gups.Run(gups.DV, p)
+			res := gups.Run(comm.DV, p)
 			wall := time.Since(t0)
 			ident := "ref"
 			if i == 0 {

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/apps/gups"
+	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/trace"
 )
 
@@ -24,9 +26,9 @@ func TestRecorderNoRaceUnderParallelSweep(t *testing.T) {
 			TableWordsNode: 1 << 10,
 			UpdatesPerNode: 1 << 7,
 			Seed:           uint64(i + 1),
-			Trace:          rec,
+			Platform:       cluster.Platform{Trace: rec},
 		}
-		gups.Run(gups.IB, par)
+		gups.Run(comm.IB, par)
 		return rec
 	})
 	for i, rec := range recs {
@@ -39,9 +41,9 @@ func TestRecorderNoRaceUnderParallelSweep(t *testing.T) {
 	// Every point used a distinct recorder: totals must match a serial rerun
 	// of the same point, which would fail if records crossed recorders.
 	rec := trace.New()
-	gups.Run(gups.IB, gups.Params{
+	gups.Run(comm.IB, gups.Params{
 		Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 7,
-		Seed: 1, Trace: rec,
+		Seed: 1, Platform: cluster.Platform{Trace: rec},
 	})
 	ws, wm, _ := rec.Summary()
 	gs, gm, _ := recs[0].Summary()

@@ -6,6 +6,8 @@ import (
 	"repro/internal/apps/barrier"
 	"repro/internal/apps/gups"
 	"repro/internal/apps/heat"
+	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
 )
@@ -72,11 +74,12 @@ func ExtReliability(opt Options) *Table {
 	for _, rate := range rates {
 		for _, path := range paths {
 			par := gups.Params{Nodes: nodes, TableWordsNode: 1 << 10, UpdatesPerNode: updates,
-				Seed: 1, KeepTables: true, Faults: plan(rate), Reliable: path.reliable}
+				Seed: 1, KeepTables: true, Reliable: path.reliable,
+				Platform: cluster.Platform{Faults: plan(rate)}}
 			if !path.reliable && rate > 0 {
 				par.WaitTimeout = 2 * sim.Millisecond
 			}
-			r := gups.Run(gups.DV, par)
+			r := gups.Run(comm.DV, par)
 			if !path.reliable && rate == 0 {
 				gupsBase = r.Elapsed
 			}
@@ -93,11 +96,11 @@ func ExtReliability(opt Options) *Table {
 	for _, rate := range rates {
 		for _, path := range paths {
 			par := heat.Params{Nodes: nodes, N: 16, Steps: heatSteps, KeepField: true,
-				Faults: plan(rate), Reliable: path.reliable}
+				Reliable: path.reliable, Platform: cluster.Platform{Faults: plan(rate)}}
 			if !path.reliable && rate > 0 {
 				par.WaitTimeout = 50 * sim.Microsecond
 			}
-			r := heat.Run(heat.DV, par)
+			r := heat.Run(comm.DV, par)
 			if !path.reliable && rate == 0 {
 				heatBase = r.Elapsed
 			}
@@ -114,7 +117,7 @@ func ExtReliability(opt Options) *Table {
 	for _, rate := range rates {
 		for _, path := range paths {
 			impl := barrier.DVFastBarrier
-			opts := barrier.Opts{Faults: plan(rate)}
+			opts := barrier.Opts{Platform: cluster.Platform{Faults: plan(rate)}}
 			if path.reliable {
 				impl = barrier.DVReliable
 			} else if rate > 0 {

@@ -84,13 +84,14 @@ func ExtScalingCrossover(opt Options) *Table {
 		switch i / len(counts) {
 		case 0: // GUPS: fine-grained random updates — the DV sweet spot.
 			par := gups.Params{Nodes: n, TableWordsNode: 1 << 14,
-				UpdatesPerNode: gupsUpd, Workers: opt.Workers}
-			d1 := gups.Run(gups.DV, par)
+				UpdatesPerNode: gupsUpd}
+			par.Workers = opt.Workers
+			d1 := gups.Run(comm.DV, par)
 			par.DVPlanes = 2
-			d2 := gups.Run(gups.DV, par)
+			d2 := gups.Run(comm.DV, par)
 			par.DVPlanes = 0
 			par.IBScaled = true
-			ib := gups.Run(gups.IB, par)
+			ib := gups.Run(comm.IB, par)
 			best := d1.MUPS()
 			if d2.MUPS() > best {
 				best = d2.MUPS()
@@ -99,14 +100,14 @@ func ExtScalingCrossover(opt Options) *Table {
 				fmt.Sprintf("%.1f", d1.MUPS()), fmt.Sprintf("%.1f", d2.MUPS()),
 				fmt.Sprintf("%.1f", ib.MUPS()), fmt.Sprintf("%.2fx", best/ib.MUPS())}
 		case 1: // BFS: frontier exchanges of single-edge packets.
-			par := bfs.Params{Nodes: n, Scale: bfsScale, EdgeFactor: 8, NRoots: 1,
-				Workers: opt.Workers}
-			d1 := bfs.Run(bfs.DV, par)
+			par := bfs.Params{Nodes: n, Scale: bfsScale, EdgeFactor: 8, NRoots: 1}
+			par.Workers = opt.Workers
+			d1 := bfs.Run(comm.DV, par)
 			par.DVPlanes = 2
-			d2 := bfs.Run(bfs.DV, par)
+			d2 := bfs.Run(comm.DV, par)
 			par.DVPlanes = 0
 			par.IBScaled = true
-			ib := bfs.Run(bfs.IB, par)
+			ib := bfs.Run(comm.IB, par)
 			best := d1.HarmonicMeanTEPS()
 			if d2.HarmonicMeanTEPS() > best {
 				best = d2.HarmonicMeanTEPS()
@@ -143,8 +144,8 @@ func ExtScalingCrossover(opt Options) *Table {
 // one exchange. planes > 1 stripes the Data Vortex side over that many
 // switch planes; ibScaled selects the full-bisection fat tree.
 func alltoallExchange(net comm.Net, nodes, words, rounds, planes, workers int, ibScaled bool) sim.Time {
-	spec := apprt.RunSpec{Net: net, Nodes: nodes, Workers: workers,
-		DVPlanes: planes, IBScaled: ibScaled}
+	spec := apprt.RunSpec{Net: net, Nodes: nodes, Platform: cluster.Platform{
+		Workers: workers, DVPlanes: planes, IBScaled: ibScaled}}
 	rep := apprt.Execute(spec, func(n *cluster.Node, be comm.Backend) sim.Time {
 		blocks := make([][]byte, nodes)
 		for i := range blocks {

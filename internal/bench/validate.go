@@ -10,6 +10,7 @@ import (
 	"repro/internal/apps/heat"
 	"repro/internal/apps/snap"
 	"repro/internal/apps/vorticity"
+	"repro/internal/comm"
 )
 
 // Validate runs every workload's correctness check — each network variant
@@ -38,7 +39,7 @@ func Validate(opt Options) *Table {
 		par := gups.Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 12,
 			Seed: 1, KeepTables: true}
 		want := gupsReplay(par)
-		for _, net := range []gups.Net{gups.DV, gups.IB} {
+		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			r := gups.Run(net, par)
 			pass := true
 			for n := range want {
@@ -55,7 +56,7 @@ func Validate(opt Options) *Table {
 	{
 		par := fft.Params{Nodes: 4, LogN: 12, KeepResult: true}
 		want := fft.SerialReference(par)
-		for _, net := range []fft.Net{fft.DV, fft.IB} {
+		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			r := fft.Run(net, par)
 			var worst float64
 			for i := range want {
@@ -73,7 +74,7 @@ func Validate(opt Options) *Table {
 	{
 		par := bfs.Params{Nodes: 4, Scale: 10, EdgeFactor: 8, NRoots: 2, KeepParents: true}
 		roots := bfs.ChooseRoots(par)
-		for _, net := range []bfs.Net{bfs.DV, bfs.IB} {
+		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			r := bfs.Run(net, par)
 			pass := true
 			for i, root := range roots {
@@ -87,7 +88,7 @@ func Validate(opt Options) *Table {
 	// Heat: exact discrete decay of the fundamental mode.
 	{
 		par := heat.Params{Nodes: 8, N: 16, Steps: 10, KeepField: true}
-		for _, net := range []heat.Net{heat.DV, heat.IB} {
+		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			r := heat.Run(net, par)
 			err := heat.MaxErr(par, r.Field)
 			add("Heat", net.String()+" field == exact discrete solution", err < 1e-10,
@@ -98,7 +99,7 @@ func Validate(opt Options) *Table {
 	{
 		par := vorticity.Params{Nodes: 4, N: 32, Steps: 5, KeepField: true}
 		want := vorticity.SerialReference(par)
-		for _, net := range []vorticity.Net{vorticity.DV, vorticity.IB} {
+		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			r := vorticity.Run(net, par)
 			var worst float64
 			for i := range want {
@@ -113,10 +114,10 @@ func Validate(opt Options) *Table {
 	// SNAP: flux equals serial; particle balance at convergence.
 	{
 		base := snap.Params{Nodes: 1, NX: 8, NY: 8, NZ: 8, MaxIters: 6, KeepFlux: true}
-		want := snap.Run(snap.IB, base)
+		want := snap.Run(comm.IB, base)
 		par := base
 		par.Nodes = 4
-		for _, net := range []snap.Net{snap.DV, snap.IB} {
+		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			r := snap.Run(net, par)
 			var worst float64
 			for i := range want.Flux {
@@ -127,7 +128,7 @@ func Validate(opt Options) *Table {
 			add("SNAP", net.String()+" flux == serial sweep", worst < 1e-12,
 				fmt.Sprintf("max diff %.1e", worst))
 		}
-		conv := snap.Run(snap.DV, snap.Params{Nodes: 4, NX: 8, NY: 8, NZ: 8, MaxIters: 40, Tol: 1e-11})
+		conv := snap.Run(comm.DV, snap.Params{Nodes: 4, NX: 8, NY: 8, NZ: 8, MaxIters: 40, Tol: 1e-11})
 		add("SNAP", "particle balance at convergence", conv.Balance < 1e-8,
 			fmt.Sprintf("residual %.1e", conv.Balance))
 	}

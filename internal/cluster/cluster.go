@@ -59,15 +59,15 @@ func DefaultCPU() CPUModel {
 	}
 }
 
-// Config describes one simulated cluster run.
-type Config struct {
-	Nodes  int
-	Seed   uint64
-	Stacks Stack
-
+// Platform is the run wiring every driver, workload and test shares: which
+// engines simulate the testbed and which observers ride along. It is declared
+// here once and embedded whole by Config, by apprt.RunSpec and by every app's
+// Params, so a knob set at the top of a run reaches Run untouched. Problem
+// sizing stays in each app's Params; Nodes, Seed and the network are RunSpec's.
+type Platform struct {
 	// VICsPerNode attaches multiple Data Vortex rails per node (the paper:
 	// "each node in the cluster contains at least one VIC"). Rail 0 is
-	// Node.DV; all rails appear in Node.Rails.
+	// Node.DV; all rails appear in Node.Rails. 0 means 1.
 	VICsPerNode int
 
 	// CycleAccurate selects the cycle-level switch engine instead of the
@@ -90,19 +90,13 @@ type Config struct {
 	// DenseSwitch runs the cycle-accurate core on the dense full-fabric
 	// scan instead of the sparse active-list stepper. The two are
 	// bit-identical (enforced by differential tests); this knob exists for
-	// end-to-end cross-checks and perf comparisons. Only meaningful with
-	// CycleAccurate.
+	// end-to-end cross-checks and perf comparisons. Requires CycleAccurate.
 	DenseSwitch bool
 	// ScalarBoundary runs the VICs on the legacy one-kernel-event-per-packet
 	// inject/eject boundary instead of the batched pipeline. The two are
 	// bit-identical in results (enforced by differential tests); this knob
 	// exists for end-to-end cross-checks and perf comparisons.
 	ScalarBoundary bool
-	// SwitchGeom overrides the switch geometry (default: smallest geometry
-	// with one port per node, as on the paper's fully-subscribed testbed).
-	SwitchGeom dvswitch.Params
-	// CycleTime overrides the switch cycle period.
-	CycleTime sim.Time
 	// DVPlanes instantiates N parallel Data Vortex switch planes behind the
 	// VIC boundary (0 or 1 = the paper's single-plane testbed). Every plane
 	// has the full SwitchGeom geometry; packets are dealt to planes by
@@ -115,10 +109,14 @@ type Config struct {
 	// dvswitch.PlaneRR (per-source round-robin).
 	PlanePolicy dvswitch.PlanePolicy
 
-	VIC vic.Params
-	IB  ib.Params
-	MPI mpi.Params
-	CPU CPUModel
+	// IBScaled replaces Config.IB with the full-bisection two-level fat tree
+	// sized for the run's node count (ib.ForNodes) instead of the paper's
+	// fixed 8-nodes/leaf × 2-spine testbed tree, which is 4:1 oversubscribed
+	// beyond a few leaves. Scaling studies set this so the comparison stays
+	// honest at size.
+	IBScaled bool
+	// IBAdaptive enables adaptive fat-tree routing for the MPI stack.
+	IBAdaptive bool
 
 	// Faults, when non-nil, injects the plan's failures into every enabled
 	// stack: link drop/corrupt probabilities and dead nodes into the Data
@@ -162,6 +160,58 @@ type Config struct {
 	// exactly the event sequence an unmanaged run fires, so Reports are
 	// byte-identical. Outcome fields of the struct are filled in by Run.
 	Checkpoint *Checkpoint
+}
+
+// ConfigError reports a run-configuration field that no run can use.
+type ConfigError struct {
+	// Field names the offending field as it is declared (e.g. "Workers").
+	Field string
+	// Reason says what is wrong with its value.
+	Reason string
+}
+
+// Error implements error.
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("invalid run configuration: %s %s", e.Field, e.Reason)
+}
+
+// Validate rejects platform values that have no meaning, with a *ConfigError
+// naming the field. Zero values are always valid (they select the defaults).
+func (p Platform) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Workers", p.Workers}, {"DVPlanes", p.DVPlanes}, {"VICsPerNode", p.VICsPerNode}} {
+		if f.v < 0 {
+			return &ConfigError{Field: f.name, Reason: fmt.Sprintf("is negative (%d)", f.v)}
+		}
+	}
+	if p.DenseSwitch && !p.CycleAccurate {
+		return &ConfigError{Field: "DenseSwitch", Reason: "needs CycleAccurate (the fast model has no stepper)"}
+	}
+	return nil
+}
+
+// Config describes one simulated cluster run.
+type Config struct {
+	Nodes  int
+	Seed   uint64
+	Stacks Stack
+
+	Platform
+
+	// SwitchGeom overrides the switch geometry (default: smallest geometry
+	// with one port per node, as on the paper's fully-subscribed testbed).
+	SwitchGeom dvswitch.Params
+	// CycleTime overrides the switch cycle period.
+	CycleTime sim.Time
+
+	VIC vic.Params
+	// IB is the fat-tree baseline; Platform.IBScaled and IBAdaptive override
+	// it at the start of Run.
+	IB  ib.Params
+	MPI mpi.Params
+	CPU CPUModel
 }
 
 // DefaultConfig returns the calibrated testbed configuration for n nodes
@@ -312,6 +362,14 @@ func KernelCounts() (events, resumes uint64) {
 func Run(cfg Config, body func(n *Node)) *Report {
 	if cfg.Nodes <= 0 {
 		panic(fmt.Sprintf("cluster: invalid node count %d", cfg.Nodes))
+	}
+	// The IB knobs resolve into cfg.IB here, before anything reads it (the
+	// fabric below, the checkpoint config digest).
+	if cfg.IBScaled {
+		cfg.IB = ib.ForNodes(cfg.Nodes)
+	}
+	if cfg.IBAdaptive {
+		cfg.IB.Adaptive = true
 	}
 	rails := cfg.VICsPerNode
 	if rails < 1 {

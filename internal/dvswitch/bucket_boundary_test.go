@@ -89,15 +89,10 @@ func TestLog2BucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestLog2PercentileAgreement pins that the two percentile estimators return
-// the same bucket-boundary bound for the same observations, including at
-// exact powers of two.
+// TestLog2PercentileAgreement pins that the two percentile estimators read
+// the same buckets for the same observations, including at exact powers of
+// two.
 func TestLog2PercentileAgreement(t *testing.T) {
-	// This test pins bit-agreement with Stats.LatencyPercentile, which
-	// reports bucket upper bounds; use the histogram's legacy estimate.
-	defer func(old bool) { obs.InterpolateQuantiles = old }(obs.InterpolateQuantiles)
-	obs.InterpolateQuantiles = false
-
 	vals := []int64{1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 1023, 1024, 1025}
 	var s Stats
 	h := obs.NewRegistry().Histogram("p")
@@ -106,11 +101,5 @@ func TestLog2PercentileAgreement(t *testing.T) {
 		s.recordLatency(v)
 		h.Observe(v)
 	}
-	for _, p := range []float64{1, 25, 50, 90, 99, 100} {
-		sp := s.LatencyPercentile(p)
-		hp := h.Percentile(p)
-		if sp != hp {
-			t.Errorf("p%v: Stats %d, obs %d", p, sp, hp)
-		}
-	}
+	sameBuckets(t, &s, h)
 }

@@ -34,11 +34,6 @@ func goldenObsRun() (Stats, *obs.Registry) {
 // bucket math — so LatencyPercentile and MeanDeflections computed from either
 // path agree on a golden run.
 func TestObsMatchesStats(t *testing.T) {
-	// This test pins bit-agreement with Stats.LatencyPercentile, which
-	// reports bucket upper bounds; use the histogram's legacy estimate.
-	defer func(old bool) { obs.InterpolateQuantiles = old }(obs.InterpolateQuantiles)
-	obs.InterpolateQuantiles = false
-
 	st, reg := goldenObsRun()
 	if st.Delivered == 0 || st.TotalDeflected == 0 {
 		t.Fatalf("degenerate golden run: %+v", st)
@@ -63,16 +58,12 @@ func TestObsMatchesStats(t *testing.T) {
 	}
 
 	// The histogram observed every eject latency with the same bucket math as
-	// Stats.LatHist, so every percentile lands on the same bucket boundary.
+	// Stats.LatHist, so the two hold the same count in every bucket.
 	h := reg.Histogram("switch_latency_cycles")
 	if h.Count() != st.Delivered {
 		t.Fatalf("histogram count %d, delivered %d", h.Count(), st.Delivered)
 	}
-	for _, p := range []float64{1, 10, 25, 50, 75, 90, 99, 99.9, 100} {
-		if sp, hp := st.LatencyPercentile(p), h.Percentile(p); sp != hp {
-			t.Errorf("p%v: Stats %d, obs histogram %d", p, sp, hp)
-		}
-	}
+	sameBuckets(t, &st, h)
 
 	// Bucket-by-bucket the histograms are identical.
 	for i, want := range st.LatHist {
@@ -145,11 +136,6 @@ func TestCoreStepZeroAllocWithObsCompiledIn(t *testing.T) {
 // TestFastModelObsMatchesStats pins the same two-path equality for the
 // analytic model, which accounts deflections in bulk at injection time.
 func TestFastModelObsMatchesStats(t *testing.T) {
-	// This test pins bit-agreement with Stats.LatencyPercentile, which
-	// reports bucket upper bounds; use the histogram's legacy estimate.
-	defer func(old bool) { obs.InterpolateQuantiles = old }(obs.InterpolateQuantiles)
-	obs.InterpolateQuantiles = false
-
 	k := sim.NewKernel()
 	p := Params{Heights: 8, Angles: 4}
 	m := NewFastModel(k, p, 2*sim.Nanosecond, sim.NewRNG(17))
@@ -174,10 +160,19 @@ func TestFastModelObsMatchesStats(t *testing.T) {
 	if got := reg.CounterValue("switch_deflected_total"); got != st.TotalDeflected {
 		t.Errorf("deflected counter %d, Stats %d", got, st.TotalDeflected)
 	}
-	h := reg.Histogram("switch_latency_cycles")
-	for _, pc := range []float64{50, 90, 99, 100} {
-		if sp, hp := st.LatencyPercentile(pc), h.Percentile(pc); sp != hp {
-			t.Errorf("p%v: Stats %d, obs histogram %d", pc, sp, hp)
+	sameBuckets(t, &st, reg.Histogram("switch_latency_cycles"))
+}
+
+// sameBuckets requires the obs histogram and Stats.LatHist to hold the same
+// count in every log2 bucket.
+func sameBuckets(t *testing.T, st *Stats, h *obs.Histogram) {
+	t.Helper()
+	if len(st.LatHist) != obs.HistBuckets {
+		t.Fatalf("Stats has %d latency buckets, obs %d", len(st.LatHist), obs.HistBuckets)
+	}
+	for i, want := range st.LatHist {
+		if got := h.Bucket(i); got != want {
+			t.Errorf("bucket %d: Stats %d, obs histogram %d", i, want, got)
 		}
 	}
 }

@@ -154,19 +154,12 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// InterpolateQuantiles selects within-bucket linear interpolation for
-// Histogram.Percentile (default on). With it off, Percentile reports the
-// bucket's upper bound — the legacy estimate, which overstated quantiles by
-// up to 2x (a p50 of 33 cycles reported as 64) and is retained only for
-// bit-compatibility with dvswitch.Stats.LatencyPercentile.
-var InterpolateQuantiles = true
-
-// Percentile estimates the p-th percentile observation, 0 < p <= 100. With
-// InterpolateQuantiles on (the default) the estimate interpolates linearly
-// within the target log2 bucket, placing each of the bucket's c observations
-// at the center of its 1/c slice and capping the top bucket at the observed
-// max — exact for uniform-in-bucket data. With it off, the bucket's upper
-// bound is returned, matching dvswitch.Stats.LatencyPercentile bit for bit.
+// Percentile estimates the p-th percentile observation, 0 < p <= 100. The
+// estimate interpolates linearly within the target log2 bucket, placing each
+// of the bucket's c observations at the center of its 1/c slice and capping
+// the top bucket at the observed max — exact for uniform-in-bucket data.
+// (dvswitch.Stats.LatencyPercentile reports the bucket's upper bound instead,
+// which overstates a quantile by up to 2x.)
 func (h *Histogram) Percentile(p float64) int64 {
 	if h == nil {
 		return 0
@@ -179,11 +172,7 @@ func (h *Histogram) Percentile(p float64) int64 {
 	for i, c := range h.buckets {
 		seen += c
 		if seen >= target {
-			hi := int64(1) << uint(i+1)
-			if !InterpolateQuantiles {
-				return hi
-			}
-			lo := int64(1) << uint(i)
+			lo, hi := int64(1)<<uint(i), int64(1)<<uint(i+1)
 			if i == 0 {
 				lo = 0 // bucket 0 also absorbs observations below 1
 			}

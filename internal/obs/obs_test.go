@@ -49,8 +49,6 @@ func TestRegistryDedupsByName(t *testing.T) {
 }
 
 func TestHistogramBucketsAndPercentile(t *testing.T) {
-	defer func(old bool) { InterpolateQuantiles = old }(InterpolateQuantiles)
-	InterpolateQuantiles = false // this test pins the legacy bucket-bound estimate
 	r := NewRegistry()
 	h := r.Histogram("lat")
 	for _, v := range []int64{0, 1, 2, 3, 4, 7, 8, 100, 1 << 45} {
@@ -62,13 +60,22 @@ func TestHistogramBucketsAndPercentile(t *testing.T) {
 	if h.Max() != 1<<45 {
 		t.Fatalf("max = %d", h.Max())
 	}
-	// 0 and 1 share bucket 0 (le 2); p25 of 9 obs targets obs #2.
-	if got := h.Percentile(25); got != 2 {
-		t.Fatalf("p25 = %d, want 2", got)
+	// 0 and 1 share bucket 0; 2^45 is clamped into the last bucket.
+	want := map[int]int64{0: 2, 1: 2, 2: 2, 3: 1, 6: 1, HistBuckets - 1: 1}
+	for i := 0; i < HistBuckets; i++ {
+		if got := h.Bucket(i); got != want[i] {
+			t.Errorf("bucket %d = %d, want %d", i, got, want[i])
+		}
 	}
-	// p100 walks past the last bucket that satisfies the target.
-	if got := h.Percentile(100); got != 1<<40 {
-		t.Fatalf("p100 = %d, want %d", got, int64(1)<<40)
+	// p25 of 9 obs targets obs #2, the second of bucket 0's two: [0, 2)
+	// interpolates to 1.
+	if got := h.Percentile(25); got != 1 {
+		t.Fatalf("p25 = %d, want 1", got)
+	}
+	// p100 lands in the clamped last bucket, whose single observation sits
+	// at the middle of [2^39, 2^40).
+	if got := h.Percentile(100); got != 3<<38 {
+		t.Fatalf("p100 = %d, want %d", got, int64(3)<<38)
 	}
 }
 

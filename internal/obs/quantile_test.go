@@ -7,10 +7,6 @@ import "testing"
 // for a uniform 1..100 distribution it reported p50 = 64 and p99 = 128; the
 // interpolated estimator recovers the true order statistics.
 func TestInterpolatedQuantiles(t *testing.T) {
-	if !InterpolateQuantiles {
-		t.Fatal("interpolation must be the default")
-	}
-
 	t.Run("uniform-1-100", func(t *testing.T) {
 		h := NewRegistry().Histogram("u")
 		for v := int64(1); v <= 100; v++ {
@@ -73,21 +69,6 @@ func TestInterpolatedQuantiles(t *testing.T) {
 		}
 		if got := h.Percentile(50); got != 0 {
 			t.Errorf("p50 of zeros = %d, want 0", got)
-		}
-	})
-
-	t.Run("flag-off-restores-legacy", func(t *testing.T) {
-		defer func(old bool) { InterpolateQuantiles = old }(InterpolateQuantiles)
-		InterpolateQuantiles = false
-		h := NewRegistry().Histogram("l")
-		for v := int64(1); v <= 100; v++ {
-			h.Observe(v)
-		}
-		if got := h.Percentile(50); got != 64 {
-			t.Errorf("legacy p50 = %d, want bucket bound 64", got)
-		}
-		if got := h.Percentile(99); got != 128 {
-			t.Errorf("legacy p99 = %d, want bucket bound 128", got)
 		}
 	})
 }
