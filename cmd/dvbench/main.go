@@ -489,7 +489,7 @@ func runApp(r appRun) error {
 			}
 			spec.Checkpoint = cp
 		}
-		ev0, rs0 := cluster.KernelCounts()
+		ev0, rs0, pk0 := cluster.KernelCounts()
 		t0 := time.Now()
 		sum, err := a.Run(spec)
 		wall := time.Since(t0)
@@ -500,9 +500,9 @@ func runApp(r appRun) error {
 			sum.App, sum.Net, sum.Nodes, sum.Elapsed, sum.Errors, sum.Check)
 		// What the run cost the host goes to stderr: stdout is simulated
 		// results only and stays byte-identical from run to run.
-		ev1, rs1 := cluster.KernelCounts()
-		fmt.Fprintf(os.Stderr, "  host: wall=%v  events=%d  resumes=%d\n",
-			wall.Round(time.Millisecond), ev1-ev0, rs1-rs0)
+		ev1, rs1, pk1 := cluster.KernelCounts()
+		fmt.Fprintf(os.Stderr, "  host: wall=%v  events=%d  resumes=%d  peak_pending=%d\n",
+			wall.Round(time.Millisecond), ev1-ev0, rs1-rs0, pk1-pk0)
 		if cp != nil {
 			var be *cluster.BudgetExceededError
 			if errors.As(cp.Err, &be) && r.checkpoint != "" {

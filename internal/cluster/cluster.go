@@ -344,18 +344,21 @@ type Report struct {
 	Partial bool `json:",omitempty"`
 }
 
-// kernelEvents and kernelResumes total sim.Kernel.Counts over the runs this
-// process has finished (atomics: sweep jobs finish concurrently).
-var kernelEvents, kernelResumes atomic.Uint64
+// kernelEvents, kernelResumes and kernelPeak total sim.Kernel.Counts and
+// sim.Kernel.PeakPending over the runs this process has finished (atomics:
+// sweep jobs finish concurrently).
+var kernelEvents, kernelResumes, kernelPeak atomic.Uint64
 
 // KernelCounts returns how many kernel events were fired and how many
-// process resumes were made by all the runs completed in this process so far;
-// the difference between two calls is what the runs between them cost. The
-// counts are simulator cost, not simulated behaviour, which is why Report
-// does not carry them: runs that must produce identical Reports (batched and
-// scalar boundary, checks on and off, managed and unmanaged) differ in them.
-func KernelCounts() (events, resumes uint64) {
-	return kernelEvents.Load(), kernelResumes.Load()
+// process resumes were made by all the runs completed in this process so far,
+// and the sum of their peak pending-event counts; the difference between two
+// calls is what the runs between them cost (for one run, peakPending is that
+// run's deepest queue). The counts are simulator cost, not simulated
+// behaviour, which is why Report does not carry them: runs that must produce
+// identical Reports (batched and scalar boundary, checks on and off, managed
+// and unmanaged) differ in them.
+func KernelCounts() (events, resumes, peakPending uint64) {
+	return kernelEvents.Load(), kernelResumes.Load(), kernelPeak.Load()
 }
 
 // Run executes body SPMD-style on every node and returns the report.
@@ -808,6 +811,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	ev, rs := k.Counts()
 	kernelEvents.Add(ev)
 	kernelResumes.Add(rs)
+	kernelPeak.Add(uint64(k.PeakPending()))
 	// Final forced sample: the end-of-run row carries the exact cumulative
 	// totals, so the JSONL series closes on the same numbers as the Report.
 	sampler.SampleNow()

@@ -121,6 +121,13 @@ func (e *Engine) pump() {
 //     by construction, so only endpoint ports saturate.
 //
 // Its unloaded latency matches Core exactly (asserted by tests).
+//
+// A packet's whole fabric life is decided when it is injected (admit). Its
+// delivery then waits on the FIFO train of its output port, and only the
+// head of each train is an event in the kernel, so what the host pays per
+// packet does not grow with the number of packets in flight; deliveryEvent
+// has the argument for why every delivery still happens at exactly the time
+// and in exactly the order it would as a kernel event of its own.
 type FastModel struct {
 	k   *sim.Kernel
 	p   Params
@@ -146,12 +153,16 @@ type FastModel struct {
 	// account fabric losses on either engine.
 	DropHook func(pkt Packet)
 
-	// evFree pools delivery events so the Inject fast path schedules
-	// without allocating a closure (and packet copy) per packet; lastEv is
-	// the most recently scheduled, still-pending event, so a delivery burst
-	// landing on one ejection deadline rides a single kernel event.
-	evFree []*deliveryEvent
-	lastEv *deliveryEvent
+	// trains holds the pending deliveries, one FIFO per output port, and
+	// only each train's head is a kernel event (see deliveryEvent). evFree
+	// pools the entries so Inject allocates nothing in steady state. lastEv
+	// is the most recently appended, still-pending entry and lastTail the
+	// last member of its batch, so a delivery burst landing on one ejection
+	// deadline rides a single entry.
+	trains   []train
+	evFree   []*deliveryEvent
+	lastEv   *deliveryEvent
+	lastTail *deliveryEvent
 
 	// ftab memoises UnloadedFlightCycles per (src, dst): the function is
 	// pure in the port pair, and profiling showed its bit-walk dominating
@@ -161,42 +172,90 @@ type FastModel struct {
 	nports int
 }
 
-// deliveryEvent is the pooled payload of one scheduled delivery batch: every
-// packet whose ejection completes at the same virtual time, in injection
-// order — which is exactly the order per-packet events with ascending
-// sequence numbers would have fired, so batching is invisible in results.
+// deliveryEvent is one pending delivery, and through more the head of a
+// batch: every packet whose ejection completes at the same virtual time, in
+// injection order — which is exactly the order per-packet events with
+// ascending sequence numbers would fire, so batching is invisible in results.
+// Batches are rare (under 5 % of deliveries on every app, 0.03 % on the FFT),
+// which is why a member is a whole pooled entry rather than a slot in a
+// per-entry slice: the common delivery reads one object and nothing else.
+//
+// Entries wait in per-port trains, linked through next, and only a train's
+// head is queued in the kernel: a bulk transfer keeps one event pending per
+// output port instead of one per packet in flight, so the kernel's queue
+// stays as shallow as the fabric is wide. Each entry still fires at the
+// (done, seq) it would have had as a kernel event of its own, because
+//
+//   - seq is reserved (Kernel.ReserveSeq) at injection, where AtArg would
+//     have drawn it, so both keys are fixed before the entry waits;
+//   - a train is a FIFO in both keys: done comes from the port's ejection
+//     pipe (ReserveAt, strictly increasing per port) and seq rises in
+//     injection order, so an entry's predecessor fires strictly earlier and
+//     arms it (Kernel.AtArgSeq) while its time is still in the future;
+//   - the kernel orders events by (at, seq) alone, never by when they were
+//     queued.
+//
+// A batch whose members go to different ports is still one entry, on the
+// train of its first packet's port: it needs no place on the other ports'
+// trains, because it fires by its own key and delivers every member then.
 type deliveryEvent struct {
 	m    *FastModel
-	done sim.Time
-	pkts []Packet
-	nows []sim.Time // per-packet injection times (latency accounting)
+	done sim.Time       // when the batch is delivered (batch head only)
+	seq  uint64         // its reserved kernel sequence number (batch head only)
+	next *deliveryEvent // the entry behind this one on its train (batch head only)
+	more *deliveryEvent // the next member of this batch
+	pkt  Packet
+	now  sim.Time // when pkt was injected (latency accounting)
 }
 
-// fireDelivery completes one FastModel delivery batch and recycles its event.
-// It is a package-level function (not a closure) so scheduling it via
-// Kernel.AtArg carries only the pooled payload pointer.
+// train is one output port's FIFO of pending deliveries; head is the entry
+// queued in the kernel. Non-empty implies head armed — fireDelivery restores
+// that before it runs any callback, since callbacks inject.
+type train struct{ head, tail *deliveryEvent }
+
+// fireDelivery completes the delivery batch at the head of a train: it
+// unlinks the entry, arms its successor, then delivers and recycles each
+// member. It is a package-level function (not a closure) so scheduling it
+// carries only the pooled payload pointer.
 func fireDelivery(a any) {
 	ev := a.(*deliveryEvent)
 	m := ev.m
 	if m.lastEv == ev {
 		m.lastEv = nil
 	}
-	for i := range ev.pkts {
-		m.st.Delivered++
-		lat := int64((ev.done - ev.nows[i]) / m.ct)
-		m.st.recordLatency(lat)
-		if m.obs != nil {
-			m.obs.Delivered.Inc()
-			m.obs.Latency.Observe(lat)
-		}
-		if m.fn != nil {
-			m.fn(ev.pkts[i])
-		}
+	tr := &m.trains[ev.pkt.Dst]
+	next := ev.next
+	tr.head, ev.next = next, nil
+	if next == nil {
+		tr.tail = nil
+	} else {
+		m.k.AtArgSeq(next.done, next.seq, fireDelivery, next)
 	}
-	clear(ev.pkts)
-	ev.pkts = ev.pkts[:0]
-	ev.nows = ev.nows[:0]
-	m.evFree = append(m.evFree, ev)
+	// The callback may inject, and Inject may reuse a member the moment it is
+	// back in the pool, so everything needed later is read first.
+	done := ev.done
+	for d := ev; d != nil; {
+		more := d.more
+		m.deliver(&d.pkt, done-d.now)
+		d.more = nil
+		m.evFree = append(m.evFree, d)
+		d = more
+	}
+}
+
+// deliver accounts one packet's arrival, flight being the time since its
+// injection, and hands it to the delivery callback.
+func (m *FastModel) deliver(pkt *Packet, flight sim.Time) {
+	m.st.Delivered++
+	lat := int64(flight / m.ct)
+	m.st.recordLatency(lat)
+	if m.obs != nil {
+		m.obs.Delivered.Inc()
+		m.obs.Latency.Observe(lat)
+	}
+	if m.fn != nil {
+		m.fn(*pkt)
+	}
 }
 
 // NewFastModel builds the analytic fabric model.
@@ -211,6 +270,7 @@ func NewFastModel(k *sim.Kernel, p Params, cycleTime sim.Time, rng *sim.RNG) *Fa
 		ct:     cycleTime,
 		in:     make([]sim.Pipe, p.Ports()),
 		out:    make([]sim.Pipe, p.Ports()),
+		trains: make([]train, p.Ports()),
 		rng:    rng,
 		nports: p.Ports(),
 	}
@@ -275,8 +335,12 @@ func UnloadedFlightCycles(p Params, src, dst int) int64 {
 	return hops + int64(circle) + 1 // +1: ejection cycle
 }
 
-// Inject implements Fabric.
-func (m *FastModel) Inject(pkt Packet) {
+// admit is the model proper: it takes the packet onto its source link at time
+// now, draws its deflections and its fate under the fault plan, reserves its
+// ejection slot, and returns when its delivery completes. The packet's
+// telemetry fields are filled in place. A false return means the packet was
+// lost to an injected fault and there is nothing to deliver.
+func (m *FastModel) admit(pkt *Packet, now sim.Time) (done sim.Time, ok bool) {
 	if pkt.Src < 0 || pkt.Src >= m.p.Ports() || pkt.Dst < 0 || pkt.Dst >= m.p.Ports() {
 		panic(fmt.Sprintf("dvswitch: port out of range: src=%d dst=%d ports=%d", pkt.Src, pkt.Dst, m.p.Ports()))
 	}
@@ -284,7 +348,6 @@ func (m *FastModel) Inject(pkt Packet) {
 	if m.obs != nil {
 		m.obs.Injected.Inc()
 	}
-	now := m.k.Now()
 	// Injection link: one packet per cycle per source port.
 	entered := m.in[pkt.Src].Reserve(m.k, m.ct)
 	// Contention: output backlog raises deflection probability. Each
@@ -313,9 +376,9 @@ func (m *FastModel) Inject(pkt Packet) {
 				m.attr.Drop(pkt.Flow)
 			}
 			if m.DropHook != nil {
-				m.DropHook(pkt)
+				m.DropHook(*pkt)
 			}
-			return
+			return 0, false
 		}
 		if m.fpl.CorruptProb > 0 && r.Float64() < compound(m.fpl.CorruptProb, flight) {
 			pkt.Payload ^= 1 << (r.Uint64() & 63)
@@ -325,7 +388,7 @@ func (m *FastModel) Inject(pkt Packet) {
 	}
 	arrive := entered + sim.Time(flight)*m.ct
 	// Ejection port: one packet per cycle.
-	done := m.out[pkt.Dst].ReserveAt(arrive-m.ct, m.ct)
+	done = m.out[pkt.Dst].ReserveAt(arrive-m.ct, m.ct)
 	pkt.Hops = int(flight)
 	pkt.Deflections = defl
 	m.st.TotalHops += flight
@@ -338,13 +401,15 @@ func (m *FastModel) Inject(pkt Packet) {
 	if m.attr != nil && pkt.Flow != 0 {
 		m.attr.StampFabric(pkt.Flow, entered, done, int(flight), defl)
 	}
-	// Join the pending batch when this packet's ejection lands on the same
-	// deadline as the last one scheduled; otherwise schedule a new batch
-	// event. Deadlines are in the future, so a pending batch can always
-	// still accept members.
-	if le := m.lastEv; le != nil && le.done == done {
-		le.pkts = append(le.pkts, pkt)
-		le.nows = append(le.nows, now)
+	return done, true
+}
+
+// Inject implements Fabric: the model decides when the packet is delivered
+// (admit), and the delivery joins its output port's train.
+func (m *FastModel) Inject(pkt Packet) {
+	now := m.k.Now()
+	done, ok := m.admit(&pkt, now)
+	if !ok {
 		return
 	}
 	var ev *deliveryEvent
@@ -354,11 +419,26 @@ func (m *FastModel) Inject(pkt Packet) {
 	} else {
 		ev = &deliveryEvent{m: m}
 	}
-	ev.done = done
-	ev.pkts = append(ev.pkts, pkt)
-	ev.nows = append(ev.nows, now)
-	m.lastEv = ev
-	m.k.AtArg(done, fireDelivery, ev)
+	ev.pkt, ev.now = pkt, now
+	// Join the pending batch when this packet's ejection lands on the same
+	// deadline as the last one appended; otherwise start a new entry on the
+	// destination port's train. Deadlines are in the future, so a pending
+	// batch can always still accept members.
+	if le := m.lastEv; le != nil && le.done == done {
+		m.lastTail.more = ev
+		m.lastTail = ev
+		return
+	}
+	ev.done, ev.seq = done, m.k.ReserveSeq()
+	m.lastEv, m.lastTail = ev, ev
+	tr := &m.trains[pkt.Dst]
+	if tr.tail == nil {
+		tr.head, tr.tail = ev, ev
+		m.k.AtArgSeq(done, ev.seq, fireDelivery, ev)
+		return
+	}
+	tr.tail.next = ev
+	tr.tail = ev
 }
 
 // InjectBatch implements Fabric. The fast model's per-packet work (pipe

@@ -106,8 +106,11 @@ func (eng *Engine) SnapshotTo(e *snapshot.Encoder) {
 
 // SnapshotTo serialises the fast model: per-port injection/ejection link
 // occupancy, the contention RNG position, every per-source-port fault stream
-// position, and aggregate statistics. In-flight deliveries are kernel events
-// (pooled payloads) and are covered by the kernel section's fingerprint.
+// position, aggregate statistics, and the delivery trains. Only a train's
+// head is a kernel event (covered by the kernel section's fingerprint); the
+// entries behind it exist nowhere else, so each train is written out in
+// ascending port order, head first: entry count, then per entry its firing
+// key (done, seq) and every member packet with its injection time.
 func (m *FastModel) SnapshotTo(e *snapshot.Encoder) {
 	for i := range m.in {
 		e.Time(m.in[i].BusyUntil())
@@ -123,4 +126,24 @@ func (m *FastModel) SnapshotTo(e *snapshot.Encoder) {
 		e.U64(r.State())
 	}
 	encodeStats(e, m.st)
+	for i := range m.trains {
+		n := 0
+		for ev := m.trains[i].head; ev != nil; ev = ev.next {
+			n++
+		}
+		e.U32(uint32(n))
+		for ev := m.trains[i].head; ev != nil; ev = ev.next {
+			e.Time(ev.done)
+			e.U64(ev.seq)
+			n = 0
+			for d := ev; d != nil; d = d.more {
+				n++
+			}
+			e.U32(uint32(n))
+			for d := ev; d != nil; d = d.more {
+				encodePacket(e, d.pkt)
+				e.Time(d.now)
+			}
+		}
+	}
 }

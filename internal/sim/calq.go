@@ -10,6 +10,17 @@ import "math/bits"
 // a run-sized global heap (binary-heap push/pop was ~44% of FastModelInject
 // cycles before this queue replaced it).
 //
+// The ring is sized for near-future traffic, and the queue stays cheap only
+// while most events land in it: one past the horizon costs an overflow-heap
+// push, a pop and a second bucket push. A component that knows its events
+// far ahead should therefore not queue them far ahead. The fast switch model
+// is the case in point — it used to queue every delivery of a DMA scatter at
+// injection, ~1 M events beyond the horizon in a 256-node all-to-all — and
+// now keeps them in per-port trains of its own, with only each train's head
+// here (ReserveSeq/AtArgSeq; see dvswitch.deliveryEvent). Because the order
+// below is a function of (at, seq) alone, an event that joins the queue late
+// under a number reserved early pops exactly where it always would have.
+//
 // Ordering contract: pop returns events in exactly the total (at, seq) order
 // the previous global binary heap produced. The structure is pure arrangement
 // — QueueFingerprint, delivery order, and Reports are byte-identical to the

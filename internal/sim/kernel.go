@@ -110,6 +110,7 @@ type Kernel struct {
 	seq   uint64
 	nEv   int // total queued events across lanes
 	nUser int // queued non-daemon events; Run stops when this hits zero
+	peak  int // high-water mark of nEv (see PeakPending)
 
 	nFired, nResumed uint64 // see Counts
 
@@ -146,13 +147,24 @@ func (k *Kernel) Now() Time { return k.now }
 // events for the same results moves them and nothing else.
 func (k *Kernel) Counts() (events, resumes uint64) { return k.nFired, k.nResumed }
 
+// PeakPending returns the most events the kernel has held queued at once.
+// Like Counts it is simulator cost, not simulated behaviour: the calendar's
+// push/pop price grows with it, so it is the first number to read when host
+// time stops following simulated work.
+func (k *Kernel) PeakPending() int { return k.peak }
+
 // newEvent returns a pooled (or fresh) event stamped with time t, the next
 // sequence number, and the current home lane.
 func (k *Kernel) newEvent(t Time) *event {
+	k.seq++
+	return k.newEventSeq(t, k.seq)
+}
+
+// newEventSeq is newEvent under a sequence number the caller already holds.
+func (k *Kernel) newEventSeq(t Time, seq uint64) *event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: %v < %v", t, k.now))
 	}
-	k.seq++
 	var e *event
 	if n := len(k.freeEv); n > 0 {
 		e = k.freeEv[n-1]
@@ -160,7 +172,7 @@ func (k *Kernel) newEvent(t Time) *event {
 	} else {
 		e = &event{}
 	}
-	e.at, e.seq, e.daemon = t, k.seq, false
+	e.at, e.seq, e.daemon = t, seq, false
 	e.lane = k.curLane
 	return e
 }
@@ -169,6 +181,9 @@ func (k *Kernel) newEvent(t Time) *event {
 // consistent.
 func (k *Kernel) schedule(e *event) {
 	k.nEv++
+	if k.nEv > k.peak {
+		k.peak = k.nEv
+	}
 	q := k.lanes[e.lane]
 	q.push(e)
 	if len(k.lanes) > 1 {
@@ -252,6 +267,37 @@ func (k *Kernel) AtDaemon(t Time, fn func()) {
 // allocating a closure per event.
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) {
 	e := k.newEvent(t)
+	e.fnArg, e.arg = fn, arg
+	k.nUser++
+	k.schedule(e)
+}
+
+// ReserveSeq consumes the next sequence number without queueing anything and
+// returns it for a later AtArgSeq. It is for a component that learns early of
+// events that happen late and in an order it can vouch for — a FIFO of its
+// own, like the fast switch model's per-port delivery trains: it reserves
+// each event's number at the point AtArg would have been called, keeps the
+// events itself, and queues each one only when its predecessor fires. The
+// kernel then holds one event per FIFO instead of one per element, and
+// nothing moves: (at, seq) is the whole ordering key and does not record when
+// an event was queued, so an event queued late under a number reserved early
+// fires exactly where the early-queued one would have — provided it is queued
+// before virtual time passes it. A number that is never armed is not an
+// event: Run, Finish and QueueFingerprint never see it.
+func (k *Kernel) ReserveSeq() uint64 {
+	k.seq++
+	return k.seq
+}
+
+// AtArgSeq is AtArg under a sequence number obtained from ReserveSeq. It
+// panics on a number that was never reserved, and (like every scheduling call)
+// on a time in the past; arming one number twice is the caller's bug and is
+// not detected.
+func (k *Kernel) AtArgSeq(t Time, seq uint64, fn func(any), arg any) {
+	if seq == 0 || seq > k.seq {
+		panic(fmt.Sprintf("sim: AtArgSeq with unreserved sequence number %d (last issued %d)", seq, k.seq))
+	}
+	e := k.newEventSeq(t, seq)
 	e.fnArg, e.arg = fn, arg
 	k.nUser++
 	k.schedule(e)

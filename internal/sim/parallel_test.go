@@ -264,20 +264,23 @@ func TestKernelWorkersLifecycle(t *testing.T) {
 }
 
 // FuzzLaneLockstep randomizes the calendar grain (the conservative window
-// boundary), the lane count, and an event program — including same-time
-// ties and callback-spawned children — and requires the sharded kernel to
-// fire the exact sequence the serial oracle fires.
+// boundary), the lane count, and an event program — same-time ties,
+// callback-spawned children, and chain items (see chain in reserve_test.go)
+// injected both up front and from callbacks — and requires the sharded kernel
+// running the chains through ReserveSeq/AtArgSeq to fire the exact sequence
+// the serial oracle fires with every chain item armed at injection.
 func FuzzLaneLockstep(f *testing.F) {
 	f.Add([]byte{1, 3, 10, 20, 30, 5, 5, 200}, uint8(4), uint8(50))
 	f.Add([]byte{0, 0, 0, 255, 255}, uint8(2), uint8(0))
 	f.Add([]byte{7, 1, 9}, uint8(8), uint8(255))
+	f.Add([]byte{3, 7, 11, 2, 15, 6, 3, 3, 19, 4, 250, 7}, uint8(3), uint8(1))
 	f.Fuzz(func(t *testing.T, deltas []byte, lanes uint8, grainB uint8) {
 		if len(deltas) == 0 || len(deltas) > 256 {
 			t.Skip()
 		}
 		nl := int(lanes)%8 + 1
 		grain := Time(grainB)*17 + 1
-		run := func(lanes int, grain Time, useGrain bool) []int {
+		run := func(lanes int, grain Time, useGrain, chained bool) []int {
 			k := NewKernel()
 			if useGrain {
 				k.SetTimeGrain(grain)
@@ -286,17 +289,30 @@ func FuzzLaneLockstep(f *testing.F) {
 				k.SetLaneCount(lanes)
 			}
 			var order []int
+			chains := [2]*chain{{k: k, chained: chained}, {k: k, chained: chained}}
+			for _, c := range chains {
+				c.fired = func(id int) { order = append(order, id) }
+			}
 			at := Time(0)
 			for i, d := range deltas {
 				i := i
 				at += Time(d) * 3
+				if d&3 == 3 {
+					// Reserve now, fire at or after this point of the program.
+					chains[d>>2&1].inject(at, 2000+i)
+					continue
+				}
 				lane := 0
 				if lanes > 1 {
 					lane = i % lanes
 				}
 				k.AtLane(lane, at, func() {
 					order = append(order, i)
-					if i%2 == 0 {
+					switch {
+					case deltas[i]&3 == 1:
+						// Reserve from inside a callback, as a delivery does.
+						chains[i&1].inject(k.Now()+Time(deltas[i]>>2), 3000+i)
+					case i%2 == 0:
 						k.After(Time(int(deltas[i])%11+1), func() {
 							order = append(order, 1000+i)
 						})
@@ -306,8 +322,8 @@ func FuzzLaneLockstep(f *testing.F) {
 			k.Run()
 			return order
 		}
-		want := run(1, 0, false)
-		got := run(nl, grain, true)
+		want := run(1, 0, false, false)
+		got := run(nl, grain, true, true)
 		if len(got) != len(want) {
 			t.Fatalf("lanes=%d grain=%d: fired %d events, serial oracle fired %d", nl, grain, len(got), len(want))
 		}

@@ -43,8 +43,16 @@ import (
 // format generation; bumping Version covers header/section layout changes.
 const Magic = "DVSNAP\x00\x01"
 
-// Version is the current snapshot format version.
-const Version = 1
+// Version is the current snapshot format version. Decode refuses any other
+// with a *FormatError of Kind "version", so an image from an older build is
+// turned away by name before replay, instead of failing replay verification
+// on some section digest.
+//
+//	1: the original layout.
+//	2: the "dvswitch" section of a fast-model run carries its delivery trains
+//	   (pending deliveries are no longer kernel events); it also draws the
+//	   line under the event sequence numbers that moved while 1 was current.
+const Version = 2
 
 // Header identifies the run a snapshot belongs to. Every field participates
 // in resume validation: restoring a snapshot into a run whose identity

@@ -1,7 +1,11 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -121,6 +125,63 @@ func TestDecodeBitFlips(t *testing.T) {
 	mut[len(Magic)] ^= 0xff // low byte of the version u32
 	if _, err := Decode(mut); err.(*FormatError).Kind != "version" {
 		t.Errorf("version flip: got kind %q", err.(*FormatError).Kind)
+	}
+}
+
+// reversion returns a well-formed file image of sample() as a build whose
+// format version was v would have written it: same layout, the version word
+// replaced and the whole-file CRC recomputed, so nothing but the version
+// check can object.
+func reversion(v uint32) []byte {
+	b := Encode(sample())
+	binary.LittleEndian.PutUint32(b[len(Magic):], v)
+	body := b[:len(b)-4]
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(body))
+	return b
+}
+
+// TestOldVersionsFailByName: an image written under another format version
+// is refused with a FormatError naming the version — not decoded and left to
+// fail replay verification on a section digest (a MismatchError that would
+// blame the run), and never a panic.
+func TestOldVersionsFailByName(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		version uint32
+		ok      bool
+	}{
+		{"version 1 (before delivery trains)", 1, false},
+		{"version 0", 0, false},
+		{"a future version", Version + 1, false},
+		{"the current version", Version, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "old.ckpt")
+			if err := os.WriteFile(path, reversion(tc.version), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := ReadFile(path)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("ReadFile: %v", err)
+				}
+				if err := Diff(sample(), s); err != nil {
+					t.Fatalf("Diff: %v", err)
+				}
+				return
+			}
+			var fe *FormatError
+			if !errors.As(err, &fe) || fe.Kind != "version" {
+				t.Fatalf("got (%v, %v), want *FormatError{Kind: \"version\"}", s, err)
+			}
+			var me *MismatchError
+			if errors.As(err, &me) {
+				t.Fatalf("an old image was reported as a mismatch: %v", err)
+			}
+			if want := fmt.Sprintf("got %d, want %d", tc.version, Version); fe.Detail != want {
+				t.Errorf("detail %q, want %q", fe.Detail, want)
+			}
+		})
 	}
 }
 
