@@ -17,11 +17,6 @@
 //	                        # m.trace.json + stage-attribution summary table
 //	dvbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-//	go test -run=NONE -bench . -count=6 ./internal/dvswitch |
-//	    dvbench -bench-json BENCH_core.json     # record a perf baseline
-//	go test -run=NONE -bench . -count=6 ./internal/dvswitch |
-//	    dvbench -bench-gate BENCH_core.json     # fail (exit 4) on regression
-//
 // Long runs are crash-resumable: -journal <dir> persists every finished
 // sweep point and experiment before moving on, and -resume <dir> re-runs
 // only what is missing, producing byte-identical final figures. SIGINT or
@@ -151,42 +146,9 @@ func main() {
 		"for -app: wall-clock budget; on expiry write a final checkpoint and a partial report")
 	budgetVirtual := flag.Duration("budget-virtual", 0,
 		"for -app: virtual-time budget; same expiry behavior as -budget-wall")
-	benchJSONOut := flag.String("bench-json", "",
-		"read `go test -bench` text on stdin and write a BENCH_<area>.json baseline to this file ('-' for stdout)")
-	benchNote := flag.String("bench-note", "", "note string recorded in the -bench-json baseline")
-	benchGateFiles := flag.String("bench-gate", "",
-		"read `go test -bench` text on stdin and compare against these comma-separated committed baselines; exit 4 on a significant regression")
-	benchAlpha := flag.Float64("bench-alpha", 0.05, "significance level for -bench-gate")
 	resumeCkpt := flag.String("resume-checkpoint", "",
 		"for -app: restore from this checkpoint file and finish the run")
 	flag.Parse()
-
-	// The baseline tooling modes are stdin→verdict filters; they neither
-	// run experiments nor need signal handling.
-	if *benchJSONOut != "" && *benchGateFiles != "" {
-		fmt.Fprintln(os.Stderr, "dvbench: -bench-json and -bench-gate are mutually exclusive")
-		os.Exit(2)
-	}
-	if *benchJSONOut != "" {
-		if err := emitBenchJSON(os.Stdin, *benchJSONOut, *benchNote); err != nil {
-			fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchGateFiles != "" {
-		failed, err := runBenchGate(os.Stdin, *benchGateFiles, *benchAlpha)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
-			os.Exit(1)
-		}
-		if failed {
-			fmt.Fprintln(os.Stderr, "dvbench: benchmark regression gate FAILED")
-			os.Exit(4)
-		}
-		fmt.Println("benchmark gate passed")
-		return
-	}
 
 	// Two-stage signal handling: the first SIGINT/SIGTERM cancels sweeps and
 	// managed runs cooperatively (state is saved, a resume hint printed); the

@@ -13,7 +13,6 @@
 //	dvcheck -seeds 32 -seed0 100     # seed sweep
 //	dvcheck -faults drop,corrupt     # fault classes (see -faults help below)
 //	dvcheck -cycle                   # cycle-accurate switch (per-cycle sweep)
-//	dvcheck -cycle -dense            # ...through the dense reference stepper
 //	dvcheck -list                    # apps and fault classes
 //	dvcheck -v                       # per-run detail
 //
@@ -108,7 +107,6 @@ func main() {
 	seed0 := flag.Uint64("seed0", 1, "first seed of the sweep")
 	faultsFlag := flag.String("faults", "none", "comma-separated fault classes (see -list)")
 	cycle := flag.Bool("cycle", false, "route DV through the cycle-accurate switch core")
-	dense := flag.Bool("dense", false, "use the dense reference stepper (needs -cycle)")
 	list := flag.Bool("list", false, "list apps and fault classes, then exit")
 	verbose := flag.Bool("v", false, "log every run, not just violations")
 	flag.Parse()
@@ -135,7 +133,6 @@ func main() {
 	}
 	plat := cluster.Platform{
 		CycleAccurate: *cycle,
-		DenseSwitch:   *dense,
 		DVPlanes:      *planesFlag,
 		PlanePolicy:   policy,
 	}
@@ -222,9 +219,6 @@ matrix:
 							a.Name, netSlug(net), fc.name, seed, *seeds-s)
 						if *cycle {
 							hint += " -cycle"
-						}
-						if *dense {
-							hint += " -dense"
 						}
 						if *nodesFlag > 0 {
 							hint += fmt.Sprintf(" -nodes %d", *nodesFlag)

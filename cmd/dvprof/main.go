@@ -11,7 +11,7 @@
 // Usage:
 //
 //	dvprof -list
-//	dvprof [-app gups] [-net dv|ib] [-nodes N] [-seed S] [-cycle] [-dense]
+//	dvprof [-app gups] [-net dv|ib] [-nodes N] [-seed S] [-cycle]
 //	       [-sample N] [-topk K] [-per-node] [-critpath] [-json]
 //	       [-heatmap heat.svg] [-trace flows.trace.json]
 //
@@ -65,7 +65,6 @@ func main() {
 		nodes   = flag.Int("nodes", 0, "cluster nodes (0 = app reference size)")
 		seed    = flag.Uint64("seed", 7, "run seed (pins traffic and sampling)")
 		cycle   = flag.Bool("cycle", false, "cycle-accurate switch core (enables the deflection heatmap)")
-		dense   = flag.Bool("dense", false, "dense full-fabric scan of the switch core (needs -cycle)")
 		sample  = flag.Uint64("sample", 1, "trace 1-in-N flows (1 = every flow)")
 		topK    = flag.Int("topk", 16, "slowest-flow drill-down depth")
 		perNode = flag.Bool("per-node", true, "print the per-source-node table")
@@ -98,10 +97,10 @@ func main() {
 	spec := apprt.RunSpec{
 		Net: net, Nodes: n, Seed: *seed,
 		Platform: cluster.Platform{
-			CycleAccurate: *cycle, DenseSwitch: *dense,
-			Trace: trace.New(),
-			Check: check.All(),
-			Attr:  &attr.Config{Sample: *sample, TopK: *topK, Chrome: *trOut != ""},
+			CycleAccurate: *cycle,
+			Trace:         trace.New(),
+			Check:         check.All(),
+			Attr:          &attr.Config{Sample: *sample, TopK: *topK, Chrome: *trOut != ""},
 		},
 	}
 	if *trOut != "" {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	dvswitchsim [-heights 8] [-angles 4] [-pattern uniform|hotspot|tornado|bursty]
-//	            [-load 0.5] [-cycles 20000] [-dense]
+//	            [-load 0.5] [-cycles 20000]
 //	            [-droprate 1e-4] [-corruptrate 1e-5] [-faultwindow 1000:5000]
 //	            [-metrics out.prom]
 //
@@ -63,7 +63,6 @@ func main() {
 	droprate := flag.Float64("droprate", 0, "per-link-traversal drop probability")
 	corruptrate := flag.Float64("corruptrate", 0, "per-link-traversal payload-corruption probability")
 	faultwindow := flag.String("faultwindow", "", "cycle window start:end for link faults (default: whole run)")
-	dense := flag.Bool("dense", false, "step with the dense full-fabric scan instead of the sparse active list (bit-identical; for perf comparison)")
 	metricsPath := flag.String("metrics", "",
 		"write a Prometheus text dump of the run's instruments to this file ('-' for stdout) and print the stage-attribution summary")
 	budgetWall := flag.Duration("budget-wall", 0,
@@ -76,7 +75,6 @@ func main() {
 		os.Exit(2)
 	}
 	c := dvswitch.NewCore(p)
-	c.Dense = *dense
 	c.Deliver = func(dvswitch.Packet, int64) {}
 	var reg *obs.Registry
 	var tracer *attr.Tracer
@@ -178,12 +176,8 @@ func main() {
 	drain := c.RunUntilIdle(1 << 24)
 	elapsed := time.Since(wall)
 	st := c.Stats()
-	stepper := "sparse"
-	if *dense {
-		stepper = "dense"
-	}
-	fmt.Printf("switch %dx%d (%d ports, %d cylinders), pattern=%s load=%.2f stepper=%s\n",
-		*heights, *angles, ports, p.Cylinders(), *pattern, *load, stepper)
+	fmt.Printf("switch %dx%d (%d ports, %d cylinders), pattern=%s load=%.2f\n",
+		*heights, *angles, ports, p.Cylinders(), *pattern, *load)
 	fmt.Printf("  injected       %d\n", st.Injected)
 	fmt.Printf("  delivered      %d (drain took %d extra cycles)\n", st.Delivered, drain)
 	fmt.Printf("  throughput     %.3f packets/port/cycle\n",

@@ -10,7 +10,7 @@ import (
 	"flag"
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/cluster"
 	"repro/internal/shmem"
 )
 
@@ -20,7 +20,7 @@ func main() {
 	flag.Parse()
 
 	const bins = 16
-	rep := core.Run(*nodes, func(n *core.Node) {
+	rep := cluster.Run(cluster.DefaultConfig(*nodes), func(n *cluster.Node) {
 		c := shmem.New(n.DV)
 		// Each node owns bins/P of the histogram... with 16 bins over P
 		// nodes, bin b lives on node b % P at slot b / P.

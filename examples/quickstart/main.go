@@ -11,14 +11,14 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/vic"
 )
 
 func main() {
 	const nodes = 4
-	rep := core.Run(nodes, func(n *core.Node) {
+	rep := cluster.Run(cluster.DefaultConfig(nodes), func(n *cluster.Node) {
 		e := n.DV
 		right := (n.ID + 1) % nodes
 

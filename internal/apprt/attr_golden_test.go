@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/apprt"
 	_ "repro/internal/apps/all"
+	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/obs/attr"
 )
@@ -87,7 +88,7 @@ func TestAttrGoldenDiffCycleAccurate(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			spec := confSpec(a, comm.DV, false)
 			spec.CycleAccurate = true
-			spec.DenseSwitch = dense
+			spec.Platform = cluster.WithOracles(spec.Platform, dense, false)
 			plain, traced := runAttrPair(t, a, spec)
 			assertAttrGolden(t, plain, traced)
 			if traced.Cluster.Attr.Heat == nil {

@@ -14,13 +14,12 @@ import (
 	"repro/internal/comm"
 )
 
-func benchApp(b *testing.B, name string, scalar bool) {
+func benchApp(b *testing.B, name string) {
 	a, ok := apprt.Get(name)
 	if !ok {
 		b.Fatalf("%s not registered", name)
 	}
 	spec := confSpec(a, comm.DV, false)
-	spec.ScalarBoundary = scalar
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -30,16 +29,8 @@ func benchApp(b *testing.B, name string, scalar bool) {
 	}
 }
 
-// BenchmarkAppGUPS runs GUPS at its reference size on the Data Vortex
-// backend over the batched boundary (the default).
-func BenchmarkAppGUPS(b *testing.B) { benchApp(b, "gups", false) }
+// BenchmarkAppGUPS runs GUPS at its reference size on the Data Vortex backend.
+func BenchmarkAppGUPS(b *testing.B) { benchApp(b, "gups") }
 
-// BenchmarkAppGUPSScalar is the same run over the legacy scalar boundary,
-// so the end-to-end effect of batching is one benchstat diff away.
-func BenchmarkAppGUPSScalar(b *testing.B) { benchApp(b, "gups", true) }
-
-// BenchmarkAppBFS runs BFS at its reference size (batched boundary).
-func BenchmarkAppBFS(b *testing.B) { benchApp(b, "bfs", false) }
-
-// BenchmarkAppBFSScalar is the scalar-boundary baseline for BFS.
-func BenchmarkAppBFSScalar(b *testing.B) { benchApp(b, "bfs", true) }
+// BenchmarkAppBFS runs BFS at its reference size.
+func BenchmarkAppBFS(b *testing.B) { benchApp(b, "bfs") }

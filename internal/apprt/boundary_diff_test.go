@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/apprt"
 	_ "repro/internal/apps/all"
+	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
@@ -24,12 +25,11 @@ import (
 // default) and the scalar reference boundary.
 func runBoundaryPair(t *testing.T, a apprt.App, spec apprt.RunSpec) (batched, scalar apprt.Summary) {
 	t.Helper()
-	spec.ScalarBoundary = false
 	batched, err := a.Run(spec)
 	if err != nil {
 		t.Fatalf("batched run failed: %v", err)
 	}
-	spec.ScalarBoundary = true
+	spec.Platform = cluster.WithOracles(spec.Platform, false, true)
 	scalar, err = a.Run(spec)
 	if err != nil {
 		t.Fatalf("scalar run failed: %v", err)

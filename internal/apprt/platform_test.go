@@ -54,9 +54,21 @@ func TestSpecReachesEveryApp(t *testing.T) {
 }
 
 // TestOnePlatformType pins the structure that makes the above hold: RunSpec
-// and cluster.Config embed the very same type, so Execute copies it whole.
+// and cluster.Config embed the very same type, so Execute copies it whole —
+// the unexported oracle selectors (cluster.WithOracles) included. The knob
+// count is pinned too: each one multiplies the configurations the goldens
+// cover, so adding one means editing this number on purpose.
 func TestOnePlatformType(t *testing.T) {
 	want := reflect.TypeOf(cluster.Platform{})
+	knobs := 0
+	for i := 0; i < want.NumField(); i++ {
+		if want.Field(i).IsExported() {
+			knobs++
+		}
+	}
+	if knobs != 14 {
+		t.Errorf("cluster.Platform has %d exported fields, want 14", knobs)
+	}
 	for _, typ := range []reflect.Type{reflect.TypeOf(apprt.RunSpec{}), reflect.TypeOf(cluster.Config{})} {
 		f, ok := typ.FieldByName("Platform")
 		if !ok || !f.Anonymous || f.Type != want {
@@ -78,8 +90,6 @@ func TestRunSpecValidate_Valid(t *testing.T) {
 			Platform: cluster.Platform{Workers: 1, DVPlanes: 1, VICsPerNode: 1}}},
 		{name: "negative ParMinFlying forces the fan", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{CycleAccurate: true, Workers: 2, ParMinFlying: -1}}},
-		{name: "dense with cycle-accurate", spec: apprt.RunSpec{Nodes: 4,
-			Platform: cluster.Platform{CycleAccurate: true, DenseSwitch: true}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -104,8 +114,8 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 			Platform: cluster.Platform{DVPlanes: -4}}, field: "DVPlanes"},
 		{name: "negative rails", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{VICsPerNode: -1}}, field: "VICsPerNode"},
-		{name: "dense on the fast model", spec: apprt.RunSpec{Nodes: 4,
-			Platform: cluster.Platform{DenseSwitch: true}}, field: "DenseSwitch"},
+		{name: "unknown plane policy", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{DVPlanes: 2, PlanePolicy: 7}}, field: "PlanePolicy"},
 		{name: "nodes reported before platform", spec: apprt.RunSpec{
 			Platform: cluster.Platform{Workers: -1}}, field: "Nodes"},
 	}

@@ -70,7 +70,7 @@ func TestAttrStageSumInvariant(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(4)
 			cfg.CycleAccurate = tc.cycle
-			cfg.DenseSwitch = tc.dense
+			cfg.denseSwitch = tc.dense
 			cfg.Attr = &attr.Config{Sample: 1}
 			cfg.Check = check.All()
 			rep := Run(cfg, attrWorkload)

@@ -99,7 +99,7 @@ func configDigest(cfg *Config) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "nodes=%d seed=%d stacks=%d rails=%d cycle=%t dense=%t scalar=%t geom=%+v ct=%d",
 		cfg.Nodes, cfg.Seed, cfg.Stacks, cfg.VICsPerNode, cfg.CycleAccurate,
-		cfg.DenseSwitch, cfg.ScalarBoundary, cfg.SwitchGeom, cfg.CycleTime)
+		cfg.denseSwitch, cfg.scalarBoundary, cfg.SwitchGeom, cfg.CycleTime)
 	// Plane count is normalised (0 and 1 run identically); policy only
 	// shapes state when more than one plane exists.
 	if planes := cfg.DVPlanes; planes > 1 {

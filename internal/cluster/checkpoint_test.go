@@ -343,7 +343,7 @@ func TestDenseSparseSnapshotIdentity(t *testing.T) {
 	run := func(dense bool) ([]*snapshot.Snapshot, string) {
 		cfg := DefaultConfig(4)
 		cfg.CycleAccurate = true
-		cfg.DenseSwitch = dense
+		cfg.denseSwitch = dense
 		var snaps []*snapshot.Snapshot
 		cp := &Checkpoint{App: "ds", Net: "both", Every: 2 * sim.Microsecond,
 			Sink: func(s *snapshot.Snapshot) error { snaps = append(snaps, s); return nil }}

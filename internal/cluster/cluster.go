@@ -87,16 +87,6 @@ type Platform struct {
 	// differential tests use to force the parallel path). Only meaningful
 	// with CycleAccurate and Workers >= 2.
 	ParMinFlying int
-	// DenseSwitch runs the cycle-accurate core on the dense full-fabric
-	// scan instead of the sparse active-list stepper. The two are
-	// bit-identical (enforced by differential tests); this knob exists for
-	// end-to-end cross-checks and perf comparisons. Requires CycleAccurate.
-	DenseSwitch bool
-	// ScalarBoundary runs the VICs on the legacy one-kernel-event-per-packet
-	// inject/eject boundary instead of the batched pipeline. The two are
-	// bit-identical in results (enforced by differential tests); this knob
-	// exists for end-to-end cross-checks and perf comparisons.
-	ScalarBoundary bool
 	// DVPlanes instantiates N parallel Data Vortex switch planes behind the
 	// VIC boundary (0 or 1 = the paper's single-plane testbed). Every plane
 	// has the full SwitchGeom geometry; packets are dealt to planes by
@@ -160,6 +150,24 @@ type Platform struct {
 	// exactly the event sequence an unmanaged run fires, so Reports are
 	// byte-identical. Outcome fields of the struct are filled in by Run.
 	Checkpoint *Checkpoint
+
+	// denseSwitch and scalarBoundary select the two reference
+	// implementations the product paths are proven bit-identical against.
+	// They are not configuration: only WithOracles sets them, and only tests
+	// call it.
+	denseSwitch, scalarBoundary bool
+}
+
+// WithOracles returns p with the reference implementations selected: dense
+// steps the cycle-accurate core with the full-fabric scan instead of the
+// sparse active list (the fast model has no stepper and ignores it), scalar
+// runs the VICs on the one-kernel-event-per-packet boundary instead of the
+// batched pipeline. Results are bit-identical either way — that is what the
+// differential suites that call this prove — so no driver offers it;
+// TestOraclesAreTestOnly keeps it out of non-test code.
+func WithOracles(p Platform, dense, scalar bool) Platform {
+	p.denseSwitch, p.scalarBoundary = dense, scalar
+	return p
 }
 
 // ConfigError reports a run-configuration field that no run can use.
@@ -186,8 +194,8 @@ func (p Platform) Validate() error {
 			return &ConfigError{Field: f.name, Reason: fmt.Sprintf("is negative (%d)", f.v)}
 		}
 	}
-	if p.DenseSwitch && !p.CycleAccurate {
-		return &ConfigError{Field: "DenseSwitch", Reason: "needs CycleAccurate (the fast model has no stepper)"}
+	if p.PlanePolicy != dvswitch.PlaneHash && p.PlanePolicy != dvswitch.PlaneRR {
+		return &ConfigError{Field: "PlanePolicy", Reason: fmt.Sprintf("is not a known policy (%d)", p.PlanePolicy)}
 	}
 	return nil
 }
@@ -465,7 +473,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		if cfg.CycleAccurate {
 			for pi := 0; pi < planes; pi++ {
 				eng := dvswitch.NewEngine(k, geom, ct)
-				if cfg.DenseSwitch {
+				if cfg.denseSwitch {
 					eng.Core().Dense = true
 				}
 				if p := k.FanPool(); p != nil {
@@ -592,7 +600,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				// at construction land in its calendar.
 				k.WithLane(vicLane(g), func() {
 					v := vic.New(k, i, g*stride, vicPar, inject)
-					if cfg.ScalarBoundary {
+					if cfg.scalarBoundary {
 						v.SetScalarBoundary(true)
 					} else {
 						v.SetBatchInject(injectBatch)

@@ -1,9 +1,9 @@
-package core_test
+package cluster_test
 
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/cluster"
 	"repro/internal/shmem"
 	"repro/internal/sim"
 	"repro/internal/vic"
@@ -11,7 +11,7 @@ import (
 
 // A complete Data Vortex program: counted one-sided writes around a ring.
 func ExampleRun() {
-	rep := core.Run(4, func(n *core.Node) {
+	rep := cluster.Run(cluster.DefaultConfig(4), func(n *cluster.Node) {
 		e := n.DV
 		slot := e.Alloc(1)
 		gc := e.AllocGC()
@@ -33,7 +33,7 @@ func ExampleRun() {
 // The PGAS layer: symmetric allocation, one-sided puts, a fence, and a
 // collective reduction.
 func ExampleRun_shmem() {
-	core.Run(4, func(n *core.Node) {
+	cluster.Run(cluster.DefaultConfig(4), func(n *cluster.Node) {
 		c := shmem.New(n.DV)
 		s := c.Malloc(4)
 		// Everyone deposits its rank into its slot on node 0.

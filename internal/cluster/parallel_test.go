@@ -42,7 +42,7 @@ func TestClusterDenseVsSparseSwitch(t *testing.T) {
 		cfg := DefaultConfig(8)
 		cfg.Stacks = StackDV
 		cfg.CycleAccurate = true
-		cfg.DenseSwitch = dense
+		cfg.denseSwitch = dense
 		return Run(cfg, scatterBody(t))
 	}
 	dr, sr := run(true), run(false)

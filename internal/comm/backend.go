@@ -59,8 +59,6 @@ type Backend interface {
 	// Drain pops one word from the node's unscheduled-arrival (surprise
 	// FIFO) queue, blocking up to timeout.
 	Drain(timeout sim.Time) (uint64, bool)
-	// TryDrain pops one unscheduled word without blocking.
-	TryDrain() (uint64, bool)
 
 	// Endpoint exposes the Data Vortex API endpoint (rail 0), or nil when
 	// the backend is not Data Vortex.

@@ -125,8 +125,8 @@ func TestOneSidedOps(t *testing.T) {
 		if err := be.Put(comm.DMACached, 0, 0, comm.NoGC, nil); err != comm.ErrUnsupported {
 			t.Errorf("IB Put err = %v", err)
 		}
-		if _, ok := be.TryDrain(); ok {
-			t.Error("IB TryDrain reported a word")
+		if _, ok := be.Drain(0); ok {
+			t.Error("IB Drain reported a word")
 		}
 		if be.Endpoint() != nil || be.MPI() == nil {
 			t.Error("IB capability accessors wrong")

@@ -55,7 +55,6 @@ func (b *dvBackend) Scatter(mode SendMode, words []Word) error {
 func (b *dvBackend) ReliableScatter(words []Word) error { return b.e.ReliableScatter(words) }
 
 func (b *dvBackend) Drain(timeout sim.Time) (uint64, bool) { return b.e.PopFIFO(timeout) }
-func (b *dvBackend) TryDrain() (uint64, bool)              { return b.e.TryPopFIFO() }
 
 func (b *dvBackend) Endpoint() *dv.Endpoint { return b.e }
 func (b *dvBackend) MPI() *mpi.Comm         { return nil }

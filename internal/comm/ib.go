@@ -44,7 +44,6 @@ func (b *ibBackend) Put(SendMode, int, uint32, int, []uint64) error { return Err
 func (b *ibBackend) Scatter(SendMode, []Word) error                 { return ErrUnsupported }
 func (b *ibBackend) ReliableScatter([]Word) error                   { return ErrUnsupported }
 func (b *ibBackend) Drain(sim.Time) (uint64, bool)                  { return 0, false }
-func (b *ibBackend) TryDrain() (uint64, bool)                       { return 0, false }
 
 func (b *ibBackend) Endpoint() *dv.Endpoint { return nil }
 func (b *ibBackend) MPI() *mpi.Comm         { return b.c }

@@ -10,8 +10,8 @@ import (
 // TestCoreStepZeroAllocWithAttrCompiledIn is the attribution half of the
 // zero-cost claim: with the heat-census hook compiled into the deflection
 // path but no census attached (the default), a steady-state Step performs
-// zero allocations. The committed BENCH_core.json baseline bounds the time
-// cost; this catches the allocation half without needing a quiet machine.
+// zero allocations. The ledger's dvswitch.core_sparse_ns_per_cycle bounds the
+// time cost; this catches the allocation half without needing a quiet machine.
 func TestCoreStepZeroAllocWithAttrCompiledIn(t *testing.T) {
 	p := Params{Heights: 8, Angles: 4}
 	c := NewCore(p)

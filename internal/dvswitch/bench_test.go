@@ -10,11 +10,9 @@ import (
 // packets in flight by reinjecting every delivery. inFlight controls the
 // steady-state occupancy: 2 packets ≈ 1% of the 160-node fabric (the sparse
 // case), ports*4 keeps every injection queue busy (the saturated case).
-func benchCore(b *testing.B, dense bool, inFlight int) *Core {
-	b.Helper()
+func benchCore(inFlight int) *Core {
 	p := Params{Heights: 8, Angles: 4}
 	c := NewCore(p)
-	c.Dense = dense
 	rng := sim.NewRNG(7)
 	ports := p.Ports()
 	c.Deliver = func(pkt Packet, _ int64) {
@@ -31,54 +29,26 @@ func benchCore(b *testing.B, dense bool, inFlight int) *Core {
 	return c
 }
 
+// benchLoop times op with allocation reporting on.
+func benchLoop(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		op()
+	}
+}
+
 // BenchmarkCoreStepSparse is the acceptance benchmark: 32-port switch at ~1%
-// occupancy. The sparse active-list stepper must beat the dense full-fabric
-// scan by >=3x here with 0 allocs/op.
-func BenchmarkCoreStepSparse(b *testing.B) {
-	c := benchCore(b, false, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		c.Step()
-	}
-}
+// occupancy, where the active list visits two nodes instead of 160.
+func BenchmarkCoreStepSparse(b *testing.B) { benchLoop(b, benchCore(2).Step) }
 
-// BenchmarkCoreStepSparseDense is the committed dense baseline for the same
-// 1%-occupancy workload (compare against BenchmarkCoreStepSparse).
-func BenchmarkCoreStepSparseDense(b *testing.B) {
-	c := benchCore(b, true, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		c.Step()
-	}
-}
+// BenchmarkCoreStepSaturated keeps every injection queue busy, so Step runs
+// its dense crossover (every node is occupied).
+func BenchmarkCoreStepSaturated(b *testing.B) { benchLoop(b, benchCore(32*4).Step) }
 
-// BenchmarkCoreStepSaturated keeps every injection queue busy; sparse and
-// dense should converge here (every node is occupied).
-func BenchmarkCoreStepSaturated(b *testing.B) {
-	c := benchCore(b, false, 32*4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		c.Step()
-	}
-}
-
-// BenchmarkCoreStepSaturatedDense is the dense baseline at saturation.
-func BenchmarkCoreStepSaturatedDense(b *testing.B) {
-	c := benchCore(b, true, 32*4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		c.Step()
-	}
-}
-
-// BenchmarkInjectDrain measures a full burst-and-drain: 512 packets injected
-// then stepped to empty. Steady-state iterations reuse the pool and rings, so
-// this must be allocation-free too.
-func BenchmarkInjectDrain(b *testing.B) {
+// injectDrainBurst returns one full burst-and-drain on a warm 32-port core:
+// 512 packets injected, then stepped to empty.
+func injectDrainBurst(tb testing.TB) func() {
 	p := Params{Heights: 8, Angles: 4}
 	c := NewCore(p)
 	c.Deliver = func(Packet, int64) {}
@@ -90,7 +60,7 @@ func BenchmarkInjectDrain(b *testing.B) {
 		}
 		c.RunUntilIdle(1 << 20)
 		if c.Busy() {
-			b.Fatal("drain did not converge")
+			tb.Fatal("drain did not converge")
 		}
 	}
 	// A burst can have at most 512 packets live at once, so prewarming to
@@ -99,12 +69,12 @@ func BenchmarkInjectDrain(b *testing.B) {
 	// and a later RNG draw can exceed it.
 	c.Prewarm(512)
 	burst() // warm the RNG-independent scratch state too
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		burst()
-	}
+	return burst
 }
+
+// BenchmarkInjectDrain measures a full burst-and-drain. Steady-state
+// iterations reuse the pool and rings, so this must be allocation-free too.
+func BenchmarkInjectDrain(b *testing.B) { benchLoop(b, injectDrainBurst(b)) }
 
 // BenchmarkFastModelInject measures the calibrated fast model's injection
 // path; the pooled delivery events keep it at one steady-state alloc-free
@@ -135,7 +105,10 @@ func BenchmarkFastModelInject(b *testing.B) {
 // over a 128-port fabric keeps ~4k delivery events pending, the depth large
 // runs (gups16 and up) actually reach. Per op = 1024 fired events, each of
 // which re-injects, so the scheduler's push/pop pair at depth dominates.
-func BenchmarkFastModelInjectDeep(b *testing.B) {
+func BenchmarkFastModelInjectDeep(b *testing.B) { benchLoop(b, fastModelDeepLoop()) }
+
+// fastModelDeepLoop returns BenchmarkFastModelInjectDeep's op on a warm model.
+func fastModelDeepLoop() func() {
 	k := sim.NewKernel()
 	m := NewFastModel(k, Params{Heights: 32, Angles: 4}, DefaultCycleTime, sim.NewRNG(3))
 	rng := sim.NewRNG(5)
@@ -148,9 +121,27 @@ func BenchmarkFastModelInjectDeep(b *testing.B) {
 	}
 	// Reach steady state: pools, rings, and the calendar warm.
 	k.RunUntilN(1<<40, 1<<17)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		k.RunUntilN(1<<40, 1024)
+	return func() { k.RunUntilN(1<<40, 1024) }
+}
+
+// TestSteadyStateZeroAllocs holds the benchmarks above that must not allocate
+// once warm to exactly that, deterministically and in tier-1 (the sparse Step
+// and the shallow fast-model burst have their own tests:
+// TestCoreStepZeroAllocWith{Obs,Attr}CompiledIn, TestFastModelInjectAllocs).
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		runs int
+		op   func()
+	}{
+		{"CoreStepSaturated", 2000, benchCore(32 * 4).Step},
+		{"InjectDrain", 20, injectDrainBurst(t)},
+		{"FastModelInjectDeep", 100, fastModelDeepLoop()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(tc.runs, tc.op); got != 0 {
+				t.Errorf("allocates %v times per op in steady state, want 0", got)
+			}
+		})
 	}
 }

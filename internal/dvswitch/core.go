@@ -396,11 +396,11 @@ type Core struct {
 	// costs one pass over the fabric per Step.
 	CheckInvariants bool
 
-	// Dense routes Step through denseStep, the seed implementation's
+	// Dense routes every Step through denseStep, the seed implementation's
 	// full-fabric scan. The two paths are bit-identical (same Stats, same
 	// delivery order, same fault-RNG consumption — enforced by the golden
-	// differential tests); Dense exists as the reference half of that
-	// comparison and as a build-time escape hatch (-tags dvswitch_dense).
+	// differential tests). It is the reference half of that comparison and
+	// is set by tests only (TestOraclesAreTestOnly); NewCore starts sparse.
 	Dense bool
 
 	// faulty marks dead switching nodes (fault-injection studies in the
@@ -468,7 +468,6 @@ func NewCore(p Params) *Core {
 		inq:     make([]ring, p.Ports()),
 		qmask:   make([]uint64, (p.Ports()+63)/64),
 		tab:     make([]cellTab, n),
-		Dense:   denseByDefault,
 	}
 	L := c.levels
 	for cl := 0; cl <= L; cl++ {
@@ -1062,9 +1061,9 @@ func (c *Core) finishStep() {
 // denseStep is the seed implementation's full-fabric scan: every node of
 // every cylinder is visited each cycle, occupied or not. It shares moveOne,
 // injectPhase, and finishStep with the sparse Step — the only difference is
-// the iteration source — and is kept as the reference half of the golden
-// differential tests (see diff_test.go) and as the dvswitch_dense build-tag
-// default.
+// the iteration source. Step switches to it above half occupancy, and with
+// Core.Dense set it is the reference half of the golden differential tests
+// (see diff_test.go).
 func (c *Core) denseStep() {
 	if c.cleanPath() {
 		c.denseMovesClean()

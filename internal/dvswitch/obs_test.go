@@ -112,8 +112,8 @@ func TestObsNilIsFree(t *testing.T) {
 // TestCoreStepZeroAllocWithObsCompiledIn is the CI smoke for the zero-cost
 // claim: with the obs hooks compiled into the hot path but no instruments
 // attached (the default), a steady-state Step performs zero allocations. The
-// committed BENCH_core.json baseline additionally bounds the time cost; this
-// test catches the allocation half without needing a quiet machine.
+// ledger's dvswitch.core_sparse_ns_per_cycle bounds the time cost; this test
+// catches the allocation half without needing a quiet machine.
 func TestCoreStepZeroAllocWithObsCompiledIn(t *testing.T) {
 	p := Params{Heights: 8, Angles: 4}
 	c := NewCore(p)

@@ -2,10 +2,8 @@ package vic
 
 // Boundary microbenchmarks: the VIC-side cost of moving packets across the
 // inject and eject seams, isolated from switch-model time by a counting sink
-// fabric. Each benchmark has a Scalar twin that runs the legacy
-// one-kernel-event-per-packet path, so `go test -bench VIC` is a built-in
-// batched-vs-scalar differential: the pair must agree on packets moved (the
-// lockstep tests pin bit-identity; the benchmarks pin the speedup).
+// fabric. Each benchmark body is also held to zero steady-state allocations
+// by TestBoundaryZeroAllocs.
 
 import (
 	"testing"
@@ -17,29 +15,34 @@ import (
 const benchBurst = 512 // words per HostSend / packets per delivery burst
 
 // benchInjectVIC wires one VIC to a sink fabric that only counts packets.
-func benchInjectVIC(scalar bool) (*sim.Kernel, *VIC, *int) {
+func benchInjectVIC() (*sim.Kernel, *VIC, *int) {
 	k := sim.NewKernel()
 	sunk := new(int)
 	v := New(k, 0, 0, DefaultParams(), func(dvswitch.Packet) { *sunk++ })
-	v.SetScalarBoundary(scalar)
-	if !scalar {
-		v.SetBatchInject(func(pkts []dvswitch.Packet) { *sunk += len(pkts) })
-	}
+	v.SetBatchInject(func(pkts []dvswitch.Packet) { *sunk += len(pkts) })
 	return k, v, sunk
 }
 
-func benchVICInject(b *testing.B, scalar bool) {
-	k, v, sunk := benchInjectVIC(scalar)
+// injectBurst returns a 512-word cached-DMA HostSend (one inject event per
+// DMA chunk) for a simulated process to issue, and the sink's packet count.
+func injectBurst() (k *sim.Kernel, send func(*sim.Proc), sunk *int) {
+	k, v, sunk := benchInjectVIC()
 	words := make([]Word, benchBurst)
 	for i := range words {
 		words[i] = Word{Dst: 0, Op: OpWrite, GC: NoGC, Addr: uint32(i), Val: uint64(i)}
 	}
+	return k, func(p *sim.Proc) { v.HostSend(p, DMACached, words) }, sunk
+}
+
+// BenchmarkVICInject measures a 512-word cached-DMA HostSend.
+func BenchmarkVICInject(b *testing.B) {
+	k, send, sunk := injectBurst()
 	k.Spawn("send", func(p *sim.Proc) {
-		v.HostSend(p, DMACached, words) // warm the batch/payload pools
+		send(p) // warm the batch/payload pools
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
-			v.HostSend(p, DMACached, words)
+			send(p)
 		}
 		b.StopTimer()
 	})
@@ -49,16 +52,10 @@ func benchVICInject(b *testing.B, scalar bool) {
 	}
 }
 
-// BenchmarkVICInject measures a 512-word cached-DMA HostSend over the
-// batched boundary (one inject event per DMA chunk).
-func BenchmarkVICInject(b *testing.B) { benchVICInject(b, false) }
-
-// BenchmarkVICInjectScalar is the same send over the legacy scalar boundary
-// (one inject event per word) — the differential baseline.
-func BenchmarkVICInjectScalar(b *testing.B) { benchVICInject(b, true) }
-
-func benchVICEject(b *testing.B, scalar bool) {
-	k, v, _ := benchInjectVIC(scalar)
+// ejectBurst returns the delivery of a 512-packet burst through the eject
+// path (pooled receive events), run to completion.
+func ejectBurst() (deliver func(), v *VIC) {
+	k, v, _ := benchInjectVIC()
 	pkts := make([]dvswitch.Packet, benchBurst)
 	for i := range pkts {
 		pkts[i] = dvswitch.Packet{
@@ -68,12 +65,17 @@ func benchVICEject(b *testing.B, scalar bool) {
 			Payload: uint64(i),
 		}
 	}
-	deliver := func() {
+	return func() {
 		for i := range pkts {
 			v.Receive(pkts[i])
 		}
 		k.RunUntil(sim.Forever)
-	}
+	}, v
+}
+
+// BenchmarkVICEject measures delivery of a 512-packet burst.
+func BenchmarkVICEject(b *testing.B) {
+	deliver, v := ejectBurst()
 	deliver() // warm the receive-event pool and memory pages
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -86,14 +88,6 @@ func benchVICEject(b *testing.B, scalar bool) {
 	}
 }
 
-// BenchmarkVICEject measures delivery of a 512-packet burst through the
-// batched eject path (pooled receive events).
-func BenchmarkVICEject(b *testing.B) { benchVICEject(b, false) }
-
-// BenchmarkVICEjectScalar is the same burst through the legacy
-// closure-per-packet eject path — the differential baseline.
-func BenchmarkVICEjectScalar(b *testing.B) { benchVICEject(b, true) }
-
 // BenchmarkWaitGC measures what one arriving packet costs while the host
 // process is parked in WaitGCZero on the counter the packet decrements: the
 // delivery and receive events, the decrement, and a broadcast that must pass
@@ -102,21 +96,7 @@ func BenchmarkVICEjectScalar(b *testing.B) { benchVICEject(b, true) }
 // notification, and the per-burst objects (the waiter, the notification
 // closure) round to 0 allocs/op.
 func BenchmarkWaitGC(b *testing.B) {
-	const gc = 5
-	k, v, _ := benchInjectVIC(false)
-	all := make([]dvswitch.Packet, benchBurst)
-	for i := range all {
-		all[i] = gcPacket(gc, i)
-	}
-	feed := &gcFeed{v: v, every: dvswitch.DefaultCycleTime} // one per switch cycle
-	burst := func(p *sim.Proc, n int) {
-		v.setGC(gc, int64(n))
-		feed.pkts = all[:n]
-		feed.start()
-		if !v.WaitGCZero(p, gc, sim.Forever) {
-			b.Error("counter never notified zero")
-		}
-	}
+	k, burst := waitGCBurst(b)
 	k.Spawn("host", func(p *sim.Proc) {
 		burst(p, benchBurst) // warm the receive-event pool and memory pages
 		b.ReportAllocs()
@@ -130,4 +110,66 @@ func BenchmarkWaitGC(b *testing.B) {
 	if ev, rs := k.Counts(); rs > ev/benchBurst+2 {
 		b.Fatalf("%d process resumes for %d events: the wait woke per packet", rs, ev)
 	}
+}
+
+// waitGCBurst returns BenchmarkWaitGC's op: arm a counter to n, start n
+// packets arriving one per switch cycle, and wait for the zero notification.
+func waitGCBurst(tb testing.TB) (*sim.Kernel, func(p *sim.Proc, n int)) {
+	const gc = 5
+	k, v, _ := benchInjectVIC()
+	all := make([]dvswitch.Packet, benchBurst)
+	for i := range all {
+		all[i] = gcPacket(gc, i)
+	}
+	feed := &gcFeed{v: v, every: dvswitch.DefaultCycleTime}
+	return k, func(p *sim.Proc, n int) {
+		v.setGC(gc, int64(n))
+		feed.pkts = all[:n]
+		feed.start()
+		if !v.WaitGCZero(p, gc, sim.Forever) {
+			tb.Error("counter never notified zero")
+		}
+	}
+}
+
+// TestBoundaryZeroAllocs holds the three benchmarks above to what their
+// allocs/op column reads, deterministically and in tier-1: a warm 512-word
+// send and a warm 512-packet delivery allocate nothing, and a counter wait
+// allocates nothing per packet.
+func TestBoundaryZeroAllocs(t *testing.T) {
+	// HostSend and WaitGCZero park, so they are measured from inside a
+	// simulated process, after warm ops have filled the pools and turned the
+	// kernel's calendar ring (a bucket allocates on first use).
+	inProc := func(k *sim.Kernel, warm int, op func(*sim.Proc)) (allocs float64) {
+		k.Spawn("host", func(p *sim.Proc) {
+			for i := 0; i < warm; i++ {
+				op(p)
+			}
+			allocs = testing.AllocsPerRun(20, func() { op(p) })
+		})
+		k.Run()
+		return allocs
+	}
+	t.Run("VICInject", func(t *testing.T) {
+		k, send, _ := injectBurst()
+		// A send moves virtual time on by about one bucket, so the ring's
+		// 512 buckets take a few thousand sends to all reach final size.
+		if got := inProc(k, 4096, send); got != 0 {
+			t.Errorf("a warm %d-word HostSend allocates %v times, want 0", benchBurst, got)
+		}
+	})
+	t.Run("VICEject", func(t *testing.T) {
+		deliver, _ := ejectBurst()
+		if got := testing.AllocsPerRun(20, deliver); got != 0 {
+			t.Errorf("a warm %d-packet delivery allocates %v times, want 0", benchBurst, got)
+		}
+	})
+	t.Run("WaitGC", func(t *testing.T) {
+		k, burst := waitGCBurst(t)
+		got := inProc(k, 64, func(p *sim.Proc) { burst(p, benchBurst) })
+		if got > 1 {
+			t.Errorf("a wait over %d packets allocates %v times, want at most the burst's one zero-notification closure",
+				benchBurst, got)
+		}
+	})
 }

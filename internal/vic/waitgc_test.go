@@ -56,7 +56,7 @@ func TestWaitGCWakesOnce(t *testing.T) {
 		n       = 100
 		spacing = 200 * sim.Nanosecond // > LocalSetGC's PIO: armed before the first
 	)
-	k, v, _ := benchInjectVIC(false)
+	k, v, _ := benchInjectVIC()
 	notifyAt := deliverGCPackets(v, gc, n, spacing) + v.Params().GCNotify
 	var resumesBefore, resumesAfter uint64
 	var ok bool
@@ -92,7 +92,7 @@ func TestWaitGCAtMostWakesOnce(t *testing.T) {
 		bound   = -25 // shmem counts down from zero
 		spacing = 50 * sim.Nanosecond
 	)
-	k, v, _ := benchInjectVIC(false)
+	k, v, _ := benchInjectVIC()
 	deliverGCPackets(v, gc, n, spacing)
 	var wokeAt sim.Time
 	k.Spawn("host", func(p *sim.Proc) {
@@ -122,7 +122,7 @@ func TestTimedWaitGCNotifyWinsDeadlineTie(t *testing.T) {
 		n       = 3
 		spacing = 200 * sim.Nanosecond
 	)
-	k, v, _ := benchInjectVIC(false)
+	k, v, _ := benchInjectVIC()
 	notifyAt := deliverGCPackets(v, gc, n, spacing) + v.Params().GCNotify
 	var ok bool
 	var wokeAt sim.Time
@@ -139,7 +139,7 @@ func TestTimedWaitGCNotifyWinsDeadlineTie(t *testing.T) {
 		t.Errorf("woke at %v, want %v", wokeAt, notifyAt)
 	}
 	// One instant earlier the deadline is strictly first and must win.
-	k, v, _ = benchInjectVIC(false)
+	k, v, _ = benchInjectVIC()
 	deliverGCPackets(v, gc, n, spacing)
 	k.Spawn("host", func(p *sim.Proc) {
 		v.LocalSetGC(p, gc, n)

@@ -1,0 +1,88 @@
+package repro
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// oracleHomes lists, per selector that reaches a reference implementation,
+// the directories whose non-test code may name it: the package that defines
+// it, and internal/cluster, which carries the selection from WithOracles to
+// the engines it builds. Everything else reaches an oracle from a _test.go
+// file or not at all.
+var oracleHomes = map[string][]string{
+	"Dense":             {"internal/dvswitch", "internal/cluster"}, // dvswitch.Core.Dense
+	"SetScalarBoundary": {"internal/vic", "internal/cluster"},      // (*vic.VIC).SetScalarBoundary
+	"WithOracles":       {"internal/cluster"},                      // cluster.WithOracles
+}
+
+// oracleRefs returns the oracle selectors f names (x.Dense, v.SetScalarBoundary,
+// cluster.WithOracles), by position.
+func oracleRefs(fset *token.FileSet, f *ast.File) map[string]token.Position {
+	refs := map[string]token.Position{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && oracleHomes[sel.Sel.Name] != nil {
+			refs[sel.Sel.Name] = fset.Position(sel.Pos())
+		}
+		return true
+	})
+	return refs
+}
+
+// TestOraclesAreTestOnly keeps the dense stepper and the scalar VIC boundary
+// what they are kept for — references that tests compare the product paths
+// against — by failing when a driver, example or library package selects one.
+func TestOraclesAreTestOnly(t *testing.T) {
+	fset := token.NewFileSet()
+	checked := 0
+	for _, root := range []string{"cmd", "examples", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			checked++
+			dir := filepath.ToSlash(filepath.Dir(path))
+		refs:
+			for name, pos := range oracleRefs(fset, f) {
+				for _, home := range oracleHomes[name] {
+					if dir == home {
+						continue refs
+					}
+				}
+				t.Errorf("%s: non-test code selects an oracle through .%s; only tests may (allowed in %v)",
+					pos, name, oracleHomes[name])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("walking %s: %v", root, err)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no Go files found")
+	}
+
+	// The scan itself: a driver that does what this test forbids is seen.
+	const driver = `package main
+func main() {
+	c.Dense = true
+	v.SetScalarBoundary(true)
+	p = cluster.WithOracles(p, true, true)
+}`
+	f, err := parser.ParseFile(fset, "cmd/scratch/main.go", driver, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := oracleRefs(fset, f); len(got) != len(oracleHomes) {
+		t.Errorf("scan of a driver using all %d oracle routes found %v", len(oracleHomes), got)
+	}
+}
