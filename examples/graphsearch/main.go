@@ -24,12 +24,10 @@ func main() {
 		*scale, par.EdgeFactor, *nodes, *roots)
 
 	// Degree skew of the Kronecker generator (why the traffic is irregular).
-	nv := int64(1) << *scale
 	deg := make(map[int64]int)
-	for i := int64(0); i < nv*int64(par.EdgeFactor); i++ {
-		u, v := bfs.GenerateEdge(1, *scale, i)
-		deg[u]++
-		deg[v]++
+	for _, e := range bfs.Edges(1, *scale, par.EdgeFactor) {
+		deg[e.U]++
+		deg[e.V]++
 	}
 	degrees := make([]int, 0, len(deg))
 	for _, d := range deg {

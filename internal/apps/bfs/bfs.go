@@ -9,11 +9,13 @@
 // hard to do efficiently). The Data Vortex variant sends each visit as one
 // fine-grained packet to the owner's surprise FIFO, aggregated only at the
 // source to amortise PCIe crossings.
+//
+// The graph is built once per run (kron.go): the edge stream is generated in
+// one pass and counting-sorted into one CSR, of which every simulated node
+// reads its slab of rows. pagerank and spmv build theirs the same way.
 package bfs
 
 import (
-	"fmt"
-
 	"repro/internal/apprt"
 	"repro/internal/cluster"
 	"repro/internal/comm"
@@ -84,120 +86,56 @@ func (r Result) HarmonicMeanTEPS() float64 {
 	return float64(len(r.Searches)) / inv
 }
 
-// ---------------------------------------------------------------------------
-// Kronecker generator (R-MAT, Graph500 parameters A=.57 B=.19 C=.19 D=.05)
-
-// GenerateEdge deterministically produces edge i of the graph.
-func GenerateEdge(seed uint64, scale int, i int64) (u, v int64) {
-	rng := sim.NewRNG(seed*0x2545f4914f6cdd1d + uint64(i)*0xbf58476d1ce4e5b9 + 11)
-	for b := 0; b < scale; b++ {
-		r := rng.Float64()
-		var ub, vb int64
-		switch {
-		case r < 0.57: // A
-		case r < 0.76: // B
-			vb = 1
-		case r < 0.95: // C
-			ub = 1
-		default: // D
-			ub, vb = 1, 1
-		}
-		u = u<<1 | ub
-		v = v<<1 | vb
-	}
-	return
-}
-
-// graph is one node's slab of the distributed graph in CSR form.
+// graph is one node's slab of the distributed graph: a read-only view of
+// the run's one undirected CSR (construction is untimed; Graph500 metrics
+// cover the search phase only).
 type graph struct {
-	nv      int64 // global vertex count
-	perNode int64 // owned vertices per node
-	lo      int64 // first owned vertex
-	adjOff  []int32
+	perNode int64   // owned vertices per node
+	lo      int64   // first owned vertex
+	adjOff  []int32 // perNode+1 offsets into the shared adjList
 	adjList []int64
 }
 
 func owner(v, perNode int64) int { return int(v / perNode) }
 
-// buildLocal constructs node id's slab. Generation is deterministic, so each
-// node replays the full edge stream and keeps edges incident to its owned
-// vertices (construction is untimed; Graph500 metrics cover the search
-// phase only).
-func buildLocal(par Params, id int) *graph {
-	nv := int64(1) << par.Scale
-	perNode := nv / int64(par.Nodes)
+func slab(csr *CSR, id, nodes int) *graph {
+	perNode := int64(len(csr.Off)-1) / int64(nodes)
 	lo := int64(id) * perNode
-	hi := lo + perNode
-	ne := nv * int64(par.EdgeFactor)
-	deg := make([]int32, perNode)
-	type edge struct{ from, to int64 }
-	var edges []edge
-	for i := int64(0); i < ne; i++ {
-		u, v := GenerateEdge(par.Seed, par.Scale, i)
-		if u == v {
-			continue // self-loops contribute nothing to BFS
-		}
-		if u >= lo && u < hi {
-			edges = append(edges, edge{u, v})
-			deg[u-lo]++
-		}
-		if v >= lo && v < hi {
-			edges = append(edges, edge{v, u})
-			deg[v-lo]++
-		}
-	}
-	g := &graph{nv: nv, perNode: perNode, lo: lo}
-	g.adjOff = make([]int32, perNode+1)
-	for i := int64(0); i < perNode; i++ {
-		g.adjOff[i+1] = g.adjOff[i] + deg[i]
-	}
-	g.adjList = make([]int64, g.adjOff[perNode])
-	fill := make([]int32, perNode)
-	for _, e := range edges {
-		li := e.from - lo
-		g.adjList[g.adjOff[li]+fill[li]] = e.to
-		fill[li]++
-	}
-	return g
+	return &graph{perNode: perNode, lo: lo, adjOff: csr.Off[lo : lo+perNode+1], adjList: csr.Adj}
 }
 
 func (g *graph) neighbors(localV int64) []int64 {
 	return g.adjList[g.adjOff[localV]:g.adjOff[localV+1]]
 }
 
+// undirected generates par's edge stream and builds its CSR.
+func undirected(par Params) *CSR {
+	return NewCSR(par.Scale, Edges(par.Seed, par.Scale, par.EdgeFactor), true)
+}
+
 // ChooseRoots picks deterministic search roots with nonzero degree.
 func ChooseRoots(par Params) []int64 {
 	par.defaults()
-	nv := int64(1) << par.Scale
+	return chooseRoots(par, undirected(par))
+}
+
+func chooseRoots(par Params, csr *CSR) []int64 {
 	rng := sim.NewRNG(par.Seed + 0xabcdef)
-	// Degree check by scanning the edge stream once.
-	hasEdge := make([]bool, nv)
-	ne := nv * int64(par.EdgeFactor)
-	for i := int64(0); i < ne; i++ {
-		u, v := GenerateEdge(par.Seed, par.Scale, i)
-		if u != v {
-			hasEdge[u] = true
-			hasEdge[v] = true
-		}
-	}
 	roots := make([]int64, 0, par.NRoots)
 	for len(roots) < par.NRoots {
-		r := int64(rng.Uint64n(uint64(nv)))
-		if hasEdge[r] {
+		r := int64(rng.Uint64n(uint64(1) << par.Scale))
+		if len(csr.Row(r)) > 0 {
 			roots = append(roots, r)
 		}
 	}
 	return roots
 }
 
-// sizeErr reports why the problem cannot be split over par.Nodes (nil when it
-// can). Run panics with it; the registered runner returns it.
+// sizeErr reports why the problem cannot be built or split over par.Nodes
+// (nil when it can). Run panics with it; the registered runner returns it.
 func (par Params) sizeErr() error {
 	par.defaults()
-	if (int64(1)<<par.Scale)%int64(par.Nodes) != 0 {
-		return fmt.Errorf("bfs: 2^%d vertices not divisible over %d nodes", par.Scale, par.Nodes)
-	}
-	return nil
+	return SizeErr("bfs", par.Scale, par.EdgeFactor, par.Nodes)
 }
 
 // Run executes the benchmark.
@@ -206,7 +144,8 @@ func Run(net comm.Net, par Params) Result {
 	if err := par.sizeErr(); err != nil {
 		panic(err.Error())
 	}
-	roots := ChooseRoots(par)
+	csr := undirected(par)
+	roots := chooseRoots(par, csr)
 	res := Result{Net: net, Nodes: par.Nodes, Scale: par.Scale,
 		Searches: make([]Search, len(roots))}
 	if par.KeepParents {
@@ -221,11 +160,12 @@ func Run(net comm.Net, par Params) Result {
 		Seed:     par.Seed,
 		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
-		g := buildLocal(par, n.ID)
+		g := slab(csr, n.ID, par.Nodes)
 		var st *dvState
 		if net == comm.DV {
 			st = newDVState(n, be, par.Nodes)
 		}
+		buckets := make([][]uint64, par.Nodes) // searchMPI's per-owner scratch
 		for si, root := range roots {
 			parent := make([]int64, g.perNode)
 			for i := range parent {
@@ -235,7 +175,7 @@ func Run(net comm.Net, par Params) Result {
 			if net == comm.DV {
 				s = searchDV(n, be, st, g, root, parent)
 			} else {
-				s = searchMPI(n, be, g, root, parent)
+				s = searchMPI(n, be, g, root, parent, buckets)
 			}
 			// Global sums are gathered in-search; node 0's view is
 			// authoritative.

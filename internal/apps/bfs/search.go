@@ -24,11 +24,14 @@ func visitLocal(g *graph, parent []int64, v, u int64) bool {
 }
 
 // searchMPI is the level-synchronous Graph500 BFS over MPI: visit messages
-// are bucketed by owner and exchanged with one all-to-all per level.
-func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []int64) Search {
+// are bucketed by owner and exchanged with one all-to-all per level. buckets
+// is the node's per-owner scratch, kept across levels and searches: it is
+// reset, not reallocated, because Uint64sToBytes copies what is sent.
+func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []int64, buckets [][]uint64) Search {
 	c := be.MPI()
 	p := c.Size()
-	var frontier []int64 // local indices
+	var frontier, next []int64 // local indices
+	send := make([][]byte, p)
 	c.Barrier()
 	t0 := n.P.Now()
 	if owner(root, g.perNode) == n.ID {
@@ -40,8 +43,10 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 		visited = 1
 	}
 	for {
-		buckets := make([][]uint64, p)
-		var next []int64
+		for q := range buckets {
+			buckets[q] = buckets[q][:0]
+		}
+		next = next[:0]
 		localVisits := 0
 		for _, lu := range frontier {
 			u := g.lo + lu
@@ -60,7 +65,6 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 			}
 		}
 		n.Ops(edgesScannedThisLevel(frontier, g) + int64(localVisits))
-		send := make([][]byte, p)
 		for q := range buckets {
 			send[q] = comm.Uint64sToBytes(buckets[q])
 		}
@@ -80,7 +84,7 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 			}
 		}
 		n.Ops(int64(got))
-		frontier = next
+		frontier, next = next, frontier
 		total := c.Allreduce([]float64{float64(len(frontier))}, comm.Sum)
 		if total[0] == 0 {
 			break
@@ -131,6 +135,9 @@ func searchDV(n *cluster.Node, be comm.Backend, st *dvState, g *graph, root int6
 		visited = 1
 	}
 	var next []int64
+	sentTo := make([]int64, p)
+	words := make([]comm.Word, 0, 4096)
+	cnt := make([]comm.Word, 0, p-1)
 	drained := 0
 	drain := func(block bool) {
 		for {
@@ -159,8 +166,8 @@ func searchDV(n *cluster.Node, be comm.Backend, st *dvState, g *graph, root int6
 	for {
 		next = next[:0]
 		drained = 0
-		sentTo := make([]int64, p)
-		words := make([]comm.Word, 0, 4096)
+		clear(sentTo)
+		words = words[:0]
 		localVisits := 0
 		for _, lu := range frontier {
 			u := g.lo + lu
@@ -188,7 +195,7 @@ func searchDV(n *cluster.Node, be comm.Backend, st *dvState, g *graph, root int6
 		n.Ops(edgesScannedThisLevel(frontier, g) + int64(localVisits))
 		// Counted flush: exchange per-destination send counts, then drain
 		// to the exact expected total.
-		cnt := make([]comm.Word, 0, p-1)
+		cnt = cnt[:0]
 		for d := 0; d < p; d++ {
 			if d != n.ID {
 				cnt = append(cnt, comm.Word{Dst: d, Op: comm.OpWrite, GC: st.gcCnt,

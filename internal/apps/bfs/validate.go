@@ -2,22 +2,11 @@ package bfs
 
 import "fmt"
 
-// ReferenceLevels computes BFS levels from root on a single core by
-// replaying the edge stream (-1 = unreachable). It is the oracle for
-// Graph500-style validation.
-func ReferenceLevels(par Params, root int64) []int64 {
-	par.defaults()
-	nv := int64(1) << par.Scale
-	adj := make(map[int64][]int64)
-	ne := nv * int64(par.EdgeFactor)
-	for i := int64(0); i < ne; i++ {
-		u, v := GenerateEdge(par.Seed, par.Scale, i)
-		if u != v {
-			adj[u] = append(adj[u], v)
-			adj[v] = append(adj[v], u)
-		}
-	}
-	level := make([]int64, nv)
+// referenceLevels computes BFS levels from root on a single core over the
+// whole graph (-1 = unreachable). It is the oracle for Graph500-style
+// validation.
+func referenceLevels(g *CSR, root int64) []int64 {
+	level := make([]int64, len(g.Off)-1)
 	for i := range level {
 		level[i] = -1
 	}
@@ -26,7 +15,7 @@ func ReferenceLevels(par Params, root int64) []int64 {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range adj[u] {
+		for _, v := range g.Row(u) {
 			if level[v] == -1 {
 				level[v] = level[u] + 1
 				queue = append(queue, v)
@@ -36,18 +25,17 @@ func ReferenceLevels(par Params, root int64) []int64 {
 	return level
 }
 
-// EdgeSet materialises the undirected edge set (validation only).
-func EdgeSet(par Params) map[[2]int64]bool {
-	par.defaults()
-	nv := int64(1) << par.Scale
-	ne := nv * int64(par.EdgeFactor)
-	set := make(map[[2]int64]bool)
-	for i := int64(0); i < ne; i++ {
-		u, v := GenerateEdge(par.Seed, par.Scale, i)
-		set[[2]int64{u, v}] = true
-		set[[2]int64{v, u}] = true
+// hasEdge reports whether the undirected graph holds (p, v). It scans the
+// child's row: children are mostly low-degree, so validating a whole tree
+// costs at most one pass over the adjacency, where the rows of hub parents
+// would be rescanned once per child.
+func hasEdge(g *CSR, p, v int64) bool {
+	for _, w := range g.Row(v) {
+		if w == p {
+			return true
+		}
 	}
-	return set
+	return false
 }
 
 // ValidateParents performs the Graph500 result checks on one search's
@@ -57,8 +45,8 @@ func EdgeSet(par Params) map[[2]int64]bool {
 // above its child.
 func ValidateParents(par Params, root int64, parent []int64) error {
 	par.defaults()
-	level := ReferenceLevels(par, root)
-	edges := EdgeSet(par)
+	g := undirected(par)
+	level := referenceLevels(g, root)
 	if parent[root] != root {
 		return fmt.Errorf("bfs: parent[root=%d] = %d", root, parent[root])
 	}
@@ -76,7 +64,7 @@ func ValidateParents(par Params, root int64, parent []int64) error {
 		if v == root {
 			continue
 		}
-		if !edges[[2]int64{p, v}] {
+		if !hasEdge(g, p, v) {
 			return fmt.Errorf("bfs: tree edge (%d,%d) not in graph", p, v)
 		}
 		if level[v] != level[p]+1 {

@@ -12,7 +12,6 @@
 package pagerank
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/apprt"
@@ -73,56 +72,15 @@ type Result struct {
 	Report *cluster.Report `json:"-"`
 }
 
-// outEdges builds node id's slab: out-adjacency of owned vertices (directed
-// edges as generated; self-loops dropped) plus the global out-degree vector.
-func outEdges(par Params, id int) (adjOff []int32, adj []int64, outDeg []int32, perNode int64) {
-	nv := int64(1) << par.Scale
-	perNode = nv / int64(par.Nodes)
-	lo := int64(id) * perNode
-	hi := lo + perNode
-	ne := nv * int64(par.EdgeFactor)
-	outDeg = make([]int32, nv)
-	deg := make([]int32, perNode)
-	type edge struct{ u, v int64 }
-	var local []edge
-	for i := int64(0); i < ne; i++ {
-		u, v := bfs.GenerateEdge(par.Seed, par.Scale, i)
-		if u == v {
-			continue
-		}
-		outDeg[u]++
-		if u >= lo && u < hi {
-			local = append(local, edge{u, v})
-			deg[u-lo]++
-		}
-	}
-	adjOff = make([]int32, perNode+1)
-	for i := int64(0); i < perNode; i++ {
-		adjOff[i+1] = adjOff[i] + deg[i]
-	}
-	adj = make([]int64, adjOff[perNode])
-	fill := make([]int32, perNode)
-	for _, e := range local {
-		li := e.u - lo
-		adj[adjOff[li]+fill[li]] = e.v
-		fill[li]++
-	}
-	return
-}
-
 // SerialReference computes PageRank on one core.
 func SerialReference(par Params) []float64 {
 	par.defaults()
 	nv := int64(1) << par.Scale
-	ne := nv * int64(par.EdgeFactor)
+	edges := bfs.Edges(par.Seed, par.Scale, par.EdgeFactor)
 	outDeg := make([]int32, nv)
-	type edge struct{ u, v int64 }
-	var edges []edge
-	for i := int64(0); i < ne; i++ {
-		u, v := bfs.GenerateEdge(par.Seed, par.Scale, i)
-		if u != v {
-			edges = append(edges, edge{u, v})
-			outDeg[u]++
+	for _, e := range edges {
+		if e.U != e.V {
+			outDeg[e.U]++
 		}
 	}
 	rank := make([]float64, nv)
@@ -141,8 +99,10 @@ func SerialReference(par Params) []float64 {
 		for i := range next {
 			next[i] = base
 		}
-		for _, e := range edges {
-			next[e.v] += par.Damping * rank[e.u] / float64(outDeg[e.u])
+		for _, e := range edges { // stream order: the sums below are order-sensitive
+			if e.U != e.V {
+				next[e.V] += par.Damping * rank[e.U] / float64(outDeg[e.U])
+			}
 		}
 		var delta float64
 		for i := range rank {
@@ -156,14 +116,11 @@ func SerialReference(par Params) []float64 {
 	return rank
 }
 
-// sizeErr reports why the problem cannot be split over par.Nodes (nil when it
-// can). Run panics with it; the registered runner returns it.
+// sizeErr reports why the problem cannot be built or split over par.Nodes
+// (nil when it can). Run panics with it; the registered runner returns it.
 func (par Params) sizeErr() error {
 	par.defaults()
-	if (int64(1)<<par.Scale)%int64(par.Nodes) != 0 {
-		return fmt.Errorf("pagerank: 2^%d vertices not divisible over %d nodes", par.Scale, par.Nodes)
-	}
-	return nil
+	return bfs.SizeErr("pagerank", par.Scale, par.EdgeFactor, par.Nodes)
 }
 
 // Run executes the benchmark.
@@ -173,6 +130,9 @@ func Run(net comm.Net, par Params) Result {
 		panic(err.Error())
 	}
 	res := Result{Net: net, Nodes: par.Nodes}
+	// One directed CSR for the run (self-loops dropped); every node reads
+	// its slab of rows and the global out-degrees off the shared offsets.
+	g := bfs.NewCSR(par.Scale, bfs.Edges(par.Seed, par.Scale, par.EdgeFactor), false)
 	if par.KeepRanks {
 		res.Ranks = make([]float64, int64(1)<<par.Scale)
 	}
@@ -182,7 +142,7 @@ func Run(net comm.Net, par Params) Result {
 		Seed:     par.Seed,
 		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
-		iters, delta, elapsed, ranks := runNode(n, be, net, par)
+		iters, delta, elapsed, ranks := runNode(n, be, net, par, g)
 		if n.ID == 0 {
 			res.Iters, res.Delta = iters, delta
 		}
@@ -197,11 +157,12 @@ func Run(net comm.Net, par Params) Result {
 	return res
 }
 
-func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params) (int, float64, sim.Time, []float64) {
-	adjOff, adj, outDeg, perNode := outEdges(par, n.ID)
+func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, g *bfs.CSR) (int, float64, sim.Time, []float64) {
 	nv := int64(1) << par.Scale
-	lo := int64(n.ID) * perNode
 	p := par.Nodes
+	perNode := nv / int64(p)
+	lo := int64(n.ID) * perNode
+	localEdges := int64(g.Off[lo+perNode] - g.Off[lo])
 
 	rank := make([]float64, perNode)
 	for i := range rank {
@@ -250,17 +211,17 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params) (int, f
 		}
 		var dangling float64
 		for li := int64(0); li < perNode; li++ {
-			u := lo + li
-			if outDeg[u] == 0 {
+			out := g.Row(lo + li)
+			if len(out) == 0 {
 				dangling += rank[li]
 				continue
 			}
-			c := par.Damping * rank[li] / float64(outDeg[u])
-			for _, v := range adj[adjOff[li]:adjOff[li+1]] {
+			c := par.Damping * rank[li] / float64(len(out))
+			for _, v := range out {
 				contrib[v] += c
 			}
 		}
-		n.Ops(int64(len(adj)) + perNode)
+		n.Ops(localEdges + perNode)
 		gDangling := sumAll(dangling)
 
 		// Exchange: deliver my per-destination slices.

@@ -12,8 +12,7 @@ import (
 
 // runNode executes the multiply loop on one node, returning the measured
 // span, the ghost-entry count, and the final local x slab.
-func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params) (sim.Time, int, []float64) {
-	m := buildLocal(par, n.ID)
+func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, m *matrix) (sim.Time, int, []float64) {
 	rows := m.rows
 
 	// Ghost set: sorted unique remote columns; rewrite the CSR columns to
@@ -64,7 +63,7 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params) (sim.Ti
 		var max float64
 		for r := int64(0); r < rows; r++ {
 			var s float64
-			for k := m.off[r]; k < m.off[r+1]; k++ {
+			for k, end := m.row(r); k < end; k++ {
 				s += m.val[k] * xloc[xIndex[k]]
 			}
 			y[r] = s

@@ -18,7 +18,6 @@
 package spmv
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/apprt"
@@ -84,7 +83,9 @@ func x0(seed uint64, i int64) float64 {
 	return r.Float64() + 0.5
 }
 
-// matrix is one node's CSR slab: rows [lo, lo+rows), global column ids.
+// matrix is CSR rows [lo, lo+rows) with global column ids: the whole
+// matrix, or one node's read-only slab of it. off holds offsets into the
+// whole matrix's entries; col and val start at the slab's first row.
 type matrix struct {
 	nv   int64
 	rows int64
@@ -94,64 +95,48 @@ type matrix struct {
 	val  []float64
 }
 
-// buildLocal constructs the slab by replaying the deterministic edge stream
-// (construction is untimed, as in the BFS benchmark).
-func buildLocal(par Params, id int) *matrix {
+// row returns the half-open range of r's entries in m.col and m.val.
+func (m *matrix) row(r int64) (int32, int32) { return m.off[r] - m.off[0], m.off[r+1] - m.off[0] }
+
+// build constructs the whole matrix once per run (construction is untimed,
+// as in the BFS benchmark): the directed edges of each row in stream order
+// with duplicates collapsed onto their first occurrence, then the unit
+// diagonal.
+func build(par Params) *matrix {
 	nv := int64(1) << par.Scale
-	rows := nv / int64(par.Nodes)
-	lo := int64(id) * rows
-	hi := lo + rows
-	type ent struct {
-		r, c int64
-		v    float64
-	}
-	var ents []ent
-	deg := make([]int32, rows)
-	ne := nv * int64(par.EdgeFactor)
-	seen := make(map[[2]int64]bool)
-	for i := int64(0); i < ne; i++ {
-		u, v := bfs.GenerateEdge(par.Seed, par.Scale, i)
-		if u == v || u < lo || u >= hi {
-			continue
+	g := bfs.NewCSR(par.Scale, bfs.Edges(par.Seed, par.Scale, par.EdgeFactor), false)
+	m := &matrix{nv: nv, rows: nv, off: make([]int32, nv+1),
+		col: make([]int64, 0, len(g.Adj)+int(nv)), val: make([]float64, 0, len(g.Adj)+int(nv))}
+	inRow := make([]int64, nv) // inRow[c] == r+1 once row r holds column c
+	for r := int64(0); r < nv; r++ {
+		for _, c := range g.Row(r) {
+			if inRow[c] == r+1 {
+				continue // collapse duplicate entries
+			}
+			inRow[c] = r + 1
+			m.col = append(m.col, c)
+			m.val = append(m.val, weight(par.Seed, r, c))
 		}
-		key := [2]int64{u, v}
-		if seen[key] {
-			continue // collapse duplicate entries
-		}
-		seen[key] = true
-		ents = append(ents, ent{u, v, weight(par.Seed, u, v)})
-		deg[u-lo]++
-	}
-	// Unit diagonal keeps every row non-empty.
-	for r := lo; r < hi; r++ {
-		ents = append(ents, ent{r, r, 1})
-		deg[r-lo]++
-	}
-	m := &matrix{nv: nv, rows: rows, lo: lo}
-	m.off = make([]int32, rows+1)
-	for i := int64(0); i < rows; i++ {
-		m.off[i+1] = m.off[i] + deg[i]
-	}
-	m.col = make([]int64, m.off[rows])
-	m.val = make([]float64, m.off[rows])
-	fill := make([]int32, rows)
-	for _, e := range ents {
-		li := e.r - lo
-		at := m.off[li] + fill[li]
-		m.col[at] = e.c
-		m.val[at] = e.v
-		fill[li]++
+		// Unit diagonal keeps every row non-empty.
+		m.col = append(m.col, r)
+		m.val = append(m.val, 1)
+		m.off[r+1] = int32(len(m.col))
 	}
 	return m
+}
+
+// slab returns node id's block of rows as a view of m.
+func (m *matrix) slab(id, nodes int) *matrix {
+	rows := m.nv / int64(nodes)
+	lo := int64(id) * rows
+	return &matrix{nv: m.nv, rows: rows, lo: lo, off: m.off[lo : lo+rows+1],
+		col: m.col[m.off[lo]:m.off[lo+rows]], val: m.val[m.off[lo]:m.off[lo+rows]]}
 }
 
 // SerialReference runs the iteration on one core.
 func SerialReference(par Params) []float64 {
 	par.defaults()
-	save := par.Nodes
-	par.Nodes = 1
-	m := buildLocal(par, 0)
-	par.Nodes = save
+	m := build(par)
 	x := make([]float64, m.nv)
 	for i := range x {
 		x[i] = x0(par.Seed, int64(i))
@@ -161,7 +146,7 @@ func SerialReference(par Params) []float64 {
 		var max float64
 		for r := int64(0); r < m.nv; r++ {
 			var s float64
-			for k := m.off[r]; k < m.off[r+1]; k++ {
+			for k, end := m.row(r); k < end; k++ {
 				s += m.val[k] * x[m.col[k]]
 			}
 			y[r] = s
@@ -176,14 +161,11 @@ func SerialReference(par Params) []float64 {
 	return x
 }
 
-// sizeErr reports why the problem cannot be split over par.Nodes (nil when it
-// can). Run panics with it; the registered runner returns it.
+// sizeErr reports why the problem cannot be built or split over par.Nodes
+// (nil when it can). Run panics with it; the registered runner returns it.
 func (par Params) sizeErr() error {
 	par.defaults()
-	if (int64(1)<<par.Scale)%int64(par.Nodes) != 0 {
-		return fmt.Errorf("spmv: 2^%d rows not divisible over %d nodes", par.Scale, par.Nodes)
-	}
-	return nil
+	return bfs.SizeErr("spmv", par.Scale, par.EdgeFactor, par.Nodes)
 }
 
 // Run executes the benchmark.
@@ -193,6 +175,7 @@ func Run(net comm.Net, par Params) Result {
 		panic(err.Error())
 	}
 	res := Result{Net: net, Nodes: par.Nodes, Iters: par.Iters}
+	whole := build(par)
 	if par.KeepVector {
 		res.Vector = make([]float64, int64(1)<<par.Scale)
 	}
@@ -202,7 +185,7 @@ func Run(net comm.Net, par Params) Result {
 		Seed:     par.Seed,
 		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
-		elapsed, ghost, x := runNode(n, be, net, par)
+		elapsed, ghost, x := runNode(n, be, net, par, whole.slab(n.ID, par.Nodes))
 		if n.ID == 0 {
 			res.GhostWords = ghost
 		}

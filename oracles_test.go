@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,11 +35,10 @@ func oracleRefs(fset *token.FileSet, f *ast.File) map[string]token.Position {
 	return refs
 }
 
-// TestOraclesAreTestOnly keeps the dense stepper and the scalar VIC boundary
-// what they are kept for — references that tests compare the product paths
-// against — by failing when a driver, example or library package selects one.
-func TestOraclesAreTestOnly(t *testing.T) {
-	fset := token.NewFileSet()
+// walkProductGo parses every non-test Go file under cmd, examples and
+// internal and hands it to visit.
+func walkProductGo(t *testing.T, fset *token.FileSet, visit func(path string, f *ast.File)) {
+	t.Helper()
 	checked := 0
 	for _, root := range []string{"cmd", "examples", "internal"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -50,17 +50,7 @@ func TestOraclesAreTestOnly(t *testing.T) {
 				return err
 			}
 			checked++
-			dir := filepath.ToSlash(filepath.Dir(path))
-		refs:
-			for name, pos := range oracleRefs(fset, f) {
-				for _, home := range oracleHomes[name] {
-					if dir == home {
-						continue refs
-					}
-				}
-				t.Errorf("%s: non-test code selects an oracle through .%s; only tests may (allowed in %v)",
-					pos, name, oracleHomes[name])
-			}
+			visit(path, f)
 			return nil
 		})
 		if err != nil {
@@ -70,6 +60,26 @@ func TestOraclesAreTestOnly(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no Go files found")
 	}
+}
+
+// TestOraclesAreTestOnly keeps the dense stepper and the scalar VIC boundary
+// what they are kept for — references that tests compare the product paths
+// against — by failing when a driver, example or library package selects one.
+func TestOraclesAreTestOnly(t *testing.T) {
+	fset := token.NewFileSet()
+	walkProductGo(t, fset, func(path string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+	refs:
+		for name, pos := range oracleRefs(fset, f) {
+			for _, home := range oracleHomes[name] {
+				if dir == home {
+					continue refs
+				}
+			}
+			t.Errorf("%s: non-test code selects an oracle through .%s; only tests may (allowed in %v)",
+				pos, name, oracleHomes[name])
+		}
+	})
 
 	// The scan itself: a driver that does what this test forbids is seen.
 	const driver = `package main
@@ -84,5 +94,41 @@ func main() {
 	}
 	if got := oracleRefs(fset, f); len(got) != len(oracleHomes) {
 		t.Errorf("scan of a driver using all %d oracle routes found %v", len(oracleHomes), got)
+	}
+}
+
+// TestEdgeStreamHasOneProducer keeps the Kronecker stream generated once per
+// run: bfs.Edges is the only non-test function that calls GenerateEdge, so a
+// builder that replays the stream per node can only live in a _test.go file.
+func TestEdgeStreamHasOneProducer(t *testing.T) {
+	fset := token.NewFileSet()
+	var callers []string
+	walkProductGo(t, fset, func(path string, f *ast.File) {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				name := ""
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					name = fun.Name
+				case *ast.SelectorExpr:
+					name = fun.Sel.Name
+				}
+				if name == "GenerateEdge" {
+					callers = append(callers, filepath.ToSlash(path)+":"+fn.Name.Name)
+				}
+				return true
+			})
+		}
+	})
+	if want := []string{"internal/apps/bfs/kron.go:Edges"}; !reflect.DeepEqual(callers, want) {
+		t.Errorf("non-test callers of GenerateEdge: %v, want %v", callers, want)
 	}
 }
