@@ -11,7 +11,6 @@
 //	dvbench -exp fig6a      # one experiment (ids from -list)
 //	dvbench -app gups       # one registered app, both backends (host cost on stderr)
 //	dvbench -jobs 4         # fan independent sweep points over 4 workers
-//	dvbench -workers 4      # intra-run parallel kernel (results identical)
 //	dvbench -trace out.csv  # where fig5 writes its trace
 //	dvbench -metrics m      # observability reference run -> m.jsonl m.prom
 //	                        # m.trace.json + stage-attribution summary table
@@ -95,7 +94,6 @@ var experiments = []experiment{
 	{id: "extL", aliases: []string{"provisioning"}, desc: "provisioning study", run: one(bench.ExtProvisioning)},
 	{id: "extM", aliases: []string{"appscaling"}, desc: "app scaling study", run: one(bench.ExtAppScaling)},
 	{id: "extN", aliases: []string{"reliability"}, desc: "reliability study", run: one(bench.ExtReliability)},
-	{id: "extP", aliases: []string{"parallel"}, desc: "parallel-kernel worker sweep", run: one(bench.ExtParallelKernel)},
 	{id: "extS", aliases: []string{"crossover"}, desc: "scaling crossover: DV planes vs scaled fat tree", run: one(bench.ExtScalingCrossover)},
 	{id: "validate", desc: "cross-variant validation", run: one(bench.Validate)},
 }
@@ -125,8 +123,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "RNG seed for -app runs")
 	jobs := flag.Int("jobs", runtime.NumCPU(),
 		"worker count for independent sweep points (results identical at any value)")
-	workers := flag.Int("workers", 0,
-		"intra-run parallel-kernel width for -app and the extP/extS sweeps (0 = serial reference kernel; results identical at any value)")
 	tracePath := flag.String("trace", "gups_trace.csv", "output file for the fig5 trace CSV")
 	metricsBase := flag.String("metrics", "",
 		"run the observability reference run: write <base>.jsonl, <base>.prom and <base>.trace.json, and print the stage-attribution summary")
@@ -213,23 +209,17 @@ func main() {
 		}
 		return
 	}
-	if err := (cluster.Platform{Workers: *workers}).Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
-		os.Exit(2)
-	}
-	// Oversubscription warning: sweep jobs each running a parallel kernel
-	// multiply, and widths past the visible cores only add preemption stalls
-	// (results stay identical either way — see Config.Workers).
-	if w := max(*workers, 1); *jobs*w > runtime.NumCPU() {
+	// Oversubscription warning: sweep jobs past the visible cores only add
+	// preemption stalls (results stay identical either way).
+	if *jobs > runtime.NumCPU() {
 		fmt.Fprintf(os.Stderr,
-			"dvbench: warning: %d jobs x %d workers oversubscribes %d visible CPU(s); results are identical but wall-clock scaling will not materialize\n",
-			*jobs, w, runtime.NumCPU())
+			"dvbench: warning: %d jobs oversubscribes %d visible CPU(s); results are identical but wall-clock scaling will not materialize\n",
+			*jobs, runtime.NumCPU())
 	}
 
 	if *app != "" {
 		err := runApp(appRun{
 			name: *app, nodes: *nodes, seed: *seed, net: *netFilter,
-			workers:    *workers,
 			checkpoint: *ckptPath, every: *ckptEvery,
 			budgetWall: *budgetWall, budgetVirtual: *budgetVirtual,
 			resumeFrom: *resumeCkpt, interrupt: interrupt,
@@ -245,7 +235,7 @@ func main() {
 		}
 		return
 	}
-	opt := bench.Options{Small: *small, Jobs: *jobs, Workers: *workers}
+	opt := bench.Options{Small: *small, Jobs: *jobs}
 	if *resumeDir != "" {
 		*journalDir = *resumeDir
 	}
@@ -364,7 +354,6 @@ type appRun struct {
 	nodes      int
 	seed       uint64
 	net        string
-	workers    int
 	checkpoint string
 	every      time.Duration
 	budgetWall time.Duration
@@ -426,7 +415,7 @@ func runApp(r appRun) error {
 		return fmt.Errorf("no backend matches -net %q", r.net)
 	}
 	for _, net := range nets {
-		spec := apprt.RunSpec{Net: net, Nodes: r.nodes, Seed: r.seed, Platform: cluster.Platform{Workers: r.workers}}
+		spec := apprt.RunSpec{Net: net, Nodes: r.nodes, Seed: r.seed}
 		var cp *cluster.Checkpoint
 		if managed {
 			cp = &cluster.Checkpoint{

@@ -3,14 +3,13 @@
 // rates — plus the registered workloads, a quick reference for interpreting
 // benchmark output.
 //
-//	dvinfo [-nodes 32] [-rails 1] [-planes 1] [-workers 4]
+//	dvinfo [-nodes 32] [-rails 1] [-planes 1] [-plane-policy hash]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/apprt"
 	_ "repro/internal/apps/all"
@@ -24,7 +23,6 @@ func main() {
 	rails := flag.Int("rails", 1, "VICs per node")
 	planes := flag.Int("planes", 1, "Data Vortex switch planes behind each VIC boundary")
 	policy := flag.String("plane-policy", "hash", "plane assignment for -planes > 1: hash or rr")
-	workers := flag.Int("workers", 0, "parallel-kernel width to describe (0 = serial reference)")
 	flag.Parse()
 
 	pol, err := dvswitch.ParsePlanePolicy(*policy)
@@ -69,17 +67,8 @@ func main() {
 		cfg.MPI.EagerLimit, cfg.MPI.SendOverhead, cfg.MPI.RecvOverhead)
 	fmt.Printf("\nHost CPU model: %.0f GFLOPS, %v/random access, %v/small op\n",
 		cfg.CPU.GFLOPS, cfg.CPU.RandomAccess, cfg.CPU.SmallOp)
-	fmt.Printf("\nParallel kernel (dvbench -workers N)\n")
-	if *workers <= 0 {
-		fmt.Printf("  mode            serial reference (workers=0): one event queue, no worker goroutines\n")
-	} else {
-		fmt.Printf("  mode            laned: %d workers fan the cycle-accurate move phase\n", *workers)
-	}
-	fmt.Printf("  event lanes     %d (1 fabric lane + %d nodes x %d rails), merged in (time, seq) order\n",
-		1+*nodes**rails, *nodes, *rails)
+	fmt.Printf("\nEvent kernel: one calendar queue, single-threaded\n")
 	fmt.Printf("  time grain      %v per calendar bucket (the switch cycle)\n", dvswitch.DefaultCycleTime)
-	fmt.Printf("  fan gate        >= %d packets in flight per cycle (ParMinFlying)\n", dvswitch.DefaultParMinFlying)
-	fmt.Printf("  host CPUs       %d visible; results are byte-identical at any width\n", runtime.NumCPU())
 	fmt.Printf("\nRegistered workloads (dvbench -app NAME)\n")
 	for _, a := range apprt.Apps() {
 		rel := ""

@@ -66,8 +66,8 @@ func TestOnePlatformType(t *testing.T) {
 			knobs++
 		}
 	}
-	if knobs != 14 {
-		t.Errorf("cluster.Platform has %d exported fields, want 14", knobs)
+	if knobs != 12 {
+		t.Errorf("cluster.Platform has %d exported fields, want 12", knobs)
 	}
 	for _, typ := range []reflect.Type{reflect.TypeOf(apprt.RunSpec{}), reflect.TypeOf(cluster.Config{})} {
 		f, ok := typ.FieldByName("Platform")
@@ -85,11 +85,9 @@ func TestRunSpecValidate_Valid(t *testing.T) {
 		{name: "zero platform", spec: apprt.RunSpec{Nodes: 4}},
 		{name: "one node", spec: apprt.RunSpec{Nodes: 1}},
 		{name: "zero counts select the defaults", spec: apprt.RunSpec{Nodes: 4,
-			Platform: cluster.Platform{Workers: 0, DVPlanes: 0, VICsPerNode: 0}}},
+			Platform: cluster.Platform{DVPlanes: 0, VICsPerNode: 0}}},
 		{name: "smallest explicit counts", spec: apprt.RunSpec{Nodes: 4,
-			Platform: cluster.Platform{Workers: 1, DVPlanes: 1, VICsPerNode: 1}}},
-		{name: "negative ParMinFlying forces the fan", spec: apprt.RunSpec{Nodes: 4,
-			Platform: cluster.Platform{CycleAccurate: true, Workers: 2, ParMinFlying: -1}}},
+			Platform: cluster.Platform{DVPlanes: 1, VICsPerNode: 1}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -108,8 +106,6 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 	}{
 		{name: "no nodes", spec: apprt.RunSpec{}, field: "Nodes"},
 		{name: "negative nodes", spec: apprt.RunSpec{Nodes: -3}, field: "Nodes"},
-		{name: "negative workers", spec: apprt.RunSpec{Nodes: 4,
-			Platform: cluster.Platform{Workers: -2}}, field: "Workers"},
 		{name: "negative planes", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{DVPlanes: -4}}, field: "DVPlanes"},
 		{name: "negative rails", spec: apprt.RunSpec{Nodes: 4,
@@ -117,7 +113,7 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 		{name: "unknown plane policy", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{DVPlanes: 2, PlanePolicy: 7}}, field: "PlanePolicy"},
 		{name: "nodes reported before platform", spec: apprt.RunSpec{
-			Platform: cluster.Platform{Workers: -1}}, field: "Nodes"},
+			Platform: cluster.Platform{DVPlanes: -1}}, field: "Nodes"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -139,10 +135,10 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 func TestRegisteredRunnersReturnErrors(t *testing.T) {
 	for _, a := range apprt.Apps() {
 		spec := apprt.RunSpec{Net: comm.DV, Nodes: a.RefNodes}
-		spec.Workers = -2
+		spec.DVPlanes = -2
 		var ce *cluster.ConfigError
-		if _, err := a.Run(spec); !errors.As(err, &ce) || ce.Field != "Workers" {
-			t.Errorf("%s: Run(Workers=-2) = %v, want a ConfigError naming Workers", a.Name, err)
+		if _, err := a.Run(spec); !errors.As(err, &ce) || ce.Field != "DVPlanes" {
+			t.Errorf("%s: Run(DVPlanes=-2) = %v, want a ConfigError naming DVPlanes", a.Name, err)
 		}
 	}
 	// Reference sizes are powers of two (snap: an 8x8 mesh), so none of

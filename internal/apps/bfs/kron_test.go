@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/sim"
 )
 
@@ -151,20 +150,6 @@ func TestSlabMatchesPerNodeBuilder(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestSharedGraphAcrossWorkers: the nodes only read the shared CSR, so the
-// sharded kernel (run under -race in CI) reports what the serial one does.
-func TestSharedGraphAcrossWorkers(t *testing.T) {
-	for _, net := range comm.Nets() {
-		par := Params{Nodes: 4, Scale: 9, EdgeFactor: 8, NRoots: 2, KeepParents: true}
-		serial := Run(net, par)
-		par.Workers = 2
-		parallel := Run(net, par)
-		if !reflect.DeepEqual(*serial.Report, *parallel.Report) || !reflect.DeepEqual(serial.Parents, parallel.Parents) {
-			t.Errorf("%v: Workers=2 changed the run:\n  serial:   %+v\n  parallel: %+v", net, *serial.Report, *parallel.Report)
 		}
 	}
 }

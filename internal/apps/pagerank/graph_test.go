@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/apps/bfs"
-	"repro/internal/comm"
 )
 
 // refOutEdges is the per-node builder runNode used before the stream was
@@ -74,20 +73,6 @@ func TestSlabMatchesPerNodeBuilder(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestSharedGraphAcrossWorkers: the nodes only read the shared CSR, so the
-// sharded kernel (run under -race in CI) reports what the serial one does.
-func TestSharedGraphAcrossWorkers(t *testing.T) {
-	for _, net := range comm.Nets() {
-		par := Params{Nodes: 4, Scale: 9, EdgeFactor: 6, MaxIters: 10, KeepRanks: true}
-		serial := Run(net, par)
-		par.Workers = 2
-		parallel := Run(net, par)
-		if !reflect.DeepEqual(*serial.Report, *parallel.Report) || !reflect.DeepEqual(serial.Ranks, parallel.Ranks) {
-			t.Errorf("%v: Workers=2 changed the run:\n  serial:   %+v\n  parallel: %+v", net, *serial.Report, *parallel.Report)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/apps/bfs"
-	"repro/internal/comm"
 )
 
 // refBuildLocal is the per-node builder runNode used before the stream was
@@ -85,20 +84,6 @@ func TestSlabMatchesPerNodeBuilder(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestSharedMatrixAcrossWorkers: the nodes only read the shared matrix, so
-// the sharded kernel (run under -race in CI) reports what the serial one does.
-func TestSharedMatrixAcrossWorkers(t *testing.T) {
-	for _, net := range comm.Nets() {
-		par := Params{Nodes: 4, Scale: 9, EdgeFactor: 6, Iters: 2, KeepVector: true}
-		serial := Run(net, par)
-		par.Workers = 2
-		parallel := Run(net, par)
-		if !reflect.DeepEqual(*serial.Report, *parallel.Report) || !reflect.DeepEqual(serial.Vector, parallel.Vector) {
-			t.Errorf("%v: Workers=2 changed the run:\n  serial:   %+v\n  parallel: %+v", net, *serial.Report, *parallel.Report)
 		}
 	}
 }

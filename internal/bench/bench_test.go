@@ -138,7 +138,7 @@ func TestAllProducesEveryExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	tables := All(small, &buf)
 	want := []string{"fig3a", "fig3b", "fig4", "fig5", "fig6a", "fig6b",
-		"fig7", "fig8", "fig9", "extA", "extB", "extC", "extD", "extE", "extF", "extG", "extH", "extI", "extJ", "extK", "extL", "extM", "extN", "extP", "extS"}
+		"fig7", "fig8", "fig9", "extA", "extB", "extC", "extD", "extE", "extF", "extG", "extH", "extI", "extJ", "extK", "extL", "extM", "extN", "extS"}
 	if len(tables) != len(want) {
 		t.Fatalf("got %d tables, want %d", len(tables), len(want))
 	}

@@ -611,7 +611,7 @@ func All(opt Options, traceOut io.Writer) []*Table {
 		ExtSwitchTraffic(opt), ExtScale(opt), ExtAblation(opt), ExtScaleApps(opt),
 		ExtRouting(opt), ExtMultiRail(opt), ExtPageRank(opt), ExtFaults(opt),
 		ExtSpMV(opt), ExtSubsetBarrier(opt), ExtSort(opt), ExtProvisioning(opt),
-		ExtAppScaling(opt), ExtReliability(opt), ExtParallelKernel(opt),
+		ExtAppScaling(opt), ExtReliability(opt),
 		ExtScalingCrossover(opt),
 	}
 }

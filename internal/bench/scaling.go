@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/apprt"
 	"repro/internal/apps/bfs"
@@ -12,37 +11,6 @@ import (
 	"repro/internal/dvswitch"
 	"repro/internal/sim"
 )
-
-// oversubNote returns a warning when one sweep row driving a w-wide parallel
-// kernel under jobs concurrent sweep workers oversubscribes the cores visible
-// CPUs, and "" when the row fits. The dvbench startup warning covers only the
-// -workers flag; rows that sweep their own widths call this per row.
-func oversubNote(row string, jobs, w, cores int) string {
-	if jobs < 1 {
-		jobs = 1
-	}
-	if w < 1 {
-		w = 1
-	}
-	if jobs*w <= cores {
-		return ""
-	}
-	return fmt.Sprintf("%s: %d sweep job(s) x %d kernel worker(s) oversubscribes %d visible CPU(s); results are identical but wall-clock scaling will not materialize",
-		row, jobs, w, cores)
-}
-
-// oversubRowNotes returns one oversubscription warning per swept worker width
-// whose rows exceed the host (extP steps its widths serially, so its jobs is
-// 1; journaled sweeps fan rows Options.Jobs wide and multiply).
-func oversubRowNotes(table string, widths []int, jobs, cores int) []string {
-	var out []string
-	for _, w := range widths {
-		if note := oversubNote(fmt.Sprintf("%s workers=%d", table, w), jobs, w, cores); note != "" {
-			out = append(out, note)
-		}
-	}
-	return out
-}
 
 // ExtScalingCrossover is extension S: the scaling-crossover study the
 // generalized geometry unlocks. Each row runs one irregular kernel at a node
@@ -63,8 +31,6 @@ func ExtScalingCrossover(opt Options) *Table {
 			"2-plane rows stripe traffic over two fabrics behind each VIC with the deterministic pair-hash policy; results are bit-reproducible on every fabric",
 		},
 	}
-	t.Notes = append(t.Notes,
-		oversubRowNotes("extS", []int{opt.Workers}, opt.Jobs, runtime.NumCPU())...)
 	counts := []int{32, 64, 128, 256}
 	gupsUpd := 1 << 12
 	bfsScale := 13
@@ -85,7 +51,6 @@ func ExtScalingCrossover(opt Options) *Table {
 		case 0: // GUPS: fine-grained random updates — the DV sweet spot.
 			par := gups.Params{Nodes: n, TableWordsNode: 1 << 14,
 				UpdatesPerNode: gupsUpd}
-			par.Workers = opt.Workers
 			d1 := gups.Run(comm.DV, par)
 			par.DVPlanes = 2
 			d2 := gups.Run(comm.DV, par)
@@ -101,7 +66,6 @@ func ExtScalingCrossover(opt Options) *Table {
 				fmt.Sprintf("%.1f", ib.MUPS()), fmt.Sprintf("%.2fx", best/ib.MUPS())}
 		case 1: // BFS: frontier exchanges of single-edge packets.
 			par := bfs.Params{Nodes: n, Scale: bfsScale, EdgeFactor: 8, NRoots: 1}
-			par.Workers = opt.Workers
 			d1 := bfs.Run(comm.DV, par)
 			par.DVPlanes = 2
 			d2 := bfs.Run(comm.DV, par)
@@ -118,9 +82,9 @@ func ExtScalingCrossover(opt Options) *Table {
 				fmt.Sprintf("%.1f", ib.HarmonicMeanTEPS()/1e6),
 				fmt.Sprintf("%.2fx", best/ib.HarmonicMeanTEPS())}
 		default: // all-to-all: the bulk-exchange contrast case (lower is better).
-			d1 := alltoallExchange(comm.DV, n, a2aWords, a2aRounds, 0, opt.Workers, false)
-			d2 := alltoallExchange(comm.DV, n, a2aWords, a2aRounds, 2, opt.Workers, false)
-			ib := alltoallExchange(comm.IB, n, a2aWords, a2aRounds, 0, opt.Workers, true)
+			d1 := alltoallExchange(comm.DV, n, a2aWords, a2aRounds, 0, false)
+			d2 := alltoallExchange(comm.DV, n, a2aWords, a2aRounds, 2, false)
+			ib := alltoallExchange(comm.IB, n, a2aWords, a2aRounds, 0, true)
 			best := d1
 			if d2 < best {
 				best = d2
@@ -143,9 +107,9 @@ func ExtScalingCrossover(opt Options) *Table {
 // words*8 bytes per peer over the given fabric and returns the mean time of
 // one exchange. planes > 1 stripes the Data Vortex side over that many
 // switch planes; ibScaled selects the full-bisection fat tree.
-func alltoallExchange(net comm.Net, nodes, words, rounds, planes, workers int, ibScaled bool) sim.Time {
-	spec := apprt.RunSpec{Net: net, Nodes: nodes, Platform: cluster.Platform{
-		Workers: workers, DVPlanes: planes, IBScaled: ibScaled}}
+func alltoallExchange(net comm.Net, nodes, words, rounds, planes int, ibScaled bool) sim.Time {
+	spec := apprt.RunSpec{Net: net, Nodes: nodes,
+		Platform: cluster.Platform{DVPlanes: planes, IBScaled: ibScaled}}
 	rep := apprt.Execute(spec, func(n *cluster.Node, be comm.Backend) sim.Time {
 		blocks := make([][]byte, nodes)
 		for i := range blocks {

@@ -7,50 +7,6 @@ import (
 	"repro/internal/comm"
 )
 
-// TestOversubNotes pins the per-row oversubscription warner against an
-// explicit core count (the dvbench startup warning only sees the -workers
-// flag, so rows that sweep their own widths must warn for themselves).
-func TestOversubNotes(t *testing.T) {
-	cases := []struct {
-		name         string
-		jobs, w      int
-		cores        int
-		wantWarn     bool
-		wantFragment string
-	}{
-		{"fits exactly", 2, 4, 8, false, ""},
-		{"serial row on one core", 0, 0, 1, false, ""},
-		{"width alone oversubscribes", 1, 8, 4, true, "1 sweep job(s) x 8 kernel worker(s) oversubscribes 4 visible CPU(s)"},
-		{"jobs multiply the width", 4, 4, 8, true, "4 sweep job(s) x 4 kernel worker(s)"},
-		{"zero workers clamps to one", 16, 0, 8, true, "16 sweep job(s) x 1 kernel worker(s)"},
-	}
-	for _, cse := range cases {
-		note := oversubNote("row", cse.jobs, cse.w, cse.cores)
-		if got := note != ""; got != cse.wantWarn {
-			t.Errorf("%s: oversubNote(%d,%d,%d) warn=%v, want %v",
-				cse.name, cse.jobs, cse.w, cse.cores, got, cse.wantWarn)
-		}
-		if cse.wantFragment != "" && !strings.Contains(note, cse.wantFragment) {
-			t.Errorf("%s: note %q missing %q", cse.name, note, cse.wantFragment)
-		}
-	}
-}
-
-// TestOversubRowNotesPerWidth checks one warning per oversubscribing swept
-// width, labelled with the width, and none for widths that fit.
-func TestOversubRowNotesPerWidth(t *testing.T) {
-	notes := oversubRowNotes("extP", []int{0, 1, 2, 4, 8}, 1, 4)
-	if len(notes) != 1 {
-		t.Fatalf("4 cores, widths 0..8: %d notes %v, want 1 (only width 8)", len(notes), notes)
-	}
-	if !strings.Contains(notes[0], "extP workers=8") {
-		t.Errorf("note %q should name the oversubscribing row", notes[0])
-	}
-	if got := oversubRowNotes("extS", []int{4}, 4, 16); len(got) != 0 {
-		t.Errorf("16 cores fit 4x4, got notes %v", got)
-	}
-}
-
 // TestAlltoallExchangeDeterministic smoke-tests the extS all-to-all kernel:
 // every fabric variant completes, takes nonzero virtual time, and repeats to
 // the identical result.
@@ -65,11 +21,11 @@ func TestAlltoallExchangeDeterministic(t *testing.T) {
 		{"dv-2plane", comm.DV, 2, false},
 		{"ib-scaled", comm.IB, 0, true},
 	} {
-		a := alltoallExchange(tc.net, 4, 8, 2, tc.planes, 0, tc.ibScaled)
+		a := alltoallExchange(tc.net, 4, 8, 2, tc.planes, tc.ibScaled)
 		if a <= 0 {
 			t.Fatalf("%s: exchange time %v", tc.name, a)
 		}
-		if b := alltoallExchange(tc.net, 4, 8, 2, tc.planes, 0, tc.ibScaled); b != a {
+		if b := alltoallExchange(tc.net, 4, 8, 2, tc.planes, tc.ibScaled); b != a {
 			t.Errorf("%s: nondeterministic exchange: %v vs %v", tc.name, a, b)
 		}
 	}

@@ -105,12 +105,6 @@ type Options struct {
 	// over (see Sweep). 0 or 1 means serial; values above runtime.NumCPU()
 	// are clamped. Results are identical at any setting.
 	Jobs int
-	// Workers is the intra-run parallel-kernel width (cluster.Config.Workers)
-	// for the experiments that expose it (the extP worker sweep); 0 keeps
-	// every run on the serial reference kernel. Results are identical at any
-	// setting — the knob composes with Jobs, so a sweep may run Jobs×Workers
-	// goroutines at once.
-	Workers int
 	// Journal, when non-nil, makes sweeps crash-resumable: each completed
 	// point and experiment is persisted before moving on, and a re-run with
 	// the same journal recomputes only what is missing (see Journal).

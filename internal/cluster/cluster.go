@@ -73,20 +73,6 @@ type Platform struct {
 	// CycleAccurate selects the cycle-level switch engine instead of the
 	// calibrated fast model for the Data Vortex fabric.
 	CycleAccurate bool
-	// Workers selects the parallel kernel. 0 (the default) runs the
-	// reference serial kernel: one event queue, no worker goroutines —
-	// exactly the pre-parallel simulator. n >= 1 shards the event queue
-	// into per-VIC lanes merged in canonical (time, sequence) order and
-	// fans the cycle-accurate switch's move phase across n workers.
-	// Reports are byte-identical to Workers=0 at every width (enforced by
-	// the lockstep differential suite); only wall-clock time changes.
-	Workers int
-	// ParMinFlying gates the fanned switch step by occupancy: cycles with
-	// fewer packets in flight run serially (0 selects
-	// dvswitch.DefaultParMinFlying; negative fans every cycle, which the
-	// differential tests use to force the parallel path). Only meaningful
-	// with CycleAccurate and Workers >= 2.
-	ParMinFlying int
 	// DVPlanes instantiates N parallel Data Vortex switch planes behind the
 	// VIC boundary (0 or 1 = the paper's single-plane testbed). Every plane
 	// has the full SwitchGeom geometry; packets are dealt to planes by
@@ -172,7 +158,7 @@ func WithOracles(p Platform, dense, scalar bool) Platform {
 
 // ConfigError reports a run-configuration field that no run can use.
 type ConfigError struct {
-	// Field names the offending field as it is declared (e.g. "Workers").
+	// Field names the offending field as it is declared (e.g. "DVPlanes").
 	Field string
 	// Reason says what is wrong with its value.
 	Reason string
@@ -189,7 +175,7 @@ func (p Platform) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"Workers", p.Workers}, {"DVPlanes", p.DVPlanes}, {"VICsPerNode", p.VICsPerNode}} {
+	}{{"DVPlanes", p.DVPlanes}, {"VICsPerNode", p.VICsPerNode}} {
 		if f.v < 0 {
 			return &ConfigError{Field: f.name, Reason: fmt.Sprintf("is negative (%d)", f.v)}
 		}
@@ -387,24 +373,6 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		rails = 1
 	}
 	k := sim.NewKernel()
-	laned := cfg.Workers > 0
-	if laned {
-		// Lane topology: lane 0 is the fabric lane (switch pump, IB, MPI,
-		// samplers); lanes 1..R*N are one per node/VIC pair, with node i's
-		// program pinned to its rail-0 VIC lane. Lane count never changes
-		// results — the merge replays the serial (time, sequence) order
-		// exactly — it only shards the queue so each component schedules
-		// into its own calendar.
-		k.SetLaneCount(1 + rails*cfg.Nodes)
-		k.SetWorkers(cfg.Workers)
-		defer k.SetWorkers(1) // join pool workers even on managed runs
-	}
-	vicLane := func(g int) int {
-		if !laned {
-			return 0
-		}
-		return 1 + g
-	}
 	rng := sim.NewRNG(cfg.Seed)
 
 	var chk *check.Checker
@@ -475,9 +443,6 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				eng := dvswitch.NewEngine(k, geom, ct)
 				if cfg.denseSwitch {
 					eng.Core().Dense = true
-				}
-				if p := k.FanPool(); p != nil {
-					eng.Core().SetFanPool(p, cfg.ParMinFlying)
 				}
 				eng.ApplyPlan(cfg.Faults)
 				eng.SetObs(reg)
@@ -596,27 +561,23 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		for r := 0; r < rails; r++ {
 			for i := 0; i < cfg.Nodes; i++ {
 				g := r*cfg.Nodes + i
-				// Each VIC is built on its own lane so any events it seeds
-				// at construction land in its calendar.
-				k.WithLane(vicLane(g), func() {
-					v := vic.New(k, i, g*stride, vicPar, inject)
-					if cfg.scalarBoundary {
-						v.SetScalarBoundary(true)
-					} else {
-						v.SetBatchInject(injectBatch)
-					}
-					base := r * cfg.Nodes
-					v.SetPortResolver(func(id int) int { return (base + id) * stride })
-					v.BarrierInit(cfg.Nodes)
-					v.SetObs(vicObs)
-					if tracer != nil {
-						v.SetAttr(tracer)
-					}
-					if chk != nil {
-						chk.AttachVIC(v)
-					}
-					vics[g] = v
-				})
+				v := vic.New(k, i, g*stride, vicPar, inject)
+				if cfg.scalarBoundary {
+					v.SetScalarBoundary(true)
+				} else {
+					v.SetBatchInject(injectBatch)
+				}
+				base := r * cfg.Nodes
+				v.SetPortResolver(func(id int) int { return (base + id) * stride })
+				v.BarrierInit(cfg.Nodes)
+				v.SetObs(vicObs)
+				if tracer != nil {
+					v.SetAttr(tracer)
+				}
+				if chk != nil {
+					chk.AttachVIC(v)
+				}
+				vics[g] = v
 			}
 		}
 		if sampler != nil {
@@ -767,42 +728,38 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		i := i
 		nodeRNG := rng.Split()
 		nodeRNGs = append(nodeRNGs, nodeRNG)
-		// The node's program proc lives on its rail-0 VIC lane: everything
-		// it schedules (compute waits, sends, endpoint timers) shards there.
-		k.WithLane(vicLane(i), func() {
-			k.Spawn(fmt.Sprintf("node%d", i), func(p *sim.Proc) {
-				n := &Node{ID: i, P: p, RNG: nodeRNG, CPU: cfg.CPU, Trace: cfg.Trace, met: met}
-				if vics != nil {
-					for r := 0; r < rails; r++ {
-						e := dv.NewEndpoint(vics[r*cfg.Nodes+i], i, cfg.Nodes)
-						e.Bind(p)
-						e.SetObs(relObs)
-						if tracer != nil {
-							e.SetAttr(tracer)
-						}
-						if chk != nil {
-							base := r * cfg.Nodes
-							chk.BindEndpoint(e, func(dst int) *vic.VIC {
-								if dst < 0 || dst >= cfg.Nodes {
-									return nil
-								}
-								return vics[base+dst]
-							})
-						}
-						n.Rails = append(n.Rails, e)
+		k.Spawn(fmt.Sprintf("node%d", i), func(p *sim.Proc) {
+			n := &Node{ID: i, P: p, RNG: nodeRNG, CPU: cfg.CPU, Trace: cfg.Trace, met: met}
+			if vics != nil {
+				for r := 0; r < rails; r++ {
+					e := dv.NewEndpoint(vics[r*cfg.Nodes+i], i, cfg.Nodes)
+					e.Bind(p)
+					e.SetObs(relObs)
+					if tracer != nil {
+						e.SetAttr(tracer)
 					}
-					n.DV = n.Rails[0]
-					endpoints[i] = n.Rails
+					if chk != nil {
+						base := r * cfg.Nodes
+						chk.BindEndpoint(e, func(dst int) *vic.VIC {
+							if dst < 0 || dst >= cfg.Nodes {
+								return nil
+							}
+							return vics[base+dst]
+						})
+					}
+					n.Rails = append(n.Rails, e)
 				}
-				if world != nil {
-					n.MPI = world.Bind(i, p)
-				}
-				body(n)
-				rep.NodeTimes[i] = p.Now()
-				if p.Now() > rep.Elapsed {
-					rep.Elapsed = p.Now()
-				}
-			})
+				n.DV = n.Rails[0]
+				endpoints[i] = n.Rails
+			}
+			if world != nil {
+				n.MPI = world.Bind(i, p)
+			}
+			body(n)
+			rep.NodeTimes[i] = p.Now()
+			if p.Now() > rep.Elapsed {
+				rep.Elapsed = p.Now()
+			}
 		})
 	}
 	sampler.Start()

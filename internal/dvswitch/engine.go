@@ -42,20 +42,16 @@ type Engine struct {
 	k     *sim.Kernel
 	core  *Core
 	ct    sim.Time
-	lane  int32
 	fn    func(pkt Packet)
 	armed bool
 }
 
-// NewEngine builds a kernel-coupled cycle-accurate switch. The pump is pinned
-// to the kernel lane current at construction (the fabric lane, when the
-// cluster wraps construction in WithLane), so pump events stay on the fabric's
-// queue no matter which node's event arms them. The switch cycle is also the
-// kernel's natural calendar grain; hint it so the event queue buckets align
-// with cycle boundaries.
+// NewEngine builds a kernel-coupled cycle-accurate switch. The switch cycle is
+// the kernel's natural calendar grain; hint it so the event queue buckets
+// align with cycle boundaries.
 func NewEngine(k *sim.Kernel, p Params, cycleTime sim.Time) *Engine {
 	k.HintTimeGrain(cycleTime)
-	e := &Engine{k: k, core: NewCore(p), ct: cycleTime, lane: int32(k.CurrentLane())}
+	e := &Engine{k: k, core: NewCore(p), ct: cycleTime}
 	e.core.Deliver = func(pkt Packet, _ int64) {
 		if e.fn != nil {
 			e.fn(pkt)
@@ -97,7 +93,7 @@ func (e *Engine) arm() {
 	e.armed = true
 	now := e.k.Now()
 	next := (now/e.ct + 1) * e.ct // next cycle boundary, deterministic grid
-	e.k.AtLane(int(e.lane), next, e.pump)
+	e.k.At(next, e.pump)
 }
 
 func (e *Engine) pump() {

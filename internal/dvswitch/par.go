@@ -4,6 +4,15 @@ import (
 	"repro/internal/sim"
 )
 
+// Ledger-only: no product run attaches a FanPool, so parStep never runs
+// outside tests and the benchmark. This file stays because benchmark/fan.go
+// measures the ledger key dvswitch.fan2_speedup through SetFanPool (0.28–0.33
+// on two real cores: the fan is 3–7× slower than the serial step), and nothing
+// under benchmark/ may change outside a benchmark-archetype PR. The PR that
+// retires that key (ROADMAP open item 1) deletes this file with
+// internal/sim/pool.go; TestFanIsLedgerOnly at the repo root keeps new callers
+// out until then.
+//
 // Parallel stepping. parStep fans the clean-path move phase across a
 // sim.FanPool, one cylinder pass at a time, and is bit-identical to the
 // serial Step at any worker count:

@@ -86,43 +86,3 @@ func TestParStepOccupancyGate(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkParallelRun measures the saturated move phase at several pool
-// widths on the scale-study geometry (256 ports). The b.N loop holds the
-// fabric at steady closed-loop saturation, the regime the parallel kernel
-// exists for; /serial is the same workload through the unmodified path.
-func BenchmarkParallelRun(b *testing.B) {
-	p := Params{Heights: 64, Angles: 4}
-	bench := func(b *testing.B, pool *sim.FanPool) {
-		c := NewCore(p)
-		if pool != nil {
-			c.SetFanPool(pool, -1)
-		}
-		rng := sim.NewRNG(3)
-		ports := p.Ports()
-		c.Deliver = func(pkt Packet, _ int64) {
-			c.Inject(Packet{Src: pkt.Dst, Dst: rng.Intn(ports)})
-		}
-		c.Prewarm(4 * ports)
-		for i := 0; i < 4*ports; i++ {
-			c.Inject(Packet{Src: rng.Intn(ports), Dst: rng.Intn(ports)})
-		}
-		for i := 0; i < 64; i++ {
-			c.Step()
-		}
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			c.Step()
-		}
-	}
-	b.Run("serial", func(b *testing.B) { bench(b, nil) })
-	for _, w := range []int{2, 4, 8} {
-		pool := sim.NewFanPool(w)
-		if pool.Workers() != w {
-			pool.Stop()
-			continue
-		}
-		b.Run("workers"+string(rune('0'+w)), func(b *testing.B) { bench(b, pool) })
-		pool.Stop()
-	}
-}

@@ -2,7 +2,7 @@ package sim
 
 import "math/bits"
 
-// calQ is one lane's event queue: a calendar (bucket) queue keyed on a fixed
+// calQ is the kernel's event queue: a calendar (bucket) queue keyed on a fixed
 // time grain, with a binary-heap overflow for events beyond the ring horizon.
 // The switch's angle-synchronous cycle is the natural grain — cluster runs
 // set it to the fabric cycle time — so a bucket holds roughly the events of
@@ -24,7 +24,7 @@ import "math/bits"
 // Ordering contract: pop returns events in exactly the total (at, seq) order
 // the previous global binary heap produced. The structure is pure arrangement
 // — QueueFingerprint, delivery order, and Reports are byte-identical to the
-// heap-backed kernel at any lane count.
+// heap-backed kernel at any grain.
 //
 // Layout: buckets[cursor] covers virtual-time window [base, base+grain); ring
 // offset o covers [base+o·grain, base+(o+1)·grain). The ring spans a single
@@ -33,10 +33,11 @@ import "math/bits"
 // promoted as the cursor advances. Two deliberate asymmetries keep the
 // invariants simple:
 //
-//   - an event earlier than base (possible when another lane dragged kernel
-//     time past this lane's re-anchored window) is clamped into the cursor
-//     bucket, which is always fully drained before the cursor advances, so
-//     the (at, seq) heap inside the bucket restores the total order;
+//   - an event earlier than base (possible when a RunUntil peek moved the
+//     cursor up to a head beyond its limit and the caller then schedules
+//     before that head) is clamped into the cursor bucket, which is always
+//     fully drained before the cursor advances, so the (at, seq) heap inside
+//     the bucket restores the total order;
 //   - overflow events are promoted lazily at peek time; a newly promotable
 //     event is by construction at or beyond the old horizon and therefore
 //     never beats the bucket a previous peek selected.
@@ -51,15 +52,15 @@ type calQ struct {
 	n        int         // total events (ring + overflow)
 
 	// min caches the queue's head (valid when minOK): push maintains it in
-	// O(1); pop recomputes it via findMin. The kernel's lane-merge reads it
-	// on every scheduling operation, so it must be cheap.
+	// O(1); pop invalidates it and the next peek or pop recomputes it via
+	// findMin.
 	min   heapEnt
 	minOK bool
 }
 
-// calBuckets is the ring size: large enough that the near-future traffic of
-// one lane (fabric flights, VIC pipelines, host waits) lands in the ring, and
-// small enough that per-lane memory stays trivial.
+// calBuckets is the ring size: large enough that a run's near-future traffic
+// (fabric flights, VIC pipelines, host waits) lands in the ring, and small
+// enough that the ring's memory stays trivial.
 const calBuckets = 512
 
 // defaultGrain is used when no one hints a timescale (SetTimeGrain): one
@@ -85,7 +86,7 @@ func (q *calQ) push(e *event) {
 	ent := heapEnt{e.at, e.seq, e}
 	if q.n == 0 {
 		// Empty queue: re-anchor the window at the event so it lands in the
-		// ring regardless of how far time advanced since the lane drained.
+		// ring regardless of how far time advanced since the queue drained.
 		q.base = e.at - e.at%q.grain
 		q.min, q.minOK = ent, true
 	} else if q.minOK && entLess(ent, q.min) {
@@ -207,7 +208,7 @@ func (q *calQ) findMin() {
 // pop removes and returns the queue head. Requires n > 0.
 func (q *calQ) pop() *event {
 	if q.n == 0 {
-		panic("sim: pop from empty lane queue")
+		panic("sim: pop from empty event queue")
 	}
 	// A valid cache implies a valid position: only findMin sets minOK, pops
 	// clear it, and no push can place a new head outside the cursor bucket
@@ -238,3 +239,33 @@ func (q *calQ) forEach(fn func(e *event)) {
 		fn(ent.e)
 	}
 }
+
+// SetTimeGrain fixes the calendar-queue bucket width: the characteristic
+// event spacing of the run, normally the fabric's angle-synchronous cycle
+// time. Must be called before any event is scheduled. Later HintTimeGrain
+// calls are ignored once the grain is set explicitly.
+func (k *Kernel) SetTimeGrain(g Time) {
+	if g <= 0 {
+		panic("sim: time grain must be positive")
+	}
+	if k.q.len() > 0 {
+		panic("sim: SetTimeGrain with events pending")
+	}
+	k.grainSet = true
+	k.q = newCalQ(g)
+}
+
+// HintTimeGrain is SetTimeGrain for components that know their own timescale
+// (e.g. a fabric's cycle time) but not whether the host run already chose
+// one: the hint applies only if no grain was set explicitly and no events
+// are pending, and is silently ignored otherwise.
+func (k *Kernel) HintTimeGrain(g Time) {
+	if k.grainSet || k.q.len() > 0 || g <= 0 {
+		return
+	}
+	k.q = newCalQ(g)
+}
+
+// TimeGrain returns the calendar bucket width currently in effect (the
+// built-in default if no one set or hinted one).
+func (k *Kernel) TimeGrain() Time { return k.q.grain }

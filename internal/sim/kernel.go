@@ -11,14 +11,9 @@ import (
 // schedule without allocating a capturing closure (see Kernel.AtArg).
 // Daemon events (AtDaemon) do not keep the simulation alive: once only
 // daemons remain queued, Run stops without firing them.
-//
-// lane is the event's home lane (see SetLaneCount): the scheduler keeps one
-// queue per lane and merges lane heads in (at, seq) order, so the lane is a
-// pure queue-placement hint — it never changes when an event fires.
 type event struct {
 	at     Time
 	seq    uint64
-	lane   int32
 	daemon bool
 	fn     func()
 	fnArg  func(any)
@@ -48,8 +43,8 @@ func entLess(a, b heapEnt) bool {
 // hand-rolled (rather than container/heap) because the scheduler push/pop pair
 // is the per-event cost floor of every hot path — FastModel deliveries, VIC
 // injections, engine pump cycles — and the interface dispatch of
-// heap.Interface roughly triples it. It now serves as the mini-heap inside
-// each calendar-queue bucket and the overflow store (see calQ).
+// heap.Interface roughly triples it. It serves as the mini-heap inside each
+// calendar-queue bucket and as the overflow store (see calQ).
 type eventHeap []heapEnt
 
 func (h *eventHeap) push(e *event) {
@@ -97,44 +92,31 @@ func (h *eventHeap) pop() *event {
 	return top
 }
 
-// Kernel is the discrete-event scheduler. Pending events are sharded across
-// per-lane calendar queues (one lane by default; see SetLaneCount) whose
-// heads merge in global (at, seq) order, so the fire sequence — and
-// everything derived from it — is identical at any lane count. Scheduling
-// calls are not safe for concurrent use: exactly one simulated process (or
-// the kernel itself) runs at any moment. The only concurrency the kernel
-// owns is the Fan worker pool (see SetWorkers), which runs strictly inside a
-// single event callback.
+// Kernel is the discrete-event scheduler. Pending events wait in one
+// calendar queue (calQ) and fire in (at, seq) order. A run is single-threaded:
+// scheduling calls are not safe for concurrent use, and exactly one simulated
+// process (or the kernel itself) runs at any moment.
 type Kernel struct {
 	now   Time
 	seq   uint64
-	nEv   int // total queued events across lanes
 	nUser int // queued non-daemon events; Run stops when this hits zero
-	peak  int // high-water mark of nEv (see PeakPending)
+	peak  int // most events queued at once (see PeakPending)
 
 	nFired, nResumed uint64 // see Counts
 
-	lanes    []*calQ
-	heads    laneHeap // lane-head merge heap; maintained only when len(lanes) > 1
-	curLane  int32    // home lane inherited by newly scheduled events
-	grain    Time     // calendar-queue bucket width (0 until set/defaulted)
-	grainSet bool     // SetTimeGrain called explicitly (hints no longer apply)
+	q        *calQ
+	grainSet bool // SetTimeGrain called explicitly (hints no longer apply)
 
 	freeEv []*event // fired events, reused by the next At/AtArg
 
 	procs    []*Proc
 	nlive    int
 	draining bool
-
-	workers int
-	pool    *FanPool
 }
 
-// NewKernel returns an empty kernel at time zero with a single lane.
+// NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{}
-	k.lanes = []*calQ{newCalQ(k.grain)}
-	return k
+	return &Kernel{q: newCalQ(0)}
 }
 
 // Now returns the current virtual time.
@@ -153,8 +135,8 @@ func (k *Kernel) Counts() (events, resumes uint64) { return k.nFired, k.nResumed
 // time stops following simulated work.
 func (k *Kernel) PeakPending() int { return k.peak }
 
-// newEvent returns a pooled (or fresh) event stamped with time t, the next
-// sequence number, and the current home lane.
+// newEvent returns a pooled (or fresh) event stamped with time t and the next
+// sequence number.
 func (k *Kernel) newEvent(t Time) *event {
 	k.seq++
 	return k.newEventSeq(t, k.seq)
@@ -173,65 +155,31 @@ func (k *Kernel) newEventSeq(t Time, seq uint64) *event {
 		e = &event{}
 	}
 	e.at, e.seq, e.daemon = t, seq, false
-	e.lane = k.curLane
 	return e
 }
 
-// schedule enqueues e on its home lane and keeps the lane-head merge heap
-// consistent.
+// schedule enqueues e.
 func (k *Kernel) schedule(e *event) {
-	k.nEv++
-	if k.nEv > k.peak {
-		k.peak = k.nEv
-	}
-	q := k.lanes[e.lane]
-	q.push(e)
-	if len(k.lanes) > 1 {
-		// The lane's head key can only have decreased (or the lane just
-		// became non-empty), which is exactly what update handles.
-		ent, _ := q.peek()
-		k.heads.update(e.lane, ent.at, ent.seq)
+	k.q.push(e)
+	if n := k.q.len(); n > k.peak {
+		k.peak = n
 	}
 }
 
-// peekMin returns the key of the globally earliest queued event.
-func (k *Kernel) peekMin() (heapEnt, bool) {
-	if k.nEv == 0 {
-		return heapEnt{}, false
-	}
-	if len(k.lanes) == 1 {
-		return k.lanes[0].peek()
-	}
-	return k.lanes[k.heads.top()].peek()
-}
+// peekMin returns the key of the earliest queued event.
+func (k *Kernel) peekMin() (heapEnt, bool) { return k.q.peek() }
 
-// popMin removes and returns the globally earliest queued event.
-func (k *Kernel) popMin() *event {
-	k.nEv--
-	if len(k.lanes) == 1 {
-		return k.lanes[0].pop()
-	}
-	l := k.heads.top()
-	q := k.lanes[l]
-	e := q.pop()
-	if ent, ok := q.peek(); ok {
-		k.heads.reseatTop(ent.at, ent.seq)
-	} else {
-		k.heads.removeTop()
-	}
-	return e
-}
+// popMin removes and returns the earliest queued event.
+func (k *Kernel) popMin() *event { return k.q.pop() }
 
 // fire runs one popped event, returning it to the pool first so the callback
 // may immediately schedule again without growing the queue's backing store.
-// The event's home lane becomes the current lane for anything it schedules.
 func (k *Kernel) fire(e *event) {
 	fn, fnArg, arg := e.fn, e.fnArg, e.arg
 	k.nFired++
 	if !e.daemon {
 		k.nUser--
 	}
-	k.curLane = e.lane
 	e.fn, e.fnArg, e.arg = nil, nil, nil
 	k.freeEv = append(k.freeEv, e)
 	if fn != nil {
@@ -265,11 +213,16 @@ func (k *Kernel) AtDaemon(t Time, fn func()) {
 // callback and its state travel separately, so a caller that pools its
 // payloads (e.g. dvswitch.FastModel's delivery events) schedules without
 // allocating a closure per event.
-func (k *Kernel) AtArg(t Time, fn func(any), arg any) {
+func (k *Kernel) AtArg(t Time, fn func(any), arg any) { k.atArg(t, fn, arg) }
+
+// atArg is AtArg handing back the queued event, for the one caller that may
+// have to demote it later (a gate timeout whose waiter is released).
+func (k *Kernel) atArg(t Time, fn func(any), arg any) *event {
 	e := k.newEvent(t)
 	e.fnArg, e.arg = fn, arg
 	k.nUser++
 	k.schedule(e)
+	return e
 }
 
 // ReserveSeq consumes the next sequence number without queueing anything and
@@ -303,33 +256,6 @@ func (k *Kernel) AtArgSeq(t Time, seq uint64, fn func(any), arg any) {
 	k.schedule(e)
 }
 
-// AtLane is At with an explicit home lane, for callers whose scheduling
-// context differs from the component the event belongs to — e.g. the engine
-// pump is pinned to the fabric lane no matter which node's inject armed it.
-func (k *Kernel) AtLane(lane int, t Time, fn func()) {
-	e := k.newEvent(t)
-	e.fn = fn
-	e.lane = int32(lane)
-	k.nUser++
-	k.schedule(e)
-}
-
-// AtArgLane is AtArg with an explicit home lane (see AtLane).
-func (k *Kernel) AtArgLane(lane int, t Time, fn func(any), arg any) {
-	k.atArgLane(int32(lane), t, fn, arg)
-}
-
-// atArgLane is AtArgLane handing back the queued event, for the one caller
-// that may have to demote it later (a gate timeout whose waiter is released).
-func (k *Kernel) atArgLane(lane int32, t Time, fn func(any), arg any) *event {
-	e := k.newEvent(t)
-	e.fnArg, e.arg = fn, arg
-	e.lane = lane
-	k.nUser++
-	k.schedule(e)
-	return e
-}
-
 // After schedules fn to run d from now.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
@@ -348,7 +274,6 @@ type abortSignal struct{}
 type Proc struct {
 	k    *Kernel
 	name string
-	lane int32
 	live bool
 
 	// The two ends of the process's coroutine (see handoff.go), nil until
@@ -371,15 +296,10 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// Lane returns the process's home lane, inherited from the lane current at
-// Spawn. All of the process's wake-up events are scheduled on it.
-func (p *Proc) Lane() int { return int(p.lane) }
-
 // Spawn creates a process that will start executing fn at the current
-// virtual time (once Run is pumping events). The process's home lane is the
-// lane current at the Spawn call (see WithLane).
+// virtual time (once Run is pumping events).
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, lane: k.curLane, live: true}
+	p := &Proc{k: k, name: name, live: true}
 	k.procs = append(k.procs, p)
 	k.nlive++
 	k.At(k.now, func() { p.start(fn) })
@@ -395,7 +315,7 @@ func (p *Proc) Wait(d Time) {
 		return
 	}
 	k := p.k
-	k.AtArgLane(int(p.lane), k.now+d, fireResume, p)
+	k.AtArg(k.now+d, fireResume, p)
 	p.park()
 }
 
@@ -420,7 +340,7 @@ func (p *Proc) WaitUntil(t Time) {
 // event already queued for this instant run first.
 func (p *Proc) Yield() {
 	k := p.k
-	k.AtArgLane(int(p.lane), k.now, fireResume, p)
+	k.AtArg(k.now, fireResume, p)
 	p.park()
 }
 
@@ -483,16 +403,14 @@ func (k *Kernel) PendingUser() int { return k.nUser }
 // across idle stretches of the boundary grid.
 func (k *Kernel) NextUserEvent() (Time, bool) {
 	best, found := Time(0), false
-	for _, q := range k.lanes {
-		q.forEach(func(e *event) {
-			if e.daemon {
-				return
-			}
-			if !found || e.at < best {
-				best, found = e.at, true
-			}
-		})
-	}
+	k.q.forEach(func(e *event) {
+		if e.daemon {
+			return
+		}
+		if !found || e.at < best {
+			best, found = e.at, true
+		}
+	})
 	return best, found
 }
 
@@ -501,13 +419,11 @@ func (k *Kernel) NextUserEvent() (Time, bool) {
 // queue length. Event callbacks are closures and cannot be serialized;
 // because event sequence numbers are assigned deterministically, the
 // fingerprint still pins the queue's identity across a deterministic replay.
-// The canonical order makes the digest lane-merge-invariant: how events are
-// sharded across lanes (or arranged within a lane's calendar) never shows.
+// The canonical order keeps the calendar's arrangement (bucket width, ring
+// position, overflow) out of the digest.
 func (k *Kernel) QueueFingerprint() (n int, fp uint64) {
-	evs := make([]*event, 0, k.nEv)
-	for _, q := range k.lanes {
-		q.forEach(func(e *event) { evs = append(evs, e) })
-	}
+	evs := make([]*event, 0, k.q.len())
+	k.q.forEach(func(e *event) { evs = append(evs, e) })
 	slices.SortFunc(evs, func(a, b *event) int {
 		if a.at != b.at {
 			if a.at < b.at {
@@ -559,7 +475,7 @@ func (k *Kernel) Finish() Time {
 // discardDaemons empties the queue of the daemon events that survived the
 // last non-daemon event, returning them to the pool unfired.
 func (k *Kernel) discardDaemons() {
-	for k.nEv > 0 {
+	for k.q.len() > 0 {
 		e := k.popMin()
 		if !e.daemon {
 			k.nUser--
@@ -569,11 +485,10 @@ func (k *Kernel) discardDaemons() {
 	}
 }
 
-// drain force-aborts every parked live process and stops the worker pool.
-// stop makes the process's pending park panic with abortSignal, so the
-// deferred calls of its body run and its goroutine ends before stop returns.
-// A process whose start event never fired has no goroutine yet and is only
-// retired.
+// drain force-aborts every parked live process. stop makes the process's
+// pending park panic with abortSignal, so the deferred calls of its body run
+// and its goroutine ends before stop returns. A process whose start event
+// never fired has no goroutine yet and is only retired.
 func (k *Kernel) drain() {
 	k.draining = true
 	for _, p := range k.procs {
@@ -587,7 +502,6 @@ func (k *Kernel) drain() {
 		}
 	}
 	k.procs = nil
-	k.stopPool()
 }
 
 // LiveProcs returns the number of processes that have not finished.

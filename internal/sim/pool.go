@@ -5,14 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// The Fan worker pool is the simulator's one concurrency primitive. The
-// kernel stays strictly serial — events fire one at a time in (at, seq)
-// order — but a single event callback may fan data-parallel work (the
-// cycle-accurate switch's move phases) across workers. A Fan call returns
-// only when every participant has finished, so from the scheduler's point of
-// view the event is still atomic: determinism is preserved as long as the
-// fanned work itself partitions deterministically, which callers guarantee
-// by static chunking plus merges between Barrier calls.
+// Ledger-only: nothing in the product builds a FanPool. This file stays
+// because benchmark/fan.go measures the ledger key dvswitch.fan2_speedup over
+// a real NewFanPool(2), and nothing under benchmark/ may change outside a
+// benchmark-archetype PR. The PR that retires that key (ROADMAP open item 1)
+// deletes this file with internal/dvswitch/par.go; TestFanIsLedgerOnly at the
+// repo root keeps new callers out until then.
+//
+// A FanPool lets one caller fan data-parallel work (the cycle-accurate
+// switch's move phases) across workers. A Run call returns only when every
+// participant has finished, so to whoever calls it the work is still atomic:
+// determinism is preserved as long as the fanned work itself partitions
+// deterministically, which callers guarantee by static chunking plus merges
+// between Barrier calls.
 
 // FanCtx is one participant's view of a Fan call.
 type FanCtx struct {
@@ -65,8 +70,7 @@ func (b *spinBarrier) wait(local *uint32) {
 
 // FanPool is a fixed-width pool of long-lived workers executing Fan calls.
 // Width 1 is legal and means "run inline" — no goroutines exist. A pool is
-// NOT safe for concurrent Run calls; the owner (the kernel goroutine, or a
-// standalone driver like dvswitchsim) serializes them by construction.
+// NOT safe for concurrent Run calls; its owner serializes them.
 type FanPool struct {
 	n       int
 	start   []chan *FanCtx
@@ -80,8 +84,7 @@ type FanPool struct {
 // NewFanPool returns a pool of width n (minimum 1). Widths beyond NumCPU
 // are allowed — results are identical at any width, and the lockstep tests
 // rely on that to exercise real multi-worker interleavings on small CI
-// machines — but they add preemption stalls, so production callers should
-// heed the oversubscription warning dvbench prints.
+// machines — but they add preemption stalls.
 func NewFanPool(n int) *FanPool {
 	if n < 1 {
 		n = 1
@@ -147,62 +150,5 @@ func (p *FanPool) Stop() {
 	if p.stop != nil && !p.stopped {
 		p.stopped = true
 		close(p.stop)
-	}
-}
-
-// SetWorkers sets the width of the kernel's Fan pool: n participants run
-// each Fan call (the kernel goroutine plus n-1 dedicated workers). n <= 1
-// means serial — Fan runs its function inline — which is also the default.
-func (k *Kernel) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n == k.workers && k.pool != nil {
-		return
-	}
-	k.workers = n
-	k.stopPool()
-}
-
-// Workers returns the kernel's Fan width currently in effect (1 = serial).
-func (k *Kernel) Workers() int {
-	if k.workers < 1 {
-		return 1
-	}
-	return k.workers
-}
-
-// FanPool returns the kernel-owned pool at the width set by SetWorkers,
-// creating it on first use, or nil in serial mode. Components that fan work
-// inside their own event callbacks (the cycle-accurate switch engine) fetch
-// it here so one set of workers serves the whole run.
-func (k *Kernel) FanPool() *FanPool {
-	if k.workers <= 1 {
-		return nil
-	}
-	if k.pool == nil {
-		k.pool = NewFanPool(k.workers)
-	}
-	return k.pool
-}
-
-// Fan runs fn on the kernel's pool (inline when serial). Must be called from
-// the kernel goroutine, inside an event callback; nested Fans are not
-// allowed.
-func (k *Kernel) Fan(fn func(*FanCtx)) {
-	if p := k.FanPool(); p != nil {
-		p.Run(fn)
-		return
-	}
-	c := FanCtx{id: 0, parts: 1}
-	fn(&c)
-}
-
-// stopPool terminates the pool workers (no-op when none exist). Called when
-// the kernel drains and when SetWorkers changes the width.
-func (k *Kernel) stopPool() {
-	if k.pool != nil {
-		k.pool.Stop()
-		k.pool = nil
 	}
 }

@@ -87,16 +87,6 @@ func TestNextUserEventTable(t *testing.T) {
 			t.Errorf("NextUserEvent = (%v, %v), want (12, true)", at, ok)
 		}
 	})
-	t.Run("across lanes", func(t *testing.T) {
-		k := NewKernel()
-		k.SetLaneCount(4)
-		k.AtLane(3, 7, func() {})
-		k.AtLane(1, 9, func() {})
-		at, ok := k.NextUserEvent()
-		if !ok || at != 7 {
-			t.Errorf("NextUserEvent = (%v, %v), want (7, true)", at, ok)
-		}
-	})
 }
 
 // TestCalendarQueueEdges exercises the calendar store directly through the
@@ -141,35 +131,21 @@ func TestCalendarQueueEdges(t *testing.T) {
 	}
 }
 
-// TestLaneInvariance is the kernel-level half of the tentpole's identity
-// claim: one event program — including events spawned from inside callbacks,
-// which inherit the firing event's lane — fires in the same order and leaves
-// the same queue fingerprint at every lane count and time grain.
-func TestLaneInvariance(t *testing.T) {
-	type cfg struct {
-		lanes int
-		grain Time
-	}
-	run := func(c cfg) ([]int, uint64) {
+// TestGrainInvariance: the calendar's bucket width is pure arrangement. One
+// event program — including events scheduled from inside callbacks — fires in
+// the same order and leaves the same queue fingerprint at every time grain.
+func TestGrainInvariance(t *testing.T) {
+	run := func(grain Time) ([]int, uint64) {
 		k := NewKernel()
-		if c.grain != 0 {
-			k.SetTimeGrain(c.grain)
-		}
-		if c.lanes > 1 {
-			k.SetLaneCount(c.lanes)
+		if grain != 0 {
+			k.SetTimeGrain(grain)
 		}
 		var order []int
 		for i := 0; i < 64; i++ {
 			i := i
-			lane := 0
-			if c.lanes > 1 {
-				lane = i % c.lanes
-			}
-			at := Time((i * 37) % 29)
-			k.AtLane(lane, at, func() {
+			k.At(Time((i*37)%29), func() {
 				order = append(order, i)
 				if i%3 == 0 {
-					// Child inherits this event's lane.
 					k.After(Time(i%7+1), func() { order = append(order, 1000+i) })
 				}
 			})
@@ -179,19 +155,19 @@ func TestLaneInvariance(t *testing.T) {
 		k.Run()
 		return order, fp
 	}
-	refOrder, refFP := run(cfg{lanes: 1})
-	for _, c := range []cfg{{1, 7}, {2, 0}, {4, 13}, {8, 1}, {8, 100000}} {
-		order, fp := run(c)
+	refOrder, refFP := run(0)
+	for _, grain := range []Time{1, 7, 13, 100000} {
+		order, fp := run(grain)
 		if fp != refFP {
-			t.Errorf("lanes=%d grain=%d: queue fingerprint %x != reference %x", c.lanes, c.grain, fp, refFP)
+			t.Errorf("grain=%d: queue fingerprint %x != reference %x", grain, fp, refFP)
 		}
 		if len(order) != len(refOrder) {
-			t.Fatalf("lanes=%d grain=%d: fired %d events, reference %d", c.lanes, c.grain, len(order), len(refOrder))
+			t.Fatalf("grain=%d: fired %d events, reference %d", grain, len(order), len(refOrder))
 		}
 		for i := range refOrder {
 			if order[i] != refOrder[i] {
-				t.Fatalf("lanes=%d grain=%d: fire order diverges at %d: %d != %d",
-					c.lanes, c.grain, i, order[i], refOrder[i])
+				t.Fatalf("grain=%d: fire order diverges at %d: %d != %d",
+					grain, i, order[i], refOrder[i])
 			}
 		}
 	}
@@ -237,56 +213,26 @@ func TestFanBarrier(t *testing.T) {
 	}
 }
 
-// TestKernelWorkersLifecycle checks the kernel-owned pool: serial mode has
-// no pool, widening creates one, Fan runs inline or fanned to match, and
-// drain joins the workers.
-func TestKernelWorkersLifecycle(t *testing.T) {
-	k := NewKernel()
-	if k.Workers() != 1 || k.FanPool() != nil {
-		t.Fatalf("fresh kernel: Workers=%d pool=%v, want 1/nil", k.Workers(), k.FanPool())
-	}
-	k.SetWorkers(4)
-	if k.Workers() != 4 {
-		t.Fatalf("Workers=%d after SetWorkers(4)", k.Workers())
-	}
-	parts := 0
-	k.At(10, func() {
-		k.Fan(func(c *FanCtx) {
-			if c.ID() == 0 {
-				parts = c.Parts()
-			}
-		})
-	})
-	k.Run()
-	if parts != 4 {
-		t.Errorf("Fan ran with %d participants, want 4", parts)
-	}
-}
-
-// FuzzLaneLockstep randomizes the calendar grain (the conservative window
-// boundary), the lane count, and an event program — same-time ties,
-// callback-spawned children, and chain items (see chain in reserve_test.go)
-// injected both up front and from callbacks — and requires the sharded kernel
-// running the chains through ReserveSeq/AtArgSeq to fire the exact sequence
-// the serial oracle fires with every chain item armed at injection.
-func FuzzLaneLockstep(f *testing.F) {
-	f.Add([]byte{1, 3, 10, 20, 30, 5, 5, 200}, uint8(4), uint8(50))
-	f.Add([]byte{0, 0, 0, 255, 255}, uint8(2), uint8(0))
-	f.Add([]byte{7, 1, 9}, uint8(8), uint8(255))
-	f.Add([]byte{3, 7, 11, 2, 15, 6, 3, 3, 19, 4, 250, 7}, uint8(3), uint8(1))
-	f.Fuzz(func(t *testing.T, deltas []byte, lanes uint8, grainB uint8) {
+// FuzzGrainChainLockstep randomizes the calendar grain and an event program —
+// same-time ties, callback-spawned children, and chain items (see chain in
+// reserve_test.go) injected both up front and from callbacks — and requires
+// the kernel running the chains through ReserveSeq/AtArgSeq at that grain to
+// fire the exact sequence the default-grain oracle fires with every chain item
+// armed at injection.
+func FuzzGrainChainLockstep(f *testing.F) {
+	f.Add([]byte{1, 3, 10, 20, 30, 5, 5, 200}, uint8(50))
+	f.Add([]byte{0, 0, 0, 255, 255}, uint8(0))
+	f.Add([]byte{7, 1, 9}, uint8(255))
+	f.Add([]byte{3, 7, 11, 2, 15, 6, 3, 3, 19, 4, 250, 7}, uint8(1))
+	f.Fuzz(func(t *testing.T, deltas []byte, grainB uint8) {
 		if len(deltas) == 0 || len(deltas) > 256 {
 			t.Skip()
 		}
-		nl := int(lanes)%8 + 1
 		grain := Time(grainB)*17 + 1
-		run := func(lanes int, grain Time, useGrain, chained bool) []int {
+		run := func(grain Time, chained bool) []int {
 			k := NewKernel()
-			if useGrain {
+			if grain != 0 {
 				k.SetTimeGrain(grain)
-			}
-			if lanes > 1 {
-				k.SetLaneCount(lanes)
 			}
 			var order []int
 			chains := [2]*chain{{k: k, chained: chained}, {k: k, chained: chained}}
@@ -302,11 +248,7 @@ func FuzzLaneLockstep(f *testing.F) {
 					chains[d>>2&1].inject(at, 2000+i)
 					continue
 				}
-				lane := 0
-				if lanes > 1 {
-					lane = i % lanes
-				}
-				k.AtLane(lane, at, func() {
+				k.At(at, func() {
 					order = append(order, i)
 					switch {
 					case deltas[i]&3 == 1:
@@ -322,14 +264,14 @@ func FuzzLaneLockstep(f *testing.F) {
 			k.Run()
 			return order
 		}
-		want := run(1, 0, false, false)
-		got := run(nl, grain, true, true)
+		want := run(0, false)
+		got := run(grain, true)
 		if len(got) != len(want) {
-			t.Fatalf("lanes=%d grain=%d: fired %d events, serial oracle fired %d", nl, grain, len(got), len(want))
+			t.Fatalf("grain=%d: fired %d events, oracle fired %d", grain, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("lanes=%d grain=%d: order diverges at %d: got %d want %d", nl, grain, i, got[i], want[i])
+				t.Fatalf("grain=%d: order diverges at %d: got %d want %d", grain, i, got[i], want[i])
 			}
 		}
 	})

@@ -69,18 +69,14 @@ func fireChainItem(a any) {
 
 // TestAtArgSeqMatchesAtArg is the differential test of the reserve/arm pair:
 // seeded random programs with same-instant ties, chains that re-inject from
-// their own callbacks, and At / AtArgLane / daemon events in between, run
-// once with every chain item armed at injection and once chained. The fire
-// logs — every event's identity and time — must be identical, at one lane
-// and at four.
+// their own callbacks, and At / AtArg / daemon events in between, run once
+// with every chain item armed at injection and once chained. The fire logs —
+// every event's identity and time — must be identical.
 func TestAtArgSeqMatchesAtArg(t *testing.T) {
 	const nChains = 5
-	run := func(seed uint64, lanes int, chained bool) (string, int) {
+	run := func(seed uint64, chained bool) (string, int) {
 		k := NewKernel()
 		k.SetTimeGrain(7) // a ring of 512*7 ps: most items start beyond it
-		if lanes > 1 {
-			k.SetLaneCount(lanes)
-		}
 		rng := NewRNG(seed)
 		var log strings.Builder
 		rec := func(kind string, id int) { fmt.Fprintf(&log, "%s%d@%d ", kind, id, k.Now()) }
@@ -111,10 +107,9 @@ func TestAtArgSeqMatchesAtArg(t *testing.T) {
 		for i := 0; i < 120; i++ {
 			i := i
 			at := Time(rng.Intn(900))
-			lane := i % lanes
 			switch i % 4 {
 			case 0: // an injector: a burst into random chains
-				k.AtLane(lane, at, func() {
+				k.At(at, func() {
 					rec("i", i)
 					for n := 1 + rng.Intn(6); n > 0; n-- {
 						inject()
@@ -123,7 +118,7 @@ func TestAtArgSeqMatchesAtArg(t *testing.T) {
 			case 1:
 				k.At(at, func() { rec("a", i) })
 			case 2:
-				k.AtArgLane(lane, at, func(any) { rec("l", i) }, nil)
+				k.AtArg(at, func(any) { rec("l", i) }, nil)
 			case 3:
 				k.AtDaemon(at*8, func() { rec("d", i) })
 			}
@@ -132,23 +127,18 @@ func TestAtArgSeqMatchesAtArg(t *testing.T) {
 		return log.String(), k.PeakPending()
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
-		want, peakUpFront := run(seed, 1, false)
+		want, peakUpFront := run(seed, false)
 		if strings.Count(want, "c") < 300 {
 			t.Fatalf("seed %d: program too small to mean anything:\n%s", seed, want)
 		}
-		for _, lanes := range []int{1, 4} {
-			got, peak := run(seed, lanes, true)
-			if got != want {
-				t.Fatalf("seed %d, %d lanes: chained fire log differs from the armed-up-front oracle: %s",
-					seed, lanes, firstDiff(got, want))
-			}
-			if peak > 120+nChains {
-				t.Errorf("seed %d, %d lanes: %d events pending at once, want at most the %d fixed ones + one per chain (up front: %d)",
-					seed, lanes, peak, 120, peakUpFront)
-			}
-			if up, _ := run(seed, lanes, false); up != want {
-				t.Fatalf("seed %d: the oracle itself differs between 1 and %d lanes", seed, lanes)
-			}
+		got, peak := run(seed, true)
+		if got != want {
+			t.Fatalf("seed %d: chained fire log differs from the armed-up-front oracle: %s",
+				seed, firstDiff(got, want))
+		}
+		if peak > 120+nChains {
+			t.Errorf("seed %d: %d events pending at once, want at most the %d fixed ones + one per chain (up front: %d)",
+				seed, peak, 120, peakUpFront)
 		}
 	}
 }

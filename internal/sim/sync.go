@@ -92,7 +92,7 @@ func (g *Gate) WaitTimeout(p *Proc, d Time) bool {
 	}
 	w := &gateWaiter{p: p, g: g}
 	g.waiters = append(g.waiters, w)
-	w.timeout = p.k.atArgLane(p.lane, p.k.now+d, fireGateTimeout, w)
+	w.timeout = p.k.atArg(p.k.now+d, fireGateTimeout, w)
 	p.park()
 	return !w.timed
 }
@@ -111,19 +111,17 @@ func (g *Gate) remove(w *gateWaiter) {
 func (w *gateWaiter) blocked() bool { return w.ready != nil && !w.ready() }
 
 // release schedules the wake-up of a waiter just taken off the queue, as an
-// event at the current time, which preserves deterministic ordering. It goes
-// on the waiter's home lane — a release may come from any lane (a fabric
-// delivery waking a node's queue pop), but the wake-up belongs to the parked
-// process. A WaitTimeout deadline still queued for the waiter is dead from
-// here on (fireGateTimeout returns at once), so it is demoted to a daemon
-// event: it must not keep Run alive until a deadline nobody waits for.
+// event at the current time, which preserves deterministic ordering. A
+// WaitTimeout deadline still queued for the waiter is dead from here on
+// (fireGateTimeout returns at once), so it is demoted to a daemon event: it
+// must not keep Run alive until a deadline nobody waits for.
 func (w *gateWaiter) release(k *Kernel) {
 	w.woken = true
 	if w.timeout != nil {
 		w.timeout.daemon = true
 		k.nUser--
 	}
-	k.atArgLane(w.p.lane, k.now, fireGateWake, w)
+	k.AtArg(k.now, fireGateWake, w)
 }
 
 // Signal releases the oldest waiter that is not held back by a WaitUntil

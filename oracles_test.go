@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,13 +98,12 @@ func main() {
 	}
 }
 
-// TestEdgeStreamHasOneProducer keeps the Kronecker stream generated once per
-// run: bfs.Edges is the only non-test function that calls GenerateEdge, so a
-// builder that replays the stream per node can only live in a _test.go file.
-func TestEdgeStreamHasOneProducer(t *testing.T) {
-	fset := token.NewFileSet()
+// productCallers returns, as "path:func", every non-test function under cmd,
+// examples and internal that calls a function or method named one of names.
+func productCallers(t *testing.T, names ...string) []string {
+	t.Helper()
 	var callers []string
-	walkProductGo(t, fset, func(path string, f *ast.File) {
+	walkProductGo(t, token.NewFileSet(), func(path string, f *ast.File) {
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -121,14 +121,33 @@ func TestEdgeStreamHasOneProducer(t *testing.T) {
 				case *ast.SelectorExpr:
 					name = fun.Sel.Name
 				}
-				if name == "GenerateEdge" {
+				if slices.Contains(names, name) {
 					callers = append(callers, filepath.ToSlash(path)+":"+fn.Name.Name)
 				}
 				return true
 			})
 		}
 	})
+	return callers
+}
+
+// TestEdgeStreamHasOneProducer keeps the Kronecker stream generated once per
+// run: bfs.Edges is the only non-test function that calls GenerateEdge, so a
+// builder that replays the stream per node can only live in a _test.go file.
+func TestEdgeStreamHasOneProducer(t *testing.T) {
+	callers := productCallers(t, "GenerateEdge")
 	if want := []string{"internal/apps/bfs/kron.go:Edges"}; !reflect.DeepEqual(callers, want) {
 		t.Errorf("non-test callers of GenerateEdge: %v, want %v", callers, want)
+	}
+}
+
+// TestFanIsLedgerOnly keeps the switch fan (internal/dvswitch/par.go and the
+// FanPool in internal/sim/pool.go) what it is kept for: benchmark/fan.go and
+// the fan's own differential tests build a pool and attach it; no driver,
+// example or library package does, so a run stays single-threaded until the
+// PR that retires dvswitch.fan2_speedup deletes both files.
+func TestFanIsLedgerOnly(t *testing.T) {
+	if callers := productCallers(t, "SetFanPool", "NewFanPool"); len(callers) != 0 {
+		t.Errorf("non-test code outside benchmark/ reaches the fan: %v", callers)
 	}
 }
