@@ -20,9 +20,10 @@
 // sweep point and experiment before moving on, and -resume <dir> re-runs
 // only what is missing, producing byte-identical final figures. SIGINT or
 // SIGTERM stops a journaled run cleanly (finish in-flight points, save,
-// print the resume command); a second signal force-quits. Individual -app
-// runs checkpoint and restore through -checkpoint/-every/-resume-checkpoint
-// and are bounded by -budget-wall/-budget-virtual.
+// print the resume command); a second signal force-quits. An individual -app
+// run is bounded by -budget-wall/-budget-virtual: at the budget (or the first
+// SIGINT) it stops at a clean virtual instant, prints "partial: cut at
+// virtual <t>" and exits 3; to finish it, re-run without the budget.
 package main
 
 import (
@@ -31,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -45,7 +47,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 )
 
 // experiment is one dispatchable entry of the evaluation: a primary id,
@@ -134,31 +135,39 @@ func main() {
 	resumeDir := flag.String("resume", "",
 		"resume a journaled run from this directory (implies -journal)")
 	netFilter := flag.String("net", "", "restrict -app to one backend (dv or ib)")
-	ckptPath := flag.String("checkpoint", "",
-		"for -app: write full-state checkpoints to this file (latest wins)")
-	ckptEvery := flag.Duration("every", 0,
-		"for -app -checkpoint: virtual-time interval between checkpoints (e.g. 500us)")
 	budgetWall := flag.Duration("budget-wall", 0,
-		"for -app: wall-clock budget; on expiry write a final checkpoint and a partial report")
+		"for -app: wall-clock budget; on expiry stop at a clean virtual instant, print a partial line and exit 3")
 	budgetVirtual := flag.Duration("budget-virtual", 0,
 		"for -app: virtual-time budget; same expiry behavior as -budget-wall")
-	resumeCkpt := flag.String("resume-checkpoint", "",
-		"for -app: restore from this checkpoint file and finish the run")
 	flag.Parse()
 
-	// Two-stage signal handling: the first SIGINT/SIGTERM cancels sweeps and
-	// managed runs cooperatively (state is saved, a resume hint printed); the
-	// second force-quits.
+	// A budget bounds one -app run. Anything else would ignore it, so say so
+	// instead of running unbounded.
+	if *app == "" && (*budgetWall != 0 || *budgetVirtual != 0) {
+		fmt.Fprintln(os.Stderr,
+			"dvbench: -budget-wall/-budget-virtual bound a single -app run; bound a sweep with -journal and SIGINT")
+		os.Exit(2)
+	}
+	if budgetVirtual.Abs() > maxVirtualBudget {
+		fmt.Fprintf(os.Stderr, "dvbench: -budget-virtual %v is past the simulator's virtual-time range (%v)\n",
+			*budgetVirtual, maxVirtualBudget)
+		os.Exit(2)
+	}
+
+	// Two-stage signal handling: the first SIGINT/SIGTERM cancels sweeps
+	// (finished points are journaled, a resume hint printed) and cuts an -app
+	// run at its current virtual instant; the second force-quits.
 	ctx, cancel := context.WithCancel(context.Background())
-	interrupt := make(chan struct{})
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
-		fmt.Fprintln(os.Stderr,
-			"dvbench: interrupt — finishing in-flight work and saving state (signal again to force quit)")
+		what := "finishing in-flight work and saving state"
+		if *app != "" {
+			what = "a budgeted -app run stops at its current virtual instant"
+		}
+		fmt.Fprintf(os.Stderr, "dvbench: interrupt — %s (signal again to force quit)\n", what)
 		cancel()
-		close(interrupt)
 		<-sigc
 		fmt.Fprintln(os.Stderr, "dvbench: force quit")
 		os.Exit(130)
@@ -218,12 +227,17 @@ func main() {
 	}
 
 	if *app != "" {
-		err := runApp(appRun{
-			name: *app, nodes: *nodes, seed: *seed, net: *netFilter,
-			checkpoint: *ckptPath, every: *ckptEvery,
-			budgetWall: *budgetWall, budgetVirtual: *budgetVirtual,
-			resumeFrom: *resumeCkpt, interrupt: interrupt,
-		})
+		// Any non-zero budget makes the run managed, so a negative one reaches
+		// spec validation instead of reading as "none".
+		var budget *cluster.Checkpoint
+		if *budgetWall != 0 || *budgetVirtual != 0 {
+			budget = &cluster.Checkpoint{
+				WallBudget:    *budgetWall,
+				VirtualBudget: sim.Time(budgetVirtual.Nanoseconds()) * sim.Nanosecond,
+				Interrupt:     ctx.Done(),
+			}
+		}
+		err := runApp(*app, *nodes, *seed, *netFilter, budget)
 		var be *cluster.BudgetExceededError
 		switch {
 		case errors.As(err, &be):
@@ -347,134 +361,68 @@ func main() {
 	}
 }
 
-// appRun bundles the -app invocation: which workload, and the optional
-// checkpoint/watchdog configuration.
-type appRun struct {
-	name       string
-	nodes      int
-	seed       uint64
-	net        string
-	checkpoint string
-	every      time.Duration
-	budgetWall time.Duration
-	// budgetVirtual is the virtual-time budget expressed as a host duration
-	// (1ms means 1ms of simulated time).
-	budgetVirtual time.Duration
-	resumeFrom    string
-	interrupt     <-chan struct{}
-}
+// maxVirtualBudget is the longest -budget-virtual (a host duration: 1ms means
+// 1ms of simulated time) that virtual time can express: it counts picoseconds
+// in an int64, a thousandth of time.Duration's range.
+const maxVirtualBudget = time.Duration(math.MaxInt64 / int64(sim.Nanosecond))
 
-// simDur converts a flag duration into virtual time.
-func simDur(d time.Duration) sim.Time { return sim.Time(d.Nanoseconds()) * sim.Nanosecond }
-
-// netSlug is the short, path-safe backend name used by -net and checkpoint
-// file suffixes.
-func netSlug(n comm.Net) string {
-	if n == comm.DV {
-		return "dv"
-	}
-	return "ib"
-}
-
-// matchNet accepts the paper label ("Data Vortex") or the slug ("dv").
+// matchNet accepts the paper label ("Data Vortex") or the slug ("dv", "ib").
 func matchNet(n comm.Net, sel string) bool {
-	return strings.EqualFold(n.String(), sel) || strings.EqualFold(netSlug(n), sel)
+	slug := "ib"
+	if n == comm.DV {
+		slug = "dv"
+	}
+	return strings.EqualFold(n.String(), sel) || strings.EqualFold(slug, sel)
 }
 
 // runApp runs one registered workload through the apprt harness — on both
-// backends by default, on one with -net or when restoring a checkpoint
-// (whose header names the backend) — and prints the summaries.
-func runApp(r appRun) error {
-	a, ok := apprt.Get(r.name)
+// backends by default, on one with -net — and prints the summaries. Each run
+// is bounded by its own copy of budget when there is one.
+func runApp(name string, nodes int, seed uint64, netSel string, budget *cluster.Checkpoint) error {
+	a, ok := apprt.Get(name)
 	if !ok {
-		return fmt.Errorf("unknown app %q (see -list)", r.name)
+		return fmt.Errorf("unknown app %q (see -list)", name)
 	}
-	if r.nodes == 0 {
-		r.nodes = a.RefNodes
+	if nodes == 0 {
+		nodes = a.RefNodes
 	}
-	var resume *snapshot.Snapshot
-	if r.resumeFrom != "" {
-		s, err := snapshot.ReadFile(r.resumeFrom)
-		if err != nil {
-			return err
-		}
-		if s.Header.App != r.name {
-			return fmt.Errorf("checkpoint %s is for app %q, not %q", r.resumeFrom, s.Header.App, r.name)
-		}
-		resume = s
-		r.net = s.Header.Net
-	}
-	managed := r.checkpoint != "" || r.budgetWall > 0 || r.budgetVirtual > 0 || resume != nil
 	var nets []comm.Net
 	for _, net := range comm.Nets() {
-		if r.net == "" || matchNet(net, r.net) {
+		if netSel == "" || matchNet(net, netSel) {
 			nets = append(nets, net)
 		}
 	}
 	if len(nets) == 0 {
-		return fmt.Errorf("no backend matches -net %q", r.net)
+		return fmt.Errorf("no backend matches -net %q", netSel)
 	}
 	for _, net := range nets {
-		spec := apprt.RunSpec{Net: net, Nodes: r.nodes, Seed: r.seed}
-		var cp *cluster.Checkpoint
-		if managed {
-			cp = &cluster.Checkpoint{
-				App:           r.name,
-				Every:         simDur(r.every),
-				WallBudget:    r.budgetWall,
-				VirtualBudget: simDur(r.budgetVirtual),
-				Resume:        resume,
-				Interrupt:     r.interrupt,
-			}
-			if r.checkpoint != "" {
-				path := r.checkpoint
-				if len(nets) > 1 {
-					path += "." + netSlug(net)
-				}
-				cp.Sink = func(s *snapshot.Snapshot) error { return snapshot.WriteFile(path, s) }
-				// A resumed run inherits the snapshot's interval, so the
-				// sink is reachable without an explicit -every.
-				if cp.Every == 0 && r.budgetWall == 0 && r.budgetVirtual == 0 && resume == nil {
-					return fmt.Errorf("-checkpoint needs -every or a budget to ever write")
-				}
-			}
-			spec.Checkpoint = cp
+		spec := apprt.RunSpec{Net: net, Nodes: nodes, Seed: seed}
+		if budget != nil {
+			cp := *budget
+			spec.Checkpoint = &cp
 		}
 		ev0, rs0, pk0 := cluster.KernelCounts()
 		t0 := time.Now()
 		sum, err := a.Run(spec)
 		wall := time.Since(t0)
 		if err != nil {
-			return fmt.Errorf("%s on %s: %w", r.name, net, err)
+			return fmt.Errorf("%s on %s: %w", name, net, err)
 		}
-		fmt.Printf("%-10s %-12s %2d nodes  elapsed=%-12v errors=%d  %s\n",
-			sum.App, sum.Net, sum.Nodes, sum.Elapsed, sum.Errors, sum.Check)
+		// A cut run has no result: no node finished, and the app's check
+		// string would be built from its parameters alone.
+		outcome := fmt.Sprintf("elapsed=%-12v errors=%d  %s", sum.Elapsed, sum.Errors, sum.Check)
+		var cut *cluster.BudgetExceededError
+		if cp := spec.Checkpoint; cp != nil && errors.As(cp.Err, &cut) {
+			outcome = fmt.Sprintf("partial: cut at virtual %v", cut.At)
+		}
+		fmt.Printf("%-10s %-12s %2d nodes  %s\n", sum.App, sum.Net, sum.Nodes, outcome)
 		// What the run cost the host goes to stderr: stdout is simulated
 		// results only and stays byte-identical from run to run.
 		ev1, rs1, pk1 := cluster.KernelCounts()
 		fmt.Fprintf(os.Stderr, "  host: wall=%v  events=%d  resumes=%d  peak_pending=%d\n",
 			wall.Round(time.Millisecond), ev1-ev0, rs1-rs0, pk1-pk0)
-		if cp != nil {
-			var be *cluster.BudgetExceededError
-			if errors.As(cp.Err, &be) && r.checkpoint != "" {
-				fmt.Printf("  checkpoints: %d periodic + final cut checkpoint at virtual %v\n",
-					cp.Taken, cp.LastAt)
-			} else if cp.Taken > 0 {
-				fmt.Printf("  checkpoints: %d written, last at virtual %v\n", cp.Taken, cp.LastAt)
-			}
-			if cp.Err != nil {
-				var be *cluster.BudgetExceededError
-				if errors.As(cp.Err, &be) && r.checkpoint != "" {
-					path := r.checkpoint
-					if len(nets) > 1 {
-						path += "." + netSlug(net)
-					}
-					fmt.Fprintf(os.Stderr,
-						"  partial run; resume with: dvbench -app %s -nodes %d -seed %d -resume-checkpoint %s -checkpoint %s\n",
-						r.name, r.nodes, r.seed, path, r.checkpoint)
-				}
-				return cp.Err
-			}
+		if cut != nil {
+			return cut
 		}
 	}
 	return nil

@@ -5,6 +5,12 @@
 // livelock bounds, group-counter and FIFO discipline, PCIe byte
 // conservation, and — under fault plans — exactly-once reliable delivery.
 //
+// Every run is also audited for determinism: it is run twice more under the
+// managed pump, capturing the complete simulator state on a grid of a quarter
+// of its elapsed virtual time, and the second pass must be in the first's
+// state, section by section, at every boundary. A divergence is a FAIL naming
+// the component section and the virtual instant.
+//
 // Usage:
 //
 //	dvcheck                          # every app, every backend, 8 seeds, clean
@@ -24,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -37,6 +44,7 @@ import (
 	"repro/internal/dvswitch"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // faultClass names one reproducible fault plan family; the plan is derived
@@ -95,6 +103,23 @@ func classByName(name string) *faultClass {
 func usage(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "dvcheck: "+format+"\n", args...)
 	os.Exit(2)
+}
+
+// audit runs the spec build returns twice more under the managed pump,
+// capturing on a grid of a quarter of elapsed (the checked run's virtual
+// time), and reports how many boundaries the passes were compared at; the
+// error is a *snapshot.MismatchError when the second pass left the first's
+// path.
+func audit(a apprt.App, build func() apprt.RunSpec, elapsed sim.Time) (boundaries int, err error) {
+	every := max(elapsed/4, sim.Nanosecond)
+	return snapshot.Audit(func(sink func(*snapshot.Snapshot) error) error {
+		spec := build()
+		spec.Checkpoint = &cluster.Checkpoint{Every: every, Sink: sink}
+		if _, err := a.Run(spec); err != nil {
+			return err
+		}
+		return spec.Checkpoint.Err
+	})
 }
 
 func main() {
@@ -203,6 +228,7 @@ func main() {
 	}
 
 	runs, failures := 0, 0
+	minAudited := math.MaxInt // fewest boundaries any run's audit compared at
 	interrupted := false
 matrix:
 	for _, a := range apps {
@@ -233,22 +259,27 @@ matrix:
 						interrupted = true
 						break matrix
 					}
-					spec := apprt.RunSpec{Net: net, Nodes: a.RefNodes, Seed: seed, Platform: plat}
-					spec.Check = check.All()
-					if *nodesFlag != 0 {
-						spec.Nodes = *nodesFlag
-						// Past-reference sizes exercise the scaled geometries;
-						// keep the fat-tree baseline honest there too.
-						spec.IBScaled = spec.Nodes > a.RefNodes
-					}
-					if lossy {
-						spec.Reliable = true
-						spec.WaitTimeout = 500 * sim.Microsecond
-						spec.Faults = fc.plan(seed)
+					// One builder for the checked run and both audit passes:
+					// each gets its own fault plan and checker configuration.
+					build := func() apprt.RunSpec {
+						spec := apprt.RunSpec{Net: net, Nodes: a.RefNodes, Seed: seed, Platform: plat}
+						spec.Check = check.All()
+						if *nodesFlag != 0 {
+							spec.Nodes = *nodesFlag
+							// Past-reference sizes exercise the scaled geometries;
+							// keep the fat-tree baseline honest there too.
+							spec.IBScaled = spec.Nodes > a.RefNodes
+						}
+						if lossy {
+							spec.Reliable = true
+							spec.WaitTimeout = 500 * sim.Microsecond
+							spec.Faults = fc.plan(seed)
+						}
+						return spec
 					}
 					runs++
 					tag := fmt.Sprintf("%s/%s/%s seed=%d", a.Name, net, fc.name, seed)
-					sum, err := a.Run(spec)
+					sum, err := a.Run(build())
 					if err != nil {
 						// Not a violation: the flags ask for a run that cannot
 						// be built (bad knob, size not divisible over the nodes).
@@ -265,9 +296,16 @@ matrix:
 					case !res.Ok():
 						failures++
 						fmt.Printf("FAIL %s:\n%s\n", tag, res)
-					case *verbose:
-						fmt.Printf("ok   %s  (%d cycles, %d packets, %d chunks)  %s\n",
-							tag, res.CyclesChecked, res.PacketsTracked, res.ChunksChecked, sum.Check)
+					default:
+						boundaries, err := audit(a, build, sum.Cluster.Elapsed)
+						minAudited = min(minAudited, boundaries)
+						if err != nil {
+							failures++
+							fmt.Printf("FAIL %s: determinism audit: %v\n", tag, err)
+						} else if *verbose {
+							fmt.Printf("ok   %s  (%d cycles, %d packets, %d chunks, %d audited boundaries)  %s\n",
+								tag, res.CyclesChecked, res.PacketsTracked, res.ChunksChecked, boundaries, sum.Check)
+						}
 					}
 				}
 			}
@@ -277,7 +315,11 @@ matrix:
 		fmt.Printf("dvcheck: %d/%d runs violated invariants\n", failures, runs)
 		os.Exit(1)
 	}
-	fmt.Printf("dvcheck: %d runs, all invariants held\n", runs)
+	fmt.Printf("dvcheck: %d runs", runs)
+	if runs > 0 {
+		fmt.Printf(", each audited at %d or more boundaries", minAudited)
+	}
+	fmt.Println(", all invariants held")
 	if interrupted {
 		os.Exit(130)
 	}

@@ -1,0 +1,63 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+
+	"repro/internal/apprt"
+)
+
+// asMain, when set in the environment, makes the test binary be dvcheck: it
+// registers "drift" — gups with a seed that moves on every call, the
+// nondeterminism the audit exists to catch — and runs main on the variable's
+// fields.
+const asMain = "DVCHECK_TEST_ARGS"
+
+func TestMain(m *testing.M) {
+	args, ok := os.LookupEnv(asMain)
+	if !ok {
+		os.Exit(m.Run())
+	}
+	gups, _ := apprt.Get("gups")
+	calls := uint64(0)
+	drift := gups
+	drift.Name = "drift"
+	drift.Run = func(spec apprt.RunSpec) (apprt.Summary, error) {
+		calls++
+		spec.Seed += calls
+		return gups.Run(spec)
+	}
+	apprt.Register(drift)
+	os.Args = append([]string{"dvcheck"}, strings.Fields(args)...)
+	main()
+}
+
+// dvcheck runs the command on args and returns its stdout and exit code.
+func dvcheck(t *testing.T, args string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), asMain+"="+args)
+	out, err := cmd.Output()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatal(err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+// TestAuditDivergenceFails: a run that does not repeat itself passes its
+// invariants and still fails dvcheck, by section name; the app it is built
+// from passes, audited.
+func TestAuditDivergenceFails(t *testing.T) {
+	out, code := dvcheck(t, "-app drift -nets dv -seeds 1")
+	if code != 1 || !strings.Contains(out, "FAIL drift/Data Vortex/none seed=1: determinism audit: snapshot: section:") {
+		t.Errorf("drifting app: exit %d, want 1 and a FAIL line naming a section; stdout:\n%s", code, out)
+	}
+	out, code = dvcheck(t, "-app gups -nets dv -seeds 1")
+	if code != 0 || !strings.HasSuffix(out, "or more boundaries, all invariants held\n") {
+		t.Errorf("gups: exit %d, want 0 and the audited summary; stdout:\n%s", code, out)
+	}
+}

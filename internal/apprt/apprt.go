@@ -34,8 +34,7 @@ type RunSpec struct {
 	// Seed pins the run's randomness; 0 keeps the testbed default.
 	Seed uint64
 
-	// Platform is the run wiring (engines, fabrics, observers). Execute
-	// fills in Checkpoint.Net when it is empty.
+	// Platform is the run wiring (engines, fabrics, observers).
 	cluster.Platform
 
 	// Reliable routes Data Vortex traffic through the reliable-delivery
@@ -91,9 +90,6 @@ func Execute(spec RunSpec, kernel Kernel) Report {
 	}
 	cfg.Stacks = spec.Net.Stacks()
 	cfg.Platform = spec.Platform
-	if cp := cfg.Checkpoint; cp != nil && cp.Net == "" {
-		cp.Net = spec.Net.String()
-	}
 	rep := Report{Net: spec.Net, Nodes: spec.Nodes}
 	rep.Cluster = cluster.Run(cfg, func(n *cluster.Node) {
 		if d := kernel(n, comm.New(spec.Net, n)); d > rep.Elapsed {

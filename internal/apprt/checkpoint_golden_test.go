@@ -1,16 +1,16 @@
-// Golden guarantee for checkpoint/restore: for every registered workload, on
-// both backends, clean and under fault plans, with the invariant layer live
-// on both sides —
+// Golden guarantee for managed runs: for every registered workload, on both
+// backends, clean and under fault plans, with the invariant layer live on
+// both sides —
 //
 //	(a) a managed run (periodic snapshot capture under the stepped pump)
 //	    produces results identical to the plain run, and
-//	(b) restore-then-finish from a mid-run snapshot produces results
-//	    identical to run-straight-through.
+//	(b) a repeat of it is in the same state, component section by section,
+//	    at every capture boundary (snapshot.Audit, as dvcheck runs it).
 //
 // Identity is checked with reflect.DeepEqual over the full Summary including
 // the cluster telemetry Report, which is stronger than comparing the
 // headline numbers: every fabric counter, VIC stat, reliability counter, and
-// invariant-check tally must survive the round trip.
+// invariant-check tally must match.
 package apprt_test
 
 import (
@@ -77,45 +77,25 @@ func TestCheckpointGoldenMatrix(t *testing.T) {
 						t.Fatalf("straight-run invariants: %v", res)
 					}
 
-					every := base.Cluster.Elapsed / 4
-					if every == 0 {
-						every = sim.Nanosecond
-					}
-					var snaps []*snapshot.Snapshot
-					spec := ckptSpec(a, net, fc)
-					spec.Checkpoint = &cluster.Checkpoint{App: a.Name, Every: every,
-						Sink: func(s *snapshot.Snapshot) error { snaps = append(snaps, s); return nil }}
-					managed, err := a.Run(spec)
+					every := max(base.Cluster.Elapsed/4, sim.Nanosecond)
+					boundaries, err := snapshot.Audit(func(sink func(*snapshot.Snapshot) error) error {
+						spec := ckptSpec(a, net, fc)
+						spec.Checkpoint = &cluster.Checkpoint{Every: every, Sink: sink}
+						managed, err := a.Run(spec)
+						if err != nil {
+							return err
+						}
+						if spec.Checkpoint.Err == nil && !reflect.DeepEqual(base, managed) {
+							t.Errorf("managed run result differs from straight run:\n straight: %+v\n managed:  %+v",
+								base, managed)
+						}
+						return spec.Checkpoint.Err
+					})
 					if err != nil {
-						t.Fatalf("managed run: %v", err)
+						t.Fatalf("determinism audit: %v", err)
 					}
-					if spec.Checkpoint.Err != nil {
-						t.Fatalf("managed run checkpoint error: %v", spec.Checkpoint.Err)
-					}
-					if !reflect.DeepEqual(base, managed) {
-						t.Errorf("managed run result differs from straight run:\n straight: %+v\n managed:  %+v",
-							base, managed)
-					}
-					if len(snaps) == 0 {
-						t.Fatal("managed run captured no snapshots")
-					}
-
-					rspec := ckptSpec(a, net, fc)
-					rspec.Checkpoint = &cluster.Checkpoint{App: a.Name,
-						Resume: snaps[len(snaps)/2]}
-					resumed, err := a.Run(rspec)
-					if err != nil {
-						t.Fatalf("resumed run: %v", err)
-					}
-					if rspec.Checkpoint.Err != nil {
-						t.Fatalf("resume error: %v", rspec.Checkpoint.Err)
-					}
-					if !reflect.DeepEqual(base, resumed) {
-						t.Errorf("restore-then-finish differs from run-straight-through:\n straight: %+v\n resumed:  %+v",
-							base, resumed)
-					}
-					if res := resumed.Cluster.Checks; res == nil || !res.Ok() {
-						t.Fatalf("resumed-run invariants: %v", res)
+					if boundaries < 3 {
+						t.Fatalf("audit compared %d boundaries on a grid of a quarter of the run", boundaries)
 					}
 				})
 			}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/apprt"
 	_ "repro/internal/apps/all"
@@ -112,6 +113,12 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 			Platform: cluster.Platform{VICsPerNode: -1}}, field: "VICsPerNode"},
 		{name: "unknown plane policy", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{DVPlanes: 2, PlanePolicy: 7}}, field: "PlanePolicy"},
+		{name: "negative wall budget", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{Checkpoint: &cluster.Checkpoint{WallBudget: -time.Second}}},
+			field: "Checkpoint.WallBudget"},
+		{name: "negative virtual budget", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{Checkpoint: &cluster.Checkpoint{VirtualBudget: -5 * sim.Microsecond}}},
+			field: "Checkpoint.VirtualBudget"},
 		{name: "nodes reported before platform", spec: apprt.RunSpec{
 			Platform: cluster.Platform{DVPlanes: -1}}, field: "Nodes"},
 	}

@@ -271,9 +271,9 @@ func attrCkptBody(n *Node) {
 
 // TestAttrAcrossCheckpoint covers the observation layers under managed runs:
 // snapshots carry the tracer state (including flows still open at the
-// boundary), a resumed run finishes with attribution byte-identical to the
-// straight-through run, and the trace a resumed run re-records from replay
-// matches the straight run's byte for byte.
+// boundary), a managed run finishes with attribution and a recorded trace
+// byte-identical to the straight-through run's, and a repeat reproduces the
+// "attr" image with every other at each boundary.
 func TestAttrAcrossCheckpoint(t *testing.T) {
 	mk := func(tr *trace.Recorder, cp *Checkpoint) Config {
 		cfg := DefaultConfig(4)
@@ -282,6 +282,13 @@ func TestAttrAcrossCheckpoint(t *testing.T) {
 		cfg.Trace = tr
 		cfg.Checkpoint = cp
 		return cfg
+	}
+	traceCSV := func(tr *trace.Recorder) []byte {
+		var b bytes.Buffer
+		if err := tr.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
 	straightTrace := trace.New()
 	base := Run(mk(straightTrace, nil), attrCkptBody)
@@ -292,61 +299,46 @@ func TestAttrAcrossCheckpoint(t *testing.T) {
 		t.Fatal("straight run has no attribution")
 	}
 	baseJSON := reportJSON(t, base)
-	var baseCSV bytes.Buffer
-	if err := straightTrace.WriteCSV(&baseCSV); err != nil {
-		t.Fatal(err)
-	}
+	baseCSV := traceCSV(straightTrace)
 
-	var snaps []*snapshot.Snapshot
-	cp := &Checkpoint{App: "attr-ckpt", Net: "both", Every: sim.Microsecond,
-		Sink: func(s *snapshot.Snapshot) error { snaps = append(snaps, s); return nil }}
-	rep := Run(mk(trace.New(), cp), attrCkptBody)
-	if cp.Err != nil {
-		t.Fatalf("managed run error: %v", cp.Err)
-	}
-	if got := reportJSON(t, rep); got != baseJSON {
-		t.Errorf("managed Report (attr on) differs from unmanaged:\n got %s\nwant %s", got, baseJSON)
-	}
-	if len(snaps) < 2 {
-		t.Fatalf("expected >=2 snapshots, got %d", len(snaps))
-	}
 	anyOpen, lastFlows := false, 0
-	for i, s := range snaps {
-		sec, ok := s.Section("attr")
-		if !ok {
-			t.Fatalf("snapshot %d has no attr section", i)
+	boundaries, err := snapshot.Audit(func(sink func(*snapshot.Snapshot) error) error {
+		lastFlows = 0
+		cp := &Checkpoint{Every: sim.Microsecond, Sink: func(s *snapshot.Snapshot) error {
+			sec, ok := s.Section("attr")
+			if !ok {
+				t.Fatalf("snapshot at %v has no attr section", s.Header.At)
+			}
+			flows, open := decodeAttrSection(t, sec)
+			if flows < lastFlows {
+				t.Fatalf("snapshot at %v retains %d flows, previous had %d", s.Header.At, flows, lastFlows)
+			}
+			lastFlows = flows
+			if open > 0 {
+				anyOpen = true
+			}
+			return sink(s)
+		}}
+		tr := trace.New()
+		rep := Run(mk(tr, cp), attrCkptBody)
+		if cp.Err != nil {
+			return cp.Err
 		}
-		flows, open := decodeAttrSection(t, sec)
-		if flows < lastFlows {
-			t.Fatalf("snapshot %d retains %d flows, previous had %d", i, flows, lastFlows)
+		if got := reportJSON(t, rep); got != baseJSON {
+			t.Errorf("managed Report (attr on) differs from unmanaged:\n got %s\nwant %s", got, baseJSON)
 		}
-		lastFlows = flows
-		if open > 0 {
-			anyOpen = true
+		if !bytes.Equal(baseCSV, traceCSV(tr)) {
+			t.Error("trace recorded under the managed pump differs from the straight run")
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("determinism audit: %v", err)
+	}
+	if boundaries < 2 {
+		t.Fatalf("expected >=2 snapshots, got %d", boundaries)
 	}
 	if !anyOpen {
 		t.Error("no snapshot captured an in-flight flow; boundary grid never hit an open stamp")
-	}
-
-	// Resume from the middle: restore replays from t=0 and byte-verifies
-	// every section (attr included) against the stored image, then the
-	// finished Report — attribution and all — must match the straight run.
-	mid := len(snaps) / 2
-	resumedTrace := trace.New()
-	rcp := &Checkpoint{App: "attr-ckpt", Net: "both", Resume: snaps[mid]}
-	rrep := Run(mk(resumedTrace, rcp), attrCkptBody)
-	if rcp.Err != nil {
-		t.Fatalf("resume error: %v", rcp.Err)
-	}
-	if got := reportJSON(t, rrep); got != baseJSON {
-		t.Errorf("resumed Report differs from straight run:\n got %s\nwant %s", got, baseJSON)
-	}
-	var resumedCSV bytes.Buffer
-	if err := resumedTrace.WriteCSV(&resumedCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(baseCSV.Bytes(), resumedCSV.Bytes()) {
-		t.Error("trace re-recorded across restore differs from the straight run")
 	}
 }

@@ -78,7 +78,7 @@ type Platform struct {
 	// has the full SwitchGeom geometry; packets are dealt to planes by
 	// PlanePolicy, deliveries funnel into one callback, and Report.DVFabric
 	// merges per-plane stats. Plane selection is deterministic, so runs stay
-	// reproducible and checkpoint-restorable at any plane count.
+	// reproducible at any plane count.
 	DVPlanes int
 	// PlanePolicy selects the deterministic plane-assignment policy for
 	// DVPlanes > 1: dvswitch.PlaneHash (default, per-pair affinity) or
@@ -129,12 +129,12 @@ type Platform struct {
 	Attr *attr.Config
 
 	// Checkpoint, when non-nil, runs the simulation under the managed pump:
-	// periodic full-state snapshots at every Checkpoint.Every of virtual
-	// time, wall-clock and virtual-time budgets that end the run with a
-	// final checkpoint and a partial Report instead of hanging, and
-	// replay-verified restore from a prior snapshot. A managed run fires
-	// exactly the event sequence an unmanaged run fires, so Reports are
-	// byte-identical. Outcome fields of the struct are filled in by Run.
+	// wall-clock and virtual-time budgets that end the run with a partial
+	// Report instead of hanging, and full-state images handed to a sink at
+	// every Checkpoint.Every of virtual time (what snapshot.Audit compares).
+	// A managed run fires exactly the event sequence an unmanaged run fires,
+	// so Reports are byte-identical. Outcome fields of the struct are filled
+	// in by Run.
 	Checkpoint *Checkpoint
 
 	// denseSwitch and scalarBoundary select the two reference
@@ -182,6 +182,16 @@ func (p Platform) Validate() error {
 	}
 	if p.PlanePolicy != dvswitch.PlaneHash && p.PlanePolicy != dvswitch.PlaneRR {
 		return &ConfigError{Field: "PlanePolicy", Reason: fmt.Sprintf("is not a known policy (%d)", p.PlanePolicy)}
+	}
+	if cp := p.Checkpoint; cp != nil {
+		// A negative budget would otherwise read as "no budget" and let the
+		// run the caller meant to bound go unbounded.
+		if cp.WallBudget < 0 {
+			return &ConfigError{Field: "Checkpoint.WallBudget", Reason: fmt.Sprintf("is negative (%v)", cp.WallBudget)}
+		}
+		if cp.VirtualBudget < 0 {
+			return &ConfigError{Field: "Checkpoint.VirtualBudget", Reason: fmt.Sprintf("is negative (%v)", cp.VirtualBudget)}
+		}
 	}
 	return nil
 }
@@ -360,8 +370,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	if cfg.Nodes <= 0 {
 		panic(fmt.Sprintf("cluster: invalid node count %d", cfg.Nodes))
 	}
-	// The IB knobs resolve into cfg.IB here, before anything reads it (the
-	// fabric below, the checkpoint config digest).
+	// The IB knobs resolve into cfg.IB here, before the fabric below reads it.
 	if cfg.IBScaled {
 		cfg.IB = ib.ForNodes(cfg.Nodes)
 	}

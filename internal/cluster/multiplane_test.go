@@ -6,7 +6,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/dvswitch"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 )
 
 // TestMultiPlaneReportDeterministic pins the multi-plane determinism
@@ -43,40 +42,15 @@ func TestMultiPlaneReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestMultiPlaneCheckpointRestore is the multi-plane restore contract: a
-// managed DVPlanes=2 run checkpoints mid-flight, and a second run restored
-// from a mid-run snapshot (which must carry both planes' switch state and
-// the round-robin counters) finishes with a Report byte-identical to the
-// straight-through unmanaged multi-plane run.
+// TestMultiPlaneCheckpointRestore is the multi-plane capture contract: a
+// managed DVPlanes=2 run finishes with a Report byte-identical to the
+// straight-through unmanaged multi-plane run, and a repeat agrees with its
+// images — which carry both planes' switch state and the round-robin
+// counters — at every boundary.
 func TestMultiPlaneCheckpointRestore(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Check = check.All()
 	cfg.DVPlanes = 2
 	cfg.PlanePolicy = dvswitch.PlaneRR
-	baseJSON := reportJSON(t, Run(cfg, ckptBody))
-
-	var snaps []*snapshot.Snapshot
-	mcfg := cfg
-	mcfg.Checkpoint = &Checkpoint{App: "mp-ckpt", Net: "both", Every: 2 * sim.Microsecond,
-		Sink: func(s *snapshot.Snapshot) error { snaps = append(snaps, s); return nil }}
-	rep := Run(mcfg, ckptBody)
-	if mcfg.Checkpoint.Err != nil {
-		t.Fatalf("managed multi-plane run error: %v", mcfg.Checkpoint.Err)
-	}
-	if got := reportJSON(t, rep); got != baseJSON {
-		t.Errorf("managed multi-plane Report differs from unmanaged:\n got %s\nwant %s", got, baseJSON)
-	}
-	if len(snaps) < 2 {
-		t.Fatalf("expected >=2 snapshots, got %d", len(snaps))
-	}
-
-	rcfg := cfg
-	rcfg.Checkpoint = &Checkpoint{App: "mp-ckpt", Net: "both", Resume: snaps[len(snaps)/2]}
-	rrep := Run(rcfg, ckptBody)
-	if rcfg.Checkpoint.Err != nil {
-		t.Fatalf("resume error: %v", rcfg.Checkpoint.Err)
-	}
-	if got := reportJSON(t, rrep); got != baseJSON {
-		t.Errorf("restored multi-plane Report differs from unmanaged:\n got %s\nwant %s", got, baseJSON)
-	}
+	audited(t, cfg, 2*sim.Microsecond, ckptBody, reportJSON(t, Run(cfg, ckptBody)))
 }

@@ -1,17 +1,17 @@
-// Checkpoint capture for the dv endpoint: symmetric allocator cursors plus
-// the reliable-delivery layer's sequence numbers, scratch carve, barrier
-// epoch, and telemetry — the retransmit state a resumed run must agree on
-// for exactly-once delivery to keep holding across the restore.
+// State capture for the dv endpoint: symmetric allocator cursors plus the
+// reliable-delivery layer's sequence numbers, scratch carve, barrier epoch,
+// and telemetry — the retransmit state two runs of one configuration must
+// agree on for the determinism audit to pass.
 
 package dv
 
 import "repro/internal/snapshot"
 
 // SnapshotTo serialises the endpoint's mutable state. In-flight chunk
-// verification is driven by the owning node's goroutine and is re-created by
-// deterministic replay; the per-destination sequence numbers and the scratch
-// layout captured here are what make the replayed retransmit protocol land
-// on identical wire traffic.
+// verification is driven by the owning node's goroutine and is not captured;
+// the per-destination sequence numbers and the scratch layout captured here
+// are what a repeated run's retransmit protocol must land on to put identical
+// traffic on the wire.
 func (e *Endpoint) SnapshotTo(enc *snapshot.Encoder) {
 	enc.U32(e.heapNext)
 	enc.Int(e.gcNext)

@@ -9,7 +9,7 @@ import (
 
 // PlanePolicy selects how a multi-plane fabric assigns packets to planes.
 // Both policies are deterministic pure functions of the traffic, so runs are
-// reproducible and checkpoint-restorable at any plane count.
+// reproducible at any plane count.
 type PlanePolicy uint8
 
 const (

@@ -1,4 +1,4 @@
-// Checkpoint capture for both switch engines. Encodings are canonical: the
+// State capture for both switch engines. Encodings are canonical: the
 // occupancy grid is walked in dense-scan order and injection queues in
 // ascending port order, never in pool-allocation or active-list order, so
 // the sparse stepper and the dense reference scan — bit-identical in

@@ -1,6 +1,6 @@
-// Checkpoint capture for the InfiniBand fabric: every NIC and leaf↔spine
-// link's occupancy horizon (the state that carries congestion and scheduled
-// flap outages across a restore) plus aggregate telemetry.
+// State capture for the InfiniBand fabric: every NIC and leaf↔spine link's
+// occupancy horizon (the state that carries congestion and scheduled flap
+// outages forward in time) plus aggregate telemetry.
 
 package ib
 

@@ -1,9 +1,9 @@
-// Checkpoint capture for the MPI layer: per-rank send telemetry, collective
+// State capture for the MPI layer: per-rank send telemetry, collective
 // sequence numbers, and digests of the posted/unexpected message queues.
 // Message payloads travel inside request objects owned by rank goroutines
-// and are re-created by deterministic replay; the queues' envelopes and a
-// payload hash are captured so any replay divergence in matching order is
-// caught byte-for-byte.
+// and are not captured; the queues' envelopes and a payload hash are, so a
+// repeated run that matches messages in another order is caught
+// byte-for-byte.
 
 package mpi
 

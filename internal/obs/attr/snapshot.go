@@ -1,6 +1,6 @@
-// Checkpoint capture for the attribution tracer. Restore is replay-verify
-// (see cluster/checkpoint.go), so the tracer only encodes; a resumed run
-// replays to the capture time and must reproduce these bytes exactly —
+// State capture for the attribution tracer. Images are compared, never read
+// back (see cluster/checkpoint.go), so the tracer only encodes; a repeat of
+// the run must reproduce these bytes exactly at the same capture time —
 // including flows still open mid-pipeline and their partial stage stamps.
 
 package attr

@@ -1,4 +1,4 @@
-// Checkpoint capture for the observability layer: every instrument's value
+// State capture for the observability layer: every instrument's value
 // in sorted-name order (the same canonical order the Prometheus exporter
 // uses) and the sampler's collected series. Lazily evaluated GaugeFuncs are
 // probes over other components' state and are deliberately not captured.

@@ -418,7 +418,7 @@ func (k *Kernel) NextUserEvent() (Time, bool) {
 // daemon) triple in canonical (at, seq) order — into an FNV-1a hash, plus the
 // queue length. Event callbacks are closures and cannot be serialized;
 // because event sequence numbers are assigned deterministically, the
-// fingerprint still pins the queue's identity across a deterministic replay.
+// fingerprint still pins the queue's identity across runs of one configuration.
 // The canonical order keeps the calendar's arrangement (bucket width, ring
 // position, overflow) out of the digest.
 func (k *Kernel) QueueFingerprint() (n int, fp uint64) {

@@ -20,8 +20,8 @@ func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64() ^ 0x9e3779b97f4a7c15) }
 
 // State returns the generator's raw position. Two generators with equal
-// State produce identical streams, which is what the checkpoint layer
-// serialises (and replay-verifies) for every per-entity stream.
+// State produce identical streams, which is what state capture encodes (and
+// the determinism audit compares) for every per-entity stream.
 func (r *RNG) State() uint64 { return r.state }
 
 // Uint64 returns the next 64 uniformly random bits.

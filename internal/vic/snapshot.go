@@ -1,7 +1,7 @@
-// Checkpoint capture for the VIC: DV Memory, group counters, the surprise
-// FIFO and host ring, PCIe/DMA link occupancy, and telemetry. DV Memory is
-// walked in ascending page order; pages materialise deterministically on
-// first touch, so the page set (not just its contents) replays exactly.
+// State capture for the VIC: DV Memory, group counters, the surprise FIFO and
+// host ring, PCIe/DMA link occupancy, and telemetry. DV Memory is walked in
+// ascending page order; pages materialise deterministically on first touch,
+// so the page set (not just its contents) repeats exactly.
 
 package vic
 
@@ -13,8 +13,7 @@ import (
 
 // SnapshotTo serialises the VIC's complete mutable state. Parked host
 // processes (WaitGCZero waiters and host-FIFO poppers) are goroutine state
-// re-created by deterministic replay; only their counts are captured, as a
-// cross-check.
+// no encoder can reach; only their counts are captured, as a cross-check.
 func (v *VIC) SnapshotTo(e *snapshot.Encoder) {
 	// DV Memory: word count plus every materialised page, ascending.
 	e.Int(v.mem.words)

@@ -99,7 +99,8 @@ func main() {
 }
 
 // productCallers returns, as "path:func", every non-test function under cmd,
-// examples and internal that calls a function or method named one of names.
+// examples and internal that calls a function or method named one of names
+// ("pkg.Func" names match only calls written with that qualifier).
 func productCallers(t *testing.T, names ...string) []string {
 	t.Helper()
 	var callers []string
@@ -120,6 +121,9 @@ func productCallers(t *testing.T, names ...string) []string {
 					name = fun.Name
 				case *ast.SelectorExpr:
 					name = fun.Sel.Name
+					if x, ok := fun.X.(*ast.Ident); ok && slices.Contains(names, x.Name+"."+name) {
+						name = x.Name + "." + name
+					}
 				}
 				if slices.Contains(names, name) {
 					callers = append(callers, filepath.ToSlash(path)+":"+fn.Name.Name)
@@ -149,5 +153,19 @@ func TestEdgeStreamHasOneProducer(t *testing.T) {
 func TestFanIsLedgerOnly(t *testing.T) {
 	if callers := productCallers(t, "SetFanPool", "NewFanPool"); len(callers) != 0 {
 		t.Errorf("non-test code outside benchmark/ reaches the fan: %v", callers)
+	}
+}
+
+// TestEncodersFeedOnlyCapture keeps the canonical state encoders what they
+// are kept for — images a determinism audit compares inside one process: the
+// only non-test code that builds an Encoder or calls a component's SnapshotTo
+// is cluster's capture (and a component's own SnapshotTo composing its
+// parts), so the encoders cannot quietly become a persistence format again.
+func TestEncodersFeedOnlyCapture(t *testing.T) {
+	callers := productCallers(t, "SnapshotTo", "snapshot.NewEncoder")
+	callers = slices.DeleteFunc(callers, func(c string) bool { return strings.HasSuffix(c, ":SnapshotTo") })
+	callers = slices.Compact(callers)
+	if want := []string{"internal/cluster/checkpoint.go:capture"}; !reflect.DeepEqual(callers, want) {
+		t.Errorf("non-test callers of SnapshotTo/snapshot.NewEncoder: %v, want %v", callers, want)
 	}
 }
