@@ -25,7 +25,14 @@ func main() {
 	policy := flag.String("plane-policy", "hash", "plane assignment for -planes > 1: hash or rr")
 	flag.Parse()
 
+	// Bad input is one line and exit 2, before anything is sized from it.
 	pol, err := dvswitch.ParsePlanePolicy(*policy)
+	if err == nil {
+		err = apprt.RunSpec{Nodes: *nodes}.Validate()
+	}
+	if err == nil && (*rails < 1 || *planes < 1) {
+		err = fmt.Errorf("-rails and -planes must be at least 1 (%d, %d)", *rails, *planes)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dvinfo: %v\n", err)
 		os.Exit(2)

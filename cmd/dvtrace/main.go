@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/apprt"
 	"repro/internal/apps/gups"
 	"repro/internal/cluster"
 	"repro/internal/comm"
@@ -75,16 +76,25 @@ func main() {
 	prvPath := flag.String("prv", "", "also write a Paraver trace (.prv/.pcf/.row) with this basename")
 	flag.Parse()
 
+	// Bad input is one line and exit 2, before any cluster exists.
+	net, err := comm.ParseNet(*netName)
+	if err == nil {
+		err = apprt.RunSpec{Net: net, Nodes: *nodes}.Validate()
+	}
+	if err == nil && (*updates < 1 || *width < 1) {
+		err = fmt.Errorf("-updates and -width must be at least 1 (%d, %d)", *updates, *width)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dvtrace: %v\n", err)
+		os.Exit(2)
+	}
+
 	rec := trace.New()
 	par := gups.Params{
 		Nodes:          *nodes,
 		TableWordsNode: 1 << 12,
 		UpdatesPerNode: *updates,
 		Platform:       cluster.Platform{Trace: rec},
-	}
-	net := comm.IB
-	if *netName == "dv" {
-		net = comm.DV
 	}
 	r := gups.Run(net, par)
 	f, err := os.Create(*out)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/comm"
+	"repro/internal/faultplan"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
 	"repro/internal/sim"
@@ -113,6 +114,8 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 			Platform: cluster.Platform{VICsPerNode: -1}}, field: "VICsPerNode"},
 		{name: "unknown plane policy", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{DVPlanes: 2, PlanePolicy: 7}}, field: "PlanePolicy"},
+		{name: "fault plan out of range", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{Faults: &faultplan.Plan{DropProb: 1.5}}}, field: "Faults"},
 		{name: "negative wall budget", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{Checkpoint: &cluster.Checkpoint{WallBudget: -time.Second}}},
 			field: "Checkpoint.WallBudget"},

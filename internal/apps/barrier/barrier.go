@@ -183,17 +183,6 @@ func newFastBarrier(n *cluster.Node, be comm.Backend, timeout sim.Time) func() b
 	}
 }
 
-// Sweep measures all implementations across node counts.
-func Sweep(nodeCounts []int, iters int) []Result {
-	var out []Result
-	for _, n := range nodeCounts {
-		for _, impl := range []Impl{DVIntrinsic, DVFastBarrier, MPIBarrier} {
-			out = append(out, Run(impl, n, iters))
-		}
-	}
-	return out
-}
-
 // String renders a result row.
 func (r Result) String() string {
 	return fmt.Sprintf("%-12s %2d nodes  %v/barrier", r.Impl, r.Nodes, r.Latency)

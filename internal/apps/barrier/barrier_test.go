@@ -76,10 +76,3 @@ func TestFastBarrierActuallySynchronises(t *testing.T) {
 		t.Fatal("fast barrier failed to synchronise")
 	}
 }
-
-func TestSweep(t *testing.T) {
-	rs := Sweep([]int{2, 4}, 5)
-	if len(rs) != 6 {
-		t.Fatalf("got %d results", len(rs))
-	}
-}

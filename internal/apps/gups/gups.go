@@ -59,6 +59,21 @@ func (p *Params) defaults() {
 	}
 }
 
+// sizeErr reports a size no table or update stream can have (nil when the
+// sizes are usable; zeros select the defaults). Run panics with it; the
+// registered runner returns it.
+func (p Params) sizeErr() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"TableWordsNode", p.TableWordsNode}, {"UpdatesPerNode", p.UpdatesPerNode}, {"BatchWords", p.BatchWords}} {
+		if f.v < 0 {
+			return fmt.Errorf("gups: %s is negative (%d)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Result is one measurement.
 type Result struct {
 	Net     comm.Net
@@ -137,6 +152,9 @@ func Verify(par Params, r Result) int {
 // Run executes the benchmark and returns the measurement.
 func Run(net comm.Net, par Params) Result {
 	par.defaults()
+	if err := par.sizeErr(); err != nil {
+		panic(err.Error())
+	}
 	res := Result{Net: net, Nodes: par.Nodes, Updates: int64(par.Nodes) * int64(par.UpdatesPerNode)}
 	if par.KeepTables {
 		res.Tables = make([][]uint64, par.Nodes)

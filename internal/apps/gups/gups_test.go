@@ -1,6 +1,8 @@
 package gups
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -116,4 +118,28 @@ func TestDeterministicElapsed(t *testing.T) {
 	if a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
 	}
+}
+
+// TestNegativeSizesRejected: a negative size is an error naming the field,
+// and Run panics with it before a cluster exists — no driver can print the
+// negative rate it would otherwise compute.
+func TestNegativeSizesRejected(t *testing.T) {
+	for field, par := range map[string]Params{
+		"TableWordsNode": {Nodes: 2, TableWordsNode: -8},
+		"UpdatesPerNode": {Nodes: 2, UpdatesPerNode: -1},
+		"BatchWords":     {Nodes: 2, BatchWords: -1024},
+	} {
+		if err := par.sizeErr(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("sizeErr() = %v, want an error naming %s", err, field)
+		}
+	}
+	if err := (Params{Nodes: 2}).sizeErr(); err != nil {
+		t.Errorf("zero sizes select the defaults, got %v", err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "UpdatesPerNode") {
+			t.Errorf("Run with -1 updates: recovered %v, want the size error", r)
+		}
+	}()
+	Run(comm.DV, Params{Nodes: 2, UpdatesPerNode: -1})
 }

@@ -26,6 +26,9 @@ func init() {
 				Reliable:       spec.Reliable,
 				WaitTimeout:    spec.WaitTimeout,
 			}
+			if err := par.sizeErr(); err != nil {
+				return apprt.Summary{}, err
+			}
 			res := Run(spec.Net, par)
 			return apprt.Summary{
 				App: "gups", Net: res.Net, Nodes: res.Nodes, Elapsed: res.Elapsed,

@@ -237,18 +237,6 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params) sim.Time {
 	return end
 }
 
-// Sweep measures every mode across the word sizes of Figure 3 (powers of two
-// from 1 to maxWords).
-func Sweep(maxWords, iters int) []Result {
-	var out []Result
-	for words := 1; words <= maxWords; words *= 2 {
-		for _, m := range []Mode{DVWrNoCached, DVWrCached, DVDMACached, MPIIB} {
-			out = append(out, Run(m, Params{Words: words, Iters: iters}))
-		}
-	}
-	return out
-}
-
 // String renders a result row.
 func (r Result) String() string {
 	return fmt.Sprintf("%-14s %8d words  rtt=%-12v bw=%7.3f GB/s (%5.1f%% peak)",

@@ -70,18 +70,6 @@ func TestFigure3Shape(t *testing.T) {
 	}
 }
 
-func TestSweepCoversModes(t *testing.T) {
-	rs := Sweep(4, 5)
-	if len(rs) != 3*4 { // word sizes 1,2,4 × 4 modes
-		t.Fatalf("sweep produced %d results", len(rs))
-	}
-	for _, r := range rs {
-		if r.Bandwidth <= 0 {
-			t.Errorf("bad result %+v", r)
-		}
-	}
-}
-
 func TestDeterministic(t *testing.T) {
 	a := Run(DVDMACached, Params{Words: 128, Iters: 5})
 	b := Run(DVDMACached, Params{Words: 128, Iters: 5})

@@ -22,22 +22,20 @@ import (
 // by Sweep workers and are no-ops on a nil receiver, so callers thread an
 // optional journal without guards.
 type Journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	err    error
-	rows   map[string][]string
-	tables map[string]*Table
-	exps   map[string][]*Table
+	mu   sync.Mutex
+	f    *os.File
+	err  error
+	rows map[string][]string
+	exps map[string][]*Table
 }
 
-// journalRec is one JSONL line: a completed sweep point ("row"), a completed
-// table ("table"), or a completed experiment with all its tables ("exp").
+// journalRec is one JSONL line: a completed sweep point ("row") or a
+// completed experiment with all its tables ("exp").
 type journalRec struct {
 	Kind  string   `json:"kind"`
 	Table string   `json:"table,omitempty"`
 	I     int      `json:"i,omitempty"`
 	Cells []string `json:"cells,omitempty"`
-	Full  *Table   `json:"full,omitempty"`
 	Exp   string   `json:"exp,omitempty"`
 	Full2 []*Table `json:"tables,omitempty"`
 }
@@ -51,9 +49,8 @@ func OpenJournal(dir string) (*Journal, error) {
 	}
 	path := filepath.Join(dir, "journal.jsonl")
 	j := &Journal{
-		rows:   make(map[string][]string),
-		tables: make(map[string]*Table),
-		exps:   make(map[string][]*Table),
+		rows: make(map[string][]string),
+		exps: make(map[string][]*Table),
 	}
 	if b, err := os.ReadFile(path); err == nil {
 		for _, line := range bytes.Split(b, []byte{'\n'}) {
@@ -67,10 +64,6 @@ func OpenJournal(dir string) (*Journal, error) {
 			switch rec.Kind {
 			case "row":
 				j.rows[rowKey(rec.Table, rec.I)] = rec.Cells
-			case "table":
-				if rec.Full != nil {
-					j.tables[rec.Full.ID] = rec.Full
-				}
 			case "exp":
 				j.exps[rec.Exp] = rec.Full2
 			}
@@ -129,29 +122,6 @@ func (j *Journal) PutRow(table string, i int, cells []string) {
 	j.append(journalRec{Kind: "row", Table: table, I: i, Cells: cells})
 	j.mu.Lock()
 	j.rows[rowKey(table, i)] = cells
-	j.mu.Unlock()
-}
-
-// Table returns a journaled completed experiment.
-func (j *Journal) Table(id string) (*Table, bool) {
-	if j == nil {
-		return nil, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	t, ok := j.tables[id]
-	return t, ok
-}
-
-// PutTable journals a completed experiment in full; on resume it is replayed
-// verbatim instead of re-run.
-func (j *Journal) PutTable(t *Table) {
-	if j == nil {
-		return
-	}
-	j.append(journalRec{Kind: "table", Full: t})
-	j.mu.Lock()
-	j.tables[t.ID] = t
 	j.mu.Unlock()
 }
 

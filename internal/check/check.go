@@ -163,9 +163,6 @@ func New(cfg *Config) *Checker {
 	return c
 }
 
-// Config returns the effective configuration.
-func (c *Checker) Config() Config { return c.cfg }
-
 // violate records one breach.
 func (c *Checker) violate(layer, invariant string, cycle int64, format string, args ...any) {
 	c.res.Total++

@@ -111,7 +111,10 @@ func FuzzReliableDelivery(f *testing.F) {
 		if !(drop >= 0 && drop <= 0.3) || !(corrupt >= 0 && corrupt <= 0.3) {
 			t.Skip() // beyond ~30% loss the retry budget honestly gives up
 		}
-		words := 16 + int(nw)%1024
+		// 1..17 chunks of the layer's 512 words; chunkSel spreads the payload
+		// the way the old selectable chunk size (64..512) did, so the named
+		// corpus entries keep their chunk counts and boundary alignment.
+		words := (16 + int(nw)%1024) << (3 - chunkSel%4)
 		plan := &faultplan.Plan{Seed: seed + 1, DropProb: drop, CorruptProb: corrupt}
 		if !plan.Active() {
 			plan = nil
@@ -129,9 +132,6 @@ func FuzzReliableDelivery(f *testing.F) {
 			vics[i] = vic.New(k, i, i, vic.DefaultParams(), eng.Inject)
 			vics[i].BarrierInit(2)
 			eps[i] = dv.NewEndpoint(vics[i], i, 2)
-			opts := dv.DefaultReliableOpts()
-			opts.ChunkWords = 64 << (chunkSel % 4) // 64..512
-			eps[i].SetReliableOpts(opts)
 			chk.AttachVIC(vics[i])
 			chk.BindEndpoint(eps[i], func(dst int) *vic.VIC {
 				if dst < 0 || dst >= len(vics) {

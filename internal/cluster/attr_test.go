@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"testing"
 
@@ -32,7 +33,8 @@ func attrWorkload(n *Node) {
 		qgc := n.DV.AllocGC()
 		n.DV.ArmGC(qgc, 1)
 		n.DV.Barrier()
-		n.DV.Query(vic.PIO, dst, buf, n.ID, ans, qgc)
+		n.DV.Scatter(vic.PIO, []vic.Word{{Dst: dst, Op: vic.OpQuery, GC: vic.NoGC, Addr: buf,
+			Val: vic.EncodeHeader(n.ID, vic.OpWrite, qgc, ans)}})
 		n.DV.WaitGC(qgc, sim.Second)
 		for {
 			if _, ok := n.DV.TryPopFIFO(); !ok {
@@ -212,40 +214,38 @@ func TestAttrSampling(t *testing.T) {
 
 // decodeAttrSection walks the snapshot "attr" section and returns the flow
 // count and how many of those flows were still open (not Done) at capture.
-// The field walk mirrors Tracer.SnapshotTo exactly; a format drift surfaces
-// here as a decoder error.
+// A flow record is fixed-width, so the walk is a stride and the Done byte's
+// offset in it; the sizes mirror Tracer.SnapshotTo, and a format drift
+// surfaces here as an image that does not end where its own counts say.
 func decodeAttrSection(t *testing.T, b []byte) (flows, open int) {
 	t.Helper()
-	d := snapshot.NewDecoder(b)
-	if !d.Bool() {
+	const (
+		head   = 1 + 8 + 4*8                                                  // present, seq, four counters
+		stride = 4 + 8 + 8 + 1 + 4 + 8 + 8 + 8*attr.NumStages + 4 + 4 + 1 + 8 // ID .. last
+		done   = stride - 8 - 1                                               // Done sits before last
+	)
+	u32 := func(off int) int {
+		if off < 0 || off+4 > len(b) {
+			t.Fatalf("attr section: %d bytes, need a count at offset %d", len(b), off)
+		}
+		return int(binary.LittleEndian.Uint32(b[off:]))
+	}
+	if len(b) == 0 || b[0] != 1 {
 		t.Fatal("attr section has absent marker despite attribution on")
 	}
-	d.U64() // seq
-	d.I64() // completed
-	d.I64() // dropped
-	d.I64() // overflow
-	d.I64() // epochEvents
-	flows = int(d.U32())
+	flows = u32(head)
+	end := head + 4 + flows*stride
+	end += 4 + u32(end)*(8+4) // epochs: source, epoch
+	if end < len(b) && b[end] == 1 {
+		end += 8 + 8 + 4 + 8*u32(end+1+8+8) // heat: cylinders, angles, cells
+	}
+	if end++; end != len(b) {
+		t.Fatalf("attr section is %d bytes, its counts account for %d", len(b), end)
+	}
 	for i := 0; i < flows; i++ {
-		d.U32()  // ID
-		d.Int()  // Src
-		d.Int()  // Dst
-		d.U8()   // Kind
-		d.U32()  // Epoch
-		d.Time() // Issue
-		d.Time() // End
-		for s := 0; s < attr.NumStages; s++ {
-			d.Time()
-		}
-		d.U32() // Hops
-		d.U32() // Deflections
-		if !d.Bool() {
+		if b[head+4+i*stride+done] == 0 {
 			open++
 		}
-		d.Time() // last
-	}
-	if d.Err() != nil {
-		t.Fatalf("attr section decode: %v", d.Err())
 	}
 	return flows, open
 }
@@ -305,7 +305,7 @@ func TestAttrAcrossCheckpoint(t *testing.T) {
 	boundaries, err := snapshot.Audit(func(sink func(*snapshot.Snapshot) error) error {
 		lastFlows = 0
 		cp := &Checkpoint{Every: sim.Microsecond, Sink: func(s *snapshot.Snapshot) error {
-			sec, ok := s.Section("attr")
+			sec, ok := section(s, "attr")
 			if !ok {
 				t.Fatalf("snapshot at %v has no attr section", s.Header.At)
 			}

@@ -29,6 +29,16 @@ func ckptBody(n *Node) {
 	n.MPI.Barrier()
 }
 
+// section returns one component's image from s by name.
+func section(s *snapshot.Snapshot, name string) ([]byte, bool) {
+	for _, sec := range s.Sections {
+		if sec.Name == name {
+			return sec.Data, true
+		}
+	}
+	return nil, false
+}
+
 func reportJSON(t *testing.T, rep *Report) string {
 	t.Helper()
 	b, err := json.Marshal(rep)
@@ -307,8 +317,8 @@ func TestDenseSparseSnapshotIdentity(t *testing.T) {
 	}
 	for i := range sparse {
 		for _, name := range []string{"dvswitch", "vic", "dv", "rng", "ib"} {
-			a, okA := sparse[i].Section(name)
-			b, okB := dense[i].Section(name)
+			a, okA := section(sparse[i], name)
+			b, okB := section(dense[i], name)
 			if okA != okB {
 				t.Fatalf("snapshot %d: section %s present=%t vs %t", i, name, okA, okB)
 			}

@@ -105,7 +105,7 @@ type Platform struct {
 	Trace *trace.Recorder
 
 	// Obs, when non-nil, enables the unified metrics layer: a registry of
-	// counters/gauges/histograms across every enabled stack, a virtual-time
+	// counters and histograms across every enabled stack, a virtual-time
 	// series sampler, and (when Obs.PacketSample > 0) deterministic sampling
 	// of packet lifecycles into a Chrome trace. Results land in
 	// Report.Metrics. Nil costs one pointer test per instrumentation site.
@@ -183,6 +183,9 @@ func (p Platform) Validate() error {
 	if p.PlanePolicy != dvswitch.PlaneHash && p.PlanePolicy != dvswitch.PlaneRR {
 		return &ConfigError{Field: "PlanePolicy", Reason: fmt.Sprintf("is not a known policy (%d)", p.PlanePolicy)}
 	}
+	if err := p.Faults.Validate(); err != nil {
+		return &ConfigError{Field: "Faults", Reason: "is not a usable plan: " + err.Error()}
+	}
 	if cp := p.Checkpoint; cp != nil {
 		// A negative budget would otherwise read as "no budget" and let the
 		// run the caller meant to bound go unbounded.
@@ -234,14 +237,6 @@ func DefaultConfig(n int) Config {
 	}
 }
 
-// runMetrics is the per-run observability state shared by every Node: the
-// registry (for phase histograms) and the collected phase spans.
-type runMetrics struct {
-	reg     *obs.Registry
-	compute *obs.Histogram // per-Compute durations, µs
-	phases  []obs.TraceEvent
-}
-
 // Node is one cluster node as seen by an SPMD program body.
 type Node struct {
 	ID    int
@@ -253,7 +248,7 @@ type Node struct {
 	CPU   CPUModel
 	Trace *trace.Recorder
 
-	met *runMetrics // nil unless Config.Obs
+	compute *obs.Histogram // per-Compute durations, µs; nil unless Config.Obs
 }
 
 // Compute advances virtual time by d, representing host computation, and
@@ -265,8 +260,8 @@ func (n *Node) Compute(d sim.Time) {
 	t0 := n.P.Now()
 	n.P.Wait(d)
 	n.Trace.State(n.ID, "compute", t0, n.P.Now())
-	if n.met != nil {
-		n.met.compute.Observe(int64(d / sim.Microsecond))
+	if n.compute != nil {
+		n.compute.Observe(int64(d / sim.Microsecond))
 	}
 }
 
@@ -283,25 +278,6 @@ func (n *Node) MemOps(c int64) {
 // Ops advances time by the cost of c small software operations.
 func (n *Node) Ops(c int64) {
 	n.Compute(sim.Time(c) * n.CPU.SmallOp)
-}
-
-// InState runs fn and records the elapsed interval under the given state.
-// With metrics enabled the interval also feeds a per-state duration
-// histogram ("phase_<state>_us") and a Chrome trace span.
-func (n *Node) InState(state string, fn func()) {
-	t0 := n.P.Now()
-	fn()
-	t1 := n.P.Now()
-	n.Trace.State(n.ID, state, t0, t1)
-	if n.met != nil {
-		n.met.reg.Histogram("phase_" + state + "_us").Observe(int64((t1 - t0) / sim.Microsecond))
-		n.met.phases = append(n.met.phases, obs.TraceEvent{
-			Name: "phase:" + state, Cat: "phase", Ph: "X",
-			TS:  float64(t0) / float64(sim.Microsecond),
-			Dur: float64(t1-t0) / float64(sim.Microsecond),
-			PID: n.ID,
-		})
-	}
 }
 
 // Report summarises one run.
@@ -406,7 +382,6 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	var reg *obs.Registry
 	var sampler *obs.Sampler
 	var psmp *obs.PacketSampler
-	var met *runMetrics
 	var vicObs *vic.Obs
 	var relObs *dv.RelObs
 	if cfg.Obs != nil {
@@ -415,7 +390,6 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		if cfg.Obs.PacketSample > 0 {
 			psmp = obs.NewPacketSampler(cfg.Obs.Seed, cfg.Obs.PacketSample)
 		}
-		met = &runMetrics{reg: reg, compute: reg.Histogram("node_compute_us")}
 		vicObs = vic.NewObs(reg)
 		relObs = dv.NewRelObs(reg)
 	}
@@ -738,7 +712,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		nodeRNG := rng.Split()
 		nodeRNGs = append(nodeRNGs, nodeRNG)
 		k.Spawn(fmt.Sprintf("node%d", i), func(p *sim.Proc) {
-			n := &Node{ID: i, P: p, RNG: nodeRNG, CPU: cfg.CPU, Trace: cfg.Trace, met: met}
+			n := &Node{ID: i, P: p, RNG: nodeRNG, CPU: cfg.CPU, Trace: cfg.Trace, compute: reg.Histogram("node_compute_us")}
 			if vics != nil {
 				for r := 0; r < rails; r++ {
 					e := dv.NewEndpoint(vics[r*cfg.Nodes+i], i, cfg.Nodes)
@@ -809,9 +783,6 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	}
 	if cfg.Obs != nil {
 		packets := psmp.EventsOrNil()
-		if met != nil {
-			packets = append(packets, met.phases...)
-		}
 		if tracer != nil && cfg.Attr.Chrome {
 			packets = append(packets, tracer.ChromeEvents()...)
 		}

@@ -156,7 +156,7 @@ func TestTraceRecordsStatesAndMessages(t *testing.T) {
 		} else {
 			n.MPI.Recv(0, 1)
 		}
-		n.InState("phase2", func() { n.P.Wait(sim.Microsecond) })
+		n.Compute(sim.Microsecond)
 	})
 	states, msgs, span := cfg.Trace.Summary()
 	if states < 4 {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,15 +22,13 @@ func metricsRun(t *testing.T) *Report {
 	cfg.Faults = &faultplan.Plan{Seed: 7, DropProb: 5e-3}
 	cfg.Obs = &obs.Config{Every: 2 * sim.Microsecond, PacketSample: 1, Seed: 11}
 	return Run(cfg, func(n *Node) {
-		n.InState("updates", func() {
-			vals := make([]uint64, 64)
-			for i := range vals {
-				vals[i] = uint64(n.ID)<<32 | uint64(i)
-			}
-			if err := n.DV.ReliableWrite((n.ID+1)%4, 100, vals); err != nil {
-				t.Errorf("node %d: %v", n.ID, err)
-			}
-		})
+		vals := make([]uint64, 64)
+		for i := range vals {
+			vals[i] = uint64(n.ID)<<32 | uint64(i)
+		}
+		if err := n.DV.ReliableWrite((n.ID+1)%4, 100, vals); err != nil {
+			t.Errorf("node %d: %v", n.ID, err)
+		}
 		if err := n.DV.ReliableBarrier(); err != nil {
 			t.Errorf("node %d barrier: %v", n.ID, err)
 		}
@@ -65,31 +64,25 @@ func TestMetricsMatchReport(t *testing.T) {
 		}
 	}
 	// The series' final row carries the same cumulative totals.
-	if got := m.Series.Last("deflected_total"); got != float64(rep.DVFabric.TotalDeflected) {
-		t.Errorf("series deflected_total = %v, report %d", got, rep.DVFabric.TotalDeflected)
+	last := m.Series.Rows[len(m.Series.Rows)-1].V
+	for col, want := range map[string]int64{
+		"deflected_total": rep.DVFabric.TotalDeflected,
+		"rel_retransmits": rep.Reliability.Retransmits,
+		"delivered_total": rep.DVFabric.Delivered,
+	} {
+		if i := slices.Index(m.Series.Cols, col); i < 0 || last[i] != float64(want) {
+			t.Errorf("series has no final %s = %d (columns %v, last row %v)", col, want, m.Series.Cols, last)
+		}
 	}
-	if got := m.Series.Last("rel_retransmits"); got != float64(rep.Reliability.Retransmits) {
-		t.Errorf("series rel_retransmits = %v, report %d", got, rep.Reliability.Retransmits)
-	}
-	if got := m.Series.Last("delivered_total"); got != float64(rep.DVFabric.Delivered) {
-		t.Errorf("series delivered_total = %v, report %d", got, rep.DVFabric.Delivered)
-	}
-	// With PacketSample=1 every delivery appears in the Chrome events, and
-	// the InState phases ride along.
-	var packets, phases int
+	// With PacketSample=1 every delivery appears in the Chrome events.
+	packets := 0
 	for _, ev := range m.Packets {
-		switch ev.Cat {
-		case "net":
+		if ev.Cat == "net" {
 			packets++
-		case "phase":
-			phases++
 		}
 	}
 	if int64(packets) != rep.DVFabric.Delivered {
 		t.Errorf("trace has %d packet events, %d deliveries", packets, rep.DVFabric.Delivered)
-	}
-	if phases != 4 {
-		t.Errorf("trace has %d phase spans, want 4", phases)
 	}
 	// Per-cylinder deflection counters sum to the total.
 	var byCyl int64

@@ -25,8 +25,6 @@ const (
 	OpWrite = vic.OpWrite
 	// OpFIFO pushes the payload onto the destination's surprise FIFO.
 	OpFIFO = vic.OpFIFO
-	// OpSetGC sets a destination group counter to the payload value.
-	OpSetGC = vic.OpSetGC
 	// OpDecGC subtracts the payload value from a destination group counter.
 	OpDecGC = vic.OpDecGC
 	// OpQuery reads a DV Memory address and returns the value to the sender.
@@ -64,17 +62,12 @@ func EncodeHeader(dstVIC int, op Op, gc int, addr uint32) uint64 {
 // Request is an outstanding non-blocking MPI operation.
 type Request = mpi.Request
 
-// ReduceOp combines reduction operands element-wise.
-type ReduceOp = mpi.ReduceOp
-
 // Reduction operators for Comm.Reduce/Allreduce.
 var (
 	// Sum adds operands element-wise.
 	Sum = mpi.Sum
 	// Max keeps the element-wise maximum.
 	Max = mpi.Max
-	// Min keeps the element-wise minimum.
-	Min = mpi.Min
 )
 
 // AnySource matches any sender in a receive.

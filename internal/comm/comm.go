@@ -1,16 +1,12 @@
-// Package comm is the backend-neutral transport layer of the reproduction:
-// one Net enum naming the interconnects the paper compares, one Backend
-// interface carrying the transport operations every workload needs
-// (put/scatter/all-to-all/barrier/drain plus their reliable variants), and
-// a registry holding one Backend implementation per fabric — Data Vortex
-// (wrapping internal/dv and internal/vic, over either switch engine) and
-// InfiniBand (wrapping internal/mpi and internal/ib).
-//
-// Before this layer existed every package under internal/apps re-declared
-// its own Net enum and re-wired its own cluster; now an app names a
-// comm.Net, receives a comm.Backend from the apprt harness, and adding a
-// third interconnect means one new Backend registration — not eleven app
-// edits.
+// Package comm is the backend-neutral layer of the reproduction: one Net
+// enum naming the interconnects the paper compares, and one Backend
+// interface carrying what every workload shares whichever fabric it runs on
+// (identity, barriers, the all-to-all) beside the fabric's own programming
+// model — the Data Vortex API endpoint (internal/dv over internal/vic, over
+// either switch engine) or the MPI communicator (internal/mpi over
+// internal/ib). An app names a comm.Net and receives a comm.Backend from the
+// apprt harness; the aliases in alias.go keep app packages free of direct
+// internal/vic and internal/mpi imports.
 package comm
 
 import (
@@ -47,7 +43,7 @@ func (n Net) Stacks() cluster.Stack {
 	return cluster.StackIB
 }
 
-// Nets lists the registered networks in definition order.
+// Nets lists the networks in definition order.
 func Nets() []Net { return []Net{DV, IB} }
 
 // ParseNet maps a command-line spelling ("dv", "ib", or a paper label) to

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/sim"
 )
 
 func TestNetStrings(t *testing.T) {
@@ -80,59 +79,21 @@ func TestAlltoallBothBackends(t *testing.T) {
 	}
 }
 
-// TestOneSidedOps exercises the Data Vortex one-sided path and the IB
-// backend's unsupported reports.
-func TestOneSidedOps(t *testing.T) {
-	cfg := cluster.DefaultConfig(2)
-	cfg.Stacks = cluster.StackDV
-	var fifoGot uint64
-	cluster.Run(cfg, func(n *cluster.Node) {
-		be := comm.New(comm.DV, n)
-		e := be.Endpoint()
-		slot := e.Alloc(1)
-		gc := e.AllocGC()
-		e.ArmGC(gc, 1)
-		be.Barrier()
-		peer := 1 - be.Rank()
-		if err := be.Put(comm.DMACached, peer, slot, gc, []uint64{uint64(10 + be.Rank())}); err != nil {
-			t.Errorf("Put: %v", err)
-		}
-		e.WaitGC(gc, sim.Forever)
-		if got := e.Read(slot, 1)[0]; got != uint64(10+peer) {
-			t.Errorf("rank %d read %d", be.Rank(), got)
-		}
-		be.Barrier()
-		if err := be.Scatter(comm.PIOCached, []comm.Word{
-			{Dst: peer, Op: comm.OpFIFO, GC: comm.NoGC, Val: 77}}); err != nil {
-			t.Errorf("Scatter: %v", err)
-		}
-		if w, ok := be.Drain(sim.Forever); ok && be.Rank() == 0 {
-			fifoGot = w
-		}
-		be.Barrier()
-	})
-	if fifoGot != 77 {
-		t.Fatalf("FIFO drain got %d", fifoGot)
+// TestFabricEndpoints: each backend hands out its own fabric's programming
+// model and nil for the other's, and ReliableBarrier works on both (on IB it
+// degrades to the plain barrier).
+func TestFabricEndpoints(t *testing.T) {
+	for _, net := range comm.Nets() {
+		cfg := cluster.DefaultConfig(2)
+		cfg.Stacks = net.Stacks()
+		cluster.Run(cfg, func(n *cluster.Node) {
+			be := comm.New(net, n)
+			if be.Net() != net || (be.Endpoint() != nil) != (net == comm.DV) || (be.MPI() != nil) != (net == comm.IB) {
+				t.Errorf("%v: Net %v, Endpoint %v, MPI %v", net, be.Net(), be.Endpoint(), be.MPI())
+			}
+			if err := be.ReliableBarrier(); err != nil {
+				t.Errorf("%v ReliableBarrier: %v", net, err)
+			}
+		})
 	}
-
-	cfg = cluster.DefaultConfig(2)
-	cfg.Stacks = cluster.StackIB
-	cluster.Run(cfg, func(n *cluster.Node) {
-		be := comm.New(comm.IB, n)
-		if err := be.Scatter(comm.DMACached, nil); err != comm.ErrUnsupported {
-			t.Errorf("IB Scatter err = %v", err)
-		}
-		if err := be.Put(comm.DMACached, 0, 0, comm.NoGC, nil); err != comm.ErrUnsupported {
-			t.Errorf("IB Put err = %v", err)
-		}
-		if _, ok := be.Drain(0); ok {
-			t.Error("IB Drain reported a word")
-		}
-		if be.Endpoint() != nil || be.MPI() == nil {
-			t.Error("IB capability accessors wrong")
-		}
-		if err := be.ReliableBarrier(); err != nil {
-			t.Errorf("IB ReliableBarrier: %v", err)
-		}
-	})
 }

@@ -1,26 +1,16 @@
-// Data Vortex backend: thin forwarding onto the §III API endpoint for the
-// native operations, plus an all-to-all built from counted one-sided
-// writes — the one collective the fabric does not provide natively.
+// Data Vortex backend: identity and barriers forward to the §III API
+// endpoint; the all-to-all is built from counted one-sided writes — the one
+// collective the fabric does not provide natively.
 
 package comm
 
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/dv"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
-
-func init() {
-	Register(DV, func(n *cluster.Node) Backend {
-		if n.DV == nil {
-			panic("comm: node has no Data Vortex endpoint (StackDV not enabled)")
-		}
-		return &dvBackend{e: n.DV}
-	})
-}
 
 // dvBackend drives one node's Data Vortex rail-0 endpoint.
 type dvBackend struct {
@@ -41,20 +31,6 @@ func (b *dvBackend) Size() int { return b.e.Size() }
 
 func (b *dvBackend) Barrier()               { b.e.Barrier() }
 func (b *dvBackend) ReliableBarrier() error { return b.e.ReliableBarrier() }
-
-func (b *dvBackend) Put(mode SendMode, dst int, addr uint32, gc int, vals []uint64) error {
-	b.e.Put(mode, dst, addr, gc, vals)
-	return nil
-}
-
-func (b *dvBackend) Scatter(mode SendMode, words []Word) error {
-	b.e.Scatter(mode, words)
-	return nil
-}
-
-func (b *dvBackend) ReliableScatter(words []Word) error { return b.e.ReliableScatter(words) }
-
-func (b *dvBackend) Drain(timeout sim.Time) (uint64, bool) { return b.e.PopFIFO(timeout) }
 
 func (b *dvBackend) Endpoint() *dv.Endpoint { return b.e }
 func (b *dvBackend) MPI() *mpi.Comm         { return nil }

@@ -1,24 +1,12 @@
-// InfiniBand/MPI backend: collectives and barriers forward to the MPI
-// communicator; the one-sided fine-grained operations have no substrate in
-// the two-sided MPI model and report ErrUnsupported.
+// InfiniBand/MPI backend: identity, barriers and the all-to-all forward to
+// the MPI communicator.
 
 package comm
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/dv"
 	"repro/internal/mpi"
-	"repro/internal/sim"
 )
-
-func init() {
-	Register(IB, func(n *cluster.Node) Backend {
-		if n.MPI == nil {
-			panic("comm: node has no MPI communicator (StackIB not enabled)")
-		}
-		return &ibBackend{c: n.MPI}
-	})
-}
 
 // ibBackend drives one node's MPI communicator over the fat tree.
 type ibBackend struct {
@@ -39,11 +27,6 @@ func (b *ibBackend) ReliableBarrier() error {
 }
 
 func (b *ibBackend) Alltoall(blocks [][]byte) [][]byte { return b.c.Alltoall(blocks) }
-
-func (b *ibBackend) Put(SendMode, int, uint32, int, []uint64) error { return ErrUnsupported }
-func (b *ibBackend) Scatter(SendMode, []Word) error                 { return ErrUnsupported }
-func (b *ibBackend) ReliableScatter([]Word) error                   { return ErrUnsupported }
-func (b *ibBackend) Drain(sim.Time) (uint64, bool)                  { return 0, false }
 
 func (b *ibBackend) Endpoint() *dv.Endpoint { return nil }
 func (b *ibBackend) MPI() *mpi.Comm         { return b.c }

@@ -33,8 +33,7 @@ type Endpoint struct {
 	heapNext uint32
 	gcNext   int
 
-	rel     *reliableState // lazily-initialised reliable-delivery layer
-	relOpts *ReliableOpts  // options staged before first reliable use
+	rel *reliableState // lazily-initialised reliable-delivery layer
 
 	// obs points at the cluster-shared reliable-layer instruments (SetObs);
 	// nil when observability is disabled.
@@ -130,16 +129,6 @@ func (e *Endpoint) Put(mode vic.SendMode, dst int, addr uint32, gc int, vals []u
 	e.V.HostSend(e.p, mode, words)
 }
 
-// PutFloat64s is Put for float64 payloads.
-func (e *Endpoint) PutFloat64s(mode vic.SendMode, dst int, addr uint32, gc int, vals []float64) {
-	e.checkRange("PutFloat64s", addr, len(vals))
-	words := make([]vic.Word, len(vals))
-	for i, v := range vals {
-		words[i] = vic.Word{Dst: dst, Op: vic.OpWrite, GC: gc, Addr: addr + uint32(i), Val: math.Float64bits(v)}
-	}
-	e.V.HostSend(e.p, mode, words)
-}
-
 // Scatter sends an arbitrary batch of packets — different destinations,
 // addresses, and opcodes — in one host transfer. This is the paper's
 // "aggregation at source": many fine-grained packets to many destinations
@@ -156,23 +145,6 @@ func (e *Endpoint) FIFOPut(mode vic.SendMode, dst int, vals []uint64) {
 		words[i] = vic.Word{Dst: dst, Op: vic.OpFIFO, GC: vic.NoGC, Val: v}
 	}
 	e.V.HostSend(e.p, mode, words)
-}
-
-// SetRemoteGC sets a group counter on dst via a control packet.
-func (e *Endpoint) SetRemoteGC(mode vic.SendMode, dst, gc int, val int64) {
-	e.V.HostSend(e.p, mode, []vic.Word{{Dst: dst, Op: vic.OpSetGC, GC: vic.NoGC, Addr: uint32(gc), Val: uint64(val)}})
-}
-
-// DecRemoteGC decrements a group counter on dst by val.
-func (e *Endpoint) DecRemoteGC(mode vic.SendMode, dst, gc int, val int64) {
-	e.V.HostSend(e.p, mode, []vic.Word{{Dst: dst, Op: vic.OpDecGC, GC: vic.NoGC, Addr: uint32(gc), Val: uint64(val)}})
-}
-
-// Query asks dst to send its DV Memory word at addr to replyTo's DV Memory
-// at replyAddr (counted by replyGC there, vic.NoGC to skip).
-func (e *Endpoint) Query(mode vic.SendMode, dst int, addr uint32, replyTo int, replyAddr uint32, replyGC int) {
-	ret := vic.EncodeHeader(replyTo, vic.OpWrite, replyGC, replyAddr)
-	e.V.HostSend(e.p, mode, []vic.Word{{Dst: dst, Op: vic.OpQuery, GC: vic.NoGC, Addr: addr, Val: ret}})
 }
 
 // ---------------------------------------------------------------------------
@@ -202,29 +174,10 @@ func (e *Endpoint) Read(addr uint32, n int) []uint64 {
 	return e.V.DMARead(e.p, addr, n)
 }
 
-// ReadFloat64s is Read for float64 payloads.
-func (e *Endpoint) ReadFloat64s(addr uint32, n int) []float64 {
-	raw := e.V.DMARead(e.p, addr, n)
-	out := make([]float64, n)
-	for i, w := range raw {
-		out[i] = math.Float64frombits(w)
-	}
-	return out
-}
-
 // WriteLocal stages words into local DV Memory via the DMA engine.
 func (e *Endpoint) WriteLocal(addr uint32, vals []uint64) {
 	e.checkRange("WriteLocal", addr, len(vals))
 	e.V.HostWriteMemDMA(e.p, addr, vals)
-}
-
-// WriteLocalFloat64s stages float64s into local DV Memory.
-func (e *Endpoint) WriteLocalFloat64s(addr uint32, vals []float64) {
-	raw := make([]uint64, len(vals))
-	for i, v := range vals {
-		raw[i] = math.Float64bits(v)
-	}
-	e.V.HostWriteMemDMA(e.p, addr, raw)
 }
 
 // TryPopFIFO returns the next surprise word visible to the host, if any.
@@ -234,9 +187,6 @@ func (e *Endpoint) TryPopFIFO() (uint64, bool) { return e.V.TryPopSurprise() }
 func (e *Endpoint) PopFIFO(timeout sim.Time) (uint64, bool) {
 	return e.V.PopSurprise(e.p, timeout)
 }
-
-// FIFOBacklog returns the number of surprise words waiting in the host ring.
-func (e *Endpoint) FIFOBacklog() int { return e.V.SurpriseBacklog() }
 
 // Barrier executes the intrinsic whole-system barrier.
 func (e *Endpoint) Barrier() { e.V.Barrier(e.p) }

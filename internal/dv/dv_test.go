@@ -57,31 +57,6 @@ func TestSymmetricAllocators(t *testing.T) {
 	}
 }
 
-func TestPutFloat64sRoundTrip(t *testing.T) {
-	tb := newTestbed(2)
-	vals := []float64{1.5, -2.25, 3e10}
-	addr := tb.eps[0].Alloc(len(vals))
-	tb.eps[1].Alloc(len(vals))
-	var got []float64
-	tb.spmd(func(e *Endpoint) {
-		gc := e.AllocGC()
-		e.ArmGC(gc, int64(len(vals)))
-		e.Barrier()
-		if e.Rank() == 0 {
-			e.PutFloat64s(vic.DMACached, 1, addr, gc, vals)
-		}
-		if e.Rank() == 1 {
-			e.WaitGC(gc, sim.Forever)
-			got = e.ReadFloat64s(addr, len(vals))
-		}
-	})
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
-}
-
 func TestWriteLocalAndRead(t *testing.T) {
 	tb := newTestbed(1)
 	tb.spmd(func(e *Endpoint) {
@@ -90,11 +65,6 @@ func TestWriteLocalAndRead(t *testing.T) {
 		got := e.Read(addr, 4)
 		if got[2] != 7 {
 			t.Errorf("got %v", got)
-		}
-		e.WriteLocalFloat64s(addr, []float64{0.5, 0.25})
-		f := e.ReadFloat64s(addr, 2)
-		if f[1] != 0.25 {
-			t.Errorf("floats %v", f)
 		}
 	})
 }
@@ -112,7 +82,8 @@ func TestQueryViaEndpoint(t *testing.T) {
 		e.Barrier()
 		if e.Rank() == 0 {
 			e.ArmGC(gc, 1)
-			e.Query(vic.PIO, 1, src, 0, dst, gc)
+			e.Scatter(vic.PIO, []vic.Word{{Dst: 1, Op: vic.OpQuery, GC: vic.NoGC, Addr: src,
+				Val: vic.EncodeHeader(0, vic.OpWrite, gc, dst)}})
 			e.WaitGC(gc, sim.Forever)
 			got = e.Read(dst, 1)[0]
 		}
@@ -132,7 +103,7 @@ func TestRemoteGCControl(t *testing.T) {
 		}
 		e.Barrier()
 		if e.Rank() == 0 {
-			e.DecRemoteGC(vic.PIO, 1, gc, 5)
+			e.Scatter(vic.PIO, []vic.Word{{Dst: 1, Op: vic.OpDecGC, GC: vic.NoGC, Addr: uint32(gc), Val: 5}})
 		} else {
 			ok = e.WaitGC(gc, sim.Forever)
 		}

@@ -50,9 +50,6 @@ func (g *Group) children() []int {
 	return kids
 }
 
-// Size returns the group's member count.
-func (g *Group) Size() int { return len(g.members) }
-
 // Barrier synchronises the group's members (only them; other nodes keep
 // running). Implemented VIC-side, like the intrinsic barrier ("most of the
 // communication is performed by the VICs without involving the host"):

@@ -135,7 +135,7 @@ func TestGroupCounterRaceHazard(t *testing.T) {
 		case 2:
 			// ...while the counter-arming control packet arrives mid-burst.
 			e.Proc().Wait(2 * sim.Microsecond)
-			e.SetRemoteGC(vic.PIO, 1, gc, words)
+			e.Scatter(vic.PIO, []vic.Word{{Dst: 1, Op: vic.OpSetGC, GC: vic.NoGC, Addr: uint32(gc), Val: words}})
 		case 1:
 			// By 10µs the counter has "surely" been armed and the data has
 			// surely arrived — yet the count never reaches zero, because

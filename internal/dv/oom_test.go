@@ -91,9 +91,6 @@ func TestPutBoundary(t *testing.T) {
 		mustPanicOOM(t, "Put", func() {
 			e.Put(vic.PIO, 1, top-1, vic.NoGC, []uint64{7, 8})
 		})
-		mustPanicOOM(t, "PutFloat64s", func() {
-			e.PutFloat64s(vic.PIO, 1, top, vic.NoGC, []float64{1.5})
-		})
 		// uint32 wraparound base: addr+1 wraps to 0 without the 64-bit check.
 		mustPanicOOM(t, "Put", func() {
 			e.Put(vic.PIO, 1, ^uint32(0), vic.NoGC, []uint64{7, 8})
@@ -162,26 +159,4 @@ func TestWorstChunkWaitGeometric(t *testing.T) {
 	if got := o.worstChunkWait(); got != want {
 		t.Errorf("Backoff=1: worstChunkWait = %v, want %v", got, want)
 	}
-}
-
-// TestChunkWordsTooSmall: a chunk must hold a data word plus its sequence
-// marker; ChunkWords=1 used to verify past the end of the verify region into
-// the sequence slots.
-func TestChunkWordsTooSmall(t *testing.T) {
-	tb := newTestbed(2)
-	tb.spmd(func(e *Endpoint) {
-		if e.Rank() != 0 {
-			return
-		}
-		o := DefaultReliableOpts()
-		o.ChunkWords = 1
-		e.SetReliableOpts(o)
-		defer func() {
-			if recover() == nil {
-				t.Error("ChunkWords=1 did not panic at first reliable use")
-			}
-		}()
-		_ = e.ReliableWrite(1, 0, []uint64{1})
-	})
-	tb.k.Run()
 }

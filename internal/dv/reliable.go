@@ -119,21 +119,6 @@ type reliableState struct {
 	epoch uint64   // ReliableBarrier epoch
 }
 
-// SetReliableOpts overrides the reliable-layer options. It must be called
-// (symmetrically on every node) before the first reliable operation; once the
-// scratch carve exists only the timing fields may change.
-func (e *Endpoint) SetReliableOpts(o ReliableOpts) {
-	if e.rel != nil {
-		if o.ChunkWords != e.rel.opts.ChunkWords {
-			panic("dv: SetReliableOpts after first use cannot resize ChunkWords")
-		}
-		e.rel.opts = o
-		return
-	}
-	oo := o
-	e.relOpts = &oo
-}
-
 // ReliableTelemetry returns the endpoint's reliable-layer counters (zero if
 // the reliable path was never used).
 func (e *Endpoint) ReliableTelemetry() ReliableStats {
@@ -156,15 +141,6 @@ func (e *Endpoint) rstate() *reliableState {
 		return e.rel
 	}
 	o := DefaultReliableOpts()
-	if e.relOpts != nil {
-		o = *e.relOpts
-	}
-	// ChunkWords must fit at least one data word plus its destination's
-	// sequence marker; with ChunkWords == 1 a two-word chunk would verify
-	// past the end of the verify region into the sequence slots.
-	if o.ChunkWords < 2 || o.MaxAttempts < 1 || o.Backoff < 1 || o.Timeout <= 0 {
-		panic(fmt.Sprintf("dv: invalid ReliableOpts %+v", o))
-	}
 	top := e.V.Params().MemWords
 	if top > 1<<24 {
 		top = 1 << 24 // the packet header carries 24 address bits

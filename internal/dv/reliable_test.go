@@ -117,11 +117,9 @@ func TestReliableDeliveryError(t *testing.T) {
 	tb.eps[1].Alloc(1)
 	var err error
 	tb.spmd(func(e *Endpoint) {
-		e.SetReliableOpts(ReliableOpts{
-			Mode: vic.DMACached, ChunkWords: 16, Timeout: 2 * sim.Microsecond,
-			Backoff: 2, MaxAttempts: 3, QueryDelay: sim.Microsecond,
-			PollInterval: sim.Microsecond,
-		})
+		o := &e.rstate().opts // every node carves its scratch; only timing changes
+		o.Timeout, o.MaxAttempts = 2*sim.Microsecond, 3
+		o.QueryDelay, o.PollInterval = sim.Microsecond, sim.Microsecond
 		if e.Rank() == 0 {
 			err = e.ReliableWrite(1, addr, []uint64{7})
 		}

@@ -152,9 +152,6 @@ func ForPorts(n int) Params {
 // PortCoord maps a port index to its (height, angle) coordinates.
 func (p Params) PortCoord(port int) (h, a int) { return port / p.Angles, port % p.Angles }
 
-// PortIndex maps (height, angle) coordinates to a port index.
-func (p Params) PortIndex(h, a int) int { return h*p.Angles + a }
-
 // Stats aggregates fabric telemetry.
 type Stats struct {
 	Injected       int64

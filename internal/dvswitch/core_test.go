@@ -45,7 +45,7 @@ func TestPortCoordRoundTrip(t *testing.T) {
 	p := Params{Heights: 8, Angles: 4}
 	for port := 0; port < p.Ports(); port++ {
 		h, a := p.PortCoord(port)
-		if p.PortIndex(h, a) != port {
+		if h < 0 || h >= p.Heights || a < 0 || a >= p.Angles || h*p.Angles+a != port {
 			t.Fatalf("round trip failed for port %d", port)
 		}
 	}
@@ -163,8 +163,8 @@ func TestContentionDeflects(t *testing.T) {
 	var lats []int64
 	c.Deliver = func(pkt Packet, cycle int64) { lats = append(lats, cycle-pkt.InjectCycle) }
 	// Two sources at the same angle, different heights, one destination.
-	c.Inject(Packet{Src: p.PortIndex(0, 0), Dst: p.PortIndex(5, 2)})
-	c.Inject(Packet{Src: p.PortIndex(1, 0), Dst: p.PortIndex(5, 2)})
+	c.Inject(Packet{Src: 0*p.Angles + 0, Dst: 5*p.Angles + 2})
+	c.Inject(Packet{Src: 1*p.Angles + 0, Dst: 5*p.Angles + 2})
 	c.RunUntilIdle(1000)
 	if len(lats) != 2 {
 		t.Fatalf("delivered %d, want 2", len(lats))

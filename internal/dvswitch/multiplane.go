@@ -90,17 +90,8 @@ func (m *MultiPlane) deliver(pkt Packet) {
 	}
 }
 
-// NumPlanes returns the plane count.
-func (m *MultiPlane) NumPlanes() int { return len(m.planes) }
-
-// Policy returns the plane-selection policy.
-func (m *MultiPlane) Policy() PlanePolicy { return m.policy }
-
 // planeFor picks the plane for one packet, advancing round-robin state.
 func (m *MultiPlane) planeFor(src, dst int) int {
-	if len(m.planes) == 1 {
-		return 0
-	}
 	if m.policy == PlaneRR {
 		c := m.rr[src]
 		m.rr[src] = c + 1
@@ -141,10 +132,6 @@ func (m *MultiPlane) Inject(pkt Packet) {
 // state, so this is semantically identical to per-element Inject calls
 // while keeping each plane's batch amortisation.
 func (m *MultiPlane) InjectBatch(pkts []Packet) {
-	if len(m.planes) == 1 {
-		m.planes[0].InjectBatch(pkts)
-		return
-	}
 	for i := range m.parts {
 		m.parts[i] = m.parts[i][:0]
 	}

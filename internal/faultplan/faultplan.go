@@ -7,10 +7,6 @@
 // injection hooks and draw every probabilistic fate from per-entity RNG
 // streams derived from the plan seed, so a run under faults is exactly as
 // bit-reproducible as a clean run.
-//
-// Plans have a canonical textual encoding (String/Parse) so fault scenarios
-// can be stored, diffed, and fuzzed; Parse(p.String()) round-trips every
-// valid plan exactly.
 package faultplan
 
 import (

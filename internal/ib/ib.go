@@ -154,9 +154,6 @@ func New(k *sim.Kernel, n int, par Params) *Fabric {
 // Nodes returns the number of attached nodes.
 func (f *Fabric) Nodes() int { return f.n }
 
-// Params returns the fabric parameters.
-func (f *Fabric) Params() Params { return f.par }
-
 // FabricStats returns a copy of the aggregate telemetry.
 func (f *Fabric) FabricStats() Stats { return f.st }
 

@@ -74,11 +74,6 @@ var (
 			dst[i] = math.Max(dst[i], src[i])
 		}
 	}
-	Min ReduceOp = func(dst, src []float64) {
-		for i := range dst {
-			dst[i] = math.Min(dst[i], src[i])
-		}
-	}
 )
 
 // Reduce combines vals from all ranks with op along a binomial tree; the
@@ -164,28 +159,6 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 		cur = (cur - 1 + n) % n
 		out[cur] = data
 		c.Wait(sreq)
-	}
-	return out
-}
-
-// Gather collects each rank's data at root; out[i] is rank i's contribution
-// (nil on non-root ranks).
-func (c *Comm) Gather(root int, data []byte) [][]byte {
-	n := c.Size()
-	c.collSeq++
-	tag := c.collTag(4)
-	if c.rank != root {
-		c.Wait(c.isend(root, tag, data))
-		return nil
-	}
-	out := make([][]byte, n)
-	out[root] = data
-	for i := 0; i < n; i++ {
-		if i == root {
-			continue
-		}
-		d, st := c.Recv(i, tag)
-		out[st.Source] = d
 	}
 	return out
 }

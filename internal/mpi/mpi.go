@@ -162,9 +162,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return len(c.w.comms) }
 
-// Proc returns the bound simulated process.
-func (c *Comm) Proc() *sim.Proc { return c.p }
-
 const (
 	userTagLimit = 1 << 20 // user tags must stay below this
 	ctrlTagBase  = 1 << 30 // internal tags (never matched by users)
@@ -295,9 +292,6 @@ func (r *Request) complete(k *sim.Kernel) {
 	r.gate.Broadcast(k)
 }
 
-// Done reports whether the request has completed (no time charged).
-func (r *Request) Done() bool { return r.done }
-
 // Wait blocks until the request completes and returns the received data and
 // status (nil data and zero status for send requests).
 func (c *Comm) Wait(r *Request) ([]byte, Status) {
@@ -326,19 +320,4 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 // Recv is the blocking receive; it returns the payload and actual envelope.
 func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 	return c.Wait(c.Irecv(src, tag))
-}
-
-// Iprobe reports whether a message matching (src, tag) has arrived, without
-// receiving it.
-func (c *Comm) Iprobe(src, tag int) (bool, Status) {
-	for _, m := range c.unexpected {
-		if matches(src, tag, m) {
-			n := len(m.data)
-			if m.rndv != nil {
-				n = m.bytes
-			}
-			return true, Status{Source: m.src, Tag: m.tag, Bytes: n}
-		}
-	}
-	return false, Status{}
 }

@@ -133,38 +133,15 @@ func TestIsendIrecvWaitall(t *testing.T) {
 	})
 }
 
-func TestIprobe(t *testing.T) {
-	spmd(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 9, []byte{42})
-		} else {
-			// Poll until the message lands.
-			for {
-				if ok, st := c.Iprobe(0, 9); ok {
-					if st.Bytes != 1 {
-						t.Errorf("probe bytes %d", st.Bytes)
-					}
-					break
-				}
-				c.Proc().Wait(100 * sim.Nanosecond)
-			}
-			d, _ := c.Recv(0, 9)
-			if d[0] != 42 {
-				t.Error("probe then recv failed")
-			}
-		}
-	})
-}
-
 func TestBarrierSynchronises(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8, 16} {
 		entry := make([]sim.Time, n)
 		exit := make([]sim.Time, n)
 		spmd(n, func(c *Comm) {
-			c.Proc().Wait(sim.Time(c.Rank()) * sim.Microsecond)
-			entry[c.Rank()] = c.Proc().Now()
+			c.p.Wait(sim.Time(c.Rank()) * sim.Microsecond)
+			entry[c.Rank()] = c.p.Now()
 			c.Barrier()
-			exit[c.Rank()] = c.Proc().Now()
+			exit[c.Rank()] = c.p.Now()
 		})
 		var lastEntry sim.Time
 		for _, e := range entry {
@@ -186,9 +163,9 @@ func TestBarrierLatencyGrows(t *testing.T) {
 	lat := func(n int) sim.Time {
 		var worst sim.Time
 		spmd(n, func(c *Comm) {
-			t0 := c.Proc().Now()
+			t0 := c.p.Now()
 			c.Barrier()
-			if d := c.Proc().Now() - t0; d > worst {
+			if d := c.p.Now() - t0; d > worst {
 				worst = d
 			}
 		})
@@ -318,21 +295,6 @@ func TestAllgather(t *testing.T) {
 	})
 }
 
-func TestGather(t *testing.T) {
-	spmd(4, func(c *Comm) {
-		out := c.Gather(2, []byte{byte(c.Rank())})
-		if c.Rank() == 2 {
-			for i, d := range out {
-				if d[0] != byte(i) {
-					t.Errorf("gather out[%d] = %v", i, d)
-				}
-			}
-		} else if out != nil {
-			t.Error("non-root gather result")
-		}
-	})
-}
-
 func TestWireHelpersRoundTrip(t *testing.T) {
 	f := []float64{1.5, -2.25, 3e300, 0}
 	if got := BytesToFloat64s(Float64sToBytes(f)); len(got) != len(f) {
@@ -361,9 +323,9 @@ func TestLargeTransferBandwidth(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, make([]byte, bytesN))
 		} else {
-			t0 := c.Proc().Now()
+			t0 := c.p.Now()
 			c.Recv(0, 1)
-			elapsed = c.Proc().Now() - t0
+			elapsed = c.p.Now() - t0
 		}
 	})
 	bw := float64(bytesN) / elapsed.Seconds()
@@ -377,10 +339,10 @@ func TestSmallMessageLatency(t *testing.T) {
 	var rtt sim.Time
 	spmd(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			t0 := c.Proc().Now()
+			t0 := c.p.Now()
 			c.Send(1, 1, make([]byte, 8))
 			c.Recv(1, 2)
-			rtt = c.Proc().Now() - t0
+			rtt = c.p.Now() - t0
 		} else {
 			c.Recv(0, 1)
 			c.Send(0, 2, make([]byte, 8))

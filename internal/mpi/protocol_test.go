@@ -153,21 +153,6 @@ func TestCollectivePropertyRandomSizes(t *testing.T) {
 	}
 }
 
-func TestRequestDoneFlag(t *testing.T) {
-	spmd(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			req := c.Isend(1, 1, []byte{1})
-			// Spin in virtual time until complete.
-			for !req.Done() {
-				c.Proc().Wait(100 * sim.Nanosecond)
-			}
-			c.Wait(req)
-		} else {
-			c.Recv(0, 1)
-		}
-	})
-}
-
 func TestFabricStatsCount(t *testing.T) {
 	k := sim.NewKernel()
 	// Reuse the spmd harness indirectly: count via Comm telemetry.

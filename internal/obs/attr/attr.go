@@ -18,7 +18,9 @@
 //
 // Like internal/obs, everything is nil-safe: every method on a nil *Tracer
 // is a no-op, so instrumented components pay one pointer test per seam when
-// attribution is disabled — pinned at zero allocations by the bench gate.
+// attribution is disabled — pinned at zero allocations by
+// TestBoundaryZeroAllocs (internal/vic) and the ZeroAllocWithAttrCompiledIn
+// tests (internal/dvswitch).
 // Tracing is pure observation: no stamp blocks, advances virtual time,
 // schedules an event, or consumes randomness, so enabling attribution
 // provably cannot change a run's results (golden-pinned in apprt).
@@ -174,9 +176,6 @@ func NewTracer(cfg *Config) *Tracer {
 	}
 	return &Tracer{cfg: c, epochs: make(map[int]uint16), mut: c.Mutate}
 }
-
-// Enabled reports whether the tracer records flows (nil-safe).
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // splitmix64 is the SplitMix64 finalizer (same mixer obs uses for packet
 // sampling): cheap, high-quality, and deterministic.

@@ -64,9 +64,6 @@ func TestCompleteIdempotent(t *testing.T) {
 // TestNilSafety: every method on a nil tracer must be a no-op.
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer enabled")
-	}
 	if id := tr.Begin(0, 1, KindWrite, 0); id != 0 {
 		t.Fatal("nil Begin returned a flow")
 	}
@@ -82,7 +79,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var h *Heat
 	h.Add(0, 0) // must not panic
-	if h.Total() != 0 || h.Max() != 0 {
+	if h.Total() != 0 {
 		t.Fatal("nil heat returned counts")
 	}
 }
@@ -256,7 +253,7 @@ func TestHeat(t *testing.T) {
 	h.Add(0, 1)
 	h.Add(1, 2)
 	h.Add(1, 2)
-	if h.Total() != 3 || h.Max() != 2 || h.At(1, 2) != 2 || h.At(0, 0) != 0 {
+	if h.Total() != 3 || h.At(1, 2) != 2 || h.At(0, 0) != 0 {
 		t.Fatalf("heat counts wrong: %+v", h)
 	}
 	if g := tr.HeatGrid(2, 3); g != h {

@@ -42,17 +42,3 @@ func (h *Heat) Total() int64 {
 	}
 	return n
 }
-
-// Max returns the largest cell count.
-func (h *Heat) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	var m int64
-	for _, c := range h.Cells {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}

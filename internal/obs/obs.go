@@ -1,13 +1,13 @@
-// Package obs is the unified observability layer: named counters, gauges and
+// Package obs is the unified observability layer: named counters and
 // log-bucketed histograms collected in a Registry, a virtual-time Sampler
 // that snapshots instrument values into a Series at a fixed cadence, and
 // exporters (Prometheus-style text, JSONL time series, Chrome trace events).
 //
-// Every instrument is nil-safe: methods on a nil *Counter / *Gauge /
-// *Histogram are no-ops, and a nil *Registry hands out nil instruments. A
-// component therefore instruments unconditionally and pays only a pointer
-// test per event when observability is disabled — pinned at zero allocations
-// and <5% of the switch-core step budget by BenchmarkCoreStepSparse.
+// Every instrument is nil-safe: methods on a nil *Counter / *Histogram are
+// no-ops, and a nil *Registry hands out nil instruments. A component
+// therefore instruments unconditionally and pays only a pointer test per
+// event when observability is disabled — pinned at zero allocations and <5%
+// of the switch-core step budget by BenchmarkCoreStepSparse.
 //
 // The simulation kernel is single-threaded, so instruments need no atomics;
 // each parallel bench.Sweep point builds its own kernel and its own Registry.
@@ -22,10 +22,7 @@ import (
 )
 
 // Counter is a monotonically increasing int64 instrument.
-type Counter struct {
-	name string
-	v    int64
-}
+type Counter struct{ v int64 }
 
 // Inc adds 1. No-op on a nil receiver.
 func (c *Counter) Inc() {
@@ -49,43 +46,13 @@ func (c *Counter) Value() int64 {
 	return c.v
 }
 
-// Name returns the registered name ("" for a nil receiver).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
-// Gauge is an instantaneous float64 instrument.
-type Gauge struct {
-	name string
-	v    float64
-}
-
-// Set records the current value. No-op on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value returns the last Set value (0 for a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // HistBuckets is the number of log2 buckets per histogram; bucket i counts
 // observations in [2^i, 2^(i+1)), exactly mirroring dvswitch.Stats.LatHist so
-// the two paths report identical percentiles on the same observations.
+// the two paths hold the same counts for the same observations.
 const HistBuckets = 40
 
 // Histogram is a log2-bucketed int64 distribution.
 type Histogram struct {
-	name    string
 	count   int64
 	sum     int64
 	max     int64
@@ -122,22 +89,6 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Max returns the largest observed value.
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
-}
-
 // Bucket returns the count in bucket i (0 when out of range or nil).
 func (h *Histogram) Bucket(i int) int64 {
 	if h == nil || i < 0 || i >= HistBuckets {
@@ -146,69 +97,19 @@ func (h *Histogram) Bucket(i int) int64 {
 	return h.buckets[i]
 }
 
-// Mean returns the mean observed value (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Percentile estimates the p-th percentile observation, 0 < p <= 100. The
-// estimate interpolates linearly within the target log2 bucket, placing each
-// of the bucket's c observations at the center of its 1/c slice and capping
-// the top bucket at the observed max — exact for uniform-in-bucket data.
-// (dvswitch.Stats.LatencyPercentile reports the bucket's upper bound instead,
-// which overstates a quantile by up to 2x.)
-func (h *Histogram) Percentile(p float64) int64 {
-	if h == nil {
-		return 0
-	}
-	target := int64(p / 100 * float64(h.count))
-	if target < 1 {
-		target = 1
-	}
-	var seen int64
-	for i, c := range h.buckets {
-		seen += c
-		if seen >= target {
-			lo, hi := int64(1)<<uint(i), int64(1)<<uint(i+1)
-			if i == 0 {
-				lo = 0 // bucket 0 also absorbs observations below 1
-			}
-			if h.max+1 < hi {
-				hi = h.max + 1 // the top bucket cannot extend past the max
-			}
-			// Rank within the bucket (1..c), each observation centered in
-			// its own 1/c slice of [lo, hi).
-			pos := target - (seen - c)
-			v := lo + int64(float64(hi-lo)*(float64(pos)-0.5)/float64(c))
-			if v > h.max {
-				v = h.max
-			}
-			return v
-		}
-	}
-	return h.max
-}
-
 // Registry holds named instruments. A nil *Registry is valid and hands out
 // nil instruments, so callers wire observability with a single variable and
 // never branch: `st.obs = reg.Counter("x")` works for reg == nil.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	fns      map[string]func() float64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		fns:      make(map[string]func() float64),
 	}
 }
 
@@ -221,22 +122,9 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns the histogram registered under name, creating it on
@@ -248,18 +136,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	h := &Histogram{name: name}
+	h := &Histogram{}
 	r.hists[name] = h
 	return h
-}
-
-// GaugeFunc registers fn as a lazily evaluated gauge: WritePrometheus calls
-// it at dump time. No-op on a nil registry.
-func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	r.fns[name] = fn
 }
 
 // CounterValue returns the value of a named counter, 0 if absent.
@@ -290,25 +169,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	sort.Strings(names)
 	for _, n := range names {
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, r.counters[n].v); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.fns {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		v := 0.0
-		if g, ok := r.gauges[n]; ok {
-			v = g.v
-		} else {
-			v = r.fns[n]()
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", n, n, formatFloat(v)); err != nil {
 			return err
 		}
 	}

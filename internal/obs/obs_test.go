@@ -15,17 +15,11 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter should read 0")
 	}
-	g := r.Gauge("y")
-	g.Set(3)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge should read 0")
-	}
 	h := r.Histogram("z")
 	h.Observe(9)
-	if h.Count() != 0 || h.Percentile(50) != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Bucket(3) != 0 {
 		t.Fatal("nil histogram should read 0")
 	}
-	r.GaugeFunc("f", func() float64 { return 1 })
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +42,7 @@ func TestRegistryDedupsByName(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketsAndPercentile(t *testing.T) {
+func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat")
 	for _, v := range []int64{0, 1, 2, 3, 4, 7, 8, 100, 1 << 45} {
@@ -57,8 +51,8 @@ func TestHistogramBucketsAndPercentile(t *testing.T) {
 	if h.Count() != 9 {
 		t.Fatalf("count = %d, want 9", h.Count())
 	}
-	if h.Max() != 1<<45 {
-		t.Fatalf("max = %d", h.Max())
+	if h.max != 1<<45 {
+		t.Fatalf("max = %d", h.max)
 	}
 	// 0 and 1 share bucket 0; 2^45 is clamped into the last bucket.
 	want := map[int]int64{0: 2, 1: 2, 2: 2, 3: 1, 6: 1, HistBuckets - 1: 1}
@@ -67,16 +61,6 @@ func TestHistogramBucketsAndPercentile(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", i, got, want[i])
 		}
 	}
-	// p25 of 9 obs targets obs #2, the second of bucket 0's two: [0, 2)
-	// interpolates to 1.
-	if got := h.Percentile(25); got != 1 {
-		t.Fatalf("p25 = %d, want 1", got)
-	}
-	// p100 lands in the clamped last bucket, whose single observation sits
-	// at the middle of [2^39, 2^40).
-	if got := h.Percentile(100); got != 3<<38 {
-		t.Fatalf("p100 = %d, want %d", got, int64(3)<<38)
-	}
 }
 
 func TestWritePrometheusDeterministic(t *testing.T) {
@@ -84,8 +68,6 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("b_total").Add(2)
 		r.Counter("a_total").Add(1)
-		r.Gauge("g").Set(0.5)
-		r.GaugeFunc("f", func() float64 { return 2 })
 		h := r.Histogram("h")
 		h.Observe(1)
 		h.Observe(5)
@@ -103,10 +85,6 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 a_total 1
 # TYPE b_total counter
 b_total 2
-# TYPE f gauge
-f 2
-# TYPE g gauge
-g 0.5
 # TYPE h histogram
 h_bucket{le="2"} 1
 h_bucket{le="4"} 1

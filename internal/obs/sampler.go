@@ -44,20 +44,6 @@ func (s *Series) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// Last returns the final value of the named column (0 if the series is empty
-// or the column unknown).
-func (s *Series) Last(col string) float64 {
-	if s == nil || len(s.Rows) == 0 {
-		return 0
-	}
-	for i, c := range s.Cols {
-		if c == col {
-			return s.Rows[len(s.Rows)-1].V[i]
-		}
-	}
-	return 0
-}
-
 // Sampler snapshots a set of probe functions into a Series at a fixed
 // virtual-time cadence. It ticks on kernel daemon events (sim.AtDaemon), so
 // the sampler itself never keeps a run alive: sampling stops when the last

@@ -1,7 +1,6 @@
 // State capture for the observability layer: every instrument's value
 // in sorted-name order (the same canonical order the Prometheus exporter
-// uses) and the sampler's collected series. Lazily evaluated GaugeFuncs are
-// probes over other components' state and are deliberately not captured.
+// uses) and the sampler's collected series.
 
 package obs
 
@@ -12,10 +11,9 @@ import (
 )
 
 // SnapshotTo serialises the registry's instrument values. Nil-safe: a nil
-// registry encodes as three empty instrument groups.
+// registry encodes as two empty instrument groups.
 func (r *Registry) SnapshotTo(e *snapshot.Encoder) {
 	if r == nil {
-		e.U32(0)
 		e.U32(0)
 		e.U32(0)
 		return
@@ -29,16 +27,6 @@ func (r *Registry) SnapshotTo(e *snapshot.Encoder) {
 	for _, n := range names {
 		e.String(n)
 		e.I64(r.counters[n].v)
-	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.U32(uint32(len(names)))
-	for _, n := range names {
-		e.String(n)
-		e.F64(r.gauges[n].v)
 	}
 	names = names[:0]
 	for n := range r.hists {

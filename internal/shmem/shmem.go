@@ -40,9 +40,6 @@ type Sym struct {
 	words int
 }
 
-// Words returns the object's size.
-func (s Sym) Words() int { return s.words }
-
 // Ctx is one node's PGAS context. Construction must be symmetric (same
 // sequence on every node), and the context claims the endpoint's allocators.
 type Ctx struct {
@@ -98,28 +95,6 @@ func (c *Ctx) Put(dst int, s Sym, off int, vals []uint64) {
 	}
 	c.e.Scatter(vic.DMACached, words)
 	c.sentTo[dst] += int64(len(vals))
-}
-
-// PutScatter issues puts to many destinations in one source-aggregated PCIe
-// transfer: items are (dst, offset, value) triples against one object.
-func (c *Ctx) PutScatter(s Sym, items []ScatterItem) {
-	words := make([]vic.Word, len(items))
-	for i, it := range items {
-		if it.Off < 0 || it.Off >= s.words {
-			panic(fmt.Sprintf("shmem: scatter offset %d outside object", it.Off))
-		}
-		words[i] = vic.Word{Dst: it.Dst, Op: vic.OpWrite, GC: c.incomingGC,
-			Addr: s.addr + uint32(it.Off), Val: it.Val}
-		c.sentTo[it.Dst]++
-	}
-	c.e.Scatter(vic.DMACached, words)
-}
-
-// ScatterItem is one element of a PutScatter batch.
-type ScatterItem struct {
-	Dst int
-	Off int
-	Val uint64
 }
 
 // Get reads n words of dst's copy of s starting at off (blocking). Built
@@ -196,26 +171,6 @@ func (c *Ctx) SumU64(v uint64) uint64 {
 	return sum
 }
 
-// MaxF64 returns the global maximum of one float64 per node.
-func (c *Ctx) MaxF64(v float64) float64 {
-	max := v
-	for _, w := range c.gatherOne(floatBits(v)) {
-		if f := floatFrom(w); f > max {
-			max = f
-		}
-	}
-	return max
-}
-
-// SumF64 returns the global sum of one float64 per node (rank order).
-func (c *Ctx) SumF64(v float64) float64 {
-	var sum float64
-	for _, w := range c.gatherOne(floatBits(v)) {
-		sum += floatFrom(w)
-	}
-	return sum
-}
-
 // Gather returns every node's float64 contribution in rank order.
 func (c *Ctx) Gather(v float64) []float64 {
 	words := c.gatherOne(floatBits(v))
@@ -224,11 +179,6 @@ func (c *Ctx) Gather(v float64) []float64 {
 		out[i] = floatFrom(w)
 	}
 	return out
-}
-
-// Broadcast returns root's value on every node.
-func (c *Ctx) Broadcast(root int, v uint64) uint64 {
-	return c.gatherOne(v)[root]
 }
 
 // gatherOne all-gathers a single word per node, padding the collective's

@@ -265,7 +265,3 @@ func (k *Kernel) HintTimeGrain(g Time) {
 	}
 	k.q = newCalQ(g)
 }
-
-// TimeGrain returns the calendar bucket width currently in effect (the
-// built-in default if no one set or hinted one).
-func (k *Kernel) TimeGrain() Time { return k.q.grain }

@@ -273,7 +273,7 @@ type abortSignal struct{}
 // time. All blocking methods must be called from the process's own goroutine.
 type Proc struct {
 	k    *Kernel
-	name string
+	name string // given at Spawn; read only by a debugger or a %+v dump
 	live bool
 
 	// The two ends of the process's coroutine (see handoff.go), nil until
@@ -286,12 +286,6 @@ type Proc struct {
 
 	gw gateWaiter // the process's Gate.Wait/WaitUntil waiter (see Proc.waiter)
 }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -319,7 +313,7 @@ func (p *Proc) Wait(d Time) {
 	p.park()
 }
 
-// fireResume is the pooled wake-up payload for Wait/Yield: scheduling the
+// fireResume is the pooled wake-up payload for Wait: scheduling the
 // parked Proc itself through AtArg keeps the single hottest blocking
 // primitive in the simulator closure-free (one heap closure per Wait adds
 // up to the dominant allocation in traffic-heavy runs).
@@ -334,14 +328,6 @@ func (p *Proc) WaitUntil(t Time) {
 		return
 	}
 	p.Wait(t - p.k.now)
-}
-
-// Yield reschedules the process at the current time, letting every other
-// event already queued for this instant run first.
-func (p *Proc) Yield() {
-	k := p.k
-	k.AtArg(k.now, fireResume, p)
-	p.park()
 }
 
 // Run pumps events until no non-daemon events remain, then aborts any

@@ -120,9 +120,9 @@ func TestGateSignalFIFO(t *testing.T) {
 	}
 	k.Spawn("sig", func(p *Proc) {
 		p.Wait(100)
-		g.Signal(p.Kernel())
+		g.Signal(p.k)
 		p.Wait(100)
-		g.Broadcast(p.Kernel())
+		g.Broadcast(p.k)
 	})
 	k.Run()
 	if len(order) != 3 || order[0] != "p1" {
@@ -148,7 +148,7 @@ func TestGateWaitTimeout(t *testing.T) {
 	})
 	k.Spawn("sig", func(p *Proc) {
 		p.Wait(10 * Nanosecond)
-		g.Signal(p.Kernel()) // wakes w1 only
+		g.Signal(p.k) // wakes w1 only
 	})
 	k.Run()
 	if !gotSignal {
@@ -167,7 +167,7 @@ func TestGateTimeoutForever(t *testing.T) {
 	var g Gate
 	ok := false
 	k.Spawn("w", func(p *Proc) { ok = g.WaitTimeout(p, Forever) })
-	k.Spawn("s", func(p *Proc) { p.Wait(5); g.Signal(p.Kernel()) })
+	k.Spawn("s", func(p *Proc) { p.Wait(5); g.Signal(p.k) })
 	k.Run()
 	if !ok {
 		t.Fatal("Forever wait should be signalled")
@@ -180,13 +180,14 @@ func TestQueueBlockingPop(t *testing.T) {
 	var got []int
 	k.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, q.Pop(p))
+			v, _ := q.PopTimeout(p, Forever)
+			got = append(got, v)
 		}
 	})
 	k.Spawn("producer", func(p *Proc) {
 		for i := 1; i <= 3; i++ {
 			p.Wait(10)
-			q.Push(p.Kernel(), i)
+			q.Push(p.k, i)
 		}
 	})
 	k.Run()
@@ -212,7 +213,7 @@ func TestQueuePopTimeout(t *testing.T) {
 	})
 	k.Spawn("p", func(p *Proc) {
 		p.Wait(50)
-		q.Push(p.Kernel(), 7)
+		q.Push(p.k, 7)
 	})
 	k.Run()
 }
@@ -296,13 +297,13 @@ func TestDeterminism(t *testing.T) {
 			k.Spawn("p", func(p *Proc) {
 				for j := 0; j < 10; j++ {
 					p.Wait(Time(rng.Intn(100) + 1))
-					q.Push(p.Kernel(), j)
+					q.Push(p.k, j)
 				}
 			})
 		}
 		k.Spawn("c", func(p *Proc) {
 			for i := 0; i < 80; i++ {
-				q.Pop(p)
+				q.PopTimeout(p, Forever)
 				stamps = append(stamps, p.Now())
 			}
 		})
@@ -331,24 +332,6 @@ func TestRNGUniform(t *testing.T) {
 		if b < n/10-n/100 || b > n/10+n/100 {
 			t.Errorf("bucket %d = %d, outside 10%%±1%%", i, b)
 		}
-	}
-}
-
-func TestRNGPermValid(t *testing.T) {
-	check := func(seed uint64, n uint8) bool {
-		m := int(n%32) + 1
-		p := NewRNG(seed).Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -401,20 +384,6 @@ func TestMonotonicTimeProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestYieldLetsQueuedEventsRun(t *testing.T) {
-	k := NewKernel()
-	var order []string
-	k.Spawn("a", func(p *Proc) {
-		k.At(k.Now(), func() { order = append(order, "event") })
-		p.Yield()
-		order = append(order, "after-yield")
-	})
-	k.Run()
-	if len(order) != 2 || order[0] != "event" || order[1] != "after-yield" {
-		t.Fatalf("order = %v", order)
 	}
 }
 
@@ -606,7 +575,7 @@ func parkFive(k *Kernel) (unwound *int) {
 	})
 	k.Spawn("pop", func(p *Proc) {
 		defer func() { *unwound++ }()
-		q.Pop(p)
+		q.PopTimeout(p, Forever)
 	})
 	return unwound
 }
@@ -635,7 +604,7 @@ func TestFinishBeforeFirstEvent(t *testing.T) {
 	k = NewKernel()
 	k.Spawn("early", func(p *Proc) {
 		p.Wait(10)
-		p.Kernel().Spawn("late", func(p *Proc) { started = true })
+		p.k.Spawn("late", func(p *Proc) { started = true })
 		p.Wait(Second)
 	})
 	k.RunUntilN(Forever, 2) // start "early", then its first wake-up: "late" is spawned, not started
@@ -697,7 +666,6 @@ func TestAbortSignalNeverEscapesDrain(t *testing.T) {
 	k.Spawn("reparks", func(p *Proc) {
 		defer func() { *unwound++ }()
 		defer p.Wait(5) // parks during the unwind: aborted again at once
-		defer p.Yield() // likewise
 		defer g.Wait(p) // likewise
 		p.Wait(Second)
 	})

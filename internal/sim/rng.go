@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // RNG is a small, fast, deterministic pseudo-random generator (SplitMix64).
 // Every simulated entity owns its own RNG derived from the run seed, so the
@@ -59,32 +56,4 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -mean * math.Log1p(-u)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -203,17 +203,8 @@ func (q *Queue[T]) Snapshot() []T {
 	return out
 }
 
-// Pop blocks p until an item is available, then removes and returns it.
-func (q *Queue[T]) Pop(p *Proc) T {
-	for {
-		if v, ok := q.TryPop(); ok {
-			return v
-		}
-		q.gate.Wait(p)
-	}
-}
-
-// PopTimeout is Pop with a deadline; ok is false if d elapsed first.
+// PopTimeout blocks p until an item is available, then removes and returns
+// it; ok is false if d elapsed first (Forever: never).
 func (q *Queue[T]) PopTimeout(p *Proc, d Time) (T, bool) {
 	deadline := p.Now() + d
 	for {

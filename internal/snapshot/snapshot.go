@@ -53,16 +53,6 @@ func (s *Snapshot) Add(name string, data []byte) {
 	s.Sections = append(s.Sections, Section{Name: name, Data: data})
 }
 
-// Section returns the named section's data and whether it exists.
-func (s *Snapshot) Section(name string) ([]byte, bool) {
-	for _, sec := range s.Sections {
-		if sec.Name == name {
-			return sec.Data, true
-		}
-	}
-	return nil, false
-}
-
 // MismatchError is the typed failure for two snapshots that should describe
 // the same state and do not. Field names the first divergence: "at" when the
 // capture times differ, "sections" or "section order" when the component sets
@@ -126,10 +116,6 @@ func (want image) diff(got image) error {
 	return nil
 }
 
-// Diff compares two snapshots and returns nil when they are identical, or a
-// *MismatchError naming the capture time or the first section that differs.
-func Diff(want, got *Snapshot) error { return imageOf(want).diff(imageOf(got)) }
-
 // Audit runs one configuration twice and checks that the second run passes
 // through the states the first did. run executes the configuration under the
 // managed pump with sink as its Checkpoint.Sink and returns the run's error;
@@ -163,7 +149,7 @@ func Audit(run func(sink func(*Snapshot) error) error) (boundaries int, err erro
 }
 
 // ---------------------------------------------------------------------------
-// Encoder / Decoder
+// Encoder
 
 // Encoder builds a canonical little-endian byte image. Components implement
 // SnapshotTo(*Encoder); the cluster layer collects one encoder per section.
@@ -226,81 +212,3 @@ func (e *Encoder) I64s(vs []int64) {
 		e.I64(v)
 	}
 }
-
-// Decoder reads back what an Encoder wrote. Only tests use it, to look inside
-// a section (which flows an "attr" image holds open); component sections are
-// compared by digest, never field-decoded, so components need no decode
-// methods.
-type Decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-// NewDecoder wraps a byte image.
-func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
-
-// Err returns the first decode error (a read past the end of the image), or
-// nil.
-func (d *Decoder) Err() error { return d.err }
-
-// Rem returns the number of unread bytes.
-func (d *Decoder) Rem() int { return len(d.b) - d.off }
-
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.b) {
-		d.err = fmt.Errorf("snapshot: truncated image: need %d bytes at offset %d of %d", n, d.off, len(d.b))
-		return nil
-	}
-	p := d.b[d.off : d.off+n]
-	d.off += n
-	return p
-}
-
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	p := d.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-// Bool reads a one-byte boolean.
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
-
-// U32 reads a little-endian uint32.
-func (d *Decoder) U32() uint32 {
-	p := d.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-
-// U64 reads a little-endian uint64.
-func (d *Decoder) U64() uint64 {
-	p := d.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
-// I64 reads a little-endian int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// Int reads an int64-encoded int.
-func (d *Decoder) Int() int { return int(d.I64()) }
-
-// Time reads a virtual time.
-func (d *Decoder) Time() sim.Time { return sim.Time(d.I64()) }
-
-// F64 reads an IEEE-754 float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.take(int(d.U32()))) }

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -22,9 +23,20 @@ func sample() *Snapshot {
 	return s
 }
 
+// auditOf runs Audit over one boundary per pass: want first, got second.
+func auditOf(want, got *Snapshot) error {
+	pass := []*Snapshot{want, got}
+	_, err := Audit(func(sink func(*Snapshot) error) error {
+		s := pass[0]
+		pass = pass[1:]
+		return sink(s)
+	})
+	return err
+}
+
 func TestDiffMismatches(t *testing.T) {
-	if err := Diff(sample(), sample()); err != nil {
-		t.Fatalf("Diff of equal snapshots: %v", err)
+	if err := auditOf(sample(), sample()); err != nil {
+		t.Fatalf("audit of equal snapshots: %v", err)
 	}
 	for _, tc := range []struct {
 		field string
@@ -39,7 +51,7 @@ func TestDiffMismatches(t *testing.T) {
 		b := sample()
 		tc.mut(b)
 		var me *MismatchError
-		if err := Diff(sample(), b); !errors.As(err, &me) {
+		if err := auditOf(sample(), b); !errors.As(err, &me) {
 			t.Fatalf("%s: got %v, want *MismatchError", tc.field, err)
 		}
 		if me.Field != tc.field || me.At != sample().Header.At {
@@ -87,6 +99,8 @@ func TestAuditBoundaryCounts(t *testing.T) {
 	}
 }
 
+// TestEncoderDecoderValues pins the encoding against literal bytes: a decoder
+// that mirrored an encoder bug would pass a round trip; these do not.
 func TestEncoderDecoderValues(t *testing.T) {
 	e := NewEncoder()
 	e.U8(7)
@@ -101,44 +115,19 @@ func TestEncoderDecoderValues(t *testing.T) {
 	e.String("hello")
 	e.U64s([]uint64{4, 5})
 	e.I64s([]int64{-6})
-	d := NewDecoder(e.Bytes())
-	if got := d.U8(); got != 7 {
-		t.Errorf("U8 = %d", got)
+	want := []byte{
+		7, 1, 0, // U8, Bool, Bool
+		0, 0, 0, 0x40, // U32 1<<30
+		0, 0, 0, 0, 0, 0, 0, 0x10, // U64 1<<60
+		0xfb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // I64 -5
+		0xd8, 0xdc, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // Int -9000
+		0xc0, 0xc6, 0x2d, 0, 0, 0, 0, 0, // Time 3us = 3,000,000 ps
+		0, 0, 0, 0, 0, 0, 0xc0, 0xbf, // F64 -0.125
+		5, 0, 0, 0, 'h', 'e', 'l', 'l', 'o', // String
+		2, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, // U64s
+		1, 0, 0, 0, 0xfa, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // I64s
 	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool round trip failed")
-	}
-	if got := d.U32(); got != 1<<30 {
-		t.Errorf("U32 = %d", got)
-	}
-	if got := d.U64(); got != 1<<60 {
-		t.Errorf("U64 = %d", got)
-	}
-	if got := d.I64(); got != -5 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := d.Int(); got != -9000 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := d.Time(); got != 3*sim.Microsecond {
-		t.Errorf("Time = %v", got)
-	}
-	if got := d.F64(); got != -0.125 {
-		t.Errorf("F64 = %v", got)
-	}
-	if got := d.String(); got != "hello" {
-		t.Errorf("String = %q", got)
-	}
-	if got := d.U32(); got != 2 { // U64s length prefix
-		t.Errorf("U64s len = %d", got)
-	}
-	if d.U64() != 4 || d.U64() != 5 {
-		t.Error("U64s payload wrong")
-	}
-	if got := d.U32(); got != 1 || d.I64() != -6 {
-		t.Errorf("I64s round trip wrong (len %d)", got)
-	}
-	if d.Err() != nil || d.Rem() != 0 {
-		t.Fatalf("decoder end state: err=%v rem=%d", d.Err(), d.Rem())
+	if got := e.Bytes(); !bytes.Equal(got, want) {
+		t.Errorf("encoded image\n got %x\nwant %x", got, want)
 	}
 }

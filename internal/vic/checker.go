@@ -21,7 +21,7 @@ type Checker interface {
 	HostSent(v *VIC, mode SendMode, words int)
 	// HostRead fires when DMARead/PIORead move words VIC→host.
 	HostRead(v *VIC, words int)
-	// HostWrote fires when HostWriteMem/HostWriteMemDMA move words host→VIC.
+	// HostWrote fires when HostWriteMemDMA moves words host→VIC.
 	HostWrote(v *VIC, words int)
 	// FIFODrained fires when the drain DMA moves words to the host ring.
 	FIFODrained(v *VIC, words int)

@@ -44,6 +44,3 @@ func (v *VIC) FIFODepth() int { return len(v.fifo) + v.hostFIFO.Len() }
 
 // DMABusy returns the cumulative busy time of both DMA engines.
 func (v *VIC) DMABusy() sim.Time { return v.dmaIn.Busy + v.dmaOut.Busy }
-
-// PIOBusy returns the cumulative busy time of both PIO lanes.
-func (v *VIC) PIOBusy() sim.Time { return v.pioWr.Busy + v.pioRd.Busy }

@@ -25,9 +25,6 @@ func (v *VIC) NewDMAProgram(words []Word) *DMAProgram {
 	return &DMAProgram{v: v, words: w}
 }
 
-// Len returns the number of packets in the program.
-func (pr *DMAProgram) Len() int { return len(pr.words) }
-
 // SetPayload updates packet i's payload for the next Trigger.
 func (pr *DMAProgram) SetPayload(i int, val uint64) { pr.words[i].Val = val }
 

@@ -443,18 +443,6 @@ func (v *VIC) PIORead(p *sim.Proc, addr uint32, n int) []uint64 {
 	return v.mem.readRange(addr, n)
 }
 
-// HostWriteMem writes words into the local DV Memory across PCIe (PIO), e.g.
-// to pre-cache headers or payloads.
-func (v *VIC) HostWriteMem(p *sim.Proc, addr uint32, vals []uint64) {
-	p.Wait(v.par.PIOLatency)
-	v.pioWr.Occupy(p, sim.BytesAt(len(vals)*8, v.par.PIOWriteBW))
-	v.st.PCIeBytesOut += int64(len(vals) * 8)
-	if v.chk != nil {
-		v.chk.HostWrote(v, len(vals))
-	}
-	v.mem.writeRange(addr, vals)
-}
-
 // HostWriteMemDMA stages words into the local DV Memory with the DMA engine
 // (the fast path for pre-caching payloads before a network scatter).
 func (v *VIC) HostWriteMemDMA(p *sim.Proc, addr uint32, vals []uint64) {
@@ -470,10 +458,6 @@ func (v *VIC) HostWriteMemDMA(p *sim.Proc, addr uint32, vals []uint64) {
 // Peek reads a DV Memory word without modelling any cost (test/diagnostic
 // backdoor; simulated code must use PIORead/DMARead).
 func (v *VIC) Peek(addr uint32) uint64 { return v.mem.read(addr) }
-
-// Poke writes a DV Memory word without modelling any cost (test/diagnostic
-// backdoor; simulated code must use HostWriteMem or network writes).
-func (v *VIC) Poke(addr uint32, val uint64) { v.mem.write(addr, val) }
 
 // ---------------------------------------------------------------------------
 // Group counters
@@ -603,9 +587,6 @@ func (v *VIC) PopSurprise(p *sim.Proc, timeout sim.Time) (uint64, bool) {
 	}
 	return w, ok
 }
-
-// SurpriseBacklog returns the number of words already visible to the host.
-func (v *VIC) SurpriseBacklog() int { return v.hostFIFO.Len() }
 
 func (v *VIC) pushSurprise(src int, val uint64, flow uint32) {
 	cap := v.par.FIFOCapacity

@@ -169,7 +169,7 @@ func TestRemoteSetGC(t *testing.T) {
 
 func TestQueryPacket(t *testing.T) {
 	tb := newTestbed(4)
-	tb.vics[2].Poke(500, 0xfeedface)
+	tb.vics[2].mem.write(500, 0xfeedface)
 	var got uint64
 	tb.k.Spawn("q", func(p *sim.Proc) {
 		// Ask VIC 2 to send Mem[500] back to our Mem[7], counted by GC 3.
@@ -190,7 +190,7 @@ func TestQueryPacket(t *testing.T) {
 
 func TestQueryReplyToThirdParty(t *testing.T) {
 	tb := newTestbed(4)
-	tb.vics[1].Poke(40, 777)
+	tb.vics[1].mem.write(40, 777)
 	tb.k.Spawn("q", func(p *sim.Proc) {
 		// VIC 0 asks VIC 1 to deliver Mem[40] to VIC 3's Mem[8].
 		ret := EncodeHeader(3, OpWrite, NoGC, 8)
@@ -304,7 +304,7 @@ func TestBarrierLatencyFlat(t *testing.T) {
 func TestDMAReadMovesData(t *testing.T) {
 	tb := newTestbed(2)
 	for i := 0; i < 100; i++ {
-		tb.vics[0].Poke(uint32(i), uint64(i*i))
+		tb.vics[0].mem.write(uint32(i), uint64(i*i))
 	}
 	var got []uint64
 	var elapsed sim.Time
@@ -327,11 +327,11 @@ func TestDMAReadMovesData(t *testing.T) {
 func TestHostWriteMemAndCachedHeaders(t *testing.T) {
 	tb := newTestbed(2)
 	tb.k.Spawn("w", func(p *sim.Proc) {
-		tb.vics[0].HostWriteMem(p, 2000, []uint64{1, 2, 3})
+		tb.vics[0].HostWriteMemDMA(p, 2000, []uint64{1, 2, 3})
 	})
 	tb.k.Run()
 	if tb.vics[0].Peek(2001) != 2 {
-		t.Fatal("HostWriteMem did not store")
+		t.Fatal("HostWriteMemDMA did not store")
 	}
 }
 

@@ -1,14 +1,19 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,11 +25,10 @@ import (
 var oracleHomes = map[string][]string{
 	"Dense":             {"internal/dvswitch", "internal/cluster"}, // dvswitch.Core.Dense
 	"SetScalarBoundary": {"internal/vic", "internal/cluster"},      // (*vic.VIC).SetScalarBoundary
-	"WithOracles":       {"internal/cluster"},                      // cluster.WithOracles
 }
 
-// oracleRefs returns the oracle selectors f names (x.Dense, v.SetScalarBoundary,
-// cluster.WithOracles), by position.
+// oracleRefs returns the oracle selectors f names (x.Dense,
+// v.SetScalarBoundary), by position.
 func oracleRefs(fset *token.FileSet, f *ast.File) map[string]token.Position {
 	refs := map[string]token.Position{}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -36,30 +40,53 @@ func oracleRefs(fset *token.FileSet, f *ast.File) map[string]token.Position {
 	return refs
 }
 
-// walkProductGo parses every non-test Go file under cmd, examples and
-// internal and hands it to visit.
-func walkProductGo(t *testing.T, fset *token.FileSet, visit func(path string, f *ast.File)) {
-	t.Helper()
-	checked := 0
-	for _, root := range []string{"cmd", "examples", "internal"} {
+// productTree parses, once, every non-test Go file the build would compile
+// under cmd, examples and internal (the product) and in benchmark (the
+// ledger: a caller, never a subject), by import path.
+var productTree = sync.OnceValues(func() (map[string][]*ast.File, error) {
+	pkgs := map[string][]*ast.File{}
+	for _, root := range []string{"cmd", "examples", "internal", "benchmark"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			dir, name := filepath.Split(path)
+			if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+				return err
+			}
+			f, err := parser.ParseFile(productFset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
-			checked++
-			visit(path, f)
+			ipath := "repro/" + filepath.ToSlash(filepath.Clean(dir))
+			pkgs[ipath] = append(pkgs[ipath], f)
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("walking %s: %v", root, err)
+			return nil, fmt.Errorf("walking %s: %v", root, err)
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no Go files found")
+	return pkgs, nil
+})
+
+// productFset positions every file of productTree.
+var productFset = token.NewFileSet()
+
+// walkProductGo hands every non-test Go file under cmd, examples and
+// internal to visit.
+func walkProductGo(t *testing.T, visit func(path string, f *ast.File)) {
+	t.Helper()
+	pkgs, err := productTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ipath, files := range pkgs {
+		if ipath == ledgerPath {
+			continue
+		}
+		for _, f := range files {
+			visit(productFset.Position(f.Package).Filename, f)
+		}
 	}
 }
 
@@ -67,11 +94,10 @@ func walkProductGo(t *testing.T, fset *token.FileSet, visit func(path string, f 
 // what they are kept for — references that tests compare the product paths
 // against — by failing when a driver, example or library package selects one.
 func TestOraclesAreTestOnly(t *testing.T) {
-	fset := token.NewFileSet()
-	walkProductGo(t, fset, func(path string, f *ast.File) {
+	walkProductGo(t, func(path string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 	refs:
-		for name, pos := range oracleRefs(fset, f) {
+		for name, pos := range oracleRefs(productFset, f) {
 			for _, home := range oracleHomes[name] {
 				if dir == home {
 					continue refs
@@ -87,8 +113,8 @@ func TestOraclesAreTestOnly(t *testing.T) {
 func main() {
 	c.Dense = true
 	v.SetScalarBoundary(true)
-	p = cluster.WithOracles(p, true, true)
 }`
+	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "cmd/scratch/main.go", driver, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +130,7 @@ func main() {
 func productCallers(t *testing.T, names ...string) []string {
 	t.Helper()
 	var callers []string
-	walkProductGo(t, token.NewFileSet(), func(path string, f *ast.File) {
+	walkProductGo(t, func(path string, f *ast.File) {
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -132,6 +158,7 @@ func productCallers(t *testing.T, names ...string) []string {
 			})
 		}
 	})
+	slices.Sort(callers)
 	return callers
 }
 
@@ -142,17 +169,6 @@ func TestEdgeStreamHasOneProducer(t *testing.T) {
 	callers := productCallers(t, "GenerateEdge")
 	if want := []string{"internal/apps/bfs/kron.go:Edges"}; !reflect.DeepEqual(callers, want) {
 		t.Errorf("non-test callers of GenerateEdge: %v, want %v", callers, want)
-	}
-}
-
-// TestFanIsLedgerOnly keeps the switch fan (internal/dvswitch/par.go and the
-// FanPool in internal/sim/pool.go) what it is kept for: benchmark/fan.go and
-// the fan's own differential tests build a pool and attach it; no driver,
-// example or library package does, so a run stays single-threaded until the
-// PR that retires dvswitch.fan2_speedup deletes both files.
-func TestFanIsLedgerOnly(t *testing.T) {
-	if callers := productCallers(t, "SetFanPool", "NewFanPool"); len(callers) != 0 {
-		t.Errorf("non-test code outside benchmark/ reaches the fan: %v", callers)
 	}
 }
 
@@ -167,5 +183,321 @@ func TestEncodersFeedOnlyCapture(t *testing.T) {
 	callers = slices.Compact(callers)
 	if want := []string{"internal/cluster/checkpoint.go:capture"}; !reflect.DeepEqual(callers, want) {
 		t.Errorf("non-test callers of SnapshotTo/snapshot.NewEncoder: %v, want %v", callers, want)
+	}
+}
+
+// allowRow keeps one exported name that no product code uses. kind says why
+// such a name may exist at all, from a closed set:
+//
+//	oracle    a reference implementation a differential test compares against
+//	mutation  a hook that plants a bug so a test can show a checker catches it
+//	ledger    benchmark/ compiles against it (and nothing else does)
+//	probe     an accessor of at most three lines returning stored state,
+//	          through which a test reads what it cannot otherwise reach
+type allowRow struct{ name, kind, reason string }
+
+// fenceAllow is every exported name under internal/ that stays without a
+// product caller. A row whose name gains one is reported stale, so the list
+// cannot outlive its reasons.
+var fenceAllow = []allowRow{
+	{"cluster.WithOracles", "oracle", "selects the dense stepper and scalar VIC boundary the differential suites compare the product paths against"},
+	{"apps/pagerank.SerialReference", "oracle", "one-core PageRank the distributed runs are compared against"},
+	{"fftkernel.DFT", "oracle", "O(n^2) transform TestForwardMatchesDFT compares the FFT against"},
+	{"fftkernel.Energy", "oracle", "Parseval check on the FFT's output"},
+	{"sim.Kernel.SetTimeGrain", "oracle", "the grain-invariance differentials and fuzz run one schedule at several calendar grains"},
+
+	{"dv.Endpoint.SetMutation", "mutation", "plants reliable-layer bugs internal/check must catch"},
+	{"dvswitch.Core.SetMutation", "mutation", "plants switch bugs internal/check must catch"},
+	{"obs/attr.Tracer.SetMutation", "mutation", "plants an attribution bug the stage-sum invariant must catch"},
+	{"vic.VIC.SetMutation", "mutation", "plants VIC bugs internal/check must catch"},
+
+	{"sim.NewFanPool", "ledger", "benchmark/fan.go measures dvswitch.fan2_speedup with it; ROADMAP item 6 retires both"},
+	{"sim.FanPool.Stop", "ledger", "as sim.NewFanPool"},
+	{"dvswitch.Core.SetFanPool", "ledger", "as sim.NewFanPool"},
+	{"dvswitch.Core.Prewarm", "ledger", "benchmark/drivers.go sizes the saturated core before timing it"},
+	{"fftkernel.MaxAbsDiff", "ledger", "benchmark/workloads.go checks fft_dv's spectrum with it, as fftkernel's tests check the FFT against DFT"},
+
+	{"vic.VIC.Peek", "probe", "dv and check tests read the DV Memory word a write should have landed in"},
+	{"dv.Endpoint.GCValue", "probe", "dv's arming-hazard test reads the counter a late OpSetGC left stuck"},
+	{"obs.Histogram.Count", "probe", "dvswitch tests hold the latency histogram against Stats.Delivered"},
+	{"obs.Histogram.Bucket", "probe", "dvswitch tests hold each log2 bucket against Stats.LatHist"},
+	{"comm.Backend.Net", "probe", "comm and apprt tests check which fabric a Backend was built for"},
+	{"comm.Backend.Rank", "probe", "comm's Alltoall test builds and checks each node's blocks by rank"},
+	{"comm.Backend.Size", "probe", "as comm.Backend.Rank"},
+}
+
+// checkedTree is the product tree type-checked from source: packages by
+// import path, with the identifier uses of all of them in one Info.
+type checkedTree struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	std   types.Importer // resolves what files does not hold; nil when nothing else is imported
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	errs  []error
+}
+
+// Import type-checks a package of the tree on first use and hands anything
+// else to the standard library's source importer, so every use of a module
+// object resolves to the one object its declaration produced.
+func (c *checkedTree) Import(path string) (*types.Package, error) {
+	if p := c.pkgs[path]; p != nil {
+		return p, nil
+	}
+	files, ok := c.files[path]
+	if !ok {
+		if c.std == nil {
+			return nil, fmt.Errorf("package %s is not in the tree", path)
+		}
+		return c.std.Import(path)
+	}
+	conf := types.Config{Importer: c, Error: func(err error) { c.errs = append(c.errs, err) }}
+	p, _ := conf.Check(path, c.fset, files, c.info)
+	c.pkgs[path] = p
+	return p, nil
+}
+
+// ledgerPath is the one package that is scanned as a caller but is not
+// product: a name only it uses needs a ledger row.
+const ledgerPath = "repro/benchmark"
+
+// exportFence type-checks pkgs (import path -> non-test files) and returns
+// one line per finding:
+//
+//   - an exported function, type, constant, variable or method declared under
+//     internal/ that no non-test file of the tree uses and allow does not
+//     list. Struct fields are out of scope. A method also counts as used when
+//     its receiver implements an interface — declared in the tree, or error,
+//     fmt.Stringer, sort.Interface, flag.Value — that names it;
+//   - a package under internal/ that nothing under cmd/ or examples/ imports,
+//     directly or through other packages;
+//   - a row of allow that names nothing, has gained a product use, or is
+//     kind ledger without a use in benchmark/.
+func exportFence(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer, allow []allowRow) ([]string, error) {
+	c := &checkedTree{fset: fset, files: pkgs, std: std, pkgs: map[string]*types.Package{},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+	for path := range pkgs {
+		c.Import(path)
+	}
+	if len(c.errs) > 0 {
+		return nil, fmt.Errorf("type-checking the tree: %d errors, first: %v", len(c.errs), c.errs[0])
+	}
+
+	// Who uses what. The type a method is declared on does not count as a
+	// use of that type.
+	product, ledger := map[types.Object]bool{}, map[types.Object]bool{}
+	imports := map[string][]string{}
+	for path, files := range pkgs {
+		uses := product
+		if path == ledgerPath {
+			uses = ledger
+		}
+		for _, f := range files {
+			for _, im := range f.Imports {
+				imports[path] = append(imports[path], strings.Trim(im.Path.Value, `"`))
+			}
+			recv := map[*ast.Ident]bool{}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil {
+					ast.Inspect(fn.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							recv[id] = true
+						}
+						return true
+					})
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok || recv[id] {
+					return true
+				}
+				obj := c.info.Uses[id]
+				if fn, ok := obj.(*types.Func); ok {
+					obj = fn.Origin() // a generic method is declared once
+				}
+				if obj != nil {
+					uses[obj] = true
+				}
+				return true
+			})
+		}
+	}
+
+	// The interfaces a method may be reached through.
+	ifaces := []*types.Named{types.Universe.Lookup("error").Type().(*types.Named)}
+	if std != nil {
+		for _, q := range [][2]string{{"fmt", "Stringer"}, {"sort", "Interface"}, {"flag", "Value"}} {
+			p, err := std.Import(q[0])
+			if err != nil {
+				return nil, err
+			}
+			ifaces = append(ifaces, p.Scope().Lookup(q[1]).Type().(*types.Named))
+		}
+	}
+	for _, p := range c.pkgs {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() && types.IsInterface(tn.Type()) {
+				if named := tn.Type().(*types.Named); named.TypeParams().Len() == 0 {
+					ifaces = append(ifaces, named)
+				}
+			}
+		}
+	}
+	throughInterface := func(recv *types.Named, method string) bool {
+		if recv.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, named := range ifaces {
+			if obj, _, _ := types.LookupFieldOrMethod(named, false, nil, method); obj == nil || named == recv {
+				continue
+			}
+			it := named.Underlying().(*types.Interface)
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
+			}
+		}
+		return false
+	}
+
+	allowed := map[string]allowRow{}
+	for _, row := range allow {
+		allowed[row.name] = row
+	}
+	seen := map[string]bool{}
+	var findings []string
+	judge := func(name string, obj types.Object, recv *types.Named) {
+		if !obj.Exported() {
+			return
+		}
+		used := product[obj] || recv != nil && throughInterface(recv, obj.Name())
+		row, listed := allowed[name]
+		seen[name] = true
+		switch {
+		case listed && used:
+			findings = append(findings, fmt.Sprintf("stale allow-list row %s (%s): product code uses it now", name, row.kind))
+		case listed && (row.kind == "ledger") != ledger[obj]:
+			findings = append(findings, fmt.Sprintf("stale allow-list row %s (%s): kind ledger is for what benchmark/ uses, and only that", name, row.kind))
+		case !listed && !used && ledger[obj]:
+			findings = append(findings, fmt.Sprintf("%s: %s is used by benchmark/ alone: allow-list it as ledger", fset.Position(obj.Pos()), name))
+		case !listed && !used:
+			findings = append(findings, fmt.Sprintf("%s: %s has no use in a non-test file of cmd/, examples/ or internal/", fset.Position(obj.Pos()), name))
+		}
+	}
+	for path, p := range c.pkgs {
+		_, label, internal := strings.Cut(path, "/internal/")
+		if !internal {
+			continue
+		}
+		for _, n := range p.Scope().Names() {
+			obj := p.Scope().Lookup(n)
+			judge(label+"."+n, obj, nil)
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := range named.NumMethods() {
+				judge(label+"."+n+"."+named.Method(i).Name(), named.Method(i), named)
+			}
+			if it, ok := named.Underlying().(*types.Interface); ok {
+				for i := range it.NumExplicitMethods() {
+					judge(label+"."+n+"."+it.ExplicitMethod(i).Name(), it.ExplicitMethod(i), named)
+				}
+			}
+		}
+	}
+	for _, row := range allow {
+		if !seen[row.name] {
+			findings = append(findings, fmt.Sprintf("stale allow-list row %s (%s): no such exported name under internal/", row.name, row.kind))
+		}
+	}
+
+	// Packages the drivers and examples never load.
+	reached := map[string]bool{}
+	var reach func(path string)
+	reach = func(path string) {
+		if _, ok := pkgs[path]; !ok || reached[path] {
+			return
+		}
+		reached[path] = true
+		for _, im := range imports[path] {
+			reach(im)
+		}
+	}
+	for path := range pkgs {
+		if strings.Contains(path, "/cmd/") || strings.Contains(path, "/examples/") {
+			reach(path)
+		}
+	}
+	for path := range pkgs {
+		if strings.Contains(path, "/internal/") && !reached[path] {
+			findings = append(findings, fmt.Sprintf("package %s: nothing under cmd/ or examples/ imports it", path))
+		}
+	}
+	slices.Sort(findings)
+	return findings, nil
+}
+
+// TestEveryExportHasAProductCaller is the one rule the special cases above
+// do not need to repeat: an exported name under internal/ is used by the
+// product, or is on fenceAllow with a reason, or is deleted.
+func TestEveryExportHasAProductCaller(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the standard library from source: ~1 s plain, ~8 s under -race, which has nothing to find in it")
+	}
+	if len(fenceAllow) > 30 {
+		t.Errorf("allow-list has %d rows, at most 30", len(fenceAllow))
+	}
+	for _, row := range fenceAllow {
+		if !slices.Contains([]string{"oracle", "mutation", "ledger", "probe"}, row.kind) || row.reason == "" {
+			t.Errorf("allow-list row %s: kind %q, reason %q", row.name, row.kind, row.reason)
+		}
+	}
+	pkgs, err := productTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := exportFence(productFset, pkgs, importer.ForCompiler(productFset, "source", nil), fenceAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// TestExportFenceFixture feeds the analysis a tree small enough to read: one
+// dead export, one export used only through an interface, one allow-list row
+// whose name has a caller. Exactly the first and the last are findings.
+func TestExportFenceFixture(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs := map[string][]*ast.File{}
+	for path, src := range map[string]string{
+		"repro/internal/shape/shape.go": `package shape
+type Shape interface{ Area() int }
+func Total(s Shape) int { return s.Area() }`,
+		"repro/internal/shape/square.go": `package shape
+type Square struct{}
+func (Square) Area() int { return 1 } // reached only through Shape
+func Dead() {}
+func Probe() int { return 0 }`,
+		"repro/cmd/draw/main.go": `package main
+import "repro/internal/shape"
+func main() { shape.Total(shape.Square{}); shape.Probe() }`,
+	} {
+		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkgs[dir] = append(pkgs[dir], f)
+	}
+	got, err := exportFence(fset, pkgs, nil, []allowRow{{"shape.Probe", "probe", "fixture"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || !strings.Contains(got[0], "shape.Dead has no use") || !strings.HasPrefix(got[1], "stale allow-list row shape.Probe") {
+		t.Errorf("fixture findings: %q, want shape.Dead dead and shape.Probe stale", got)
 	}
 }
