@@ -165,7 +165,7 @@ func Run(net comm.Net, par Params) Result {
 		if net == comm.DV {
 			st = newDVState(n, be, par.Nodes)
 		}
-		buckets := make([][]uint64, par.Nodes) // searchMPI's per-owner scratch
+		send := make([][]byte, par.Nodes) // searchMPI's per-owner send blocks
 		for si, root := range roots {
 			parent := make([]int64, g.perNode)
 			for i := range parent {
@@ -175,7 +175,7 @@ func Run(net comm.Net, par Params) Result {
 			if net == comm.DV {
 				s = searchDV(n, be, st, g, root, parent)
 			} else {
-				s = searchMPI(n, be, g, root, parent, buckets)
+				s = searchMPI(n, be, g, root, parent, send)
 			}
 			// Global sums are gathered in-search; node 0's view is
 			// authoritative.

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/comm"
@@ -54,6 +55,20 @@ func TestSearchStats(t *testing.T) {
 		}
 		if r.HarmonicMeanTEPS() <= 0 {
 			t.Errorf("%v: bad harmonic mean", net)
+		}
+	}
+}
+
+// TestRepeatedRunsIdentical runs each stack twice in one process, at the
+// -small size of Figure 8, on fresh clusters: searches, parent arrays and the
+// cluster Report repeat. searchMPI's send blocks and mpi's recycled requests,
+// envelopes and receive buffers all live in one run's world.
+func TestRepeatedRunsIdentical(t *testing.T) {
+	par := Params{Nodes: 8, Scale: 12, EdgeFactor: 8, NRoots: 2, KeepParents: true}
+	for _, net := range []comm.Net{comm.DV, comm.IB} {
+		a, b := Run(net, par), Run(net, par)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: two runs in one process differ:\n%+v %+v\n%+v %+v", net, a.Searches, a.Report, b.Searches, b.Report)
 		}
 	}
 }

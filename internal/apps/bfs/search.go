@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"encoding/binary"
+
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/dv"
@@ -24,14 +26,15 @@ func visitLocal(g *graph, parent []int64, v, u int64) bool {
 }
 
 // searchMPI is the level-synchronous Graph500 BFS over MPI: visit messages
-// are bucketed by owner and exchanged with one all-to-all per level. buckets
-// is the node's per-owner scratch, kept across levels and searches: it is
-// reset, not reallocated, because Uint64sToBytes copies what is sent.
-func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []int64, buckets [][]uint64) Search {
+// are bucketed by owner and exchanged with one all-to-all per level. send
+// holds the node's per-owner blocks, visits appended as little-endian words;
+// it is kept across levels and searches and reset, not reallocated: Alltoall
+// only reads what it is given and is done with it when it returns. What it
+// returns is mpi's until the next collective (the Allreduce below), so the
+// visits are read in place before that.
+func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []int64, send [][]byte) Search {
 	c := be.MPI()
-	p := c.Size()
 	var frontier, next []int64 // local indices
-	send := make([][]byte, p)
 	c.Barrier()
 	t0 := n.P.Now()
 	if owner(root, g.perNode) == n.ID {
@@ -43,8 +46,8 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 		visited = 1
 	}
 	for {
-		for q := range buckets {
-			buckets[q] = buckets[q][:0]
+		for q := range send {
+			send[q] = send[q][:0]
 		}
 		next = next[:0]
 		localVisits := 0
@@ -60,22 +63,18 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 						visited++
 					}
 				} else {
-					buckets[q] = append(buckets[q], packVisit(v, u))
+					send[q] = binary.LittleEndian.AppendUint64(send[q], packVisit(v, u))
 				}
 			}
 		}
 		n.Ops(edgesScannedThisLevel(frontier, g) + int64(localVisits))
-		for q := range buckets {
-			send[q] = comm.Uint64sToBytes(buckets[q])
-		}
-		recv := c.Alltoall(send)
 		got := 0
-		for src, data := range recv {
+		for src, data := range c.Alltoall(send) {
 			if src == n.ID {
 				continue
 			}
-			for _, w := range comm.BytesToUint64s(data) {
-				v, u := unpackVisit(w)
+			for ; len(data) >= 8; data = data[8:] {
+				v, u := unpackVisit(binary.LittleEndian.Uint64(data))
 				got++
 				if visitLocal(g, parent, v, u) {
 					next = append(next, v-g.lo)

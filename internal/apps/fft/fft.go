@@ -213,27 +213,28 @@ func mpiTranspose(n *cluster.Node, be comm.Backend, local []complex128, r, c int
 	// Pack: block for node q holds elements (row, col) with col in q's
 	// output-row range, stored column-major so the receiver can splice rows.
 	send := make([][]byte, p)
+	block := make([]float64, 0, 2*myRows*outRows) // one block at a time, packing then unpacking
 	for q := 0; q < p; q++ {
-		block := make([]float64, 0, 2*myRows*outRows)
+		block = block[:0]
 		for col := q * outRows; col < (q+1)*outRows; col++ {
 			for row := 0; row < myRows; row++ {
 				v := local[row*c+col]
 				block = append(block, real(v), imag(v))
 			}
 		}
-		send[q] = comm.Float64sToBytes(block)
+		send[q] = comm.AppendFloat64s(nil, block)
 	}
 	n.Compute(sim.BytesAt(len(local)*16, 8e9)) // pack pass
 	recv := c2.Alltoall(send)
 	out := make([]complex128, outRows*r)
 	for q := 0; q < p; q++ {
-		vals := comm.BytesToFloat64s(recv[q])
+		block = comm.Float64sInto(block, recv[q])
 		i := 0
 		// Block from q: columns (now rows) in my range, original rows in
 		// q's range.
 		for or := 0; or < outRows; or++ {
 			for sr := 0; sr < myRows; sr++ {
-				out[or*r+q*myRows+sr] = complex(vals[i], vals[i+1])
+				out[or*r+q*myRows+sr] = complex(block[i], block[i+1])
 				i += 2
 			}
 		}

@@ -14,6 +14,7 @@
 package gups
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/apprt"
@@ -195,11 +196,15 @@ func Run(net comm.Net, par Params) Result {
 }
 
 // runMPI is the HPCC-style implementation: rounds of ≤1024 updates bucketed
-// by destination and exchanged with Alltoall.
+// by destination and exchanged with Alltoall. The buckets are the send
+// blocks themselves, little-endian words appended as they are generated and
+// read back in place on the other side; they keep their storage from round
+// to round, which Alltoall allows because it only reads them.
 func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Time {
 	c := be.MPI()
 	rng := updateStream(par.Seed, n.ID)
 	rounds := (par.UpdatesPerNode + par.BatchWords - 1) / par.BatchWords
+	send := make([][]byte, par.Nodes)
 	c.Barrier()
 	t0 := n.P.Now()
 	left := par.UpdatesPerNode
@@ -209,7 +214,9 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Ti
 			b = left
 		}
 		left -= b
-		buckets := make([][]uint64, par.Nodes)
+		for d := range send {
+			send[d] = send[d][:0]
+		}
 		localApplied := 0
 		for i := 0; i < b; i++ {
 			a := rng.Uint64()
@@ -218,22 +225,18 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Ti
 				table[li] ^= a
 				localApplied++
 			} else {
-				buckets[dst] = append(buckets[dst], a)
+				send[dst] = binary.LittleEndian.AppendUint64(send[dst], a)
 			}
 		}
 		n.Ops(int64(2 * b)) // generation + bucketing
 		n.MemOps(int64(localApplied))
-		send := make([][]byte, par.Nodes)
-		for d := range buckets {
-			send[d] = comm.Uint64sToBytes(buckets[d])
-		}
-		recv := c.Alltoall(send)
 		applied := 0
-		for src, data := range recv {
+		for src, data := range c.Alltoall(send) {
 			if src == n.ID {
 				continue
 			}
-			for _, a := range comm.BytesToUint64s(data) {
+			for ; len(data) >= 8; data = data[8:] {
+				a := binary.LittleEndian.Uint64(data)
 				_, li := owner(a, par.Nodes, par.TableWordsNode)
 				table[li] ^= a
 				applied++

@@ -2,6 +2,7 @@ package gups
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -112,11 +113,21 @@ func TestOwnerMapsAllNodes(t *testing.T) {
 	}
 }
 
+// TestDeterministicElapsed runs each stack twice in one process, at the
+// -small size of Figure 6, on fresh clusters: the whole Result — elapsed time,
+// the cluster Report, every table word — repeats. Nothing a run recycles
+// (mpi's requests, envelopes and receive buffers; the kernel's events) is
+// shared between worlds, so nothing carries from run to run.
 func TestDeterministicElapsed(t *testing.T) {
-	par := Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 2048}
-	a, b := Run(comm.DV, par), Run(comm.DV, par)
-	if a.Elapsed != b.Elapsed {
-		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
+	par := Params{Nodes: 8, TableWordsNode: 1 << 12, UpdatesPerNode: 1 << 11, KeepTables: true}
+	for _, net := range []comm.Net{comm.DV, comm.IB} {
+		a, b := Run(net, par), Run(net, par)
+		if a.Elapsed != b.Elapsed {
+			t.Fatalf("%v: non-deterministic: %v vs %v", net, a.Elapsed, b.Elapsed)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: two runs in one process differ:\n%+v\n%+v", net, a.Report, b.Report)
+		}
 	}
 }
 

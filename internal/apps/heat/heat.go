@@ -181,6 +181,10 @@ type solver struct {
 	prog        [2]*comm.DMAProgram
 	rdprog      [2]*comm.ReadProgram
 
+	// MPI state: each face's encoded halo, in flight from Isend to the
+	// Waitall that ends the exchange and reused by the next step's.
+	wire [6][]byte
+
 	timeouts int64 // bounded halo waits that gave up
 	errs     int   // reliable-path delivery errors
 }
@@ -436,14 +440,16 @@ func (s *solver) exchangeMPI(buf []float64) {
 		face := buf[:s.faceWords[f]]
 		s.packFace(f, face)
 		s.n.Compute(sim.BytesAt(len(face)*8, 8e9)) // pack pass
-		sends = append(sends, c.Isend(nb, 10+f, comm.Float64sToBytes(face)))
+		s.wire[f] = comm.AppendFloat64s(s.wire[f][:0], face)
+		sends = append(sends, c.Isend(nb, 10+f, s.wire[f]))
 	}
 	for f := 0; f < 6; f++ {
 		if recvs[f] == nil {
 			continue
 		}
 		data, _ := c.Wait(recvs[f])
-		s.unpackFace(f, comm.BytesToFloat64s(data))
+		// buf is free again: every face is packed and encoded by now.
+		s.unpackFace(f, comm.Float64sInto(buf, data))
 		s.n.Compute(sim.BytesAt(len(data), 8e9)) // unpack pass
 	}
 	c.Waitall(sends)

@@ -173,9 +173,18 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, g *bfs.
 
 	var ctx *shmem.Ctx
 	var slab shmem.Sym // [src][localV] contribution slots
+	// MPI scratch, kept across iterations: the contribution block for each
+	// node, one received block's values, and sumAll's one-value message.
+	var (
+		send [][]byte
+		vals []float64
+		wire []byte
+	)
 	if net == comm.DV {
 		ctx = shmem.New(be.Endpoint())
 		slab = ctx.Malloc(p * int(perNode))
+	} else {
+		send = make([][]byte, p)
 	}
 	barrier := func() {
 		if net == comm.DV {
@@ -194,8 +203,10 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, g *bfs.
 			}
 			return sum
 		}
-		for _, b := range be.MPI().Allgather(comm.Float64sToBytes([]float64{v})) {
-			sum += comm.BytesToFloat64s(b)[0]
+		wire = comm.AppendFloat64s(wire[:0], []float64{v})
+		for _, b := range be.MPI().Allgather(wire) {
+			vals = comm.Float64sInto(vals, b)
+			sum += vals[0]
 		}
 		return sum
 	}
@@ -255,14 +266,13 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, g *bfs.
 				}
 			}
 		} else {
-			send := make([][]byte, p)
 			for q := 0; q < p; q++ {
-				send[q] = comm.Float64sToBytes(contrib[int64(q)*perNode : int64(q+1)*perNode])
+				send[q] = comm.AppendFloat64s(send[q][:0], contrib[int64(q)*perNode:int64(q+1)*perNode])
 			}
 			n.Compute(sim.BytesAt(int(nv)*8, 8e9)) // pack
-			recv := be.MPI().Alltoall(send)
-			for _, data := range recv {
-				for i, v := range comm.BytesToFloat64s(data) {
+			for _, data := range be.MPI().Alltoall(send) {
+				vals = comm.Float64sInto(vals, data)
+				for i, v := range vals {
 					recvSum[i] += v
 				}
 			}

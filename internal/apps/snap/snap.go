@@ -222,6 +222,11 @@ type solver struct {
 
 	elapsed sim.Time
 
+	// MPI scratch: the encoded faces of one iteration's sends (see isend)
+	// and the two upstream faces of the chunk being swept.
+	wire     [][]byte
+	yIn, zIn []float64
+
 	// Data Vortex state: per octant, one region holding nchunks slots of
 	// [y-face | z-face]; one group counter, send program, and read program
 	// per (octant, chunk).

@@ -98,11 +98,13 @@ func (s *solver) recvChunk(o, k int) (yIn, zIn []float64) {
 		c := s.be.MPI()
 		if up := s.upstream(o, 0); up >= 0 {
 			data, _ := c.Recv(up, s.chunkTag(o, k, 0))
-			yIn = comm.BytesToFloat64s(data)
+			s.yIn = comm.Float64sInto(s.yIn, data)
+			yIn = s.yIn
 		}
 		if up := s.upstream(o, 1); up >= 0 {
 			data, _ := c.Recv(up, s.chunkTag(o, k, 1))
-			zIn = comm.BytesToFloat64s(data)
+			s.zIn = comm.Float64sInto(s.zIn, data)
+			zIn = s.zIn
 		}
 		return
 	}
@@ -128,18 +130,30 @@ func (s *solver) recvChunk(o, k int) (yIn, zIn []float64) {
 	return
 }
 
+// isend starts the MPI send of one face and appends its request to sends. A
+// face stays in flight until the Waitall that ends the iteration, so each
+// send of an iteration encodes into a slot of its own, which the same send
+// of the next iteration reuses.
+func (s *solver) isend(dst, tag int, face []float64, sends []*comm.Request) []*comm.Request {
+	i := len(sends)
+	if i == len(s.wire) {
+		s.wire = append(s.wire, nil)
+	}
+	s.wire[i] = comm.AppendFloat64s(s.wire[i][:0], face)
+	return append(sends, s.be.MPI().Isend(dst, tag, s.wire[i]))
+}
+
 // sendChunk forwards one chunk's outgoing faces downstream. The DV port
 // pushes both faces with one prepared PCIe transfer (the paper's
 // aggregation optimisation).
 func (s *solver) sendChunk(o, k int, yOut, zOut []float64, sends []*comm.Request) []*comm.Request {
 	dy, dz := s.downstream(o, 0), s.downstream(o, 1)
 	if s.net == comm.IB {
-		c := s.be.MPI()
 		if dy >= 0 {
-			sends = append(sends, c.Isend(dy, s.chunkTag(o, k, 0), comm.Float64sToBytes(yOut)))
+			sends = s.isend(dy, s.chunkTag(o, k, 0), yOut, sends)
 		}
 		if dz >= 0 {
-			sends = append(sends, c.Isend(dz, s.chunkTag(o, k, 1), comm.Float64sToBytes(zOut)))
+			sends = s.isend(dz, s.chunkTag(o, k, 1), zOut, sends)
 		}
 		return sends
 	}

@@ -175,9 +175,10 @@ type mpiSorter struct {
 }
 
 func (s *mpiSorter) allGather(vals []uint64) []uint64 {
-	var out []uint64
-	for _, b := range s.be.MPI().Allgather(comm.Uint64sToBytes(vals)) {
-		out = append(out, comm.BytesToUint64s(b)...)
+	var out, part []uint64
+	for _, b := range s.be.MPI().Allgather(comm.AppendUint64s(nil, vals)) {
+		part = comm.Uint64sInto(part, b)
+		out = append(out, part...)
 	}
 	return out
 }
@@ -186,14 +187,14 @@ func (s *mpiSorter) exchange(buckets [][]uint64) [][]uint64 {
 	send := make([][]byte, len(buckets))
 	total := 0
 	for d, b := range buckets {
-		send[d] = comm.Uint64sToBytes(b)
+		send[d] = comm.AppendUint64s(nil, b)
 		total += len(b)
 	}
 	s.n.Compute(sim.BytesAt(total*8, 8e9)) // pack
 	recvB := s.be.MPI().Alltoall(send)
 	out := make([][]uint64, len(recvB))
 	for i, b := range recvB {
-		out[i] = comm.BytesToUint64s(b)
+		out[i] = comm.Uint64sInto(nil, b) // the runs outlive the barrier that follows; recvB does not
 	}
 	return out
 }

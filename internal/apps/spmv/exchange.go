@@ -169,13 +169,18 @@ type mpiExchanger struct {
 	// theirIdx[q] lists MY local indices that q asked me to push.
 	wantFrom [][]int
 	theirIdx [][]int32
+	// wire[q] is the encoded push to q, in flight from Isend to the Waitall
+	// that ends a gather; vals is one peer's values while they are packed
+	// or unpacked.
+	wire [][]byte
+	vals []float64
 }
 
 func newMPIExchanger(n *cluster.Node, be comm.Backend, par Params, rows int64, ghosts []int64) *mpiExchanger {
 	c := be.MPI()
 	p := c.Size()
 	ex := &mpiExchanger{n: n, be: be, rows: rows,
-		wantFrom: make([][]int, p), theirIdx: make([][]int32, p)}
+		wantFrom: make([][]int, p), theirIdx: make([][]int32, p), wire: make([][]byte, p)}
 	// Setup (one time): tell each owner which of its entries we need.
 	req := make([][]uint64, p)
 	for slot, g := range ghosts {
@@ -185,10 +190,12 @@ func newMPIExchanger(n *cluster.Node, be comm.Backend, par Params, rows int64, g
 	}
 	send := make([][]byte, p)
 	for q := range req {
-		send[q] = comm.Uint64sToBytes(req[q])
+		send[q] = comm.AppendUint64s(nil, req[q])
 	}
+	var idxs []uint64
 	for q, data := range c.Alltoall(send) {
-		for _, idx := range comm.BytesToUint64s(data) {
+		idxs = comm.Uint64sInto(idxs, data)
+		for _, idx := range idxs {
 			ex.theirIdx[q] = append(ex.theirIdx[q], int32(idx))
 		}
 	}
@@ -204,21 +211,22 @@ func (ex *mpiExchanger) gather(x, ghostOut []float64) {
 		if q == c.Rank() || len(ex.theirIdx[q]) == 0 {
 			continue
 		}
-		vals := make([]float64, len(ex.theirIdx[q]))
-		for i, idx := range ex.theirIdx[q] {
-			vals[i] = x[idx]
+		ex.vals = ex.vals[:0]
+		for _, idx := range ex.theirIdx[q] {
+			ex.vals = append(ex.vals, x[idx])
 		}
-		ex.n.Compute(sim.BytesAt(len(vals)*8, 8e9)) // pack
-		sends = append(sends, c.Isend(q, 7, comm.Float64sToBytes(vals)))
+		ex.n.Compute(sim.BytesAt(len(ex.vals)*8, 8e9)) // pack
+		ex.wire[q] = comm.AppendFloat64s(ex.wire[q][:0], ex.vals)
+		sends = append(sends, c.Isend(q, 7, ex.wire[q]))
 	}
 	for q := 0; q < p; q++ {
 		if q == c.Rank() || len(ex.wantFrom[q]) == 0 {
 			continue
 		}
 		data, st := c.Recv(comm.AnySource, 7)
-		vals := comm.BytesToFloat64s(data)
+		ex.vals = comm.Float64sInto(ex.vals, data)
 		for i, slot := range ex.wantFrom[st.Source] {
-			ghostOut[slot] = vals[i]
+			ghostOut[slot] = ex.vals[i]
 		}
 	}
 	c.Waitall(sends)

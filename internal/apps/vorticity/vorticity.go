@@ -161,6 +161,11 @@ type solver struct {
 	prog   [2]*comm.DMAProgram
 	rdprog [2]*comm.ReadProgram
 	tcount int // transposes executed (selects parity)
+
+	// MPI transpose scratch, kept across transposes: the send blocks, and
+	// one block's values while it is packed or unpacked.
+	send  [][]byte
+	block []float64
 }
 
 func newSolver(n *cluster.Node, be comm.Backend, net comm.Net, par Params) *solver {
@@ -201,6 +206,8 @@ func newSolver(n *cluster.Node, be comm.Backend, net comm.Net, par Params) *solv
 			s.prog[par2] = e.NewProgram(tmpl)
 			s.rdprog[par2] = e.NewReadProgram(s.region[par2], words)
 		}
+	} else {
+		s.send = make([][]byte, s.p)
 	}
 	// Transform the initial condition to the transposed spectral layout.
 	s.w = s.fft2Forward(phys)
@@ -258,26 +265,25 @@ func (s *solver) transpose(m []complex128) []complex128 {
 
 func (s *solver) mpiTranspose(m []complex128, N int) []complex128 {
 	c := s.be.MPI()
-	send := make([][]byte, s.p)
 	for q := 0; q < s.p; q++ {
-		block := make([]float64, 0, 2*s.rows*s.rows)
+		s.block = s.block[:0]
 		for col := q * s.rows; col < (q+1)*s.rows; col++ {
 			for row := 0; row < s.rows; row++ {
 				v := m[row*N+col]
-				block = append(block, real(v), imag(v))
+				s.block = append(s.block, real(v), imag(v))
 			}
 		}
-		send[q] = comm.Float64sToBytes(block)
+		s.send[q] = comm.AppendFloat64s(s.send[q][:0], s.block)
 	}
 	s.n.Compute(sim.BytesAt(len(m)*16, 8e9)) // pack
-	recv := c.Alltoall(send)
+	recv := c.Alltoall(s.send)
 	out := make([]complex128, s.rows*N)
 	for q := 0; q < s.p; q++ {
-		vals := comm.BytesToFloat64s(recv[q])
+		s.block = comm.Float64sInto(s.block, recv[q])
 		i := 0
 		for or := 0; or < s.rows; or++ {
 			for sr := 0; sr < s.rows; sr++ {
-				out[or*N+q*s.rows+sr] = complex(vals[i], vals[i+1])
+				out[or*N+q*s.rows+sr] = complex(s.block[i], s.block[i+1])
 				i += 2
 			}
 		}

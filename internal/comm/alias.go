@@ -1,6 +1,8 @@
 // Wire-format and collective-helper aliases. Workload kernels describe
 // fine-grained Data Vortex traffic with these types and pack MPI payloads
-// with these helpers; routing everything through comm keeps the app
+// with these helpers, into scratch they keep (the two that stream single
+// words, gups and bfs, append them to their send blocks in the same
+// little-endian layout); routing everything through comm keeps the app
 // packages free of direct internal/vic and internal/mpi imports (enforced
 // by a build check), so a fabric-layer change never fans out into eleven
 // app edits.
@@ -73,14 +75,15 @@ var (
 // AnySource matches any sender in a receive.
 const AnySource = mpi.AnySource
 
-// Uint64sToBytes encodes words little-endian for byte-granular transports.
-func Uint64sToBytes(v []uint64) []byte { return mpi.Uint64sToBytes(v) }
+// AppendUint64s appends words little-endian, for byte-granular transports,
+// to dst (the caller's scratch) and returns the extended slice.
+func AppendUint64s(dst []byte, v []uint64) []byte { return mpi.AppendUint64s(dst, v) }
 
-// BytesToUint64s decodes a little-endian word payload.
-func BytesToUint64s(b []byte) []uint64 { return mpi.BytesToUint64s(b) }
+// Uint64sInto decodes a little-endian word payload into dst's storage.
+func Uint64sInto(dst []uint64, b []byte) []uint64 { return mpi.Uint64sInto(dst, b) }
 
-// Float64sToBytes encodes float64s little-endian.
-func Float64sToBytes(v []float64) []byte { return mpi.Float64sToBytes(v) }
+// AppendFloat64s appends float64s little-endian to dst.
+func AppendFloat64s(dst []byte, v []float64) []byte { return mpi.AppendFloat64s(dst, v) }
 
-// BytesToFloat64s decodes a little-endian float64 payload.
-func BytesToFloat64s(b []byte) []float64 { return mpi.BytesToFloat64s(b) }
+// Float64sInto decodes a little-endian float64 payload into dst's storage.
+func Float64sInto(dst []float64, b []byte) []float64 { return mpi.Float64sInto(dst, b) }

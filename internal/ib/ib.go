@@ -200,11 +200,19 @@ func occupancy(bytes int, bw float64, gap sim.Time) sim.Time {
 	return d
 }
 
-// Transfer reserves the path for one message of the given size from src to
-// dst. It returns the time at which the source buffer is reusable and
-// schedules onArrive at delivery time. The caller must be at the current
-// kernel time.
+// Transfer is TransferArg for a caller with nothing to pass to its callback.
 func (f *Fabric) Transfer(src, dst, bytes int, onArrive func()) (srcFree sim.Time) {
+	return f.TransferArg(src, dst, bytes, callFunc, onArrive)
+}
+
+func callFunc(fn any) { fn.(func())() }
+
+// TransferArg reserves the path for one message of the given size from src
+// to dst. It returns the time at which the source buffer is reusable and
+// schedules onArrive(arg) at delivery time (see sim.Kernel.AtArg: a caller
+// that pools its arguments schedules without a closure per message). The
+// caller must be at the current kernel time.
+func (f *Fabric) TransferArg(src, dst, bytes int, onArrive func(any), arg any) (srcFree sim.Time) {
 	if src < 0 || src >= f.n || dst < 0 || dst >= f.n {
 		panic(fmt.Sprintf("ib: node out of range: src=%d dst=%d n=%d", src, dst, f.n))
 	}
@@ -256,6 +264,6 @@ func (f *Fabric) Transfer(src, dst, bytes int, onArrive func()) (srcFree sim.Tim
 	}
 	// Destination NIC: delivery completes when the tail clears it.
 	arrive := f.nicIn[dst].ReserveAt(head, occupancy(bytes, par.StreamBW, par.NICGap))
-	f.k.At(arrive, onArrive)
+	f.k.AtArg(arrive, onArrive, arg)
 	return srcFree
 }

@@ -5,10 +5,26 @@
 // protocol split, and the collectives the paper's benchmarks use (barrier,
 // broadcast, reduce, allreduce, all-to-all(v), allgather), all implemented
 // over point-to-point messages with standard algorithms.
+//
+// Buffer ownership. A slice passed to a send is only read, and only until
+// Wait returns for it (an eager send copies it out at once, a rendezvous at
+// its CTS): after Wait the sender may overwrite it, and mpi never writes to
+// it — ranks may share one. The staged copy is the receiver's: what Recv and
+// Wait return belongs to the caller for good and is never recycled. What
+// Alltoall, Allgather and Bcast return — the header and every block in it
+// that was received, not passed through — is valid until the same rank's next
+// collective of any kind (Barrier, Reduce and Allreduce included), which
+// takes the blocks back as receive buffers; a caller that needs them longer
+// copies them out. Reduce and Allreduce return slices the caller owns.
+// Requests, envelopes and those receive buffers are recycled within one World
+// and never shared between Worlds, so the steady-state message path does not
+// allocate and one run cannot affect another.
 package mpi
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/ib"
 	"repro/internal/obs"
@@ -61,6 +77,10 @@ type World struct {
 
 	// obs holds the registry-backed instruments (SetObs); nil when disabled.
 	obs *worldObs
+
+	// Recycled requests and envelopes (newRequest, newMessage).
+	freeReqs []*Request
+	freeMsgs []*message
 }
 
 // worldObs is the MPI layer's registry-backed instrument set.
@@ -116,28 +136,55 @@ type Status struct {
 	Bytes  int
 }
 
-// Request is a non-blocking operation handle.
+// Request is a non-blocking operation handle. It is dead once Wait has
+// returned for it: requests are recycled, so waiting on one twice is a bug.
 type Request struct {
+	w        *World
 	done     bool
-	isRecv   bool
 	gate     sim.Gate
+	src, tag int // a posted receive's match pattern (wildcards allowed)
 	data     []byte
 	status   Status
 	overhead sim.Time // software cost charged at completion (Wait)
 }
 
 // message is an in-flight envelope (either a full eager payload or a
-// rendezvous RTS).
+// rendezvous RTS). It is also the argument of every fabric event of its
+// transfer, so a message in flight costs no closure.
 type message struct {
 	src, tag int
-	data     []byte   // eager payload (nil for RTS)
+	dst      *Comm    // the receiving endpoint
+	t0       sim.Time // when the payload entered the fabric (message observer)
+	data     []byte   // eager payload; nil for an RTS until its CTS stages the payload
 	rndv     *Request // sender's request, for rendezvous
 	bytes    int      // payload size (rendezvous)
+	recv     *Request // the receive a rendezvous matched
 }
 
-type postedRecv struct {
-	src, tag int
-	req      *Request
+// newRequest and newMessage take from the world's free lists; Wait and the
+// last event of a transfer put back. A run is single-threaded (sim.Kernel),
+// so the lists need no lock.
+func (w *World) newRequest() *Request {
+	if n := len(w.freeReqs); n > 0 {
+		r := w.freeReqs[n-1]
+		w.freeReqs = w.freeReqs[:n-1]
+		return r
+	}
+	return &Request{w: w}
+}
+
+func (w *World) newMessage() *message {
+	if n := len(w.freeMsgs); n > 0 {
+		m := w.freeMsgs[n-1]
+		w.freeMsgs = w.freeMsgs[:n-1]
+		return m
+	}
+	return &message{}
+}
+
+func (w *World) freeMessage(m *message) {
+	*m = message{}
+	w.freeMsgs = append(w.freeMsgs, m)
 }
 
 // Comm is one rank's endpoint.
@@ -146,10 +193,21 @@ type Comm struct {
 	rank int
 	p    *sim.Proc
 
-	posted     []*postedRecv
+	posted     []*Request
 	unexpected []*message
 
 	collSeq int // collective sequence number (tags collective rounds)
+
+	// Receive buffers of collective traffic (see the package comment for who
+	// owns which bytes): free holds idle ones by size class, lent the ones
+	// inside the last collective's result, recv that result's header.
+	free [][][]byte
+	lent [][]byte
+	recv [][]byte
+
+	// Encode/decode scratch of Reduce and Allreduce.
+	wire []byte
+	vals []float64
 
 	// SentMessages and SentBytes count user-level sends (telemetry).
 	SentMessages int64
@@ -167,6 +225,38 @@ const (
 	ctrlTagBase  = 1 << 30 // internal tags (never matched by users)
 )
 
+// recvBuf returns the n-byte buffer a message with the given tag is received
+// into. A user message gets a fresh one, which Recv/Wait hand to the caller
+// for good. Collective traffic (internal tags) draws on c's free list, in
+// power-of-two size classes so that rounds of varying block sizes still
+// reuse each other's buffers; the collective that hands such a buffer out
+// records it in c.lent and the next collective on c takes it back.
+func (c *Comm) recvBuf(tag, n int) []byte {
+	if tag < ctrlTagBase || n == 0 {
+		return make([]byte, n)
+	}
+	class := bits.Len(uint(n - 1))
+	if class < len(c.free) {
+		if l := c.free[class]; len(l) > 0 {
+			c.free[class] = l[:len(l)-1]
+			return l[len(l)-1][:n]
+		}
+	}
+	return make([]byte, n, 1<<class)
+}
+
+// release returns a buffer obtained from recvBuf under an internal tag.
+func (c *Comm) release(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	class := bits.Len(uint(cap(b) - 1))
+	for len(c.free) <= class {
+		c.free = append(c.free, nil)
+	}
+	c.free[class] = append(c.free[class], b)
+}
+
 // ---------------------------------------------------------------------------
 // Point-to-point
 
@@ -182,6 +272,9 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 
 func (c *Comm) isend(dst, tag int, data []byte) *Request {
 	w := c.w
+	if dst < 0 || dst >= len(w.comms) {
+		panic(fmt.Sprintf("mpi: rank %d sends to rank %d, outside its communicator of size %d", c.rank, dst, len(w.comms)))
+	}
 	c.SentMessages++
 	c.SentBytes += int64(len(data))
 	if w.obs != nil {
@@ -194,45 +287,54 @@ func (c *Comm) isend(dst, tag int, data []byte) *Request {
 		}
 	}
 	c.p.Wait(w.par.SendOverhead)
-	req := &Request{}
-	peer := w.comms[dst]
+	req := w.newRequest()
+	msg := w.newMessage()
+	msg.src, msg.tag, msg.dst = c.rank, tag, w.comms[dst]
 	if len(data) <= w.par.EagerLimit {
 		// Eager: ship envelope and payload at once.
-		buf := make([]byte, len(data))
-		copy(buf, data)
+		msg.data = msg.dst.recvBuf(tag, len(data))
+		copy(msg.data, data)
 		c.p.Wait(sim.BytesAt(len(data), w.par.CopyBW)) // stage into send buffer
-		msg := &message{src: c.rank, tag: tag, data: buf}
-		t0 := w.K.Now()
-		srcFree := w.F.Transfer(c.rank, dst, len(data)+w.par.CtrlBytes, func() {
-			if w.onMessage != nil {
-				w.onMessage(c.rank, dst, t0, w.K.Now(), len(msg.data))
-			}
-			peer.deliver(msg)
-		})
-		w.K.At(srcFree, func() { req.complete(w.K) })
+		msg.t0 = w.K.Now()
+		srcFree := w.F.TransferArg(c.rank, dst, len(data)+w.par.CtrlBytes, fireArrive, msg)
+		w.K.AtArg(srcFree, fireComplete, req)
 		return req
 	}
 	// Rendezvous: send an RTS; the CTS handler performs the data transfer.
 	req.data = data // held until CTS; zero-copy from the sender's buffer
-	msg := &message{src: c.rank, tag: tag, rndv: req, bytes: len(data)}
-	w.F.Transfer(c.rank, dst, w.par.CtrlBytes, func() { peer.deliver(msg) })
+	msg.rndv, msg.bytes = req, len(data)
+	w.F.TransferArg(c.rank, dst, w.par.CtrlBytes, fireArrive, msg)
 	return req
 }
+
+// fireArrive is the fabric event of an envelope reaching its destination.
+func fireArrive(a any) {
+	m := a.(*message)
+	c := m.dst
+	if w := c.w; m.rndv == nil && w.onMessage != nil {
+		w.onMessage(m.src, c.rank, m.t0, w.K.Now(), len(m.data))
+	}
+	c.deliver(m)
+}
+
+// fireComplete is the event of a send's source buffer becoming reusable.
+func fireComplete(a any) { a.(*Request).complete() }
 
 // Irecv posts a non-blocking receive matching (src, tag), either of which
 // may be a wildcard, and returns a request.
 func (c *Comm) Irecv(src, tag int) *Request {
-	req := &Request{isRecv: true}
+	req := c.w.newRequest()
 	// Look for an already-arrived unexpected message first (match in
 	// arrival order, as MPI requires).
 	for i, m := range c.unexpected {
 		if matches(src, tag, m) {
-			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
+			c.unexpected = slices.Delete(c.unexpected, i, i+1)
 			c.consume(m, req)
 			return req
 		}
 	}
-	c.posted = append(c.posted, &postedRecv{src: src, tag: tag, req: req})
+	req.src, req.tag = src, tag
+	c.posted = append(c.posted, req)
 	return req
 }
 
@@ -242,10 +344,10 @@ func matches(src, tag int, m *message) bool {
 
 // deliver handles an arriving envelope at the receiver (fabric event).
 func (c *Comm) deliver(m *message) {
-	for i, pr := range c.posted {
-		if matches(pr.src, pr.tag, m) {
-			c.posted = append(c.posted[:i], c.posted[i+1:]...)
-			c.consume(m, pr.req)
+	for i, req := range c.posted {
+		if matches(req.src, req.tag, m) {
+			c.posted = slices.Delete(c.posted, i, i+1)
+			c.consume(m, req)
 			return
 		}
 	}
@@ -255,54 +357,69 @@ func (c *Comm) deliver(m *message) {
 // consume completes (or progresses) a matched message into a request.
 func (c *Comm) consume(m *message, req *Request) {
 	w := c.w
-	st := Status{Source: m.src, Tag: m.tag}
+	req.status = Status{Source: m.src, Tag: m.tag}
 	if m.rndv == nil {
 		// Eager payload already here.
-		st.Bytes = len(m.data)
+		req.status.Bytes = len(m.data)
 		req.data = m.data
-		req.status = st
 		req.overhead = w.par.RecvOverhead + sim.BytesAt(len(m.data), w.par.CopyBW)
-		req.complete(w.K)
+		w.freeMessage(m)
+		req.complete()
 		return
 	}
 	// Rendezvous: grant the sender a CTS; data flows afterwards.
-	st.Bytes = m.bytes
-	sender := m.src
-	sreq := m.rndv
-	w.F.Transfer(c.rank, sender, w.par.CtrlBytes, func() {
-		data := sreq.data
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		t0 := w.K.Now()
-		srcFree := w.F.Transfer(sender, c.rank, len(data)+w.par.CtrlBytes, func() {
-			if w.onMessage != nil {
-				w.onMessage(sender, c.rank, t0, w.K.Now(), len(buf))
-			}
-			req.data = buf
-			req.status = st
-			req.overhead = w.par.RecvOverhead
-			req.complete(w.K)
-		})
-		w.K.At(srcFree, func() { sreq.complete(w.K) })
-	})
+	req.status.Bytes = m.bytes
+	m.recv = req
+	w.F.TransferArg(c.rank, m.src, w.par.CtrlBytes, fireCTS, m)
 }
 
-func (r *Request) complete(k *sim.Kernel) {
+// fireCTS is the fabric event of a CTS reaching the sender: the payload is
+// staged out of the sender's buffer and put on the wire.
+func fireCTS(a any) {
+	m := a.(*message)
+	c, w := m.dst, m.dst.w
+	m.data = c.recvBuf(m.tag, m.bytes)
+	copy(m.data, m.rndv.data)
+	m.t0 = w.K.Now()
+	srcFree := w.F.TransferArg(m.src, c.rank, m.bytes+w.par.CtrlBytes, fireRendezvousData, m)
+	w.K.AtArg(srcFree, fireComplete, m.rndv)
+}
+
+// fireRendezvousData is the fabric event of a rendezvous payload arriving.
+// The sender's request may have been waited for and recycled by now; only
+// the receive is touched.
+func fireRendezvousData(a any) {
+	m := a.(*message)
+	c, w, req := m.dst, m.dst.w, m.recv
+	if w.onMessage != nil {
+		w.onMessage(m.src, c.rank, m.t0, w.K.Now(), len(m.data))
+	}
+	req.data = m.data
+	req.overhead = w.par.RecvOverhead
+	w.freeMessage(m)
+	req.complete()
+}
+
+func (r *Request) complete() {
 	r.done = true
-	r.gate.Broadcast(k)
+	r.gate.Broadcast(r.w.K)
 }
 
 // Wait blocks until the request completes and returns the received data and
-// status (nil data and zero status for send requests).
+// status (nil data and zero status for send requests). The data is the
+// caller's to keep; the request is not (see Request).
 func (c *Comm) Wait(r *Request) ([]byte, Status) {
 	for !r.done {
 		r.gate.Wait(c.p)
 	}
 	if r.overhead > 0 {
 		c.p.Wait(r.overhead)
-		r.overhead = 0
 	}
-	return r.data, r.status
+	data, status := r.data, r.status
+	w := r.w
+	*r = Request{w: w, gate: r.gate} // the gate keeps its (empty) waiter queue
+	w.freeReqs = append(w.freeReqs, r)
+	return data, status
 }
 
 // Waitall blocks until every request completes.

@@ -297,7 +297,7 @@ func TestAllgather(t *testing.T) {
 
 func TestWireHelpersRoundTrip(t *testing.T) {
 	f := []float64{1.5, -2.25, 3e300, 0}
-	if got := BytesToFloat64s(Float64sToBytes(f)); len(got) != len(f) {
+	if got := Float64sInto(nil, AppendFloat64s(nil, f)); len(got) != len(f) {
 		t.Fatal("float64 round trip length")
 	} else {
 		for i := range f {
@@ -307,7 +307,10 @@ func TestWireHelpersRoundTrip(t *testing.T) {
 		}
 	}
 	u := []uint64{0, 1, 1 << 63, 0xdeadbeef}
-	got := BytesToUint64s(Uint64sToBytes(u))
+	got := Uint64sInto(make([]uint64, 9), AppendUint64s(nil, u)) // decoded over longer scratch
+	if len(got) != len(u) {
+		t.Fatalf("uint64 round trip length %d, want %d", len(got), len(u))
+	}
 	for i := range u {
 		if got[i] != u[i] {
 			t.Fatalf("uint64 round trip: %v", got)

@@ -25,9 +25,9 @@ func (w *World) SnapshotTo(e *snapshot.Encoder) {
 		e.I64(c.SentMessages)
 		e.I64(c.SentBytes)
 		e.U32(uint32(len(c.posted)))
-		for _, pr := range c.posted {
-			e.Int(pr.src)
-			e.Int(pr.tag)
+		for _, req := range c.posted {
+			e.Int(req.src)
+			e.Int(req.tag)
 		}
 		e.U32(uint32(len(c.unexpected)))
 		for _, m := range c.unexpected {
