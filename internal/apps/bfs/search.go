@@ -1,8 +1,6 @@
 package bfs
 
 import (
-	"encoding/binary"
-
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/dv"
@@ -27,7 +25,7 @@ func visitLocal(g *graph, parent []int64, v, u int64) bool {
 
 // searchMPI is the level-synchronous Graph500 BFS over MPI: visit messages
 // are bucketed by owner and exchanged with one all-to-all per level. send
-// holds the node's per-owner blocks, visits appended as little-endian words;
+// holds the node's per-owner blocks, visits appended one word at a time;
 // it is kept across levels and searches and reset, not reallocated: Alltoall
 // only reads what it is given and is done with it when it returns. What it
 // returns is mpi's until the next collective (the Allreduce below), so the
@@ -63,7 +61,7 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 						visited++
 					}
 				} else {
-					send[q] = binary.LittleEndian.AppendUint64(send[q], packVisit(v, u))
+					send[q] = comm.AppendUint64(send[q], packVisit(v, u))
 				}
 			}
 		}
@@ -73,8 +71,8 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 			if src == n.ID {
 				continue
 			}
-			for ; len(data) >= 8; data = data[8:] {
-				v, u := unpackVisit(binary.LittleEndian.Uint64(data))
+			for i := 0; i < len(data)/8; i++ {
+				v, u := unpackVisit(comm.Uint64At(data, i))
 				got++
 				if visitLocal(g, parent, v, u) {
 					next = append(next, v-g.lo)

@@ -14,7 +14,6 @@
 package gups
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/apprt"
@@ -197,8 +196,8 @@ func Run(net comm.Net, par Params) Result {
 
 // runMPI is the HPCC-style implementation: rounds of ≤1024 updates bucketed
 // by destination and exchanged with Alltoall. The buckets are the send
-// blocks themselves, little-endian words appended as they are generated and
-// read back in place on the other side; they keep their storage from round
+// blocks themselves, words appended as they are generated and read back in
+// place on the other side (comm's one-word forms); they keep their storage from round
 // to round, which Alltoall allows because it only reads them.
 func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Time {
 	c := be.MPI()
@@ -225,7 +224,7 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Ti
 				table[li] ^= a
 				localApplied++
 			} else {
-				send[dst] = binary.LittleEndian.AppendUint64(send[dst], a)
+				send[dst] = comm.AppendUint64(send[dst], a)
 			}
 		}
 		n.Ops(int64(2 * b)) // generation + bucketing
@@ -235,8 +234,8 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Ti
 			if src == n.ID {
 				continue
 			}
-			for ; len(data) >= 8; data = data[8:] {
-				a := binary.LittleEndian.Uint64(data)
+			for i := 0; i < len(data)/8; i++ {
+				a := comm.Uint64At(data, i)
 				_, li := owner(a, par.Nodes, par.TableWordsNode)
 				table[li] ^= a
 				applied++

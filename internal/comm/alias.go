@@ -1,8 +1,8 @@
 // Wire-format and collective-helper aliases. Workload kernels describe
 // fine-grained Data Vortex traffic with these types and pack MPI payloads
 // with these helpers, into scratch they keep (the two that stream single
-// words, gups and bfs, append them to their send blocks in the same
-// little-endian layout); routing everything through comm keeps the app
+// words, gups and bfs, use the one-word forms on their send and receive
+// blocks); routing everything through comm keeps the app
 // packages free of direct internal/vic and internal/mpi imports (enforced
 // by a build check), so a fabric-layer change never fans out into eleven
 // app edits.
@@ -78,6 +78,12 @@ const AnySource = mpi.AnySource
 // AppendUint64s appends words little-endian, for byte-granular transports,
 // to dst (the caller's scratch) and returns the extended slice.
 func AppendUint64s(dst []byte, v []uint64) []byte { return mpi.AppendUint64s(dst, v) }
+
+// AppendUint64 appends one word in the same layout.
+func AppendUint64(dst []byte, x uint64) []byte { return mpi.AppendUint64(dst, x) }
+
+// Uint64At decodes word i of a word payload in place.
+func Uint64At(b []byte, i int) uint64 { return mpi.Uint64At(b, i) }
 
 // Uint64sInto decodes a little-endian word payload into dst's storage.
 func Uint64sInto(dst []uint64, b []byte) []uint64 { return mpi.Uint64sInto(dst, b) }

@@ -57,8 +57,8 @@ func (c *Comm) Barrier() {
 		dst := (c.rank + dist) % n
 		src := (c.rank - dist + n) % n
 		sreq := c.isend(dst, c.collTag(r), nil)
-		c.Wait(c.Irecv(src, c.collTag(r)))
-		c.Wait(sreq)
+		c.wait(c.Irecv(src, c.collTag(r)))
+		c.wait(sreq)
 	}
 }
 
@@ -87,7 +87,7 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 		}
 		child := vrank | bit
 		if child < n {
-			c.Wait(c.isend((child+root)%n, tag, data))
+			c.wait(c.isend((child+root)%n, tag, data))
 		}
 	}
 	return data
@@ -130,7 +130,7 @@ func (c *Comm) Reduce(root int, vals []float64, op ReduceOp) []float64 {
 		if vrank&bit != 0 {
 			parent := ((vrank &^ bit) + root) % n
 			c.wire = AppendFloat64s(c.wire[:0], acc)
-			c.Wait(c.isend(parent, tag, c.wire))
+			c.wait(c.isend(parent, tag, c.wire))
 			return nil
 		}
 		if child < n {
@@ -175,9 +175,9 @@ func (c *Comm) Alltoall(send [][]byte) [][]byte {
 		dst := (c.rank + step) % n
 		src := (c.rank - step + n) % n
 		sreq := c.isend(dst, tag, send[dst])
-		data, _ := c.Wait(c.Irecv(src, tag))
+		data, _ := c.wait(c.Irecv(src, tag))
 		recv[src] = c.lend(data)
-		c.Wait(sreq)
+		c.wait(sreq)
 	}
 	return recv
 }
@@ -199,10 +199,10 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 	cur := c.rank
 	for step := 0; step < n-1; step++ {
 		sreq := c.isend(right, tag, out[cur])
-		data, _ := c.Wait(c.Irecv(left, tag))
+		data, _ := c.wait(c.Irecv(left, tag))
 		cur = (cur - 1 + n) % n
 		out[cur] = c.lend(data)
-		c.Wait(sreq)
+		c.wait(sreq)
 	}
 	return out
 }
@@ -244,6 +244,18 @@ func AppendUint64s(dst []byte, v []uint64) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, x)
 	}
 	return dst
+}
+
+// AppendUint64 appends the encoding of one word to dst: AppendUint64s for a
+// sender that produces its block a word at a time.
+func AppendUint64(dst []byte, x uint64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, x)
+}
+
+// Uint64At decodes word i of b in place, for a receiver that consumes a
+// block as it reads it and so needs no decode scratch.
+func Uint64At(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[8*i:])
 }
 
 // Uint64sInto decodes b into dst's storage (grown when too short) and

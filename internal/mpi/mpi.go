@@ -16,9 +16,12 @@
 // collective of any kind (Barrier, Reduce and Allreduce included), which
 // takes the blocks back as receive buffers; a caller that needs them longer
 // copies them out. Reduce and Allreduce return slices the caller owns.
-// Requests, envelopes and those receive buffers are recycled within one World
-// and never shared between Worlds, so the steady-state message path does not
-// allocate and one run cannot affect another.
+// A Request from Isend or Irecv is the caller's too: it may be waited on more
+// than once (Waitall, then Wait for the data) and is never recycled. The
+// requests of Send, Recv and the collectives, whose handles stay inside mpi,
+// envelopes and those receive buffers are recycled within one World and never
+// shared between Worlds, so the steady-state message path does not allocate
+// and one run cannot affect another.
 package mpi
 
 import (
@@ -136,8 +139,10 @@ type Status struct {
 	Bytes  int
 }
 
-// Request is a non-blocking operation handle. It is dead once Wait has
-// returned for it: requests are recycled, so waiting on one twice is a bug.
+// Request is a non-blocking operation handle. One that Isend or Irecv handed
+// to a caller is the caller's: Wait may be called on it any number of times
+// (Waitall, then Wait for the data) and mpi never reuses it. Only requests
+// whose handle never leaves mpi (Send, Recv, the collectives) are recycled.
 type Request struct {
 	w        *World
 	done     bool
@@ -161,7 +166,7 @@ type message struct {
 	recv     *Request // the receive a rendezvous matched
 }
 
-// newRequest and newMessage take from the world's free lists; Wait and the
+// newRequest and newMessage take from the world's free lists; wait and the
 // last event of a transfer put back. A run is single-threaded (sim.Kernel),
 // so the lists need no lock.
 func (w *World) newRequest() *Request {
@@ -407,18 +412,26 @@ func (r *Request) complete() {
 
 // Wait blocks until the request completes and returns the received data and
 // status (nil data and zero status for send requests). The data is the
-// caller's to keep; the request is not (see Request).
+// caller's to keep. Waiting again on a completed request returns the same
+// data and status at no further cost.
 func (c *Comm) Wait(r *Request) ([]byte, Status) {
 	for !r.done {
 		r.gate.Wait(c.p)
 	}
 	if r.overhead > 0 {
 		c.p.Wait(r.overhead)
+		r.overhead = 0
 	}
-	data, status := r.data, r.status
-	w := r.w
-	*r = Request{w: w, gate: r.gate} // the gate keeps its (empty) waiter queue
-	w.freeReqs = append(w.freeReqs, r)
+	return r.data, r.status
+}
+
+// wait is Wait for a request whose handle the caller of mpi never saw: once
+// it has completed, nothing else can reach it and it goes back on the free
+// list.
+func (c *Comm) wait(r *Request) ([]byte, Status) {
+	data, status := c.Wait(r)
+	*r = Request{w: r.w, gate: r.gate} // the gate keeps its (empty) waiter queue
+	r.w.freeReqs = append(r.w.freeReqs, r)
 	return data, status
 }
 
@@ -431,10 +444,10 @@ func (c *Comm) Waitall(rs []*Request) {
 
 // Send is the blocking send.
 func (c *Comm) Send(dst, tag int, data []byte) {
-	c.Wait(c.Isend(dst, tag, data))
+	c.wait(c.Isend(dst, tag, data))
 }
 
 // Recv is the blocking receive; it returns the payload and actual envelope.
 func (c *Comm) Recv(src, tag int) ([]byte, Status) {
-	return c.Wait(c.Irecv(src, tag))
+	return c.wait(c.Irecv(src, tag))
 }

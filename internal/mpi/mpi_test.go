@@ -10,18 +10,31 @@ import (
 	"repro/internal/sim"
 )
 
-// spmd runs body on n ranks over a default fabric and returns the final
-// virtual time.
-func spmd(n int, body func(c *Comm)) sim.Time {
+// launch runs body on n ranks over a default fabric and returns the final
+// virtual time and how many ranks came out of body. Kernel.Run ends quietly
+// when the ranks still standing are all parked, so the count is the only sign
+// of a rank that hung.
+func launch(n int, body func(c *Comm)) (end sim.Time, finished int) {
 	k := sim.NewKernel()
 	w := NewWorld(k, ib.New(k, n, ib.DefaultParams()), DefaultParams())
 	for i := 0; i < n; i++ {
 		i := i
 		k.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
 			body(w.Bind(i, p))
+			finished++
 		})
 	}
-	return k.Run()
+	return k.Run(), finished
+}
+
+// spmd is launch for a body every rank must get through: a hung rank would
+// skip its assertions and leave the test green, so it panics instead.
+func spmd(n int, body func(c *Comm)) sim.Time {
+	end, finished := launch(n, body)
+	if finished != n {
+		panic(fmt.Sprintf("spmd: %d of %d ranks never returned from body (deadlock)", n-finished, n))
+	}
+	return end
 }
 
 func TestSendRecv(t *testing.T) {
@@ -375,7 +388,9 @@ func TestInvalidUserTagPanics(t *testing.T) {
 
 func TestDeterministicEndTime(t *testing.T) {
 	run := func() sim.Time {
-		return spmd(8, func(c *Comm) {
+		// Partners are random, so some ranks are still in Recv when the
+		// traffic runs out: launch, which allows that, not spmd.
+		end, _ := launch(8, func(c *Comm) {
 			rng := sim.NewRNG(uint64(c.Rank() + 1))
 			for i := 0; i < 20; i++ {
 				dst := int(rng.Uint64n(8))
@@ -386,6 +401,7 @@ func TestDeterministicEndTime(t *testing.T) {
 				c.Recv(AnySource, 1)
 			}
 		})
+		return end
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)

@@ -28,14 +28,14 @@ func gupsBlocks(ranks int) [][]byte {
 	return blocks
 }
 
-// TestSteadyStateAllocs holds the message path to no allocation per message
-// once warm: whole runs of 16 and of 64 rounds are counted, set-up and
-// warm-up cancel in the difference, and what is left is divided by the extra
-// messages. It reads 0.00 to 0.03: the residue is sim's calendar queue, whose
+// TestAlltoallSteadyStateAllocs holds the message path (an Alltoall loop, then
+// a Barrier loop) to no allocation per message once warm: whole runs of 16 and
+// of 64 rounds are counted, set-up and warm-up cancel in the difference, and
+// what is left is divided by the extra messages. It reads 0.00 to 0.03: the residue is sim's calendar queue, whose
 // 512 ring buckets each allocate when first touched and when they reach a new
 // high-water mark — a cost per stretch of virtual time, bounded by the ring.
 // One object per message would read 1.
-func TestSteadyStateAllocs(t *testing.T) {
+func TestAlltoallSteadyStateAllocs(t *testing.T) {
 	const ranks = 32
 	blocks := gupsBlocks(ranks)
 	for _, tc := range []struct {
@@ -185,6 +185,38 @@ func TestBufferOwnership(t *testing.T) {
 				t.Errorf("rank %d: data returned by Recv changed under later traffic", me)
 			}
 		})
+	})
+
+	t.Run("a request from Irecv is the caller's for good", func(t *testing.T) {
+		const ranks = 4
+		checked := 0
+		spmd(ranks, func(c *Comm) {
+			me := c.Rank()
+			right, left := (me+1)%ranks, (me+ranks-1)%ranks
+			rreq := c.Irecv(left, 3)
+			c.Waitall([]*Request{c.Isend(right, 3, []byte{byte(me)}), rreq})
+			// Traffic that takes requests from, and puts them back on, the
+			// free list: none of it may come by rreq.
+			for i := 0; i < 50; i++ {
+				c.Barrier()
+				c.Send(right, 4, []byte{0xff})
+				c.Recv(left, 4)
+			}
+			t0 := c.p.Now()
+			for again := 0; again < 2; again++ {
+				data, st := c.Wait(rreq)
+				if len(data) != 1 || int(data[0]) != left || st != (Status{Source: left, Tag: 3, Bytes: 1}) {
+					t.Errorf("rank %d, Wait %d after Waitall: %v %+v", me, again+1, data, st)
+				}
+				checked++
+			}
+			if c.p.Now() != t0 {
+				t.Errorf("rank %d: waiting again on a completed request took %v", me, c.p.Now()-t0)
+			}
+		})
+		if checked != 2*ranks {
+			t.Errorf("%d of %d checks ran", checked, 2*ranks)
+		}
 	})
 
 	t.Run("wildcards match in arrival order with recycled requests", func(t *testing.T) {
