@@ -48,6 +48,12 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
+// usage reports bad input: one line and exit 2, as the other drivers do.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dvprof: "+format+"\n", args...)
+	os.Exit(2)
+}
+
 func listApps(w io.Writer) {
 	apps := apprt.Apps()
 	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
@@ -80,18 +86,21 @@ func main() {
 	}
 	app, ok := apprt.Get(*appName)
 	if !ok {
-		fail("unknown app %q (try -list)", *appName)
+		usage("unknown app %q (try -list)", *appName)
 	}
 	net, err := comm.ParseNet(*netStr)
 	if err != nil {
-		fail("%v", err)
+		usage("%v", err)
+	}
+	if *nodes < 0 || *topK < 0 {
+		usage("-nodes and -topk must not be negative (%d, %d)", *nodes, *topK)
 	}
 	if *heatSVG != "" && !*cycle {
-		fail("-heatmap needs the cycle-accurate core (-cycle): the fast model has no per-node deflection census")
+		usage("-heatmap needs the cycle-accurate core (-cycle): the fast model has no per-node deflection census")
 	}
 
 	n := *nodes
-	if n <= 0 {
+	if n == 0 {
 		n = app.RefNodes
 	}
 	spec := apprt.RunSpec{
@@ -109,7 +118,9 @@ func main() {
 	}
 	sum, err := app.Run(spec)
 	if err != nil {
-		fail("run failed: %v", err)
+		// A registered runner returns an error only for a spec it cannot
+		// run (fft over 3 nodes); a run that starts does not fail this way.
+		usage("%v", err)
 	}
 	rep := sum.Cluster
 	if rep.Checks != nil {

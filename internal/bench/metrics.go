@@ -92,7 +92,7 @@ func Metrics(opt Options, jsonl, prom, chrome io.Writer) (*Table, *attr.Summary,
 	t.AddRow("rel_retry_rounds",
 		fmt.Sprintf("%d", m.Registry.CounterValue("rel_retry_rounds_total")))
 	t.AddRow("series_rows", fmt.Sprintf("%d", len(m.Series.Rows)))
-	t.AddRow("trace_events", fmt.Sprintf("%d", len(m.Packets)))
+	t.AddRow("trace_events", fmt.Sprintf("%d", m.Packets.Len()))
 	if a := rep.Attr; a != nil {
 		t.AddRow("attr_flows", fmt.Sprintf("%d", a.Begun))
 		t.AddRow("attr_completed", fmt.Sprintf("%d", a.Completed))

@@ -28,9 +28,8 @@ func (c *Checker) finalizeAttr() {
 	if t == nil {
 		return
 	}
-	flows := t.Flows()
-	for i := range flows {
-		f := &flows[i]
+	for i, n := 0, t.Len(); i < n; i++ {
+		f := t.At(i)
 		if !f.Done {
 			continue
 		}

@@ -3,6 +3,7 @@ package check
 import (
 	"sort"
 
+	"repro/internal/sim"
 	"repro/internal/vic"
 )
 
@@ -28,7 +29,7 @@ type vicState struct {
 
 	// fifo holds accepted surprise pushes not yet popped by the host, in
 	// arrival order.
-	fifo []uint64
+	fifo sim.Ring[uint64]
 
 	// arm records each group counter's most recent host arm value. Counters
 	// armed positive follow the arm-before-arrival discipline and must never
@@ -91,8 +92,7 @@ func (c *Checker) FIFOPush(v *vic.VIC, src int, val uint64, dropped bool) {
 	if !c.cfg.VIC || dropped {
 		return
 	}
-	s := c.state(v)
-	s.fifo = append(s.fifo, val)
+	c.state(v).fifo.Push(val)
 }
 
 // FIFOPop implements vic.Checker: the host must observe surprise words in
@@ -101,25 +101,30 @@ func (c *Checker) FIFOPop(v *vic.VIC, val uint64) {
 	if !c.cfg.VIC {
 		return
 	}
-	s := c.state(v)
-	if len(s.fifo) == 0 {
+	fifo := &c.state(v).fifo
+	head, ok := fifo.Pop()
+	if !ok {
 		c.violate("vic", "fifo-order", -1,
 			"vic %d popped %#x with no accepted push outstanding", v.ID, val)
 		return
 	}
-	if s.fifo[0] == val {
-		s.fifo = s.fifo[1:]
+	if head == val {
 		return
 	}
 	c.violate("vic", "fifo-order", -1,
-		"vic %d popped %#x, expected %#x (FIFO order)", v.ID, val, s.fifo[0])
+		"vic %d popped %#x, expected %#x (FIFO order)", v.ID, val, head)
 	// Resynchronise on the popped value so one reorder reports once instead
-	// of cascading down the rest of the queue.
-	for i, w := range s.fifo {
-		if w == val {
-			s.fifo = append(s.fifo[:i], s.fifo[i+1:]...)
-			return
+	// of cascading down the rest of the queue: head goes back in, and one
+	// turn of the ring behind it drops the first word equal to val.
+	fifo.Push(head)
+	found := false
+	for n := fifo.Len() - 1; n > 0; n-- {
+		w, _ := fifo.Pop()
+		if !found && w == val {
+			found = true
+			continue
 		}
+		fifo.Push(w)
 	}
 }
 

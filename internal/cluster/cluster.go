@@ -782,9 +782,12 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		rep.IBFabric = world.F.FabricStats()
 	}
 	if cfg.Obs != nil {
-		packets := psmp.EventsOrNil()
+		packets := psmp.Events()
 		if tracer != nil && cfg.Attr.Chrome {
-			packets = append(packets, tracer.ChromeEvents()...)
+			if packets == nil {
+				packets = new(obs.Pages[obs.TraceEvent])
+			}
+			tracer.ChromeEvents(packets)
 		}
 		rep.Metrics = &obs.Metrics{Registry: reg, Series: sampler.Series(), Packets: packets}
 	}

@@ -76,8 +76,8 @@ func TestMetricsMatchReport(t *testing.T) {
 	}
 	// With PacketSample=1 every delivery appears in the Chrome events.
 	packets := 0
-	for _, ev := range m.Packets {
-		if ev.Cat == "net" {
+	for i := 0; i < m.Packets.Len(); i++ {
+		if m.Packets.At(i).Cat == "net" {
 			packets++
 		}
 	}

@@ -27,6 +27,7 @@
 package attr
 
 import (
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -111,9 +112,9 @@ type Config struct {
 	// cap are counted in Summary.Overflow but not stamped or retained.
 	MaxFlows int
 	// Chrome also emits per-flow stage spans and s/f flow-binding events
-	// into the run's Metrics.Packets for Chrome/Perfetto export (requires
-	// the Obs layer). Off by default so a traced run's Metrics stay
-	// byte-identical to an untraced run's.
+	// into the run's event store (Metrics.Packets) for Chrome/Perfetto
+	// export (requires the Obs layer). Off by default so a traced run's
+	// Metrics stay byte-identical to an untraced run's.
 	Chrome bool
 	// Mutate plants deliberate stamping defects (test-only): used to prove
 	// the check layer's stage-sum invariant actually detects broken stamps.
@@ -121,25 +122,25 @@ type Config struct {
 }
 
 // Flow is one traced packet journey. Src/Dst are node ids; times are virtual.
+// Fields are ordered so the narrow ones share words: 104 bytes, and a run
+// holds one per traced packet.
 type Flow struct {
-	ID    uint32
-	Src   int
-	Dst   int
-	Kind  Kind
-	Epoch uint16 // reliable-layer retransmit epoch (0 = first attempt)
+	ID   uint32
+	Hops int32
+	Src  int
+	Dst  int
 
 	Issue sim.Time            // stamp T0: app issue
 	End   sim.Time            // final stamp: host-visible completion
+	last  sim.Time            // most recent stamp boundary (open flows)
 	Dur   [NumStages]sim.Time // per-stage durations; sums to End-Issue
 
-	Hops        int32
 	Deflections int32
-
+	Epoch       uint16 // reliable-layer retransmit epoch (0 = first attempt)
+	Kind        Kind
 	// Done marks a completed flow; a begun flow that never completes was
 	// lost (fabric drop, CRC discard, FIFO overflow).
 	Done bool
-
-	last sim.Time // most recent stamp boundary (open flows)
 }
 
 // E2E returns the end-to-end latency of a completed flow.
@@ -150,8 +151,8 @@ func (f *Flow) E2E() sim.Time { return f.End - f.Issue }
 // tracer (parallel sweep points each build their own kernel and tracer).
 type Tracer struct {
 	cfg   Config
-	seq   uint64 // flow ordinals seen (sampling candidates)
-	flows []Flow // retained flows, indexed by ID-1
+	seq   uint64          // flow ordinals seen (sampling candidates)
+	flows obs.Pages[Flow] // retained flows; flow id is record id-1, never moved
 
 	completed int64
 	dropped   int64 // explicitly abandoned (CRC discard, FIFO overflow, fabric drop)
@@ -198,15 +199,16 @@ func (t *Tracer) Begin(src, dst int, kind Kind, now sim.Time) uint32 {
 	if t.cfg.Sample > 1 && splitmix64(t.cfg.Seed^i)%t.cfg.Sample != 0 {
 		return 0
 	}
-	if len(t.flows) >= t.cfg.MaxFlows {
+	if t.flows.Len() >= t.cfg.MaxFlows {
 		t.overflow++
 		return 0
 	}
-	t.flows = append(t.flows, Flow{
-		ID: uint32(len(t.flows) + 1), Src: src, Dst: dst, Kind: kind,
+	id := uint32(t.flows.Len() + 1)
+	t.flows.Append(Flow{
+		ID: id, Src: src, Dst: dst, Kind: kind,
 		Epoch: t.epochs[src], Issue: now, last: now,
 	})
-	return uint32(len(t.flows))
+	return id
 }
 
 // Stamp closes stage s at now: the time since the previous stamp is charged
@@ -215,7 +217,7 @@ func (t *Tracer) Stamp(id uint32, s Stage, now sim.Time) {
 	if t == nil || id == 0 {
 		return
 	}
-	f := &t.flows[id-1]
+	f := t.flows.At(int(id - 1))
 	f.Dur[s] += now - f.last
 	f.last = now
 }
@@ -228,7 +230,17 @@ func (t *Tracer) StampFabric(id uint32, entry, eject sim.Time, hops, deflections
 	if t == nil || id == 0 {
 		return
 	}
-	f := &t.flows[id-1]
+	t.stampFabric(id, entry, eject, hops, deflections)
+}
+
+// stampFabric is StampFabric's body. It stays out of line so that the
+// untraced test above inlines at the fabric's delivery seam: inlined here it
+// takes StampFabric 8 over the compiler's budget, and every delivery of an
+// untraced run (a2a_dv_cycle256: +2 % wall) pays a call for it.
+//
+//go:noinline
+func (t *Tracer) stampFabric(id uint32, entry, eject sim.Time, hops, deflections int) {
+	f := t.flows.At(int(id - 1))
 	f.Dur[StageInjectWait] += entry - f.last
 	f.Dur[StageFabric] += eject - entry
 	if t.mut&MutDoubleFabric != 0 {
@@ -245,7 +257,7 @@ func (t *Tracer) Complete(id uint32, now sim.Time) {
 	if t == nil || id == 0 {
 		return
 	}
-	f := &t.flows[id-1]
+	f := t.flows.At(int(id - 1))
 	if f.Done {
 		return
 	}
@@ -296,7 +308,7 @@ func (t *Tracer) MPIFlow(src, dst int, t0, t1 sim.Time) {
 	if id == 0 {
 		return
 	}
-	f := &t.flows[id-1]
+	f := t.flows.At(int(id - 1))
 	f.Dur[StageFabric] = t1 - t0
 	f.last = t1
 	f.End = t1
@@ -304,14 +316,17 @@ func (t *Tracer) MPIFlow(src, dst int, t0, t1 sim.Time) {
 	t.completed++
 }
 
-// Flows returns the retained flow records in id order (nil for a nil
-// tracer). The slice is the tracer's own storage; callers must not mutate.
-func (t *Tracer) Flows() []Flow {
+// Len returns the number of retained flows (0 for a nil tracer).
+func (t *Tracer) Len() int {
 	if t == nil {
-		return nil
+		return 0
 	}
-	return t.flows
+	return t.flows.Len()
 }
+
+// At returns retained flow i in id order (flow id i+1), 0 <= i < Len. The
+// record is the tracer's own storage; callers must not mutate it.
+func (t *Tracer) At(i int) *Flow { return t.flows.At(i) }
 
 // HeatGrid lazily creates (or resizes) and returns the per-(cylinder, angle)
 // deflection census the cycle-accurate switch core fills in. Nil for a nil

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -26,7 +27,7 @@ func TestStampTelescoping(t *testing.T) {
 	tr.Stamp(id, StageEject, 20*usT)
 	tr.Complete(id, 22*usT)
 
-	f := &tr.Flows()[0]
+	f := tr.At(0)
 	if !f.Done {
 		t.Fatal("flow not done")
 	}
@@ -56,7 +57,7 @@ func TestCompleteIdempotent(t *testing.T) {
 	if s.Completed != 1 {
 		t.Fatalf("completed = %d", s.Completed)
 	}
-	if got := tr.Flows()[0].End; got != 5*usT {
+	if got := tr.At(0).End; got != 5*usT {
 		t.Fatalf("End moved on re-completion: %v", got)
 	}
 }
@@ -74,7 +75,7 @@ func TestNilSafety(t *testing.T) {
 	tr.SetEpoch(0, 1)
 	tr.MPIFlow(0, 1, 0, 1)
 	tr.SetMutation(MutSkipDrain)
-	if tr.Flows() != nil || tr.Finalize() != nil || tr.HeatGrid(2, 2) != nil {
+	if tr.Len() != 0 || tr.Finalize() != nil || tr.HeatGrid(2, 2) != nil {
 		t.Fatal("nil tracer returned state")
 	}
 	var h *Heat
@@ -145,9 +146,8 @@ func TestEpochs(t *testing.T) {
 	c := tr.Begin(2, 0, KindWrite, 0)
 	tr.SetEpoch(2, 0)
 	d := tr.Begin(2, 0, KindWrite, 0)
-	fl := tr.Flows()
 	for i, want := range map[uint32]uint16{a: 0, b: 1, c: 2, d: 0} {
-		if got := fl[i-1].Epoch; got != want {
+		if got := tr.At(int(i - 1)).Epoch; got != want {
 			t.Fatalf("flow %d epoch = %d, want %d", i, got, want)
 		}
 	}
@@ -164,7 +164,7 @@ func TestMutations(t *testing.T) {
 		tr.Stamp(id, StageHostTx, 1*usT)
 		tr.StampFabric(id, 2*usT, 5*usT, 3, 0)
 		tr.Complete(id, 7*usT)
-		f := &tr.Flows()[0]
+		f := tr.At(0)
 		var sum sim.Time
 		for _, d := range f.Dur {
 			sum += d
@@ -339,7 +339,7 @@ func TestMPIFlow(t *testing.T) {
 	if s.Completed != 1 {
 		t.Fatalf("completed = %d", s.Completed)
 	}
-	f := tr.Flows()[0]
+	f := tr.At(0)
 	if f.Kind != KindMPI || f.E2E() != 7*usT || f.Dur[StageFabric] != 7*usT {
 		t.Fatalf("mpi flow wrong: %+v", f)
 	}
@@ -377,9 +377,11 @@ func TestChromeEvents(t *testing.T) {
 	tr.Stamp(id, StageHostTx, 12*usT)
 	tr.StampFabric(id, 12*usT, 14*usT, 2, 0)
 	tr.Complete(id, 15*usT)
-	evs := tr.ChromeEvents()
+	var evs obs.Pages[obs.TraceEvent]
+	tr.ChromeEvents(&evs)
 	var spans, starts, finishes int
-	for _, ev := range evs {
+	for i := 0; i < evs.Len(); i++ {
+		ev := evs.At(i)
 		switch ev.Ph {
 		case "X":
 			spans++

@@ -5,20 +5,20 @@ import (
 	"repro/internal/sim"
 )
 
-// ChromeEvents renders completed flows as Chrome trace events riding the obs
-// exporter: each stage becomes an "X" span (pid = the node doing the work,
-// tid = stage lane), and each flow gets an "s"/"f" flow-event pair binding
-// the source-side issue to the destination-side completion so Perfetto draws
-// the causal arrow across nodes. Events are emitted in flow-id order —
-// byte-deterministic given the same run.
-func (t *Tracer) ChromeEvents() []obs.TraceEvent {
+// ChromeEvents appends completed flows to evs as Chrome trace events riding
+// the obs exporter: each stage that took time becomes an "X" span (pid = the
+// node doing the work, tid = stage lane), and each flow gets an "s"/"f"
+// flow-event pair binding the source-side issue to the destination-side
+// completion so Perfetto draws the causal arrow across nodes. Events are
+// emitted in flow-id order — byte-deterministic given the same run.
+// Nil-safe.
+func (t *Tracer) ChromeEvents(evs *obs.Pages[obs.TraceEvent]) {
 	if t == nil {
-		return nil
+		return
 	}
-	evs := make([]obs.TraceEvent, 0, len(t.flows)*(NumStages+2))
 	usf := func(tm sim.Time) float64 { return float64(tm) / float64(sim.Microsecond) }
-	for i := range t.flows {
-		f := &t.flows[i]
+	for i, n := 0, t.flows.Len(); i < n; i++ {
+		f := t.flows.At(i)
 		if !f.Done {
 			continue
 		}
@@ -33,19 +33,16 @@ func (t *Tracer) ChromeEvents() []obs.TraceEvent {
 				if Stage(s) >= StageEject {
 					node = f.Dst
 				}
-				evs = append(evs, obs.TraceEvent{
+				evs.Append(obs.TraceEvent{
 					Name: Stage(s).Name(), Cat: "attr:" + f.Kind.Name(), Ph: "X",
 					TS: usf(cur), Dur: usf(d), PID: node, TID: int(s), Args: args,
 				})
 			}
 			cur += d
 		}
-		evs = append(evs,
-			obs.TraceEvent{Name: "flow", Cat: "attr", Ph: "s", TS: usf(f.Issue),
-				PID: f.Src, TID: 0, ID: uint64(f.ID), Args: args},
-			obs.TraceEvent{Name: "flow", Cat: "attr", Ph: "f", TS: usf(f.End),
-				PID: f.Dst, TID: 0, ID: uint64(f.ID), Args: args},
-		)
+		evs.Append(obs.TraceEvent{Name: "flow", Cat: "attr", Ph: "s", TS: usf(f.Issue),
+			PID: f.Src, TID: 0, ID: uint64(f.ID), Args: args})
+		evs.Append(obs.TraceEvent{Name: "flow", Cat: "attr", Ph: "f", TS: usf(f.End),
+			PID: f.Dst, TID: 0, ID: uint64(f.ID), Args: args})
 	}
-	return evs
 }

@@ -25,9 +25,10 @@ func (t *Tracer) SnapshotTo(e *snapshot.Encoder) {
 	e.I64(t.overflow)
 	e.I64(t.epochEvents)
 
-	e.U32(uint32(len(t.flows)))
-	for i := range t.flows {
-		f := &t.flows[i]
+	n := t.flows.Len()
+	e.U32(uint32(n))
+	for i := 0; i < n; i++ {
+		f := t.flows.At(i)
 		e.U32(f.ID)
 		e.Int(f.Src)
 		e.Int(f.Dst)

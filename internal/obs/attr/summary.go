@@ -47,7 +47,8 @@ type SlowFlow struct {
 
 // Summary is the attribution result attached to a cluster Report. All
 // aggregation is deterministic: flows are visited in id (creation) order,
-// per-node and per-kind rows are sorted, and rendering uses fmt only.
+// per-node and per-kind rows are in node and kind order, and rendering uses
+// fmt only.
 type Summary struct {
 	// Begun counts traced flows; Completed those that finished; Lost those
 	// that did not (fabric drop, CRC discard, FIFO overflow, or still in
@@ -84,9 +85,9 @@ func (t *Tracer) Finalize() *Summary {
 		return nil
 	}
 	s := &Summary{
-		Begun:            int64(len(t.flows)),
+		Begun:            int64(t.flows.Len()),
 		Completed:        t.completed,
-		Lost:             int64(len(t.flows)) - t.completed,
+		Lost:             int64(t.flows.Len()) - t.completed,
 		Overflow:         t.overflow,
 		RetransmitEpochs: t.epochEvents,
 		Heat:             t.heat,
@@ -94,10 +95,10 @@ func (t *Tracer) Finalize() *Summary {
 	for i := range s.Stages {
 		s.Stages[i].Stage = Stage(i).Name()
 	}
-	nodes := make(map[int]*NodeAgg)
-	kinds := make(map[Kind]*KindAgg)
-	for i := range t.flows {
-		f := &t.flows[i]
+	var nodes []NodeAgg // indexed by source node, grown to the largest seen
+	var kinds [numKinds]KindAgg
+	for i, n := 0, t.flows.Len(); i < n; i++ {
+		f := t.flows.At(i)
 		if !f.Done {
 			continue
 		}
@@ -114,60 +115,80 @@ func (t *Tracer) Finalize() *Summary {
 				s.Stages[st].Max = f.Dur[st]
 			}
 		}
-		na := nodes[f.Src]
-		if na == nil {
-			na = &NodeAgg{Node: f.Src}
-			nodes[f.Src] = na
+		for len(nodes) <= f.Src {
+			nodes = append(nodes, NodeAgg{Node: len(nodes)})
 		}
+		na := &nodes[f.Src]
 		na.Flows++
 		na.Total += e2e
 		na.Fabric += f.Dur[StageFabric]
 		if e2e > na.Max {
 			na.Max = e2e
 		}
-		ka := kinds[f.Kind]
-		if ka == nil {
-			ka = &KindAgg{Kind: f.Kind.Name()}
-			kinds[f.Kind] = ka
+		kinds[f.Kind].Flows++
+		kinds[f.Kind].Total += e2e
+	}
+	for i := range nodes {
+		if nodes[i].Flows > 0 {
+			s.PerNode = append(s.PerNode, nodes[i])
 		}
-		ka.Flows++
-		ka.Total += e2e
 	}
-	for _, na := range nodes {
-		s.PerNode = append(s.PerNode, *na)
-	}
-	sort.Slice(s.PerNode, func(i, j int) bool { return s.PerNode[i].Node < s.PerNode[j].Node })
-	for k := Kind(0); k < numKinds; k++ {
-		if ka := kinds[k]; ka != nil {
-			s.PerKind = append(s.PerKind, *ka)
+	for k := range kinds {
+		if kinds[k].Flows > 0 {
+			kinds[k].Kind = Kind(k).Name()
+			s.PerKind = append(s.PerKind, kinds[k])
 		}
 	}
 	s.Slowest = t.slowest(t.cfg.TopK)
 	return s
 }
 
-// slowest returns the k slowest completed flows, ordered by end-to-end
-// latency descending with flow id as the deterministic tiebreak.
+// slower is the drill-down order: end-to-end latency descending, flow id
+// ascending on ties.
+func slower(a, b *Flow) bool {
+	if ea, eb := a.E2E(), b.E2E(); ea != eb {
+		return ea > eb
+	}
+	return a.ID < b.ID
+}
+
+// slowest returns the k slowest completed flows in slower order. It is a
+// bounded selection: one pass over the flows keeping the k slowest seen in a
+// heap whose root, the least slow of them, is the one the next slower flow
+// replaces — O(n log k) and k pointers however many flows the run traced.
 func (t *Tracer) slowest(k int) []SlowFlow {
-	idx := make([]int, 0, len(t.flows))
-	for i := range t.flows {
-		if t.flows[i].Done {
-			idx = append(idx, i)
+	var top []*Flow // a heap once it holds k
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c+1 < len(top) && slower(top[c], top[c+1]) {
+				c++
+			}
+			if c >= len(top) || !slower(top[i], top[c]) {
+				return
+			}
+			top[i], top[c] = top[c], top[i]
+			i = c
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		fa, fb := &t.flows[idx[a]], &t.flows[idx[b]]
-		if ea, eb := fa.E2E(), fb.E2E(); ea != eb {
-			return ea > eb
+	for i, n := 0, t.flows.Len(); i < n && k > 0; i++ {
+		f := t.flows.At(i)
+		switch {
+		case !f.Done:
+		case len(top) < k:
+			if top = append(top, f); len(top) == k {
+				for j := k/2 - 1; j >= 0; j-- {
+					down(j)
+				}
+			}
+		case slower(f, top[0]):
+			top[0] = f
+			down(0)
 		}
-		return fa.ID < fb.ID
-	})
-	if len(idx) > k {
-		idx = idx[:k]
 	}
-	out := make([]SlowFlow, len(idx))
-	for i, j := range idx {
-		f := &t.flows[j]
+	sort.Slice(top, func(a, b int) bool { return slower(top[a], top[b]) })
+	out := make([]SlowFlow, len(top))
+	for i, f := range top {
 		out[i] = SlowFlow{
 			ID: f.ID, Src: f.Src, Dst: f.Dst, Kind: f.Kind.Name(),
 			Epoch: int(f.Epoch), Issue: f.Issue, E2E: f.E2E(), Stages: f.Dur,

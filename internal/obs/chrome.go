@@ -34,13 +34,15 @@ type PacketArgs struct {
 }
 
 // WriteChromeTrace writes events as a Chrome trace-event JSON object
-// ({"traceEvents":[...]}) loadable by Perfetto / chrome://tracing.
-func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
+// ({"traceEvents":[...]}) loadable by Perfetto / chrome://tracing. A nil
+// store writes an empty trace.
+func WriteChromeTrace(w io.Writer, events *Pages[TraceEvent]) error {
 	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
 		return err
 	}
 	var b strings.Builder
-	for i, ev := range events {
+	for i, n := 0, events.Len(); i < n; i++ {
+		ev := events.At(i)
 		b.Reset()
 		fmt.Fprintf(&b,
 			"{\"name\":%q,\"cat\":%q,\"ph\":%q,\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,",
@@ -53,7 +55,7 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
 		fmt.Fprintf(&b,
 			"\"args\":{\"src\":%d,\"dst\":%d,\"bytes\":%d,\"hops\":%d,\"deflections\":%d}}",
 			ev.Args.Src, ev.Args.Dst, ev.Args.Bytes, ev.Args.Hops, ev.Args.Deflections)
-		if i < len(events)-1 {
+		if i < n-1 {
 			b.WriteString(",")
 		}
 		b.WriteString("\n")
@@ -82,7 +84,7 @@ type PacketSampler struct {
 	seed   uint64
 	every  uint64
 	n      uint64 // candidates seen
-	Events []TraceEvent
+	events Pages[TraceEvent]
 }
 
 // NewPacketSampler keeps roughly 1-in-every candidates; every <= 1 keeps
@@ -110,13 +112,14 @@ func (ps *PacketSampler) Add(ev TraceEvent) {
 	if ps == nil {
 		return
 	}
-	ps.Events = append(ps.Events, ev)
+	ps.events.Append(ev)
 }
 
-// EventsOrNil returns the recorded events (nil for a nil sampler).
-func (ps *PacketSampler) EventsOrNil() []TraceEvent {
+// Events returns the sampler's event store, in recording order (nil for a
+// nil sampler). It is the sampler's own storage, not a copy.
+func (ps *PacketSampler) Events() *Pages[TraceEvent] {
 	if ps == nil {
 		return nil
 	}
-	return ps.Events
+	return &ps.events
 }

@@ -23,11 +23,13 @@ type Config struct {
 }
 
 // Metrics is a run's collected observability output: the final instrument
-// values, the sampled time series, and the sampled packet lifecycles.
+// values, the sampled time series, and the run's event store: the sampled
+// packet lifecycles, then any per-flow spans (attr.Config.Chrome). Packets is
+// nil when the run recorded no events.
 type Metrics struct {
 	Registry *Registry
 	Series   *Series
-	Packets  []TraceEvent
+	Packets  *Pages[TraceEvent]
 }
 
 // WriteJSONL writes the sampled series as JSON lines.

@@ -2,6 +2,9 @@
 // log-bucketed histograms collected in a Registry, a virtual-time Sampler
 // that snapshots instrument values into a Series at a fixed cadence, and
 // exporters (Prometheus-style text, JSONL time series, Chrome trace events).
+// Records that accumulate one per packet — sampled trace events here, flows
+// in obs/attr — are kept in Pages: fixed pages in append order, never
+// re-copied.
 //
 // Every instrument is nil-safe: methods on a nil *Counter / *Histogram are
 // no-ops, and a nil *Registry hands out nil instruments. A component

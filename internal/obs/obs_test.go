@@ -28,6 +28,9 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 		t.Fatal("nil packet sampler must keep nothing")
 	}
 	ps.Add(TraceEvent{})
+	if ps.Events().Len() != 0 {
+		t.Fatal("nil packet sampler must hold nothing")
+	}
 }
 
 func TestRegistryDedupsByName(t *testing.T) {
@@ -190,12 +193,11 @@ func TestPacketSamplerDeterministicAndRoughRate(t *testing.T) {
 
 func TestWriteChromeTraceShape(t *testing.T) {
 	var sb strings.Builder
-	err := WriteChromeTrace(&sb, []TraceEvent{
-		{Name: "packet", Cat: "net", Ph: "X", TS: 1.5, Dur: 0.25, PID: 0, TID: 3,
-			Args: PacketArgs{Src: 3, Dst: 9, Bytes: 16, Hops: 7, Deflections: 2}},
-		{Name: "phase:updates", Cat: "phase", Ph: "X", TS: 0, Dur: 10, PID: 1, TID: 0},
-	})
-	if err != nil {
+	ps := NewPacketSampler(1, 1)
+	ps.Add(TraceEvent{Name: "packet", Cat: "net", Ph: "X", TS: 1.5, Dur: 0.25, PID: 0, TID: 3,
+		Args: PacketArgs{Src: 3, Dst: 9, Bytes: 16, Hops: 7, Deflections: 2}})
+	ps.Add(TraceEvent{Name: "phase:updates", Cat: "phase", Ph: "X", TS: 0, Dur: 10, PID: 1, TID: 0})
+	if err := WriteChromeTrace(&sb, ps.Events()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

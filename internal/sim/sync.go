@@ -152,53 +152,71 @@ func (g *Gate) Broadcast(k *Kernel) {
 	g.waiters = kept
 }
 
-// Queue is an unbounded virtual-time FIFO. Push never blocks; Pop blocks the
-// calling process until an item is available. Storage is a power-of-two ring
-// that is retained at its high-water capacity, so a queue in steady state
-// (e.g. the VIC's host-side surprise ring) never allocates: the previous
-// slice-backed FIFO re-allocated its tail every time the head chased it.
-type Queue[T any] struct {
+// Ring is an unbounded FIFO on a power-of-two ring that is retained at its
+// high-water capacity, so a FIFO in steady state (the VIC's host-side
+// surprise ring, the checker's mirror of it) never allocates: a slice-backed
+// FIFO re-allocates its tail every time the head chases it. The zero value
+// is an empty ring.
+type Ring[T any] struct {
 	buf  []T
 	head int
 	n    int
+}
+
+// Len returns the number of queued items.
+func (r *Ring[T]) Len() int { return r.n }
+
+// Push appends v.
+func (r *Ring[T]) Push(v T) {
+	if r.n == len(r.buf) {
+		nb := make([]T, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = nb, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// Pop removes and returns the head item; ok is false on an empty ring.
+func (r *Ring[T]) Pop() (v T, ok bool) {
+	if r.n == 0 {
+		return v, false
+	}
+	var zero T
+	v = r.buf[r.head]
+	r.buf[r.head] = zero // release references for GC
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v, true
+}
+
+// Queue is an unbounded virtual-time FIFO on a Ring. Push never blocks; Pop
+// blocks the calling process until an item is available.
+type Queue[T any] struct {
+	ring Ring[T]
 	gate Gate
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return q.n }
+func (q *Queue[T]) Len() int { return q.ring.n }
 
 // Push appends v and wakes one waiter.
 func (q *Queue[T]) Push(k *Kernel, v T) {
-	if q.n == len(q.buf) {
-		nb := make([]T, max(8, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-		}
-		q.buf, q.head = nb, 0
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
-	q.n++
+	q.ring.Push(v)
 	q.gate.Signal(k)
 }
 
 // TryPop removes and returns the head item without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if q.n == 0 {
-		return zero, false
-	}
-	v := q.buf[q.head]
-	q.buf[q.head] = zero // release references for GC
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return v, true
-}
+func (q *Queue[T]) TryPop() (T, bool) { return q.ring.Pop() }
 
 // Snapshot returns a copy of the queued items, head first (checkpointing).
 func (q *Queue[T]) Snapshot() []T {
-	out := make([]T, q.n)
-	for i := 0; i < q.n; i++ {
-		out[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	r := &q.ring
+	out := make([]T, r.n)
+	for i := 0; i < r.n; i++ {
+		out[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
 	return out
 }

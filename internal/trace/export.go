@@ -101,16 +101,16 @@ func firstErr(errs ...error) error {
 // state interval (lane = node), one "X" span per message (lane = destination
 // node, tid = source). States come first, then messages, each in time order —
 // the same order WriteCSV emits — so the export is deterministic.
-func (r *Recorder) ChromeEvents() []obs.TraceEvent {
-	evs := make([]obs.TraceEvent, 0, len(r.States)+len(r.Messages))
+func (r *Recorder) ChromeEvents() *obs.Pages[obs.TraceEvent] {
+	evs := new(obs.Pages[obs.TraceEvent])
 	for _, s := range sortedStates(r.States) {
-		evs = append(evs, obs.TraceEvent{
+		evs.Append(obs.TraceEvent{
 			Name: "state:" + s.State, Cat: "state", Ph: "X",
 			TS: s.T0.Micros(), Dur: (s.T1 - s.T0).Micros(), PID: s.Node,
 		})
 	}
 	for _, m := range sortedMessages(r.Messages) {
-		evs = append(evs, obs.TraceEvent{
+		evs.Append(obs.TraceEvent{
 			Name: "msg", Cat: "net", Ph: "X",
 			TS: m.T0.Micros(), Dur: (m.T1 - m.T0).Micros(),
 			PID: m.Dst, TID: m.Src,
