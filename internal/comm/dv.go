@@ -5,6 +5,7 @@
 package comm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/dv"
@@ -114,8 +115,8 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 			continue
 		}
 		row := b.a2aBuf + uint32(e.Rank()*b.a2aCap)
-		for i, v := range packWords(blocks[d]) {
-			words = append(words, Word{Dst: d, Op: OpWrite, GC: b.a2aGC[1], Addr: row + uint32(i), Val: v})
+		for i := range wordsFor(len(blocks[d])) {
+			words = append(words, Word{Dst: d, Op: OpWrite, GC: b.a2aGC[1], Addr: row + uint32(i), Val: wordAt(blocks[d], i)})
 		}
 	}
 	e.Scatter(DMACached, words)
@@ -139,21 +140,21 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 // wordsFor returns the 8-byte words covering n payload bytes.
 func wordsFor(n int) int { return (n + 7) / 8 }
 
-// packWords encodes a byte block little-endian into whole words (the last
-// word zero-padded).
-func packWords(b []byte) []uint64 {
-	w := make([]uint64, wordsFor(len(b)))
-	for i, v := range b {
-		w[i/8] |= uint64(v) << (8 * uint(i%8))
-	}
-	return w
+// wordAt returns word i of block b read little-endian, the last word
+// zero-padded.
+func wordAt(b []byte, i int) uint64 {
+	var w [8]byte
+	copy(w[:], b[8*i:])
+	return binary.LittleEndian.Uint64(w[:])
 }
 
 // unpackWords decodes n bytes from a little-endian word row.
 func unpackWords(w []uint64, n int) []byte {
 	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(w[i/8] >> (8 * uint(i%8)))
+	for i := 0; i < n; i += 8 {
+		var word [8]byte
+		binary.LittleEndian.PutUint64(word[:], w[i/8])
+		copy(b[i:], word[:])
 	}
 	return b
 }

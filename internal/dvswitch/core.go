@@ -236,48 +236,43 @@ func (s Stats) MeanDeflections() float64 {
 	return float64(s.TotalDeflected) / float64(s.Delivered)
 }
 
-// ring is a growable FIFO of packet references with power-of-two capacity.
-// Dequeue is O(1); the capacity is retained across runs, so a port queue
-// that reached steady state never allocates again.
-type ring struct {
-	buf  []int32
-	head int
-	n    int
+// qrec is one packet waiting in an injection queue: exactly what Inject was
+// given, minus the source (the queue's port) and the telemetry the fabric
+// fills in later. 40 bytes, written once and read once.
+type qrec struct {
+	Header      uint64
+	Payload     uint64
+	InjectCycle int64
+	Dst         int32
+	Flow        uint32
+	Corrupt     bool
 }
 
-func (r *ring) push(v int32) {
-	if r.n == len(r.buf) {
-		nb := make([]int32, max(8, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf, r.head = nb, 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
+// packet rebuilds the Packet that Inject was given at port, with zero hop
+// and deflection counters.
+func (r *qrec) packet(port int) Packet {
+	return Packet{Src: port, Dst: int(r.Dst), Header: r.Header, Payload: r.Payload,
+		InjectCycle: r.InjectCycle, Corrupt: r.Corrupt, Flow: r.Flow}
 }
 
-func (r *ring) pop() int32 {
-	v := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return v
+// qpageLen is the number of records on one injection-queue page.
+const qpageLen = 16
+
+// qpage is a fixed block of queued records. Pages are linked into a port's
+// FIFO and, once emptied, into the core's page free list; a record is never
+// moved after Inject writes it. next comes first so the collector scans only
+// the link, not the records.
+type qpage struct {
+	next *qpage
+	rec  [qpageLen]qrec
 }
 
-// grow pre-sizes the ring to hold at least n items without reallocating.
-func (r *ring) grow(n int) {
-	if n <= len(r.buf) {
-		return
-	}
-	sz := 8
-	for sz < n {
-		sz *= 2
-	}
-	nb := make([]int32, sz)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf, r.head = nb, 0
+// portq is one port's injection FIFO: records from head.rec[hi] through
+// tail.rec[ti-1], across a chain of pages.
+type portq struct {
+	head, tail *qpage
+	hi, ti     int
+	n          int
 }
 
 // pflight is the hot in-flight state of one pooled packet: destination
@@ -328,18 +323,20 @@ type cellTab struct {
 // Core is the cycle-accurate switch simulator. It is driven by calling Step
 // once per switch cycle; it has no notion of wall time.
 //
-// Packets live in an index-addressed pool; the occupancy grids hold pool
-// references (pool index + 1, 0 = empty) instead of pointers, so injection
-// never heap-allocates and a long run creates no garbage. Step iterates only
-// the occupied nodes (the active list) and clears only the scratch cells it
-// wrote, so a cycle costs O(in-flight packets), not O(fabric size) — the
+// The switch is bufferless, and the storage follows: a packet waiting to
+// enter is stored once, in its port's paged FIFO, and takes a pool slot only
+// when injectPhase places it on a cell, so the pool never outgrows the cell
+// count. The occupancy grids hold pool references (pool index + 1, 0 =
+// empty) instead of pointers, so a long run creates no garbage. Step iterates
+// only the occupied nodes (the active list) and clears only the scratch cells
+// it wrote, so a cycle costs O(in-flight packets), not O(fabric size) — the
 // regime that matters for the paper's sparse irregular traffic (GUPS, BFS).
 type Core struct {
 	p      Params
 	levels int // L = log2(H); cylinder L is the output ring
 	cylN   int // nodes per cylinder (Heights × Angles)
 
-	pool []Packet // index-addressed packet pool (in-flight and queued)
+	pool []Packet // index-addressed in-flight packets; cap ≤ len(grid)
 	free []int32  // reusable pool references
 
 	// Hot per-packet routing state, split from the pool: moveCell touches
@@ -376,8 +373,10 @@ type Core struct {
 	// hot loop.
 	sigMask []uint64
 
-	inq   []ring   // per-port injection queues (pool refs)
-	qmask []uint64 // bitmap: ports with non-empty injection queues
+	inq    []portq  // per-port injection queues
+	qmask  []uint64 // bitmap: ports with non-empty injection queues
+	qfree  *qpage   // emptied queue pages, linked through next
+	qpages int      // queue pages owned, queued or free
 
 	cycle  int64
 	flying int
@@ -462,7 +461,7 @@ func NewCore(p Params) *Core {
 		occMask: make([]uint64, words),
 		nxtMask: make([]uint64, words),
 		sigMask: make([]uint64, cyl*((p.Heights*p.Angles+63)/64)),
-		inq:     make([]ring, p.Ports()),
+		inq:     make([]portq, p.Ports()),
 		qmask:   make([]uint64, (p.Ports()+63)/64),
 		tab:     make([]cellTab, n),
 	}
@@ -502,21 +501,25 @@ func NewCore(p Params) *Core {
 	return c
 }
 
-// Prewarm grows the packet pool, free list, per-port injection rings, and
-// step scratch lists to hold n concurrently live packets (in flight plus
-// queued) without any further allocation. Steady-state traffic below that
-// high-water mark then runs with zero heap growth; benchmarks use it to
-// prove the hot path is 0 B/op. It is purely a capacity hint — no observable
-// state changes — and is safe to call at any point between Steps.
+// Prewarm grows the packet pool, its free list and the queue-page free list
+// to hold n concurrently live packets (in flight plus queued) without any
+// further allocation: the pool to min(n, cells), since only in-flight packets
+// hold a slot, and the pages to ⌈n/16⌉ plus one partly filled page for every
+// port that can be waiting. Steady-state traffic below that high-water mark
+// then runs with zero heap growth; benchmarks use it to prove the hot path is
+// 0 B/op. It is purely a capacity hint — no observable state changes — and is
+// safe to call at any point between Steps.
 func (c *Core) Prewarm(n int) {
-	if cap(c.pool) < n {
-		c.growPool(n)
+	slots := min(n, len(c.grid))
+	if cap(c.pool) < slots {
+		c.growPool(slots)
 	}
-	if cap(c.free) < n {
-		c.free = append(make([]int32, 0, n), c.free...)
+	if cap(c.free) < slots {
+		c.free = append(make([]int32, 0, slots), c.free...)
 	}
-	for i := range c.inq {
-		c.inq[i].grow(n)
+	for c.qpages < (n+qpageLen-1)/qpageLen+min(n, len(c.inq)) {
+		c.qpages++
+		c.freePage(new(qpage))
 	}
 }
 
@@ -535,27 +538,28 @@ func (c *Core) Busy() bool { return c.flying > 0 || c.queued > 0 }
 // QueueLen returns the injection queue depth of a port.
 func (c *Core) QueueLen(port int) int { return c.inq[port].n }
 
-// alloc stores pkt in the pool and returns its reference (index+1),
+// alloc moves the head record of port's queue into the pool as a packet
+// entering the fabric this cycle and returns its reference (index+1),
 // reusing a freed slot when one exists. The hot struct-of-arrays columns
-// (destination coordinates, deflection counter) are populated here; the
-// telemetry in pool[ref-1] itself stays zeroed until eject/drop/snapshot
-// materialises the authoritative values via packetAt.
-func (c *Core) alloc(pkt Packet) int32 {
-	st := c.portPF[pkt.Dst]
+// (destination coordinates, entry cycle, deflection counter) are populated
+// here; the telemetry in pool[ref-1] itself stays zeroed until
+// eject/drop/snapshot materialises the authoritative values via packetAt.
+func (c *Core) alloc(port int, r *qrec) int32 {
+	st := c.portPF[r.Dst]
+	st.entry = uint32(c.cycle)
 	if n := len(c.free); n > 0 {
 		ref := c.free[n-1]
 		c.free = c.free[:n-1]
-		c.pool[ref-1] = pkt
+		c.pool[ref-1] = r.packet(port)
 		c.pstate[ref-1] = st
 		return ref
 	}
 	if len(c.pool) == cap(c.pool) {
-		// Double, where append would add a quarter: a saturated run queues a
-		// million packets, and at 1.25x the pool is copied five times over on
-		// the way there.
-		c.growPool(2 * cap(c.pool))
+		// Every live slot holds a cell, so the pool never needs more slots
+		// than the fabric has cells.
+		c.growPool(min(2*cap(c.pool), len(c.grid)))
 	}
-	c.pool = append(c.pool, pkt)
+	c.pool = append(c.pool, r.packet(port))
 	c.pstate = append(c.pstate, st)
 	return int32(len(c.pool))
 }
@@ -568,10 +572,7 @@ func (c *Core) growPool(n int) {
 }
 
 // packetAt materialises the full Packet for an in-flight pool reference,
-// folding the struct-of-arrays state back into the telemetry fields. It must
-// not be used for queued references (their entry cycle is not yet set);
-// queued packets are read straight from the pool, where Inject zeroed the
-// counters.
+// folding the struct-of-arrays state back into the telemetry fields.
 func (c *Core) packetAt(ref int32) Packet {
 	pkt := c.pool[ref-1]
 	st := c.pstate[ref-1]
@@ -581,9 +582,54 @@ func (c *Core) packetAt(ref int32) Packet {
 }
 
 // release returns a pool slot to the free list. The caller must have copied
-// the packet out first: a Deliver/DropHook callback may Inject and reuse the
-// slot (and grow the pool, invalidating pointers into it) immediately.
+// the packet out first: this cycle's inject phase may reuse the slot.
 func (c *Core) release(ref int32) { c.free = append(c.free, ref) }
+
+// freePage puts an emptied queue page on the core's page free list.
+func (c *Core) freePage(pg *qpage) {
+	pg.next = c.qfree
+	c.qfree = pg
+}
+
+// push appends r to port's injection FIFO, opening a page from the free list
+// (or a new one) when the tail page is full.
+func (c *Core) push(port int, r qrec) {
+	q := &c.inq[port]
+	if q.tail == nil || q.ti == qpageLen {
+		pg := c.qfree
+		if pg != nil {
+			c.qfree, pg.next = pg.next, nil
+		} else {
+			c.qpages++
+			pg = new(qpage)
+		}
+		if q.tail == nil {
+			q.head, q.hi = pg, 0
+		} else {
+			q.tail.next = pg
+		}
+		q.tail, q.ti = pg, 0
+	}
+	q.tail.rec[q.ti] = r
+	q.ti++
+	q.n++
+}
+
+// pop drops the head record of q, returning each page to the free list as
+// soon as its last record has left.
+func (c *Core) pop(q *portq) {
+	q.hi++
+	q.n--
+	switch {
+	case q.n == 0:
+		c.freePage(q.head)
+		*q = portq{}
+	case q.hi == qpageLen:
+		pg := q.head
+		q.head, q.hi = pg.next, 0
+		c.freePage(pg)
+	}
+}
 
 // Inject enqueues a packet for injection at its source port. The packet
 // enters the fabric at the first cycle its injection node is free.
@@ -591,11 +637,9 @@ func (c *Core) Inject(pkt Packet) {
 	if pkt.Src < 0 || pkt.Src >= c.p.Ports() || pkt.Dst < 0 || pkt.Dst >= c.p.Ports() {
 		panic(fmt.Sprintf("dvswitch: port out of range: src=%d dst=%d ports=%d", pkt.Src, pkt.Dst, c.p.Ports()))
 	}
-	pkt.InjectCycle = c.cycle
-	pkt.Hops = 0
-	pkt.Deflections = 0
 	c.qmask[pkt.Src>>6] |= 1 << (uint(pkt.Src) & 63)
-	c.inq[pkt.Src].push(c.alloc(pkt))
+	c.push(pkt.Src, qrec{Header: pkt.Header, Payload: pkt.Payload, InjectCycle: c.cycle,
+		Dst: int32(pkt.Dst), Flow: pkt.Flow, Corrupt: pkt.Corrupt})
 	c.queued++
 	c.stats.Injected++
 	if c.obs != nil {
@@ -726,8 +770,7 @@ func (c *Core) cleanPath() bool {
 //	sigbit |= blocked << target-bit                   (OR of 0 is a no-op)
 //
 // Slice headers are held in locals so the stores do not force reloads of c's
-// fields each iteration; pstate is reloaded after every eject because
-// Deliver may Inject and grow the pool.
+// fields each iteration.
 
 // sparseMovesClean is the clean-path move phase over the occupancy bitmap.
 // The routing bodies are written out in place (the compiler's inlining
@@ -760,7 +803,6 @@ func (c *Core) sparseMovesClean() {
 			t := &tab[idx]
 			if pstate[ref-1].da == t.da {
 				c.eject(ref)
-				pstate = c.pstate
 				continue
 			}
 			ni := t.next
@@ -824,7 +866,6 @@ func (c *Core) denseMovesClean() {
 		t := &tab[base+j]
 		if pstate[ref-1].da == t.da {
 			c.eject(ref)
-			pstate = c.pstate
 			continue
 		}
 		ni := t.next
@@ -1007,12 +1048,12 @@ func (c *Core) injectPhase() {
 			q := &c.inq[port]
 			at := int(c.portCell[port])
 			if c.next[at] == 0 && (c.faulty == nil || !c.faulty[at]) {
-				ref := q.pop()
+				r := &q.head.rec[q.hi]
+				c.stats.QueuedCycles += c.cycle - r.InjectCycle
+				c.place(at, c.alloc(port, r))
+				c.pop(q)
 				c.queued--
 				c.flying++
-				c.stats.QueuedCycles += c.cycle - c.pool[ref-1].InjectCycle
-				c.pstate[ref-1].entry = uint32(c.cycle)
-				c.place(at, ref)
 			}
 			if q.n == 0 {
 				c.qmask[w] &^= 1 << uint(port-wb)

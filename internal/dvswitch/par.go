@@ -149,9 +149,8 @@ func (c *Core) parStep() {
 		}
 		ps.ej[id] = ej
 		fc.Barrier()
-		// Participant 0 applies ejects in ascending-cell order (Deliver may
-		// re-inject and grow the packet pool); the rest merge cylinder L's
-		// signal words, which ejecting never touches.
+		// Participant 0 applies ejects in ascending-cell order; the rest merge
+		// cylinder L's signal words, which ejecting never touches.
 		if id == 0 {
 			for w := 0; w < W; w++ {
 				for _, ref := range ps.ej[w] {
@@ -163,7 +162,6 @@ func (c *Core) parStep() {
 			mergeClear(c.sigMask, ps.sig, L*sigStride, (L+1)*sigStride, id-1, W-1)
 		}
 		fc.Barrier()
-		pstate = c.pstate // Deliver may have re-injected and grown the pool
 		// Inner cylinders: descend or deflect, branchless, reading the
 		// previous pass's merged signals.
 		for cl := L - 1; cl >= 0; cl-- {

@@ -1,0 +1,179 @@
+package dvswitch
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/snapshot"
+)
+
+// freePages counts the pages on the core's queue-page free list.
+func (c *Core) freePages() int {
+	n := 0
+	for pg := c.qfree; pg != nil; pg = pg.next {
+		n++
+	}
+	return n
+}
+
+// burstCore returns a 32×8 core and a burst of 8 packets per cell (12,288
+// on 1,536 cells), injected at once and stepped to idle. Every call of the
+// burst injects the same packets.
+func burstCore(tb testing.TB) (*Core, func()) {
+	p := Params{Heights: 32, Angles: 8}
+	c := NewCore(p)
+	c.Deliver = func(Packet, int64) {}
+	cells := p.Cylinders() * p.Ports()
+	pkts := make([]Packet, 8*cells)
+	rng := sim.NewRNG(21)
+	for i := range pkts {
+		pkts[i] = Packet{Src: rng.Intn(p.Ports()), Dst: rng.Intn(p.Ports()), Payload: uint64(i)}
+	}
+	return c, func() {
+		c.InjectBatch(pkts)
+		c.RunUntilIdle(1 << 20)
+		if c.Busy() {
+			tb.Fatal("burst did not drain")
+		}
+	}
+}
+
+// TestQueuedPacketsHoldNoPoolSlot: the pool holds only in-flight packets, so
+// a burst far deeper than the fabric leaves it within the cell count, and
+// every queue page is back on the free list once the queues drain.
+func TestQueuedPacketsHoldNoPoolSlot(t *testing.T) {
+	c, burst := burstCore(t)
+	burst()
+	cells := len(c.grid)
+	if cap(c.pool) > cells || cap(c.pstate) > cells || cap(c.free) > cells {
+		t.Errorf("pool cap %d, pstate cap %d, free cap %d: want each <= %d cells",
+			cap(c.pool), cap(c.pstate), cap(c.free), cells)
+	}
+	if got := c.freePages(); got != c.qpages || got == 0 {
+		t.Errorf("%d of %d queue pages on the free list after draining", got, c.qpages)
+	}
+	for port, q := range c.inq {
+		if q != (portq{}) {
+			t.Fatalf("port %d queue not reset after draining: %+v", port, q)
+		}
+	}
+}
+
+// TestRepeatedBurstAllocatesNothing: a second identical burst finds every
+// pool slot and queue page it needs on the free lists.
+func TestRepeatedBurstAllocatesNothing(t *testing.T) {
+	_, burst := burstCore(t)
+	burst()
+	if a := testing.AllocsPerRun(3, burst); a != 0 {
+		t.Errorf("a repeated 12,288-packet burst allocates %v times, want 0", a)
+	}
+}
+
+// TestPagedQueueSnapshotPinned pins the Core snapshot image of a queue that
+// spans several pages and has been partly popped. Queued records are written
+// as the Packet Inject was given (source = port, zero hops and deflections),
+// so the image is the one the pool-backed queue produced.
+func TestPagedQueueSnapshotPinned(t *testing.T) {
+	const want = "9f0b46a4f6b02199a14a47df601f16eb2cab7d8523860e97cbdf71b4670b7c06"
+	c := NewCore(Params{Heights: 8, Angles: 4})
+	c.Deliver = func(Packet, int64) {}
+	for i := 0; i < 45; i++ {
+		c.Inject(Packet{Src: 3, Dst: i * 7 % 32, Header: uint64(i)<<32 | 0xbeef, Payload: ^uint64(i),
+			Flow: uint32(i % 5), Corrupt: i%4 == 0, Hops: 9, Deflections: 9})
+		if i%3 == 0 {
+			c.Inject(Packet{Src: i * 5 % 32, Dst: 3, Payload: uint64(i)})
+		}
+	}
+	for i := 0; i < 6; i++ {
+		c.Step()
+	}
+	for i := 0; i < 3; i++ {
+		c.Inject(Packet{Src: 3, Dst: 30 - i, Header: 0xfeed, Payload: uint64(i)})
+	}
+	q := &c.inq[3]
+	pages := 0
+	for pg := q.head; pg != nil; pg = pg.next {
+		pages++
+	}
+	if pages < 3 || q.hi == 0 {
+		t.Fatalf("port 3 queue spans %d pages with head offset %d; want >= 3 pages, partly popped", pages, q.hi)
+	}
+	e := snapshot.NewEncoder()
+	c.SnapshotTo(e)
+	sum := sha256.Sum256(e.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("snapshot sha256 %s, want %s", got, want)
+	}
+}
+
+// idleShiftRun drives a deep-queue burst on an 8×4 core after k idle Steps
+// and returns its deliveries and drops with every cycle shifted back by k,
+// plus the final Stats and the deepest queue seen. With faulty set, a dead
+// node and a probabilistic fault window (itself shifted by k) are planted.
+func idleShiftRun(k int64, faulty bool) (events []diffEvent, st Stats, deepest int) {
+	p := Params{Heights: 8, Angles: 4}
+	c := NewCore(p)
+	c.Deliver = func(pkt Packet, cycle int64) {
+		pkt.InjectCycle -= k
+		events = append(events, diffEvent{pkt: pkt, cycle: cycle - k})
+	}
+	c.DropHook = func(pkt Packet) {
+		pkt.InjectCycle -= k
+		events = append(events, diffEvent{pkt: pkt, drop: true, cycle: c.Cycle() - k})
+	}
+	if faulty {
+		c.SetFaulty(2, 5, 1, true)
+		c.SetFaultProbs(FaultProbs{Drop: 4e-3, Corrupt: 4e-3, StartCycle: k + 20, EndCycle: k + 250},
+			sim.NewRNG(9))
+	}
+	for i := int64(0); i < k; i++ {
+		c.Step()
+	}
+	rng := sim.NewRNG(4)
+	for cy := 0; cy < 200; cy++ {
+		for src := 0; src < p.Ports(); src++ {
+			if rng.Float64() < 0.7 {
+				c.Inject(Packet{Src: src, Dst: rng.Intn(p.Ports()), Header: uint64(cy<<8 | src), Payload: uint64(cy)})
+			}
+			deepest = max(deepest, c.QueueLen(src))
+		}
+		c.Step()
+	}
+	c.RunUntilIdle(1 << 20)
+	return events, c.Stats(), deepest
+}
+
+// TestIdleCyclesShiftDeliveries is the idle-cycle metamorphic property: k
+// idle Steps before a burst shift every delivery (and drop) by exactly k
+// cycles, in the same order, with equal Stats — on the clean path and under
+// a planted fault window.
+func TestIdleCyclesShiftDeliveries(t *testing.T) {
+	for _, faulty := range []bool{false, true} {
+		base, baseSt, deepest := idleShiftRun(0, faulty)
+		if deepest <= 2*qpageLen {
+			t.Fatalf("faulty=%v: deepest queue %d does not span three pages", faulty, deepest)
+		}
+		if faulty && (baseSt.Dropped == 0 || baseSt.Corrupted == 0) {
+			t.Fatalf("fault window dropped %d and corrupted %d packets; property vacuous", baseSt.Dropped, baseSt.Corrupted)
+		}
+		for _, k := range []int64{1, 37} {
+			t.Run(fmt.Sprintf("faulty=%v/k=%d", faulty, k), func(t *testing.T) {
+				got, st, _ := idleShiftRun(k, faulty)
+				if st != baseSt {
+					t.Errorf("stats differ after %d idle cycles:\nbase:    %+v\nshifted: %+v", k, baseSt, st)
+				}
+				if len(got) != len(base) {
+					t.Fatalf("%d events after %d idle cycles, want %d", len(got), k, len(base))
+				}
+				for i := range base {
+					if got[i] != base[i] {
+						t.Fatalf("event %d differs after %d idle cycles:\nbase:    %+v\nshifted: %+v", i, k, base[i], got[i])
+					}
+				}
+			})
+		}
+	}
+}

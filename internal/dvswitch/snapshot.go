@@ -36,7 +36,7 @@ func encodeStats(e *snapshot.Encoder, st Stats) {
 }
 
 // SnapshotTo serialises the core's complete mutable state: cycle counter,
-// in-flight packets in dense fabric-scan order, injection rings in ascending
+// in-flight packets in dense fabric-scan order, injection queues in ascending
 // port order, dead-node set, fault-probability window, fault-RNG stream
 // position, and aggregate statistics. Scratch state (next-occupancy, signal
 // flags, active list) is empty between Steps and derivable from the grid, so
@@ -63,12 +63,13 @@ func (c *Core) SnapshotTo(e *snapshot.Encoder) {
 	for port := range c.inq {
 		q := &c.inq[port]
 		e.U32(uint32(q.n))
-		for i := 0; i < q.n; i++ {
-			ref := q.buf[(q.head+i)&(len(q.buf)-1)]
-			// Queued packets are read straight from the pool: Inject zeroed
-			// their counters, and packetAt's derived hop count only applies
-			// once a packet has been placed into the fabric.
-			encodePacket(e, c.pool[ref-1])
+		pg, i := q.head, q.hi
+		for k := 0; k < q.n; k++ {
+			if i == qpageLen {
+				pg, i = pg.next, 0
+			}
+			encodePacket(e, pg.rec[i].packet(port))
+			i++
 		}
 	}
 	// Dead switching nodes (kill/revive schedules mutate this mid-run).

@@ -5,8 +5,12 @@ import "fmt"
 // pageWords is the allocation granularity of the lazily-populated DV Memory
 // model. The real VIC carries 32 MB of QDR SRAM; simulating hundreds of VICs
 // across many test clusters makes eager allocation wasteful, so pages
-// materialise on first touch.
-const pageWords = 1 << 14 // 128 KB pages
+// materialise on first touch. Runs touch little of it: a 256-node
+// all-to-all writes 36 KB of each VIC's memory (two 256-word control arrays
+// and 256 rows of 16 words), which a 128 KB page rounded up 3.5-fold and
+// 8 KB pages round up to 40 KB. Halving again would save at most 4 KB a VIC
+// there, for twice the map entries on runs that touch a whole table (GUPS).
+const pageWords = 1 << 10 // 8 KB pages
 
 // dvMem models the VIC's DV Memory: word-addressable SRAM where only the
 // last-written value of a slot is visible.
