@@ -1,0 +1,71 @@
+package comm_test
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/comm"
+)
+
+// raceBuild reports whether the test binary was built with -race, whose
+// instrumentation changes what allocates.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// a2aAlloc returns the heap bytes one 32-node cycle-accurate Data Vortex
+// all-to-all of words words per peer allocates, cluster set-up included; the
+// send blocks are built before measuring.
+func a2aAlloc(nodes, words int) uint64 {
+	cfg := cluster.DefaultConfig(nodes)
+	cfg.Stacks = comm.DV.Stacks()
+	cfg.CycleAccurate = true
+	blocks := make([][][]byte, nodes)
+	for src := range blocks {
+		blocks[src] = make([][]byte, nodes)
+		for d := range blocks[src] {
+			blocks[src][d] = make([]byte, 8*words)
+			for i := range blocks[src][d] {
+				blocks[src][d][i] = byte(src*7 + d*3 + i)
+			}
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	cluster.Run(cfg, func(n *cluster.Node) {
+		comm.New(comm.DV, n).Alltoall(blocks[n.ID])
+	})
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestAlltoallBytesPerWord bounds what the Data Vortex all-to-all allocates
+// per payload word, set-up cancelled out by differencing two exchange sizes.
+// The backlog is stored once, as a 32-byte switch queue record; the rest is
+// the 8 bytes a word takes in the returned blocks, one DMA chunk of send
+// scratch per VIC and DV Memory pages (90.5 bytes in all on go1.24). A flat
+// []Word ahead of the queue (+40 bytes a word), a 40-byte queue record
+// (98.4) or a fresh read-back row per source (99.3) each break the bound;
+// the copying scatter this replaced allocated 151.6.
+func TestAlltoallBytesPerWord(t *testing.T) {
+	if raceBuild() {
+		t.Skip("-race instrumentation allocates")
+	}
+	const nodes, small, large = 32, 1, 65
+	extra := a2aAlloc(nodes, large) - a2aAlloc(nodes, small)
+	perWord := float64(extra) / float64(nodes*(nodes-1)*(large-small))
+	if perWord > 96 {
+		t.Errorf("%.1f bytes allocated per payload word, want <= 96", perWord)
+	}
+}

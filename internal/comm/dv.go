@@ -19,11 +19,12 @@ type dvBackend struct {
 
 	// All-to-all exchange state, allocated collectively on first use.
 	a2aInit bool
-	a2aLen  uint32 // P incoming block lengths (bytes), indexed by source
-	a2aMax  uint32 // P per-source capacity proposals (words)
-	a2aGC   [2]int // control / payload counters
-	a2aBuf  uint32 // P rows of a2aCap words each
-	a2aCap  int    // payload row capacity in words
+	a2aLen  uint32   // P incoming block lengths (bytes), indexed by source
+	a2aMax  uint32   // P per-source capacity proposals (words)
+	a2aGC   [2]int   // control / payload counters
+	a2aBuf  uint32   // P rows of a2aCap words each
+	a2aCap  int      // payload row capacity in words
+	a2aRow  []uint64 // host row every source's block is read back into
 }
 
 func (b *dvBackend) Net() Net  { return DV }
@@ -67,19 +68,23 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 			localMax = w
 		}
 	}
-	// Control round: publish my block lengths and capacity proposal.
+	// Control round: publish my block lengths and capacity proposal, two
+	// words per peer in peer order, generated as the VIC takes them.
 	e.ArmGC(b.a2aGC[0], int64(2*(p-1)))
 	e.Barrier() // every control counter armed
-	ctl := make([]Word, 0, 2*(p-1))
-	for d := 0; d < p; d++ {
-		if d == e.Rank() {
-			continue
+	// Both rounds' generators hand the VIC one word at a time, through next.
+	var next Word
+	e.ScatterN(PIOCached, 2*(p-1), func(i int) *Word {
+		d := i / 2
+		if d >= e.Rank() {
+			d++
 		}
-		ctl = append(ctl,
-			Word{Dst: d, Op: OpWrite, GC: b.a2aGC[0], Addr: b.a2aLen + uint32(e.Rank()), Val: uint64(len(blocks[d]))},
-			Word{Dst: d, Op: OpWrite, GC: b.a2aGC[0], Addr: b.a2aMax + uint32(e.Rank()), Val: uint64(localMax)})
-	}
-	e.Scatter(PIOCached, ctl)
+		next = Word{Dst: d, Op: OpWrite, GC: b.a2aGC[0], Addr: b.a2aLen + uint32(e.Rank()), Val: uint64(len(blocks[d]))}
+		if i%2 == 1 {
+			next.Addr, next.Val = b.a2aMax+uint32(e.Rank()), uint64(localMax)
+		}
+		return &next
+	})
 	e.WaitGC(b.a2aGC[0], sim.Forever)
 	lens := e.Read(b.a2aLen, p)
 	rowCap := localMax
@@ -93,6 +98,7 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 		// region is abandoned symmetrically.
 		b.a2aBuf = e.Alloc(p * rowCap)
 		b.a2aCap = rowCap
+		b.a2aRow = make([]uint64, rowCap)
 	}
 	expected := int64(0)
 	for src := 0; src < p; src++ {
@@ -109,17 +115,19 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 			nWords += wordsFor(len(blk))
 		}
 	}
-	words := make([]Word, 0, nWords)
-	for d := 0; d < p; d++ {
-		if d == e.Rank() || len(blocks[d]) == 0 {
-			continue
+	// The words stream into the VIC as it takes them: a (destination, index)
+	// cursor walks the blocks in destination order, skipping self and empty
+	// blocks, so the backlog exists once, in the switch's port queue.
+	row := b.a2aBuf + uint32(e.Rank()*b.a2aCap)
+	d, j := 0, 0
+	e.ScatterN(DMACached, nWords, func(int) *Word {
+		for d == e.Rank() || j == wordsFor(len(blocks[d])) {
+			d, j = d+1, 0
 		}
-		row := b.a2aBuf + uint32(e.Rank()*b.a2aCap)
-		for i := range wordsFor(len(blocks[d])) {
-			words = append(words, Word{Dst: d, Op: OpWrite, GC: b.a2aGC[1], Addr: row + uint32(i), Val: wordAt(blocks[d], i)})
-		}
-	}
-	e.Scatter(DMACached, words)
+		next = Word{Dst: d, Op: OpWrite, GC: b.a2aGC[1], Addr: row + uint32(j), Val: wordAt(blocks[d], j)}
+		j++
+		return &next
+	})
 	e.WaitGC(b.a2aGC[1], sim.Forever)
 	for src := 0; src < p; src++ {
 		if src == e.Rank() {
@@ -130,7 +138,8 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 			out[src] = []byte{}
 			continue
 		}
-		raw := e.Read(b.a2aBuf+uint32(src*b.a2aCap), wordsFor(n))
+		raw := b.a2aRow[:wordsFor(n)]
+		e.ReadInto(raw, b.a2aBuf+uint32(src*b.a2aCap))
 		out[src] = unpackWords(raw, n)
 	}
 	e.Barrier() // reads done: rows may be overwritten by the next call

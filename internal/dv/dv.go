@@ -135,7 +135,15 @@ func (e *Endpoint) Put(mode vic.SendMode, dst int, addr uint32, gc int, vals []u
 // amortise one PCIe transfer, which the Data Vortex fabric then routes
 // without destination aggregation.
 func (e *Endpoint) Scatter(mode vic.SendMode, words []vic.Word) {
-	e.V.HostSend(e.p, mode, words)
+	e.ScatterN(mode, len(words), func(i int) *vic.Word { return &words[i] })
+}
+
+// ScatterN is Scatter over n words that word generates on demand, under
+// vic.HostSendN's contract: word(i) is called once per i, in ascending
+// order, as packet i crosses PCIe, and may return the same variable each
+// time. A large scatter then needs no flat copy.
+func (e *Endpoint) ScatterN(mode vic.SendMode, n int, word func(i int) *vic.Word) {
+	e.V.HostSendN(e.p, mode, n, word)
 }
 
 // FIFOPut pushes vals onto dst's surprise FIFO.
@@ -168,10 +176,19 @@ func (e *Endpoint) WaitGC(gc int, timeout sim.Time) bool {
 	return e.V.WaitGCZero(e.p, gc, timeout)
 }
 
-// Read DMA-transfers n words of local DV Memory into host memory.
+// Read DMA-transfers n words of local DV Memory into a fresh host row:
+// ReadInto a new slice.
 func (e *Endpoint) Read(addr uint32, n int) []uint64 {
-	e.checkRange("Read", addr, n)
-	return e.V.DMARead(e.p, addr, n)
+	dst := make([]uint64, n)
+	e.ReadInto(dst, addr)
+	return dst
+}
+
+// ReadInto DMA-transfers len(dst) words of local DV Memory at addr into the
+// caller's row dst, so a caller reading many rows can reuse one.
+func (e *Endpoint) ReadInto(dst []uint64, addr uint32) {
+	e.checkRange("Read", addr, len(dst))
+	e.V.DMAReadInto(e.p, dst, addr)
 }
 
 // WriteLocal stages words into local DV Memory via the DMA engine.

@@ -101,7 +101,7 @@ func BenchmarkFastModelInject(b *testing.B) {
 }
 
 // BenchmarkFastModelInjectDeep is FastModelInject in the deep-queue regime
-// that motivated the calendar event queue (ROADMAP item 5): a closed loop
+// that motivated the calendar event queue (sim's calQ): a closed loop
 // over a 128-port fabric keeps ~4k delivery events pending, the depth large
 // runs (gups16 and up) actually reach. Per op = 1024 fired events, each of
 // which re-injects, so the scheduler's push/pop pair at depth dominates.

@@ -238,21 +238,28 @@ func (s Stats) MeanDeflections() float64 {
 
 // qrec is one packet waiting in an injection queue: exactly what Inject was
 // given, minus the source (the queue's port) and the telemetry the fabric
-// fills in later. 40 bytes, written once and read once.
+// fills in later. 32 bytes, written once and read once: the Corrupt flag
+// rides in the top bit of DstC, free because a port index is below
+// MaxGeometryCells (2^30).
 type qrec struct {
 	Header      uint64
 	Payload     uint64
 	InjectCycle int64
-	Dst         int32
+	DstC        uint32 // destination port | qCorrupt
 	Flow        uint32
-	Corrupt     bool
 }
+
+// qCorrupt is qrec.DstC's Corrupt bit.
+const qCorrupt = 1 << 31
+
+// dst returns the record's destination port.
+func (r *qrec) dst() int { return int(r.DstC &^ qCorrupt) }
 
 // packet rebuilds the Packet that Inject was given at port, with zero hop
 // and deflection counters.
 func (r *qrec) packet(port int) Packet {
-	return Packet{Src: port, Dst: int(r.Dst), Header: r.Header, Payload: r.Payload,
-		InjectCycle: r.InjectCycle, Corrupt: r.Corrupt, Flow: r.Flow}
+	return Packet{Src: port, Dst: r.dst(), Header: r.Header, Payload: r.Payload,
+		InjectCycle: r.InjectCycle, Corrupt: r.DstC&qCorrupt != 0, Flow: r.Flow}
 }
 
 // qpageLen is the number of records on one injection-queue page.
@@ -545,7 +552,7 @@ func (c *Core) QueueLen(port int) int { return c.inq[port].n }
 // here; the telemetry in pool[ref-1] itself stays zeroed until
 // eject/drop/snapshot materialises the authoritative values via packetAt.
 func (c *Core) alloc(port int, r *qrec) int32 {
-	st := c.portPF[r.Dst]
+	st := c.portPF[r.dst()]
 	st.entry = uint32(c.cycle)
 	if n := len(c.free); n > 0 {
 		ref := c.free[n-1]
@@ -638,8 +645,12 @@ func (c *Core) Inject(pkt Packet) {
 		panic(fmt.Sprintf("dvswitch: port out of range: src=%d dst=%d ports=%d", pkt.Src, pkt.Dst, c.p.Ports()))
 	}
 	c.qmask[pkt.Src>>6] |= 1 << (uint(pkt.Src) & 63)
+	dstC := uint32(pkt.Dst)
+	if pkt.Corrupt {
+		dstC |= qCorrupt
+	}
 	c.push(pkt.Src, qrec{Header: pkt.Header, Payload: pkt.Payload, InjectCycle: c.cycle,
-		Dst: int32(pkt.Dst), Flow: pkt.Flow, Corrupt: pkt.Corrupt})
+		DstC: dstC, Flow: pkt.Flow})
 	c.queued++
 	c.stats.Injected++
 	if c.obs != nil {

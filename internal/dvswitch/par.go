@@ -9,7 +9,7 @@ import (
 // measures the ledger key dvswitch.fan2_speedup through SetFanPool (0.28–0.33
 // on two real cores: the fan is 3–7× slower than the serial step), and nothing
 // under benchmark/ may change outside a benchmark-archetype PR. The PR that
-// retires that key (ROADMAP open item 1) deletes this file with
+// retires that key (ROADMAP open item 6) deletes this file with
 // internal/sim/pool.go; TestFanIsLedgerOnly at the repo root keeps new callers
 // out until then.
 //

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -106,6 +107,31 @@ func TestPagedQueueSnapshotPinned(t *testing.T) {
 	sum := sha256.Sum256(e.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("snapshot sha256 %s, want %s", got, want)
+	}
+}
+
+// TestQueueRecordIs32Bytes: a waiting packet costs 32 bytes, Corrupt folded
+// into the destination's top bit, and the record gives back exactly what
+// Inject was given at the highest port with Corrupt set — queued, and after
+// it crosses the fabric.
+func TestQueueRecordIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(qrec{}); got != 32 {
+		t.Fatalf("qrec is %d bytes, want 32", got)
+	}
+	p := Params{Heights: 8, Angles: 4}
+	c := NewCore(p)
+	var got []Packet
+	c.Deliver = func(pkt Packet, _ int64) { got = append(got, pkt) }
+	top := p.Ports() - 1
+	in := Packet{Src: top, Dst: top, Header: ^uint64(0), Payload: 0xdead, Flow: ^uint32(0), Corrupt: true}
+	c.Inject(in)
+	in.InjectCycle = c.Cycle()
+	if q := &c.inq[top]; q.head.rec[q.hi].packet(top) != in {
+		t.Fatalf("queued record reads back as %+v, want %+v", q.head.rec[q.hi].packet(top), in)
+	}
+	c.RunUntilIdle(1 << 12)
+	if len(got) != 1 || got[0].Dst != top || !got[0].Corrupt || got[0].Header != in.Header || got[0].Flow != in.Flow {
+		t.Fatalf("delivered %+v, want one corrupt packet at port %d", got, top)
 	}
 }
 

@@ -34,7 +34,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Wildcards for Recv matching.
+// Wildcards for Recv matching. A wildcard receive never takes a collective's
+// internal traffic, so one posted during a collective gets only user messages.
 const (
 	AnySource = -1
 	AnyTag    = -1
@@ -343,8 +344,12 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	return req
 }
 
+// matches reports whether a receive posted for (src, tag) takes m. AnyTag
+// matches user tags only: a wildcard receive posted during a collective must
+// not consume the collective's internal traffic (real MPI keeps the two
+// apart by context id).
 func matches(src, tag int, m *message) bool {
-	return (src == AnySource || src == m.src) && (tag == AnyTag || tag == m.tag)
+	return (src == AnySource || src == m.src) && (tag == m.tag || (tag == AnyTag && m.tag < ctrlTagBase))
 }
 
 // deliver handles an arriving envelope at the receiver (fabric event).

@@ -8,7 +8,7 @@ import (
 // Ledger-only: nothing in the product builds a FanPool. This file stays
 // because benchmark/fan.go measures the ledger key dvswitch.fan2_speedup over
 // a real NewFanPool(2), and nothing under benchmark/ may change outside a
-// benchmark-archetype PR. The PR that retires that key (ROADMAP open item 1)
+// benchmark-archetype PR. The PR that retires that key (ROADMAP open item 6)
 // deletes this file with internal/dvswitch/par.go; TestFanIsLedgerOnly at the
 // repo root keeps new callers out until then.
 //

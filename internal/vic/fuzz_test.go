@@ -24,11 +24,12 @@ func FuzzHeaderRoundTrip(f *testing.F) {
 }
 
 // FuzzDVMemRanges drives the paged memory with arbitrary range writes; a
-// write followed by a read of the same range must return the data, and
-// ranges must not bleed into neighbours.
+// write followed by a read of the same range into a dirty row must return
+// the data, and ranges must not bleed into neighbours.
 func FuzzDVMemRanges(f *testing.F) {
 	f.Add(uint32(0), uint8(10))
-	f.Add(uint32(pageWords-3), uint8(7)) // straddles a page boundary
+	f.Add(uint32(pageWords-3), uint8(7))   // straddles a page boundary
+	f.Add(uint32(pageWords-13), uint8(10)) // upper guard word on an unwritten page
 	f.Fuzz(func(t *testing.T, addr uint32, nRaw uint8) {
 		m := newDVMem(1 << 18)
 		n := int(nRaw%64) + 1
@@ -39,14 +40,18 @@ func FuzzDVMemRanges(f *testing.F) {
 			vals[i] = uint64(addr) + uint64(i)*7 + 1
 		}
 		m.writeRange(addr, vals)
-		got := m.readRange(addr, n)
+		got := make([]uint64, n+2)
+		for i := range got {
+			got[i] = ^uint64(0) // a reused row: readInto must overwrite every word
+		}
+		m.readInto(got, addr-1)
 		for i := range vals {
-			if got[i] != vals[i] {
-				t.Fatalf("readRange[%d] = %d, want %d", i, got[i], vals[i])
+			if got[i+1] != vals[i] {
+				t.Fatalf("readInto[%d] = %d, want %d", i+1, got[i+1], vals[i])
 			}
 		}
-		if m.read(addr-1) != 0 || m.read(addr+uint32(n)) != 0 {
-			t.Fatal("write bled outside its range")
+		if got[0] != 0 || got[n+1] != 0 {
+			t.Fatal("write bled outside its range, or readInto kept a stale word")
 		}
 	})
 }

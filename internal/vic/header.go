@@ -81,4 +81,4 @@ type Word struct {
 }
 
 // header builds the wire header for the word.
-func (w Word) header() uint64 { return EncodeHeader(w.Dst, w.Op, w.GC, w.Addr) }
+func (w *Word) header() uint64 { return EncodeHeader(w.Dst, w.Op, w.GC, w.Addr) }

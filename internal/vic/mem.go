@@ -53,9 +53,11 @@ func (m *dvMem) write(addr uint32, val uint64) {
 	m.page(addr)[addr%pageWords] = val
 }
 
-func (m *dvMem) readRange(addr uint32, n int) []uint64 {
+// readInto copies the len(dst) words at addr into dst; words on pages never
+// written read as zero.
+func (m *dvMem) readInto(dst []uint64, addr uint32) {
+	n := len(dst)
 	m.check(addr, n)
-	out := make([]uint64, n)
 	for i := 0; i < n; {
 		a := addr + uint32(i)
 		off := int(a % pageWords)
@@ -64,11 +66,12 @@ func (m *dvMem) readRange(addr uint32, n int) []uint64 {
 			run = n - i
 		}
 		if pg := m.pages[a/pageWords]; pg != nil {
-			copy(out[i:i+run], pg[off:off+run])
+			copy(dst[i:i+run], pg[off:off+run])
+		} else {
+			clear(dst[i : i+run])
 		}
 		i += run
 	}
-	return out
 }
 
 func (m *dvMem) writeRange(addr uint32, vals []uint64) {

@@ -98,5 +98,7 @@ func (rp *ReadProgram) Pull(p *sim.Proc) []uint64 {
 	if v.chk != nil {
 		v.chk.HostRead(v, rp.n)
 	}
-	return v.mem.readRange(rp.addr, rp.n)
+	out := make([]uint64, rp.n)
+	v.mem.readInto(out, rp.addr)
+	return out
 }

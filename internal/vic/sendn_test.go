@@ -1,0 +1,150 @@
+package vic
+
+// Streamed-vs-slice send differential: HostSendN over a word generator must
+// be indistinguishable from HostSend over the same words in a slice, on both
+// boundaries, in every send mode, at the DMA chunk and table edges — and it
+// must call the generator exactly once per word, in order, as each word
+// crosses PCIe rather than all up front.
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/dvswitch"
+	"repro/internal/obs/attr"
+	"repro/internal/sim"
+)
+
+// recChecker logs every checker call, in order.
+type recChecker struct{ calls []string }
+
+func (c *recChecker) log(args ...any) { c.calls = append(c.calls, fmt.Sprintln(args...)) }
+
+func (c *recChecker) GCUpdate(_ *VIC, gc int, val int64, armed bool) { c.log("gc", gc, val, armed) }
+func (c *recChecker) FIFOPush(_ *VIC, src int, val uint64, dropped bool) {
+	c.log("push", src, val, dropped)
+}
+func (c *recChecker) FIFOPop(_ *VIC, val uint64)                { c.log("pop", val) }
+func (c *recChecker) MemWrite(_ *VIC, addr uint32, val uint64)  { c.log("mem", addr, val) }
+func (c *recChecker) HostSent(_ *VIC, mode SendMode, words int) { c.log("sent", int(mode), words) }
+func (c *recChecker) HostRead(_ *VIC, words int)                { c.log("read", words) }
+func (c *recChecker) HostWrote(_ *VIC, words int)               { c.log("wrote", words) }
+func (c *recChecker) FIFODrained(_ *VIC, words int)             { c.log("drained", words) }
+
+// sendWord is word i of the differential's batch. Destination, opcode,
+// counter, address and payload all vary with i, so a reordered, repeated or
+// skipped word changes the packets.
+func sendWord(i int) Word {
+	w := Word{Dst: i % 7, Op: OpWrite, GC: i % 5, Addr: uint32(i), Val: uint64(i)*0x9e3779b97f4a7c15 + 1}
+	if i%3 == 0 {
+		w.Op, w.GC, w.Addr = OpFIFO, NoGC, 0
+	}
+	return w
+}
+
+// sendTrace is everything one send shows outside the VIC: the fabric packets
+// in injection order and the instant each was injected, the VIC's Stats, the
+// checker's calls and the attribution flows.
+type sendTrace struct {
+	pkts   []dvswitch.Packet
+	fireAt []sim.Time
+	stats  Stats
+	calls  []string
+	flows  []attr.Flow
+}
+
+// traceSend sends n sendWords from a fresh VIC (non-identity port resolver,
+// checker and tracer attached) into a recording sink fabric. With streamed
+// set it uses HostSendN and returns the instant of every word(i) call,
+// failing t if a call is not the next index; otherwise HostSend over a slice.
+func traceSend(t *testing.T, mode SendMode, n int, scalar, streamed bool) (tr sendTrace, callAt []sim.Time) {
+	k := sim.NewKernel()
+	sink := func(pkt dvswitch.Packet) {
+		tr.pkts = append(tr.pkts, pkt)
+		tr.fireAt = append(tr.fireAt, k.Now())
+	}
+	v := New(k, 3, 7, DefaultParams(), sink)
+	v.SetScalarBoundary(scalar)
+	if !scalar {
+		v.SetBatchInject(func(pkts []dvswitch.Packet) {
+			for _, pkt := range pkts {
+				sink(pkt)
+			}
+		})
+	}
+	v.SetPortResolver(func(id int) int { return 2*id + 1 })
+	chk := &recChecker{}
+	v.SetChecker(chk)
+	tracer := attr.NewTracer(&attr.Config{})
+	v.SetAttr(tracer)
+	k.Spawn("host", func(p *sim.Proc) {
+		if !streamed {
+			words := make([]Word, n)
+			for i := range words {
+				words[i] = sendWord(i)
+			}
+			v.HostSend(p, mode, words)
+			return
+		}
+		var w Word // one variable for every call, as the contract allows
+		v.HostSendN(p, mode, n, func(i int) *Word {
+			if i != len(callAt) {
+				t.Errorf("word(%d) called after %d calls: want each i once, ascending", i, len(callAt))
+			}
+			callAt = append(callAt, p.Now())
+			w = sendWord(i)
+			return &w
+		})
+	})
+	k.Run()
+	tr.stats, tr.calls = v.Stats(), chk.calls
+	for i := range tracer.Len() {
+		tr.flows = append(tr.flows, *tracer.At(i))
+	}
+	return tr, callAt
+}
+
+// TestHostSendNMatchesHostSend: n ∈ {0, 1, 1023, 1024, 1025, 8193} straddles
+// one DMA chunk (1024 words) and one DMA table (8192 entries).
+func TestHostSendNMatchesHostSend(t *testing.T) {
+	procDelay := DefaultParams().ProcDelay
+	for _, scalar := range []bool{false, true} {
+		for _, mode := range []SendMode{PIO, PIOCached, DMA, DMACached} {
+			for _, n := range []int{0, 1, 1023, 1024, 1025, 8193} {
+				t.Run(fmt.Sprintf("scalar=%v/mode=%d/n=%d", scalar, int(mode), n), func(t *testing.T) {
+					want, _ := traceSend(t, mode, n, scalar, false)
+					got, callAt := traceSend(t, mode, n, scalar, true)
+					if len(want.pkts) != n || len(callAt) != n {
+						t.Fatalf("HostSend injected %d packets and word was called %d times, want %d each",
+							len(want.pkts), len(callAt), n)
+					}
+					if !reflect.DeepEqual(got.pkts, want.pkts) {
+						t.Fatal("streamed send injected different packets, or in a different order")
+					}
+					if !reflect.DeepEqual(got.fireAt, want.fireAt) {
+						t.Fatal("streamed send injected at different instants")
+					}
+					if got.stats != want.stats {
+						t.Fatalf("stats differ:\nslice:    %+v\nstreamed: %+v", want.stats, got.stats)
+					}
+					if !reflect.DeepEqual(got.calls, want.calls) {
+						t.Fatalf("checker calls differ:\nslice:    %q\nstreamed: %q", want.calls, got.calls)
+					}
+					if !reflect.DeepEqual(got.flows, want.flows) {
+						t.Fatal("attribution flows differ")
+					}
+					// Streamed, not pre-read: word i is generated after the
+					// crossing before it has completed and no later than its
+					// own (injection = crossing done + ProcDelay).
+					for i, at := range callAt {
+						if at+procDelay > got.fireAt[i] || (i > 0 && at+procDelay < got.fireAt[i-1]) {
+							t.Fatalf("word(%d) called at %v; packets %d and %d were injected at %v and %v",
+								i, at, i-1, i, got.fireAt[max(i-1, 0)], got.fireAt[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -68,7 +68,7 @@ type Stats struct {
 }
 
 // VIC models one Vortex Interface Controller attached to a fabric port.
-// Host-side methods (HostSend, DMARead, WaitGCZero, ...) must be called from
+// Host-side methods (HostSend, DMAReadInto, WaitGCZero, ...) must be called from
 // the owning node's simulated process and advance virtual time; the receive
 // path runs inside fabric delivery events.
 type VIC struct {
@@ -149,26 +149,18 @@ type VIC struct {
 // landing, a PIO word, or a query reply — into a single kernel event. The
 // packets are injected in slice order, which is exactly the order the legacy
 // per-packet events (same timestamp, consecutive sequence numbers) fired in,
-// so batching is invisible in results.
+// so batching is invisible in results. Destinations are resolved to fabric
+// ports when the batch is built.
 type injectBatch struct {
 	v    *VIC
 	pkts []dvswitch.Packet
-	dsts []int // destination VIC ids; resolved to ports at fire time
 }
 
 // fireInjectBatch injects a batch into the fabric and recycles the payload.
 // Package-level (not a closure) so Kernel.AtArg carries only the pointer.
 func fireInjectBatch(a any) {
 	b := a.(*injectBatch)
-	v := b.v
-	pkts, dsts := b.pkts, b.dsts
-	for i := range pkts {
-		if v.portOf == nil {
-			pkts[i].Dst = dsts[i]
-		} else {
-			pkts[i].Dst = v.portOf(dsts[i])
-		}
-	}
+	v, pkts := b.v, b.pkts
 	if v.injectB != nil {
 		v.injectB(pkts)
 	} else {
@@ -177,7 +169,6 @@ func fireInjectBatch(a any) {
 		}
 	}
 	b.pkts = pkts[:0]
-	b.dsts = dsts[:0]
 	v.batchFree = append(v.batchFree, b)
 }
 
@@ -277,24 +268,42 @@ func (v *VIC) Stats() Stats { return v.st }
 // Host-side send paths
 
 // HostSend transfers a batch of packets from the host across PCIe and
-// injects them into the fabric, blocking the calling process until the host
-// buffers are reusable (PCIe transfer complete). Packets enter the network
-// pipelined with the PCIe transfer, chunk by chunk for DMA modes.
+// injects them into the fabric: HostSendN over the slice. Under HostSendN's
+// contract words[i] is read as packet i crosses PCIe, so the slice must not
+// change until HostSend returns.
 func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
-	if len(words) == 0 {
+	v.HostSendN(p, mode, len(words), func(i int) *Word { return &words[i] })
+}
+
+// HostSendN transfers n packets from the host across PCIe and injects them
+// into the fabric, blocking the calling process until the host buffers are
+// reusable (PCIe transfer complete). Packets enter the network pipelined with
+// the PCIe transfer, word by word for PIO modes and chunk by chunk for DMA
+// modes.
+//
+// The words are streamed, not held: word(i) is called exactly once per i, in
+// ascending order, from inside the chunk loop — as packet i crosses PCIe — so
+// a caller can generate each word on demand and no full copy of the batch
+// need exist. The Word it points to is read before the next call, so a
+// generator may return the same variable every time. (A pointer, because a
+// five-field Word returned by value from a func value costs ~10 ns a word in
+// spills and copies, as much as the rest of the DMA loop.) Everything else —
+// statistics, checker calls, DMA-table setups, chunking, attribution order —
+// depends only on n.
+func (v *VIC) HostSendN(p *sim.Proc, mode SendMode, n int, word func(i int) *Word) {
+	if n == 0 {
 		return
 	}
-	v.st.PktsSent += int64(len(words))
+	v.st.PktsSent += int64(n)
 	if v.obs != nil {
-		v.obs.PktsSent.Add(int64(len(words)))
+		v.obs.PktsSent.Add(int64(n))
 	}
 	bytesPer := mode.wireBytes()
-	total := len(words) * bytesPer
 	if v.mut&MutUncountedBytes == 0 {
-		v.st.PCIeBytesOut += int64(total)
+		v.st.PCIeBytesOut += int64(n * bytesPer)
 	}
 	if v.chk != nil {
-		v.chk.HostSent(v, mode, len(words))
+		v.chk.HostSent(v, mode, n)
 	}
 	issue := p.Now() // attribution T0: the app issued the whole batch here
 	switch mode {
@@ -304,7 +313,8 @@ func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 		// (the completion times differ); the batched path pools the event
 		// payloads where the scalar path allocates a closure per word.
 		p.Wait(v.par.PIOLatency)
-		for _, w := range words {
+		for i := range n {
+			w := *word(i) // copied before the lane wait, which lets other processes run
 			var fl uint32
 			if v.attr != nil {
 				fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
@@ -325,20 +335,17 @@ func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 		if chunk <= 0 {
 			chunk = 1024
 		}
-		for base := 0; base < len(words); base += chunk {
+		for base := 0; base < n; base += chunk {
 			if base%maxInt(v.par.DMATableEntries, 1) == 0 {
 				// Re-arming the 8192-entry DMA table costs a setup.
 				p.Wait(v.par.DMASetup)
 			}
-			end := base + chunk
-			if end > len(words) {
-				end = len(words)
-			}
-			n := end - base
-			done := v.dmaIn.Occupy(p, sim.BytesAt(n*bytesPer, v.par.DMABW))
+			end := min(base+chunk, n)
+			done := v.dmaIn.Occupy(p, sim.BytesAt((end-base)*bytesPer, v.par.DMABW))
 			if v.scalar {
 				// Legacy boundary: one kernel event (and closure) per word.
-				for _, w := range words[base:end] {
+				for i := base; i < end; i++ {
+					w := *word(i)
 					var fl uint32
 					if v.attr != nil {
 						fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
@@ -352,16 +359,18 @@ func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 				// with consecutive sequence numbers, so injecting the chunk
 				// in order from a single event fires identically.
 				b := v.newBatch()
-				b.pkts = slices.Grow(b.pkts, n)
-				b.dsts = slices.Grow(b.dsts, n)
-				for _, w := range words[base:end] {
+				b.pkts = slices.Grow(b.pkts, end-base)
+				for i := base; i < end; i++ {
+					w := word(i)
 					var fl uint32
 					if v.attr != nil {
 						fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
 						v.attr.Stamp(fl, attr.StageHostTx, done)
 					}
-					b.pkts = append(b.pkts, dvswitch.Packet{Src: v.Port, Header: w.header(), Payload: w.Val, Flow: fl})
-					b.dsts = append(b.dsts, w.Dst)
+					// Built in place from w's fields: v.packet is past the
+					// inlining budget, and copying a 64 B result or the Word
+					// itself costs as much as the rest of this loop.
+					b.pkts = append(b.pkts, dvswitch.Packet{Src: v.Port, Dst: v.portFor(w.Dst), Header: w.header(), Payload: w.Val, Flow: fl})
 				}
 				v.k.AtArg(done+v.par.ProcDelay, fireInjectBatch, b)
 			}
@@ -375,9 +384,23 @@ func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 // VIC's processing delay): injectAt without the per-word closure allocation.
 func (v *VIC) injectBatchAt(t sim.Time, w Word, flow uint32) {
 	b := v.newBatch()
-	b.pkts = append(b.pkts, dvswitch.Packet{Src: v.Port, Header: w.header(), Payload: w.Val, Flow: flow})
-	b.dsts = append(b.dsts, w.Dst)
+	b.pkts = append(b.pkts, v.packet(w, flow))
 	v.k.AtArg(t+v.par.ProcDelay, fireInjectBatch, b)
+}
+
+// packet builds the fabric packet for w, its destination VIC id already
+// resolved to a port.
+func (v *VIC) packet(w Word, flow uint32) dvswitch.Packet {
+	return dvswitch.Packet{Src: v.Port, Dst: v.portFor(w.Dst), Header: w.header(), Payload: w.Val, Flow: flow}
+}
+
+// portFor maps a destination VIC id to its fabric port through the
+// cluster-installed resolver (identity when none is installed).
+func (v *VIC) portFor(dstVIC int) int {
+	if v.portOf == nil {
+		return dstVIC
+	}
+	return v.portOf(dstVIC)
 }
 
 func maxInt(a, b int) int {
@@ -390,19 +413,8 @@ func maxInt(a, b int) int {
 // injectAt schedules the fabric injection of one word at time t (plus the
 // VIC's processing delay).
 func (v *VIC) injectAt(t sim.Time, w Word, flow uint32) {
-	pkt := dvswitch.Packet{Src: v.Port, Header: w.header(), Payload: w.Val, Flow: flow}
-	v.k.At(t+v.par.ProcDelay, func() { v.injectNow(pkt, w.Dst) })
-}
-
-// injectNow pushes a fully-formed packet into the fabric immediately. The
-// dst VIC id is mapped to a fabric port by the cluster-installed resolver.
-func (v *VIC) injectNow(pkt dvswitch.Packet, dstVIC int) {
-	if v.portOf == nil {
-		pkt.Dst = dstVIC
-	} else {
-		pkt.Dst = v.portOf(dstVIC)
-	}
-	v.inject(pkt)
+	pkt := v.packet(w, flow)
+	v.k.At(t+v.par.ProcDelay, func() { v.inject(pkt) })
 }
 
 // SetPortResolver installs the VIC-id→fabric-port mapping, used when
@@ -420,16 +432,17 @@ func (v *VIC) SetBatchInject(fn func(pkts []dvswitch.Packet)) { v.injectB = fn }
 // reference for the boundary differential tests.
 func (v *VIC) SetScalarBoundary(scalar bool) { v.scalar = scalar }
 
-// DMARead pulls n words starting at addr from DV Memory into host memory,
-// blocking until the DMA completes. It returns a copy of the words.
-func (v *VIC) DMARead(p *sim.Proc, addr uint32, n int) []uint64 {
+// DMAReadInto pulls len(dst) words starting at addr from DV Memory into the
+// host row dst, blocking until the DMA completes.
+func (v *VIC) DMAReadInto(p *sim.Proc, dst []uint64, addr uint32) {
+	n := len(dst)
 	p.Wait(v.par.PIOLatency + v.par.DMASetup)
 	v.dmaOut.Occupy(p, sim.BytesAt(n*8, v.par.DMABW))
 	v.st.PCIeBytesIn += int64(n * 8)
 	if v.chk != nil {
 		v.chk.HostRead(v, n)
 	}
-	return v.mem.readRange(addr, n)
+	v.mem.readInto(dst, addr)
 }
 
 // PIORead reads n words via programmed I/O (slow path; small reads).
@@ -440,7 +453,9 @@ func (v *VIC) PIORead(p *sim.Proc, addr uint32, n int) []uint64 {
 	if v.chk != nil {
 		v.chk.HostRead(v, n)
 	}
-	return v.mem.readRange(addr, n)
+	out := make([]uint64, n)
+	v.mem.readInto(out, addr)
+	return out
 }
 
 // HostWriteMemDMA stages words into the local DV Memory with the DMA engine
@@ -456,7 +471,7 @@ func (v *VIC) HostWriteMemDMA(p *sim.Proc, addr uint32, vals []uint64) {
 }
 
 // Peek reads a DV Memory word without modelling any cost (test/diagnostic
-// backdoor; simulated code must use PIORead/DMARead).
+// backdoor; simulated code must use PIORead/DMAReadInto).
 func (v *VIC) Peek(addr uint32) uint64 { return v.mem.read(addr) }
 
 // ---------------------------------------------------------------------------
@@ -801,14 +816,13 @@ func (v *VIC) execute(pkt dvswitch.Packet) {
 			v.attr.Complete(pkt.Flow, v.k.Now())
 			replyFlow = v.attr.Begin(v.ID, dstVIC, attr.KindQuery, v.k.Now())
 		}
-		reply := dvswitch.Packet{Src: v.Port, Header: pkt.Payload, Payload: v.mem.read(addr), Flow: replyFlow}
+		reply := dvswitch.Packet{Src: v.Port, Dst: v.portFor(dstVIC), Header: pkt.Payload, Payload: v.mem.read(addr), Flow: replyFlow}
 		if v.scalar {
-			v.k.After(v.par.ProcDelay, func() { v.injectNow(reply, dstVIC) })
+			v.k.After(v.par.ProcDelay, func() { v.inject(reply) })
 			return
 		}
 		b := v.newBatch()
 		b.pkts = append(b.pkts, reply)
-		b.dsts = append(b.dsts, dstVIC)
 		v.k.AfterArg(v.par.ProcDelay, fireInjectBatch, b)
 	default:
 		panic(fmt.Sprintf("vic %d: unknown opcode %d", v.ID, op))
@@ -888,9 +902,9 @@ func (v *VIC) sendBarrierPkt(p *sim.Proc, dst, gcID int) {
 	if v.attr != nil {
 		fl = v.attr.Begin(v.ID, dst, attr.KindGC, p.Now())
 	}
-	pkt := dvswitch.Packet{Src: v.Port, Header: w.header(), Payload: w.Val, Flow: fl}
+	pkt := v.packet(w, fl)
 	p.Wait(v.par.ProcDelay)
-	v.injectNow(pkt, dst)
+	v.inject(pkt)
 }
 
 // InjectDecGC fires a single VIC-side counter-decrement packet (no PCIe per

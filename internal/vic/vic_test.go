@@ -306,11 +306,11 @@ func TestDMAReadMovesData(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tb.vics[0].mem.write(uint32(i), uint64(i*i))
 	}
-	var got []uint64
+	got := make([]uint64, 100)
 	var elapsed sim.Time
 	tb.k.Spawn("r", func(p *sim.Proc) {
 		t0 := p.Now()
-		got = tb.vics[0].DMARead(p, 0, 100)
+		tb.vics[0].DMAReadInto(p, got, 0)
 		elapsed = p.Now() - t0
 	})
 	tb.k.Run()
@@ -320,7 +320,7 @@ func TestDMAReadMovesData(t *testing.T) {
 		}
 	}
 	if elapsed <= 0 {
-		t.Fatal("DMARead should take time")
+		t.Fatal("DMAReadInto should take time")
 	}
 }
 
