@@ -180,6 +180,7 @@ type solver struct {
 	expected    int64
 	prog        [2]*comm.DMAProgram
 	rdprog      [2]*comm.ReadProgram
+	raw         []uint64 // the pulled halo region, one row for every step
 
 	// MPI state: each face's encoded halo, in flight from Isend to the
 	// Waitall that ends the exchange and reused by the next step's.
@@ -265,6 +266,7 @@ func newSolver(n *cluster.Node, be comm.Backend, par Params, px, py, pz int) *so
 				s.rdprog[par] = e.NewReadProgram(s.region[par], s.regionWords)
 			}
 		}
+		s.raw = make([]uint64, s.regionWords)
 	}
 	return s
 }
@@ -485,7 +487,8 @@ func (s *solver) exchangeDV(step int, buf []float64) {
 	// One DMA read covers every incoming face (the region layout is the
 	// same on every node, so senders can address slots symmetrically).
 	if s.expected > 0 {
-		raw := e.Pull(s.rdprog[par])
+		raw := s.raw
+		e.Pull(s.rdprog[par], raw)
 		var vals []float64
 		for f := 0; f < 6; f++ {
 			if s.neighbor(f) < 0 {
@@ -527,7 +530,8 @@ func (s *solver) exchangeDVReliable(step int, buf []float64) {
 	s.fail(e.ReliableScatter(words))
 	s.fail(e.ReliableBarrier())
 	if s.expected > 0 {
-		raw := e.Pull(s.rdprog[par])
+		raw := s.raw
+		e.Pull(s.rdprog[par], raw)
 		var vals []float64
 		for f := 0; f < 6; f++ {
 			if s.neighbor(f) < 0 {

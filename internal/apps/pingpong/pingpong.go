@@ -179,16 +179,19 @@ func runDV(n *cluster.Node, be comm.Backend, mode Mode, par Params) sim.Time {
 		}
 	}
 	small := par.Words <= 32
+	// One receive row for every iteration: rank 1 sends it back before its
+	// next recv overwrites it.
+	got := make([]uint64, par.Words)
 	recv := func() []uint64 {
-		var got []uint64
 		for i, gc := range gcs {
 			re := rails[railOf[i]]
 			re.WaitGC(gc, sim.Forever)
 			off := regions[railOf[i]] + uint32(i*chunk)
+			row := got[i*chunk : i*chunk+chunkLen(i)]
 			if small {
-				got = append(got, re.V.PIORead(re.Proc(), off, chunkLen(i))...)
+				copy(row, re.V.PIORead(re.Proc(), off, len(row)))
 			} else {
-				got = append(got, re.Read(off, chunkLen(i))...)
+				re.ReadInto(row, off)
 			}
 		}
 		armAll() // safe: the peer sends again only after our reply

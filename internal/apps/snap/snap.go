@@ -234,6 +234,7 @@ type solver struct {
 	gc     [8][]int
 	prog   [8][]*comm.DMAProgram
 	rdprog [8][]*comm.ReadProgram
+	raw    []uint64 // one chunk's pulled faces, one row for every chunk
 	coll   *dv.Collective
 }
 
@@ -261,6 +262,7 @@ func newSolver(n *cluster.Node, be comm.Backend, net comm.Net, par Params, py, p
 func (s *solver) setupDV() {
 	e := s.be.Endpoint()
 	slot := s.cyw + s.czw
+	s.raw = make([]uint64, slot)
 	for o := 0; o < 8; o++ {
 		s.region[o] = e.Alloc(s.nchunks * slot)
 		s.gc[o] = make([]int, s.nchunks)

@@ -113,12 +113,20 @@ func (s *solver) recvChunk(o, k int) (yIn, zIn []float64) {
 		return
 	}
 	e.WaitGC(s.gc[o][k], sim.Forever)
-	raw := e.Pull(s.rdprog[o][k])
-	vals := make([]float64, len(raw))
+	upY, upZ := s.upstream(o, 0) >= 0, s.upstream(o, 1) >= 0
+	n := 0
+	if upY {
+		n += s.cyw
+	}
+	if upZ {
+		n += s.czw
+	}
+	raw := s.raw[:n]
+	e.Pull(s.rdprog[o][k], raw)
+	vals := make([]float64, n)
 	for i, w := range raw {
 		vals[i] = math.Float64frombits(w)
 	}
-	upY, upZ := s.upstream(o, 0) >= 0, s.upstream(o, 1) >= 0
 	switch {
 	case upY && upZ:
 		yIn, zIn = vals[:s.cyw], vals[s.cyw:]

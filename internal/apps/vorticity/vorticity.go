@@ -160,7 +160,8 @@ type solver struct {
 	gc     [2]int
 	prog   [2]*comm.DMAProgram
 	rdprog [2]*comm.ReadProgram
-	tcount int // transposes executed (selects parity)
+	raw    []uint64 // the pulled region, one row for every transpose
+	tcount int      // transposes executed (selects parity)
 
 	// MPI transpose scratch, kept across transposes: the send blocks, and
 	// one block's values while it is packed or unpacked.
@@ -206,6 +207,7 @@ func newSolver(n *cluster.Node, be comm.Backend, net comm.Net, par Params) *solv
 			s.prog[par2] = e.NewProgram(tmpl)
 			s.rdprog[par2] = e.NewReadProgram(s.region[par2], words)
 		}
+		s.raw = make([]uint64, words)
 	} else {
 		s.send = make([][]byte, s.p)
 	}
@@ -249,7 +251,8 @@ func (s *solver) transpose(m []complex128) []complex128 {
 	s.n.Compute(sim.BytesAt(len(m)*16, 8e9)) // stage payloads
 	e.Trigger(pr)
 	e.WaitGC(s.gc[par], sim.Forever)
-	raw := e.Pull(s.rdprog[par])
+	raw := s.raw
+	e.Pull(s.rdprog[par], raw)
 	for or := 0; or < s.rows; or++ {
 		for col := 0; col < N; col++ {
 			if col >= s.lo && col < s.lo+s.rows {

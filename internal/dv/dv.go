@@ -119,14 +119,16 @@ func (e *Endpoint) AllocGC() int {
 // Sends
 
 // Put writes vals into dst's DV Memory starting at addr, decrementing dst's
-// group counter gc once per word (vic.NoGC to skip counting).
+// group counter gc once per word (vic.NoGC to skip counting). The words are
+// streamed into the VIC, vals[i] read as packet i crosses PCIe, so no packet
+// slice is built and vals must not change until Put returns.
 func (e *Endpoint) Put(mode vic.SendMode, dst int, addr uint32, gc int, vals []uint64) {
 	e.checkRange("Put", addr, len(vals))
-	words := make([]vic.Word, len(vals))
-	for i, v := range vals {
-		words[i] = vic.Word{Dst: dst, Op: vic.OpWrite, GC: gc, Addr: addr + uint32(i), Val: v}
-	}
-	e.V.HostSend(e.p, mode, words)
+	w := vic.Word{Dst: dst, Op: vic.OpWrite, GC: gc}
+	e.ScatterN(mode, len(vals), func(i int) *vic.Word {
+		w.Addr, w.Val = addr+uint32(i), vals[i]
+		return &w
+	})
 }
 
 // Scatter sends an arbitrary batch of packets — different destinations,
@@ -135,7 +137,7 @@ func (e *Endpoint) Put(mode vic.SendMode, dst int, addr uint32, gc int, vals []u
 // amortise one PCIe transfer, which the Data Vortex fabric then routes
 // without destination aggregation.
 func (e *Endpoint) Scatter(mode vic.SendMode, words []vic.Word) {
-	e.ScatterN(mode, len(words), func(i int) *vic.Word { return &words[i] })
+	e.V.HostSend(e.p, mode, words)
 }
 
 // ScatterN is Scatter over n words that word generates on demand, under
@@ -146,13 +148,13 @@ func (e *Endpoint) ScatterN(mode vic.SendMode, n int, word func(i int) *vic.Word
 	e.V.HostSendN(e.p, mode, n, word)
 }
 
-// FIFOPut pushes vals onto dst's surprise FIFO.
+// FIFOPut pushes vals onto dst's surprise FIFO, streamed as Put streams.
 func (e *Endpoint) FIFOPut(mode vic.SendMode, dst int, vals []uint64) {
-	words := make([]vic.Word, len(vals))
-	for i, v := range vals {
-		words[i] = vic.Word{Dst: dst, Op: vic.OpFIFO, GC: vic.NoGC, Val: v}
-	}
-	e.V.HostSend(e.p, mode, words)
+	w := vic.Word{Dst: dst, Op: vic.OpFIFO, GC: vic.NoGC}
+	e.ScatterN(mode, len(vals), func(i int) *vic.Word {
+		w.Val = vals[i]
+		return &w
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -222,5 +224,6 @@ func (e *Endpoint) NewReadProgram(addr uint32, n int) *vic.ReadProgram {
 	return e.V.NewReadProgram(addr, n)
 }
 
-// Pull executes a prepared read from this endpoint's process.
-func (e *Endpoint) Pull(rp *vic.ReadProgram) []uint64 { return rp.Pull(e.p) }
+// Pull executes a prepared read from this endpoint's process into the
+// caller's row dst (exactly the program's length).
+func (e *Endpoint) Pull(rp *vic.ReadProgram, dst []uint64) { rp.Pull(e.p, dst) }

@@ -11,13 +11,14 @@ import (
 // testbed wires n endpoints over a cycle-accurate switch.
 type testbed struct {
 	k   *sim.Kernel
+	eng *dvswitch.Engine
 	eps []*Endpoint
 }
 
 func newTestbed(n int) *testbed {
 	k := sim.NewKernel()
 	eng := dvswitch.NewEngine(k, dvswitch.ForPorts(n), dvswitch.DefaultCycleTime)
-	tb := &testbed{k: k, eps: make([]*Endpoint, n)}
+	tb := &testbed{k: k, eng: eng, eps: make([]*Endpoint, n)}
 	vics := make([]*vic.VIC, n)
 	for i := 0; i < n; i++ {
 		vics[i] = vic.New(k, i, i, vic.DefaultParams(), eng.Inject)
@@ -208,18 +209,29 @@ func TestReadProgramReuse(t *testing.T) {
 		addr := e.Alloc(16)
 		e.WriteLocal(addr, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 		rp := e.NewReadProgram(addr, 16)
+		row := make([]uint64, 16) // one row for both pulls
 		t0 := e.Proc().Now()
-		first := e.Pull(rp)
+		e.Pull(rp, row)
 		d1 := e.Proc().Now() - t0
+		if row[15] != 16 {
+			t.Errorf("first pull: %v", row)
+		}
+		e.WriteLocal(addr, []uint64{101})
 		t0 = e.Proc().Now()
-		second := e.Pull(rp)
+		e.Pull(rp, row)
 		d2 := e.Proc().Now() - t0
-		if first[15] != 16 || second[0] != 1 {
-			t.Errorf("bad data: %v %v", first, second)
+		if row[0] != 101 || row[15] != 16 {
+			t.Errorf("second pull into the same row: %v", row)
 		}
 		if d2 >= d1 {
 			t.Errorf("read program not cheaper on reuse: %v then %v", d1, d2)
 		}
+		defer func() {
+			if recover() == nil {
+				t.Error("Pull into a row shorter than the program must panic")
+			}
+		}()
+		e.Pull(rp, row[:15])
 	})
 }
 

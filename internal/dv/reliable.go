@@ -104,8 +104,9 @@ func (e *DeliveryError) Error() string {
 const barrierFlagWords = 32
 
 // reliableState is the lazily-initialised per-endpoint reliable-layer state:
-// options, telemetry, and the scratch carve at the top of DV memory
-// (verify region, per-source sequence slots, barrier flags).
+// options, telemetry, the scratch carve at the top of DV memory (verify
+// region, per-source sequence slots, barrier flags), and the host scratch
+// every chunk reuses, so that steady reliable traffic allocates nothing.
 type reliableState struct {
 	opts ReliableOpts
 	st   ReliableStats
@@ -117,6 +118,11 @@ type reliableState struct {
 
 	seq   []uint64 // per-destination chunk sequence numbers
 	epoch uint64   // ReliableBarrier epoch
+
+	chunk   []vic.Word      // the chunk being filled (ChunkDone reads it, never keeps it)
+	inChunk map[uint64]bool // (dst,addr) membership of chunk; cleared, never remade
+	pending []int           // indices into chunk still unverified
+	verify  []uint64        // complemented sentinels out, verify-region read-back in
 }
 
 // ReliableTelemetry returns the endpoint's reliable-layer counters (zero if
@@ -157,6 +163,10 @@ func (e *Endpoint) rstate() *reliableState {
 		seqBase:    limit + uint32(o.ChunkWords),
 		flagBase:   limit + uint32(o.ChunkWords) + uint32(e.size),
 		seq:        make([]uint64, e.size),
+		chunk:      make([]vic.Word, 0, o.ChunkWords),
+		inChunk:    make(map[uint64]bool, o.ChunkWords),
+		pending:    make([]int, 0, o.ChunkWords),
+		verify:     make([]uint64, o.ChunkWords),
 	}
 	return e.rel
 }
@@ -171,11 +181,11 @@ func (e *Endpoint) ReliableWrite(dst int, addr uint32, vals []uint64) error {
 	if limit := e.memLimit(); int64(addr)+int64(len(vals)) > int64(limit) {
 		return &OOMError{Op: "ReliableWrite", Addr: addr, Words: len(vals), Limit: limit}
 	}
-	words := make([]vic.Word, len(vals))
-	for i, v := range vals {
-		words[i] = vic.Word{Dst: dst, Op: vic.OpWrite, GC: vic.NoGC, Addr: addr + uint32(i), Val: v}
-	}
-	return e.ReliableScatter(words)
+	w := vic.Word{Dst: dst, Op: vic.OpWrite, GC: vic.NoGC}
+	return e.reliableScatterN(len(vals), func(i int) *vic.Word {
+		w.Addr, w.Val = addr+uint32(i), vals[i]
+		return &w
+	})
 }
 
 // ReliableScatter is Scatter with loss detection and retransmission. Words
@@ -187,34 +197,34 @@ func (e *Endpoint) ReliableWrite(dst int, addr uint32, vals []uint64) error {
 // (dst, addr) within a chunk would make verification ambiguous under
 // last-writer-wins, so such words are split into separate chunks.
 func (e *Endpoint) ReliableScatter(words []vic.Word) error {
-	if len(words) == 0 {
+	return e.reliableScatterN(len(words), func(i int) *vic.Word { return &words[i] })
+}
+
+// reliableScatterN is ReliableScatter over n words that word generates on
+// demand (word(i) once per i, ascending; the Word is copied before the next
+// call). Chunks are built in the endpoint's reliable scratch, which every
+// return path leaves empty for the next call.
+func (e *Endpoint) reliableScatterN(n int, word func(i int) *vic.Word) error {
+	if n == 0 {
 		return nil
 	}
 	r := e.rstate()
-	chunk := make([]vic.Word, 0, r.opts.ChunkWords)
-	inChunk := make(map[uint64]bool, r.opts.ChunkWords) // (dst,addr) membership only
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		err := e.reliableChunk(chunk)
-		chunk = chunk[:0]
-		inChunk = make(map[uint64]bool, r.opts.ChunkWords)
-		return err
-	}
-	for _, w := range words {
+	seqAddr := r.seqBase + uint32(e.rank)
+	for i := range n {
+		w := *word(i)
 		if w.Op != vic.OpWrite || w.GC != vic.NoGC {
+			r.resetChunk() // the partial chunk is never sent
 			return fmt.Errorf("dv: ReliableScatter requires OpWrite/NoGC words, got op %d gc %d", w.Op, w.GC)
 		}
 		key := uint64(uint32(w.Dst))<<32 | uint64(w.Addr)
-		seqKey := uint64(uint32(w.Dst))<<32 | uint64(r.seqBase+uint32(e.rank))
+		seqKey := uint64(uint32(w.Dst))<<32 | uint64(seqAddr)
 		// +2: room for this word plus its destination's sequence marker.
-		if len(chunk)+2 > r.opts.ChunkWords || inChunk[key] {
-			if err := flush(); err != nil {
+		if len(r.chunk)+2 > r.opts.ChunkWords || r.inChunk[key] {
+			if err := e.flushChunk(); err != nil {
 				return err
 			}
 		}
-		if !inChunk[seqKey] {
+		if !r.inChunk[seqKey] {
 			r.seq[w.Dst]++
 			if e.mut&MutSeqSkip != 0 {
 				r.seq[w.Dst]++
@@ -222,15 +232,33 @@ func (e *Endpoint) ReliableScatter(words []vic.Word) error {
 			if e.chk != nil {
 				e.chk.ChunkSeq(e, w.Dst, r.seq[w.Dst])
 			}
-			chunk = append(chunk, vic.Word{
+			r.chunk = append(r.chunk, vic.Word{
 				Dst: w.Dst, Op: vic.OpWrite, GC: vic.NoGC,
-				Addr: r.seqBase + uint32(e.rank), Val: r.seq[w.Dst]})
-			inChunk[seqKey] = true
+				Addr: seqAddr, Val: r.seq[w.Dst]})
+			r.inChunk[seqKey] = true
 		}
-		chunk = append(chunk, w)
-		inChunk[key] = true
+		r.chunk = append(r.chunk, w)
+		r.inChunk[key] = true
 	}
-	return flush()
+	return e.flushChunk()
+}
+
+// flushChunk runs the ARQ rounds for the chunk being filled, if any, and
+// empties it whatever the outcome.
+func (e *Endpoint) flushChunk() error {
+	r := e.rel
+	if len(r.chunk) == 0 {
+		return nil
+	}
+	err := e.reliableChunk(r.chunk)
+	r.resetChunk()
+	return err
+}
+
+// resetChunk empties the chunk scratch, keeping its storage.
+func (r *reliableState) resetChunk() {
+	r.chunk = r.chunk[:0]
+	clear(r.inChunk)
 }
 
 // reliableChunk runs the ARQ rounds for one chunk (unique (dst,addr) per
@@ -239,29 +267,27 @@ func (e *Endpoint) ReliableScatter(words []vic.Word) error {
 // QueryDelay) one query per word whose reply writes the destination's current
 // slot value into the verify region and decrements the ack counter. After
 // WaitGC — timed out or not — the verify region is read back and a word is
-// done exactly when the destination slot holds its value.
+// done exactly when the destination slot holds its value. Data and queries
+// stream into the VIC; the pending indices and the verify row are scratch.
 func (e *Endpoint) reliableChunk(words []vic.Word) error {
-	r := e.rstate()
+	r := e.rel
 	o := r.opts
 	ack := e.ackGC()
-	pending := make([]int, len(words))
-	for i := range pending {
-		pending[i] = i
+	pending := r.pending[:0]
+	for i := range words {
+		pending = append(pending, i)
 	}
+	r.pending = pending
 	timeout := o.Timeout
 	var tFail sim.Time
 	failed := false
 	for attempt := 1; ; attempt++ {
-		sent := make([]uint64, len(pending))
+		row := r.verify[:len(pending)]
 		for j, wi := range pending {
-			sent[j] = ^words[wi].Val
+			row[j] = ^words[wi].Val
 		}
-		e.WriteLocal(r.verifyBase, sent)
+		e.WriteLocal(r.verifyBase, row)
 		e.ArmGC(ack, int64(len(pending)))
-		data := make([]vic.Word, len(pending))
-		for j, wi := range pending {
-			data[j] = words[wi]
-		}
 		if attempt == 1 {
 			r.st.Writes += int64(len(pending))
 			if e.obs != nil {
@@ -276,17 +302,17 @@ func (e *Endpoint) reliableChunk(words []vic.Word) error {
 			// the round number as their retransmit epoch.
 			e.attr.SetEpoch(e.rank, attempt-1)
 		}
-		e.Scatter(o.Mode, data)
+		e.ScatterN(o.Mode, len(pending), func(j int) *vic.Word { return &words[pending[j]] })
 		if o.QueryDelay > 0 {
 			e.p.Wait(o.QueryDelay)
 		}
-		queries := make([]vic.Word, len(pending))
-		for j, wi := range pending {
-			w := words[wi]
+		var q vic.Word
+		e.ScatterN(o.Mode, len(pending), func(j int) *vic.Word {
+			w := &words[pending[j]]
 			ret := vic.EncodeHeader(e.rank, vic.OpWrite, ack, r.verifyBase+uint32(j))
-			queries[j] = vic.Word{Dst: w.Dst, Op: vic.OpQuery, GC: vic.NoGC, Addr: w.Addr, Val: ret}
-		}
-		e.Scatter(o.Mode, queries)
+			q = vic.Word{Dst: w.Dst, Op: vic.OpQuery, GC: vic.NoGC, Addr: w.Addr, Val: ret}
+			return &q
+		})
 		if attempt > 1 {
 			e.attr.SetEpoch(e.rank, 0)
 		}
@@ -297,10 +323,10 @@ func (e *Endpoint) reliableChunk(words []vic.Word) error {
 			}
 			e.obs.BackoffWait.Observe(int64(timeout / sim.Microsecond))
 		}
-		got := e.Read(r.verifyBase, len(pending))
+		e.ReadInto(row, r.verifyBase)
 		still := pending[:0]
 		for j, wi := range pending {
-			if got[j] != words[wi].Val {
+			if row[j] != words[wi].Val {
 				still = append(still, wi)
 			}
 		}

@@ -2,6 +2,10 @@ package dv
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/dvswitch"
@@ -16,7 +20,7 @@ func newFaultyTestbed(n int, plan *faultplan.Plan) *testbed {
 	k := sim.NewKernel()
 	eng := dvswitch.NewEngine(k, dvswitch.ForPorts(n), dvswitch.DefaultCycleTime)
 	eng.ApplyPlan(plan)
-	tb := &testbed{k: k, eps: make([]*Endpoint, n)}
+	tb := &testbed{k: k, eng: eng, eps: make([]*Endpoint, n)}
 	vics := make([]*vic.VIC, n)
 	for i := 0; i < n; i++ {
 		vics[i] = vic.New(k, i, i, vic.DefaultParams(), eng.Inject)
@@ -218,4 +222,144 @@ func TestReliableHeapGuard(t *testing.T) {
 		}
 	}()
 	e.Alloc(mem) // would overlap the carve
+}
+
+// raceBuild reports whether the test binary was built with -race, whose
+// instrumentation changes what allocates.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// barrierBytes returns the heap bytes a 4-node testbed allocates building
+// itself and running rounds ReliableBarriers on every node.
+func barrierBytes(t *testing.T, rounds int) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	tb := newTestbed(4)
+	tb.spmd(func(e *Endpoint) {
+		for range rounds {
+			if err := e.ReliableBarrier(); err != nil {
+				t.Errorf("rank %d: %v", e.Rank(), err)
+			}
+		}
+	})
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestReliableBarrierBytesPerRound bounds what one ReliableBarrier on 4 nodes
+// allocates once the reliable layer is warm, set-up cancelled out by
+// differencing 10 rounds against 2. The chunk, its membership map, the
+// pending indices and the verify row are endpoint scratch, and data and
+// queries stream into the VIC, so a round costs ~7 KB (kernel events and
+// one-word PIO polls). Remaking the chunk and maps per call cost 468 KB.
+func TestReliableBarrierBytesPerRound(t *testing.T) {
+	if raceBuild() {
+		t.Skip("-race instrumentation allocates")
+	}
+	perRound := (barrierBytes(t, 10) - barrierBytes(t, 2)) / 8
+	if perRound > 16<<10 {
+		t.Errorf("%d bytes allocated per ReliableBarrier on 4 nodes, want <= %d", perRound, 16<<10)
+	}
+}
+
+// relRecorder records what the reliable layer reports to its checker: every
+// sequence number stamped, and a copy of every chunk resolved.
+type relRecorder struct {
+	seqs []uint64
+	done [][]vic.Word
+	errs []error
+}
+
+func (c *relRecorder) ChunkSeq(_ *Endpoint, _ int, seq uint64) { c.seqs = append(c.seqs, seq) }
+func (c *relRecorder) ChunkDone(_ *Endpoint, words []vic.Word, _ int, err error) {
+	c.done = append(c.done, slices.Clone(words))
+	c.errs = append(c.errs, err)
+}
+
+// TestReliableScratchReuse: the chunk scratch outlives each ReliableScatter,
+// so every way out of one — a split on a duplicate (dst,addr), a
+// DeliveryError, a rejected word after accepted ones — must leave it empty.
+// The clean scatter that follows must send exactly its own word under the
+// next sequence number and succeed; the first scatter's unsent words must
+// never arrive.
+func TestReliableScratchReuse(t *testing.T) {
+	const a, b = 0, 1 // two slots on node 1
+	write := func(addr uint32, val uint64) vic.Word {
+		return vic.Word{Dst: 1, Op: vic.OpWrite, GC: vic.NoGC, Addr: addr, Val: val}
+	}
+	cases := []struct {
+		name    string
+		lossy   bool // every packet of the first scatter is lost
+		first   []vic.Word
+		wantErr func(error) bool
+		chunks  int    // chunks the first scatter resolves
+		atA     uint64 // node 1's slot a afterwards
+	}{
+		{"duplicate-split", false, []vic.Word{write(a, 111), write(a, 222)},
+			func(err error) bool { return err == nil }, 2, 222},
+		{"delivery-error", true, []vic.Word{write(a, 7)},
+			func(err error) bool { var de *DeliveryError; return errors.As(err, &de) }, 1, 0},
+		{"rejected-word", false, []vic.Word{write(a, 5), {Dst: 1, Op: vic.OpWrite, GC: 3, Addr: b, Val: 6}},
+			func(err error) bool { return err != nil }, 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var plan *faultplan.Plan
+			if c.lossy {
+				plan = &faultplan.Plan{Seed: 1, DropProb: 1}
+			}
+			tb := newFaultyTestbed(2, plan)
+			tb.eps[0].Alloc(2)
+			tb.eps[1].Alloc(2)
+			rec := &relRecorder{}
+			tb.eps[0].SetChecker(rec)
+			var firstErr, cleanErr error
+			tb.spmd(func(e *Endpoint) {
+				o := &e.rstate().opts // every node carves its scratch; only timing changes
+				o.Timeout, o.MaxAttempts = 2*sim.Microsecond, 3
+				o.QueryDelay = sim.Microsecond
+				if e.Rank() != 0 {
+					return
+				}
+				firstErr = e.ReliableScatter(c.first)
+				tb.eng.Core().SetFaultProbs(dvswitch.FaultProbs{}, nil) // the fabric heals
+				cleanErr = e.ReliableScatter([]vic.Word{write(b, 333)})
+			})
+			if !c.wantErr(firstErr) {
+				t.Fatalf("first scatter returned %v", firstErr)
+			}
+			if cleanErr != nil {
+				t.Fatalf("clean scatter after the first: %v", cleanErr)
+			}
+			for i, s := range rec.seqs {
+				if s != uint64(i+1) {
+					t.Fatalf("sequence numbers %v: want 1, 2, 3, ...", rec.seqs)
+				}
+			}
+			if len(rec.done) != c.chunks+1 {
+				t.Fatalf("%d chunks resolved, want %d then the clean one", len(rec.done), c.chunks)
+			}
+			marker := write(tb.eps[0].rel.seqBase, uint64(len(rec.seqs)))
+			if got, want := rec.done[c.chunks], []vic.Word{marker, write(b, 333)}; !reflect.DeepEqual(got, want) || rec.errs[c.chunks] != nil {
+				t.Fatalf("clean chunk %v (err %v), want exactly %v", got, rec.errs[c.chunks], want)
+			}
+			v1 := tb.eps[1].V
+			if got := v1.Peek(b); got != 333 {
+				t.Fatalf("slot b holds %d after the clean scatter, want 333", got)
+			}
+			if got := v1.Peek(a); got != c.atA {
+				t.Fatalf("slot a holds %d, want %d", got, c.atA)
+			}
+		})
+	}
 }

@@ -88,12 +88,11 @@ func (c *Ctx) Put(dst int, s Sym, off int, vals []uint64) {
 	if off < 0 || off+len(vals) > s.words {
 		panic(fmt.Sprintf("shmem: Put [%d,%d) outside object of %d words", off, off+len(vals), s.words))
 	}
-	words := make([]vic.Word, len(vals))
-	for i, v := range vals {
-		words[i] = vic.Word{Dst: dst, Op: vic.OpWrite, GC: c.incomingGC,
-			Addr: s.addr + uint32(off+i), Val: v}
-	}
-	c.e.Scatter(vic.DMACached, words)
+	w := vic.Word{Dst: dst, Op: vic.OpWrite, GC: c.incomingGC}
+	c.e.ScatterN(vic.DMACached, len(vals), func(i int) *vic.Word {
+		w.Addr, w.Val = s.addr+uint32(off+i), vals[i]
+		return &w
+	})
 	c.sentTo[dst] += int64(len(vals))
 }
 
@@ -104,22 +103,18 @@ func (c *Ctx) Get(dst int, s Sym, off, n int) []uint64 {
 	if off < 0 || off+n > s.words {
 		panic(fmt.Sprintf("shmem: Get [%d,%d) outside object of %d words", off, off+n, s.words))
 	}
-	out := make([]uint64, 0, n)
+	out := make([]uint64, n)
 	for base := 0; base < n; base += c.getCap {
-		chunk := n - base
-		if chunk > c.getCap {
-			chunk = c.getCap
-		}
+		chunk := min(n-base, c.getCap)
 		c.e.ArmGC(c.getGC, int64(chunk))
-		words := make([]vic.Word, chunk)
-		for i := 0; i < chunk; i++ {
-			ret := vic.EncodeHeader(c.e.Rank(), vic.OpWrite, c.getGC, c.getBuf+uint32(i))
-			words[i] = vic.Word{Dst: dst, Op: vic.OpQuery, GC: vic.NoGC,
-				Addr: s.addr + uint32(off+base+i), Val: ret}
-		}
-		c.e.Scatter(vic.DMACached, words)
+		q := vic.Word{Dst: dst, Op: vic.OpQuery, GC: vic.NoGC}
+		c.e.ScatterN(vic.DMACached, chunk, func(i int) *vic.Word {
+			q.Addr = s.addr + uint32(off+base+i)
+			q.Val = vic.EncodeHeader(c.e.Rank(), vic.OpWrite, c.getGC, c.getBuf+uint32(i))
+			return &q
+		})
 		c.e.WaitGC(c.getGC, sim.Forever)
-		out = append(out, c.e.Read(c.getBuf, chunk)...)
+		c.e.ReadInto(out[base:base+chunk], c.getBuf)
 	}
 	return out
 }

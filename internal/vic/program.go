@@ -1,7 +1,8 @@
 package vic
 
 import (
-	"repro/internal/obs/attr"
+	"fmt"
+
 	"repro/internal/sim"
 )
 
@@ -29,44 +30,35 @@ func (v *VIC) NewDMAProgram(words []Word) *DMAProgram {
 func (pr *DMAProgram) SetPayload(i int, val uint64) { pr.words[i].Val = val }
 
 // Trigger runs the program: the first run stages the descriptors (DMA
-// setup); subsequent runs pay only the doorbell plus the payload stream.
+// setup); subsequent runs pay only the doorbell plus the payload stream,
+// which crosses PCIe chunk by chunk and enters the fabric through the same
+// chunk body as a HostSendN DMA transfer.
 func (pr *DMAProgram) Trigger(p *sim.Proc) {
 	v := pr.v
-	if len(pr.words) == 0 {
+	n := len(pr.words)
+	if n == 0 {
 		return
 	}
 	issue := p.Now() // attribution T0 for every word of this trigger
 	if !pr.staged {
 		// Staging the table costs one setup per 8192 descriptors.
-		n := (len(pr.words) + v.par.DMATableEntries - 1) / maxInt(v.par.DMATableEntries, 1)
-		p.Wait(sim.Time(n) * v.par.DMASetup)
+		tables := (n + v.par.DMATableEntries - 1) / maxInt(v.par.DMATableEntries, 1)
+		p.Wait(sim.Time(tables) * v.par.DMASetup)
 		pr.staged = true
 	}
 	p.Wait(v.par.PIOLatency) // doorbell
-	v.st.PktsSent += int64(len(pr.words))
-	v.st.PCIeBytesOut += int64(len(pr.words) * 8)
+	v.st.PktsSent += int64(n)
+	v.st.PCIeBytesOut += int64(n * 8)
 	if v.chk != nil {
 		// Only the payload stream crosses PCIe: cached-mode wire size.
-		v.chk.HostSent(v, DMACached, len(pr.words))
+		v.chk.HostSent(v, DMACached, n)
 	}
-	chunk := v.par.DMAChunkWords
-	if chunk <= 0 {
-		chunk = 1024
-	}
-	for base := 0; base < len(pr.words); base += chunk {
-		end := base + chunk
-		if end > len(pr.words) {
-			end = len(pr.words)
-		}
+	word := func(i int) *Word { return &pr.words[i] }
+	chunk := v.dmaChunkWords()
+	for base := 0; base < n; base += chunk {
+		end := min(base+chunk, n)
 		done := v.dmaIn.Occupy(p, sim.BytesAt((end-base)*8, v.par.DMABW))
-		for _, w := range pr.words[base:end] {
-			var fl uint32
-			if v.attr != nil {
-				fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
-				v.attr.Stamp(fl, attr.StageHostTx, done)
-			}
-			v.injectAt(done, w, fl)
-		}
+		v.injectChunk(done, issue, base, end, word)
 	}
 }
 
@@ -85,20 +77,17 @@ func (v *VIC) NewReadProgram(addr uint32, n int) *ReadProgram {
 	return &ReadProgram{v: v, addr: addr, n: n}
 }
 
-// Pull executes the read and returns a copy of the words.
-func (rp *ReadProgram) Pull(p *sim.Proc) []uint64 {
+// Pull executes the read into the caller's row dst, which must hold exactly
+// the program's n words, so a caller pulling every step reuses one row.
+func (rp *ReadProgram) Pull(p *sim.Proc, dst []uint64) {
+	if len(dst) != rp.n {
+		panic(fmt.Sprintf("vic: Pull into %d words, program reads %d", len(dst), rp.n))
+	}
 	v := rp.v
 	if !rp.staged {
 		p.Wait(v.par.DMASetup)
 		rp.staged = true
 	}
 	p.Wait(v.par.PIOLatency)
-	v.dmaOut.Occupy(p, sim.BytesAt(rp.n*8, v.par.DMABW))
-	v.st.PCIeBytesIn += int64(rp.n * 8)
-	if v.chk != nil {
-		v.chk.HostRead(v, rp.n)
-	}
-	out := make([]uint64, rp.n)
-	v.mem.readInto(out, rp.addr)
-	return out
+	v.dmaRead(p, dst, rp.addr)
 }

@@ -4,7 +4,9 @@ package vic
 // be indistinguishable from HostSend over the same words in a slice, on both
 // boundaries, in every send mode, at the DMA chunk and table edges — and it
 // must call the generator exactly once per word, in order, as each word
-// crosses PCIe rather than all up front.
+// crosses PCIe rather than all up front. A persistent DMA program shares the
+// DMA chunk body, so its batched Trigger is held against the scalar one the
+// same way.
 
 import (
 	"fmt"
@@ -54,11 +56,10 @@ type sendTrace struct {
 	flows  []attr.Flow
 }
 
-// traceSend sends n sendWords from a fresh VIC (non-identity port resolver,
-// checker and tracer attached) into a recording sink fabric. With streamed
-// set it uses HostSendN and returns the instant of every word(i) call,
-// failing t if a call is not the next index; otherwise HostSend over a slice.
-func traceSend(t *testing.T, mode SendMode, n int, scalar, streamed bool) (tr sendTrace, callAt []sim.Time) {
+// traceRun runs send on a fresh VIC (non-identity port resolver, checker and
+// tracer attached) that injects into a recording sink fabric, on the scalar
+// or the batched boundary.
+func traceRun(scalar bool, send func(v *VIC, p *sim.Proc)) (tr sendTrace) {
 	k := sim.NewKernel()
 	sink := func(pkt dvswitch.Packet) {
 		tr.pkts = append(tr.pkts, pkt)
@@ -78,13 +79,31 @@ func traceSend(t *testing.T, mode SendMode, n int, scalar, streamed bool) (tr se
 	v.SetChecker(chk)
 	tracer := attr.NewTracer(&attr.Config{})
 	v.SetAttr(tracer)
-	k.Spawn("host", func(p *sim.Proc) {
+	k.Spawn("host", func(p *sim.Proc) { send(v, p) })
+	k.Run()
+	tr.stats, tr.calls = v.Stats(), chk.calls
+	for i := range tracer.Len() {
+		tr.flows = append(tr.flows, *tracer.At(i))
+	}
+	return tr
+}
+
+// sendWords returns sendWord(0..n-1) as a slice.
+func sendWords(n int) []Word {
+	words := make([]Word, n)
+	for i := range words {
+		words[i] = sendWord(i)
+	}
+	return words
+}
+
+// traceSend sends n sendWords through traceRun. With streamed set it uses
+// HostSendN and returns the instant of every word(i) call, failing t if a
+// call is not the next index; otherwise HostSend over a slice.
+func traceSend(t *testing.T, mode SendMode, n int, scalar, streamed bool) (tr sendTrace, callAt []sim.Time) {
+	tr = traceRun(scalar, func(v *VIC, p *sim.Proc) {
 		if !streamed {
-			words := make([]Word, n)
-			for i := range words {
-				words[i] = sendWord(i)
-			}
-			v.HostSend(p, mode, words)
+			v.HostSend(p, mode, sendWords(n))
 			return
 		}
 		var w Word // one variable for every call, as the contract allows
@@ -97,12 +116,27 @@ func traceSend(t *testing.T, mode SendMode, n int, scalar, streamed bool) (tr se
 			return &w
 		})
 	})
-	k.Run()
-	tr.stats, tr.calls = v.Stats(), chk.calls
-	for i := range tracer.Len() {
-		tr.flows = append(tr.flows, *tracer.At(i))
-	}
 	return tr, callAt
+}
+
+// requireSameTrace fails t unless got shows exactly what want shows.
+func requireSameTrace(t *testing.T, want, got sendTrace) {
+	t.Helper()
+	if !reflect.DeepEqual(got.pkts, want.pkts) {
+		t.Fatal("different packets injected, or in a different order")
+	}
+	if !reflect.DeepEqual(got.fireAt, want.fireAt) {
+		t.Fatal("packets injected at different instants")
+	}
+	if got.stats != want.stats {
+		t.Fatalf("stats differ:\nwant: %+v\ngot:  %+v", want.stats, got.stats)
+	}
+	if !reflect.DeepEqual(got.calls, want.calls) {
+		t.Fatalf("checker calls differ:\nwant: %q\ngot:  %q", want.calls, got.calls)
+	}
+	if !reflect.DeepEqual(got.flows, want.flows) {
+		t.Fatal("attribution flows differ")
+	}
 }
 
 // TestHostSendNMatchesHostSend: n ∈ {0, 1, 1023, 1024, 1025, 8193} straddles
@@ -119,21 +153,7 @@ func TestHostSendNMatchesHostSend(t *testing.T) {
 						t.Fatalf("HostSend injected %d packets and word was called %d times, want %d each",
 							len(want.pkts), len(callAt), n)
 					}
-					if !reflect.DeepEqual(got.pkts, want.pkts) {
-						t.Fatal("streamed send injected different packets, or in a different order")
-					}
-					if !reflect.DeepEqual(got.fireAt, want.fireAt) {
-						t.Fatal("streamed send injected at different instants")
-					}
-					if got.stats != want.stats {
-						t.Fatalf("stats differ:\nslice:    %+v\nstreamed: %+v", want.stats, got.stats)
-					}
-					if !reflect.DeepEqual(got.calls, want.calls) {
-						t.Fatalf("checker calls differ:\nslice:    %q\nstreamed: %q", want.calls, got.calls)
-					}
-					if !reflect.DeepEqual(got.flows, want.flows) {
-						t.Fatal("attribution flows differ")
-					}
+					requireSameTrace(t, want, got)
 					// Streamed, not pre-read: word i is generated after the
 					// crossing before it has completed and no later than its
 					// own (injection = crossing done + ProcDelay).
@@ -146,5 +166,31 @@ func TestHostSendNMatchesHostSend(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestTriggerBatchedMatchesScalar: a DMA program's payload stream lands one
+// pooled event per chunk on the batched boundary and one event per word on
+// the scalar reference, and the two must be indistinguishable — on the first
+// (staging) Trigger and on a re-trigger with fresh payloads, at the DMA
+// chunk and table edges.
+func TestTriggerBatchedMatchesScalar(t *testing.T) {
+	for _, n := range []int{1, 1023, 1024, 1025, 8193} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			trigger := func(v *VIC, p *sim.Proc) {
+				pr := v.NewDMAProgram(sendWords(n))
+				pr.Trigger(p)
+				for i := range n {
+					pr.SetPayload(i, ^uint64(i))
+				}
+				pr.Trigger(p)
+			}
+			want := traceRun(true, trigger)
+			got := traceRun(false, trigger)
+			if len(want.pkts) != 2*n {
+				t.Fatalf("scalar triggers injected %d packets, want %d", len(want.pkts), 2*n)
+			}
+			requireSameTrace(t, want, got)
+		})
 	}
 }

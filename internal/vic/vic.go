@@ -310,8 +310,8 @@ func (v *VIC) HostSendN(p *sim.Proc, mode SendMode, n int, word func(i int) *Wor
 	case PIO, PIOCached:
 		// Doorbell, then each packet crosses the PCIe lane back to back.
 		// Words cross one at a time, so each needs its own injection event
-		// (the completion times differ); the batched path pools the event
-		// payloads where the scalar path allocates a closure per word.
+		// (the completion times differ): a pooled one-packet batch, or on the
+		// scalar reference boundary a closure from injectAt.
 		p.Wait(v.par.PIOLatency)
 		for i := range n {
 			w := *word(i) // copied before the lane wait, which lets other processes run
@@ -331,10 +331,7 @@ func (v *VIC) HostSendN(p *sim.Proc, mode SendMode, n int, word func(i int) *Wor
 		}
 	case DMA, DMACached:
 		p.Wait(v.par.PIOLatency)
-		chunk := v.par.DMAChunkWords
-		if chunk <= 0 {
-			chunk = 1024
-		}
+		chunk := v.dmaChunkWords()
 		for base := 0; base < n; base += chunk {
 			if base%maxInt(v.par.DMATableEntries, 1) == 0 {
 				// Re-arming the 8192-entry DMA table costs a setup.
@@ -342,42 +339,56 @@ func (v *VIC) HostSendN(p *sim.Proc, mode SendMode, n int, word func(i int) *Wor
 			}
 			end := min(base+chunk, n)
 			done := v.dmaIn.Occupy(p, sim.BytesAt((end-base)*bytesPer, v.par.DMABW))
-			if v.scalar {
-				// Legacy boundary: one kernel event (and closure) per word.
-				for i := base; i < end; i++ {
-					w := *word(i)
-					var fl uint32
-					if v.attr != nil {
-						fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
-						v.attr.Stamp(fl, attr.StageHostTx, done)
-					}
-					v.injectAt(done, w, fl)
-				}
-			} else {
-				// Batched boundary: the whole chunk lands on one kernel
-				// event. The legacy events all carried the same timestamp
-				// with consecutive sequence numbers, so injecting the chunk
-				// in order from a single event fires identically.
-				b := v.newBatch()
-				b.pkts = slices.Grow(b.pkts, end-base)
-				for i := base; i < end; i++ {
-					w := word(i)
-					var fl uint32
-					if v.attr != nil {
-						fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
-						v.attr.Stamp(fl, attr.StageHostTx, done)
-					}
-					// Built in place from w's fields: v.packet is past the
-					// inlining budget, and copying a 64 B result or the Word
-					// itself costs as much as the rest of this loop.
-					b.pkts = append(b.pkts, dvswitch.Packet{Src: v.Port, Dst: v.portFor(w.Dst), Header: w.header(), Payload: w.Val, Flow: fl})
-				}
-				v.k.AtArg(done+v.par.ProcDelay, fireInjectBatch, b)
-			}
+			v.injectChunk(done, issue, base, end, word)
 		}
 	default:
 		panic(fmt.Sprintf("vic: unknown send mode %d", mode))
 	}
+}
+
+// dmaChunkWords returns the words one DMA transfer moves (1024 when unset).
+func (v *VIC) dmaChunkWords() int {
+	if v.par.DMAChunkWords <= 0 {
+		return 1024
+	}
+	return v.par.DMAChunkWords
+}
+
+// injectChunk puts words [base, end) — one DMA chunk whose PCIe crossing
+// completes at done — on the fabric ProcDelay later, calling word(i) once per
+// i in order. It is the one chunk body of HostSendN and DMAProgram.Trigger.
+// The batched boundary lands the whole chunk on one pooled kernel event; the
+// scalar reference schedules one event per word (injectAt). Those events all
+// carried the same timestamp with consecutive sequence numbers, so injecting
+// the chunk in order from a single event fires identically.
+func (v *VIC) injectChunk(done, issue sim.Time, base, end int, word func(i int) *Word) {
+	if v.scalar {
+		for i := base; i < end; i++ {
+			w := *word(i)
+			var fl uint32
+			if v.attr != nil {
+				fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
+				v.attr.Stamp(fl, attr.StageHostTx, done)
+			}
+			v.injectAt(done, w, fl)
+		}
+		return
+	}
+	b := v.newBatch()
+	b.pkts = slices.Grow(b.pkts, end-base)
+	for i := base; i < end; i++ {
+		w := word(i)
+		var fl uint32
+		if v.attr != nil {
+			fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
+			v.attr.Stamp(fl, attr.StageHostTx, done)
+		}
+		// Built in place from w's fields: v.packet is past the inlining
+		// budget, and copying a 64 B result or the Word itself costs as much
+		// as the rest of this loop.
+		b.pkts = append(b.pkts, dvswitch.Packet{Src: v.Port, Dst: v.portFor(w.Dst), Header: w.header(), Payload: w.Val, Flow: fl})
+	}
+	v.k.AtArg(done+v.par.ProcDelay, fireInjectBatch, b)
 }
 
 // injectBatchAt schedules a single-packet pooled batch at time t (plus the
@@ -411,7 +422,9 @@ func maxInt(a, b int) int {
 }
 
 // injectAt schedules the fabric injection of one word at time t (plus the
-// VIC's processing delay).
+// VIC's processing delay) on its own kernel event and closure. Only the scalar
+// reference boundary uses it; the product path batches (injectBatchAt,
+// injectChunk).
 func (v *VIC) injectAt(t sim.Time, w Word, flow uint32) {
 	pkt := v.packet(w, flow)
 	v.k.At(t+v.par.ProcDelay, func() { v.inject(pkt) })
@@ -435,8 +448,15 @@ func (v *VIC) SetScalarBoundary(scalar bool) { v.scalar = scalar }
 // DMAReadInto pulls len(dst) words starting at addr from DV Memory into the
 // host row dst, blocking until the DMA completes.
 func (v *VIC) DMAReadInto(p *sim.Proc, dst []uint64, addr uint32) {
-	n := len(dst)
 	p.Wait(v.par.PIOLatency + v.par.DMASetup)
+	v.dmaRead(p, dst, addr)
+}
+
+// dmaRead is the body every DV Memory→host DMA shares once the caller has
+// paid its doorbell and descriptor setup: the transfer, its accounting, and
+// the copy into dst.
+func (v *VIC) dmaRead(p *sim.Proc, dst []uint64, addr uint32) {
+	n := len(dst)
 	v.dmaOut.Occupy(p, sim.BytesAt(n*8, v.par.DMABW))
 	v.st.PCIeBytesIn += int64(n * 8)
 	if v.chk != nil {
