@@ -227,8 +227,7 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Ti
 				send[dst] = comm.AppendUint64(send[dst], a)
 			}
 		}
-		n.Ops(int64(2 * b)) // generation + bucketing
-		n.MemOps(int64(localApplied))
+		n.Work(int64(2*b), int64(localApplied)) // generation + bucketing, local applies
 		applied := 0
 		for src, data := range c.Alltoall(send) {
 			if src == n.ID {
@@ -241,8 +240,7 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Ti
 				applied++
 			}
 		}
-		n.Ops(int64(applied))
-		n.MemOps(int64(applied))
+		n.Work(int64(applied), int64(applied))
 	}
 	c.Barrier()
 	return n.P.Now() - t0
@@ -284,8 +282,7 @@ func runDV(n *cluster.Node, be comm.Backend, par Params, table []uint64) (sim.Ti
 			_, li := owner(a, par.Nodes, par.TableWordsNode)
 			table[li] ^= a
 			drained++
-			n.Ops(1)    // decode
-			n.MemOps(1) // apply
+			n.Work(1, 1) // decode, apply
 			if block {
 				return true
 			}
@@ -314,8 +311,7 @@ func runDV(n *cluster.Node, be comm.Backend, par Params, table []uint64) (sim.Ti
 				sentTo[dst]++
 			}
 		}
-		n.Ops(int64(2 * b))
-		n.MemOps(int64(localApplied))
+		n.Work(int64(2*b), int64(localApplied))
 		e.Scatter(comm.DMACached, words)
 		drain(false) // overlap: apply whatever has arrived
 	}
@@ -408,8 +404,7 @@ func runDVReliable(n *cluster.Node, be comm.Backend, par Params, table []uint64)
 					Addr: cnts + uint32(e.Rank()), Val: uint64(perDst[d])})
 			}
 		}
-		n.Ops(int64(2 * bb))
-		n.MemOps(int64(localApplied))
+		n.Work(int64(2*bb), int64(localApplied))
 		fail(e.ReliableScatter(words))
 		fail(e.ReliableBarrier()) // every mailbox write is now visible
 		counts := e.Read(cnts, par.Nodes)
@@ -424,8 +419,7 @@ func runDVReliable(n *cluster.Node, be comm.Backend, par Params, table []uint64)
 				applied++
 			}
 		}
-		n.Ops(int64(applied))
-		n.MemOps(int64(applied))
+		n.Work(int64(applied), int64(applied))
 		fail(e.ReliableBarrier()) // reads done: slots may be overwritten
 	}
 	return n.P.Now() - t0, errs

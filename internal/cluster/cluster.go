@@ -249,6 +249,7 @@ type Node struct {
 	Trace *trace.Recorder
 
 	compute *obs.Histogram // per-Compute durations, µs; nil unless Config.Obs
+	work    workChain      // Work's chain state (one Work runs at a time)
 }
 
 // Compute advances virtual time by d, representing host computation, and
@@ -259,6 +260,12 @@ func (n *Node) Compute(d sim.Time) {
 	}
 	t0 := n.P.Now()
 	n.P.Wait(d)
+	n.computed(t0, d)
+}
+
+// computed records a compute span of length d that started at t0 and ends
+// now: the trace interval and the histogram sample.
+func (n *Node) computed(t0, d sim.Time) {
 	n.Trace.State(n.ID, "compute", t0, n.P.Now())
 	if n.compute != nil {
 		n.compute.Observe(int64(d / sim.Microsecond))
@@ -270,14 +277,46 @@ func (n *Node) Flops(f float64) {
 	n.Compute(sim.DurationOf(f / (n.CPU.GFLOPS * 1e9)))
 }
 
-// MemOps advances time by the cost of c irregular memory accesses.
-func (n *Node) MemOps(c int64) {
-	n.Compute(sim.Time(c) * n.CPU.RandomAccess)
-}
-
 // Ops advances time by the cost of c small software operations.
 func (n *Node) Ops(c int64) {
 	n.Compute(sim.Time(c) * n.CPU.SmallOp)
+}
+
+// Work advances time by the cost of ops small software operations and then of
+// mem irregular memory accesses, as Compute(ops·SmallOp) followed by
+// Compute(mem·RandomAccess) would: the same two spans, recorded at the same
+// instants. The process is switched to once, at the end — the first span
+// closes inside the kernel event that ends it (sim.Proc.Chain).
+func (n *Node) Work(ops, mem int64) {
+	a, b := sim.Time(ops)*n.CPU.SmallOp, sim.Time(mem)*n.CPU.RandomAccess
+	if a <= 0 || b <= 0 {
+		n.Compute(a)
+		n.Compute(b)
+		return
+	}
+	n.work = workChain{n: n, first: a, second: b}
+	n.P.Chain(&n.work)
+	n.computed(n.work.t0, b)
+}
+
+// workChain is Work's two links: the first span's wait, then, at its end,
+// the first span's record and the second span's wait.
+type workChain struct {
+	n             *Node
+	first, second sim.Time
+	t0            sim.Time // start of the span being waited for
+	started       bool
+}
+
+func (w *workChain) Step() (sim.Time, bool) {
+	now := w.n.P.Now()
+	if !w.started {
+		w.started, w.t0 = true, now
+		return w.first, true
+	}
+	w.n.computed(w.t0, w.first)
+	w.t0 = now
+	return w.second, false
 }
 
 // Report summarises one run.

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vic"
@@ -82,12 +85,82 @@ func TestComputeModel(t *testing.T) {
 		t.Fatalf("8 GFLOP at 8 GFLOPS = %v, want 1s", rep.Elapsed)
 	}
 	rep = Run(cfg, func(n *Node) {
-		n.MemOps(1000)
-		n.Ops(1000)
+		n.Work(1000, 1000)
 	})
 	want := 1000*DefaultCPU().RandomAccess + 1000*DefaultCPU().SmallOp
 	if rep.Elapsed != want {
 		t.Fatalf("op costs = %v, want %v", rep.Elapsed, want)
+	}
+}
+
+// TestWorkMatchesComputePair: Work(ops, mem) is Compute(ops·SmallOp) then
+// Compute(mem·RandomAccess) with one process switch instead of two. Traced
+// and instrumented, both forms must end at the same time with the same state
+// records in the same order and the same compute histogram; only the resumes
+// differ, by one per Work whose two spans are both nonzero.
+func TestWorkMatchesComputePair(t *testing.T) {
+	tests := []struct {
+		name  string
+		pairs [][2]int64 // (ops, mem) per call, node 1 runs them reversed
+	}{
+		{"both nonzero", [][2]int64{{3, 5}, {1, 1}, {1000, 1}, {200000, 70000}}},
+		{"ops zero", [][2]int64{{0, 5}, {0, 100000}}},
+		{"mem zero", [][2]int64{{7, 0}, {300000, 0}}},
+		{"both zero", [][2]int64{{0, 0}}},
+		{"mixed", [][2]int64{{0, 0}, {2, 3}, {0, 9}, {4, 0}, {250000, 250000}, {1, 1}}},
+	}
+	run := func(pairs [][2]int64, work bool) (*Report, *trace.Recorder, uint64) {
+		cfg := DefaultConfig(2)
+		cfg.Trace = trace.New()
+		cfg.Obs = &obs.Config{Every: 10 * sim.Microsecond}
+		_, r0, _ := KernelCounts()
+		rep := Run(cfg, func(n *Node) {
+			for i := range pairs {
+				pr := pairs[i]
+				if n.ID == 1 {
+					pr = pairs[len(pairs)-1-i]
+				}
+				if work {
+					n.Work(pr[0], pr[1])
+				} else {
+					n.Compute(sim.Time(pr[0]) * n.CPU.SmallOp)
+					n.Compute(sim.Time(pr[1]) * n.CPU.RandomAccess)
+				}
+			}
+		})
+		_, r1, _ := KernelCounts()
+		return rep, cfg.Trace, r1 - r0
+	}
+	prom := func(rep *Report) string {
+		var b strings.Builder
+		if err := rep.Metrics.Registry.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			want, wantTr, wantRes := run(tt.pairs, false)
+			got, gotTr, gotRes := run(tt.pairs, true)
+			if got.Elapsed != want.Elapsed || !slices.Equal(got.NodeTimes, want.NodeTimes) {
+				t.Errorf("Work ends at %v %v, the Compute pair at %v %v", got.Elapsed, got.NodeTimes, want.Elapsed, want.NodeTimes)
+			}
+			if !slices.Equal(gotTr.States, wantTr.States) {
+				t.Errorf("trace states differ:\n  Work: %v\n  pair: %v", gotTr.States, wantTr.States)
+			}
+			if g, w := prom(got), prom(want); g != w {
+				t.Errorf("registries differ:\n  Work: %s\n  pair: %s", g, w)
+			}
+			saved := uint64(0)
+			for _, pr := range tt.pairs {
+				if pr[0] > 0 && pr[1] > 0 {
+					saved += 2 // one per node
+				}
+			}
+			if gotRes != wantRes-saved {
+				t.Errorf("Work made %d resumes, want the pair's %d less %d", gotRes, wantRes, saved)
+			}
+		})
 	}
 }
 

@@ -215,6 +215,8 @@ type Comm struct {
 	wire []byte
 	vals []float64
 
+	send isendChain // the send in progress (a rank makes one at a time)
+
 	// SentMessages and SentBytes count user-level sends (telemetry).
 	SentMessages int64
 	SentBytes    int64
@@ -292,25 +294,54 @@ func (c *Comm) isend(dst, tag int, data []byte) *Request {
 			w.obs.rndv.Inc()
 		}
 	}
-	c.p.Wait(w.par.SendOverhead)
-	req := w.newRequest()
-	msg := w.newMessage()
-	msg.src, msg.tag, msg.dst = c.rank, tag, w.comms[dst]
-	if len(data) <= w.par.EagerLimit {
+	s := &c.send
+	*s = isendChain{c: c, dst: dst, tag: tag, data: data}
+	c.p.Chain(s)
+	req, msg := s.req, s.msg
+	*s = isendChain{}
+	if msg.rndv == nil {
 		// Eager: ship envelope and payload at once.
-		msg.data = msg.dst.recvBuf(tag, len(data))
-		copy(msg.data, data)
-		c.p.Wait(sim.BytesAt(len(data), w.par.CopyBW)) // stage into send buffer
 		msg.t0 = w.K.Now()
 		srcFree := w.F.TransferArg(c.rank, dst, len(data)+w.par.CtrlBytes, fireArrive, msg)
 		w.K.AtArg(srcFree, fireComplete, req)
 		return req
 	}
 	// Rendezvous: send an RTS; the CTS handler performs the data transfer.
-	req.data = data // held until CTS; zero-copy from the sender's buffer
-	msg.rndv, msg.bytes = req, len(data)
 	w.F.TransferArg(c.rank, dst, w.par.CtrlBytes, fireArrive, msg)
 	return req
+}
+
+// isendChain is isend's two waits as one sim.Chain: the send overhead, then,
+// at its end, the envelope is built and an eager payload staged, which costs
+// the copy wait (a rendezvous stages nothing and waits zero). The transfer
+// itself starts on the process once the chain ends.
+type isendChain struct {
+	c        *Comm
+	dst, tag int
+	data     []byte
+	started  bool
+	req      *Request
+	msg      *message
+}
+
+func (s *isendChain) Step() (sim.Time, bool) {
+	c, w := s.c, s.c.w
+	if !s.started {
+		s.started = true
+		return w.par.SendOverhead, true
+	}
+	s.req = w.newRequest()
+	msg := w.newMessage()
+	msg.src, msg.tag, msg.dst = c.rank, s.tag, w.comms[s.dst]
+	s.msg = msg
+	if len(s.data) <= w.par.EagerLimit {
+		msg.data = msg.dst.recvBuf(s.tag, len(s.data))
+		copy(msg.data, s.data)
+		return sim.BytesAt(len(s.data), w.par.CopyBW), false // stage into send buffer
+	}
+	s.req.data = s.data // held until CTS; zero-copy from the sender's buffer
+	msg.rndv, msg.bytes = s.req, len(s.data)
+	return 0, false
 }
 
 // fireArrive is the fabric event of an envelope reaching its destination.

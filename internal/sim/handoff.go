@@ -46,9 +46,19 @@ func (k *Kernel) resumeProc(p *Proc) {
 }
 
 // park blocks the process until the kernel resumes it. Returns normally on
-// resume; panics with abortSignal when the kernel is draining.
+// resume; panics with abortSignal when the kernel is draining. Every blocking
+// primitive parks here, so this is where a Chain step that blocks is caught.
 func (p *Proc) park() {
+	p.mayBlock()
+	p.suspend()
+}
+
+// suspend is park without the Chain check: Chain's own park, made with its
+// chain set. An aborted process is in no chain any more, so the deferred
+// calls of its body may block (and are aborted in turn) as after any park.
+func (p *Proc) suspend() {
 	if !p.yield(struct{}{}) {
+		p.chain = nil
 		panic(abortSignal{})
 	}
 }

@@ -285,6 +285,8 @@ type Proc struct {
 	yield func(struct{}) bool
 
 	gw gateWaiter // the process's Gate.Wait/WaitUntil waiter (see Proc.waiter)
+
+	chain Stepper // the Chain running on p, nil otherwise; park refuses while set
 }
 
 // Now returns the current virtual time.
@@ -320,6 +322,80 @@ func (p *Proc) Wait(d Time) {
 func fireResume(a any) {
 	p := a.(*Proc)
 	p.k.resumeProc(p)
+}
+
+// Stepper is one stretch of a process that does nothing but compute and wait:
+// each Step runs the statements up to the next wait and returns how long that
+// wait is, and whether another step follows it (see Proc.Chain).
+type Stepper interface {
+	Step() (wait Time, more bool)
+}
+
+// Chain runs s as the loop
+//
+//	for { wait, more := s.Step(); p.Wait(wait); if !more { break } }
+//
+// and returns when the last wait ends, but switches to the process only then.
+// The first step runs on the process; every later one runs as the kernel
+// event that would have resumed it: the same AtArg call, at the same point,
+// draws the same (at, seq) key, and the queue holds what it would have held.
+// A zero wait continues inline and draws nothing, as Wait(0) does. So the
+// simulation cannot tell a Chain from the loop; Counts shows one resume where
+// the loop made one per nonzero wait.
+//
+// A step runs on the kernel goroutine and must never block: while a chain
+// runs, any call that would park p panics, and so does a negative wait.
+func (p *Proc) Chain(s Stepper) {
+	p.mayBlock()
+	p.chain = s
+	if !p.stepChain() {
+		p.suspend()
+	}
+}
+
+// mayBlock is the check every blocking call makes, through park or Chain: a
+// chain's step runs as a kernel event, where parking p would hand the kernel
+// goroutine to p's coroutine mid-event.
+func (p *Proc) mayBlock() {
+	if p.chain != nil {
+		panic("sim: blocking call inside a Chain step (a step runs as a kernel event; return the wait instead)")
+	}
+}
+
+// stepChain runs p's chain from the current instant until a step returns a
+// nonzero wait, which it schedules as Wait would: as a fireChain event, or,
+// after the last step, as the ordinary resume. It reports whether the chain
+// ended at this instant instead, with nothing scheduled.
+func (p *Proc) stepChain() (done bool) {
+	k := p.k
+	for {
+		d, more := p.chain.Step()
+		if d < 0 {
+			panic("sim: negative wait")
+		}
+		if !more {
+			p.chain = nil
+			if d == 0 {
+				return true
+			}
+			k.AtArg(k.now+d, fireResume, p)
+			return false
+		}
+		if d > 0 {
+			k.AtArg(k.now+d, fireChain, p)
+			return false
+		}
+	}
+}
+
+// fireChain is the event of a chained wait ending: the next step runs here,
+// on the kernel goroutine, and the process is switched to only when the
+// chain ends at this instant.
+func fireChain(a any) {
+	p := a.(*Proc)
+	if p.stepChain() {
+		p.k.resumeProc(p)
+	}
 }
 
 // WaitUntil blocks the process until absolute time t (no-op if in the past).
