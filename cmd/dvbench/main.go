@@ -10,20 +10,28 @@
 //	dvbench -list           # list experiment ids and registered apps
 //	dvbench -exp fig6a      # one experiment (ids from -list)
 //	dvbench -app gups       # one registered app, both backends (host cost on stderr)
+//	dvbench -info           # the testbed's configuration (-nodes/-planes/-plane-policy)
+//	dvbench -svg figures    # also render every plottable table as an SVG
 //	dvbench -jobs 4         # fan independent sweep points over 4 workers
 //	dvbench -trace out.csv  # where fig5 writes its trace
 //	dvbench -metrics m      # observability reference run -> m.jsonl m.prom
 //	                        # m.trace.json + stage-attribution summary table
 //	dvbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //
+// -app, -nodes, -net, -seed, -cycle, -planes and -plane-policy are the
+// run-spec flags dvcheck and dvprof take too (apprt.BindRunFlags); they
+// configure an -app or -info run, and the experiments fix their own.
+//
 // Long runs are crash-resumable: -journal <dir> persists every finished
 // sweep point and experiment before moving on, and -resume <dir> re-runs
 // only what is missing, producing byte-identical final figures. SIGINT or
 // SIGTERM stops a journaled run cleanly (finish in-flight points, save,
-// print the resume command); a second signal force-quits. An individual -app
-// run is bounded by -budget-wall/-budget-virtual: at the budget (or the first
-// SIGINT) it stops at a clean virtual instant, prints "partial: cut at
-// virtual <t>" and exits 3; to finish it, re-run without the budget.
+// print the resume command); a second signal force-quits. -resume <dir>
+// -svg DIR renders a finished journal's figures without recomputing them.
+// An individual -app run is bounded by -budget-wall/-budget-virtual: at the
+// budget (or the first SIGINT) it stops at a clean virtual instant, prints
+// "partial: cut at virtual <t>" and exits 3; to finish it, re-run without
+// the budget.
 package main
 
 import (
@@ -35,6 +43,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -45,7 +54,7 @@ import (
 	_ "repro/internal/apps/all"
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/comm"
+	"repro/internal/plot"
 	"repro/internal/sim"
 )
 
@@ -119,9 +128,10 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and registered apps, then exit")
 	small := flag.Bool("small", false, "use reduced problem sizes")
 	exp := flag.String("exp", "all", "experiment id or 'all'")
-	app := flag.String("app", "", "run one registered app (see -list) on both backends")
-	nodes := flag.Int("nodes", 0, "node count for -app (0 = the app's reference size)")
-	seed := flag.Uint64("seed", 1, "RNG seed for -app runs")
+	run := apprt.BindRunFlags(flag.CommandLine)
+	info := flag.Bool("info", false,
+		"print the testbed configuration for -nodes/-planes/-plane-policy (-nodes 0: the paper's 32, or -app's reference size), then exit")
+	svgDir := flag.String("svg", "", "also render every plottable table as an SVG figure into this directory")
 	jobs := flag.Int("jobs", runtime.NumCPU(),
 		"worker count for independent sweep points (results identical at any value)")
 	tracePath := flag.String("trace", "gups_trace.csv", "output file for the fig5 trace CSV")
@@ -134,7 +144,6 @@ func main() {
 		"journal finished sweep points and experiments to this directory (crash-resumable)")
 	resumeDir := flag.String("resume", "",
 		"resume a journaled run from this directory (implies -journal)")
-	netFilter := flag.String("net", "", "restrict -app to one backend (dv or ib)")
 	budgetWall := flag.Duration("budget-wall", 0,
 		"for -app: wall-clock budget; on expiry stop at a clean virtual instant, print a partial line and exit 3")
 	budgetVirtual := flag.Duration("budget-virtual", 0,
@@ -143,7 +152,7 @@ func main() {
 
 	// A budget bounds one -app run. Anything else would ignore it, so say so
 	// instead of running unbounded.
-	if *app == "" && (*budgetWall != 0 || *budgetVirtual != 0) {
+	if run.App == "" && (*budgetWall != 0 || *budgetVirtual != 0) {
 		fmt.Fprintln(os.Stderr,
 			"dvbench: -budget-wall/-budget-virtual bound a single -app run; bound a sweep with -journal and SIGINT")
 		os.Exit(2)
@@ -163,7 +172,7 @@ func main() {
 	go func() {
 		<-sigc
 		what := "finishing in-flight work and saving state"
-		if *app != "" {
+		if run.App != "" {
 			what = "a budgeted -app run stops at its current virtual instant"
 		}
 		fmt.Fprintf(os.Stderr, "dvbench: interrupt — %s (signal again to force quit)\n", what)
@@ -218,6 +227,13 @@ func main() {
 		}
 		return
 	}
+	if *info {
+		if err := printInfo(run); err != nil {
+			fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
+			os.Exit(2)
+		}
+		return
+	}
 	// Oversubscription warning: sweep jobs past the visible cores only add
 	// preemption stalls (results stay identical either way).
 	if *jobs > runtime.NumCPU() {
@@ -226,7 +242,7 @@ func main() {
 			*jobs, runtime.NumCPU())
 	}
 
-	if *app != "" {
+	if run.App != "" {
 		// Any non-zero budget makes the run managed, so a negative one reaches
 		// spec validation instead of reading as "none".
 		var budget *cluster.Checkpoint
@@ -237,7 +253,7 @@ func main() {
 				Interrupt:     ctx.Done(),
 			}
 		}
-		err := runApp(*app, *nodes, *seed, *netFilter, budget)
+		err := runApp(run, budget)
 		var be *cluster.BudgetExceededError
 		switch {
 		case errors.As(err, &be):
@@ -328,6 +344,9 @@ func main() {
 			if *small {
 				fmt.Fprint(os.Stderr, " -small")
 			}
+			if *svgDir != "" {
+				fmt.Fprintf(os.Stderr, " -svg %s", *svgDir)
+			}
 			fmt.Fprintln(os.Stderr)
 			os.Exit(3)
 		}
@@ -359,6 +378,14 @@ func main() {
 		c.Close()
 		fmt.Printf("fig5 trace written to %s\n", *tracePath)
 	}
+	if *svgDir != "" {
+		n, err := writeSVGs(*svgDir, tables)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("%d figures rendered to %s\n", n, *svgDir)
+	}
 }
 
 // maxVirtualBudget is the longest -budget-virtual (a host duration: 1ms means
@@ -366,37 +393,24 @@ func main() {
 // in an int64, a thousandth of time.Duration's range.
 const maxVirtualBudget = time.Duration(math.MaxInt64 / int64(sim.Nanosecond))
 
-// matchNet accepts the paper label ("Data Vortex") or the slug ("dv", "ib").
-func matchNet(n comm.Net, sel string) bool {
-	slug := "ib"
-	if n == comm.DV {
-		slug = "dv"
+// runApp runs one registered workload through the apprt harness — on every
+// backend -net selects — and prints the summaries. Each run is bounded by its
+// own copy of budget when there is one.
+func runApp(run *apprt.RunFlags, budget *cluster.Checkpoint) error {
+	apps, err := run.Apps()
+	if err != nil {
+		return err
 	}
-	return strings.EqualFold(n.String(), sel) || strings.EqualFold(slug, sel)
-}
-
-// runApp runs one registered workload through the apprt harness — on both
-// backends by default, on one with -net — and prints the summaries. Each run
-// is bounded by its own copy of budget when there is one.
-func runApp(name string, nodes int, seed uint64, netSel string, budget *cluster.Checkpoint) error {
-	a, ok := apprt.Get(name)
-	if !ok {
-		return fmt.Errorf("unknown app %q (see -list)", name)
-	}
-	if nodes == 0 {
-		nodes = a.RefNodes
-	}
-	var nets []comm.Net
-	for _, net := range comm.Nets() {
-		if netSel == "" || matchNet(net, netSel) {
-			nets = append(nets, net)
-		}
-	}
-	if len(nets) == 0 {
-		return fmt.Errorf("no backend matches -net %q", netSel)
+	a := apps[0]
+	nets, err := run.Nets()
+	if err != nil {
+		return err
 	}
 	for _, net := range nets {
-		spec := apprt.RunSpec{Net: net, Nodes: nodes, Seed: seed}
+		spec, err := run.Spec(net, a.RefNodes)
+		if err != nil {
+			return err
+		}
 		if budget != nil {
 			cp := *budget
 			spec.Checkpoint = &cp
@@ -406,7 +420,7 @@ func runApp(name string, nodes int, seed uint64, netSel string, budget *cluster.
 		sum, err := a.Run(spec)
 		wall := time.Since(t0)
 		if err != nil {
-			return fmt.Errorf("%s on %s: %w", name, net, err)
+			return fmt.Errorf("%s on %s: %w", a.Name, net, err)
 		}
 		// A cut run has no result: no node finished, and the app's check
 		// string would be built from its parameters alone.
@@ -426,6 +440,37 @@ func runApp(name string, nodes int, seed uint64, netSel string, budget *cluster.
 		}
 	}
 	return nil
+}
+
+// SVG figure size in pixels.
+const svgWidth, svgHeight = 720, 440
+
+// writeSVGs renders every plottable table into dir as <id>.svg and returns
+// how many it wrote.
+func writeSVGs(dir string, tables []*bench.Table) (int, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, t := range tables {
+		c, ok := plot.FromTable(t)
+		if !ok {
+			continue
+		}
+		f, err := os.Create(filepath.Join(dir, t.ID+".svg"))
+		if err != nil {
+			return n, err
+		}
+		err = c.RenderSVG(f, svgWidth, svgHeight)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
 }
 
 // runMetrics executes the observability reference run and writes its three

@@ -15,8 +15,8 @@
 //
 //	dvcheck                          # every app, every backend, 8 seeds, clean
 //	dvcheck -app gups                # one app
-//	dvcheck -nets dv                 # one backend (dv, ib, or dv,ib)
-//	dvcheck -seeds 32 -seed0 100     # seed sweep
+//	dvcheck -net dv                  # one backend (dv, ib, or dv,ib)
+//	dvcheck -seeds 32 -seed 100      # seed sweep from seed 100
 //	dvcheck -faults drop,corrupt     # fault classes (see -faults help below)
 //	dvcheck -cycle                   # cycle-accurate switch (per-cycle sweep)
 //	dvcheck -list                    # apps and fault classes
@@ -24,7 +24,12 @@
 //
 // Fault classes: none, drop, corrupt, dead, stall, squeeze, flap, mixed.
 // Lossy classes (everything but none) run only on apps that support the
-// reliable-delivery layer, with a bounded wait so wedged runs terminate.
+// reliable-delivery layer, with a bounded wait so wedged runs terminate. A
+// sweep that selects no run at all exits 2.
+//
+// -app, -nodes, -net, -seed, -cycle, -planes and -plane-policy are the
+// run-spec flags dvbench and dvprof take too (apprt.BindRunFlags); an empty
+// -app or -net sweeps every app or backend, and -seed is the first seed.
 package main
 
 import (
@@ -33,6 +38,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -40,8 +46,6 @@ import (
 	_ "repro/internal/apps/all"
 	"repro/internal/check"
 	"repro/internal/cluster"
-	"repro/internal/comm"
-	"repro/internal/dvswitch"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -99,6 +103,10 @@ func classByName(name string) *faultClass {
 	return nil
 }
 
+// runsOn reports whether the class runs on a: a lossy class needs the
+// reliable layer to protect the run.
+func (fc *faultClass) runsOn(a apprt.App) bool { return fc.name == "none" || a.Reliable }
+
 // usage reports input no run can be built from and exits 2.
 func usage(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "dvcheck: "+format+"\n", args...)
@@ -123,15 +131,9 @@ func audit(a apprt.App, build func() apprt.RunSpec, elapsed sim.Time) (boundarie
 }
 
 func main() {
-	appFlag := flag.String("app", "", "run only this registered app (default: all)")
-	nodesFlag := flag.Int("nodes", 0, "override the cluster size for every run (0 = each app's reference size)")
-	planesFlag := flag.Int("planes", 0, "Data Vortex switch planes behind each VIC boundary (0/1 = single plane)")
-	policyFlag := flag.String("plane-policy", "", "plane assignment for -planes > 1: hash (default) or rr")
-	netsFlag := flag.String("nets", "dv,ib", "comma-separated backends: dv, ib")
-	seeds := flag.Int("seeds", 8, "seeds per (app, net, fault class)")
-	seed0 := flag.Uint64("seed0", 1, "first seed of the sweep")
+	run := apprt.BindRunFlags(flag.CommandLine)
+	seeds := flag.Int("seeds", 8, "seeds per (app, net, fault class), from -seed on")
 	faultsFlag := flag.String("faults", "none", "comma-separated fault classes (see -list)")
-	cycle := flag.Bool("cycle", false, "route DV through the cycle-accurate switch core")
 	list := flag.Bool("list", false, "list apps and fault classes, then exit")
 	verbose := flag.Bool("v", false, "log every run, not just violations")
 	flag.Parse()
@@ -152,38 +154,13 @@ func main() {
 		return
 	}
 
-	policy, err := dvswitch.ParsePlanePolicy(*policyFlag)
+	apps, err := run.Apps()
 	if err != nil {
 		usage("%v", err)
 	}
-	plat := cluster.Platform{
-		CycleAccurate: *cycle,
-		DVPlanes:      *planesFlag,
-		PlanePolicy:   policy,
-	}
-	if err := plat.Validate(); err != nil {
+	nets, err := run.Nets()
+	if err != nil {
 		usage("%v", err)
-	}
-
-	apps := apprt.Apps()
-	if *appFlag != "" {
-		a, ok := apprt.Get(*appFlag)
-		if !ok {
-			usage("unknown app %q (try -list)", *appFlag)
-		}
-		apps = []apprt.App{a}
-	}
-	var nets []comm.Net
-	for _, n := range strings.Split(*netsFlag, ",") {
-		switch strings.ToLower(strings.TrimSpace(n)) {
-		case "dv":
-			nets = append(nets, comm.DV)
-		case "ib":
-			nets = append(nets, comm.IB)
-		case "":
-		default:
-			usage("unknown net %q (want dv or ib)", n)
-		}
 	}
 	var classes []*faultClass
 	for _, n := range strings.Split(*faultsFlag, ",") {
@@ -195,6 +172,18 @@ func main() {
 			usage("unknown fault class %q (try -list)", n)
 		}
 		classes = append(classes, fc)
+	}
+	// A sweep that selects nothing would report "0 runs, all invariants
+	// held": say why it is empty instead.
+	switch {
+	case *seeds < 1:
+		usage("-seeds %d selects no runs; want at least 1", *seeds)
+	case len(classes) == 0:
+		usage("-faults %q selects no fault class (try -list)", *faultsFlag)
+	case !slices.ContainsFunc(classes, func(fc *faultClass) bool {
+		return slices.ContainsFunc(apps, func(a apprt.App) bool { return fc.runsOn(a) })
+	}):
+		usage("the sweep selects no runs: lossy fault classes run only on apps with a reliable layer (try -list)")
 	}
 
 	// Two-stage signal handling: the first SIGINT/SIGTERM lets the current
@@ -220,12 +209,6 @@ func main() {
 			return false
 		}
 	}
-	netSlug := func(n comm.Net) string {
-		if n == comm.DV {
-			return "dv"
-		}
-		return "ib"
-	}
 
 	runs, failures := 0, 0
 	minAudited := math.MaxInt // fewest boundaries any run's audit compared at
@@ -233,26 +216,29 @@ func main() {
 matrix:
 	for _, a := range apps {
 		for _, net := range nets {
+			base, err := run.Spec(net, a.RefNodes)
+			if err != nil {
+				usage("%v", err)
+			}
 			for _, fc := range classes {
-				lossy := fc.name != "none"
-				if lossy && !a.Reliable {
-					continue // no reliable layer to protect the run
+				if !fc.runsOn(a) {
+					continue
 				}
 				for s := 0; s < *seeds; s++ {
-					seed := *seed0 + uint64(s)
+					seed := run.Seed + uint64(s)
 					if stopped() {
-						hint := fmt.Sprintf("dvcheck -app %s -nets %s -faults %s -seed0 %d -seeds %d",
-							a.Name, netSlug(net), fc.name, seed, *seeds-s)
-						if *cycle {
+						hint := fmt.Sprintf("dvcheck -app %s -net %q -faults %s -seed %d -seeds %d",
+							a.Name, net, fc.name, seed, *seeds-s)
+						if run.Cycle {
 							hint += " -cycle"
 						}
-						if *nodesFlag > 0 {
-							hint += fmt.Sprintf(" -nodes %d", *nodesFlag)
+						if run.Nodes > 0 {
+							hint += fmt.Sprintf(" -nodes %d", run.Nodes)
 						}
-						if *planesFlag > 1 {
-							hint += fmt.Sprintf(" -planes %d", *planesFlag)
-							if *policyFlag != "" {
-								hint += " -plane-policy " + *policyFlag
+						if run.Planes > 1 {
+							hint += fmt.Sprintf(" -planes %d", run.Planes)
+							if run.PlanePolicy != "" {
+								hint += " -plane-policy " + run.PlanePolicy
 							}
 						}
 						fmt.Fprintf(os.Stderr, "dvcheck: interrupted; resume from here with: %s\n", hint)
@@ -262,15 +248,13 @@ matrix:
 					// One builder for the checked run and both audit passes:
 					// each gets its own fault plan and checker configuration.
 					build := func() apprt.RunSpec {
-						spec := apprt.RunSpec{Net: net, Nodes: a.RefNodes, Seed: seed, Platform: plat}
+						spec := base
+						spec.Seed = seed
 						spec.Check = check.All()
-						if *nodesFlag != 0 {
-							spec.Nodes = *nodesFlag
-							// Past-reference sizes exercise the scaled geometries;
-							// keep the fat-tree baseline honest there too.
-							spec.IBScaled = spec.Nodes > a.RefNodes
-						}
-						if lossy {
+						// Past-reference sizes exercise the scaled geometries;
+						// keep the fat-tree baseline honest there too.
+						spec.IBScaled = spec.Nodes > a.RefNodes
+						if fc.name != "none" {
 							spec.Reliable = true
 							spec.WaitTimeout = 500 * sim.Microsecond
 							spec.Faults = fc.plan(seed)

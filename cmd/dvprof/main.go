@@ -11,16 +11,20 @@
 // Usage:
 //
 //	dvprof -list
-//	dvprof [-app gups] [-net dv|ib] [-nodes N] [-seed S] [-cycle]
-//	       [-sample N] [-topk K] [-per-node] [-critpath] [-json]
+//	dvprof -app NAME -net dv|ib [-nodes N] [-seed S] [-cycle] [-planes P]
+//	       [-plane-policy hash|rr] [-sample N] [-topk K] [-json]
 //	       [-heatmap heat.svg] [-trace flows.trace.json]
+//
+// The run-spec flags are the ones dvbench and dvcheck take
+// (apprt.BindRunFlags). A profile is one run, so -app and -net each name
+// exactly one.
 //
 // Examples:
 //
-//	dvprof -app gups                         # stage breakdown, slowest flows
-//	dvprof -app gups -cycle -heatmap h.svg   # + deflection heatmap (SVG)
-//	dvprof -app sort -net ib                 # MPI baseline attribution
-//	dvprof -app gups -trace flows.json       # Chrome/Perfetto flow trace
+//	dvprof -app gups -net dv                         # stage breakdown, slowest flows
+//	dvprof -app gups -net dv -cycle -heatmap h.svg   # + deflection heatmap (SVG)
+//	dvprof -app sort -net ib                         # MPI baseline attribution
+//	dvprof -app gups -net dv -trace flows.json       # Chrome/Perfetto flow trace
 package main
 
 import (
@@ -35,7 +39,6 @@ import (
 	_ "repro/internal/apps/all"
 	"repro/internal/check"
 	"repro/internal/cluster"
-	"repro/internal/comm"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
 	"repro/internal/plot"
@@ -64,17 +67,11 @@ func listApps(w io.Writer) {
 }
 
 func main() {
+	run := apprt.BindRunFlags(flag.CommandLine)
 	var (
 		list    = flag.Bool("list", false, "list registered workloads and exit")
-		appName = flag.String("app", "gups", "workload to profile (see -list)")
-		netStr  = flag.String("net", "dv", "network under test: dv or ib")
-		nodes   = flag.Int("nodes", 0, "cluster nodes (0 = app reference size)")
-		seed    = flag.Uint64("seed", 7, "run seed (pins traffic and sampling)")
-		cycle   = flag.Bool("cycle", false, "cycle-accurate switch core (enables the deflection heatmap)")
 		sample  = flag.Uint64("sample", 1, "trace 1-in-N flows (1 = every flow)")
 		topK    = flag.Int("topk", 16, "slowest-flow drill-down depth")
-		perNode = flag.Bool("per-node", true, "print the per-source-node table")
-		critp   = flag.Bool("critpath", true, "print the run's critical path")
 		jsonOut = flag.Bool("json", false, "emit the attribution summary as JSON instead of tables")
 		heatSVG = flag.String("heatmap", "", "write the cylinder-x-angle deflection heatmap SVG here (needs -cycle)")
 		trOut   = flag.String("trace", "", "write a Chrome/Perfetto trace with per-flow spans and flow-binding events here")
@@ -84,34 +81,35 @@ func main() {
 		listApps(os.Stdout)
 		return
 	}
-	app, ok := apprt.Get(*appName)
-	if !ok {
-		usage("unknown app %q (try -list)", *appName)
+	if run.App == "" {
+		usage("name the app to profile with -app (try -list)")
 	}
-	net, err := comm.ParseNet(*netStr)
+	apps, err := run.Apps()
 	if err != nil {
 		usage("%v", err)
 	}
-	if *nodes < 0 || *topK < 0 {
-		usage("-nodes and -topk must not be negative (%d, %d)", *nodes, *topK)
+	nets, err := run.Nets()
+	if err != nil {
+		usage("%v", err)
 	}
-	if *heatSVG != "" && !*cycle {
+	if len(nets) != 1 {
+		usage("a profile is one run: name one backend with -net dv or -net ib")
+	}
+	if *topK < 0 {
+		usage("-topk must not be negative (%d)", *topK)
+	}
+	if *heatSVG != "" && !run.Cycle {
 		usage("-heatmap needs the cycle-accurate core (-cycle): the fast model has no per-node deflection census")
 	}
 
-	n := *nodes
-	if n == 0 {
-		n = app.RefNodes
+	app, net := apps[0], nets[0]
+	spec, err := run.Spec(net, app.RefNodes)
+	if err != nil {
+		usage("%v", err)
 	}
-	spec := apprt.RunSpec{
-		Net: net, Nodes: n, Seed: *seed,
-		Platform: cluster.Platform{
-			CycleAccurate: *cycle,
-			Trace:         trace.New(),
-			Check:         check.All(),
-			Attr:          &attr.Config{Sample: *sample, TopK: *topK, Chrome: *trOut != ""},
-		},
-	}
+	spec.Trace = trace.New()
+	spec.Check = check.All()
+	spec.Attr = &attr.Config{Sample: *sample, TopK: *topK, Chrome: *trOut != ""}
 	if *trOut != "" {
 		// Flow spans ride the Metrics packet exporter.
 		spec.Obs = &obs.Config{Every: 100 * sim.Microsecond}
@@ -142,25 +140,21 @@ func main() {
 		fmt.Println()
 	} else {
 		fmt.Printf("%s on %s, %d nodes, seed %d: elapsed %.3f us\n\n",
-			app.Name, net, n, *seed, float64(sum.Elapsed)/float64(sim.Microsecond))
+			app.Name, net, spec.Nodes, spec.Seed, float64(sum.Elapsed)/float64(sim.Microsecond))
 		if err := a.WriteTable(os.Stdout); err != nil {
 			fail("%v", err)
 		}
-		if *perNode {
-			fmt.Println()
-			if err := a.WriteNodeTable(os.Stdout); err != nil {
-				fail("%v", err)
-			}
+		fmt.Println()
+		if err := a.WriteNodeTable(os.Stdout); err != nil {
+			fail("%v", err)
 		}
 		fmt.Println()
 		if err := a.WriteSlowest(os.Stdout); err != nil {
 			fail("%v", err)
 		}
-		if *critp {
-			fmt.Println()
-			if err := attr.WriteCritPath(os.Stdout, a.CritPath); err != nil {
-				fail("%v", err)
-			}
+		fmt.Println()
+		if err := attr.WriteCritPath(os.Stdout, a.CritPath); err != nil {
+			fail("%v", err)
 		}
 		if a.Heat != nil {
 			fmt.Println()

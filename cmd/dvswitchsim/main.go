@@ -52,28 +52,80 @@ func parseWindow(s string) (start, end int64, err error) {
 	return start, end, nil
 }
 
+// seed seeds the synthetic traffic, the dead-node placement and the link
+// faults, so a command line always makes the same run.
+const seed = 1
+
+// config is the command line of one run.
+type config struct {
+	heights, angles int
+	pattern         string
+	load            float64
+	cycles          int
+	faults          int
+	droprate        float64
+	corruptrate     float64
+	faultwindow     string
+	metricsPath     string
+	budgetWall      time.Duration
+}
+
+// validate rejects a command line no run can be made of, before anything is
+// sized from it.
+func (c config) validate() error {
+	p := dvswitch.Params{Heights: c.heights, Angles: c.angles}
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	switch c.pattern {
+	case "uniform", "hotspot", "tornado", "bursty":
+	default:
+		return fmt.Errorf("unknown pattern %q (want uniform, hotspot, tornado or bursty)", c.pattern)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-load", c.load}, {"-droprate", c.droprate}, {"-corruptrate", c.corruptrate}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("%s must be in [0, 1] (%v)", f.name, f.v)
+		}
+	}
+	if c.cycles < 1 {
+		return fmt.Errorf("-cycles must be at least 1 (%d)", c.cycles)
+	}
+	// Dead nodes are placed past the first cylinder.
+	if c.faults < 0 || c.faults > 0 && p.Cylinders() < 2 {
+		return fmt.Errorf("-faults %d needs a count >= 0 and, when > 0, -heights >= 2", c.faults)
+	}
+	if c.budgetWall < 0 {
+		return fmt.Errorf("-budget-wall must not be negative (%v)", c.budgetWall)
+	}
+	_, _, err := parseWindow(c.faultwindow)
+	return err
+}
+
 func main() {
-	heights := flag.Int("heights", 8, "cylinder heights H (power of two)")
-	angles := flag.Int("angles", 4, "angles per ring A")
-	pattern := flag.String("pattern", "uniform", "traffic pattern: uniform, hotspot, tornado, bursty")
-	load := flag.Float64("load", 0.5, "offered load per port (packets/cycle)")
-	cycles := flag.Int("cycles", 20000, "injection cycles")
-	seed := flag.Uint64("seed", 1, "RNG seed")
-	faults := flag.Int("faults", 0, "number of random dead mid-fabric switching nodes")
-	droprate := flag.Float64("droprate", 0, "per-link-traversal drop probability")
-	corruptrate := flag.Float64("corruptrate", 0, "per-link-traversal payload-corruption probability")
-	faultwindow := flag.String("faultwindow", "", "cycle window start:end for link faults (default: whole run)")
-	metricsPath := flag.String("metrics", "",
+	var cfg config
+	flag.IntVar(&cfg.heights, "heights", 8, "cylinder heights H (power of two)")
+	flag.IntVar(&cfg.angles, "angles", 4, "angles per ring A")
+	flag.StringVar(&cfg.pattern, "pattern", "uniform", "traffic pattern: uniform, hotspot, tornado, bursty")
+	flag.Float64Var(&cfg.load, "load", 0.5, "offered load per port (packets/cycle, 0 to 1)")
+	flag.IntVar(&cfg.cycles, "cycles", 20000, "injection cycles")
+	flag.IntVar(&cfg.faults, "faults", 0, "number of random dead mid-fabric switching nodes")
+	flag.Float64Var(&cfg.droprate, "droprate", 0, "per-link-traversal drop probability")
+	flag.Float64Var(&cfg.corruptrate, "corruptrate", 0, "per-link-traversal payload-corruption probability")
+	flag.StringVar(&cfg.faultwindow, "faultwindow", "", "cycle window start:end for link faults (default: whole run)")
+	flag.StringVar(&cfg.metricsPath, "metrics", "",
 		"write a Prometheus text dump of the run's instruments to this file ('-' for stdout) and print the stage-attribution summary")
-	budgetWall := flag.Duration("budget-wall", 0,
+	flag.DurationVar(&cfg.budgetWall, "budget-wall", 0,
 		"wall-clock budget; on expiry stop at a cycle boundary and report partial stats (exit 3)")
 	flag.Parse()
-
-	p := dvswitch.Params{Heights: *heights, Angles: *angles}
-	if err := p.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "dvswitchsim: %v\n", err)
 		os.Exit(2)
 	}
+
+	p := dvswitch.Params{Heights: cfg.heights, Angles: cfg.angles}
 	c := dvswitch.NewCore(p)
 	c.Deliver = func(dvswitch.Packet, int64) {}
 	var reg *obs.Registry
@@ -81,7 +133,7 @@ func main() {
 	// Timebase for the attribution stamps: the fleet-wide default cycle
 	// period, so stage durations read in the same units as cluster runs.
 	const ct = dvswitch.DefaultCycleTime
-	if *metricsPath != "" {
+	if cfg.metricsPath != "" {
 		reg = obs.NewRegistry()
 		c.SetObs(reg)
 		// Standalone attribution: Begin at injection, inject_wait while the
@@ -89,7 +141,7 @@ func main() {
 		// mesh (one pump per hop, delivered the cycle after its last hop, so
 		// entry = eject − (hops+1) cycles — the same derivation the cluster
 		// uses). The host-side stages don't exist here and stay zero.
-		tracer = attr.NewTracer(&attr.Config{Sample: 1, Seed: *seed})
+		tracer = attr.NewTracer(&attr.Config{Sample: 1, Seed: seed})
 		c.SetHeat(tracer.HeatGrid(p.Cylinders(), p.Angles))
 		c.Deliver = func(pkt dvswitch.Packet, cycle int64) {
 			if pkt.Flow != 0 {
@@ -100,20 +152,16 @@ func main() {
 			}
 		}
 	}
-	rng := sim.NewRNG(*seed)
-	for k := 0; k < *faults; k++ {
+	rng := sim.NewRNG(seed)
+	for k := 0; k < cfg.faults; k++ {
 		cl := 1 + rng.Intn(p.Cylinders()-1)
 		c.SetFaulty(cl, rng.Intn(p.Heights), rng.Intn(p.Angles), true)
 	}
-	if *droprate > 0 || *corruptrate > 0 {
-		wStart, wEnd, err := parseWindow(*faultwindow)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvswitchsim: %v\n", err)
-			os.Exit(2)
-		}
-		plan := faultplan.Plan{Seed: *seed}
+	if cfg.droprate > 0 || cfg.corruptrate > 0 {
+		wStart, wEnd, _ := parseWindow(cfg.faultwindow) // validated
+		plan := faultplan.Plan{Seed: seed}
 		c.SetFaultProbs(dvswitch.FaultProbs{
-			Drop: *droprate, Corrupt: *corruptrate,
+			Drop: cfg.droprate, Corrupt: cfg.corruptrate,
 			StartCycle: wStart, EndCycle: wEnd,
 		}, plan.EntityRNG("dvswitch-core", 0))
 	}
@@ -123,22 +171,22 @@ func main() {
 	wall := time.Now()
 	budgetHit := false
 	ranCycles := 0
-	for cy := 0; cy < *cycles; cy++ {
+	for cy := 0; cy < cfg.cycles; cy++ {
 		// Watchdog: poll the wall budget at cycle granularity so an oversized
 		// run ends at a clean cycle boundary with a partial report, never a
 		// hang or a mid-cycle kill.
-		if *budgetWall > 0 && cy&1023 == 0 && time.Since(wall) > *budgetWall {
+		if cfg.budgetWall > 0 && cy&1023 == 0 && time.Since(wall) > cfg.budgetWall {
 			budgetHit = true
 			break
 		}
 		ranCycles = cy + 1
 		for src := 0; src < ports; src++ {
-			inject := rng.Float64() < *load
-			if *pattern == "bursty" {
+			inject := rng.Float64() < cfg.load
+			if cfg.pattern == "bursty" {
 				if burstLeft[src] > 0 {
 					inject = true
 					burstLeft[src]--
-				} else if rng.Float64() < *load/16 {
+				} else if rng.Float64() < cfg.load/16 {
 					burstLeft[src] = 15
 					inject = true
 				} else {
@@ -149,7 +197,7 @@ func main() {
 				continue
 			}
 			var dst int
-			switch *pattern {
+			switch cfg.pattern {
 			case "hotspot":
 				if rng.Float64() < 0.25 {
 					dst = hot
@@ -158,11 +206,8 @@ func main() {
 				}
 			case "tornado":
 				dst = (src + ports/2) % ports
-			case "uniform", "bursty":
+			default: // uniform, bursty
 				dst = rng.Intn(ports)
-			default:
-				fmt.Fprintf(os.Stderr, "dvswitchsim: unknown pattern %q\n", *pattern)
-				os.Exit(2)
 			}
 			pkt := dvswitch.Packet{Src: src, Dst: dst}
 			pkt.Flow = tracer.Begin(src, dst, attr.KindWrite, sim.Time(cy)*ct)
@@ -171,35 +216,35 @@ func main() {
 		c.Step()
 	}
 	if budgetHit {
-		*cycles = ranCycles
+		cfg.cycles = ranCycles
 	}
 	drain := c.RunUntilIdle(1 << 24)
 	elapsed := time.Since(wall)
 	st := c.Stats()
 	fmt.Printf("switch %dx%d (%d ports, %d cylinders), pattern=%s load=%.2f\n",
-		*heights, *angles, ports, p.Cylinders(), *pattern, *load)
+		cfg.heights, cfg.angles, ports, p.Cylinders(), cfg.pattern, cfg.load)
 	fmt.Printf("  injected       %d\n", st.Injected)
 	fmt.Printf("  delivered      %d (drain took %d extra cycles)\n", st.Delivered, drain)
 	fmt.Printf("  throughput     %.3f packets/port/cycle\n",
-		float64(st.Delivered)/float64(*cycles)/float64(ports))
+		float64(st.Delivered)/float64(cfg.cycles)/float64(ports))
 	fmt.Printf("  mean latency   %.2f cycles (p50<=%d p99<=%d max %d)\n",
 		st.MeanLatency(), st.LatencyPercentile(50), st.LatencyPercentile(99), st.MaxLatency)
 	fmt.Printf("  mean deflects  %.2f per packet\n", st.MeanDeflections())
 	fmt.Printf("  queued cycles  %d total\n", st.QueuedCycles)
-	simCycles := int64(*cycles) + drain
+	simCycles := int64(cfg.cycles) + drain
 	fmt.Printf("  sim rate       %.2f Mcycles/s wall (%d cycles in %v)\n",
 		float64(simCycles)/elapsed.Seconds()/1e6, simCycles, elapsed.Round(time.Millisecond))
-	if *faults > 0 || *droprate > 0 {
+	if cfg.faults > 0 || cfg.droprate > 0 {
 		fmt.Printf("  dropped        %d (%d dead nodes, %.2g/link drop rate)\n",
-			st.Dropped, *faults, *droprate)
+			st.Dropped, cfg.faults, cfg.droprate)
 	}
-	if *corruptrate > 0 {
-		fmt.Printf("  corrupted      %d (%.2g/link corrupt rate)\n", st.Corrupted, *corruptrate)
+	if cfg.corruptrate > 0 {
+		fmt.Printf("  corrupted      %d (%.2g/link corrupt rate)\n", st.Corrupted, cfg.corruptrate)
 	}
 	if reg != nil {
 		out := os.Stdout
-		if *metricsPath != "-" {
-			f, err := os.Create(*metricsPath)
+		if cfg.metricsPath != "-" {
+			f, err := os.Create(cfg.metricsPath)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "dvswitchsim: %v\n", err)
 				os.Exit(1)
@@ -211,8 +256,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dvswitchsim: %v\n", err)
 			os.Exit(1)
 		}
-		if *metricsPath != "-" {
-			fmt.Printf("  metrics        written to %s\n", *metricsPath)
+		if cfg.metricsPath != "-" {
+			fmt.Printf("  metrics        written to %s\n", cfg.metricsPath)
 		}
 	}
 	if tracer != nil {

@@ -5,8 +5,9 @@
 // comm.Net, injecting fault plans, attaching tracing and the metrics
 // layer, timing the kernels, and assembling the run Report — plus a
 // registry in which every workload under internal/apps self-registers, so
-// drivers (dvbench, dvinfo, examples, the conformance suite) discover the
-// real app set instead of hand-maintaining lists.
+// drivers (dvbench, dvcheck, dvprof, examples, the conformance suite)
+// discover the real app set instead of hand-maintaining lists. The drivers
+// that run apps take one flag set for it (BindRunFlags).
 //
 // An app is reduced to a kernel: a function of (node, backend) returning
 // the node's measured span. Adding a workload is one file — implement the
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/comm"
+	"repro/internal/dvswitch"
 	"repro/internal/sim"
 )
 
@@ -52,7 +54,25 @@ func (s RunSpec) Validate() error {
 	if s.Nodes < 1 {
 		return &cluster.ConfigError{Field: "Nodes", Reason: fmt.Sprintf("must be at least 1 (%d)", s.Nodes)}
 	}
-	return s.Platform.Validate()
+	if err := s.Platform.Validate(); err != nil {
+		return err
+	}
+	if s.Net != comm.DV {
+		return nil
+	}
+	// The switch has one port per VIC. Each factor is bounded before the
+	// product is taken, as dvswitch.Params.Validate does, so it cannot wrap
+	// into a small port count that ForPorts would answer with a valid switch.
+	rails := max(1, s.VICsPerNode)
+	if s.Nodes > dvswitch.MaxGeometryCells || rails > dvswitch.MaxGeometryCells ||
+		int64(s.Nodes)*int64(rails) > dvswitch.MaxGeometryCells {
+		return &cluster.ConfigError{Field: "Nodes", Reason: fmt.Sprintf(
+			"is too large for one Data Vortex switch: %d nodes x %d rails exceed %d ports", s.Nodes, rails, dvswitch.MaxGeometryCells)}
+	}
+	if err := dvswitch.ForPorts(s.Nodes * rails).Validate(); err != nil {
+		return &cluster.ConfigError{Field: "Nodes", Reason: "is too large for one Data Vortex switch: " + err.Error()}
+	}
+	return nil
 }
 
 // Kernel is one workload's per-node body. It receives the node and the

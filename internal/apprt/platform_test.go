@@ -90,6 +90,8 @@ func TestRunSpecValidate_Valid(t *testing.T) {
 			Platform: cluster.Platform{DVPlanes: 0, VICsPerNode: 0}}},
 		{name: "smallest explicit counts", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{DVPlanes: 1, VICsPerNode: 1}}},
+		{name: "256 nodes at 2 rails", spec: apprt.RunSpec{Net: comm.DV, Nodes: 256,
+			Platform: cluster.Platform{VICsPerNode: 2}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -124,6 +126,16 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 			field: "Checkpoint.VirtualBudget"},
 		{name: "nodes reported before platform", spec: apprt.RunSpec{
 			Platform: cluster.Platform{DVPlanes: -1}}, field: "Nodes"},
+		// ForPorts(1e8) is a valid port count whose switch has more cells
+		// than an int32 index can address.
+		{name: "switch past the cell cap", spec: apprt.RunSpec{Net: comm.DV, Nodes: 100_000_000},
+			field: "Nodes"},
+		{name: "ports past the cell cap", spec: apprt.RunSpec{Net: comm.DV, Nodes: 3_000_000_000},
+			field: "Nodes"},
+		// 2^33 x 2^31 is 2^64, which an unbounded int64 product wraps to 0
+		// ports: ForPorts(0) is a valid 1x1 switch.
+		{name: "wrapping nodes x rails", spec: apprt.RunSpec{Net: comm.DV, Nodes: 1 << 33,
+			Platform: cluster.Platform{VICsPerNode: 1 << 31}}, field: "Nodes"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,5 +1,5 @@
 // Registry glue: expose the micro-benchmark to apprt-driven tooling (dvbench
-// -list, dvinfo, the conformance suite) at a small reference size. The
+// -list and -info, the conformance suite) at a small reference size. The
 // registry's Net selector picks the representative implementation per
 // backend: the intrinsic VIC barrier for Data Vortex (the reliable
 // dissemination barrier when spec.Reliable is set) and MPI_Barrier for

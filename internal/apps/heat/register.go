@@ -1,5 +1,5 @@
 // Registry glue: expose the solver to apprt-driven tooling (dvbench
-// -list, dvinfo, the conformance suite) at a small reference size.
+// -list and -info, the conformance suite) at a small reference size.
 
 package heat
 

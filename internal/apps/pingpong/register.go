@@ -1,5 +1,5 @@
 // Registry glue: expose the micro-benchmark to apprt-driven tooling (dvbench
-// -list, dvinfo, the conformance suite) at a small reference size. The
+// -list and -info, the conformance suite) at a small reference size. The
 // registry's Net selector picks the representative mode per backend: the
 // DMA/Cached path for Data Vortex (the paper's best performer) and MPI for
 // InfiniBand.

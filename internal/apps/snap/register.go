@@ -1,5 +1,5 @@
-// Registry glue: expose the proxy to apprt-driven tooling (dvbench -list,
-// dvinfo, the conformance suite) at a small reference size.
+// Registry glue: expose the proxy to apprt-driven tooling (dvbench -list
+// and -info, the conformance suite) at a small reference size.
 
 package snap
 

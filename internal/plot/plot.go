@@ -1,7 +1,7 @@
 // Package plot renders the reproduction's figures as standalone SVG images
 // using only the standard library: line charts for the scaling figures
 // (bandwidth/latency/rate versus size or node count) and grouped bar charts
-// for the speedup figure. cmd/dvplot drives it from dvbench's JSON output.
+// for the speedup figure. dvbench -svg drives it from the tables a run produced.
 package plot
 
 import (
