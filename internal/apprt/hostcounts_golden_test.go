@@ -36,8 +36,14 @@ func TestHostCountsGolden(t *testing.T) {
 				a.Name, slug, ev1-ev0, rs1-rs0, pk1-pk0)
 		}
 	}
-	got := b.String()
-	path := filepath.Join("testdata", "host_counts.golden")
+	lineGolden(t, "host_counts.golden", b.String(), "host counts moved")
+}
+
+// lineGolden compares got with testdata/<name> line by line, naming each
+// line that moved, or rewrites the file under -update-golden.
+func lineGolden(t *testing.T, name, got, moved string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatalf("write golden: %v", err)
@@ -58,7 +64,7 @@ func TestHostCountsGolden(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Errorf("host counts moved:\n  got:  %s\n  want: %s", g, w)
+			t.Errorf("%s at line %d:\n  got:  %s\n  want: %s", moved, i+1, g, w)
 		}
 	}
 }

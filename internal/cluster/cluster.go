@@ -713,9 +713,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 			}
 		}
 		world = mpi.NewWorld(k, ibf, cfg.MPI)
-		if reg != nil {
-			world.SetObs(reg)
-		}
+		world.SetObs(reg)
 		if sampler != nil {
 			// Aggregate uplink busy time per unit virtual time; exceeds 1
 			// when several of the leaf↔spine links are busy concurrently.

@@ -35,8 +35,8 @@ type Endpoint struct {
 
 	rel *reliableState // lazily-initialised reliable-delivery layer
 
-	// obs points at the cluster-shared reliable-layer instruments (SetObs);
-	// nil when observability is disabled.
+	// obs points at the cluster-shared reliable-layer instruments no
+	// ReliableStats field owns (SetObs); nil when observability is disabled.
 	obs *RelObs
 
 	// chk observes reliable-layer progress for the invariant layer

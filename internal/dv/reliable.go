@@ -290,14 +290,8 @@ func (e *Endpoint) reliableChunk(words []vic.Word) error {
 		e.ArmGC(ack, int64(len(pending)))
 		if attempt == 1 {
 			r.st.Writes += int64(len(pending))
-			if e.obs != nil {
-				e.obs.Writes.Add(int64(len(pending)))
-			}
 		} else {
 			r.st.Retransmits += int64(len(pending))
-			if e.obs != nil {
-				e.obs.Retransmits.Add(int64(len(pending)))
-			}
 			// Attribution: flows issued during a retransmission round carry
 			// the round number as their retransmit epoch.
 			e.attr.SetEpoch(e.rank, attempt-1)
@@ -347,15 +341,9 @@ func (e *Endpoint) reliableChunk(words []vic.Word) error {
 			tFail = e.p.Now()
 		}
 		r.st.RetryRounds++
-		if e.obs != nil {
-			e.obs.RetryRounds.Inc()
-		}
 		if attempt >= o.MaxAttempts {
 			r.st.RecoveryTime += e.p.Now() - tFail
 			r.st.Failures++
-			if e.obs != nil {
-				e.obs.Failures.Inc()
-			}
 			err := &DeliveryError{Dst: words[still[0]].Dst, Attempts: attempt, Missing: len(still)}
 			if e.chk != nil {
 				e.chk.ChunkDone(e, words, attempt, err)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/obs"
 	"repro/internal/obs/attr"
 	"repro/internal/sim"
 )
@@ -165,8 +166,8 @@ type Stats struct {
 	Corrupted      int64 // payload corruptions injected by link faults
 
 	// LatHist buckets delivered-packet latencies by log2(cycles):
-	// bucket i counts latencies in [2^i, 2^(i+1)).
-	LatHist [40]int64
+	// bucket i counts latencies in [2^i, 2^(i+1)) (obs.Log2Bucket).
+	LatHist [obs.HistBuckets]int64
 }
 
 // Merge accumulates o into s: counters and histogram buckets sum,
@@ -193,14 +194,7 @@ func (s *Stats) recordLatency(lat int64) {
 	if lat > s.MaxLatency {
 		s.MaxLatency = lat
 	}
-	if lat < 1 {
-		lat = 1
-	}
-	b := bits.Len64(uint64(lat)) - 1
-	if b >= len(s.LatHist) {
-		b = len(s.LatHist) - 1
-	}
-	s.LatHist[b]++
+	s.LatHist[obs.Log2Bucket(lat)]++
 }
 
 // LatencyPercentile returns an upper bound (bucket boundary, in cycles) on
@@ -430,8 +424,8 @@ type Core struct {
 	// mut plants deliberate defects for checker validation (SetMutation).
 	mut Mutation
 
-	// obs holds the registry-backed instruments (SetObs); nil when
-	// observability is disabled, costing one pointer test per hook.
+	// obs holds the per-cylinder deflection counters (SetObs); nil when
+	// observability is disabled, so cleanPath gates on it.
 	obs *SwitchObs
 
 	stats Stats
@@ -653,9 +647,6 @@ func (c *Core) Inject(pkt Packet) {
 		DstC: dstC, Flow: pkt.Flow})
 	c.queued++
 	c.stats.Injected++
-	if c.obs != nil {
-		c.obs.Injected.Inc()
-	}
 }
 
 // InjectBatch queues a whole boundary batch, in order. It is semantically
@@ -963,7 +954,6 @@ func (c *Core) moveCell(idx int, ref int32) {
 	}
 	f.defl++
 	if c.obs != nil {
-		c.obs.Deflected.Inc()
 		c.obs.DeflectByCyl[t.cyl].Inc()
 	}
 	c.heat.Add(int(t.cyl), idx%c.p.Angles)
@@ -1032,7 +1022,6 @@ func (c *Core) moveOne(cl, idx int) {
 	}
 	st.defl++
 	if c.obs != nil {
-		c.obs.Deflected.Inc()
 		c.obs.DeflectByCyl[cl].Inc()
 	}
 	c.heat.Add(cl, a)
@@ -1162,15 +1151,10 @@ func (c *Core) eject(ref int32) {
 	pkt := c.packetAt(ref)
 	c.release(ref)
 	c.flying--
-	lat := c.cycle + 1 - pkt.InjectCycle
 	c.stats.Delivered++
 	c.stats.TotalHops += int64(pkt.Hops)
 	c.stats.TotalDeflected += int64(pkt.Deflections)
-	c.stats.recordLatency(lat)
-	if c.obs != nil {
-		c.obs.Delivered.Inc()
-		c.obs.Latency.Observe(lat)
-	}
+	c.stats.recordLatency(c.cycle + 1 - pkt.InjectCycle)
 	if c.Deliver != nil {
 		c.Deliver(pkt, c.cycle+1)
 		if c.mut&MutDoubleDeliver != 0 {
@@ -1200,9 +1184,6 @@ func (c *Core) drop(ref int32) {
 	c.flying--
 	if c.mut&MutSkipDropCount == 0 {
 		c.stats.Dropped++
-	}
-	if c.obs != nil {
-		c.obs.Dropped.Inc()
 	}
 	if c.DropHook != nil {
 		c.DropHook(pkt)

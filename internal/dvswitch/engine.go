@@ -133,7 +133,6 @@ type FastModel struct {
 	rng *sim.RNG
 	fn  func(pkt Packet)
 	st  Stats
-	obs *SwitchObs // registry-backed instruments (SetObs); nil when disabled
 
 	// attr is the attribution tracer (SetAttr); nil when flow tracing is
 	// disabled, costing one pointer test in Inject.
@@ -243,12 +242,7 @@ func fireDelivery(a any) {
 // injection, and hands it to the delivery callback.
 func (m *FastModel) deliver(pkt *Packet, flight sim.Time) {
 	m.st.Delivered++
-	lat := int64(flight / m.ct)
-	m.st.recordLatency(lat)
-	if m.obs != nil {
-		m.obs.Delivered.Inc()
-		m.obs.Latency.Observe(lat)
-	}
+	m.st.recordLatency(int64(flight / m.ct))
 	if m.fn != nil {
 		m.fn(*pkt)
 	}
@@ -341,9 +335,6 @@ func (m *FastModel) admit(pkt *Packet, now sim.Time) (done sim.Time, ok bool) {
 		panic(fmt.Sprintf("dvswitch: port out of range: src=%d dst=%d ports=%d", pkt.Src, pkt.Dst, m.p.Ports()))
 	}
 	m.st.Injected++
-	if m.obs != nil {
-		m.obs.Injected.Inc()
-	}
 	// Injection link: one packet per cycle per source port.
 	entered := m.in[pkt.Src].Reserve(m.k, m.ct)
 	// Contention: output backlog raises deflection probability. Each
@@ -365,9 +356,6 @@ func (m *FastModel) admit(pkt *Packet, now sim.Time) (done sim.Time, ok bool) {
 		r := m.frng[pkt.Src]
 		if m.fpl.DropProb > 0 && r.Float64() < compound(m.fpl.DropProb, flight) {
 			m.st.Dropped++
-			if m.obs != nil {
-				m.obs.Dropped.Inc()
-			}
 			if m.attr != nil {
 				m.attr.Drop(pkt.Flow)
 			}
@@ -389,9 +377,6 @@ func (m *FastModel) admit(pkt *Packet, now sim.Time) (done sim.Time, ok bool) {
 	pkt.Deflections = defl
 	m.st.TotalHops += flight
 	m.st.TotalDeflected += int64(defl)
-	if m.obs != nil {
-		m.obs.Deflected.Add(int64(defl))
-	}
 	// Attribution: the packet's whole fabric life is determined here —
 	// entered closes the injection wait, done closes the fabric stage.
 	if m.attr != nil && pkt.Flow != 0 {

@@ -6,49 +6,41 @@ import (
 	"repro/internal/obs"
 )
 
-// SwitchObs bundles the fabric's observability instruments: per-event
-// counters mirroring Stats plus a latency histogram with the same log2
-// buckets as Stats.LatHist. It is built from an obs.Registry by SetObs; a
-// nil SwitchObs (observability disabled) costs one pointer test per hook.
+// SwitchObs is the one switch instrument no Stats field owns: deflections per
+// cylinder, counted when they happen. Only the cycle-accurate Core can
+// attribute a deflection to a cylinder.
 type SwitchObs struct {
-	Injected     *obs.Counter
-	Delivered    *obs.Counter
-	Dropped      *obs.Counter
-	Deflected    *obs.Counter   // total deflection-path traversals
-	DeflectByCyl []*obs.Counter // per-cylinder split (cycle-accurate Core only)
-	Latency      *obs.Histogram // inject→eject latency, cycles
+	DeflectByCyl []obs.Counter
 }
 
-// newSwitchObs registers the fabric instruments. cylinders > 0 additionally
-// creates the per-cylinder deflection split (only the cycle-accurate Core
-// can attribute deflections to a cylinder; FastModel passes 0).
-func newSwitchObs(r *obs.Registry, cylinders int) *SwitchObs {
-	if r == nil {
-		return nil
-	}
-	o := &SwitchObs{
-		Injected:  r.Counter("switch_injected_total"),
-		Delivered: r.Counter("switch_delivered_total"),
-		Dropped:   r.Counter("switch_dropped_total"),
-		Deflected: r.Counter("switch_deflected_total"),
-		Latency:   r.Histogram("switch_latency_cycles"),
-	}
-	for cl := 0; cl < cylinders; cl++ {
-		o.DeflectByCyl = append(o.DeflectByCyl,
-			r.Counter(fmt.Sprintf("switch_deflected_cyl%d_total", cl)))
-	}
-	return o
+// statsViews registers views of st on r: the switch_* metrics a Stats owns.
+func statsViews(r *obs.Registry, st *Stats) {
+	r.CounterFunc("switch_injected_total", func() int64 { return st.Injected })
+	r.CounterFunc("switch_delivered_total", func() int64 { return st.Delivered })
+	r.CounterFunc("switch_dropped_total", func() int64 { return st.Dropped })
+	r.HistogramFunc("switch_latency_cycles", func() (int64, int64, int64, *[obs.HistBuckets]int64) {
+		return st.Delivered, st.TotalLatency, st.MaxLatency, &st.LatHist
+	})
 }
 
-// SetObs attaches (or with r == nil detaches) observability instruments to
-// the cycle-accurate core. Safe to call between runs; counters accumulate
-// across the core's lifetime from the moment they are attached.
+// SetObs registers the core's metrics on r: views of its Stats, which read
+// the core's lifetime totals, and its per-cylinder deflection counters, which
+// count from this call, under switch_deflected_cyl<N>_total and, summed,
+// switch_deflected_total. A deflection is counted when it happens, so
+// switch_deflected_total includes the deflections of packets later dropped or
+// still in flight, which Stats.TotalDeflected, summed at ejection, leaves out.
+// A nil r attaches nothing.
 func (c *Core) SetObs(r *obs.Registry) {
 	if r == nil {
-		c.obs = nil
 		return
 	}
-	c.obs = newSwitchObs(r, c.p.Cylinders())
+	statsViews(r, &c.stats)
+	c.obs = &SwitchObs{DeflectByCyl: make([]obs.Counter, c.p.Cylinders())}
+	for cl := range c.obs.DeflectByCyl {
+		n := &c.obs.DeflectByCyl[cl]
+		r.CounterFunc(fmt.Sprintf("switch_deflected_cyl%d_total", cl), n.Value)
+		r.CounterFunc("switch_deflected_total", n.Value)
+	}
 }
 
 // InFlight returns the number of packets currently inside the fabric.
@@ -57,18 +49,16 @@ func (c *Core) InFlight() int { return c.flying }
 // QueuedPackets returns the number of packets waiting in injection queues.
 func (c *Core) QueuedPackets() int { return c.queued }
 
-// SetObs attaches observability instruments to the kernel-coupled engine.
+// SetObs registers the core's metrics on r (Core.SetObs).
 func (e *Engine) SetObs(r *obs.Registry) { e.core.SetObs(r) }
 
-// SetObs attaches observability instruments to the analytic model. The
-// per-cylinder deflection split is not available here: the model draws a
-// total deflection count per packet without attributing it to a cylinder.
+// SetObs registers views of the analytic model's Stats on r, with
+// switch_deflected_total reading Stats.TotalDeflected: the model draws a
+// packet's deflections when it is injected, without attributing them to a
+// cylinder.
 func (m *FastModel) SetObs(r *obs.Registry) {
-	if r == nil {
-		m.obs = nil
-		return
-	}
-	m.obs = newSwitchObs(r, 0)
+	statsViews(r, &m.st)
+	r.CounterFunc("switch_deflected_total", func() int64 { return m.st.TotalDeflected })
 }
 
 // Outstanding returns the number of packets injected but not yet delivered

@@ -95,33 +95,15 @@ type Fabric struct {
 	up     []sim.Pipe // [leaf*Spines+spine]
 	down   []sim.Pipe
 	st     Stats
-
-	// obs holds the registry-backed instruments (SetObs); nil when disabled.
-	obs *fabObs
 }
 
-// fabObs is the fabric's registry-backed instrument set.
-type fabObs struct {
-	messages  *obs.Counter
-	bytes     *obs.Counter
-	interLeaf *obs.Counter
-	flaps     *obs.Counter
-	recovered *obs.Counter
-}
-
-// SetObs attaches observability instruments to the fabric (nil detaches).
+// SetObs registers views of the fabric's Stats on r.
 func (f *Fabric) SetObs(r *obs.Registry) {
-	if r == nil {
-		f.obs = nil
-		return
-	}
-	f.obs = &fabObs{
-		messages:  r.Counter("ib_messages_total"),
-		bytes:     r.Counter("ib_bytes_total"),
-		interLeaf: r.Counter("ib_interleaf_total"),
-		flaps:     r.Counter("ib_flaps_total"),
-		recovered: r.Counter("ib_flap_recoveries_total"),
-	}
+	r.CounterFunc("ib_messages_total", func() int64 { return f.st.Messages })
+	r.CounterFunc("ib_bytes_total", func() int64 { return f.st.Bytes })
+	r.CounterFunc("ib_interleaf_total", func() int64 { return f.st.InterLeaf })
+	r.CounterFunc("ib_flaps_total", func() int64 { return f.st.Flaps })
+	r.CounterFunc("ib_flap_recoveries_total", func() int64 { return f.st.FlapsRecovered })
 }
 
 // UplinkBusy returns the cumulative busy time across every leaf↔spine link
@@ -174,20 +156,12 @@ func (f *Fabric) ScheduleFlap(leaf, spine int, start, d sim.Time) {
 	f.k.At(start, func() {
 		f.st.Flaps++
 		f.st.FlapDowntime += d
-		if f.obs != nil {
-			f.obs.flaps.Inc()
-		}
 		f.up[leaf*f.par.Spines+spine].ReserveAt(start, d)
 		f.down[leaf*f.par.Spines+spine].ReserveAt(start, d)
 	})
 	// Daemon event: recovery is telemetry only and must not keep a run
 	// alive past its last real work (a flap window can outlive the app).
-	f.k.AtDaemon(start+d, func() {
-		f.st.FlapsRecovered++
-		if f.obs != nil {
-			f.obs.recovered.Inc()
-		}
-	})
+	f.k.AtDaemon(start+d, func() { f.st.FlapsRecovered++ })
 }
 
 // occupancy returns the time a resource is held by a message of the given
@@ -218,10 +192,6 @@ func (f *Fabric) TransferArg(src, dst, bytes int, onArrive func(any), arg any) (
 	}
 	f.st.Messages++
 	f.st.Bytes += int64(bytes)
-	if f.obs != nil {
-		f.obs.messages.Inc()
-		f.obs.bytes.Add(int64(bytes))
-	}
 	par := f.par
 	// Source NIC injection. Downstream stages are cut-through: each starts
 	// (one hop later) as the head of the message reaches it, so a large
@@ -241,9 +211,6 @@ func (f *Fabric) TransferArg(src, dst, bytes int, onArrive func(any), arg any) (
 		// paper cites for irregular workloads. Adaptive mode picks the
 		// least-loaded uplink instead.
 		f.st.InterLeaf++
-		if f.obs != nil {
-			f.obs.interLeaf.Inc()
-		}
 		spine := f.leaf(dst) % par.Spines
 		if par.Adaptive {
 			base := f.leaf(src) * par.Spines

@@ -79,7 +79,8 @@ type World struct {
 	// (src, dst, injection time, delivery time, payload bytes).
 	onMessage func(src, dst int, t0, t1 sim.Time, bytes int)
 
-	// obs holds the registry-backed instruments (SetObs); nil when disabled.
+	// obs holds the instruments no Comm field owns (SetObs); nil when
+	// disabled.
 	obs *worldObs
 
 	// Recycled requests and envelopes (newRequest, newMessage).
@@ -87,28 +88,25 @@ type World struct {
 	freeMsgs []*message
 }
 
-// worldObs is the MPI layer's registry-backed instrument set.
+// worldObs counts the protocol each user-level send took.
 type worldObs struct {
-	messages *obs.Counter
-	bytes    *obs.Counter
-	eager    *obs.Counter
-	rndv     *obs.Counter
+	eager *obs.Counter
+	rndv  *obs.Counter
 }
 
-// SetObs attaches observability instruments to the world (nil detaches).
-// It also forwards the registry to the underlying fabric.
+// SetObs registers the MPI metrics on r: views of the ranks' SentMessages and
+// SentBytes, summed over ranks, and the eager/rendezvous instruments. It also
+// forwards the registry to the underlying fabric. A nil r attaches nothing.
 func (w *World) SetObs(r *obs.Registry) {
-	w.F.SetObs(r)
 	if r == nil {
-		w.obs = nil
 		return
 	}
-	w.obs = &worldObs{
-		messages: r.Counter("mpi_messages_total"),
-		bytes:    r.Counter("mpi_bytes_total"),
-		eager:    r.Counter("mpi_eager_total"),
-		rndv:     r.Counter("mpi_rendezvous_total"),
+	w.F.SetObs(r)
+	for _, c := range w.comms {
+		r.CounterFunc("mpi_messages_total", func() int64 { return c.SentMessages })
+		r.CounterFunc("mpi_bytes_total", func() int64 { return c.SentBytes })
 	}
+	w.obs = &worldObs{eager: r.Counter("mpi_eager_total"), rndv: r.Counter("mpi_rendezvous_total")}
 }
 
 // OnMessage installs a message observer (for execution tracing).
@@ -286,8 +284,6 @@ func (c *Comm) isend(dst, tag int, data []byte) *Request {
 	c.SentMessages++
 	c.SentBytes += int64(len(data))
 	if w.obs != nil {
-		w.obs.messages.Inc()
-		w.obs.bytes.Add(int64(len(data)))
 		if len(data) <= w.par.EagerLimit {
 			w.obs.eager.Inc()
 		} else {

@@ -6,11 +6,19 @@
 // in obs/attr — are kept in Pages: fixed pages in append order, never
 // re-copied.
 //
+// A metric has one owner. Where a component already counts something in its
+// own Stats, it registers a view (Registry.CounterFunc, HistogramFunc): a read
+// function the exporters, the snapshot encoder and the sampler call when they
+// read the metric. A view costs nothing per event, whether observability is on
+// or off. Only what no Stats field counts is an instrument the component bumps
+// itself (Counter, Histogram).
+//
 // Every instrument is nil-safe: methods on a nil *Counter / *Histogram are
-// no-ops, and a nil *Registry hands out nil instruments. A component
-// therefore instruments unconditionally and pays only a pointer test per
-// event when observability is disabled — pinned at zero allocations and <5%
-// of the switch-core step budget by BenchmarkCoreStepSparse.
+// no-ops, and a nil *Registry hands out nil instruments and ignores views. A
+// component therefore instruments unconditionally and pays only a pointer test
+// per event when observability is disabled; the switch core's clean move loops
+// carry no instrument at all, and TestCoreStepZeroAllocWithObsCompiledIn pins
+// its step at zero allocations.
 //
 // The simulation kernel is single-threaded, so instruments need no atomics;
 // each parallel bench.Sweep point builds its own kernel and its own Registry.
@@ -24,8 +32,13 @@ import (
 	"strconv"
 )
 
-// Counter is a monotonically increasing int64 instrument.
-type Counter struct{ v int64 }
+// Counter is a monotonically increasing int64 instrument. Its value is what
+// Inc counted plus the reading of every view registered under its name
+// (Registry.CounterFunc).
+type Counter struct {
+	v     int64
+	views []func() int64
+}
 
 // Inc adds 1. No-op on a nil receiver.
 func (c *Counter) Inc() {
@@ -34,36 +47,43 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n. No-op on a nil receiver.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
 // Value returns the current count (0 for a nil receiver).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	v := c.v
+	for _, fn := range c.views {
+		v += fn()
+	}
+	return v
 }
 
-// HistBuckets is the number of log2 buckets per histogram; bucket i counts
-// observations in [2^i, 2^(i+1)), exactly mirroring dvswitch.Stats.LatHist so
-// the two paths hold the same counts for the same observations.
+// HistBuckets is the number of log2 buckets per histogram (Log2Bucket).
 const HistBuckets = 40
 
-// Histogram is a log2-bucketed int64 distribution.
+// Log2Bucket returns the bucket an observation v lands in: bucket i holds
+// [2^i, 2^(i+1)). Values below 1 land in bucket 0, values at or above 2^39 in
+// the last bucket. It is the one bucket rule: Histogram.Observe and every
+// owner that keeps its own log2 histogram (dvswitch.Stats.LatHist) call it.
+func Log2Bucket(v int64) int {
+	if v < 1 {
+		v = 1
+	}
+	return min(bits.Len64(uint64(v))-1, HistBuckets-1)
+}
+
+// Histogram is a log2-bucketed int64 distribution: what Observe recorded
+// combined with every view registered under its name (Registry.HistogramFunc).
 type Histogram struct {
 	count   int64
 	sum     int64
 	max     int64
 	buckets [HistBuckets]int64
+	views   []func() (count, sum, max int64, buckets *[HistBuckets]int64)
 }
 
-// Observe records one value. Values below 1 land in bucket 0, values at or
-// above 2^39 in the last bucket. No-op on a nil receiver.
+// Observe records one value. No-op on a nil receiver.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
@@ -73,31 +93,23 @@ func (h *Histogram) Observe(v int64) {
 	if v > h.max {
 		h.max = v
 	}
-	b := v
-	if b < 1 {
-		b = 1
-	}
-	i := bits.Len64(uint64(b)) - 1
-	if i >= HistBuckets {
-		i = HistBuckets - 1
-	}
-	h.buckets[i]++
+	h.buckets[Log2Bucket(v)]++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
+// read returns the recorded observations combined with every view's: counts,
+// sums and buckets add, the maximum is the largest.
+func (h *Histogram) read() Histogram {
+	out := Histogram{count: h.count, sum: h.sum, max: h.max, buckets: h.buckets}
+	for _, view := range h.views {
+		n, s, m, b := view()
+		out.count += n
+		out.sum += s
+		out.max = max(out.max, m)
+		for i := range b {
+			out.buckets[i] += b[i]
+		}
 	}
-	return h.count
-}
-
-// Bucket returns the count in bucket i (0 when out of range or nil).
-func (h *Histogram) Bucket(i int) int64 {
-	if h == nil || i < 0 || i >= HistBuckets {
-		return 0
-	}
-	return h.buckets[i]
+	return out
 }
 
 // Registry holds named instruments. A nil *Registry is valid and hands out
@@ -144,6 +156,25 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// CounterFunc registers fn as a view under name: every read of the counter
+// adds fn's reading, so the views of several owners (switch planes, VICs,
+// endpoints) registered under one name sum. No-op on a nil registry.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	if c := r.Counter(name); c != nil {
+		c.views = append(c.views, fn)
+	}
+}
+
+// HistogramFunc registers fn as a view under name. fn reads a distribution
+// its owner keeps: the observation count, their sum and maximum, and the
+// counts per Log2Bucket. Every read of the histogram combines it with the
+// rest registered there. No-op on a nil registry.
+func (r *Registry) HistogramFunc(name string, fn func() (count, sum, max int64, buckets *[HistBuckets]int64)) {
+	if h := r.Histogram(name); h != nil {
+		h.views = append(h.views, fn)
+	}
+}
+
 // CounterValue returns the value of a named counter, 0 if absent.
 func (r *Registry) CounterValue(name string) int64 {
 	if r == nil {
@@ -171,7 +202,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, r.counters[n].v); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, r.counters[n].Value()); err != nil {
 			return err
 		}
 	}
@@ -181,7 +212,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		h := r.hists[n]
+		h := r.hists[n].read()
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", n); err != nil {
 			return err
 		}

@@ -11,14 +11,15 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	c.Inc()
-	c.Add(5)
 	if c.Value() != 0 {
 		t.Fatal("nil counter should read 0")
 	}
 	h := r.Histogram("z")
 	h.Observe(9)
-	if h.Count() != 0 || h.Bucket(3) != 0 {
-		t.Fatal("nil histogram should read 0")
+	r.CounterFunc("x", func() int64 { return 1 })
+	r.HistogramFunc("z", func() (int64, int64, int64, *[HistBuckets]int64) { return 1, 1, 1, nil })
+	if h != nil || r.CounterValue("x") != 0 {
+		t.Fatal("a nil registry should hold nothing")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
@@ -51,8 +52,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{0, 1, 2, 3, 4, 7, 8, 100, 1 << 45} {
 		h.Observe(v)
 	}
-	if h.Count() != 9 {
-		t.Fatalf("count = %d, want 9", h.Count())
+	if h.count != 9 {
+		t.Fatalf("count = %d, want 9", h.count)
 	}
 	if h.max != 1<<45 {
 		t.Fatalf("max = %d", h.max)
@@ -60,17 +61,44 @@ func TestHistogramBuckets(t *testing.T) {
 	// 0 and 1 share bucket 0; 2^45 is clamped into the last bucket.
 	want := map[int]int64{0: 2, 1: 2, 2: 2, 3: 1, 6: 1, HistBuckets - 1: 1}
 	for i := 0; i < HistBuckets; i++ {
-		if got := h.Bucket(i); got != want[i] {
+		if got := h.buckets[i]; got != want[i] {
 			t.Errorf("bucket %d = %d, want %d", i, got, want[i])
 		}
+	}
+}
+
+// TestViewsCombineByName registers views of two owners and an instrument
+// under the same names: counts, sums and buckets add, the maximum is the
+// largest, and a view is read when the registry is, not when it is
+// registered.
+func TestViewsCombineByName(t *testing.T) {
+	r := NewRegistry()
+	var a, b int64
+	r.CounterFunc("n_total", func() int64 { return a })
+	r.CounterFunc("n_total", func() int64 { return b })
+	r.Counter("n_total").Inc()
+	var hist [HistBuckets]int64
+	hist[Log2Bucket(3)], hist[Log2Bucket(900)] = 1, 1
+	view := func() (int64, int64, int64, *[HistBuckets]int64) { return 2, 903, 900, &hist }
+	r.HistogramFunc("lat", view)
+	r.HistogramFunc("lat", view)
+	r.Histogram("lat").Observe(1000)
+	a, b = 2, 5
+	if got := r.CounterValue("n_total"); got != 8 {
+		t.Fatalf("n_total = %d, want 8", got)
+	}
+	h := r.hists["lat"].read()
+	if h.count != 5 || h.sum != 2806 || h.max != 1000 || h.buckets[1] != 2 || h.buckets[9] != 3 {
+		t.Fatalf("combined histogram: count %d sum %d max %d buckets %v", h.count, h.sum, h.max, h.buckets)
 	}
 }
 
 func TestWritePrometheusDeterministic(t *testing.T) {
 	mk := func() string {
 		r := NewRegistry()
-		r.Counter("b_total").Add(2)
-		r.Counter("a_total").Add(1)
+		r.Counter("b_total").Inc()
+		r.Counter("b_total").Inc()
+		r.Counter("a_total").Inc()
 		h := r.Histogram("h")
 		h.Observe(1)
 		h.Observe(5)

@@ -1,6 +1,6 @@
-// State capture for the observability layer: every instrument's value
-// in sorted-name order (the same canonical order the Prometheus exporter
-// uses) and the sampler's collected series.
+// State capture for the observability layer: every metric's value, views
+// included, in sorted-name order (the same canonical order the Prometheus
+// exporter uses) and the sampler's collected series.
 
 package obs
 
@@ -26,7 +26,7 @@ func (r *Registry) SnapshotTo(e *snapshot.Encoder) {
 	e.U32(uint32(len(names)))
 	for _, n := range names {
 		e.String(n)
-		e.I64(r.counters[n].v)
+		e.I64(r.counters[n].Value())
 	}
 	names = names[:0]
 	for n := range r.hists {
@@ -35,7 +35,7 @@ func (r *Registry) SnapshotTo(e *snapshot.Encoder) {
 	sort.Strings(names)
 	e.U32(uint32(len(names)))
 	for _, n := range names {
-		h := r.hists[n]
+		h := r.hists[n].read()
 		e.String(n)
 		e.I64(h.count)
 		e.I64(h.sum)

@@ -5,38 +5,53 @@ import (
 	"repro/internal/sim"
 )
 
-// Obs bundles the VIC-level observability instruments. One Obs is shared by
-// every VIC of a cluster (the kernel is single-threaded, so shared counters
-// need no synchronisation); per-VIC depths are read through the FIFODepth
-// and DMABusy accessors instead.
+// Obs is the VIC-level instrument no Stats field owns, shared by every VIC of
+// a cluster (the kernel is single-threaded, so a shared counter needs no
+// synchronisation), and the registry each VIC registers its views on. Per-VIC
+// depths are read through the FIFODepth and DMABusy accessors instead.
 type Obs struct {
-	PktsSent       *obs.Counter
-	PktsReceived   *obs.Counter
-	FIFOPkts       *obs.Counter
-	FIFODropped    *obs.Counter
-	CorruptDropped *obs.Counter
-	Barriers       *obs.Counter
-	GCDecs         *obs.Counter // group-counter decrements executed
+	GCDecs *obs.Counter // group-counter decrements executed
+
+	reg *obs.Registry
 }
 
-// NewObs registers the VIC instruments on r (nil registry → nil Obs).
+// statsViews are the vic_* metrics a VIC's Stats owns.
+var statsViews = []struct {
+	name string
+	read func(*Stats) int64
+}{
+	{"vic_pkts_sent_total", func(s *Stats) int64 { return s.PktsSent }},
+	{"vic_pkts_received_total", func(s *Stats) int64 { return s.PktsReceived }},
+	{"vic_fifo_pkts_total", func(s *Stats) int64 { return s.FIFOPkts }},
+	{"vic_fifo_dropped_total", func(s *Stats) int64 { return s.FIFODropped }},
+	{"vic_corrupt_dropped_total", func(s *Stats) int64 { return s.CorruptDropped }},
+	{"vic_barriers_total", func(s *Stats) int64 { return s.Barriers }},
+}
+
+// NewObs registers the VIC metrics on r: the GCDecs instrument, and the names
+// the VICs' views sum under, so a run without VICs still reports them as 0
+// (nil registry → nil Obs).
 func NewObs(r *obs.Registry) *Obs {
 	if r == nil {
 		return nil
 	}
-	return &Obs{
-		PktsSent:       r.Counter("vic_pkts_sent_total"),
-		PktsReceived:   r.Counter("vic_pkts_received_total"),
-		FIFOPkts:       r.Counter("vic_fifo_pkts_total"),
-		FIFODropped:    r.Counter("vic_fifo_dropped_total"),
-		CorruptDropped: r.Counter("vic_corrupt_dropped_total"),
-		Barriers:       r.Counter("vic_barriers_total"),
-		GCDecs:         r.Counter("vic_gc_decs_total"),
+	for _, sv := range statsViews {
+		r.Counter(sv.name)
 	}
+	return &Obs{GCDecs: r.Counter("vic_gc_decs_total"), reg: r}
 }
 
-// SetObs attaches shared instruments to this VIC (nil detaches).
-func (v *VIC) SetObs(o *Obs) { v.obs = o }
+// SetObs attaches the shared instrument to this VIC and registers views of its
+// Stats, which the registry sums over every VIC. A nil o attaches nothing.
+func (v *VIC) SetObs(o *Obs) {
+	if o == nil {
+		return
+	}
+	v.obs = o
+	for _, sv := range statsViews {
+		o.reg.CounterFunc(sv.name, func() int64 { return sv.read(&v.st) })
+	}
+}
 
 // FIFODepth returns the surprise-FIFO backlog: words still in VIC SRAM plus
 // words drained to the host ring but not yet consumed.

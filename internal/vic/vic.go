@@ -106,7 +106,7 @@ type VIC struct {
 
 	barrierN int
 
-	// obs points at the cluster-shared instruments (SetObs); nil when
+	// obs points at the cluster-shared instrument (SetObs); nil when
 	// observability is disabled.
 	obs *Obs
 
@@ -295,9 +295,6 @@ func (v *VIC) HostSendN(p *sim.Proc, mode SendMode, n int, word func(i int) *Wor
 		return
 	}
 	v.st.PktsSent += int64(n)
-	if v.obs != nil {
-		v.obs.PktsSent.Add(int64(n))
-	}
 	bytesPer := mode.wireBytes()
 	if v.mut&MutUncountedBytes == 0 {
 		v.st.PCIeBytesOut += int64(n * bytesPer)
@@ -633,9 +630,6 @@ func (v *VIC) pushSurprise(src int, val uint64, flow uint32) {
 		// queue; overflow loses the packet (the developer is responsible
 		// for draining fast enough).
 		v.st.FIFODropped++
-		if v.obs != nil {
-			v.obs.FIFODropped.Inc()
-		}
 		if v.chk != nil {
 			v.chk.FIFOPush(v, src, val, true)
 		}
@@ -645,9 +639,6 @@ func (v *VIC) pushSurprise(src int, val uint64, flow uint32) {
 		return
 	}
 	v.st.FIFOPkts++
-	if v.obs != nil {
-		v.obs.FIFOPkts.Inc()
-	}
 	if v.chk != nil {
 		v.chk.FIFOPush(v, src, val, false)
 	}
@@ -740,14 +731,8 @@ func (v *VIC) newDrain() *drainEvent {
 // to the sending application a corruption is indistinguishable from a drop.
 func (v *VIC) Receive(pkt dvswitch.Packet) {
 	v.st.PktsReceived++
-	if v.obs != nil {
-		v.obs.PktsReceived.Inc()
-	}
 	if pkt.Corrupt {
 		v.st.CorruptDropped++
-		if v.obs != nil {
-			v.obs.CorruptDropped.Inc()
-		}
 		if v.attr != nil {
 			v.attr.Drop(pkt.Flow)
 		}
@@ -886,9 +871,6 @@ func barrierChildren(id, n int) []int {
 // is why the paper's Figure 4 shows it staying flat from 2 to 32 nodes.
 func (v *VIC) Barrier(p *sim.Proc) {
 	v.st.Barriers++
-	if v.obs != nil {
-		v.obs.Barriers.Inc()
-	}
 	n := v.barrierN
 	p.Wait(v.par.PIOLatency) // host kicks the VIC
 	if n <= 1 {

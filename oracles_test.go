@@ -220,8 +220,6 @@ var fenceAllow = []allowRow{
 
 	{"vic.VIC.Peek", "probe", "dv and check tests read the DV Memory word a write should have landed in"},
 	{"dv.Endpoint.GCValue", "probe", "dv's arming-hazard test reads the counter a late OpSetGC left stuck"},
-	{"obs.Histogram.Count", "probe", "dvswitch tests hold the latency histogram against Stats.Delivered"},
-	{"obs.Histogram.Bucket", "probe", "dvswitch tests hold each log2 bucket against Stats.LatHist"},
 	{"comm.Backend.Net", "probe", "comm and apprt tests check which fabric a Backend was built for"},
 	{"comm.Backend.Rank", "probe", "comm's Alltoall test builds and checks each node's blocks by rank"},
 	{"comm.Backend.Size", "probe", "as comm.Backend.Rank"},
