@@ -13,7 +13,8 @@
 //	dvbench -info           # the testbed's configuration (-nodes/-planes/-plane-policy)
 //	dvbench -svg figures    # also render every plottable table as an SVG
 //	dvbench -jobs 4         # fan independent sweep points over 4 workers
-//	dvbench -trace out.csv  # where fig5 writes its trace
+//	dvbench -trace out.prv  # where fig5 writes its trace (.csv .json .prv .txt)
+//	dvbench -app gups -net ib -trace t.csv  # trace one -app run
 //	dvbench -metrics m      # observability reference run -> m.jsonl m.prom
 //	                        # m.trace.json + stage-attribution summary table
 //	dvbench -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -39,7 +40,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -54,8 +54,10 @@ import (
 	_ "repro/internal/apps/all"
 	"repro/internal/bench"
 	"repro/internal/cluster"
+	"repro/internal/obs/attr"
 	"repro/internal/plot"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // experiment is one dispatchable entry of the evaluation: a primary id,
@@ -65,12 +67,12 @@ type experiment struct {
 	id      string
 	aliases []string
 	desc    string
-	run     func(opt bench.Options, openTrace func() io.Writer) []*bench.Table
+	run     func(opt bench.Options, writeTrace func(*trace.Log)) []*bench.Table
 }
 
 // one wraps a single-table experiment.
-func one(f func(bench.Options) *bench.Table) func(bench.Options, func() io.Writer) []*bench.Table {
-	return func(opt bench.Options, _ func() io.Writer) []*bench.Table {
+func one(f func(bench.Options) *bench.Table) func(bench.Options, func(*trace.Log)) []*bench.Table {
+	return func(opt bench.Options, _ func(*trace.Log)) []*bench.Table {
 		return []*bench.Table{f(opt)}
 	}
 }
@@ -79,11 +81,13 @@ var experiments = []experiment{
 	{id: "fig3a", desc: "ping-pong bandwidth", run: one(bench.Fig3a)},
 	{id: "fig3b", desc: "ping-pong % of peak", run: one(bench.Fig3b)},
 	{id: "fig4", desc: "barrier latency", run: one(bench.Fig4)},
-	{id: "fig5", desc: "GUPS packet trace", run: func(opt bench.Options, openTrace func() io.Writer) []*bench.Table {
-		return []*bench.Table{bench.Fig5(opt, openTrace())}
+	{id: "fig5", desc: "GUPS packet trace", run: func(opt bench.Options, writeTrace func(*trace.Log)) []*bench.Table {
+		t, log := bench.Fig5Trace(opt)
+		writeTrace(log)
+		return []*bench.Table{t}
 	}},
 	{id: "fig6a", aliases: []string{"fig6b", "fig6"}, desc: "GUPS scaling (both panels)",
-		run: func(opt bench.Options, _ func() io.Writer) []*bench.Table {
+		run: func(opt bench.Options, _ func(*trace.Log)) []*bench.Table {
 			a, b := bench.Fig6(opt)
 			return []*bench.Table{a, b}
 		}},
@@ -134,7 +138,8 @@ func main() {
 	svgDir := flag.String("svg", "", "also render every plottable table as an SVG figure into this directory")
 	jobs := flag.Int("jobs", runtime.NumCPU(),
 		"worker count for independent sweep points (results identical at any value)")
-	tracePath := flag.String("trace", "gups_trace.csv", "output file for the fig5 trace CSV")
+	tracePath := flag.String("trace", "",
+		"trace file fig5 writes (default gups_trace.csv), or that an -app run of one -net writes; the extension picks the format: .csv, .json (Chrome), .prv (Paraver, with .pcf and .row), .txt (ASCII Gantt)")
 	metricsBase := flag.String("metrics", "",
 		"run the observability reference run: write <base>.jsonl, <base>.prom and <base>.trace.json, and print the stage-attribution summary")
 	jsonPath := flag.String("json", "", "also write results as JSON to this file")
@@ -150,6 +155,12 @@ func main() {
 		"for -app: virtual-time budget; same expiry behavior as -budget-wall")
 	flag.Parse()
 
+	if *tracePath != "" {
+		if err := trace.CheckPath(*tracePath); err != nil {
+			fmt.Fprintf(os.Stderr, "dvbench: -trace: %v\n", err)
+			os.Exit(2)
+		}
+	}
 	// A budget bounds one -app run. Anything else would ignore it, so say so
 	// instead of running unbounded.
 	if run.App == "" && (*budgetWall != 0 || *budgetVirtual != 0) {
@@ -253,7 +264,7 @@ func main() {
 				Interrupt:     ctx.Done(),
 			}
 		}
-		err := runApp(run, budget)
+		err := runApp(run, budget, *tracePath)
 		var be *cluster.BudgetExceededError
 		switch {
 		case errors.As(err, &be):
@@ -288,15 +299,16 @@ func main() {
 		}
 		return
 	}
-	var traceOut io.Writer
-	openTrace := func() io.Writer {
-		f, err := os.Create(*tracePath)
-		if err != nil {
+	if *tracePath == "" {
+		*tracePath = "gups_trace.csv"
+	}
+	traced := false
+	writeTrace := func(log *trace.Log) {
+		if err := log.WriteFile(*tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
 			os.Exit(1)
 		}
-		traceOut = f
-		return f
+		traced = true
 	}
 
 	var tables []*bench.Table
@@ -325,7 +337,7 @@ func main() {
 			if ctx.Err() != nil {
 				break
 			}
-			ts := e.run(opt, openTrace)
+			ts := e.run(opt, writeTrace)
 			if ctx.Err() != nil {
 				break
 			}
@@ -351,9 +363,9 @@ func main() {
 			os.Exit(3)
 		}
 	} else if strings.EqualFold(*exp, "all") {
-		tables = bench.All(opt, openTrace())
+		tables = bench.All(opt, writeTrace)
 	} else if e := findExperiment(*exp); e != nil {
-		tables = e.run(opt, openTrace)
+		tables = e.run(opt, writeTrace)
 	} else {
 		fmt.Fprintf(os.Stderr, "dvbench: unknown experiment %q (see -list)\n", *exp)
 		os.Exit(2)
@@ -374,8 +386,7 @@ func main() {
 		f.Close()
 		fmt.Printf("results written to %s\n", *jsonPath)
 	}
-	if c, ok := traceOut.(io.Closer); ok && c != nil {
-		c.Close()
+	if traced {
 		fmt.Printf("fig5 trace written to %s\n", *tracePath)
 	}
 	if *svgDir != "" {
@@ -395,8 +406,9 @@ const maxVirtualBudget = time.Duration(math.MaxInt64 / int64(sim.Nanosecond))
 
 // runApp runs one registered workload through the apprt harness — on every
 // backend -net selects — and prints the summaries. Each run is bounded by its
-// own copy of budget when there is one.
-func runApp(run *apprt.RunFlags, budget *cluster.Checkpoint) error {
+// own copy of budget when there is one. With a trace path the run (of one
+// backend) is traced, and its trace written there.
+func runApp(run *apprt.RunFlags, budget *cluster.Checkpoint, tracePath string) error {
 	apps, err := run.Apps()
 	if err != nil {
 		return err
@@ -406,6 +418,9 @@ func runApp(run *apprt.RunFlags, budget *cluster.Checkpoint) error {
 	if err != nil {
 		return err
 	}
+	if tracePath != "" && len(nets) != 1 {
+		return errors.New("-trace traces one run: name one backend with -net dv or -net ib")
+	}
 	for _, net := range nets {
 		spec, err := run.Spec(net, a.RefNodes)
 		if err != nil {
@@ -414,6 +429,9 @@ func runApp(run *apprt.RunFlags, budget *cluster.Checkpoint) error {
 		if budget != nil {
 			cp := *budget
 			spec.Checkpoint = &cp
+		}
+		if tracePath != "" {
+			spec.Attr = &attr.Config{Trace: true}
 		}
 		ev0, rs0, pk0 := cluster.KernelCounts()
 		t0 := time.Now()
@@ -435,6 +453,17 @@ func runApp(run *apprt.RunFlags, budget *cluster.Checkpoint) error {
 		ev1, rs1, pk1 := cluster.KernelCounts()
 		fmt.Fprintf(os.Stderr, "  host: wall=%v  events=%d  resumes=%d  peak_pending=%d\n",
 			wall.Round(time.Millisecond), ev1-ev0, rs1-rs0, pk1-pk0)
+		if tracePath != "" {
+			log, err := sum.Cluster.Attr.Trace()
+			if err == nil {
+				err = log.WriteFile(tracePath)
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Printf("trace written to %s\n", tracePath)
+		}
 		if cut != nil {
 			return cut
 		}

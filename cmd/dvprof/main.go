@@ -43,7 +43,6 @@ import (
 	"repro/internal/obs/attr"
 	"repro/internal/plot"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func fail(format string, args ...any) {
@@ -107,9 +106,10 @@ func main() {
 	if err != nil {
 		usage("%v", err)
 	}
-	spec.Trace = trace.New()
 	spec.Check = check.All()
-	spec.Attr = &attr.Config{Sample: *sample, TopK: *topK, Chrome: *trOut != ""}
+	// The critical path is walked over the execution trace, which needs
+	// every flow.
+	spec.Attr = &attr.Config{Sample: *sample, TopK: *topK, Chrome: *trOut != "", Trace: *sample <= 1}
 	if *trOut != "" {
 		// Flow spans ride the Metrics packet exporter.
 		spec.Obs = &obs.Config{Every: 100 * sim.Microsecond}
@@ -153,8 +153,12 @@ func main() {
 			fail("%v", err)
 		}
 		fmt.Println()
-		if err := attr.WriteCritPath(os.Stdout, a.CritPath); err != nil {
-			fail("%v", err)
+		if spec.Attr.Trace {
+			if err := attr.WriteCritPath(os.Stdout, a.CritPath); err != nil {
+				fail("%v", err)
+			}
+		} else {
+			fmt.Println("critical path: needs -sample 1 (it is walked over every flow)")
 		}
 		if a.Heat != nil {
 			fmt.Println()

@@ -261,7 +261,7 @@ func main() {
 		}
 	}
 	if tracer != nil {
-		sum := tracer.Finalize()
+		sum := tracer.Finalize(sim.Time(cfg.cycles+int(drain)) * ct)
 		fmt.Println()
 		if err := sum.WriteTable(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "dvswitchsim: %v\n", err)

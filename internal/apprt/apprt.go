@@ -5,7 +5,7 @@
 // comm.Net, injecting fault plans, attaching tracing and the metrics
 // layer, timing the kernels, and assembling the run Report — plus a
 // registry in which every workload under internal/apps self-registers, so
-// drivers (dvbench, dvcheck, dvprof, examples, the conformance suite)
+// drivers (dvbench, dvcheck, dvprof, the conformance suite)
 // discover the real app set instead of hand-maintaining lists. The drivers
 // that run apps take one flag set for it (BindRunFlags).
 //
@@ -20,6 +20,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/dvswitch"
+	"repro/internal/ib"
 	"repro/internal/sim"
 )
 
@@ -58,6 +59,10 @@ func (s RunSpec) Validate() error {
 		return err
 	}
 	if s.Net != comm.DV {
+		if s.Nodes > ib.MaxNodes {
+			return &cluster.ConfigError{Field: "Nodes", Reason: fmt.Sprintf(
+				"is too large for one InfiniBand fat tree: %d nodes exceed %d", s.Nodes, ib.MaxNodes)}
+		}
 		return nil
 	}
 	// The switch has one port per VIC. Each factor is bounded before the

@@ -124,7 +124,10 @@ func TestConformanceReliableUnderFaults(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"barrier", "bfs", "fft", "gups", "heat", "pagerank",
 		"pingpong", "snap", "sort", "spmv", "vorticity"}
-	got := apprt.Names()
+	var got []string
+	for _, a := range apprt.Apps() {
+		got = append(got, a.Name)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d apps %v, want %d", len(got), got, len(want))
 	}

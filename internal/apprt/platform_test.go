@@ -17,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/faultplan"
+	"repro/internal/ib"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
 	"repro/internal/sim"
@@ -68,8 +69,8 @@ func TestOnePlatformType(t *testing.T) {
 			knobs++
 		}
 	}
-	if knobs != 12 {
-		t.Errorf("cluster.Platform has %d exported fields, want 12", knobs)
+	if knobs != 11 {
+		t.Errorf("cluster.Platform has %d exported fields, want 11", knobs)
 	}
 	for _, typ := range []reflect.Type{reflect.TypeOf(apprt.RunSpec{}), reflect.TypeOf(cluster.Config{})} {
 		f, ok := typ.FieldByName("Platform")
@@ -92,6 +93,9 @@ func TestRunSpecValidate_Valid(t *testing.T) {
 			Platform: cluster.Platform{DVPlanes: 1, VICsPerNode: 1}}},
 		{name: "256 nodes at 2 rails", spec: apprt.RunSpec{Net: comm.DV, Nodes: 256,
 			Platform: cluster.Platform{VICsPerNode: 2}}},
+		{name: "InfiniBand at the node cap", spec: apprt.RunSpec{Net: comm.IB, Nodes: ib.MaxNodes}},
+		{name: "traced run of every flow", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{Attr: &attr.Config{Sample: 1, Trace: true}}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -136,6 +140,15 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 		// ports: ForPorts(0) is a valid 1x1 switch.
 		{name: "wrapping nodes x rails", spec: apprt.RunSpec{Net: comm.DV, Nodes: 1 << 33,
 			Platform: cluster.Platform{VICsPerNode: 1 << 31}}, field: "Nodes"},
+		// ib.New allocates per node; ForNodes' k*k search wraps past 2^62.
+		{name: "InfiniBand past the node cap", spec: apprt.RunSpec{Net: comm.IB, Nodes: ib.MaxNodes + 1},
+			field: "Nodes"},
+		{name: "InfiniBand at a billion nodes", spec: apprt.RunSpec{Net: comm.IB, Nodes: 1_000_000_000},
+			field: "Nodes"},
+		{name: "InfiniBand past 2^62 nodes", spec: apprt.RunSpec{Net: comm.IB, Nodes: 1<<62 + 1},
+			field: "Nodes"},
+		{name: "sampled trace", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{Attr: &attr.Config{Sample: 4, Trace: true}}}, field: "Attr.Sample"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -89,13 +89,3 @@ func Get(name string) (App, bool) {
 	a, ok := registry[name]
 	return a, ok
 }
-
-// Names returns the sorted registry names.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}

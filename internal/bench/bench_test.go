@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 var small = Options{Small: true}
@@ -135,12 +137,12 @@ func TestAllProducesEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness is slow")
 	}
-	var buf bytes.Buffer
-	tables := All(small, &buf)
+	var traced int
+	tables := All(small, func(*trace.Log) { traced++ })
 	want := []string{"fig3a", "fig3b", "fig4", "fig5", "fig6a", "fig6b",
 		"fig7", "fig8", "fig9", "extA", "extB", "extC", "extD", "extE", "extF", "extG", "extH", "extI", "extJ", "extK", "extL", "extM", "extN", "extS"}
-	if len(tables) != len(want) {
-		t.Fatalf("got %d tables, want %d", len(tables), len(want))
+	if len(tables) != len(want) || traced != 1 {
+		t.Fatalf("got %d tables and %d traces, want %d and 1", len(tables), traced, len(want))
 	}
 	for i, id := range want {
 		if tables[i].ID != id {

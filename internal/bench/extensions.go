@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/apps/barrier"
 	"repro/internal/apps/bfs"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/dv"
 	"repro/internal/dvswitch"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // ExtSwitchTraffic is extension A: the cycle-accurate switch under
@@ -49,7 +49,7 @@ func ExtSwitchTraffic(opt Options) *Table {
 			pts = append(pts, point{pattern, load})
 		}
 	}
-	for _, row := range SweepRows(opt, "extA", len(pts), func(i int) []string {
+	for _, row := range SweepRows(opt, t, len(pts), func(i int) []string {
 		pt := pts[i]
 		st := runTraffic(pt.pattern, pt.load, cycles)
 		thr := float64(st.Delivered) / float64(cycles) / 32
@@ -134,7 +134,7 @@ func ExtScale(opt Options) *Table {
 	if opt.Small {
 		cycles = 2000
 	}
-	for _, row := range SweepRows(opt, "extB", len(heights), func(i int) []string {
+	for _, row := range SweepRows(opt, t, len(heights), func(i int) []string {
 		h := heights[i]
 		p := dvswitch.Params{Heights: h, Angles: 4}
 		c := dvswitch.NewCore(p)
@@ -216,7 +216,7 @@ func ExtScaleApps(opt Options) *Table {
 	if opt.Small {
 		counts = []int{8, 16}
 	}
-	for _, row := range SweepRows(opt, "extD", 2*len(counts), func(i int) []string {
+	for _, row := range SweepRows(opt, t, 2*len(counts), func(i int) []string {
 		n := counts[i%len(counts)]
 		if i < len(counts) {
 			par := gups.Params{Nodes: n, TableWordsNode: 1 << 14, UpdatesPerNode: 1 << 12}
@@ -363,7 +363,7 @@ func ExtFaults(opt Options) *Table {
 		cycles = 1500
 	}
 	deads := []int{0, 1, 2, 4, 8}
-	for _, row := range SweepRows(opt, "extH", len(deads), func(i int) []string {
+	for _, row := range SweepRows(opt, t, len(deads), func(i int) []string {
 		dead := deads[i]
 		p := dvswitch.Params{Heights: 8, Angles: 4}
 		c := dvswitch.NewCore(p)
@@ -538,7 +538,7 @@ func ExtProvisioning(opt Options) *Table {
 		cycles = 2000
 	}
 	hs := []int{8, 16, 32}
-	for _, row := range SweepRows(opt, "extL", len(hs), func(i int) []string {
+	for _, row := range SweepRows(opt, t, len(hs), func(i int) []string {
 		p := dvswitch.Params{Heights: hs[i], Angles: 4}
 		c := dvswitch.NewCore(p)
 		c.Deliver = func(dvswitch.Packet, int64) {}
@@ -601,17 +601,20 @@ func ExtAppScaling(opt Options) *Table {
 	return t
 }
 
-// All runs every experiment; the Figure 5 trace CSV goes to traceOut when
+// All runs every experiment; the Figure 5 trace goes to traceOut when
 // non-nil.
-func All(opt Options, traceOut io.Writer) []*Table {
+func All(opt Options, traceOut func(*trace.Log)) []*Table {
+	tables := []*Table{Fig3a(opt), Fig3b(opt), Fig4(opt)}
+	fig5, log := Fig5Trace(opt)
+	if traceOut != nil {
+		traceOut(log)
+	}
 	a6, b6 := Fig6(opt)
-	return []*Table{
-		Fig3a(opt), Fig3b(opt), Fig4(opt), Fig5(opt, traceOut),
+	return append(tables, fig5,
 		a6, b6, Fig7(opt), Fig8(opt), Fig9(opt),
 		ExtSwitchTraffic(opt), ExtScale(opt), ExtAblation(opt), ExtScaleApps(opt),
 		ExtRouting(opt), ExtMultiRail(opt), ExtPageRank(opt), ExtFaults(opt),
 		ExtSpMV(opt), ExtSubsetBarrier(opt), ExtSort(opt), ExtProvisioning(opt),
 		ExtAppScaling(opt), ExtReliability(opt),
-		ExtScalingCrossover(opt),
-	}
+		ExtScalingCrossover(opt))
 }

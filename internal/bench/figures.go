@@ -14,6 +14,7 @@ import (
 	"repro/internal/apps/vorticity"
 	"repro/internal/cluster"
 	"repro/internal/comm"
+	"repro/internal/obs/attr"
 	"repro/internal/trace"
 )
 
@@ -111,19 +112,29 @@ func Fig4(opt Options) *Table {
 
 // Fig5 regenerates Figure 5: an execution trace of the MPI GUPS
 // implementation, showing compute intervals and the unaggregatable message
-// pattern. The trace CSV is written to w; the returned table summarises it.
+// pattern. The trace CSV is written to w (when non-nil); the returned table
+// summarises it.
 func Fig5(opt Options, w io.Writer) *Table {
-	rec := trace.New()
+	t, log := Fig5Trace(opt)
+	if w != nil {
+		if err := log.WriteCSV(w); err != nil {
+			panic(err)
+		}
+	}
+	return t
+}
+
+// Fig5Trace runs Figure 5's traced GUPS and returns its summary table and the
+// trace itself, for any of the trace package's writers.
+func Fig5Trace(opt Options) (*Table, *trace.Log) {
 	par := gups.Params{Nodes: 4, TableWordsNode: 1 << 12, UpdatesPerNode: 1 << 11,
-		Platform: cluster.Platform{Trace: rec}}
+		Platform: cluster.Platform{Attr: &attr.Config{Trace: true}}}
 	if opt.Small {
 		par.UpdatesPerNode = 1 << 9
 	}
-	gups.Run(comm.IB, par)
-	if w != nil {
-		if err := rec.WriteCSV(w); err != nil {
-			panic(err)
-		}
+	rec, err := gups.Run(comm.IB, par).Report.Attr.Trace()
+	if err != nil {
+		panic(err)
 	}
 	states, msgs, span := rec.Summary()
 	t := &Table{
@@ -154,7 +165,7 @@ func Fig5(opt Options, w io.Writer) *Table {
 	if windows > 0 {
 		t.AddRow("windows with mixed destinations", fmt.Sprintf("%d/%d", mixed, windows))
 	}
-	return t
+	return t, rec
 }
 
 // Fig6 regenerates Figure 6: GUPS per processing element (a) and aggregate

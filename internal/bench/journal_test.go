@@ -2,12 +2,17 @@ package bench
 
 import (
 	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 )
+
+// tbl is the one-column table the SweepRows tests fill.
+var tbl = &Table{ID: "tbl", Columns: []string{"c"}}
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -32,10 +37,10 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("re-open: %v", err)
 	}
 	defer j2.Close()
-	if cells, ok := j2.Row("fig6a", 3); !ok || !reflect.DeepEqual(cells, []string{"16", "9.9"}) {
-		t.Errorf("row 3: got %v ok=%t", cells, ok)
+	if r, ok := j2.row("fig6a", 3); !ok || !reflect.DeepEqual(r.cells, []string{"16", "9.9"}) {
+		t.Errorf("row 3: got %v ok=%t", r.cells, ok)
 	}
-	if _, ok := j2.Row("fig6a", 1); ok {
+	if _, ok := j2.row("fig6a", 1); ok {
 		t.Error("row 1 was never journaled but resolved")
 	}
 	if ts, ok := j2.Experiment("fig4"); !ok || len(ts) != 1 || !reflect.DeepEqual(ts[0], tab) {
@@ -67,12 +72,109 @@ func TestJournalTornLine(t *testing.T) {
 		t.Fatalf("re-open with torn line: %v", err)
 	}
 	defer j2.Close()
-	if _, ok := j2.Row("extA", 0); !ok {
+	if _, ok := j2.row("extA", 0); !ok {
 		t.Error("complete record lost after a torn line")
 	}
-	if _, ok := j2.Row("extA", 1); ok {
+	if _, ok := j2.row("extA", 1); ok {
 		t.Error("torn record resolved as complete")
 	}
+	// The fragment is gone from the file: the next record starts its own
+	// line, and a third open reads both complete records.
+	j2.PutRow("extA", 2, []string{"ok"})
+	j2.Close()
+	j3, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatalf("re-open after appending past a torn line: %v", err)
+	}
+	defer j3.Close()
+	if _, ok := j3.row("extA", 2); !ok {
+		t.Error("record appended after a torn line lost")
+	}
+}
+
+// writeJournal puts data in a fresh journal directory and opens it.
+func writeJournal(t testing.TB, data string) (*Journal, error) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return OpenJournal(dir)
+}
+
+// TestOpenJournal_Invalid: every line but a torn final one must load; a
+// journal that cannot be replayed whole fails with a *JournalError naming
+// the line, never a panic at print time or a silently skipped record.
+func TestOpenJournal_Invalid(t *testing.T) {
+	row := `{"kind":"row","table":"extA","i":0,"cells":["a"]}` + "\n"
+	tests := []struct {
+		name, data string
+		line       int
+	}{
+		{"null table", `{"kind":"exp","exp":"fig4","tables":[null]}` + "\n", 1},
+		{"unparseable middle line", row + "not json\n" + row, 2},
+		{"unknown kind", row + `{"kind":"rows","table":"extA"}` + "\n", 2},
+		{"row wider than its columns", `{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[["1","2"]]}]}` + "\n", 1},
+		{"complete bad final line", row + "{\n", 2},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			j, err := writeJournal(t, tt.data)
+			var je *JournalError
+			if !errors.As(err, &je) {
+				j.Close()
+				t.Fatalf("OpenJournal = %v, want a *JournalError", err)
+			}
+			if je.Line != tt.line {
+				t.Errorf("error names line %d, want %d (%v)", je.Line, tt.line, err)
+			}
+		})
+	}
+}
+
+// TestSweepRowsRejectsJournaledWidth: a journaled point narrower than its
+// table (an extB row of one cell) is not replayed into the figure; the point
+// is recomputed and the journal reports the bad line.
+func TestSweepRowsRejectsJournaledWidth(t *testing.T) {
+	j, err := writeJournal(t, `{"kind":"row","table":"extB","i":0,"cells":["1"]}`+"\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	tab := &Table{ID: "extB", Columns: []string{"a", "b"}}
+	rows := SweepRows(Options{Journal: j}, tab, 1, func(int) []string { return []string{"x", "y"} })
+	if len(rows[0]) != 2 {
+		t.Errorf("row 0 = %v, want the recomputed two cells", rows[0])
+	}
+	var je *JournalError
+	if err := j.Err(); !errors.As(err, &je) || je.Line != 1 {
+		t.Errorf("Err() = %v, want a *JournalError at line 1", err)
+	}
+}
+
+// FuzzOpenJournal: any bytes on disk either open as a journal whose every
+// replayed table prints, or fail with a *JournalError; never a panic.
+func FuzzOpenJournal(f *testing.F) {
+	f.Add(`{"kind":"row","table":"extA","i":0,"cells":["a"]}` + "\n")
+	f.Add(`{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[["1"]]}]}` + "\n" + `{"kind":"ro`)
+	f.Fuzz(func(t *testing.T, data string) {
+		j, err := writeJournal(t, data)
+		if err != nil {
+			var je *JournalError
+			if !errors.As(err, &je) {
+				t.Fatalf("OpenJournal = %v, want a *JournalError", err)
+			}
+			return
+		}
+		defer j.Close()
+		for id, ts := range j.exps {
+			for _, tab := range ts {
+				if tab == nil {
+					t.Fatalf("experiment %q replays a nil table", id)
+				}
+				tab.Fprint(io.Discard)
+			}
+		}
+	})
 }
 
 func TestSweepRowsSkipsJournaled(t *testing.T) {
@@ -85,7 +187,7 @@ func TestSweepRowsSkipsJournaled(t *testing.T) {
 	j.PutRow("tbl", 1, []string{"from-journal"})
 
 	var calls int32
-	rows := SweepRows(Options{Journal: j}, "tbl", 3, func(i int) []string {
+	rows := SweepRows(Options{Journal: j}, tbl, 3, func(i int) []string {
 		atomic.AddInt32(&calls, 1)
 		return []string{"computed"}
 	})
@@ -96,7 +198,7 @@ func TestSweepRowsSkipsJournaled(t *testing.T) {
 		t.Errorf("rows = %v", rows)
 	}
 	// The fresh points were journaled as they finished.
-	if _, ok := j.Row("tbl", 0); !ok {
+	if _, ok := j.row("tbl", 0); !ok {
 		t.Error("computed point 0 not journaled")
 	}
 }
@@ -105,7 +207,7 @@ func TestSweepRowsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls int32
-	rows := SweepRows(Options{Ctx: ctx}, "tbl", 4, func(i int) []string {
+	rows := SweepRows(Options{Ctx: ctx}, tbl, 4, func(i int) []string {
 		atomic.AddInt32(&calls, 1)
 		return []string{"x"}
 	})
@@ -123,7 +225,7 @@ func TestSweepRowsCancellation(t *testing.T) {
 // Sweep — every point computes.
 func TestSweepRowsNilJournal(t *testing.T) {
 	var calls int32
-	rows := SweepRows(Options{}, "tbl", 3, func(i int) []string {
+	rows := SweepRows(Options{}, tbl, 3, func(i int) []string {
 		atomic.AddInt32(&calls, 1)
 		return []string{"y"}
 	})

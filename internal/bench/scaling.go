@@ -43,7 +43,7 @@ func ExtScalingCrossover(opt Options) *Table {
 		a2aWords = 16
 		a2aRounds = 2
 	}
-	for _, row := range SweepRows(opt, "extS", 3*len(counts), func(i int) []string {
+	for _, row := range SweepRows(opt, t, 3*len(counts), func(i int) []string {
 		n := counts[i%len(counts)]
 		g := dvswitch.ForPorts(n)
 		geom := fmt.Sprintf("%dx%d/C%d", g.Heights, g.Angles, g.Cylinders())

@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs/attr"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
 	"repro/internal/vic"
 )
 
@@ -168,8 +167,7 @@ func TestAttrPureObservation(t *testing.T) {
 func TestAttrDeterministic(t *testing.T) {
 	run := func() []byte {
 		cfg := DefaultConfig(4)
-		cfg.Attr = &attr.Config{Sample: 1, TopK: 8}
-		cfg.Trace = trace.New()
+		cfg.Attr = &attr.Config{Sample: 1, TopK: 8, Trace: true}
 		rep := Run(cfg, attrWorkload)
 		b, err := json.Marshal(rep.Attr)
 		if err != nil {
@@ -239,7 +237,10 @@ func decodeAttrSection(t *testing.T, b []byte) (flows, open int) {
 	if end < len(b) && b[end] == 1 {
 		end += 8 + 8 + 4 + 8*u32(end+1+8+8) // heat: cylinders, angles, cells
 	}
-	if end++; end != len(b) {
+	end++
+	end += flows * (4 + 1)      // traced run: message sizes, fabric marks
+	end += 4 + u32(end)*(4+8+8) // compute spans: node, t0, t1
+	if end != len(b) {
 		t.Fatalf("attr section is %d bytes, its counts account for %d", len(b), end)
 	}
 	for i := 0; i < flows; i++ {
@@ -275,23 +276,25 @@ func attrCkptBody(n *Node) {
 // byte-identical to the straight-through run's, and a repeat reproduces the
 // "attr" image with every other at each boundary.
 func TestAttrAcrossCheckpoint(t *testing.T) {
-	mk := func(tr *trace.Recorder, cp *Checkpoint) Config {
+	mk := func(cp *Checkpoint) Config {
 		cfg := DefaultConfig(4)
 		cfg.Check = check.All()
-		cfg.Attr = &attr.Config{Sample: 1, TopK: 8}
-		cfg.Trace = tr
+		cfg.Attr = &attr.Config{Sample: 1, TopK: 8, Trace: true}
 		cfg.Checkpoint = cp
 		return cfg
 	}
-	traceCSV := func(tr *trace.Recorder) []byte {
+	traceCSV := func(rep *Report) []byte {
+		log, err := rep.Attr.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var b bytes.Buffer
-		if err := tr.WriteCSV(&b); err != nil {
+		if err := log.WriteCSV(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
 	}
-	straightTrace := trace.New()
-	base := Run(mk(straightTrace, nil), attrCkptBody)
+	base := Run(mk(nil), attrCkptBody)
 	if !base.Checks.Ok() {
 		t.Fatalf("straight run invariants: %v", base.Checks.Err())
 	}
@@ -299,7 +302,7 @@ func TestAttrAcrossCheckpoint(t *testing.T) {
 		t.Fatal("straight run has no attribution")
 	}
 	baseJSON := reportJSON(t, base)
-	baseCSV := traceCSV(straightTrace)
+	baseCSV := traceCSV(base)
 
 	anyOpen, lastFlows := false, 0
 	boundaries, err := snapshot.Audit(func(sink func(*snapshot.Snapshot) error) error {
@@ -319,15 +322,14 @@ func TestAttrAcrossCheckpoint(t *testing.T) {
 			}
 			return sink(s)
 		}}
-		tr := trace.New()
-		rep := Run(mk(tr, cp), attrCkptBody)
+		rep := Run(mk(cp), attrCkptBody)
 		if cp.Err != nil {
 			return cp.Err
 		}
 		if got := reportJSON(t, rep); got != baseJSON {
 			t.Errorf("managed Report (attr on) differs from unmanaged:\n got %s\nwant %s", got, baseJSON)
 		}
-		if !bytes.Equal(baseCSV, traceCSV(tr)) {
+		if !bytes.Equal(baseCSV, traceCSV(rep)) {
 			t.Error("trace recorded under the managed pump differs from the straight run")
 		}
 		return nil

@@ -19,7 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vic"
 )
 
@@ -101,9 +100,6 @@ type Platform struct {
 	// for a fixed (Seed, Faults) pair.
 	Faults *faultplan.Plan
 
-	// Trace, when non-nil, records states and MPI messages.
-	Trace *trace.Recorder
-
 	// Obs, when non-nil, enables the unified metrics layer: a registry of
 	// counters and histograms across every enabled stack, a virtual-time
 	// series sampler, and (when Obs.PacketSample > 0) deterministic sampling
@@ -125,7 +121,8 @@ type Platform struct {
 	// stage sums of every traced flow provably equal its end-to-end latency
 	// (enforced when Check.Attr is on). Attribution is pure observation:
 	// enabling it never changes a run's results, and nil costs one pointer
-	// test per seam.
+	// test per seam. With Attr.Trace the tracer also keeps Figure 5's
+	// execution trace (Report.Attr.Trace).
 	Attr *attr.Config
 
 	// Checkpoint, when non-nil, runs the simulation under the managed pump:
@@ -185,6 +182,10 @@ func (p Platform) Validate() error {
 	}
 	if err := p.Faults.Validate(); err != nil {
 		return &ConfigError{Field: "Faults", Reason: "is not a usable plan: " + err.Error()}
+	}
+	if a := p.Attr; a != nil && a.Trace && a.Sample > 1 {
+		return &ConfigError{Field: "Attr.Sample", Reason: fmt.Sprintf(
+			"must be 0 or 1 with Attr.Trace, which needs every flow (%d)", a.Sample)}
 	}
 	if cp := p.Checkpoint; cp != nil {
 		// A negative budget would otherwise read as "no budget" and let the
@@ -246,14 +247,14 @@ type Node struct {
 	Rails []*dv.Endpoint // all Data Vortex rails (len = VICsPerNode)
 	MPI   *mpi.Comm      // nil unless StackIB
 	CPU   CPUModel
-	Trace *trace.Recorder
 
+	attr    *attr.Tracer   // keeps compute spans under Attr.Trace; nil unless Config.Attr
 	compute *obs.Histogram // per-Compute durations, µs; nil unless Config.Obs
 	work    workChain      // Work's chain state (one Work runs at a time)
 }
 
 // Compute advances virtual time by d, representing host computation, and
-// records a trace interval when tracing is enabled.
+// records a trace interval when the run is traced.
 func (n *Node) Compute(d sim.Time) {
 	if d <= 0 {
 		return
@@ -266,7 +267,7 @@ func (n *Node) Compute(d sim.Time) {
 // computed records a compute span of length d that started at t0 and ends
 // now: the trace interval and the histogram sample.
 func (n *Node) computed(t0, d sim.Time) {
-	n.Trace.State(n.ID, "compute", t0, n.P.Now())
+	n.attr.Compute(n.ID, t0, n.P.Now())
 	if n.compute != nil {
 		n.compute.Observe(int64(d / sim.Microsecond))
 	}
@@ -351,9 +352,9 @@ type Report struct {
 
 	// Attr holds the stage-level latency attribution when Config.Attr was
 	// set: per-stage/per-node/per-kind decompositions, the slowest flows,
-	// the deflection heatmap (cycle-accurate runs), and the run's critical
-	// path (when tracing was also on). Omitted from JSON when attribution
-	// was off so pinned golden reports are unchanged.
+	// the deflection heatmap (cycle-accurate runs), and under Attr.Trace the
+	// run's execution trace (Attr.Trace()) and critical path. Omitted from
+	// JSON when attribution was off so pinned golden reports are unchanged.
 	Attr *attr.Summary `json:",omitempty"`
 
 	// Partial marks a report cut short by a checkpoint budget
@@ -666,15 +667,6 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				inner(pkt)
 			}
 		}
-		if cfg.Trace.Enabled() {
-			inner := deliver
-			deliver = func(pkt dvswitch.Packet) {
-				// Packet-granularity record: 16 wire bytes per delivery.
-				cfg.Trace.Message(pkt.Src/stride%cfg.Nodes, pkt.Dst/stride%cfg.Nodes,
-					k.Now(), k.Now(), dvswitch.WireBytes)
-				inner(pkt)
-			}
-		}
 		if tracer != nil && cfg.CycleAccurate {
 			// The cycle engine delivers one pump after the last hop; each hop
 			// is one cycle and the packet spends one cycle entering, so the
@@ -728,16 +720,8 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				return float64(reg.CounterValue("ib_flap_recoveries_total"))
 			})
 		}
-		if cfg.Trace.Enabled() || tracer != nil {
-			// mpi.World takes a single message callback; compose the trace
-			// record and the attribution flow into one closure.
-			traceOn := cfg.Trace.Enabled()
-			world.OnMessage(func(src, dst int, t0, t1 sim.Time, bytes int) {
-				if traceOn {
-					cfg.Trace.Message(src, dst, t0, t1, bytes)
-				}
-				tracer.MPIFlow(src, dst, t0, t1)
-			})
+		if tracer != nil {
+			world.OnMessage(tracer.MPIFlow)
 		}
 	}
 
@@ -749,7 +733,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		nodeRNG := rng.Split()
 		nodeRNGs = append(nodeRNGs, nodeRNG)
 		k.Spawn(fmt.Sprintf("node%d", i), func(p *sim.Proc) {
-			n := &Node{ID: i, P: p, RNG: nodeRNG, CPU: cfg.CPU, Trace: cfg.Trace, compute: reg.Histogram("node_compute_us")}
+			n := &Node{ID: i, P: p, RNG: nodeRNG, CPU: cfg.CPU, attr: tracer, compute: reg.Histogram("node_compute_us")}
 			if vics != nil {
 				for r := 0; r < rails; r++ {
 					e := dv.NewEndpoint(vics[r*cfg.Nodes+i], i, cfg.Nodes)
@@ -840,11 +824,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		// Finalize after the invariant layer so stage-sum violations (if any)
 		// are already recorded; the summary itself is valid even for partial
 		// runs — it only aggregates flows completed so far.
-		sum := tracer.Finalize()
-		if cfg.Trace.Enabled() {
-			sum.CritPath = attr.CriticalPath(cfg.Trace)
-		}
-		rep.Attr = sum
+		rep.Attr = tracer.Finalize(k.Now())
 	}
 	return rep
 }

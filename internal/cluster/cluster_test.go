@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dvswitch"
 	"repro/internal/obs"
+	"repro/internal/obs/attr"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vic"
@@ -109,9 +111,9 @@ func TestWorkMatchesComputePair(t *testing.T) {
 		{"both zero", [][2]int64{{0, 0}}},
 		{"mixed", [][2]int64{{0, 0}, {2, 3}, {0, 9}, {4, 0}, {250000, 250000}, {1, 1}}},
 	}
-	run := func(pairs [][2]int64, work bool) (*Report, *trace.Recorder, uint64) {
+	run := func(pairs [][2]int64, work bool) (*Report, *trace.Log, uint64) {
 		cfg := DefaultConfig(2)
-		cfg.Trace = trace.New()
+		cfg.Attr = &attr.Config{Trace: true}
 		cfg.Obs = &obs.Config{Every: 10 * sim.Microsecond}
 		_, r0, _ := KernelCounts()
 		rep := Run(cfg, func(n *Node) {
@@ -129,7 +131,11 @@ func TestWorkMatchesComputePair(t *testing.T) {
 			}
 		})
 		_, r1, _ := KernelCounts()
-		return rep, cfg.Trace, r1 - r0
+		log, err := rep.Attr.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, log, r1 - r0
 	}
 	prom := func(rep *Report) string {
 		var b strings.Builder
@@ -219,27 +225,47 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsStatesAndMessages: a traced run's trace holds its compute
+// spans, each MPI message with its size, and each Data Vortex packet at its
+// fabric delivery with its wire size.
 func TestTraceRecordsStatesAndMessages(t *testing.T) {
 	cfg := DefaultConfig(2)
-	cfg.Trace = trace.New()
-	Run(cfg, func(n *Node) {
+	cfg.Attr = &attr.Config{Trace: true}
+	rep := Run(cfg, func(n *Node) {
 		n.Compute(sim.Microsecond)
 		if n.ID == 0 {
 			n.MPI.Send(1, 1, make([]byte, 64))
+			n.DV.Put(vic.PIO, 1, 0, vic.NoGC, []uint64{7})
 		} else {
 			n.MPI.Recv(0, 1)
 		}
+		n.DV.Barrier()
 		n.Compute(sim.Microsecond)
 	})
-	states, msgs, span := cfg.Trace.Summary()
+	log, err := rep.Attr.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, msgs, span := log.Summary()
 	if states < 4 {
 		t.Fatalf("states = %d", states)
 	}
-	if msgs != 1 {
-		t.Fatalf("messages = %d", msgs)
-	}
 	if span <= 0 {
 		t.Fatal("empty trace span")
+	}
+	var mpiMsgs, dvMsgs int
+	for _, m := range log.Messages {
+		switch {
+		case m.Bytes == 64 && m.T1 > m.T0:
+			mpiMsgs++
+		case m.Bytes == dvswitch.WireBytes && m.T0 == m.T1 && m.T1 <= rep.Elapsed:
+			dvMsgs++
+		default:
+			t.Errorf("message %+v is neither the 64-byte MPI send nor a Data Vortex delivery", m)
+		}
+	}
+	if mpiMsgs != 1 || dvMsgs < 2 || mpiMsgs+dvMsgs != msgs {
+		t.Fatalf("%d MPI and %d Data Vortex messages of %d, want 1 and at least 2", mpiMsgs, dvMsgs, msgs)
 	}
 }
 

@@ -54,14 +54,26 @@ func DefaultParams() Params {
 	}
 }
 
+// MaxNodes bounds the node count of a fabric. New allocates pipes per node
+// and ForNodes squares its leaf size, so past this bound a run would exhaust
+// memory before it starts, or ForNodes' search would overflow. 2^20 nodes
+// (1024-port leaves and spines) is far past any fat tree the paper's
+// comparison needs; the bound exists to make those failures impossible, not
+// to be reachable.
+const MaxNodes = 1 << 20
+
 // ForNodes returns fat-tree parameters scaled to an n-node cluster with
 // full bisection: LeafSize = Spines = the smallest power of two whose square
 // covers n, so every leaf has as many uplinks as nodes and no level is
 // oversubscribed. The paper's fixed testbed tree (8 nodes/leaf, 2 spines) is
 // 4:1 oversubscribed beyond a few leaves; comparing a scaled Data Vortex
 // against it would flatter deflection routing, so scaling studies use this
-// instead. Timing parameters stay at the FDR calibration.
+// instead. Timing parameters stay at the FDR calibration. n must be at most
+// MaxNodes.
 func ForNodes(n int) Params {
+	if n > MaxNodes {
+		panic(fmt.Sprintf("ib: %d nodes exceed MaxNodes (%d)", n, MaxNodes))
+	}
 	k := 1
 	for k*k < n {
 		k *= 2
@@ -120,6 +132,9 @@ func (f *Fabric) UplinkBusy() sim.Time {
 func New(k *sim.Kernel, n int, par Params) *Fabric {
 	if par.LeafSize <= 0 || par.Spines <= 0 {
 		panic(fmt.Sprintf("ib: invalid topology params %+v", par))
+	}
+	if n > MaxNodes {
+		panic(fmt.Sprintf("ib: %d nodes exceed MaxNodes (%d)", n, MaxNodes))
 	}
 	leaves := (n + par.LeafSize - 1) / par.LeafSize
 	return &Fabric{

@@ -1,6 +1,8 @@
 package ib
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -23,13 +25,32 @@ func TestTransferArrives(t *testing.T) {
 	}
 }
 
+// TestNodeCap: past MaxNodes neither ForNodes nor New builds a fabric; both
+// panic naming the cap (RunSpec.Validate turns it into a ConfigError first).
+func TestNodeCap(t *testing.T) {
+	for name, build := range map[string]func(){
+		"ForNodes":           func() { ForNodes(MaxNodes + 1) },
+		"ForNodes past 2^62": func() { ForNodes(1<<62 + 1) },
+		"New":                func() { New(sim.NewKernel(), MaxNodes+1, DefaultParams()) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MaxNodes") {
+					t.Errorf("%s past the cap: recovered %v, want a panic naming MaxNodes", name, r)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
 // TestForNodesFullBisection pins the scaled fat tree: LeafSize = Spines =
 // the smallest power of two whose square covers n (never oversubscribed),
 // timing calibration untouched, and the resulting fabric routes traffic.
 func TestForNodesFullBisection(t *testing.T) {
 	cases := []struct{ n, k int }{
 		{1, 1}, {4, 2}, {8, 4}, {16, 4}, {32, 8}, {64, 8},
-		{100, 16}, {256, 16}, {1024, 32},
+		{100, 16}, {256, 16}, {1024, 32}, {MaxNodes, 1024},
 	}
 	def := DefaultParams()
 	for _, cse := range cases {

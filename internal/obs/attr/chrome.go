@@ -22,16 +22,17 @@ func (t *Tracer) ChromeEvents(evs *obs.Pages[obs.TraceEvent]) {
 		if !f.Done {
 			continue
 		}
-		args := obs.PacketArgs{Src: f.Src, Dst: f.Dst, Hops: int(f.Hops), Deflections: int(f.Deflections)}
+		src, dst := int(f.Src), int(f.Dst)
+		args := obs.PacketArgs{Src: src, Dst: dst, Hops: int(f.Hops), Deflections: int(f.Deflections)}
 		// Stages up to and including fabric happen source-side (or in the
 		// fabric); eject and drain are destination-side lanes.
 		cur := f.Issue
 		for s := 0; s < NumStages; s++ {
 			d := f.Dur[s]
 			if d > 0 {
-				node := f.Src
+				node := src
 				if Stage(s) >= StageEject {
-					node = f.Dst
+					node = dst
 				}
 				evs.Append(obs.TraceEvent{
 					Name: Stage(s).Name(), Cat: "attr:" + f.Kind.Name(), Ph: "X",
@@ -41,8 +42,8 @@ func (t *Tracer) ChromeEvents(evs *obs.Pages[obs.TraceEvent]) {
 			cur += d
 		}
 		evs.Append(obs.TraceEvent{Name: "flow", Cat: "attr", Ph: "s", TS: usf(f.Issue),
-			PID: f.Src, TID: 0, ID: uint64(f.ID), Args: args})
+			PID: src, TID: 0, ID: uint64(f.ID), Args: args})
 		evs.Append(obs.TraceEvent{Name: "flow", Cat: "attr", Ph: "f", TS: usf(f.End),
-			PID: f.Dst, TID: 0, ID: uint64(f.ID), Args: args})
+			PID: dst, TID: 0, ID: uint64(f.ID), Args: args})
 	}
 }

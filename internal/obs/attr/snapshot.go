@@ -30,8 +30,8 @@ func (t *Tracer) SnapshotTo(e *snapshot.Encoder) {
 	for i := 0; i < n; i++ {
 		f := t.flows.At(i)
 		e.U32(f.ID)
-		e.Int(f.Src)
-		e.Int(f.Dst)
+		e.Int(int(f.Src))
+		e.Int(int(f.Dst))
 		e.U8(uint8(f.Kind))
 		e.U32(uint32(f.Epoch))
 		e.Time(f.Issue)
@@ -63,5 +63,22 @@ func (t *Tracer) SnapshotTo(e *snapshot.Encoder) {
 		e.Int(t.heat.Cylinders)
 		e.Int(t.heat.Angles)
 		e.I64s(t.heat.Cells)
+	}
+
+	if t.cfg.Trace {
+		// What only a traced run keeps: message sizes, fabric marks and
+		// compute spans.
+		for i := 0; i < n; i++ {
+			f := t.flows.At(i)
+			e.U32(uint32(f.Bytes))
+			e.Bool(f.fabric)
+		}
+		e.U32(uint32(t.computes.Len()))
+		for i := 0; i < t.computes.Len(); i++ {
+			c := t.computes.At(i)
+			e.U32(uint32(c.node))
+			e.Time(c.t0)
+			e.Time(c.t1)
+		}
 	}
 }

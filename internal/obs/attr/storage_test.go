@@ -58,18 +58,18 @@ func TestPageBoundaries(t *testing.T) {
 		f := tr.At(i)
 		id := uint32(i + 1)
 		t0 := sim.Time(i) * usT
-		want := Flow{ID: id, Src: i % 7, Dst: i % 5, Kind: Kind(i % int(numKinds)), Issue: t0, last: t0}
+		want := Flow{ID: id, Src: int32(i % 7), Dst: int32(i % 5), Kind: Kind(i % int(numKinds)), Issue: t0, last: t0}
 		if done[id] {
 			drain := sim.Time(id%13) * usT
 			want.Dur = [NumStages]sim.Time{1 * usT, 2 * usT, 1 * usT, 5 * usT, 1 * usT, drain}
 			want.Hops, want.Deflections = int32(id%11), int32(id%3)
-			want.End, want.last, want.Done = t0+10*usT+drain, t0+10*usT+drain, true
+			want.End, want.last, want.Done, want.fabric = t0+10*usT+drain, t0+10*usT+drain, true, true
 		}
 		if *f != want {
 			t.Fatalf("flow %d = %+v, want %+v", id, *f, want)
 		}
 	}
-	if s := tr.Finalize(); s.Begun != int64(tr.Len()) || s.Completed != int64(len(boundaryIDs)) {
+	if s := tr.Finalize(0); s.Begun != int64(tr.Len()) || s.Completed != int64(len(boundaryIDs)) {
 		t.Fatalf("begun/completed = %d/%d", s.Begun, s.Completed)
 	}
 	e := snapshot.NewEncoder()
@@ -98,7 +98,7 @@ func TestSlowestIsTheSortedPrefix(t *testing.T) {
 			e2e := sim.Time(1+rng.Intn(6)) * usT
 			tr.Complete(id, sim.Time(i)*usT+e2e)
 			f := tr.At(i)
-			want = append(want, SlowFlow{ID: f.ID, Src: f.Src, Dst: f.Dst, Kind: f.Kind.Name(),
+			want = append(want, SlowFlow{ID: f.ID, Src: int(f.Src), Dst: int(f.Dst), Kind: f.Kind.Name(),
 				Issue: f.Issue, E2E: e2e, Stages: f.Dur})
 		}
 		sort.SliceStable(want, func(a, b int) bool { return want[a].E2E > want[b].E2E })
@@ -124,6 +124,14 @@ func tracedBytes(n int) uint64 {
 	runtime.ReadMemStats(&m1)
 	runtime.KeepAlive(tr)
 	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestFlowIs104Bytes pins the record size a traced run pays per packet: the
+// message size and fabric mark of a traced run fit beside the narrow fields.
+func TestFlowIs104Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Flow{}); got != 104 {
+		t.Fatalf("attr.Flow is %d bytes, want 104", got)
+	}
 }
 
 // TestFlowStoreBytes: the store allocates what it holds. Three pages of

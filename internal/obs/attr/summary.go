@@ -1,11 +1,13 @@
 package attr
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // StageAgg is the aggregate of one stage over every completed flow.
@@ -72,15 +74,29 @@ type Summary struct {
 
 	// Heat is the cylinder×angle deflection census (cycle-accurate runs).
 	Heat *Heat `json:",omitempty"`
-	// CritPath is the run's critical path when a trace recorder was
-	// attached (see CriticalPath).
+	// CritPath is the run's critical path when the run was traced
+	// (Config.Trace; see CriticalPath).
 	CritPath []CritStep `json:",omitempty"`
+
+	log      *trace.Log // the execution trace, under Config.Trace
+	traceErr error      // why there is no trace
+}
+
+// Trace returns the run's execution trace: the projection of its flows and
+// compute spans that Figure 5 draws (see Config.Trace). It is an error when
+// the run was not traced or kept fewer flows than it made. Nil-safe.
+func (s *Summary) Trace() (*trace.Log, error) {
+	if s == nil {
+		return nil, errors.New("attr: the run kept no attribution summary")
+	}
+	return s.log, s.traceErr
 }
 
 // Finalize aggregates the tracer's flows into a Summary. Call once the
-// simulation is idle; open flows are reported as lost. Nil-safe (returns
-// nil).
-func (t *Tracer) Finalize() *Summary {
+// simulation is idle, with end the virtual time the run reached; open flows
+// are reported as lost. Under Config.Trace the Summary also carries the
+// execution trace and its critical path. Nil-safe (returns nil).
+func (t *Tracer) Finalize(end sim.Time) *Summary {
 	if t == nil {
 		return nil
 	}
@@ -115,7 +131,7 @@ func (t *Tracer) Finalize() *Summary {
 				s.Stages[st].Max = f.Dur[st]
 			}
 		}
-		for len(nodes) <= f.Src {
+		for len(nodes) <= int(f.Src) {
 			nodes = append(nodes, NodeAgg{Node: len(nodes)})
 		}
 		na := &nodes[f.Src]
@@ -140,6 +156,15 @@ func (t *Tracer) Finalize() *Summary {
 		}
 	}
 	s.Slowest = t.slowest(t.cfg.TopK)
+	switch {
+	case !t.cfg.Trace:
+		s.traceErr = errors.New("attr: the run was not traced (Config.Trace)")
+	case t.overflow > 0:
+		s.traceErr = fmt.Errorf("attr: trace incomplete: %d flows past MaxFlows (%d)", t.overflow, t.cfg.MaxFlows)
+	default:
+		s.log = t.traceLog(end)
+		s.CritPath = CriticalPath(s.log)
+	}
 	return s
 }
 
@@ -190,7 +215,7 @@ func (t *Tracer) slowest(k int) []SlowFlow {
 	out := make([]SlowFlow, len(top))
 	for i, f := range top {
 		out[i] = SlowFlow{
-			ID: f.ID, Src: f.Src, Dst: f.Dst, Kind: f.Kind.Name(),
+			ID: f.ID, Src: int(f.Src), Dst: int(f.Dst), Kind: f.Kind.Name(),
 			Epoch: int(f.Epoch), Issue: f.Issue, E2E: f.E2E(), Stages: f.Dur,
 			Hops: int(f.Hops), Deflections: int(f.Deflections),
 		}

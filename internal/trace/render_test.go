@@ -3,35 +3,30 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestRenderASCIIEdgeCases is the table-driven edge-case suite for
 // RenderASCII: zero-span traces, single-node traces, degenerate widths, wide
 // node ids, and malformed intervals must all render without panicking.
 func TestRenderASCIIEdgeCases(t *testing.T) {
-	us := sim.Microsecond
 	cases := []struct {
 		name    string
-		build   func() *Recorder
+		log     *Log
 		width   int
 		want    []string // substrings that must appear
 		wantNot []string // substrings that must not appear
 	}{
 		{
 			name:  "no records",
-			build: New,
+			log:   &Log{},
 			width: 10,
 			want:  []string{"(empty trace)"},
 		},
 		{
 			name: "zero span with records",
-			build: func() *Recorder {
-				r := New()
-				r.State(0, "compute", 0, 0) // instantaneous at t=0
-				r.Message(0, 1, 0, 0, 8)
-				return r
+			log: &Log{
+				States:   []StateRec{{0, "compute", 0, 0}}, // instantaneous at t=0
+				Messages: []MsgRec{{0, 1, 0, 0, 8}},
 			},
 			width: 10,
 			// Must render lanes, not claim the trace is empty: the state
@@ -40,44 +35,29 @@ func TestRenderASCIIEdgeCases(t *testing.T) {
 			wantNot: []string{"empty"},
 		},
 		{
-			name: "single node",
-			build: func() *Recorder {
-				r := New()
-				r.State(0, "compute", 0, 10*us)
-				return r
-			},
+			name:  "single node",
+			log:   &Log{States: []StateRec{{0, "compute", 0, 10 * us}}},
 			width: 8,
 			want:  []string{"node 0", "########"},
 		},
 		{
-			name: "width below one falls back",
-			build: func() *Recorder {
-				r := New()
-				r.State(0, "compute", 0, 10*us)
-				return r
-			},
+			name:  "width below one falls back",
+			log:   &Log{States: []StateRec{{0, "compute", 0, 10 * us}}},
 			width: 0,
 			want:  []string{"80 columns"},
 		},
 		{
 			name: "single column",
-			build: func() *Recorder {
-				r := New()
-				r.State(0, "compute", 0, 10*us)
-				r.Message(0, 0, 0, 5*us, 8)
-				return r
+			log: &Log{
+				States:   []StateRec{{0, "compute", 0, 10 * us}},
+				Messages: []MsgRec{{0, 0, 0, 5 * us, 8}},
 			},
 			width: 1,
 			want:  []string{"node 0", "|#|", "|1|"},
 		},
 		{
-			name: "three digit node ids stay aligned",
-			build: func() *Recorder {
-				r := New()
-				r.State(0, "compute", 0, 10*us)
-				r.State(120, "comm", 0, 10*us)
-				return r
-			},
+			name:  "three digit node ids stay aligned",
+			log:   &Log{States: []StateRec{{0, "compute", 0, 10 * us}, {120, "comm", 0, 10 * us}}},
 			width: 4,
 			// Label column widens to the widest id: both lanes and the msgs
 			// label pad to the same offset.
@@ -85,12 +65,10 @@ func TestRenderASCIIEdgeCases(t *testing.T) {
 		},
 		{
 			name: "backwards interval ignored",
-			build: func() *Recorder {
-				r := New()
-				r.State(0, "compute", 0, 10*us)
-				r.State(0, "comm", 9*us, 2*us) // T1 < T0: malformed
-				return r
-			},
+			log: &Log{States: []StateRec{
+				{0, "compute", 0, 10 * us},
+				{0, "comm", 9 * us, 2 * us}, // T1 < T0: malformed
+			}},
 			width: 10,
 			// The malformed interval must not repaint the lane with '~':
 			// the lane stays solid compute.
@@ -99,13 +77,13 @@ func TestRenderASCIIEdgeCases(t *testing.T) {
 		},
 		{
 			name: "nine plus messages saturate",
-			build: func() *Recorder {
-				r := New()
-				for i := 0; i < 12; i++ {
-					r.Message(0, 1, 0, 10*us, 8)
+			log: func() *Log {
+				l := &Log{Messages: make([]MsgRec, 12)}
+				for i := range l.Messages {
+					l.Messages[i] = MsgRec{0, 1, 0, 10 * us, 8}
 				}
-				return r
-			},
+				return l
+			}(),
 			width: 1,
 			want:  []string{"|+|"},
 		},
@@ -113,7 +91,7 @@ func TestRenderASCIIEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var sb strings.Builder
-			if err := tc.build().RenderASCII(&sb, tc.width); err != nil {
+			if err := tc.log.RenderASCII(&sb, tc.width); err != nil {
 				t.Fatal(err)
 			}
 			out := sb.String()
