@@ -91,13 +91,13 @@ var experiments = []experiment{
 			a, b := bench.Fig6(opt)
 			return []*bench.Table{a, b}
 		}},
-	{id: "fig7", desc: "heat transfer", run: one(bench.Fig7)},
+	{id: "fig7", desc: "FFT-1D aggregate GFLOPS", run: one(bench.Fig7)},
 	{id: "fig8", desc: "Graph500 BFS", run: one(bench.Fig8)},
-	{id: "fig9", desc: "2-D FFT", run: one(bench.Fig9)},
+	{id: "fig9", desc: "application speedup: SNAP, Vorticity, Heat", run: one(bench.Fig9)},
 	{id: "extA", aliases: []string{"switch"}, desc: "switch traffic study", run: one(bench.ExtSwitchTraffic)},
 	{id: "extB", aliases: []string{"scale"}, desc: "scaling study", run: one(bench.ExtScale)},
 	{id: "extC", aliases: []string{"ablation"}, desc: "calibration ablation", run: one(bench.ExtAblation)},
-	{id: "extD", aliases: []string{"scaleapps"}, desc: "app scaling", run: one(bench.ExtScaleApps)},
+	{id: "extD", aliases: []string{"scaleapps"}, desc: "projected GUPS and BFS scaling to 128 nodes", run: one(bench.ExtScaleApps)},
 	{id: "extE", aliases: []string{"routing"}, desc: "routing study", run: one(bench.ExtRouting)},
 	{id: "extF", aliases: []string{"multirail"}, desc: "multi-rail study", run: one(bench.ExtMultiRail)},
 	{id: "extG", aliases: []string{"pagerank"}, desc: "PageRank study", run: one(bench.ExtPageRank)},
@@ -106,7 +106,7 @@ var experiments = []experiment{
 	{id: "extJ", aliases: []string{"subset"}, desc: "subset barrier study", run: one(bench.ExtSubsetBarrier)},
 	{id: "extK", aliases: []string{"sort"}, desc: "sample sort study", run: one(bench.ExtSort)},
 	{id: "extL", aliases: []string{"provisioning"}, desc: "provisioning study", run: one(bench.ExtProvisioning)},
-	{id: "extM", aliases: []string{"appscaling"}, desc: "app scaling study", run: one(bench.ExtAppScaling)},
+	{id: "extM", aliases: []string{"appscaling"}, desc: "application speedup across node counts", run: one(bench.ExtAppScaling)},
 	{id: "extN", aliases: []string{"reliability"}, desc: "reliability study", run: one(bench.ExtReliability)},
 	{id: "extS", aliases: []string{"crossover"}, desc: "scaling crossover: DV planes vs scaled fat tree", run: one(bench.ExtScalingCrossover)},
 	{id: "validate", desc: "cross-variant validation", run: one(bench.Validate)},

@@ -49,20 +49,15 @@ func ExtSwitchTraffic(opt Options) *Table {
 			pts = append(pts, point{pattern, load})
 		}
 	}
-	for _, row := range SweepRows(opt, t, len(pts), func(i int) []string {
+	SweepRows(opt, t, len(pts), func(i int) []Cell {
 		pt := pts[i]
 		st := runTraffic(pt.pattern, pt.load, cycles)
 		thr := float64(st.Delivered) / float64(cycles) / 32
-		return []string{pt.pattern, fmt.Sprintf("%.1f", pt.load), fmt.Sprintf("%.3f", thr),
-			fmt.Sprintf("%.1f", st.MeanLatency()),
-			fmt.Sprintf("%d", st.LatencyPercentile(99)),
-			fmt.Sprintf("%.2f", st.MeanDeflections())}
-	}) {
-		if row == nil {
-			continue // canceled mid-sweep; finished points are journaled
-		}
-		t.AddRow(row...)
-	}
+		return []Cell{Text(pt.pattern), Num(pt.load, 1, None), Num(thr, 3, None),
+			Num(st.MeanLatency(), 1, None),
+			Int(st.LatencyPercentile(99)),
+			Num(st.MeanDeflections(), 2, None)}
+	})
 	return t
 }
 
@@ -114,6 +109,24 @@ func runTraffic(pattern string, load float64, cycles int) dvswitch.Stats {
 	return c.Stats()
 }
 
+// offer drives c for cycles cycles with uniform random traffic among n
+// endpoints stride ports apart: each cycle, every endpoint whose queue holds
+// fewer than 4 packets injects with probability load, to an endpoint drawn at
+// random. It then drains c and returns its stats.
+func offer(c *dvswitch.Core, rng *sim.RNG, n, stride int, load float64, cycles int) dvswitch.Stats {
+	c.Deliver = func(dvswitch.Packet, int64) {}
+	for cy := 0; cy < cycles; cy++ {
+		for i := 0; i < n; i++ {
+			if rng.Float64() < load && c.QueueLen(i*stride) < 4 {
+				c.Inject(dvswitch.Packet{Src: i * stride, Dst: stride * rng.Intn(n)})
+			}
+		}
+		c.Step()
+	}
+	c.RunUntilIdle(1 << 22)
+	return c.Stats()
+}
+
 // ExtScale is extension B: the paper's §IX scale-out argument — each
 // doubling of ports adds one cylinder, so unloaded latency grows only
 // logarithmically while per-port throughput holds.
@@ -134,32 +147,14 @@ func ExtScale(opt Options) *Table {
 	if opt.Small {
 		cycles = 2000
 	}
-	for _, row := range SweepRows(opt, t, len(heights), func(i int) []string {
-		h := heights[i]
-		p := dvswitch.Params{Heights: h, Angles: 4}
-		c := dvswitch.NewCore(p)
-		c.Deliver = func(dvswitch.Packet, int64) {}
-		rng := sim.NewRNG(uint64(h))
+	SweepRows(opt, t, len(heights), func(i int) []Cell {
+		p := dvswitch.Params{Heights: heights[i], Angles: 4}
 		ports := p.Ports()
-		for cy := 0; cy < cycles; cy++ {
-			for src := 0; src < ports; src++ {
-				if rng.Float64() < 0.5 && c.QueueLen(src) < 4 {
-					c.Inject(dvswitch.Packet{Src: src, Dst: rng.Intn(ports)})
-				}
-			}
-			c.Step()
-		}
-		c.RunUntilIdle(1 << 22)
-		st := c.Stats()
-		return []string{fmt.Sprintf("%d", ports), fmt.Sprintf("%d", p.Cylinders()),
-			fmt.Sprintf("%.1f", st.MeanLatency()),
-			fmt.Sprintf("%.3f", float64(st.Delivered)/float64(cycles)/float64(ports))}
-	}) {
-		if row == nil {
-			continue // canceled mid-sweep; finished points are journaled
-		}
-		t.AddRow(row...)
-	}
+		st := offer(dvswitch.NewCore(p), sim.NewRNG(uint64(heights[i])), ports, 1, 0.5, cycles)
+		return []Cell{Int(ports), Int(p.Cylinders()),
+			Num(st.MeanLatency(), 1, None),
+			Num(float64(st.Delivered)/float64(cycles)/float64(ports), 3, None)}
+	})
 	return t
 }
 
@@ -183,8 +178,8 @@ func ExtAblation(opt Options) *Table {
 	for _, batch := range []int{1024, 64, 8} {
 		gp.BatchWords = batch
 		r := gups.Run(comm.DV, gp)
-		t.AddRow("source aggregation", fmt.Sprintf("batch=%d", batch),
-			"MUPS/PE", fmt.Sprintf("%.2f", r.MUPSPerNode()))
+		t.AddRow(Text("source aggregation"), Text(fmt.Sprintf("batch=%d", batch)),
+			Text("MUPS/PE"), Num(r.MUPSPerNode(), 2, None))
 	}
 	// Header caching and DMA: ping-pong plateau per mode.
 	words := 1 << 14
@@ -194,7 +189,7 @@ func ExtAblation(opt Options) *Table {
 	}
 	for _, m := range []pingpong.Mode{pingpong.DVWrNoCached, pingpong.DVWrCached, pingpong.DVDMACached} {
 		r := pingpong.Run(m, pingpong.Params{Words: words, Iters: iters})
-		t.AddRow("host-to-VIC path", m.String(), "GB/s", fmt.Sprintf("%.3f", r.Bandwidth/1e9))
+		t.AddRow(Text("host-to-VIC path"), Text(m.String()), Text("GB/s"), Num(r.Bandwidth/1e9, 3, None))
 	}
 	return t
 }
@@ -216,29 +211,24 @@ func ExtScaleApps(opt Options) *Table {
 	if opt.Small {
 		counts = []int{8, 16}
 	}
-	for _, row := range SweepRows(opt, t, 2*len(counts), func(i int) []string {
+	SweepRows(opt, t, 2*len(counts), func(i int) []Cell {
 		n := counts[i%len(counts)]
 		if i < len(counts) {
 			par := gups.Params{Nodes: n, TableWordsNode: 1 << 14, UpdatesPerNode: 1 << 12}
 			dv := gups.Run(comm.DV, par)
 			ib := gups.Run(comm.IB, par)
-			return []string{"GUPS (MUPS)", fmt.Sprintf("%d", n),
-				fmt.Sprintf("%.1f", dv.MUPS()), fmt.Sprintf("%.1f", ib.MUPS()),
-				fmt.Sprintf("%.2fx", dv.MUPS()/ib.MUPS())}
+			return []Cell{Text("GUPS (MUPS)"), Int(n),
+				Num(dv.MUPS(), 1, None), Num(ib.MUPS(), 1, None),
+				Num(dv.MUPS()/ib.MUPS(), 2, Ratio)}
 		}
 		par := bfs.Params{Nodes: n, Scale: 14, EdgeFactor: 8, NRoots: 2}
 		dv := bfs.Run(comm.DV, par)
 		ib := bfs.Run(comm.IB, par)
-		return []string{"BFS (MTEPS)", fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.1f", dv.HarmonicMeanTEPS()/1e6),
-			fmt.Sprintf("%.1f", ib.HarmonicMeanTEPS()/1e6),
-			fmt.Sprintf("%.2fx", dv.HarmonicMeanTEPS()/ib.HarmonicMeanTEPS())}
-	}) {
-		if row == nil {
-			continue // canceled mid-sweep; finished points are journaled
-		}
-		t.AddRow(row...)
-	}
+		return []Cell{Text("BFS (MTEPS)"), Int(n),
+			Num(dv.HarmonicMeanTEPS()/1e6, 1, None),
+			Num(ib.HarmonicMeanTEPS()/1e6, 1, None),
+			Num(dv.HarmonicMeanTEPS()/ib.HarmonicMeanTEPS(), 2, Ratio)}
+	})
 	return t
 }
 
@@ -267,9 +257,8 @@ func ExtRouting(opt Options) *Table {
 	gp.IBAdaptive = true
 	adpt := gups.Run(comm.IB, gp)
 	dv := gups.Run(comm.DV, gp)
-	t.AddRow("GUPS (MUPS)", fmt.Sprintf("%d", n),
-		fmt.Sprintf("%.1f", stat.MUPS()), fmt.Sprintf("%.1f", adpt.MUPS()),
-		fmt.Sprintf("%.1f", dv.MUPS()))
+	t.AddRow(Text("GUPS (MUPS)"), Int(n),
+		Num(stat.MUPS(), 1, None), Num(adpt.MUPS(), 1, None), Num(dv.MUPS(), 1, None))
 	fp := fft.Params{Nodes: n, LogN: 18}
 	if opt.Small {
 		fp.LogN = 14
@@ -278,9 +267,8 @@ func ExtRouting(opt Options) *Table {
 	fp.IBAdaptive = true
 	fa := fft.Run(comm.IB, fp)
 	fd := fft.Run(comm.DV, fp)
-	t.AddRow("FFT (GFLOPS)", fmt.Sprintf("%d", n),
-		fmt.Sprintf("%.1f", fs.GFLOPS()), fmt.Sprintf("%.1f", fa.GFLOPS()),
-		fmt.Sprintf("%.1f", fd.GFLOPS()))
+	t.AddRow(Text("FFT (GFLOPS)"), Int(n),
+		Num(fs.GFLOPS(), 1, None), Num(fa.GFLOPS(), 1, None), Num(fd.GFLOPS(), 1, None))
 	return t
 }
 
@@ -305,13 +293,12 @@ func ExtMultiRail(opt Options) *Table {
 	for _, rails := range []int{1, 2, 4} {
 		r := pingpong.Run(pingpong.DVDMACached, pingpong.Params{Words: words, Iters: iters,
 			Platform: cluster.Platform{VICsPerNode: rails}})
-		t.AddRow(fmt.Sprintf("DV DMA/Cached, %d rail(s)", rails),
-			fmt.Sprintf("%.2f", r.Bandwidth/1e9),
-			fmt.Sprintf("%.0f%%", 100*r.Bandwidth/4.4e9))
+		t.AddRow(Text(fmt.Sprintf("DV DMA/Cached, %d rail(s)", rails)),
+			Num(r.Bandwidth/1e9, 2, None), Num(100*r.Bandwidth/4.4e9, 0, Percent))
 	}
 	m := pingpong.Run(pingpong.MPIIB, pingpong.Params{Words: words, Iters: iters})
-	t.AddRow("MPI over FDR InfiniBand", fmt.Sprintf("%.2f", m.Bandwidth/1e9),
-		fmt.Sprintf("%.0f%%", 100*m.Bandwidth/4.4e9))
+	t.AddRow(Text("MPI over FDR InfiniBand"), Num(m.Bandwidth/1e9, 2, None),
+		Num(100*m.Bandwidth/4.4e9, 0, Percent))
 	return t
 }
 
@@ -339,8 +326,7 @@ func ExtPageRank(opt Options) *Table {
 		par := pagerank.Params{Nodes: n, Scale: scale, EdgeFactor: 8, MaxIters: 10, Tol: 0}
 		dv := pagerank.Run(comm.DV, par)
 		ib := pagerank.Run(comm.IB, par)
-		t.AddRow(fmt.Sprintf("%d", n), dv.Elapsed.String(), ib.Elapsed.String(),
-			fmt.Sprintf("%.2fx", float64(ib.Elapsed)/float64(dv.Elapsed)))
+		t.AddRow(Int(n), Dur(dv.Elapsed), Dur(ib.Elapsed), speedup(ib.Elapsed, dv.Elapsed))
 	}
 	return t
 }
@@ -363,11 +349,10 @@ func ExtFaults(opt Options) *Table {
 		cycles = 1500
 	}
 	deads := []int{0, 1, 2, 4, 8}
-	for _, row := range SweepRows(opt, t, len(deads), func(i int) []string {
+	SweepRows(opt, t, len(deads), func(i int) []Cell {
 		dead := deads[i]
 		p := dvswitch.Params{Heights: 8, Angles: 4}
 		c := dvswitch.NewCore(p)
-		c.Deliver = func(dvswitch.Packet, int64) {}
 		frng := sim.NewRNG(uint64(dead) + 17)
 		for k := 0; k < dead; k++ {
 			// Kill random mid-fabric nodes (not entry nodes: a dead entry
@@ -375,28 +360,13 @@ func ExtFaults(opt Options) *Table {
 			cl := 1 + frng.Intn(p.Cylinders()-1)
 			c.SetFaulty(cl, frng.Intn(p.Heights), frng.Intn(p.Angles), true)
 		}
-		rng := sim.NewRNG(23)
-		for cy := 0; cy < cycles; cy++ {
-			for port := 0; port < p.Ports(); port++ {
-				if rng.Float64() < 0.3 && c.QueueLen(port) < 4 {
-					c.Inject(dvswitch.Packet{Src: port, Dst: rng.Intn(p.Ports())})
-				}
-			}
-			c.Step()
-		}
-		c.RunUntilIdle(1 << 22)
-		st := c.Stats()
-		return []string{fmt.Sprintf("%d", dead),
-			fmt.Sprintf("%.2f%%", 100*float64(st.Delivered)/float64(st.Injected)),
-			fmt.Sprintf("%d", st.Dropped),
-			fmt.Sprintf("%.1f", st.MeanLatency()),
-			fmt.Sprintf("%d", st.LatencyPercentile(99))}
-	}) {
-		if row == nil {
-			continue // canceled mid-sweep; finished points are journaled
-		}
-		t.AddRow(row...)
-	}
+		st := offer(c, sim.NewRNG(23), p.Ports(), 1, 0.3, cycles)
+		return []Cell{Int(dead),
+			Num(100*float64(st.Delivered)/float64(st.Injected), 2, Percent),
+			Int(st.Dropped),
+			Num(st.MeanLatency(), 1, None),
+			Int(st.LatencyPercentile(99))}
+	})
 	return t
 }
 
@@ -424,9 +394,8 @@ func ExtSpMV(opt Options) *Table {
 		par := spmv.Params{Nodes: n, Scale: scale, EdgeFactor: 6, Iters: 4}
 		dv := spmv.Run(comm.DV, par)
 		ib := spmv.Run(comm.IB, par)
-		t.AddRow(fmt.Sprintf("%d", n), dv.Elapsed.String(), ib.Elapsed.String(),
-			fmt.Sprintf("%.2fx", float64(ib.Elapsed)/float64(dv.Elapsed)),
-			fmt.Sprintf("%d", dv.GhostWords))
+		t.AddRow(Int(n), Dur(dv.Elapsed), Dur(ib.Elapsed), speedup(ib.Elapsed, dv.Elapsed),
+			Int(dv.GhostWords))
 	}
 	return t
 }
@@ -453,8 +422,8 @@ func ExtSubsetBarrier(opt Options) *Table {
 	dvLat := barrier.Run(barrier.DVIntrinsic, nodes, iters).Latency
 	for _, gsize := range []int{2, 4, 8, nodes} {
 		lat := subsetBarrierLatency(nodes, gsize, iters)
-		t.AddRow(fmt.Sprintf("%d", gsize), fmt.Sprintf("%.3fus", lat.Micros()),
-			fmt.Sprintf("%.3fus", dvLat.Micros()), fmt.Sprintf("%.3fus", mpiLat.Micros()))
+		t.AddRow(Int(gsize), Num(lat.Micros(), 3, Micros),
+			Num(dvLat.Micros(), 3, Micros), Num(mpiLat.Micros(), 3, Micros))
 	}
 	return t
 }
@@ -512,10 +481,10 @@ func ExtSort(opt Options) *Table {
 		par := sortapp.Params{Nodes: n, KeysPerNode: keys}
 		dvr := sortapp.Run(comm.DV, par)
 		ibr := sortapp.Run(comm.IB, par)
-		t.AddRow(fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.1f Mkeys/s", dvr.SortedRate()/1e6),
-			fmt.Sprintf("%.1f Mkeys/s", ibr.SortedRate()/1e6),
-			fmt.Sprintf("%.2fx", float64(ibr.Elapsed)/float64(dvr.Elapsed)))
+		t.AddRow(Int(n),
+			Num(dvr.SortedRate()/1e6, 1, MkeysPerSec),
+			Num(ibr.SortedRate()/1e6, 1, MkeysPerSec),
+			speedup(ibr.Elapsed, dvr.Elapsed))
 	}
 	return t
 }
@@ -538,34 +507,15 @@ func ExtProvisioning(opt Options) *Table {
 		cycles = 2000
 	}
 	hs := []int{8, 16, 32}
-	for _, row := range SweepRows(opt, t, len(hs), func(i int) []string {
+	SweepRows(opt, t, len(hs), func(i int) []Cell {
 		p := dvswitch.Params{Heights: hs[i], Angles: 4}
-		c := dvswitch.NewCore(p)
-		c.Deliver = func(dvswitch.Packet, int64) {}
-		rng := sim.NewRNG(31)
 		const endpoints = 32
-		stride := p.Ports() / endpoints
-		port := func(i int) int { return i * stride }
-		for cy := 0; cy < cycles; cy++ {
-			for i := 0; i < endpoints; i++ {
-				if rng.Float64() < 0.9 && c.QueueLen(port(i)) < 4 {
-					c.Inject(dvswitch.Packet{Src: port(i), Dst: port(rng.Intn(endpoints))})
-				}
-			}
-			c.Step()
-		}
-		c.RunUntilIdle(1 << 22)
-		st := c.Stats()
-		return []string{fmt.Sprintf("%d", p.Ports()),
-			fmt.Sprintf("%.3f", float64(st.Delivered)/float64(cycles)/endpoints),
-			fmt.Sprintf("%.1f", st.MeanLatency()),
-			fmt.Sprintf("%d", st.LatencyPercentile(99))}
-	}) {
-		if row == nil {
-			continue // canceled mid-sweep; finished points are journaled
-		}
-		t.AddRow(row...)
-	}
+		st := offer(dvswitch.NewCore(p), sim.NewRNG(31), endpoints, p.Ports()/endpoints, 0.9, cycles)
+		return []Cell{Int(p.Ports()),
+			Num(float64(st.Delivered)/float64(cycles)/endpoints, 3, None),
+			Num(st.MeanLatency(), 1, None),
+			Int(st.LatencyPercentile(99))}
+	})
 	return t
 }
 
@@ -593,10 +543,8 @@ func ExtAppScaling(opt Options) *Table {
 		vd, vi := vorticity.Run(comm.DV, vp), vorticity.Run(comm.IB, vp)
 		hp := heat.Params{Nodes: n, N: 16, Steps: 10}
 		hd, hi := heat.Run(comm.DV, hp), heat.Run(comm.IB, hp)
-		t.AddRow(fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.2fx", float64(si.Elapsed)/float64(sd.Elapsed)),
-			fmt.Sprintf("%.2fx", float64(vi.Elapsed)/float64(vd.Elapsed)),
-			fmt.Sprintf("%.2fx", float64(hi.Elapsed)/float64(hd.Elapsed)))
+		t.AddRow(Int(n), speedup(si.Elapsed, sd.Elapsed), speedup(vi.Elapsed, vd.Elapsed),
+			speedup(hi.Elapsed, hd.Elapsed))
 	}
 	return t
 }

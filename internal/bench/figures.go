@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/obs/attr"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -29,26 +30,7 @@ func Fig3a(opt Options) *Table {
 			"paper: direct writes plateau at the PCIe lane (~0.25/0.5 GB/s); DMA/Cached reaches 99.4% of the 4.4 GB/s peak at 256Ki words; MPI peaks near 72% of 6.8 GB/s and leads at 32-128 and >=512 words",
 		},
 	}
-	maxWords := 1 << 18
-	iters := 40
-	if opt.Small {
-		maxWords = 1 << 12
-		iters = 8
-	}
-	for words := 1; words <= maxWords; words *= 4 {
-		row := []string{fmt.Sprintf("%d", words)}
-		for _, m := range []pingpong.Mode{pingpong.DVWrNoCached, pingpong.DVWrCached,
-			pingpong.DVDMACached, pingpong.MPIIB} {
-			it := iters
-			if words >= 1<<14 {
-				it = 6
-			}
-			r := pingpong.Run(m, pingpong.Params{Words: words, Iters: it})
-			row = append(row, fmt.Sprintf("%.3f", r.Bandwidth/1e9))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return pingpongSweep(opt, t, func(r pingpong.Result) Cell { return Num(r.Bandwidth/1e9, 3, None) })
 }
 
 // Fig3b regenerates Figure 3b: the same sweep as a percentage of each
@@ -62,6 +44,12 @@ func Fig3b(opt Options) *Table {
 			"peaks: Data Vortex 4.4 GB/s, FDR InfiniBand 6.8 GB/s (paper values)",
 		},
 	}
+	return pingpongSweep(opt, t, func(r pingpong.Result) Cell { return Num(r.PercentPeak(), 1, Percent) })
+}
+
+// pingpongSweep fills t with Figure 3's sweep: a row per message size, and
+// in it cell's reading of each transfer configuration's run.
+func pingpongSweep(opt Options, t *Table, cell func(pingpong.Result) Cell) *Table {
 	maxWords := 1 << 18
 	iters := 40
 	if opt.Small {
@@ -69,15 +57,14 @@ func Fig3b(opt Options) *Table {
 		iters = 8
 	}
 	for words := 1; words <= maxWords; words *= 4 {
-		row := []string{fmt.Sprintf("%d", words)}
+		row := []Cell{Int(words)}
 		for _, m := range []pingpong.Mode{pingpong.DVWrNoCached, pingpong.DVWrCached,
 			pingpong.DVDMACached, pingpong.MPIIB} {
 			it := iters
 			if words >= 1<<14 {
 				it = 6
 			}
-			r := pingpong.Run(m, pingpong.Params{Words: words, Iters: it})
-			row = append(row, fmt.Sprintf("%.1f%%", r.PercentPeak()))
+			row = append(row, cell(pingpong.Run(m, pingpong.Params{Words: words, Iters: it})))
 		}
 		t.AddRow(row...)
 	}
@@ -100,10 +87,10 @@ func Fig4(opt Options) *Table {
 		iters = 30
 	}
 	for _, n := range opt.nodeSweep(2) {
-		row := []string{fmt.Sprintf("%d", n)}
+		row := []Cell{Int(n)}
 		for _, impl := range []barrier.Impl{barrier.DVIntrinsic, barrier.DVFastBarrier, barrier.MPIBarrier} {
 			r := barrier.Run(impl, n, iters)
-			row = append(row, fmt.Sprintf("%.3f", r.Latency.Micros()))
+			row = append(row, Num(r.Latency.Micros(), 3, None))
 		}
 		t.AddRow(row...)
 	}
@@ -145,9 +132,9 @@ func Fig5Trace(opt Options) (*Table, *trace.Log) {
 			"paper: the Extrae trace shows no exploitable regularity for destination aggregation; every interval mixes messages to many destinations",
 		},
 	}
-	t.AddRow("state intervals", fmt.Sprintf("%d", states))
-	t.AddRow("messages", fmt.Sprintf("%d", msgs))
-	t.AddRow("span", span.String())
+	t.AddRow(Text("state intervals"), Int(states))
+	t.AddRow(Text("messages"), Int(msgs))
+	t.AddRow(Text("span"), Dur(span))
 	// Destination mixing: count distinct destinations per 64-message window.
 	window, distinct, windows := 0, map[int]bool{}, 0
 	mixed := 0
@@ -163,7 +150,7 @@ func Fig5Trace(opt Options) (*Table, *trace.Log) {
 		}
 	}
 	if windows > 0 {
-		t.AddRow("windows with mixed destinations", fmt.Sprintf("%d/%d", mixed, windows))
+		t.AddRow(Text("windows with mixed destinations"), Text(fmt.Sprintf("%d/%d", mixed, windows)))
 	}
 	return t, rec
 }
@@ -196,8 +183,8 @@ func Fig6(opt Options) (a, b *Table) {
 		par.Nodes = n
 		dv := gups.Run(comm.DV, par)
 		ib := gups.Run(comm.IB, par)
-		a.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.2f", dv.MUPSPerNode()), fmt.Sprintf("%.2f", ib.MUPSPerNode()))
-		b.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.1f", dv.MUPS()), fmt.Sprintf("%.1f", ib.MUPS()))
+		a.AddRow(Int(n), Num(dv.MUPSPerNode(), 2, None), Num(ib.MUPSPerNode(), 2, None))
+		b.AddRow(Int(n), Num(dv.MUPS(), 1, None), Num(ib.MUPS(), 1, None))
 	}
 	return a, b
 }
@@ -219,7 +206,7 @@ func Fig7(opt Options) *Table {
 	for _, n := range opt.nodeSweep(2) {
 		dv := fft.Run(comm.DV, fft.Params{Nodes: n, LogN: logN})
 		ib := fft.Run(comm.IB, fft.Params{Nodes: n, LogN: logN})
-		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.2f", dv.GFLOPS()), fmt.Sprintf("%.2f", ib.GFLOPS()))
+		t.AddRow(Int(n), Num(dv.GFLOPS(), 2, None), Num(ib.GFLOPS(), 2, None))
 	}
 	return t
 }
@@ -243,9 +230,7 @@ func Fig8(opt Options) *Table {
 		par.Nodes = n
 		dv := bfs.Run(comm.DV, par)
 		ib := bfs.Run(comm.IB, par)
-		t.AddRow(fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.1f", dv.HarmonicMeanTEPS()/1e6),
-			fmt.Sprintf("%.1f", ib.HarmonicMeanTEPS()/1e6))
+		t.AddRow(Int(n), Num(dv.HarmonicMeanTEPS()/1e6, 1, None), Num(ib.HarmonicMeanTEPS()/1e6, 1, None))
 	}
 	return t
 }
@@ -272,13 +257,15 @@ func Fig9(opt Options) *Table {
 		hp = heat.Params{Nodes: nodes, N: 16, Steps: 5}
 	}
 	sd, si := snap.Run(comm.DV, sp), snap.Run(comm.IB, sp)
-	t.AddRow("SNAP", sd.Elapsed.String(), si.Elapsed.String(),
-		fmt.Sprintf("%.2fx", float64(si.Elapsed)/float64(sd.Elapsed)))
+	t.AddRow(Text("SNAP"), Dur(sd.Elapsed), Dur(si.Elapsed), speedup(si.Elapsed, sd.Elapsed))
 	vd, vi := vorticity.Run(comm.DV, vp), vorticity.Run(comm.IB, vp)
-	t.AddRow("Vorticity", vd.Elapsed.String(), vi.Elapsed.String(),
-		fmt.Sprintf("%.2fx", float64(vi.Elapsed)/float64(vd.Elapsed)))
+	t.AddRow(Text("Vorticity"), Dur(vd.Elapsed), Dur(vi.Elapsed), speedup(vi.Elapsed, vd.Elapsed))
 	hd, hi := heat.Run(comm.DV, hp), heat.Run(comm.IB, hp)
-	t.AddRow("Heat", hd.Elapsed.String(), hi.Elapsed.String(),
-		fmt.Sprintf("%.2fx", float64(hi.Elapsed)/float64(hd.Elapsed)))
+	t.AddRow(Text("Heat"), Dur(hd.Elapsed), Dur(hi.Elapsed), speedup(hi.Elapsed, hd.Elapsed))
 	return t
+}
+
+// speedup is how many times longer slow took than fast, as a Ratio cell.
+func speedup(slow, fast sim.Time) Cell {
+	return Num(float64(slow)/float64(fast), 2, Ratio)
 }

@@ -5,16 +5,20 @@
 // experiments are replayed from their stored tables, finished points are
 // returned without recomputation, and only the remaining work runs. Because
 // every sweep point derives its results from its own fixed seed, a resumed
-// run's final figures are byte-identical to an uninterrupted run's.
+// run's final figures are byte-identical to an uninterrupted run's. Records
+// hold cells, numbers with their units, so a replayed table prints and plots
+// from the values it was built with.
 
 package bench
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 )
 
@@ -33,7 +37,7 @@ type Journal struct {
 // journalRow is a journaled sweep point and the journal line it came from (0
 // for a point journaled by this process).
 type journalRow struct {
-	cells []string
+	cells []Cell
 	line  int
 }
 
@@ -43,7 +47,7 @@ type journalRec struct {
 	Kind  string   `json:"kind"`
 	Table string   `json:"table,omitempty"`
 	I     int      `json:"i,omitempty"`
-	Cells []string `json:"cells,omitempty"`
+	Cells []Cell   `json:"cells,omitempty"`
 	Exp   string   `json:"exp,omitempty"`
 	Full2 []*Table `json:"tables,omitempty"`
 }
@@ -64,9 +68,10 @@ func (e *JournalError) Error() string {
 // OpenJournal opens (creating if needed) the journal in dir and loads every
 // record already present. A torn final line — the signature of a kill
 // mid-append: no newline ends it — is dropped from the file, not an error.
-// Any other line that does not parse, names an unknown kind, or holds a
-// table that cannot be printed (nil, or a row whose width differs from its
-// columns) fails with a *JournalError.
+// Any other line that does not parse (a line from before cells carried
+// values among them), names an unknown kind, or holds a row or table that
+// cannot be printed (a nil table, a row whose width differs from its
+// columns, a cell of unknown unit or precision) fails with a *JournalError.
 func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -108,10 +113,17 @@ func OpenJournal(dir string) (*Journal, error) {
 func (j *Journal) load(line []byte, n int) error {
 	var rec journalRec
 	if err := json.Unmarshal(line, &rec); err != nil {
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) && te.Value == "string" && te.Type == reflect.TypeOf(Cell{}) {
+			return errors.New("holds cells as text: it was written before cells carried values, so rerun without -resume")
+		}
 		return fmt.Errorf("does not parse: %v", err)
 	}
 	switch rec.Kind {
 	case "row":
+		if err := checkCells(rec.Cells); err != nil {
+			return fmt.Errorf("%s point %d: %v", rec.Table, rec.I, err)
+		}
 		j.rows[rowKey(rec.Table, rec.I)] = journalRow{cells: rec.Cells, line: n}
 	case "exp":
 		for i, t := range rec.Full2 {
@@ -123,11 +135,24 @@ func (j *Journal) load(line []byte, n int) error {
 					return fmt.Errorf("experiment %q table %q row %d has %d cells for %d columns",
 						rec.Exp, t.ID, r, len(row), len(t.Columns))
 				}
+				if err := checkCells(row); err != nil {
+					return fmt.Errorf("experiment %q table %q row %d: %v", rec.Exp, t.ID, r, err)
+				}
 			}
 		}
 		j.exps[rec.Exp] = rec.Full2
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
+	}
+	return nil
+}
+
+// checkCells says why a journaled row cannot be printed.
+func checkCells(cells []Cell) error {
+	for k, c := range cells {
+		if err := c.check(); err != nil {
+			return fmt.Errorf("cell %d: %v", k, err)
+		}
 	}
 	return nil
 }
@@ -168,7 +193,7 @@ func (j *Journal) row(table string, i int) (journalRow, bool) {
 }
 
 // PutRow journals one completed sweep point.
-func (j *Journal) PutRow(table string, i int, cells []string) {
+func (j *Journal) PutRow(table string, i int, cells []Cell) {
 	if j == nil {
 		return
 	}
@@ -229,17 +254,17 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// SweepRows is Sweep for the row-producing sweep that fills t, threading the
-// journal and cancellation from Options: journaled points are returned
-// without recomputation, fresh points are journaled as they finish, and
-// once Ctx is canceled the remaining points yield nil rows (callers skip
-// them and the driver exits with a resume hint). A journaled point whose
-// width is not t's is rejected: the point is recomputed, and the journal
-// fails with a *JournalError (see Err), so the run cannot end as if the
-// journal had been sound.
-func SweepRows(opt Options, t *Table, n int, fn func(i int) []string) [][]string {
+// SweepRows is Sweep for the row-producing sweep that fills t: point i's
+// row is appended in point order, and the journal and cancellation come from
+// Options. Journaled points are replayed without recomputation, fresh points
+// are journaled as they finish, and once Ctx is canceled the remaining
+// points are left out (finished ones are journaled, and the driver exits
+// with a resume hint). A journaled point whose width is not t's is rejected:
+// the point is recomputed, and the journal fails with a *JournalError (see
+// Err), so the run cannot end as if the journal had been sound.
+func SweepRows(opt Options, t *Table, n int, fn func(i int) []Cell) {
 	table := t.ID
-	return Sweep(opt.Jobs, n, func(i int) []string {
+	rows := Sweep(opt.Jobs, n, func(i int) []Cell {
 		if r, ok := opt.Journal.row(table, i); ok {
 			if len(r.cells) == len(t.Columns) {
 				return r.cells
@@ -254,4 +279,9 @@ func SweepRows(opt Options, t *Table, n int, fn func(i int) []string) [][]string
 		opt.Journal.PutRow(table, i, cells)
 		return cells
 	})
+	for _, r := range rows {
+		if r != nil {
+			t.AddRow(r...)
+		}
+	}
 }

@@ -7,12 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/sim"
 )
 
-// tbl is the one-column table the SweepRows tests fill.
-var tbl = &Table{ID: "tbl", Columns: []string{"c"}}
+// tbl is a one-column table for the SweepRows tests to fill.
+func tbl() *Table { return &Table{ID: "tbl", Columns: []string{"c"}} }
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -20,9 +23,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	j.PutRow("fig6a", 0, []string{"2", "1.5"})
-	j.PutRow("fig6a", 3, []string{"16", "9.9"})
-	tab := &Table{ID: "fig4", Title: "t", Columns: []string{"a"}, Rows: [][]string{{"1"}}}
+	j.PutRow("fig6a", 0, []Cell{Int(2), Num(1.5, 1, None)})
+	point3 := []Cell{Int(16), Num(9.9, 1, Ratio), Dur(2128 * sim.Microsecond), Num(1e-3, 0, Sci), Text("2x4/C2")}
+	j.PutRow("fig6a", 3, point3)
+	tab := &Table{ID: "fig4", Title: "t", Columns: []string{"a", "b"},
+		Rows: [][]Cell{{Num(0, 3, None), Num(155.04, 1, MkeysPerSec)}}}
 	j.PutExperiment("fig4", []*Table{tab})
 	if err := j.Err(); err != nil {
 		t.Fatalf("journal write error: %v", err)
@@ -37,7 +42,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("re-open: %v", err)
 	}
 	defer j2.Close()
-	if r, ok := j2.row("fig6a", 3); !ok || !reflect.DeepEqual(r.cells, []string{"16", "9.9"}) {
+	// Values come back, not just the text they print.
+	if r, ok := j2.row("fig6a", 3); !ok || !reflect.DeepEqual(r.cells, point3) {
 		t.Errorf("row 3: got %v ok=%t", r.cells, ok)
 	}
 	if _, ok := j2.row("fig6a", 1); ok {
@@ -56,7 +62,7 @@ func TestJournalTornLine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	j.PutRow("extA", 0, []string{"ok"})
+	j.PutRow("extA", 0, []Cell{Text("ok")})
 	j.Close()
 
 	path := filepath.Join(dir, "journal.jsonl")
@@ -80,7 +86,7 @@ func TestJournalTornLine(t *testing.T) {
 	}
 	// The fragment is gone from the file: the next record starts its own
 	// line, and a third open reads both complete records.
-	j2.PutRow("extA", 2, []string{"ok"})
+	j2.PutRow("extA", 2, []Cell{Text("ok")})
 	j2.Close()
 	j3, err := OpenJournal(dir)
 	if err != nil {
@@ -105,16 +111,23 @@ func writeJournal(t testing.TB, data string) (*Journal, error) {
 // journal that cannot be replayed whole fails with a *JournalError naming
 // the line, never a panic at print time or a silently skipped record.
 func TestOpenJournal_Invalid(t *testing.T) {
-	row := `{"kind":"row","table":"extA","i":0,"cells":["a"]}` + "\n"
+	row := `{"kind":"row","table":"extA","i":0,"cells":[{"text":"a"}]}` + "\n"
 	tests := []struct {
 		name, data string
 		line       int
+		reason     string // part of the reason, when the case names one
 	}{
-		{"null table", `{"kind":"exp","exp":"fig4","tables":[null]}` + "\n", 1},
-		{"unparseable middle line", row + "not json\n" + row, 2},
-		{"unknown kind", row + `{"kind":"rows","table":"extA"}` + "\n", 2},
-		{"row wider than its columns", `{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[["1","2"]]}]}` + "\n", 1},
-		{"complete bad final line", row + "{\n", 2},
+		{"null table", `{"kind":"exp","exp":"fig4","tables":[null]}` + "\n", 1, "is null"},
+		{"unparseable middle line", row + "not json\n" + row, 2, "does not parse"},
+		{"unknown kind", row + `{"kind":"rows","table":"extA"}` + "\n", 2, "unknown record kind"},
+		{"row wider than its columns", `{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[[{"v":1},{"v":2}]]}]}` + "\n", 1, "2 cells for 1 columns"},
+		{"complete bad final line", row + "{\n", 2, "does not parse"},
+		{"unknown unit", row + `{"kind":"row","table":"extA","i":1,"cells":[{"v":1,"unit":"furlongs"}]}` + "\n", 2, `unknown unit "furlongs"`},
+		{"precision past the bound", `{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[[{"v":1,"prec":400}]]}]}` + "\n", 1, "precision 400"},
+		// A journal from before cells carried values holds them as text; it
+		// is refused, never reparsed.
+		{"text-cell row", `{"kind":"row","table":"extA","i":0,"cells":["a"]}` + "\n", 1, "before cells carried values"},
+		{"text-cell experiment", row + `{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[["1"]]}]}` + "\n", 2, "before cells carried values"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -127,6 +140,9 @@ func TestOpenJournal_Invalid(t *testing.T) {
 			if je.Line != tt.line {
 				t.Errorf("error names line %d, want %d (%v)", je.Line, tt.line, err)
 			}
+			if !strings.Contains(je.Reason, tt.reason) {
+				t.Errorf("reason %q, want it to say %q", je.Reason, tt.reason)
+			}
 		})
 	}
 }
@@ -135,15 +151,15 @@ func TestOpenJournal_Invalid(t *testing.T) {
 // table (an extB row of one cell) is not replayed into the figure; the point
 // is recomputed and the journal reports the bad line.
 func TestSweepRowsRejectsJournaledWidth(t *testing.T) {
-	j, err := writeJournal(t, `{"kind":"row","table":"extB","i":0,"cells":["1"]}`+"\n")
+	j, err := writeJournal(t, `{"kind":"row","table":"extB","i":0,"cells":[{"v":1}]}`+"\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 	tab := &Table{ID: "extB", Columns: []string{"a", "b"}}
-	rows := SweepRows(Options{Journal: j}, tab, 1, func(int) []string { return []string{"x", "y"} })
-	if len(rows[0]) != 2 {
-		t.Errorf("row 0 = %v, want the recomputed two cells", rows[0])
+	SweepRows(Options{Journal: j}, tab, 1, func(int) []Cell { return []Cell{Text("x"), Text("y")} })
+	if len(tab.Rows) != 1 || len(tab.Rows[0]) != 2 {
+		t.Errorf("rows = %v, want the recomputed two cells", tab.Rows)
 	}
 	var je *JournalError
 	if err := j.Err(); !errors.As(err, &je) || je.Line != 1 {
@@ -152,10 +168,11 @@ func TestSweepRowsRejectsJournaledWidth(t *testing.T) {
 }
 
 // FuzzOpenJournal: any bytes on disk either open as a journal whose every
-// replayed table prints, or fail with a *JournalError; never a panic.
+// replayed row and table prints and reads as values, or fail with a
+// *JournalError; never a panic.
 func FuzzOpenJournal(f *testing.F) {
-	f.Add(`{"kind":"row","table":"extA","i":0,"cells":["a"]}` + "\n")
-	f.Add(`{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[["1"]]}]}` + "\n" + `{"kind":"ro`)
+	f.Add(`{"kind":"row","table":"extA","i":0,"cells":[{"text":"a"},{"v":2.5,"unit":"x","prec":2}]}` + "\n")
+	f.Add(`{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[[{"v":2128000000,"unit":"duration"}]]}]}` + "\n" + `{"kind":"ro`)
 	f.Fuzz(func(t *testing.T, data string) {
 		j, err := writeJournal(t, data)
 		if err != nil {
@@ -172,6 +189,17 @@ func FuzzOpenJournal(f *testing.F) {
 					t.Fatalf("experiment %q replays a nil table", id)
 				}
 				tab.Fprint(io.Discard)
+				for _, row := range tab.Rows {
+					for _, c := range row {
+						c.Value()
+					}
+				}
+			}
+		}
+		for _, r := range j.rows {
+			for _, c := range r.cells {
+				_ = c.String()
+				c.Value()
 			}
 		}
 	})
@@ -184,17 +212,19 @@ func TestSweepRowsSkipsJournaled(t *testing.T) {
 		t.Fatalf("OpenJournal: %v", err)
 	}
 	defer j.Close()
-	j.PutRow("tbl", 1, []string{"from-journal"})
+	j.PutRow("tbl", 1, []Cell{Text("from-journal")})
 
 	var calls int32
-	rows := SweepRows(Options{Journal: j}, tbl, 3, func(i int) []string {
+	tab := tbl()
+	SweepRows(Options{Journal: j}, tab, 3, func(i int) []Cell {
 		atomic.AddInt32(&calls, 1)
-		return []string{"computed"}
+		return []Cell{Text("computed")}
 	})
 	if calls != 2 {
 		t.Errorf("fn ran %d times, want 2 (point 1 journaled)", calls)
 	}
-	if rows[1][0] != "from-journal" || rows[0][0] != "computed" || rows[2][0] != "computed" {
+	rows := tab.Rows
+	if len(rows) != 3 || rows[1][0] != Text("from-journal") || rows[0][0] != Text("computed") || rows[2][0] != Text("computed") {
 		t.Errorf("rows = %v", rows)
 	}
 	// The fresh points were journaled as they finished.
@@ -207,17 +237,16 @@ func TestSweepRowsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls int32
-	rows := SweepRows(Options{Ctx: ctx}, tbl, 4, func(i int) []string {
+	tab := tbl()
+	SweepRows(Options{Ctx: ctx}, tab, 4, func(i int) []Cell {
 		atomic.AddInt32(&calls, 1)
-		return []string{"x"}
+		return []Cell{Text("x")}
 	})
 	if calls != 0 {
 		t.Errorf("fn ran %d times under a canceled context", calls)
 	}
-	for i, r := range rows {
-		if r != nil {
-			t.Errorf("point %d yielded %v, want nil", i, r)
-		}
+	if len(tab.Rows) != 0 {
+		t.Errorf("a canceled sweep added rows %v", tab.Rows)
 	}
 }
 
@@ -225,11 +254,12 @@ func TestSweepRowsCancellation(t *testing.T) {
 // Sweep — every point computes.
 func TestSweepRowsNilJournal(t *testing.T) {
 	var calls int32
-	rows := SweepRows(Options{}, tbl, 3, func(i int) []string {
+	tab := tbl()
+	SweepRows(Options{}, tab, 3, func(i int) []Cell {
 		atomic.AddInt32(&calls, 1)
-		return []string{"y"}
+		return []Cell{Text("y")}
 	})
-	if calls != 3 || len(rows) != 3 {
-		t.Errorf("calls=%d rows=%d", calls, len(rows))
+	if calls != 3 || len(tab.Rows) != 3 {
+		t.Errorf("calls=%d rows=%d", calls, len(tab.Rows))
 	}
 }

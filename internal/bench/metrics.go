@@ -81,23 +81,19 @@ func Metrics(opt Options, jsonl, prom, chrome io.Writer) (*Table, *attr.Summary,
 		},
 	}
 	rep := r.Report
-	t.AddRow("updates", fmt.Sprintf("%d", r.Updates))
-	t.AddRow("elapsed", rep.Elapsed.String())
-	for _, c := range []string{"injected", "delivered", "deflected", "dropped"} {
-		t.AddRow("switch_"+c,
-			fmt.Sprintf("%d", m.Registry.CounterValue("switch_"+c+"_total")))
+	t.AddRow(Text("updates"), Int(r.Updates))
+	t.AddRow(Text("elapsed"), Dur(rep.Elapsed))
+	for _, c := range []string{"switch_injected", "switch_delivered", "switch_deflected", "switch_dropped",
+		"rel_retransmits", "rel_retry_rounds"} {
+		t.AddRow(Text(c), Int(m.Registry.CounterValue(c+"_total")))
 	}
-	t.AddRow("rel_retransmits",
-		fmt.Sprintf("%d", m.Registry.CounterValue("rel_retransmits_total")))
-	t.AddRow("rel_retry_rounds",
-		fmt.Sprintf("%d", m.Registry.CounterValue("rel_retry_rounds_total")))
-	t.AddRow("series_rows", fmt.Sprintf("%d", len(m.Series.Rows)))
-	t.AddRow("trace_events", fmt.Sprintf("%d", m.Packets.Len()))
+	t.AddRow(Text("series_rows"), Int(len(m.Series.Rows)))
+	t.AddRow(Text("trace_events"), Int(m.Packets.Len()))
 	if a := rep.Attr; a != nil {
-		t.AddRow("attr_flows", fmt.Sprintf("%d", a.Begun))
-		t.AddRow("attr_completed", fmt.Sprintf("%d", a.Completed))
-		t.AddRow("attr_lost", fmt.Sprintf("%d", a.Lost))
-		t.AddRow("attr_retransmit_epochs", fmt.Sprintf("%d", a.RetransmitEpochs))
+		t.AddRow(Text("attr_flows"), Int(a.Begun))
+		t.AddRow(Text("attr_completed"), Int(a.Completed))
+		t.AddRow(Text("attr_lost"), Int(a.Lost))
+		t.AddRow(Text("attr_retransmit_epochs"), Int(a.RetransmitEpochs))
 	}
 	return t, rep.Attr, nil
 }

@@ -29,14 +29,14 @@ func TestMetricsDeterministicExports(t *testing.T) {
 	if len(j1) == 0 || len(p1) == 0 || len(c1) == 0 {
 		t.Fatal("an export is empty")
 	}
-	var retransmits string
+	var retransmits float64
 	for _, row := range tab.Rows {
-		if row[0] == "rel_retransmits" {
-			retransmits = row[1]
+		if row[0].String() == "rel_retransmits" {
+			retransmits, _ = row[1].Value()
 		}
 	}
-	if retransmits == "" || retransmits == "0" {
-		t.Errorf("reference run produced no retransmits (got %q); raise DropProb", retransmits)
+	if retransmits == 0 {
+		t.Error("reference run produced no retransmits; raise DropProb")
 	}
 	if !strings.Contains(c1, `"traceEvents"`) {
 		t.Error("chrome export missing traceEvents envelope")

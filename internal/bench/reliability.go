@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"repro/internal/apps/barrier"
 	"repro/internal/apps/gups"
 	"repro/internal/apps/heat"
@@ -47,93 +45,74 @@ func ExtReliability(opt Options) *Table {
 		return &faultplan.Plan{Seed: 7, DropProb: rate, CorruptProb: rate / 4,
 			Window: faultplan.Window{Start: 5 * sim.Microsecond}}
 	}
-	fmtRate := func(rate float64) string {
-		if rate == 0 {
-			return "0"
-		}
-		return fmt.Sprintf("%.0e", rate)
+	// A run reports whether its answer is right, its elapsed time, and its
+	// dropped, retransmitted and lost counts. lossy marks an unprotected run
+	// under faults, which waits with a bound so that it terminates.
+	type outcome struct {
+		ok                     bool
+		elapsed                sim.Time
+		dropped, retrans, lost int64
 	}
-	slow := func(e, base sim.Time) string {
-		if base == 0 || e == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2fx", float64(e)/float64(base))
-	}
-	valid := func(ok bool) string {
-		if ok {
-			return "yes"
-		}
-		return "NO"
-	}
-	paths := []struct {
-		name     string
-		reliable bool
-	}{{"unprotected", false}, {"reliable", true}}
-
-	var gupsBase sim.Time
-	for _, rate := range rates {
-		for _, path := range paths {
+	workloads := []struct {
+		name string
+		run  func(faults *faultplan.Plan, reliable, lossy bool) outcome
+	}{
+		{"GUPS", func(faults *faultplan.Plan, reliable, lossy bool) outcome {
 			par := gups.Params{Nodes: nodes, TableWordsNode: 1 << 10, UpdatesPerNode: updates,
-				Seed: 1, KeepTables: true, Reliable: path.reliable,
-				Platform: cluster.Platform{Faults: plan(rate)}}
-			if !path.reliable && rate > 0 {
+				Seed: 1, KeepTables: true, Reliable: reliable, Platform: cluster.Platform{Faults: faults}}
+			if lossy {
 				par.WaitTimeout = 2 * sim.Millisecond
 			}
 			r := gups.Run(comm.DV, par)
-			if !path.reliable && rate == 0 {
-				gupsBase = r.Elapsed
-			}
-			ok := gups.Verify(par, r) == 0 && r.Errors == 0 && r.Lost == 0
-			t.AddRow("GUPS", fmtRate(rate), path.name, valid(ok), r.Elapsed.String(),
-				slow(r.Elapsed, gupsBase),
-				fmt.Sprintf("%d", r.Report.Dropped),
-				fmt.Sprintf("%d", r.Report.Reliability.Retransmits),
-				fmt.Sprintf("%d", r.Lost))
-		}
-	}
-
-	var heatBase sim.Time
-	for _, rate := range rates {
-		for _, path := range paths {
+			return outcome{gups.Verify(par, r) == 0 && r.Errors == 0 && r.Lost == 0, r.Elapsed,
+				r.Report.Dropped, r.Report.Reliability.Retransmits, r.Lost}
+		}},
+		{"heat", func(faults *faultplan.Plan, reliable, lossy bool) outcome {
 			par := heat.Params{Nodes: nodes, N: 16, Steps: heatSteps, KeepField: true,
-				Reliable: path.reliable, Platform: cluster.Platform{Faults: plan(rate)}}
-			if !path.reliable && rate > 0 {
+				Reliable: reliable, Platform: cluster.Platform{Faults: faults}}
+			if lossy {
 				par.WaitTimeout = 50 * sim.Microsecond
 			}
 			r := heat.Run(comm.DV, par)
-			if !path.reliable && rate == 0 {
-				heatBase = r.Elapsed
-			}
-			ok := heat.MaxErr(par, r.Field) < 1e-9 && r.Errors == 0 && r.Timeouts == 0
-			t.AddRow("heat", fmtRate(rate), path.name, valid(ok), r.Elapsed.String(),
-				slow(r.Elapsed, heatBase),
-				fmt.Sprintf("%d", r.Report.Dropped),
-				fmt.Sprintf("%d", r.Report.Reliability.Retransmits),
-				fmt.Sprintf("%d", r.Timeouts))
-		}
-	}
-
-	var barBase sim.Time
-	for _, rate := range rates {
-		for _, path := range paths {
-			impl := barrier.DVFastBarrier
-			opts := barrier.Opts{Platform: cluster.Platform{Faults: plan(rate)}}
-			if path.reliable {
+			return outcome{heat.MaxErr(par, r.Field) < 1e-9 && r.Errors == 0 && r.Timeouts == 0, r.Elapsed,
+				r.Report.Dropped, r.Report.Reliability.Retransmits, r.Timeouts}
+		}},
+		{"barrier", func(faults *faultplan.Plan, reliable, lossy bool) outcome {
+			impl, opts := barrier.DVFastBarrier, barrier.Opts{Platform: cluster.Platform{Faults: faults}}
+			if reliable {
 				impl = barrier.DVReliable
-			} else if rate > 0 {
+			} else if lossy {
 				opts.WaitTimeout = 30 * sim.Microsecond
 			}
 			r := barrier.RunOpts(impl, nodes, barIters, opts)
-			elapsed := r.Report.Elapsed
-			if !path.reliable && rate == 0 {
-				barBase = elapsed
+			return outcome{r.Completed == r.Iters && r.Errors == 0, r.Report.Elapsed,
+				r.Report.Dropped, r.Report.Reliability.Retransmits, int64(r.Iters - r.Completed)}
+		}},
+	}
+	for _, w := range workloads {
+		var base sim.Time // the clean unprotected run's elapsed time
+		for _, rate := range rates {
+			rc := Num(rate, 0, Sci)
+			if rate == 0 {
+				rc = Int(0)
 			}
-			ok := r.Completed == r.Iters && r.Errors == 0
-			t.AddRow("barrier", fmtRate(rate), path.name, valid(ok), elapsed.String(),
-				slow(elapsed, barBase),
-				fmt.Sprintf("%d", r.Report.Dropped),
-				fmt.Sprintf("%d", r.Report.Reliability.Retransmits),
-				fmt.Sprintf("%d", r.Iters-r.Completed))
+			for _, reliable := range []bool{false, true} {
+				o := w.run(plan(rate), reliable, !reliable && rate > 0)
+				path, valid, slow := Text("unprotected"), Text("NO"), Text("-")
+				if reliable {
+					path = Text("reliable")
+				} else if rate == 0 {
+					base = o.elapsed
+				}
+				if o.ok {
+					valid = Text("yes")
+				}
+				if base != 0 && o.elapsed != 0 {
+					slow = speedup(o.elapsed, base)
+				}
+				t.AddRow(Text(w.name), rc, path, valid, Dur(o.elapsed), slow,
+					Int(o.dropped), Int(o.retrans), Int(o.lost))
+			}
 		}
 	}
 	return t

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"strconv"
-	"testing"
-)
+import "testing"
 
 // TestExtReliability pins the extension-N acceptance claims: every reliable
 // row validates, every nonzero-rate reliable row retransmits, and at least
@@ -13,22 +10,23 @@ func TestExtReliability(t *testing.T) {
 	checkTable(t, tb, 12)
 	var unprotectedFailures int
 	for _, r := range tb.Rows {
-		workload, rate, path, valid := r[0], r[1], r[2], r[3]
-		retrans, _ := strconv.ParseInt(r[7], 10, 64)
+		workload, path, valid := r[0].String(), r[2].String(), r[3].String()
+		rate, _ := r[1].Value()
+		retrans, _ := r[7].Value()
 		switch path {
 		case "reliable":
 			if valid != "yes" {
-				t.Errorf("%s@%s reliable row not valid: %v", workload, rate, r)
+				t.Errorf("%s@%g reliable row not valid: %v", workload, rate, r)
 			}
-			if rate != "0" && workload != "barrier" && retrans == 0 {
-				t.Errorf("%s@%s reliable row without retransmits: %v", workload, rate, r)
+			if rate != 0 && workload != "barrier" && retrans == 0 {
+				t.Errorf("%s@%g reliable row without retransmits: %v", workload, rate, r)
 			}
 		case "unprotected":
 			if valid == "NO" {
 				unprotectedFailures++
 			}
 			if retrans != 0 {
-				t.Errorf("%s@%s unprotected row retransmitted: %v", workload, rate, r)
+				t.Errorf("%s@%g unprotected row retransmitted: %v", workload, rate, r)
 			}
 		default:
 			t.Errorf("unknown path %q in %v", path, r)

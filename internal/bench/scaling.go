@@ -43,10 +43,10 @@ func ExtScalingCrossover(opt Options) *Table {
 		a2aWords = 16
 		a2aRounds = 2
 	}
-	for _, row := range SweepRows(opt, t, 3*len(counts), func(i int) []string {
+	SweepRows(opt, t, 3*len(counts), func(i int) []Cell {
 		n := counts[i%len(counts)]
 		g := dvswitch.ForPorts(n)
-		geom := fmt.Sprintf("%dx%d/C%d", g.Heights, g.Angles, g.Cylinders())
+		geom := Text(fmt.Sprintf("%dx%d/C%d", g.Heights, g.Angles, g.Cylinders()))
 		switch i / len(counts) {
 		case 0: // GUPS: fine-grained random updates — the DV sweet spot.
 			par := gups.Params{Nodes: n, TableWordsNode: 1 << 14,
@@ -61,9 +61,9 @@ func ExtScalingCrossover(opt Options) *Table {
 			if d2.MUPS() > best {
 				best = d2.MUPS()
 			}
-			return []string{"GUPS (MUPS)", fmt.Sprintf("%d", n), geom,
-				fmt.Sprintf("%.1f", d1.MUPS()), fmt.Sprintf("%.1f", d2.MUPS()),
-				fmt.Sprintf("%.1f", ib.MUPS()), fmt.Sprintf("%.2fx", best/ib.MUPS())}
+			return []Cell{Text("GUPS (MUPS)"), Int(n), geom,
+				Num(d1.MUPS(), 1, None), Num(d2.MUPS(), 1, None),
+				Num(ib.MUPS(), 1, None), Num(best/ib.MUPS(), 2, Ratio)}
 		case 1: // BFS: frontier exchanges of single-edge packets.
 			par := bfs.Params{Nodes: n, Scale: bfsScale, EdgeFactor: 8, NRoots: 1}
 			d1 := bfs.Run(comm.DV, par)
@@ -76,11 +76,11 @@ func ExtScalingCrossover(opt Options) *Table {
 			if d2.HarmonicMeanTEPS() > best {
 				best = d2.HarmonicMeanTEPS()
 			}
-			return []string{"BFS (MTEPS)", fmt.Sprintf("%d", n), geom,
-				fmt.Sprintf("%.1f", d1.HarmonicMeanTEPS()/1e6),
-				fmt.Sprintf("%.1f", d2.HarmonicMeanTEPS()/1e6),
-				fmt.Sprintf("%.1f", ib.HarmonicMeanTEPS()/1e6),
-				fmt.Sprintf("%.2fx", best/ib.HarmonicMeanTEPS())}
+			return []Cell{Text("BFS (MTEPS)"), Int(n), geom,
+				Num(d1.HarmonicMeanTEPS()/1e6, 1, None),
+				Num(d2.HarmonicMeanTEPS()/1e6, 1, None),
+				Num(ib.HarmonicMeanTEPS()/1e6, 1, None),
+				Num(best/ib.HarmonicMeanTEPS(), 2, Ratio)}
 		default: // all-to-all: the bulk-exchange contrast case (lower is better).
 			d1 := alltoallExchange(comm.DV, n, a2aWords, a2aRounds, 0, false)
 			d2 := alltoallExchange(comm.DV, n, a2aWords, a2aRounds, 2, false)
@@ -89,17 +89,11 @@ func ExtScalingCrossover(opt Options) *Table {
 			if d2 < best {
 				best = d2
 			}
-			return []string{"alltoall (us/exch)", fmt.Sprintf("%d", n), geom,
-				fmt.Sprintf("%.2f", d1.Micros()), fmt.Sprintf("%.2f", d2.Micros()),
-				fmt.Sprintf("%.2f", ib.Micros()),
-				fmt.Sprintf("%.2fx", float64(ib)/float64(best))}
+			return []Cell{Text("alltoall (us/exch)"), Int(n), geom,
+				Num(d1.Micros(), 2, None), Num(d2.Micros(), 2, None),
+				Num(ib.Micros(), 2, None), speedup(ib, best)}
 		}
-	}) {
-		if row == nil {
-			continue // canceled mid-sweep; finished points are journaled
-		}
-		t.AddRow(row...)
-	}
+	})
 	return t
 }
 

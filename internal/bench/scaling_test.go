@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -38,7 +37,7 @@ func TestExtScalingCrossover(t *testing.T) {
 	tb := ExtScalingCrossover(small)
 	checkTable(t, tb, 6)
 	for _, r := range tb.Rows {
-		if !strings.HasSuffix(r[len(r)-1], "x") {
+		if r[len(r)-1].Unit != Ratio {
 			t.Errorf("extS row %v: crossover column should be a ratio", r)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps/snap"
 	"repro/internal/apps/vorticity"
 	"repro/internal/comm"
+	"repro/internal/fftkernel"
 )
 
 // Validate runs every workload's correctness check — each network variant
@@ -31,7 +32,7 @@ func Validate(opt Options) *Table {
 		if detail != "" {
 			r += " (" + detail + ")"
 		}
-		t.AddRow(workload, check, r)
+		t.AddRow(Text(workload), Text(check), Text(r))
 	}
 
 	// GUPS: distributed tables equal serial XOR replay.
@@ -58,14 +59,7 @@ func Validate(opt Options) *Table {
 		want := fft.SerialReference(par)
 		for _, net := range []comm.Net{comm.DV, comm.IB} {
 			r := fft.Run(net, par)
-			var worst float64
-			for i := range want {
-				re := real(r.Spectrum[i] - want[i])
-				im := imag(r.Spectrum[i] - want[i])
-				if d := math.Hypot(re, im); d > worst {
-					worst = d
-				}
-			}
+			worst := fftkernel.MaxAbsDiff(want, r.Spectrum)
 			add("FFT-1D", net.String()+" spectrum == serial FFT", worst < 1e-8*float64(r.N),
 				fmt.Sprintf("max diff %.1e", worst))
 		}

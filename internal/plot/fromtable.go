@@ -2,15 +2,14 @@ package plot
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/bench"
 )
 
 // FromTable converts a bench table into a chart when the table has a
 // plottable shape: a numeric (or categorical) first column and at least one
-// numeric data column. It returns false for tables that are not figures
+// numeric data column, a column whose every cell is a number (see
+// bench.Cell.Value). It returns false for tables that are not figures
 // (validation reports, trace summaries).
 func FromTable(t *bench.Table) (*Chart, bool) {
 	if len(t.Rows) < 2 || len(t.Columns) < 2 {
@@ -20,59 +19,29 @@ func FromTable(t *bench.Table) (*Chart, bool) {
 	if t.ID == "fig5" || t.ID == "validate" {
 		return nil, false
 	}
-	spec, ok := figureSpecs[t.ID]
-	if !ok {
-		spec = figureSpec{}
-	}
+	spec := figureSpecs[t.ID]
 	c := &Chart{
 		Title:  fmt.Sprintf("%s: %s", t.ID, t.Title),
 		XLabel: t.Columns[0],
 		LogX:   spec.logX,
 		Bars:   spec.bars,
 	}
-	// Parse the x column; categorical values become indices with labels.
-	xs := make([]float64, len(t.Rows))
-	categorical := false
-	for i, row := range t.Rows {
-		v, err := parseCell(row[0])
-		if err != nil {
-			categorical = true
-			break
-		}
-		xs[i] = v
-	}
-	if categorical {
+	xs, ok := column(t, 0)
+	if !ok { // categorical: indices with labels
 		c.Bars = true
+		xs = make([]float64, len(t.Rows))
 		c.XTickLabels = make([]string, len(t.Rows))
 		for i, row := range t.Rows {
 			xs[i] = float64(i)
-			c.XTickLabels[i] = row[0]
+			c.XTickLabels[i] = row[0].String()
 		}
 	}
-	// Data columns: any column whose every cell parses.
-	dataCols := 0
 	for col := 1; col < len(t.Columns); col++ {
-		ys := make([]float64, 0, len(t.Rows))
-		ok := true
-		for _, row := range t.Rows {
-			if col >= len(row) {
-				ok = false
-				break
-			}
-			v, err := parseCell(row[col])
-			if err != nil {
-				ok = false
-				break
-			}
-			ys = append(ys, v)
+		if ys, ok := column(t, col); ok {
+			c.Series = append(c.Series, Series{Name: t.Columns[col], X: xs, Y: ys})
 		}
-		if !ok {
-			continue
-		}
-		c.Series = append(c.Series, Series{Name: t.Columns[col], X: xs, Y: ys})
-		dataCols++
 	}
-	if dataCols == 0 {
+	if len(c.Series) == 0 {
 		return nil, false
 	}
 	c.YLabel = spec.yLabel
@@ -80,6 +49,23 @@ func FromTable(t *bench.Table) (*Chart, bool) {
 		c.YLabel = "value"
 	}
 	return c, true
+}
+
+// column returns the values of column col, or false when a cell in it is
+// text or missing.
+func column(t *bench.Table, col int) ([]float64, bool) {
+	vs := make([]float64, len(t.Rows))
+	for i, row := range t.Rows {
+		if col >= len(row) {
+			return nil, false
+		}
+		v, ok := row[col].Value()
+		if !ok {
+			return nil, false
+		}
+		vs[i] = v
+	}
+	return vs, true
 }
 
 // figureSpec carries per-figure presentation hints.
@@ -100,37 +86,4 @@ var figureSpecs = map[string]figureSpec{
 	"fig9":  {bars: true, yLabel: "speedup (x)"},
 	"extB":  {yLabel: "cycles / fraction"},
 	"extD":  {yLabel: "rate"},
-}
-
-// parseCell extracts the leading number from a table cell, tolerating the
-// harness's unit suffixes ("1.21x", "97.3%", "415.1", "2.128ms", "971us").
-func parseCell(s string) (float64, error) {
-	s = strings.TrimSpace(s)
-	end := 0
-	for end < len(s) {
-		ch := s[end]
-		if ch >= '0' && ch <= '9' || ch == '.' || ch == '-' || ch == '+' ||
-			ch == 'e' && end > 0 && (s[end-1] >= '0' && s[end-1] <= '9') {
-			end++
-			continue
-		}
-		break
-	}
-	if end == 0 {
-		return 0, fmt.Errorf("plot: cell %q is not numeric", s)
-	}
-	v, err := strconv.ParseFloat(s[:end], 64)
-	if err != nil {
-		return 0, err
-	}
-	// Normalise time suffixes to microseconds for comparability.
-	switch {
-	case strings.HasSuffix(s, "ms"):
-		v *= 1000
-	case strings.HasSuffix(s, "ns"):
-		v /= 1000
-	case strings.HasSuffix(s, "s") && !strings.HasSuffix(s, "us") && !strings.HasSuffix(s, "ms") && !strings.HasSuffix(s, "ns"):
-		v *= 1e6
-	}
-	return v, nil
 }

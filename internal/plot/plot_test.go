@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/sim"
 )
 
 func lineChart() *Chart {
@@ -91,38 +92,11 @@ func TestNiceTicks(t *testing.T) {
 	}
 }
 
-func TestParseCell(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64
-		ok   bool
-	}{
-		{"415.1", 415.1, true},
-		{"1.21x", 1.21, true},
-		{"97.3%", 97.3, true},
-		{"2.128ms", 2128, true},
-		{"971.545us", 971.545, true},
-		{"33.50", 33.5, true},
-		{"PASS", 0, false},
-		{"", 0, false},
-	}
-	for _, c := range cases {
-		got, err := parseCell(c.in)
-		if c.ok != (err == nil) {
-			t.Errorf("parseCell(%q) err = %v", c.in, err)
-			continue
-		}
-		if c.ok && got != c.want {
-			t.Errorf("parseCell(%q) = %g, want %g", c.in, got, c.want)
-		}
-	}
-}
-
 func TestFromTableLineFigure(t *testing.T) {
 	tb := &bench.Table{ID: "fig6a", Title: "GUPS per PE",
 		Columns: []string{"nodes", "Data Vortex", "Infiniband"}}
-	tb.AddRow("4", "35.95", "31.16")
-	tb.AddRow("32", "33.50", "13.75")
+	tb.AddRow(bench.Int(4), bench.Num(35.95, 2, bench.None), bench.Num(31.16, 2, bench.None))
+	tb.AddRow(bench.Int(32), bench.Num(33.5, 2, bench.None), bench.Num(13.749, 2, bench.None))
 	c, ok := FromTable(tb)
 	if !ok {
 		t.Fatal("figure not plottable")
@@ -130,7 +104,7 @@ func TestFromTableLineFigure(t *testing.T) {
 	if len(c.Series) != 2 || c.Bars {
 		t.Fatalf("chart: %+v", c)
 	}
-	if c.Series[1].Y[1] != 13.75 {
+	if c.Series[1].Y[1] != 13.75 { // the value as printed, not as measured
 		t.Fatalf("series data: %+v", c.Series[1])
 	}
 }
@@ -138,8 +112,8 @@ func TestFromTableLineFigure(t *testing.T) {
 func TestFromTableCategoricalBars(t *testing.T) {
 	tb := &bench.Table{ID: "fig9", Title: "speedup",
 		Columns: []string{"application", "DV time", "IB time", "speedup"}}
-	tb.AddRow("SNAP", "791us", "957us", "1.21x")
-	tb.AddRow("Heat", "36.9us", "91.9us", "2.49x")
+	tb.AddRow(bench.Text("SNAP"), bench.Dur(791*sim.Microsecond), bench.Dur(2128*sim.Microsecond), bench.Num(1.21, 2, bench.Ratio))
+	tb.AddRow(bench.Text("Heat"), bench.Dur(36900*sim.Nanosecond), bench.Dur(91900*sim.Nanosecond), bench.Num(2.49, 2, bench.Ratio))
 	c, ok := FromTable(tb)
 	if !ok {
 		t.Fatal("not plottable")
@@ -147,13 +121,34 @@ func TestFromTableCategoricalBars(t *testing.T) {
 	if !c.Bars || c.XTickLabels[0] != "SNAP" {
 		t.Fatalf("chart: %+v", c)
 	}
+	// Durations plot in microseconds, whatever unit they print in.
+	if y := c.Series[1].Y; y[0] != 2128 || y[1] != 91.9 {
+		t.Fatalf("IB time series: %v", y)
+	}
+}
+
+// TestFromTableReadsUnitsNotSuffixes: a rate whose unit ends in "s" plots as
+// its value (not as seconds scaled to microseconds), and a geometry that
+// starts with a digit is text, not a series.
+func TestFromTableReadsUnitsNotSuffixes(t *testing.T) {
+	tb := &bench.Table{ID: "extK", Title: "sort",
+		Columns: []string{"nodes", "switch", "Data Vortex"}}
+	tb.AddRow(bench.Int(4), bench.Text("2x4/C2"), bench.Num(155.04, 1, bench.MkeysPerSec))
+	tb.AddRow(bench.Int(8), bench.Text("4x4/C3"), bench.Num(98.7, 1, bench.MkeysPerSec))
+	c, ok := FromTable(tb)
+	if !ok {
+		t.Fatal("not plottable")
+	}
+	if len(c.Series) != 1 || c.Series[0].Name != "Data Vortex" || c.Series[0].Y[0] != 155 {
+		t.Fatalf("series: %+v", c.Series)
+	}
 }
 
 func TestFromTableRejectsNonNumeric(t *testing.T) {
 	tb := &bench.Table{ID: "validate", Title: "checks",
 		Columns: []string{"workload", "check", "result"}}
-	tb.AddRow("GUPS", "tables equal", "PASS")
-	tb.AddRow("FFT", "spectrum", "PASS")
+	tb.AddRow(bench.Text("GUPS"), bench.Text("tables equal"), bench.Text("PASS"))
+	tb.AddRow(bench.Text("FFT"), bench.Text("spectrum"), bench.Text("PASS"))
 	if _, ok := FromTable(tb); ok {
 		t.Fatal("validation table should not be plottable")
 	}

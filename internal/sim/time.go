@@ -30,23 +30,27 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros returns t expressed in microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Nanos returns t expressed in nanoseconds.
-func (t Time) Nanos() float64 { return float64(t) / float64(Nanosecond) }
-
-// String renders the time with an auto-selected unit.
-func (t Time) String() string {
-	switch {
-	case t < Nanosecond:
-		return fmt.Sprintf("%dps", int64(t))
-	case t < Microsecond:
-		return fmt.Sprintf("%.3fns", t.Nanos())
-	case t < Millisecond:
-		return fmt.Sprintf("%.3fus", t.Micros())
-	case t < Second:
-		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
-	default:
-		return fmt.Sprintf("%.3fs", t.Seconds())
+// Unit returns the unit String prints t in, the largest of ps, ns, us, ms
+// and s that keeps the number at least 1, and its suffix.
+func (t Time) Unit() (Time, string) {
+	u, suffix := Second, "s"
+	for _, smaller := range []string{"ms", "us", "ns", "ps"} {
+		if t >= u {
+			break
+		}
+		u, suffix = u/1000, smaller
 	}
+	return u, suffix
+}
+
+// String renders the time in the unit Unit picks: whole picoseconds, or
+// three decimals of a larger unit.
+func (t Time) String() string {
+	u, suffix := t.Unit()
+	if u == Picosecond {
+		return fmt.Sprintf("%d%s", int64(t), suffix)
+	}
+	return fmt.Sprintf("%.3f%s", float64(t)/float64(u), suffix)
 }
 
 // DurationOf converts a quantity of seconds into a Time, rounding to the

@@ -215,7 +215,6 @@ var fenceAllow = []allowRow{
 	{"sim.FanPool.Stop", "ledger", "as sim.NewFanPool"},
 	{"dvswitch.Core.SetFanPool", "ledger", "as sim.NewFanPool"},
 	{"dvswitch.Core.Prewarm", "ledger", "benchmark/drivers.go sizes the saturated core before timing it"},
-	{"fftkernel.MaxAbsDiff", "ledger", "benchmark/workloads.go checks fft_dv's spectrum with it, as fftkernel's tests check the FFT against DFT"},
 	{"bench.Fig5", "ledger", "benchmark/workloads.go calls Fig5(opt, nil), which writes no file; dvbench takes the trace through Fig5Trace"},
 	{"ib.Fabric.Transfer", "ledger", "benchmark/drivers.go times ib.transfer_ns through this func() form; mpi, the product caller, pools its arguments and calls TransferArg"},
 
