@@ -69,8 +69,7 @@ func printInfo(run *apprt.RunFlags) error {
 		cfg.MPI.EagerLimit, cfg.MPI.SendOverhead, cfg.MPI.RecvOverhead)
 	fmt.Printf("\nHost CPU model: %.0f GFLOPS, %v/random access, %v/small op\n",
 		cfg.CPU.GFLOPS, cfg.CPU.RandomAccess, cfg.CPU.SmallOp)
-	fmt.Printf("\nEvent kernel: one calendar queue, single-threaded\n")
-	fmt.Printf("  time grain      %v per calendar bucket (the switch cycle)\n", dvswitch.DefaultCycleTime)
+	fmt.Printf("\nEvent kernel: one (at, seq) binary heap, single-threaded\n")
 	fmt.Printf("\nRegistered workloads (dvbench -app NAME)\n")
 	for _, a := range apprt.Apps() {
 		rel := ""

@@ -41,9 +41,8 @@ func TestFastModelInjectZeroAllocWithAttrCompiledIn(t *testing.T) {
 	rng := sim.NewRNG(5)
 	ports := m.Ports()
 	// Warm the pooled delivery events past the largest burst the measured
-	// loop will issue (random destinations skew the in-flight peak), and
-	// sweep virtual time across the scheduler's whole calendar ring several
-	// times so every bucket has its high-water backing array.
+	// loop will issue (random destinations skew the in-flight peak), so the
+	// pools and the kernel's event heap hold their high-water backing arrays.
 	for w := 0; w < 512; w++ {
 		for i := 0; i < 64; i++ {
 			m.Inject(Packet{Src: rng.Intn(ports), Dst: rng.Intn(ports)})

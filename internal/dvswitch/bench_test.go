@@ -100,11 +100,10 @@ func BenchmarkFastModelInject(b *testing.B) {
 	}
 }
 
-// BenchmarkFastModelInjectDeep is FastModelInject in the deep-queue regime
-// that motivated the calendar event queue (sim's calQ): a closed loop
-// over a 128-port fabric keeps ~4k delivery events pending, the depth large
-// runs (gups16 and up) actually reach. Per op = 1024 fired events, each of
-// which re-injects, so the scheduler's push/pop pair at depth dominates.
+// BenchmarkFastModelInjectDeep is FastModelInject under a deep backlog: a
+// closed loop over a 128-port fabric keeps 4,096 packets in flight. They wait
+// in the per-port delivery trains, so the kernel's event heap holds one event
+// per port (128). Per op = 1024 fired events, each of which re-injects.
 func BenchmarkFastModelInjectDeep(b *testing.B) { benchLoop(b, fastModelDeepLoop()) }
 
 // fastModelDeepLoop returns BenchmarkFastModelInjectDeep's op on a warm model.
@@ -119,7 +118,7 @@ func fastModelDeepLoop() func() {
 	for i := 0; i < 4096; i++ {
 		m.Inject(Packet{Src: rng.Intn(ports), Dst: rng.Intn(ports)})
 	}
-	// Reach steady state: pools, rings, and the calendar warm.
+	// Reach steady state: pools, rings, and the event heap warm.
 	k.RunUntilN(1<<40, 1<<17)
 	return func() { k.RunUntilN(1<<40, 1024) }
 }

@@ -46,11 +46,9 @@ type Engine struct {
 	armed bool
 }
 
-// NewEngine builds a kernel-coupled cycle-accurate switch. The switch cycle is
-// the kernel's natural calendar grain; hint it so the event queue buckets
-// align with cycle boundaries.
+// NewEngine builds a kernel-coupled cycle-accurate switch that steps one
+// switch cycle per cycleTime of virtual time.
 func NewEngine(k *sim.Kernel, p Params, cycleTime sim.Time) *Engine {
-	k.HintTimeGrain(cycleTime)
 	e := &Engine{k: k, core: NewCore(p), ct: cycleTime}
 	e.core.Deliver = func(pkt Packet, _ int64) {
 		if e.fn != nil {
@@ -253,7 +251,6 @@ func NewFastModel(k *sim.Kernel, p Params, cycleTime sim.Time, rng *sim.RNG) *Fa
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	k.HintTimeGrain(cycleTime)
 	m := &FastModel{
 		k:      k,
 		p:      p,

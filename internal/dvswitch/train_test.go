@@ -263,8 +263,8 @@ func TestFastModelInjectAllocs(t *testing.T) {
 		}
 		k.RunUntil(sim.Forever)
 	}
-	// Warm the entry pool, and the kernel's calendar: a bucket allocates on
-	// first use, and the ring turns a little further with every burst.
+	// Warm the entry pool and the kernel's event heap to their high-water
+	// capacity.
 	for i := 0; i < 64; i++ {
 		burst()
 	}

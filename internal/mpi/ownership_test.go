@@ -31,10 +31,9 @@ func gupsBlocks(ranks int) [][]byte {
 // TestAlltoallSteadyStateAllocs holds the message path (an Alltoall loop, then
 // a Barrier loop) to no allocation per message once warm: whole runs of 16 and
 // of 64 rounds are counted, set-up and warm-up cancel in the difference, and
-// what is left is divided by the extra messages. It reads 0.00 to 0.03: the residue is sim's calendar queue, whose
-// 512 ring buckets each allocate when first touched and when they reach a new
-// high-water mark — a cost per stretch of virtual time, bounded by the ring.
-// One object per message would read 1.
+// what is left is divided by the extra messages. It reads 0.0000: sim's event
+// heap reaches its high-water capacity within the shorter run. One object per
+// message would read 1.
 func TestAlltoallSteadyStateAllocs(t *testing.T) {
 	const ranks = 32
 	blocks := gupsBlocks(ranks)

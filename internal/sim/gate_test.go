@@ -132,14 +132,14 @@ func TestWaitUntilUnreadyReleaseSchedulesNothing(t *testing.T) {
 		g.Broadcast(k)
 		g.Signal(k)
 	}
-	if k.seq != seq || k.q.len() != 0 || k.PendingUser() != 0 {
-		t.Fatalf("unready releases scheduled: seq %d -> %d, %d queued", seq, k.seq, k.q.len())
+	if k.seq != seq || len(k.q) != 0 || k.PendingUser() != 0 {
+		t.Fatalf("unready releases scheduled: seq %d -> %d, %d queued", seq, k.seq, len(k.q))
 	}
 	ready = true
 	g.Broadcast(k)
 	g.Broadcast(k) // nobody left
-	if k.seq != seq+1 || k.q.len() != 1 {
-		t.Fatalf("ready release: seq %d -> %d, %d queued, want one event", seq, k.seq, k.q.len())
+	if k.seq != seq+1 || len(k.q) != 1 {
+		t.Fatalf("ready release: seq %d -> %d, %d queued, want one event", seq, k.seq, len(k.q))
 	}
 	k.Run()
 	if _, r := k.Counts(); r != resumes+1 {
@@ -234,7 +234,7 @@ func TestWokenTimeoutFiresHarmlesslyLater(t *testing.T) {
 	if want := []string{"w@10", "w@40", "s@100"}; !slices.Equal(order, want) {
 		t.Errorf("order %v, want %v", order, want)
 	}
-	if k.PendingUser() != 0 || k.q.len() != 0 {
-		t.Errorf("after Run: %d user events, %d queued", k.PendingUser(), k.q.len())
+	if k.PendingUser() != 0 || len(k.q) != 0 {
+		t.Errorf("after Run: %d user events, %d queued", k.PendingUser(), len(k.q))
 	}
 }

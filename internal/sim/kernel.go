@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -39,12 +40,14 @@ func entLess(a, b heapEnt) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is a binary min-heap ordered by entLess. The sift loops are
-// hand-rolled (rather than container/heap) because the scheduler push/pop pair
-// is the per-event cost floor of every hot path — FastModel deliveries, VIC
-// injections, engine pump cycles — and the interface dispatch of
-// heap.Interface roughly triples it. It serves as the mini-heap inside each
-// calendar-queue bucket and as the overflow store (see calQ).
+// eventHeap is the kernel's event queue: a binary min-heap ordered by entLess.
+// The sift loops are hand-rolled (rather than container/heap) because the
+// scheduler push/pop pair is the per-event cost floor of every hot path —
+// FastModel deliveries, VIC injections, engine pump cycles — and the interface
+// dispatch of heap.Interface roughly triples it. The queue stays shallow: a
+// component that knows its events far ahead keeps them in a FIFO of its own
+// and queues only the head here (ReserveSeq/AtArgSeq; see the fast switch
+// model's delivery trains), so a run's depth is O(ports + processes).
 type eventHeap []heapEnt
 
 func (h *eventHeap) push(e *event) {
@@ -65,6 +68,9 @@ func (h *eventHeap) push(e *event) {
 
 func (h *eventHeap) pop() *event {
 	s := *h
+	if len(s) == 0 {
+		panic("sim: pop from empty event queue")
+	}
 	top := s[0].e
 	n := len(s) - 1
 	last := s[n]
@@ -92,8 +98,8 @@ func (h *eventHeap) pop() *event {
 	return top
 }
 
-// Kernel is the discrete-event scheduler. Pending events wait in one
-// calendar queue (calQ) and fire in (at, seq) order. A run is single-threaded:
+// Kernel is the discrete-event scheduler. Pending events wait in one (at, seq)
+// binary heap (eventHeap) and fire in that order. A run is single-threaded:
 // scheduling calls are not safe for concurrent use, and exactly one simulated
 // process (or the kernel itself) runs at any moment.
 type Kernel struct {
@@ -104,8 +110,7 @@ type Kernel struct {
 
 	nFired, nResumed uint64 // see Counts
 
-	q        *calQ
-	grainSet bool // SetTimeGrain called explicitly (hints no longer apply)
+	q eventHeap
 
 	freeEv []*event // fired events, reused by the next At/AtArg
 
@@ -116,7 +121,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{q: newCalQ(0)}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -130,9 +135,9 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Counts() (events, resumes uint64) { return k.nFired, k.nResumed }
 
 // PeakPending returns the most events the kernel has held queued at once.
-// Like Counts it is simulator cost, not simulated behaviour: the calendar's
-// push/pop price grows with it, so it is the first number to read when host
-// time stops following simulated work.
+// Like Counts it is simulator cost, not simulated behaviour: the heap's
+// push/pop price grows with its logarithm, so it is the first number to read
+// when host time stops following simulated work.
 func (k *Kernel) PeakPending() int { return k.peak }
 
 // newEvent returns a pooled (or fresh) event stamped with time t and the next
@@ -161,16 +166,10 @@ func (k *Kernel) newEventSeq(t Time, seq uint64) *event {
 // schedule enqueues e.
 func (k *Kernel) schedule(e *event) {
 	k.q.push(e)
-	if n := k.q.len(); n > k.peak {
+	if n := len(k.q); n > k.peak {
 		k.peak = n
 	}
 }
-
-// peekMin returns the key of the earliest queued event.
-func (k *Kernel) peekMin() (heapEnt, bool) { return k.q.peek() }
-
-// popMin removes and returns the earliest queued event.
-func (k *Kernel) popMin() *event { return k.q.pop() }
 
 // fire runs one popped event, returning it to the pool first so the callback
 // may immediately schedule again without growing the queue's backing store.
@@ -411,7 +410,7 @@ func (p *Proc) WaitUntil(t Time) {
 // queue are discarded unfired. It returns the final virtual time.
 func (k *Kernel) Run() Time {
 	for k.nUser > 0 {
-		e := k.popMin()
+		e := k.q.pop()
 		k.now = e.at
 		k.fire(e)
 	}
@@ -424,12 +423,8 @@ func (k *Kernel) Run() Time {
 // queued. Processes stay parked (no drain) so the run can continue. Like Run,
 // it stops early once only daemon events remain (leaving them queued).
 func (k *Kernel) RunUntil(limit Time) Time {
-	for k.nUser > 0 {
-		ent, ok := k.peekMin()
-		if !ok || ent.at > limit {
-			break
-		}
-		e := k.popMin()
+	for k.nUser > 0 && k.q[0].at <= limit { // a user event is queued, so q[0] exists
+		e := k.q.pop()
 		k.now = e.at
 		k.fire(e)
 	}
@@ -443,12 +438,8 @@ func (k *Kernel) RunUntil(limit Time) Time {
 // batches of work without giving up the deterministic event order.
 func (k *Kernel) RunUntilN(limit Time, n int) int {
 	fired := 0
-	for fired < n && k.nUser > 0 {
-		ent, ok := k.peekMin()
-		if !ok || ent.at > limit {
-			break
-		}
-		e := k.popMin()
+	for fired < n && k.nUser > 0 && k.q[0].at <= limit {
+		e := k.q.pop()
 		k.now = e.at
 		k.fire(e)
 		fired++
@@ -465,14 +456,11 @@ func (k *Kernel) PendingUser() int { return k.nUser }
 // across idle stretches of the boundary grid.
 func (k *Kernel) NextUserEvent() (Time, bool) {
 	best, found := Time(0), false
-	k.q.forEach(func(e *event) {
-		if e.daemon {
-			return
+	for _, ent := range k.q {
+		if !ent.e.daemon && (!found || ent.at < best) {
+			best, found = ent.at, true
 		}
-		if !found || e.at < best {
-			best, found = e.at, true
-		}
-	})
+	}
 	return best, found
 }
 
@@ -481,25 +469,15 @@ func (k *Kernel) NextUserEvent() (Time, bool) {
 // queue length. Event callbacks are closures and cannot be serialized;
 // because event sequence numbers are assigned deterministically, the
 // fingerprint still pins the queue's identity across runs of one configuration.
-// The canonical order keeps the calendar's arrangement (bucket width, ring
-// position, overflow) out of the digest.
+// The canonical order keeps the heap's arrangement, which depends on the
+// order of pushes and pops, out of the digest.
 func (k *Kernel) QueueFingerprint() (n int, fp uint64) {
-	evs := make([]*event, 0, k.q.len())
-	k.q.forEach(func(e *event) { evs = append(evs, e) })
-	slices.SortFunc(evs, func(a, b *event) int {
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
+	evs := slices.Clone(k.q)
+	slices.SortFunc(evs, func(a, b heapEnt) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if a.seq != b.seq {
-			if a.seq < b.seq {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.seq, b.seq)
 	})
 	const (
 		offset64 = 14695981039346656037
@@ -513,10 +491,10 @@ func (k *Kernel) QueueFingerprint() (n int, fp uint64) {
 			v >>= 8
 		}
 	}
-	for _, e := range evs {
-		mix(uint64(e.at))
-		mix(e.seq)
-		if e.daemon {
+	for _, ent := range evs {
+		mix(uint64(ent.at))
+		mix(ent.seq)
+		if ent.e.daemon {
 			mix(1)
 		} else {
 			mix(0)
@@ -537,8 +515,8 @@ func (k *Kernel) Finish() Time {
 // discardDaemons empties the queue of the daemon events that survived the
 // last non-daemon event, returning them to the pool unfired.
 func (k *Kernel) discardDaemons() {
-	for k.q.len() > 0 {
-		e := k.popMin()
+	for len(k.q) > 0 {
+		e := k.q.pop()
 		if !e.daemon {
 			k.nUser--
 		}

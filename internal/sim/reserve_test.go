@@ -76,7 +76,6 @@ func TestAtArgSeqMatchesAtArg(t *testing.T) {
 	const nChains = 5
 	run := func(seed uint64, chained bool) (string, int) {
 		k := NewKernel()
-		k.SetTimeGrain(7) // a ring of 512*7 ps: most items start beyond it
 		rng := NewRNG(seed)
 		var log strings.Builder
 		rec := func(kind string, id int) { fmt.Fprintf(&log, "%s%d@%d ", kind, id, k.Now()) }
@@ -86,7 +85,7 @@ func TestAtArgSeqMatchesAtArg(t *testing.T) {
 		inject := func() {
 			c := chains[rng.Intn(nChains)]
 			// Short gaps make ties across chains and with the other event
-			// kinds; the occasional long one sends an item past the ring.
+			// kinds; the occasional long one queues an item far ahead.
 			gap := Time(rng.Intn(4))
 			if rng.Intn(8) == 0 {
 				gap = Time(rng.Intn(6000))

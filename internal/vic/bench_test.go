@@ -138,8 +138,8 @@ func waitGCBurst(tb testing.TB) (*sim.Kernel, func(p *sim.Proc, n int)) {
 // allocates nothing per packet.
 func TestBoundaryZeroAllocs(t *testing.T) {
 	// HostSend and WaitGCZero park, so they are measured from inside a
-	// simulated process, after warm ops have filled the pools and turned the
-	// kernel's calendar ring (a bucket allocates on first use).
+	// simulated process, after warm ops have filled the pools and grown the
+	// kernel's event heap to its high-water capacity.
 	inProc := func(k *sim.Kernel, warm int, op func(*sim.Proc)) (allocs float64) {
 		k.Spawn("host", func(p *sim.Proc) {
 			for i := 0; i < warm; i++ {
@@ -152,8 +152,7 @@ func TestBoundaryZeroAllocs(t *testing.T) {
 	}
 	t.Run("VICInject", func(t *testing.T) {
 		k, send, _ := injectBurst()
-		// A send moves virtual time on by about one bucket, so the ring's
-		// 512 buckets take a few thousand sends to all reach final size.
+		// Warm well past the pools' and the event heap's high-water marks.
 		if got := inProc(k, 4096, send); got != 0 {
 			t.Errorf("a warm %d-word HostSend allocates %v times, want 0", benchBurst, got)
 		}

@@ -204,7 +204,6 @@ var fenceAllow = []allowRow{
 	{"apps/pagerank.SerialReference", "oracle", "one-core PageRank the distributed runs are compared against"},
 	{"fftkernel.DFT", "oracle", "O(n^2) transform TestForwardMatchesDFT compares the FFT against"},
 	{"fftkernel.Energy", "oracle", "Parseval check on the FFT's output"},
-	{"sim.Kernel.SetTimeGrain", "oracle", "the grain-invariance differentials and fuzz run one schedule at several calendar grains"},
 
 	{"dv.Endpoint.SetMutation", "mutation", "plants reliable-layer bugs internal/check must catch"},
 	{"dvswitch.Core.SetMutation", "mutation", "plants switch bugs internal/check must catch"},
