@@ -1,7 +1,7 @@
 // Native fuzz targets for the invariant layer. Two properties are fuzzed:
 //
 //   - FuzzSwitchInvariants: arbitrary traffic and fault probabilities driven
-//     through the sparse active-list stepper AND the dense full-fabric scan,
+//     through the sparse bitmap stepper AND the dense full-fabric scan,
 //     each under its own checker. Both runs must finish violation-free with
 //     bit-identical telemetry — the differential oracle the sparse rewrite
 //     is held to.

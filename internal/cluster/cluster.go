@@ -143,7 +143,7 @@ type Platform struct {
 
 // WithOracles returns p with the reference implementations selected: dense
 // steps the cycle-accurate core with the full-fabric scan instead of the
-// sparse active list (the fast model has no stepper and ignores it), scalar
+// sparse bitmap walk (the fast model has no stepper and ignores it), scalar
 // runs the VICs on the one-kernel-event-per-packet boundary instead of the
 // batched pipeline. Results are bit-identical either way — that is what the
 // differential suites that call this prove — so no driver offers it;

@@ -39,11 +39,12 @@ func benchLoop(b *testing.B, op func()) {
 }
 
 // BenchmarkCoreStepSparse is the acceptance benchmark: 32-port switch at ~1%
-// occupancy, where the active list visits two nodes instead of 160.
+// occupancy, where the bitmap walk visits two nodes instead of 160.
 func BenchmarkCoreStepSparse(b *testing.B) { benchLoop(b, benchCore(2).Step) }
 
-// BenchmarkCoreStepSaturated keeps every injection queue busy, so Step runs
-// its dense crossover (every node is occupied).
+// BenchmarkCoreStepSaturated keeps every injection queue busy (every entry
+// node is refilled as soon as it frees); the sparse bitmap walk runs at this
+// occupancy too.
 func BenchmarkCoreStepSaturated(b *testing.B) { benchLoop(b, benchCore(32*4).Step) }
 
 // injectDrainBurst returns one full burst-and-drain on a warm 32-port core:

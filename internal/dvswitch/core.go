@@ -317,7 +317,7 @@ type cellTab struct {
 	deflSig int32
 	nextSig int32
 
-	cyl int16 // cylinder index (sparse-step bucketing)
+	cyl int16 // cylinder index (per-cylinder deflection counters)
 	bit uint8 // height bit resolved by this cylinder
 }
 
@@ -328,8 +328,8 @@ type cellTab struct {
 // enter is stored once, in its port's paged FIFO, and takes a pool slot only
 // when injectPhase places it on a cell, so the pool never outgrows the cell
 // count. The occupancy grids hold pool references (pool index + 1, 0 =
-// empty) instead of pointers, so a long run creates no garbage. Step iterates
-// only the occupied nodes (the active list) and clears only the scratch cells
+// empty) instead of pointers, so a long run creates no garbage. Step walks
+// only the set bits of the occupancy bitmap and clears only the scratch cells
 // it wrote, so a cycle costs O(in-flight packets), not O(fabric size) — the
 // regime that matters for the paper's sparse irregular traffic (GUPS, BFS).
 type Core struct {
@@ -387,17 +387,14 @@ type Core struct {
 	// It must be set before the first Step.
 	Deliver func(pkt Packet, cycle int64)
 
-	// CheckInvariants enables per-cycle verification of the routing
-	// invariant: a packet in cylinder c always sits at a height whose
-	// already-resolved bit prefix matches its destination. Used by tests;
-	// costs one pass over the fabric per Step.
-	CheckInvariants bool
-
-	// Dense routes every Step through denseStep, the seed implementation's
-	// full-fabric scan. The two paths are bit-identical (same Stats, same
-	// delivery order, same fault-RNG consumption — enforced by the golden
-	// differential tests). It is the reference half of that comparison and
-	// is set by tests only (TestOraclesAreTestOnly); NewCore starts sparse.
+	// Dense routes every Step through denseStep: a full-fabric scan that
+	// applies moveCell, the routing specification, to every occupied node.
+	// It is bit-identical to the sparse Step (same Stats, same delivery
+	// order, same fault-RNG consumption — enforced by the golden
+	// differential tests), which on clean runs checks the hand-inlined
+	// sparseMovesClean against moveCell. It is the reference half of that
+	// comparison and is set by tests only (TestOraclesAreTestOnly); NewCore
+	// starts sparse.
 	Dense bool
 
 	// faulty marks dead switching nodes (fault-injection studies in the
@@ -466,6 +463,24 @@ func NewCore(p Params) *Core {
 		qmask:   make([]uint64, (p.Ports()+63)/64),
 		tab:     make([]cellTab, n),
 	}
+	c.buildTab()
+	c.portCell = make([]int32, p.Ports())
+	c.portPF = make([]pflight, p.Ports())
+	for port := range c.portCell {
+		h, a := p.PortCoord(port)
+		c.portCell[port] = int32(c.idx(0, h, a))
+		c.portPF[port] = pflight{dh: int32(h), da: int32(a)}
+	}
+	return c
+}
+
+// buildTab fills the routing table from the geometry and the planted routing
+// mutations, so the defects live in the table and moveCell has no mutation
+// branch: MutBitOffByOne makes each resolving cylinder test and toggle bit
+// (bit+1) mod L instead of its own, and MutStickyOutputRing gives output-ring
+// cells an angle no packet ejects at. NewCore and SetMutation call it.
+func (c *Core) buildTab() {
+	p := c.p
 	L := c.levels
 	for cl := 0; cl <= L; cl++ {
 		for h := 0; h < p.Heights; h++ {
@@ -480,9 +495,15 @@ func NewCore(p Params) *Core {
 				if cl == L {
 					t.desc, t.defl = -1, -1
 					t.descSig, t.deflSig = 0, 0
+					if c.mut&MutStickyOutputRing != 0 {
+						t.da = -1
+					}
 					continue
 				}
 				bit := uint(L - 1 - cl)
+				if c.mut&MutBitOffByOne != 0 && L > 1 {
+					bit = (bit + 1) % uint(L)
+				}
 				t.bit = uint8(bit)
 				t.hbit = int32((h >> bit) & 1)
 				t.desc = int32(c.idx(cl+1, h, na))
@@ -492,14 +513,6 @@ func NewCore(p Params) *Core {
 			}
 		}
 	}
-	c.portCell = make([]int32, p.Ports())
-	c.portPF = make([]pflight, p.Ports())
-	for port := range c.portCell {
-		h, a := p.PortCoord(port)
-		c.portCell[port] = int32(c.idx(0, h, a))
-		c.portPF[port] = pflight{dh: int32(h), da: int32(a)}
-	}
-	return c
 }
 
 // Prewarm grows the packet pool, its free list and the queue-page free list
@@ -695,10 +708,11 @@ func (c *Core) sigSet(idx int) bool {
 // one angle (descending, deflecting, circling, or ejecting), then injection
 // ports fill any free outermost node.
 //
-// Only occupied nodes are visited: the active list is bucketed by cylinder
-// and each bucket sorted ascending, which reproduces the dense scan order
-// (inner cylinders first, then height-major within a cylinder) exactly —
-// delivery order and fault-RNG draws are bit-identical to denseStep.
+// Only occupied nodes are visited, at every occupancy: the walk takes the set
+// bits of the occupancy bitmap cylinder by cylinder, which reproduces the
+// dense scan order (inner cylinders first, then height-major within a
+// cylinder) exactly — delivery order and fault-RNG draws are bit-identical to
+// denseStep.
 func (c *Core) Step() {
 	if c.Dense {
 		c.denseStep()
@@ -706,16 +720,6 @@ func (c *Core) Step() {
 	}
 	if c.parEligible() {
 		c.parStep()
-		return
-	}
-	// Crossover: above ~half occupancy the bitmap walk saves nothing over
-	// just scanning every node (moveCell on an empty cell is a load and a
-	// branch). The dense scan visits nodes in exactly the order the bitmap
-	// iteration produces, so switching keeps the step bit-identical. flying
-	// equals the number of occupied cells (every in-flight packet occupies
-	// exactly one node).
-	if c.flying*2 >= len(c.grid) {
-		c.denseStep()
 		return
 	}
 	// Inner cylinders first: their same-cylinder movements assert the
@@ -758,13 +762,13 @@ func (c *Core) cleanPath() bool {
 	return c.mut == 0 && c.faulty == nil && c.frng == nil && c.obs == nil && c.heat == nil
 }
 
-// The clean move loops below hand-inline the routing decisions of moveCell
-// (the specification of what one move does) with every fault, mutation, and
-// obs branch deleted, the output ring split out of the inner-cylinder loop
-// (so the ring test is not re-asked per packet), and the descend-vs-deflect
-// choice made branchless: contention makes that branch a coin flip, and the
-// mispredict penalty was the single largest cost in the step profile. The
-// transformation is exact:
+// The clean move loops (sparseMovesClean below, parStep in par.go)
+// hand-inline the routing decisions of moveCell (the specification of what
+// one move does) with every fault, mutation, and obs branch deleted, the
+// output ring split out of the inner-cylinder loop (so the ring test is not
+// re-asked per packet), and the descend-vs-deflect choice made branchless:
+// contention makes that branch a coin flip, and the mispredict penalty was
+// the single largest cost in the step profile. The transformation is exact:
 //
 //	blocked = (bit mismatch) OR (deflection signal on the descend target)
 //	target  = blocked ? deflect-cell : descend-cell   (CMOV)
@@ -850,68 +854,14 @@ func (c *Core) sparseMovesClean() {
 	}
 }
 
-// denseMovesClean is the clean-path move phase over the full grid scan, with
-// the same in-place routing bodies as sparseMovesClean.
-func (c *Core) denseMovesClean() {
-	grid := c.grid
-	next := c.next
-	nxtMask := c.nxtMask
-	sigMask := c.sigMask
-	pstate := c.pstate
-	tab := c.tab
-	// Output ring (cylinder L): eject at the destination angle, else circle.
-	base := c.levels * c.cylN
-	for j, ref := range grid[base : base+c.cylN] {
-		if ref == 0 {
-			continue
-		}
-		t := &tab[base+j]
-		if pstate[ref-1].da == t.da {
-			c.eject(ref)
-			continue
-		}
-		ni := t.next
-		next[ni] = ref
-		nxtMask[ni>>6] |= 1 << (uint32(ni) & 63)
-		ns := t.nextSig
-		sigMask[ns>>6] |= 1 << (uint32(ns) & 63)
-	}
-	// Inner cylinders: descend or deflect, branchless.
-	for cl := c.levels - 1; cl >= 0; cl-- {
-		base := cl * c.cylN
-		for j, ref := range grid[base : base+c.cylN] {
-			if ref == 0 {
-				continue
-			}
-			t := &tab[base+j]
-			f := &pstate[ref-1]
-			d := t.desc
-			ds := t.descSig
-			blocked := uint64((f.dh>>t.bit)&1^t.hbit) | sigMask[ds>>6]>>(uint32(ds)&63)&1
-			ni := t.defl
-			if blocked == 0 {
-				ni = d
-			}
-			f.defl += uint32(blocked)
-			next[ni] = ref
-			nxtMask[ni>>6] |= 1 << (uint32(ni) & 63)
-			fs := t.deflSig
-			sigMask[fs>>6] |= blocked << (uint32(fs) & 63)
-		}
-	}
-}
-
 // moveCell advances the packet ref occupying node idx by one angle, using
 // the precomputed routing table — no division, no coordinate arithmetic,
 // and only the struct-of-arrays columns of the packet are touched. It is
-// the per-node routing logic shared by the sparse Step and the dense
-// reference scan, and is bit-identical to the legacy arithmetic path
-// (moveOne), which it delegates to when a routing mutation is planted.
+// the specification of one hop: the sparse Step applies it whenever faults,
+// mutations or instruments are on, and denseStep applies it on every run,
+// so the differential tests hold the hand-inlined clean loops to it. The
+// routing mutations are rewrites of the table it reads (buildTab).
 func (c *Core) moveCell(idx int, ref int32) {
-	if c.mut&(MutStickyOutputRing|MutBitOffByOne) != 0 {
-		c.moveOne(int(c.tab[idx].cyl), idx)
-		return
-	}
 	t := &c.tab[idx]
 	f := &c.pstate[ref-1]
 	if t.desc < 0 {
@@ -957,75 +907,6 @@ func (c *Core) moveCell(idx int, ref int32) {
 		c.obs.DeflectByCyl[t.cyl].Inc()
 	}
 	c.heat.Add(int(t.cyl), idx%c.p.Angles)
-	c.place(ni, ref)
-	c.signal(ni)
-}
-
-// moveOne is the legacy arithmetic routing path, kept verbatim (modulo the
-// struct-of-arrays counters) because the planted routing mutations
-// (MutBitOffByOne, MutStickyOutputRing) are expressed against it. Outside
-// mutation testing, moveCell is the only caller-facing path; the golden
-// differential tests pin the two bit-identical.
-func (c *Core) moveOne(cl, idx int) {
-	ref := c.grid[idx]
-	if ref == 0 {
-		return
-	}
-	st := &c.pstate[ref-1]
-	f := &c.pool[ref-1]
-	p := c.p
-	A := p.Angles
-	L := c.levels
-	h := (idx / A) % p.Heights
-	a := idx % A
-	na := (a + 1) % A
-	dh, da := p.PortCoord(f.Dst)
-	if cl == L {
-		// Output ring: circle to the destination angle, then eject.
-		if a == da && c.mut&MutStickyOutputRing == 0 {
-			c.eject(ref)
-			return
-		}
-		if c.isFaulty(cl, h, na) {
-			c.drop(ref)
-			return
-		}
-		if c.linkFault(ref) {
-			return
-		}
-		ni := c.idx(cl, h, na)
-		c.place(ni, ref)
-		c.signal(ni)
-		return
-	}
-	bit := uint(L - 1 - cl) // height bit resolved by this cylinder
-	if c.mut&MutBitOffByOne != 0 && L > 1 {
-		bit = uint((int(bit) + 1) % L)
-	}
-	if c.linkFault(ref) {
-		return
-	}
-	if (h>>bit)&1 == (dh>>bit)&1 && !c.sigSet(c.idx(cl+1, h, na)) &&
-		!c.isFaulty(cl+1, h, na) {
-		// Descend: bit matches and no deflection signal.
-		c.place(c.idx(cl+1, h, na), ref)
-		return
-	}
-	// Deflect within the cylinder, toggling the bit under
-	// resolution (preserves the already-resolved prefix).
-	h2 := h ^ (1 << bit)
-	if c.isFaulty(cl, h2, na) {
-		// Both legal moves are dead: the bufferless fabric
-		// cannot hold the packet.
-		c.drop(ref)
-		return
-	}
-	st.defl++
-	if c.obs != nil {
-		c.obs.DeflectByCyl[cl].Inc()
-	}
-	c.heat.Add(cl, a)
-	ni := c.idx(cl, h2, na)
 	c.place(ni, ref)
 	c.signal(ni)
 }
@@ -1088,63 +969,28 @@ func (c *Core) finishStep() {
 	clear(c.sigMask)
 	c.occMask, c.nxtMask = c.nxtMask, c.occMask
 	c.cycle++
-	if c.CheckInvariants {
-		c.verifyPrefixInvariant()
-	}
 	if c.OnCycleEnd != nil {
 		c.OnCycleEnd(c)
 	}
 }
 
-// denseStep is the seed implementation's full-fabric scan: every node of
-// every cylinder is visited each cycle, occupied or not. It shares moveOne,
-// injectPhase, and finishStep with the sparse Step — the only difference is
-// the iteration source. Step switches to it above half occupancy, and with
-// Core.Dense set it is the reference half of the golden differential tests
-// (see diff_test.go).
+// denseStep is the reference stepper: every node of every cylinder is
+// visited each cycle, occupied or not, and every occupied one moves through
+// moveCell. It shares injectPhase and finishStep with the sparse Step — the
+// only differences are the iteration source and that it never takes the
+// hand-inlined clean loop. With Core.Dense set it is the reference half of
+// the golden differential tests (see diff_test.go).
 func (c *Core) denseStep() {
-	if c.cleanPath() {
-		c.denseMovesClean()
-	} else {
-		for cl := c.levels; cl >= 0; cl-- {
-			base := cl * c.cylN
-			for j, ref := range c.grid[base : base+c.cylN] {
-				if ref != 0 {
-					c.moveCell(base+j, ref)
-				}
+	for cl := c.levels; cl >= 0; cl-- {
+		base := cl * c.cylN
+		for j, ref := range c.grid[base : base+c.cylN] {
+			if ref != 0 {
+				c.moveCell(base+j, ref)
 			}
 		}
 	}
 	c.injectPhase()
 	c.finishStep()
-}
-
-// verifyPrefixInvariant panics if any in-flight packet violates the
-// resolved-prefix property that makes the self-routing correct: at cylinder
-// cl, the top cl bits of the packet's height equal its destination's.
-func (c *Core) verifyPrefixInvariant() {
-	p := c.p
-	L := c.levels
-	for cl := 0; cl <= L; cl++ {
-		for h := 0; h < p.Heights; h++ {
-			for a := 0; a < p.Angles; a++ {
-				ref := c.grid[c.idx(cl, h, a)]
-				if ref == 0 {
-					continue
-				}
-				dh, _ := p.PortCoord(c.pool[ref-1].Dst)
-				if cl == 0 {
-					continue
-				}
-				shift := uint(L - cl)
-				if h>>shift != dh>>shift {
-					panic(fmt.Sprintf(
-						"dvswitch: prefix invariant violated at (c=%d h=%d a=%d): dst height %d",
-						cl, h, a, dh))
-				}
-			}
-		}
-	}
 }
 
 func (c *Core) eject(ref int32) {
@@ -1171,10 +1017,6 @@ func (c *Core) SetFaulty(cyl, h, a int, dead bool) {
 		c.faulty = make([]bool, len(c.grid))
 	}
 	c.faulty[c.idx(cyl, h, a)] = dead
-}
-
-func (c *Core) isFaulty(cyl, h, a int) bool {
-	return c.faulty != nil && c.faulty[c.idx(cyl, h, a)]
 }
 
 // drop discards a packet lost to a fault.

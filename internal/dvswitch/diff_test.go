@@ -7,11 +7,13 @@ import (
 	"repro/internal/sim"
 )
 
-// The golden differential tests: the sparse active-list Step must be
-// bit-identical to the dense full-fabric scan (the seed implementation,
-// kept as denseStep) — same Stats, same delivery sequence, same drop
-// sequence, same fault-RNG consumption — over uniform, hotspot, and faulty
-// traffic. CI runs these under -race as well.
+// The golden differential tests: the sparse Step must be bit-identical to
+// the dense full-fabric scan (denseStep, which moves every packet through
+// moveCell, the routing specification) — same Stats, same delivery sequence,
+// same drop sequence, same fault-RNG consumption — over uniform, hotspot, and
+// faulty traffic. On the clean scenarios the sparse side runs the
+// hand-inlined sparseMovesClean, so they hold it to moveCell. CI runs these
+// under -race as well.
 
 // diffEvent is one observable core event (delivery or drop) in order.
 type diffEvent struct {
@@ -67,7 +69,8 @@ func driveDiffTraffic(c *Core, scenario string, cycles int, seed uint64) []diffE
 
 // TestDifferentialDenseVsSparse is the golden test: for every scenario and a
 // couple of geometries, the dense and sparse cores must produce identical
-// Stats structs and identical event sequences.
+// Stats structs and identical event sequences. uniform and hotspot compare
+// sparseMovesClean against moveCell; faulty compares two moveCell walks.
 func TestDifferentialDenseVsSparse(t *testing.T) {
 	geoms := []Params{{Heights: 8, Angles: 4}, {Heights: 4, Angles: 3}, {Heights: 1, Angles: 5}}
 	cycles := 3000
@@ -104,66 +107,6 @@ func TestDifferentialDenseVsSparse(t *testing.T) {
 					t.Error("faulty scenario dropped nothing; differential vacuous")
 				}
 			})
-		}
-	}
-}
-
-// TestDifferentialLockstep steps a dense and a sparse core strictly in
-// lockstep under invariant checking, comparing per-cycle occupancy — a
-// sharper probe than end-of-run stats, catching any single-cycle divergence
-// in deflection signalling or injection order.
-func TestDifferentialLockstep(t *testing.T) {
-	geom := Params{Heights: 8, Angles: 4}
-	dense, sparse := NewCore(geom), NewCore(geom)
-	dense.Dense, sparse.Dense = true, false
-	dense.CheckInvariants, sparse.CheckInvariants = true, true
-	var dDel, sDel []Packet
-	dense.Deliver = func(pkt Packet, _ int64) { dDel = append(dDel, pkt) }
-	sparse.Deliver = func(pkt Packet, _ int64) { sDel = append(sDel, pkt) }
-	rng := sim.NewRNG(7)
-	cycles := 1500
-	if testing.Short() {
-		cycles = 400
-	}
-	for cy := 0; cy < cycles; cy++ {
-		for src := 0; src < geom.Ports(); src++ {
-			if rng.Float64() < 0.5 && dense.QueueLen(src) < 4 {
-				dst := rng.Intn(geom.Ports())
-				pkt := Packet{Src: src, Dst: dst, Payload: uint64(cy)<<16 | uint64(src)}
-				dense.Inject(pkt)
-				sparse.Inject(pkt)
-			}
-		}
-		dense.Step()
-		sparse.Step()
-		if len(dDel) != len(sDel) {
-			t.Fatalf("cycle %d: delivery counts diverge (%d vs %d)", cy, len(dDel), len(sDel))
-		}
-		for cl := 0; cl < geom.Cylinders(); cl++ {
-			for h := 0; h < geom.Heights; h++ {
-				for a := 0; a < geom.Angles; a++ {
-					i := dense.idx(cl, h, a)
-					dref, sref := dense.grid[i], sparse.grid[i]
-					dOcc, sOcc := dref != 0, sref != 0
-					if dOcc != sOcc {
-						t.Fatalf("cycle %d: occupancy diverges at (c=%d h=%d a=%d)", cy, cl, h, a)
-					}
-					if dOcc && dense.pool[dref-1] != sparse.pool[sref-1] {
-						t.Fatalf("cycle %d: packet diverges at (c=%d h=%d a=%d):\ndense:  %+v\nsparse: %+v",
-							cy, cl, h, a, dense.pool[dref-1], sparse.pool[sref-1])
-					}
-				}
-			}
-		}
-	}
-	dense.RunUntilIdle(1 << 20)
-	sparse.RunUntilIdle(1 << 20)
-	if dense.Stats() != sparse.Stats() {
-		t.Errorf("final stats diverge:\ndense:  %+v\nsparse: %+v", dense.Stats(), sparse.Stats())
-	}
-	for i := range dDel {
-		if dDel[i] != sDel[i] {
-			t.Fatalf("delivery %d diverges", i)
 		}
 	}
 }

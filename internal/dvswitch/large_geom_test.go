@@ -2,10 +2,7 @@ package dvswitch
 
 import (
 	"errors"
-	"fmt"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestValidateGeometryBounds pins the MaxGeometryCells bound at its
@@ -47,57 +44,5 @@ func TestValidateGeometryBounds(t *testing.T) {
 		} else if ge.Field == "" || ge.Reason == "" {
 			t.Errorf("%s: GeometryError missing Field/Reason: %+v", cse.name, ge)
 		}
-	}
-}
-
-// TestLargeGeometryDifferential routes traffic through the corrected 256-
-// and 1024-port geometries on all three steppers — sparse active-list,
-// dense reference scan, and the fanned parStep — with per-cycle invariant
-// sweeps enabled. Stats, event sequences, and cycle counts must agree
-// exactly, proving the encodings and the fan scale to the larger grids.
-func TestLargeGeometryDifferential(t *testing.T) {
-	cycles := 120
-	if testing.Short() {
-		cycles = 40
-	}
-	for _, n := range []int{256, 1024} {
-		p := ForPorts(n)
-		t.Run(fmt.Sprintf("H%dA%d", p.Heights, p.Angles), func(t *testing.T) {
-			run := func(mode string) (Stats, []diffEvent, int64) {
-				c := NewCore(p)
-				c.CheckInvariants = true
-				switch mode {
-				case "dense":
-					c.Dense = true
-				case "fan":
-					pool := sim.NewFanPool(4)
-					defer pool.Stop()
-					c.SetFanPool(pool, -1) // fan every cycle regardless of occupancy
-				}
-				ev := driveDiffTraffic(c, "uniform", cycles, 42)
-				return c.Stats(), ev, c.Cycle()
-			}
-			sSt, sEv, sCy := run("sparse")
-			dSt, dEv, dCy := run("dense")
-			fSt, fEv, fCy := run("fan")
-			if sSt != dSt || sSt != fSt {
-				t.Errorf("stats diverge:\nsparse: %+v\ndense:  %+v\nfan:    %+v", sSt, dSt, fSt)
-			}
-			if len(sEv) != len(dEv) || len(sEv) != len(fEv) {
-				t.Fatalf("event counts diverge: sparse %d, dense %d, fan %d", len(sEv), len(dEv), len(fEv))
-			}
-			for i := range sEv {
-				if sEv[i] != dEv[i] || sEv[i] != fEv[i] {
-					t.Fatalf("event %d diverges:\nsparse: %+v\ndense:  %+v\nfan:    %+v",
-						i, sEv[i], dEv[i], fEv[i])
-				}
-			}
-			if sCy != dCy || sCy != fCy {
-				t.Errorf("cycle counts diverge: sparse %d, dense %d, fan %d", sCy, dCy, fCy)
-			}
-			if sSt.Delivered == 0 {
-				t.Error("large geometry delivered nothing; differential vacuous")
-			}
-		})
 	}
 }

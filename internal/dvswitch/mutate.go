@@ -28,6 +28,10 @@ const (
 	MutStickyOutputRing
 )
 
-// SetMutation plants (or with 0 clears) deliberate defects in the core.
-// Testing only; see Mutation.
-func (c *Core) SetMutation(m Mutation) { c.mut = m }
+// SetMutation plants (or with 0 clears) deliberate defects in the core,
+// rebuilding the routing table for the routing mutations. Testing only; see
+// Mutation.
+func (c *Core) SetMutation(m Mutation) {
+	c.mut = m
+	c.buildTab()
+}

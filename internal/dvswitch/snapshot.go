@@ -1,6 +1,6 @@
 // State capture for both switch engines. Encodings are canonical: the
 // occupancy grid is walked in dense-scan order and injection queues in
-// ascending port order, never in pool-allocation or active-list order, so
+// ascending port order, never in pool-allocation order, so
 // the sparse stepper and the dense reference scan — bit-identical in
 // behavior — produce byte-identical state images too.
 
@@ -39,7 +39,7 @@ func encodeStats(e *snapshot.Encoder, st Stats) {
 // in-flight packets in dense fabric-scan order, injection queues in ascending
 // port order, dead-node set, fault-probability window, fault-RNG stream
 // position, and aggregate statistics. Scratch state (next-occupancy, signal
-// flags, active list) is empty between Steps and derivable from the grid, so
+// bitmap) is empty between Steps and derivable from the grid, so
 // it is deliberately not captured.
 func (c *Core) SnapshotTo(e *snapshot.Encoder) {
 	e.I64(c.cycle)

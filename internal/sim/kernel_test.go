@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTimeString(t *testing.T) {
@@ -628,7 +629,7 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 	}
 	for name, pump := range pumps {
 		t.Run(name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			base := settledGoroutines(t)
 			k := NewKernel()
 			unwound := parkFive(k)
 			k.Spawn("bad", func(p *Proc) {
@@ -684,10 +685,32 @@ func TestAbortSignalNeverEscapesDrain(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns runtime.NumGoroutine once the count has held
+// still for 50 consecutive 1 ms polls, so a goroutine an earlier test left
+// exiting (a stopped FanPool's workers return asynchronously) is not taken
+// into a baseline. It fails t if the count does not settle within 10 s.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	n, still := runtime.NumGoroutine(), 0
+	for still < 50 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count did not settle within 10 s (last read %d)", n)
+		}
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // No goroutine outlives a run: every process goroutine, finished or parked
 // in any blocking primitive, is gone when Run or Finish returns.
 func TestNoGoroutineOutlivesRun(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines(t)
 	check := func(when string, unwound *int) {
 		t.Helper()
 		if *unwound != 5 {
