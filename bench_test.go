@@ -246,25 +246,11 @@ func BenchmarkSwitchTraffic(b *testing.B) {
 			var thr float64
 			for i := 0; i < b.N; i++ {
 				c := dvswitch.NewCore(p)
-				c.Deliver = func(dvswitch.Packet, int64) {}
+				tr := dvswitch.Traffic{Pattern: pattern, Load: 0.5, Hot: 13, QueueCap: 8}
 				rng := sim.NewRNG(7)
 				const cycles = 5000
 				for cy := 0; cy < cycles; cy++ {
-					for src := 0; src < p.Ports(); src++ {
-						if rng.Float64() > 0.5 || c.QueueLen(src) > 8 {
-							continue
-						}
-						dst := rng.Intn(p.Ports())
-						switch pattern {
-						case "hotspot":
-							if rng.Float64() < 0.25 {
-								dst = 13
-							}
-						case "tornado":
-							dst = (src + p.Ports()/2) % p.Ports()
-						}
-						c.Inject(dvswitch.Packet{Src: src, Dst: dst})
-					}
+					tr.Offer(c, rng, nil)
 					c.Step()
 				}
 				c.RunUntilIdle(1 << 22)

@@ -44,8 +44,8 @@ func printInfo(run *apprt.RunFlags) error {
 	fmt.Printf("  cycle time      %v (peak payload %.2f GB/s/port)\n",
 		dvswitch.DefaultCycleTime, 8/dvswitch.DefaultCycleTime.Seconds()/1e9)
 	if spec.DVPlanes > 1 {
-		fmt.Printf("  planes          %d parallel fabrics behind each VIC boundary, %s plane policy (aggregate peak %.2f GB/s/port)\n",
-			spec.DVPlanes, spec.PlanePolicy, float64(spec.DVPlanes)*8/dvswitch.DefaultCycleTime.Seconds()/1e9)
+		fmt.Printf("  planes          %d parallel fabrics behind each VIC boundary, planes picked by a (src, dst) hash (aggregate peak %.2f GB/s/port)\n",
+			spec.DVPlanes, float64(spec.DVPlanes)*8/dvswitch.DefaultCycleTime.Seconds()/1e9)
 	} else {
 		fmt.Printf("  planes          1 (the paper's single-plane testbed)\n")
 	}

@@ -10,7 +10,7 @@
 //	dvbench -list           # list experiment ids and registered apps
 //	dvbench -exp fig6a      # one experiment (ids from -list)
 //	dvbench -app gups       # one registered app, both backends (host cost on stderr)
-//	dvbench -info           # the testbed's configuration (-nodes/-planes/-plane-policy)
+//	dvbench -info           # the testbed's configuration (-app/-nodes/-planes)
 //	dvbench -svg figures    # also render every plottable table as an SVG
 //	dvbench -jobs 4         # fan independent sweep points over 4 workers
 //	dvbench -trace out.prv  # where fig5 writes its trace (.csv .json .prv .txt)
@@ -19,9 +19,11 @@
 //	                        # m.trace.json + stage-attribution summary table
 //	dvbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// -app, -nodes, -net, -seed, -cycle, -planes and -plane-policy are the
-// run-spec flags dvcheck and dvprof take too (apprt.BindRunFlags); they
-// configure an -app or -info run, and the experiments fix their own.
+// -app, -nodes, -net, -seed, -cycle and -planes are the run-spec flags
+// dvcheck and dvprof take too (apprt.BindRunFlags). An -app run reads them
+// all and -info reads -app, -nodes and -planes. The experiments, -metrics
+// and -list fix their own platform, so a run-spec flag they do not read
+// exits 2 naming it instead of being ignored.
 //
 // Long runs are crash-resumable: -journal <dir> persists every finished
 // sweep point and experiment before moving on, and -resume <dir> re-runs
@@ -46,6 +48,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -60,72 +63,42 @@ import (
 	"repro/internal/trace"
 )
 
-// experiment is one dispatchable entry of the evaluation: a primary id,
-// optional aliases, a short description, and the function that produces its
-// tables. Both -list and the -exp dispatch derive from this table.
-type experiment struct {
-	id      string
-	aliases []string
-	desc    string
-	run     func(opt bench.Options, writeTrace func(*trace.Log)) []*bench.Table
+// runSpecReads names the run-spec flags (apprt.BindRunFlags) each mode
+// reads. The experiments, -metrics and -list fix their own platform and
+// read none.
+var runSpecReads = map[string][]string{
+	"-app":  {"app", "nodes", "net", "seed", "cycle", "planes"},
+	"-info": {"app", "nodes", "planes"},
 }
 
-// one wraps a single-table experiment.
-func one(f func(bench.Options) *bench.Table) func(bench.Options, func(*trace.Log)) []*bench.Table {
-	return func(opt bench.Options, _ func(*trace.Log)) []*bench.Table {
-		return []*bench.Table{f(opt)}
+// modeOf names the mode a command line selects, in main's precedence.
+func modeOf(list, info bool, app, metrics string) string {
+	switch {
+	case list:
+		return "-list"
+	case info:
+		return "-info"
+	case app != "":
+		return "-app"
+	case metrics != "":
+		return "-metrics"
 	}
+	return "-exp"
 }
 
-var experiments = []experiment{
-	{id: "fig3a", desc: "ping-pong bandwidth", run: one(bench.Fig3a)},
-	{id: "fig3b", desc: "ping-pong % of peak", run: one(bench.Fig3b)},
-	{id: "fig4", desc: "barrier latency", run: one(bench.Fig4)},
-	{id: "fig5", desc: "GUPS packet trace", run: func(opt bench.Options, writeTrace func(*trace.Log)) []*bench.Table {
-		t, log := bench.Fig5Trace(opt)
-		writeTrace(log)
-		return []*bench.Table{t}
-	}},
-	{id: "fig6a", aliases: []string{"fig6b", "fig6"}, desc: "GUPS scaling (both panels)",
-		run: func(opt bench.Options, _ func(*trace.Log)) []*bench.Table {
-			a, b := bench.Fig6(opt)
-			return []*bench.Table{a, b}
-		}},
-	{id: "fig7", desc: "FFT-1D aggregate GFLOPS", run: one(bench.Fig7)},
-	{id: "fig8", desc: "Graph500 BFS", run: one(bench.Fig8)},
-	{id: "fig9", desc: "application speedup: SNAP, Vorticity, Heat", run: one(bench.Fig9)},
-	{id: "extA", aliases: []string{"switch"}, desc: "switch traffic study", run: one(bench.ExtSwitchTraffic)},
-	{id: "extB", aliases: []string{"scale"}, desc: "scaling study", run: one(bench.ExtScale)},
-	{id: "extC", aliases: []string{"ablation"}, desc: "calibration ablation", run: one(bench.ExtAblation)},
-	{id: "extD", aliases: []string{"scaleapps"}, desc: "projected GUPS and BFS scaling to 128 nodes", run: one(bench.ExtScaleApps)},
-	{id: "extE", aliases: []string{"routing"}, desc: "routing study", run: one(bench.ExtRouting)},
-	{id: "extF", aliases: []string{"multirail"}, desc: "multi-rail study", run: one(bench.ExtMultiRail)},
-	{id: "extG", aliases: []string{"pagerank"}, desc: "PageRank study", run: one(bench.ExtPageRank)},
-	{id: "extH", aliases: []string{"faults"}, desc: "fault injection study", run: one(bench.ExtFaults)},
-	{id: "extI", aliases: []string{"spmv"}, desc: "SpMV study", run: one(bench.ExtSpMV)},
-	{id: "extJ", aliases: []string{"subset"}, desc: "subset barrier study", run: one(bench.ExtSubsetBarrier)},
-	{id: "extK", aliases: []string{"sort"}, desc: "sample sort study", run: one(bench.ExtSort)},
-	{id: "extL", aliases: []string{"provisioning"}, desc: "provisioning study", run: one(bench.ExtProvisioning)},
-	{id: "extM", aliases: []string{"appscaling"}, desc: "application speedup across node counts", run: one(bench.ExtAppScaling)},
-	{id: "extN", aliases: []string{"reliability"}, desc: "reliability study", run: one(bench.ExtReliability)},
-	{id: "extS", aliases: []string{"crossover"}, desc: "scaling crossover: DV planes vs scaled fat tree", run: one(bench.ExtScalingCrossover)},
-	{id: "validate", desc: "cross-variant validation", run: one(bench.Validate)},
-}
-
-// findExperiment resolves an id or alias, case-insensitively.
-func findExperiment(id string) *experiment {
-	for i := range experiments {
-		e := &experiments[i]
-		if strings.EqualFold(e.id, id) {
-			return e
+// checkRunSpecFlags refuses a run-spec flag set on fs that mode does not
+// read, which would otherwise be silently ignored. It names the first such
+// flag in lexical order.
+func checkRunSpecFlags(fs *flag.FlagSet, mode string) error {
+	spec := flag.NewFlagSet("", flag.ContinueOnError)
+	apprt.BindRunFlags(spec)
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && spec.Lookup(f.Name) != nil && !slices.Contains(runSpecReads[mode], f.Name) {
+			err = fmt.Errorf("-%s: %s does not read it", f.Name, mode)
 		}
-		for _, a := range e.aliases {
-			if strings.EqualFold(a, id) {
-				return e
-			}
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 func main() {
@@ -134,7 +107,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id or 'all'")
 	run := apprt.BindRunFlags(flag.CommandLine)
 	info := flag.Bool("info", false,
-		"print the testbed configuration for -nodes/-planes/-plane-policy (-nodes 0: the paper's 32, or -app's reference size), then exit")
+		"print the testbed configuration for -app/-nodes/-planes (-nodes 0: the paper's 32, or -app's reference size), then exit")
 	svgDir := flag.String("svg", "", "also render every plottable table as an SVG figure into this directory")
 	jobs := flag.Int("jobs", runtime.NumCPU(),
 		"worker count for independent sweep points (results identical at any value)")
@@ -155,6 +128,11 @@ func main() {
 		"for -app: virtual-time budget; same expiry behavior as -budget-wall")
 	flag.Parse()
 
+	mode := modeOf(*list, *info, run.App, *metricsBase)
+	if err := checkRunSpecFlags(flag.CommandLine, mode); err != nil {
+		fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
+		os.Exit(2)
+	}
 	if *tracePath != "" {
 		if err := trace.CheckPath(*tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "dvbench: -trace: %v\n", err)
@@ -223,22 +201,22 @@ func main() {
 		}()
 	}
 
-	if *list {
+	switch mode {
+	case "-list":
 		fmt.Println("experiments (-exp):")
-		for _, e := range experiments {
-			id := e.id
-			if len(e.aliases) > 0 {
-				id += " (" + strings.Join(e.aliases, ", ") + ")"
+		for _, e := range bench.Experiments {
+			id := e.ID
+			if len(e.Aliases) > 0 {
+				id += " (" + strings.Join(e.Aliases, ", ") + ")"
 			}
-			fmt.Printf("  %-28s %s\n", id, e.desc)
+			fmt.Printf("  %-28s %s\n", id, e.Desc)
 		}
 		fmt.Println("\nregistered apps (-app):")
 		for _, a := range apprt.Apps() {
 			fmt.Printf("  %-28s %s [ref %d nodes]\n", a.Name, a.Desc, a.RefNodes)
 		}
 		return
-	}
-	if *info {
+	case "-info":
 		if err := printInfo(run); err != nil {
 			fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
 			os.Exit(2)
@@ -253,7 +231,7 @@ func main() {
 			*jobs, runtime.NumCPU())
 	}
 
-	if run.App != "" {
+	if mode == "-app" {
 		// Any non-zero budget makes the run managed, so a negative one reaches
 		// spec validation instead of reading as "none".
 		var budget *cluster.Checkpoint
@@ -280,7 +258,6 @@ func main() {
 	if *resumeDir != "" {
 		*journalDir = *resumeDir
 	}
-	var journal *bench.Journal
 	if *journalDir != "" {
 		j, err := bench.OpenJournal(*journalDir)
 		if err != nil {
@@ -288,11 +265,10 @@ func main() {
 			os.Exit(1)
 		}
 		defer j.Close()
-		journal = j
 		opt.Journal = j
 		opt.Ctx = ctx
 	}
-	if *metricsBase != "" {
+	if mode == "-metrics" {
 		if err := runMetrics(opt, *metricsBase); err != nil {
 			fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
 			os.Exit(1)
@@ -311,64 +287,29 @@ func main() {
 		traced = true
 	}
 
-	var tables []*bench.Table
-	if journal != nil {
-		// Journaled runs go experiment by experiment so each completed
-		// experiment is persisted in full and replayed verbatim on resume
-		// (the loop order matches bench.All, so the figures are identical).
-		sel := make([]*experiment, 0, len(experiments))
-		if strings.EqualFold(*exp, "all") {
-			for i := range experiments {
-				if experiments[i].id != "validate" {
-					sel = append(sel, &experiments[i])
-				}
-			}
-		} else if e := findExperiment(*exp); e != nil {
-			sel = append(sel, e)
-		} else {
-			fmt.Fprintf(os.Stderr, "dvbench: unknown experiment %q (see -list)\n", *exp)
-			os.Exit(2)
-		}
-		for _, e := range sel {
-			if ts, ok := journal.Experiment(e.id); ok {
-				tables = append(tables, ts...)
-				continue
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			ts := e.run(opt, writeTrace)
-			if ctx.Err() != nil {
-				break
-			}
-			journal.PutExperiment(e.id, ts)
-			tables = append(tables, ts...)
-		}
-		if err := journal.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "dvbench: journal: %v\n", err)
-			os.Exit(1)
-		}
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "dvbench: interrupted; resume with: dvbench -resume %s", *journalDir)
-			if !strings.EqualFold(*exp, "all") {
-				fmt.Fprintf(os.Stderr, " -exp %s", *exp)
-			}
-			if *small {
-				fmt.Fprint(os.Stderr, " -small")
-			}
-			if *svgDir != "" {
-				fmt.Fprintf(os.Stderr, " -svg %s", *svgDir)
-			}
-			fmt.Fprintln(os.Stderr)
-			os.Exit(3)
-		}
-	} else if strings.EqualFold(*exp, "all") {
-		tables = bench.All(opt, writeTrace)
-	} else if e := findExperiment(*exp); e != nil {
-		tables = e.run(opt, writeTrace)
-	} else {
-		fmt.Fprintf(os.Stderr, "dvbench: unknown experiment %q (see -list)\n", *exp)
+	sel, err := bench.SelectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
 		os.Exit(2)
+	}
+	tables := runExperiments(sel, opt, writeTrace)
+	if err := opt.Journal.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "dvbench: journal: %v\n", err)
+		os.Exit(1)
+	}
+	if opt.Ctx != nil && opt.Ctx.Err() != nil {
+		fmt.Fprintf(os.Stderr, "dvbench: interrupted; resume with: dvbench -resume %s", *journalDir)
+		if !strings.EqualFold(*exp, "all") {
+			fmt.Fprintf(os.Stderr, " -exp %s", *exp)
+		}
+		if *small {
+			fmt.Fprint(os.Stderr, " -small")
+		}
+		if *svgDir != "" {
+			fmt.Fprintf(os.Stderr, " -svg %s", *svgDir)
+		}
+		fmt.Fprintln(os.Stderr)
+		os.Exit(3)
 	}
 	for _, t := range tables {
 		t.Fprint(os.Stdout)
@@ -397,6 +338,30 @@ func main() {
 		}
 		fmt.Printf("%d figures rendered to %s\n", n, *svgDir)
 	}
+}
+
+// runExperiments runs sel in order and returns their tables. With a journal
+// (opt.Journal) each experiment is persisted whole once it finishes and
+// replayed verbatim on resume, and a cancelled opt.Ctx stops the run between
+// experiments; a plain run has neither.
+func runExperiments(sel []bench.Experiment, opt bench.Options, writeTrace func(*trace.Log)) []*bench.Table {
+	var tables []*bench.Table
+	for _, e := range sel {
+		if ts, ok := opt.Journal.Experiment(e.ID); ok {
+			tables = append(tables, ts...)
+			continue
+		}
+		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+			break
+		}
+		ts := e.Run(opt, writeTrace)
+		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+			break
+		}
+		opt.Journal.PutExperiment(e.ID, ts)
+		tables = append(tables, ts...)
+	}
+	return tables
 }
 
 // maxVirtualBudget is the longest -budget-virtual (a host duration: 1ms means

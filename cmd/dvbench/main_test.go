@@ -17,15 +17,19 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/small.gol
 
 // TestSmallGolden pins what `dvbench -small` produces: every table as it
 // prints, the -json bytes, and the SHA-256 of every SVG -svg renders at
-// 720x440. bench.All runs once, in table order, with Figure 5's trace handed
-// out exactly once. Regenerate with
+// 720x440. Every experiment of "all" runs once, through dvbench's loop, in
+// table order, with Figure 5's trace handed out exactly once. Regenerate with
 // go test ./cmd/dvbench -run TestSmallGolden -update-golden.
 func TestSmallGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment at -small size")
 	}
 	var traced int
-	tables := bench.All(bench.Options{Small: true}, func(*trace.Log) { traced++ })
+	sel, err := bench.SelectExperiments("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := runExperiments(sel, bench.Options{Small: true}, func(*trace.Log) { traced++ })
 	want := []string{"fig3a", "fig3b", "fig4", "fig5", "fig6a", "fig6b",
 		"fig7", "fig8", "fig9", "extA", "extB", "extC", "extD", "extE", "extF", "extG", "extH", "extI", "extJ", "extK", "extL", "extM", "extN", "extS"}
 	if len(tables) != len(want) || traced != 1 {

@@ -27,9 +27,9 @@
 // reliable-delivery layer, with a bounded wait so wedged runs terminate. A
 // sweep that selects no run at all exits 2.
 //
-// -app, -nodes, -net, -seed, -cycle, -planes and -plane-policy are the
-// run-spec flags dvbench and dvprof take too (apprt.BindRunFlags); an empty
-// -app or -net sweeps every app or backend, and -seed is the first seed.
+// -app, -nodes, -net, -seed, -cycle and -planes are the run-spec flags
+// dvbench and dvprof take too (apprt.BindRunFlags); an empty -app or -net
+// sweeps every app or backend, and -seed is the first seed.
 package main
 
 import (
@@ -237,9 +237,6 @@ matrix:
 						}
 						if run.Planes > 1 {
 							hint += fmt.Sprintf(" -planes %d", run.Planes)
-							if run.PlanePolicy != "" {
-								hint += " -plane-policy " + run.PlanePolicy
-							}
 						}
 						fmt.Fprintf(os.Stderr, "dvcheck: interrupted; resume from here with: %s\n", hint)
 						interrupted = true

@@ -12,8 +12,8 @@
 //
 //	dvprof -list
 //	dvprof -app NAME -net dv|ib [-nodes N] [-seed S] [-cycle] [-planes P]
-//	       [-plane-policy hash|rr] [-sample N] [-topk K] [-json]
-//	       [-heatmap heat.svg] [-trace flows.trace.json]
+//	       [-sample N] [-topk K] [-json] [-heatmap heat.svg]
+//	       [-trace flows.trace.json]
 //
 // The run-spec flags are the ones dvbench and dvcheck take
 // (apprt.BindRunFlags). A profile is one run, so -app and -net each name

@@ -166,12 +166,16 @@ func main() {
 		}, plan.EntityRNG("dvswitch-core", 0))
 	}
 	ports := p.Ports()
-	burstLeft := make([]int, ports)
-	hot := ports / 3
+	traffic := dvswitch.Traffic{Pattern: cfg.pattern, Load: cfg.load, Hot: ports / 3, QueueCap: 8}
+	var cy int
+	stamp := func(pkt dvswitch.Packet) dvswitch.Packet {
+		pkt.Flow = tracer.Begin(pkt.Src, pkt.Dst, attr.KindWrite, sim.Time(cy)*ct)
+		return pkt
+	}
 	wall := time.Now()
 	budgetHit := false
 	ranCycles := 0
-	for cy := 0; cy < cfg.cycles; cy++ {
+	for cy = 0; cy < cfg.cycles; cy++ {
 		// Watchdog: poll the wall budget at cycle granularity so an oversized
 		// run ends at a clean cycle boundary with a partial report, never a
 		// hang or a mid-cycle kill.
@@ -180,39 +184,7 @@ func main() {
 			break
 		}
 		ranCycles = cy + 1
-		for src := 0; src < ports; src++ {
-			inject := rng.Float64() < cfg.load
-			if cfg.pattern == "bursty" {
-				if burstLeft[src] > 0 {
-					inject = true
-					burstLeft[src]--
-				} else if rng.Float64() < cfg.load/16 {
-					burstLeft[src] = 15
-					inject = true
-				} else {
-					inject = false
-				}
-			}
-			if !inject || c.QueueLen(src) > 8 {
-				continue
-			}
-			var dst int
-			switch cfg.pattern {
-			case "hotspot":
-				if rng.Float64() < 0.25 {
-					dst = hot
-				} else {
-					dst = rng.Intn(ports)
-				}
-			case "tornado":
-				dst = (src + ports/2) % ports
-			default: // uniform, bursty
-				dst = rng.Intn(ports)
-			}
-			pkt := dvswitch.Packet{Src: src, Dst: dst}
-			pkt.Flow = tracer.Begin(src, dst, attr.KindWrite, sim.Time(cy)*ct)
-			c.Inject(pkt)
-		}
+		traffic.Offer(c, rng, stamp)
 		c.Step()
 	}
 	if budgetHit {

@@ -1,5 +1,5 @@
 // The run-spec flag set. Every driver that runs a registered app (dvbench,
-// dvcheck, dvprof) declares these seven flags through BindRunFlags, so each
+// dvcheck, dvprof) declares these six flags through BindRunFlags, so each
 // flag has one name, one default and one parser, and a spec built from them
 // is validated once, by RunSpec.Validate.
 
@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/dvswitch"
 )
 
 // RunFlags holds the run-spec flags of one parsed flag set.
@@ -31,13 +30,10 @@ type RunFlags struct {
 	Cycle bool
 	// Planes is the Data Vortex switch plane count (0 and 1: one plane).
 	Planes int
-	// PlanePolicy is the plane assignment, in dvswitch.ParsePlanePolicy's
-	// spellings.
-	PlanePolicy string
 }
 
-// BindRunFlags declares -app, -nodes, -net, -seed, -cycle, -planes and
-// -plane-policy on fs. Their values are read after fs is parsed.
+// BindRunFlags declares -app, -nodes, -net, -seed, -cycle and -planes on
+// fs. Their values are read after fs is parsed.
 func BindRunFlags(fs *flag.FlagSet) *RunFlags {
 	f := &RunFlags{}
 	fs.StringVar(&f.App, "app", "", "registered app to run (see -list)")
@@ -46,7 +42,6 @@ func BindRunFlags(fs *flag.FlagSet) *RunFlags {
 	fs.Uint64Var(&f.Seed, "seed", 1, "RNG seed of the run")
 	fs.BoolVar(&f.Cycle, "cycle", false, "route Data Vortex traffic through the cycle-accurate switch core")
 	fs.IntVar(&f.Planes, "planes", 0, "Data Vortex switch planes behind each VIC boundary (0 or 1 = one plane)")
-	fs.StringVar(&f.PlanePolicy, "plane-policy", "", "plane assignment for -planes > 1: hash (default) or rr")
 	return f
 }
 
@@ -82,11 +77,7 @@ func (f *RunFlags) Nets() ([]comm.Net, error) {
 // Spec returns the validated spec of one run on net, where -nodes 0 stands
 // for refNodes. Errors are *cluster.ConfigError.
 func (f *RunFlags) Spec(net comm.Net, refNodes int) (RunSpec, error) {
-	policy, err := dvswitch.ParsePlanePolicy(f.PlanePolicy)
-	if err != nil {
-		return RunSpec{}, &cluster.ConfigError{Field: "PlanePolicy", Reason: "is not usable: " + err.Error()}
-	}
 	spec := RunSpec{Net: net, Nodes: cmp.Or(f.Nodes, refNodes), Seed: f.Seed,
-		Platform: cluster.Platform{CycleAccurate: f.Cycle, DVPlanes: f.Planes, PlanePolicy: policy}}
+		Platform: cluster.Platform{CycleAccurate: f.Cycle, DVPlanes: f.Planes}}
 	return spec, spec.Validate()
 }

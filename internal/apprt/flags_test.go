@@ -16,7 +16,7 @@ import (
 )
 
 // bind parses args into the run-spec flags and returns every spec they
-// select, one line per spec: net, nodes, seed, cycle, planes, policy.
+// select, one line per spec: net, nodes, seed, cycle, planes.
 func bind(args ...string) (string, error) {
 	fs := flag.NewFlagSet("bind", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -39,7 +39,7 @@ func bind(args ...string) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			fmt.Fprintf(&b, "%s %s %d %d %v %d %v\n", a.Name, net, s.Nodes, s.Seed, s.CycleAccurate, s.DVPlanes, s.PlanePolicy)
+			fmt.Fprintf(&b, "%s %s %d %d %v %d\n", a.Name, net, s.Nodes, s.Seed, s.CycleAccurate, s.DVPlanes)
 		}
 	}
 	return b.String(), nil
@@ -53,16 +53,16 @@ func TestRunFlags_Valid(t *testing.T) {
 	}{
 		{name: "-nodes 0 is the reference size; every backend, seed 1",
 			args: []string{"-app", "gups"},
-			want: "gups Data Vortex 4 1 false 0 hash\ngups Infiniband 4 1 false 0 hash\n"},
+			want: "gups Data Vortex 4 1 false 0\ngups Infiniband 4 1 false 0\n"},
 		{name: "one backend", args: []string{"-app", "gups", "-net", "ib"},
-			want: "gups Infiniband 4 1 false 0 hash\n"},
+			want: "gups Infiniband 4 1 false 0\n"},
 		{name: "a net list keeps its order", args: []string{"-app", "fft", "-net", "ib, dv"},
-			want: "fft Infiniband 4 1 false 0 hash\nfft Data Vortex 4 1 false 0 hash\n"},
+			want: "fft Infiniband 4 1 false 0\nfft Data Vortex 4 1 false 0\n"},
 		{name: "the paper label names a net", args: []string{"-app", "fft", "-net", "Data Vortex"},
-			want: "fft Data Vortex 4 1 false 0 hash\n"},
+			want: "fft Data Vortex 4 1 false 0\n"},
 		{name: "every platform flag", args: []string{"-app", "gups", "-net", "dv", "-nodes", "256",
-			"-seed", "9", "-cycle", "-planes", "2", "-plane-policy", "rr"},
-			want: "gups Data Vortex 256 9 true 2 rr\n"},
+			"-seed", "9", "-cycle", "-planes", "2"},
+			want: "gups Data Vortex 256 9 true 2\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -87,7 +87,6 @@ func TestRunFlags_Invalid(t *testing.T) {
 		// before a spec exists (parse, app, net).
 		field string
 	}{
-		{name: "unknown plane policy", args: []string{"-plane-policy", "bogus", "-planes", "2"}, field: "PlanePolicy"},
 		{name: "negative planes", args: []string{"-planes", "-1"}, field: "DVPlanes"},
 		{name: "negative nodes", args: []string{"-nodes", "-4"}, field: "Nodes"},
 		{name: "a switch past the cell cap", args: []string{"-app", "gups", "-net", "dv", "-nodes", "100000000"}, field: "Nodes"},
@@ -97,6 +96,7 @@ func TestRunFlags_Invalid(t *testing.T) {
 		{name: "an empty net in the list", args: []string{"-net", "dv,"}},
 		{name: "negative seed", args: []string{"-seed", "-1"}},
 		{name: "-rails is gone", args: []string{"-rails", "2"}},
+		{name: "-plane-policy is gone", args: []string{"-plane-policy", "rr", "-planes", "2"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -69,8 +69,8 @@ func TestOnePlatformType(t *testing.T) {
 			knobs++
 		}
 	}
-	if knobs != 11 {
-		t.Errorf("cluster.Platform has %d exported fields, want 11", knobs)
+	if knobs != 10 {
+		t.Errorf("cluster.Platform has %d exported fields, want 10", knobs)
 	}
 	for _, typ := range []reflect.Type{reflect.TypeOf(apprt.RunSpec{}), reflect.TypeOf(cluster.Config{})} {
 		f, ok := typ.FieldByName("Platform")
@@ -118,8 +118,6 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 			Platform: cluster.Platform{DVPlanes: -4}}, field: "DVPlanes"},
 		{name: "negative rails", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{VICsPerNode: -1}}, field: "VICsPerNode"},
-		{name: "unknown plane policy", spec: apprt.RunSpec{Nodes: 4,
-			Platform: cluster.Platform{DVPlanes: 2, PlanePolicy: 7}}, field: "PlanePolicy"},
 		{name: "fault plan out of range", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{Faults: &faultplan.Plan{DropProb: 1.5}}}, field: "Faults"},
 		{name: "negative wall budget", spec: apprt.RunSpec{Nodes: 4,

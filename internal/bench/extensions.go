@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/apps/barrier"
 	"repro/internal/apps/bfs"
@@ -51,7 +53,9 @@ func ExtSwitchTraffic(opt Options) *Table {
 	}
 	SweepRows(opt, t, len(pts), func(i int) []Cell {
 		pt := pts[i]
-		st := runTraffic(pt.pattern, pt.load, cycles)
+		st := drive(dvswitch.NewCore(dvswitch.Params{Heights: 8, Angles: 4}),
+			dvswitch.Traffic{Pattern: pt.pattern, Load: pt.load, Hot: 13, QueueCap: 8},
+			sim.NewRNG(uint64(len(pt.pattern))*131+uint64(pt.load*100)), cycles)
 		thr := float64(st.Delivered) / float64(cycles) / 32
 		return []Cell{Text(pt.pattern), Num(pt.load, 1, None), Num(thr, 3, None),
 			Num(st.MeanLatency(), 1, None),
@@ -61,66 +65,11 @@ func ExtSwitchTraffic(opt Options) *Table {
 	return t
 }
 
-// runTraffic drives the cycle-accurate core with one synthetic pattern.
-func runTraffic(pattern string, load float64, cycles int) dvswitch.Stats {
-	p := dvswitch.Params{Heights: 8, Angles: 4}
-	c := dvswitch.NewCore(p)
-	c.Deliver = func(dvswitch.Packet, int64) {}
-	rng := sim.NewRNG(uint64(len(pattern))*131 + uint64(load*100))
-	ports := p.Ports()
-	burstLeft := make([]int, ports)
+// drive offers tr to c for cycles cycles, stepping c once a cycle, then
+// drains c and returns its stats.
+func drive(c *dvswitch.Core, tr dvswitch.Traffic, rng *sim.RNG, cycles int) dvswitch.Stats {
 	for cy := 0; cy < cycles; cy++ {
-		for src := 0; src < ports; src++ {
-			inject := rng.Float64() < load
-			if pattern == "bursty" {
-				// On/off bursts: bursts of 16 packets at full rate.
-				if burstLeft[src] > 0 {
-					inject = true
-					burstLeft[src]--
-				} else if rng.Float64() < load/16 {
-					burstLeft[src] = 15
-					inject = true
-				} else {
-					inject = false
-				}
-			}
-			if !inject || c.QueueLen(src) > 8 {
-				continue
-			}
-			dst := 0
-			switch pattern {
-			case "hotspot":
-				// 25% of traffic to one port, rest uniform.
-				if rng.Float64() < 0.25 {
-					dst = 13
-				} else {
-					dst = rng.Intn(ports)
-				}
-			case "tornado":
-				dst = (src + ports/2) % ports
-			default:
-				dst = rng.Intn(ports)
-			}
-			c.Inject(dvswitch.Packet{Src: src, Dst: dst})
-		}
-		c.Step()
-	}
-	c.RunUntilIdle(1 << 22)
-	return c.Stats()
-}
-
-// offer drives c for cycles cycles with uniform random traffic among n
-// endpoints stride ports apart: each cycle, every endpoint whose queue holds
-// fewer than 4 packets injects with probability load, to an endpoint drawn at
-// random. It then drains c and returns its stats.
-func offer(c *dvswitch.Core, rng *sim.RNG, n, stride int, load float64, cycles int) dvswitch.Stats {
-	c.Deliver = func(dvswitch.Packet, int64) {}
-	for cy := 0; cy < cycles; cy++ {
-		for i := 0; i < n; i++ {
-			if rng.Float64() < load && c.QueueLen(i*stride) < 4 {
-				c.Inject(dvswitch.Packet{Src: i * stride, Dst: stride * rng.Intn(n)})
-			}
-		}
+		tr.Offer(c, rng, nil)
 		c.Step()
 	}
 	c.RunUntilIdle(1 << 22)
@@ -150,7 +99,7 @@ func ExtScale(opt Options) *Table {
 	SweepRows(opt, t, len(heights), func(i int) []Cell {
 		p := dvswitch.Params{Heights: heights[i], Angles: 4}
 		ports := p.Ports()
-		st := offer(dvswitch.NewCore(p), sim.NewRNG(uint64(heights[i])), ports, 1, 0.5, cycles)
+		st := drive(dvswitch.NewCore(p), dvswitch.Traffic{Load: 0.5, QueueCap: 3}, sim.NewRNG(uint64(heights[i])), cycles)
 		return []Cell{Int(ports), Int(p.Cylinders()),
 			Num(st.MeanLatency(), 1, None),
 			Num(float64(st.Delivered)/float64(cycles)/float64(ports), 3, None)}
@@ -360,7 +309,7 @@ func ExtFaults(opt Options) *Table {
 			cl := 1 + frng.Intn(p.Cylinders()-1)
 			c.SetFaulty(cl, frng.Intn(p.Heights), frng.Intn(p.Angles), true)
 		}
-		st := offer(c, sim.NewRNG(23), p.Ports(), 1, 0.3, cycles)
+		st := drive(c, dvswitch.Traffic{Load: 0.3, QueueCap: 3}, sim.NewRNG(23), cycles)
 		return []Cell{Int(dead),
 			Num(100*float64(st.Delivered)/float64(st.Injected), 2, Percent),
 			Int(st.Dropped),
@@ -510,7 +459,8 @@ func ExtProvisioning(opt Options) *Table {
 	SweepRows(opt, t, len(hs), func(i int) []Cell {
 		p := dvswitch.Params{Heights: hs[i], Angles: 4}
 		const endpoints = 32
-		st := offer(dvswitch.NewCore(p), sim.NewRNG(31), endpoints, p.Ports()/endpoints, 0.9, cycles)
+		st := drive(dvswitch.NewCore(p), dvswitch.Traffic{Load: 0.9, Sources: endpoints,
+			Stride: p.Ports() / endpoints, QueueCap: 3}, sim.NewRNG(31), cycles)
 		return []Cell{Int(p.Ports()),
 			Num(float64(st.Delivered)/float64(cycles)/endpoints, 3, None),
 			Num(st.MeanLatency(), 1, None),
@@ -549,20 +499,73 @@ func ExtAppScaling(opt Options) *Table {
 	return t
 }
 
-// All runs every experiment; the Figure 5 trace goes to traceOut when
-// non-nil.
-func All(opt Options, traceOut func(*trace.Log)) []*Table {
-	tables := []*Table{Fig3a(opt), Fig3b(opt), Fig4(opt)}
-	fig5, log := Fig5Trace(opt)
-	if traceOut != nil {
-		traceOut(log)
+// Experiment is one dispatchable entry of the evaluation: a primary id,
+// aliases, a short description, and the function that produces its tables.
+// Figure 5 hands its trace to traceOut.
+type Experiment struct {
+	ID      string
+	Aliases []string
+	Desc    string
+	Run     func(opt Options, traceOut func(*trace.Log)) []*Table
+}
+
+// one wraps a single-table experiment.
+func one(f func(Options) *Table) func(Options, func(*trace.Log)) []*Table {
+	return func(opt Options, _ func(*trace.Log)) []*Table {
+		return []*Table{f(opt)}
 	}
-	a6, b6 := Fig6(opt)
-	return append(tables, fig5,
-		a6, b6, Fig7(opt), Fig8(opt), Fig9(opt),
-		ExtSwitchTraffic(opt), ExtScale(opt), ExtAblation(opt), ExtScaleApps(opt),
-		ExtRouting(opt), ExtMultiRail(opt), ExtPageRank(opt), ExtFaults(opt),
-		ExtSpMV(opt), ExtSubsetBarrier(opt), ExtSort(opt), ExtProvisioning(opt),
-		ExtAppScaling(opt), ExtReliability(opt),
-		ExtScalingCrossover(opt))
+}
+
+// Experiments is the evaluation in the order it runs. Every entry but the
+// last, validate, makes up "all".
+var Experiments = []Experiment{
+	{ID: "fig3a", Desc: "ping-pong bandwidth", Run: one(Fig3a)},
+	{ID: "fig3b", Desc: "ping-pong % of peak", Run: one(Fig3b)},
+	{ID: "fig4", Desc: "barrier latency", Run: one(Fig4)},
+	{ID: "fig5", Desc: "GUPS packet trace", Run: func(opt Options, traceOut func(*trace.Log)) []*Table {
+		t, log := Fig5Trace(opt)
+		traceOut(log)
+		return []*Table{t}
+	}},
+	{ID: "fig6a", Aliases: []string{"fig6b", "fig6"}, Desc: "GUPS scaling (both panels)",
+		Run: func(opt Options, _ func(*trace.Log)) []*Table {
+			a, b := Fig6(opt)
+			return []*Table{a, b}
+		}},
+	{ID: "fig7", Desc: "FFT-1D aggregate GFLOPS", Run: one(Fig7)},
+	{ID: "fig8", Desc: "Graph500 BFS", Run: one(Fig8)},
+	{ID: "fig9", Desc: "application speedup: SNAP, Vorticity, Heat", Run: one(Fig9)},
+	{ID: "extA", Aliases: []string{"switch"}, Desc: "switch traffic study", Run: one(ExtSwitchTraffic)},
+	{ID: "extB", Aliases: []string{"scale"}, Desc: "scaling study", Run: one(ExtScale)},
+	{ID: "extC", Aliases: []string{"ablation"}, Desc: "calibration ablation", Run: one(ExtAblation)},
+	{ID: "extD", Aliases: []string{"scaleapps"}, Desc: "projected GUPS and BFS scaling to 128 nodes", Run: one(ExtScaleApps)},
+	{ID: "extE", Aliases: []string{"routing"}, Desc: "routing study", Run: one(ExtRouting)},
+	{ID: "extF", Aliases: []string{"multirail"}, Desc: "multi-rail study", Run: one(ExtMultiRail)},
+	{ID: "extG", Aliases: []string{"pagerank"}, Desc: "PageRank study", Run: one(ExtPageRank)},
+	{ID: "extH", Aliases: []string{"faults"}, Desc: "fault injection study", Run: one(ExtFaults)},
+	{ID: "extI", Aliases: []string{"spmv"}, Desc: "SpMV study", Run: one(ExtSpMV)},
+	{ID: "extJ", Aliases: []string{"subset"}, Desc: "subset barrier study", Run: one(ExtSubsetBarrier)},
+	{ID: "extK", Aliases: []string{"sort"}, Desc: "sample sort study", Run: one(ExtSort)},
+	{ID: "extL", Aliases: []string{"provisioning"}, Desc: "provisioning study", Run: one(ExtProvisioning)},
+	{ID: "extM", Aliases: []string{"appscaling"}, Desc: "application speedup across node counts", Run: one(ExtAppScaling)},
+	{ID: "extN", Aliases: []string{"reliability"}, Desc: "reliability study", Run: one(ExtReliability)},
+	{ID: "extS", Aliases: []string{"crossover"}, Desc: "scaling crossover: DV planes vs scaled fat tree", Run: one(ExtScalingCrossover)},
+	{ID: "validate", Desc: "cross-variant validation", Run: one(Validate)},
+}
+
+// SelectExperiments resolves an experiment id: "all" is every experiment
+// but validate, in table order; anything else is one experiment named by id
+// or alias. Both match case-insensitively.
+func SelectExperiments(id string) ([]Experiment, error) {
+	if strings.EqualFold(id, "all") {
+		return Experiments[:len(Experiments)-1], nil
+	}
+	for _, e := range Experiments {
+		if strings.EqualFold(e.ID, id) || slices.ContainsFunc(e.Aliases, func(a string) bool {
+			return strings.EqualFold(a, id)
+		}) {
+			return []Experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (see -list)", id)
 }

@@ -3,6 +3,9 @@ package bench
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/dvswitch"
+	"repro/internal/sim"
 )
 
 // TestSweepOrderAndCoverage checks that results land at their point's index
@@ -50,7 +53,8 @@ func TestSweepDeterministic(t *testing.T) {
 // acceptance bar.
 func BenchmarkSweepParallel(b *testing.B) {
 	work := func(i int) int64 {
-		st := runTraffic("uniform", 0.5, 2000)
+		st := drive(dvswitch.NewCore(dvswitch.Params{Heights: 8, Angles: 4}),
+			dvswitch.Traffic{Load: 0.5, QueueCap: 8}, sim.NewRNG(7), 2000)
 		return st.Delivered + int64(i)
 	}
 	for _, jobs := range []int{1, 4} {

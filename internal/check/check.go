@@ -39,15 +39,14 @@ type Config struct {
 	Attr bool
 
 	// MaxAge bounds a packet's in-fabric age in cycles before it is declared
-	// livelocked. 0 derives a bound from the switch geometry.
-	MaxAge int64
-	// MaxDeflections bounds a single packet's deflection count. 0 derives a
+	// livelocked; it bounds a packet's deflection count too. 0 derives a
 	// bound from the switch geometry.
-	MaxDeflections int
-	// MaxViolations caps the violations retained with full detail (the
-	// total is always counted). 0 means 64.
-	MaxViolations int
+	MaxAge int64
 }
+
+// keptViolations is how many violations a Result keeps in full detail; the
+// total is always counted.
+const keptViolations = 64
 
 // All returns a Config with every invariant family enabled and automatic
 // bounds.
@@ -76,7 +75,7 @@ func (v Violation) String() string {
 
 // Result summarises a Checker's run.
 type Result struct {
-	// Violations holds the first MaxViolations breaches in detection order.
+	// Violations holds the first keptViolations breaches in detection order.
 	Violations []Violation
 	// Total counts every breach, including those past the retention cap.
 	Total int64
@@ -147,9 +146,6 @@ type Checker struct {
 // New builds a Checker for the given configuration. cfg must not be nil.
 func New(cfg *Config) *Checker {
 	c := &Checker{cfg: *cfg}
-	if c.cfg.MaxViolations <= 0 {
-		c.cfg.MaxViolations = 64
-	}
 	if c.cfg.Switch {
 		c.inFab = make(map[fabKey]int)
 	}
@@ -166,7 +162,7 @@ func New(cfg *Config) *Checker {
 // violate records one breach.
 func (c *Checker) violate(layer, invariant string, cycle int64, format string, args ...any) {
 	c.res.Total++
-	if len(c.res.Violations) < c.cfg.MaxViolations {
+	if len(c.res.Violations) < keptViolations {
 		c.res.Violations = append(c.res.Violations, Violation{
 			Layer: layer, Invariant: invariant, Cycle: cycle,
 			Msg: fmt.Sprintf(format, args...),

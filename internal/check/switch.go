@@ -22,16 +22,14 @@ func keyOf(pkt dvswitch.Packet) fabKey {
 // The livelock bound is generous — a packet's age is bounded by the traffic
 // that can contend with it, at most one packet per switching node — so it
 // never fires on legitimate congestion, only on packets that circle forever.
+// The deflection bound equals it, because each deflection costs at least one
+// hop.
 func (c *Checker) bounds(p dvswitch.Params) (maxAge int64, maxDefl int) {
 	maxAge = c.cfg.MaxAge
 	if maxAge <= 0 {
 		maxAge = 1024 + 64*int64(p.Cylinders()*p.Heights*p.Angles)
 	}
-	maxDefl = c.cfg.MaxDeflections
-	if maxDefl <= 0 {
-		maxDefl = int(maxAge) // each deflection costs at least one hop
-	}
-	return maxAge, maxDefl
+	return maxAge, int(maxAge)
 }
 
 // AttachCore installs the per-cycle invariant sweep on a cycle-accurate

@@ -80,9 +80,7 @@ type runState struct {
 	cfg      *Config
 	rootRNG  *sim.RNG
 	nodeRNGs []*sim.RNG
-	engs     []*dvswitch.Engine
-	fms      []*dvswitch.FastModel
-	mp       *dvswitch.MultiPlane
+	fabric   dvswitch.Fabric
 	vics     []*vic.VIC
 	world    *mpi.World
 	ends     [][]*dv.Endpoint
@@ -105,19 +103,11 @@ func (st *runState) capture(at sim.Time, seq uint64) *snapshot.Snapshot {
 	}
 	s.Add("rng", e.Bytes())
 
-	// Multi-plane fabrics snapshot through the wrapper (plane count, policy
-	// state, then each plane); single-plane runs encode the engine alone.
-	if st.mp != nil {
+	// A multi-plane fabric snapshots through its wrapper (plane count, then
+	// each plane); a single-plane run encodes the engine alone.
+	if st.fabric != nil {
 		e = snapshot.NewEncoder()
-		st.mp.SnapshotTo(e)
-		s.Add("dvswitch", e.Bytes())
-	} else if len(st.engs) > 0 {
-		e = snapshot.NewEncoder()
-		st.engs[0].SnapshotTo(e)
-		s.Add("dvswitch", e.Bytes())
-	} else if len(st.fms) > 0 {
-		e = snapshot.NewEncoder()
-		st.fms[0].SnapshotTo(e)
+		st.fabric.SnapshotTo(e)
 		s.Add("dvswitch", e.Bytes())
 	}
 	if st.vics != nil {

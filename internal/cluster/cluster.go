@@ -74,15 +74,11 @@ type Platform struct {
 	CycleAccurate bool
 	// DVPlanes instantiates N parallel Data Vortex switch planes behind the
 	// VIC boundary (0 or 1 = the paper's single-plane testbed). Every plane
-	// has the full SwitchGeom geometry; packets are dealt to planes by
-	// PlanePolicy, deliveries funnel into one callback, and Report.DVFabric
-	// merges per-plane stats. Plane selection is deterministic, so runs stay
-	// reproducible at any plane count.
+	// has the full SwitchGeom geometry; packets go to planes by a static
+	// hash of (src, dst), deliveries funnel into one callback, and
+	// Report.DVFabric merges per-plane stats. Plane selection is
+	// deterministic, so runs stay reproducible at any plane count.
 	DVPlanes int
-	// PlanePolicy selects the deterministic plane-assignment policy for
-	// DVPlanes > 1: dvswitch.PlaneHash (default, per-pair affinity) or
-	// dvswitch.PlaneRR (per-source round-robin).
-	PlanePolicy dvswitch.PlanePolicy
 
 	// IBScaled replaces Config.IB with the full-bisection two-level fat tree
 	// sized for the run's node count (ib.ForNodes) instead of the paper's
@@ -176,9 +172,6 @@ func (p Platform) Validate() error {
 		if f.v < 0 {
 			return &ConfigError{Field: f.name, Reason: fmt.Sprintf("is negative (%d)", f.v)}
 		}
-	}
-	if p.PlanePolicy != dvswitch.PlaneHash && p.PlanePolicy != dvswitch.PlaneRR {
-		return &ConfigError{Field: "PlanePolicy", Reason: fmt.Sprintf("is not a known policy (%d)", p.PlanePolicy)}
 	}
 	if err := p.Faults.Validate(); err != nil {
 		return &ConfigError{Field: "Faults", Reason: "is not a usable plan: " + err.Error()}
@@ -442,9 +435,6 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	// so single-plane runs (and their snapshots) are byte-identical to the
 	// pre-multi-plane simulator.
 	var fabric dvswitch.Fabric
-	var engs []*dvswitch.Engine
-	var fms []*dvswitch.FastModel
-	var mp *dvswitch.MultiPlane
 	var vics []*vic.VIC
 	var stride int
 	planes := cfg.DVPlanes
@@ -461,7 +451,9 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		if ct == 0 {
 			ct = dvswitch.DefaultCycleTime
 		}
+		list := make([]dvswitch.Fabric, 0, planes)
 		if cfg.CycleAccurate {
+			cores := make([]*dvswitch.Core, 0, planes)
 			for pi := 0; pi < planes; pi++ {
 				eng := dvswitch.NewEngine(k, geom, ct)
 				if cfg.denseSwitch {
@@ -478,14 +470,10 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				if chk != nil {
 					chk.AttachCore(eng.Core())
 				}
-				engs = append(engs, eng)
+				list = append(list, eng)
+				cores = append(cores, eng.Core())
 			}
-			fabric = engs[0]
 			if sampler != nil {
-				cores := make([]*dvswitch.Core, len(engs))
-				for i, eng := range engs {
-					cores[i] = eng.Core()
-				}
 				sampler.Column("inflight", func() float64 {
 					var n int
 					for _, core := range cores {
@@ -501,6 +489,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				}
 			}
 		} else {
+			fms := make([]*dvswitch.FastModel, 0, planes)
 			for pi := 0; pi < planes; pi++ {
 				fm := dvswitch.NewFastModel(k, geom, ct, rng.Split())
 				fm.ApplyPlan(cfg.Faults)
@@ -513,33 +502,22 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				if chk != nil {
 					fm.DropHook = chk.FabricDrop
 				}
+				list = append(list, fm)
 				fms = append(fms, fm)
 			}
-			fabric = fms[0]
 			if sampler != nil {
-				local := fms
 				sampler.Column("inflight", func() float64 {
 					var n int64
-					for _, fm := range local {
+					for _, fm := range fms {
 						n += fm.Outstanding()
 					}
 					return float64(n)
 				})
 			}
 		}
+		fabric = list[0]
 		if planes > 1 {
-			list := make([]dvswitch.Fabric, planes)
-			if engs != nil {
-				for i, eng := range engs {
-					list[i] = eng
-				}
-			} else {
-				for i, fm := range fms {
-					list[i] = fm
-				}
-			}
-			mp = dvswitch.NewMultiPlane(list, cfg.PlanePolicy)
-			fabric = mp
+			fabric = dvswitch.NewMultiPlane(list)
 		}
 		if sampler != nil {
 			for _, c := range []string{"injected", "delivered", "deflected", "dropped"} {
@@ -770,7 +748,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	if cfg.Checkpoint != nil {
 		st := &runState{
 			k: k, cfg: &cfg, rootRNG: rng, nodeRNGs: nodeRNGs,
-			engs: engs, fms: fms, mp: mp, vics: vics, world: world, ends: endpoints,
+			fabric: fabric, vics: vics, world: world, ends: endpoints,
 			reg: reg, sampler: sampler, tracer: tracer,
 		}
 		rep.Partial = st.runManaged()

@@ -7,62 +7,23 @@ import (
 	"repro/internal/snapshot"
 )
 
-// PlanePolicy selects how a multi-plane fabric assigns packets to planes.
-// Both policies are deterministic pure functions of the traffic, so runs are
-// reproducible at any plane count.
-type PlanePolicy uint8
-
-const (
-	// PlaneHash spreads packets by a static hash of (src, dst): every
-	// packet of a given port pair rides the same plane, so per-pair
-	// ordering is preserved even though planes progress independently.
-	PlaneHash PlanePolicy = iota
-	// PlaneRR deals packets from each source port across planes round-robin,
-	// maximising plane utilisation for single-pair streams at the cost of
-	// interleaving a pair's packets across planes.
-	PlaneRR
-)
-
-// String returns the policy's config-file spelling.
-func (p PlanePolicy) String() string {
-	switch p {
-	case PlaneHash:
-		return "hash"
-	case PlaneRR:
-		return "rr"
-	}
-	return fmt.Sprintf("PlanePolicy(%d)", uint8(p))
-}
-
-// ParsePlanePolicy parses the config-file spelling of a plane policy.
-// The empty string is the default, PlaneHash.
-func ParsePlanePolicy(s string) (PlanePolicy, error) {
-	switch s {
-	case "", "hash":
-		return PlaneHash, nil
-	case "rr", "round-robin":
-		return PlaneRR, nil
-	}
-	return PlaneHash, fmt.Errorf("dvswitch: unknown plane policy %q (want hash or rr)", s)
-}
-
 // MultiPlane aggregates N identical switch planes behind one Fabric
-// boundary: injection picks a plane by the configured policy, deliveries
-// from every plane funnel into one callback, and stats merge across planes.
-// Planes share no state, so per-plane behavior (and per-plane snapshots)
-// stay bit-identical to the same plane running alone with the same traffic.
+// boundary: injection picks a plane by a static hash of (src, dst), so every
+// packet of a port pair rides the same plane and per-pair ordering holds even
+// though planes progress independently. Deliveries from every plane funnel
+// into one callback, and stats merge across planes. Planes share no state, so
+// per-plane behavior (and per-plane snapshots) stay bit-identical to the same
+// plane running alone with the same traffic.
 type MultiPlane struct {
 	planes []Fabric
-	policy PlanePolicy
-	rr     []uint32   // per-source-port next-plane counters (PlaneRR)
 	parts  [][]Packet // reused per-plane partitions for InjectBatch
 	fn     func(pkt Packet)
 }
 
 // NewMultiPlane builds a fabric over the given planes, which must agree on
-// port count and cycle time. One plane is legal (the policy degenerates to
-// the identity); zero planes is not.
-func NewMultiPlane(planes []Fabric, policy PlanePolicy) *MultiPlane {
+// port count and cycle time. One plane is legal (the hash degenerates to the
+// identity); zero planes is not.
+func NewMultiPlane(planes []Fabric) *MultiPlane {
 	if len(planes) == 0 {
 		panic("dvswitch: NewMultiPlane needs at least one plane")
 	}
@@ -74,8 +35,6 @@ func NewMultiPlane(planes []Fabric, policy PlanePolicy) *MultiPlane {
 	}
 	m := &MultiPlane{
 		planes: planes,
-		policy: policy,
-		rr:     make([]uint32, planes[0].Ports()),
 		parts:  make([][]Packet, len(planes)),
 	}
 	for _, pl := range planes {
@@ -90,13 +49,8 @@ func (m *MultiPlane) deliver(pkt Packet) {
 	}
 }
 
-// planeFor picks the plane for one packet, advancing round-robin state.
+// planeFor picks the plane for one packet.
 func (m *MultiPlane) planeFor(src, dst int) int {
-	if m.policy == PlaneRR {
-		c := m.rr[src]
-		m.rr[src] = c + 1
-		return int(c % uint32(len(m.planes)))
-	}
 	return int(planeHash(src, dst) % uint64(len(m.planes)))
 }
 
@@ -155,23 +109,12 @@ func (m *MultiPlane) FabricStats() Stats {
 	return st
 }
 
-// SnapshotTo serialises the multi-plane wrapper's own mutable state — the
-// policy and the round-robin counters — then each plane in index order.
-// Plane encodings reuse the engines' canonical single-plane formats.
+// SnapshotTo implements Fabric: the plane count, then each plane in index
+// order in its engine's canonical single-plane format. The wrapper itself
+// holds no state a run changes.
 func (m *MultiPlane) SnapshotTo(e *snapshot.Encoder) {
 	e.U32(uint32(len(m.planes)))
-	e.U32(uint32(m.policy))
-	for _, c := range m.rr {
-		e.U32(c)
-	}
 	for _, pl := range m.planes {
-		switch f := pl.(type) {
-		case *Engine:
-			f.SnapshotTo(e)
-		case *FastModel:
-			f.SnapshotTo(e)
-		default:
-			panic(fmt.Sprintf("dvswitch: MultiPlane.SnapshotTo: unsnapshotable plane %T", pl))
-		}
+		pl.SnapshotTo(e)
 	}
 }

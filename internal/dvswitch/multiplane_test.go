@@ -7,7 +7,7 @@ import (
 )
 
 // mpHarness builds an n-plane fast-model fabric on a fresh kernel.
-func mpHarness(t *testing.T, planes int, policy PlanePolicy, geom Params) (*sim.Kernel, *MultiPlane) {
+func mpHarness(t *testing.T, planes int, geom Params) (*sim.Kernel, *MultiPlane) {
 	t.Helper()
 	k := sim.NewKernel()
 	rng := sim.NewRNG(11)
@@ -15,34 +15,7 @@ func mpHarness(t *testing.T, planes int, policy PlanePolicy, geom Params) (*sim.
 	for i := range fabrics {
 		fabrics[i] = NewFastModel(k, geom, DefaultCycleTime, rng.Split())
 	}
-	return k, NewMultiPlane(fabrics, policy)
-}
-
-// TestPlanePolicyParse pins the config spellings and String round trip.
-func TestPlanePolicyParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want PlanePolicy
-		ok   bool
-	}{
-		{"", PlaneHash, true},
-		{"hash", PlaneHash, true},
-		{"rr", PlaneRR, true},
-		{"round-robin", PlaneRR, true},
-		{"bogus", PlaneHash, false},
-	}
-	for _, cse := range cases {
-		got, err := ParsePlanePolicy(cse.in)
-		if cse.ok && (err != nil || got != cse.want) {
-			t.Errorf("ParsePlanePolicy(%q) = %v, %v; want %v", cse.in, got, err, cse.want)
-		}
-		if !cse.ok && err == nil {
-			t.Errorf("ParsePlanePolicy(%q) accepted", cse.in)
-		}
-	}
-	if PlaneHash.String() != "hash" || PlaneRR.String() != "rr" {
-		t.Errorf("String(): %q %q", PlaneHash, PlaneRR)
-	}
+	return k, NewMultiPlane(fabrics)
 }
 
 // TestPlaneHashPinned pins the plane-selection hash: it is part of the
@@ -69,70 +42,55 @@ func TestPlaneHashPinned(t *testing.T) {
 }
 
 // TestMultiPlaneSpreadsAndMerges drives uniform traffic through a 4-plane
-// fabric under both policies: every plane must carry traffic, the merged
-// stats must equal the per-plane sums, and all packets must deliver.
+// fabric: every plane must carry traffic, the merged stats must equal the
+// per-plane sums, and all packets must deliver.
 func TestMultiPlaneSpreadsAndMerges(t *testing.T) {
 	geom := Params{Heights: 4, Angles: 4}
-	for _, policy := range []PlanePolicy{PlaneHash, PlaneRR} {
-		k, m := mpHarness(t, 4, policy, geom)
-		delivered := 0
-		m.OnDeliver(func(Packet) { delivered++ })
-		rng := sim.NewRNG(5)
-		const pkts = 2000
-		for i := 0; i < pkts; i++ {
-			m.Inject(Packet{Src: rng.Intn(geom.Ports()), Dst: rng.Intn(geom.Ports())})
+	k, m := mpHarness(t, 4, geom)
+	delivered := 0
+	m.OnDeliver(func(Packet) { delivered++ })
+	rng := sim.NewRNG(5)
+	const pkts = 2000
+	for i := 0; i < pkts; i++ {
+		m.Inject(Packet{Src: rng.Intn(geom.Ports()), Dst: rng.Intn(geom.Ports())})
+	}
+	k.Run()
+	if delivered != pkts {
+		t.Fatalf("delivered %d of %d", delivered, pkts)
+	}
+	st := m.FabricStats()
+	if st.Injected != pkts || st.Delivered != pkts {
+		t.Errorf("merged stats %+v", st)
+	}
+	var sum Stats
+	for _, pl := range m.planes {
+		pst := pl.FabricStats()
+		if pst.Injected == 0 {
+			t.Error("a plane carried no traffic")
 		}
-		k.Run()
-		if delivered != pkts {
-			t.Fatalf("%v: delivered %d of %d", policy, delivered, pkts)
-		}
-		st := m.FabricStats()
-		if st.Injected != pkts || st.Delivered != pkts {
-			t.Errorf("%v: merged stats %+v", policy, st)
-		}
-		var sum Stats
-		for _, pl := range m.planes {
-			pst := pl.FabricStats()
-			if pst.Injected == 0 {
-				t.Errorf("%v: a plane carried no traffic", policy)
-			}
-			sum.Merge(pst)
-		}
-		if sum != st {
-			t.Errorf("%v: merge mismatch:\nmerged: %+v\nsummed: %+v", policy, st, sum)
-		}
+		sum.Merge(pst)
+	}
+	if sum != st {
+		t.Errorf("merge mismatch:\nmerged: %+v\nsummed: %+v", st, sum)
 	}
 }
 
-// TestMultiPlaneHashPairAffinity: under PlaneHash every packet of a port
-// pair rides the same plane; under PlaneRR a single pair spreads across all
-// planes (that is the point of the policy).
+// TestMultiPlaneHashPairAffinity: every packet of a port pair rides the same
+// plane, so a pair's packets stay in order across planes.
 func TestMultiPlaneHashPairAffinity(t *testing.T) {
 	geom := Params{Heights: 4, Angles: 4}
-	count := func(policy PlanePolicy) map[int]int64 {
-		_, m := mpHarness(t, 4, policy, geom)
-		for i := 0; i < 64; i++ {
-			m.Inject(Packet{Src: 3, Dst: 9})
-		}
-		used := map[int]int64{}
-		for pl, f := range m.planes {
-			if st := f.FabricStats(); st.Injected > 0 {
-				used[pl] = st.Injected
-			}
-		}
-		return used
+	_, m := mpHarness(t, 4, geom)
+	for i := 0; i < 64; i++ {
+		m.Inject(Packet{Src: 3, Dst: 9})
 	}
-	if used := count(PlaneHash); len(used) != 1 {
-		t.Errorf("PlaneHash spread one pair over %d planes: %v", len(used), used)
-	}
-	used := count(PlaneRR)
-	if len(used) != 4 {
-		t.Fatalf("PlaneRR used %d of 4 planes: %v", len(used), used)
-	}
-	for pl, n := range used {
-		if n != 16 {
-			t.Errorf("PlaneRR plane %d got %d of 64 packets, want 16", pl, n)
+	used := map[int]int64{}
+	for pl, f := range m.planes {
+		if st := f.FabricStats(); st.Injected > 0 {
+			used[pl] = st.Injected
 		}
+	}
+	if len(used) != 1 {
+		t.Errorf("one pair spread over %d planes: %v", len(used), used)
 	}
 }
 
@@ -150,30 +108,28 @@ func TestMultiPlaneBatchMatchesPerPacket(t *testing.T) {
 		}
 		return pkts
 	}
-	for _, policy := range []PlanePolicy{PlaneHash, PlaneRR} {
-		run := func(batch bool) (Stats, map[uint64]bool) {
-			k, m := mpHarness(t, 3, policy, geom)
-			got := map[uint64]bool{}
-			m.OnDeliver(func(pkt Packet) { got[pkt.Header] = true })
-			pkts := mkTraffic()
-			if batch {
-				m.InjectBatch(pkts)
-			} else {
-				for _, pkt := range pkts {
-					m.Inject(pkt)
-				}
+	run := func(batch bool) (Stats, map[uint64]bool) {
+		k, m := mpHarness(t, 3, geom)
+		got := map[uint64]bool{}
+		m.OnDeliver(func(pkt Packet) { got[pkt.Header] = true })
+		pkts := mkTraffic()
+		if batch {
+			m.InjectBatch(pkts)
+		} else {
+			for _, pkt := range pkts {
+				m.Inject(pkt)
 			}
-			k.Run()
-			return m.FabricStats(), got
 		}
-		bSt, bGot := run(true)
-		pSt, pGot := run(false)
-		if bSt != pSt {
-			t.Errorf("%v: stats diverge:\nbatch:      %+v\nper-packet: %+v", policy, bSt, pSt)
-		}
-		if len(bGot) != len(pGot) {
-			t.Errorf("%v: delivery sets diverge: %d vs %d", policy, len(bGot), len(pGot))
-		}
+		k.Run()
+		return m.FabricStats(), got
+	}
+	bSt, bGot := run(true)
+	pSt, pGot := run(false)
+	if bSt != pSt {
+		t.Errorf("stats diverge:\nbatch:      %+v\nper-packet: %+v", bSt, pSt)
+	}
+	if len(bGot) != len(pGot) {
+		t.Errorf("delivery sets diverge: %d vs %d", len(bGot), len(pGot))
 	}
 }
 
@@ -194,7 +150,7 @@ func TestMultiPlaneDeterministic(t *testing.T) {
 					fabrics[i] = NewFastModel(k, geom, DefaultCycleTime, rng.Split())
 				}
 			}
-			m := NewMultiPlane(fabrics, PlaneRR)
+			m := NewMultiPlane(fabrics)
 			var seq []Packet
 			m.OnDeliver(func(pkt Packet) { seq = append(seq, pkt) })
 			trng := sim.NewRNG(23)
