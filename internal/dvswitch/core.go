@@ -540,8 +540,23 @@ func (c *Core) Prewarm(n int) {
 // Params returns the switch geometry.
 func (c *Core) Params() Params { return c.p }
 
-// Cycle returns the number of Step calls so far.
+// Cycle returns the core's clock in switch cycles: the number of Step calls
+// so far, plus the idle cycles an Engine skipped (see setIdleClock).
 func (c *Core) Cycle() int64 { return c.cycle }
+
+// setIdleClock moves an idle core's clock forward to cycle. An Engine does
+// not step its core while nothing is queued or in flight, so after an idle
+// gap it calls this to make the clock read virtual time again. Idle cycles
+// only shift deliveries (TestIdleCyclesShiftDeliveries), so skipping them
+// changes nothing else. It panics if the core is busy or the clock would run
+// back.
+func (c *Core) setIdleClock(cycle int64) {
+	if c.Busy() || cycle < c.cycle {
+		panic(fmt.Sprintf("dvswitch: setIdleClock(%d) at cycle %d with %d queued and %d in flight",
+			cycle, c.cycle, c.queued, c.flying))
+	}
+	c.cycle = cycle
+}
 
 // Stats returns a copy of the aggregated statistics.
 func (c *Core) Stats() Stats { return c.stats }

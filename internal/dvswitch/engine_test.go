@@ -3,6 +3,7 @@ package dvswitch
 import (
 	"testing"
 
+	"repro/internal/faultplan"
 	"repro/internal/sim"
 )
 
@@ -49,6 +50,67 @@ func TestEnginePumpDisarmsWhenIdle(t *testing.T) {
 	// continuous pumping would produce.
 	if end > 20*sim.Microsecond {
 		t.Fatalf("end = %v; pump seems to have free-run", end)
+	}
+}
+
+// TestEngineAfterIdleGap: an engine steps its core only while traffic is
+// queued or in flight, so each row lets a 32-port fabric sit idle for 100 µs
+// before traffic arrives and checks that the core's clock, which fault
+// windows and injection cycles are read against, reads virtual time.
+func TestEngineAfterIdleGap(t *testing.T) {
+	const gap = 100 * sim.Microsecond
+	geom := ForPorts(32)
+	tests := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{name: "the core's clock reads the delivery time", run: func(t *testing.T) {
+			k := sim.NewKernel()
+			e := NewEngine(k, geom, DefaultCycleTime)
+			var got Packet
+			var at sim.Time
+			e.OnDeliver(func(pkt Packet) { got, at = pkt, k.Now() })
+			k.At(gap, func() { e.Inject(Packet{Src: 0, Dst: 17}) })
+			k.Run()
+			if at == 0 {
+				t.Fatal("no delivery")
+			}
+			if c := e.Core().Cycle(); c != int64(at/DefaultCycleTime) {
+				t.Errorf("Core.Cycle() = %d after the delivery at %v, want %d", c, at, at/DefaultCycleTime)
+			}
+			if got.InjectCycle != int64(gap/DefaultCycleTime) {
+				t.Errorf("InjectCycle = %d, want %d", got.InjectCycle, gap/DefaultCycleTime)
+			}
+		}},
+		{name: "a fault window that opens in the gap drops packets on both engines", run: func(t *testing.T) {
+			for _, fast := range []bool{false, true} {
+				k := sim.NewKernel()
+				plan := &faultplan.Plan{Seed: 3, DropProb: 0.05, Window: faultplan.Window{Start: gap / 2}}
+				var f interface {
+					Fabric
+					ApplyPlan(*faultplan.Plan)
+				}
+				if fast {
+					f = NewFastModel(k, geom, DefaultCycleTime, sim.NewRNG(5))
+				} else {
+					f = NewEngine(k, geom, DefaultCycleTime)
+				}
+				f.ApplyPlan(plan)
+				rng := sim.NewRNG(7)
+				pkts := make([]Packet, 256)
+				for i := range pkts {
+					pkts[i] = Packet{Src: rng.Intn(32), Dst: rng.Intn(32)}
+				}
+				k.At(gap, func() { f.InjectBatch(pkts) })
+				k.Run()
+				if st := f.FabricStats(); st.Dropped == 0 {
+					t.Errorf("fast=%v: no drops among %d packets inside the window", fast, st.Injected)
+				}
+			}
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, tt.run)
 	}
 }
 
