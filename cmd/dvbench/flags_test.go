@@ -1,5 +1,6 @@
 // Which run-spec flags each dvbench mode reads: a row is one command line,
-// parsed the way main parses it.
+// parsed the way main parses it. And the command an interrupted journaled
+// run prints to finish itself.
 
 package main
 
@@ -78,6 +79,32 @@ func TestRunSpecFlagsByMode_Invalid(t *testing.T) {
 			_, err := checkArgs(tt.args...)
 			if err == nil || !strings.HasPrefix(err.Error(), tt.flag+":") {
 				t.Errorf("checkArgs(%q) = %v, want an error naming %s", tt.args, err, tt.flag)
+			}
+		})
+	}
+}
+
+func TestResumeHint(t *testing.T) {
+	tests := []struct {
+		name                string
+		exp                 string
+		small               bool
+		svg, json, traceOut string
+		want                string
+	}{
+		{name: "every experiment at full size", exp: "all", want: "dvbench -resume jr"},
+		{name: "one experiment", exp: "fig6a", want: "dvbench -resume jr -exp fig6a"},
+		{name: "-exp all in any case", exp: "ALL", small: true, want: "dvbench -resume jr -small"},
+		{name: "the SVG directory", exp: "all", svg: "figs", want: "dvbench -resume jr -svg figs"},
+		{name: "the JSON file", exp: "all", json: "out.json", want: "dvbench -resume jr -json out.json"},
+		{name: "fig5's trace file", exp: "fig5", traceOut: "t.prv", want: "dvbench -resume jr -exp fig5 -trace t.prv"},
+		{name: "every output at once", exp: "all", small: true, svg: "figs", json: "out.json", traceOut: "t.prv",
+			want: "dvbench -resume jr -small -svg figs -json out.json -trace t.prv"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := resumeHint("jr", tt.exp, tt.small, tt.svg, tt.json, tt.traceOut); got != tt.want {
+				t.Errorf("resumeHint = %q, want %q", got, tt.want)
 			}
 		})
 	}

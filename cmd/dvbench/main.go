@@ -101,6 +101,25 @@ func checkRunSpecFlags(fs *flag.FlagSet, mode string) error {
 	return err
 }
 
+// resumeHint is the command that finishes an interrupted journaled run with
+// the same outputs: the journal, the experiments it selected, and every flag
+// that names where a result goes, given only when the run was given it.
+func resumeHint(journal, exp string, small bool, svg, json, trace string) string {
+	hint := "dvbench -resume " + journal
+	if !strings.EqualFold(exp, "all") {
+		hint += " -exp " + exp
+	}
+	if small {
+		hint += " -small"
+	}
+	for _, f := range [][2]string{{"-svg", svg}, {"-json", json}, {"-trace", trace}} {
+		if f[1] != "" {
+			hint += " " + f[0] + " " + f[1]
+		}
+	}
+	return hint
+}
+
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and registered apps, then exit")
 	small := flag.Bool("small", false, "use reduced problem sizes")
@@ -275,12 +294,13 @@ func main() {
 		}
 		return
 	}
-	if *tracePath == "" {
-		*tracePath = "gups_trace.csv"
+	traceOut := *tracePath
+	if traceOut == "" {
+		traceOut = "gups_trace.csv"
 	}
 	traced := false
 	writeTrace := func(log *trace.Log) {
-		if err := log.WriteFile(*tracePath); err != nil {
+		if err := log.WriteFile(traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -298,17 +318,8 @@ func main() {
 		os.Exit(1)
 	}
 	if opt.Ctx != nil && opt.Ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "dvbench: interrupted; resume with: dvbench -resume %s", *journalDir)
-		if !strings.EqualFold(*exp, "all") {
-			fmt.Fprintf(os.Stderr, " -exp %s", *exp)
-		}
-		if *small {
-			fmt.Fprint(os.Stderr, " -small")
-		}
-		if *svgDir != "" {
-			fmt.Fprintf(os.Stderr, " -svg %s", *svgDir)
-		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "dvbench: interrupted; resume with: %s\n",
+			resumeHint(*journalDir, *exp, *small, *svgDir, *jsonPath, *tracePath))
 		os.Exit(3)
 	}
 	for _, t := range tables {
@@ -328,7 +339,7 @@ func main() {
 		fmt.Printf("results written to %s\n", *jsonPath)
 	}
 	if traced {
-		fmt.Printf("fig5 trace written to %s\n", *tracePath)
+		fmt.Printf("fig5 trace written to %s\n", traceOut)
 	}
 	if *svgDir != "" {
 		n, err := writeSVGs(*svgDir, tables)

@@ -1,8 +1,8 @@
-// Layering check: application packages talk to the fabrics only through the
-// comm abstraction. No file under internal/apps may import the backend
-// packages internal/mpi or internal/vic directly — apps that need the Data
-// Vortex endpoint surface (collectives, shmem) may still import internal/dv
-// via comm.Backend.Endpoint.
+// Layering check: application packages program the fabrics through their
+// endpoints (internal/dv and internal/vic on the Data Vortex side,
+// internal/mpi on the InfiniBand side), never through the fabric models
+// beneath them. No file under internal/apps may import internal/dvswitch or
+// internal/ib.
 
 package apprt_test
 
@@ -18,8 +18,8 @@ import (
 
 func TestAppsImportBan(t *testing.T) {
 	banned := map[string]bool{
-		"repro/internal/mpi": true,
-		"repro/internal/vic": true,
+		"repro/internal/dvswitch": true,
+		"repro/internal/ib":       true,
 	}
 	root := filepath.Join("..", "apps")
 	fset := token.NewFileSet()
@@ -39,7 +39,7 @@ func TestAppsImportBan(t *testing.T) {
 				return err
 			}
 			if banned[p] {
-				t.Errorf("%s imports %s; apps must go through internal/comm",
+				t.Errorf("%s imports %s; apps program the fabric through its endpoint",
 					path, p)
 			}
 		}

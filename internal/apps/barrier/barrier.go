@@ -10,12 +10,11 @@
 package barrier
 
 import (
-	"fmt"
-
 	"repro/internal/apprt"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
 
 // Impl selects the barrier implementation.
@@ -164,26 +163,21 @@ func newFastBarrier(n *cluster.Node, be comm.Backend, timeout sim.Time) func() b
 		wait = timeout
 	}
 	epoch := 0
-	words := make([]comm.Word, 0, peers)
+	words := make([]vic.Word, 0, peers)
 	return func() bool {
 		gc := gcs[epoch&1]
 		epoch++
 		words = words[:0]
 		for d := 0; d < e.Size(); d++ {
 			if d != e.Rank() {
-				words = append(words, comm.Word{Dst: d, Op: comm.OpDecGC, GC: comm.NoGC, Addr: uint32(gc), Val: 1})
+				words = append(words, vic.Word{Dst: d, Op: vic.OpDecGC, GC: vic.NoGC, Addr: uint32(gc), Val: 1})
 			}
 		}
-		e.Scatter(comm.PIOCached, words)
+		e.Scatter(vic.PIOCached, words)
 		if !e.WaitGC(gc, wait) {
 			return false // a notification was lost; abort this node
 		}
 		e.AddGC(gc, peers) // re-arm for two epochs later
 		return true
 	}
-}
-
-// String renders a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-12s %2d nodes  %v/barrier", r.Impl, r.Nodes, r.Latency)
 }

@@ -4,7 +4,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/dv"
+	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
 
 // packVisit encodes a visit message (destination vertex, proposed parent) in
@@ -61,7 +63,7 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 						visited++
 					}
 				} else {
-					send[q] = comm.AppendUint64(send[q], packVisit(v, u))
+					send[q] = mpi.AppendUint64(send[q], packVisit(v, u))
 				}
 			}
 		}
@@ -72,7 +74,7 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 				continue
 			}
 			for i := 0; i < len(data)/8; i++ {
-				v, u := unpackVisit(comm.Uint64At(data, i))
+				v, u := unpackVisit(mpi.Uint64At(data, i))
 				got++
 				if visitLocal(g, parent, v, u) {
 					next = append(next, v-g.lo)
@@ -82,12 +84,12 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 		}
 		n.Ops(int64(got))
 		frontier, next = next, frontier
-		total := c.Allreduce([]float64{float64(len(frontier))}, comm.Sum)
+		total := c.Allreduce([]float64{float64(len(frontier))}, mpi.Sum)
 		if total[0] == 0 {
 			break
 		}
 	}
-	sums := c.Allreduce([]float64{float64(edgesScanned), float64(visited)}, comm.Sum)
+	sums := c.Allreduce([]float64{float64(edgesScanned), float64(visited)}, mpi.Sum)
 	elapsed := n.P.Now() - t0
 	c.Barrier()
 	return Search{Edges: int64(sums[0]), Visited: int64(sums[1]), Elapsed: elapsed}
@@ -133,8 +135,8 @@ func searchDV(n *cluster.Node, be comm.Backend, st *dvState, g *graph, root int6
 	}
 	var next []int64
 	sentTo := make([]int64, p)
-	words := make([]comm.Word, 0, 4096)
-	cnt := make([]comm.Word, 0, p-1)
+	words := make([]vic.Word, 0, 4096)
+	cnt := make([]vic.Word, 0, p-1)
 	drained := 0
 	drain := func(block bool) {
 		for {
@@ -179,27 +181,27 @@ func searchDV(n *cluster.Node, be comm.Backend, st *dvState, g *graph, root int6
 					}
 					continue
 				}
-				words = append(words, comm.Word{Dst: q, Op: comm.OpFIFO, GC: comm.NoGC, Val: packVisit(v, u)})
+				words = append(words, vic.Word{Dst: q, Op: vic.OpFIFO, GC: vic.NoGC, Val: packVisit(v, u)})
 				sentTo[q]++
 				if len(words) == 4096 {
-					e.Scatter(comm.DMACached, words)
+					e.Scatter(vic.DMACached, words)
 					words = words[:0]
 					drain(false)
 				}
 			}
 		}
-		e.Scatter(comm.DMACached, words)
+		e.Scatter(vic.DMACached, words)
 		n.Ops(edgesScannedThisLevel(frontier, g) + int64(localVisits))
 		// Counted flush: exchange per-destination send counts, then drain
 		// to the exact expected total.
 		cnt = cnt[:0]
 		for d := 0; d < p; d++ {
 			if d != n.ID {
-				cnt = append(cnt, comm.Word{Dst: d, Op: comm.OpWrite, GC: st.gcCnt,
+				cnt = append(cnt, vic.Word{Dst: d, Op: vic.OpWrite, GC: st.gcCnt,
 					Addr: st.cntBase + uint32(n.ID), Val: uint64(sentTo[d])})
 			}
 		}
-		e.Scatter(comm.PIOCached, cnt)
+		e.Scatter(vic.PIOCached, cnt)
 		e.WaitGC(st.gcCnt, sim.Forever)
 		expected := 0
 		for src, w := range e.Read(st.cntBase, p) {

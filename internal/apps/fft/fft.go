@@ -18,7 +18,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/fftkernel"
+	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
 
 // Params configures a run.
@@ -222,13 +224,13 @@ func mpiTranspose(n *cluster.Node, be comm.Backend, local []complex128, r, c int
 				block = append(block, real(v), imag(v))
 			}
 		}
-		send[q] = comm.AppendFloat64s(nil, block)
+		send[q] = mpi.AppendFloat64s(nil, block)
 	}
 	n.Compute(sim.BytesAt(len(local)*16, 8e9)) // pack pass
 	recv := c2.Alltoall(send)
 	out := make([]complex128, outRows*r)
 	for q := 0; q < p; q++ {
-		block = comm.Float64sInto(block, recv[q])
+		block = mpi.Float64sInto(block, recv[q])
 		i := 0
 		// Block from q: columns (now rows) in my range, original rows in
 		// q's range.
@@ -276,7 +278,7 @@ func (tp *transposer) run(n *cluster.Node, be comm.Backend, local []complex128, 
 	e.Barrier() // everyone armed
 
 	out := make([]complex128, outRows*r)
-	words := make([]comm.Word, 0, 2*myRows*outRows)
+	words := make([]vic.Word, 0, 2*myRows*outRows)
 	for q := 0; q < p; q++ {
 		if q == id {
 			// Own block: place directly (host memory copy).
@@ -294,11 +296,11 @@ func (tp *transposer) run(n *cluster.Node, be comm.Backend, local []complex128, 
 				// Destination slot: row (col - q·outRows), column row0+row.
 				addr := tp.region + uint32(2*((col-q*outRows)*r+row0+row))
 				words = append(words,
-					comm.Word{Dst: q, Op: comm.OpWrite, GC: tp.gc, Addr: addr, Val: math.Float64bits(real(v))},
-					comm.Word{Dst: q, Op: comm.OpWrite, GC: tp.gc, Addr: addr + 1, Val: math.Float64bits(imag(v))})
+					vic.Word{Dst: q, Op: vic.OpWrite, GC: tp.gc, Addr: addr, Val: math.Float64bits(real(v))},
+					vic.Word{Dst: q, Op: vic.OpWrite, GC: tp.gc, Addr: addr + 1, Val: math.Float64bits(imag(v))})
 			}
 		}
-		e.Scatter(comm.DMACached, words)
+		e.Scatter(vic.DMACached, words)
 	}
 	n.Compute(sim.BytesAt(len(local)*16, 8e9)) // stage DMA buffers
 	e.WaitGC(tp.gc, sim.Forever)
@@ -315,19 +317,4 @@ func (tp *transposer) run(n *cluster.Node, be comm.Backend, local []complex128, 
 	}
 	e.Barrier() // fence before the counter is re-armed next call
 	return out
-}
-
-// String renders a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-12s %2d nodes  N=2^%d  %8.2f GFLOPS  (%v)",
-		r.Net, r.Nodes, intLog2(r.N), r.GFLOPS(), r.Elapsed)
-}
-
-func intLog2(n int) int {
-	l := 0
-	for n > 1 {
-		n >>= 1
-		l++
-	}
-	return l
 }

@@ -19,7 +19,9 @@ import (
 	"repro/internal/apprt"
 	"repro/internal/cluster"
 	"repro/internal/comm"
+	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
 
 // Params configures a run.
@@ -197,7 +199,7 @@ func Run(net comm.Net, par Params) Result {
 // runMPI is the HPCC-style implementation: rounds of ≤1024 updates bucketed
 // by destination and exchanged with Alltoall. The buckets are the send
 // blocks themselves, words appended as they are generated and read back in
-// place on the other side (comm's one-word forms); they keep their storage from round
+// place on the other side (mpi's one-word forms); they keep their storage from round
 // to round, which Alltoall allows because it only reads them.
 func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Time {
 	c := be.MPI()
@@ -224,7 +226,7 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Ti
 				table[li] ^= a
 				localApplied++
 			} else {
-				send[dst] = comm.AppendUint64(send[dst], a)
+				send[dst] = mpi.AppendUint64(send[dst], a)
 			}
 		}
 		n.Work(int64(2*b), int64(localApplied)) // generation + bucketing, local applies
@@ -234,7 +236,7 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Ti
 				continue
 			}
 			for i := 0; i < len(data)/8; i++ {
-				a := comm.Uint64At(data, i)
+				a := mpi.Uint64At(data, i)
 				_, li := owner(a, par.Nodes, par.TableWordsNode)
 				table[li] ^= a
 				applied++
@@ -290,7 +292,7 @@ func runDV(n *cluster.Node, be comm.Backend, par Params, table []uint64) (sim.Ti
 	}
 
 	sentTo := make([]int64, par.Nodes)
-	words := make([]comm.Word, 0, par.BatchWords)
+	words := make([]vic.Word, 0, par.BatchWords)
 	left := par.UpdatesPerNode
 	for left > 0 {
 		b := par.BatchWords
@@ -307,24 +309,24 @@ func runDV(n *cluster.Node, be comm.Backend, par Params, table []uint64) (sim.Ti
 				table[li] ^= a
 				localApplied++
 			} else {
-				words = append(words, comm.Word{Dst: dst, Op: comm.OpFIFO, GC: comm.NoGC, Val: a})
+				words = append(words, vic.Word{Dst: dst, Op: vic.OpFIFO, GC: vic.NoGC, Val: a})
 				sentTo[dst]++
 			}
 		}
 		n.Work(int64(2*b), int64(localApplied))
-		e.Scatter(comm.DMACached, words)
+		e.Scatter(vic.DMACached, words)
 		drain(false) // overlap: apply whatever has arrived
 	}
 	// Tell every peer how many updates we sent it, then drain to the exact
 	// expected count.
-	counts := make([]comm.Word, 0, par.Nodes-1)
+	counts := make([]vic.Word, 0, par.Nodes-1)
 	for d := 0; d < par.Nodes; d++ {
 		if d != e.Rank() {
-			counts = append(counts, comm.Word{Dst: d, Op: comm.OpWrite, GC: countGC,
+			counts = append(counts, vic.Word{Dst: d, Op: vic.OpWrite, GC: countGC,
 				Addr: countBase + uint32(e.Rank()), Val: uint64(sentTo[d])})
 		}
 	}
-	e.Scatter(comm.DMACached, counts)
+	e.Scatter(vic.DMACached, counts)
 	e.WaitGC(countGC, wait)
 	expected := int64(0)
 	for src, w := range e.Read(countBase, par.Nodes) {
@@ -374,7 +376,7 @@ func runDVReliable(n *cluster.Node, be comm.Backend, par Params, table []uint64)
 	rounds := (par.UpdatesPerNode + b - 1) / b
 	left := par.UpdatesPerNode
 	perDst := make([]int, par.Nodes)
-	words := make([]comm.Word, 0, 2*b)
+	words := make([]vic.Word, 0, 2*b)
 	for r := 0; r < rounds; r++ {
 		bb := b
 		if bb > left {
@@ -393,14 +395,14 @@ func runDVReliable(n *cluster.Node, be comm.Backend, par Params, table []uint64)
 				table[li] ^= a
 				localApplied++
 			} else {
-				words = append(words, comm.Word{Dst: dst, Op: comm.OpWrite, GC: comm.NoGC,
+				words = append(words, vic.Word{Dst: dst, Op: vic.OpWrite, GC: vic.NoGC,
 					Addr: mbox + uint32(e.Rank()*b+perDst[dst]), Val: a})
 				perDst[dst]++
 			}
 		}
 		for d := 0; d < par.Nodes; d++ {
 			if d != e.Rank() {
-				words = append(words, comm.Word{Dst: d, Op: comm.OpWrite, GC: comm.NoGC,
+				words = append(words, vic.Word{Dst: d, Op: vic.OpWrite, GC: vic.NoGC,
 					Addr: cnts + uint32(e.Rank()), Val: uint64(perDst[d])})
 			}
 		}
@@ -423,10 +425,4 @@ func runDVReliable(n *cluster.Node, be comm.Backend, par Params, table []uint64)
 		fail(e.ReliableBarrier()) // reads done: slots may be overwritten
 	}
 	return n.P.Now() - t0, errs
-}
-
-// String renders a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-12s %2d nodes  %7.2f MUPS/PE  %8.2f MUPS aggregate",
-		r.Net, r.Nodes, r.MUPSPerNode(), r.MUPS())
 }

@@ -18,7 +18,9 @@ import (
 	"repro/internal/apprt"
 	"repro/internal/cluster"
 	"repro/internal/comm"
+	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
 
 // Params configures a run.
@@ -26,8 +28,7 @@ type Params struct {
 	Nodes int
 	N     int // global interior grid points per dimension
 	Steps int
-	Alpha float64 // diffusivity
-	K     float64 // stability number α·dt/h² (must be < 1/6)
+	K     float64 // stability number dt/h² at diffusivity α = 1 (must be < 1/6)
 	Seed  uint64
 	// KeepField gathers the final field for validation.
 	KeepField bool
@@ -49,9 +50,6 @@ func (p *Params) defaults() {
 	}
 	if p.Steps == 0 {
 		p.Steps = 20
-	}
-	if p.Alpha == 0 {
-		p.Alpha = 1
 	}
 	if p.K == 0 {
 		p.K = 0.1
@@ -178,8 +176,8 @@ type solver struct {
 	region      [2]uint32
 	gc          [2]int
 	expected    int64
-	prog        [2]*comm.DMAProgram
-	rdprog      [2]*comm.ReadProgram
+	prog        [2]*vic.DMAProgram
+	rdprog      [2]*vic.ReadProgram
 	raw         []uint64 // the pulled halo region, one row for every step
 
 	// MPI state: each face's encoded halo, in flight from Isend to the
@@ -249,7 +247,7 @@ func newSolver(n *cluster.Node, be comm.Backend, par Params, px, py, pz int) *so
 		// stages the descriptors as persistent DMA programs: one scatter
 		// program and one halo-read program per step parity.
 		for par := 0; par < 2; par++ {
-			var tmpl []comm.Word
+			var tmpl []vic.Word
 			for f := 0; f < 6; f++ {
 				nb := s.neighbor(f)
 				if nb < 0 {
@@ -257,7 +255,7 @@ func newSolver(n *cluster.Node, be comm.Backend, par Params, px, py, pz int) *so
 				}
 				base := s.region[par] + uint32(s.inOff[opp(f)])
 				for w := 0; w < s.faceWords[f]; w++ {
-					tmpl = append(tmpl, comm.Word{Dst: nb, Op: comm.OpWrite,
+					tmpl = append(tmpl, vic.Word{Dst: nb, Op: vic.OpWrite,
 						GC: s.gc[par], Addr: base + uint32(w)})
 				}
 			}
@@ -427,8 +425,8 @@ func (s *solver) run(net comm.Net) sim.Time {
 // exchangeMPI posts all six receives and non-blocking sends, then unpacks.
 func (s *solver) exchangeMPI(buf []float64) {
 	c := s.be.MPI()
-	var sends []*comm.Request
-	recvs := [6]*comm.Request{}
+	var sends []*mpi.Request
+	recvs := [6]*mpi.Request{}
 	for f := 0; f < 6; f++ {
 		if s.neighbor(f) >= 0 {
 			recvs[f] = c.Irecv(s.neighbor(f), 10+opp(f))
@@ -442,7 +440,7 @@ func (s *solver) exchangeMPI(buf []float64) {
 		face := buf[:s.faceWords[f]]
 		s.packFace(f, face)
 		s.n.Compute(sim.BytesAt(len(face)*8, 8e9)) // pack pass
-		s.wire[f] = comm.AppendFloat64s(s.wire[f][:0], face)
+		s.wire[f] = mpi.AppendFloat64s(s.wire[f][:0], face)
 		sends = append(sends, c.Isend(nb, 10+f, s.wire[f]))
 	}
 	for f := 0; f < 6; f++ {
@@ -451,7 +449,7 @@ func (s *solver) exchangeMPI(buf []float64) {
 		}
 		data, _ := c.Wait(recvs[f])
 		// buf is free again: every face is packed and encoded by now.
-		s.unpackFace(f, comm.Float64sInto(buf, data))
+		s.unpackFace(f, mpi.Float64sInto(buf, data))
 		s.n.Compute(sim.BytesAt(len(data), 8e9)) // unpack pass
 	}
 	c.Waitall(sends)
@@ -512,7 +510,7 @@ func (s *solver) exchangeDV(step int, buf []float64) {
 func (s *solver) exchangeDVReliable(step int, buf []float64) {
 	e := s.be.Endpoint()
 	par := step & 1
-	var words []comm.Word
+	var words []vic.Word
 	for f := 0; f < 6; f++ {
 		nb := s.neighbor(f)
 		if nb < 0 {
@@ -522,7 +520,7 @@ func (s *solver) exchangeDVReliable(step int, buf []float64) {
 		s.packFace(f, face)
 		base := s.region[par] + uint32(s.inOff[opp(f)])
 		for w, v := range face {
-			words = append(words, comm.Word{Dst: nb, Op: comm.OpWrite, GC: comm.NoGC,
+			words = append(words, vic.Word{Dst: nb, Op: vic.OpWrite, GC: vic.NoGC,
 				Addr: base + uint32(w), Val: math.Float64bits(v)})
 		}
 	}
@@ -575,9 +573,4 @@ func MaxErr(par Params, field []float64) float64 {
 		}
 	}
 	return m
-}
-
-// String renders a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-12s %2d nodes  N=%d³ %d steps  %v", r.Net, r.Nodes, r.N, r.Steps, r.Elapsed)
 }

@@ -18,16 +18,20 @@ import (
 	"repro/internal/apps/bfs"
 	"repro/internal/cluster"
 	"repro/internal/comm"
+	"repro/internal/mpi"
 	"repro/internal/shmem"
 	"repro/internal/sim"
 )
+
+// damping is the PageRank damping factor. It is typed so that 1-damping is
+// computed from the rounded float64, as a run-time subtraction would be.
+const damping float64 = 0.85
 
 // Params configures a run.
 type Params struct {
 	Nodes      int
 	Scale      int // 2^Scale vertices
 	EdgeFactor int
-	Damping    float64
 	Tol        float64 // L1 convergence threshold
 	MaxIters   int
 	Seed       uint64
@@ -43,9 +47,6 @@ func (p *Params) defaults() {
 	}
 	if p.EdgeFactor == 0 {
 		p.EdgeFactor = 8
-	}
-	if p.Damping == 0 {
-		p.Damping = 0.85
 	}
 	if p.Tol == 0 {
 		p.Tol = 1e-8
@@ -95,13 +96,13 @@ func SerialReference(par Params) []float64 {
 				dangling += rank[v]
 			}
 		}
-		base := (1-par.Damping)/float64(nv) + par.Damping*dangling/float64(nv)
+		base := (1-damping)/float64(nv) + damping*dangling/float64(nv)
 		for i := range next {
 			next[i] = base
 		}
 		for _, e := range edges { // stream order: the sums below are order-sensitive
 			if e.U != e.V {
-				next[e.V] += par.Damping * rank[e.U] / float64(outDeg[e.U])
+				next[e.V] += damping * rank[e.U] / float64(outDeg[e.U])
 			}
 		}
 		var delta float64
@@ -203,9 +204,9 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, g *bfs.
 			}
 			return sum
 		}
-		wire = comm.AppendFloat64s(wire[:0], []float64{v})
+		wire = mpi.AppendFloat64s(wire[:0], []float64{v})
 		for _, b := range be.MPI().Allgather(wire) {
-			vals = comm.Float64sInto(vals, b)
+			vals = mpi.Float64sInto(vals, b)
 			sum += vals[0]
 		}
 		return sum
@@ -227,7 +228,7 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, g *bfs.
 				dangling += rank[li]
 				continue
 			}
-			c := par.Damping * rank[li] / float64(len(out))
+			c := damping * rank[li] / float64(len(out))
 			for _, v := range out {
 				contrib[v] += c
 			}
@@ -267,11 +268,11 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, g *bfs.
 			}
 		} else {
 			for q := 0; q < p; q++ {
-				send[q] = comm.AppendFloat64s(send[q][:0], contrib[int64(q)*perNode:int64(q+1)*perNode])
+				send[q] = mpi.AppendFloat64s(send[q][:0], contrib[int64(q)*perNode:int64(q+1)*perNode])
 			}
 			n.Compute(sim.BytesAt(int(nv)*8, 8e9)) // pack
 			for _, data := range be.MPI().Alltoall(send) {
-				vals = comm.Float64sInto(vals, data)
+				vals = mpi.Float64sInto(vals, data)
 				for i, v := range vals {
 					recvSum[i] += v
 				}
@@ -280,7 +281,7 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, g *bfs.
 		n.Ops(int64(p) * perNode)
 
 		// Apply damping and the dangling redistribution; measure change.
-		base := (1-par.Damping)/float64(nv) + par.Damping*gDangling/float64(nv)
+		base := (1-damping)/float64(nv) + damping*gDangling/float64(nv)
 		var localDelta float64
 		for i := range rank {
 			nv2 := base + recvSum[i]

@@ -7,12 +7,11 @@
 package pingpong
 
 import (
-	"fmt"
-
 	"repro/internal/apprt"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
 
 // Mode selects the transfer configuration under test.
@@ -53,14 +52,14 @@ func (m Mode) PeakBandwidth() float64 {
 	return 4.4e9
 }
 
-func (m Mode) sendMode() comm.SendMode {
+func (m Mode) sendMode() vic.SendMode {
 	switch m {
 	case DVWrNoCached:
-		return comm.PIO
+		return vic.PIO
 	case DVWrCached:
-		return comm.PIOCached
+		return vic.PIOCached
 	default:
-		return comm.DMACached
+		return vic.DMACached
 	}
 }
 
@@ -197,7 +196,7 @@ func runDV(n *cluster.Node, be comm.Backend, mode Mode, par Params) sim.Time {
 		armAll() // safe: the peer sends again only after our reply
 		return got
 	}
-	send := func(sm comm.SendMode, data []uint64) {
+	send := func(sm vic.SendMode, data []uint64) {
 		for i := range gcs {
 			off := i * chunk
 			rails[railOf[i]].Put(sm, peer, regions[railOf[i]]+uint32(off), gcs[i],
@@ -238,10 +237,4 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params) sim.Time {
 	end := n.P.Now() - t0
 	c.Barrier()
 	return end
-}
-
-// String renders a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-14s %8d words  rtt=%-12v bw=%7.3f GB/s (%5.1f%% peak)",
-		r.Mode, r.Words, r.RTT, r.Bandwidth/1e9, r.PercentPeak())
 }

@@ -23,6 +23,20 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dv"
 	"repro/internal/sim"
+	"repro/internal/vic"
+)
+
+// Angles per octant and energy groups.
+const (
+	angles int = 4
+	groups int = 2
+)
+
+// Physics: total and scattering cross sections, uniform source.
+const (
+	sigmaT float64 = 1.0
+	sigmaS float64 = 0.5
+	source float64 = 1.0
 )
 
 // Params configures a run.
@@ -32,15 +46,10 @@ type Params struct {
 	NY    int // global cells in y
 	NZ    int // global cells in z
 	// ChunkX is the KBA pipeline chunk length along x.
-	ChunkX int
-	// Angles per octant and energy groups.
-	Angles int
-	Groups int
-	// Physics: total and scattering cross sections, uniform source.
-	SigmaT, SigmaS, Source float64
-	MaxIters               int
-	Tol                    float64
-	Seed                   uint64
+	ChunkX   int
+	MaxIters int
+	Tol      float64
+	Seed     uint64
 	// KeepFlux gathers the converged scalar flux for validation.
 	KeepFlux bool
 	// Platform is the run wiring, handed whole to apprt.Execute.
@@ -59,21 +68,6 @@ func (p *Params) defaults() {
 	}
 	if p.ChunkX == 0 {
 		p.ChunkX = 4
-	}
-	if p.Angles == 0 {
-		p.Angles = 4
-	}
-	if p.Groups == 0 {
-		p.Groups = 2
-	}
-	if p.SigmaT == 0 {
-		p.SigmaT = 1.0
-	}
-	if p.SigmaS == 0 {
-		p.SigmaS = 0.5
-	}
-	if p.Source == 0 {
-		p.Source = 1.0
 	}
 	if p.MaxIters == 0 {
 		p.MaxIters = 12
@@ -178,7 +172,7 @@ func Run(net comm.Net, par Params) Result {
 	py, pz := DecomposeYZ(par.Nodes)
 	res := Result{Net: net, Nodes: par.Nodes}
 	if par.KeepFlux {
-		res.Flux = make([]float64, par.Groups*par.NX*par.NY*par.NZ)
+		res.Flux = make([]float64, groups*par.NX*par.NY*par.NZ)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
 		Net:      net,
@@ -232,8 +226,8 @@ type solver struct {
 	// per (octant, chunk).
 	region [8]uint32
 	gc     [8][]int
-	prog   [8][]*comm.DMAProgram
-	rdprog [8][]*comm.ReadProgram
+	prog   [8][]*vic.DMAProgram
+	rdprog [8][]*vic.ReadProgram
 	raw    []uint64 // one chunk's pulled faces, one row for every chunk
 	coll   *dv.Collective
 }
@@ -246,13 +240,13 @@ func newSolver(n *cluster.Node, be comm.Backend, net comm.Net, par Params, py, p
 	s.lz = par.NZ / pz
 	s.y0 = s.cy * s.ly
 	s.z0 = s.cz * s.lz
-	s.mu, s.eta, s.xi, s.wt = quadrature(par.Angles)
+	s.mu, s.eta, s.xi, s.wt = quadrature(angles)
 	s.nchunks = par.NX / par.ChunkX
-	s.cyw = par.ChunkX * s.lz * par.Angles * par.Groups
-	s.czw = par.ChunkX * s.ly * par.Angles * par.Groups
+	s.cyw = par.ChunkX * s.lz * angles * groups
+	s.czw = par.ChunkX * s.ly * angles * groups
 	cells := par.NX * s.ly * s.lz
-	s.phi = make([]float64, par.Groups*cells)
-	s.phiOld = make([]float64, par.Groups*cells)
+	s.phi = make([]float64, groups*cells)
+	s.phiOld = make([]float64, groups*cells)
 	if net == comm.DV {
 		s.setupDV()
 	}
@@ -266,23 +260,23 @@ func (s *solver) setupDV() {
 	for o := 0; o < 8; o++ {
 		s.region[o] = e.Alloc(s.nchunks * slot)
 		s.gc[o] = make([]int, s.nchunks)
-		s.prog[o] = make([]*comm.DMAProgram, s.nchunks)
-		s.rdprog[o] = make([]*comm.ReadProgram, s.nchunks)
+		s.prog[o] = make([]*vic.DMAProgram, s.nchunks)
+		s.rdprog[o] = make([]*vic.ReadProgram, s.nchunks)
 		dy, dz := s.downstream(o, 0), s.downstream(o, 1)
 		upY, upZ := s.upstream(o, 0) >= 0, s.upstream(o, 1) >= 0
 		for k := 0; k < s.nchunks; k++ {
 			s.gc[o][k] = e.AllocGC()
 			base := s.region[o] + uint32(k*slot)
-			var tmpl []comm.Word
+			var tmpl []vic.Word
 			if dy >= 0 {
 				for i := 0; i < s.cyw; i++ {
-					tmpl = append(tmpl, comm.Word{Dst: dy, Op: comm.OpWrite,
+					tmpl = append(tmpl, vic.Word{Dst: dy, Op: vic.OpWrite,
 						GC: s.gc[o][k], Addr: base + uint32(i)})
 				}
 			}
 			if dz >= 0 {
 				for i := 0; i < s.czw; i++ {
-					tmpl = append(tmpl, comm.Word{Dst: dz, Op: comm.OpWrite,
+					tmpl = append(tmpl, vic.Word{Dst: dz, Op: vic.OpWrite,
 						GC: s.gc[o][k], Addr: base + uint32(s.cyw+i)})
 				}
 			}
@@ -376,7 +370,7 @@ func (s *solver) absX(o, k, xi int) int {
 func (s *solver) sweepChunk(o, k int, planeX, yIn, zIn []float64) (yOut, zOut []float64) {
 	par := s.par
 	sx, sy, sz := octants[o][0], octants[o][1], octants[o][2]
-	A, G := par.Angles, par.Groups
+	A, G := angles, groups
 	yOut = make([]float64, s.cyw)
 	zOut = make([]float64, s.czw)
 	yBuf := make([]float64, s.lz*A*G)
@@ -413,9 +407,9 @@ func (s *solver) sweepChunk(o, k int, planeX, yIn, zIn []float64) (yOut, zOut []
 						inx := planeX[(y*s.lz+z)*A*G+ag]
 						iny := yBuf[z*A*G+ag]
 						inz := zBuf[ag]
-						src := par.Source + par.SigmaS*s.phiOld[s.idx(g, x, y, z)]
+						src := source + sigmaS*s.phiOld[s.idx(g, x, y, z)]
 						psi := (src + 2*s.mu[a]*inx + 2*s.eta[a]*iny + 2*s.xi[a]*inz) /
-							(par.SigmaT + den[a])
+							(sigmaT + den[a])
 						outx := 2*psi - inx
 						outy := 2*psi - iny
 						outz := 2*psi - inz
@@ -441,13 +435,13 @@ func (s *solver) sweepChunk(o, k int, planeX, yIn, zIn []float64) (yOut, zOut []
 	// Leakage through global y/z boundaries.
 	if s.downstream(o, 0) < 0 {
 		for i, v := range yOut {
-			a := (i % (s.par.Angles * s.par.Groups)) / s.par.Groups
+			a := (i % (angles * groups)) / groups
 			s.leak += s.wt[a] * s.eta[a] * v
 		}
 	}
 	if s.downstream(o, 1) < 0 {
 		for i, v := range zOut {
-			a := (i % (s.par.Angles * s.par.Groups)) / s.par.Groups
+			a := (i % (angles * groups)) / groups
 			s.leak += s.wt[a] * s.xi[a] * v
 		}
 	}

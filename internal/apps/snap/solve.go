@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/comm"
+	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
@@ -13,14 +14,14 @@ func (s *solver) solve() (iters int, err, balance float64) {
 	n := s.n
 	s.be.Barrier()
 	t0 := n.P.Now()
-	planeX := make([]float64, s.ly*s.lz*s.par.Angles*s.par.Groups)
+	planeX := make([]float64, s.ly*s.lz*angles*groups)
 	for iters = 1; iters <= s.par.MaxIters; iters++ {
 		copy(s.phiOld, s.phi)
 		for i := range s.phi {
 			s.phi[i] = 0
 		}
 		s.leak = 0
-		var sends []*comm.Request
+		var sends []*mpi.Request
 		for o := 0; o < 8; o++ {
 			zero(planeX) // vacuum at the x sweep entry
 			for k := 0; k < s.nchunks; k++ {
@@ -57,9 +58,9 @@ func (s *solver) solve() (iters int, err, balance float64) {
 	// Source·V = σa·Σφ·V + leakage (summed globally).
 	var absorb float64
 	for _, p := range s.phi {
-		absorb += (s.par.SigmaT - s.par.SigmaS) * p
+		absorb += (sigmaT - sigmaS) * p
 	}
-	src := s.par.Source * float64(s.par.NX*s.ly*s.lz*s.par.Groups)
+	src := source * float64(s.par.NX*s.ly*s.lz*groups)
 	gAbs := s.sumAll(absorb)
 	gLeak := s.sumAll(s.leak)
 	gSrc := s.sumAll(src)
@@ -72,7 +73,7 @@ func (s *solver) maxAll(v float64) float64 {
 	if s.net == comm.DV {
 		return s.coll.AllReduceMaxFloat(v)
 	}
-	return s.be.MPI().Allreduce([]float64{v}, comm.Max)[0]
+	return s.be.MPI().Allreduce([]float64{v}, mpi.Max)[0]
 }
 
 // sumAll is a global sum reduction.
@@ -84,7 +85,7 @@ func (s *solver) sumAll(v float64) float64 {
 		}
 		return sum
 	}
-	return s.be.MPI().Allreduce([]float64{v}, comm.Sum)[0]
+	return s.be.MPI().Allreduce([]float64{v}, mpi.Sum)[0]
 }
 
 // chunkTag derives the MPI tag for (octant, chunk, direction).
@@ -98,12 +99,12 @@ func (s *solver) recvChunk(o, k int) (yIn, zIn []float64) {
 		c := s.be.MPI()
 		if up := s.upstream(o, 0); up >= 0 {
 			data, _ := c.Recv(up, s.chunkTag(o, k, 0))
-			s.yIn = comm.Float64sInto(s.yIn, data)
+			s.yIn = mpi.Float64sInto(s.yIn, data)
 			yIn = s.yIn
 		}
 		if up := s.upstream(o, 1); up >= 0 {
 			data, _ := c.Recv(up, s.chunkTag(o, k, 1))
-			s.zIn = comm.Float64sInto(s.zIn, data)
+			s.zIn = mpi.Float64sInto(s.zIn, data)
 			zIn = s.zIn
 		}
 		return
@@ -142,19 +143,19 @@ func (s *solver) recvChunk(o, k int) (yIn, zIn []float64) {
 // face stays in flight until the Waitall that ends the iteration, so each
 // send of an iteration encodes into a slot of its own, which the same send
 // of the next iteration reuses.
-func (s *solver) isend(dst, tag int, face []float64, sends []*comm.Request) []*comm.Request {
+func (s *solver) isend(dst, tag int, face []float64, sends []*mpi.Request) []*mpi.Request {
 	i := len(sends)
 	if i == len(s.wire) {
 		s.wire = append(s.wire, nil)
 	}
-	s.wire[i] = comm.AppendFloat64s(s.wire[i][:0], face)
+	s.wire[i] = mpi.AppendFloat64s(s.wire[i][:0], face)
 	return append(sends, s.be.MPI().Isend(dst, tag, s.wire[i]))
 }
 
 // sendChunk forwards one chunk's outgoing faces downstream. The DV port
 // pushes both faces with one prepared PCIe transfer (the paper's
 // aggregation optimisation).
-func (s *solver) sendChunk(o, k int, yOut, zOut []float64, sends []*comm.Request) []*comm.Request {
+func (s *solver) sendChunk(o, k int, yOut, zOut []float64, sends []*mpi.Request) []*mpi.Request {
 	dy, dz := s.downstream(o, 0), s.downstream(o, 1)
 	if s.net == comm.IB {
 		if dy >= 0 {
@@ -190,7 +191,7 @@ func (s *solver) sendChunk(o, k int, yOut, zOut []float64, sends []*comm.Request
 // gatherInto copies the local flux into the global array (validation).
 func (s *solver) gatherInto(flux []float64) {
 	par := s.par
-	for g := 0; g < par.Groups; g++ {
+	for g := 0; g < groups; g++ {
 		for x := 0; x < par.NX; x++ {
 			for y := 0; y < s.ly; y++ {
 				for z := 0; z < s.lz; z++ {

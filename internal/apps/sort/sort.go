@@ -11,21 +11,24 @@
 package sort
 
 import (
-	"fmt"
 	gosort "sort"
 
 	"repro/internal/apprt"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/dv"
+	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
+
+// oversample is the samples per node for splitter selection.
+const oversample int = 32
 
 // Params configures a run.
 type Params struct {
 	Nodes       int
 	KeysPerNode int
-	Oversample  int // samples per node for splitter selection
 	Seed        uint64
 	// KeepKeys gathers the sorted output for validation.
 	KeepKeys bool
@@ -36,9 +39,6 @@ type Params struct {
 func (p *Params) defaults() {
 	if p.KeysPerNode == 0 {
 		p.KeysPerNode = 1 << 14
-	}
-	if p.Oversample == 0 {
-		p.Oversample = 32
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -116,9 +116,9 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params) (sim.Ti
 	// 1. Local sort and sampling.
 	gosort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	n.Ops(int64(par.KeysPerNode) * 5) // ~n log n comparisons at small-op cost
-	samples := make([]uint64, par.Oversample)
+	samples := make([]uint64, oversample)
 	for i := range samples {
-		samples[i] = keys[i*len(keys)/par.Oversample]
+		samples[i] = keys[i*len(keys)/oversample]
 	}
 
 	// 2. Splitters: allgather samples, pick P-1 quantiles.
@@ -176,8 +176,8 @@ type mpiSorter struct {
 
 func (s *mpiSorter) allGather(vals []uint64) []uint64 {
 	var out, part []uint64
-	for _, b := range s.be.MPI().Allgather(comm.AppendUint64s(nil, vals)) {
-		part = comm.Uint64sInto(part, b)
+	for _, b := range s.be.MPI().Allgather(mpi.AppendUint64s(nil, vals)) {
+		part = mpi.Uint64sInto(part, b)
 		out = append(out, part...)
 	}
 	return out
@@ -187,14 +187,14 @@ func (s *mpiSorter) exchange(buckets [][]uint64) [][]uint64 {
 	send := make([][]byte, len(buckets))
 	total := 0
 	for d, b := range buckets {
-		send[d] = comm.AppendUint64s(nil, b)
+		send[d] = mpi.AppendUint64s(nil, b)
 		total += len(b)
 	}
 	s.n.Compute(sim.BytesAt(total*8, 8e9)) // pack
 	recvB := s.be.MPI().Alltoall(send)
 	out := make([][]uint64, len(recvB))
 	for i, b := range recvB {
-		out[i] = comm.Uint64sInto(nil, b) // the runs outlive the barrier that follows; recvB does not
+		out[i] = mpi.Uint64sInto(nil, b) // the runs outlive the barrier that follows; recvB does not
 	}
 	return out
 }
@@ -276,7 +276,7 @@ func (s *dvSorter) exchange(buckets [][]uint64) [][]uint64 {
 			dOff += int(matrix[src*p+d])
 		}
 		s.n.Compute(sim.BytesAt(len(b)*8, 8e9)) // stage payloads
-		e.Put(comm.DMACached, d, s.region+uint32(dOff), s.gc, b)
+		e.Put(vic.DMACached, d, s.region+uint32(dOff), s.gc, b)
 	}
 	e.WaitGC(s.gc, sim.Forever)
 	raw := e.Read(s.region, offs[p])
@@ -292,9 +292,3 @@ func (s *dvSorter) exchange(buckets [][]uint64) [][]uint64 {
 }
 
 func (s *dvSorter) barrier() { s.e.Barrier() }
-
-// String renders a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-12s %2d nodes  %6.1f Mkeys/s (%v)",
-		r.Net, r.Nodes, r.SortedRate()/1e6, r.Elapsed)
-}

@@ -7,7 +7,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/dv"
+	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
 
 // runNode executes the multiply loop on one node, returning the measured
@@ -104,7 +106,7 @@ type dvExchanger struct {
 	gRegion uint32
 	gc      int
 	coll    *dv.Collective
-	queries []comm.Word // prepared query batch (payload = return header)
+	queries []vic.Word // prepared query batch (payload = return header)
 }
 
 func newDVExchanger(n *cluster.Node, be comm.Backend, par Params, rows int64, ghosts []int64) *dvExchanger {
@@ -122,11 +124,11 @@ func newDVExchanger(n *cluster.Node, be comm.Backend, par Params, rows int64, gh
 	}
 	ex.gRegion = e.Alloc(gwords)
 	// Prepare the query batch once: the pattern is fixed across iterations.
-	ex.queries = make([]comm.Word, len(ghosts))
+	ex.queries = make([]vic.Word, len(ghosts))
 	for i, g := range ghosts {
 		owner := int(g / rows)
-		ret := comm.EncodeHeader(e.Rank(), comm.OpWrite, ex.gc, ex.gRegion+uint32(i))
-		ex.queries[i] = comm.Word{Dst: owner, Op: comm.OpQuery, GC: comm.NoGC,
+		ret := vic.EncodeHeader(e.Rank(), vic.OpWrite, ex.gc, ex.gRegion+uint32(i))
+		ex.queries[i] = vic.Word{Dst: owner, Op: vic.OpQuery, GC: vic.NoGC,
 			Addr: ex.xRegion + uint32(g%rows), Val: ret}
 	}
 	e.Barrier()
@@ -146,7 +148,7 @@ func (ex *dvExchanger) gather(x, ghostOut []float64) {
 	e.Barrier() // everyone's slab is queryable
 	if len(ex.queries) > 0 {
 		e.ArmGC(ex.gc, int64(len(ex.queries)))
-		e.Scatter(comm.DMACached, ex.queries)
+		e.Scatter(vic.DMACached, ex.queries)
 		e.WaitGC(ex.gc, sim.Forever)
 		for i, w := range e.Read(ex.gRegion, len(ex.queries)) {
 			ghostOut[i] = math.Float64frombits(w)
@@ -190,11 +192,11 @@ func newMPIExchanger(n *cluster.Node, be comm.Backend, par Params, rows int64, g
 	}
 	send := make([][]byte, p)
 	for q := range req {
-		send[q] = comm.AppendUint64s(nil, req[q])
+		send[q] = mpi.AppendUint64s(nil, req[q])
 	}
 	var idxs []uint64
 	for q, data := range c.Alltoall(send) {
-		idxs = comm.Uint64sInto(idxs, data)
+		idxs = mpi.Uint64sInto(idxs, data)
 		for _, idx := range idxs {
 			ex.theirIdx[q] = append(ex.theirIdx[q], int32(idx))
 		}
@@ -206,7 +208,7 @@ func newMPIExchanger(n *cluster.Node, be comm.Backend, par Params, rows int64, g
 func (ex *mpiExchanger) gather(x, ghostOut []float64) {
 	c := ex.be.MPI()
 	p := c.Size()
-	var sends []*comm.Request
+	var sends []*mpi.Request
 	for q := 0; q < p; q++ {
 		if q == c.Rank() || len(ex.theirIdx[q]) == 0 {
 			continue
@@ -216,15 +218,15 @@ func (ex *mpiExchanger) gather(x, ghostOut []float64) {
 			ex.vals = append(ex.vals, x[idx])
 		}
 		ex.n.Compute(sim.BytesAt(len(ex.vals)*8, 8e9)) // pack
-		ex.wire[q] = comm.AppendFloat64s(ex.wire[q][:0], ex.vals)
+		ex.wire[q] = mpi.AppendFloat64s(ex.wire[q][:0], ex.vals)
 		sends = append(sends, c.Isend(q, 7, ex.wire[q]))
 	}
 	for q := 0; q < p; q++ {
 		if q == c.Rank() || len(ex.wantFrom[q]) == 0 {
 			continue
 		}
-		data, st := c.Recv(comm.AnySource, 7)
-		ex.vals = comm.Float64sInto(ex.vals, data)
+		data, st := c.Recv(mpi.AnySource, 7)
+		ex.vals = mpi.Float64sInto(ex.vals, data)
 		for i, slot := range ex.wantFrom[st.Source] {
 			ghostOut[slot] = ex.vals[i]
 		}
@@ -234,6 +236,6 @@ func (ex *mpiExchanger) gather(x, ghostOut []float64) {
 }
 
 func (ex *mpiExchanger) maxAll(v float64) float64 {
-	return ex.be.MPI().Allreduce([]float64{v}, comm.Max)[0]
+	return ex.be.MPI().Allreduce([]float64{v}, mpi.Max)[0]
 }
 func (ex *mpiExchanger) barrier() { ex.be.Barrier() }

@@ -18,7 +18,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/fftkernel"
+	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
 
 // Params configures a run.
@@ -158,8 +160,8 @@ type solver struct {
 	// Data Vortex transpose state (two parities).
 	region [2]uint32
 	gc     [2]int
-	prog   [2]*comm.DMAProgram
-	rdprog [2]*comm.ReadProgram
+	prog   [2]*vic.DMAProgram
+	rdprog [2]*vic.ReadProgram
 	raw    []uint64 // the pulled region, one row for every transpose
 	tcount int      // transposes executed (selects parity)
 
@@ -190,7 +192,7 @@ func newSolver(n *cluster.Node, be comm.Backend, net comm.Net, par Params) *solv
 			s.gc[par2] = e.AllocGC()
 			e.ArmGC(s.gc[par2], int64(2*s.rows*(N-s.rows)))
 			// Persistent scatter program: the transpose pattern is fixed.
-			var tmpl []comm.Word
+			var tmpl []vic.Word
 			for q := 0; q < s.p; q++ {
 				if q == n.ID {
 					continue
@@ -199,8 +201,8 @@ func newSolver(n *cluster.Node, be comm.Backend, net comm.Net, par Params) *solv
 					for row := 0; row < s.rows; row++ {
 						addr := s.region[par2] + uint32(2*((col-q*s.rows)*N+s.lo+row))
 						tmpl = append(tmpl,
-							comm.Word{Dst: q, Op: comm.OpWrite, GC: s.gc[par2], Addr: addr},
-							comm.Word{Dst: q, Op: comm.OpWrite, GC: s.gc[par2], Addr: addr + 1})
+							vic.Word{Dst: q, Op: vic.OpWrite, GC: s.gc[par2], Addr: addr},
+							vic.Word{Dst: q, Op: vic.OpWrite, GC: s.gc[par2], Addr: addr + 1})
 					}
 				}
 			}
@@ -276,13 +278,13 @@ func (s *solver) mpiTranspose(m []complex128, N int) []complex128 {
 				s.block = append(s.block, real(v), imag(v))
 			}
 		}
-		s.send[q] = comm.AppendFloat64s(s.send[q][:0], s.block)
+		s.send[q] = mpi.AppendFloat64s(s.send[q][:0], s.block)
 	}
 	s.n.Compute(sim.BytesAt(len(m)*16, 8e9)) // pack
 	recv := c.Alltoall(s.send)
 	out := make([]complex128, s.rows*N)
 	for q := 0; q < s.p; q++ {
-		s.block = comm.Float64sInto(s.block, recv[q])
+		s.block = mpi.Float64sInto(s.block, recv[q])
 		i := 0
 		for or := 0; or < s.rows; or++ {
 			for sr := 0; sr < s.rows; sr++ {
@@ -449,9 +451,4 @@ func SerialReference(par Params) []float64 {
 	p2.Nodes = 1
 	p2.KeepField = true
 	return Run(comm.IB, p2).Field
-}
-
-// String renders a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-12s %2d nodes  N=%d² %d steps  %v", r.Net, r.Nodes, r.N, r.Steps, r.Elapsed)
 }

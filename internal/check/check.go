@@ -21,7 +21,8 @@ import (
 )
 
 // Config selects which invariant families a Checker enforces. The zero value
-// checks nothing; All enables everything with automatic bounds.
+// checks nothing; All enables everything. The livelock and deflection bounds
+// are derived from the switch geometry.
 type Config struct {
 	// Switch enables the per-cycle fabric invariants: packet conservation,
 	// occupancy/duplication, resolved-prefix, bounded deflections, and
@@ -37,19 +38,13 @@ type Config struct {
 	// per-stage durations are non-negative and sum exactly to its
 	// end-to-end latency (checked at Finalize over the attached tracer).
 	Attr bool
-
-	// MaxAge bounds a packet's in-fabric age in cycles before it is declared
-	// livelocked; it bounds a packet's deflection count too. 0 derives a
-	// bound from the switch geometry.
-	MaxAge int64
 }
 
 // keptViolations is how many violations a Result keeps in full detail; the
 // total is always counted.
 const keptViolations = 64
 
-// All returns a Config with every invariant family enabled and automatic
-// bounds.
+// All returns a Config with every invariant family enabled.
 func All() *Config { return &Config{Switch: true, VIC: true, Reliable: true, Attr: true} }
 
 // Violation is one detected invariant breach.

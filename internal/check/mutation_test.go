@@ -134,9 +134,10 @@ func TestMutationDoubleDeliver(t *testing.T) {
 }
 
 func TestMutationStickyOutputRing(t *testing.T) {
-	// Packets circle the output ring forever; a tight age bound must flag
-	// them as livelocked within the bounded stepping.
-	cfg := &check.Config{Switch: true, MaxAge: 64}
+	// Packets circle the output ring forever; the age bound derived from
+	// the 4×4 geometry (1024 + 64 × 48 switching nodes = 4096 cycles) must
+	// flag them as livelocked within the bounded stepping.
+	cfg := &check.Config{Switch: true}
 	var clean, mutated *check.Result
 	for _, m := range []dvswitch.Mutation{0, dvswitch.MutStickyOutputRing} {
 		rig := newSwitchRig(cfg, m)
@@ -146,8 +147,8 @@ func TestMutationStickyOutputRing(t *testing.T) {
 			rig.drain()
 			clean = rig.chk.Finalize()
 		} else {
-			// The mutated fabric never drains; step a bounded horizon.
-			for i := 0; i < 400; i++ {
+			// The mutated fabric never drains; step past the age bound.
+			for i := 0; i < 4096+64; i++ {
 				rig.core.Step()
 			}
 			mutated = rig.chk.Finalize()

@@ -24,11 +24,8 @@ func keyOf(pkt dvswitch.Packet) fabKey {
 // never fires on legitimate congestion, only on packets that circle forever.
 // The deflection bound equals it, because each deflection costs at least one
 // hop.
-func (c *Checker) bounds(p dvswitch.Params) (maxAge int64, maxDefl int) {
-	maxAge = c.cfg.MaxAge
-	if maxAge <= 0 {
-		maxAge = 1024 + 64*int64(p.Cylinders()*p.Heights*p.Angles)
-	}
+func bounds(p dvswitch.Params) (maxAge int64, maxDefl int) {
+	maxAge = 1024 + 64*int64(p.Cylinders()*p.Heights*p.Angles)
 	return maxAge, int(maxAge)
 }
 
@@ -41,7 +38,7 @@ func (c *Checker) AttachCore(core *dvswitch.Core) {
 	if !c.cfg.Switch {
 		return
 	}
-	maxAge, maxDefl := c.bounds(core.Params())
+	maxAge, maxDefl := bounds(core.Params())
 	seen := make(map[int32]int64) // pool ref → last cycle observed
 	prevDrop := core.DropHook
 	core.DropHook = func(pkt dvswitch.Packet) {

@@ -5,8 +5,8 @@
 // model — the Data Vortex API endpoint (internal/dv over internal/vic, over
 // either switch engine) or the MPI communicator (internal/mpi over
 // internal/ib). An app names a comm.Net and receives a comm.Backend from the
-// apprt harness; the aliases in alias.go keep app packages free of direct
-// internal/vic and internal/mpi imports.
+// apprt harness, and writes its traffic in the endpoint's own vocabulary
+// (vic.Word, mpi.Request and the mpi byte codecs).
 package comm
 
 import (

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dv"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
 
 // dvBackend drives one node's Data Vortex rail-0 endpoint.
@@ -73,13 +74,13 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 	e.ArmGC(b.a2aGC[0], int64(2*(p-1)))
 	e.Barrier() // every control counter armed
 	// Both rounds' generators hand the VIC one word at a time, through next.
-	var next Word
-	e.ScatterN(PIOCached, 2*(p-1), func(i int) *Word {
+	var next vic.Word
+	e.ScatterN(vic.PIOCached, 2*(p-1), func(i int) *vic.Word {
 		d := i / 2
 		if d >= e.Rank() {
 			d++
 		}
-		next = Word{Dst: d, Op: OpWrite, GC: b.a2aGC[0], Addr: b.a2aLen + uint32(e.Rank()), Val: uint64(len(blocks[d]))}
+		next = vic.Word{Dst: d, Op: vic.OpWrite, GC: b.a2aGC[0], Addr: b.a2aLen + uint32(e.Rank()), Val: uint64(len(blocks[d]))}
 		if i%2 == 1 {
 			next.Addr, next.Val = b.a2aMax+uint32(e.Rank()), uint64(localMax)
 		}
@@ -120,11 +121,11 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 	// blocks, so the backlog exists once, in the switch's port queue.
 	row := b.a2aBuf + uint32(e.Rank()*b.a2aCap)
 	d, j := 0, 0
-	e.ScatterN(DMACached, nWords, func(int) *Word {
+	e.ScatterN(vic.DMACached, nWords, func(int) *vic.Word {
 		for d == e.Rank() || j == wordsFor(len(blocks[d])) {
 			d, j = d+1, 0
 		}
-		next = Word{Dst: d, Op: OpWrite, GC: b.a2aGC[1], Addr: row + uint32(j), Val: wordAt(blocks[d], j)}
+		next = vic.Word{Dst: d, Op: vic.OpWrite, GC: b.a2aGC[1], Addr: row + uint32(j), Val: wordAt(blocks[d], j)}
 		j++
 		return &next
 	})

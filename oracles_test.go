@@ -204,6 +204,9 @@ var fenceAllow = []allowRow{
 	{"apps/pagerank.SerialReference", "oracle", "one-core PageRank the distributed runs are compared against"},
 	{"fftkernel.DFT", "oracle", "O(n^2) transform TestForwardMatchesDFT compares the FFT against"},
 	{"fftkernel.Energy", "oracle", "Parseval check on the FFT's output"},
+	{"apps/heat.Params.K", "oracle", "the heat test sweeps stability numbers against the exact solution"},
+	{"apps/vorticity.Params.InitTaylorGreen", "oracle", "starts the run the analytic Taylor-Green decay is compared against"},
+	{"apps/pagerank.Params.KeepRanks", "oracle", "gathers the ranks the test compares with SerialReference"},
 
 	{"dv.Endpoint.SetMutation", "mutation", "plants reliable-layer bugs internal/check must catch"},
 	{"dvswitch.Core.SetMutation", "mutation", "plants switch bugs internal/check must catch"},
@@ -269,8 +272,12 @@ const ledgerPath = "repro/benchmark"
 //     fmt.Stringer, sort.Interface, flag.Value — that names it;
 //   - a package under internal/ that nothing under cmd/ or examples/ imports,
 //     directly or through other packages;
-//   - a row of allow that names nothing, has gained a product use, or is
-//     kind ledger without a use in benchmark/.
+//   - a field declared in an app's own Params or Opts (under internal/apps/,
+//     not the embedded cluster.Platform) that no non-test file writes, as a
+//     composite-literal key or an assignment, outside that app's defaults
+//     method, and allow does not list;
+//   - a row of allow that names nothing, has gained a product use (for an
+//     app setting, a writer), or is kind ledger without a use in benchmark/.
 func exportFence(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer, allow []allowRow) ([]string, error) {
 	c := &checkedTree{fset: fset, files: pkgs, std: std, pkgs: map[string]*types.Package{},
 		info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
@@ -284,6 +291,7 @@ func exportFence(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Imp
 	// Who uses what. The type a method is declared on does not count as a
 	// use of that type.
 	product, ledger := map[types.Object]bool{}, map[types.Object]bool{}
+	written := map[types.Object]bool{} // struct fields some non-test file sets
 	imports := map[string][]string{}
 	for path, files := range pkgs {
 		uses := product
@@ -293,6 +301,32 @@ func exportFence(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Imp
 		for _, f := range files {
 			for _, im := range f.Imports {
 				imports[path] = append(imports[path], strings.Trim(im.Path.Value, `"`))
+			}
+			for _, d := range f.Decls {
+				// An app's defaults method fills its own settings; that is
+				// not a run setting them.
+				fn, _ := d.(*ast.FuncDecl)
+				inDefaults := fn != nil && fn.Recv != nil && fn.Name.Name == "defaults"
+				write := func(id *ast.Ident) {
+					if v, ok := c.info.Uses[id].(*types.Var); ok && v.IsField() && !(inDefaults && v.Pkg().Path() == path) {
+						written[v] = true
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							write(id)
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if sel, ok := lhs.(*ast.SelectorExpr); ok {
+								write(sel.Sel)
+							}
+						}
+					}
+					return true
+				})
 			}
 			recv := map[*ast.Ident]bool{}
 			for _, d := range f.Decls {
@@ -405,6 +439,38 @@ func exportFence(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Imp
 			}
 		}
 	}
+	// App settings nothing sets: a constant, or nothing at all.
+	for path, p := range c.pkgs {
+		label, ok := strings.CutPrefix(path, "repro/internal/")
+		if !ok || !strings.HasPrefix(label, "apps/") {
+			continue
+		}
+		for _, typ := range []string{"Params", "Opts"} {
+			tn, ok := p.Scope().Lookup(typ).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				fld := st.Field(i)
+				if fld.Embedded() {
+					continue
+				}
+				name := label + "." + typ + "." + fld.Name()
+				row, listed := allowed[name]
+				seen[name] = true
+				switch {
+				case listed && written[fld]:
+					findings = append(findings, fmt.Sprintf("stale allow-list row %s (%s): a non-test file sets it now", name, row.kind))
+				case !listed && !written[fld]:
+					findings = append(findings, fmt.Sprintf("%s: %s is set by no non-test file outside its defaults: make it a constant or delete it", fset.Position(fld.Pos()), name))
+				}
+			}
+		}
+	}
 	for _, row := range allow {
 		if !seen[row.name] {
 			findings = append(findings, fmt.Sprintf("stale allow-list row %s (%s): no such exported name under internal/", row.name, row.kind))
@@ -467,7 +533,10 @@ func TestEveryExportHasAProductCaller(t *testing.T) {
 
 // TestExportFenceFixture feeds the analysis a tree small enough to read: one
 // dead export, one export used only through an interface, one allow-list row
-// whose name has a caller. Exactly the first and the last are findings.
+// whose name has a caller, and an app whose Params has one field a driver
+// sets and one only its defaults method and a same-named field of another
+// struct set. Exactly the dead export, the unset field and the stale row are
+// findings.
 func TestExportFenceFixture(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs := map[string][]*ast.File{}
@@ -480,9 +549,14 @@ type Square struct{}
 func (Square) Area() int { return 1 } // reached only through Shape
 func Dead() {}
 func Probe() int { return 0 }`,
+		"repro/internal/apps/toy/toy.go": `package toy
+type Params struct{ Set, Unset int }
+func (p *Params) defaults() { p.Set, p.Unset = 1, 2 }
+type other struct{ Unset int }
+var _ = other{Unset: 1}`,
 		"repro/cmd/draw/main.go": `package main
-import "repro/internal/shape"
-func main() { shape.Total(shape.Square{}); shape.Probe() }`,
+import ("repro/internal/apps/toy"; "repro/internal/shape")
+func main() { shape.Total(shape.Square{}); shape.Probe(); _ = toy.Params{Set: 3} }`,
 	} {
 		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
 		if err != nil {
@@ -495,7 +569,8 @@ func main() { shape.Total(shape.Square{}); shape.Probe() }`,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || !strings.Contains(got[0], "shape.Dead has no use") || !strings.HasPrefix(got[1], "stale allow-list row shape.Probe") {
-		t.Errorf("fixture findings: %q, want shape.Dead dead and shape.Probe stale", got)
+	if len(got) != 3 || !strings.Contains(got[0], "apps/toy.Params.Unset is set by no non-test file") ||
+		!strings.Contains(got[1], "shape.Dead has no use") || !strings.HasPrefix(got[2], "stale allow-list row shape.Probe") {
+		t.Errorf("fixture findings: %q, want toy's Params.Unset unset, shape.Dead dead and shape.Probe stale", got)
 	}
 }
