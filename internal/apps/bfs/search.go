@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"math"
+
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/dv"
@@ -14,10 +16,10 @@ import (
 func packVisit(v, u int64) uint64       { return uint64(v)<<32 | uint64(u) }
 func unpackVisit(w uint64) (v, u int64) { return int64(w >> 32), int64(w & 0xFFFFFFFF) }
 
-// visitLocal attempts to claim vertex v (global id) with parent u; it
-// reports whether v was newly visited.
-func visitLocal(g *graph, parent []int64, v, u int64) bool {
-	li := v - g.lo
+// visitLocal attempts to claim vertex v (global id) with parent u on the
+// node whose first vertex is lo; it reports whether v was newly visited.
+func visitLocal(lo int64, parent []int64, v, u int64) bool {
+	li := v - lo
 	if parent[li] == -1 {
 		parent[li] = u
 		return true
@@ -58,7 +60,7 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 				q := owner(v, g.perNode)
 				if q == n.ID {
 					localVisits++
-					if visitLocal(g, parent, v, u) {
+					if visitLocal(g.lo, parent, v, u) {
 						next = append(next, v-g.lo)
 						visited++
 					}
@@ -76,7 +78,7 @@ func searchMPI(n *cluster.Node, be comm.Backend, g *graph, root int64, parent []
 			for i := 0; i < len(data)/8; i++ {
 				v, u := unpackVisit(mpi.Uint64At(data, i))
 				got++
-				if visitLocal(g, parent, v, u) {
+				if visitLocal(g.lo, parent, v, u) {
 					next = append(next, v-g.lo)
 					visited++
 				}
@@ -137,34 +139,31 @@ func searchDV(n *cluster.Node, be comm.Backend, st *dvState, g *graph, root int6
 	sentTo := make([]int64, p)
 	words := make([]vic.Word, 0, 4096)
 	cnt := make([]vic.Word, 0, p-1)
-	drained := 0
-	drain := func(block bool) {
-		for {
-			var w uint64
-			var ok bool
-			if block {
-				w, ok = e.PopFIFO(sim.Forever)
-			} else {
-				w, ok = e.TryPopFIFO()
-			}
-			if !ok {
-				return
-			}
-			drained++
-			v, u := unpackVisit(w)
-			n.Ops(1)
-			if visitLocal(g, parent, v, u) {
-				next = append(next, v-g.lo)
-				visited++
-			}
-			if block {
-				return
-			}
+	var drained, expected int
+	lo := g.lo // copied so that the closures, which the node keeps, leave g on the stack
+	visit := func(w uint64) {
+		drained++
+		v, u := unpackVisit(w)
+		if visitLocal(lo, parent, v, u) {
+			next = append(next, v-lo)
+			visited++
 		}
+	}
+	// drain takes what has arrived, up to the level's expected count: one
+	// small operation per visit.
+	drain := func() (int64, int64, bool) {
+		if drained >= expected {
+			return 0, 0, false
+		}
+		w, ok := e.TryPopFIFO()
+		if ok {
+			visit(w)
+		}
+		return 1, 0, ok
 	}
 	for {
 		next = next[:0]
-		drained = 0
+		drained, expected = 0, math.MaxInt // known once the level's counts are in
 		clear(sentTo)
 		words = words[:0]
 		localVisits := 0
@@ -175,7 +174,7 @@ func searchDV(n *cluster.Node, be comm.Backend, st *dvState, g *graph, root int6
 				q := owner(v, g.perNode)
 				if q == n.ID {
 					localVisits++
-					if visitLocal(g, parent, v, u) {
+					if visitLocal(g.lo, parent, v, u) {
 						next = append(next, v-g.lo)
 						visited++
 					}
@@ -186,7 +185,7 @@ func searchDV(n *cluster.Node, be comm.Backend, st *dvState, g *graph, root int6
 				if len(words) == 4096 {
 					e.Scatter(vic.DMACached, words)
 					words = words[:0]
-					drain(false)
+					n.WorkEach(drain)
 				}
 			}
 		}
@@ -203,14 +202,20 @@ func searchDV(n *cluster.Node, be comm.Backend, st *dvState, g *graph, root int6
 		}
 		e.Scatter(vic.PIOCached, cnt)
 		e.WaitGC(st.gcCnt, sim.Forever)
-		expected := 0
+		expected = 0
 		for src, w := range e.Read(st.cntBase, p) {
 			if src != n.ID {
 				expected += int(w)
 			}
 		}
-		for drained < expected {
-			drain(true)
+		for {
+			n.WorkEach(drain)
+			if drained >= expected {
+				break
+			}
+			w, _ := e.PopFIFO(sim.Forever) // the FIFO is empty: wait for a word
+			visit(w)
+			n.Ops(1)
 		}
 		e.ArmGC(st.gcCnt, int64(p-1)) // re-arm; fenced by allGather's barrier
 		frontier = append(frontier[:0], next...)

@@ -15,6 +15,7 @@ package gups
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/apprt"
 	"repro/internal/cluster"
@@ -269,26 +270,25 @@ func runDV(n *cluster.Node, be comm.Backend, par Params, table []uint64) (sim.Ti
 	t0 := n.P.Now()
 
 	drained := int64(0)
-	drain := func(block bool) bool {
-		for {
-			var a uint64
-			var ok bool
-			if block {
-				a, ok = e.PopFIFO(wait)
-			} else {
-				a, ok = e.TryPopFIFO()
-			}
-			if !ok {
-				return false
-			}
-			_, li := owner(a, par.Nodes, par.TableWordsNode)
-			table[li] ^= a
-			drained++
-			n.Work(1, 1) // decode, apply
-			if block {
-				return true
-			}
+	expected := int64(math.MaxInt64) // known once the counts are in
+	// Copied so that the closures, which the node keeps, leave par on the stack.
+	nodes, tableWords := par.Nodes, par.TableWordsNode
+	apply := func(a uint64) {
+		_, li := owner(a, nodes, tableWords)
+		table[li] ^= a
+		drained++
+	}
+	// drain takes what has arrived, up to the expected count: one decode
+	// and apply per word.
+	drain := func() (int64, int64, bool) {
+		if drained >= expected {
+			return 0, 0, false
 		}
+		a, ok := e.TryPopFIFO()
+		if ok {
+			apply(a)
+		}
+		return 1, 1, ok
 	}
 
 	sentTo := make([]int64, par.Nodes)
@@ -315,7 +315,7 @@ func runDV(n *cluster.Node, be comm.Backend, par Params, table []uint64) (sim.Ti
 		}
 		n.Work(int64(2*b), int64(localApplied))
 		e.Scatter(vic.DMACached, words)
-		drain(false) // overlap: apply whatever has arrived
+		n.WorkEach(drain) // overlap: apply whatever has arrived
 	}
 	// Tell every peer how many updates we sent it, then drain to the exact
 	// expected count.
@@ -328,16 +328,23 @@ func runDV(n *cluster.Node, be comm.Backend, par Params, table []uint64) (sim.Ti
 	}
 	e.Scatter(vic.DMACached, counts)
 	e.WaitGC(countGC, wait)
-	expected := int64(0)
+	expected = 0
 	for src, w := range e.Read(countBase, par.Nodes) {
 		if src != e.Rank() {
 			expected += int64(w)
 		}
 	}
-	for drained < expected {
-		if !drain(true) {
+	for {
+		n.WorkEach(drain)
+		if drained >= expected {
+			break
+		}
+		a, ok := e.PopFIFO(wait) // the FIFO is empty: wait for a word
+		if !ok {
 			break // timed out with updates still missing: they are lost
 		}
+		apply(a)
+		n.Work(1, 1)
 	}
 	sent := int64(0)
 	for _, c := range sentTo {

@@ -243,7 +243,7 @@ type Node struct {
 
 	attr    *attr.Tracer   // keeps compute spans under Attr.Trace; nil unless Config.Attr
 	compute *obs.Histogram // per-Compute durations, µs; nil unless Config.Obs
-	work    workChain      // Work's chain state (one Work runs at a time)
+	work    workChain      // Work's and WorkEach's chain state (one runs at a time)
 }
 
 // Compute advances virtual time by d, representing host computation, and
@@ -279,38 +279,61 @@ func (n *Node) Ops(c int64) {
 // Work advances time by the cost of ops small software operations and then of
 // mem irregular memory accesses, as Compute(ops·SmallOp) followed by
 // Compute(mem·RandomAccess) would: the same two spans, recorded at the same
-// instants. The process is switched to once, at the end — the first span
-// closes inside the kernel event that ends it (sim.Proc.Chain).
+// instants. It is WorkEach's one-item case, so the process is switched to
+// once, at the end.
 func (n *Node) Work(ops, mem int64) {
-	a, b := sim.Time(ops)*n.CPU.SmallOp, sim.Time(mem)*n.CPU.RandomAccess
-	if a <= 0 || b <= 0 {
-		n.Compute(a)
-		n.Compute(b)
-		return
-	}
-	n.work = workChain{n: n, first: a, second: b}
+	n.work = workChain{n: n, next: noItem, t0: n.P.Now()}
+	n.work.item(ops, mem)
 	n.P.Chain(&n.work)
-	n.computed(n.work.t0, b)
 }
 
-// workChain is Work's two links: the first span's wait, then, at its end,
-// the first span's record and the second span's wait.
+// WorkEach runs the loop
+//
+//	for { ops, mem, ok := next(); if !ok { break }; Work(ops, mem) }
+//
+// but switches to the process only when next reports no item: every call of
+// next after the first, and every span's record, runs inside the kernel event
+// that ends the span before it (sim.Proc.Chain). So next must not block.
+func (n *Node) WorkEach(next func() (ops, mem int64, ok bool)) {
+	n.work = workChain{n: n, next: next, t0: n.P.Now()}
+	n.P.Chain(&n.work)
+}
+
+func noItem() (ops, mem int64, ok bool) { return 0, 0, false }
+
+// workChain is the chain of Work and WorkEach: each item's two spans in
+// order, each recorded at its end, and between items a call of next.
 type workChain struct {
-	n             *Node
-	first, second sim.Time
-	t0            sim.Time // start of the span being waited for
-	started       bool
+	n    *Node
+	next func() (ops, mem int64, ok bool)
+	a, b sim.Time // the current item's spans not yet started
+	t0   sim.Time // when the last step ran: a span ends at each later one
+}
+
+func (w *workChain) item(ops, mem int64) {
+	w.a, w.b = sim.Time(ops)*w.n.CPU.SmallOp, sim.Time(mem)*w.n.CPU.RandomAccess
 }
 
 func (w *workChain) Step() (sim.Time, bool) {
-	now := w.n.P.Now()
-	if !w.started {
-		w.started, w.t0 = true, now
-		return w.first, true
+	if now := w.n.P.Now(); now > w.t0 {
+		w.n.computed(w.t0, now-w.t0)
+		w.t0 = now
 	}
-	w.n.computed(w.t0, w.first)
-	w.t0 = now
-	return w.second, false
+	for {
+		if d := w.a; d > 0 {
+			w.a = 0
+			return d, true
+		}
+		if d := w.b; d > 0 {
+			w.b = 0
+			return d, true
+		}
+		ops, mem, ok := w.next()
+		if !ok {
+			return 0, false
+		}
+		w.item(ops, mem)
+	}
 }
 
 // Report summarises one run.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -165,6 +166,136 @@ func TestWorkMatchesComputePair(t *testing.T) {
 			}
 			if gotRes != wantRes-saved {
 				t.Errorf("Work made %d resumes, want the pair's %d less %d", gotRes, wantRes, saved)
+			}
+		})
+	}
+}
+
+// TestWorkEachMatchesWorkLoop: WorkEach(next) is the loop
+// `for { ops, mem, ok := next(); if !ok { break }; Work(ops, mem) }` with one
+// process switch per call instead of one per item. Traced and instrumented,
+// both forms must call next as often, end at the same time with the same
+// state records, the same registry and the same events; WorkEach resumes once
+// per call that waits at all, so an empty stream parks nothing. A next that
+// blocks panics naming Chain, whether it runs on the process (the first item)
+// or as a kernel event (a later one).
+func TestWorkEachMatchesWorkLoop(t *testing.T) {
+	tests := []struct {
+		name  string
+		pairs [][2]int64 // the stream's (ops, mem) items, node 1 runs them reversed
+	}{
+		{"both nonzero", [][2]int64{{3, 5}, {1, 1}, {1000, 1}, {200000, 70000}}},
+		{"ops zero", [][2]int64{{0, 5}, {0, 100000}}},
+		{"mem zero", [][2]int64{{7, 0}, {300000, 0}}},
+		{"both zero", [][2]int64{{0, 0}}},
+		{"mixed", [][2]int64{{0, 0}, {2, 3}, {0, 9}, {4, 0}, {250000, 250000}, {1, 1}}},
+		{"empty stream", nil},
+	}
+	type result struct {
+		rep             *Report
+		log             *trace.Log
+		events, resumes uint64
+		calls           int
+	}
+	run := func(pairs [][2]int64, each bool) result {
+		cfg := DefaultConfig(2)
+		cfg.Attr = &attr.Config{Trace: true}
+		cfg.Obs = &obs.Config{Every: 10 * sim.Microsecond}
+		var r result
+		e0, r0, _ := KernelCounts()
+		r.rep = Run(cfg, func(n *Node) {
+			i := 0
+			next := func() (int64, int64, bool) {
+				r.calls++
+				if i == len(pairs) {
+					return 0, 0, false
+				}
+				pr := pairs[i]
+				if n.ID == 1 {
+					pr = pairs[len(pairs)-1-i]
+				}
+				i++
+				return pr[0], pr[1], true
+			}
+			if each {
+				n.WorkEach(next)
+				return
+			}
+			for {
+				ops, mem, ok := next()
+				if !ok {
+					break
+				}
+				n.Work(ops, mem)
+			}
+		})
+		e1, r1, _ := KernelCounts()
+		r.events, r.resumes = e1-e0, r1-r0
+		var err error
+		if r.log, err = r.rep.Attr.Trace(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	prom := func(rep *Report) string {
+		var b strings.Builder
+		if err := rep.Metrics.Registry.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			want, got := run(tt.pairs, false), run(tt.pairs, true)
+			if got.rep.Elapsed != want.rep.Elapsed || !slices.Equal(got.rep.NodeTimes, want.rep.NodeTimes) {
+				t.Errorf("WorkEach ends at %v %v, the Work loop at %v %v", got.rep.Elapsed, got.rep.NodeTimes, want.rep.Elapsed, want.rep.NodeTimes)
+			}
+			if got.calls != want.calls || got.calls != 2*(len(tt.pairs)+1) {
+				t.Errorf("next called %d times, the Work loop %d, want %d", got.calls, want.calls, 2*(len(tt.pairs)+1))
+			}
+			if !slices.Equal(got.log.States, want.log.States) {
+				t.Errorf("trace states differ:\n  WorkEach: %v\n  loop:     %v", got.log.States, want.log.States)
+			}
+			if g, w := prom(got.rep), prom(want.rep); g != w {
+				t.Errorf("registries differ:\n  WorkEach: %s\n  loop:     %s", g, w)
+			}
+			if got.events != want.events {
+				t.Errorf("WorkEach fired %d events, the Work loop %d", got.events, want.events)
+			}
+			// The loop resumes once per item that waits, WorkEach once per
+			// stream that waits; each node runs one stream.
+			waits, streams := uint64(0), uint64(0)
+			for _, pr := range tt.pairs {
+				if pr[0] > 0 || pr[1] > 0 {
+					waits, streams = waits+2, 2
+				}
+			}
+			if got.resumes != want.resumes-waits+streams {
+				t.Errorf("WorkEach made %d resumes, want the loop's %d less %d plus %d", got.resumes, want.resumes, waits, streams)
+			}
+		})
+	}
+	for _, first := range []bool{true, false} {
+		where := map[bool]string{true: "blocking next/first item", false: "blocking next/later item"}[first]
+		t.Run(where, func(t *testing.T) {
+			cfg := DefaultConfig(1)
+			cfg.Stacks = StackIB
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				Run(cfg, func(n *Node) {
+					calls := 0
+					n.WorkEach(func() (int64, int64, bool) {
+						calls++
+						if first || calls == 2 {
+							n.Compute(1)
+						}
+						return 1, 1, calls < 3
+					})
+				})
+				return nil
+			}()
+			if !strings.Contains(fmt.Sprint(got), "Chain") {
+				t.Fatalf("recovered %v, want a panic naming Chain", got)
 			}
 		})
 	}
