@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -53,13 +54,7 @@ func (c *Comm) Barrier() {
 		return
 	}
 	c.collSeq++
-	for r, dist := 0, 1; dist < n; r, dist = r+1, dist*2 {
-		dst := (c.rank + dist) % n
-		src := (c.rank - dist + n) % n
-		sreq := c.isend(dst, c.collTag(r), nil)
-		c.wait(c.Irecv(src, c.collTag(r)))
-		c.wait(sreq)
-	}
+	c.rounds(opBarrier, 0, bits.Len(uint(n-1)), nil)
 }
 
 // Bcast distributes root's data to every rank along a binomial tree and
@@ -77,7 +72,7 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 	if vrank != 0 {
 		// Receive from the parent: clear the lowest set bit.
 		parent := ((vrank & (vrank - 1)) + root) % n
-		data, _ = c.Recv(parent, tag)
+		data, _ = c.wait(c.irecv(parent, tag))
 		c.lend(data)
 	}
 	// Forward to children: set each bit above the lowest set bit.
@@ -134,7 +129,7 @@ func (c *Comm) Reduce(root int, vals []float64, op ReduceOp) []float64 {
 			return nil
 		}
 		if child < n {
-			data, _ := c.Recv((child+root)%n, tag)
+			data, _ := c.wait(c.irecv((child+root)%n, tag))
 			c.vals = Float64sInto(c.vals, data)
 			c.release(data)
 			op(acc, c.vals)
@@ -168,17 +163,9 @@ func (c *Comm) Alltoall(send [][]byte) [][]byte {
 		panic(fmt.Sprintf("mpi: rank %d: Alltoall got %d blocks for a communicator of size %d", c.rank, len(send), n))
 	}
 	c.collSeq++
-	tag := c.collTag(2)
 	recv := c.result(n)
 	recv[c.rank] = send[c.rank]
-	for step := 1; step < n; step++ {
-		dst := (c.rank + step) % n
-		src := (c.rank - step + n) % n
-		sreq := c.isend(dst, tag, send[dst])
-		data, _ := c.wait(c.Irecv(src, tag))
-		recv[src] = c.lend(data)
-		c.wait(sreq)
-	}
+	c.rounds(opAlltoall, c.collTag(2), n-1, send)
 	return recv
 }
 
@@ -193,17 +180,7 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 		return out
 	}
 	c.collSeq++
-	tag := c.collTag(3)
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	cur := c.rank
-	for step := 0; step < n-1; step++ {
-		sreq := c.isend(right, tag, out[cur])
-		data, _ := c.wait(c.Irecv(left, tag))
-		cur = (cur - 1 + n) % n
-		out[cur] = c.lend(data)
-		c.wait(sreq)
-	}
+	c.rounds(opAllgather, c.collTag(3), n-1, nil)
 	return out
 }
 

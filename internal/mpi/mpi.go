@@ -213,7 +213,7 @@ type Comm struct {
 	wire []byte
 	vals []float64
 
-	send isendChain // the send in progress (a rank makes one at a time)
+	ch chain // the send, Wait or collective in progress (see chain)
 
 	// SentMessages and SentBytes count user-level sends (telemetry).
 	SentMessages int64
@@ -277,67 +277,184 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 }
 
 func (c *Comm) isend(dst, tag int, data []byte) *Request {
-	w := c.w
-	if dst < 0 || dst >= len(w.comms) {
-		panic(fmt.Sprintf("mpi: rank %d sends to rank %d, outside its communicator of size %d", c.rank, dst, len(w.comms)))
+	if n := len(c.w.comms); dst < 0 || dst >= n {
+		panic(fmt.Sprintf("mpi: rank %d sends to rank %d, outside its communicator of size %d", c.rank, dst, n))
 	}
-	c.SentMessages++
-	c.SentBytes += int64(len(data))
-	if w.obs != nil {
-		if len(data) <= w.par.EagerLimit {
-			w.obs.eager.Inc()
-		} else {
-			w.obs.rndv.Inc()
-		}
-	}
-	s := &c.send
-	*s = isendChain{c: c, dst: dst, tag: tag, data: data}
+	s := &c.ch
+	*s = chain{c: c, op: opSend, tag: tag, dst: dst, data: data}
 	c.p.Chain(s)
-	req, msg := s.req, s.msg
-	*s = isendChain{}
-	if msg.rndv == nil {
-		// Eager: ship envelope and payload at once.
-		msg.t0 = w.K.Now()
-		srcFree := w.F.TransferArg(c.rank, dst, len(data)+w.par.CtrlBytes, fireArrive, msg)
-		w.K.AtArg(srcFree, fireComplete, req)
-		return req
-	}
-	// Rendezvous: send an RTS; the CTS handler performs the data transfer.
-	w.F.TransferArg(c.rank, dst, w.par.CtrlBytes, fireArrive, msg)
+	req := s.sreq
+	*s = chain{}
 	return req
 }
 
-// isendChain is isend's two waits as one sim.Chain: the send overhead, then,
-// at its end, the envelope is built and an eager payload staged, which costs
-// the copy wait (a rendezvous stages nothing and waits zero). The transfer
-// itself starts on the process once the chain ends.
-type isendChain struct {
-	c        *Comm
-	dst, tag int
-	data     []byte
-	started  bool
-	req      *Request
-	msg      *message
+// chainOp is what a rank's chain runs (see chain).
+type chainOp uint8
+
+const (
+	opSend      chainOp = iota // one send, up to the start of its transfer
+	opBarrier                  // the rounds of a dissemination Barrier
+	opAlltoall                 // the pairwise rounds of an Alltoall
+	opAllgather                // the ring rounds of an Allgather
+)
+
+// chainStep is the step a chain runs next: a round is stSend to stRoundEnd
+// in order, and a Wait is stWait alone.
+type chainStep uint8
+
+const (
+	stSend     chainStep = iota // the send's overhead
+	stStage                     // the envelope, and an eager payload's copy
+	stStart                     // the transfer starts and the receive is posted
+	stRecv                      // the receive's gate, then its overhead
+	stRecvDone                  // the received block is stored
+	stSendDone                  // the send's gate
+	stRoundEnd                  // the send's request is recycled
+	stWait                      // Wait: the request's gate, then its overhead
+)
+
+// chain is the one sim.Chain a rank runs at a time (a rank makes one call at
+// a time): a send, a Wait, or every round of an Alltoall, Allgather or
+// dissemination Barrier, which switches to the rank once, when the call
+// returns. A round is the loop body
+//
+//	sreq := c.isend(dst, tag, data)
+//	data, _ := c.wait(c.irecv(src, tag))
+//	c.wait(sreq)
+//
+// cut at its waits. Each step runs at the event that would have resumed the
+// rank in that loop and makes the same calls in the same order, so the two
+// cannot be told apart but by their resumes.
+type chain struct {
+	c             *Comm
+	op            chainOp
+	next          chainStep
+	round, rounds int
+	tag, dst, src int
+	data          []byte   // the block this round sends
+	blocks        [][]byte // Alltoall's send blocks (the result is c.recv)
+	sreq, rreq    *Request
+	msg           *message // the staged envelope, until its transfer starts
 }
 
-func (s *isendChain) Step() (sim.Time, bool) {
+func (s *chain) Step() (sim.Time, bool) {
 	c, w := s.c, s.c.w
-	if !s.started {
-		s.started = true
+	switch s.next {
+	case stSend:
+		s.begin()
+		c.SentMessages++
+		c.SentBytes += int64(len(s.data))
+		if w.obs != nil {
+			if len(s.data) <= w.par.EagerLimit {
+				w.obs.eager.Inc()
+			} else {
+				w.obs.rndv.Inc()
+			}
+		}
+		s.next = stStage
 		return w.par.SendOverhead, true
+	case stStage:
+		s.sreq = w.newRequest()
+		msg := w.newMessage()
+		msg.src, msg.tag, msg.dst = c.rank, s.tag, w.comms[s.dst]
+		s.msg = msg
+		s.next = stStart
+		if len(s.data) <= w.par.EagerLimit {
+			msg.data = msg.dst.recvBuf(s.tag, len(s.data))
+			copy(msg.data, s.data)
+			return sim.BytesAt(len(s.data), w.par.CopyBW), true // stage into send buffer
+		}
+		s.sreq.data = s.data // held until CTS; zero-copy from the sender's buffer
+		msg.rndv, msg.bytes = s.sreq, len(s.data)
+		return 0, true
+	case stStart:
+		msg := s.msg
+		s.msg = nil
+		if msg.rndv == nil {
+			// Eager: ship envelope and payload at once.
+			msg.t0 = w.K.Now()
+			srcFree := w.F.TransferArg(c.rank, s.dst, len(msg.data)+w.par.CtrlBytes, fireArrive, msg)
+			w.K.AtArg(srcFree, fireComplete, s.sreq)
+		} else {
+			// Rendezvous: send an RTS; the CTS handler performs the data transfer.
+			w.F.TransferArg(c.rank, s.dst, w.par.CtrlBytes, fireArrive, msg)
+		}
+		if s.op == opSend {
+			return 0, false
+		}
+		s.rreq = c.irecv(s.src, s.tag)
+		s.next = stRecv
+		return 0, true
+	case stRecv:
+		d, done := c.await(s.rreq)
+		if done {
+			s.next = stRecvDone
+		}
+		return d, true
+	case stRecvDone:
+		s.store(s.rreq.data)
+		w.recycle(s.rreq)
+		s.rreq = nil
+		s.next = stSendDone
+		return 0, true
+	case stSendDone:
+		d, done := c.await(s.sreq)
+		if done {
+			s.next = stRoundEnd
+		}
+		return d, true
+	case stRoundEnd:
+		w.recycle(s.sreq)
+		s.sreq = nil
+		s.round++
+		s.next = stSend
+		return 0, s.round < s.rounds
+	default: // stWait
+		d, done := c.await(s.rreq)
+		return d, !done
 	}
-	s.req = w.newRequest()
-	msg := w.newMessage()
-	msg.src, msg.tag, msg.dst = c.rank, s.tag, w.comms[s.dst]
-	s.msg = msg
-	if len(s.data) <= w.par.EagerLimit {
-		msg.data = msg.dst.recvBuf(s.tag, len(s.data))
-		copy(msg.data, s.data)
-		return sim.BytesAt(len(s.data), w.par.CopyBW), false // stage into send buffer
+}
+
+// begin sets the partners, tag and block of the collective round s.round; a
+// send has them from isend.
+func (s *chain) begin() {
+	c, n := s.c, s.c.Size()
+	switch s.op {
+	case opBarrier:
+		dist := 1 << s.round
+		s.dst, s.src = (c.rank+dist)%n, (c.rank-dist+n)%n
+		s.tag = c.collTag(s.round)
+	case opAlltoall:
+		step := s.round + 1
+		s.dst, s.src = (c.rank+step)%n, (c.rank-step+n)%n
+		s.data = s.blocks[s.dst]
+	case opAllgather: // round r passes on the block received in round r-1
+		s.dst, s.src = (c.rank+1)%n, (c.rank-1+n)%n
+		s.data = c.recv[(c.rank-s.round+n)%n]
 	}
-	s.req.data = s.data // held until CTS; zero-copy from the sender's buffer
-	msg.rndv, msg.bytes = s.req, len(s.data)
-	return 0, false
+}
+
+// store files the block round s.round received; a Barrier's is empty.
+func (s *chain) store(data []byte) {
+	c := s.c
+	switch s.op {
+	case opAlltoall:
+		c.recv[s.src] = c.lend(data)
+	case opAllgather:
+		c.recv[(c.rank-s.round-1+c.Size())%c.Size()] = c.lend(data)
+	}
+}
+
+// rounds runs n rounds of a collective as one chain (see chain), under tag
+// (a Barrier's rounds each draw their own in begin).
+func (c *Comm) rounds(op chainOp, tag, n int, blocks [][]byte) {
+	if n == 0 {
+		return
+	}
+	s := &c.ch
+	*s = chain{c: c, op: op, tag: tag, rounds: n, blocks: blocks}
+	c.p.Chain(s)
+	*s = chain{}
 }
 
 // fireArrive is the fabric event of an envelope reaching its destination.
@@ -356,6 +473,16 @@ func fireComplete(a any) { a.(*Request).complete() }
 // Irecv posts a non-blocking receive matching (src, tag), either of which
 // may be a wildcard, and returns a request.
 func (c *Comm) Irecv(src, tag int) *Request {
+	if n := len(c.w.comms); src != AnySource && (src < 0 || src >= n) {
+		panic(fmt.Sprintf("mpi: rank %d receives from rank %d, outside its communicator of size %d", c.rank, src, n))
+	}
+	if tag != AnyTag && (tag < 0 || tag >= userTagLimit) {
+		panic(fmt.Sprintf("mpi: rank %d receives with invalid user tag %d (user tags are [0, %d); communicator of size %d)", c.rank, tag, userTagLimit, len(c.w.comms)))
+	}
+	return c.irecv(src, tag)
+}
+
+func (c *Comm) irecv(src, tag int) *Request {
 	req := c.w.newRequest()
 	// Look for an already-arrived unexpected message first (match in
 	// arrival order, as MPI requires).
@@ -447,14 +574,28 @@ func (r *Request) complete() {
 // caller's to keep. Waiting again on a completed request returns the same
 // data and status at no further cost.
 func (c *Comm) Wait(r *Request) ([]byte, Status) {
-	for !r.done {
-		r.gate.Wait(c.p)
-	}
-	if r.overhead > 0 {
-		c.p.Wait(r.overhead)
-		r.overhead = 0
+	if !r.done || r.overhead > 0 {
+		s := &c.ch
+		*s = chain{c: c, next: stWait, rreq: r}
+		c.p.Chain(s)
+		*s = chain{}
 	}
 	return r.data, r.status
+}
+
+// await is one step of a wait for r, as the loop
+//
+//	for !r.done { r.gate.Wait(p) }; p.Wait(r.overhead)
+//
+// makes it: while r is not done it queues the rank on r's gate and reports
+// false; once r is done it returns r's overhead, charged once.
+func (c *Comm) await(r *Request) (overhead sim.Time, done bool) {
+	if !r.done {
+		r.gate.Await(c.p)
+		return 0, false
+	}
+	overhead, r.overhead = r.overhead, 0
+	return overhead, true
 }
 
 // wait is Wait for a request whose handle the caller of mpi never saw: once
@@ -462,9 +603,15 @@ func (c *Comm) Wait(r *Request) ([]byte, Status) {
 // list.
 func (c *Comm) wait(r *Request) ([]byte, Status) {
 	data, status := c.Wait(r)
-	*r = Request{w: r.w, gate: r.gate} // the gate keeps its (empty) waiter queue
-	r.w.freeReqs = append(r.w.freeReqs, r)
+	c.w.recycle(r)
 	return data, status
+}
+
+// recycle puts a completed request nobody outside mpi holds back on the free
+// list.
+func (w *World) recycle(r *Request) {
+	*r = Request{w: w, gate: r.gate} // the gate keeps its (empty) waiter queue
+	w.freeReqs = append(w.freeReqs, r)
 }
 
 // Waitall blocks until every request completes.

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -383,6 +384,42 @@ func TestInvalidUserTagPanics(t *testing.T) {
 	})
 	if !panicked {
 		t.Fatal("expected panic")
+	}
+}
+
+// TestInvalidRecvTagPanics: a receive takes AnyTag or a user tag. Any other
+// tag is refused with a message naming the rank, the tag and the
+// communicator's size — a tag at or above the user range would otherwise
+// wait forever or, inside the internal range, take a collective's message.
+func TestInvalidRecvTagPanics(t *testing.T) {
+	for _, tc := range []struct {
+		tag   int
+		valid bool
+	}{
+		{AnyTag, true}, {0, true}, {userTagLimit - 1, true},
+		{-5, false}, {userTagLimit, false}, {ctrlTagBase + 5, false},
+	} {
+		t.Run(fmt.Sprint(tc.tag), func(t *testing.T) {
+			var msg any
+			spmd(4, func(c *Comm) {
+				if c.Rank() == 2 {
+					defer func() { msg = recover() }()
+					c.Irecv(1, tc.tag)
+				}
+			})
+			if tc.valid {
+				if msg != nil {
+					t.Fatalf("Irecv(1, %d) panicked: %v", tc.tag, msg)
+				}
+				return
+			}
+			s, _ := msg.(string)
+			for _, part := range []string{"mpi: ", "rank 2", fmt.Sprint("tag ", tc.tag), "size 4"} {
+				if !strings.Contains(s, part) {
+					t.Errorf("panic %v does not name %q", msg, part)
+				}
+			}
+		})
 	}
 }
 

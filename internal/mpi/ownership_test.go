@@ -257,10 +257,11 @@ func TestBufferOwnership(t *testing.T) {
 	})
 }
 
-// TestRankOutOfRange: a send outside the communicator and an Alltoall with
-// the wrong number of blocks are caller bugs, reported by mpi in its own
-// words — who, to whom, how large the communicator is — before the fabric or
-// an index expression gets to.
+// TestRankOutOfRange: a send or a receive outside the communicator and an
+// Alltoall with the wrong number of blocks are caller bugs, reported by mpi
+// in its own words — who, to or from whom, how large the communicator is —
+// before the fabric or an index expression gets to, or a receive that no
+// rank can match waits forever.
 func TestRankOutOfRange(t *testing.T) {
 	const ranks = 4
 	for _, tc := range []struct {
@@ -273,6 +274,12 @@ func TestRankOutOfRange(t *testing.T) {
 		{"Isend to rank -1", func(c *Comm) { c.Isend(-1, 1, nil) }, []string{"rank 2", "rank -1", "size 4"}},
 		{"Isend to rank size", func(c *Comm) { c.Isend(ranks, 1, nil) }, []string{"rank 2", "rank 4", "size 4"}},
 		{"Send to rank size+5", func(c *Comm) { c.Send(ranks+5, 1, []byte{1}) }, []string{"rank 2", "rank 9", "size 4"}},
+		{"Irecv from AnySource", func(c *Comm) { c.Irecv(AnySource, 1) }, nil},
+		{"Irecv from the last rank", func(c *Comm) { c.Irecv(ranks-1, 1) }, nil},
+		{"Irecv from rank -2", func(c *Comm) { c.Irecv(-2, 1) }, []string{"rank 2", "rank -2", "size 4"}},
+		{"Irecv from rank size", func(c *Comm) { c.Irecv(ranks, 1) }, []string{"rank 2", "rank 4", "size 4"}},
+		{"Irecv from rank 7", func(c *Comm) { c.Irecv(7, 5) }, []string{"rank 2", "rank 7", "size 4"}},
+		{"Recv from rank size+1", func(c *Comm) { c.Recv(ranks+1, 1) }, []string{"rank 2", "rank 5", "size 4"}},
 		{"Alltoall with one block per rank", func(c *Comm) { c.Alltoall(make([][]byte, ranks)) }, nil},
 		{"Alltoall with a block too few", func(c *Comm) { c.Alltoall(make([][]byte, ranks-1)) }, []string{"rank 2", "3 blocks", "size 4"}},
 		{"Alltoall with a block too many", func(c *Comm) { c.Alltoall(make([][]byte, ranks+1)) }, []string{"rank 2", "5 blocks", "size 4"}},

@@ -7,28 +7,49 @@ import (
 )
 
 // link is one step of a chain script: the wait the step returns and, when
-// at >= 0, an At event the step schedules at now+at on the way.
+// at >= 0, an At event the step schedules at now+at on the way. A link with
+// gate g > 0 is a gate step: it also schedules, at now+rel, a release that
+// leaves a token on gate g-1 and Signals it (Broadcasts when bcast), and
+// before its wait the process takes a token from that gate, waiting on the
+// gate while there is none.
 type link struct {
 	wait, at Time
+	gate     int
+	rel      Time
+	bcast    bool
 }
 
 // chainEnv is what every script of one run shares: the kernel, one word of
-// state each step and each scheduled event reads and rewrites, and the log.
+// state each step and each scheduled event reads and rewrites, the gates and
+// their tokens, and the log.
 type chainEnv struct {
 	k      *Kernel
 	shared uint64
+	gates  [2]Gate
+	tokens [2]int
 	log    strings.Builder
 }
 
 // script runs its links as a Stepper; the plain loop calls the same Step.
 type script struct {
-	id    int
-	links []link
-	i     int
-	env   *chainEnv
+	id      int
+	links   []link
+	i       int
+	env     *chainEnv
+	p       *Proc
+	chained bool
+
+	// A gate step's token still to take (gate index + 1), and the wait and
+	// more its Step returns once it has.
+	gate int
+	wait Time
+	more bool
 }
 
 func (s *script) Step() (Time, bool) {
+	if s.gate > 0 { // a chained gate wait, continued from its wake
+		return s.takeOrAwait()
+	}
 	e, l, i := s.env, s.links[s.i], s.i
 	e.shared = e.shared*31 + uint64(s.id*100+i)
 	fmt.Fprintf(&e.log, "p%d.%d@%d:%d ", s.id, i, e.k.Now(), e.shared)
@@ -40,26 +61,78 @@ func (s *script) Step() (Time, bool) {
 		})
 	}
 	s.i++
-	return l.wait, s.i < len(s.links)
+	if l.gate == 0 {
+		return l.wait, s.i < len(s.links)
+	}
+	g := l.gate - 1
+	e.k.At(e.k.Now()+l.rel, func() {
+		e.tokens[g]++
+		fmt.Fprintf(&e.log, "r%d@%d:%d ", g, e.k.Now(), e.tokens[g])
+		if l.bcast {
+			e.gates[g].Broadcast(e.k)
+		} else {
+			e.gates[g].Signal(e.k)
+		}
+	})
+	s.gate, s.wait, s.more = l.gate, l.wait, s.i < len(s.links)
+	if s.chained {
+		return s.takeOrAwait()
+	}
+	return s.wait, s.more // the loop takes the token (see runScripts)
+}
+
+// take takes a token from the gate step's gate, if one is there.
+func (s *script) take() bool {
+	e, g := s.env, s.gate-1
+	if e.tokens[g] == 0 {
+		return false
+	}
+	e.tokens[g]--
+	s.gate = 0
+	fmt.Fprintf(&e.log, "p%d.take%d@%d:%d ", s.id, g, e.k.Now(), e.tokens[g])
+	return true
+}
+
+// takeOrAwait is the chained gate step: the token and the step's wait, or
+// the gate awaited while there is no token.
+func (s *script) takeOrAwait() (Time, bool) {
+	if g := s.gate - 1; !s.take() {
+		s.env.gates[g].Await(s.p)
+		return 0, true
+	}
+	return s.wait, s.more
 }
 
 // runScripts runs one process per script, each as a plain
-// for { step; Wait(d) } loop or as one Chain, one event at a time, and logs
-// every step, every scheduled event and the queue fingerprint after each
-// event. It returns the log and the kernel's counts.
-func runScripts(scripts [][]link, chained bool) (log []string, events, resumes uint64) {
+// for { step; Wait(d) } loop (a gate step's token taken in a Gate.Wait loop)
+// or as one Chain, one event at a time, and logs every step, every scheduled
+// event and the queue fingerprint after each event. It returns the log, the
+// kernel's counts and, for the loop, the resumes a chain saves on it: one per
+// park that returned, but the last of a process that ends.
+func runScripts(scripts [][]link, chained bool) (log []string, events, resumes, saved uint64) {
 	k := NewKernel()
 	env := &chainEnv{k: k}
 	for id, links := range scripts {
-		s := &script{id: id, links: links, env: env}
+		s := &script{id: id, links: links, env: env, chained: chained}
 		k.Spawn(fmt.Sprint("p", id), func(p *Proc) {
+			s.p = p
 			fmt.Fprintf(&env.log, "p%d.start@%d ", id, p.Now())
+			parks := uint64(0)
 			if chained {
 				p.Chain(s)
 			} else {
 				for {
 					d, more := s.Step()
+					if s.gate > 0 {
+						for !s.take() {
+							env.gates[s.gate-1].Wait(p)
+							parks++
+						}
+					}
 					p.Wait(d)
+					if d > 0 {
+						parks++
+					}
 					if !more {
 						break
 					}
@@ -67,6 +140,10 @@ func runScripts(scripts [][]link, chained bool) (log []string, events, resumes u
 			}
 			env.shared += uint64(id) // the process's own statements after the chain
 			fmt.Fprintf(&env.log, "p%d.end@%d:%d ", id, p.Now(), env.shared)
+			if parks > 0 {
+				parks--
+			}
+			saved += parks
 		})
 	}
 	for k.RunUntilN(Forever, 1) == 1 {
@@ -74,36 +151,27 @@ func runScripts(scripts [][]link, chained bool) (log []string, events, resumes u
 		fmt.Fprintf(&env.log, "q%d:%x", n, fp)
 		log = append(log, env.log.String())
 		env.log.Reset()
+		if len(log) > maxLockstepEvents { // a chain that re-arms itself forever
+			log = append(log, "runaway")
+			break
+		}
 	}
 	k.Finish()
 	events, resumes = k.Counts()
-	return log, events, resumes
+	return log, events, resumes, saved
 }
 
-// savedResumes is how many resumes Chain saves over the plain loop: a resume
-// per nonzero wait, but the one that ends the chain.
-func savedResumes(scripts [][]link) uint64 {
-	var saved uint64
-	for _, links := range scripts {
-		nz := uint64(0)
-		for _, l := range links {
-			if l.wait > 0 {
-				nz++
-			}
-		}
-		if nz > 0 {
-			saved += nz - 1
-		}
-	}
-	return saved
-}
+// maxLockstepEvents bounds a lockstep run, far above what any script fires,
+// so that a kernel bug that spins at one instant fails the comparison
+// instead of growing the log without end.
+const maxLockstepEvents = 1 << 16
 
 // checkChainLockstep runs scripts both ways and fails on the first event
 // after which the two differ.
 func checkChainLockstep(t *testing.T, scripts [][]link) {
 	t.Helper()
-	want, wantEv, wantRes := runScripts(scripts, false)
-	got, gotEv, gotRes := runScripts(scripts, true)
+	want, wantEv, wantRes, saved := runScripts(scripts, false)
+	got, gotEv, gotRes, _ := runScripts(scripts, true)
 	for i := 0; i < len(want) && i < len(got); i++ {
 		if got[i] != want[i] {
 			t.Fatalf("after event %d:\n chain: %s\n  loop: %s", i, got[i], want[i])
@@ -115,15 +183,16 @@ func checkChainLockstep(t *testing.T, scripts [][]link) {
 	if gotEv != wantEv {
 		t.Errorf("chain fired %d events by Counts, loop %d", gotEv, wantEv)
 	}
-	if saved := savedResumes(scripts); gotRes != wantRes-saved {
-		t.Errorf("chain made %d resumes, want the loop's %d less %d non-final links", gotRes, wantRes, saved)
+	if gotRes != wantRes-saved {
+		t.Errorf("chain made %d resumes, want the loop's %d less %d parks that did not end a process", gotRes, wantRes, saved)
 	}
 }
 
 // TestChainMatchesWaitLoop: four processes run seeded random step scripts —
 // zero waits, waits tied with each other's links, At events scheduled at the
-// instants links end — as a plain Wait loop and as Chain. Every event must
-// leave the same log and the same queue behind.
+// instants links end, gate steps whose releases tie with all of those and
+// whose tokens other processes may take first — as a plain Wait loop and as
+// Chain. Every event must leave the same log and the same queue behind.
 func TestChainMatchesWaitLoop(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		rng := NewRNG(seed)
@@ -137,6 +206,9 @@ func TestChainMatchesWaitLoop(t *testing.T) {
 				case 1:
 					l.at = Time(rng.Intn(4)) * 10
 				}
+				if rng.Intn(3) == 0 {
+					l.gate, l.rel, l.bcast = 1+rng.Intn(2), Time(rng.Intn(4))*10, rng.Intn(2) == 0
+				}
 				scripts[i] = append(scripts[i], l)
 			}
 		}
@@ -146,11 +218,15 @@ func TestChainMatchesWaitLoop(t *testing.T) {
 
 // FuzzChainLockstep is TestChainMatchesWaitLoop over arbitrary scripts: byte b
 // appends a link to script b>>6 with wait (b&3)·10 ps and, when bit 2 is set,
-// an At event (b>>3&7)·5 ps after the step.
+// an At event (b>>3&7)·5 ps after the step. When bit 2 is clear, v = b>>3&7
+// nonzero makes it a gate step on gate v&1, released by a Broadcast when v&2
+// is set (a Signal otherwise), (v>>2)·10 ps after the step.
 func FuzzChainLockstep(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0x41, 0x46, 0x8c, 0xc0, 0xff})
 	f.Add([]byte{0, 0, 4, 0x40, 0x40, 0x44})
 	f.Add([]byte{0x15, 0x55, 0x95, 0xd5, 0x1d, 0x5d, 0x9d, 0xdd})
+	f.Add([]byte{0x21, 0x61, 0xa0, 0xe1, 0x08, 0x48, 0x8a, 0xca})
+	f.Add([]byte{0x11, 0x59, 0x33, 0x73, 0xb8, 0xf0, 0x19, 0x5b})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 || len(prog) > 128 {
 			t.Skip()
@@ -158,8 +234,10 @@ func FuzzChainLockstep(f *testing.F) {
 		scripts := make([][]link, 4)
 		for _, b := range prog {
 			l := link{wait: Time(b&3) * 10, at: -1}
-			if b&4 != 0 {
-				l.at = Time(b>>3&7) * 5
+			if v := int(b >> 3 & 7); b&4 != 0 {
+				l.at = Time(v) * 5
+			} else if v != 0 {
+				l.gate, l.bcast, l.rel = 1+v&1, v&2 != 0, Time(v>>2)*10
 			}
 			scripts[b>>6] = append(scripts[b>>6], l)
 		}
@@ -184,28 +262,39 @@ func (s *steps) Step() (Time, bool) {
 	return s.fs[s.i-1](s.p)
 }
 
-// TestChain_Valid: chains whose steps wait zero, end at once, or call what
-// does not block, end where the Wait loop would, with one resume for the
-// whole chain.
+// TestChain_Valid: chains whose steps wait zero, end at once, call what does
+// not block, or wait on a gate, end where the Wait loop would, with one
+// resume for the whole chain.
 func TestChain_Valid(t *testing.T) {
-	var g Gate
+	var g, gs, gb, gt, gh Gate
 	var q Queue[int]
 	var pp Pipe
 	wait := func(d Time, more bool) func(p *Proc) (Time, bool) {
 		return func(*Proc) (Time, bool) { return d, more }
 	}
+	// await waits on gate g once (the gate rows release each gate once) and
+	// goes on with the next step; held says the condition already holds.
+	await := func(g *Gate, held bool, more bool) func(p *Proc) (Time, bool) {
+		return func(p *Proc) (Time, bool) {
+			if !held {
+				g.Await(p)
+			}
+			return 0, more
+		}
+	}
 	tests := []struct {
 		name    string
 		fs      []func(p *Proc) (Time, bool)
+		setup   func(k *Kernel) // runs after the spawn, at time zero
 		end     Time
 		resumes uint64 // the start's included
 	}{
-		{"one step, no wait", []func(p *Proc) (Time, bool){wait(0, false)}, 0, 1},
-		{"one step, one wait", []func(p *Proc) (Time, bool){wait(10, false)}, 10, 2},
+		{"one step, no wait", []func(p *Proc) (Time, bool){wait(0, false)}, nil, 0, 1},
+		{"one step, one wait", []func(p *Proc) (Time, bool){wait(10, false)}, nil, 10, 2},
 		{"zero waits run inline", []func(p *Proc) (Time, bool){
 			wait(0, true), wait(10, true), wait(0, true), wait(0, true), wait(5, false),
-		}, 15, 2},
-		{"the last step waits zero", []func(p *Proc) (Time, bool){wait(10, true), wait(7, true), wait(0, false)}, 17, 2},
+		}, nil, 15, 2},
+		{"the last step waits zero", []func(p *Proc) (Time, bool){wait(10, true), wait(7, true), wait(0, false)}, nil, 17, 2},
 		{"non-blocking calls in steps", []func(p *Proc) (Time, bool){
 			func(p *Proc) (Time, bool) {
 				p.Wait(0)
@@ -220,7 +309,20 @@ func TestChain_Valid(t *testing.T) {
 				pp.Occupy(p, 0)
 				return pp.Reserve(p.k, 3) - p.Now(), false
 			},
-		}, 13, 2},
+		}, nil, 13, 2},
+		{"a gate released by Signal", []func(p *Proc) (Time, bool){await(&gs, false, true), wait(5, false)},
+			func(k *Kernel) { k.At(10, func() { gs.Signal(k) }) }, 15, 2},
+		{"the last step awaits a gate released by Broadcast", []func(p *Proc) (Time, bool){wait(10, true), await(&gb, false, false)},
+			func(k *Kernel) { k.At(20, func() { gb.Broadcast(k) }) }, 20, 2},
+		{"a gate released at the instant a timed wait ends", []func(p *Proc) (Time, bool){
+			wait(10, true), await(&gt, false, true), wait(5, false),
+		}, func(k *Kernel) {
+			// Queued behind the chain's wait, at the same instant.
+			k.At(0, func() { k.At(10, func() { gt.Signal(k) }) })
+		}, 15, 2},
+		{"a condition that already holds does not wait", []func(p *Proc) (Time, bool){
+			await(&gh, true, true), wait(5, false),
+		}, nil, 5, 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -230,6 +332,9 @@ func TestChain_Valid(t *testing.T) {
 				p.Chain(&steps{p: p, fs: tt.fs})
 				end = p.Now()
 			})
+			if tt.setup != nil {
+				tt.setup(k)
+			}
 			k.Run()
 			if _, r := k.Counts(); end != tt.end || r != tt.resumes {
 				t.Errorf("ended at %v with %d resumes, want %v and %d", end, r, tt.end, tt.resumes)
@@ -241,7 +346,8 @@ func TestChain_Valid(t *testing.T) {
 // TestChain_Invalid: a step that would park its process panics with a message
 // naming Chain, from every blocking primitive, whether it is the first step
 // (on the process) or a later one (a kernel event); a negative step wait
-// panics as Wait's does. The kernel can be finished afterwards.
+// panics as Wait's does, and so do a second Gate.Await in one step and a
+// nonzero wait beside one. The kernel can be finished afterwards.
 func TestChain_Invalid(t *testing.T) {
 	tests := []struct {
 		name  string
@@ -252,6 +358,9 @@ func TestChain_Invalid(t *testing.T) {
 		{"Proc.WaitUntil", func(p *Proc) Time { p.WaitUntil(p.Now() + 1); return 0 }, "Chain"},
 		{"Proc.Chain", func(p *Proc) Time { p.Chain(&steps{p: p, fs: []func(*Proc) (Time, bool){nil}}); return 0 }, "Chain"},
 		{"Gate.Wait", func(p *Proc) Time { new(Gate).Wait(p); return 0 }, "Chain"},
+		{"Gate.Wait after Gate.Await", func(p *Proc) Time { g := new(Gate); g.Await(p); g.Wait(p); return 0 }, "Chain"},
+		{"Gate.Await twice", func(p *Proc) Time { new(Gate).Await(p); new(Gate).Await(p); return 0 }, "Chain step"},
+		{"Gate.Await and a nonzero wait", func(p *Proc) Time { new(Gate).Await(p); return 1 }, "zero wait"},
 		{"Gate.WaitUntil", func(p *Proc) Time { new(Gate).WaitUntil(p, func() bool { return false }); return 0 }, "Chain"},
 		{"Gate.WaitTimeout", func(p *Proc) Time { new(Gate).WaitTimeout(p, 10); return 0 }, "Chain"},
 		{"Queue.PopTimeout", func(p *Proc) Time { new(Queue[int]).PopTimeout(p, 10); return 0 }, "Chain"},
@@ -283,5 +392,21 @@ func TestChain_Invalid(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAwaitOutsideChain: Gate.Await queues a chain's process and parks
+// nothing, so on a process that runs no chain it would leave the process
+// running while it is queued; it panics instead.
+func TestAwaitOutsideChain(t *testing.T) {
+	k := NewKernel()
+	var got any
+	k.Spawn("c", func(p *Proc) {
+		defer func() { got = recover() }()
+		new(Gate).Await(p)
+	})
+	k.Run()
+	if !strings.Contains(fmt.Sprint(got), "outside a Chain step") {
+		t.Fatalf("recovered %v, want a panic naming Chain", got)
 	}
 }

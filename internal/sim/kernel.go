@@ -271,9 +271,10 @@ type abortSignal struct{}
 // Proc is a simulated process: a goroutine that the kernel resumes one at a
 // time. All blocking methods must be called from the process's own goroutine.
 type Proc struct {
-	k    *Kernel
-	name string // given at Spawn; read only by a debugger or a %+v dump
-	live bool
+	k     *Kernel
+	name  string // given at Spawn; read only by a debugger or a %+v dump
+	live  bool
+	gated bool // the step running now queued gw on a gate (Gate.Await)
 
 	// The two ends of the process's coroutine (see handoff.go), nil until
 	// its start event fires: the kernel calls next to run the process up to
@@ -325,7 +326,9 @@ func fireResume(a any) {
 
 // Stepper is one stretch of a process that does nothing but compute and wait:
 // each Step runs the statements up to the next wait and returns how long that
-// wait is, and whether another step follows it (see Proc.Chain).
+// wait is, and whether another step follows it (see Proc.Chain). A step may
+// wait on a Gate instead: it queues the process with Gate.Await and returns a
+// zero wait.
 type Stepper interface {
 	Step() (wait Time, more bool)
 }
@@ -338,9 +341,12 @@ type Stepper interface {
 // The first step runs on the process; every later one runs as the kernel
 // event that would have resumed it: the same AtArg call, at the same point,
 // draws the same (at, seq) key, and the queue holds what it would have held.
-// A zero wait continues inline and draws nothing, as Wait(0) does. So the
-// simulation cannot tell a Chain from the loop; Counts shows one resume where
-// the loop made one per nonzero wait.
+// A zero wait continues inline and draws nothing, as Wait(0) does. A step
+// that ends with Gate.Await is the loop's g.Wait(p) in place of its Wait: the
+// next step runs as the wake event of the release that takes the process off
+// g, the event that would have resumed it there. So the simulation cannot
+// tell a Chain from the loop; Counts shows one resume where the loop made one
+// per nonzero wait and one per gate wake.
 //
 // A step runs on the kernel goroutine and must never block: while a chain
 // runs, any call that would park p panics, and so does a negative wait.
@@ -363,14 +369,25 @@ func (p *Proc) mayBlock() {
 
 // stepChain runs p's chain from the current instant until a step returns a
 // nonzero wait, which it schedules as Wait would: as a fireChain event, or,
-// after the last step, as the ordinary resume. It reports whether the chain
-// ended at this instant instead, with nothing scheduled.
+// after the last step, as the ordinary resume; or until a step queues p on a
+// gate, whose release schedules the wake (fireGateWake). It reports whether
+// the chain ended at this instant instead, with nothing pending.
 func (p *Proc) stepChain() (done bool) {
 	k := p.k
 	for {
 		d, more := p.chain.Step()
 		if d < 0 {
 			panic("sim: negative wait")
+		}
+		if p.gated {
+			if d != 0 {
+				panic("sim: a Chain step that calls Gate.Await must return a zero wait")
+			}
+			p.gated = false
+			if !more {
+				p.chain = nil
+			}
+			return false
 		}
 		if !more {
 			p.chain = nil

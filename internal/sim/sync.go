@@ -24,7 +24,11 @@ func fireGateWake(a any) {
 		return
 	}
 	w.fired = true
-	w.p.k.resumeProc(w.p)
+	// A chain that queued p with Await goes on here, as fireChain does for a
+	// timed wait; p is switched to once the chain has ended.
+	if p := w.p; p.chain == nil || p.stepChain() {
+		p.k.resumeProc(p)
+	}
 }
 
 func fireGateTimeout(a any) {
@@ -57,12 +61,26 @@ func (g *Gate) Wait(p *Proc) {
 	p.park()
 }
 
+// Await is Wait for a Chain step (see Proc.Chain): it queues p on g as Wait
+// does, without parking, and the step must then return a zero wait. The
+// chain goes on when a Signal or Broadcast releases p, at the wake event
+// that would have resumed it from Wait; a step that goes on only once a
+// condition holds re-checks it there and awaits again, as a Wait loop does.
+// Outside a step, or twice in one step, it panics.
+func (g *Gate) Await(p *Proc) {
+	if p.chain == nil || p.gated {
+		panic("sim: Gate.Await outside a Chain step, or twice in one step")
+	}
+	g.waiters = append(g.waiters, p.waiter(nil))
+	p.gated = true
+}
+
 // waiter returns p's own gate waiter, reset for a wait without a timeout.
 // Such a wait needs no allocation: it is referenced only from the gate's
-// queue and then from its one wake event, and p, parked on it, runs again
-// only when that event fires — so the previous use is over whenever p can
-// ask. A WaitTimeout waiter is not reusable this way: its deadline event
-// outlives a release.
+// queue and then from its one wake event, and p, parked on it (or its chain,
+// awaiting it), runs again only when that event fires — so the previous use
+// is over whenever p can ask. A WaitTimeout waiter is not reusable this way:
+// its deadline event outlives a release.
 func (p *Proc) waiter(ready func() bool) *gateWaiter {
 	p.gw = gateWaiter{p: p, ready: ready}
 	return &p.gw
