@@ -139,8 +139,9 @@ func main() {
 		// Standalone attribution: Begin at injection, inject_wait while the
 		// packet sits in its port queue, fabric from the cycle it enters the
 		// mesh (one pump per hop, delivered the cycle after its last hop, so
-		// entry = eject − (hops+1) cycles — the same derivation the cluster
-		// uses). The host-side stages don't exist here and stay zero.
+		// entry = eject − (hops+1) cycles — the same derivation as
+		// dvswitch.Engine's delivery stamp). The host-side stages don't exist
+		// here and stay zero.
 		tracer = attr.NewTracer(&attr.Config{Sample: 1, Seed: seed})
 		c.SetHeat(tracer.HeatGrid(p.Cylinders(), p.Angles))
 		c.Deliver = func(pkt dvswitch.Packet, cycle int64) {

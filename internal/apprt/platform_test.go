@@ -147,6 +147,10 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 			field: "Nodes"},
 		{name: "sampled trace", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{Attr: &attr.Config{Sample: 4, Trace: true}}}, field: "Attr.Sample"},
+		// The flow spans ride the Obs event store; without it they had
+		// nowhere to go and the run wrote none.
+		{name: "flow spans without metrics", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{Attr: &attr.Config{Chrome: true}}}, field: "Attr.Chrome"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

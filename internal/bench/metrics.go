@@ -17,7 +17,7 @@ import (
 // workload on the cycle-accurate Data Vortex fabric through the reliable
 // layer, with enough injected packet loss that retransmissions occur, and the
 // unified metrics layer enabled (instrument registry, time-series sampler,
-// 1-in-8 packet-lifecycle sampling). Every export derived from it is
+// 1-in-8 of its flows as Chrome packet spans). Every export derived from it is
 // byte-deterministic, which is what lets CI pin golden output.
 func MetricsRun(opt Options) gups.Result {
 	par := gups.Params{
@@ -32,7 +32,6 @@ func MetricsRun(opt Options) gups.Result {
 			Obs: &obs.Config{
 				Every:        5 * sim.Microsecond,
 				PacketSample: 8,
-				Seed:         9,
 			},
 			// Full flow attribution: with loss and retransmissions in the plan,
 			// the summary exercises lost flows and retransmit epochs too.

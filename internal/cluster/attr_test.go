@@ -56,8 +56,9 @@ func attrWorkload(n *Node) {
 
 // TestAttrStageSumInvariant runs the full workload with Sample=1 under the
 // check layer's stage-sum invariant on every engine variant. A wrong stamp
-// anywhere — including a wrong fabric-entry constant in the cycle-accurate
-// deliver wrapper — breaks the telescoping sum and fails here.
+// anywhere — including a fabric-entry constant in the cycle-accurate
+// engine's delivery stamp that puts entry before injection — breaks the
+// telescoping sum and fails here.
 func TestAttrStageSumInvariant(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/check"
@@ -98,9 +99,11 @@ type Platform struct {
 
 	// Obs, when non-nil, enables the unified metrics layer: a registry of
 	// counters and histograms across every enabled stack, a virtual-time
-	// series sampler, and (when Obs.PacketSample > 0) deterministic sampling
-	// of packet lifecycles into a Chrome trace. Results land in
-	// Report.Metrics. Nil costs one pointer test per instrumentation site.
+	// series sampler, and (when Obs.PacketSample > 0) "packet" spans in a
+	// Chrome trace, projected at the end of the run from the run's flow
+	// tracer (Attr's, or without Attr one that samples 1 in PacketSample
+	// flows and feeds only the spans). Results land in Report.Metrics. Nil
+	// costs one pointer test per instrumentation site.
 	Obs *obs.Config
 
 	// Check, when non-nil, enables the invariant layer: continuous
@@ -179,6 +182,9 @@ func (p Platform) Validate() error {
 	if a := p.Attr; a != nil && a.Trace && a.Sample > 1 {
 		return &ConfigError{Field: "Attr.Sample", Reason: fmt.Sprintf(
 			"must be 0 or 1 with Attr.Trace, which needs every flow (%d)", a.Sample)}
+	}
+	if a := p.Attr; a != nil && a.Chrome && p.Obs == nil {
+		return &ConfigError{Field: "Attr.Chrome", Reason: "needs Obs, whose event store carries the spans"}
 	}
 	if cp := p.Checkpoint; cp != nil {
 		// A negative budget would otherwise read as "no budget" and let the
@@ -357,8 +363,8 @@ type Report struct {
 	Reliability dv.ReliableStats
 
 	// Metrics holds the observability output when Config.Obs was set: final
-	// instrument values, the sampled time series, and the sampled packet
-	// lifecycles (plus phase spans) for Chrome/Perfetto export.
+	// instrument values, the sampled time series, and the packet spans (plus
+	// any per-flow stage spans) for Chrome/Perfetto export.
 	Metrics *obs.Metrics
 
 	// Checks holds the invariant-layer result when Config.Check was set.
@@ -423,13 +429,20 @@ func Run(cfg Config, body func(n *Node)) *Report {
 
 	// Flow attribution: one tracer per run, shared by every seam. All tracer
 	// methods no-op on a nil receiver, so the disabled path costs one pointer
-	// test per site.
+	// test per site. Without Attr, packet spans (Obs.PacketSample) still need
+	// flows: the tracer then samples 1 in PacketSample of them and feeds only
+	// the spans — no Report.Attr, checker, heat grid or MPI flows.
 	var tracer *attr.Tracer
-	if cfg.Attr != nil {
+	switch {
+	case cfg.Attr != nil:
 		tracer = attr.NewTracer(cfg.Attr)
 		if chk != nil {
 			chk.AttachAttr(tracer)
 		}
+	case cfg.Obs != nil && cfg.Obs.PacketSample > 0:
+		// No Report.Attr would carry an overflow count, so the flows are
+		// not capped: a run's spans are all of its sampled packets.
+		tracer = attr.NewTracer(&attr.Config{Sample: cfg.Obs.PacketSample, MaxFlows: math.MaxInt32})
 	}
 
 	// Observability: one registry and sampler per run (the kernel is
@@ -437,15 +450,11 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	// each build their own kernel and registry).
 	var reg *obs.Registry
 	var sampler *obs.Sampler
-	var psmp *obs.PacketSampler
 	var vicObs *vic.Obs
 	var relObs *dv.RelObs
 	if cfg.Obs != nil {
 		reg = obs.NewRegistry()
 		sampler = obs.NewSampler(k, cfg.Obs.Every)
-		if cfg.Obs.PacketSample > 0 {
-			psmp = obs.NewPacketSampler(cfg.Obs.Seed, cfg.Obs.PacketSample)
-		}
 		vicObs = vic.NewObs(reg)
 		relObs = dv.NewRelObs(reg)
 	}
@@ -484,7 +493,10 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				}
 				eng.ApplyPlan(cfg.Faults)
 				eng.SetObs(reg)
-				if tracer != nil {
+				// The engine stamps the inject-wait and fabric stages at
+				// delivery, the fast model at Inject: each where they are known.
+				eng.SetAttr(tracer)
+				if cfg.Attr != nil {
 					// Per-deflection congestion counts on the cylinder×angle
 					// grid; HeatGrid is idempotent for one geometry, so every
 					// plane accumulates into the same shared census.
@@ -517,11 +529,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				fm := dvswitch.NewFastModel(k, geom, ct, rng.Split())
 				fm.ApplyPlan(cfg.Faults)
 				fm.SetObs(reg)
-				if tracer != nil {
-					// The fast model stamps inject-wait and fabric stages itself:
-					// both are fully determined when Inject returns.
-					fm.SetAttr(tracer)
-				}
+				fm.SetAttr(tracer)
 				if chk != nil {
 					fm.DropHook = chk.FabricDrop
 				}
@@ -632,57 +640,6 @@ func Run(cfg Config, body func(n *Node)) *Report {
 			})
 		}
 		deliver := func(pkt dvswitch.Packet) { vics[pkt.Dst/stride].Receive(pkt) }
-		if psmp != nil {
-			inner := deliver
-			cycleAccurate := cfg.CycleAccurate
-			deliver = func(pkt dvswitch.Packet) {
-				if psmp.Keep() {
-					now := k.Now()
-					var start sim.Time
-					if cycleAccurate {
-						// The engine pumps on the cycle grid, so the inject
-						// cycle maps directly to virtual time.
-						start = sim.Time(pkt.InjectCycle) * ct
-					} else {
-						// The fast model reports flight cycles in Hops.
-						start = now - sim.Time(pkt.Hops)*ct
-					}
-					if start > now {
-						start = now
-					}
-					psmp.Add(obs.TraceEvent{
-						Name: "packet", Cat: "net", Ph: "X",
-						TS:  float64(start) / float64(sim.Microsecond),
-						Dur: float64(now-start) / float64(sim.Microsecond),
-						PID: pkt.Dst / stride % cfg.Nodes,
-						TID: pkt.Src / stride % cfg.Nodes,
-						Args: obs.PacketArgs{
-							Src:         pkt.Src / stride % cfg.Nodes,
-							Dst:         pkt.Dst / stride % cfg.Nodes,
-							Bytes:       dvswitch.WireBytes,
-							Hops:        pkt.Hops,
-							Deflections: pkt.Deflections,
-						},
-					})
-				}
-				inner(pkt)
-			}
-		}
-		if tracer != nil && cfg.CycleAccurate {
-			// The cycle engine delivers one pump after the last hop; each hop
-			// is one cycle and the packet spends one cycle entering, so the
-			// fabric-entry pump is (Hops+1) cycles before delivery. The fast
-			// model stamps at Inject instead (both stages are known there).
-			inner := deliver
-			deliver = func(pkt dvswitch.Packet) {
-				if pkt.Flow != 0 {
-					now := k.Now()
-					entry := now - sim.Time(pkt.Hops+1)*ct
-					tracer.StampFabric(pkt.Flow, entry, now, pkt.Hops, pkt.Deflections)
-				}
-				inner(pkt)
-			}
-		}
 		if chk != nil {
 			deliver = chk.WrapDeliver(deliver)
 		}
@@ -721,7 +678,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				return float64(reg.CounterValue("ib_flap_recoveries_total"))
 			})
 		}
-		if tracer != nil {
+		if cfg.Attr != nil {
 			world.OnMessage(tracer.MPIFlow)
 		}
 	}
@@ -804,11 +761,14 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		rep.IBFabric = world.F.FabricStats()
 	}
 	if cfg.Obs != nil {
-		packets := psmp.Events()
-		if tracer != nil && cfg.Attr.Chrome {
-			if packets == nil {
-				packets = new(obs.Pages[obs.TraceEvent])
+		packets := new(obs.Pages[obs.TraceEvent])
+		if every := cfg.Obs.PacketSample; every > 0 {
+			if cfg.Attr == nil {
+				every = 1 // the tracer sampled when it began each flow
 			}
+			tracer.PacketEvents(packets, k.Now(), every, dvswitch.WireBytes)
+		}
+		if cfg.Attr != nil && cfg.Attr.Chrome {
 			tracer.ChromeEvents(packets)
 		}
 		rep.Metrics = &obs.Metrics{Registry: reg, Series: sampler.Series(), Packets: packets}
@@ -821,7 +781,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	} else if chk != nil {
 		rep.Checks = chk.Finalize()
 	}
-	if tracer != nil {
+	if cfg.Attr != nil {
 		// Finalize after the invariant layer so stage-sum violations (if any)
 		// are already recorded; the summary itself is valid even for partial
 		// runs — it only aggregates flows completed so far.

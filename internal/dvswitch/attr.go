@@ -12,6 +12,12 @@ func (c *Core) SetHeat(h *attr.Heat) { c.heat = h }
 func (e *Engine) SetHeat(h *attr.Heat) { e.core.SetHeat(h) }
 
 // SetAttr attaches (or with nil detaches) the attribution tracer to the
+// cycle-accurate engine. The engine stamps traced packets when the core
+// delivers them: only then are the fabric-entry cycle and the hop and
+// deflection counts known.
+func (e *Engine) SetAttr(t *attr.Tracer) { e.attr = t }
+
+// SetAttr attaches (or with nil detaches) the attribution tracer to the
 // analytic model. The model stamps traced packets at Inject time: entry and
 // delivery are fully determined when Inject returns, so the fabric stage is
 // closed immediately rather than at the delivery event.

@@ -94,3 +94,51 @@ func TestHeatCensusMatchesStats(t *testing.T) {
 		}
 	}
 }
+
+// TestEnginesAgreeOnUnloadedStages pins where each engine puts a traced
+// packet's fabric entry. A lone packet injected on the cycle grid into an
+// idle fabric waits one cycle to enter, on both engines, and then spends
+// the same time in the fabric unless the fast model drew a deflection. The
+// stage-sum invariant cannot see a wrong entry: the sum telescopes whatever
+// the split between inject_wait and fabric.
+func TestEnginesAgreeOnUnloadedStages(t *testing.T) {
+	p := Params{Heights: 8, Angles: 4}
+	stages := func(cycle bool, src, dst int) (wait, fabric sim.Time, defl int32) {
+		k := sim.NewKernel()
+		tr := attr.NewTracer(&attr.Config{Sample: 1})
+		var f Fabric
+		if cycle {
+			e := NewEngine(k, p, DefaultCycleTime)
+			e.SetAttr(tr)
+			f = e
+		} else {
+			m := NewFastModel(k, p, DefaultCycleTime, sim.NewRNG(uint64(src*p.Ports()+dst)))
+			m.SetAttr(tr)
+			f = m
+		}
+		f.OnDeliver(func(pkt Packet) { tr.Complete(pkt.Flow, k.Now()) })
+		f.Inject(Packet{Src: src, Dst: dst, Flow: tr.Begin(src, dst, attr.KindWrite, 0)})
+		k.Run()
+		fl := tr.At(0)
+		return fl.Dur[attr.StageInjectWait], fl.Dur[attr.StageFabric], fl.Deflections
+	}
+	compared := 0
+	for src := 0; src < p.Ports(); src += 3 {
+		for dst := 0; dst < p.Ports(); dst += 5 {
+			cw, cf, _ := stages(true, src, dst)
+			fw, ff, defl := stages(false, src, dst)
+			if cw != DefaultCycleTime || fw != DefaultCycleTime {
+				t.Errorf("src=%d dst=%d: inject wait %v on the engine, %v on the fast model; want one cycle", src, dst, cw, fw)
+			}
+			if defl == 0 {
+				compared++
+				if cf != ff {
+					t.Errorf("src=%d dst=%d: fabric stage %v on the engine, %v on the fast model", src, dst, cf, ff)
+				}
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("the fast model deflected every packet; no fabric stage was compared")
+	}
+}

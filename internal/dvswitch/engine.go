@@ -48,6 +48,10 @@ type Engine struct {
 	ct    sim.Time
 	fn    func(pkt Packet)
 	armed bool
+
+	// attr is the attribution tracer (SetAttr); nil when flow tracing is
+	// disabled, costing one pointer test per delivery.
+	attr *attr.Tracer
 }
 
 // NewEngine builds a kernel-coupled cycle-accurate switch that steps one
@@ -55,6 +59,13 @@ type Engine struct {
 func NewEngine(k *sim.Kernel, p Params, cycleTime sim.Time) *Engine {
 	e := &Engine{k: k, core: NewCore(p), ct: cycleTime}
 	e.core.Deliver = func(pkt Packet, _ int64) {
+		if e.attr != nil && pkt.Flow != 0 {
+			// The engine delivers one pump after the last hop; each hop is
+			// one cycle and the packet spends one cycle entering, so it
+			// entered the fabric (Hops+1) cycles before its delivery.
+			now := e.k.Now()
+			e.attr.StampFabric(pkt.Flow, now-sim.Time(pkt.Hops+1)*e.ct, now, pkt.Hops, pkt.Deflections)
+		}
 		if e.fn != nil {
 			e.fn(pkt)
 		}

@@ -1,8 +1,10 @@
 package dvswitch
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/obs/attr"
 	"repro/internal/sim"
 )
 
@@ -176,6 +178,73 @@ func TestMultiPlaneDeterministic(t *testing.T) {
 		}
 		if aSt.Delivered != 800 {
 			t.Errorf("%s: delivered %d of 800", engine, aSt.Delivered)
+		}
+	}
+}
+
+// fabricPorts offers Traffic's load through a fabric while reading the
+// injection queues of the core behind it.
+type fabricPorts struct {
+	*Core
+	f Fabric
+}
+
+func (a fabricPorts) Inject(pkt Packet) { a.f.Inject(pkt) }
+
+// delivery is what a fabric shows of one packet's arrival.
+type delivery struct {
+	at                    sim.Time
+	src, dst, hops, defls int
+}
+
+// TestOnePlaneIsTheUnwrappedEngine: a traced cycle-accurate engine behind a
+// one-plane MultiPlane delivers the same packets at the same times with the
+// same hops and deflections, keeps the same Stats and stamps the same stage
+// durations as the engine alone, under uniform and hotspot load. Run uses
+// the unwrapped engine for one plane; this is what makes that choice free.
+func TestOnePlaneIsTheUnwrappedEngine(t *testing.T) {
+	p := Params{Heights: 8, Angles: 4}
+	for _, pattern := range []string{"uniform", "hotspot"} {
+		run := func(wrap bool) ([]delivery, Stats, [attr.NumStages]attr.StageAgg) {
+			k := sim.NewKernel()
+			eng := NewEngine(k, p, DefaultCycleTime)
+			tr := attr.NewTracer(&attr.Config{Sample: 1})
+			eng.SetAttr(tr)
+			var fab Fabric = eng
+			if wrap {
+				fab = NewMultiPlane([]Fabric{eng})
+			}
+			var seq []delivery
+			fab.OnDeliver(func(pkt Packet) {
+				seq = append(seq, delivery{k.Now(), pkt.Src, pkt.Dst, pkt.Hops, pkt.Deflections})
+				tr.Complete(pkt.Flow, k.Now())
+			})
+			traffic := Traffic{Pattern: pattern, Load: 0.4, Hot: p.Ports() / 3, QueueCap: 8}
+			rng := sim.NewRNG(5)
+			begin := func(pkt Packet) Packet {
+				pkt.Flow = tr.Begin(pkt.Src, pkt.Dst, attr.KindWrite, k.Now())
+				return pkt
+			}
+			for cy := 0; cy < 500; cy++ {
+				k.At(sim.Time(cy)*DefaultCycleTime, func() { traffic.Offer(fabricPorts{eng.Core(), fab}, rng, begin) })
+			}
+			k.Run()
+			return seq, fab.FabricStats(), tr.Finalize(k.Now()).Stages
+		}
+		seq, st, stages := run(false)
+		wseq, wst, wstages := run(true)
+		if st.Delivered == 0 || st.TotalDeflected == 0 || stages[attr.StageInjectWait].Total == 0 {
+			t.Fatalf("%s: %d delivered, %d deflected, %v inject wait: the load tests too little",
+				pattern, st.Delivered, st.TotalDeflected, stages[attr.StageInjectWait].Total)
+		}
+		if !slices.Equal(seq, wseq) {
+			t.Errorf("%s: one plane delivered %d packets, the engine %d, or in another order", pattern, len(wseq), len(seq))
+		}
+		if st != wst {
+			t.Errorf("%s: stats diverge:\nengine:    %+v\none plane: %+v", pattern, st, wst)
+		}
+		if stages != wstages {
+			t.Errorf("%s: stage durations diverge:\nengine:    %+v\none plane: %+v", pattern, stages, wstages)
 		}
 	}
 }

@@ -28,11 +28,19 @@ type Traffic struct {
 	burst []int // packets left in each endpoint's current burst
 }
 
+// queuedPorts is what Traffic offers load to: a Core, or (in tests) a fabric
+// that injects through the injection queues of the Core behind it.
+type queuedPorts interface {
+	Params() Params
+	QueueLen(port int) int
+	Inject(pkt Packet)
+}
+
 // Offer injects one cycle of traffic into c, drawing from rng in a fixed
 // order: per endpoint, whether it injects (a burst start when a bursty
 // endpoint is between bursts), then its destination. stamp, when non-nil,
 // returns each packet as it is to be injected. The caller steps c.
-func (t *Traffic) Offer(c *Core, rng *sim.RNG, stamp func(Packet) Packet) {
+func (t *Traffic) Offer(c queuedPorts, rng *sim.RNG, stamp func(Packet) Packet) {
 	n, stride := cmp.Or(t.Sources, c.Params().Ports()), cmp.Or(t.Stride, 1)
 	if t.Pattern == "bursty" && t.burst == nil {
 		t.burst = make([]int, n)

@@ -112,8 +112,9 @@ type Config struct {
 	// cap are counted in Summary.Overflow but not stamped or retained.
 	MaxFlows int
 	// Chrome also emits per-flow stage spans and s/f flow-binding events
-	// into the run's event store (Metrics.Packets) for Chrome/Perfetto
-	// export (requires the Obs layer). Off by default so a traced run's
+	// into the run's event store (Metrics.Packets), after its packet spans,
+	// for Chrome/Perfetto export (requires the Obs layer, which
+	// cluster.Platform.Validate enforces). Off by default so a traced run's
 	// Metrics stay byte-identical to an untraced run's.
 	Chrome bool
 	// Trace keeps what Figure 5's execution trace needs: every flow (Sample
@@ -155,6 +156,14 @@ type Flow struct {
 // E2E returns the end-to-end latency of a completed flow.
 func (f *Flow) E2E() sim.Time { return f.End - f.Issue }
 
+// fabricSpan returns when the flow's packet was handed to the switch (issue
+// plus its host and SRAM stages) and when the switch delivered it (plus its
+// inject-wait and fabric stages). Meaningful once the fabric stamped it.
+func (f *Flow) fabricSpan() (inject, eject sim.Time) {
+	inject = f.Issue + f.Dur[StageHostTx] + f.Dur[StageSRAM]
+	return inject, inject + f.Dur[StageInjectWait] + f.Dur[StageFabric]
+}
+
 // Tracer assigns flow identities and accumulates stamps. It is not safe for
 // concurrent use: the simulation kernel is single-threaded, and so is the
 // tracer (parallel sweep points each build their own kernel and tracer).
@@ -195,13 +204,21 @@ func NewTracer(cfg *Config) *Tracer {
 	return &Tracer{cfg: c, epochs: make(map[int]uint16), mut: c.Mutate}
 }
 
-// splitmix64 is the SplitMix64 finalizer (same mixer obs uses for packet
-// sampling): cheap, high-quality, and deterministic.
+// splitmix64 is the SplitMix64 finalizer: cheap, high-quality, and
+// deterministic. It is the run's one sampling hash: Begin thins flows with
+// it, and PacketEvents thins the flows it projects into "packet" spans.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// sampled reports whether candidate i is among the roughly 1-in-every the
+// tracer's hash keeps: (Seed, i), not a stride, so periodic traffic cannot
+// alias with the pattern. every <= 1 keeps all.
+func (t *Tracer) sampled(i, every uint64) bool {
+	return every <= 1 || splitmix64(t.cfg.Seed^i)%every == 0
 }
 
 // Begin opens a flow for a packet issued at now, returning its id — or 0
@@ -213,7 +230,7 @@ func (t *Tracer) Begin(src, dst int, kind Kind, now sim.Time) uint32 {
 	}
 	i := t.seq
 	t.seq++
-	if t.cfg.Sample > 1 && splitmix64(t.cfg.Seed^i)%t.cfg.Sample != 0 {
+	if !t.sampled(i, t.cfg.Sample) {
 		return 0
 	}
 	if t.flows.Len() >= t.cfg.MaxFlows {

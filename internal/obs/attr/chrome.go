@@ -5,6 +5,38 @@ import (
 	"repro/internal/sim"
 )
 
+// PacketEvents appends the run's "packet" spans to evs: one "X" event per
+// flow the fabric delivered by end — the rule Figure 5's trace uses — from
+// the packet's hand-off to the switch to its delivery (the inject-wait and
+// fabric stages), with pid = destination node, tid = source node, bytes =
+// the fabric's packet size on the wire (dvswitch.WireBytes, which this
+// package cannot import), and the flow's hops and deflections. Of those
+// flows it keeps roughly 1-in-every by the tracer's sampling hash of the
+// flow's index (id-1); every <= 1 keeps all of them. Events are in flow-id
+// order. Nil-safe.
+func (t *Tracer) PacketEvents(evs *obs.Pages[obs.TraceEvent], end sim.Time, every uint64, bytes int) {
+	if t == nil {
+		return
+	}
+	for i, n := 0, t.flows.Len(); i < n; i++ {
+		f := t.flows.At(i)
+		if !f.fabric || !t.sampled(uint64(i), every) {
+			continue
+		}
+		inject, eject := f.fabricSpan()
+		if eject > end {
+			continue
+		}
+		src, dst := int(f.Src), int(f.Dst)
+		evs.Append(obs.TraceEvent{
+			Name: "packet", Cat: "net", Ph: "X",
+			TS: us(inject), Dur: us(eject - inject), PID: dst, TID: src,
+			Args: obs.PacketArgs{Src: src, Dst: dst, Bytes: bytes,
+				Hops: int(f.Hops), Deflections: int(f.Deflections)},
+		})
+	}
+}
+
 // ChromeEvents appends completed flows to evs as Chrome trace events riding
 // the obs exporter: each stage that took time becomes an "X" span (pid = the
 // node doing the work, tid = stage lane), and each flow gets an "s"/"f"
@@ -16,7 +48,6 @@ func (t *Tracer) ChromeEvents(evs *obs.Pages[obs.TraceEvent]) {
 	if t == nil {
 		return
 	}
-	usf := func(tm sim.Time) float64 { return float64(tm) / float64(sim.Microsecond) }
 	for i, n := 0, t.flows.Len(); i < n; i++ {
 		f := t.flows.At(i)
 		if !f.Done {
@@ -36,14 +67,14 @@ func (t *Tracer) ChromeEvents(evs *obs.Pages[obs.TraceEvent]) {
 				}
 				evs.Append(obs.TraceEvent{
 					Name: Stage(s).Name(), Cat: "attr:" + f.Kind.Name(), Ph: "X",
-					TS: usf(cur), Dur: usf(d), PID: node, TID: int(s), Args: args,
+					TS: us(cur), Dur: us(d), PID: node, TID: int(s), Args: args,
 				})
 			}
 			cur += d
 		}
-		evs.Append(obs.TraceEvent{Name: "flow", Cat: "attr", Ph: "s", TS: usf(f.Issue),
+		evs.Append(obs.TraceEvent{Name: "flow", Cat: "attr", Ph: "s", TS: us(f.Issue),
 			PID: src, TID: 0, ID: uint64(f.ID), Args: args})
-		evs.Append(obs.TraceEvent{Name: "flow", Cat: "attr", Ph: "f", TS: usf(f.End),
+		evs.Append(obs.TraceEvent{Name: "flow", Cat: "attr", Ph: "f", TS: us(f.End),
 			PID: dst, TID: 0, ID: uint64(f.ID), Args: args})
 	}
 }

@@ -50,10 +50,7 @@ func (t *Tracer) traceLog(end sim.Time) *trace.Log {
 		case f.Kind == KindMPI:
 			m.T0, m.T1, m.Bytes = f.Issue, f.End, int(f.Bytes)
 		case f.fabric:
-			at := f.Issue
-			for _, d := range f.Dur[:StageFabric+1] {
-				at += d
-			}
+			_, at := f.fabricSpan()
 			if at > end {
 				continue
 			}

@@ -66,60 +66,3 @@ func WriteChromeTrace(w io.Writer, events *Pages[TraceEvent]) error {
 	_, err := io.WriteString(w, "],\"displayTimeUnit\":\"ns\"}\n")
 	return err
 }
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, high-quality bit mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// PacketSampler decides, deterministically, which packet lifecycles enter
-// the Chrome trace: each candidate is kept with probability 1/Every based on
-// a hash of (seed, candidate index) — not a modulo stride, so periodic
-// traffic cannot alias with the sampling pattern. The same seed and the same
-// event sequence always select the same packets.
-type PacketSampler struct {
-	seed   uint64
-	every  uint64
-	n      uint64 // candidates seen
-	events Pages[TraceEvent]
-}
-
-// NewPacketSampler keeps roughly 1-in-every candidates; every <= 1 keeps
-// all. A nil sampler keeps none.
-func NewPacketSampler(seed, every uint64) *PacketSampler {
-	return &PacketSampler{seed: seed, every: every}
-}
-
-// Keep consumes one candidate slot and reports whether this packet should be
-// recorded. Always false on a nil receiver.
-func (ps *PacketSampler) Keep() bool {
-	if ps == nil {
-		return false
-	}
-	i := ps.n
-	ps.n++
-	if ps.every <= 1 {
-		return true
-	}
-	return splitmix64(ps.seed^i)%ps.every == 0
-}
-
-// Add appends a recorded event. No-op on a nil receiver.
-func (ps *PacketSampler) Add(ev TraceEvent) {
-	if ps == nil {
-		return
-	}
-	ps.events.Append(ev)
-}
-
-// Events returns the sampler's event store, in recording order (nil for a
-// nil sampler). It is the sampler's own storage, not a copy.
-func (ps *PacketSampler) Events() *Pages[TraceEvent] {
-	if ps == nil {
-		return nil
-	}
-	return &ps.events
-}

@@ -8,24 +8,24 @@ import (
 
 // Config enables metrics collection on a cluster run. The zero value (and a
 // nil *Config) disables everything: no registry, no sampler, no packet
-// sampling, no overhead beyond one nil test per instrumentation site.
+// spans, no overhead beyond one nil test per instrumentation site.
 type Config struct {
 	// Every is the virtual-time sampling cadence for the series sampler.
 	// Zero means 1µs.
 	Every sim.Time
 
-	// PacketSample keeps roughly 1-in-N delivered packets in the Chrome
-	// lifecycle trace. Zero disables packet tracing; 1 keeps every packet.
+	// PacketSample keeps roughly 1-in-N delivered Data Vortex packets as
+	// "packet" spans in the Chrome trace. Zero disables them; 1 keeps every
+	// packet. The spans are a projection of the run's attribution flows
+	// (attr.Tracer.PacketEvents), thinned by attr's own sampling hash, so a
+	// packet span and its flow always agree.
 	PacketSample uint64
-
-	// Seed drives the deterministic packet-sampling hash.
-	Seed uint64
 }
 
 // Metrics is a run's collected observability output: the final instrument
-// values, the sampled time series, and the run's event store: the sampled
-// packet lifecycles, then any per-flow spans (attr.Config.Chrome). Packets is
-// nil when the run recorded no events.
+// values, the sampled time series, and the run's event store: the "packet"
+// spans projected from the run's flows, then any per-flow stage spans
+// (attr.Config.Chrome).
 type Metrics struct {
 	Registry *Registry
 	Series   *Series
@@ -49,8 +49,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	return m.Registry.WritePrometheus(w)
 }
 
-// WriteChromeTrace writes the sampled packet lifecycles (plus any phase
-// spans) as a Perfetto-loadable Chrome trace.
+// WriteChromeTrace writes the event store (packet spans, then any per-flow
+// stage spans) as a Perfetto-loadable Chrome trace.
 func (m *Metrics) WriteChromeTrace(w io.Writer) error {
 	if m == nil {
 		return WriteChromeTrace(w, nil)

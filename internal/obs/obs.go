@@ -2,9 +2,11 @@
 // log-bucketed histograms collected in a Registry, a virtual-time Sampler
 // that snapshots instrument values into a Series at a fixed cadence, and
 // exporters (Prometheus-style text, JSONL time series, Chrome trace events).
-// Records that accumulate one per packet — sampled trace events here, flows
-// in obs/attr — are kept in Pages: fixed pages in append order, never
-// re-copied.
+// Records that accumulate one per packet — flows in obs/attr, and the trace
+// events projected from them at the end of a run — are kept in Pages: fixed
+// pages in append order, never re-copied. obs keeps no packet sampler of its
+// own: Config.PacketSample selects attr flows, and each kept flow becomes
+// one "packet" span (attr.Tracer.PacketEvents).
 //
 // A metric has one owner. Where a component already counts something in its
 // own Stats, it registers a view (Registry.CounterFunc, HistogramFunc): a read

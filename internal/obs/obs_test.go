@@ -24,14 +24,6 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	var ps *PacketSampler
-	if ps.Keep() {
-		t.Fatal("nil packet sampler must keep nothing")
-	}
-	ps.Add(TraceEvent{})
-	if ps.Events().Len() != 0 {
-		t.Fatal("nil packet sampler must hold nothing")
-	}
 }
 
 func TestRegistryDedupsByName(t *testing.T) {
@@ -182,50 +174,13 @@ func TestSeriesJSONLDeterministic(t *testing.T) {
 	}
 }
 
-func TestPacketSamplerDeterministicAndRoughRate(t *testing.T) {
-	const n = 100000
-	run := func() (kept int, picks []uint64) {
-		ps := NewPacketSampler(42, 16)
-		for i := uint64(0); i < n; i++ {
-			if ps.Keep() {
-				kept++
-				if len(picks) < 50 {
-					picks = append(picks, i)
-				}
-			}
-		}
-		return
-	}
-	k1, p1 := run()
-	k2, p2 := run()
-	if k1 != k2 {
-		t.Fatalf("non-deterministic: %d vs %d kept", k1, k2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("pick %d differs: %d vs %d", i, p1[i], p2[i])
-		}
-	}
-	// Expect ~n/16 = 6250; allow ±10%.
-	if k1 < n/16*9/10 || k1 > n/16*11/10 {
-		t.Fatalf("kept %d of %d, want about %d", k1, n, n/16)
-	}
-	// every=1 keeps all, every=0 keeps all too.
-	all := NewPacketSampler(1, 1)
-	for i := 0; i < 10; i++ {
-		if !all.Keep() {
-			t.Fatal("every=1 must keep all")
-		}
-	}
-}
-
 func TestWriteChromeTraceShape(t *testing.T) {
 	var sb strings.Builder
-	ps := NewPacketSampler(1, 1)
-	ps.Add(TraceEvent{Name: "packet", Cat: "net", Ph: "X", TS: 1.5, Dur: 0.25, PID: 0, TID: 3,
+	var evs Pages[TraceEvent]
+	evs.Append(TraceEvent{Name: "packet", Cat: "net", Ph: "X", TS: 1.5, Dur: 0.25, PID: 0, TID: 3,
 		Args: PacketArgs{Src: 3, Dst: 9, Bytes: 16, Hops: 7, Deflections: 2}})
-	ps.Add(TraceEvent{Name: "phase:updates", Cat: "phase", Ph: "X", TS: 0, Dur: 10, PID: 1, TID: 0})
-	if err := WriteChromeTrace(&sb, ps.Events()); err != nil {
+	evs.Append(TraceEvent{Name: "phase:updates", Cat: "phase", Ph: "X", TS: 0, Dur: 10, PID: 1, TID: 0})
+	if err := WriteChromeTrace(&sb, &evs); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

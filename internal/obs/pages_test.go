@@ -37,19 +37,19 @@ func TestPagesOrderAndStability(t *testing.T) {
 	}
 }
 
-// TestEventStoreBytes: a packet sampler allocates what it records — three
-// pages of events cost at most 15% over the events themselves.
+// TestEventStoreBytes: a run's event store allocates what it records — three
+// pages of trace events cost at most 15% over the events themselves.
 func TestEventStoreBytes(t *testing.T) {
 	const n = 3 * pageSize
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	ps := NewPacketSampler(1, 1)
+	evs := new(Pages[TraceEvent])
 	for i := 0; i < n; i++ {
-		ps.Add(TraceEvent{Name: "packet", Cat: "net", Ph: "X", PID: i})
+		evs.Append(TraceEvent{Name: "packet", Cat: "net", Ph: "X", PID: i})
 	}
 	runtime.ReadMemStats(&m1)
-	if ps.Events().Len() != n || ps.Events().At(n-1).PID != n-1 {
-		t.Fatalf("sampler holds %d events", ps.Events().Len())
+	if evs.Len() != n || evs.At(n-1).PID != n-1 {
+		t.Fatalf("store holds %d events", evs.Len())
 	}
 	floor := uint64(n) * uint64(unsafe.Sizeof(TraceEvent{}))
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > floor*115/100 {

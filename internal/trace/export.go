@@ -56,7 +56,7 @@ func (l *Log) ChromeEvents() *obs.Pages[obs.TraceEvent] {
 
 // WriteChrome writes the trace as Chrome trace-event JSON, loadable in
 // Perfetto or chrome://tracing — the same container cluster runs use for
-// sampled packet lifecycles (obs.WriteChromeTrace).
+// their packet spans (obs.WriteChromeTrace).
 func (l *Log) WriteChrome(w io.Writer) error {
 	return obs.WriteChromeTrace(w, l.ChromeEvents())
 }
