@@ -25,12 +25,13 @@
 // and -list fix their own platform, so a run-spec flag they do not read
 // exits 2 naming it instead of being ignored.
 //
-// Long runs are crash-resumable: -journal <dir> persists every finished
-// sweep point and experiment before moving on, and -resume <dir> re-runs
-// only what is missing, producing byte-identical final figures. SIGINT or
-// SIGTERM stops a journaled run cleanly (finish in-flight points, save,
-// print the resume command); a second signal force-quits. -resume <dir>
-// -svg DIR renders a finished journal's figures without recomputing them.
+// Long runs are crash-resumable: every simulator run of an experiment is a
+// sweep point, -journal <dir> persists each finished point before moving on,
+// and -resume <dir> re-runs only what is missing, producing byte-identical
+// final figures. SIGINT or SIGTERM stops a journaled run cleanly (finish
+// in-flight points, save, print the resume command); a second signal
+// force-quits. -resume <dir> -svg DIR renders a finished journal's figures
+// without recomputing them; only fig5, whose trace is a file, runs again.
 // An individual -app run is bounded by -budget-wall/-budget-virtual: at the
 // budget (or the first SIGINT) it stops at a clean virtual instant, prints
 // "partial: cut at virtual <t>" and exits 3; to finish it, re-run without
@@ -138,7 +139,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	journalDir := flag.String("journal", "",
-		"journal finished sweep points and experiments to this directory (crash-resumable)")
+		"journal every finished simulator run to this directory (crash-resumable)")
 	resumeDir := flag.String("resume", "",
 		"resume a journaled run from this directory (implies -journal)")
 	budgetWall := flag.Duration("budget-wall", 0,
@@ -351,26 +352,16 @@ func main() {
 	}
 }
 
-// runExperiments runs sel in order and returns their tables. With a journal
-// (opt.Journal) each experiment is persisted whole once it finishes and
-// replayed verbatim on resume, and a cancelled opt.Ctx stops the run between
-// experiments; a plain run has neither.
+// runExperiments runs sel in order and returns their tables. The journal
+// (opt.Journal) keeps and replays their runs point by point, and a cancelled
+// opt.Ctx stops the run before the next experiment.
 func runExperiments(sel []bench.Experiment, opt bench.Options, writeTrace func(*trace.Log)) []*bench.Table {
 	var tables []*bench.Table
 	for _, e := range sel {
-		if ts, ok := opt.Journal.Experiment(e.ID); ok {
-			tables = append(tables, ts...)
-			continue
-		}
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			break
 		}
-		ts := e.Run(opt, writeTrace)
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			break
-		}
-		opt.Journal.PutExperiment(e.ID, ts)
-		tables = append(tables, ts...)
+		tables = append(tables, e.Run(opt, writeTrace)...)
 	}
 	return tables
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/trace"
 )
 
@@ -18,7 +20,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/small.gol
 // TestSmallGolden pins what `dvbench -small` produces: every table as it
 // prints, the -json bytes, and the SHA-256 of every SVG -svg renders at
 // 720x440. Every experiment of "all" runs once, through dvbench's loop, in
-// table order, with Figure 5's trace handed out exactly once. Regenerate with
+// table order, with Figure 5's trace handed out exactly once. The run is
+// journaled, and replaying the same selection from the complete journal must
+// print the same bytes without journaling anything: every run of every
+// experiment but fig5 is a point. Regenerate with
 // go test ./cmd/dvbench -run TestSmallGolden -update-golden.
 func TestSmallGolden(t *testing.T) {
 	if testing.Short() {
@@ -29,7 +34,15 @@ func TestSmallGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := runExperiments(sel, bench.Options{Small: true}, func(*trace.Log) { traced++ })
+	dir := t.TempDir()
+	j, err := bench.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := runExperiments(sel, bench.Options{Small: true, Journal: j}, func(*trace.Log) { traced++ })
+	if err := errors.Join(j.Err(), j.Close()); err != nil {
+		t.Fatal(err)
+	}
 	want := []string{"fig3a", "fig3b", "fig4", "fig5", "fig6a", "fig6b",
 		"fig7", "fig8", "fig9", "extA", "extB", "extC", "extD", "extE", "extF", "extG", "extH", "extI", "extJ", "extK", "extL", "extM", "extN", "extS"}
 	if len(tables) != len(want) || traced != 1 {
@@ -41,19 +54,52 @@ func TestSmallGolden(t *testing.T) {
 		}
 	}
 
+	printed := func(tables []*bench.Table) string {
+		var b strings.Builder
+		for _, tb := range tables {
+			tb.Fprint(&b)
+		}
+		if err := bench.WriteAllJSON(&b, tables); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	journal := filepath.Join(dir, "journal.jsonl")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err = bench.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev0, _, _ := cluster.KernelCounts()
+	replayed := runExperiments(sel, bench.Options{Small: true, Journal: j}, func(*trace.Log) {})
+	ev1, _, _ := cluster.KernelCounts()
+	if err := errors.Join(j.Err(), j.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(journal); err != nil || len(after) != len(before) {
+		t.Errorf("replaying a complete journal ran and journaled %d more bytes (%v)", len(after)-len(before), err)
+	}
+	// fig5 alone simulates on replay: the replay's kernel events are its.
+	fig5, _ := bench.SelectExperiments("fig5")
+	runExperiments(fig5, bench.Options{Small: true}, func(*trace.Log) {})
+	if ev2, _, _ := cluster.KernelCounts(); ev1-ev0 != ev2-ev1 {
+		t.Errorf("replaying a complete journal simulated %d kernel events, fig5 alone %d", ev1-ev0, ev2-ev1)
+	}
+	if got, want := printed(replayed), printed(tables); got != want {
+		t.Errorf("tables replayed from the journal differ from the journaled run:\n%s", want)
+	}
+
 	var b strings.Builder
-	for _, tb := range tables {
-		tb.Fprint(&b)
-	}
-	if err := bench.WriteAllJSON(&b, tables); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if _, err := writeSVGs(dir, tables); err != nil {
+	b.WriteString(printed(tables))
+	svgDir := t.TempDir()
+	if _, err := writeSVGs(svgDir, tables); err != nil {
 		t.Fatal(err)
 	}
 	for _, tb := range tables {
-		svg, err := os.ReadFile(filepath.Join(dir, tb.ID+".svg"))
+		svg, err := os.ReadFile(filepath.Join(svgDir, tb.ID+".svg"))
 		if os.IsNotExist(err) {
 			continue
 		}

@@ -142,7 +142,7 @@ func main() {
 		// entry = eject − (hops+1) cycles — the same derivation as
 		// dvswitch.Engine's delivery stamp). The host-side stages don't exist
 		// here and stay zero.
-		tracer = attr.NewTracer(&attr.Config{Sample: 1, Seed: seed})
+		tracer = attr.NewTracer(&attr.Config{Sample: 1, Seed: seed}, dvswitch.WireBytes)
 		c.SetHeat(tracer.HeatGrid(p.Cylinders(), p.Angles))
 		c.Deliver = func(pkt dvswitch.Packet, cycle int64) {
 			if pkt.Flow != 0 {

@@ -51,7 +51,7 @@ func ExtSwitchTraffic(opt Options) *Table {
 			pts = append(pts, point{pattern, load})
 		}
 	}
-	SweepRows(opt, t, len(pts), func(i int) []Cell {
+	for _, row := range SweepRows(opt, t.ID, len(pts), len(t.Columns), func(i int) []Cell {
 		pt := pts[i]
 		st := drive(dvswitch.NewCore(dvswitch.Params{Heights: 8, Angles: 4}),
 			dvswitch.Traffic{Pattern: pt.pattern, Load: pt.load, Hot: 13, QueueCap: 8},
@@ -61,7 +61,9 @@ func ExtSwitchTraffic(opt Options) *Table {
 			Num(st.MeanLatency(), 1, None),
 			Int(st.LatencyPercentile(99)),
 			Num(st.MeanDeflections(), 2, None)}
-	})
+	}) {
+		t.AddRow(row...)
+	}
 	return t
 }
 
@@ -96,14 +98,16 @@ func ExtScale(opt Options) *Table {
 	if opt.Small {
 		cycles = 2000
 	}
-	SweepRows(opt, t, len(heights), func(i int) []Cell {
+	for _, row := range SweepRows(opt, t.ID, len(heights), len(t.Columns), func(i int) []Cell {
 		p := dvswitch.Params{Heights: heights[i], Angles: 4}
 		ports := p.Ports()
 		st := drive(dvswitch.NewCore(p), dvswitch.Traffic{Load: 0.5, QueueCap: 3}, sim.NewRNG(uint64(heights[i])), cycles)
 		return []Cell{Int(ports), Int(p.Cylinders()),
 			Num(st.MeanLatency(), 1, None),
 			Num(float64(st.Delivered)/float64(cycles)/float64(ports), 3, None)}
-	})
+	}) {
+		t.AddRow(row...)
+	}
 	return t
 }
 
@@ -124,21 +128,26 @@ func ExtAblation(opt Options) *Table {
 	if opt.Small {
 		gp.UpdatesPerNode = 1 << 11
 	}
-	for _, batch := range []int{1024, 64, 8} {
-		gp.BatchWords = batch
-		r := gups.Run(comm.DV, gp)
-		t.AddRow(Text("source aggregation"), Text(fmt.Sprintf("batch=%d", batch)),
-			Text("MUPS/PE"), Num(r.MUPSPerNode(), 2, None))
-	}
+	batches := []int{1024, 64, 8}
 	// Header caching and DMA: ping-pong plateau per mode.
 	words := 1 << 14
 	iters := 10
 	if opt.Small {
 		words = 1 << 10
 	}
-	for _, m := range []pingpong.Mode{pingpong.DVWrNoCached, pingpong.DVWrCached, pingpong.DVDMACached} {
+	modes := []pingpong.Mode{pingpong.DVWrNoCached, pingpong.DVWrCached, pingpong.DVDMACached}
+	for _, row := range SweepRows(opt, t.ID, len(batches)+len(modes), len(t.Columns), func(i int) []Cell {
+		if i < len(batches) {
+			gp := gp
+			gp.BatchWords = batches[i]
+			return []Cell{Text("source aggregation"), Text(fmt.Sprintf("batch=%d", batches[i])),
+				Text("MUPS/PE"), Num(gups.Run(comm.DV, gp).MUPSPerNode(), 2, None)}
+		}
+		m := modes[i-len(batches)]
 		r := pingpong.Run(m, pingpong.Params{Words: words, Iters: iters})
-		t.AddRow(Text("host-to-VIC path"), Text(m.String()), Text("GB/s"), Num(r.Bandwidth/1e9, 3, None))
+		return []Cell{Text("host-to-VIC path"), Text(m.String()), Text("GB/s"), Num(r.Bandwidth/1e9, 3, None)}
+	}) {
+		t.AddRow(row...)
 	}
 	return t
 }
@@ -160,24 +169,27 @@ func ExtScaleApps(opt Options) *Table {
 	if opt.Small {
 		counts = []int{8, 16}
 	}
-	SweepRows(opt, t, 2*len(counts), func(i int) []Cell {
-		n := counts[i%len(counts)]
-		if i < len(counts) {
+	// The first 2·len(counts) points are GUPS in MUPS, the rest BFS in TEPS
+	// (its rows show MTEPS), each a Data Vortex and InfiniBand pair per node
+	// count.
+	p := SweepRows(opt, t.ID, 4*len(counts), 1, func(i int) []Cell {
+		n, net := counts[i/2%len(counts)], bothNets[i%2]
+		if i < 2*len(counts) {
 			par := gups.Params{Nodes: n, TableWordsNode: 1 << 14, UpdatesPerNode: 1 << 12}
-			dv := gups.Run(comm.DV, par)
-			ib := gups.Run(comm.IB, par)
-			return []Cell{Text("GUPS (MUPS)"), Int(n),
-				Num(dv.MUPS(), 1, None), Num(ib.MUPS(), 1, None),
-				Num(dv.MUPS()/ib.MUPS(), 2, Ratio)}
+			return []Cell{Num(gups.Run(net, par).MUPS(), 1, None)}
 		}
 		par := bfs.Params{Nodes: n, Scale: 14, EdgeFactor: 8, NRoots: 2}
-		dv := bfs.Run(comm.DV, par)
-		ib := bfs.Run(comm.IB, par)
-		return []Cell{Text("BFS (MTEPS)"), Int(n),
-			Num(dv.HarmonicMeanTEPS()/1e6, 1, None),
-			Num(ib.HarmonicMeanTEPS()/1e6, 1, None),
-			Num(dv.HarmonicMeanTEPS()/ib.HarmonicMeanTEPS(), 2, Ratio)}
+		return []Cell{Num(bfs.Run(net, par).HarmonicMeanTEPS(), 0, None)}
 	})
+	for i := 0; i < len(p); i += 2 {
+		dv, ib, n := p[i][0], p[i+1][0], Int(counts[i/2%len(counts)])
+		if i < 2*len(counts) {
+			t.AddRow(Text("GUPS (MUPS)"), n, dv, ib, Num(dv.V/ib.V, 2, Ratio))
+		} else {
+			t.AddRow(Text("BFS (MTEPS)"), n, Num(dv.V/1e6, 1, None), Num(ib.V/1e6, 1, None),
+				Num(dv.V/ib.V, 2, Ratio))
+		}
+	}
 	return t
 }
 
@@ -202,22 +214,27 @@ func ExtRouting(opt Options) *Table {
 		gp.Nodes = n
 		gp.UpdatesPerNode = 1 << 10
 	}
-	stat := gups.Run(comm.IB, gp)
-	gp.IBAdaptive = true
-	adpt := gups.Run(comm.IB, gp)
-	dv := gups.Run(comm.DV, gp)
-	t.AddRow(Text("GUPS (MUPS)"), Int(n),
-		Num(stat.MUPS(), 1, None), Num(adpt.MUPS(), 1, None), Num(dv.MUPS(), 1, None))
 	fp := fft.Params{Nodes: n, LogN: 18}
 	if opt.Small {
 		fp.LogN = 14
 	}
-	fs := fft.Run(comm.IB, fp)
-	fp.IBAdaptive = true
-	fa := fft.Run(comm.IB, fp)
-	fd := fft.Run(comm.DV, fp)
-	t.AddRow(Text("FFT (GFLOPS)"), Int(n),
-		Num(fs.GFLOPS(), 1, None), Num(fa.GFLOPS(), 1, None), Num(fd.GFLOPS(), 1, None))
+	// The adaptive and Data Vortex runs of a kernel share one Params with
+	// IBAdaptive set.
+	ga, fa := gp, fp
+	ga.IBAdaptive, fa.IBAdaptive = true, true
+	runs := []func() float64{
+		func() float64 { return gups.Run(comm.IB, gp).MUPS() },
+		func() float64 { return gups.Run(comm.IB, ga).MUPS() },
+		func() float64 { return gups.Run(comm.DV, ga).MUPS() },
+		func() float64 { return fft.Run(comm.IB, fp).GFLOPS() },
+		func() float64 { return fft.Run(comm.IB, fa).GFLOPS() },
+		func() float64 { return fft.Run(comm.DV, fa).GFLOPS() },
+	}
+	kernels := []string{"GUPS (MUPS)", "FFT (GFLOPS)"}
+	p := SweepRows(opt, t.ID, len(runs), 1, func(i int) []Cell { return []Cell{Num(runs[i](), 1, None)} })
+	for i := 0; i < len(p); i += 3 {
+		t.AddRow(Text(kernels[i/3]), Int(n), p[i][0], p[i+1][0], p[i+2][0])
+	}
 	return t
 }
 
@@ -239,15 +256,18 @@ func ExtMultiRail(opt Options) *Table {
 	if opt.Small {
 		words = 1 << 12
 	}
-	for _, rails := range []int{1, 2, 4} {
-		r := pingpong.Run(pingpong.DVDMACached, pingpong.Params{Words: words, Iters: iters,
-			Platform: cluster.Platform{VICsPerNode: rails}})
-		t.AddRow(Text(fmt.Sprintf("DV DMA/Cached, %d rail(s)", rails)),
-			Num(r.Bandwidth/1e9, 2, None), Num(100*r.Bandwidth/4.4e9, 0, Percent))
+	rails := []int{1, 2, 4}
+	for _, row := range SweepRows(opt, t.ID, len(rails)+1, len(t.Columns), func(i int) []Cell {
+		name, mode, par := "MPI over FDR InfiniBand", pingpong.MPIIB, pingpong.Params{Words: words, Iters: iters}
+		if i < len(rails) {
+			name, mode = fmt.Sprintf("DV DMA/Cached, %d rail(s)", rails[i]), pingpong.DVDMACached
+			par.Platform = cluster.Platform{VICsPerNode: rails[i]}
+		}
+		r := pingpong.Run(mode, par)
+		return []Cell{Text(name), Num(r.Bandwidth/1e9, 2, None), Num(100*r.Bandwidth/4.4e9, 0, Percent)}
+	}) {
+		t.AddRow(row...)
 	}
-	m := pingpong.Run(pingpong.MPIIB, pingpong.Params{Words: words, Iters: iters})
-	t.AddRow(Text("MPI over FDR InfiniBand"), Num(m.Bandwidth/1e9, 2, None),
-		Num(100*m.Bandwidth/4.4e9, 0, Percent))
 	return t
 }
 
@@ -271,11 +291,13 @@ func ExtPageRank(opt Options) *Table {
 		counts = []int{4, 8}
 		scale = 11
 	}
-	for _, n := range counts {
-		par := pagerank.Params{Nodes: n, Scale: scale, EdgeFactor: 8, MaxIters: 10, Tol: 0}
-		dv := pagerank.Run(comm.DV, par)
-		ib := pagerank.Run(comm.IB, par)
-		t.AddRow(Int(n), Dur(dv.Elapsed), Dur(ib.Elapsed), speedup(ib.Elapsed, dv.Elapsed))
+	p := SweepRows(opt, t.ID, 2*len(counts), 1, func(i int) []Cell {
+		par := pagerank.Params{Nodes: counts[i/2], Scale: scale, EdgeFactor: 8, MaxIters: 10, Tol: 0}
+		return []Cell{Dur(pagerank.Run(bothNets[i%2], par).Elapsed)}
+	})
+	for i := 0; i < len(p); i += 2 {
+		dv, ib := p[i][0], p[i+1][0]
+		t.AddRow(Int(counts[i/2]), dv, ib, speedup(ib, dv))
 	}
 	return t
 }
@@ -298,7 +320,7 @@ func ExtFaults(opt Options) *Table {
 		cycles = 1500
 	}
 	deads := []int{0, 1, 2, 4, 8}
-	SweepRows(opt, t, len(deads), func(i int) []Cell {
+	for _, row := range SweepRows(opt, t.ID, len(deads), len(t.Columns), func(i int) []Cell {
 		dead := deads[i]
 		p := dvswitch.Params{Heights: 8, Angles: 4}
 		c := dvswitch.NewCore(p)
@@ -315,7 +337,9 @@ func ExtFaults(opt Options) *Table {
 			Int(st.Dropped),
 			Num(st.MeanLatency(), 1, None),
 			Int(st.LatencyPercentile(99))}
-	})
+	}) {
+		t.AddRow(row...)
+	}
 	return t
 }
 
@@ -339,12 +363,14 @@ func ExtSpMV(opt Options) *Table {
 		counts = []int{4, 8}
 		scale = 11
 	}
-	for _, n := range counts {
-		par := spmv.Params{Nodes: n, Scale: scale, EdgeFactor: 6, Iters: 4}
-		dv := spmv.Run(comm.DV, par)
-		ib := spmv.Run(comm.IB, par)
-		t.AddRow(Int(n), Dur(dv.Elapsed), Dur(ib.Elapsed), speedup(ib.Elapsed, dv.Elapsed),
-			Int(dv.GhostWords))
+	// A point is a run's elapsed time and its node 0's ghost-word count.
+	p := SweepRows(opt, t.ID, 2*len(counts), 2, func(i int) []Cell {
+		r := spmv.Run(bothNets[i%2], spmv.Params{Nodes: counts[i/2], Scale: scale, EdgeFactor: 6, Iters: 4})
+		return []Cell{Dur(r.Elapsed), Int(r.GhostWords)}
+	})
+	for i := 0; i < len(p); i += 2 {
+		dv, ib := p[i], p[i+1]
+		t.AddRow(Int(counts[i/2]), dv[0], ib[0], speedup(ib[0], dv[0]), dv[1])
 	}
 	return t
 }
@@ -367,12 +393,23 @@ func ExtSubsetBarrier(opt Options) *Table {
 		nodes = 8
 		iters = 20
 	}
-	mpiLat := barrier.Run(barrier.MPIBarrier, nodes, iters).Latency
-	dvLat := barrier.Run(barrier.DVIntrinsic, nodes, iters).Latency
-	for _, gsize := range []int{2, 4, 8, nodes} {
-		lat := subsetBarrierLatency(nodes, gsize, iters)
-		t.AddRow(Int(gsize), Num(lat.Micros(), 3, Micros),
-			Num(dvLat.Micros(), 3, Micros), Num(mpiLat.Micros(), 3, Micros))
+	// Points 0 and 1 are the global references, MPI and the DV intrinsic;
+	// point 2+k is group size gsizes[k].
+	gsizes := []int{2, 4, 8, nodes}
+	p := SweepRows(opt, t.ID, 2+len(gsizes), 1, func(i int) []Cell {
+		var lat sim.Time
+		switch i {
+		case 0:
+			lat = barrier.Run(barrier.MPIBarrier, nodes, iters).Latency
+		case 1:
+			lat = barrier.Run(barrier.DVIntrinsic, nodes, iters).Latency
+		default:
+			lat = subsetBarrierLatency(nodes, gsizes[i-2], iters)
+		}
+		return []Cell{Num(lat.Micros(), 3, Micros)}
+	})
+	for i := 2; i < len(p); i++ {
+		t.AddRow(Int(gsizes[i-2]), p[i][0], p[1][0], p[0][0])
 	}
 	return t
 }
@@ -426,14 +463,13 @@ func ExtSort(opt Options) *Table {
 		counts = []int{4, 8}
 		keys = 1 << 12
 	}
-	for _, n := range counts {
-		par := sortapp.Params{Nodes: n, KeysPerNode: keys}
-		dvr := sortapp.Run(comm.DV, par)
-		ibr := sortapp.Run(comm.IB, par)
-		t.AddRow(Int(n),
-			Num(dvr.SortedRate()/1e6, 1, MkeysPerSec),
-			Num(ibr.SortedRate()/1e6, 1, MkeysPerSec),
-			speedup(ibr.Elapsed, dvr.Elapsed))
+	p := SweepRows(opt, t.ID, 2*len(counts), 2, func(i int) []Cell {
+		r := sortapp.Run(bothNets[i%2], sortapp.Params{Nodes: counts[i/2], KeysPerNode: keys})
+		return []Cell{Num(r.SortedRate()/1e6, 1, MkeysPerSec), Dur(r.Elapsed)}
+	})
+	for i := 0; i < len(p); i += 2 {
+		dv, ib := p[i], p[i+1]
+		t.AddRow(Int(counts[i/2]), dv[0], ib[0], speedup(ib[1], dv[1]))
 	}
 	return t
 }
@@ -456,7 +492,7 @@ func ExtProvisioning(opt Options) *Table {
 		cycles = 2000
 	}
 	hs := []int{8, 16, 32}
-	SweepRows(opt, t, len(hs), func(i int) []Cell {
+	for _, row := range SweepRows(opt, t.ID, len(hs), len(t.Columns), func(i int) []Cell {
 		p := dvswitch.Params{Heights: hs[i], Angles: 4}
 		const endpoints = 32
 		st := drive(dvswitch.NewCore(p), dvswitch.Traffic{Load: 0.9, Sources: endpoints,
@@ -465,7 +501,9 @@ func ExtProvisioning(opt Options) *Table {
 			Num(float64(st.Delivered)/float64(cycles)/endpoints, 3, None),
 			Num(st.MeanLatency(), 1, None),
 			Int(st.LatencyPercentile(99))}
-	})
+	}) {
+		t.AddRow(row...)
+	}
 	return t
 }
 
@@ -486,15 +524,27 @@ func ExtAppScaling(opt Options) *Table {
 	if opt.Small {
 		counts = []int{4, 8}
 	}
-	for _, n := range counts {
-		sp := snap.Params{Nodes: n, NX: 16, NY: 16, NZ: 16, MaxIters: 4}
-		sd, si := snap.Run(comm.DV, sp), snap.Run(comm.IB, sp)
-		vp := vorticity.Params{Nodes: n, N: 128, Steps: 3}
-		vd, vi := vorticity.Run(comm.DV, vp), vorticity.Run(comm.IB, vp)
-		hp := heat.Params{Nodes: n, N: 16, Steps: 10}
-		hd, hi := heat.Run(comm.DV, hp), heat.Run(comm.IB, hp)
-		t.AddRow(Int(n), speedup(si.Elapsed, sd.Elapsed), speedup(vi.Elapsed, vd.Elapsed),
-			speedup(hi.Elapsed, hd.Elapsed))
+	apps := []func(n int, net comm.Net) sim.Time{
+		func(n int, net comm.Net) sim.Time {
+			return snap.Run(net, snap.Params{Nodes: n, NX: 16, NY: 16, NZ: 16, MaxIters: 4}).Elapsed
+		},
+		func(n int, net comm.Net) sim.Time {
+			return vorticity.Run(net, vorticity.Params{Nodes: n, N: 128, Steps: 3}).Elapsed
+		},
+		func(n int, net comm.Net) sim.Time {
+			return heat.Run(net, heat.Params{Nodes: n, N: 16, Steps: 10}).Elapsed
+		},
+	}
+	// Point i runs app i/2%3 at node count i/6 on bothNets[i%2].
+	p := SweepRows(opt, t.ID, 2*len(apps)*len(counts), 1, func(i int) []Cell {
+		return []Cell{Dur(apps[i/2%len(apps)](counts[i/(2*len(apps))], bothNets[i%2]))}
+	})
+	for i := 0; i < len(p); i += 2 * len(apps) {
+		row := []Cell{Int(counts[i/(2*len(apps))])}
+		for k := i; k < i+2*len(apps); k += 2 {
+			row = append(row, speedup(p[k+1][0], p[k][0]))
+		}
+		t.AddRow(row...)
 	}
 	return t
 }
@@ -519,8 +569,11 @@ func one(f func(Options) *Table) func(Options, func(*trace.Log)) []*Table {
 // Experiments is the evaluation in the order it runs. Every entry but the
 // last, validate, makes up "all".
 var Experiments = []Experiment{
-	{ID: "fig3a", Desc: "ping-pong bandwidth", Run: one(Fig3a)},
-	{ID: "fig3b", Desc: "ping-pong % of peak", Run: one(Fig3b)},
+	{ID: "fig3a", Aliases: []string{"fig3b", "fig3"}, Desc: "ping-pong bandwidth and % of peak (both panels)",
+		Run: func(opt Options, _ func(*trace.Log)) []*Table {
+			a, b := Fig3(opt)
+			return []*Table{a, b}
+		}},
 	{ID: "fig4", Desc: "barrier latency", Run: one(Fig4)},
 	{ID: "fig5", Desc: "GUPS packet trace", Run: func(opt Options, traceOut func(*trace.Log)) []*Table {
 		t, log := Fig5Trace(opt)

@@ -19,10 +19,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Fig3a regenerates Figure 3a: ping-pong bandwidth versus message size for
-// the four transfer configurations.
-func Fig3a(opt Options) *Table {
-	t := &Table{
+// Fig3 regenerates Figure 3 from one ping-pong sweep: bandwidth versus
+// message size for the four transfer configurations (a), and the same runs
+// as a percentage of each network's nominal peak (b).
+func Fig3(opt Options) (a, b *Table) {
+	a = &Table{
 		ID:      "fig3a",
 		Title:   "Ping-pong bandwidth vs message size (GB/s)",
 		Columns: []string{"words", "DWr/NoCached", "DWr/Cached", "DMA/Cached", "MPI"},
@@ -30,13 +31,7 @@ func Fig3a(opt Options) *Table {
 			"paper: direct writes plateau at the PCIe lane (~0.25/0.5 GB/s); DMA/Cached reaches 99.4% of the 4.4 GB/s peak at 256Ki words; MPI peaks near 72% of 6.8 GB/s and leads at 32-128 and >=512 words",
 		},
 	}
-	return pingpongSweep(opt, t, func(r pingpong.Result) Cell { return Num(r.Bandwidth/1e9, 3, None) })
-}
-
-// Fig3b regenerates Figure 3b: the same sweep as a percentage of each
-// network's nominal peak.
-func Fig3b(opt Options) *Table {
-	t := &Table{
+	b = &Table{
 		ID:      "fig3b",
 		Title:   "Ping-pong bandwidth as % of nominal peak",
 		Columns: []string{"words", "DWr/NoCached", "DWr/Cached", "DMA/Cached", "MPI"},
@@ -44,32 +39,41 @@ func Fig3b(opt Options) *Table {
 			"peaks: Data Vortex 4.4 GB/s, FDR InfiniBand 6.8 GB/s (paper values)",
 		},
 	}
-	return pingpongSweep(opt, t, func(r pingpong.Result) Cell { return Num(r.PercentPeak(), 1, Percent) })
-}
-
-// pingpongSweep fills t with Figure 3's sweep: a row per message size, and
-// in it cell's reading of each transfer configuration's run.
-func pingpongSweep(opt Options, t *Table, cell func(pingpong.Result) Cell) *Table {
 	maxWords := 1 << 18
 	iters := 40
 	if opt.Small {
 		maxWords = 1 << 12
 		iters = 8
 	}
+	var sizes []int
 	for words := 1; words <= maxWords; words *= 4 {
-		row := []Cell{Int(words)}
-		for _, m := range []pingpong.Mode{pingpong.DVWrNoCached, pingpong.DVWrCached,
-			pingpong.DVDMACached, pingpong.MPIIB} {
-			it := iters
-			if words >= 1<<14 {
-				it = 6
-			}
-			row = append(row, cell(pingpong.Run(m, pingpong.Params{Words: words, Iters: it})))
-		}
-		t.AddRow(row...)
+		sizes = append(sizes, words)
 	}
-	return t
+	modes := []pingpong.Mode{pingpong.DVWrNoCached, pingpong.DVWrCached, pingpong.DVDMACached, pingpong.MPIIB}
+	p := SweepRows(opt, a.ID, len(sizes)*len(modes), 2, func(i int) []Cell {
+		words, it := sizes[i/len(modes)], iters
+		if words >= 1<<14 {
+			it = 6
+		}
+		r := pingpong.Run(modes[i%len(modes)], pingpong.Params{Words: words, Iters: it})
+		return []Cell{Num(r.Bandwidth/1e9, 3, None), Num(r.PercentPeak(), 1, Percent)}
+	})
+	for i := 0; i < len(p); i += len(modes) {
+		ra, rb := []Cell{Int(sizes[i/len(modes)])}, []Cell{Int(sizes[i/len(modes)])}
+		for _, c := range p[i : i+len(modes)] {
+			ra, rb = append(ra, c[0]), append(rb, c[1])
+		}
+		a.AddRow(ra...)
+		b.AddRow(rb...)
+	}
+	return a, b
 }
+
+// Fig3a is Figure 3's bandwidth panel (see Fig3).
+func Fig3a(opt Options) *Table { a, _ := Fig3(opt); return a }
+
+// Fig3b is Figure 3's percentage-of-peak panel (see Fig3).
+func Fig3b(opt Options) *Table { _, b := Fig3(opt); return b }
 
 // Fig4 regenerates Figure 4: global barrier latency at scale for the DV
 // intrinsic barrier, the in-house Fast Barrier, and MPI over InfiniBand.
@@ -86,13 +90,14 @@ func Fig4(opt Options) *Table {
 	if opt.Small {
 		iters = 30
 	}
-	for _, n := range opt.nodeSweep(2) {
-		row := []Cell{Int(n)}
-		for _, impl := range []barrier.Impl{barrier.DVIntrinsic, barrier.DVFastBarrier, barrier.MPIBarrier} {
-			r := barrier.Run(impl, n, iters)
-			row = append(row, Num(r.Latency.Micros(), 3, None))
-		}
-		t.AddRow(row...)
+	nodes := opt.nodeSweep(2)
+	impls := []barrier.Impl{barrier.DVIntrinsic, barrier.DVFastBarrier, barrier.MPIBarrier}
+	p := SweepRows(opt, t.ID, len(nodes)*len(impls), 1, func(i int) []Cell {
+		r := barrier.Run(impls[i%len(impls)], nodes[i/len(impls)], iters)
+		return []Cell{Num(r.Latency.Micros(), 3, None)}
+	})
+	for i := 0; i < len(p); i += len(impls) {
+		t.AddRow(Int(nodes[i/len(impls)]), p[i][0], p[i+1][0], p[i+2][0])
 	}
 	return t
 }
@@ -179,15 +184,24 @@ func Fig6(opt Options) (a, b *Table) {
 		par.TableWordsNode = 1 << 12
 		par.UpdatesPerNode = 1 << 11
 	}
-	for _, n := range opt.nodeSweep(4) {
-		par.Nodes = n
-		dv := gups.Run(comm.DV, par)
-		ib := gups.Run(comm.IB, par)
-		a.AddRow(Int(n), Num(dv.MUPSPerNode(), 2, None), Num(ib.MUPSPerNode(), 2, None))
-		b.AddRow(Int(n), Num(dv.MUPS(), 1, None), Num(ib.MUPS(), 1, None))
+	nodes := opt.nodeSweep(4)
+	p := SweepRows(opt, a.ID, 2*len(nodes), 2, func(i int) []Cell {
+		par := par
+		par.Nodes = nodes[i/2]
+		r := gups.Run(bothNets[i%2], par)
+		return []Cell{Num(r.MUPSPerNode(), 2, None), Num(r.MUPS(), 1, None)}
+	})
+	for i := 0; i < len(p); i += 2 {
+		dv, ib := p[i], p[i+1]
+		a.AddRow(Int(nodes[i/2]), dv[0], ib[0])
+		b.AddRow(Int(nodes[i/2]), dv[1], ib[1])
 	}
 	return a, b
 }
+
+// bothNets is the order a point pair runs the two stacks in: the Data Vortex
+// at the even index, InfiniBand at the odd one.
+var bothNets = [2]comm.Net{comm.DV, comm.IB}
 
 // Fig7 regenerates Figure 7: distributed FFT aggregate GFLOPS at scale.
 func Fig7(opt Options) *Table {
@@ -203,10 +217,12 @@ func Fig7(opt Options) *Table {
 	if opt.Small {
 		logN = 14
 	}
-	for _, n := range opt.nodeSweep(2) {
-		dv := fft.Run(comm.DV, fft.Params{Nodes: n, LogN: logN})
-		ib := fft.Run(comm.IB, fft.Params{Nodes: n, LogN: logN})
-		t.AddRow(Int(n), Num(dv.GFLOPS(), 2, None), Num(ib.GFLOPS(), 2, None))
+	nodes := opt.nodeSweep(2)
+	p := SweepRows(opt, t.ID, 2*len(nodes), 1, func(i int) []Cell {
+		return []Cell{Num(fft.Run(bothNets[i%2], fft.Params{Nodes: nodes[i/2], LogN: logN}).GFLOPS(), 2, None)}
+	})
+	for i := 0; i < len(p); i += 2 {
+		t.AddRow(Int(nodes[i/2]), p[i][0], p[i+1][0])
 	}
 	return t
 }
@@ -226,11 +242,14 @@ func Fig8(opt Options) *Table {
 		par.Scale = 12
 		par.NRoots = 2
 	}
-	for _, n := range opt.nodeSweep(2) {
-		par.Nodes = n
-		dv := bfs.Run(comm.DV, par)
-		ib := bfs.Run(comm.IB, par)
-		t.AddRow(Int(n), Num(dv.HarmonicMeanTEPS()/1e6, 1, None), Num(ib.HarmonicMeanTEPS()/1e6, 1, None))
+	nodes := opt.nodeSweep(2)
+	p := SweepRows(opt, t.ID, 2*len(nodes), 1, func(i int) []Cell {
+		par := par
+		par.Nodes = nodes[i/2]
+		return []Cell{Num(bfs.Run(bothNets[i%2], par).HarmonicMeanTEPS()/1e6, 1, None)}
+	})
+	for i := 0; i < len(p); i += 2 {
+		t.AddRow(Int(nodes[i/2]), p[i][0], p[i+1][0])
 	}
 	return t
 }
@@ -256,16 +275,26 @@ func Fig9(opt Options) *Table {
 		vp = vorticity.Params{Nodes: nodes, N: 64, Steps: 2}
 		hp = heat.Params{Nodes: nodes, N: 16, Steps: 5}
 	}
-	sd, si := snap.Run(comm.DV, sp), snap.Run(comm.IB, sp)
-	t.AddRow(Text("SNAP"), Dur(sd.Elapsed), Dur(si.Elapsed), speedup(si.Elapsed, sd.Elapsed))
-	vd, vi := vorticity.Run(comm.DV, vp), vorticity.Run(comm.IB, vp)
-	t.AddRow(Text("Vorticity"), Dur(vd.Elapsed), Dur(vi.Elapsed), speedup(vi.Elapsed, vd.Elapsed))
-	hd, hi := heat.Run(comm.DV, hp), heat.Run(comm.IB, hp)
-	t.AddRow(Text("Heat"), Dur(hd.Elapsed), Dur(hi.Elapsed), speedup(hi.Elapsed, hd.Elapsed))
+	apps := []struct {
+		name string
+		run  func(comm.Net) sim.Time
+	}{
+		{"SNAP", func(net comm.Net) sim.Time { return snap.Run(net, sp).Elapsed }},
+		{"Vorticity", func(net comm.Net) sim.Time { return vorticity.Run(net, vp).Elapsed }},
+		{"Heat", func(net comm.Net) sim.Time { return heat.Run(net, hp).Elapsed }},
+	}
+	p := SweepRows(opt, t.ID, 2*len(apps), 1, func(i int) []Cell {
+		return []Cell{Dur(apps[i/2].run(bothNets[i%2]))}
+	})
+	for i := 0; i < len(p); i += 2 {
+		dv, ib := p[i][0], p[i+1][0]
+		t.AddRow(Text(apps[i/2].name), dv, ib, speedup(ib, dv))
+	}
 	return t
 }
 
-// speedup is how many times longer slow took than fast, as a Ratio cell.
-func speedup(slow, fast sim.Time) Cell {
-	return Num(float64(slow)/float64(fast), 2, Ratio)
+// speedup is how many times longer slow took than fast, two Duration cells,
+// as a Ratio cell.
+func speedup(slow, fast Cell) Cell {
+	return Num(slow.V/fast.V, 2, Ratio)
 }

@@ -1,13 +1,13 @@
-// Crash-resumable sweeps. A Journal records every completed sweep point and
-// every completed experiment as one JSONL line in <dir>/journal.jsonl,
-// synced before the worker moves on, so a killed run (SIGKILL included)
-// loses at most the point in flight. Resuming re-opens the journal: finished
-// experiments are replayed from their stored tables, finished points are
-// returned without recomputation, and only the remaining work runs. Because
-// every sweep point derives its results from its own fixed seed, a resumed
-// run's final figures are byte-identical to an uninterrupted run's. Records
-// hold cells, numbers with their units, so a replayed table prints and plots
-// from the values it was built with.
+// Crash-resumable sweeps. Every simulator run of an experiment is a sweep
+// point (see SweepRows), and a Journal records every completed point as one
+// JSONL line in <dir>/journal.jsonl, synced before the worker moves on, so a
+// killed run (SIGKILL included) loses at most the points in flight. Resuming
+// re-opens the journal: finished points are returned without recomputation,
+// and only the remaining runs happen. Because every point derives its
+// results from its own fixed seed, a resumed run's final figures are
+// byte-identical to an uninterrupted run's. Records hold cells, numbers with
+// their units and unrounded values, so an experiment builds its rows from
+// replayed points exactly as from fresh ones.
 
 package bench
 
@@ -31,7 +31,6 @@ type Journal struct {
 	f    *os.File
 	err  error
 	rows map[string]journalRow
-	exps map[string][]*Table
 }
 
 // journalRow is a journaled sweep point and the journal line it came from (0
@@ -41,15 +40,13 @@ type journalRow struct {
 	line  int
 }
 
-// journalRec is one JSONL line: a completed sweep point ("row") or a
-// completed experiment with all its tables ("exp").
+// journalRec is one JSONL line: point I of the sweep Table, and its cells.
+// Kind is always "row".
 type journalRec struct {
-	Kind  string   `json:"kind"`
-	Table string   `json:"table,omitempty"`
-	I     int      `json:"i,omitempty"`
-	Cells []Cell   `json:"cells,omitempty"`
-	Exp   string   `json:"exp,omitempty"`
-	Full2 []*Table `json:"tables,omitempty"`
+	Kind  string `json:"kind"`
+	Table string `json:"table,omitempty"`
+	I     int    `json:"i,omitempty"`
+	Cells []Cell `json:"cells,omitempty"`
 }
 
 // JournalError reports a journal that cannot be resumed from: the line that
@@ -69,9 +66,9 @@ func (e *JournalError) Error() string {
 // record already present. A torn final line — the signature of a kill
 // mid-append: no newline ends it — is dropped from the file, not an error.
 // Any other line that does not parse (a line from before cells carried
-// values among them), names an unknown kind, or holds a row or table that
-// cannot be printed (a nil table, a row whose width differs from its
-// columns, a cell of unknown unit or precision) fails with a *JournalError.
+// values among them), names an unknown kind (the whole-experiment "exp"
+// records of older journals among them), or holds a cell of unknown unit or
+// precision fails with a *JournalError.
 func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -80,7 +77,6 @@ func OpenJournal(dir string) (*Journal, error) {
 	j := &Journal{
 		path: path,
 		rows: make(map[string]journalRow),
-		exps: make(map[string][]*Table),
 	}
 	b, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -119,41 +115,15 @@ func (j *Journal) load(line []byte, n int) error {
 		}
 		return fmt.Errorf("does not parse: %v", err)
 	}
-	switch rec.Kind {
-	case "row":
-		if err := checkCells(rec.Cells); err != nil {
-			return fmt.Errorf("%s point %d: %v", rec.Table, rec.I, err)
-		}
-		j.rows[rowKey(rec.Table, rec.I)] = journalRow{cells: rec.Cells, line: n}
-	case "exp":
-		for i, t := range rec.Full2 {
-			if t == nil {
-				return fmt.Errorf("experiment %q table %d is null", rec.Exp, i)
-			}
-			for r, row := range t.Rows {
-				if len(row) != len(t.Columns) {
-					return fmt.Errorf("experiment %q table %q row %d has %d cells for %d columns",
-						rec.Exp, t.ID, r, len(row), len(t.Columns))
-				}
-				if err := checkCells(row); err != nil {
-					return fmt.Errorf("experiment %q table %q row %d: %v", rec.Exp, t.ID, r, err)
-				}
-			}
-		}
-		j.exps[rec.Exp] = rec.Full2
-	default:
+	if rec.Kind != "row" {
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
-	return nil
-}
-
-// checkCells says why a journaled row cannot be printed.
-func checkCells(cells []Cell) error {
-	for k, c := range cells {
+	for k, c := range rec.Cells {
 		if err := c.check(); err != nil {
-			return fmt.Errorf("cell %d: %v", k, err)
+			return fmt.Errorf("%s point %d: cell %d: %v", rec.Table, rec.I, k, err)
 		}
 	}
+	j.rows[rowKey(rec.Table, rec.I)] = journalRow{cells: rec.Cells, line: n}
 	return nil
 }
 
@@ -212,29 +182,6 @@ func (j *Journal) fail(err error) {
 	}
 }
 
-// Experiment returns the journaled tables of a completed experiment.
-func (j *Journal) Experiment(id string) ([]*Table, bool) {
-	if j == nil {
-		return nil, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ts, ok := j.exps[id]
-	return ts, ok
-}
-
-// PutExperiment journals an experiment's complete output; on resume the
-// stored tables are replayed verbatim instead of re-running it.
-func (j *Journal) PutExperiment(id string, ts []*Table) {
-	if j == nil {
-		return
-	}
-	j.append(journalRec{Kind: "exp", Exp: id, Full2: ts})
-	j.mu.Lock()
-	j.exps[id] = ts
-	j.mu.Unlock()
-}
-
 // Err returns the first write error, if any; a journal that cannot persist
 // must not be trusted for resume.
 func (j *Journal) Err() error {
@@ -254,34 +201,38 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// SweepRows is Sweep for the row-producing sweep that fills t: point i's
-// row is appended in point order, and the journal and cancellation come from
-// Options. Journaled points are replayed without recomputation, fresh points
-// are journaled as they finish, and once Ctx is canceled the remaining
-// points are left out (finished ones are journaled, and the driver exits
-// with a resume hint). A journaled point whose width is not t's is rejected:
-// the point is recomputed, and the journal fails with a *JournalError (see
-// Err), so the run cannot end as if the journal had been sound.
-func SweepRows(opt Options, t *Table, n int, fn func(i int) []Cell) {
-	table := t.ID
-	rows := Sweep(opt.Jobs, n, func(i int) []Cell {
-		if r, ok := opt.Journal.row(table, i); ok {
-			if len(r.cells) == len(t.Columns) {
+// SweepRows runs the n points of the sweep key on Sweep's pool and returns
+// each point's width cells in point order. A point is one simulator run (or
+// one standalone drive of a switch core), and the experiment builds its rows
+// from the points' cells; key is the experiment's table ID. The journal and
+// cancellation come from Options. Journaled points are replayed without
+// recomputation, and fresh points are journaled as they finish. Once Ctx is
+// canceled the remaining points are left out and SweepRows returns nil
+// (finished ones are journaled, and the driver exits with a resume hint). A
+// journaled point of another width, such as a row an older build journaled
+// under the same key, is rejected: the point is recomputed, and the journal
+// fails with a *JournalError (see Err), so the run cannot end as if the
+// journal had been sound.
+func SweepRows(opt Options, key string, n, width int, fn func(i int) []Cell) [][]Cell {
+	points := Sweep(opt.Jobs, n, func(i int) []Cell {
+		if r, ok := opt.Journal.row(key, i); ok {
+			if len(r.cells) == width {
 				return r.cells
 			}
 			opt.Journal.fail(&JournalError{Path: opt.Journal.path, Line: r.line, Reason: fmt.Sprintf(
-				"%s point %d has %d cells for %d columns", table, i, len(r.cells), len(t.Columns))})
+				"%s point %d has %d cells, not %d", key, i, len(r.cells), width)})
 		}
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			return nil
 		}
 		cells := fn(i)
-		opt.Journal.PutRow(table, i, cells)
+		opt.Journal.PutRow(key, i, cells)
 		return cells
 	})
-	for _, r := range rows {
-		if r != nil {
-			t.AddRow(r...)
+	for _, p := range points {
+		if p == nil {
+			return nil
 		}
 	}
+	return points
 }

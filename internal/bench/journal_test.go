@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,9 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// tbl is a one-column table for the SweepRows tests to fill.
-func tbl() *Table { return &Table{ID: "tbl", Columns: []string{"c"}} }
-
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)
@@ -26,9 +22,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	j.PutRow("fig6a", 0, []Cell{Int(2), Num(1.5, 1, None)})
 	point3 := []Cell{Int(16), Num(9.9, 1, Ratio), Dur(2128 * sim.Microsecond), Num(1e-3, 0, Sci), Text("2x4/C2")}
 	j.PutRow("fig6a", 3, point3)
-	tab := &Table{ID: "fig4", Title: "t", Columns: []string{"a", "b"},
-		Rows: [][]Cell{{Num(0, 3, None), Num(155.04, 1, MkeysPerSec)}}}
-	j.PutExperiment("fig4", []*Table{tab})
 	if err := j.Err(); err != nil {
 		t.Fatalf("journal write error: %v", err)
 	}
@@ -48,9 +41,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if _, ok := j2.row("fig6a", 1); ok {
 		t.Error("row 1 was never journaled but resolved")
-	}
-	if ts, ok := j2.Experiment("fig4"); !ok || len(ts) != 1 || !reflect.DeepEqual(ts[0], tab) {
-		t.Errorf("experiment: got %+v ok=%t", ts, ok)
 	}
 }
 
@@ -112,26 +102,51 @@ func writeJournal(t testing.TB, data string) (*Journal, error) {
 // the line, never a panic at print time or a silently skipped record.
 func TestOpenJournal_Invalid(t *testing.T) {
 	row := `{"kind":"row","table":"extA","i":0,"cells":[{"text":"a"}]}` + "\n"
+	// A row extS journaled when a point was a whole row: seven cells, where
+	// a point is now one run's reading.
+	parentExtS := `{"kind":"row","table":"extS","i":0,"cells":[{"text":"GUPS (MUPS)"},{"v":8},{"text":"4x2/C2"},{"v":250.1,"prec":1},{"v":260.2,"prec":1},{"v":30.3,"prec":1},{"v":8.59,"unit":"x","prec":2}]}` + "\n"
 	tests := []struct {
 		name, data string
 		line       int
 		reason     string // part of the reason, when the case names one
+		// sweep, when set, runs on the opened journal: a point the journal
+		// holds at the wrong width is refused there, not at open.
+		sweep func(*testing.T, Options)
 	}{
-		{"null table", `{"kind":"exp","exp":"fig4","tables":[null]}` + "\n", 1, "is null"},
-		{"unparseable middle line", row + "not json\n" + row, 2, "does not parse"},
-		{"unknown kind", row + `{"kind":"rows","table":"extA"}` + "\n", 2, "unknown record kind"},
-		{"row wider than its columns", `{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[[{"v":1},{"v":2}]]}]}` + "\n", 1, "2 cells for 1 columns"},
-		{"complete bad final line", row + "{\n", 2, "does not parse"},
-		{"unknown unit", row + `{"kind":"row","table":"extA","i":1,"cells":[{"v":1,"unit":"furlongs"}]}` + "\n", 2, `unknown unit "furlongs"`},
-		{"precision past the bound", `{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[[{"v":1,"prec":400}]]}]}` + "\n", 1, "precision 400"},
+		{"unparseable middle line", row + "not json\n" + row, 2, "does not parse", nil},
+		{"unknown kind", row + `{"kind":"rows","table":"extA"}` + "\n", 2, "unknown record kind", nil},
+		// A whole experiment's tables were a record of their own until every
+		// run became a point.
+		{"experiment record", row + `{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[[{"v":1}]]}]}` + "\n", 2, `unknown record kind "exp"`, nil},
+		{"row wider than its columns", `{"kind":"row","table":"tbl","i":0,"cells":[{"v":1},{"v":2}]}` + "\n", 1, "2 cells, not 1",
+			func(t *testing.T, opt Options) {
+				SweepRows(opt, "tbl", 1, 1, func(int) []Cell { return []Cell{Int(1)} })
+			}},
+		{"parent-written extS row", parentExtS, 1, "extS point 0 has 7 cells, not 1",
+			func(t *testing.T, opt Options) {
+				if testing.Short() {
+					t.Skip("runs extS at -small size")
+				}
+				opt.Small = true
+				if got, want := ExtScalingCrossover(opt), ExtScalingCrossover(Options{Small: true}); !reflect.DeepEqual(got, want) {
+					t.Errorf("extS replayed part of the journal:\n got %v\nwant %v", got.Rows, want.Rows)
+				}
+			}},
+		{"complete bad final line", row + "{\n", 2, "does not parse", nil},
+		{"unknown unit", row + `{"kind":"row","table":"extA","i":1,"cells":[{"v":1,"unit":"furlongs"}]}` + "\n", 2, `unknown unit "furlongs"`, nil},
+		{"precision past the bound", row + `{"kind":"row","table":"extA","i":1,"cells":[{"v":1,"prec":400}]}` + "\n", 2, "precision 400", nil},
 		// A journal from before cells carried values holds them as text; it
 		// is refused, never reparsed.
-		{"text-cell row", `{"kind":"row","table":"extA","i":0,"cells":["a"]}` + "\n", 1, "before cells carried values"},
-		{"text-cell experiment", row + `{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[["1"]]}]}` + "\n", 2, "before cells carried values"},
+		{"text-cell row", `{"kind":"row","table":"extA","i":0,"cells":["a"]}` + "\n", 1, "before cells carried values", nil},
+		{"text cell after a value", row + `{"kind":"row","table":"extA","i":1,"cells":[{"v":1},"1"]}` + "\n", 2, "before cells carried values", nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			j, err := writeJournal(t, tt.data)
+			if err == nil && tt.sweep != nil {
+				tt.sweep(t, Options{Journal: j})
+				err = j.Err()
+			}
 			var je *JournalError
 			if !errors.As(err, &je) {
 				j.Close()
@@ -148,18 +163,17 @@ func TestOpenJournal_Invalid(t *testing.T) {
 }
 
 // TestSweepRowsRejectsJournaledWidth: a journaled point narrower than its
-// table (an extB row of one cell) is not replayed into the figure; the point
-// is recomputed and the journal reports the bad line.
+// sweep's width (an extB point of one cell) is not replayed into the figure;
+// the point is recomputed and the journal reports the bad line.
 func TestSweepRowsRejectsJournaledWidth(t *testing.T) {
 	j, err := writeJournal(t, `{"kind":"row","table":"extB","i":0,"cells":[{"v":1}]}`+"\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	tab := &Table{ID: "extB", Columns: []string{"a", "b"}}
-	SweepRows(Options{Journal: j}, tab, 1, func(int) []Cell { return []Cell{Text("x"), Text("y")} })
-	if len(tab.Rows) != 1 || len(tab.Rows[0]) != 2 {
-		t.Errorf("rows = %v, want the recomputed two cells", tab.Rows)
+	p := SweepRows(Options{Journal: j}, "extB", 1, 2, func(int) []Cell { return []Cell{Text("x"), Text("y")} })
+	if len(p) != 1 || len(p[0]) != 2 {
+		t.Errorf("points = %v, want the recomputed two cells", p)
 	}
 	var je *JournalError
 	if err := j.Err(); !errors.As(err, &je) || je.Line != 1 {
@@ -168,11 +182,11 @@ func TestSweepRowsRejectsJournaledWidth(t *testing.T) {
 }
 
 // FuzzOpenJournal: any bytes on disk either open as a journal whose every
-// replayed row and table prints and reads as values, or fail with a
+// replayed point prints and reads as values, or fail with a
 // *JournalError; never a panic.
 func FuzzOpenJournal(f *testing.F) {
 	f.Add(`{"kind":"row","table":"extA","i":0,"cells":[{"text":"a"},{"v":2.5,"unit":"x","prec":2}]}` + "\n")
-	f.Add(`{"kind":"exp","exp":"fig4","tables":[{"ID":"fig4","Columns":["a"],"Rows":[[{"v":2128000000,"unit":"duration"}]]}]}` + "\n" + `{"kind":"ro`)
+	f.Add(`{"kind":"row","table":"fig9","i":0,"cells":[{"v":2128000000,"unit":"duration"}]}` + "\n" + `{"kind":"ro`)
 	f.Fuzz(func(t *testing.T, data string) {
 		j, err := writeJournal(t, data)
 		if err != nil {
@@ -183,19 +197,6 @@ func FuzzOpenJournal(f *testing.F) {
 			return
 		}
 		defer j.Close()
-		for id, ts := range j.exps {
-			for _, tab := range ts {
-				if tab == nil {
-					t.Fatalf("experiment %q replays a nil table", id)
-				}
-				tab.Fprint(io.Discard)
-				for _, row := range tab.Rows {
-					for _, c := range row {
-						c.Value()
-					}
-				}
-			}
-		}
 		for _, r := range j.rows {
 			for _, c := range r.cells {
 				_ = c.String()
@@ -215,15 +216,13 @@ func TestSweepRowsSkipsJournaled(t *testing.T) {
 	j.PutRow("tbl", 1, []Cell{Text("from-journal")})
 
 	var calls int32
-	tab := tbl()
-	SweepRows(Options{Journal: j}, tab, 3, func(i int) []Cell {
+	rows := SweepRows(Options{Journal: j}, "tbl", 3, 1, func(i int) []Cell {
 		atomic.AddInt32(&calls, 1)
 		return []Cell{Text("computed")}
 	})
 	if calls != 2 {
 		t.Errorf("fn ran %d times, want 2 (point 1 journaled)", calls)
 	}
-	rows := tab.Rows
 	if len(rows) != 3 || rows[1][0] != Text("from-journal") || rows[0][0] != Text("computed") || rows[2][0] != Text("computed") {
 		t.Errorf("rows = %v", rows)
 	}
@@ -237,16 +236,15 @@ func TestSweepRowsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls int32
-	tab := tbl()
-	SweepRows(Options{Ctx: ctx}, tab, 4, func(i int) []Cell {
+	p := SweepRows(Options{Ctx: ctx}, "tbl", 4, 1, func(i int) []Cell {
 		atomic.AddInt32(&calls, 1)
 		return []Cell{Text("x")}
 	})
 	if calls != 0 {
 		t.Errorf("fn ran %d times under a canceled context", calls)
 	}
-	if len(tab.Rows) != 0 {
-		t.Errorf("a canceled sweep added rows %v", tab.Rows)
+	if p != nil {
+		t.Errorf("a canceled sweep returned points %v", p)
 	}
 }
 
@@ -254,12 +252,11 @@ func TestSweepRowsCancellation(t *testing.T) {
 // Sweep — every point computes.
 func TestSweepRowsNilJournal(t *testing.T) {
 	var calls int32
-	tab := tbl()
-	SweepRows(Options{}, tab, 3, func(i int) []Cell {
+	p := SweepRows(Options{}, "tbl", 3, 1, func(i int) []Cell {
 		atomic.AddInt32(&calls, 1)
 		return []Cell{Text("y")}
 	})
-	if calls != 3 || len(tab.Rows) != 3 {
-		t.Errorf("calls=%d rows=%d", calls, len(tab.Rows))
+	if calls != 3 || len(p) != 3 {
+		t.Errorf("calls=%d points=%d", calls, len(p))
 	}
 }

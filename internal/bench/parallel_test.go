@@ -28,21 +28,22 @@ func TestSweepOrderAndCoverage(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministic runs a real experiment serially and in parallel and
-// requires identical tables — the property the -jobs flag advertises.
+// TestSweepDeterministic runs real experiments serially and in parallel and
+// requires identical tables — the property the -jobs flag advertises. extH
+// drives switch cores; validate runs clusters whose points share references
+// that the first of them computes.
 func TestSweepDeterministic(t *testing.T) {
-	run := func(jobs int) *Table {
-		return ExtFaults(Options{Small: true, Jobs: jobs})
-	}
-	serial, par := run(1), run(4)
-	if len(serial.Rows) != len(par.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(serial.Rows), len(par.Rows))
-	}
-	for i := range serial.Rows {
-		for j := range serial.Rows[i] {
-			if serial.Rows[i][j] != par.Rows[i][j] {
-				t.Errorf("row %d col %d: serial %q, parallel %q",
-					i, j, serial.Rows[i][j], par.Rows[i][j])
+	for _, exp := range []func(Options) *Table{ExtFaults, Validate} {
+		serial, par := exp(Options{Small: true, Jobs: 1}), exp(Options{Small: true, Jobs: 4})
+		if len(serial.Rows) != len(par.Rows) {
+			t.Fatalf("%s: row counts differ: %d vs %d", serial.ID, len(serial.Rows), len(par.Rows))
+		}
+		for i := range serial.Rows {
+			for j := range serial.Rows[i] {
+				if serial.Rows[i][j] != par.Rows[i][j] {
+					t.Errorf("%s row %d col %d: serial %q, parallel %q",
+						serial.ID, i, j, serial.Rows[i][j], par.Rows[i][j])
+				}
 			}
 		}
 	}

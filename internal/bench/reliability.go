@@ -89,31 +89,35 @@ func ExtReliability(opt Options) *Table {
 				r.Report.Dropped, r.Report.Reliability.Retransmits, int64(r.Iters - r.Completed)}
 		}},
 	}
-	for _, w := range workloads {
-		var base sim.Time // the clean unprotected run's elapsed time
-		for _, rate := range rates {
-			rc := Num(rate, 0, Sci)
-			if rate == 0 {
-				rc = Int(0)
-			}
-			for _, reliable := range []bool{false, true} {
-				o := w.run(plan(rate), reliable, !reliable && rate > 0)
-				path, valid, slow := Text("unprotected"), Text("NO"), Text("-")
-				if reliable {
-					path = Text("reliable")
-				} else if rate == 0 {
-					base = o.elapsed
-				}
-				if o.ok {
-					valid = Text("yes")
-				}
-				if base != 0 && o.elapsed != 0 {
-					slow = speedup(o.elapsed, base)
-				}
-				t.AddRow(Text(w.name), rc, path, valid, Dur(o.elapsed), slow,
-					Int(o.dropped), Int(o.retrans), Int(o.lost))
-			}
+	// Point i is workload i/(2*len(rates)) at rate i/2%len(rates), on the
+	// unprotected API at even i and on reliable delivery at odd i: one row
+	// each. A point's cells are valid, elapsed, dropped, retrans and lost.
+	per := 2 * len(rates)
+	p := SweepRows(opt, t.ID, len(workloads)*per, 5, func(i int) []Cell {
+		rate, reliable := rates[i/2%len(rates)], i%2 == 1
+		o := workloads[i/per].run(plan(rate), reliable, !reliable && rate > 0)
+		valid := Text("NO")
+		if o.ok {
+			valid = Text("yes")
 		}
+		return []Cell{valid, Dur(o.elapsed), Int(o.dropped), Int(o.retrans), Int(o.lost)}
+	})
+	for i, c := range p {
+		rate := rates[i/2%len(rates)]
+		rc := Num(rate, 0, Sci)
+		if rate == 0 {
+			rc = Int(0)
+		}
+		path := Text("unprotected")
+		if i%2 == 1 {
+			path = Text("reliable")
+		}
+		// The workload's first point is its clean unprotected run.
+		slow, base := Text("-"), p[i-i%per][1]
+		if base.V != 0 && c[1].V != 0 {
+			slow = speedup(c[1], base)
+		}
+		t.AddRow(Text(workloads[i/per].name), rc, path, c[0], c[1], slow, c[2], c[3], c[4])
 	}
 	return t
 }

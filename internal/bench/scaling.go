@@ -43,57 +43,54 @@ func ExtScalingCrossover(opt Options) *Table {
 		a2aWords = 16
 		a2aRounds = 2
 	}
-	SweepRows(opt, t, 3*len(counts), func(i int) []Cell {
-		n := counts[i%len(counts)]
-		g := dvswitch.ForPorts(n)
-		geom := Text(fmt.Sprintf("%dx%d/C%d", g.Heights, g.Angles, g.Cylinders()))
-		switch i / len(counts) {
+	// Point i runs kernel i/per at node count counts[i/3%len(counts)] on
+	// fabric i%3: the single-plane Data Vortex, two planes, or the scaled fat
+	// tree. A point is one raw reading: MUPS, TEPS, or a Duration per
+	// exchange.
+	kernels := []string{"GUPS (MUPS)", "BFS (MTEPS)", "alltoall (us/exch)"}
+	per := 3 * len(counts)
+	p := SweepRows(opt, t.ID, len(kernels)*per, 1, func(i int) []Cell {
+		n, fabric := counts[i/3%len(counts)], i%3
+		net, planes, scaled := comm.DV, 0, false
+		switch fabric {
+		case 1:
+			planes = 2
+		case 2:
+			net, scaled = comm.IB, true
+		}
+		switch i / per {
 		case 0: // GUPS: fine-grained random updates — the DV sweet spot.
-			par := gups.Params{Nodes: n, TableWordsNode: 1 << 14,
-				UpdatesPerNode: gupsUpd}
-			d1 := gups.Run(comm.DV, par)
-			par.DVPlanes = 2
-			d2 := gups.Run(comm.DV, par)
-			par.DVPlanes = 0
-			par.IBScaled = true
-			ib := gups.Run(comm.IB, par)
-			best := d1.MUPS()
-			if d2.MUPS() > best {
-				best = d2.MUPS()
-			}
-			return []Cell{Text("GUPS (MUPS)"), Int(n), geom,
-				Num(d1.MUPS(), 1, None), Num(d2.MUPS(), 1, None),
-				Num(ib.MUPS(), 1, None), Num(best/ib.MUPS(), 2, Ratio)}
+			r := gups.Run(net, gups.Params{Nodes: n, TableWordsNode: 1 << 14, UpdatesPerNode: gupsUpd,
+				Platform: cluster.Platform{DVPlanes: planes, IBScaled: scaled}})
+			return []Cell{Num(r.MUPS(), 1, None)}
 		case 1: // BFS: frontier exchanges of single-edge packets.
-			par := bfs.Params{Nodes: n, Scale: bfsScale, EdgeFactor: 8, NRoots: 1}
-			d1 := bfs.Run(comm.DV, par)
-			par.DVPlanes = 2
-			d2 := bfs.Run(comm.DV, par)
-			par.DVPlanes = 0
-			par.IBScaled = true
-			ib := bfs.Run(comm.IB, par)
-			best := d1.HarmonicMeanTEPS()
-			if d2.HarmonicMeanTEPS() > best {
-				best = d2.HarmonicMeanTEPS()
-			}
-			return []Cell{Text("BFS (MTEPS)"), Int(n), geom,
-				Num(d1.HarmonicMeanTEPS()/1e6, 1, None),
-				Num(d2.HarmonicMeanTEPS()/1e6, 1, None),
-				Num(ib.HarmonicMeanTEPS()/1e6, 1, None),
-				Num(best/ib.HarmonicMeanTEPS(), 2, Ratio)}
+			r := bfs.Run(net, bfs.Params{Nodes: n, Scale: bfsScale, EdgeFactor: 8, NRoots: 1,
+				Platform: cluster.Platform{DVPlanes: planes, IBScaled: scaled}})
+			return []Cell{Num(r.HarmonicMeanTEPS(), 0, None)}
 		default: // all-to-all: the bulk-exchange contrast case (lower is better).
-			d1 := alltoallExchange(comm.DV, n, a2aWords, a2aRounds, 0, false)
-			d2 := alltoallExchange(comm.DV, n, a2aWords, a2aRounds, 2, false)
-			ib := alltoallExchange(comm.IB, n, a2aWords, a2aRounds, 0, true)
-			best := d1
-			if d2 < best {
-				best = d2
-			}
-			return []Cell{Text("alltoall (us/exch)"), Int(n), geom,
-				Num(d1.Micros(), 2, None), Num(d2.Micros(), 2, None),
-				Num(ib.Micros(), 2, None), speedup(ib, best)}
+			return []Cell{Dur(alltoallExchange(net, n, a2aWords, a2aRounds, planes, scaled))}
 		}
 	})
+	for i := 0; i < len(p); i += 3 {
+		n := counts[i/3%len(counts)]
+		g := dvswitch.ForPorts(n)
+		row := []Cell{Text(kernels[i/per]), Int(n), Text(fmt.Sprintf("%dx%d/C%d", g.Heights, g.Angles, g.Cylinders()))}
+		d1, d2, ib := p[i][0], p[i+1][0], p[i+2][0]
+		switch i / per {
+		case 0:
+			t.AddRow(append(row, d1, d2, ib, Num(max(d1.V, d2.V)/ib.V, 2, Ratio))...)
+		case 1:
+			t.AddRow(append(row, Num(d1.V/1e6, 1, None), Num(d2.V/1e6, 1, None), Num(ib.V/1e6, 1, None),
+				Num(max(d1.V, d2.V)/ib.V, 2, Ratio))...)
+		default:
+			best := d1
+			if d2.V < best.V {
+				best = d2
+			}
+			us := func(c Cell) Cell { return Num(sim.Time(c.V).Micros(), 2, None) }
+			t.AddRow(append(row, us(d1), us(d2), us(ib), speedup(ib, best))...)
+		}
+	}
 	return t
 }
 

@@ -257,8 +257,8 @@ type Options struct {
 	// are clamped. Results are identical at any setting.
 	Jobs int
 	// Journal, when non-nil, makes sweeps crash-resumable: each completed
-	// point and experiment is persisted before moving on, and a re-run with
-	// the same journal recomputes only what is missing (see Journal).
+	// point (one simulator run) is persisted before moving on, and a re-run
+	// with the same journal recomputes only what is missing (see Journal).
 	Journal *Journal
 	// Ctx, when non-nil, cancels sweeps cooperatively: once done, workers
 	// stop starting new points (in-flight points finish and are journaled).

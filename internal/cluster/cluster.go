@@ -435,14 +435,14 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	var tracer *attr.Tracer
 	switch {
 	case cfg.Attr != nil:
-		tracer = attr.NewTracer(cfg.Attr)
+		tracer = attr.NewTracer(cfg.Attr, dvswitch.WireBytes)
 		if chk != nil {
 			chk.AttachAttr(tracer)
 		}
 	case cfg.Obs != nil && cfg.Obs.PacketSample > 0:
 		// No Report.Attr would carry an overflow count, so the flows are
 		// not capped: a run's spans are all of its sampled packets.
-		tracer = attr.NewTracer(&attr.Config{Sample: cfg.Obs.PacketSample, MaxFlows: math.MaxInt32})
+		tracer = attr.NewTracer(&attr.Config{Sample: cfg.Obs.PacketSample, MaxFlows: math.MaxInt32}, dvswitch.WireBytes)
 	}
 
 	// Observability: one registry and sampler per run (the kernel is
@@ -766,7 +766,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 			if cfg.Attr == nil {
 				every = 1 // the tracer sampled when it began each flow
 			}
-			tracer.PacketEvents(packets, k.Now(), every, dvswitch.WireBytes)
+			tracer.PacketEvents(packets, k.Now(), every)
 		}
 		if cfg.Attr != nil && cfg.Attr.Chrome {
 			tracer.ChromeEvents(packets)

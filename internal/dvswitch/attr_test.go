@@ -105,7 +105,7 @@ func TestEnginesAgreeOnUnloadedStages(t *testing.T) {
 	p := Params{Heights: 8, Angles: 4}
 	stages := func(cycle bool, src, dst int) (wait, fabric sim.Time, defl int32) {
 		k := sim.NewKernel()
-		tr := attr.NewTracer(&attr.Config{Sample: 1})
+		tr := attr.NewTracer(&attr.Config{Sample: 1}, WireBytes)
 		var f Fabric
 		if cycle {
 			e := NewEngine(k, p, DefaultCycleTime)

@@ -208,7 +208,7 @@ func TestOnePlaneIsTheUnwrappedEngine(t *testing.T) {
 		run := func(wrap bool) ([]delivery, Stats, [attr.NumStages]attr.StageAgg) {
 			k := sim.NewKernel()
 			eng := NewEngine(k, p, DefaultCycleTime)
-			tr := attr.NewTracer(&attr.Config{Sample: 1})
+			tr := attr.NewTracer(&attr.Config{Sample: 1}, WireBytes)
 			eng.SetAttr(tr)
 			var fab Fabric = eng
 			if wrap {

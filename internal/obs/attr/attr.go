@@ -172,6 +172,8 @@ type Tracer struct {
 	seq   uint64          // flow ordinals seen (sampling candidates)
 	flows obs.Pages[Flow] // retained flows; flow id is record id-1, never moved
 
+	wireBytes int // a fabric packet's size on the wire: its trace rows' and packet spans' bytes
+
 	completed int64
 	dropped   int64 // explicitly abandoned (CRC discard, FIFO overflow, fabric drop)
 	overflow  int64 // sampled flows past MaxFlows, not retained
@@ -192,8 +194,10 @@ type computeSpan struct {
 	t0, t1 sim.Time
 }
 
-// NewTracer builds a tracer for cfg. cfg must not be nil.
-func NewTracer(cfg *Config) *Tracer {
+// NewTracer builds a tracer for cfg, whose fabric carries packets of
+// wireBytes on the wire (dvswitch.WireBytes, which this package cannot
+// import). cfg must not be nil.
+func NewTracer(cfg *Config, wireBytes int) *Tracer {
 	c := *cfg
 	if c.TopK <= 0 {
 		c.TopK = 16
@@ -201,7 +205,7 @@ func NewTracer(cfg *Config) *Tracer {
 	if c.MaxFlows <= 0 {
 		c.MaxFlows = 1 << 20
 	}
-	return &Tracer{cfg: c, epochs: make(map[int]uint16), mut: c.Mutate}
+	return &Tracer{cfg: c, wireBytes: wireBytes, epochs: make(map[int]uint16), mut: c.Mutate}
 }
 
 // splitmix64 is the SplitMix64 finalizer: cheap, high-quality, and

@@ -17,7 +17,7 @@ const usT = sim.Microsecond
 // TestStampTelescoping pins the core property: stage durations are adjacent
 // differences of one monotone clock, so they sum to end-to-end latency.
 func TestStampTelescoping(t *testing.T) {
-	tr := NewTracer(&Config{})
+	tr := NewTracer(&Config{}, 16)
 	id := tr.Begin(0, 3, KindWrite, 10*usT)
 	if id == 0 {
 		t.Fatal("flow not traced at Sample=0")
@@ -50,7 +50,7 @@ func TestStampTelescoping(t *testing.T) {
 
 // TestCompleteIdempotent: double completion must not double-count.
 func TestCompleteIdempotent(t *testing.T) {
-	tr := NewTracer(&Config{})
+	tr := NewTracer(&Config{}, 16)
 	id := tr.Begin(0, 1, KindFIFO, 0)
 	tr.Complete(id, 5*usT)
 	tr.Complete(id, 9*usT)
@@ -91,7 +91,7 @@ func TestNilSafety(t *testing.T) {
 // (Seed, Sample), roughly 1-in-N, and different seeds select different sets.
 func TestSampling(t *testing.T) {
 	pick := func(seed uint64) []uint64 {
-		tr := NewTracer(&Config{Sample: 8, Seed: seed})
+		tr := NewTracer(&Config{Sample: 8, Seed: seed}, 16)
 		var kept []uint64
 		for i := uint64(0); i < 4096; i++ {
 			if tr.Begin(0, 1, KindWrite, 0) != 0 {
@@ -127,7 +127,7 @@ func TestSampling(t *testing.T) {
 
 // TestMaxFlowsOverflow: flows past the cap are counted, not retained.
 func TestMaxFlowsOverflow(t *testing.T) {
-	tr := NewTracer(&Config{MaxFlows: 2})
+	tr := NewTracer(&Config{MaxFlows: 2}, 16)
 	for i := 0; i < 5; i++ {
 		tr.Begin(0, 1, KindWrite, 0)
 	}
@@ -140,7 +140,7 @@ func TestMaxFlowsOverflow(t *testing.T) {
 // TestEpochs pins retransmit-epoch bracketing: flows begun inside a bracket
 // carry the epoch; the first entry into an epoch is counted once.
 func TestEpochs(t *testing.T) {
-	tr := NewTracer(&Config{})
+	tr := NewTracer(&Config{}, 16)
 	a := tr.Begin(2, 0, KindWrite, 0)
 	tr.SetEpoch(2, 1)
 	b := tr.Begin(2, 0, KindWrite, 0)
@@ -161,7 +161,7 @@ func TestEpochs(t *testing.T) {
 // TestMutations: planted defects must break the telescoping sum.
 func TestMutations(t *testing.T) {
 	for _, mut := range []Mutation{MutDoubleFabric, MutSkipDrain} {
-		tr := NewTracer(&Config{Mutate: mut})
+		tr := NewTracer(&Config{Mutate: mut}, 16)
 		id := tr.Begin(0, 1, KindWrite, 0)
 		tr.Stamp(id, StageHostTx, 1*usT)
 		tr.StampFabric(id, 2*usT, 5*usT, 3, 0)
@@ -180,7 +180,7 @@ func TestMutations(t *testing.T) {
 // TestSummaryAggregation checks the per-stage/per-node/per-kind rollups and
 // the slowest-flow ordering.
 func TestSummaryAggregation(t *testing.T) {
-	tr := NewTracer(&Config{TopK: 2})
+	tr := NewTracer(&Config{TopK: 2}, 16)
 	// Node 1, write, e2e 4us.
 	a := tr.Begin(1, 0, KindWrite, 0)
 	tr.StampFabric(a, 1*usT, 3*usT, 2, 0)
@@ -250,7 +250,7 @@ func TestSummaryAggregation(t *testing.T) {
 
 // TestHeat checks the census grid and its rendering.
 func TestHeat(t *testing.T) {
-	tr := NewTracer(&Config{})
+	tr := NewTracer(&Config{}, 16)
 	h := tr.HeatGrid(2, 3)
 	h.Add(0, 1)
 	h.Add(1, 2)
@@ -367,11 +367,11 @@ func TestCriticalPathIgnoresRecordOrder(t *testing.T) {
 
 // TestTraceProjection pins how a traced run's flows become Figure 5's rows:
 // a compute span is a "compute" state; an MPI flow is one message from issue
-// to completion with its size; a flow the fabric stamped is one 16-byte
-// message at its delivery (issue plus the stages up to the fabric), kept only
+// to completion with its size; a flow the fabric stamped is one message of
+// the tracer's wire size at its delivery (issue plus the stages up to the fabric), kept only
 // at or before the run's end; a dropped flow, never stamped, is no row.
 func TestTraceProjection(t *testing.T) {
-	tr := NewTracer(&Config{Trace: true})
+	tr := NewTracer(&Config{Trace: true}, 24)
 	tr.Compute(2, 1*usT, 4*usT)
 	tr.MPIFlow(0, 1, 2*usT, 9*usT, 64)
 	dv := tr.Begin(1, 2, KindWrite, 10*usT)
@@ -391,16 +391,16 @@ func TestTraceProjection(t *testing.T) {
 	wantStates := []trace.StateRec{{Node: 2, State: "compute", T0: 1 * usT, T1: 4 * usT}}
 	wantMsgs := []trace.MsgRec{
 		{Src: 0, Dst: 1, T0: 2 * usT, T1: 9 * usT, Bytes: 64},
-		{Src: 1, Dst: 2, T0: 15 * usT, T1: 15 * usT, Bytes: 16},
+		{Src: 1, Dst: 2, T0: 15 * usT, T1: 15 * usT, Bytes: 24},
 	}
 	if !reflect.DeepEqual(log.States, wantStates) || !reflect.DeepEqual(log.Messages, wantMsgs) {
 		t.Fatalf("trace = %+v / %+v, want %+v / %+v", log.States, log.Messages, wantStates, wantMsgs)
 	}
 
-	if _, err := NewTracer(&Config{}).Finalize(0).Trace(); err == nil {
+	if _, err := NewTracer(&Config{}, 16).Finalize(0).Trace(); err == nil {
 		t.Error("an untraced run returned a trace")
 	}
-	over := NewTracer(&Config{Trace: true, MaxFlows: 1})
+	over := NewTracer(&Config{Trace: true, MaxFlows: 1}, 16)
 	over.MPIFlow(0, 1, 0, usT, 8)
 	over.MPIFlow(1, 0, 0, usT, 8)
 	if s := over.Finalize(usT); s.CritPath != nil {
@@ -412,7 +412,7 @@ func TestTraceProjection(t *testing.T) {
 
 // TestMPIFlow checks the single-stage baseline flow.
 func TestMPIFlow(t *testing.T) {
-	tr := NewTracer(&Config{})
+	tr := NewTracer(&Config{}, 16)
 	tr.MPIFlow(0, 3, 2*usT, 9*usT, 64)
 	s := tr.Finalize(0)
 	if s.Completed != 1 {
@@ -428,7 +428,7 @@ func TestMPIFlow(t *testing.T) {
 // any state difference changes the encoding.
 func TestSnapshotDeterministic(t *testing.T) {
 	build := func(extra bool) []byte {
-		tr := NewTracer(&Config{})
+		tr := NewTracer(&Config{}, 16)
 		id := tr.Begin(0, 1, KindWrite, 0)
 		tr.Stamp(id, StageHostTx, 1*usT)
 		tr.SetEpoch(3, 2)
@@ -451,7 +451,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 
 // TestChromeEvents checks span emission and flow binding.
 func TestChromeEvents(t *testing.T) {
-	tr := NewTracer(&Config{})
+	tr := NewTracer(&Config{}, 16)
 	id := tr.Begin(0, 2, KindWrite, 10*usT)
 	tr.Stamp(id, StageHostTx, 12*usT)
 	tr.StampFabric(id, 12*usT, 14*usT, 2, 0)

@@ -9,12 +9,11 @@ import (
 // flow the fabric delivered by end — the rule Figure 5's trace uses — from
 // the packet's hand-off to the switch to its delivery (the inject-wait and
 // fabric stages), with pid = destination node, tid = source node, bytes =
-// the fabric's packet size on the wire (dvswitch.WireBytes, which this
-// package cannot import), and the flow's hops and deflections. Of those
+// the tracer's wire size, and the flow's hops and deflections. Of those
 // flows it keeps roughly 1-in-every by the tracer's sampling hash of the
 // flow's index (id-1); every <= 1 keeps all of them. Events are in flow-id
 // order. Nil-safe.
-func (t *Tracer) PacketEvents(evs *obs.Pages[obs.TraceEvent], end sim.Time, every uint64, bytes int) {
+func (t *Tracer) PacketEvents(evs *obs.Pages[obs.TraceEvent], end sim.Time, every uint64) {
 	if t == nil {
 		return
 	}
@@ -31,7 +30,7 @@ func (t *Tracer) PacketEvents(evs *obs.Pages[obs.TraceEvent], end sim.Time, ever
 		evs.Append(obs.TraceEvent{
 			Name: "packet", Cat: "net", Ph: "X",
 			TS: us(inject), Dur: us(eject - inject), PID: dst, TID: src,
-			Args: obs.PacketArgs{Src: src, Dst: dst, Bytes: bytes,
+			Args: obs.PacketArgs{Src: src, Dst: dst, Bytes: t.wireBytes,
 				Hops: int(f.Hops), Deflections: int(f.Deflections)},
 		})
 	}

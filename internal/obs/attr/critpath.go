@@ -22,16 +22,11 @@ type CritStep struct {
 	Bytes int `json:",omitempty"`
 }
 
-// wireBytes is the size of one Data Vortex packet on the wire
-// (dvswitch.WireBytes, which this package cannot import): the byte count of
-// every fabric row of the trace.
-const wireBytes = 16
-
 // traceLog projects the tracer's records onto Figure 5's execution trace:
 // one "compute" state per compute span; one message per MPI flow, from issue
 // to completion with its size; and one message per flow the fabric delivered
 // by end, with t0 = t1 = the delivery (issue plus its stages up to and
-// including the fabric) and wireBytes. A dropped packet is never stamped by
+// including the fabric) and the tracer's wire size. A dropped packet is never stamped by
 // the fabric, and a fast-model delivery scheduled past a cut run's end never
 // happened. Records are in id order; the writers sort them.
 func (t *Tracer) traceLog(end sim.Time) *trace.Log {
@@ -54,7 +49,7 @@ func (t *Tracer) traceLog(end sim.Time) *trace.Log {
 			if at > end {
 				continue
 			}
-			m.T0, m.T1, m.Bytes = at, at, wireBytes
+			m.T0, m.T1, m.Bytes = at, at, t.wireBytes
 		default:
 			continue
 		}

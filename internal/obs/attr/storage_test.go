@@ -26,7 +26,7 @@ var boundaryIDs = []uint32{8193, 4096, 1, 8192, 4097}
 // pageBoundaryTracer begins 2*4096+3 flows and stamps and completes the
 // boundaryIDs, in that order.
 func pageBoundaryTracer() *Tracer {
-	tr := NewTracer(&Config{})
+	tr := NewTracer(&Config{}, 16)
 	const n = 2*4096 + 3
 	for i := 0; i < n; i++ {
 		tr.Begin(i%7, i%5, Kind(i%int(numKinds)), sim.Time(i)*usT)
@@ -89,7 +89,7 @@ func TestSlowestIsTheSortedPrefix(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 50 + rng.Intn(400)
-		tr := NewTracer(&Config{})
+		tr := NewTracer(&Config{}, 16)
 		var want []SlowFlow
 		for i := 0; i < n; i++ {
 			id := tr.Begin(i%9, i%4, KindWrite, sim.Time(i)*usT)
@@ -122,7 +122,7 @@ func tracedBytes(n int) uint64 {
 	for range 3 {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		tr := NewTracer(&Config{})
+		tr := NewTracer(&Config{}, 16)
 		for i := 0; i < n; i++ {
 			tr.Begin(i&31, (i+1)&31, KindWrite, sim.Time(i))
 		}

@@ -77,7 +77,7 @@ func traceRun(scalar bool, send func(v *VIC, p *sim.Proc)) (tr sendTrace) {
 	v.SetPortResolver(func(id int) int { return 2*id + 1 })
 	chk := &recChecker{}
 	v.SetChecker(chk)
-	tracer := attr.NewTracer(&attr.Config{})
+	tracer := attr.NewTracer(&attr.Config{}, dvswitch.WireBytes)
 	v.SetAttr(tracer)
 	k.Spawn("host", func(p *sim.Proc) { send(v, p) })
 	k.Run()

@@ -41,17 +41,14 @@ func (m SendMode) String() string {
 	return "unknown"
 }
 
-// wireBytes returns the PCIe bytes per packet for the mode.
-func (m SendMode) wireBytes() int {
+// WireBytes returns the PCIe bytes per packet for the mode: 8 for cached
+// modes (payload only), 16 otherwise (header+payload).
+func (m SendMode) WireBytes() int {
 	if m == PIOCached || m == DMACached {
 		return 8
 	}
 	return 16
 }
-
-// WireBytes returns the PCIe bytes per packet for the mode: 8 for cached
-// modes (payload only), 16 otherwise (header+payload).
-func (m SendMode) WireBytes() int { return m.wireBytes() }
 
 // Stats aggregates per-VIC telemetry.
 type Stats struct {
@@ -295,7 +292,7 @@ func (v *VIC) HostSendN(p *sim.Proc, mode SendMode, n int, word func(i int) *Wor
 		return
 	}
 	v.st.PktsSent += int64(n)
-	bytesPer := mode.wireBytes()
+	bytesPer := mode.WireBytes()
 	if v.mut&MutUncountedBytes == 0 {
 		v.st.PCIeBytesOut += int64(n * bytesPer)
 	}

@@ -217,6 +217,8 @@ var fenceAllow = []allowRow{
 	{"sim.FanPool.Stop", "ledger", "as sim.NewFanPool"},
 	{"dvswitch.Core.SetFanPool", "ledger", "as sim.NewFanPool"},
 	{"dvswitch.Core.Prewarm", "ledger", "benchmark/drivers.go sizes the saturated core before timing it"},
+	{"bench.Fig3a", "ledger", "benchmark/workloads.go builds figures_small from the panels one at a time; dvbench takes both from one sweep through Fig3. ROADMAP item 6 points figureTables at Fig3"},
+	{"bench.Fig3b", "ledger", "as bench.Fig3a"},
 	{"bench.Fig5", "ledger", "benchmark/workloads.go calls Fig5(opt, nil), which writes no file; dvbench takes the trace through Fig5Trace"},
 	{"ib.Fabric.Transfer", "ledger", "benchmark/drivers.go times ib.transfer_ns through this func() form; mpi, the product caller, pools its arguments and calls TransferArg"},
 
