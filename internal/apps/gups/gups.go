@@ -16,6 +16,7 @@ package gups
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/apprt"
 	"repro/internal/cluster"
@@ -74,6 +75,9 @@ func (p Params) sizeErr() error {
 			return fmt.Errorf("gups: %s is negative (%d)", f.name, f.v)
 		}
 	}
+	if w := p.TableWordsNode; w&(w-1) != 0 {
+		return fmt.Errorf("gups: TableWordsNode is not a power of two (%d)", w)
+	}
 	return nil
 }
 
@@ -112,19 +116,58 @@ func (r Result) MUPS() float64 {
 func UpdateStream(seed uint64, node int) *sim.RNG { return updateStream(seed, node) }
 
 // Owner maps an update value to its (node, local index), as the benchmark
-// variants do internally.
-func Owner(a uint64, nodes, wordsPerNode int) (int, int) { return owner(a, nodes, wordsPerNode) }
+// variants do internally; wordsPerNode must be a power of two.
+func Owner(a uint64, nodes, wordsPerNode int) (int, int) {
+	return newOwnerMap(nodes, wordsPerNode).owner(a)
+}
 
 // updateStream deterministically generates node i's update values.
 func updateStream(seed uint64, node int) *sim.RNG {
 	return sim.NewRNG(seed*0xff51afd7ed558ccd + uint64(node)*0x100000001b3 + 7)
 }
 
-// owner maps an update value to (node, local index).
-func owner(a uint64, nodes, wordsPerNode int) (int, int) {
-	total := uint64(nodes * wordsPerNode)
-	idx := a % total
-	return int(idx) / wordsPerNode, int(idx) % wordsPerNode
+// ownerMap maps an update value a to its (node, local index): a mod the
+// table's nodes × wordsPerNode words, split into node and index. The
+// divisors are folded once per run. wordsPerNode is a power of two 2^shift,
+// so the index is a's low shift bits and the node is a>>shift mod nodes,
+// which a multiply by a precomputed 128-bit reciprocal reduces exactly for
+// every 64-bit a (Lemire, Kaser and Kurz, "Faster Remainder by Direct
+// Computation", 2019: with c = ceil(2^128/d), n mod d is the top 128 bits of
+// (c·n mod 2^128)·d for every n < 2^64).
+type ownerMap struct {
+	shift    uint
+	mask     uint64
+	nodes    uint64
+	cHi, cLo uint64 // ceil(2^128 / nodes) mod 2^128 (0 for one node)
+}
+
+// newOwnerMap folds the divisors of a table of nodes × wordsPerNode words;
+// wordsPerNode must be a power of two (Params.sizeErr).
+func newOwnerMap(nodes, wordsPerNode int) ownerMap {
+	if nodes < 1 || wordsPerNode < 1 || wordsPerNode&(wordsPerNode-1) != 0 {
+		panic(fmt.Sprintf("gups: no owner map for %d nodes × %d words", nodes, wordsPerNode))
+	}
+	m := ownerMap{shift: uint(bits.TrailingZeros(uint(wordsPerNode))), mask: uint64(wordsPerNode - 1), nodes: uint64(nodes)}
+	if nodes > 1 {
+		// ceil(2^128/d) = floor((2^128-1)/d) + 1 for d > 1.
+		q1, r := bits.Div64(0, math.MaxUint64, m.nodes)
+		q0, _ := bits.Div64(r, math.MaxUint64, m.nodes)
+		var carry uint64
+		m.cLo, carry = bits.Add64(q0, 1, 0)
+		m.cHi = q1 + carry
+	}
+	return m
+}
+
+// owner returns a's (node, local index).
+func (m ownerMap) owner(a uint64) (int, int) {
+	n := a >> m.shift
+	hi, lo := bits.Mul64(m.cLo, n)
+	hi += m.cHi * n // c·n mod 2^128 is (hi, lo)
+	top, _ := bits.Mul64(lo, m.nodes)
+	h, l := bits.Mul64(hi, m.nodes)
+	_, carry := bits.Add64(top, l, 0)
+	return int(h + carry), int(a & m.mask)
 }
 
 // Verify replays the update streams serially on the host and counts the words
@@ -133,11 +176,12 @@ func owner(a uint64, nodes, wordsPerNode int) (int, int) {
 func Verify(par Params, r Result) int {
 	par.defaults()
 	want := make([]uint64, par.Nodes*par.TableWordsNode)
+	om := newOwnerMap(par.Nodes, par.TableWordsNode)
 	for nd := 0; nd < par.Nodes; nd++ {
 		rng := updateStream(par.Seed, nd)
 		for i := 0; i < par.UpdatesPerNode; i++ {
 			a := rng.Uint64()
-			o, li := owner(a, par.Nodes, par.TableWordsNode)
+			o, li := om.owner(a)
 			want[o*par.TableWordsNode+li] ^= a
 		}
 	}
@@ -205,6 +249,7 @@ func Run(net comm.Net, par Params) Result {
 func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Time {
 	c := be.MPI()
 	rng := updateStream(par.Seed, n.ID)
+	om := newOwnerMap(par.Nodes, par.TableWordsNode)
 	rounds := (par.UpdatesPerNode + par.BatchWords - 1) / par.BatchWords
 	send := make([][]byte, par.Nodes)
 	c.Barrier()
@@ -222,7 +267,7 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Ti
 		localApplied := 0
 		for i := 0; i < b; i++ {
 			a := rng.Uint64()
-			dst, li := owner(a, par.Nodes, par.TableWordsNode)
+			dst, li := om.owner(a)
 			if dst == n.ID {
 				table[li] ^= a
 				localApplied++
@@ -238,7 +283,7 @@ func runMPI(n *cluster.Node, be comm.Backend, par Params, table []uint64) sim.Ti
 			}
 			for i := 0; i < len(data)/8; i++ {
 				a := mpi.Uint64At(data, i)
-				_, li := owner(a, par.Nodes, par.TableWordsNode)
+				_, li := om.owner(a)
 				table[li] ^= a
 				applied++
 			}
@@ -271,10 +316,11 @@ func runDV(n *cluster.Node, be comm.Backend, par Params, table []uint64) (sim.Ti
 
 	drained := int64(0)
 	expected := int64(math.MaxInt64) // known once the counts are in
-	// Copied so that the closures, which the node keeps, leave par on the stack.
-	nodes, tableWords := par.Nodes, par.TableWordsNode
+	// Built before the closures, which the node keeps, so that they capture
+	// it by value and leave par on the stack.
+	om := newOwnerMap(par.Nodes, par.TableWordsNode)
 	apply := func(a uint64) {
-		_, li := owner(a, nodes, tableWords)
+		_, li := om.owner(a)
 		table[li] ^= a
 		drained++
 	}
@@ -304,7 +350,7 @@ func runDV(n *cluster.Node, be comm.Backend, par Params, table []uint64) (sim.Ti
 		localApplied := 0
 		for i := 0; i < b; i++ {
 			a := rng.Uint64()
-			dst, li := owner(a, par.Nodes, par.TableWordsNode)
+			dst, li := om.owner(a)
 			if dst == e.Rank() {
 				table[li] ^= a
 				localApplied++
@@ -372,6 +418,7 @@ func runDVReliable(n *cluster.Node, be comm.Backend, par Params, table []uint64)
 	mbox := e.Alloc(par.Nodes * b) // mailbox slot [src*b+j]
 	cnts := e.Alloc(par.Nodes)     // cnts[src] = words src sent me this round
 	rng := updateStream(par.Seed, n.ID)
+	om := newOwnerMap(par.Nodes, par.TableWordsNode)
 	errs := 0
 	fail := func(err error) {
 		if err != nil {
@@ -397,7 +444,7 @@ func runDVReliable(n *cluster.Node, be comm.Backend, par Params, table []uint64)
 		localApplied := 0
 		for i := 0; i < bb; i++ {
 			a := rng.Uint64()
-			dst, li := owner(a, par.Nodes, par.TableWordsNode)
+			dst, li := om.owner(a)
 			if dst == e.Rank() {
 				table[li] ^= a
 				localApplied++
@@ -423,7 +470,7 @@ func runDVReliable(n *cluster.Node, be comm.Backend, par Params, table []uint64)
 				continue
 			}
 			for _, a := range e.Read(mbox+uint32(src*b), int(counts[src])) {
-				_, li := owner(a, par.Nodes, par.TableWordsNode)
+				_, li := om.owner(a)
 				table[li] ^= a
 				applied++
 			}

@@ -10,6 +10,12 @@ import (
 	"repro/internal/comm"
 )
 
+// divOwner is owner by plain division, the reference ownerMap is held to.
+func divOwner(a uint64, nodes, wordsPerNode int) (int, int) {
+	idx := a % uint64(nodes*wordsPerNode)
+	return int(idx) / wordsPerNode, int(idx) % wordsPerNode
+}
+
 // replaySerial computes the expected final table by applying every node's
 // update stream serially (XOR commutes, so order is irrelevant).
 func replaySerial(par Params) [][]uint64 {
@@ -22,7 +28,7 @@ func replaySerial(par Params) [][]uint64 {
 		rng := updateStream(par.Seed, node)
 		for u := 0; u < par.UpdatesPerNode; u++ {
 			a := rng.Uint64()
-			dst, li := owner(a, par.Nodes, par.TableWordsNode)
+			dst, li := divOwner(a, par.Nodes, par.TableWordsNode)
 			tables[dst][li] ^= a
 		}
 	}
@@ -101,8 +107,9 @@ func TestFigure6Shape(t *testing.T) {
 func TestOwnerMapsAllNodes(t *testing.T) {
 	seen := make(map[int]bool)
 	rng := updateStream(1, 0)
+	om := newOwnerMap(8, 1024)
 	for i := 0; i < 10000; i++ {
-		d, li := owner(rng.Uint64(), 8, 1024)
+		d, li := om.owner(rng.Uint64())
 		if d < 0 || d >= 8 || li < 0 || li >= 1024 {
 			t.Fatalf("owner out of range: %d %d", d, li)
 		}
@@ -110,6 +117,47 @@ func TestOwnerMapsAllNodes(t *testing.T) {
 	}
 	if len(seen) != 8 {
 		t.Fatalf("owner only hit %d nodes", len(seen))
+	}
+}
+
+// TestOwnerMapMatchesDivide: the folded map equals plain division for node
+// counts prime, odd, power of two and large, table sizes from one word up,
+// on random values and on the edges of the 64-bit range and of the table.
+func TestOwnerMapMatchesDivide(t *testing.T) {
+	rng := updateStream(3, 0)
+	for _, nodes := range []int{1, 2, 3, 5, 7, 8, 12, 31, 32, 100, 255, 256, 1000, 4093, 1<<20 + 7, 1<<31 - 1} {
+		for _, words := range []int{1, 2, 1 << 10, 1 << 16, 1 << 24} {
+			if nodes > 1<<62/words {
+				continue
+			}
+			om := newOwnerMap(nodes, words)
+			total := uint64(nodes * words)
+			vals := []uint64{0, 1, total - 1, total, total + 1, 2*total - 1, ^uint64(0), ^uint64(0) - 1,
+				^uint64(0) / total * total, ^uint64(0)/total*total - 1, 1 << 63, 1<<63 - 1}
+			for range 2000 {
+				vals = append(vals, rng.Uint64(), rng.Uint64()>>(rng.Uint64()%64))
+			}
+			for _, a := range vals {
+				d, li := om.owner(a)
+				wd, wli := divOwner(a, nodes, words)
+				if d != wd || li != wli {
+					t.Fatalf("%d nodes × %d words: owner(%#x) = (%d, %d), division gives (%d, %d)", nodes, words, a, d, li, wd, wli)
+				}
+			}
+		}
+	}
+}
+
+func TestTableWordsNodeMustBePowerOfTwo(t *testing.T) {
+	for _, w := range []int{0, 1, 2, 1 << 12} {
+		if err := (Params{TableWordsNode: w}).sizeErr(); err != nil {
+			t.Errorf("TableWordsNode %d: %v", w, err)
+		}
+	}
+	for _, w := range []int{3, 6, 1000, 1<<12 + 1} {
+		if err := (Params{TableWordsNode: w}).sizeErr(); err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("TableWordsNode %d: error %v, want one naming the power of two", w, err)
+		}
 	}
 }
 

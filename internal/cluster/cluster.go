@@ -598,6 +598,9 @@ func Run(cfg Config, body func(n *Node)) *Report {
 					v.SetScalarBoundary(true)
 				} else {
 					v.SetBatchInject(injectBatch)
+					if g > 0 {
+						v.ShareScratch(vics[0]) // one run, one kernel: injections never nest
+					}
 				}
 				base := r * cfg.Nodes
 				v.SetPortResolver(func(id int) int { return (base + id) * stride })

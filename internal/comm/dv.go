@@ -26,6 +26,7 @@ type dvBackend struct {
 	a2aBuf  uint32   // P rows of a2aCap words each
 	a2aCap  int      // payload row capacity in words
 	a2aRow  []uint64 // host row every source's block is read back into
+	a2aCtl  []uint64 // host rows the P lengths, then the P proposals, are read into
 }
 
 func (b *dvBackend) Net() Net  { return DV }
@@ -62,6 +63,7 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 		b.a2aMax = e.Alloc(p)
 		b.a2aGC[0] = e.AllocGC()
 		b.a2aGC[1] = e.AllocGC()
+		b.a2aCtl = make([]uint64, 2*p)
 	}
 	localMax := 0
 	for _, blk := range blocks {
@@ -87,9 +89,11 @@ func (b *dvBackend) Alltoall(blocks [][]byte) [][]byte {
 		return &next
 	})
 	e.WaitGC(b.a2aGC[0], sim.Forever)
-	lens := e.Read(b.a2aLen, p)
+	lens, maxes := b.a2aCtl[:p], b.a2aCtl[p:]
+	e.ReadInto(lens, b.a2aLen)
+	e.ReadInto(maxes, b.a2aMax)
 	rowCap := localMax
-	for src, w := range e.Read(b.a2aMax, p) {
+	for src, w := range maxes {
 		if src != e.Rank() && int(w) > rowCap {
 			rowCap = int(w)
 		}

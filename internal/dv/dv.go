@@ -120,8 +120,9 @@ func (e *Endpoint) AllocGC() int {
 
 // Put writes vals into dst's DV Memory starting at addr, decrementing dst's
 // group counter gc once per word (vic.NoGC to skip counting). The words are
-// streamed into the VIC, vals[i] read as packet i crosses PCIe, so no packet
-// slice is built and vals must not change until Put returns.
+// streamed into the VIC, vals[i] read as packet i crosses PCIe (a direct
+// write reads up to one block ahead), so no packet slice is built and vals
+// must not change until Put returns.
 func (e *Endpoint) Put(mode vic.SendMode, dst int, addr uint32, gc int, vals []uint64) {
 	e.checkRange("Put", addr, len(vals))
 	w := vic.Word{Dst: dst, Op: vic.OpWrite, GC: gc}
@@ -142,8 +143,9 @@ func (e *Endpoint) Scatter(mode vic.SendMode, words []vic.Word) {
 
 // ScatterN is Scatter over n words that word generates on demand, under
 // vic.HostSendN's contract: word(i) is called once per i, in ascending
-// order, as packet i crosses PCIe, and may return the same variable each
-// time. A large scatter then needs no flat copy.
+// order, as packet i crosses PCIe (a direct write up to one block ahead),
+// and may return the same variable each time. A large scatter then needs no
+// flat copy.
 func (e *Endpoint) ScatterN(mode vic.SendMode, n int, word func(i int) *vic.Word) {
 	e.V.HostSendN(e.p, mode, n, word)
 }

@@ -189,3 +189,122 @@ func TestCollectiveChainMatchesWaitLoop(t *testing.T) {
 		}
 	}
 }
+
+// runPointToPoint runs a seeded script of point-to-point calls on n ranks,
+// one event at a time: in a step of kind 0 the ranks pair up (0 with 1, 2
+// with 3, ...), the lower one sending with Send and then receiving, the
+// higher one the other way round; in a step of kind 1 every rank posts
+// receives from both ring neighbours and sends to both, then waits for all
+// four requests with Waitall. chained runs Send and Waitall; otherwise the
+// same calls run as Isend and Wait loops (loopWait).
+func runPointToPoint(n int, kinds []int, sizes [][]int, chained bool) collRun {
+	k := sim.NewKernel()
+	w := NewWorld(k, ib.New(k, n, ib.DefaultParams()), DefaultParams())
+	run := collRun{ends: make([]sim.Time, n), got: make([][]byte, n)}
+	for rank := 0; rank < n; rank++ {
+		k.Spawn(fmt.Sprint("rank", rank), func(p *sim.Proc) {
+			c := w.Bind(rank, p)
+			send := func(dst, tag int, data []byte) {
+				if chained {
+					c.Send(dst, tag, data)
+				} else {
+					loopWait(c, c.Isend(dst, tag, data))
+				}
+			}
+			keep := func(b []byte) {
+				run.got[rank] = append(AppendUint64(run.got[rank], uint64(len(b))), b...)
+			}
+			for i, kind := range kinds {
+				sz := sizes[i][rank]
+				if kind == 0 {
+					peer := rank ^ 1
+					if peer >= n {
+						continue
+					}
+					data := fill(make([]byte, sz), i, rank, peer)
+					if rank < peer {
+						send(peer, i, data)
+						keep(loopWait(c, c.Irecv(peer, i)))
+					} else {
+						keep(loopWait(c, c.Irecv(peer, i)))
+						send(peer, i, data)
+					}
+					continue
+				}
+				left, right := (rank-1+n)%n, (rank+1)%n
+				rs := []*Request{c.Irecv(left, i), c.Irecv(right, i)}
+				rs = append(rs, c.Isend(right, i, fill(make([]byte, sz), i, rank, right)),
+					c.Isend(left, i, fill(make([]byte, sz), i, rank, left)))
+				if chained {
+					c.Waitall(rs)
+				} else {
+					for _, r := range rs {
+						loopWait(c, r)
+					}
+				}
+				keep(rs[0].data)
+				keep(rs[1].data)
+			}
+			run.ends[rank] = p.Now()
+		})
+	}
+	for k.RunUntilN(sim.Forever, 1) == 1 {
+		q, fp := k.QueueFingerprint()
+		run.events = append(run.events, fmt.Sprintf("%v q%d:%x", k.Now(), q, fp))
+		if len(run.events) > 1<<16 {
+			run.events = append(run.events, "runaway")
+			break
+		}
+	}
+	k.Finish()
+	run.fired, run.resumes = k.Counts()
+	return run
+}
+
+// TestSendWaitallChainMatchesWaitLoop: seeded scripts of Send/Recv pairs
+// and Isend/Irecv rings closed by Waitall, with messages empty, small, at
+// EagerLimit and above it (rendezvous), run with Send and Waitall (one chain
+// per call) and with Isend and a Wait loop. Every event must leave the same
+// time and queue behind, and every rank must end at the same instant with
+// the same bytes, in fewer resumes.
+func TestSendWaitallChainMatchesWaitLoop(t *testing.T) {
+	eager := DefaultParams().EagerLimit
+	msgSizes := []int{0, 8, 1000, eager, eager + 1, 3 * eager}
+	for _, n := range []int{2, 3, 4, 5} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			rng := sim.NewRNG(seed*1000 + uint64(n))
+			kinds := make([]int, 2+rng.Intn(5))
+			sizes := make([][]int, len(kinds))
+			for i := range kinds {
+				kinds[i] = rng.Intn(2)
+				sizes[i] = make([]int, n)
+				for r := range sizes[i] {
+					sizes[i][r] = msgSizes[rng.Intn(len(msgSizes))]
+				}
+			}
+			t.Run(fmt.Sprintf("ranks%d/seed%d", n, seed), func(t *testing.T) {
+				want := runPointToPoint(n, kinds, sizes, false)
+				got := runPointToPoint(n, kinds, sizes, true)
+				for i := 0; i < len(want.events) && i < len(got.events); i++ {
+					if got.events[i] != want.events[i] {
+						t.Fatalf("after event %d: chained %s, loop %s", i, got.events[i], want.events[i])
+					}
+				}
+				if len(got.events) != len(want.events) || got.fired != want.fired {
+					t.Fatalf("chained run fired %d events (%d by Counts), loop %d (%d)", len(got.events), got.fired, len(want.events), want.fired)
+				}
+				if !slices.Equal(got.ends, want.ends) {
+					t.Errorf("ranks ended at %v, loop at %v", got.ends, want.ends)
+				}
+				for r := range got.got {
+					if !slices.Equal(got.got[r], want.got[r]) {
+						t.Errorf("rank %d received other bytes than the loop", r)
+					}
+				}
+				if got.resumes >= want.resumes {
+					t.Errorf("chained run made %d resumes, the loop %d: want fewer", got.resumes, want.resumes)
+				}
+			})
+		}
+	}
+}

@@ -82,7 +82,7 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 		}
 		child := vrank | bit
 		if child < n {
-			c.wait(c.isend((child+root)%n, tag, data))
+			c.send((child+root)%n, tag, data)
 		}
 	}
 	return data
@@ -125,7 +125,7 @@ func (c *Comm) Reduce(root int, vals []float64, op ReduceOp) []float64 {
 		if vrank&bit != 0 {
 			parent := ((vrank &^ bit) + root) % n
 			c.wire = AppendFloat64s(c.wire[:0], acc)
-			c.wait(c.isend(parent, tag, c.wire))
+			c.send(parent, tag, c.wire)
 			return nil
 		}
 		if child < n {

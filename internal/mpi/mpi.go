@@ -270,18 +270,29 @@ func (c *Comm) release(b []byte) {
 // returns a request. The data slice is captured; the caller may reuse its
 // buffer after Wait.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
+	checkUserTag(tag)
+	return c.isend(dst, tag, data, false)
+}
+
+// checkUserTag panics on a send tag outside the user range.
+func checkUserTag(tag int) {
 	if tag < 0 || tag >= userTagLimit {
 		panic(fmt.Sprintf("mpi: invalid user tag %d", tag))
 	}
-	return c.isend(dst, tag, data)
 }
 
-func (c *Comm) isend(dst, tag int, data []byte) *Request {
+// isend starts a send of data to dst under tag and returns its request; with
+// wait set, the same chain then waits for the request (Send).
+func (c *Comm) isend(dst, tag int, data []byte, wait bool) *Request {
 	if n := len(c.w.comms); dst < 0 || dst >= n {
 		panic(fmt.Sprintf("mpi: rank %d sends to rank %d, outside its communicator of size %d", c.rank, dst, n))
 	}
+	op := opSend
+	if wait {
+		op = opSendWait
+	}
 	s := &c.ch
-	*s = chain{c: c, op: opSend, tag: tag, dst: dst, data: data}
+	*s = chain{c: c, op: op, tag: tag, dst: dst, data: data}
 	c.p.Chain(s)
 	req := s.sreq
 	*s = chain{}
@@ -293,6 +304,7 @@ type chainOp uint8
 
 const (
 	opSend      chainOp = iota // one send, up to the start of its transfer
+	opSendWait                 // one send, then the wait for its request (Send)
 	opBarrier                  // the rounds of a dissemination Barrier
 	opAlltoall                 // the pairwise rounds of an Alltoall
 	opAllgather                // the ring rounds of an Allgather
@@ -310,13 +322,14 @@ const (
 	stRecvDone                  // the received block is stored
 	stSendDone                  // the send's gate
 	stRoundEnd                  // the send's request is recycled
-	stWait                      // Wait: the request's gate, then its overhead
+	stWait                      // Wait: the request's gate, then its overhead; then the next of waits
 )
 
 // chain is the one sim.Chain a rank runs at a time (a rank makes one call at
-// a time): a send, a Wait, or every round of an Alltoall, Allgather or
-// dissemination Barrier, which switches to the rank once, when the call
-// returns. A round is the loop body
+// a time): a send (and, for Send, the wait for it), a Wait, the waits of a
+// Waitall, or every round of an Alltoall, Allgather or dissemination
+// Barrier, which switches to the rank once, when the call returns. A round
+// is the loop body
 //
 //	sreq := c.isend(dst, tag, data)
 //	data, _ := c.wait(c.irecv(src, tag))
@@ -334,7 +347,8 @@ type chain struct {
 	data          []byte   // the block this round sends
 	blocks        [][]byte // Alltoall's send blocks (the result is c.recv)
 	sreq, rreq    *Request
-	msg           *message // the staged envelope, until its transfer starts
+	waits         []*Request // Waitall's requests still to wait for after rreq
+	msg           *message   // the staged envelope, until its transfer starts
 }
 
 func (s *chain) Step() (sim.Time, bool) {
@@ -379,8 +393,13 @@ func (s *chain) Step() (sim.Time, bool) {
 			// Rendezvous: send an RTS; the CTS handler performs the data transfer.
 			w.F.TransferArg(c.rank, s.dst, w.par.CtrlBytes, fireArrive, msg)
 		}
-		if s.op == opSend {
+		switch s.op {
+		case opSend:
 			return 0, false
+		case opSendWait:
+			s.rreq = s.sreq
+			s.next = stWait
+			return 0, true
 		}
 		s.rreq = c.irecv(s.src, s.tag)
 		s.next = stRecv
@@ -411,6 +430,10 @@ func (s *chain) Step() (sim.Time, bool) {
 		return 0, s.round < s.rounds
 	default: // stWait
 		d, done := c.await(s.rreq)
+		if done && len(s.waits) > 0 {
+			s.rreq, s.waits = s.waits[0], s.waits[1:]
+			return d, true
+		}
 		return d, !done
 	}
 }
@@ -614,16 +637,29 @@ func (w *World) recycle(r *Request) {
 	w.freeReqs = append(w.freeReqs, r)
 }
 
-// Waitall blocks until every request completes.
+// Waitall blocks until every request completes: Wait on each in order, as
+// one chain.
 func (c *Comm) Waitall(rs []*Request) {
-	for _, r := range rs {
-		c.Wait(r)
+	if len(rs) == 0 {
+		return
 	}
+	s := &c.ch
+	*s = chain{c: c, next: stWait, rreq: rs[0], waits: rs[1:]}
+	c.p.Chain(s)
+	*s = chain{}
 }
 
-// Send is the blocking send.
+// Send is the blocking send: Isend, then the wait for its request, as one
+// chain.
 func (c *Comm) Send(dst, tag int, data []byte) {
-	c.wait(c.Isend(dst, tag, data))
+	checkUserTag(tag)
+	c.send(dst, tag, data)
+}
+
+// send is Send for a request the caller of mpi never sees: the send and its
+// wait as one chain, then the request back on the free list.
+func (c *Comm) send(dst, tag int, data []byte) {
+	c.w.recycle(c.isend(dst, tag, data, true))
 }
 
 // Recv is the blocking receive; it returns the payload and actual envelope.

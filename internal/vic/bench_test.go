@@ -34,6 +34,17 @@ func injectBurst() (k *sim.Kernel, send func(*sim.Proc), sunk *int) {
 	return k, func(p *sim.Proc) { v.HostSend(p, DMACached, words) }, sunk
 }
 
+// pioBurst returns a 512-word direct-write HostSend (eight blocks of one
+// chain each, one inject event per word) for a simulated process to issue.
+func pioBurst() (k *sim.Kernel, send func(*sim.Proc)) {
+	k, v, _ := benchInjectVIC()
+	words := make([]Word, benchBurst)
+	for i := range words {
+		words[i] = Word{Dst: 0, Op: OpWrite, GC: NoGC, Addr: uint32(i), Val: uint64(i)}
+	}
+	return k, func(p *sim.Proc) { v.HostSend(p, PIO, words) }
+}
+
 // BenchmarkVICInject measures a 512-word cached-DMA HostSend.
 func BenchmarkVICInject(b *testing.B) {
 	k, send, sunk := injectBurst()
@@ -135,7 +146,9 @@ func waitGCBurst(tb testing.TB) (*sim.Kernel, func(p *sim.Proc, n int)) {
 // TestBoundaryZeroAllocs holds the three benchmarks above to what their
 // allocs/op column reads, deterministically and in tier-1: a warm 512-word
 // send and a warm 512-packet delivery allocate nothing, and a counter wait
-// allocates nothing per packet.
+// allocates nothing per packet. A warm 512-word direct-write send, whose
+// words wait in the VIC's block and cross in chains, allocates nothing
+// either.
 func TestBoundaryZeroAllocs(t *testing.T) {
 	// HostSend and WaitGCZero park, so they are measured from inside a
 	// simulated process, after warm ops have filled the pools and grown the
@@ -155,6 +168,12 @@ func TestBoundaryZeroAllocs(t *testing.T) {
 		// Warm well past the pools' and the event heap's high-water marks.
 		if got := inProc(k, 4096, send); got != 0 {
 			t.Errorf("a warm %d-word HostSend allocates %v times, want 0", benchBurst, got)
+		}
+	})
+	t.Run("VICInjectPIO", func(t *testing.T) {
+		k, send := pioBurst()
+		if got := inProc(k, 64, send); got != 0 {
+			t.Errorf("a warm %d-word direct-write HostSend allocates %v times, want 0", benchBurst, got)
 		}
 	})
 	t.Run("VICEject", func(t *testing.T) {

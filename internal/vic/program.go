@@ -84,10 +84,10 @@ func (rp *ReadProgram) Pull(p *sim.Proc, dst []uint64) {
 		panic(fmt.Sprintf("vic: Pull into %d words, program reads %d", len(dst), rp.n))
 	}
 	v := rp.v
+	var setup sim.Time
 	if !rp.staged {
-		p.Wait(v.par.DMASetup)
+		setup = v.par.DMASetup
 		rp.staged = true
 	}
-	p.Wait(v.par.PIOLatency)
-	v.dmaRead(p, dst, rp.addr)
+	v.dmaRead(p, setup, v.par.PIOLatency, dst, rp.addr)
 }

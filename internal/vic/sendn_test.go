@@ -4,7 +4,8 @@ package vic
 // be indistinguishable from HostSend over the same words in a slice, on both
 // boundaries, in every send mode, at the DMA chunk and table edges — and it
 // must call the generator exactly once per word, in order, as each word
-// crosses PCIe rather than all up front. A persistent DMA program shares the
+// crosses PCIe (a DMA mode) or at most one PIO block ahead of it (a PIO
+// mode) rather than all up front. A persistent DMA program shares the
 // DMA chunk body, so its batched Trigger is held against the scalar one the
 // same way.
 
@@ -154,13 +155,19 @@ func TestHostSendNMatchesHostSend(t *testing.T) {
 							len(want.pkts), len(callAt), n)
 					}
 					requireSameTrace(t, want, got)
-					// Streamed, not pre-read: word i is generated after the
-					// crossing before it has completed and no later than its
-					// own (injection = crossing done + ProcDelay).
+					// Streamed, not pre-read: word i is generated no later
+					// than its own crossing (injection = crossing done +
+					// ProcDelay) and after the crossing `ahead` words before
+					// it has completed: the one before it on a DMA mode, the
+					// one a PIO block (pioBlock words) before it on a PIO mode.
+					ahead := 1
+					if mode == PIO || mode == PIOCached {
+						ahead = pioBlock
+					}
 					for i, at := range callAt {
-						if at+procDelay > got.fireAt[i] || (i > 0 && at+procDelay < got.fireAt[i-1]) {
+						if at+procDelay > got.fireAt[i] || (i >= ahead && at+procDelay < got.fireAt[i-ahead]) {
 							t.Fatalf("word(%d) called at %v; packets %d and %d were injected at %v and %v",
-								i, at, i-1, i, got.fireAt[max(i-1, 0)], got.fireAt[i])
+								i, at, max(i-ahead, 0), i, got.fireAt[max(i-ahead, 0)], got.fireAt[i])
 						}
 					}
 				})

@@ -131,6 +131,16 @@ type VIC struct {
 	drainFree []*drainEvent
 	fifoSpare []uint64 // drained buffer awaiting reuse (double-buffering)
 
+	// scratch is where fireInjectBatch expands a batch's records into
+	// Packets for the fabric call: allocated on first use, or shared by
+	// every VIC of a cluster (ShareScratch).
+	scratch *pktScratch
+
+	// The host verbs' chains (see pioSend and hostXfer), pooled like the
+	// batches so that a warm send or read allocates nothing.
+	pioFree  []*pioSend
+	xferFree []*hostXfer
+
 	// fifoFlows tracks, index-parallel with fifo, the attribution flow id of
 	// each buffered surprise word, so the drain can close each flow's drain
 	// stage at the instant its word reaches the host ring. Maintained only
@@ -142,6 +152,18 @@ type VIC struct {
 	st Stats
 }
 
+// chunkRec is one packet of an inject batch, waiting for its injection
+// event: the 24 bytes of a fresh dvswitch.Packet that vary. The rest is the
+// same for every packet a VIC injects — its source is the VIC's port, and a
+// fresh packet is never corrupt and has no telemetry yet — so a batch
+// holding records instead of 64-byte Packets keeps a DMA chunk's backlog
+// at 24 bytes a word.
+type chunkRec struct {
+	header, payload uint64
+	dst             int32 // fabric port
+	flow            uint32
+}
+
 // injectBatch carries every packet of one boundary crossing — a DMA chunk
 // landing, a PIO word, or a query reply — into a single kernel event. The
 // packets are injected in slice order, which is exactly the order the legacy
@@ -150,23 +172,55 @@ type VIC struct {
 // ports when the batch is built.
 type injectBatch struct {
 	v    *VIC
-	pkts []dvswitch.Packet
+	recs []chunkRec
 }
+
+// pktScratch is the Packet buffer a batch is expanded into for the fabric
+// call. It grows to the largest batch (one DMA chunk) and is reused by every
+// injection event of the VICs sharing it: the fabric copies what it keeps
+// before InjectBatch returns, and injection events never nest.
+type pktScratch struct{ pkts []dvswitch.Packet }
 
 // fireInjectBatch injects a batch into the fabric and recycles the payload.
 // Package-level (not a closure) so Kernel.AtArg carries only the pointer.
+// The whole batch goes to the fabric in one call: a MultiPlane splits a
+// call by plane, so cutting a batch into several calls would change the
+// order in which its planes draw kernel sequence numbers.
 func fireInjectBatch(a any) {
 	b := a.(*injectBatch)
-	v, pkts := b.v, b.pkts
+	v, recs := b.v, b.recs
 	if v.injectB != nil {
+		if v.scratch == nil {
+			v.scratch = new(pktScratch)
+		}
+		pkts := slices.Grow(v.scratch.pkts[:0], len(recs))[:len(recs)]
+		for i := range recs {
+			pkts[i] = v.packetOf(&recs[i])
+		}
 		v.injectB(pkts)
+		v.scratch.pkts = pkts
 	} else {
-		for i := range pkts {
-			v.inject(pkts[i])
+		for i := range recs {
+			v.inject(v.packetOf(&recs[i]))
 		}
 	}
-	b.pkts = pkts[:0]
+	b.recs = recs[:0]
 	v.batchFree = append(v.batchFree, b)
+}
+
+// packetOf expands a record into the fabric packet it stands for.
+func (v *VIC) packetOf(r *chunkRec) dvswitch.Packet {
+	return dvswitch.Packet{Src: v.Port, Dst: int(r.dst), Header: r.header, Payload: r.payload, Flow: r.flow}
+}
+
+// ShareScratch makes v expand its inject batches in the same buffer as o.
+// The cluster shares one among all its VICs, which run on one kernel, so a
+// run holds one chunk's worth of expanded Packets instead of one per VIC.
+func (v *VIC) ShareScratch(o *VIC) {
+	if o.scratch == nil {
+		o.scratch = new(pktScratch)
+	}
+	v.scratch = o.scratch
 }
 
 // newBatch returns a pooled (or fresh) empty inject batch.
@@ -266,8 +320,9 @@ func (v *VIC) Stats() Stats { return v.st }
 
 // HostSend transfers a batch of packets from the host across PCIe and
 // injects them into the fabric: HostSendN over the slice. Under HostSendN's
-// contract words[i] is read as packet i crosses PCIe, so the slice must not
-// change until HostSend returns.
+// contract words[i] is read as packet i crosses PCIe, or up to one block
+// ahead of it on a direct write, so the slice must not change until HostSend
+// returns.
 func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 	v.HostSendN(p, mode, len(words), func(i int) *Word { return &words[i] })
 }
@@ -279,10 +334,15 @@ func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 // modes.
 //
 // The words are streamed, not held: word(i) is called exactly once per i, in
-// ascending order, from inside the chunk loop — as packet i crosses PCIe — so
-// a caller can generate each word on demand and no full copy of the batch
-// need exist. The Word it points to is read before the next call, so a
-// generator may return the same variable every time. (A pointer, because a
+// ascending order, so a caller can generate each word on demand and no full
+// copy of the batch need exist. A DMA mode calls it from inside the chunk
+// loop, as packet i crosses PCIe. A PIO mode calls it for a block of up to
+// pioBlock words at a time, before the first of them crosses: the process
+// fills the block, then one chain (pioSend) moves it across the lane, so the
+// process resumes once per block rather than once per word. Either way the
+// Word it points to is copied before the next call, so a generator may
+// return the same variable every time, and it must read only what cannot
+// change while the caller is blocked in the send. (A pointer, because a
 // five-field Word returned by value from a func value costs ~10 ns a word in
 // spills and copies, as much as the rest of the DMA loop.) Everything else —
 // statistics, checker calls, DMA-table setups, chunking, attribution order —
@@ -303,26 +363,17 @@ func (v *VIC) HostSendN(p *sim.Proc, mode SendMode, n int, word func(i int) *Wor
 	switch mode {
 	case PIO, PIOCached:
 		// Doorbell, then each packet crosses the PCIe lane back to back.
-		// Words cross one at a time, so each needs its own injection event
-		// (the completion times differ): a pooled one-packet batch, or on the
-		// scalar reference boundary a closure from injectAt.
-		p.Wait(v.par.PIOLatency)
-		for i := range n {
-			w := *word(i) // copied before the lane wait, which lets other processes run
-			var fl uint32
-			if v.attr != nil {
-				fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
+		s := v.newPIOSend()
+		s.issue, s.lane, s.door = issue, sim.BytesAt(bytesPer, v.par.PIOWriteBW), v.par.PIOLatency
+		for base := 0; base < n; base += pioBlock {
+			s.words = slices.Grow(s.words[:0], min(n-base, pioBlock))
+			for i := base; i < min(base+pioBlock, n); i++ {
+				s.words = append(s.words, *word(i))
 			}
-			done := v.pioWr.Occupy(p, sim.BytesAt(bytesPer, v.par.PIOWriteBW))
-			if v.attr != nil {
-				v.attr.Stamp(fl, attr.StageHostTx, done)
-			}
-			if v.scalar {
-				v.injectAt(done, w, fl)
-			} else {
-				v.injectBatchAt(done, w, fl)
-			}
+			s.next = 0
+			p.Chain(s)
 		}
+		v.pioFree = append(v.pioFree, s)
 	case DMA, DMACached:
 		p.Wait(v.par.PIOLatency)
 		chunk := v.dmaChunkWords()
@@ -340,6 +391,76 @@ func (v *VIC) HostSendN(p *sim.Proc, mode SendMode, n int, word func(i int) *Wor
 	}
 }
 
+// pioBlock is the most direct-write words HostSendN generates ahead of the
+// PCIe lane, and so the most words one chain of the PIO path moves.
+const pioBlock = 64
+
+// pioSend is the sim.Stepper of HostSendN's PIO path over one block of
+// words. It runs the loop
+//
+//	p.Wait(PIOLatency) // first block only
+//	for each word w of the block {
+//		fl := attr.Begin(...)
+//		done := pioWr.Occupy(p, lane)
+//		attr.Stamp(fl, StageHostTx, done)
+//		inject w at done (+ ProcDelay)
+//	}
+//
+// cut at its waits: each step stamps and injects the word whose crossing
+// just ended, then begins and reserves the next, at the event that would
+// have resumed the loop. So the kernel's events and the flow ids are the
+// loop's, and only the process's resumes fall.
+type pioSend struct {
+	v     *VIC
+	words []Word   // the block, generated before the chain starts
+	next  int      // the next word to cross; words[next-1] is on the lane
+	door  sim.Time // the doorbell wait, still to pay before the first block
+	issue sim.Time // attribution T0 of every word
+	lane  sim.Time // one word's lane time
+	done  sim.Time // when words[next-1] has crossed
+	flow  uint32   // words[next-1]'s flow
+}
+
+func (s *pioSend) Step() (sim.Time, bool) {
+	v := s.v
+	if d := s.door; d > 0 {
+		s.door = 0
+		return d, true
+	}
+	if s.next > 0 {
+		w := &s.words[s.next-1]
+		if v.attr != nil {
+			v.attr.Stamp(s.flow, attr.StageHostTx, s.done)
+		}
+		if v.scalar {
+			v.injectAt(s.done, *w, s.flow)
+		} else {
+			v.injectBatchAt(s.done, w, s.flow)
+		}
+	}
+	if s.next == len(s.words) {
+		return 0, false
+	}
+	w := &s.words[s.next]
+	s.next++
+	s.flow = 0
+	if v.attr != nil {
+		s.flow = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), s.issue)
+	}
+	s.done = v.pioWr.Reserve(v.k, s.lane)
+	return max(s.done-v.k.Now(), 0), true
+}
+
+// newPIOSend returns a pooled (or fresh) PIO chain.
+func (v *VIC) newPIOSend() *pioSend {
+	if n := len(v.pioFree); n > 0 {
+		s := v.pioFree[n-1]
+		v.pioFree = v.pioFree[:n-1]
+		return s
+	}
+	return &pioSend{v: v}
+}
+
 // dmaChunkWords returns the words one DMA transfer moves (1024 when unset).
 func (v *VIC) dmaChunkWords() int {
 	if v.par.DMAChunkWords <= 0 {
@@ -351,10 +472,11 @@ func (v *VIC) dmaChunkWords() int {
 // injectChunk puts words [base, end) — one DMA chunk whose PCIe crossing
 // completes at done — on the fabric ProcDelay later, calling word(i) once per
 // i in order. It is the one chunk body of HostSendN and DMAProgram.Trigger.
-// The batched boundary lands the whole chunk on one pooled kernel event; the
-// scalar reference schedules one event per word (injectAt). Those events all
-// carried the same timestamp with consecutive sequence numbers, so injecting
-// the chunk in order from a single event fires identically.
+// The batched boundary lands the whole chunk on one pooled kernel event, as
+// one record a word; the scalar reference schedules one event per word
+// (injectAt). Those events all carried the same timestamp with consecutive
+// sequence numbers, so injecting the chunk in order from a single event
+// fires identically.
 func (v *VIC) injectChunk(done, issue sim.Time, base, end int, word func(i int) *Word) {
 	if v.scalar {
 		for i := base; i < end; i++ {
@@ -369,7 +491,7 @@ func (v *VIC) injectChunk(done, issue sim.Time, base, end int, word func(i int) 
 		return
 	}
 	b := v.newBatch()
-	b.pkts = slices.Grow(b.pkts, end-base)
+	b.recs = slices.Grow(b.recs, end-base)
 	for i := base; i < end; i++ {
 		w := word(i)
 		var fl uint32
@@ -377,19 +499,16 @@ func (v *VIC) injectChunk(done, issue sim.Time, base, end int, word func(i int) 
 			fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
 			v.attr.Stamp(fl, attr.StageHostTx, done)
 		}
-		// Built in place from w's fields: v.packet is past the inlining
-		// budget, and copying a 64 B result or the Word itself costs as much
-		// as the rest of this loop.
-		b.pkts = append(b.pkts, dvswitch.Packet{Src: v.Port, Dst: v.portFor(w.Dst), Header: w.header(), Payload: w.Val, Flow: fl})
+		b.recs = append(b.recs, chunkRec{header: w.header(), payload: w.Val, dst: int32(v.portFor(w.Dst)), flow: fl})
 	}
 	v.k.AtArg(done+v.par.ProcDelay, fireInjectBatch, b)
 }
 
-// injectBatchAt schedules a single-packet pooled batch at time t (plus the
+// injectBatchAt schedules a single-record pooled batch at time t (plus the
 // VIC's processing delay): injectAt without the per-word closure allocation.
-func (v *VIC) injectBatchAt(t sim.Time, w Word, flow uint32) {
+func (v *VIC) injectBatchAt(t sim.Time, w *Word, flow uint32) {
 	b := v.newBatch()
-	b.pkts = append(b.pkts, v.packet(w, flow))
+	b.recs = append(b.recs, chunkRec{header: w.header(), payload: w.Val, dst: int32(v.portFor(w.Dst)), flow: flow})
 	v.k.AtArg(t+v.par.ProcDelay, fireInjectBatch, b)
 }
 
@@ -442,46 +561,95 @@ func (v *VIC) SetScalarBoundary(scalar bool) { v.scalar = scalar }
 // DMAReadInto pulls len(dst) words starting at addr from DV Memory into the
 // host row dst, blocking until the DMA completes.
 func (v *VIC) DMAReadInto(p *sim.Proc, dst []uint64, addr uint32) {
-	p.Wait(v.par.PIOLatency + v.par.DMASetup)
-	v.dmaRead(p, dst, addr)
+	v.dmaRead(p, v.par.PIOLatency+v.par.DMASetup, 0, dst, addr)
 }
 
-// dmaRead is the body every DV Memory→host DMA shares once the caller has
-// paid its doorbell and descriptor setup: the transfer, its accounting, and
-// the copy into dst.
-func (v *VIC) dmaRead(p *sim.Proc, dst []uint64, addr uint32) {
-	n := len(dst)
-	v.dmaOut.Occupy(p, sim.BytesAt(n*8, v.par.DMABW))
-	v.st.PCIeBytesIn += int64(n * 8)
-	if v.chk != nil {
-		v.chk.HostRead(v, n)
-	}
-	v.mem.readInto(dst, addr)
+// dmaRead is the body every DV Memory→host DMA shares: the caller's doorbell
+// and descriptor-setup waits (pre, then pre2; a zero wait is none), the
+// transfer, its accounting, and the copy into dst.
+func (v *VIC) dmaRead(p *sim.Proc, pre, pre2 sim.Time, dst []uint64, addr uint32) {
+	v.transfer(p, hostXfer{waits: [2]sim.Time{pre, pre2}, lane: &v.dmaOut,
+		d: sim.BytesAt(len(dst)*8, v.par.DMABW), row: dst, addr: addr})
 }
 
 // PIORead reads n words via programmed I/O (slow path; small reads).
 func (v *VIC) PIORead(p *sim.Proc, addr uint32, n int) []uint64 {
-	p.Wait(v.par.PIOLatency)
-	v.pioRd.Occupy(p, sim.BytesAt(n*8, v.par.PIOReadBW))
-	v.st.PCIeBytesIn += int64(n * 8)
-	if v.chk != nil {
-		v.chk.HostRead(v, n)
-	}
 	out := make([]uint64, n)
-	v.mem.readInto(out, addr)
+	v.transfer(p, hostXfer{waits: [2]sim.Time{v.par.PIOLatency}, lane: &v.pioRd,
+		d: sim.BytesAt(n*8, v.par.PIOReadBW), row: out, addr: addr})
 	return out
 }
 
 // HostWriteMemDMA stages words into the local DV Memory with the DMA engine
 // (the fast path for pre-caching payloads before a network scatter).
 func (v *VIC) HostWriteMemDMA(p *sim.Proc, addr uint32, vals []uint64) {
-	p.Wait(v.par.PIOLatency + v.par.DMASetup)
-	v.dmaIn.Occupy(p, sim.BytesAt(len(vals)*8, v.par.DMABW))
-	v.st.PCIeBytesOut += int64(len(vals) * 8)
-	if v.chk != nil {
-		v.chk.HostWrote(v, len(vals))
+	v.transfer(p, hostXfer{waits: [2]sim.Time{v.par.PIOLatency + v.par.DMASetup}, lane: &v.dmaIn,
+		d: sim.BytesAt(len(vals)*8, v.par.DMABW), row: vals, addr: addr, write: true})
+}
+
+// hostXfer is the sim.Stepper of a host↔DV Memory transfer (DMAReadInto,
+// ReadProgram.Pull, PIORead, HostWriteMemDMA). It runs the loop
+//
+//	p.Wait(waits[0]); p.Wait(waits[1])
+//	lane.Occupy(p, d)
+//	account, then copy row from or into DV Memory at addr
+//
+// cut at its waits, each step at the event that would have resumed the
+// loop, so the process resumes once per transfer.
+type hostXfer struct {
+	v        *VIC
+	waits    [2]sim.Time // doorbell and setup waits still to pay, in order
+	lane     *sim.Pipe
+	d        sim.Time // the transfer's lane time
+	reserved bool     // the lane is booked; the next step lands the transfer
+	row      []uint64 // the host row read into, or written from
+	addr     uint32
+	write    bool // host → DV Memory
+}
+
+func (s *hostXfer) Step() (sim.Time, bool) {
+	v := s.v
+	for i, d := range s.waits {
+		if d > 0 {
+			s.waits[i] = 0
+			return d, true
+		}
 	}
-	v.mem.writeRange(addr, vals)
+	if !s.reserved {
+		s.reserved = true
+		return max(s.lane.Reserve(v.k, s.d)-v.k.Now(), 0), true
+	}
+	n := len(s.row)
+	if s.write {
+		v.st.PCIeBytesOut += int64(n * 8)
+		if v.chk != nil {
+			v.chk.HostWrote(v, n)
+		}
+		v.mem.writeRange(s.addr, s.row)
+	} else {
+		v.st.PCIeBytesIn += int64(n * 8)
+		if v.chk != nil {
+			v.chk.HostRead(v, n)
+		}
+		v.mem.readInto(s.row, s.addr)
+	}
+	return 0, false
+}
+
+// transfer runs x on p as a pooled chain, which lets go of the row after.
+func (v *VIC) transfer(p *sim.Proc, x hostXfer) {
+	var s *hostXfer
+	if n := len(v.xferFree); n > 0 {
+		s = v.xferFree[n-1]
+		v.xferFree = v.xferFree[:n-1]
+	} else {
+		s = new(hostXfer)
+	}
+	*s = x
+	s.v = v
+	p.Chain(s)
+	s.row = nil
+	v.xferFree = append(v.xferFree, s)
 }
 
 // Peek reads a DV Memory word without modelling any cost (test/diagnostic
@@ -818,13 +986,14 @@ func (v *VIC) execute(pkt dvswitch.Packet) {
 			v.attr.Complete(pkt.Flow, v.k.Now())
 			replyFlow = v.attr.Begin(v.ID, dstVIC, attr.KindQuery, v.k.Now())
 		}
-		reply := dvswitch.Packet{Src: v.Port, Dst: v.portFor(dstVIC), Header: pkt.Payload, Payload: v.mem.read(addr), Flow: replyFlow}
+		reply := chunkRec{header: pkt.Payload, payload: v.mem.read(addr), dst: int32(v.portFor(dstVIC)), flow: replyFlow}
 		if v.scalar {
-			v.k.After(v.par.ProcDelay, func() { v.inject(reply) })
+			pkt := v.packetOf(&reply)
+			v.k.After(v.par.ProcDelay, func() { v.inject(pkt) })
 			return
 		}
 		b := v.newBatch()
-		b.pkts = append(b.pkts, reply)
+		b.recs = append(b.recs, reply)
 		v.k.AfterArg(v.par.ProcDelay, fireInjectBatch, b)
 	default:
 		panic(fmt.Sprintf("vic %d: unknown opcode %d", v.ID, op))
