@@ -81,7 +81,7 @@ func TestBoundaryDiffCycleAccurate(t *testing.T) {
 
 // TestBoundaryDiffUnderFaults repeats the lockstep diff for the
 // reliable-capable apps with a drop+corrupt window active: retransmission
-// traffic exercises the pooled inject batches and receive events under
+// traffic exercises the pooled inject batches and the receive trains under
 // irregular, failure-driven schedules.
 func TestBoundaryDiffUnderFaults(t *testing.T) {
 	for _, a := range apprt.Apps() {

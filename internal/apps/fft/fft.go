@@ -138,6 +138,7 @@ func Run(net comm.Net, par Params) Result {
 	res.Elapsed = rep.Elapsed
 	res.Report = rep.Cluster
 	if par.KeepResult {
+		res.Spectrum = make([]complex128, 0, res.N)
 		for _, r := range rows {
 			res.Spectrum = append(res.Spectrum, r...)
 		}
@@ -251,7 +252,8 @@ func mpiTranspose(n *cluster.Node, be comm.Backend, local []complex128, r, c int
 type transposer struct {
 	region uint32
 	gc     int
-	words  int // region capacity in words
+	words  int      // region capacity in words
+	raw    []uint64 // the host row the received region is read into
 }
 
 func newTransposer(be comm.Backend, n1, n2 int) *transposer {
@@ -261,7 +263,7 @@ func newTransposer(be comm.Backend, n1, n2 int) *transposer {
 	if w := 2 * (n1 / p) * n2; w > maxWords {
 		maxWords = w
 	}
-	return &transposer{region: e.Alloc(maxWords), gc: e.AllocGC(), words: maxWords}
+	return &transposer{region: e.Alloc(maxWords), gc: e.AllocGC(), words: maxWords, raw: make([]uint64, maxWords)}
 }
 
 // run scatters each element directly to its transposed location in the
@@ -305,7 +307,8 @@ func (tp *transposer) run(n *cluster.Node, be comm.Backend, local []complex128, 
 	n.Compute(sim.BytesAt(len(local)*16, 8e9)) // stage DMA buffers
 	e.WaitGC(tp.gc, sim.Forever)
 	// Pull the received region and merge (own block already placed).
-	raw := e.Read(tp.region, 2*outRows*r)
+	raw := tp.raw[:2*outRows*r]
+	e.ReadInto(raw, tp.region)
 	for or := 0; or < outRows; or++ {
 		for col := 0; col < r; col++ {
 			if col >= row0 && col < row0+myRows {

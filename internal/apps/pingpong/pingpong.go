@@ -188,7 +188,7 @@ func runDV(n *cluster.Node, be comm.Backend, mode Mode, par Params) sim.Time {
 			off := regions[railOf[i]] + uint32(i*chunk)
 			row := got[i*chunk : i*chunk+chunkLen(i)]
 			if small {
-				copy(row, re.V.PIORead(re.Proc(), off, len(row)))
+				re.V.PIOReadInto(re.Proc(), row, off)
 			} else {
 				re.ReadInto(row, off)
 			}

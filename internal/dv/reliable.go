@@ -116,8 +116,9 @@ type reliableState struct {
 	seqBase    uint32 // size words: seqBase+src holds src's chunk sequence
 	flagBase   uint32 // barrierFlagWords: dissemination-barrier flags
 
-	seq   []uint64 // per-destination chunk sequence numbers
-	epoch uint64   // ReliableBarrier epoch
+	seq   []uint64  // per-destination chunk sequence numbers
+	epoch uint64    // ReliableBarrier epoch
+	flag  [1]uint64 // ReliableBarrier's flag poll reads into it
 
 	chunk   []vic.Word      // the chunk being filled (ChunkDone reads it, never keeps it)
 	inChunk map[uint64]bool // (dst,addr) membership of chunk; cleared, never remade
@@ -391,7 +392,11 @@ func (e *Endpoint) ReliableBarrier() error {
 		if err := e.ReliableWrite(peer, r.flagBase+uint32(rd), []uint64{r.epoch}); err != nil {
 			return fmt.Errorf("dv: reliable barrier round %d: %w", rd, err)
 		}
-		for e.V.PIORead(e.p, r.flagBase+uint32(rd), 1)[0] < r.epoch {
+		for {
+			e.V.PIOReadInto(e.p, r.flag[:], r.flagBase+uint32(rd))
+			if r.flag[0] >= r.epoch {
+				break
+			}
 			if e.p.Now() > deadline {
 				return fmt.Errorf("dv: reliable barrier round %d timed out on node %d", rd, e.rank)
 			}

@@ -231,16 +231,18 @@ func (s Stats) MeanDeflections() float64 {
 }
 
 // qrec is one packet waiting in an injection queue: exactly what Inject was
-// given, minus the source (the queue's port) and the telemetry the fabric
-// fills in later. 32 bytes, written once and read once: the Corrupt flag
-// rides in the top bit of DstC, free because a port index is below
-// MaxGeometryCells (2^30).
+// given, minus the source (the queue's port), the flow (on its page's side
+// array, see qpage) and the telemetry the fabric fills in later. 24 bytes,
+// written once and read once: the Corrupt flag rides in the top bit of DstC,
+// free because a port index is below MaxGeometryCells (2^30), and the inject
+// cycle is kept as its low 32 bits, rebuilt against the core's clock
+// (injectCycle) the way pflight.entry is: the subtraction is wrap-safe
+// because no packet waits 2^32 cycles.
 type qrec struct {
-	Header      uint64
-	Payload     uint64
-	InjectCycle int64
-	DstC        uint32 // destination port | qCorrupt
-	Flow        uint32
+	Header  uint64
+	Payload uint64
+	cycle   uint32 // uint32(inject cycle)
+	DstC    uint32 // destination port | qCorrupt
 }
 
 // qCorrupt is qrec.DstC's Corrupt bit.
@@ -249,23 +251,41 @@ const qCorrupt = 1 << 31
 // dst returns the record's destination port.
 func (r *qrec) dst() int { return int(r.DstC &^ qCorrupt) }
 
-// packet rebuilds the Packet that Inject was given at port, with zero hop
-// and deflection counters.
-func (r *qrec) packet(port int) Packet {
-	return Packet{Src: port, Dst: r.dst(), Header: r.Header, Payload: r.Payload,
-		InjectCycle: r.InjectCycle, Corrupt: r.DstC&qCorrupt != 0, Flow: r.Flow}
-}
-
 // qpageLen is the number of records on one injection-queue page.
 const qpageLen = 16
 
 // qpage is a fixed block of queued records. Pages are linked into a port's
 // FIFO and, once emptied, into the core's page free list; a record is never
 // moved after Inject writes it. next comes first so the collector scans only
-// the link, not the records.
+// the links, not the records. flows holds the records' attribution flow ids,
+// index-parallel with rec; it is allocated the first time a non-zero flow
+// lands on the page and kept with the page after, so an untraced run's pages
+// carry only the nil pointer.
 type qpage struct {
-	next *qpage
-	rec  [qpageLen]qrec
+	next  *qpage
+	flows *[qpageLen]uint32
+	rec   [qpageLen]qrec
+}
+
+// flow returns the flow id of record i.
+func (pg *qpage) flow(i int) uint32 {
+	if pg.flows == nil {
+		return 0
+	}
+	return pg.flows[i]
+}
+
+// injectCycle rebuilds the full inject cycle of a record still queued.
+func (c *Core) injectCycle(r *qrec) int64 {
+	return c.cycle - int64(uint32(c.cycle)-r.cycle)
+}
+
+// queuedPacket rebuilds the Packet that Inject was given at port, now record
+// i of page pg, with zero hop and deflection counters.
+func (c *Core) queuedPacket(port int, pg *qpage, i int) Packet {
+	r := &pg.rec[i]
+	return Packet{Src: port, Dst: r.dst(), Header: r.Header, Payload: r.Payload,
+		InjectCycle: c.injectCycle(r), Corrupt: r.DstC&qCorrupt != 0, Flow: pg.flow(i)}
 }
 
 // portq is one port's injection FIFO: records from head.rec[hi] through
@@ -567,19 +587,19 @@ func (c *Core) Busy() bool { return c.flying > 0 || c.queued > 0 }
 // QueueLen returns the injection queue depth of a port.
 func (c *Core) QueueLen(port int) int { return c.inq[port].n }
 
-// alloc moves the head record of port's queue into the pool as a packet
-// entering the fabric this cycle and returns its reference (index+1),
-// reusing a freed slot when one exists. The hot struct-of-arrays columns
-// (destination coordinates, entry cycle, deflection counter) are populated
-// here; the telemetry in pool[ref-1] itself stays zeroed until
+// alloc moves the head record of port's queue, record i of page pg, into the
+// pool as a packet entering the fabric this cycle and returns its reference
+// (index+1), reusing a freed slot when one exists. The hot struct-of-arrays
+// columns (destination coordinates, entry cycle, deflection counter) are
+// populated here; the telemetry in pool[ref-1] itself stays zeroed until
 // eject/drop/snapshot materialises the authoritative values via packetAt.
-func (c *Core) alloc(port int, r *qrec) int32 {
-	st := c.portPF[r.dst()]
+func (c *Core) alloc(port int, pg *qpage, i int) int32 {
+	st := c.portPF[pg.rec[i].dst()]
 	st.entry = uint32(c.cycle)
 	if n := len(c.free); n > 0 {
 		ref := c.free[n-1]
 		c.free = c.free[:n-1]
-		c.pool[ref-1] = r.packet(port)
+		c.pool[ref-1] = c.queuedPacket(port, pg, i)
 		c.pstate[ref-1] = st
 		return ref
 	}
@@ -588,7 +608,7 @@ func (c *Core) alloc(port int, r *qrec) int32 {
 		// than the fabric has cells.
 		c.growPool(min(2*cap(c.pool), len(c.grid)))
 	}
-	c.pool = append(c.pool, r.packet(port))
+	c.pool = append(c.pool, c.queuedPacket(port, pg, i))
 	c.pstate = append(c.pstate, st)
 	return int32(len(c.pool))
 }
@@ -620,9 +640,9 @@ func (c *Core) freePage(pg *qpage) {
 	c.qfree = pg
 }
 
-// push appends r to port's injection FIFO, opening a page from the free list
-// (or a new one) when the tail page is full.
-func (c *Core) push(port int, r qrec) {
+// push appends r, with its flow id, to port's injection FIFO, opening a page
+// from the free list (or a new one) when the tail page is full.
+func (c *Core) push(port int, r qrec, flow uint32) {
 	q := &c.inq[port]
 	if q.tail == nil || q.ti == qpageLen {
 		pg := c.qfree
@@ -639,7 +659,14 @@ func (c *Core) push(port int, r qrec) {
 		}
 		q.tail, q.ti = pg, 0
 	}
-	q.tail.rec[q.ti] = r
+	pg := q.tail
+	pg.rec[q.ti] = r
+	if pg.flows != nil {
+		pg.flows[q.ti] = flow
+	} else if flow != 0 {
+		pg.flows = new([qpageLen]uint32)
+		pg.flows[q.ti] = flow
+	}
 	q.ti++
 	q.n++
 }
@@ -671,8 +698,8 @@ func (c *Core) Inject(pkt Packet) {
 	if pkt.Corrupt {
 		dstC |= qCorrupt
 	}
-	c.push(pkt.Src, qrec{Header: pkt.Header, Payload: pkt.Payload, InjectCycle: c.cycle,
-		DstC: dstC, Flow: pkt.Flow})
+	c.push(pkt.Src, qrec{Header: pkt.Header, Payload: pkt.Payload, cycle: uint32(c.cycle),
+		DstC: dstC}, pkt.Flow)
 	c.queued++
 	c.stats.Injected++
 }
@@ -944,9 +971,8 @@ func (c *Core) injectPhase() {
 			q := &c.inq[port]
 			at := int(c.portCell[port])
 			if c.next[at] == 0 && (c.faulty == nil || !c.faulty[at]) {
-				r := &q.head.rec[q.hi]
-				c.stats.QueuedCycles += c.cycle - r.InjectCycle
-				c.place(at, c.alloc(port, r))
+				c.stats.QueuedCycles += int64(uint32(c.cycle) - q.head.rec[q.hi].cycle)
+				c.place(at, c.alloc(port, q.head, q.hi))
 				c.pop(q)
 				c.queued--
 				c.flying++

@@ -110,28 +110,88 @@ func TestPagedQueueSnapshotPinned(t *testing.T) {
 	}
 }
 
-// TestQueueRecordIs32Bytes: a waiting packet costs 32 bytes, Corrupt folded
-// into the destination's top bit, and the record gives back exactly what
-// Inject was given at the highest port with Corrupt set — queued, and after
-// it crosses the fabric.
-func TestQueueRecordIs32Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(qrec{}); got != 32 {
-		t.Fatalf("qrec is %d bytes, want 32", got)
+// TestQueueRecordIs24Bytes: a waiting packet costs 24 bytes, Corrupt folded
+// into the destination's top bit and the flow on its page's side array, and
+// the record gives back exactly what Inject was given at the highest port
+// with Corrupt set — queued, and after it crosses the fabric. A page of an
+// untraced run has no flow array.
+func TestQueueRecordIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(qrec{}); got != 24 {
+		t.Fatalf("qrec is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(qpage{}); got > 416 {
+		t.Fatalf("qpage is %d bytes, want at most 416", got)
 	}
 	p := Params{Heights: 8, Angles: 4}
 	c := NewCore(p)
 	var got []Packet
 	c.Deliver = func(pkt Packet, _ int64) { got = append(got, pkt) }
+	c.Inject(Packet{Src: 0, Dst: 1})
+	if c.inq[0].head.flows != nil {
+		t.Fatal("a page holding only flow 0 allocated its flow array")
+	}
 	top := p.Ports() - 1
 	in := Packet{Src: top, Dst: top, Header: ^uint64(0), Payload: 0xdead, Flow: ^uint32(0), Corrupt: true}
 	c.Inject(in)
 	in.InjectCycle = c.Cycle()
-	if q := &c.inq[top]; q.head.rec[q.hi].packet(top) != in {
-		t.Fatalf("queued record reads back as %+v, want %+v", q.head.rec[q.hi].packet(top), in)
+	if q := &c.inq[top]; c.queuedPacket(top, q.head, q.hi) != in {
+		t.Fatalf("queued record reads back as %+v, want %+v", c.queuedPacket(top, q.head, q.hi), in)
 	}
 	c.RunUntilIdle(1 << 12)
-	if len(got) != 1 || got[0].Dst != top || !got[0].Corrupt || got[0].Header != in.Header || got[0].Flow != in.Flow {
-		t.Fatalf("delivered %+v, want one corrupt packet at port %d", got, top)
+	if len(got) != 2 {
+		t.Fatalf("delivered %+v, want two packets", got)
+	}
+	for _, pk := range got {
+		if pk.Dst == top && (!pk.Corrupt || pk.Header != in.Header || pk.Flow != in.Flow) ||
+			pk.Dst != top && (pk.Corrupt || pk.Flow != 0) {
+			t.Fatalf("delivered %+v, want a clean packet at port 1 and a corrupt one at port %d", got, top)
+		}
+	}
+}
+
+// TestQueueRecordWaitsAcrossCycleWrap: a record keeps only the low 32 bits of
+// its inject cycle, so one that waits while the clock crosses a multiple of
+// 2^32 must still read back its full inject cycle, be charged the cycles it
+// really waited, and cross the fabric with the right latency.
+func TestQueueRecordWaitsAcrossCycleWrap(t *testing.T) {
+	const wrap = int64(1) << 32
+	p := Params{Heights: 8, Angles: 4}
+	for _, start := range []int64{wrap - 3, 5*wrap - 1, 7 * wrap} {
+		c := NewCore(p)
+		c.cycle = start
+		var got []Packet
+		c.Deliver = func(pkt Packet, _ int64) { got = append(got, pkt) }
+		// Port 2's entry node takes one packet a cycle; the rest wait.
+		const n = 6
+		for i := 0; i < n; i++ {
+			c.Inject(Packet{Src: 2, Dst: 9, Payload: uint64(i), Flow: uint32(i)})
+		}
+		for i := 0; i < 3; i++ {
+			c.Step()
+		}
+		q := &c.inq[2]
+		if q.n == 0 {
+			t.Fatalf("start %d: the queue drained in 3 cycles", start)
+		}
+		if pk := c.queuedPacket(2, q.head, q.hi); pk.InjectCycle != start || pk.Flow != uint32(n-q.n) {
+			t.Fatalf("start %d: the head record reads back inject cycle %d flow %d, want %d and %d",
+				start, pk.InjectCycle, pk.Flow, start, n-q.n)
+		}
+		c.RunUntilIdle(1 << 12)
+		st := c.Stats()
+		// Packet i waits i cycles: the entry node frees one a cycle.
+		if want := int64(n * (n - 1) / 2); st.QueuedCycles != want {
+			t.Errorf("start %d: QueuedCycles %d, want %d", start, st.QueuedCycles, want)
+		}
+		if len(got) != n {
+			t.Fatalf("start %d: %d deliveries, want %d", start, len(got), n)
+		}
+		for i, pk := range got {
+			if pk.InjectCycle != start || pk.Flow != uint32(i) {
+				t.Errorf("start %d: delivery %d has inject cycle %d flow %d, want %d and %d",
+					start, i, pk.InjectCycle, pk.Flow, start, i)
+			}
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func (c *Core) SnapshotTo(e *snapshot.Encoder) {
 			if i == qpageLen {
 				pg, i = pg.next, 0
 			}
-			encodePacket(e, pg.rec[i].packet(port))
+			encodePacket(e, c.queuedPacket(port, pg, i))
 			i++
 		}
 	}

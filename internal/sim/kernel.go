@@ -47,7 +47,8 @@ func entLess(a, b heapEnt) bool {
 // dispatch of heap.Interface roughly triples it. The queue stays shallow: a
 // component that knows its events far ahead keeps them in a FIFO of its own
 // and queues only the head here (ReserveSeq/AtArgSeq; see the fast switch
-// model's delivery trains), so a run's depth is O(ports + processes).
+// model's per-port delivery trains and the VIC's receive train), so a run's
+// depth is O(ports + VICs + processes), not O(words in flight).
 type eventHeap []heapEnt
 
 func (h *eventHeap) push(e *event) {
@@ -227,9 +228,11 @@ func (k *Kernel) atArg(t Time, fn func(any), arg any) *event {
 // ReserveSeq consumes the next sequence number without queueing anything and
 // returns it for a later AtArgSeq. It is for a component that learns early of
 // events that happen late and in an order it can vouch for — a FIFO of its
-// own, like the fast switch model's per-port delivery trains: it reserves
-// each event's number at the point AtArg would have been called, keeps the
-// events itself, and queues each one only when its predecessor fires. The
+// own, like the fast switch model's per-port delivery trains or a VIC's
+// receive train (a constant ProcDelay after arrivals that come in kernel
+// order): it reserves each event's number at the point AtArg would have been
+// called, keeps the events itself, and queues each one only when its
+// predecessor fires. The
 // kernel then holds one event per FIFO instead of one per element, and
 // nothing moves: (at, seq) is the whole ordering key and does not record when
 // an event was queued, so an event queued late under a number reserved early

@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // gateWaiter tracks one parked process on a Gate, with cancellation support
 // so timeouts can withdraw a waiter without racing its wakeup.
@@ -195,6 +198,14 @@ func (r *Ring[T]) Push(v T) {
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
+}
+
+// At returns the i-th queued item, the head being 0; i must be below Len.
+func (r *Ring[T]) At(i int) *T {
+	if i < 0 || i >= r.n {
+		panic(fmt.Sprintf("sim: Ring.At(%d) with %d queued", i, r.n))
+	}
+	return &r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
 // Pop removes and returns the head item; ok is false on an empty ring.

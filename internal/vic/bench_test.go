@@ -64,7 +64,7 @@ func BenchmarkVICInject(b *testing.B) {
 }
 
 // ejectBurst returns the delivery of a 512-packet burst through the eject
-// path (pooled receive events), run to completion.
+// path (the receive train), run to completion.
 func ejectBurst() (deliver func(), v *VIC) {
 	k, v, _ := benchInjectVIC()
 	pkts := make([]dvswitch.Packet, benchBurst)
@@ -87,7 +87,7 @@ func ejectBurst() (deliver func(), v *VIC) {
 // BenchmarkVICEject measures delivery of a 512-packet burst.
 func BenchmarkVICEject(b *testing.B) {
 	deliver, v := ejectBurst()
-	deliver() // warm the receive-event pool and memory pages
+	deliver() // warm the receive train's ring and memory pages
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -109,7 +109,7 @@ func BenchmarkVICEject(b *testing.B) {
 func BenchmarkWaitGC(b *testing.B) {
 	k, burst := waitGCBurst(b)
 	k.Spawn("host", func(p *sim.Proc) {
-		burst(p, benchBurst) // warm the receive-event pool and memory pages
+		burst(p, benchBurst) // warm the receive train's ring and memory pages
 		b.ReportAllocs()
 		b.ResetTimer()
 		for left := b.N; left > 0; left -= benchBurst {
@@ -145,8 +145,9 @@ func waitGCBurst(tb testing.TB) (*sim.Kernel, func(p *sim.Proc, n int)) {
 
 // TestBoundaryZeroAllocs holds the three benchmarks above to what their
 // allocs/op column reads, deterministically and in tier-1: a warm 512-word
-// send and a warm 512-packet delivery allocate nothing, and a counter wait
-// allocates nothing per packet. A warm 512-word direct-write send, whose
+// send and a warm 512-packet delivery allocate nothing (the VICEject row:
+// Receive's one path, the train), and a counter wait allocates nothing per
+// packet. A warm 512-word direct-write send, whose
 // words wait in the VIC's block and cross in chains, allocates nothing
 // either.
 func TestBoundaryZeroAllocs(t *testing.T) {

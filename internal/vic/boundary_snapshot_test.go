@@ -1,10 +1,11 @@
 package vic
 
 // Snapshot guarantees for the batched-boundary state: the double-buffered
-// surprise FIFO, pooled inject batches, and pooled receive events must be
-// invisible in state images. Two cross-checks pin that: (a) a batched
-// testbed and a scalar testbed driven through the same workload produce
-// byte-identical VIC snapshots at every sampled mid-drain instant, and (b)
+// surprise FIFO and pooled inject batches must be invisible in state images,
+// and the receive train (which both boundaries share) must read the same
+// under either. Two cross-checks pin that: (a) a batched testbed and a
+// scalar testbed driven through the same workload produce byte-identical VIC
+// snapshots at every sampled mid-drain instant, and (b)
 // snapshots of two identical batched runs match instant for instant, so the
 // pooled buffers never leak run-local state into an image (what the
 // determinism audit relies on).

@@ -72,17 +72,16 @@ func loopPull(rp *ReadProgram, p *sim.Proc, dst []uint64) {
 	loopRead(v, p, dst, rp.addr, v.par.PIOLatency)
 }
 
-// loopPIORead is PIORead as a loop.
-func loopPIORead(v *VIC, p *sim.Proc, addr uint32, n int) []uint64 {
+// loopPIORead is PIOReadInto as a loop.
+func loopPIORead(v *VIC, p *sim.Proc, dst []uint64, addr uint32) {
+	n := len(dst)
 	p.Wait(v.par.PIOLatency)
 	v.pioRd.Occupy(p, sim.BytesAt(n*8, v.par.PIOReadBW))
 	v.st.PCIeBytesIn += int64(n * 8)
 	if v.chk != nil {
 		v.chk.HostRead(v, n)
 	}
-	out := make([]uint64, n)
-	v.mem.readInto(out, addr)
-	return out
+	v.mem.readInto(dst, addr)
 }
 
 // loopWriteMemDMA is HostWriteMemDMA as a loop.
@@ -123,11 +122,12 @@ func (h verbs) pull(rp *ReadProgram, p *sim.Proc, dst []uint64) {
 	}
 }
 
-func (h verbs) pioRead(v *VIC, p *sim.Proc, addr uint32, n int) []uint64 {
+func (h verbs) pioRead(v *VIC, p *sim.Proc, dst []uint64, addr uint32) {
 	if h.chained {
-		return v.PIORead(p, addr, n)
+		v.PIOReadInto(p, dst, addr)
+	} else {
+		loopPIORead(v, p, dst, addr)
 	}
-	return loopPIORead(v, p, addr, n)
 }
 
 func (h verbs) writeMem(v *VIC, p *sim.Proc, addr uint32, vals []uint64) {
@@ -204,7 +204,8 @@ func runLockstep(n int, chained, traced, scalar bool) lockstepRun {
 			row := make([]uint64, 40)
 			h.readInto(v, p, row, 0)
 			keep(row)
-			keep(h.pioRead(v, p, 3, 5))
+			h.pioRead(v, p, row[:5], 3)
+			keep(row[:5])
 			rp := v.NewReadProgram(8, 16)
 			h.pull(rp, p, row[:16])
 			keep(row[:16])
@@ -228,7 +229,8 @@ func runLockstep(n int, chained, traced, scalar bool) lockstepRun {
 			keep(row)
 			h.readInto(v, p, row[:10], 2)
 			keep(row[:10])
-			keep(h.pioRead(v, p, 0, 2))
+			h.pioRead(v, p, row[:2], 0)
+			keep(row[:2])
 			h.readInto(v, p, row[:0], 0)
 		}
 		run.ends[2] = p.Now()

@@ -19,7 +19,7 @@ type Checker interface {
 	MemWrite(v *VIC, addr uint32, val uint64)
 	// HostSent fires when HostSend accepts words for transmission.
 	HostSent(v *VIC, mode SendMode, words int)
-	// HostRead fires when DMAReadInto/PIORead move words VIC→host.
+	// HostRead fires when DMAReadInto/PIOReadInto move words VIC→host.
 	HostRead(v *VIC, words int)
 	// HostWrote fires when HostWriteMemDMA moves words host→VIC.
 	HostWrote(v *VIC, words int)

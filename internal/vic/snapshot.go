@@ -1,7 +1,8 @@
-// State capture for the VIC: DV Memory, group counters, the surprise FIFO and
-// host ring, PCIe/DMA link occupancy, and telemetry. DV Memory is walked in
-// ascending page order; pages materialise deterministically on first touch,
-// so the page set (not just its contents) repeats exactly.
+// State capture for the VIC: DV Memory, group counters, the receive train,
+// the surprise FIFO and host ring, PCIe/DMA link occupancy, and telemetry.
+// DV Memory is walked in ascending page order; pages materialise
+// deterministically on first touch, so the page set (not just its contents)
+// repeats exactly.
 
 package vic
 
@@ -36,6 +37,21 @@ func (v *VIC) SnapshotTo(e *snapshot.Encoder) {
 	}
 	for i := range v.gcGate {
 		e.Int(v.gcGate[i].Waiters())
+	}
+	// The receive train, head first. Only its head is a kernel event
+	// (covered by the kernel section's fingerprint); the entries behind it
+	// exist nowhere else, so each is written with its firing time. Not with
+	// its sequence number: that counts the events drawn before it, which the
+	// scalar injection reference draws more of, and the image must not tell
+	// the two boundaries apart. The train's order stands in for it.
+	e.Int(v.rx.Len())
+	for i := 0; i < v.rx.Len(); i++ {
+		r := v.rx.At(i)
+		e.Time(r.at)
+		e.U32(uint32(r.src))
+		e.U64(r.header)
+		e.U64(r.payload)
+		e.U32(r.flow)
 	}
 	// Surprise FIFO (on-VIC) and host ring buffer.
 	e.U64s(v.fifo)

@@ -117,23 +117,27 @@ type VIC struct {
 	// mut plants deliberate defects for checker validation (SetMutation).
 	mut Mutation
 
-	// scalar selects the legacy one-kernel-event-per-packet boundary instead
-	// of the batched pipeline (SetScalarBoundary). The two are bit-identical
-	// in results — pinned by differential tests — so the scalar path survives
-	// only as the executable reference the batched path is checked against.
+	// scalar selects the legacy one-kernel-event-per-packet injection
+	// boundary instead of the batched pipeline (SetScalarBoundary). The two
+	// are bit-identical in results — pinned by differential tests — so the
+	// scalar path survives only as the executable reference the batched path
+	// is checked against. Receives take the train (rx) on both.
 	scalar bool
 
-	// Pooled payloads for the batched boundary: send batches, receive
-	// executions, and FIFO-drain completions recycle through free lists so
-	// the steady-state hot path schedules kernel events without allocating.
-	batchFree []*injectBatch
-	rxFree    []*rxEvent
+	// rx is the receive train: the packets Receive accepted, waiting for
+	// their execution ProcDelay after arrival, in arrival order. Only the
+	// head is a kernel event (see Receive).
+	rx sim.Ring[rxEnt]
+
+	// Pooled payloads for the batched boundary: FIFO-drain completions
+	// recycle through a free list so the steady-state hot path schedules
+	// kernel events without allocating.
 	drainFree []*drainEvent
 	fifoSpare []uint64 // drained buffer awaiting reuse (double-buffering)
 
-	// scratch is where fireInjectBatch expands a batch's records into
-	// Packets for the fabric call: allocated on first use, or shared by
-	// every VIC of a cluster (ShareScratch).
+	// scratch holds the inject batches' pool and the buffer fireInjectBatch
+	// expands a batch's records into for the fabric call: allocated on first
+	// use, or shared by every VIC of a cluster (ShareScratch).
 	scratch *pktScratch
 
 	// The host verbs' chains (see pioSend and hostXfer), pooled like the
@@ -175,11 +179,18 @@ type injectBatch struct {
 	recs []chunkRec
 }
 
-// pktScratch is the Packet buffer a batch is expanded into for the fabric
-// call. It grows to the largest batch (one DMA chunk) and is reused by every
-// injection event of the VICs sharing it: the fabric copies what it keeps
-// before InjectBatch returns, and injection events never nest.
-type pktScratch struct{ pkts []dvswitch.Packet }
+// pktScratch is what the VICs sharing it keep for injection once, not once
+// each. pkts is the Packet buffer a batch is expanded into for the fabric
+// call: it grows to the largest batch (one DMA chunk) and is reused by every
+// injection event, since the fabric copies what it keeps before InjectBatch
+// returns and injection events never nest. batchFree is the pool of empty
+// inject batches, each keeping its record storage, so a run holds as many
+// chunk-sized batches as are waiting at once across the VICs, not the sum
+// of each VIC's own high-water mark.
+type pktScratch struct {
+	pkts      []dvswitch.Packet
+	batchFree []*injectBatch
+}
 
 // fireInjectBatch injects a batch into the fabric and recycles the payload.
 // Package-level (not a closure) so Kernel.AtArg carries only the pointer.
@@ -190,9 +201,6 @@ func fireInjectBatch(a any) {
 	b := a.(*injectBatch)
 	v, recs := b.v, b.recs
 	if v.injectB != nil {
-		if v.scratch == nil {
-			v.scratch = new(pktScratch)
-		}
 		pkts := slices.Grow(v.scratch.pkts[:0], len(recs))[:len(recs)]
 		for i := range recs {
 			pkts[i] = v.packetOf(&recs[i])
@@ -205,7 +213,7 @@ func fireInjectBatch(a any) {
 		}
 	}
 	b.recs = recs[:0]
-	v.batchFree = append(v.batchFree, b)
+	v.scratch.batchFree = append(v.scratch.batchFree, b)
 }
 
 // packetOf expands a record into the fabric packet it stands for.
@@ -213,9 +221,10 @@ func (v *VIC) packetOf(r *chunkRec) dvswitch.Packet {
 	return dvswitch.Packet{Src: v.Port, Dst: int(r.dst), Header: r.header, Payload: r.payload, Flow: r.flow}
 }
 
-// ShareScratch makes v expand its inject batches in the same buffer as o.
-// The cluster shares one among all its VICs, which run on one kernel, so a
-// run holds one chunk's worth of expanded Packets instead of one per VIC.
+// ShareScratch makes v take its inject batches from the same pool as o, and
+// expand them in the same buffer. The cluster shares one among all its VICs,
+// which run on one kernel, so a run holds one chunk's worth of expanded
+// Packets instead of one per VIC, and one pool of batches.
 func (v *VIC) ShareScratch(o *VIC) {
 	if o.scratch == nil {
 		o.scratch = new(pktScratch)
@@ -223,29 +232,19 @@ func (v *VIC) ShareScratch(o *VIC) {
 	v.scratch = o.scratch
 }
 
-// newBatch returns a pooled (or fresh) empty inject batch.
+// newBatch returns a pooled (or fresh) empty inject batch of v's.
 func (v *VIC) newBatch() *injectBatch {
-	if n := len(v.batchFree); n > 0 {
-		b := v.batchFree[n-1]
-		v.batchFree = v.batchFree[:n-1]
+	if v.scratch == nil {
+		v.scratch = new(pktScratch)
+	}
+	sc := v.scratch
+	if n := len(sc.batchFree); n > 0 {
+		b := sc.batchFree[n-1]
+		sc.batchFree = sc.batchFree[:n-1]
+		b.v = v
 		return b
 	}
 	return &injectBatch{v: v}
-}
-
-// rxEvent is the pooled payload of one deferred receive execution.
-type rxEvent struct {
-	v   *VIC
-	pkt dvswitch.Packet
-}
-
-// fireReceive runs one deferred packet execution and recycles the payload.
-func fireReceive(a any) {
-	e := a.(*rxEvent)
-	v, pkt := e.v, e.pkt
-	e.pkt = dvswitch.Packet{}
-	v.rxFree = append(v.rxFree, e)
-	v.execute(pkt)
 }
 
 // drainEvent is the pooled payload of one FIFO-drain completion: the batch
@@ -572,12 +571,11 @@ func (v *VIC) dmaRead(p *sim.Proc, pre, pre2 sim.Time, dst []uint64, addr uint32
 		d: sim.BytesAt(len(dst)*8, v.par.DMABW), row: dst, addr: addr})
 }
 
-// PIORead reads n words via programmed I/O (slow path; small reads).
-func (v *VIC) PIORead(p *sim.Proc, addr uint32, n int) []uint64 {
-	out := make([]uint64, n)
+// PIOReadInto reads len(dst) words starting at addr via programmed I/O into
+// the host row dst (slow path; small reads).
+func (v *VIC) PIOReadInto(p *sim.Proc, dst []uint64, addr uint32) {
 	v.transfer(p, hostXfer{waits: [2]sim.Time{v.par.PIOLatency}, lane: &v.pioRd,
-		d: sim.BytesAt(n*8, v.par.PIOReadBW), row: out, addr: addr})
-	return out
+		d: sim.BytesAt(len(dst)*8, v.par.PIOReadBW), row: dst, addr: addr})
 }
 
 // HostWriteMemDMA stages words into the local DV Memory with the DMA engine
@@ -588,7 +586,7 @@ func (v *VIC) HostWriteMemDMA(p *sim.Proc, addr uint32, vals []uint64) {
 }
 
 // hostXfer is the sim.Stepper of a host↔DV Memory transfer (DMAReadInto,
-// ReadProgram.Pull, PIORead, HostWriteMemDMA). It runs the loop
+// ReadProgram.Pull, PIOReadInto, HostWriteMemDMA). It runs the loop
 //
 //	p.Wait(waits[0]); p.Wait(waits[1])
 //	lane.Occupy(p, d)
@@ -653,7 +651,7 @@ func (v *VIC) transfer(p *sim.Proc, x hostXfer) {
 }
 
 // Peek reads a DV Memory word without modelling any cost (test/diagnostic
-// backdoor; simulated code must use PIORead/DMAReadInto).
+// backdoor; simulated code must use PIOReadInto/DMAReadInto).
 func (v *VIC) Peek(addr uint32) uint64 { return v.mem.read(addr) }
 
 // ---------------------------------------------------------------------------
@@ -890,36 +888,74 @@ func (v *VIC) newDrain() *drainEvent {
 // ---------------------------------------------------------------------------
 // Receive path
 
-// Receive executes an arriving packet. It is called by the cluster layer
-// from within the fabric's delivery event and must not block. Packets whose
-// payload was corrupted in flight fail the link CRC and are discarded here;
-// to the sending application a corruption is indistinguishable from a drop.
+// rxEnt is one accepted packet on a VIC's receive train: what execute reads
+// of it, and the kernel key its execution fires under. 40 bytes and no
+// pointer, so the collector never scans a train.
+type rxEnt struct {
+	at      sim.Time // arrival + ProcDelay
+	seq     uint64   // reserved at arrival (Kernel.ReserveSeq)
+	header  uint64
+	payload uint64
+	src     int32 // fabric port
+	flow    uint32
+}
+
+// Receive executes an arriving packet ProcDelay after it arrives. It is
+// called by the cluster layer from within the fabric's delivery event and
+// must not block. Packets whose payload was corrupted in flight fail the
+// link CRC and are discarded here; to the sending application a corruption
+// is indistinguishable from a drop.
+//
+// The executions wait on the VIC's receive train, and only its head is a
+// kernel event, so the kernel holds one pending execution per VIC instead of
+// one per word in flight. Each still fires at the (at, seq) it would have had
+// as an event of its own, scheduled ProcDelay after arrival, because
+//
+//   - seq is reserved here (Kernel.ReserveSeq), where that event would have
+//     drawn it;
+//   - at is the arrival plus ProcDelay, a per-VIC constant, and Receive is
+//     called in kernel order, so both keys rise from head to tail: an
+//     entry's predecessor fires no later than it is due and arms it
+//     (Kernel.AtArgSeq) before virtual time passes it;
+//   - the kernel orders events by (at, seq) alone, never by when they were
+//     queued.
 func (v *VIC) Receive(pkt dvswitch.Packet) {
+	r, ok := v.accept(&pkt)
+	if !ok {
+		return
+	}
+	v.rx.Push(r)
+	if v.rx.Len() == 1 {
+		v.k.AtArgSeq(r.at, r.seq, fireReceive, v)
+	}
+}
+
+// accept counts an arriving packet and returns its train entry, its
+// execution's key drawn now; a corrupted packet is dropped instead.
+func (v *VIC) accept(pkt *dvswitch.Packet) (rxEnt, bool) {
 	v.st.PktsReceived++
 	if pkt.Corrupt {
 		v.st.CorruptDropped++
 		if v.attr != nil {
 			v.attr.Drop(pkt.Flow)
 		}
-		return
+		return rxEnt{}, false
 	}
-	if v.scalar {
-		v.k.After(v.par.ProcDelay, func() { v.execute(pkt) })
-		return
-	}
-	e := v.newRx()
-	e.pkt = pkt
-	v.k.AfterArg(v.par.ProcDelay, fireReceive, e)
+	return rxEnt{at: v.k.Now() + v.par.ProcDelay, seq: v.k.ReserveSeq(), header: pkt.Header,
+		payload: pkt.Payload, src: int32(pkt.Src), flow: pkt.Flow}, true
 }
 
-// newRx returns a pooled (or fresh) receive-execution payload.
-func (v *VIC) newRx() *rxEvent {
-	if n := len(v.rxFree); n > 0 {
-		e := v.rxFree[n-1]
-		v.rxFree = v.rxFree[:n-1]
-		return e
+// fireReceive executes the head of a VIC's receive train: it takes the entry
+// off, arms its successor, then executes. It is a package-level function (not
+// a closure) so scheduling it carries only the VIC pointer.
+func fireReceive(a any) {
+	v := a.(*VIC)
+	r, _ := v.rx.Pop()
+	if v.rx.Len() > 0 {
+		next := v.rx.At(0)
+		v.k.AtArgSeq(next.at, next.seq, fireReceive, v)
 	}
-	return &rxEvent{v: v}
+	v.execute(&r)
 }
 
 // StallDMA wedges both DMA engines for d starting at time at (clamped to the
@@ -940,53 +976,53 @@ func (v *VIC) StallDMA(at, d sim.Time) {
 	})
 }
 
-func (v *VIC) execute(pkt dvswitch.Packet) {
-	_, op, gc, addr := DecodeHeader(pkt.Header)
+func (v *VIC) execute(r *rxEnt) {
+	_, op, gc, addr := DecodeHeader(r.header)
 	// Attribution: the eject stage (eject FIFO + VIC processing delay)
 	// closes here; ops with immediate host visibility complete with a
 	// zero-length drain stage, FIFO words complete at the host-ring drain.
-	if v.attr != nil && pkt.Flow != 0 {
-		v.attr.Stamp(pkt.Flow, attr.StageEject, v.k.Now())
+	if v.attr != nil && r.flow != 0 {
+		v.attr.Stamp(r.flow, attr.StageEject, v.k.Now())
 	}
 	switch op {
 	case OpWrite:
-		v.mem.write(addr, pkt.Payload)
+		v.mem.write(addr, r.payload)
 		if v.chk != nil {
-			v.chk.MemWrite(v, addr, pkt.Payload)
+			v.chk.MemWrite(v, addr, r.payload)
 		}
 		if gc != NoGC {
 			v.decGC(gc, 1)
 		}
 		if v.attr != nil {
-			v.attr.Complete(pkt.Flow, v.k.Now())
+			v.attr.Complete(r.flow, v.k.Now())
 		}
 	case OpFIFO:
-		v.pushSurprise(pkt.Src, pkt.Payload, pkt.Flow)
+		v.pushSurprise(int(r.src), r.payload, r.flow)
 		if gc != NoGC {
 			v.decGC(gc, 1)
 		}
 	case OpSetGC:
-		v.setGC(int(addr), int64(pkt.Payload))
+		v.setGC(int(addr), int64(r.payload))
 		if v.attr != nil {
-			v.attr.Complete(pkt.Flow, v.k.Now())
+			v.attr.Complete(r.flow, v.k.Now())
 		}
 	case OpDecGC:
-		v.decGC(int(addr), int64(pkt.Payload))
+		v.decGC(int(addr), int64(r.payload))
 		if v.attr != nil {
-			v.attr.Complete(pkt.Flow, v.k.Now())
+			v.attr.Complete(r.flow, v.k.Now())
 		}
 	case OpQuery:
 		// The payload is the return header; the requested word becomes the
 		// reply payload. The reply VIC need not be the querying VIC.
 		// The request flow completes here; the reply is its own flow,
 		// issued by this VIC without a host PCIe crossing.
-		dstVIC, _, _, _ := DecodeHeader(pkt.Payload)
+		dstVIC, _, _, _ := DecodeHeader(r.payload)
 		var replyFlow uint32
 		if v.attr != nil {
-			v.attr.Complete(pkt.Flow, v.k.Now())
+			v.attr.Complete(r.flow, v.k.Now())
 			replyFlow = v.attr.Begin(v.ID, dstVIC, attr.KindQuery, v.k.Now())
 		}
-		reply := chunkRec{header: pkt.Payload, payload: v.mem.read(addr), dst: int32(v.portFor(dstVIC)), flow: replyFlow}
+		reply := chunkRec{header: r.payload, payload: v.mem.read(addr), dst: int32(v.portFor(dstVIC)), flow: replyFlow}
 		if v.scalar {
 			pkt := v.packetOf(&reply)
 			v.k.After(v.par.ProcDelay, func() { v.inject(pkt) })
