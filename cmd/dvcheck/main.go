@@ -5,11 +5,14 @@
 // livelock bounds, group-counter and FIFO discipline, PCIe byte
 // conservation, and — under fault plans — exactly-once reliable delivery.
 //
-// Every run is also audited for determinism: it is run twice more under the
-// managed pump, capturing the complete simulator state on a grid of a quarter
-// of its elapsed virtual time, and the second pass must be in the first's
-// state, section by section, at every boundary. A divergence is a FAIL naming
-// the component section and the virtual instant.
+// Every run is also audited for determinism (cluster.Audit): it is run twice
+// more under the managed pump, on a boundary grid of a quarter of its elapsed
+// virtual time, and the second pass must take the first's path — the same
+// events fired, the same queue, processes and RNG streams at every boundary —
+// and both passes must end with the checked run's Summary. A divergence is a
+// FAIL naming the part of the witness, the virtual instant and, when events
+// part, the first event fired differently: its time, sequence number and
+// handler.
 //
 // Usage:
 //
@@ -38,6 +41,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"reflect"
 	"slices"
 	"strings"
 	"syscall"
@@ -48,7 +52,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 )
 
 // faultClass names one reproducible fault plan family; the plan is derived
@@ -113,21 +116,29 @@ func usage(format string, args ...any) {
 	os.Exit(2)
 }
 
-// audit runs the spec build returns twice more under the managed pump,
-// capturing on a grid of a quarter of elapsed (the checked run's virtual
-// time), and reports how many boundaries the passes were compared at; the
-// error is a *snapshot.MismatchError when the second pass left the first's
-// path.
-func audit(a apprt.App, build func() apprt.RunSpec, elapsed sim.Time) (boundaries int, err error) {
-	every := max(elapsed/4, sim.Nanosecond)
-	return snapshot.Audit(func(sink func(*snapshot.Snapshot) error) error {
+// audit runs the spec build returns twice more under the managed pump, with
+// boundaries on a grid of a quarter of the checked run's virtual time, and
+// reports how many boundaries the passes were compared at. The error is a
+// *cluster.MismatchError when the second pass left the first's path, or when
+// a pass ended with a Summary other than the checked run's.
+func audit(a apprt.App, build func() apprt.RunSpec, checked apprt.Summary) (boundaries int, err error) {
+	every := max(checked.Cluster.Elapsed/4, sim.Nanosecond)
+	var first *apprt.Summary
+	ats, err := cluster.Audit(every, func(cp *cluster.Checkpoint) (any, error) {
 		spec := build()
-		spec.Checkpoint = &cluster.Checkpoint{Every: every, Sink: sink}
-		if _, err := a.Run(spec); err != nil {
-			return err
+		spec.Checkpoint = cp
+		sum, err := a.Run(spec)
+		if first == nil {
+			first = &sum
 		}
-		return spec.Checkpoint.Err
+		return sum, err
 	})
+	// Audit holds the second pass's Summary to the first's.
+	if err == nil && !reflect.DeepEqual(*first, checked) {
+		err = &cluster.MismatchError{Part: "results", At: checked.Cluster.Elapsed,
+			Want: "the checked run's Summary", Got: "another"}
+	}
+	return len(ats), err
 }
 
 func main() {
@@ -278,7 +289,7 @@ matrix:
 						failures++
 						fmt.Printf("FAIL %s:\n%s\n", tag, res)
 					default:
-						boundaries, err := audit(a, build, sum.Cluster.Elapsed)
+						boundaries, err := audit(a, build, sum)
 						minAudited = min(minAudited, boundaries)
 						if err != nil {
 							failures++

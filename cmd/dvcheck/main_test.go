@@ -53,12 +53,13 @@ func dvcheck(t *testing.T, args string) (string, string, int) {
 }
 
 // TestAuditDivergenceFails: a run that does not repeat itself passes its
-// invariants and still fails dvcheck, by section name; the app it is built
-// from passes, audited.
+// invariants and still fails dvcheck, naming the part of the witness that
+// differs (a new seed moves the root RNG stream before anything else); the
+// app it is built from passes, audited.
 func TestAuditDivergenceFails(t *testing.T) {
 	out, _, code := dvcheck(t, "-app drift -net dv -seeds 1")
-	if code != 1 || !strings.Contains(out, "FAIL drift/Data Vortex/none seed=1: determinism audit: snapshot: section:") {
-		t.Errorf("drifting app: exit %d, want 1 and a FAIL line naming a section; stdout:\n%s", code, out)
+	if code != 1 || !strings.Contains(out, "FAIL drift/Data Vortex/none seed=1: determinism audit: cluster: rng mismatch at virtual ") {
+		t.Errorf("drifting app: exit %d, want 1 and a FAIL line naming the RNG streams; stdout:\n%s", code, out)
 	}
 	out, _, code = dvcheck(t, "-app gups -net dv -seeds 1")
 	if code != 0 || !strings.HasSuffix(out, "or more boundaries, all invariants held\n") {

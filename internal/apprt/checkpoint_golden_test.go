@@ -2,10 +2,11 @@
 // backends, clean and under fault plans, with the invariant layer live on
 // both sides —
 //
-//	(a) a managed run (periodic snapshot capture under the stepped pump)
+//	(a) a managed run (a witness at every boundary under the stepped pump)
 //	    produces results identical to the plain run, and
-//	(b) a repeat of it is in the same state, component section by section,
-//	    at every capture boundary (snapshot.Audit, as dvcheck runs it).
+//	(b) a repeat of it takes the same path: the same events, queue,
+//	    processes and RNG streams at every boundary (cluster.Audit, as
+//	    dvcheck runs it).
 //
 // Identity is checked with reflect.DeepEqual over the full Summary including
 // the cluster telemetry Report, which is stronger than comparing the
@@ -24,7 +25,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 )
 
 // ckptClass is one fault-plan family of the matrix (a subset of dvcheck's
@@ -78,24 +78,21 @@ func TestCheckpointGoldenMatrix(t *testing.T) {
 					}
 
 					every := max(base.Cluster.Elapsed/4, sim.Nanosecond)
-					boundaries, err := snapshot.Audit(func(sink func(*snapshot.Snapshot) error) error {
+					boundaries, err := cluster.Audit(every, func(cp *cluster.Checkpoint) (any, error) {
 						spec := ckptSpec(a, net, fc)
-						spec.Checkpoint = &cluster.Checkpoint{Every: every, Sink: sink}
+						spec.Checkpoint = cp
 						managed, err := a.Run(spec)
-						if err != nil {
-							return err
-						}
-						if spec.Checkpoint.Err == nil && !reflect.DeepEqual(base, managed) {
+						if err == nil && cp.Err == nil && !reflect.DeepEqual(base, managed) {
 							t.Errorf("managed run result differs from straight run:\n straight: %+v\n managed:  %+v",
 								base, managed)
 						}
-						return spec.Checkpoint.Err
+						return managed, err
 					})
 					if err != nil {
 						t.Fatalf("determinism audit: %v", err)
 					}
-					if boundaries < 3 {
-						t.Fatalf("audit compared %d boundaries on a grid of a quarter of the run", boundaries)
+					if len(boundaries) < 3 {
+						t.Fatalf("audit compared %d boundaries on a grid of a quarter of the run", len(boundaries))
 					}
 				})
 			}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/faultplan"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 	"repro/internal/vic"
 )
 
@@ -62,12 +61,10 @@ func metricsRows() []metricsRow {
 		})})
 }
 
-// run executes the row, under the managed pump when cp is set.
-func (r metricsRow) run(t *testing.T, cp *cluster.Checkpoint) *cluster.Report {
+// run executes the row.
+func (r metricsRow) run(t *testing.T) *cluster.Report {
 	t.Helper()
-	spec := r.spec()
-	spec.Checkpoint = cp
-	sum, err := r.app.Run(spec)
+	sum, err := r.app.Run(r.spec())
 	if err != nil {
 		t.Fatalf("%s: %v", r.name, err)
 	}
@@ -91,15 +88,14 @@ func exports(t *testing.T, m *obs.Metrics) (prom, jsonl, chrome []byte) {
 
 // TestMetricsGolden pins every row's observability output: the Prometheus
 // dump line by line (each line prefixed with its row, so a moved line names
-// its run), and SHA-256 digests of the JSONL series, the Chrome trace, and the
-// "obs" section of the state images a managed run captures at each quarter of
-// the run (Registry.SnapshotTo + Sampler.SnapshotTo: instrument values in the
-// middle of the run, not only at its end). Regenerate with
+// its run), and SHA-256 digests of the JSONL series (the sampler's rows:
+// instrument values in the middle of the run, not only at its end) and the
+// Chrome trace. Regenerate with
 // go test ./internal/apprt -run TestMetricsGolden -update-golden.
 func TestMetricsGolden(t *testing.T) {
 	var b strings.Builder
 	for _, row := range metricsRows() {
-		rep := row.run(t, nil)
+		rep := row.run(t)
 		prom, jsonl, chrome := exports(t, rep.Metrics)
 		for _, line := range strings.SplitAfter(string(prom), "\n") {
 			if line != "" {
@@ -108,21 +104,6 @@ func TestMetricsGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "%s jsonl sha256:%x\n", row.name, sha256.Sum256(jsonl))
 		fmt.Fprintf(&b, "%s chrome sha256:%x\n", row.name, sha256.Sum256(chrome))
-
-		sections := sha256.New()
-		cp := &cluster.Checkpoint{Every: max(rep.Elapsed/4, sim.Nanosecond), Sink: func(s *snapshot.Snapshot) error {
-			for _, sec := range s.Sections {
-				if sec.Name == "obs" {
-					sections.Write(sec.Data)
-				}
-			}
-			return nil
-		}}
-		row.run(t, cp)
-		if cp.Err != nil || cp.Taken < 3 {
-			t.Fatalf("%s: managed run captured %d images (%v)", row.name, cp.Taken, cp.Err)
-		}
-		fmt.Fprintf(&b, "%s obs-sections sha256:%x images=%d\n", row.name, sections.Sum(nil), cp.Taken)
 
 		if strings.HasPrefix(row.name, "gups-32/") {
 			midRunNonzero(t, row.name, rep.Metrics.Series)
@@ -144,7 +125,7 @@ func TestMetricsGolden(t *testing.T) {
 func TestStatsViewsMatchReport(t *testing.T) {
 	for _, row := range metricsRows() {
 		spec := row.spec()
-		rep := row.run(t, nil)
+		rep := row.run(t)
 		prom, _, _ := exports(t, rep.Metrics)
 		got := promValues(t, prom)
 

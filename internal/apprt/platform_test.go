@@ -120,6 +120,9 @@ func TestRunSpecValidate_Invalid(t *testing.T) {
 			Platform: cluster.Platform{VICsPerNode: -1}}, field: "VICsPerNode"},
 		{name: "fault plan out of range", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{Faults: &faultplan.Plan{DropProb: 1.5}}}, field: "Faults"},
+		{name: "negative checkpoint interval", spec: apprt.RunSpec{Nodes: 4,
+			Platform: cluster.Platform{Checkpoint: &cluster.Checkpoint{Every: -sim.Microsecond}}},
+			field: "Checkpoint.Every"},
 		{name: "negative wall budget", spec: apprt.RunSpec{Nodes: 4,
 			Platform: cluster.Platform{Checkpoint: &cluster.Checkpoint{WallBudget: -time.Second}}},
 			field: "Checkpoint.WallBudget"},

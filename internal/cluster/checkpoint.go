@@ -1,58 +1,50 @@
-// Budgets and state capture. A managed run pumps the kernel in bounded steps
-// instead of one Kernel.Run call: between steps it polls wall-clock and
-// virtual-time budgets, so an open-ended run degrades into a partial Report
-// and a typed BudgetExceededError, never a hang; and at every virtual-time
-// boundary of the configured interval it captures a complete state image
-// (internal/snapshot) and hands it to the sink.
+// Budgets and the determinism witness. A managed run pumps the kernel in
+// bounded steps instead of one Kernel.Run call: between steps it polls
+// wall-clock and virtual-time budgets, so an open-ended run degrades into a
+// partial Report and a typed BudgetExceededError, never a hang; and at every
+// virtual-time boundary of the configured interval an Audit takes the run's
+// witness — the kernel's event digest, its pending queue, its live processes
+// and the RNG streams — to compare with another pass of the same
+// configuration.
 //
-// Images are for comparing, not for restoring: goroutine stacks cannot be
+// A witness is compared, never restored: goroutine stacks cannot be
 // serialized, so a run could only ever be "resumed" by replaying it from t=0,
-// which is what re-running the command does. snapshot.Audit is the sink's
-// product caller — it runs a configuration twice and names the first section
-// and instant at which the two differ.
+// which is what re-running the command does.
 
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"time"
 
-	"repro/internal/dv"
-	"repro/internal/dvswitch"
-	"repro/internal/mpi"
-	"repro/internal/obs"
-	"repro/internal/obs/attr"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
-	"repro/internal/vic"
 )
 
-// Checkpoint configures a managed run: budgets and periodic state capture.
-// The zero interval with budgets set gives a pure watchdog; an interval with
-// no budgets gives pure capture. Outcome fields (Err, Taken) are populated by
-// Run; callers keep the pointer.
+// Checkpoint configures a managed run: budgets and the boundary grid an
+// Audit compares on. The zero interval with budgets set gives a pure
+// watchdog. Err is populated by Run; callers keep the pointer.
 type Checkpoint struct {
-	// Every is the virtual-time interval between snapshots; boundaries sit
-	// on multiples of Every. Zero disables capture.
+	// Every is the virtual-time interval between boundaries; boundaries sit
+	// on multiples of Every. Zero disables them.
 	Every sim.Time
 	// WallBudget bounds the run's host wall-clock time; zero means none.
 	WallBudget time.Duration
 	// VirtualBudget bounds the run's virtual time; zero means none.
 	VirtualBudget sim.Time
-	// Sink receives every captured snapshot. A sink error aborts the run
-	// (partial report, Err set); with a nil sink boundaries are counted and
-	// nothing is captured.
-	Sink func(*snapshot.Snapshot) error
 	// Interrupt, when non-nil and closed (e.g. on the first SIGINT), stops
 	// the run like an expired wall budget: the current virtual instant
 	// completes and Err reports Budget == "interrupt".
 	Interrupt <-chan struct{}
 
 	// Err is the run outcome: nil on normal completion, a typed
-	// *BudgetExceededError on budget expiry, or the sink's error.
+	// *BudgetExceededError on budget expiry, or the *MismatchError of an
+	// Audit pass that left the reference pass's path.
 	Err error
-	// Taken counts the capture boundaries the run crossed.
-	Taken int
+
+	// audit is the Audit pass this run is, nil outside an Audit.
+	audit *auditPass
 }
 
 // BudgetExceededError reports that a managed run hit its wall-clock or
@@ -73,100 +65,236 @@ func (e *BudgetExceededError) Error() string {
 		e.Budget, e.At, e.Wall.Round(time.Millisecond))
 }
 
-// runState bundles the wired components a managed run must reach to capture
-// snapshots; Run assembles it after construction.
+// runState is what a managed run reads its witness from; Run assembles it
+// after construction.
 type runState struct {
 	k        *sim.Kernel
-	cfg      *Config
+	cp       *Checkpoint
 	rootRNG  *sim.RNG
 	nodeRNGs []*sim.RNG
-	fabric   dvswitch.Fabric
-	vics     []*vic.VIC
-	world    *mpi.World
-	ends     [][]*dv.Endpoint
-	reg      *obs.Registry
-	sampler  *obs.Sampler
-	tracer   *attr.Tracer
 }
 
-// capture builds one complete snapshot of the current simulator state. It is
-// pure observation: every component encoder copies, never mutates, so a
-// managed run fires exactly the event sequence an unmanaged run would.
-func (st *runState) capture(at sim.Time, seq uint64) *snapshot.Snapshot {
-	s := &snapshot.Snapshot{Header: snapshot.Header{At: at, Seq: seq}}
+// witness is what a managed run keeps of itself at one boundary. Every
+// event of a run is in the digest once it has fired and in the queue until
+// then, and every random draw moves a stream, so a second pass that takes
+// another path differs from the first at the first boundary after it does.
+type witness struct {
+	at     sim.Time
+	events uint64   // sim.Kernel.Witness: every event fired so far
+	queued int      // sim.Kernel.QueueFingerprint: the events pending
+	queue  uint64   //   and their (at, seq, daemon) keys
+	procs  int      // processes not yet finished
+	rngs   []uint64 // the root RNG's state, then each node's
+}
 
-	e := snapshot.NewEncoder()
-	e.U64(st.rootRNG.State())
-	e.U32(uint32(len(st.nodeRNGs)))
-	for _, r := range st.nodeRNGs {
-		e.U64(r.State())
+func (st *runState) witness(at sim.Time) witness {
+	w := witness{at: at, procs: st.k.LiveProcs()}
+	w.events, _ = st.k.Witness()
+	w.queued, w.queue = st.k.QueueFingerprint()
+	w.rngs = make([]uint64, 1+len(st.nodeRNGs))
+	w.rngs[0] = st.rootRNG.State()
+	for i, r := range st.nodeRNGs {
+		w.rngs[i+1] = r.State()
 	}
-	s.Add("rng", e.Bytes())
+	return w
+}
 
-	// A multi-plane fabric snapshots through its wrapper (plane count, then
-	// each plane); a single-plane run encodes the engine alone.
-	if st.fabric != nil {
-		e = snapshot.NewEncoder()
-		st.fabric.SnapshotTo(e)
-		s.Add("dvswitch", e.Bytes())
+// diff returns nil when got is the witness want is, or a *MismatchError
+// naming the first part that differs.
+func (want witness) diff(got witness) error {
+	mismatch := func(part string, w, g any) error {
+		return &MismatchError{Part: part, At: want.at, Want: fmt.Sprint(w), Got: fmt.Sprint(g)}
 	}
-	if st.vics != nil {
-		e = snapshot.NewEncoder()
-		for _, v := range st.vics {
-			v.SnapshotTo(e)
-		}
-		s.Add("vic", e.Bytes())
+	if want.at != got.at {
+		return mismatch("at", want.at, got.at)
 	}
-	if st.ends != nil {
-		e = snapshot.NewEncoder()
-		for _, rails := range st.ends {
-			e.U32(uint32(len(rails)))
-			for _, ep := range rails {
-				ep.SnapshotTo(e)
+	if len(want.rngs) != len(got.rngs) {
+		return mismatch("rng", fmt.Sprintf("%d streams", len(want.rngs)), fmt.Sprintf("%d streams", len(got.rngs)))
+	}
+	for i, w := range want.rngs {
+		if g := got.rngs[i]; g != w {
+			stream := "root"
+			if i > 0 {
+				stream = fmt.Sprintf("node %d", i-1)
 			}
+			return mismatch("rng", fmt.Sprintf("%s state %#x", stream, w), fmt.Sprintf("%s state %#x", stream, g))
 		}
-		s.Add("dv", e.Bytes())
 	}
-	if st.world != nil {
-		e = snapshot.NewEncoder()
-		st.world.F.SnapshotTo(e)
-		st.world.SnapshotTo(e)
-		s.Add("ib", e.Bytes())
+	if want.events != got.events {
+		return mismatch("events", fmt.Sprintf("digest %#x", want.events), fmt.Sprintf("digest %#x", got.events))
 	}
-	if st.cfg.Obs != nil {
-		e = snapshot.NewEncoder()
-		st.reg.SnapshotTo(e)
-		st.sampler.SnapshotTo(e)
-		s.Add("obs", e.Bytes())
+	if want.queued != got.queued || want.queue != got.queue {
+		return mismatch("queue", fmt.Sprintf("%d events (fingerprint %#x)", want.queued, want.queue),
+			fmt.Sprintf("%d events (fingerprint %#x)", got.queued, got.queue))
 	}
-	if st.tracer != nil {
-		e = snapshot.NewEncoder()
-		st.tracer.SnapshotTo(e)
-		s.Add("attr", e.Bytes())
+	if want.procs != got.procs {
+		return mismatch("procs", want.procs, got.procs)
 	}
-	// The event queue goes last: nearly every divergence reaches it, and a
-	// comparison names the first section that differs, which should be the
-	// component that diverged whenever one did.
-	e = snapshot.NewEncoder()
-	e.Time(st.k.Now())
-	n, fp := st.k.QueueFingerprint()
-	e.Int(n)
-	e.U64(fp)
-	e.Int(st.k.LiveProcs())
-	s.Add("kernel", e.Bytes())
+	return nil
+}
+
+// MismatchError is the typed failure of an Audit: the second pass of a
+// configuration left the path the first took.
+type MismatchError struct {
+	// Part names what differs: at a boundary, "rng", "events", "queue" or
+	// "procs" (the parts of the witness, checked in that order) or "at";
+	// "boundaries" when one pass crossed more boundaries than the other;
+	// "results" when the passes' final results differ.
+	Part string
+	// At is the boundary, as the first pass crossed it; for "results", the
+	// virtual time the first pass ended at.
+	At   sim.Time
+	Want string
+	Got  string
+	// WantEvent and GotEvent are where the passes part when Part is
+	// "events" or "queue": the first event one fired, or held queued at At
+	// (then its time is past At), where the other fired or held another.
+	// Audit finds them by re-running both passes over the stretch that
+	// ends at At. Both are zero when the re-runs agreed; one is when its
+	// pass had no event there.
+	WantEvent, GotEvent sim.Fired
+}
+
+// Error implements error.
+func (e *MismatchError) Error() string {
+	s := fmt.Sprintf("cluster: %s mismatch at virtual %v: want %s, got %s", e.Part, e.At, e.Want, e.Got)
+	if e.WantEvent != e.GotEvent {
+		s += fmt.Sprintf("; first event fired or queued differently: want %v, got %v", e.WantEvent, e.GotEvent)
+	}
 	return s
 }
 
+// errRecorded ends a re-run once the stretch it records is complete.
+var errRecorded = errors.New("cluster: audit stretch recorded")
+
+// auditPass is one pass of an Audit.
+type auditPass struct {
+	want []witness // the reference pass's witnesses; nil on the first pass
+	got  []witness // this pass's, one per boundary crossed
+	end  sim.Time  // the virtual time the pass completed at
+
+	// record is the boundary whose stretch a re-run records into path —
+	// the events fired after the boundary before it, then the events queued
+	// at it — or -1.
+	record int
+	path   []sim.Fired
+}
+
+// recording reports whether the stretch the pump is about to run is the
+// one this pass records.
+func (p *auditPass) recording() bool { return p.record == len(p.got) }
+
+// boundary takes the pass's witness at a boundary and, on the second pass,
+// compares it with the first's.
+func (p *auditPass) boundary(st *runState, at sim.Time) error {
+	if p.recording() {
+		p.path = append(p.path, st.k.Pending()...)
+		return errRecorded
+	}
+	w := st.witness(at)
+	p.got = append(p.got, w)
+	switch i := len(p.got) - 1; {
+	case p.want == nil || p.record >= 0:
+		return nil
+	case i == len(p.want):
+		return &MismatchError{Part: "boundaries", At: at, Want: fmt.Sprint(len(p.want)), Got: "one more"}
+	default:
+		return p.want[i].diff(w)
+	}
+}
+
+// Audit runs one configuration twice under the managed pump, with
+// boundaries every `every` of virtual time, and checks that the second pass
+// takes the path the first took: the witnesses agree at every boundary, both
+// passes cross the same boundaries, and their results are deeply equal. run
+// executes the configuration with cp as its Checkpoint and returns the
+// result; the caller may set cp's budgets, not its interval.
+//
+// Audit returns the boundaries the first pass crossed and nil; the first
+// error of run or of a pass's Checkpoint; a *ConfigError when every is not
+// positive or the first pass crosses no boundary, so that an audit that
+// compares nothing cannot pass; or a *MismatchError. When the event digest or
+// the queue is what differs, Audit calls run twice more, in the same order,
+// to re-run both passes over the stretch before the failing boundary, and
+// names the first event that differs there.
+func Audit(every sim.Time, run func(cp *Checkpoint) (any, error)) (boundaries []sim.Time, err error) {
+	if every <= 0 {
+		return nil, &ConfigError{Field: "Checkpoint.Every", Reason: fmt.Sprintf("must be positive for an audit (%v)", every)}
+	}
+	pass := func(p *auditPass) (any, error) {
+		cp := &Checkpoint{Every: every, audit: p}
+		res, err := run(cp)
+		if err == nil {
+			err = cp.Err
+		}
+		return res, err
+	}
+	first := &auditPass{record: -1}
+	want, err := pass(first)
+	for _, w := range first.got {
+		boundaries = append(boundaries, w.at)
+	}
+	if err != nil {
+		return boundaries, err
+	}
+	if len(boundaries) == 0 {
+		return nil, &ConfigError{Field: "Checkpoint.Every", Reason: fmt.Sprintf(
+			"(%v) puts no boundary inside the run, which ended at %v: the audit would compare nothing", every, first.end)}
+	}
+	second := &auditPass{want: first.got, record: -1}
+	got, err := pass(second)
+	switch n := len(second.got); {
+	case err != nil:
+	case n < len(first.got):
+		err = &MismatchError{Part: "boundaries", At: first.got[n].at, Want: fmt.Sprint(len(first.got)), Got: fmt.Sprint(n)}
+	case !reflect.DeepEqual(want, got):
+		err = &MismatchError{Part: "results", At: first.end, Want: "the first pass's", Got: "others"}
+	}
+	var me *MismatchError
+	if errors.As(err, &me) && (me.Part == "events" || me.Part == "queue") {
+		me.WantEvent, me.GotEvent = firstDifference(pass, len(second.got)-1)
+	}
+	return boundaries, err
+}
+
+// firstDifference re-runs both passes of an audit over the stretch that ends
+// at boundary i and returns the first event they fired, or held queued at the
+// boundary, differently; zero events when the re-runs agree.
+func firstDifference(pass func(*auditPass) (any, error), i int) (want, got sim.Fired) {
+	a, b := &auditPass{record: i}, &auditPass{record: i}
+	pass(a)
+	pass(b)
+	j := 0
+	for j < len(a.path) && j < len(b.path) && a.path[j] == b.path[j] {
+		j++
+	}
+	if j < len(a.path) {
+		want = a.path[j]
+	}
+	if j < len(b.path) {
+		got = b.path[j]
+	}
+	return want, got
+}
+
 // runTo pumps user events with timestamps <= limit in bounded batches,
-// polling the wall-clock deadline and the interrupt channel between batches.
-// It returns "" when the limit was reached, or the cut cause ("wall" or
+// polling the wall-clock deadline and the interrupt channel between batches;
+// with record set it fires one event at a time and appends each to it. It
+// returns "" when the limit was reached, or the cut cause ("wall" or
 // "interrupt") when the run must stop early.
-func (st *runState) runTo(limit sim.Time, deadline time.Time) (cut string) {
-	const batch = 8192
-	intr := st.cfg.Checkpoint.Interrupt
+func (st *runState) runTo(limit sim.Time, deadline time.Time, record *[]sim.Fired) (cut string) {
+	batch := 8192
+	if record != nil {
+		batch = 1
+	}
+	intr := st.cp.Interrupt
 	for {
 		if st.k.RunUntilN(limit, batch) == 0 {
 			return ""
+		}
+		if record != nil {
+			_, last := st.k.Witness()
+			*record = append(*record, last)
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return "wall"
@@ -181,12 +309,12 @@ func (st *runState) runTo(limit sim.Time, deadline time.Time) (cut string) {
 	}
 }
 
-// runManaged is the stepped pump: boundary-by-boundary RunUntil with state
-// capture and the budget watchdog. It returns true when the run is partial
-// (budget expiry or sink failure); cp.Err carries the typed cause.
+// runManaged is the stepped pump: boundary-by-boundary RunUntil with the
+// audit's witness and the budget watchdog. It returns true when the run is
+// partial (budget expiry or an audit mismatch); cp.Err carries the typed
+// cause.
 func (st *runState) runManaged() (partial bool) {
-	cp := st.cfg.Checkpoint
-	k := st.k
+	cp, k := st.cp, st.k
 	start := time.Now()
 	var deadline time.Time
 	if cp.WallBudget > 0 {
@@ -196,9 +324,9 @@ func (st *runState) runManaged() (partial bool) {
 
 	at := sim.Time(0)
 	for {
-		// Choose the next stopping point: the next capture boundary
-		// (fast-forwarded across idle stretches, staying on the Every grid),
-		// clamped by the virtual budget.
+		// Choose the next stopping point: the next boundary (fast-forwarded
+		// across idle stretches, staying on the Every grid), clamped by the
+		// virtual budget.
 		stop := sim.Forever
 		boundary := false
 		if cp.Every > 0 {
@@ -214,10 +342,14 @@ func (st *runState) runManaged() (partial bool) {
 			boundary = false
 		}
 
-		if cause := st.runTo(stop, deadline); cause != "" {
+		var record *[]sim.Fired
+		if p := cp.audit; p != nil && p.recording() {
+			record = &p.path
+		}
+		if cause := st.runTo(stop, deadline, record); cause != "" {
 			// Wall budget expired (or interrupt arrived) mid-stretch: complete
 			// the current virtual instant so the cut is a clean event
-			// boundary. No image is captured: a wall-cut instant is not
+			// boundary. No witness is taken: a wall-cut instant is not
 			// reproducible, so there is nothing to compare it with.
 			cut := k.Now()
 			k.RunUntil(cut)
@@ -227,6 +359,9 @@ func (st *runState) runManaged() (partial bool) {
 		}
 		if k.PendingUser() == 0 {
 			// Normal completion: same endgame as Kernel.Run.
+			if cp.audit != nil {
+				cp.audit.end = k.Now()
+			}
 			k.Finish()
 			return false
 		}
@@ -237,14 +372,11 @@ func (st *runState) runManaged() (partial bool) {
 				return true
 			}
 		}
-		if boundary {
-			if cp.Sink != nil {
-				if cp.Err = cp.Sink(st.capture(stop, uint64(cp.Taken))); cp.Err != nil {
-					k.Finish()
-					return true
-				}
+		if boundary && cp.audit != nil {
+			if cp.Err = cp.audit.boundary(st, stop); cp.Err != nil {
+				k.Finish()
+				return true
 			}
-			cp.Taken++
 		}
 		at = stop
 	}

@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 	"repro/internal/vic"
 )
 
@@ -29,16 +29,6 @@ func ckptBody(n *Node) {
 	n.MPI.Barrier()
 }
 
-// section returns one component's image from s by name.
-func section(s *snapshot.Snapshot, name string) ([]byte, bool) {
-	for _, sec := range s.Sections {
-		if sec.Name == name {
-			return sec.Data, true
-		}
-	}
-	return nil, false
-}
-
 func reportJSON(t *testing.T, rep *Report) string {
 	t.Helper()
 	b, err := json.Marshal(rep)
@@ -49,31 +39,19 @@ func reportJSON(t *testing.T, rep *Report) string {
 }
 
 // audited is the determinism audit as tier-1 runs it: cfg runs twice under
-// the managed pump, capturing every `every` of virtual time; each pass must
-// finish with the Report want (the unmanaged run's, as JSON), capture on the
-// grid with consecutive ordinals, and the second pass must be in the first's
-// state at every boundary. It returns the capture instants.
+// the managed pump, with boundaries every `every` of virtual time; each pass
+// must finish with the Report want (the unmanaged run's, as JSON), the
+// boundaries must sit on the grid, and the second pass must take the first's
+// path. It returns the boundaries.
 func audited(t *testing.T, cfg Config, every sim.Time, body func(*Node), want string) []sim.Time {
 	t.Helper()
-	var ats []sim.Time
 	pass := 0
-	n, err := snapshot.Audit(func(sink func(*snapshot.Snapshot) error) error {
+	ats, err := Audit(every, func(cp *Checkpoint) (any, error) {
 		pass++
-		cp := &Checkpoint{Every: every}
-		cp.Sink = func(s *snapshot.Snapshot) error {
-			if s.Header.At%every != 0 || s.Header.Seq != uint64(cp.Taken) {
-				t.Errorf("pass %d: snapshot %d at %v has Seq %d or is off the boundary grid",
-					pass, cp.Taken, s.Header.At, s.Header.Seq)
-			}
-			if pass == 1 {
-				ats = append(ats, s.Header.At)
-			}
-			return sink(s)
-		}
 		cfg.Checkpoint = cp
 		rep := Run(cfg, body)
 		if cp.Err != nil {
-			return cp.Err
+			return rep, nil
 		}
 		if rep.Partial {
 			t.Errorf("pass %d: managed run reported Partial on normal completion", pass)
@@ -81,21 +59,26 @@ func audited(t *testing.T, cfg Config, every sim.Time, body func(*Node), want st
 		if got := reportJSON(t, rep); got != want {
 			t.Errorf("pass %d: managed Report differs from unmanaged:\n got %s\nwant %s", pass, got, want)
 		}
-		return nil
+		return rep, nil
 	})
 	if err != nil {
 		t.Fatalf("determinism audit: %v", err)
 	}
-	if n != len(ats) || n < 2 {
-		t.Fatalf("audit compared %d boundaries, first pass captured %d; want the same and >= 2", n, len(ats))
+	if len(ats) < 2 {
+		t.Fatalf("audit compared %d boundaries; want >= 2", len(ats))
+	}
+	for _, at := range ats {
+		if at%every != 0 {
+			t.Errorf("boundary at %v is off the %v grid", at, every)
+		}
 	}
 	return ats
 }
 
 // TestManagedReportMatchesUnmanaged is the core determinism contract: a
-// managed run (stepped pump + snapshot capture) must produce a Report
+// managed run (stepped pump + witness at each boundary) must produce a Report
 // byte-identical to the plain Kernel.Run path, with the invariant checker
-// live on both sides, and a repeat of it must pass through the same states.
+// live on both sides, and a repeat of it must take the same path.
 func TestManagedReportMatchesUnmanaged(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Check = check.All()
@@ -107,85 +90,134 @@ func TestManagedReportMatchesUnmanaged(t *testing.T) {
 }
 
 // TestAuditNamesFirstDivergence plants a divergence in the second pass of an
-// audit — one component perturbed at one instant — and requires the audit to
-// fail with a MismatchError naming that component's section at the first
-// boundary after the instant, having passed every boundary before it.
+// audit (and in its re-run, the fourth call) at one instant, and requires the
+// audit to fail with a MismatchError naming the part of the witness at the
+// first boundary after the instant, having passed every boundary before it.
 func TestAuditNamesFirstDivergence(t *testing.T) {
-	const every = 2 * sim.Microsecond
+	const (
+		every   = 2 * sim.Microsecond
+		compute = 200 * sim.Nanosecond
+	)
 	for _, tc := range []struct {
-		name, section string
-		perturb       func(n *Node)
+		name string
+		// draw is whether the perturbed node takes an extra random draw,
+		// extra how much longer it computes; node 0 computes for long in
+		// round 25 of both passes.
+		draw        bool
+		extra, long sim.Time
+		// queued is whether the event is still queued at the boundary.
+		queued bool
 	}{
-		// Nothing in ckptBody draws from the node RNG, so one extra draw moves
-		// the "rng" image and no other.
-		{"rng draw", "section:rng", func(n *Node) { n.RNG.Uint64() }},
-		// A symmetric-heap allocation moves the endpoint's cursor, which only
-		// the "dv" image holds.
-		{"heap alloc", "section:dv", func(n *Node) { n.DV.Alloc(1) }},
+		// Nothing in the body draws from the node RNG, so one extra draw
+		// moves node 0's stream and nothing else.
+		{name: "rng draw", draw: true, long: compute},
+		// One nanosecond more of compute moves node 0's wake-up: the queue
+		// holds it at another time, then it fires at another time.
+		{name: "compute 1ns longer", extra: sim.Nanosecond, long: compute},
+		// A wait that spans a boundary is still queued there.
+		{name: "compute 1ns longer across a boundary", extra: sim.Nanosecond, long: every + compute, queued: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pass, passed := 0, 0
+			pass := 0
 			var perturbedAt sim.Time
-			_, err := snapshot.Audit(func(sink func(*snapshot.Snapshot) error) error {
+			ats, err := Audit(every, func(cp *Checkpoint) (any, error) {
 				pass++
-				cp := &Checkpoint{Every: every, Sink: func(s *snapshot.Snapshot) error {
-					err := sink(s)
-					if pass == 2 && err == nil {
-						passed++
-					}
-					return err
-				}}
 				cfg := DefaultConfig(4)
 				cfg.Checkpoint = cp
-				Run(cfg, func(n *Node) {
+				return Run(cfg, func(n *Node) {
 					for r := 0; r < 40; r++ {
-						if pass == 2 && n.ID == 0 && r == 25 {
-							perturbedAt = n.P.Now()
-							tc.perturb(n)
-						}
 						n.DV.Put(vic.DMACached, (n.ID+1)%4, uint32(64+r%32), vic.NoGC, []uint64{uint64(r)})
-						n.Compute(200 * sim.Nanosecond)
+						d := compute
+						if n.ID == 0 && r == 25 {
+							d = tc.long
+						}
+						if pass%2 == 0 && n.ID == 0 && r == 25 {
+							perturbedAt = n.P.Now()
+							if tc.draw {
+								n.RNG.Uint64()
+							}
+							d += tc.extra
+						}
+						n.Compute(d)
 					}
 					n.MPI.Barrier()
-				})
-				return cp.Err
+				}), nil
 			})
-			var me *snapshot.MismatchError
+			var me *MismatchError
 			if !errors.As(err, &me) {
-				t.Fatalf("got %v, want *snapshot.MismatchError", err)
+				t.Fatalf("got %v, want *MismatchError", err)
 			}
 			// A boundary holds every event with a timestamp <= its instant.
 			want := (perturbedAt + every - 1) / every * every
-			if me.Field != tc.section || me.At != want {
-				t.Errorf("audit failed on %s at %v, want %s at %v (perturbed at %v)",
-					me.Field, me.At, tc.section, want, perturbedAt)
+			if i := slices.Index(ats, want); i != int(want/every)-1 {
+				t.Fatalf("the first pass crossed %v; want every boundary up to %v", ats, want)
 			}
-			if int(want/every)-1 != passed || passed == 0 {
-				t.Errorf("%d boundaries passed before the failure at %v, want %d", passed, want, int(want/every)-1)
+			if me.At != want {
+				t.Errorf("audit failed at %v, want %v (perturbed at %v): %v", me.At, want, perturbedAt, err)
 			}
+			if tc.draw {
+				if me.Part != "rng" || !strings.HasPrefix(me.Want, "node 0 ") || me.WantEvent != me.GotEvent {
+					t.Errorf("got %v, want node 0's RNG stream and no event", err)
+				}
+				return
+			}
+			if part := map[bool]string{false: "events", true: "queue"}[tc.queued]; me.Part != part {
+				t.Fatalf("audit failed on %q, want %q: %v", me.Part, part, err)
+			}
+			// The first pass woke node 0 a nanosecond before the second: that
+			// event, fired or queued at the boundary, is where they part.
+			ev := me.WantEvent
+			if ev.At != perturbedAt+tc.long || ev.Seq == 0 || ev.Proc != "node0" || ev == me.GotEvent {
+				t.Errorf("first differing event: want %v, got %v; want node0's wake-up at %v",
+					ev, me.GotEvent, perturbedAt+tc.long)
+			}
+			if queued := ev.At > me.At; queued != tc.queued {
+				t.Errorf("node0's wake-up at %v is queued at the boundary %v: %t, want %t", ev.At, me.At, queued, tc.queued)
+			}
+			if h := ev.Handler(); !strings.HasPrefix(h, "repro/internal/sim.") || !strings.Contains(err.Error(), h) {
+				t.Errorf("handler %q is not a sim resume, or the error does not name it: %v", h, err)
+			}
+			t.Log(err)
 		})
 	}
 }
 
+// TestAuditThatComparesNothingFails: an audit whose interval is not
+// positive, or whose first pass crosses no boundary, fails with a typed
+// error naming the interval instead of passing on nothing.
+func TestAuditThatComparesNothingFails(t *testing.T) {
+	for _, every := range []sim.Time{0, -sim.Microsecond, sim.Second} {
+		_, err := Audit(every, func(cp *Checkpoint) (any, error) {
+			cfg := DefaultConfig(4)
+			cfg.Checkpoint = cp
+			return Run(cfg, ckptBody), nil
+		})
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != "Checkpoint.Every" {
+			t.Errorf("every %v: got %v, want a ConfigError on Checkpoint.Every", every, err)
+		}
+	}
+}
+
 // TestVirtualBudget: the watchdog ends the run at the virtual budget with a
-// typed error and a partial Report, having captured only the boundaries
-// before the cut.
+// typed error and a partial Report, the audit having compared only the
+// boundaries before the cut.
 func TestVirtualBudget(t *testing.T) {
 	cfg := DefaultConfig(4)
 	if base := Run(cfg, ckptBody); base.Elapsed <= 4*sim.Microsecond {
 		t.Fatalf("workload too short for the budget test: %v", base.Elapsed)
 	}
 
-	var snaps []*snapshot.Snapshot
-	cp := &Checkpoint{
-		Every:         2 * sim.Microsecond,
-		VirtualBudget: 3 * sim.Microsecond,
-		Sink:          func(s *snapshot.Snapshot) error { snaps = append(snaps, s); return nil }}
-	cfg.Checkpoint = cp
-	rep := Run(cfg, ckptBody)
+	var rep *Report
+	ats, err := Audit(2*sim.Microsecond, func(cp *Checkpoint) (any, error) {
+		cp.VirtualBudget = 3 * sim.Microsecond
+		cfg.Checkpoint = cp
+		rep = Run(cfg, ckptBody)
+		return rep, nil
+	})
 	var be *BudgetExceededError
-	if !errors.As(cp.Err, &be) || be.Budget != "virtual" {
-		t.Fatalf("got %v, want virtual BudgetExceededError", cp.Err)
+	if !errors.As(err, &be) || be.Budget != "virtual" {
+		t.Fatalf("got %v, want virtual BudgetExceededError", err)
 	}
 	if !rep.Partial {
 		t.Fatal("budgeted run must report Partial")
@@ -193,14 +225,14 @@ func TestVirtualBudget(t *testing.T) {
 	if be.At != 3*sim.Microsecond {
 		t.Errorf("budget cut at %v, want 3µs", be.At)
 	}
-	if len(snaps) != 1 || cp.Taken != 1 || snaps[0].Header.At != 2*sim.Microsecond {
-		t.Errorf("cut run captured %d snapshots (Taken %d), want the one boundary before the budget", len(snaps), cp.Taken)
+	if !slices.Equal(ats, []sim.Time{2 * sim.Microsecond}) {
+		t.Errorf("cut run crossed boundaries %v, want the one before the budget", ats)
 	}
 }
 
 // TestWallBudgetAndInterrupt: both cut causes end the run at a clean virtual
-// instant with the matching typed error, and capture nothing — a wall-cut
-// instant is not reproducible, so its image could be compared with nothing.
+// instant with the matching typed error, and take no witness — a wall-cut
+// instant is not reproducible, so it could be compared with nothing.
 func TestWallBudgetAndInterrupt(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -214,22 +246,23 @@ func TestWallBudgetAndInterrupt(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var snaps []*snapshot.Snapshot
-			cp := &Checkpoint{
-				Sink: func(s *snapshot.Snapshot) error { snaps = append(snaps, s); return nil }}
-			tc.setup(cp)
-			cfg := DefaultConfig(4)
-			cfg.Checkpoint = cp
-			rep := Run(cfg, ckptBody)
+			var rep *Report
+			ats, err := Audit(2*sim.Microsecond, func(cp *Checkpoint) (any, error) {
+				tc.setup(cp)
+				cfg := DefaultConfig(4)
+				cfg.Checkpoint = cp
+				rep = Run(cfg, ckptBody)
+				return rep, nil
+			})
 			var be *BudgetExceededError
-			if !errors.As(cp.Err, &be) || be.Budget != tc.name {
-				t.Fatalf("got %v, want %s BudgetExceededError", cp.Err, tc.name)
+			if !errors.As(err, &be) || be.Budget != tc.name {
+				t.Fatalf("got %v, want %s BudgetExceededError", err, tc.name)
 			}
 			if !rep.Partial {
 				t.Fatal("cut run must report Partial")
 			}
-			if len(snaps) != 0 {
-				t.Fatalf("cut run captured %d snapshots, want none", len(snaps))
+			if len(ats) != 0 {
+				t.Fatalf("cut run took witnesses at %v, want none", ats)
 			}
 			if rep.Elapsed != be.At {
 				t.Errorf("cut bookkeeping disagrees: err at %v, elapsed %v", be.At, rep.Elapsed)
@@ -249,10 +282,10 @@ func faultBody(n *Node) {
 	n.MPI.Barrier()
 }
 
-// TestFaultWindowRoundTrip captures in the middle of an active fault window
-// and audits the run: the fault RNG stream positions are part of the captured
-// fabric state, so a repeat must agree with them at every boundary, and the
-// managed Reports must match the straight-through run's. Both the fast model
+// TestFaultWindowRoundTrip audits a run with boundaries in the middle of an
+// active fault window: every drop and corruption the fault RNG streams decide
+// moves the events that follow, so a repeat must fire the same events, and
+// the managed Reports must match the straight-through run's. Both the fast model
 // and the cycle-accurate core are exercised.
 func TestFaultWindowRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
@@ -285,52 +318,31 @@ func TestFaultWindowRoundTrip(t *testing.T) {
 				winHi = base.Elapsed
 			}
 			if !slices.ContainsFunc(ats, func(at sim.Time) bool { return at > winLo && at < winHi }) {
-				t.Fatal("no snapshot landed inside the fault window")
+				t.Fatal("no boundary landed inside the fault window")
 			}
 		})
 	}
 }
 
-// TestDenseSparseSnapshotIdentity: the dense and sparse cycle-accurate
-// steppers must produce byte-identical fabric state sections — the snapshot
-// encoding is canonical (dense-scan order) precisely so this holds.
+// TestDenseSparseSnapshotIdentity: the dense reference scan and the sparse
+// stepper of the cycle-accurate core take the same path through a run. An
+// audit whose first pass steps densely and whose second steps sparsely
+// passes: the same events under the same keys and handlers, the same queue
+// and RNG streams at every boundary, and deeply equal Reports.
 func TestDenseSparseSnapshotIdentity(t *testing.T) {
-	run := func(dense bool) ([]*snapshot.Snapshot, string) {
+	pass := 0
+	ats, err := Audit(2*sim.Microsecond, func(cp *Checkpoint) (any, error) {
+		pass++
 		cfg := DefaultConfig(4)
 		cfg.CycleAccurate = true
-		cfg.denseSwitch = dense
-		var snaps []*snapshot.Snapshot
-		cp := &Checkpoint{Every: 2 * sim.Microsecond,
-			Sink: func(s *snapshot.Snapshot) error { snaps = append(snaps, s); return nil }}
+		cfg.denseSwitch = pass%2 == 1
 		cfg.Checkpoint = cp
-		rep := Run(cfg, ckptBody)
-		if cp.Err != nil {
-			t.Fatalf("dense=%t run: %v", dense, cp.Err)
-		}
-		js := reportJSON(t, rep)
-		return snaps, js
+		return Run(cfg, ckptBody), nil
+	})
+	if err != nil {
+		t.Fatalf("dense and sparse steppers part: %v", err)
 	}
-	sparse, sparseRep := run(false)
-	dense, denseRep := run(true)
-	if len(sparse) != len(dense) || len(sparse) == 0 {
-		t.Fatalf("snapshot counts differ: sparse %d, dense %d", len(sparse), len(dense))
-	}
-	for i := range sparse {
-		for _, name := range []string{"dvswitch", "vic", "dv", "rng", "ib"} {
-			a, okA := section(sparse[i], name)
-			b, okB := section(dense[i], name)
-			if okA != okB {
-				t.Fatalf("snapshot %d: section %s present=%t vs %t", i, name, okA, okB)
-			}
-			if string(a) != string(b) {
-				t.Errorf("snapshot %d: section %s differs between steppers (%d vs %d bytes)",
-					i, name, len(a), len(b))
-			}
-		}
-	}
-	// The Reports differ only through no field at all: elapsed times, stats,
-	// and telemetry are identical because the steppers are bit-identical.
-	if sparseRep != denseRep {
-		t.Errorf("dense and sparse Reports differ:\n%s\n%s", sparseRep, denseRep)
+	if len(ats) < 2 {
+		t.Fatalf("audit compared %d boundaries; want >= 2", len(ats))
 	}
 }

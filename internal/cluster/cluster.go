@@ -126,11 +126,10 @@ type Platform struct {
 
 	// Checkpoint, when non-nil, runs the simulation under the managed pump:
 	// wall-clock and virtual-time budgets that end the run with a partial
-	// Report instead of hanging, and full-state images handed to a sink at
-	// every Checkpoint.Every of virtual time (what snapshot.Audit compares).
-	// A managed run fires exactly the event sequence an unmanaged run fires,
-	// so Reports are byte-identical. Outcome fields of the struct are filled
-	// in by Run.
+	// Report instead of hanging, and boundaries every Checkpoint.Every of
+	// virtual time at which an Audit takes the run's witness. A managed run
+	// fires exactly the event sequence an unmanaged run fires, so Reports
+	// are byte-identical. Checkpoint.Err is filled in by Run.
 	Checkpoint *Checkpoint
 
 	// denseSwitch and scalarBoundary select the two reference
@@ -187,8 +186,13 @@ func (p Platform) Validate() error {
 		return &ConfigError{Field: "Attr.Chrome", Reason: "needs Obs, whose event store carries the spans"}
 	}
 	if cp := p.Checkpoint; cp != nil {
-		// A negative budget would otherwise read as "no budget" and let the
-		// run the caller meant to bound go unbounded.
+		// A negative interval would otherwise read as "no boundaries" and
+		// leave an audit nothing to compare; a negative budget would read
+		// as "no budget" and let the run the caller meant to bound go
+		// unbounded.
+		if cp.Every < 0 {
+			return &ConfigError{Field: "Checkpoint.Every", Reason: fmt.Sprintf("is negative (%v)", cp.Every)}
+		}
 		if cp.WallBudget < 0 {
 			return &ConfigError{Field: "Checkpoint.WallBudget", Reason: fmt.Sprintf("is negative (%v)", cp.WallBudget)}
 		}
@@ -464,8 +468,8 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	// so rails are fully independent planes of the same switch. With
 	// DVPlanes > 1 the whole switch is replicated into parallel planes
 	// behind one Fabric boundary; a single plane keeps the unwrapped engine
-	// so single-plane runs (and their snapshots) are byte-identical to the
-	// pre-multi-plane simulator.
+	// so single-plane runs are byte-identical to the pre-multi-plane
+	// simulator.
 	var fabric dvswitch.Fabric
 	var vics []*vic.VIC
 	var stride int
@@ -729,11 +733,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	}
 	sampler.Start()
 	if cfg.Checkpoint != nil {
-		st := &runState{
-			k: k, cfg: &cfg, rootRNG: rng, nodeRNGs: nodeRNGs,
-			fabric: fabric, vics: vics, world: world, ends: endpoints,
-			reg: reg, sampler: sampler, tracer: tracer,
-		}
+		st := &runState{k: k, cp: cfg.Checkpoint, rootRNG: rng, nodeRNGs: nodeRNGs}
 		rep.Partial = st.runManaged()
 	} else {
 		k.Run()

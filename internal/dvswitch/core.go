@@ -61,10 +61,10 @@ type Params struct {
 }
 
 // MaxGeometryCells bounds the total switching-node count C×H×A of a valid
-// geometry. The core's cell grid, deflection-signal strides, and snapshot
-// grid indexes are all int32/uint32 encodings; past this bound they would
-// wrap silently, so Validate rejects such geometries with a GeometryError
-// instead. 2^30 cells (a ~96 GiB grid) is far past any simulable fabric —
+// geometry. The core's cell grid indexes, deflection-signal strides and
+// packet references are all int32/uint32 encodings; past this bound they
+// would wrap silently, so Validate rejects such geometries with a
+// GeometryError instead. 2^30 cells (a ~96 GiB grid) is far past any simulable fabric —
 // the bound exists to make the overflow impossible, not to be reachable.
 const MaxGeometryCells = 1 << 30
 
@@ -307,7 +307,7 @@ type portq struct {
 //	Hops = exit_step − entry_step − 1
 //
 // holds on all paths — including the legacy dead-deflection drop, whose
-// increment/decrement pair cancels. Deriving hops at eject/snapshot time
+// increment/decrement pair cancels. Deriving hops at eject/drop time
 // removes a read-modify-write from every ring move in the hot loop. entry is
 // a truncated cycle counter; the subtraction is wrap-safe because no flight
 // lasts 2^32 cycles.
@@ -365,7 +365,7 @@ type Core struct {
 	// Packet through the cache. pool[i] remains authoritative for identity
 	// fields (Src/Dst/Header/Payload/InjectCycle/Corrupt); hops and
 	// deflections live here for the packet's whole flight and are copied
-	// back into the Packet at eject/drop/snapshot time (packetAt).
+	// back into the Packet at eject/drop time (packetAt).
 	pstate []pflight
 
 	tab      []cellTab // per-cell routing table, index-parallel with grid
@@ -592,7 +592,7 @@ func (c *Core) QueueLen(port int) int { return c.inq[port].n }
 // (index+1), reusing a freed slot when one exists. The hot struct-of-arrays
 // columns (destination coordinates, entry cycle, deflection counter) are
 // populated here; the telemetry in pool[ref-1] itself stays zeroed until
-// eject/drop/snapshot materialises the authoritative values via packetAt.
+// eject/drop materialises the authoritative values via packetAt.
 func (c *Core) alloc(port int, pg *qpage, i int) int32 {
 	st := c.portPF[pg.rec[i].dst()]
 	st.entry = uint32(c.cycle)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/faultplan"
 	"repro/internal/obs/attr"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 )
 
 // Fabric is the interface shared by the cycle-accurate engine and the fast
@@ -28,9 +27,6 @@ type Fabric interface {
 	FabricStats() Stats
 	// CycleTime returns the duration of one switch cycle.
 	CycleTime() sim.Time
-	// SnapshotTo serialises the fabric's complete mutable state for a
-	// run's determinism audit.
-	SnapshotTo(e *snapshot.Encoder)
 }
 
 // DefaultCycleTime is the switch cycle period used throughout the

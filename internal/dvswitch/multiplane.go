@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 )
 
 // MultiPlane aggregates N identical switch planes behind one Fabric
@@ -12,8 +11,8 @@ import (
 // packet of a port pair rides the same plane and per-pair ordering holds even
 // though planes progress independently. Deliveries from every plane funnel
 // into one callback, and stats merge across planes. Planes share no state, so
-// per-plane behavior (and per-plane snapshots) stay bit-identical to the same
-// plane running alone with the same traffic.
+// per-plane behavior stays bit-identical to the same plane running alone with
+// the same traffic.
 type MultiPlane struct {
 	planes []Fabric
 	parts  [][]Packet // reused per-plane partitions for InjectBatch
@@ -107,14 +106,4 @@ func (m *MultiPlane) FabricStats() Stats {
 		st.Merge(pl.FabricStats())
 	}
 	return st
-}
-
-// SnapshotTo implements Fabric: the plane count, then each plane in index
-// order in its engine's canonical single-plane format. The wrapper itself
-// holds no state a run changes.
-func (m *MultiPlane) SnapshotTo(e *snapshot.Encoder) {
-	e.U32(uint32(len(m.planes)))
-	for _, pl := range m.planes {
-		pl.SnapshotTo(e)
-	}
 }

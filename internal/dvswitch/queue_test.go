@@ -8,7 +8,6 @@ import (
 	"unsafe"
 
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 )
 
 // freePages counts the pages on the core's queue-page free list.
@@ -73,12 +72,12 @@ func TestRepeatedBurstAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPagedQueueSnapshotPinned pins the Core snapshot image of a queue that
-// spans several pages and has been partly popped. Queued records are written
-// as the Packet Inject was given (source = port, zero hops and deflections),
-// so the image is the one the pool-backed queue produced.
+// TestPagedQueueSnapshotPinned pins the packets waiting in Core's injection
+// queues when one spans several pages and has been partly popped: every
+// port's queue, ascending, each packet as queuedPacket reads it back
+// (source = port, zero hops and deflections).
 func TestPagedQueueSnapshotPinned(t *testing.T) {
-	const want = "9f0b46a4f6b02199a14a47df601f16eb2cab7d8523860e97cbdf71b4670b7c06"
+	const want = "38edcd51e9af4246e81c2e83b629a174ae07b0e7cdbb967f34006cda7d7664d6"
 	c := NewCore(Params{Heights: 8, Angles: 4})
 	c.Deliver = func(Packet, int64) {}
 	for i := 0; i < 45; i++ {
@@ -102,11 +101,21 @@ func TestPagedQueueSnapshotPinned(t *testing.T) {
 	if pages < 3 || q.hi == 0 {
 		t.Fatalf("port 3 queue spans %d pages with head offset %d; want >= 3 pages, partly popped", pages, q.hi)
 	}
-	e := snapshot.NewEncoder()
-	c.SnapshotTo(e)
-	sum := sha256.Sum256(e.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("snapshot sha256 %s, want %s", got, want)
+	h := sha256.New()
+	for port := range c.inq {
+		q := &c.inq[port]
+		fmt.Fprintln(h, "port", port, q.n)
+		pg, i := q.head, q.hi
+		for k := 0; k < q.n; k++ {
+			if i == qpageLen {
+				pg, i = pg.next, 0
+			}
+			fmt.Fprintf(h, "%+v\n", c.queuedPacket(port, pg, i))
+			i++
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("queued packets hash to sha256 %s, want %s", got, want)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -421,31 +420,6 @@ func TestMPIFlow(t *testing.T) {
 	f := tr.At(0)
 	if f.Kind != KindMPI || f.E2E() != 7*usT || f.Dur[StageFabric] != 7*usT {
 		t.Fatalf("mpi flow wrong: %+v", f)
-	}
-}
-
-// TestSnapshotDeterministic: identical tracer state encodes identically, and
-// any state difference changes the encoding.
-func TestSnapshotDeterministic(t *testing.T) {
-	build := func(extra bool) []byte {
-		tr := NewTracer(&Config{}, 16)
-		id := tr.Begin(0, 1, KindWrite, 0)
-		tr.Stamp(id, StageHostTx, 1*usT)
-		tr.SetEpoch(3, 2)
-		tr.HeatGrid(2, 2).Add(1, 1)
-		if extra {
-			tr.Complete(id, 2*usT)
-		}
-		e := snapshot.NewEncoder()
-		tr.SnapshotTo(e)
-		return e.Bytes()
-	}
-	a, b := build(false), build(false)
-	if !bytes.Equal(a, b) {
-		t.Fatal("snapshot not deterministic")
-	}
-	if bytes.Equal(a, build(true)) {
-		t.Fatal("snapshot blind to state change")
 	}
 }
 

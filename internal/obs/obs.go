@@ -10,10 +10,10 @@
 //
 // A metric has one owner. Where a component already counts something in its
 // own Stats, it registers a view (Registry.CounterFunc, HistogramFunc): a read
-// function the exporters, the snapshot encoder and the sampler call when they
-// read the metric. A view costs nothing per event, whether observability is on
-// or off. Only what no Stats field counts is an instrument the component bumps
-// itself (Counter, Histogram).
+// function the exporters and the sampler call when they read the metric. A
+// view costs nothing per event, whether observability is on or off. Only what
+// no Stats field counts is an instrument the component bumps itself (Counter,
+// Histogram).
 //
 // Every instrument is nil-safe: methods on a nil *Counter / *Histogram are
 // no-ops, and a nil *Registry hands out nil instruments and ignores views. A

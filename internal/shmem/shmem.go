@@ -15,11 +15,6 @@
 //     it. Fence is collective, like shmem_barrier_all.
 //   - Get is built from the VIC's query packets (§III): the target VIC
 //     assembles replies without host involvement.
-//   - State capture (internal/snapshot) needs no shmem-specific encoder:
-//     every durable byte of PGAS state — the symmetric heap, the fence's
-//     delivery counters, collective scratch — lives in VIC SRAM and group
-//     counters, which the VIC snapshot captures; Ctx itself holds only
-//     allocation cursors owned by the node goroutine.
 package shmem
 
 import (

@@ -104,8 +104,8 @@ func TestWaitUntil(t *testing.T) {
 			if got := strings.Join(woke, " "); got != tc.want {
 				t.Errorf("resumed %q, want %q", got, tc.want)
 			}
-			if g.Waiters() != tc.parked {
-				t.Errorf("%d waiters left on the gate, want %d", g.Waiters(), tc.parked)
+			if len(g.waiters) != tc.parked {
+				t.Errorf("%d waiters left on the gate, want %d", len(g.waiters), tc.parked)
 			}
 			k.Finish()
 			if k.LiveProcs() != 0 {
@@ -124,8 +124,8 @@ func TestWaitUntilUnreadyReleaseSchedulesNothing(t *testing.T) {
 	ready := false
 	k.Spawn("w", func(p *Proc) { g.WaitUntil(p, func() bool { return ready }) })
 	k.RunUntil(0)
-	if g.Waiters() != 1 {
-		t.Fatalf("waiter not parked: Waiters() = %d", g.Waiters())
+	if len(g.waiters) != 1 {
+		t.Fatalf("waiter not parked: %d waiters", len(g.waiters))
 	}
 	seq, resumes := k.seq, k.nResumed
 	for i := 0; i < 1000; i++ {

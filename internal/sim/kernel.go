@@ -3,6 +3,8 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 )
 
@@ -110,6 +112,9 @@ type Kernel struct {
 	peak  int // most events queued at once (see PeakPending)
 
 	nFired, nResumed uint64 // see Counts
+
+	digest uint64 // every event RunUntilN fired, folded (see Witness)
+	last   Fired  // the last of them
 
 	q eventHeap
 
@@ -238,7 +243,7 @@ func (k *Kernel) atArg(t Time, fn func(any), arg any) *event {
 // an event was queued, so an event queued late under a number reserved early
 // fires exactly where the early-queued one would have — provided it is queued
 // before virtual time passes it. A number that is never armed is not an
-// event: Run, Finish and QueueFingerprint never see it.
+// event: Run, Finish, QueueFingerprint and the Witness digest never see it.
 func (k *Kernel) ReserveSeq() uint64 {
 	k.seq++
 	return k.seq
@@ -455,16 +460,85 @@ func (k *Kernel) RunUntil(limit Time) Time {
 // timestamps <= limit and returns how many it fired. A zero return means no
 // eligible event remains (the limit is reached, or only daemons survive).
 // The checkpoint layer uses it to poll a wall-clock budget between bounded
-// batches of work without giving up the deterministic event order.
+// batches of work without giving up the deterministic event order, and reads
+// the run's determinism witness from it: each event it fires is folded into
+// the digest Witness returns.
 func (k *Kernel) RunUntilN(limit Time, n int) int {
 	fired := 0
 	for fired < n && k.nUser > 0 && k.q[0].at <= limit {
 		e := k.q.pop()
 		k.now = e.at
+		k.witness(e)
 		k.fire(e)
 		fired++
 	}
 	return fired
+}
+
+// Fired is one event as RunUntilN fired it: its ordering key, the code
+// pointer of its handler and, when the event resumes a process (a wait's
+// end, a chained step, a gate wake or timeout), that process's name.
+type Fired struct {
+	At   Time
+	Seq  uint64
+	PC   uintptr
+	Proc string
+}
+
+// Handler returns the name of the function the event ran.
+func (f Fired) Handler() string { return runtime.FuncForPC(f.PC).Name() }
+
+// String implements fmt.Stringer; the zero Fired, no event, reads "none".
+func (f Fired) String() string {
+	switch {
+	case f == Fired{}:
+		return "none"
+	case f.Proc != "":
+		return fmt.Sprintf("%v seq %d %s (%s)", f.At, f.Seq, f.Handler(), f.Proc)
+	default:
+		return fmt.Sprintf("%v seq %d %s", f.At, f.Seq, f.Handler())
+	}
+}
+
+// Witness returns the digest of every event RunUntilN has fired, in firing
+// order, and the last of them. Two runs of one configuration in one process
+// fire the same events under the same keys with the same handlers, so their
+// digests agree at every instant; a run that takes another path changes the
+// digest at the first event it fires differently. Code pointers are stable
+// within a process only: a digest is compared, never stored.
+func (k *Kernel) Witness() (digest uint64, last Fired) { return k.digest, k.last }
+
+// witness folds e into the event digest before it fires.
+func (k *Kernel) witness(e *event) {
+	f := e.fired()
+	d := mix(mix(mix(k.digest, uint64(f.At)), f.Seq), uint64(f.PC))
+	for i := 0; i < len(f.Proc); i++ {
+		d = mix(d, uint64(f.Proc[i]))
+	}
+	k.digest, k.last = d, f
+}
+
+// fired describes e as Witness does.
+func (e *event) fired() Fired {
+	f := Fired{At: e.at, Seq: e.seq}
+	if e.fn != nil {
+		f.PC = reflect.ValueOf(e.fn).Pointer()
+		return f
+	}
+	f.PC = reflect.ValueOf(e.fnArg).Pointer()
+	switch a := e.arg.(type) {
+	case *Proc:
+		f.Proc = a.name
+	case *gateWaiter:
+		f.Proc = a.p.name
+	}
+	return f
+}
+
+// mix folds v into the digest d.
+func mix(d, v uint64) uint64 {
+	d = (d ^ v) * 0x9e3779b97f4a7c15
+	return d ^ d>>29
 }
 
 // PendingUser returns the number of queued non-daemon events: zero means a
@@ -485,13 +559,35 @@ func (k *Kernel) NextUserEvent() (Time, bool) {
 }
 
 // QueueFingerprint digests the pending event queue — each event's (at, seq,
-// daemon) triple in canonical (at, seq) order — into an FNV-1a hash, plus the
-// queue length. Event callbacks are closures and cannot be serialized;
-// because event sequence numbers are assigned deterministically, the
-// fingerprint still pins the queue's identity across runs of one configuration.
+// daemon) triple in canonical (at, seq) order — plus the queue length.
+// Because event sequence numbers are assigned deterministically, the
+// fingerprint pins the queue's identity across runs of one configuration.
 // The canonical order keeps the heap's arrangement, which depends on the
 // order of pushes and pops, out of the digest.
 func (k *Kernel) QueueFingerprint() (n int, fp uint64) {
+	for _, ent := range k.queued() {
+		daemon := uint64(0)
+		if ent.e.daemon {
+			daemon = 1
+		}
+		fp = mix(mix(mix(fp, uint64(ent.at)), ent.seq), daemon)
+	}
+	return len(k.q), fp
+}
+
+// Pending returns the queued events in firing order, each described as
+// Witness describes an event once it has fired.
+func (k *Kernel) Pending() []Fired {
+	evs := k.queued()
+	out := make([]Fired, len(evs))
+	for i, ent := range evs {
+		out[i] = ent.e.fired()
+	}
+	return out
+}
+
+// queued returns a copy of the queue in (at, seq) order.
+func (k *Kernel) queued() []heapEnt {
 	evs := slices.Clone(k.q)
 	slices.SortFunc(evs, func(a, b heapEnt) int {
 		if c := cmp.Compare(a.at, b.at); c != 0 {
@@ -499,28 +595,7 @@ func (k *Kernel) QueueFingerprint() (n int, fp uint64) {
 		}
 		return cmp.Compare(a.seq, b.seq)
 	})
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	fp = offset64
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			fp ^= v & 0xff
-			fp *= prime64
-			v >>= 8
-		}
-	}
-	for _, ent := range evs {
-		mix(uint64(ent.at))
-		mix(ent.seq)
-		if ent.e.daemon {
-			mix(1)
-		} else {
-			mix(0)
-		}
-	}
-	return len(evs), fp
+	return evs
 }
 
 // Finish ends a stepped run: any still-queued events (user and daemon alike)

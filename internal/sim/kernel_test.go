@@ -158,8 +158,8 @@ func TestGateWaitTimeout(t *testing.T) {
 	if gotTimeout {
 		t.Error("w2 should report timeout")
 	}
-	if g.Waiters() != 0 {
-		t.Errorf("gate still has %d waiters", g.Waiters())
+	if len(g.waiters) != 0 {
+		t.Errorf("gate still has %d waiters", len(g.waiters))
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -220,4 +221,46 @@ func FuzzAtArgSeqLockstep(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWitnessSeesSpawnOrder: two processes that wake at the same instant are
+// resumed in spawn order, under keys that do not say which process each
+// resume belongs to. Spawning them in the other order fires the same keys
+// with the same handlers, so only the process names folded into the digest
+// tell the two runs apart.
+func TestWitnessSeesSpawnOrder(t *testing.T) {
+	run := func(names ...string) (uint64, []Fired) {
+		k := NewKernel()
+		for _, name := range names {
+			k.Spawn(name, func(p *Proc) { p.Wait(5) })
+		}
+		var fired []Fired
+		for k.RunUntilN(Forever, 1) == 1 {
+			_, last := k.Witness()
+			fired = append(fired, last)
+		}
+		k.Finish()
+		d, _ := k.Witness()
+		return d, fired
+	}
+	ab, abFired := run("a", "b")
+	ba, baFired := run("b", "a")
+	if len(abFired) != 4 || len(baFired) != 4 {
+		t.Fatalf("fired %d and %d events, want 4 each (two starts, two resumes)", len(abFired), len(baFired))
+	}
+	for i := range abFired {
+		a, b := abFired[i], baFired[i]
+		if a.At != b.At || a.Seq != b.Seq || a.PC != b.PC {
+			t.Fatalf("event %d: %v against %v; the two orders should differ only in process names", i, a, b)
+		}
+	}
+	if abFired[2].Proc != "a" || baFired[2].Proc != "b" || !strings.HasSuffix(abFired[2].Handler(), "sim.fireResume") {
+		t.Errorf("first resume is %v and %v, want sim.fireResume of a, then of b", abFired[2], baFired[2])
+	}
+	if ab == ba {
+		t.Errorf("swapped spawn order left the digest at %#x", ab)
+	}
+	if again, _ := run("a", "b"); again != ab {
+		t.Errorf("a repeat of the run digests to %#x, the first gave %#x", again, ab)
+	}
 }

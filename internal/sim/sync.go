@@ -55,9 +55,6 @@ type Gate struct {
 	waiters []*gateWaiter
 }
 
-// Waiters returns the number of processes currently parked on the gate.
-func (g *Gate) Waiters() int { return len(g.waiters) }
-
 // Wait parks p until Signal or Broadcast releases it.
 func (g *Gate) Wait(p *Proc) {
 	g.waiters = append(g.waiters, p.waiter(nil))
@@ -239,16 +236,6 @@ func (q *Queue[T]) Push(k *Kernel, v T) {
 
 // TryPop removes and returns the head item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) { return q.ring.Pop() }
-
-// Snapshot returns a copy of the queued items, head first (checkpointing).
-func (q *Queue[T]) Snapshot() []T {
-	r := &q.ring
-	out := make([]T, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	return out
-}
 
 // PopTimeout blocks p until an item is available, then removes and returns
 // it; ok is false if d elapsed first (Forever: never).

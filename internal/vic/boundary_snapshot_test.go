@@ -1,23 +1,53 @@
 package vic
 
-// Snapshot guarantees for the batched-boundary state: the double-buffered
-// surprise FIFO and pooled inject batches must be invisible in state images,
-// and the receive train (which both boundaries share) must read the same
-// under either. Two cross-checks pin that: (a) a batched testbed and a
-// scalar testbed driven through the same workload produce byte-identical VIC
-// snapshots at every sampled mid-drain instant, and (b)
-// snapshots of two identical batched runs match instant for instant, so the
-// pooled buffers never leak run-local state into an image (what the
-// determinism audit relies on).
+// State guarantees for the batched boundary: the double-buffered surprise
+// FIFO and pooled inject batches must not show in what a VIC holds, and the
+// receive train (which both boundaries share) must read the same under
+// either. Two cross-checks pin that: (a) a batched testbed and a scalar
+// testbed driven through the same workload hold the same VIC state at every
+// sampled mid-drain instant, and (b) two identical batched runs do, instant
+// for instant, so the pooled buffers never leak run-local state.
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/dvswitch"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 )
+
+// state renders what the VICs hold that a boundary could change: DV Memory
+// (every materialised page, ascending), the group counters, the receive
+// train without its sequence numbers (the scalar injection reference draws
+// more of them; the train's order stands in for them), the surprise FIFO and
+// the host ring's depth, the PCIe and DMA lanes, and the telemetry.
+func state(vics []*VIC) []byte {
+	var b bytes.Buffer
+	for _, v := range vics {
+		ids := make([]uint32, 0, len(v.mem.pages))
+		for id := range v.mem.pages {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		fmt.Fprintln(&b, "vic", v.ID, "words", v.mem.words)
+		for _, id := range ids {
+			fmt.Fprintln(&b, "page", id, v.mem.pages[id])
+		}
+		fmt.Fprintln(&b, "gc", v.gc, v.gcZeroed)
+		for i := 0; i < v.rx.Len(); i++ {
+			r := v.rx.At(i)
+			fmt.Fprintln(&b, "rx", r.at, r.src, r.header, r.payload, r.flow)
+		}
+		fmt.Fprintln(&b, "fifo", v.fifo, v.fifoFlows, v.hostFIFO.Len(), v.drainArmed)
+		for _, p := range []*sim.Pipe{&v.pioWr, &v.pioRd, &v.dmaIn, &v.dmaOut} {
+			fmt.Fprintln(&b, "pipe", p.BusyUntil(), p.Busy)
+		}
+		fmt.Fprintf(&b, "barriers %d %+v\n", v.barrierN, v.st)
+	}
+	return b.Bytes()
+}
 
 // boundaryWorkload drives FIFO-heavy traffic (surprise pushes force drain
 // DMA activity, writes force receive executions) from two senders to one
@@ -47,9 +77,9 @@ func boundaryWorkload(tb *testbed) {
 	}
 }
 
-// snapshotSeries runs the workload on a fresh testbed and captures every
-// VIC's snapshot at a fixed grid of virtual instants.
-func snapshotSeries(scalar bool) [][]byte {
+// stateSeries runs the workload on a fresh testbed and renders every VIC's
+// state at a fixed grid of virtual instants.
+func stateSeries(scalar bool) [][]byte {
 	k := sim.NewKernel()
 	eng := dvswitch.NewEngine(k, dvswitch.ForPorts(4), dvswitch.DefaultCycleTime)
 	tb := &testbed{k: k, vics: make([]*VIC, 4)}
@@ -64,13 +94,7 @@ func snapshotSeries(scalar bool) [][]byte {
 	boundaryWorkload(tb)
 
 	var series [][]byte
-	capture := func() {
-		e := snapshot.NewEncoder()
-		for _, v := range tb.vics {
-			v.SnapshotTo(e)
-		}
-		series = append(series, e.Bytes())
-	}
+	capture := func() { series = append(series, state(tb.vics)) }
 	// Sample densely enough to land inside DMA chunks and FIFO drains.
 	for i := 1; i <= 40; i++ {
 		k.At(sim.Time(i)*500*sim.Nanosecond, capture)
@@ -81,28 +105,28 @@ func snapshotSeries(scalar bool) [][]byte {
 }
 
 func TestBoundarySnapshotScalarBatchedIdentical(t *testing.T) {
-	batched := snapshotSeries(false)
-	scalar := snapshotSeries(true)
+	batched := stateSeries(false)
+	scalar := stateSeries(true)
 	if len(batched) != len(scalar) {
 		t.Fatalf("capture counts differ: batched %d, scalar %d", len(batched), len(scalar))
 	}
 	for i := range batched {
 		if !bytes.Equal(batched[i], scalar[i]) {
-			t.Fatalf("snapshot %d differs between batched and scalar boundaries "+
+			t.Fatalf("state %d differs between batched and scalar boundaries "+
 				"(%d vs %d bytes)", i, len(batched[i]), len(scalar[i]))
 		}
 	}
 }
 
 func TestBoundarySnapshotRoundTrip(t *testing.T) {
-	a := snapshotSeries(false)
-	b := snapshotSeries(false)
+	a := stateSeries(false)
+	b := stateSeries(false)
 	if len(a) != len(b) {
 		t.Fatalf("capture counts differ across identical runs: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if !bytes.Equal(a[i], b[i]) {
-			t.Fatalf("snapshot %d not reproducible across identical batched runs", i)
+			t.Fatalf("state %d not reproducible across identical batched runs", i)
 		}
 	}
 }

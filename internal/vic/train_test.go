@@ -4,9 +4,7 @@ package vic
 // only the head is a kernel event. The oracle below queues every execution
 // in the kernel at arrival instead, as Receive did before it had a train; a
 // train run must execute the same words at the same (at, seq), on every
-// fabric a cluster wires VICs to. The snapshot test holds the other half: an
-// entry behind the head is in no kernel queue, so the VIC's own image must
-// cover it.
+// fabric a cluster wires VICs to.
 
 import (
 	"bytes"
@@ -15,7 +13,6 @@ import (
 
 	"repro/internal/dvswitch"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 )
 
 // perEvent is one execution the oracle queued in the kernel at arrival.
@@ -83,13 +80,13 @@ func waitingRx(t *testing.T, k *sim.Kernel, vics []*VIC) (n int) {
 }
 
 // rxRun is what one receive-train run shows: the keys drawn at arrival, the
-// executions, the kernel's counts and depth, and the VICs' final images.
+// executions, the kernel's counts and depth, and the VICs' final state.
 type rxRun struct {
 	keys, execs []string
 	events      uint64
 	peak        int
 	waiting     int
-	images      []byte
+	state       []byte
 }
 
 // rxTrafficRun has four VICs (ports 0, 4, 8, 12 of a 16-port switch) each
@@ -171,11 +168,7 @@ func rxTrafficRun(t *testing.T, fab int, oracle bool) rxRun {
 	run.execs = chk.lines
 	run.events, _ = k.Counts()
 	run.peak = k.PeakPending()
-	e := snapshot.NewEncoder()
-	for _, v := range vics {
-		v.SnapshotTo(e)
-	}
-	run.images = e.Bytes()
+	run.state = state(vics)
 	return run
 }
 
@@ -206,8 +199,8 @@ func TestReceiveTrainMatchesPerEvent(t *testing.T) {
 			if got.events != want.events {
 				t.Errorf("fired %d kernel events, oracle fired %d", got.events, want.events)
 			}
-			if !bytes.Equal(got.images, want.images) {
-				t.Error("the VICs' final images differ from the oracle's")
+			if !bytes.Equal(got.state, want.state) {
+				t.Error("the VICs' final state differs from the oracle's")
 			}
 			if got.waiting < 200 {
 				t.Errorf("at most %d executions waited behind a train head; the traffic should stack hundreds", got.waiting)
@@ -219,103 +212,4 @@ func TestReceiveTrainMatchesPerEvent(t *testing.T) {
 				len(got.keys), got.peak, want.peak, got.waiting)
 		})
 	}
-}
-
-// TestReceiveTrainSnapshotCoversWaitingEntries: an entry behind a train's
-// head is in no kernel queue, so the kernel section's fingerprint cannot
-// vouch for it — the VIC's image must. Changing anything the image holds of a
-// waiting entry (a payload or header bit, its source, its flow, its firing
-// time, its place in the order, its presence) changes the image, while the
-// kernel's fingerprint does not notice. The entry's sequence number is not in
-// the image (it counts events the scalar injection reference draws more of);
-// the train's order stands in for it.
-func TestReceiveTrainSnapshotCoversWaitingEntries(t *testing.T) {
-	k := sim.NewKernel()
-	f := dvswitch.NewEngine(k, dvswitch.ForPorts(4), dvswitch.DefaultCycleTime)
-	vics := make([]*VIC, 4)
-	for i := range vics {
-		vics[i] = New(k, i, i, DefaultParams(), f.Inject)
-		vics[i].SetBatchInject(f.InjectBatch)
-		vics[i].ShareScratch(vics[0])
-	}
-	f.OnDeliver(func(pkt dvswitch.Packet) { vics[pkt.Dst].Receive(pkt) })
-	for s := 0; s < 3; s++ {
-		k.Spawn("send", func(p *sim.Proc) {
-			words := make([]Word, 64)
-			for i := range words {
-				words[i] = Word{Dst: 3, Op: OpWrite, GC: NoGC, Addr: uint32(64*s + i), Val: uint64(s<<20 | i)}
-			}
-			vics[s].HostSend(p, DMACached, words)
-		})
-	}
-	v := vics[3]
-	for v.rx.Len() < 6 {
-		if k.RunUntilN(sim.Forever, 1) == 0 {
-			t.Fatalf("the run ended with at most %d entries on the receiver's train", v.rx.Len())
-		}
-	}
-	image := func() []byte {
-		e := snapshot.NewEncoder()
-		for _, v := range vics {
-			v.SnapshotTo(e)
-		}
-		return e.Bytes()
-	}
-	base := image()
-	nq, fp := k.QueueFingerprint()
-	victim := v.rx.At(2)
-	for _, tc := range []struct {
-		name string
-		mut  func() (undo func())
-	}{
-		{"one payload bit", func() func() {
-			victim.payload ^= 1 << 40
-			return func() { victim.payload ^= 1 << 40 }
-		}},
-		{"one header bit", func() func() {
-			victim.header ^= 1
-			return func() { victim.header ^= 1 }
-		}},
-		{"the source", func() func() {
-			victim.src++
-			return func() { victim.src-- }
-		}},
-		{"the flow", func() func() {
-			victim.flow++
-			return func() { victim.flow-- }
-		}},
-		{"the firing time", func() func() {
-			victim.at++
-			return func() { victim.at-- }
-		}},
-		{"two entries swapped", func() func() {
-			a, b := victim, v.rx.At(3)
-			a.payload, b.payload = b.payload, a.payload
-			return func() { a.payload, b.payload = b.payload, a.payload }
-		}},
-		{"an entry dropped", func() func() {
-			saved := v.rx
-			var rx sim.Ring[rxEnt]
-			for i := 0; i < saved.Len(); i++ {
-				if i != 3 {
-					rx.Push(*saved.At(i))
-				}
-			}
-			v.rx = rx
-			return func() { v.rx = saved }
-		}},
-	} {
-		undo := tc.mut()
-		if bytes.Equal(image(), base) {
-			t.Errorf("%s: the image did not change", tc.name)
-		}
-		if n, f := k.QueueFingerprint(); n != nq || f != fp {
-			t.Errorf("%s: the kernel fingerprint moved — the mutation was not confined to waiting entries", tc.name)
-		}
-		undo()
-		if !bytes.Equal(image(), base) {
-			t.Fatalf("%s: undo did not restore the image", tc.name)
-		}
-	}
-	k.Finish()
 }

@@ -172,20 +172,6 @@ func TestEdgeStreamHasOneProducer(t *testing.T) {
 	}
 }
 
-// TestEncodersFeedOnlyCapture keeps the canonical state encoders what they
-// are kept for — images a determinism audit compares inside one process: the
-// only non-test code that builds an Encoder or calls a component's SnapshotTo
-// is cluster's capture (and a component's own SnapshotTo composing its
-// parts), so the encoders cannot quietly become a persistence format again.
-func TestEncodersFeedOnlyCapture(t *testing.T) {
-	callers := productCallers(t, "SnapshotTo", "snapshot.NewEncoder")
-	callers = slices.DeleteFunc(callers, func(c string) bool { return strings.HasSuffix(c, ":SnapshotTo") })
-	callers = slices.Compact(callers)
-	if want := []string{"internal/cluster/checkpoint.go:capture"}; !reflect.DeepEqual(callers, want) {
-		t.Errorf("non-test callers of SnapshotTo/snapshot.NewEncoder: %v, want %v", callers, want)
-	}
-}
-
 // allowRow keeps one exported name that no product code uses. kind says why
 // such a name may exist at all, from a closed set:
 //
