@@ -237,7 +237,7 @@ func main() {
 		}
 		return
 	case "-info":
-		if err := printInfo(run); err != nil {
+		if err := printInfo(os.Stdout, run); err != nil {
 			fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
 			os.Exit(2)
 		}

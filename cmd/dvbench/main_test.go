@@ -10,12 +10,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apprt"
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/trace"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/small.golden")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the goldens under testdata")
 
 // TestSmallGolden pins what `dvbench -small` produces: every table as it
 // prints, the -json bytes, and the SHA-256 of every SVG -svg renders at
@@ -109,9 +110,37 @@ func TestSmallGolden(t *testing.T) {
 		fmt.Fprintf(&b, "%s.svg sha256:%x\n", tb.ID, sha256.Sum256(svg))
 	}
 
-	path := filepath.Join("testdata", "small.golden")
+	checkGolden(t, "small.golden", b.String())
+}
+
+// TestInfoGolden pins what `dvbench -info` prints for the paper's testbed and
+// for 256 nodes on two planes: the calibration every run reads from the
+// layers' defaults. Regenerate with
+// go test ./cmd/dvbench -run TestInfoGolden -update-golden.
+func TestInfoGolden(t *testing.T) {
+	var b strings.Builder
+	for _, args := range [][]string{{"-info"}, {"-info", "-nodes", "256", "-planes", "2"}} {
+		fs := flag.NewFlagSet("dvbench", flag.ContinueOnError)
+		fs.Bool("info", false, "")
+		run := apprt.BindRunFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "$ dvbench %s\n", strings.Join(args, " "))
+		if err := printInfo(&b, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGolden(t, "info.golden", b.String())
+}
+
+// checkGolden compares got with testdata/name line by line, or rewrites the
+// file under -update-golden.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatalf("write golden: %v", err)
 		}
 		return
@@ -120,7 +149,7 @@ func TestSmallGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
 	}
-	gl, wl := strings.Split(b.String(), "\n"), strings.Split(string(golden), "\n")
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(golden), "\n")
 	for i := 0; i < len(gl) || i < len(wl); i++ {
 		var g, w string
 		if i < len(gl) {
@@ -130,7 +159,7 @@ func TestSmallGolden(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Errorf("-small output moved at line %d:\n  got:  %s\n  want: %s", i+1, g, w)
+			t.Errorf("%s moved at line %d:\n  got:  %s\n  want: %s", name, i+1, g, w)
 		}
 	}
 }

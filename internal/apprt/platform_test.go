@@ -8,6 +8,7 @@ package apprt_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,6 +78,23 @@ func TestOnePlatformType(t *testing.T) {
 		if !ok || !f.Anonymous || f.Type != want {
 			t.Errorf("%v does not embed cluster.Platform", typ)
 		}
+	}
+}
+
+// TestConfigIsWhatARunVaries pins cluster.Config to the four things a run
+// varies. The testbed's calibration is each layer's defaults, read by
+// cluster.Run, not a per-run field: a knob no caller sets is one more
+// configuration nothing covers.
+func TestConfigIsWhatARunVaries(t *testing.T) {
+	typ := reflect.TypeOf(cluster.Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).IsExported() {
+			got = append(got, typ.Field(i).Name)
+		}
+	}
+	if want := []string{"Nodes", "Seed", "Stacks", "Platform"}; !slices.Equal(got, want) {
+		t.Errorf("cluster.Config has exported fields %v, want %v", got, want)
 	}
 }
 

@@ -5,9 +5,9 @@ package fft
 
 import (
 	"fmt"
-	"math/cmplx"
 
 	"repro/internal/apprt"
+	"repro/internal/fftkernel"
 )
 
 func init() {
@@ -27,13 +27,7 @@ func init() {
 				return apprt.Summary{}, err
 			}
 			res := Run(spec.Net, par)
-			ref := SerialReference(par)
-			var maxErr float64
-			for i, v := range res.Spectrum {
-				if d := cmplx.Abs(v - ref[i]); d > maxErr {
-					maxErr = d
-				}
-			}
+			maxErr := fftkernel.MaxAbsDiff(res.Spectrum, SerialReference(par))
 			return apprt.Summary{
 				App: "fft", Net: res.Net, Nodes: res.Nodes, Elapsed: res.Elapsed,
 				Check:   fmt.Sprintf("n=%d maxerr=%.3e", res.N, maxErr),

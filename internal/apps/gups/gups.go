@@ -111,16 +111,6 @@ func (r Result) MUPS() float64 {
 	return float64(r.Updates) / r.Elapsed.Seconds() / 1e6
 }
 
-// UpdateStream deterministically generates node i's update values (exported
-// for external validation against serial replay).
-func UpdateStream(seed uint64, node int) *sim.RNG { return updateStream(seed, node) }
-
-// Owner maps an update value to its (node, local index), as the benchmark
-// variants do internally; wordsPerNode must be a power of two.
-func Owner(a uint64, nodes, wordsPerNode int) (int, int) {
-	return newOwnerMap(nodes, wordsPerNode).owner(a)
-}
-
 // updateStream deterministically generates node i's update values.
 func updateStream(seed uint64, node int) *sim.RNG {
 	return sim.NewRNG(seed*0xff51afd7ed558ccd + uint64(node)*0x100000001b3 + 7)

@@ -4,14 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/dvswitch"
+	"repro/internal/ib"
+	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/vic"
 )
 
 // TestCalibrationMatchesPaperStatements pins every headline constant to the
 // number the paper states, so a drive-by retune cannot silently detach the
 // model from its source (§II, §V).
 func TestCalibrationMatchesPaperStatements(t *testing.T) {
-	cfg := DefaultConfig(32)
+	vp, ibp, mp := vic.DefaultParams(), ib.DefaultParams(), mpi.DefaultParams()
 
 	// "nominal peak bandwidth (4.4 GB/s)": one 8-byte payload per switch
 	// cycle must give 4.4 GB/s within rounding.
@@ -21,17 +24,17 @@ func TestCalibrationMatchesPaperStatements(t *testing.T) {
 	}
 
 	// "limited by the PCIe lane read bandwidth (500 MB/s, only one lane)".
-	if cfg.VIC.PIOWriteBW != 500e6 {
-		t.Errorf("PIO write bandwidth %.0f MB/s, paper says 500", cfg.VIC.PIOWriteBW/1e6)
+	if vp.PIOWriteBW != 500e6 {
+		t.Errorf("PIO write bandwidth %.0f MB/s, paper says 500", vp.PIOWriteBW/1e6)
 	}
 
 	// "the Infiniband nominal peak bandwidth (6.8 GB/s)".
-	if cfg.IB.LinkBW != 6.8e9 {
-		t.Errorf("IB link bandwidth %.1f GB/s, paper says 6.8", cfg.IB.LinkBW/1e9)
+	if ibp.LinkBW != 6.8e9 {
+		t.Errorf("IB link bandwidth %.1f GB/s, paper says 6.8", ibp.LinkBW/1e9)
 	}
 
 	// "the Infiniband network only achieves about 72% of the peak".
-	eff := cfg.IB.StreamBW / cfg.IB.LinkBW
+	eff := ibp.StreamBW / ibp.LinkBW
 	if eff < 0.70 || eff < 0 || eff > 0.74 {
 		t.Errorf("IB stream efficiency %.0f%%, paper says ~72%%", eff*100)
 	}
@@ -43,20 +46,20 @@ func TestCalibrationMatchesPaperStatements(t *testing.T) {
 
 	// "up to 64 group counters ... one reserved as a scratch ... another 2
 	// reserved for a group barrier synchronization".
-	if cfg.VIC.GroupCounters != 64 || cfg.VIC.ScratchGC != 0 ||
-		cfg.VIC.BarrierGCA == cfg.VIC.BarrierGCB ||
-		cfg.VIC.BarrierGCA >= 64 || cfg.VIC.BarrierGCB >= 64 {
-		t.Errorf("group counter layout %+v does not match the paper", cfg.VIC)
+	if vp.GroupCounters != 64 || vp.ScratchGC != 0 ||
+		vp.BarrierGCA == vp.BarrierGCB ||
+		vp.BarrierGCA >= 64 || vp.BarrierGCB >= 64 {
+		t.Errorf("group counter layout %+v does not match the paper", vp)
 	}
 
 	// "32 MB of Quad Data Rate Static Random Access Memory".
-	if cfg.VIC.MemWords*8 != 32<<20 {
-		t.Errorf("DV Memory is %d MB, paper says 32", cfg.VIC.MemWords*8>>20)
+	if vp.MemWords*8 != 32<<20 {
+		t.Errorf("DV Memory is %d MB, paper says 32", vp.MemWords*8>>20)
 	}
 
 	// "a DMA Table with 8192 entries".
-	if cfg.VIC.DMATableEntries != 8192 {
-		t.Errorf("DMA table has %d entries, paper says 8192", cfg.VIC.DMATableEntries)
+	if vp.DMATableEntries != 8192 {
+		t.Errorf("DMA table has %d entries, paper says 8192", vp.DMATableEntries)
 	}
 
 	// "C scales with H as C = log2 H + 1 ... number of nodes scales with
@@ -68,13 +71,13 @@ func TestCalibrationMatchesPaperStatements(t *testing.T) {
 
 	// "DMA transfers to the VIC run up to 4 times faster than direct
 	// writes": the DMA engine must be at least 4x the PIO lane.
-	if cfg.VIC.DMABW < 4*cfg.VIC.PIOWriteBW {
+	if vp.DMABW < 4*vp.PIOWriteBW {
 		t.Errorf("DMA %.1f GB/s is not 4x the %.1f GB/s PIO lane",
-			cfg.VIC.DMABW/1e9, cfg.VIC.PIOWriteBW/1e9)
+			vp.DMABW/1e9, vp.PIOWriteBW/1e9)
 	}
 
 	// Small-message MPI latency lands in the openmpi-over-FDR range.
-	oneWay := cfg.MPI.SendOverhead + cfg.IB.HopLatency + cfg.MPI.RecvOverhead
+	oneWay := mp.SendOverhead + ibp.HopLatency + mp.RecvOverhead
 	if oneWay < 500*sim.Nanosecond || oneWay > 3*sim.Microsecond {
 		t.Errorf("modelled MPI one-way floor %v outside the plausible range", oneWay)
 	}

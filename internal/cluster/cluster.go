@@ -75,17 +75,17 @@ type Platform struct {
 	CycleAccurate bool
 	// DVPlanes instantiates N parallel Data Vortex switch planes behind the
 	// VIC boundary (0 or 1 = the paper's single-plane testbed). Every plane
-	// has the full SwitchGeom geometry; packets go to planes by a static
+	// has the whole switch's geometry; packets go to planes by a static
 	// hash of (src, dst), deliveries funnel into one callback, and
 	// Report.DVFabric merges per-plane stats. Plane selection is
 	// deterministic, so runs stay reproducible at any plane count.
 	DVPlanes int
 
-	// IBScaled replaces Config.IB with the full-bisection two-level fat tree
-	// sized for the run's node count (ib.ForNodes) instead of the paper's
-	// fixed 8-nodes/leaf × 2-spine testbed tree, which is 4:1 oversubscribed
-	// beyond a few leaves. Scaling studies set this so the comparison stays
-	// honest at size.
+	// IBScaled builds the full-bisection two-level fat tree sized for the
+	// run's node count (ib.ForNodes) instead of the paper's fixed
+	// 8-nodes/leaf × 2-spine testbed tree (ib.DefaultParams), which is 4:1
+	// oversubscribed beyond a few leaves. Scaling studies set this so the
+	// comparison stays honest at size.
 	IBScaled bool
 	// IBAdaptive enables adaptive fat-tree routing for the MPI stack.
 	IBAdaptive bool
@@ -203,42 +203,22 @@ func (p Platform) Validate() error {
 	return nil
 }
 
-// Config describes one simulated cluster run.
+// Config describes one simulated cluster run: what a run varies. The
+// testbed's calibration is not configuration; Run reads it from each layer's
+// defaults (dvswitch.ForPorts at DefaultCycleTime, vic.DefaultParams,
+// ib.DefaultParams or ib.ForNodes, mpi.DefaultParams, DefaultCPU).
 type Config struct {
 	Nodes  int
 	Seed   uint64
 	Stacks Stack
 
 	Platform
-
-	// SwitchGeom overrides the switch geometry (default: smallest geometry
-	// with one port per node, as on the paper's fully-subscribed testbed).
-	SwitchGeom dvswitch.Params
-	// CycleTime overrides the switch cycle period.
-	CycleTime sim.Time
-
-	VIC vic.Params
-	// IB is the fat-tree baseline; Platform.IBScaled and IBAdaptive override
-	// it at the start of Run.
-	IB  ib.Params
-	MPI mpi.Params
-	CPU CPUModel
 }
 
-// DefaultConfig returns the calibrated testbed configuration for n nodes
-// with both stacks enabled.
+// DefaultConfig returns the configuration of an n-node run of seed 1 with
+// both stacks enabled.
 func DefaultConfig(n int) Config {
-	return Config{
-		Nodes:      n,
-		Seed:       1,
-		Stacks:     StackBoth,
-		SwitchGeom: dvswitch.ForPorts(n),
-		CycleTime:  dvswitch.DefaultCycleTime,
-		VIC:        vic.DefaultParams(),
-		IB:         ib.DefaultParams(),
-		MPI:        mpi.DefaultParams(),
-		CPU:        DefaultCPU(),
-	}
+	return Config{Nodes: n, Seed: 1, Stacks: StackBoth}
 }
 
 // Node is one cluster node as seen by an SPMD program body.
@@ -412,13 +392,6 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	if cfg.Nodes <= 0 {
 		panic(fmt.Sprintf("cluster: invalid node count %d", cfg.Nodes))
 	}
-	// The IB knobs resolve into cfg.IB here, before the fabric below reads it.
-	if cfg.IBScaled {
-		cfg.IB = ib.ForNodes(cfg.Nodes)
-	}
-	if cfg.IBAdaptive {
-		cfg.IB.Adaptive = true
-	}
 	rails := cfg.VICsPerNode
 	if rails < 1 {
 		rails = 1
@@ -464,29 +437,21 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	}
 
 	// Data Vortex stack. With R rails, VIC g = rail*Nodes + node sits at
-	// port g*stride; each VIC's resolver maps node ids onto its own rail,
-	// so rails are fully independent planes of the same switch. With
+	// port g, and each VIC addresses node ids on its own rail (vic.New), so
+	// rails are fully independent planes of the same switch. With
 	// DVPlanes > 1 the whole switch is replicated into parallel planes
 	// behind one Fabric boundary; a single plane keeps the unwrapped engine
 	// so single-plane runs are byte-identical to the pre-multi-plane
 	// simulator.
 	var fabric dvswitch.Fabric
 	var vics []*vic.VIC
-	var stride int
 	planes := cfg.DVPlanes
 	if planes < 1 {
 		planes = 1
 	}
 	if cfg.Stacks&StackDV != 0 {
 		total := cfg.Nodes * rails
-		geom := cfg.SwitchGeom
-		if geom.Ports() < total {
-			geom = dvswitch.ForPorts(total)
-		}
-		ct := cfg.CycleTime
-		if ct == 0 {
-			ct = dvswitch.DefaultCycleTime
-		}
+		geom, ct := dvswitch.ForPorts(total), dvswitch.DefaultCycleTime
 		list := make([]dvswitch.Fabric, 0, planes)
 		if cfg.CycleAccurate {
 			cores := make([]*dvswitch.Core, 0, planes)
@@ -562,42 +527,21 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				})
 			}
 		}
-		vicPar := cfg.VIC
+		vicPar := vic.DefaultParams()
 		if cfg.Faults != nil && cfg.Faults.FIFOCapacity > 0 {
 			vicPar.FIFOCapacity = cfg.Faults.FIFOCapacity
 		}
-		stride = fabric.Ports() / total
 		inject := fabric.Inject
 		injectBatch := fabric.InjectBatch
 		if chk != nil {
 			inject = chk.WrapInject(inject)
 			injectBatch = chk.WrapInjectBatch(injectBatch)
 		}
-		if tracer != nil {
-			// The SRAM stage closes when the packet leaves the VIC's staging
-			// SRAM and enters the switch inject queue — i.e. at this call.
-			innerInject, innerBatch := inject, injectBatch
-			inject = func(pkt dvswitch.Packet) {
-				if pkt.Flow != 0 {
-					tracer.Stamp(pkt.Flow, attr.StageSRAM, k.Now())
-				}
-				innerInject(pkt)
-			}
-			injectBatch = func(pkts []dvswitch.Packet) {
-				now := k.Now()
-				for i := range pkts {
-					if pkts[i].Flow != 0 {
-						tracer.Stamp(pkts[i].Flow, attr.StageSRAM, now)
-					}
-				}
-				innerBatch(pkts)
-			}
-		}
 		vics = make([]*vic.VIC, total)
 		for r := 0; r < rails; r++ {
 			for i := 0; i < cfg.Nodes; i++ {
 				g := r*cfg.Nodes + i
-				v := vic.New(k, i, g*stride, vicPar, inject)
+				v := vic.New(k, i, g, vicPar, inject)
 				if cfg.scalarBoundary {
 					v.SetScalarBoundary(true)
 				} else {
@@ -606,8 +550,6 @@ func Run(cfg Config, body func(n *Node)) *Report {
 						v.ShareScratch(vics[0]) // one run, one kernel: injections never nest
 					}
 				}
-				base := r * cfg.Nodes
-				v.SetPortResolver(func(id int) int { return (base + id) * stride })
 				v.BarrierInit(cfg.Nodes)
 				v.SetObs(vicObs)
 				if tracer != nil {
@@ -646,7 +588,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 				return float64(reg.CounterValue("rel_timeouts_total"))
 			})
 		}
-		deliver := func(pkt dvswitch.Packet) { vics[pkt.Dst/stride].Receive(pkt) }
+		deliver := func(pkt dvswitch.Packet) { vics[pkt.Dst].Receive(pkt) }
 		if chk != nil {
 			deliver = chk.WrapDeliver(deliver)
 		}
@@ -663,13 +605,18 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	// InfiniBand/MPI stack.
 	var world *mpi.World
 	if cfg.Stacks&StackIB != 0 {
-		ibf := ib.New(k, cfg.Nodes, cfg.IB)
+		ibPar := ib.DefaultParams()
+		if cfg.IBScaled {
+			ibPar = ib.ForNodes(cfg.Nodes)
+		}
+		ibPar.Adaptive = cfg.IBAdaptive
+		ibf := ib.New(k, cfg.Nodes, ibPar)
 		if cfg.Faults != nil {
 			for _, fl := range cfg.Faults.IBFlaps {
 				ibf.ScheduleFlap(fl.Leaf, fl.Spine, fl.Start, fl.Down)
 			}
 		}
-		world = mpi.NewWorld(k, ibf, cfg.MPI)
+		world = mpi.NewWorld(k, ibf, mpi.DefaultParams())
 		world.SetObs(reg)
 		if sampler != nil {
 			// Aggregate uplink busy time per unit virtual time; exceeds 1
@@ -690,27 +637,30 @@ func Run(cfg Config, body func(n *Node)) *Report {
 		}
 	}
 
-	rep := &Report{NodeTimes: make([]sim.Time, cfg.Nodes)}
-	endpoints := make([][]*dv.Endpoint, cfg.Nodes)
-	nodeRNGs := make([]*sim.RNG, 0, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
+	// The node closures below read only the node count: capturing cfg would
+	// copy the whole Config into each of them.
+	nodes := cfg.Nodes
+	rep := &Report{NodeTimes: make([]sim.Time, nodes)}
+	endpoints := make([][]*dv.Endpoint, nodes)
+	nodeRNGs := make([]*sim.RNG, 0, nodes)
+	for i := 0; i < nodes; i++ {
 		i := i
 		nodeRNG := rng.Split()
 		nodeRNGs = append(nodeRNGs, nodeRNG)
 		k.Spawn(fmt.Sprintf("node%d", i), func(p *sim.Proc) {
-			n := &Node{ID: i, P: p, RNG: nodeRNG, CPU: cfg.CPU, attr: tracer, compute: reg.Histogram("node_compute_us")}
+			n := &Node{ID: i, P: p, RNG: nodeRNG, CPU: DefaultCPU(), attr: tracer, compute: reg.Histogram("node_compute_us")}
 			if vics != nil {
 				for r := 0; r < rails; r++ {
-					e := dv.NewEndpoint(vics[r*cfg.Nodes+i], i, cfg.Nodes)
+					e := dv.NewEndpoint(vics[r*nodes+i], i, nodes)
 					e.Bind(p)
 					e.SetObs(relObs)
 					if tracer != nil {
 						e.SetAttr(tracer)
 					}
 					if chk != nil {
-						base := r * cfg.Nodes
+						base := r * nodes
 						chk.BindEndpoint(e, func(dst int) *vic.VIC {
-							if dst < 0 || dst >= cfg.Nodes {
+							if dst < 0 || dst >= nodes {
 								return nil
 							}
 							return vics[base+dst]

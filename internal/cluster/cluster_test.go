@@ -323,23 +323,6 @@ func TestCycleAccurateStack(t *testing.T) {
 	}
 }
 
-func TestOverProvisionedSwitchMapping(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.Stacks = StackDV
-	cfg.SwitchGeom.Heights = 8
-	cfg.SwitchGeom.Angles = 4 // 32 ports for 4 nodes
-	Run(cfg, func(n *Node) {
-		dst := (n.ID + 1) % 4
-		n.DV.Put(vic.DMACached, dst, uint32(n.ID), vic.NoGC, []uint64{uint64(n.ID + 100)})
-		n.DV.Barrier()
-		n.DV.Barrier()
-		src := (n.ID + 3) % 4
-		if got := n.DV.Read(uint32(src), 1); got[0] != uint64(src+100) {
-			t.Errorf("node %d: got %d from %d", n.ID, got[0], src)
-		}
-	})
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	run := func() sim.Time {
 		cfg := DefaultConfig(8)

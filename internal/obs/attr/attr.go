@@ -40,7 +40,8 @@ const (
 	// the word's PIO write or DMA chunk crossing the lane).
 	StageHostTx Stage = iota
 	// StageSRAM: PCIe transfer complete → fabric injection (VIC processing
-	// delay and SRAM residency before the inject fires).
+	// delay and SRAM residency before the inject fires). The VIC closes it
+	// when it hands the packet to the fabric.
 	StageSRAM
 	// StageInjectWait: fabric injection → fabric entry (injection-queue
 	// backpressure at the busy entry node; the paper's injection

@@ -267,15 +267,7 @@ type Pipe struct {
 
 // Reserve books the pipe for d starting no earlier than now, without
 // blocking, and returns the completion time.
-func (pp *Pipe) Reserve(k *Kernel, d Time) Time {
-	start := k.now
-	if pp.busyUntil > start {
-		start = pp.busyUntil
-	}
-	pp.busyUntil = start + d
-	pp.Busy += d
-	return pp.busyUntil
-}
+func (pp *Pipe) Reserve(k *Kernel, d Time) Time { return pp.ReserveAt(k.now, d) }
 
 // ReserveAt books the pipe for d starting no earlier than t (which may be in
 // the future), without blocking, and returns the completion time.

@@ -167,14 +167,13 @@ func runLockstep(n int, chained, traced, scalar bool) lockstepRun {
 		tracer = attr.NewTracer(&attr.Config{}, dvswitch.WireBytes)
 	}
 	for i := range vics {
-		v := New(k, i, 5*i, DefaultParams(), fab.Inject)
+		v := New(k, i, 5+i, DefaultParams(), fab.Inject) // a rail at ports 5-7
 		vics[i] = v
 		v.SetScalarBoundary(scalar)
 		if !scalar {
 			v.SetBatchInject(fab.InjectBatch)
 			v.ShareScratch(vics[0])
 		}
-		v.SetPortResolver(func(id int) int { return 5 * id })
 		v.SetChecker(chk)
 		if tracer != nil {
 			v.SetAttr(tracer)
@@ -182,7 +181,7 @@ func runLockstep(n int, chained, traced, scalar bool) lockstepRun {
 	}
 	fab.OnDeliver(func(pkt dvswitch.Packet) {
 		run.delivered = append(run.delivered, delivery{pkt, k.Now()})
-		vics[pkt.Dst/5].Receive(pkt)
+		vics[pkt.Dst-5].Receive(pkt)
 	})
 	h := verbs{chained}
 	run.ends = make([]sim.Time, 3)

@@ -48,9 +48,9 @@ type delivery struct {
 	at  sim.Time
 }
 
-// recordRun has four VICs (ports 0, 4, 8, 12 of a 16-port switch, sharing
-// one expansion scratch) each inject a 300-word batch at each of two
-// instants, and returns the fabric's deliveries in order and its Stats. With
+// recordRun has four VICs (ids 0-3 of a rail at ports 8-15 of a 16-port
+// switch, sharing one expansion scratch) each inject a 300-word batch at each
+// of two instants, and returns the fabric's deliveries in order and its Stats. With
 // records set the batches are records fired by fireInjectBatch; otherwise
 // InjectBatch calls of VIC.packet's Packets at the same instant, split
 // words each (all of them when split is 0).
@@ -60,12 +60,16 @@ func recordRun(t *testing.T, fab int, records bool, split int) ([]delivery, dvsw
 	k := sim.NewKernel()
 	f := recordFabrics[fab].make(k, geom)
 	var got []delivery
-	f.OnDeliver(func(pkt dvswitch.Packet) { got = append(got, delivery{pkt, k.Now()}) })
+	f.OnDeliver(func(pkt dvswitch.Packet) {
+		if dst, _, _, _ := DecodeHeader(pkt.Header); pkt.Dst != 8+dst {
+			t.Errorf("VIC id %d went to port %d, not the rail's port %d", dst, pkt.Dst, 8+dst)
+		}
+		got = append(got, delivery{pkt, k.Now()})
+	})
 	vics := make([]*VIC, 4)
 	for i := range vics {
-		vics[i] = New(k, i, 4*i, DefaultParams(), f.Inject)
+		vics[i] = New(k, i, 8+i, DefaultParams(), f.Inject)
 		vics[i].SetBatchInject(f.InjectBatch)
-		vics[i].SetPortResolver(func(id int) int { return id })
 		vics[i].ShareScratch(vics[0])
 	}
 	for _, at := range []sim.Time{0, 3 * sim.Microsecond} {
@@ -73,7 +77,7 @@ func recordRun(t *testing.T, fab int, records bool, split int) ([]delivery, dvsw
 			words := make([]Word, 300)
 			for j := range words {
 				words[j] = sendWord(i*1000 + j + int(at))
-				words[j].Dst = (j*7 + i) % geom.Ports()
+				words[j].Dst = (j*7 + i) % 8
 			}
 			if records {
 				b := v.newBatch()

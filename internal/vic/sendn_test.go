@@ -57,9 +57,9 @@ type sendTrace struct {
 	flows  []attr.Flow
 }
 
-// traceRun runs send on a fresh VIC (non-identity port resolver, checker and
-// tracer attached) that injects into a recording sink fabric, on the scalar
-// or the batched boundary.
+// traceRun runs send on a fresh VIC (VIC 3 at port 7, so its rail starts at
+// port 4; checker and tracer attached) that injects into a recording sink
+// fabric, on the scalar or the batched boundary.
 func traceRun(scalar bool, send func(v *VIC, p *sim.Proc)) (tr sendTrace) {
 	k := sim.NewKernel()
 	sink := func(pkt dvswitch.Packet) {
@@ -75,7 +75,6 @@ func traceRun(scalar bool, send func(v *VIC, p *sim.Proc)) (tr sendTrace) {
 			}
 		})
 	}
-	v.SetPortResolver(func(id int) int { return 2*id + 1 })
 	chk := &recChecker{}
 	v.SetChecker(chk)
 	tracer := attr.NewTracer(&attr.Config{}, dvswitch.WireBytes)
@@ -199,5 +198,36 @@ func TestTriggerBatchedMatchesScalar(t *testing.T) {
 			}
 			requireSameTrace(t, want, got)
 		})
+	}
+}
+
+// TestVICClosesSRAMStage: a traced packet's SRAM stage closes when the VIC
+// hands it to the fabric — ProcDelay after a host word's PCIe crossing, and
+// ProcDelay after the kick for a VIC-issued counter decrement — on both
+// boundaries, with no fabric or cluster doing it, and every packet goes to
+// its destination's port on the VIC's rail, not to the port numbered by its
+// VIC id.
+func TestVICClosesSRAMStage(t *testing.T) {
+	pd := DefaultParams().ProcDelay
+	for _, scalar := range []bool{false, true} {
+		tr := traceRun(scalar, func(v *VIC, p *sim.Proc) {
+			v.HostSend(p, PIO, sendWords(3))
+			v.HostSend(p, DMA, sendWords(5))
+			v.InjectDecGC(p, 1, 9)
+		})
+		if len(tr.flows) != 9 || len(tr.pkts) != 9 {
+			t.Fatalf("scalar=%v: %d flows and %d packets, want 9 of each", scalar, len(tr.flows), len(tr.pkts))
+		}
+		for i, f := range tr.flows {
+			if f.Dur[attr.StageSRAM] != pd {
+				t.Errorf("scalar=%v: flow %d (kind %v) spent %v in SRAM, want the processing delay %v",
+					scalar, i, f.Kind, f.Dur[attr.StageSRAM], pd)
+			}
+		}
+		for _, pkt := range tr.pkts {
+			if dst, _, _, _ := DecodeHeader(pkt.Header); pkt.Dst != 4+dst {
+				t.Errorf("scalar=%v: VIC id %d went to port %d, want the rail's port %d", scalar, dst, pkt.Dst, 4+dst)
+			}
+		}
 	}
 }

@@ -106,15 +106,14 @@ func rxTrafficRun(t *testing.T, fab int, oracle bool) rxRun {
 	par := DefaultParams()
 	par.ProcDelay *= 25
 	for i := range vics {
-		v := New(k, i, 4*i, par, f.Inject)
+		v := New(k, i, 4+i, par, f.Inject) // a rail at ports 4-7
 		vics[i] = v
 		v.SetBatchInject(f.InjectBatch)
 		v.ShareScratch(vics[0])
-		v.SetPortResolver(func(id int) int { return 4 * id })
 		v.SetChecker(chk)
 	}
 	f.OnDeliver(func(pkt dvswitch.Packet) {
-		v := vics[pkt.Dst/4]
+		v := vics[pkt.Dst-4]
 		var r rxEnt
 		var ok bool
 		if oracle {

@@ -75,7 +75,7 @@ type VIC struct {
 	k       *sim.Kernel
 	inject  func(pkt dvswitch.Packet)
 	injectB func(pkts []dvswitch.Packet) // batched fabric entry (SetBatchInject)
-	portOf  func(vicID int) int          // VIC id → fabric port (identity when nil)
+	rail    int                          // port of VIC id 0 on this VIC's rail (New)
 
 	// mem is the DV Memory: globally addressable single-word slots where
 	// only the last-written value is visible (per the paper).
@@ -205,11 +205,17 @@ func fireInjectBatch(a any) {
 		for i := range recs {
 			pkts[i] = v.packetOf(&recs[i])
 		}
+		if v.attr != nil {
+			now := v.k.Now()
+			for i := range recs {
+				v.attr.Stamp(recs[i].flow, attr.StageSRAM, now)
+			}
+		}
 		v.injectB(pkts)
 		v.scratch.pkts = pkts
 	} else {
 		for i := range recs {
-			v.inject(v.packetOf(&recs[i]))
+			v.injectPkt(v.packetOf(&recs[i]))
 		}
 	}
 	b.recs = recs[:0]
@@ -282,12 +288,16 @@ func fireDrain(a any) {
 	}
 }
 
-// New builds a VIC. inject delivers a packet into the fabric at the current
-// virtual time; the cluster layer wires it to the shared switch.
+// New builds a VIC with id id at fabric port port. inject delivers a packet
+// into the fabric at the current virtual time; the cluster layer wires it to
+// the shared switch. The VICs of one rail sit at consecutive ports, so the
+// VIC with id j on this VIC's rail is at port port-id+j: a rail's ids are
+// node ids, not ports.
 func New(k *sim.Kernel, id, port int, par Params, inject func(pkt dvswitch.Packet)) *VIC {
 	v := &VIC{
 		ID:       id,
 		Port:     port,
+		rail:     port - id,
 		par:      par,
 		k:        k,
 		inject:   inject,
@@ -517,14 +527,8 @@ func (v *VIC) packet(w Word, flow uint32) dvswitch.Packet {
 	return dvswitch.Packet{Src: v.Port, Dst: v.portFor(w.Dst), Header: w.header(), Payload: w.Val, Flow: flow}
 }
 
-// portFor maps a destination VIC id to its fabric port through the
-// cluster-installed resolver (identity when none is installed).
-func (v *VIC) portFor(dstVIC int) int {
-	if v.portOf == nil {
-		return dstVIC
-	}
-	return v.portOf(dstVIC)
-}
+// portFor maps a destination VIC id on v's rail to its fabric port.
+func (v *VIC) portFor(dstVIC int) int { return v.rail + dstVIC }
 
 func maxInt(a, b int) int {
 	if a > b {
@@ -539,12 +543,18 @@ func maxInt(a, b int) int {
 // injectChunk).
 func (v *VIC) injectAt(t sim.Time, w Word, flow uint32) {
 	pkt := v.packet(w, flow)
-	v.k.At(t+v.par.ProcDelay, func() { v.inject(pkt) })
+	v.k.At(t+v.par.ProcDelay, func() { v.injectPkt(pkt) })
 }
 
-// SetPortResolver installs the VIC-id→fabric-port mapping, used when
-// endpoints are spread across a switch with more ports than nodes.
-func (v *VIC) SetPortResolver(fn func(vicID int) int) { v.portOf = fn }
+// injectPkt hands one packet to the fabric on its own inject call, closing
+// its SRAM stage: the packet leaves the VIC's staging SRAM for the switch's
+// injection queue now. fireInjectBatch closes a batch's stages itself.
+func (v *VIC) injectPkt(pkt dvswitch.Packet) {
+	if v.attr != nil {
+		v.attr.Stamp(pkt.Flow, attr.StageSRAM, v.k.Now())
+	}
+	v.inject(pkt)
+}
 
 // SetBatchInject installs the batched fabric entry point: one call injects a
 // whole boundary batch, in order, instead of one inject call per packet. When
@@ -1025,7 +1035,7 @@ func (v *VIC) execute(r *rxEnt) {
 		reply := chunkRec{header: r.payload, payload: v.mem.read(addr), dst: int32(v.portFor(dstVIC)), flow: replyFlow}
 		if v.scalar {
 			pkt := v.packetOf(&reply)
-			v.k.After(v.par.ProcDelay, func() { v.inject(pkt) })
+			v.k.After(v.par.ProcDelay, func() { v.injectPkt(pkt) })
 			return
 		}
 		b := v.newBatch()
@@ -1108,7 +1118,7 @@ func (v *VIC) sendBarrierPkt(p *sim.Proc, dst, gcID int) {
 	}
 	pkt := v.packet(w, fl)
 	p.Wait(v.par.ProcDelay)
-	v.inject(pkt)
+	v.injectPkt(pkt)
 }
 
 // InjectDecGC fires a single VIC-side counter-decrement packet (no PCIe per
