@@ -252,8 +252,9 @@ func mpiTranspose(n *cluster.Node, be comm.Backend, local []complex128, r, c int
 type transposer struct {
 	region uint32
 	gc     int
-	words  int      // region capacity in words
-	raw    []uint64 // the host row the received region is read into
+	words  int        // region capacity in words
+	raw    []uint64   // the host row the received region is read into
+	batch  []vic.Word // one peer's block as words, 2·(n1/p)·(n2/p) of them
 }
 
 func newTransposer(be comm.Backend, n1, n2 int) *transposer {
@@ -263,7 +264,8 @@ func newTransposer(be comm.Backend, n1, n2 int) *transposer {
 	if w := 2 * (n1 / p) * n2; w > maxWords {
 		maxWords = w
 	}
-	return &transposer{region: e.Alloc(maxWords), gc: e.AllocGC(), words: maxWords, raw: make([]uint64, maxWords)}
+	return &transposer{region: e.Alloc(maxWords), gc: e.AllocGC(), words: maxWords, raw: make([]uint64, maxWords),
+		batch: make([]vic.Word, 0, 2*(n1/p)*(n2/p))}
 }
 
 // run scatters each element directly to its transposed location in the
@@ -280,7 +282,7 @@ func (tp *transposer) run(n *cluster.Node, be comm.Backend, local []complex128, 
 	e.Barrier() // everyone armed
 
 	out := make([]complex128, outRows*r)
-	words := make([]vic.Word, 0, 2*myRows*outRows)
+	words := tp.batch
 	for q := 0; q < p; q++ {
 		if q == id {
 			// Own block: place directly (host memory copy).

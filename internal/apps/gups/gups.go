@@ -198,12 +198,10 @@ func Run(net comm.Net, par Params) Result {
 	}
 	var sentRemote, drained int64
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:         net,
-		Nodes:       par.Nodes,
-		Seed:        par.Seed,
-		Platform:    par.Platform,
-		Reliable:    par.Reliable,
-		WaitTimeout: par.WaitTimeout,
+		Net:      net,
+		Nodes:    par.Nodes,
+		Seed:     par.Seed,
+		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		table := make([]uint64, par.TableWordsNode)
 		var d sim.Time

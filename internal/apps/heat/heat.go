@@ -134,12 +134,10 @@ func Run(net comm.Net, par Params) Result {
 		res.Field = make([]float64, par.N*par.N*par.N)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:         net,
-		Nodes:       par.Nodes,
-		Seed:        par.Seed,
-		Platform:    par.Platform,
-		Reliable:    par.Reliable,
-		WaitTimeout: par.WaitTimeout,
+		Net:      net,
+		Nodes:    par.Nodes,
+		Seed:     par.Seed,
+		Platform: par.Platform,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		s := newSolver(n, be, par, px, py, pz)
 		d := s.run(net)

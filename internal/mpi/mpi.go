@@ -145,8 +145,8 @@ type Status struct {
 type Request struct {
 	w        *World
 	done     bool
-	gate     sim.Gate
-	src, tag int // a posted receive's match pattern (wildcards allowed)
+	gate     sim.Gate // the one rank that waits for it
+	src, tag int      // a posted receive's match pattern (wildcards allowed)
 	data     []byte
 	status   Status
 	overhead sim.Time // software cost charged at completion (Wait)
@@ -589,7 +589,7 @@ func fireRendezvousData(a any) {
 
 func (r *Request) complete() {
 	r.done = true
-	r.gate.Broadcast(r.w.K)
+	r.gate.Signal(r.w.K)
 }
 
 // Wait blocks until the request completes and returns the received data and
@@ -633,7 +633,7 @@ func (c *Comm) wait(r *Request) ([]byte, Status) {
 // recycle puts a completed request nobody outside mpi holds back on the free
 // list.
 func (w *World) recycle(r *Request) {
-	*r = Request{w: w, gate: r.gate} // the gate keeps its (empty) waiter queue
+	*r = Request{w: w}
 	w.freeReqs = append(w.freeReqs, r)
 }
 

@@ -9,24 +9,25 @@ import (
 // link is one step of a chain script: the wait the step returns and, when
 // at >= 0, an At event the step schedules at now+at on the way. A link with
 // gate g > 0 is a gate step: it also schedules, at now+rel, a release that
-// leaves a token on gate g-1 and Signals it (Broadcasts when bcast), and
-// before its wait the process takes a token from that gate, waiting on the
-// gate while there is none.
+// leaves a token on the gate of process id+g-1 (its own, or the next one's,
+// modulo the process count) and Signals it, and before its wait the process
+// takes a token from its own gate, waiting on the gate while there is none.
+// Every release also Signals the releasing process's own gate: when the
+// token went to the next gate, that waiter wakes, finds none and waits again.
 type link struct {
 	wait, at Time
 	gate     int
 	rel      Time
-	bcast    bool
 }
 
 // chainEnv is what every script of one run shares: the kernel, one word of
-// state each step and each scheduled event reads and rewrites, the gates and
-// their tokens, and the log.
+// state each step and each scheduled event reads and rewrites, each
+// process's gate and tokens, and the log.
 type chainEnv struct {
 	k      *Kernel
 	shared uint64
-	gates  [2]Gate
-	tokens [2]int
+	gates  []Gate
+	tokens []int
 	log    strings.Builder
 }
 
@@ -39,15 +40,15 @@ type script struct {
 	p       *Proc
 	chained bool
 
-	// A gate step's token still to take (gate index + 1), and the wait and
-	// more its Step returns once it has.
-	gate int
+	// Whether a gate step's token is still to take, and the wait and more
+	// its Step returns once it has.
+	gate bool
 	wait Time
 	more bool
 }
 
 func (s *script) Step() (Time, bool) {
-	if s.gate > 0 { // a chained gate wait, continued from its wake
+	if s.gate { // a chained gate wait, continued from its wake
 		return s.takeOrAwait()
 	}
 	e, l, i := s.env, s.links[s.i], s.i
@@ -64,40 +65,37 @@ func (s *script) Step() (Time, bool) {
 	if l.gate == 0 {
 		return l.wait, s.i < len(s.links)
 	}
-	g := l.gate - 1
+	g := (s.id + l.gate - 1) % len(e.gates)
 	e.k.At(e.k.Now()+l.rel, func() {
 		e.tokens[g]++
 		fmt.Fprintf(&e.log, "r%d@%d:%d ", g, e.k.Now(), e.tokens[g])
-		if l.bcast {
-			e.gates[g].Broadcast(e.k)
-		} else {
-			e.gates[g].Signal(e.k)
-		}
+		e.gates[g].Signal(e.k)
+		e.gates[s.id].Signal(e.k)
 	})
-	s.gate, s.wait, s.more = l.gate, l.wait, s.i < len(s.links)
+	s.gate, s.wait, s.more = true, l.wait, s.i < len(s.links)
 	if s.chained {
 		return s.takeOrAwait()
 	}
 	return s.wait, s.more // the loop takes the token (see runScripts)
 }
 
-// take takes a token from the gate step's gate, if one is there.
+// take takes a token from the process's own gate, if one is there.
 func (s *script) take() bool {
-	e, g := s.env, s.gate-1
-	if e.tokens[g] == 0 {
+	e := s.env
+	if e.tokens[s.id] == 0 {
 		return false
 	}
-	e.tokens[g]--
-	s.gate = 0
-	fmt.Fprintf(&e.log, "p%d.take%d@%d:%d ", s.id, g, e.k.Now(), e.tokens[g])
+	e.tokens[s.id]--
+	s.gate = false
+	fmt.Fprintf(&e.log, "p%d.take@%d:%d ", s.id, e.k.Now(), e.tokens[s.id])
 	return true
 }
 
 // takeOrAwait is the chained gate step: the token and the step's wait, or
-// the gate awaited while there is no token.
+// the process's gate awaited while there is no token.
 func (s *script) takeOrAwait() (Time, bool) {
-	if g := s.gate - 1; !s.take() {
-		s.env.gates[g].Await(s.p)
+	if !s.take() {
+		s.env.gates[s.id].Await(s.p)
 		return 0, true
 	}
 	return s.wait, s.more
@@ -108,24 +106,31 @@ func (s *script) takeOrAwait() (Time, bool) {
 // or as one Chain, one event at a time, and logs every step, every scheduled
 // event and the queue fingerprint after each event. It returns the log, the
 // kernel's counts and, for the loop, the resumes a chain saves on it: one per
-// park that returned, but the last of a process that ends.
+// park that returned, but the last of a process that ends (a process whose
+// gate nobody signals again never does).
 func runScripts(scripts [][]link, chained bool) (log []string, events, resumes, saved uint64) {
 	k := NewKernel()
-	env := &chainEnv{k: k}
+	env := &chainEnv{k: k, gates: make([]Gate, len(scripts)), tokens: make([]int, len(scripts))}
 	for id, links := range scripts {
 		s := &script{id: id, links: links, env: env, chained: chained}
 		k.Spawn(fmt.Sprint("p", id), func(p *Proc) {
 			s.p = p
 			fmt.Fprintf(&env.log, "p%d.start@%d ", id, p.Now())
-			parks := uint64(0)
+			parks, ended := uint64(0), false
+			defer func() { // also when Finish unwinds a process left waiting
+				if ended && parks > 0 {
+					parks--
+				}
+				saved += parks
+			}()
 			if chained {
 				p.Chain(s)
 			} else {
 				for {
 					d, more := s.Step()
-					if s.gate > 0 {
+					if s.gate {
 						for !s.take() {
-							env.gates[s.gate-1].Wait(p)
+							env.gates[id].Wait(p)
 							parks++
 						}
 					}
@@ -140,10 +145,7 @@ func runScripts(scripts [][]link, chained bool) (log []string, events, resumes, 
 			}
 			env.shared += uint64(id) // the process's own statements after the chain
 			fmt.Fprintf(&env.log, "p%d.end@%d:%d ", id, p.Now(), env.shared)
-			if parks > 0 {
-				parks--
-			}
-			saved += parks
+			ended = true
 		})
 	}
 	for k.RunUntilN(Forever, 1) == 1 {
@@ -191,8 +193,9 @@ func checkChainLockstep(t *testing.T, scripts [][]link) {
 // TestChainMatchesWaitLoop: four processes run seeded random step scripts —
 // zero waits, waits tied with each other's links, At events scheduled at the
 // instants links end, gate steps whose releases tie with all of those and
-// whose tokens other processes may take first — as a plain Wait loop and as
-// Chain. Every event must leave the same log and the same queue behind.
+// may leave their token for the next process instead — as a plain Wait loop
+// and as Chain. Every event must leave the same log and the same queue
+// behind.
 func TestChainMatchesWaitLoop(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		rng := NewRNG(seed)
@@ -207,7 +210,7 @@ func TestChainMatchesWaitLoop(t *testing.T) {
 					l.at = Time(rng.Intn(4)) * 10
 				}
 				if rng.Intn(3) == 0 {
-					l.gate, l.rel, l.bcast = 1+rng.Intn(2), Time(rng.Intn(4))*10, rng.Intn(2) == 0
+					l.gate, l.rel = 1+rng.Intn(2), Time(rng.Intn(4))*10
 				}
 				scripts[i] = append(scripts[i], l)
 			}
@@ -219,8 +222,8 @@ func TestChainMatchesWaitLoop(t *testing.T) {
 // FuzzChainLockstep is TestChainMatchesWaitLoop over arbitrary scripts: byte b
 // appends a link to script b>>6 with wait (b&3)·10 ps and, when bit 2 is set,
 // an At event (b>>3&7)·5 ps after the step. When bit 2 is clear, v = b>>3&7
-// nonzero makes it a gate step on gate v&1, released by a Broadcast when v&2
-// is set (a Signal otherwise), (v>>2)·10 ps after the step.
+// nonzero makes it a gate step whose release goes to the gate of the next
+// process when v&1 is set (its own otherwise), (v>>1)·10 ps after the step.
 func FuzzChainLockstep(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0x41, 0x46, 0x8c, 0xc0, 0xff})
 	f.Add([]byte{0, 0, 4, 0x40, 0x40, 0x44})
@@ -237,7 +240,7 @@ func FuzzChainLockstep(f *testing.F) {
 			if v := int(b >> 3 & 7); b&4 != 0 {
 				l.at = Time(v) * 5
 			} else if v != 0 {
-				l.gate, l.bcast, l.rel = 1+v&1, v&2 != 0, Time(v>>2)*10
+				l.gate, l.rel = 1+v&1, Time(v>>1)*10
 			}
 			scripts[b>>6] = append(scripts[b>>6], l)
 		}
@@ -266,8 +269,7 @@ func (s *steps) Step() (Time, bool) {
 // not block, or wait on a gate, end where the Wait loop would, with one
 // resume for the whole chain.
 func TestChain_Valid(t *testing.T) {
-	var g, gs, gb, gt, gh Gate
-	var q Queue[int]
+	var g, gs, gl, gt, gh Gate
 	var pp Pipe
 	wait := func(d Time, more bool) func(p *Proc) (Time, bool) {
 		return func(*Proc) (Time, bool) { return d, more }
@@ -302,18 +304,15 @@ func TestChain_Valid(t *testing.T) {
 				return 10, true
 			},
 			func(p *Proc) (Time, bool) {
-				g.WaitUntil(p, func() bool { return true })
 				g.Signal(p.k)
-				q.Push(p.k, 1)
-				q.TryPop()
 				pp.Occupy(p, 0)
 				return pp.Reserve(p.k, 3) - p.Now(), false
 			},
 		}, nil, 13, 2},
 		{"a gate released by Signal", []func(p *Proc) (Time, bool){await(&gs, false, true), wait(5, false)},
 			func(k *Kernel) { k.At(10, func() { gs.Signal(k) }) }, 15, 2},
-		{"the last step awaits a gate released by Broadcast", []func(p *Proc) (Time, bool){wait(10, true), await(&gb, false, false)},
-			func(k *Kernel) { k.At(20, func() { gb.Broadcast(k) }) }, 20, 2},
+		{"the last step awaits a gate", []func(p *Proc) (Time, bool){wait(10, true), await(&gl, false, false)},
+			func(k *Kernel) { k.At(20, func() { gl.Signal(k) }) }, 20, 2},
 		{"a gate released at the instant a timed wait ends", []func(p *Proc) (Time, bool){
 			wait(10, true), await(&gt, false, true), wait(5, false),
 		}, func(k *Kernel) {
@@ -361,9 +360,7 @@ func TestChain_Invalid(t *testing.T) {
 		{"Gate.Wait after Gate.Await", func(p *Proc) Time { g := new(Gate); g.Await(p); g.Wait(p); return 0 }, "Chain"},
 		{"Gate.Await twice", func(p *Proc) Time { new(Gate).Await(p); new(Gate).Await(p); return 0 }, "Chain step"},
 		{"Gate.Await and a nonzero wait", func(p *Proc) Time { new(Gate).Await(p); return 1 }, "zero wait"},
-		{"Gate.WaitUntil", func(p *Proc) Time { new(Gate).WaitUntil(p, func() bool { return false }); return 0 }, "Chain"},
 		{"Gate.WaitTimeout", func(p *Proc) Time { new(Gate).WaitTimeout(p, 10); return 0 }, "Chain"},
-		{"Queue.PopTimeout", func(p *Proc) Time { new(Queue[int]).PopTimeout(p, 10); return 0 }, "Chain"},
 		{"Pipe.Occupy", func(p *Proc) Time { new(Pipe).Occupy(p, 10); return 0 }, "Chain"},
 		{"negative wait", func(p *Proc) Time { return -1 }, "negative wait"},
 	}
@@ -392,21 +389,5 @@ func TestChain_Invalid(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestAwaitOutsideChain: Gate.Await queues a chain's process and parks
-// nothing, so on a process that runs no chain it would leave the process
-// running while it is queued; it panics instead.
-func TestAwaitOutsideChain(t *testing.T) {
-	k := NewKernel()
-	var got any
-	k.Spawn("c", func(p *Proc) {
-		defer func() { got = recover() }()
-		new(Gate).Await(p)
-	})
-	k.Run()
-	if !strings.Contains(fmt.Sprint(got), "outside a Chain step") {
-		t.Fatalf("recovered %v, want a panic naming Chain", got)
 	}
 }

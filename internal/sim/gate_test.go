@@ -7,26 +7,20 @@ import (
 	"testing"
 )
 
-// TestWaitUntil drives one gate through scripted releases with every kind of
-// waiter queued on it. Waiters are "plain" (Wait), "timed" (WaitTimeout, 1 µs)
-// or "until:<flag>" (WaitUntil on a named flag) and park in the order listed,
+// TestWaitUntil drives waiters through scripted releases, each parked on its
+// own gate. Waiters are "plain" (Wait), "timed" (WaitTimeout, 1 µs) or
+// "until:<flag>" (a Wait loop on a named flag) and park in the order listed,
 // at time zero. Step i runs at i×10 ns: it flips flags ("set:a", "clear:a")
-// and releases ("signal", "broadcast"). want lists who resumed, in order, as
-// waiter@nanoseconds.
+// and signals every waiter's gate ("signal"). want lists who returned, in
+// order, as waiter@nanoseconds.
 func TestWaitUntil(t *testing.T) {
 	cases := []struct {
 		name    string
 		waiters []string
 		steps   []string
 		want    string
-		parked  int // still on the gate when Run ends
+		parked  int // still on their gates when Run ends
 	}{
-		{
-			name:    "broadcasts pass over an unready waiter, then wake it once",
-			waiters: []string{"until:a"},
-			steps:   []string{"broadcast", "broadcast", "signal", "broadcast", "set:a broadcast", "broadcast"},
-			want:    "0@40",
-		},
 		{
 			name:    "already true: no park",
 			waiters: []string{"until:a"},
@@ -34,35 +28,23 @@ func TestWaitUntil(t *testing.T) {
 			want:    "0@0",
 		},
 		{
-			name:    "broadcast keeps unready waiters queued in their order",
-			waiters: []string{"plain", "until:a", "timed", "until:b", "plain", "until:a"},
-			steps:   []string{"", "broadcast", "set:b signal", "signal", "set:a broadcast"},
-			want:    "0@10 2@10 4@10 3@20 1@40 5@40",
-		},
-		{
-			name:    "signal skips unready waiters and takes the oldest that can go",
-			waiters: []string{"until:a", "plain", "until:b", "timed", "until:a"},
-			steps:   []string{"", "signal", "signal", "signal", "set:a signal", "signal", "set:b signal"},
-			want:    "1@10 3@20 0@40 4@50 2@60",
-		},
-		{
 			name:    "a timed waiter behind unready ones times out; they stay",
 			waiters: []string{"until:a", "timed", "until:b"},
-			steps:   []string{"", "set:b"}, // no release: b is never looked at
+			steps:   []string{"", "set:b"}, // no signal: b's waiter never wakes to see it
 			want:    "1@1000",
 			parked:  2,
 		},
 		{
 			name:    "condition undone before the wake-up fires: parks again",
 			waiters: []string{"until:a", "plain"},
-			steps:   []string{"", "set:a broadcast clear:a", "broadcast", "set:a broadcast"},
+			steps:   []string{"", "set:a signal clear:a", "signal", "set:a signal"},
 			want:    "1@10 0@30",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := NewKernel()
-			var g Gate
+			gates := make([]Gate, len(tc.waiters))
 			flags := map[string]*bool{"a": new(bool), "b": new(bool)}
 			var woke []string
 			for i, step := range tc.steps {
@@ -74,9 +56,9 @@ func TestWaitUntil(t *testing.T) {
 						case "clear":
 							*flags[flag] = false
 						case "signal":
-							g.Signal(k)
-						case "broadcast":
-							g.Broadcast(k)
+							for i := range gates {
+								gates[i].Signal(k)
+							}
 						default:
 							t.Fatalf("bad step %q", op)
 						}
@@ -84,6 +66,7 @@ func TestWaitUntil(t *testing.T) {
 				})
 			}
 			for i, kind := range tc.waiters {
+				g := &gates[i]
 				k.Spawn(fmt.Sprint("w", i), func(p *Proc) {
 					switch verb, flag, _ := strings.Cut(kind, ":"); verb {
 					case "plain":
@@ -91,10 +74,8 @@ func TestWaitUntil(t *testing.T) {
 					case "timed":
 						g.WaitTimeout(p, Microsecond)
 					case "until":
-						ready := flags[flag]
-						g.WaitUntil(p, func() bool { return *ready })
-						if !*ready {
-							t.Errorf("waiter %d returned from WaitUntil with its condition false", i)
+						for ready := flags[flag]; !*ready; {
+							g.Wait(p)
 						}
 					}
 					woke = append(woke, fmt.Sprintf("%d@%d", i, p.Now()/Nanosecond))
@@ -104,8 +85,14 @@ func TestWaitUntil(t *testing.T) {
 			if got := strings.Join(woke, " "); got != tc.want {
 				t.Errorf("resumed %q, want %q", got, tc.want)
 			}
-			if len(g.waiters) != tc.parked {
-				t.Errorf("%d waiters left on the gate, want %d", len(g.waiters), tc.parked)
+			parked := 0
+			for _, g := range gates {
+				if g.w != nil {
+					parked++
+				}
+			}
+			if parked != tc.parked {
+				t.Errorf("%d waiters left on their gates, want %d", parked, tc.parked)
 			}
 			k.Finish()
 			if k.LiveProcs() != 0 {
@@ -115,38 +102,120 @@ func TestWaitUntil(t *testing.T) {
 	}
 }
 
-// A release that finds a WaitUntil waiter unready must cost nothing: no
-// event queued, no sequence number drawn, no process resumed. The release
-// that finds it ready costs one of each.
-func TestWaitUntilUnreadyReleaseSchedulesNothing(t *testing.T) {
+// gateRun spawns a process named "waiter" that runs wait on g and logs what
+// it returned and when, signals g from kernel events at the given instants
+// (queued before the waiter starts), and runs the kernel. It returns the
+// log and the instant Run returned.
+func gateRun(wait func(p *Proc, g *Gate) string, signals []Time) (log string, end Time) {
 	k := NewKernel()
 	var g Gate
-	ready := false
-	k.Spawn("w", func(p *Proc) { g.WaitUntil(p, func() bool { return ready }) })
-	k.RunUntil(0)
-	if len(g.waiters) != 1 {
-		t.Fatalf("waiter not parked: %d waiters", len(g.waiters))
+	for _, at := range signals {
+		k.At(at, func() { g.Signal(k) })
 	}
-	seq, resumes := k.seq, k.nResumed
-	for i := 0; i < 1000; i++ {
-		g.Broadcast(k)
-		g.Signal(k)
+	k.Spawn("waiter", func(p *Proc) {
+		got := wait(p, &g)
+		log = fmt.Sprintf("%s@%d", got, p.Now())
+	})
+	return log, k.Run()
+}
+
+// TestGate_Valid: one process at a time waits on a gate, through each of
+// Wait, WaitTimeout and a chain's Await. A release ends its wait at the
+// release instant; a WaitTimeout deadline that a release beat is a daemon
+// and does not carry Run past the release; a Signal with nobody waiting is
+// not remembered.
+func TestGate_Valid(t *testing.T) {
+	tests := []struct {
+		name    string
+		wait    func(p *Proc, g *Gate) string
+		signals []Time
+		want    string // what wait returned, @ picoseconds
+		end     Time   // what Run returned
+	}{
+		{"Wait", func(p *Proc, g *Gate) string { g.Wait(p); return "woken" }, []Time{10}, "woken@10", 10},
+		{"WaitTimeout released before its deadline",
+			func(p *Proc, g *Gate) string { return fmt.Sprint(g.WaitTimeout(p, 50)) }, []Time{10}, "true@10", 10},
+		{"WaitTimeout released after its deadline",
+			func(p *Proc, g *Gate) string { return fmt.Sprint(g.WaitTimeout(p, 50)) }, []Time{80}, "false@50", 80},
+		{"WaitTimeout released at its deadline by a Signal queued first",
+			func(p *Proc, g *Gate) string { return fmt.Sprint(g.WaitTimeout(p, 50)) }, []Time{50}, "true@50", 50},
+		{"WaitTimeout for ever",
+			func(p *Proc, g *Gate) string { return fmt.Sprint(g.WaitTimeout(p, Forever)) }, []Time{10}, "true@10", 10},
+		{"Await in a chain", func(p *Proc, g *Gate) string {
+			p.Chain(&steps{p: p, fs: []func(*Proc) (Time, bool){
+				func(p *Proc) (Time, bool) { g.Await(p); return 0, true },
+				func(*Proc) (Time, bool) { return 5, false },
+			}})
+			return "chained"
+		}, []Time{10}, "chained@15", 15},
+		{"one waiter after another on one gate",
+			func(p *Proc, g *Gate) string { g.Wait(p); g.Wait(p); return "woken" }, []Time{10, 20}, "woken@20", 20},
+		{"a Signal with nobody waiting is not remembered",
+			func(p *Proc, g *Gate) string { p.Wait(20); return fmt.Sprint(g.WaitTimeout(p, 10)) }, []Time{10}, "false@30", 30},
 	}
-	if k.seq != seq || len(k.q) != 0 || k.PendingUser() != 0 {
-		t.Fatalf("unready releases scheduled: seq %d -> %d, %d queued", seq, k.seq, len(k.q))
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if log, end := gateRun(tt.wait, tt.signals); log != tt.want || end != tt.end {
+				t.Errorf("waiter returned %q and Run %v, want %q and %v", log, end, tt.want, tt.end)
+			}
+		})
 	}
-	ready = true
-	g.Broadcast(k)
-	g.Broadcast(k) // nobody left
-	if k.seq != seq+1 || len(k.q) != 1 {
-		t.Fatalf("ready release: seq %d -> %d, %d queued, want one event", seq, k.seq, len(k.q))
+}
+
+// TestGate_Invalid: a gate has one waiter. A second process that parks on it
+// while the first waits, through any of the three forms, panics with a
+// message naming both processes; and Await outside a Chain step panics
+// rather than queue a process that keeps running.
+func TestGate_Invalid(t *testing.T) {
+	forms := []struct {
+		name string
+		park func(p *Proc, g *Gate)
+	}{
+		{"Wait", func(p *Proc, g *Gate) { g.Wait(p) }},
+		{"WaitTimeout", func(p *Proc, g *Gate) { g.WaitTimeout(p, Second) }},
+		{"Await", func(p *Proc, g *Gate) {
+			p.Chain(&steps{p: p, fs: []func(*Proc) (Time, bool){
+				func(p *Proc) (Time, bool) { g.Await(p); return 0, false },
+			}})
+		}},
 	}
-	k.Run()
-	if _, r := k.Counts(); r != resumes+1 {
-		t.Fatalf("resumes %d -> %d, want exactly one more", resumes, r)
+	type row struct {
+		name          string
+		first, second func(p *Proc, g *Gate) // second is nil: no second process
+		want          []string
 	}
-	if k.LiveProcs() != 0 {
-		t.Fatal("waiter did not finish")
+	var tests []row
+	for _, a := range forms {
+		for _, b := range forms {
+			tests = append(tests, row{a.name + " then " + b.name, a.park, b.park,
+				[]string{`"second"`, `"first"`, "one waiter"}})
+		}
+	}
+	tests = append(tests, row{"Await outside a Chain step",
+		func(p *Proc, g *Gate) { g.Await(p) }, nil, []string{"outside a Chain step"}})
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			k := NewKernel()
+			var g Gate
+			k.Spawn("first", func(p *Proc) { tt.first(p, &g) })
+			if tt.second != nil {
+				k.Spawn("second", func(p *Proc) { tt.second(p, &g) })
+			}
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				k.Run()
+				return nil
+			}()
+			for _, w := range tt.want {
+				if !strings.Contains(fmt.Sprint(got), w) {
+					t.Fatalf("recovered %v, want a panic containing %s", got, w)
+				}
+			}
+			k.Finish()
+			if k.LiveProcs() != 0 {
+				t.Errorf("%d processes survived Finish", k.LiveProcs())
+			}
+		})
 	}
 }
 
@@ -168,24 +237,24 @@ func TestKernelCounts(t *testing.T) {
 	}
 }
 
-// A WaitTimeout waiter released by Signal or Broadcast must not leave its
-// deadline behind as a user event: Run ends with the last real work, and a
-// daemon ticker stops with it.
+// A WaitTimeout waiter released by Signal, from a process or from a kernel
+// event, must not leave its deadline behind as a user event: Run ends with
+// the last real work, and a daemon ticker stops with it.
 func TestWokenTimeoutDoesNotExtendRun(t *testing.T) {
-	for _, release := range []string{"signal", "broadcast"} {
+	for _, release := range []string{"signal", "signal from an event"} {
 		t.Run(release, func(t *testing.T) {
 			k := NewKernel()
 			var g Gate
 			released := false
 			k.Spawn("w", func(p *Proc) { released = g.WaitTimeout(p, Second) })
-			k.Spawn("s", func(p *Proc) {
-				p.Wait(Microsecond)
-				if release == "signal" {
+			if release == "signal" {
+				k.Spawn("s", func(p *Proc) {
+					p.Wait(Microsecond)
 					g.Signal(k)
-				} else {
-					g.Broadcast(k)
-				}
-			})
+				})
+			} else {
+				k.At(Microsecond, func() { g.Signal(k) })
+			}
 			ticks := 0
 			var tick func()
 			tick = func() { ticks++; k.AfterDaemon(Millisecond, tick) }

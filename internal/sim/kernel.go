@@ -292,7 +292,7 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	gw gateWaiter // the process's Gate.Wait/WaitUntil waiter (see Proc.waiter)
+	gw gateWaiter // the process's untimed gate waiter (see Proc.waiter)
 
 	chain Stepper // the Chain running on p, nil otherwise; park refuses while set
 }

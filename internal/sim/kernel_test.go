@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -108,48 +110,50 @@ func TestWaitUntilPastIsNoop(t *testing.T) {
 	k.Run()
 }
 
+// Signals resume their waiters in the order they were made: each is a wake
+// event at the signal's instant.
 func TestGateSignalFIFO(t *testing.T) {
 	k := NewKernel()
-	var g Gate
+	gates := make([]Gate, 3)
 	var order []string
-	for _, name := range []string{"p1", "p2", "p3"} {
-		name := name
+	for i, name := range []string{"p1", "p2", "p3"} {
 		k.Spawn(name, func(p *Proc) {
-			g.Wait(p)
-			order = append(order, name)
+			gates[i].Wait(p)
+			order = append(order, fmt.Sprint(name, "@", int64(p.Now())))
 		})
 	}
 	k.Spawn("sig", func(p *Proc) {
 		p.Wait(100)
-		g.Signal(p.k)
+		gates[0].Signal(p.k)
 		p.Wait(100)
-		g.Broadcast(p.k)
+		gates[2].Signal(p.k)
+		gates[1].Signal(p.k)
 	})
 	k.Run()
-	if len(order) != 3 || order[0] != "p1" {
-		t.Fatalf("order = %v", order)
+	if want := []string{"p1@100", "p3@200", "p2@200"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
 func TestGateWaitTimeout(t *testing.T) {
 	k := NewKernel()
-	var g Gate
+	var g1, g2 Gate
 	var gotSignal, gotTimeout bool
 	k.Spawn("w1", func(p *Proc) {
-		gotSignal = g.WaitTimeout(p, 50*Nanosecond)
+		gotSignal = g1.WaitTimeout(p, 50*Nanosecond)
 		if p.Now() != 10*Nanosecond {
 			t.Errorf("signalled waiter woke at %v", p.Now())
 		}
 	})
 	k.Spawn("w2", func(p *Proc) {
-		gotTimeout = g.WaitTimeout(p, 50*Nanosecond)
+		gotTimeout = g2.WaitTimeout(p, 50*Nanosecond)
 		if p.Now() != 50*Nanosecond {
 			t.Errorf("timed-out waiter woke at %v", p.Now())
 		}
 	})
 	k.Spawn("sig", func(p *Proc) {
 		p.Wait(10 * Nanosecond)
-		g.Signal(p.k) // wakes w1 only
+		g1.Signal(p.k) // wakes w1 only
 	})
 	k.Run()
 	if !gotSignal {
@@ -158,8 +162,8 @@ func TestGateWaitTimeout(t *testing.T) {
 	if gotTimeout {
 		t.Error("w2 should report timeout")
 	}
-	if len(g.waiters) != 0 {
-		t.Errorf("gate still has %d waiters", len(g.waiters))
+	if g1.w != nil || g2.w != nil {
+		t.Error("a gate still has its waiter")
 	}
 }
 
@@ -175,20 +179,48 @@ func TestGateTimeoutForever(t *testing.T) {
 	}
 }
 
+// hostQueue is a FIFO that one process pops, as a VIC's host ring is: the
+// producer pushes and signals, and the consumer waits on the gate while the
+// ring is empty.
+type hostQueue struct {
+	ring Ring[int]
+	gate Gate
+}
+
+func (q *hostQueue) push(k *Kernel, v int) {
+	q.ring.Push(v)
+	q.gate.Signal(k)
+}
+
+// pop returns the head item, waiting up to d for one (Forever: for ever).
+func (q *hostQueue) pop(p *Proc, d Time) (int, bool) {
+	deadline := p.Now() + d
+	for q.ring.Len() == 0 {
+		if d == Forever {
+			q.gate.Wait(p)
+			continue
+		}
+		if remain := deadline - p.Now(); remain <= 0 || !q.gate.WaitTimeout(p, remain) {
+			return 0, false
+		}
+	}
+	return q.ring.Pop()
+}
+
 func TestQueueBlockingPop(t *testing.T) {
 	k := NewKernel()
-	var q Queue[int]
+	var q hostQueue
 	var got []int
 	k.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			v, _ := q.PopTimeout(p, Forever)
+			v, _ := q.pop(p, Forever)
 			got = append(got, v)
 		}
 	})
 	k.Spawn("producer", func(p *Proc) {
 		for i := 1; i <= 3; i++ {
 			p.Wait(10)
-			q.Push(p.k, i)
+			q.push(p.k, i)
 		}
 	})
 	k.Run()
@@ -199,22 +231,22 @@ func TestQueueBlockingPop(t *testing.T) {
 
 func TestQueuePopTimeout(t *testing.T) {
 	k := NewKernel()
-	var q Queue[int]
+	var q hostQueue
 	k.Spawn("c", func(p *Proc) {
-		if _, ok := q.PopTimeout(p, 20); ok {
+		if _, ok := q.pop(p, 20); ok {
 			t.Error("expected timeout")
 		}
 		if p.Now() != 20 {
 			t.Errorf("timeout at %v, want 20", p.Now())
 		}
-		v, ok := q.PopTimeout(p, 100)
-		if !ok || v != 7 {
-			t.Errorf("got %d,%v want 7,true", v, ok)
+		v, ok := q.pop(p, 100)
+		if !ok || v != 7 || p.Now() != 50 {
+			t.Errorf("got %d,%v at %v, want 7,true at 50", v, ok, p.Now())
 		}
 	})
 	k.Spawn("p", func(p *Proc) {
 		p.Wait(50)
-		q.Push(p.k, 7)
+		q.push(p.k, 7)
 	})
 	k.Run()
 }
@@ -291,20 +323,20 @@ func TestDrainAbandonedProcs(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		k := NewKernel()
-		var q Queue[int]
+		var q hostQueue
 		var stamps []Time
 		rng := NewRNG(42)
 		for i := 0; i < 8; i++ {
 			k.Spawn("p", func(p *Proc) {
 				for j := 0; j < 10; j++ {
 					p.Wait(Time(rng.Intn(100) + 1))
-					q.Push(p.k, j)
+					q.push(p.k, j)
 				}
 			})
 		}
 		k.Spawn("c", func(p *Proc) {
 			for i := 0; i < 80; i++ {
-				q.PopTimeout(p, Forever)
+				q.pop(p, Forever)
 				stamps = append(stamps, p.Now())
 			}
 		})
@@ -411,7 +443,6 @@ func TestSignalWithNoWaitersIsNoop(t *testing.T) {
 	k := NewKernel()
 	var g Gate
 	g.Signal(k)
-	g.Broadcast(k)
 	done := false
 	k.Spawn("p", func(p *Proc) {
 		// Past signals must not satisfy a future wait.
@@ -551,32 +582,34 @@ func TestRunUntilStopsWhenOnlyDaemonsRemain(t *testing.T) {
 }
 
 // parkFive spawns one process parked forever in each blocking primitive —
-// Wait, Gate.Wait, Gate.WaitUntil, Gate.WaitTimeout and Queue.Pop — and
-// returns how many of their deferred calls have run, which is how a test
-// sees that drain unwound them rather than dropping them.
+// Wait, Gate.Wait, Gate.WaitTimeout, a Chain awaiting a gate and
+// Pipe.Occupy — and returns how many of their deferred calls have run, which
+// is how a test sees that drain unwound them rather than dropping them.
 func parkFive(k *Kernel) (unwound *int) {
 	unwound = new(int)
-	var g Gate
-	var q Queue[int]
+	var gw, gt, ga Gate
+	var pp Pipe
 	k.Spawn("wait", func(p *Proc) {
 		defer func() { *unwound++ }()
 		p.Wait(Second)
 	})
 	k.Spawn("gate", func(p *Proc) {
 		defer func() { *unwound++ }()
-		g.Wait(p)
-	})
-	k.Spawn("until", func(p *Proc) {
-		defer func() { *unwound++ }()
-		g.WaitUntil(p, func() bool { return false })
+		gw.Wait(p)
 	})
 	k.Spawn("timeout", func(p *Proc) {
 		defer func() { *unwound++ }()
-		g.WaitTimeout(p, Second)
+		gt.WaitTimeout(p, Second)
 	})
-	k.Spawn("pop", func(p *Proc) {
+	k.Spawn("await", func(p *Proc) {
 		defer func() { *unwound++ }()
-		q.PopTimeout(p, Forever)
+		p.Chain(&steps{p: p, fs: []func(*Proc) (Time, bool){
+			func(p *Proc) (Time, bool) { ga.Await(p); return 0, false },
+		}})
+	})
+	k.Spawn("occupy", func(p *Proc) {
+		defer func() { *unwound++ }()
+		pp.Occupy(p, Second)
 	})
 	return unwound
 }
@@ -663,12 +696,17 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 func TestAbortSignalNeverEscapesDrain(t *testing.T) {
 	k := NewKernel()
 	unwound := parkFive(k)
-	var g Gate
+	var g, own Gate
 	k.Spawn("reparks", func(p *Proc) {
 		defer func() { *unwound++ }()
 		defer p.Wait(5) // parks during the unwind: aborted again at once
 		defer g.Wait(p) // likewise
 		p.Wait(Second)
+	})
+	k.Spawn("reparks on its gate", func(p *Proc) {
+		defer func() { *unwound++ }()
+		defer own.Wait(p) // the gate still holds p's aborted wait: p may take it again
+		own.Wait(p)
 	})
 	k.Spawn("work", func(p *Proc) { p.Wait(100) })
 	func() {
@@ -680,8 +718,8 @@ func TestAbortSignalNeverEscapesDrain(t *testing.T) {
 		k.RunUntil(100)
 		k.Finish()
 	}()
-	if *unwound != 6 || k.LiveProcs() != 0 {
-		t.Fatalf("unwound = %d, LiveProcs = %d, want 6, 0", *unwound, k.LiveProcs())
+	if *unwound != 7 || k.LiveProcs() != 0 {
+		t.Fatalf("unwound = %d, LiveProcs = %d, want 7, 0", *unwound, k.LiveProcs())
 	}
 }
 
@@ -730,9 +768,9 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			}
 		})
 	}
-	// The parked Wait and WaitTimeout hold user events, so Run pumps to
-	// their deadline; only the gate and queue waiters are still parked for
-	// drain. RunUntil+Finish below aborts all five.
+	// The parked Wait, WaitTimeout and Occupy hold user events, so Run
+	// pumps to their deadline; only the gate and chain waiters are still
+	// parked for drain. RunUntil+Finish below aborts all five.
 	k.Run()
 	check("after Run", unwound)
 

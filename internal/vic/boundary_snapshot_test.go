@@ -40,7 +40,7 @@ func state(vics []*VIC) []byte {
 			r := v.rx.At(i)
 			fmt.Fprintln(&b, "rx", r.at, r.src, r.header, r.payload, r.flow)
 		}
-		fmt.Fprintln(&b, "fifo", v.fifo, v.fifoFlows, v.hostFIFO.Len(), v.drainArmed)
+		fmt.Fprintln(&b, "fifo", v.fifo, v.fifoFlows, v.hostRing.Len(), v.drainArmed)
 		for _, p := range []*sim.Pipe{&v.pioWr, &v.pioRd, &v.dmaIn, &v.dmaOut} {
 			fmt.Fprintln(&b, "pipe", p.BusyUntil(), p.Busy)
 		}

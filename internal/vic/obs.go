@@ -55,7 +55,7 @@ func (v *VIC) SetObs(o *Obs) {
 
 // FIFODepth returns the surprise-FIFO backlog: words still in VIC SRAM plus
 // words drained to the host ring but not yet consumed.
-func (v *VIC) FIFODepth() int { return len(v.fifo) + v.hostFIFO.Len() }
+func (v *VIC) FIFODepth() int { return len(v.fifo) + v.hostRing.Len() }
 
 // DMABusy returns the cumulative busy time of both DMA engines.
 func (v *VIC) DMABusy() sim.Time { return v.dmaIn.Busy + v.dmaOut.Busy }

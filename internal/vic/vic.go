@@ -82,20 +82,18 @@ type VIC struct {
 	mem dvMem
 
 	gc       []int64
-	gcGate   []sim.Gate // broadcast on every counter change
-	gcZeroed []bool     // zero already pushed to host
+	gcZeroed []bool // zero already pushed to host
 
-	// What a parked completion wait waits for, per counter, as predicates the
-	// gate evaluates at each broadcast (sim.Gate.WaitUntil): built once, in
-	// New, so that a wait allocates no closure. gcTarget is the bound of the
-	// wait parked on gcAtMost; one suffices because only the owning node's
-	// process ever waits on this VIC.
-	gcNotified []func() bool // gcZeroed[i]
-	gcAtMost   []func() bool // gc[i] <= gcTarget[i]
-	gcTarget   []int64
+	// gate is where the owning node's process parks on this VIC, and wait
+	// what it waits for; setGC, decGC, notifyZero and the host-ring pushes
+	// signal the gate when their change ends that wait (gcChanged, pushHost).
+	// Only that one process ever waits on a VIC. Once it has returned, wait
+	// is stale, and a Signal with nobody parked does nothing.
+	gate sim.Gate
+	wait hostWait
 
-	fifo       []uint64          // surprise packets buffered on the VIC
-	hostFIFO   sim.Queue[uint64] // drained into the host ring buffer
+	fifo       []uint64         // surprise packets buffered on the VIC
+	hostRing   sim.Ring[uint64] // drained surprise words, for the host to pop
 	drainArmed bool
 
 	pioWr, pioRd  sim.Pipe // programmed I/O (single PCIe lane each way)
@@ -272,7 +270,7 @@ func fireDrain(a any) {
 	d.flows = nil
 	v.drainFree = append(v.drainFree, d)
 	for i, w := range batch {
-		v.hostFIFO.Push(v.k, w)
+		v.pushHost(w)
 		if v.attr != nil && i < len(flows) {
 			v.attr.Complete(flows[i], v.k.Now())
 		}
@@ -303,17 +301,10 @@ func New(k *sim.Kernel, id, port int, par Params, inject func(pkt dvswitch.Packe
 		inject:   inject,
 		mem:      newDVMem(par.MemWords),
 		gc:       make([]int64, par.GroupCounters),
-		gcGate:   make([]sim.Gate, par.GroupCounters),
 		gcZeroed: make([]bool, par.GroupCounters),
-
-		gcNotified: make([]func() bool, par.GroupCounters),
-		gcAtMost:   make([]func() bool, par.GroupCounters),
-		gcTarget:   make([]int64, par.GroupCounters),
 	}
 	for i := range v.gcZeroed {
 		v.gcZeroed[i] = true // counters start at zero, already "notified"
-		v.gcNotified[i] = func() bool { return v.gcZeroed[i] }
-		v.gcAtMost[i] = func() bool { return v.gc[i] <= v.gcTarget[i] }
 	}
 	return v
 }
@@ -694,7 +685,7 @@ func (v *VIC) setGC(gc int, val int64) {
 	if val == 0 {
 		v.notifyZero(gc)
 	}
-	v.gcGate[gc].Broadcast(v.k)
+	v.gcChanged(gc)
 }
 
 func (v *VIC) decGC(gc int, by int64) {
@@ -711,7 +702,7 @@ func (v *VIC) decGC(gc int, by int64) {
 	if v.gc[gc] == 0 {
 		v.notifyZero(gc)
 	}
-	v.gcGate[gc].Broadcast(v.k)
+	v.gcChanged(gc)
 }
 
 // notifyZero models the VIC pushing its zero-counter list into host memory
@@ -720,7 +711,7 @@ func (v *VIC) notifyZero(gc int) {
 	v.k.After(v.par.GCNotify, func() {
 		if v.gc[gc] == 0 {
 			v.gcZeroed[gc] = true
-			v.gcGate[gc].Broadcast(v.k)
+			v.gcChanged(gc)
 		}
 	})
 }
@@ -741,32 +732,77 @@ func (v *VIC) notifyZero(gc int) {
 // -exp extN, heat 1e-03 unprotected, reads lost 17 for 16), and the
 // committed tables are the fixed point.
 func (v *VIC) WaitGCZero(p *sim.Proc, gc int, timeout sim.Time) bool {
-	if timeout == sim.Forever {
-		v.gcGate[gc].WaitUntil(p, v.gcNotified[gc])
-		return true
+	w := hostWait{kind: waitNotified, gc: gc}
+	if timeout != sim.Forever {
+		w.kind = waitChange
 	}
-	deadline := p.Now() + timeout
-	for !v.gcZeroed[gc] {
-		remain := deadline - p.Now()
-		if remain <= 0 || !v.gcGate[gc].WaitTimeout(p, remain) {
-			return false
-		}
-	}
-	return true
-}
-
-// waitGCAtMost blocks (VIC-internal, no host notification cost) until the
-// counter value is <= target. Used by the intrinsic barrier.
-func (v *VIC) waitGCAtMost(p *sim.Proc, gc int, target int64) {
-	v.gcTarget[gc] = target
-	v.gcGate[gc].WaitUntil(p, v.gcAtMost[gc])
+	return v.block(p, w, timeout)
 }
 
 // WaitGCAtMost blocks until counter gc's value is <= target, without the
 // host-notification latency of WaitGCZero. It models VIC-side waiting and
-// backs the subset-barrier support.
+// backs the intrinsic and subset barriers and the shmem fences.
 func (v *VIC) WaitGCAtMost(p *sim.Proc, gc int, target int64) {
-	v.waitGCAtMost(p, gc, target)
+	v.block(p, hostWait{kind: waitAtMost, gc: gc, target: target}, sim.Forever)
+}
+
+// hostWait is what the host process waits for on its VIC.
+type hostWait struct {
+	kind   waitKind
+	gc     int
+	target int64 // waitAtMost's bound
+}
+
+type waitKind uint8
+
+const (
+	waitNotified waitKind = iota // zero notified on counter gc (WaitGCZero)
+	waitAtMost                   // counter gc at most target (WaitGCAtMost)
+	waitChange                   // any change of counter gc (a timed WaitGCZero)
+	waitSurprise                 // a word in the host ring (PopSurprise)
+)
+
+// holds reports whether the condition of w holds now: a timed WaitGCZero
+// returns once the zero is notified, whatever woke it.
+func (v *VIC) holds(w hostWait) bool {
+	switch w.kind {
+	case waitNotified, waitChange:
+		return v.gcZeroed[w.gc]
+	case waitAtMost:
+		return v.gc[w.gc] <= w.target
+	}
+	return v.hostRing.Len() > 0
+}
+
+// gcChanged signals the gate when a change of counter gc, just made, ends
+// the wait: a timed WaitGCZero's on every change of its counter, the other
+// counter waits once their condition holds. A surprise wait never holds
+// here while its process is parked: only the push that signalled makes it
+// hold.
+func (v *VIC) gcChanged(gc int) {
+	if w := v.wait; w.gc == gc && (w.kind == waitChange || v.holds(w)) {
+		v.gate.Signal(v.k)
+	}
+}
+
+// block parks p on the VIC's gate until w holds or timeout passes
+// (sim.Forever: never), and reports whether w holds. Each wake re-checks w,
+// as a wait loop on a condition variable does: something may have undone it
+// between the release and the wake event.
+func (v *VIC) block(p *sim.Proc, w hostWait, timeout sim.Time) bool {
+	deadline := p.Now() + timeout
+	for !v.holds(w) {
+		v.wait = w
+		if timeout == sim.Forever {
+			v.gate.Wait(p)
+			continue
+		}
+		remain := deadline - p.Now()
+		if remain <= 0 || !v.gate.WaitTimeout(p, remain) {
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -776,7 +812,7 @@ func (v *VIC) WaitGCAtMost(p *sim.Proc, gc int, target int64) {
 // without blocking. Reading the host ring is a plain memory load; any
 // per-message processing cost is the application's to model.
 func (v *VIC) TryPopSurprise() (uint64, bool) {
-	w, ok := v.hostFIFO.TryPop()
+	w, ok := v.hostRing.Pop()
 	if ok && v.chk != nil {
 		v.chk.FIFOPop(v, w)
 	}
@@ -786,11 +822,18 @@ func (v *VIC) TryPopSurprise() (uint64, bool) {
 // PopSurprise blocks until a surprise word reaches the host ring, or the
 // timeout expires.
 func (v *VIC) PopSurprise(p *sim.Proc, timeout sim.Time) (uint64, bool) {
-	w, ok := v.hostFIFO.PopTimeout(p, timeout)
-	if ok && v.chk != nil {
-		v.chk.FIFOPop(v, w)
+	if !v.block(p, hostWait{kind: waitSurprise}, timeout) {
+		return 0, false
 	}
-	return w, ok
+	return v.TryPopSurprise()
+}
+
+// pushHost lands a drained surprise word in the host ring.
+func (v *VIC) pushHost(w uint64) {
+	v.hostRing.Push(w)
+	if v.wait.kind == waitSurprise {
+		v.gate.Signal(v.k)
+	}
 }
 
 func (v *VIC) pushSurprise(src int, val uint64, flow uint32) {
@@ -866,7 +909,7 @@ func (v *VIC) drainFIFO() {
 	if v.scalar {
 		v.k.At(done, func() {
 			for i, w := range batch {
-				v.hostFIFO.Push(v.k, w)
+				v.pushHost(w)
 				if v.attr != nil && i < len(flows) {
 					v.attr.Complete(flows[i], v.k.Now())
 				}
@@ -1092,11 +1135,11 @@ func (v *VIC) Barrier(p *sim.Proc) {
 	gcA, gcB := v.par.BarrierGCA, v.par.BarrierGCB
 	kids := barrierChildren(v.ID, n)
 	// Gather: wait for all children to check in.
-	v.waitGCAtMost(p, gcA, 0)
+	v.WaitGCAtMost(p, gcA, 0)
 	if v.ID != 0 {
 		// Check in with the parent, then wait for the release.
 		v.sendBarrierPkt(p, (v.ID-1)/2, gcA)
-		v.waitGCAtMost(p, gcB, 0)
+		v.WaitGCAtMost(p, gcB, 0)
 	}
 	// Re-arm before releasing the children: their next check-in can only be
 	// sent after the release we are about to forward.

@@ -150,3 +150,84 @@ func TestTimedWaitGCNotifyWinsDeadlineTie(t *testing.T) {
 		t.Error("timed wait with its deadline 1 ps before the notification reported zero")
 	}
 }
+
+// newVICSink keeps what vic.New returns on the heap, as a cluster does.
+var newVICSink *VIC
+
+// A VIC is built with one gate and one wait record, whatever its counter
+// count: vic.New makes no per-counter gate or predicate. (It made 136
+// allocations, 7,920 B, for 64 counters when each counter had its own gate
+// and two predicate closures; it now makes 4, 1,392 B, on go1.24.)
+func TestNewAllocations(t *testing.T) {
+	k := sim.NewKernel()
+	par := DefaultParams()
+	inject := func(dvswitch.Packet) {}
+	if n := testing.AllocsPerRun(100, func() { newVICSink = New(k, 0, 0, par, inject) }); n > 16 {
+		t.Errorf("vic.New made %.0f allocations for %d counters, want at most 16", n, par.GroupCounters)
+	}
+}
+
+// The VIC signals its gate only for a change that ends what its process
+// waits for. A change of another counter, a host-ring push while the process
+// waits on a counter, and a counter change while it waits for a surprise
+// word each leave the kernel's counts as a run without the change: no wake
+// event is scheduled and the process is not resumed.
+func TestSignalsOnlyTheWaitItEnds(t *testing.T) {
+	const gc, other = 5, 6
+	zero := func(timeout sim.Time) func(v *VIC, p *sim.Proc) {
+		return func(v *VIC, p *sim.Proc) { v.WaitGCZero(p, gc, timeout) }
+	}
+	atMost := func(v *VIC, p *sim.Proc) { v.WaitGCAtMost(p, gc, 0) }
+	pop := func(v *VIC, p *sim.Proc) { v.PopSurprise(p, sim.Forever) }
+	zeroGC := func(v *VIC) { v.setGC(gc, 0) }
+	push := func(v *VIC) { v.pushHost(7) }
+	changeGC := func(c int) func(v *VIC) {
+		return func(v *VIC) { v.setGC(c, 4); v.decGC(c, 1) }
+	}
+	tests := []struct {
+		name  string
+		wait  func(v *VIC, p *sim.Proc) // parks at time zero
+		end   func(v *VIC)              // at 200 ns: ends the wait
+		extra func(v *VIC)              // at 100 ns, in one of the two runs
+	}{
+		{"WaitGCZero, another counter changes", zero(sim.Forever), zeroGC, changeGC(other)},
+		{"timed WaitGCZero, another counter changes", zero(sim.Second), zeroGC, changeGC(other)},
+		{"WaitGCAtMost, another counter changes", atMost, zeroGC, changeGC(other)},
+		{"WaitGCZero, a host-ring push", zero(sim.Forever), zeroGC, push},
+		{"timed WaitGCZero, a host-ring push", zero(sim.Second), zeroGC, push},
+		{"WaitGCAtMost, a host-ring push", atMost, zeroGC, push},
+		{"PopSurprise, its VIC's counter changes", pop, push, changeGC(gc)},
+		{"PopSurprise, another counter changes", pop, push, changeGC(other)},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			run := func(extra bool) (events, resumes uint64, woke sim.Time) {
+				k := sim.NewKernel()
+				v := New(k, 0, 0, DefaultParams(), func(dvswitch.Packet) {})
+				v.setGC(gc, 3)
+				k.At(100*sim.Nanosecond, func() {
+					if extra {
+						tt.extra(v)
+					}
+				})
+				k.At(200*sim.Nanosecond, func() { tt.end(v) })
+				k.Spawn("host", func(p *sim.Proc) {
+					tt.wait(v, p)
+					woke = p.Now()
+				})
+				k.Run()
+				events, resumes = k.Counts()
+				return events, resumes, woke
+			}
+			ev0, rs0, woke0 := run(false)
+			ev, rs, woke := run(true)
+			if ev != ev0 || rs != rs0 || woke != woke0 {
+				t.Errorf("with the change: %d events, %d resumes, woke at %v; without: %d, %d, %v",
+					ev, rs, woke, ev0, rs0, woke0)
+			}
+			if woke0 < 200*sim.Nanosecond {
+				t.Errorf("the wait ended at %v, before the change that ends it", woke0)
+			}
+		})
+	}
+}
