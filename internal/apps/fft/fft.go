@@ -186,29 +186,31 @@ func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, n1, n2 
 	n.Flops(8 * float64(rowsA*n2))
 
 	// Step 3: distributed transpose to n2×n1, then row FFTs of length n1.
-	localT := transpose(n, be, net, tp, local, n1, n2)
+	localT := transpose(n, be, net, tp, local, make([]complex128, rowsB*n1), n1, n2)
 	for r := 0; r < rowsB; r++ {
 		fftkernel.Forward(localT[r*n1 : (r+1)*n1])
 	}
 	n.Flops(float64(rowsB) * fftkernel.Flops(n1))
 
-	// Step 4: transpose back to n1×n2 natural order.
-	out := transpose(n, be, net, tp, localT, n2, n1)
+	// Step 4: transpose back to n1×n2 natural order, into local: it is dead
+	// by now and has the result's shape.
+	out := transpose(n, be, net, tp, localT, local, n2, n1)
 	be.Barrier()
 	return out, n.P.Now() - t0
 }
 
 // transpose redistributes an r×c matrix (rows split over nodes) into its c×r
-// transpose (rows split over nodes).
-func transpose(n *cluster.Node, be comm.Backend, net comm.Net, tp *transposer, local []complex128, r, c int) []complex128 {
+// transpose (rows split over nodes), writing this node's rows into out and
+// returning it. out must not overlap local and is overwritten whole.
+func transpose(n *cluster.Node, be comm.Backend, net comm.Net, tp *transposer, local, out []complex128, r, c int) []complex128 {
 	if net == comm.DV {
-		return tp.run(n, be, local, r, c)
+		return tp.run(n, be, local, out, r, c)
 	}
-	return mpiTranspose(n, be, local, r, c)
+	return mpiTranspose(n, be, local, out, r, c)
 }
 
 // mpiTranspose is the all-to-all implementation with pack/unpack passes.
-func mpiTranspose(n *cluster.Node, be comm.Backend, local []complex128, r, c int) []complex128 {
+func mpiTranspose(n *cluster.Node, be comm.Backend, local, out []complex128, r, c int) []complex128 {
 	c2 := be.MPI()
 	p := c2.Size()
 	myRows := r / p
@@ -229,7 +231,6 @@ func mpiTranspose(n *cluster.Node, be comm.Backend, local []complex128, r, c int
 	}
 	n.Compute(sim.BytesAt(len(local)*16, 8e9)) // pack pass
 	recv := c2.Alltoall(send)
-	out := make([]complex128, outRows*r)
 	for q := 0; q < p; q++ {
 		block = mpi.Float64sInto(block, recv[q])
 		i := 0
@@ -270,7 +271,7 @@ func newTransposer(be comm.Backend, n1, n2 int) *transposer {
 
 // run scatters each element directly to its transposed location in the
 // destination VIC's DV Memory — redistribution folded into communication.
-func (tp *transposer) run(n *cluster.Node, be comm.Backend, local []complex128, r, c int) []complex128 {
+func (tp *transposer) run(n *cluster.Node, be comm.Backend, local, out []complex128, r, c int) []complex128 {
 	e := be.Endpoint()
 	p := e.Size()
 	id := e.Rank()
@@ -281,7 +282,6 @@ func (tp *transposer) run(n *cluster.Node, be comm.Backend, local []complex128, 
 	e.ArmGC(tp.gc, remoteWords)
 	e.Barrier() // everyone armed
 
-	out := make([]complex128, outRows*r)
 	words := tp.batch
 	for q := 0; q < p; q++ {
 		if q == id {

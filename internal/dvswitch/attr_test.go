@@ -40,9 +40,9 @@ func TestFastModelInjectZeroAllocWithAttrCompiledIn(t *testing.T) {
 	m.OnDeliver(func(Packet) {})
 	rng := sim.NewRNG(5)
 	ports := m.Ports()
-	// Warm the pooled delivery events past the largest burst the measured
-	// loop will issue (random destinations skew the in-flight peak), so the
-	// pools and the kernel's event heap hold their high-water backing arrays.
+	// Warm the train pages past the largest burst the measured loop will
+	// issue (random destinations skew the in-flight peak), so the yard's free
+	// pages and the kernel's event heap hold their high-water capacity.
 	for w := 0; w < 512; w++ {
 		for i := 0; i < 64; i++ {
 			m.Inject(Packet{Src: rng.Intn(ports), Dst: rng.Intn(ports)})

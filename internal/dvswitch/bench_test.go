@@ -78,15 +78,15 @@ func injectDrainBurst(tb testing.TB) func() {
 func BenchmarkInjectDrain(b *testing.B) { benchLoop(b, injectDrainBurst(b)) }
 
 // BenchmarkFastModelInject measures the calibrated fast model's injection
-// path; the pooled delivery events keep it at one steady-state alloc-free
-// event per packet.
+// path; the delivery records wait on train pages the yard reuses, so it is
+// one alloc-free kernel event per packet in steady state.
 func BenchmarkFastModelInject(b *testing.B) {
 	k := sim.NewKernel()
 	m := NewFastModel(k, Params{Heights: 8, Angles: 4}, DefaultCycleTime, sim.NewRNG(3))
 	m.OnDeliver(func(Packet) {})
 	rng := sim.NewRNG(5)
 	ports := m.Ports()
-	// Warm up the event pool.
+	// Warm up the train pages.
 	for i := 0; i < 64; i++ {
 		m.Inject(Packet{Src: rng.Intn(ports), Dst: rng.Intn(ports)})
 	}

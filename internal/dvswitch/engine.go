@@ -2,6 +2,7 @@ package dvswitch
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/faultplan"
 	"repro/internal/obs/attr"
@@ -139,11 +140,12 @@ func (e *Engine) pump() {
 // Its unloaded latency matches Core exactly (asserted by tests).
 //
 // A packet's whole fabric life is decided when it is injected (admit). Its
-// delivery then waits on the FIFO train of its output port, and only the
-// head of each train is an event in the kernel, so what the host pays per
-// packet does not grow with the number of packets in flight; deliveryEvent
-// has the argument for why every delivery still happens at exactly the time
-// and in exactly the order it would as a kernel event of its own.
+// delivery then waits as a record on the train of its output port
+// (sim.Train, which has the argument for why every delivery still happens at
+// exactly the time and in exactly the order it would as a kernel event of its
+// own), and only the head of each train is an event in the kernel, so what
+// the host pays per packet does not grow with the number of packets in
+// flight.
 type FastModel struct {
 	k   *sim.Kernel
 	p   Params
@@ -168,16 +170,14 @@ type FastModel struct {
 	// account fabric losses on either engine.
 	DropHook func(pkt Packet)
 
-	// trains holds the pending deliveries, one FIFO per output port, and
-	// only each train's head is a kernel event (see deliveryEvent). evFree
-	// pools the entries so Inject allocates nothing in steady state. lastEv
-	// is the most recently appended, still-pending entry and lastTail the
-	// last member of its batch, so a delivery burst landing on one ejection
-	// deadline rides a single entry.
-	trains   []train
-	evFree   []*deliveryEvent
-	lastEv   *deliveryEvent
-	lastTail *deliveryEvent
+	// trains holds the pending deliveries, one train per output port, on
+	// pages from the one yard. A delivery burst landing on one ejection
+	// deadline is one run: its later packets join the tail of the train the
+	// last delivery went to (last), under that record's key, whatever their
+	// own port (see Inject).
+	yard   sim.Yard[deliveryRec]
+	trains []sim.Train[deliveryRec]
+	last   int
 
 	// ftab memoises UnloadedFlightCycles per (src, dst): the function is
 	// pure in the port pair, and profiling showed its bit-walk dominating
@@ -187,84 +187,54 @@ type FastModel struct {
 	nports int
 }
 
-// deliveryEvent is one pending delivery, and through more the head of a
-// batch: every packet whose ejection completes at the same virtual time, in
-// injection order — which is exactly the order per-packet events with
-// ascending sequence numbers would fire, so batching is invisible in results.
-// Batches are rare (under 5 % of deliveries on every app, 0.03 % on the FFT),
-// which is why a member is a whole pooled entry rather than a slot in a
-// per-entry slice: the common delivery reads one object and nothing else.
-//
-// Entries wait in per-port trains, linked through next, and only a train's
-// head is queued in the kernel: a bulk transfer keeps one event pending per
-// output port instead of one per packet in flight, so the kernel's queue
-// stays as shallow as the fabric is wide. Each entry still fires at the
-// (done, seq) it would have had as a kernel event of its own, because
-//
-//   - seq is reserved (Kernel.ReserveSeq) at injection, where AtArg would
-//     have drawn it, so both keys are fixed before the entry waits;
-//   - a train is a FIFO in both keys: done comes from the port's ejection
-//     pipe (ReserveAt, strictly increasing per port) and seq rises in
-//     injection order, so an entry's predecessor fires strictly earlier and
-//     arms it (Kernel.AtArgSeq) while its time is still in the future;
-//   - the kernel orders events by (at, seq) alone, never by when they were
-//     queued.
-//
-// A batch whose members go to different ports is still one entry, on the
-// train of its first packet's port: it needs no place on the other ports'
-// trains, because it fires by its own key and delivers every member then.
-type deliveryEvent struct {
-	m    *FastModel
-	done sim.Time       // when the batch is delivered (batch head only)
-	seq  uint64         // its reserved kernel sequence number (batch head only)
-	next *deliveryEvent // the entry behind this one on its train (batch head only)
-	more *deliveryEvent // the next member of this batch
-	pkt  Packet
-	now  sim.Time // when pkt was injected (latency accounting)
+// deliveryRec is one packet waiting on a train: what rebuilds the Packet
+// Inject was given, field for field, with the telemetry admit filled in, plus
+// its latency in cycles, fixed at injection. 48 bytes and no pointer; with
+// its kernel key, 64 on a train page.
+type deliveryRec struct {
+	header, payload uint64
+	injectCycle     int64
+	src, dst        int32
+	hops            int32
+	flow            uint32
+	lat             uint32 // cycles from injection to delivery
+	defl            uint8
+	corrupt         bool
 }
 
-// train is one output port's FIFO of pending deliveries; head is the entry
-// queued in the kernel. Non-empty implies head armed — fireDelivery restores
-// that before it runs any callback, since callbacks inject.
-type train struct{ head, tail *deliveryEvent }
+// packet rebuilds the delivered Packet.
+func (d *deliveryRec) packet() Packet {
+	return Packet{Src: int(d.src), Dst: int(d.dst), Header: d.header, Payload: d.payload,
+		InjectCycle: d.injectCycle, Hops: int(d.hops), Deflections: int(d.defl),
+		Corrupt: d.corrupt, Flow: d.flow}
+}
 
-// fireDelivery completes the delivery batch at the head of a train: it
-// unlinks the entry, arms its successor, then delivers and recycles each
-// member. It is a package-level function (not a closure) so scheduling it
-// carries only the pooled payload pointer.
-func fireDelivery(a any) {
-	ev := a.(*deliveryEvent)
-	m := ev.m
-	if m.lastEv == ev {
-		m.lastEv = nil
+// record returns the train record of an admitted packet that is delivered
+// flight after its injection.
+func (m *FastModel) record(pkt *Packet, flight sim.Time) deliveryRec {
+	lat := int64(flight / m.ct)
+	if lat > math.MaxUint32 {
+		panic(fmt.Sprintf("dvswitch: a delivery %d cycles after its injection", lat))
 	}
-	tr := &m.trains[ev.pkt.Dst]
-	next := ev.next
-	tr.head, ev.next = next, nil
-	if next == nil {
-		tr.tail = nil
-	} else {
-		m.k.AtArgSeq(next.done, next.seq, fireDelivery, next)
-	}
-	// The callback may inject, and Inject may reuse a member the moment it is
-	// back in the pool, so everything needed later is read first.
-	done := ev.done
-	for d := ev; d != nil; {
-		more := d.more
-		m.deliver(&d.pkt, done-d.now)
-		d.more = nil
-		m.evFree = append(m.evFree, d)
-		d = more
+	return deliveryRec{header: pkt.Header, payload: pkt.Payload, injectCycle: pkt.InjectCycle,
+		src: int32(pkt.Src), dst: int32(pkt.Dst), hops: int32(pkt.Hops), flow: pkt.Flow,
+		lat: uint32(lat), defl: uint8(pkt.Deflections), corrupt: pkt.Corrupt}
+}
+
+// deliverRun delivers a run that fell due, in injection order.
+func (m *FastModel) deliverRun(run []deliveryRec) {
+	for i := range run {
+		m.deliver(&run[i])
 	}
 }
 
-// deliver accounts one packet's arrival, flight being the time since its
-// injection, and hands it to the delivery callback.
-func (m *FastModel) deliver(pkt *Packet, flight sim.Time) {
+// deliver accounts one packet's arrival and hands it to the delivery
+// callback.
+func (m *FastModel) deliver(d *deliveryRec) {
 	m.st.Delivered++
-	m.st.recordLatency(int64(flight / m.ct))
+	m.st.recordLatency(int64(d.lat))
 	if m.fn != nil {
-		m.fn(*pkt)
+		m.fn(d.packet())
 	}
 }
 
@@ -279,9 +249,13 @@ func NewFastModel(k *sim.Kernel, p Params, cycleTime sim.Time, rng *sim.RNG) *Fa
 		ct:     cycleTime,
 		in:     make([]sim.Pipe, p.Ports()),
 		out:    make([]sim.Pipe, p.Ports()),
-		trains: make([]train, p.Ports()),
+		trains: make([]sim.Train[deliveryRec], p.Ports()),
 		rng:    rng,
 		nports: p.Ports(),
+	}
+	m.yard.Init(k, m.deliverRun)
+	for i := range m.trains {
+		m.trains[i].Init(&m.yard)
 	}
 	// Tabulate flight times unless the table would be large (quadratic in
 	// ports) or a flight could overflow the int16 slot; big sweeps fall back
@@ -412,33 +386,19 @@ func (m *FastModel) Inject(pkt Packet) {
 	if !ok {
 		return
 	}
-	var ev *deliveryEvent
-	if n := len(m.evFree); n > 0 {
-		ev = m.evFree[n-1]
-		m.evFree = m.evFree[:n-1]
-	} else {
-		ev = &deliveryEvent{m: m}
-	}
-	ev.pkt, ev.now = pkt, now
-	// Join the pending batch when this packet's ejection lands on the same
-	// deadline as the last one appended; otherwise start a new entry on the
-	// destination port's train. Deadlines are in the future, so a pending
-	// batch can always still accept members.
-	if le := m.lastEv; le != nil && le.done == done {
-		m.lastTail.more = ev
-		m.lastTail = ev
+	d := m.record(&pkt, done-now)
+	// Join the run of the last delivery appended when this packet ejects at
+	// the same deadline; otherwise start a run on the destination port's
+	// train. The last delivery's train has a tail only while that delivery
+	// waits, since a train fires in order and anything appended after it
+	// would have moved last. Deadlines are in the future, so a waiting run
+	// can always still take members.
+	if at, seq, ok := m.trains[m.last].Tail(); ok && at == done {
+		m.trains[m.last].Append(at, seq, d)
 		return
 	}
-	ev.done, ev.seq = done, m.k.ReserveSeq()
-	m.lastEv, m.lastTail = ev, ev
-	tr := &m.trains[pkt.Dst]
-	if tr.tail == nil {
-		tr.head, tr.tail = ev, ev
-		m.k.AtArgSeq(done, ev.seq, fireDelivery, ev)
-		return
-	}
-	tr.tail.next = ev
-	tr.tail = ev
+	m.last = pkt.Dst
+	m.trains[pkt.Dst].Append(done, m.k.ReserveSeq(), d)
 }
 
 // InjectBatch implements Fabric. The fast model's per-packet work (pipe

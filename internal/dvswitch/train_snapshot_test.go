@@ -33,14 +33,11 @@ func transposeModel() (*sim.Kernel, *FastModel) {
 	return k, m
 }
 
-// waiting returns the deliveries that are pending but not in the kernel.
+// waiting returns the deliveries that are pending but not in the kernel:
+// every record behind a train's first.
 func waiting(m *FastModel) (n int) {
 	for i := range m.trains {
-		if h := m.trains[i].head; h != nil {
-			for ev := h.next; ev != nil; ev = ev.next {
-				n++
-			}
-		}
+		n += max(m.trains[i].Len()-1, 0)
 	}
 	return n
 }

@@ -22,8 +22,7 @@ type upFront struct {
 type upFrontEvent struct {
 	o    *upFront
 	done sim.Time
-	pkts []Packet
-	nows []sim.Time
+	recs []deliveryRec
 }
 
 func (o *upFront) Inject(pkt Packet) {
@@ -33,11 +32,12 @@ func (o *upFront) Inject(pkt Packet) {
 	if !ok {
 		return
 	}
+	d := m.record(&pkt, done-now)
 	if le := o.last; le != nil && le.done == done {
-		le.pkts, le.nows = append(le.pkts, pkt), append(le.nows, now)
+		le.recs = append(le.recs, d)
 		return
 	}
-	ev := &upFrontEvent{o: o, done: done, pkts: []Packet{pkt}, nows: []sim.Time{now}}
+	ev := &upFrontEvent{o: o, done: done, recs: []deliveryRec{d}}
 	o.last = ev
 	m.k.AtArgSeq(done, m.k.ReserveSeq(), fireUpFront, ev)
 }
@@ -47,38 +47,34 @@ func fireUpFront(a any) {
 	if ev.o.last == ev {
 		ev.o.last = nil
 	}
-	for i := range ev.pkts {
-		ev.o.m.deliver(&ev.pkts[i], ev.done-ev.nows[i])
+	for i := range ev.recs {
+		ev.o.m.deliver(&ev.recs[i])
 	}
 }
 
-// checkTrains asserts the structural invariants of every train: non-empty
-// means the head is the one armed entry, done and seq rise strictly from head
-// to tail, every entry sits on its first packet's port, and tail is the last
-// entry. It returns the number of entries waiting.
+// checkTrains asserts what the fast model keeps on its trains: every run
+// starts on its first packet's port, and nothing behind the head's run is
+// overdue (sim.Train itself refuses a key below its tail's). It returns the
+// number of deliveries waiting.
 func checkTrains(t *testing.T, m *FastModel) int {
 	t.Helper()
 	n := 0
 	for port := range m.trains {
 		tr := &m.trains[port]
-		if (tr.head == nil) != (tr.tail == nil) {
-			t.Fatalf("port %d: head %p but tail %p", port, tr.head, tr.tail)
-		}
-		var prev *deliveryEvent
-		for ev := tr.head; ev != nil; prev, ev = ev, ev.next {
+		var headSeq, prevSeq uint64
+		for i := 0; i < tr.Len(); i++ {
+			at, seq, d := tr.At(i)
+			if i == 0 {
+				headSeq = seq
+			}
 			n++
-			if ev.pkt.Dst != port {
-				t.Fatalf("port %d: entry seq %d belongs to port %d", port, ev.seq, ev.pkt.Dst)
+			if seq != prevSeq && int(d.dst) != port {
+				t.Fatalf("port %d: the run under seq %d belongs to port %d", port, seq, d.dst)
 			}
-			if ev.done <= m.k.Now() && ev != tr.head {
-				t.Fatalf("port %d: entry seq %d due at %v is still waiting at %v", port, ev.seq, ev.done, m.k.Now())
+			if at <= m.k.Now() && seq != headSeq {
+				t.Fatalf("port %d: delivery seq %d due at %v is still waiting at %v", port, seq, at, m.k.Now())
 			}
-			if prev != nil && (ev.done <= prev.done || ev.seq <= prev.seq) {
-				t.Fatalf("port %d: (done, seq) goes (%v, %d) -> (%v, %d)", port, prev.done, prev.seq, ev.done, ev.seq)
-			}
-			if ev.next == nil && tr.tail != ev {
-				t.Fatalf("port %d: tail is not the last entry", port)
-			}
+			prevSeq = seq
 		}
 	}
 	return n
@@ -209,7 +205,7 @@ func TestFastModelTrainOrder(t *testing.T) {
 }
 
 // TestFastModelMergeAcrossPorts: two packets for different ports that eject
-// at the same instant merge into one entry on the first packet's train; the
+// at the same instant merge into one run on the first packet's train; the
 // second port's train stays empty, and both are delivered together in
 // injection order.
 func TestFastModelMergeAcrossPorts(t *testing.T) {
@@ -229,9 +225,9 @@ func TestFastModelMergeAcrossPorts(t *testing.T) {
 		k.At(k.Now()+sim.Microsecond, func() {
 			m.Inject(Packet{Src: 2, Dst: 9, Payload: 1})
 			m.Inject(Packet{Src: 3, Dst: 10, Payload: 2})
-			if ev := m.trains[9].head; ev != nil && ev.more != nil {
+			if m.trains[9].Len() == 2 {
 				merged = true
-				if m.trains[10].head != nil {
+				if m.trains[10].Len() != 0 {
 					t.Errorf("the merged member also started a train on its own port")
 				}
 			}
@@ -249,8 +245,8 @@ func TestFastModelMergeAcrossPorts(t *testing.T) {
 	}
 }
 
-// TestFastModelInjectAllocs: with the entry pool warm, injecting into long
-// trains and draining them allocates nothing.
+// TestFastModelInjectAllocs: with the yard's free pages warm, injecting into
+// long trains and draining them allocates nothing.
 func TestFastModelInjectAllocs(t *testing.T) {
 	k := sim.NewKernel()
 	m := NewFastModel(k, Params{Heights: 8, Angles: 4}, DefaultCycleTime, sim.NewRNG(3))
@@ -263,8 +259,8 @@ func TestFastModelInjectAllocs(t *testing.T) {
 		}
 		k.RunUntil(sim.Forever)
 	}
-	// Warm the entry pool and the kernel's event heap to their high-water
-	// capacity.
+	// Warm the yard's free pages and the kernel's event heap to their
+	// high-water capacity.
 	for i := 0; i < 64; i++ {
 		burst()
 	}

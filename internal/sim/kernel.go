@@ -47,10 +47,9 @@ func entLess(a, b heapEnt) bool {
 // scheduler push/pop pair is the per-event cost floor of every hot path —
 // FastModel deliveries, VIC injections, engine pump cycles — and the interface
 // dispatch of heap.Interface roughly triples it. The queue stays shallow: a
-// component that knows its events far ahead keeps them in a FIFO of its own
-// and queues only the head here (ReserveSeq/AtArgSeq; see the fast switch
-// model's per-port delivery trains and the VIC's receive train), so a run's
-// depth is O(ports + VICs + processes), not O(words in flight).
+// component that knows its events far ahead keeps them on a Train and queues
+// only the head here (Train has the argument for why nothing moves), so a
+// run's depth is O(ports + VICs + processes), not O(words in flight).
 type eventHeap []heapEnt
 
 func (h *eventHeap) push(e *event) {
@@ -216,8 +215,8 @@ func (k *Kernel) AtDaemon(t Time, fn func()) {
 
 // AtArg schedules fn(arg) at absolute time t (>= now). Unlike At, the
 // callback and its state travel separately, so a caller that pools its
-// payloads (e.g. dvswitch.FastModel's delivery events) schedules without
-// allocating a closure per event.
+// payloads (e.g. the VIC's inject batches) schedules without allocating a
+// closure per event.
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) { k.atArg(t, fn, arg) }
 
 // atArg is AtArg handing back the queued event, for the one caller that may
@@ -232,18 +231,12 @@ func (k *Kernel) atArg(t Time, fn func(any), arg any) *event {
 
 // ReserveSeq consumes the next sequence number without queueing anything and
 // returns it for a later AtArgSeq. It is for a component that learns early of
-// events that happen late and in an order it can vouch for — a FIFO of its
-// own, like the fast switch model's per-port delivery trains or a VIC's
-// receive train (a constant ProcDelay after arrivals that come in kernel
-// order): it reserves each event's number at the point AtArg would have been
-// called, keeps the events itself, and queues each one only when its
-// predecessor fires. The
-// kernel then holds one event per FIFO instead of one per element, and
-// nothing moves: (at, seq) is the whole ordering key and does not record when
-// an event was queued, so an event queued late under a number reserved early
-// fires exactly where the early-queued one would have — provided it is queued
-// before virtual time passes it. A number that is never armed is not an
-// event: Run, Finish, QueueFingerprint and the Witness digest never see it.
+// events that happen late and in an order it can vouch for: it reserves each
+// event's number at the point AtArg would have been called, keeps the events
+// itself, and queues each one only when its predecessor fires — what a Train
+// does, whose comment has the argument for why nothing moves. A number that
+// is never armed is not an event: Run, Finish, QueueFingerprint and the
+// Witness digest never see it.
 func (k *Kernel) ReserveSeq() uint64 {
 	k.seq++
 	return k.seq

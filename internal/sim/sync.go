@@ -144,14 +144,6 @@ func (r *Ring[T]) Push(v T) {
 	r.n++
 }
 
-// At returns the i-th queued item, the head being 0; i must be below Len.
-func (r *Ring[T]) At(i int) *T {
-	if i < 0 || i >= r.n {
-		panic(fmt.Sprintf("sim: Ring.At(%d) with %d queued", i, r.n))
-	}
-	return &r.buf[(r.head+i)&(len(r.buf)-1)]
-}
-
 // Pop removes and returns the head item; ok is false on an empty ring.
 func (r *Ring[T]) Pop() (v T, ok bool) {
 	if r.n == 0 {

@@ -87,7 +87,7 @@ func ejectBurst() (deliver func(), v *VIC) {
 // BenchmarkVICEject measures delivery of a 512-packet burst.
 func BenchmarkVICEject(b *testing.B) {
 	deliver, v := ejectBurst()
-	deliver() // warm the receive train's ring and memory pages
+	deliver() // warm the receive train's pages and memory pages
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -109,7 +109,7 @@ func BenchmarkVICEject(b *testing.B) {
 func BenchmarkWaitGC(b *testing.B) {
 	k, burst := waitGCBurst(b)
 	k.Spawn("host", func(p *sim.Proc) {
-		burst(p, benchBurst) // warm the receive train's ring and memory pages
+		burst(p, benchBurst) // warm the receive train's pages and memory pages
 		b.ReportAllocs()
 		b.ResetTimer()
 		for left := b.N; left > 0; left -= benchBurst {

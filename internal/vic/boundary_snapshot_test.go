@@ -37,8 +37,8 @@ func state(vics []*VIC) []byte {
 		}
 		fmt.Fprintln(&b, "gc", v.gc, v.gcZeroed)
 		for i := 0; i < v.rx.Len(); i++ {
-			r := v.rx.At(i)
-			fmt.Fprintln(&b, "rx", r.at, r.src, r.header, r.payload, r.flow)
+			at, _, r := v.rx.At(i)
+			fmt.Fprintln(&b, "rx", at, r.src, r.header, r.payload, r.flow)
 		}
 		fmt.Fprintln(&b, "fifo", v.fifo, v.fifoFlows, v.hostRing.Len(), v.drainArmed)
 		for _, p := range []*sim.Pipe{&v.pioWr, &v.pioRd, &v.dmaIn, &v.dmaOut} {

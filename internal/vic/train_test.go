@@ -18,18 +18,27 @@ import (
 // perEvent is one execution the oracle queued in the kernel at arrival.
 type perEvent struct {
 	v *VIC
-	r rxEnt
+	r rxRec
+}
+
+// rxKeyed is an accepted record with the key its execution fires under.
+type rxKeyed struct {
+	at  sim.Time
+	seq uint64
+	r   rxRec
 }
 
 // receivePerEvent is the test-only oracle for the receive train: Receive's
 // acceptance (the same counting, the same corrupt drop, the same key drawn
 // at arrival), but the execution is a kernel event of its own, queued now.
-func receivePerEvent(v *VIC, pkt dvswitch.Packet) (rxEnt, bool) {
+func receivePerEvent(v *VIC, pkt dvswitch.Packet) (rxKeyed, bool) {
 	r, ok := v.accept(&pkt)
-	if ok {
-		v.k.AtArgSeq(r.at, r.seq, firePerEvent, &perEvent{v: v, r: r})
+	if !ok {
+		return rxKeyed{}, false
 	}
-	return r, ok
+	e := rxKeyed{v.k.Now() + v.par.ProcDelay, v.k.ReserveSeq(), r}
+	v.k.AtArgSeq(e.at, e.seq, firePerEvent, &perEvent{v: v, r: r})
+	return e, true
 }
 
 func firePerEvent(a any) {
@@ -59,19 +68,15 @@ func (c *execLog) HostRead(v *VIC, words int)                { c.log(v, "read", 
 func (c *execLog) HostWrote(v *VIC, words int)               { c.log(v, "wrote", words) }
 func (c *execLog) FIFODrained(v *VIC, words int)             { c.log(v, "drained", words) }
 
-// waitingRx checks the structural invariants of every VIC's train — (at,
-// seq) rises from head to tail, and nothing behind the head is overdue — and
-// returns the number of entries waiting behind a head.
+// waitingRx checks that nothing behind a train's head is overdue (sim.Train
+// itself refuses a key below its tail's) and returns the number of entries
+// waiting behind a head.
 func waitingRx(t *testing.T, k *sim.Kernel, vics []*VIC) (n int) {
 	t.Helper()
 	for _, v := range vics {
 		for i := 1; i < v.rx.Len(); i++ {
-			prev, r := v.rx.At(i-1), v.rx.At(i)
-			if r.at < prev.at || r.seq <= prev.seq {
-				t.Fatalf("vic %d: (at, seq) goes (%v, %d) -> (%v, %d)", v.ID, prev.at, prev.seq, r.at, r.seq)
-			}
-			if r.at < k.Now() {
-				t.Fatalf("vic %d: entry seq %d due at %v still waits at %v", v.ID, r.seq, r.at, k.Now())
+			if at, seq, _ := v.rx.At(i); at < k.Now() {
+				t.Fatalf("vic %d: entry seq %d due at %v still waits at %v", v.ID, seq, at, k.Now())
 			}
 			n++
 		}
@@ -114,21 +119,21 @@ func rxTrafficRun(t *testing.T, fab int, oracle bool) rxRun {
 	}
 	f.OnDeliver(func(pkt dvswitch.Packet) {
 		v := vics[pkt.Dst-4]
-		var r rxEnt
+		var e rxKeyed
 		var ok bool
 		if oracle {
-			r, ok = receivePerEvent(v, pkt)
+			e, ok = receivePerEvent(v, pkt)
 		} else {
 			n := v.rx.Len()
 			v.Receive(pkt)
 			if ok = v.rx.Len() > n; ok {
-				r = *v.rx.At(v.rx.Len() - 1)
+				e.at, e.seq, e.r = v.rx.At(v.rx.Len() - 1)
 			}
 			run.waiting = max(run.waiting, waitingRx(t, k, vics))
 		}
 		if ok {
 			run.keys = append(run.keys, fmt.Sprintf("%v vic%d (%v,%d) src%d h%x p%x f%d",
-				k.Now(), v.ID, r.at, r.seq, r.src, r.header, r.payload, r.flow))
+				k.Now(), v.ID, e.at, e.seq, e.r.src, e.r.header, e.r.payload, e.r.flow))
 		}
 	})
 	for i := range vics {

@@ -92,9 +92,8 @@ type VIC struct {
 	gate sim.Gate
 	wait hostWait
 
-	fifo       []uint64         // surprise packets buffered on the VIC
-	hostRing   sim.Ring[uint64] // drained surprise words, for the host to pop
-	drainArmed bool
+	fifo     []uint64         // surprise packets buffered on the VIC
+	hostRing sim.Ring[uint64] // drained surprise words, for the host to pop
 
 	pioWr, pioRd  sim.Pipe // programmed I/O (single PCIe lane each way)
 	dmaIn, dmaOut sim.Pipe // DMA engines (host→VIC, VIC→host)
@@ -121,11 +120,16 @@ type VIC struct {
 	// scalar path survives only as the executable reference the batched path
 	// is checked against. Receives take the train (rx) on both.
 	scalar bool
+	// drainArmed: a drain of fifo to hostRing is scheduled. It sits beside
+	// the other small fields so the struct packs into its size class.
+	drainArmed bool
 
 	// rx is the receive train: the packets Receive accepted, waiting for
-	// their execution ProcDelay after arrival, in arrival order. Only the
-	// head is a kernel event (see Receive).
-	rx sim.Ring[rxEnt]
+	// their execution ProcDelay after arrival, in arrival order, on pages
+	// from the VIC's own yard. Only the head is a kernel event (see
+	// Receive).
+	rxYard sim.Yard[rxRec]
+	rx     sim.Train[rxRec]
 
 	// Pooled payloads for the batched boundary: FIFO-drain completions
 	// recycle through a free list so the steady-state hot path schedules
@@ -306,6 +310,8 @@ func New(k *sim.Kernel, id, port int, par Params, inject func(pkt dvswitch.Packe
 	for i := range v.gcZeroed {
 		v.gcZeroed[i] = true // counters start at zero, already "notified"
 	}
+	v.rxYard.Init(k, v.executeRun)
+	v.rx.Init(&v.rxYard)
 	return v
 }
 
@@ -941,12 +947,10 @@ func (v *VIC) newDrain() *drainEvent {
 // ---------------------------------------------------------------------------
 // Receive path
 
-// rxEnt is one accepted packet on a VIC's receive train: what execute reads
-// of it, and the kernel key its execution fires under. 40 bytes and no
-// pointer, so the collector never scans a train.
-type rxEnt struct {
-	at      sim.Time // arrival + ProcDelay
-	seq     uint64   // reserved at arrival (Kernel.ReserveSeq)
+// rxRec is one accepted packet on a VIC's receive train: what execute reads
+// of it. 24 bytes and no pointer, so the collector never scans a train; its
+// execution's kernel key waits beside it on the train.
+type rxRec struct {
 	header  uint64
 	payload uint64
 	src     int32 // fabric port
@@ -959,56 +963,38 @@ type rxEnt struct {
 // link CRC and are discarded here; to the sending application a corruption
 // is indistinguishable from a drop.
 //
-// The executions wait on the VIC's receive train, and only its head is a
-// kernel event, so the kernel holds one pending execution per VIC instead of
-// one per word in flight. Each still fires at the (at, seq) it would have had
-// as an event of its own, scheduled ProcDelay after arrival, because
-//
-//   - seq is reserved here (Kernel.ReserveSeq), where that event would have
-//     drawn it;
-//   - at is the arrival plus ProcDelay, a per-VIC constant, and Receive is
-//     called in kernel order, so both keys rise from head to tail: an
-//     entry's predecessor fires no later than it is due and arms it
-//     (Kernel.AtArgSeq) before virtual time passes it;
-//   - the kernel orders events by (at, seq) alone, never by when they were
-//     queued.
+// The executions wait on the VIC's receive train (sim.Train), and only its
+// head is a kernel event, so the kernel holds one pending execution per VIC
+// instead of one per word in flight. The key is drawn here, where the
+// execution's own event would have drawn it: at is the arrival plus
+// ProcDelay, a per-VIC constant, and Receive is called in kernel order, so
+// both keys rise from head to tail, as a train requires.
 func (v *VIC) Receive(pkt dvswitch.Packet) {
-	r, ok := v.accept(&pkt)
-	if !ok {
-		return
-	}
-	v.rx.Push(r)
-	if v.rx.Len() == 1 {
-		v.k.AtArgSeq(r.at, r.seq, fireReceive, v)
+	if r, ok := v.accept(&pkt); ok {
+		v.rx.Append(v.k.Now()+v.par.ProcDelay, v.k.ReserveSeq(), r)
 	}
 }
 
-// accept counts an arriving packet and returns its train entry, its
-// execution's key drawn now; a corrupted packet is dropped instead.
-func (v *VIC) accept(pkt *dvswitch.Packet) (rxEnt, bool) {
+// accept counts an arriving packet and returns its train record; a
+// corrupted packet is dropped instead.
+func (v *VIC) accept(pkt *dvswitch.Packet) (rxRec, bool) {
 	v.st.PktsReceived++
 	if pkt.Corrupt {
 		v.st.CorruptDropped++
 		if v.attr != nil {
 			v.attr.Drop(pkt.Flow)
 		}
-		return rxEnt{}, false
+		return rxRec{}, false
 	}
-	return rxEnt{at: v.k.Now() + v.par.ProcDelay, seq: v.k.ReserveSeq(), header: pkt.Header,
-		payload: pkt.Payload, src: int32(pkt.Src), flow: pkt.Flow}, true
+	return rxRec{header: pkt.Header, payload: pkt.Payload, src: int32(pkt.Src), flow: pkt.Flow}, true
 }
 
-// fireReceive executes the head of a VIC's receive train: it takes the entry
-// off, arms its successor, then executes. It is a package-level function (not
-// a closure) so scheduling it carries only the VIC pointer.
-func fireReceive(a any) {
-	v := a.(*VIC)
-	r, _ := v.rx.Pop()
-	if v.rx.Len() > 0 {
-		next := v.rx.At(0)
-		v.k.AtArgSeq(next.at, next.seq, fireReceive, v)
+// executeRun executes the head of the receive train. Every record has a key
+// of its own, so a run is one record.
+func (v *VIC) executeRun(run []rxRec) {
+	for i := range run {
+		v.execute(&run[i])
 	}
-	v.execute(&r)
 }
 
 // StallDMA wedges both DMA engines for d starting at time at (clamped to the
@@ -1029,7 +1015,7 @@ func (v *VIC) StallDMA(at, d sim.Time) {
 	})
 }
 
-func (v *VIC) execute(r *rxEnt) {
+func (v *VIC) execute(r *rxRec) {
 	_, op, gc, addr := DecodeHeader(r.header)
 	// Attribution: the eject stage (eject FIFO + VIC processing delay)
 	// closes here; ops with immediate host visibility complete with a

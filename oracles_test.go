@@ -213,6 +213,7 @@ var fenceAllow = []allowRow{
 	{"comm.Backend.Net", "probe", "comm and apprt tests check which fabric a Backend was built for"},
 	{"comm.Backend.Rank", "probe", "comm's Alltoall test builds and checks each node's blocks by rank"},
 	{"comm.Backend.Size", "probe", "as comm.Backend.Rank"},
+	{"sim.Train.At", "probe", "dvswitch and vic tests read the records waiting on a train, key and all"},
 }
 
 // checkedTree is the product tree type-checked from source: packages by
