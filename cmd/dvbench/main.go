@@ -400,7 +400,7 @@ func runApp(run *apprt.RunFlags, budget *cluster.Checkpoint, tracePath string) e
 		if tracePath != "" {
 			spec.Attr = &attr.Config{Trace: true}
 		}
-		ev0, rs0, pk0 := cluster.KernelCounts()
+		ev0, rs0, pk0, st0 := cluster.KernelCounts()
 		t0 := time.Now()
 		sum, err := a.Run(spec)
 		wall := time.Since(t0)
@@ -417,9 +417,9 @@ func runApp(run *apprt.RunFlags, budget *cluster.Checkpoint, tracePath string) e
 		fmt.Printf("%-10s %-12s %2d nodes  %s\n", sum.App, sum.Net, sum.Nodes, outcome)
 		// What the run cost the host goes to stderr: stdout is simulated
 		// results only and stays byte-identical from run to run.
-		ev1, rs1, pk1 := cluster.KernelCounts()
-		fmt.Fprintf(os.Stderr, "  host: wall=%v  events=%d  resumes=%d  peak_pending=%d\n",
-			wall.Round(time.Millisecond), ev1-ev0, rs1-rs0, pk1-pk0)
+		ev1, rs1, pk1, st1 := cluster.KernelCounts()
+		fmt.Fprintf(os.Stderr, "  host: wall=%v  events=%d  resumes=%d  peak_pending=%d  stream=%016x\n",
+			wall.Round(time.Millisecond), ev1-ev0, rs1-rs0, pk1-pk0, st1-st0)
 		if tracePath != "" {
 			log, err := sum.Cluster.Attr.Trace()
 			if err == nil {

@@ -74,9 +74,9 @@ func TestSmallGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev0, _, _ := cluster.KernelCounts()
+	ev0, _, _, _ := cluster.KernelCounts()
 	replayed := runExperiments(sel, bench.Options{Small: true, Journal: j}, func(*trace.Log) {})
-	ev1, _, _ := cluster.KernelCounts()
+	ev1, _, _, _ := cluster.KernelCounts()
 	if err := errors.Join(j.Err(), j.Close()); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSmallGolden(t *testing.T) {
 	// fig5 alone simulates on replay: the replay's kernel events are its.
 	fig5, _ := bench.SelectExperiments("fig5")
 	runExperiments(fig5, bench.Options{Small: true}, func(*trace.Log) {})
-	if ev2, _, _ := cluster.KernelCounts(); ev1-ev0 != ev2-ev1 {
+	if ev2, _, _, _ := cluster.KernelCounts(); ev1-ev0 != ev2-ev1 {
 		t.Errorf("replaying a complete journal simulated %d kernel events, fig5 alone %d", ev1-ev0, ev2-ev1)
 	}
 	if got, want := printed(replayed), printed(tables); got != want {

@@ -3,9 +3,9 @@
 // wall-clock and virtual-time budgets, so an open-ended run degrades into a
 // partial Report and a typed BudgetExceededError, never a hang; and at every
 // virtual-time boundary of the configured interval an Audit takes the run's
-// witness — the kernel's event digest, its pending queue, its live processes
-// and the RNG streams — to compare with another pass of the same
-// configuration.
+// witness — the kernel's event stream and handlers, its pending queue, its
+// live processes and the RNG streams — to compare with another pass of the
+// same configuration.
 //
 // A witness is compared, never restored: goroutine stacks cannot be
 // serialized, so a run could only ever be "resumed" by replaying it from t=0,
@@ -68,10 +68,9 @@ func (e *BudgetExceededError) Error() string {
 // runState is what a managed run reads its witness from; Run assembles it
 // after construction.
 type runState struct {
-	k        *sim.Kernel
-	cp       *Checkpoint
-	rootRNG  *sim.RNG
-	nodeRNGs []*sim.RNG
+	k    *sim.Kernel
+	cp   *Checkpoint
+	rngs []*sim.RNG // the root RNG, then each node's
 }
 
 // witness is what a managed run keeps of itself at one boundary. Every
@@ -80,7 +79,7 @@ type runState struct {
 // another path differs from the first at the first boundary after it does.
 type witness struct {
 	at     sim.Time
-	events uint64   // sim.Kernel.Witness: every event fired so far
+	events uint64   // sim.Kernel.Stream ^ auditPass.handlers: every event fired so far
 	queued int      // sim.Kernel.QueueFingerprint: the events pending
 	queue  uint64   //   and their (at, seq, daemon) keys
 	procs  int      // processes not yet finished
@@ -88,13 +87,10 @@ type witness struct {
 }
 
 func (st *runState) witness(at sim.Time) witness {
-	w := witness{at: at, procs: st.k.LiveProcs()}
-	w.events, _ = st.k.Witness()
+	w := witness{at: at, events: st.k.Stream() ^ st.cp.audit.handlers, procs: st.k.LiveProcs()}
 	w.queued, w.queue = st.k.QueueFingerprint()
-	w.rngs = make([]uint64, 1+len(st.nodeRNGs))
-	w.rngs[0] = st.rootRNG.State()
-	for i, r := range st.nodeRNGs {
-		w.rngs[i+1] = r.State()
+	for _, r := range st.rngs {
+		w.rngs = append(w.rngs, r.State())
 	}
 	return w
 }
@@ -173,6 +169,8 @@ type auditPass struct {
 	got  []witness // this pass's, one per boundary crossed
 	end  sim.Time  // the virtual time the pass completed at
 
+	handlers uint64 // what sim.Kernel.Stream leaves out, folded (see watch)
+
 	// record is the boundary whose stretch a re-run records into path —
 	// the events fired after the boundary before it, then the events queued
 	// at it — or -1.
@@ -180,14 +178,24 @@ type auditPass struct {
 	path   []sim.Fired
 }
 
-// recording reports whether the stretch the pump is about to run is the
-// one this pass records.
-func (p *auditPass) recording() bool { return p.record == len(p.got) }
+// watch is the pass's OnFire watcher: it folds each event's handler and
+// process name into handlers (code pointers hold within one process only, so
+// handlers is compared, never stored) and appends the recorded stretch's.
+func (p *auditPass) watch(f sim.Fired) {
+	h := (p.handlers ^ uint64(f.PC)) * 0x100000001b3
+	for i := 0; i < len(f.Proc); i++ {
+		h = (h ^ uint64(f.Proc[i])) * 0x100000001b3
+	}
+	p.handlers = h
+	if p.record == len(p.got) {
+		p.path = append(p.path, f)
+	}
+}
 
 // boundary takes the pass's witness at a boundary and, on the second pass,
 // compares it with the first's.
 func (p *auditPass) boundary(st *runState, at sim.Time) error {
-	if p.recording() {
+	if p.record == len(p.got) {
 		p.path = append(p.path, st.k.Pending()...)
 		return errRecorded
 	}
@@ -213,7 +221,7 @@ func (p *auditPass) boundary(st *runState, at sim.Time) error {
 // Audit returns the boundaries the first pass crossed and nil; the first
 // error of run or of a pass's Checkpoint; a *ConfigError when every is not
 // positive or the first pass crosses no boundary, so that an audit that
-// compares nothing cannot pass; or a *MismatchError. When the event digest or
+// compares nothing cannot pass; or a *MismatchError. When the events part or
 // the queue is what differs, Audit calls run twice more, in the same order,
 // to re-run both passes over the stretch before the failing boundary, and
 // names the first event that differs there.
@@ -257,6 +265,18 @@ func Audit(every sim.Time, run func(cp *Checkpoint) (any, error)) (boundaries []
 	return boundaries, err
 }
 
+// Record runs a configuration once, as Audit's run does, and returns every
+// event it fired as the audit's watcher saw them; two builds' records of one
+// configuration diff to the first event they fire differently.
+func Record(run func(cp *Checkpoint) (any, error)) ([]sim.Fired, error) {
+	p := &auditPass{} // no boundaries: the whole run is stretch 0
+	cp := &Checkpoint{audit: p}
+	if _, err := run(cp); err != nil {
+		return nil, err
+	}
+	return p.path, cp.Err
+}
+
 // firstDifference re-runs both passes of an audit over the stretch that ends
 // at boundary i and returns the first event they fired, or held queued at the
 // boundary, differently; zero events when the re-runs agree.
@@ -264,37 +284,23 @@ func firstDifference(pass func(*auditPass) (any, error), i int) (want, got sim.F
 	a, b := &auditPass{record: i}, &auditPass{record: i}
 	pass(a)
 	pass(b)
+	a.path, b.path = append(a.path, sim.Fired{}), append(b.path, sim.Fired{}) // a zero event past each end
 	j := 0
-	for j < len(a.path) && j < len(b.path) && a.path[j] == b.path[j] {
+	for j < min(len(a.path), len(b.path))-1 && a.path[j] == b.path[j] {
 		j++
 	}
-	if j < len(a.path) {
-		want = a.path[j]
-	}
-	if j < len(b.path) {
-		got = b.path[j]
-	}
-	return want, got
+	return a.path[j], b.path[j]
 }
 
 // runTo pumps user events with timestamps <= limit in bounded batches,
-// polling the wall-clock deadline and the interrupt channel between batches;
-// with record set it fires one event at a time and appends each to it. It
-// returns "" when the limit was reached, or the cut cause ("wall" or
+// polling the wall-clock deadline and the interrupt channel between batches.
+// It returns "" when the limit was reached, or the cut cause ("wall" or
 // "interrupt") when the run must stop early.
-func (st *runState) runTo(limit sim.Time, deadline time.Time, record *[]sim.Fired) (cut string) {
-	batch := 8192
-	if record != nil {
-		batch = 1
-	}
+func (st *runState) runTo(limit sim.Time, deadline time.Time) (cut string) {
 	intr := st.cp.Interrupt
 	for {
-		if st.k.RunUntilN(limit, batch) == 0 {
+		if st.k.RunUntilN(limit, 8192) == 0 {
 			return ""
-		}
-		if record != nil {
-			_, last := st.k.Witness()
-			*record = append(*record, last)
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return "wall"
@@ -321,6 +327,9 @@ func (st *runState) runManaged() (partial bool) {
 		deadline = start.Add(cp.WallBudget)
 	}
 	vbudget := cp.VirtualBudget
+	if cp.audit != nil {
+		k.OnFire(cp.audit.watch)
+	}
 
 	at := sim.Time(0)
 	for {
@@ -342,11 +351,7 @@ func (st *runState) runManaged() (partial bool) {
 			boundary = false
 		}
 
-		var record *[]sim.Fired
-		if p := cp.audit; p != nil && p.recording() {
-			record = &p.path
-		}
-		if cause := st.runTo(stop, deadline, record); cause != "" {
+		if cause := st.runTo(stop, deadline); cause != "" {
 			// Wall budget expired (or interrupt arrived) mid-stretch: complete
 			// the current virtual instant so the cut is a clean event
 			// boundary. No witness is taken: a wall-cut instant is not

@@ -182,6 +182,82 @@ func TestAuditNamesFirstDivergence(t *testing.T) {
 	}
 }
 
+// stepFunc is a Stepper over one function.
+type stepFunc func() (sim.Time, bool)
+
+func (f stepFunc) Step() (sim.Time, bool) { return f() }
+
+// TestAuditWatchesHandlersAndNames: the kernel's stream holds neither which
+// function an event runs nor what its process is called; the audit's OnFire
+// watcher folds both. A second pass that parts from the first in one of them
+// alone, under the same keys and the same stream, must fail the audit on the
+// events part, naming the event.
+func TestAuditWatchesHandlersAndNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// chained is whether the second pass ends its worker's fourth wait
+		// as a two-step Chain (fireChain where Wait has fireResume, at the
+		// same key), renamed whether it spawns the worker under another
+		// name.
+		chained, renamed bool
+		// at is the boundary the audit must fail at, event the time of the
+		// first event the passes fire differently.
+		at, event sim.Time
+	}{
+		{name: "handler", chained: true, at: 4 * sim.Microsecond, event: 4 * sim.Microsecond},
+		{name: "process name", renamed: true, at: 2 * sim.Microsecond, event: sim.Microsecond},
+	} {
+		// worker is the run, as the first pass or as the second.
+		worker := func(second bool) *sim.Kernel {
+			k := sim.NewKernel()
+			name := "worker"
+			if second && tc.renamed {
+				name = "renamed"
+			}
+			k.Spawn(name, func(p *sim.Proc) {
+				for i := 0; i < 10; i++ {
+					if second && tc.chained && i == 3 {
+						more := true
+						p.Chain(stepFunc(func() (sim.Time, bool) {
+							if more {
+								more = false
+								return sim.Microsecond, true
+							}
+							return 0, false
+						}))
+						continue
+					}
+					p.Wait(sim.Microsecond)
+				}
+			})
+			return k
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			first, second := worker(false), worker(true)
+			first.Run()
+			second.Run()
+			if first.Stream() != second.Stream() {
+				t.Fatalf("streams %#x and %#x: the passes should differ only in what the stream leaves out", first.Stream(), second.Stream())
+			}
+			pass := 0
+			_, err := Audit(2*sim.Microsecond, func(cp *Checkpoint) (any, error) {
+				pass++
+				(&runState{k: worker(pass%2 == 0), cp: cp}).runManaged()
+				return nil, nil
+			})
+			var me *MismatchError
+			if !errors.As(err, &me) || me.Part != "events" || me.At != tc.at {
+				t.Fatalf("got %v, want an events mismatch at %v", err, tc.at)
+			}
+			w, g := me.WantEvent, me.GotEvent
+			if w.At != tc.event || w.At != g.At || w.Seq != g.Seq || (w.PC != g.PC) != tc.chained || (w.Proc != g.Proc) != tc.renamed {
+				t.Errorf("first differing event: want %v, got %v; want one at %v that differs only in its %s", w, g, tc.event, tc.name)
+			}
+			t.Log(err)
+		})
+	}
+}
+
 // TestAuditThatComparesNothingFails: an audit whose interval is not
 // positive, or whose first pass crosses no boundary, fails with a typed
 // error naming the interval instead of passing on nothing.

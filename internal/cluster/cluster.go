@@ -370,21 +370,21 @@ type Report struct {
 	Partial bool `json:",omitempty"`
 }
 
-// kernelEvents, kernelResumes and kernelPeak total sim.Kernel.Counts and
-// sim.Kernel.PeakPending over the runs this process has finished (atomics:
-// sweep jobs finish concurrently).
-var kernelEvents, kernelResumes, kernelPeak atomic.Uint64
+// kernelEvents, kernelResumes, kernelPeak and kernelStream total
+// sim.Kernel.Counts, sim.Kernel.PeakPending and sim.Kernel.Stream over the
+// runs this process has finished (atomics: sweep jobs finish concurrently).
+var kernelEvents, kernelResumes, kernelPeak, kernelStream atomic.Uint64
 
 // KernelCounts returns how many kernel events were fired and how many
 // process resumes were made by all the runs completed in this process so far,
-// and the sum of their peak pending-event counts; the difference between two
-// calls is what the runs between them cost (for one run, peakPending is that
-// run's deepest queue). The counts are simulator cost, not simulated
-// behaviour, which is why Report does not carry them: runs that must produce
-// identical Reports (batched and scalar boundary, checks on and off, managed
-// and unmanaged) differ in them.
-func KernelCounts() (events, resumes, peakPending uint64) {
-	return kernelEvents.Load(), kernelResumes.Load(), kernelPeak.Load()
+// and the sums (mod 2^64, in any order) of their peak pending-event counts
+// and event streams; the difference between two calls is what the runs
+// between them cost (for one run, its deepest queue and sim.Kernel.Stream).
+// The counts are simulator cost, not simulated behaviour, which is why Report
+// does not carry them: runs that must produce identical Reports (batched and
+// scalar boundary, checks on and off, managed and unmanaged) differ in them.
+func KernelCounts() (events, resumes, peakPending, stream uint64) {
+	return kernelEvents.Load(), kernelResumes.Load(), kernelPeak.Load(), kernelStream.Load()
 }
 
 // Run executes body SPMD-style on every node and returns the report.
@@ -642,11 +642,11 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	nodes := cfg.Nodes
 	rep := &Report{NodeTimes: make([]sim.Time, nodes)}
 	endpoints := make([][]*dv.Endpoint, nodes)
-	nodeRNGs := make([]*sim.RNG, 0, nodes)
+	rngs := []*sim.RNG{rng} // the root stream, then each node's: what the witness reads
 	for i := 0; i < nodes; i++ {
 		i := i
 		nodeRNG := rng.Split()
-		nodeRNGs = append(nodeRNGs, nodeRNG)
+		rngs = append(rngs, nodeRNG)
 		k.Spawn(fmt.Sprintf("node%d", i), func(p *sim.Proc) {
 			n := &Node{ID: i, P: p, RNG: nodeRNG, CPU: DefaultCPU(), attr: tracer, compute: reg.Histogram("node_compute_us")}
 			if vics != nil {
@@ -683,7 +683,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	}
 	sampler.Start()
 	if cfg.Checkpoint != nil {
-		st := &runState{k: k, cp: cfg.Checkpoint, rootRNG: rng, nodeRNGs: nodeRNGs}
+		st := &runState{k: k, cp: cfg.Checkpoint, rngs: rngs}
 		rep.Partial = st.runManaged()
 	} else {
 		k.Run()
@@ -692,6 +692,7 @@ func Run(cfg Config, body func(n *Node)) *Report {
 	kernelEvents.Add(ev)
 	kernelResumes.Add(rs)
 	kernelPeak.Add(uint64(k.PeakPending()))
+	kernelStream.Add(k.Stream())
 	// Final forced sample: the end-of-run row carries the exact cumulative
 	// totals, so the JSONL series closes on the same numbers as the Report.
 	sampler.SampleNow()

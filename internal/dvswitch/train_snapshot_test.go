@@ -1,7 +1,7 @@
 package dvswitch
 
 // A pending delivery behind its train's head is in no kernel queue; the run's
-// determinism witness sees it when it fires, under the key reserved at
+// event stream (sim.Kernel.Stream) folds it when it fires, under the key reserved at
 // injection. Two identical runs cut at the same mid-transpose instants must
 // therefore have fired the same events, so neither pool order nor pointer
 // values leak into the order the trains release their deliveries.
@@ -59,7 +59,7 @@ func TestTrainSnapshotReproducible(t *testing.T) {
 			for k.RunUntilN(limit, 1<<20) > 0 {
 			}
 			c := cut{delivered: m.FabricStats().Delivered}
-			c.digest, _ = k.Witness()
+			c.digest = k.Stream()
 			c.queued, c.queue = k.QueueFingerprint()
 			cuts = append(cuts, c)
 			peakWaiting = max(peakWaiting, waiting(m))

@@ -38,3 +38,43 @@ func BenchmarkSpawn(b *testing.B) {
 		k.Run()
 	}
 }
+
+// BenchmarkEventLoop is the kernel's one loop on the shape of the repository
+// benchmark's sim.event_ns driver: 64 pending self-rescheduling AfterArg
+// events, each firing again within 1 µs, pumped through Run or through
+// RunUntilN in batches of 4096. One op is one fired event.
+func BenchmarkEventLoop(b *testing.B) {
+	const pending, warm = 64, 4 * 64
+	// loop queues pending events that reschedule themselves until events
+	// more have been scheduled, then fires warm of them to fill the pool.
+	loop := func(events int) *Kernel {
+		k := NewKernel()
+		rng := NewRNG(1)
+		var fire func(any)
+		fire = func(a any) {
+			if events > 0 {
+				events--
+				k.AfterArg(1+Time(rng.Uint64n(uint64(Microsecond))), fire, a)
+			}
+		}
+		for i := 0; i < pending; i++ {
+			fire(nil)
+		}
+		k.RunUntilN(Forever, warm)
+		return k
+	}
+	b.Run("Run", func(b *testing.B) {
+		k := loop(b.N + warm)
+		b.ReportAllocs()
+		b.ResetTimer()
+		k.Run()
+	})
+	b.Run("RunUntilN", func(b *testing.B) {
+		k := loop(b.N + warm)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for fired := 0; fired < b.N; {
+			fired += k.RunUntilN(Forever, 4096)
+		}
+	})
+}

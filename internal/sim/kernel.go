@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -112,8 +113,8 @@ type Kernel struct {
 
 	nFired, nResumed uint64 // see Counts
 
-	digest uint64 // every event RunUntilN fired, folded (see Witness)
-	last   Fired  // the last of them
+	stream uint64      // every fired event's key, folded (see Stream)
+	onFire func(Fired) // the one watcher (see OnFire), nil without one
 
 	q eventHeap
 
@@ -176,23 +177,6 @@ func (k *Kernel) schedule(e *event) {
 	}
 }
 
-// fire runs one popped event, returning it to the pool first so the callback
-// may immediately schedule again without growing the queue's backing store.
-func (k *Kernel) fire(e *event) {
-	fn, fnArg, arg := e.fn, e.fnArg, e.arg
-	k.nFired++
-	if !e.daemon {
-		k.nUser--
-	}
-	e.fn, e.fnArg, e.arg = nil, nil, nil
-	k.freeEv = append(k.freeEv, e)
-	if fn != nil {
-		fn()
-		return
-	}
-	fnArg(arg)
-}
-
 // At schedules fn to run at absolute time t (>= now).
 func (k *Kernel) At(t Time, fn func()) {
 	e := k.newEvent(t)
@@ -235,8 +219,8 @@ func (k *Kernel) atArg(t Time, fn func(any), arg any) *event {
 // event's number at the point AtArg would have been called, keeps the events
 // itself, and queues each one only when its predecessor fires — what a Train
 // does, whose comment has the argument for why nothing moves. A number that
-// is never armed is not an event: Run, Finish, QueueFingerprint and the
-// Witness digest never see it.
+// is never armed is not an event: Run, Finish, QueueFingerprint, Stream and
+// an OnFire watcher never see it.
 func (k *Kernel) ReserveSeq() uint64 {
 	k.seq++
 	return k.seq
@@ -273,7 +257,8 @@ type abortSignal struct{}
 // time. All blocking methods must be called from the process's own goroutine.
 type Proc struct {
 	k     *Kernel
-	name  string // given at Spawn; read only by a debugger or a %+v dump
+	name  string // given at Spawn; read by Fired (an OnFire watcher) and Gate's one-waiter panic
+	id    uint64 // spawn index: its place in k.procs, which Finish empties (see Stream)
 	live  bool
 	gated bool // the step running now queued gw on a gate (Gate.Await)
 
@@ -296,7 +281,7 @@ func (p *Proc) Now() Time { return p.k.now }
 // Spawn creates a process that will start executing fn at the current
 // virtual time (once Run is pumping events).
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, live: true}
+	p := &Proc{k: k, name: name, id: uint64(len(k.procs)), live: true}
 	k.procs = append(k.procs, p)
 	k.nlive++
 	k.At(k.now, func() { p.start(fn) })
@@ -427,25 +412,15 @@ func (p *Proc) WaitUntil(t Time) {
 // still-parked processes so their goroutines exit. Daemon events left in the
 // queue are discarded unfired. It returns the final virtual time.
 func (k *Kernel) Run() Time {
-	for k.nUser > 0 {
-		e := k.q.pop()
-		k.now = e.at
-		k.fire(e)
-	}
-	k.discardDaemons()
-	k.drain()
-	return k.now
+	k.RunUntilN(Forever, math.MaxInt)
+	return k.Finish()
 }
 
 // RunUntil pumps events up to and including time limit, leaving later events
 // queued. Processes stay parked (no drain) so the run can continue. Like Run,
 // it stops early once only daemon events remain (leaving them queued).
 func (k *Kernel) RunUntil(limit Time) Time {
-	for k.nUser > 0 && k.q[0].at <= limit { // a user event is queued, so q[0] exists
-		e := k.q.pop()
-		k.now = e.at
-		k.fire(e)
-	}
+	k.RunUntilN(limit, math.MaxInt)
 	return k.now
 }
 
@@ -453,22 +428,39 @@ func (k *Kernel) RunUntil(limit Time) Time {
 // timestamps <= limit and returns how many it fired. A zero return means no
 // eligible event remains (the limit is reached, or only daemons survive).
 // The checkpoint layer uses it to poll a wall-clock budget between bounded
-// batches of work without giving up the deterministic event order, and reads
-// the run's determinism witness from it: each event it fires is folded into
-// the digest Witness returns.
-func (k *Kernel) RunUntilN(limit Time, n int) int {
-	fired := 0
-	for fired < n && k.nUser > 0 && k.q[0].at <= limit {
+// batches of work without giving up the deterministic event order. It is the
+// kernel's one loop (Run and RunUntil call it): each event is shown to the
+// OnFire watcher, folded into Stream and fired.
+func (k *Kernel) RunUntilN(limit Time, n int) (fired int) {
+	for ; fired < n && k.nUser > 0 && k.q[0].at <= limit; fired++ { // a user event is queued, so q[0] exists
 		e := k.q.pop()
 		k.now = e.at
-		k.witness(e)
-		k.fire(e)
-		fired++
+		if k.onFire != nil {
+			k.onFire(e.fired())
+		}
+		k.nFired++
+		if !e.daemon {
+			k.nUser--
+		}
+		fn, fnArg, arg := e.fn, e.fnArg, e.arg
+		k.stream = mix(mix(k.stream, uint64(e.at)), e.seq)
+		if p := resumed(arg); p != nil {
+			k.stream = mix(k.stream, p.id)
+		}
+		// Back to the pool before the callback runs, so that it may schedule
+		// again without growing the queue's backing store.
+		e.fn, e.fnArg, e.arg = nil, nil, nil
+		k.freeEv = append(k.freeEv, e)
+		if fn != nil {
+			fn()
+		} else {
+			fnArg(arg)
+		}
 	}
 	return fired
 }
 
-// Fired is one event as RunUntilN fired it: its ordering key, the code
+// Fired is one event as the kernel fires it: its ordering key, the code
 // pointer of its handler and, when the event resumes a process (a wait's
 // end, a chained step, a gate wake or timeout), that process's name.
 type Fired struct {
@@ -493,39 +485,40 @@ func (f Fired) String() string {
 	}
 }
 
-// Witness returns the digest of every event RunUntilN has fired, in firing
-// order, and the last of them. Two runs of one configuration in one process
-// fire the same events under the same keys with the same handlers, so their
-// digests agree at every instant; a run that takes another path changes the
-// digest at the first event it fires differently. Code pointers are stable
-// within a process only: a digest is compared, never stored.
-func (k *Kernel) Witness() (digest uint64, last Fired) { return k.digest, k.last }
+// Stream returns the digest of every event the kernel has fired, in firing
+// order: its (at, seq) key and, when it resumes a process, the process's
+// spawn index. A run that takes another path moves it at the first event it
+// fires differently (later, for another process, or one more). It holds no
+// code pointer and no name, so one configuration streams alike in every
+// build and the digest may be stored; an OnFire watcher sees the rest.
+func (k *Kernel) Stream() uint64 { return k.stream }
 
-// witness folds e into the event digest before it fires.
-func (k *Kernel) witness(e *event) {
-	f := e.fired()
-	d := mix(mix(mix(k.digest, uint64(f.At)), f.Seq), uint64(f.PC))
-	for i := 0; i < len(f.Proc); i++ {
-		d = mix(d, uint64(f.Proc[i]))
-	}
-	k.digest, k.last = d, f
-}
+// OnFire makes fn the kernel's watcher: every event the kernel fires is
+// described to it, as a Fired, just before it fires. nil removes the
+// watcher. fn must schedule nothing: the run it watches would change.
+func (k *Kernel) OnFire(fn func(Fired)) { k.onFire = fn }
 
-// fired describes e as Witness does.
+// fired describes e as the OnFire watcher sees it.
 func (e *event) fired() Fired {
-	f := Fired{At: e.at, Seq: e.seq}
+	h := reflect.ValueOf(e.fnArg)
 	if e.fn != nil {
-		f.PC = reflect.ValueOf(e.fn).Pointer()
-		return f
+		h = reflect.ValueOf(e.fn)
 	}
-	f.PC = reflect.ValueOf(e.fnArg).Pointer()
-	switch a := e.arg.(type) {
-	case *Proc:
-		f.Proc = a.name
-	case *gateWaiter:
-		f.Proc = a.p.name
+	f := Fired{At: e.at, Seq: e.seq, PC: h.Pointer()}
+	if p := resumed(e.arg); p != nil {
+		f.Proc = p.name
 	}
 	return f
+}
+
+// resumed returns the process an event with argument a resumes (a wait's
+// end, a chained step, a gate wake or timeout), or nil.
+func resumed(a any) *Proc {
+	if w, ok := a.(*gateWaiter); ok {
+		return w.p
+	}
+	p, _ := a.(*Proc)
+	return p
 }
 
 // mix folds v into the digest d.
@@ -568,8 +561,8 @@ func (k *Kernel) QueueFingerprint() (n int, fp uint64) {
 	return len(k.q), fp
 }
 
-// Pending returns the queued events in firing order, each described as
-// Witness describes an event once it has fired.
+// Pending returns the queued events in firing order, each described as an
+// OnFire watcher will see it fire.
 func (k *Kernel) Pending() []Fired {
 	evs := k.queued()
 	out := make([]Fired, len(evs))

@@ -214,6 +214,7 @@ var fenceAllow = []allowRow{
 	{"comm.Backend.Rank", "probe", "comm's Alltoall test builds and checks each node's blocks by rank"},
 	{"comm.Backend.Size", "probe", "as comm.Backend.Rank"},
 	{"sim.Train.At", "probe", "dvswitch and vic tests read the records waiting on a train, key and all"},
+	{"cluster.Record", "probe", "TestHostCountsGolden writes out the events of a row whose stream moved"},
 }
 
 // checkedTree is the product tree type-checked from source: packages by
