@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -313,7 +314,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dvbench: %v\n", err)
 		os.Exit(2)
 	}
-	tables := runExperiments(sel, opt, writeTrace)
+	tables := runExperiments(sel, opt, writeTrace, os.Stderr)
 	if err := opt.Journal.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "dvbench: journal: %v\n", err)
 		os.Exit(1)
@@ -354,14 +355,20 @@ func main() {
 
 // runExperiments runs sel in order and returns their tables. The journal
 // (opt.Journal) keeps and replays their runs point by point, and a cancelled
-// opt.Ctx stops the run before the next experiment.
-func runExperiments(sel []bench.Experiment, opt bench.Options, writeTrace func(*trace.Log)) []*bench.Table {
+// opt.Ctx stops the run before the next experiment. With a non-nil wall it
+// writes one line per experiment there (see bench.Walls.Line).
+func runExperiments(sel []bench.Experiment, opt bench.Options, writeTrace func(*trace.Log), wall io.Writer) []*bench.Table {
 	var tables []*bench.Table
 	for _, e := range sel {
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			break
 		}
+		opt.Walls = new(bench.Walls)
+		start := time.Now()
 		tables = append(tables, e.Run(opt, writeTrace)...)
+		if wall != nil {
+			fmt.Fprintln(wall, opt.Walls.Line(e.ID, time.Since(start)))
+		}
 	}
 	return tables
 }

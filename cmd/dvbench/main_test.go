@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -17,6 +18,42 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the goldens under testdata")
+
+// TestExperimentWallLine: dvbench writes one line per experiment naming
+// its wall seconds, the points it computed and the longest of them; a
+// replay from a complete journal computes none.
+func TestExperimentWallLine(t *testing.T) {
+	sel, err := bench.SelectExperiments("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func() string {
+		j, err := bench.OpenJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		runExperiments(sel, bench.Options{Small: true, Journal: j}, func(*trace.Log) {}, &b)
+		if err := errors.Join(j.Err(), j.Close()); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	first := run()
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := strings.Count(string(journal), "\n")
+	want := regexp.MustCompile(fmt.Sprintf(`^wall: fig4 \d+\.\d{3} s, %d points, longest fig4\[\d+\] \d+\.\d{3} s\n$`, points))
+	if points == 0 || !want.MatchString(first) {
+		t.Errorf("first run wrote %q; want one line matching %s", first, want)
+	}
+	if replay := run(); !regexp.MustCompile(`^wall: fig4 \d+\.\d{3} s, 0 points, longest none\n$`).MatchString(replay) {
+		t.Errorf("replay wrote %q; want 0 points", replay)
+	}
+}
 
 // TestSmallGolden pins what `dvbench -small` produces: every table as it
 // prints, the -json bytes, and the SHA-256 of every SVG -svg renders at
@@ -40,7 +77,7 @@ func TestSmallGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := runExperiments(sel, bench.Options{Small: true, Journal: j}, func(*trace.Log) { traced++ })
+	tables := runExperiments(sel, bench.Options{Small: true, Journal: j}, func(*trace.Log) { traced++ }, nil)
 	if err := errors.Join(j.Err(), j.Close()); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +112,7 @@ func TestSmallGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev0, _, _, _ := cluster.KernelCounts()
-	replayed := runExperiments(sel, bench.Options{Small: true, Journal: j}, func(*trace.Log) {})
+	replayed := runExperiments(sel, bench.Options{Small: true, Journal: j}, func(*trace.Log) {}, nil)
 	ev1, _, _, _ := cluster.KernelCounts()
 	if err := errors.Join(j.Err(), j.Close()); err != nil {
 		t.Fatal(err)
@@ -85,7 +122,7 @@ func TestSmallGolden(t *testing.T) {
 	}
 	// fig5 alone simulates on replay: the replay's kernel events are its.
 	fig5, _ := bench.SelectExperiments("fig5")
-	runExperiments(fig5, bench.Options{Small: true}, func(*trace.Log) {})
+	runExperiments(fig5, bench.Options{Small: true}, func(*trace.Log) {}, nil)
 	if ev2, _, _, _ := cluster.KernelCounts(); ev1-ev0 != ev2-ev1 {
 		t.Errorf("replaying a complete journal simulated %d kernel events, fig5 alone %d", ev1-ev0, ev2-ev1)
 	}

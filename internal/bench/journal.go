@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"time"
 )
 
 // Journal is the durable sweep log. All methods are safe for concurrent use
@@ -225,7 +226,9 @@ func SweepRows(opt Options, key string, n, width int, fn func(i int) []Cell) [][
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			return nil
 		}
+		start := time.Now()
 		cells := fn(i)
+		opt.Walls.add(key, i, time.Since(start))
 		opt.Journal.PutRow(key, i, cells)
 		return cells
 	})
@@ -235,4 +238,38 @@ func SweepRows(opt Options, key string, n, width int, fn func(i int) []Cell) [][
 		}
 	}
 	return points
+}
+
+// Walls records the host wall time of the sweep points one experiment
+// computes; a journaled point replays without running and is not counted.
+// It is safe for the concurrent points of a -jobs sweep.
+type Walls struct {
+	mu      sync.Mutex
+	points  int
+	longest string        // the longest point, as key[i]
+	max     time.Duration // its wall time
+}
+
+func (w *Walls) add(key string, i int, d time.Duration) {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.points++
+	if w.longest == "" || d > w.max {
+		w.longest, w.max = fmt.Sprintf("%s[%d]", key, i), d
+	}
+}
+
+// Line formats one experiment's wall line: its wall seconds, the points it
+// computed, and the longest point with its seconds.
+func (w *Walls) Line(exp string, wall time.Duration) string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	longest := "none"
+	if w.points > 0 {
+		longest = fmt.Sprintf("%s %.3f s", w.longest, w.max.Seconds())
+	}
+	return fmt.Sprintf("wall: %s %.3f s, %d points, longest %s", exp, wall.Seconds(), w.points, longest)
 }

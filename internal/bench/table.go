@@ -263,6 +263,9 @@ type Options struct {
 	// Ctx, when non-nil, cancels sweeps cooperatively: once done, workers
 	// stop starting new points (in-flight points finish and are journaled).
 	Ctx context.Context
+	// Walls, when non-nil, records the host wall time of every point
+	// SweepRows computes (dvbench's per-experiment stderr line).
+	Walls *Walls
 }
 
 // nodeSweep returns the node counts of the paper's scaling figures.

@@ -61,10 +61,9 @@ type Params struct {
 }
 
 // MaxGeometryCells bounds the total switching-node count C×H×A of a valid
-// geometry. The core's cell grid indexes, deflection-signal strides and
-// packet references are all int32/uint32 encodings; past this bound they
-// would wrap silently, so Validate rejects such geometries with a
-// GeometryError instead. 2^30 cells (a ~96 GiB grid) is far past any simulable fabric —
+// geometry. The core's cell grid indexes and packet references are all
+// int32/uint32 encodings; past this bound they would wrap silently, so
+// Validate rejects such geometries with a GeometryError instead. 2^30 cells (a ~96 GiB grid) is far past any simulable fabric —
 // the bound exists to make the overflow impossible, not to be reachable.
 const MaxGeometryCells = 1 << 30
 
@@ -93,7 +92,7 @@ func (p Params) Validate() error {
 	if p.Angles < 1 {
 		return &GeometryError{Field: "Angles", Value: p.Angles, Reason: "must be >= 1"}
 	}
-	// Cells = C*H*A must stay within the int32 cell/signal/pool encodings.
+	// Cells = C*H*A must stay within the int32 cell/pool encodings.
 	// Bound each factor first so the staged products cannot overflow int64.
 	if p.Heights > MaxGeometryCells {
 		return &GeometryError{Field: "Heights", Value: p.Heights,
@@ -328,17 +327,8 @@ type cellTab struct {
 	defl int32 // deflection target: (cyl, h^bit, a+1); -1 on the output ring
 	da   int32 // this cell's angle (output-ring eject comparison)
 	hbit int32 // value of the resolved height bit at this cell
-
-	// Strided signal-bitmap bit indexes (see sigMask): this cell's own bit,
-	// the descend target's bit (read before descending), and the bits of the
-	// deflection/circling targets (written when moving within the cylinder).
-	sig     int32
-	descSig int32
-	deflSig int32
-	nextSig int32
-
-	cyl int16 // cylinder index (per-cylinder deflection counters)
-	bit uint8 // height bit resolved by this cylinder
+	cyl  int16 // cylinder index (per-cylinder deflection counters)
+	bit  uint8 // height bit resolved by this cylinder
 }
 
 // Core is the cycle-accurate switch simulator. It is driven by calling Step
@@ -368,9 +358,8 @@ type Core struct {
 	// back into the Packet at eject/drop time (packetAt).
 	pstate []pflight
 
-	tab      []cellTab // per-cell routing table, index-parallel with grid
-	portCell []int32   // port → cylinder-0 entry cell index
-	portPF   []pflight // port → fresh flight state (precomputed coordinates)
+	tab    []cellTab // per-cell routing table, index-parallel with grid
+	portPF []pflight // port → fresh flight state (precomputed coordinates)
 
 	grid []int32 // node occupancy, flattened [c][h][a]; pool ref or 0
 	next []int32 // scratch: next node occupancy
@@ -379,20 +368,12 @@ type Core struct {
 	// switching node. Iterating set bits (bits.TrailingZeros64) visits
 	// occupied cells in ascending index order for free, which is exactly the
 	// dense-scan order the golden differential tests pin — the sparse stepper
-	// needs no bucketing and no sorting. place and signal become single
-	// OR-stores, and end-of-step clearing touches a handful of words instead
-	// of walking per-cell dirty lists.
+	// needs no bucketing and no sorting. place becomes a single OR-store,
+	// and end-of-step clearing touches a handful of words instead of walking
+	// per-cell dirty lists. nxtMask is also the deflection signal: see
+	// moveCell.
 	occMask []uint64 // occupancy bitmap of grid (bit set ⇔ grid[idx] != 0)
 	nxtMask []uint64 // scratch: occupancy bitmap of next
-	// sigMask holds the per-step same-cylinder deflection signals. Unlike
-	// occMask/nxtMask it is strided: each cylinder starts on its own 64-bit
-	// word boundary. A move pass over cylinder c writes signals only into
-	// cylinder c's words and reads only cylinder c+1's (processed in the
-	// previous pass), so no word is both read and written within one pass —
-	// without the padding, adjacent cylinders share words and every read
-	// store-forwards from the previous iteration's write, serialising the
-	// hot loop.
-	sigMask []uint64
 
 	inq    []portq  // per-port injection queues
 	qmask  []uint64 // bitmap: ports with non-empty injection queues
@@ -478,25 +459,22 @@ func NewCore(p Params) *Core {
 		next:    make([]int32, n),
 		occMask: make([]uint64, words),
 		nxtMask: make([]uint64, words),
-		sigMask: make([]uint64, cyl*((p.Heights*p.Angles+63)/64)),
 		inq:     make([]portq, p.Ports()),
 		qmask:   make([]uint64, (p.Ports()+63)/64),
 		tab:     make([]cellTab, n),
 	}
 	c.buildTab()
-	c.portCell = make([]int32, p.Ports())
 	c.portPF = make([]pflight, p.Ports())
-	for port := range c.portCell {
+	for port := range c.portPF {
 		h, a := p.PortCoord(port)
-		c.portCell[port] = int32(c.idx(0, h, a))
 		c.portPF[port] = pflight{dh: int32(h), da: int32(a)}
 	}
 	return c
 }
 
 // buildTab fills the routing table from the geometry and the planted routing
-// mutations, so the defects live in the table and moveCell has no mutation
-// branch: MutBitOffByOne makes each resolving cylinder test and toggle bit
+// mutations, so the defects live in the table and moveCell has no branch for
+// them: MutBitOffByOne makes each resolving cylinder test and toggle bit
 // (bit+1) mod L instead of its own, and MutStickyOutputRing gives output-ring
 // cells an angle no packet ejects at. NewCore and SetMutation call it.
 func (c *Core) buildTab() {
@@ -510,11 +488,8 @@ func (c *Core) buildTab() {
 				t.cyl = int16(cl)
 				t.da = int32(a)
 				t.next = int32(c.idx(cl, h, na))
-				t.sig = c.sigBit(cl, h, a)
-				t.nextSig = c.sigBit(cl, h, na)
 				if cl == L {
 					t.desc, t.defl = -1, -1
-					t.descSig, t.deflSig = 0, 0
 					if c.mut&MutStickyOutputRing != 0 {
 						t.da = -1
 					}
@@ -527,9 +502,7 @@ func (c *Core) buildTab() {
 				t.bit = uint8(bit)
 				t.hbit = int32((h >> bit) & 1)
 				t.desc = int32(c.idx(cl+1, h, na))
-				t.descSig = c.sigBit(cl+1, h, na)
 				t.defl = int32(c.idx(cl, h^(1<<bit), na))
-				t.deflSig = c.sigBit(cl, h^(1<<bit), na)
 			}
 		}
 	}
@@ -725,27 +698,6 @@ func (c *Core) place(idx int, ref int32) {
 	c.nxtMask[idx>>6] |= 1 << (uint(idx) & 63)
 }
 
-// sigBit returns a cell's bit index into the strided signal bitmap.
-func (c *Core) sigBit(cl, h, a int) int32 {
-	stride := (c.cylN + 63) / 64
-	return int32(cl*stride*64 + h*c.p.Angles + a)
-}
-
-// signal asserts the same-cylinder deflection signal on a cell.
-func (c *Core) signal(idx int) {
-	if c.mut&MutDropDeflectSignal != 0 {
-		return
-	}
-	sb := c.tab[idx].sig
-	c.sigMask[sb>>6] |= 1 << (uint32(sb) & 63)
-}
-
-// sigSet reports whether a cell's deflection signal is asserted this step.
-func (c *Core) sigSet(idx int) bool {
-	sb := c.tab[idx].sig
-	return c.sigMask[sb>>6]>>(uint32(sb)&63)&1 != 0
-}
-
 // Step advances the fabric by one switch cycle: every in-flight packet moves
 // one angle (descending, deflecting, circling, or ejecting), then injection
 // ports fill any free outermost node.
@@ -764,8 +716,8 @@ func (c *Core) Step() {
 		c.parStep()
 		return
 	}
-	// Inner cylinders first: their same-cylinder movements assert the
-	// deflection signals that outer cylinders must observe. Within a
+	// Inner cylinders first: their same-cylinder moves set the
+	// next-occupancy bits that outer cylinders' descends test. Within a
 	// cylinder, set bits come out in ascending cell order — the dense-scan
 	// order — with no bucketing or sorting.
 	if c.cleanPath() {
@@ -808,17 +760,17 @@ func (c *Core) cleanPath() bool {
 // hand-inline the routing decisions of moveCell (the specification of what
 // one move does) with every fault, mutation, and obs branch deleted, the
 // output ring split out of the inner-cylinder loop (so the ring test is not
-// re-asked per packet), and the descend-vs-deflect choice made branchless:
-// contention makes that branch a coin flip, and the mispredict penalty was
-// the single largest cost in the step profile. The transformation is exact:
+// re-asked per packet), and the descend-vs-deflect choice made without a
+// branch: contention makes that branch a coin flip, and a mispredict costs
+// more than the whole rest of a hop. The transformation is exact:
 //
-//	blocked = (bit mismatch) OR (deflection signal on the descend target)
-//	target  = blocked ? deflect-cell : descend-cell   (CMOV)
-//	defl   += blocked                                 (0 or 1)
-//	sigbit |= blocked << target-bit                   (OR of 0 is a no-op)
+//	blocked = (bit mismatch) | (next-occupancy bit of the descend target)
+//	target  = desc ^ (desc^defl) & -blocked   (a mask select, no jump)
+//	defl   += blocked                         (0 or 1)
 //
-// Slice headers are held in locals so the stores do not force reloads of c's
-// fields each iteration.
+// go1.24 compiles `if blocked == 0 { ni = desc }` to a test and a jump, not
+// a conditional move, hence the mask. Slice headers are held in locals so
+// the stores do not force reloads of c's fields each iteration.
 
 // sparseMovesClean is the clean-path move phase over the occupancy bitmap.
 // The routing bodies are written out in place (the compiler's inlining
@@ -828,7 +780,6 @@ func (c *Core) sparseMovesClean() {
 	grid := c.grid
 	next := c.next
 	nxtMask := c.nxtMask
-	sigMask := c.sigMask
 	pstate := c.pstate
 	tab := c.tab
 	occ := c.occMask
@@ -856,11 +807,9 @@ func (c *Core) sparseMovesClean() {
 			ni := t.next
 			next[ni] = ref
 			nxtMask[ni>>6] |= 1 << (uint32(ni) & 63)
-			ns := t.nextSig
-			sigMask[ns>>6] |= 1 << (uint32(ns) & 63)
 		}
 	}
-	// Inner cylinders: descend or deflect, branchless.
+	// Inner cylinders: descend or deflect, by mask select.
 	for cl := c.levels - 1; cl >= 0; cl-- {
 		base := cl * c.cylN
 		end := base + c.cylN
@@ -880,17 +829,11 @@ func (c *Core) sparseMovesClean() {
 				t := &tab[idx]
 				f := &pstate[ref-1]
 				d := t.desc
-				ds := t.descSig
-				blocked := uint64((f.dh>>t.bit)&1^t.hbit) | sigMask[ds>>6]>>(uint32(ds)&63)&1
-				ni := t.defl
-				if blocked == 0 {
-					ni = d
-				}
-				f.defl += uint32(blocked)
+				blocked := uint32((f.dh>>t.bit)&1^t.hbit) | uint32(nxtMask[d>>6]>>(uint32(d)&63))&1
+				ni := d ^ (d^t.defl)&-int32(blocked)
+				f.defl += blocked
 				next[ni] = ref
 				nxtMask[ni>>6] |= 1 << (uint32(ni) & 63)
-				fs := t.deflSig
-				sigMask[fs>>6] |= blocked << (uint32(fs) & 63)
 			}
 		}
 	}
@@ -903,6 +846,14 @@ func (c *Core) sparseMovesClean() {
 // mutations or instruments are on, and denseStep applies it on every run,
 // so the differential tests hold the hand-inlined clean loops to it. The
 // routing mutations are rewrites of the table it reads (buildTab).
+//
+// The paper's deflection signal on a cell (a packet of the same cylinder is
+// being routed into it this cycle) is the cell's next-occupancy bit. Step
+// moves cylinder cl+1 before cylinder cl, so when a packet of cylinder cl
+// tests its descend target d, the bit of d was set by a same-cylinder move
+// of cl+1 or by a descend into d; descend targets are injective, so that
+// descend could only be the tester's own, which has not happened yet.
+// TestSignalOracleLockstep holds this against an explicit signal set.
 func (c *Core) moveCell(idx int, ref int32) {
 	t := &c.tab[idx]
 	f := &c.pstate[ref-1]
@@ -921,7 +872,6 @@ func (c *Core) moveCell(idx int, ref int32) {
 			return
 		}
 		c.place(ni, ref)
-		c.signal(ni)
 		return
 	}
 	if c.frng != nil && c.linkFault(ref) {
@@ -929,7 +879,8 @@ func (c *Core) moveCell(idx int, ref int32) {
 	}
 	if (f.dh>>t.bit)&1 == t.hbit {
 		d := int(t.desc)
-		if !c.sigSet(d) && (c.faulty == nil || !c.faulty[d]) {
+		signalled := c.mut&MutDropDeflectSignal == 0 && c.nxtMask[d>>6]>>(uint(d)&63)&1 != 0
+		if !signalled && (c.faulty == nil || !c.faulty[d]) {
 			// Descend: bit matches and no deflection signal.
 			c.place(d, ref)
 			return
@@ -950,33 +901,31 @@ func (c *Core) moveCell(idx int, ref int32) {
 	}
 	c.heat.Add(int(t.cyl), idx%c.p.Angles)
 	c.place(ni, ref)
-	c.signal(ni)
 }
 
 // injectPhase fills free entry nodes from the waiting ports, visited in
-// ascending port order (the dense scan order over cylinder 0). The waiting
-// set is a bitmap, so the visit order is sorted for free; a port's bit stays
-// set while its queue is non-empty (busy entry node, or the node is down).
+// ascending port order (the dense scan order over cylinder 0). Port p enters
+// at cylinder-0 cell p, so the waiting ports with a free entry node are one
+// word operation, qmask &^ nxtMask, and set bits come out sorted; a port's
+// qmask bit stays set while its queue is non-empty (busy entry node, or the
+// node is down).
 func (c *Core) injectPhase() {
 	if c.queued == 0 {
 		return
 	}
 	for w, mask := range c.qmask {
-		if mask == 0 {
-			continue
-		}
 		wb := w << 6
-		for m := mask; m != 0; m &= m - 1 {
+		for m := mask &^ c.nxtMask[w]; m != 0; m &= m - 1 {
 			port := wb + bits.TrailingZeros64(m)
-			q := &c.inq[port]
-			at := int(c.portCell[port])
-			if c.next[at] == 0 && (c.faulty == nil || !c.faulty[at]) {
-				c.stats.QueuedCycles += int64(uint32(c.cycle) - q.head.rec[q.hi].cycle)
-				c.place(at, c.alloc(port, q.head, q.hi))
-				c.pop(q)
-				c.queued--
-				c.flying++
+			if c.faulty != nil && c.faulty[port] {
+				continue
 			}
+			q := &c.inq[port]
+			c.stats.QueuedCycles += int64(uint32(c.cycle) - q.head.rec[q.hi].cycle)
+			c.place(port, c.alloc(port, q.head, q.hi))
+			c.pop(q)
+			c.queued--
+			c.flying++
 			if q.n == 0 {
 				c.qmask[w] &^= 1 << uint(port-wb)
 			}
@@ -991,8 +940,7 @@ func (c *Core) finishStep() {
 	// c.next now holds the pre-step occupancy; its stale cells are exactly
 	// the set bits of the old occupancy mask. At high occupancy a wholesale
 	// memclr beats per-bit stores (the untouched cells are already zero, so
-	// clearing everything is idempotent); below that, clear bit by bit. The
-	// signal bitmap is a few words — always cleared wholesale.
+	// clearing everything is idempotent); below that, clear bit by bit.
 	if c.flying*4 >= len(c.next) {
 		clear(c.next)
 		clear(c.occMask)
@@ -1007,7 +955,6 @@ func (c *Core) finishStep() {
 			}
 		}
 	}
-	clear(c.sigMask)
 	c.occMask, c.nxtMask = c.nxtMask, c.occMask
 	c.cycle++
 	if c.OnCycleEnd != nil {

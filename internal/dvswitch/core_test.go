@@ -3,6 +3,7 @@ package dvswitch
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -588,5 +589,33 @@ func TestLatencyPercentileBucketBoundaries(t *testing.T) {
 	var empty Stats
 	if got := empty.LatencyPercentile(99); got != 0 {
 		t.Errorf("empty LatencyPercentile = %d, want 0", got)
+	}
+}
+
+// TestEntryCellIsPort pins the layout fact injectPhase rests on: port p
+// enters at cylinder-0 cell p, so the ports with a free entry node are
+// qmask &^ nxtMask, word for word. It holds for every geometry ForPorts
+// builds and for Angles counts that are odd or not powers of two.
+func TestEntryCellIsPort(t *testing.T) {
+	geoms := []Params{{Heights: 16, Angles: 5}, {Heights: 4, Angles: 3}, {Heights: 1, Angles: 7}}
+	for n := 1; n <= 2048; n++ {
+		geoms = append(geoms, ForPorts(n))
+	}
+	for _, p := range geoms {
+		c := &Core{p: p}
+		for port := 0; port < p.Ports(); port++ {
+			h, a := p.PortCoord(port)
+			if at := c.idx(0, h, a); at != port {
+				t.Fatalf("%+v: port %d enters at cell %d", p, port, at)
+			}
+		}
+	}
+}
+
+// TestCellTabIs24Bytes keeps the routing table at 24 bytes per cell: five
+// int32 cell fields, the cylinder and the resolved bit.
+func TestCellTabIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(cellTab{}); got != 24 {
+		t.Fatalf("cellTab is %d bytes, want 24", got)
 	}
 }

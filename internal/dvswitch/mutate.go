@@ -8,9 +8,10 @@ package dvswitch
 type Mutation uint32
 
 const (
-	// MutDropDeflectSignal suppresses the same-cylinder contention signal,
-	// so a descending packet can land on a node a deflecting packet also
-	// claims; the overwritten packet leaks from the occupancy grid.
+	// MutDropDeflectSignal makes a descend not test its target's deflection
+	// signal (the target's next-occupancy bit), so a descending packet can
+	// land on a node a same-cylinder move already claimed; the overwritten
+	// packet leaks from the occupancy grid.
 	MutDropDeflectSignal Mutation = 1 << iota
 	// MutBitOffByOne makes the descend decision resolve the wrong height
 	// bit (cylinder index off by one), violating the resolved-prefix

@@ -21,20 +21,20 @@ import (
 //     and deflection are injective on (height, angle); descend targets land
 //     in the next cylinder, also injectively), so workers write next[] and
 //     per-packet flight state with no two writers on one element.
-//   - Cross-pass collisions are excluded by the deflection-signal protocol
-//     itself — a descend is blocked when its target cell was claimed in the
-//     previous pass — provided each pass observes the previous pass's merged
-//     signals. Workers therefore accumulate signal and occupancy bits in
-//     per-worker local bitmaps, OR-merged into the shared masks between
+//   - Cross-pass collisions are excluded by the deflection signal itself —
+//     a descend is blocked when its target cell's next-occupancy bit was set
+//     in the previous pass (see moveCell) — provided each pass observes the
+//     previous pass's merged bits. Workers therefore accumulate occupancy
+//     bits in per-worker local bitmaps, OR-merged into nxtMask between
 //     barriers (each worker merges a disjoint word range, so the merge is
 //     parallel too and the OR order is irrelevant).
 //   - Ejects are order-sensitive (stats, Deliver callbacks, packet-pool
 //     reuse, re-injection), so workers only collect candidate refs in chunk
 //     order; participant 0 applies them serially in ascending-cell order —
 //     exactly the dense-scan order the serial path produces — while the
-//     other participants merge the output ring's signal words.
+//     other participants merge the output ring's occupancy words.
 //
-// The result: same next occupancy, same signal set, same eject/Deliver
+// The result: same next occupancy, same eject/Deliver
 // sequence, same stats, same pool-reference reuse as the serial clean path,
 // for any pool width. The lockstep differential tests and the sparse/dense
 // goldens enforce this.
@@ -51,7 +51,6 @@ type parState struct {
 	pool      *sim.FanPool
 	minFlying int
 	nxt       [][]uint64 // per-worker local nxtMask accumulators
-	sig       [][]uint64 // per-worker local sigMask accumulators
 	ej        [][]int32  // per-worker eject candidates, chunk order
 }
 
@@ -73,11 +72,9 @@ func (c *Core) SetFanPool(p *sim.FanPool, minFlying int) {
 	w := p.Workers()
 	ps := &parState{pool: p, minFlying: minFlying}
 	ps.nxt = make([][]uint64, w)
-	ps.sig = make([][]uint64, w)
 	ps.ej = make([][]int32, w)
 	for i := 0; i < w; i++ {
 		ps.nxt[i] = make([]uint64, len(c.nxtMask))
-		ps.sig[i] = make([]uint64, len(c.sigMask))
 	}
 	c.par = ps
 }
@@ -89,10 +86,11 @@ func (c *Core) parEligible() bool {
 		c.cleanPath()
 }
 
-// mergeClear ORs the word range [lo, hi) of every local bitmap into dst,
-// split W ways by participant id so merge work is parallel, and clears the
-// merged local words.
+// mergeClear ORs the words holding cells [lo, hi) of every local bitmap into
+// dst, split W ways by participant id so merge work is parallel, and clears
+// the merged local words.
 func mergeClear(dst []uint64, locals [][]uint64, lo, hi, id, parts int) {
+	lo, hi = lo>>6, (hi+63)>>6
 	span := hi - lo
 	mlo := lo + span*id/parts
 	mhi := lo + span*(id+1)/parts
@@ -116,7 +114,6 @@ func (c *Core) parStep() {
 	ps := c.par
 	L := c.levels
 	cylN := c.cylN
-	sigStride := (cylN + 63) / 64
 	ps.pool.Run(func(fc *sim.FanCtx) {
 		id, W := fc.ID(), fc.Parts()
 		lo := cylN * id / W
@@ -126,7 +123,6 @@ func (c *Core) parStep() {
 		tab := c.tab
 		pstate := c.pstate
 		lnxt := ps.nxt[id]
-		lsig := ps.sig[id]
 		ej := ps.ej[id][:0]
 		// Output ring (cylinder L): eject at the destination angle (deferred
 		// to the serial section below), else circle.
@@ -144,13 +140,11 @@ func (c *Core) parStep() {
 			ni := t.next
 			next[ni] = ref
 			lnxt[ni>>6] |= 1 << (uint32(ni) & 63)
-			ns := t.nextSig
-			lsig[ns>>6] |= 1 << (uint32(ns) & 63)
 		}
 		ps.ej[id] = ej
 		fc.Barrier()
 		// Participant 0 applies ejects in ascending-cell order; the rest merge
-		// cylinder L's signal words, which ejecting never touches.
+		// cylinder L's occupancy words, which ejecting never touches.
 		if id == 0 {
 			for w := 0; w < W; w++ {
 				for _, ref := range ps.ej[w] {
@@ -159,11 +153,11 @@ func (c *Core) parStep() {
 				ps.ej[w] = ps.ej[w][:0]
 			}
 		} else {
-			mergeClear(c.sigMask, ps.sig, L*sigStride, (L+1)*sigStride, id-1, W-1)
+			mergeClear(c.nxtMask, ps.nxt, L*cylN, (L+1)*cylN, id-1, W-1)
 		}
 		fc.Barrier()
-		// Inner cylinders: descend or deflect, branchless, reading the
-		// previous pass's merged signals.
+		// Inner cylinders: descend or deflect, by mask select, reading the
+		// previous pass's merged occupancy.
 		for cl := L - 1; cl >= 0; cl-- {
 			base := cl * cylN
 			for j := lo; j < hi; j++ {
@@ -174,25 +168,19 @@ func (c *Core) parStep() {
 				t := &tab[base+j]
 				f := &pstate[ref-1]
 				d := t.desc
-				ds := t.descSig
-				blocked := uint64((f.dh>>t.bit)&1^t.hbit) | c.sigMask[ds>>6]>>(uint32(ds)&63)&1
-				ni := t.defl
-				if blocked == 0 {
-					ni = d
-				}
-				f.defl += uint32(blocked)
+				blocked := uint32((f.dh>>t.bit)&1^t.hbit) | uint32(c.nxtMask[d>>6]>>(uint32(d)&63))&1
+				ni := d ^ (d^t.defl)&-int32(blocked)
+				f.defl += blocked
 				next[ni] = ref
 				lnxt[ni>>6] |= 1 << (uint32(ni) & 63)
-				fs := t.deflSig
-				lsig[fs>>6] |= blocked << (uint32(fs) & 63)
 			}
 			fc.Barrier()
-			mergeClear(c.sigMask, ps.sig, cl*sigStride, (cl+1)*sigStride, id, W)
+			mergeClear(c.nxtMask, ps.nxt, cl*cylN, (cl+1)*cylN, id, W)
 			fc.Barrier()
 		}
 		// Publish the next-occupancy bitmap; Run's join orders this before
 		// the serial inject phase.
-		mergeClear(c.nxtMask, ps.nxt, 0, len(c.nxtMask), id, W)
+		mergeClear(c.nxtMask, ps.nxt, 0, len(c.grid), id, W)
 	})
 	c.injectPhase()
 	c.finishStep()
